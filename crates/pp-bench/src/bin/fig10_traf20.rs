@@ -45,7 +45,7 @@ fn main() {
         let nop_plan = q.nop_plan(&setup.dataset);
         let nop_out = ctx.run(&nop_plan).expect("NoP execution");
         let nop_cost = ctx.meter().cluster_seconds();
-        let input_rows = setup.catalog.table("traffic").expect("registered").len();
+        let input_rows = setup.catalog.table_rows("traffic").expect("registered");
         let selectivity = nop_out.len() as f64 / input_rows as f64;
 
         // SortP.

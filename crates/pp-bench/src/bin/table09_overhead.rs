@@ -46,7 +46,7 @@ fn main() {
         // 15K-row training corpus as in the paper's table.
         let per_pp_train = setup.train_seconds / setup.pp_catalog.len().max(1) as f64;
         let scale_15k = 15_000.0 / setup.train_frames as f64;
-        let input_rows = setup.catalog.table("traffic").expect("registered").len();
+        let input_rows = setup.catalog.table_rows("traffic").expect("registered");
         rows.push((
             q.id,
             RowOut {

@@ -250,7 +250,7 @@ mod tests {
         );
         assert!(s.train_seconds > 0.0);
         // The registered table excludes the training slice.
-        assert_eq!(s.catalog.table("traffic").unwrap().len(), 400);
+        assert_eq!(s.catalog.table_rows("traffic").unwrap(), 400);
     }
 
     #[test]

@@ -340,14 +340,13 @@ impl BatchKernel for PpExprFilter {
     /// Vectorized evaluation: every leaf classifier scores the whole batch
     /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)),
     /// then each row replays the expression walk against its cached
-    /// scores. A columnar batch whose blob column gathers into a dense
+    /// scores. A blob column that gathers into a dense
     /// [`FeatureBlock`](pp_linalg::FeatureBlock) is scored straight off
-    /// the contiguous block; otherwise (row mode, or sparse/ragged cells)
-    /// scoring goes through gathered references. Decisions, row order,
-    /// and per-row errors are bit-identical to calling
-    /// [`passes`][RowFilter::passes] per row, in either batch mode: the
-    /// block is a bitwise gather of the same cells and both layouts score
-    /// through the same `pp_linalg` kernels.
+    /// the contiguous block; otherwise (sparse/ragged cells) scoring goes
+    /// through gathered references. Decisions, row order, and per-row
+    /// errors are bit-identical to calling [`passes`][RowFilter::passes]
+    /// per row: the block is a bitwise gather of the same cells and both
+    /// score through the same `pp_linalg` kernels.
     fn eval_batch(&self, batch: &Batch<'_>) -> Vec<pp_engine::Result<bool>> {
         let leaves = self.planned.expr.leaves();
         let score_all = |fb: &FeatureBatch<'_>| -> Vec<Vec<f64>> {
@@ -356,45 +355,21 @@ impl BatchKernel for PpExprFilter {
                 .map(|pp| pp.pipeline().score_many(fb))
                 .collect()
         };
-        let (cells, leaf_scores): (Vec<pp_engine::Result<&Features>>, Vec<Vec<f64>>) =
-            match batch.as_columns() {
-                Some(cb) => {
-                    let col = cb.feature_column(&self.blob_column);
-                    let scores = match &col.block {
-                        Some(block) => score_all(&FeatureBatch::Block(block)),
-                        None => {
-                            let refs: Vec<&Features> = col
-                                .cells
-                                .iter()
-                                .filter_map(|c| c.as_ref().ok().copied())
-                                .collect();
-                            score_all(&FeatureBatch::Refs(&refs))
-                        }
-                    };
-                    (col.cells, scores)
-                }
-                None => {
-                    let schema = batch.schema();
-                    let cells: Vec<pp_engine::Result<&Features>> = batch
-                        .row_slice()
-                        .iter()
-                        .map(|row| {
-                            row.get_named(schema, &self.blob_column)
-                                .and_then(|v| v.as_blob())
-                                .map(|b| b.as_ref())
-                        })
-                        .collect();
-                    let refs: Vec<&Features> = cells
-                        .iter()
-                        .filter_map(|c| c.as_ref().ok().copied())
-                        .collect();
-                    let scores = score_all(&FeatureBatch::Refs(&refs));
-                    (cells, scores)
-                }
-            };
+        let col = batch.feature_column(&self.blob_column);
+        let leaf_scores = match &col.block {
+            Some(block) => score_all(&FeatureBatch::Block(block)),
+            None => {
+                let refs: Vec<&Features> = col
+                    .cells
+                    .iter()
+                    .filter_map(|c| c.as_ref().ok().copied())
+                    .collect();
+                score_all(&FeatureBatch::Refs(&refs))
+            }
+        };
         let mut pos = 0usize;
         let mut row_scores = vec![0.0; leaf_scores.len()];
-        cells
+        col.cells
             .into_iter()
             .map(|cell| {
                 cell?;
@@ -522,13 +497,10 @@ mod tests {
                 ])
             })
             .collect();
-        let from_rows = filter.eval_batch(&Batch::rows(&schema, &rows, 0));
-        let from_cols = filter.eval_batch(&Batch::columns(&schema, &rows, 0));
-        assert_eq!(from_rows.len(), rows.len());
-        for (row, (r, c)) in rows.iter().zip(from_rows.into_iter().zip(from_cols)) {
-            let serial = filter.passes(row, &schema).unwrap();
-            assert_eq!(serial, r.unwrap());
-            assert_eq!(serial, c.unwrap());
+        let batched = filter.eval_batch(&Batch::new(&schema, &rows, 0));
+        assert_eq!(batched.len(), rows.len());
+        for (row, b) in rows.iter().zip(batched) {
+            assert_eq!(filter.passes(row, &schema).unwrap(), b.unwrap());
         }
     }
 
@@ -543,15 +515,10 @@ mod tests {
             Row::new(vec![Value::Int(7)]), // wrong type: this row errors
             Row::new(vec![Value::blob(Features::Dense(vec![-2.5, 0.0]))]),
         ];
-        for batch in [
-            Batch::rows(&schema, &rows, 0),
-            Batch::columns(&schema, &rows, 0),
-        ] {
-            let out = filter.eval_batch(&batch);
-            assert!(out[0].as_ref().is_ok_and(|&b| b));
-            assert!(out[1].is_err());
-            assert!(out[2].as_ref().is_ok_and(|&b| !b));
-        }
+        let out = filter.eval_batch(&Batch::new(&schema, &rows, 0));
+        assert!(out[0].as_ref().is_ok_and(|&b| b));
+        assert!(out[1].is_err());
+        assert!(out[2].as_ref().is_ok_and(|&b| !b));
     }
 
     #[test]

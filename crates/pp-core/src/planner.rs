@@ -21,7 +21,7 @@ use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
 use pp_engine::logical::{LogicalPlan, OpParallelism};
 use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
-use pp_engine::{prune_stats, shard_prune_stats, Catalog};
+use pp_engine::{prune_stats, publishes_zone_maps, shard_prune_stats, Catalog};
 
 use crate::alloc::{allocate, allocate_uniform, AccuracyGrid};
 use crate::calibration::CalibrationRecord;
@@ -261,45 +261,47 @@ impl PpQueryOptimizer {
             }
             .simplify();
             // Zone-map pushdown (the store's "PPs for free", §5): the
-            // conjuncts evaluable over the provider's *stored* columns are
+            // conjuncts evaluable over the table's *stored* columns are
             // handed to the scan, where per-group zone maps skip row
-            // groups that provably cannot match. Only applies when the
-            // scan actually runs against the provider (an in-memory table
-            // of the same name shadows it). Runs regardless of whether a
+            // groups that provably cannot match. Only applies to a table
+            // that publishes zone maps (an in-memory table has none, so
+            // its plan carries no pushdown). Runs regardless of whether a
             // trained PP is injected — the two prune independently.
-            if catalog.table(&table).is_err() {
-                if let Some(provider) = catalog.provider(&table) {
-                    if let Some(push) = storable_conjuncts(&predicate, &provider.schema()) {
-                        let stats = prune_stats(provider.as_ref(), &push);
-                        if let Some(m) = monitor {
-                            let key = format!("zone[{table}:{push}]");
-                            for (s, ss) in shard_prune_stats(provider.as_ref(), &push)
-                                .iter()
-                                .enumerate()
-                            {
-                                let frac = ss.row_fraction();
-                                m.record_shard_calibration(
-                                    &key,
-                                    s,
-                                    CalibrationRecord {
-                                        predicted_reduction: frac,
-                                        observed_reduction: frac,
-                                        predicted_cost: 0.0,
-                                        observed_cost: 0.0,
-                                    },
-                                );
-                            }
-                        }
-                        report.zone_pushdowns.push(ZonePushdownReport {
-                            table: table.clone(),
-                            predicate: push.to_string(),
-                            row_groups_total: stats.groups_total,
-                            row_groups_pruned: stats.groups_pruned,
-                            rows_pruned: stats.rows_pruned,
-                        });
-                        out_plan = out_plan.with_scan_pushdown(&table, &push);
+            let provider = catalog.provider(&table)?;
+            let push = if publishes_zone_maps(provider.as_ref()) {
+                storable_conjuncts(&predicate, &provider.schema())
+            } else {
+                None
+            };
+            if let Some(push) = push {
+                let stats = prune_stats(provider.as_ref(), &push);
+                if let Some(m) = monitor {
+                    let key = format!("zone[{table}:{push}]");
+                    for (s, ss) in shard_prune_stats(provider.as_ref(), &push)
+                        .iter()
+                        .enumerate()
+                    {
+                        let frac = ss.row_fraction();
+                        m.record_shard_calibration(
+                            &key,
+                            s,
+                            CalibrationRecord {
+                                predicted_reduction: frac,
+                                observed_reduction: frac,
+                                predicted_cost: 0.0,
+                                observed_cost: 0.0,
+                            },
+                        );
                     }
                 }
+                report.zone_pushdowns.push(ZonePushdownReport {
+                    table: table.clone(),
+                    predicate: push.to_string(),
+                    row_groups_total: stats.groups_total,
+                    row_groups_pruned: stats.groups_pruned,
+                    rows_pruned: stats.rows_pruned,
+                });
+                out_plan = out_plan.with_scan_pushdown(&table, &push);
             }
             let outcome = rewrite(
                 &predicate,

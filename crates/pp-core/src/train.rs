@@ -39,7 +39,7 @@ pub fn harvest_labels(
     materialize_plan: &LogicalPlan,
     clauses: &[Clause],
 ) -> Result<Vec<LabeledSet>> {
-    let source = catalog.table(table)?;
+    let source = Arc::new(catalog.read_table(table)?);
     let blob_idx = source.schema().index_of(blob_column)?;
     if source.schema().columns()[blob_idx].dtype != DataType::Blob {
         return Err(PpError::Engine(EngineError::TypeMismatch {
@@ -48,8 +48,12 @@ pub fn harvest_labels(
         }));
     }
     // Run the materializing plan (costs irrelevant here — training time is
-    // accounted separately).
-    let out = pp_engine::exec::ExecutionContext::new(catalog).run(materialize_plan)?;
+    // accounted separately) over this very materialization: labels are
+    // matched by blob identity, and a table that decodes its rows on every
+    // read would hand the plan different `Arc`s than `source` holds.
+    let mut pinned = catalog.clone();
+    pinned.register_shared(table, Arc::clone(&source));
+    let out = pp_engine::exec::ExecutionContext::new(&pinned).run(materialize_plan)?;
     let out_schema = out.schema().clone();
     let out_blob_idx = out_schema.index_of(blob_column)?;
 

@@ -1,143 +1,57 @@
-//! The unified batch representation handed to batch-capable UDFs.
+//! The batch representation handed to batch-capable UDFs.
 //!
-//! One [`Batch`] enum replaces the three historical vectorized entry
-//! points (`process_batch`, `passes_batch`, and pp-ml's `score_batch`):
-//! every UDF implements [`BatchKernel::eval_batch`] over a `Batch`, which
-//! is either a row view ([`Batch::Rows`]) or a columnar view
-//! ([`Batch::Columns`]). Both views borrow the same underlying rows — the
-//! variant is the executor's *contract* about how the kernel should
-//! evaluate:
+//! Every UDF implements [`BatchKernel::eval_batch`] over a [`Batch`]: a
+//! columnar view over a borrowed row slice. A kernel gathers the blob
+//! column it reads into a contiguous buffer ([`Batch::feature_column`])
+//! and evaluates it with block kernels.
 //!
-//! * `Rows` — the kernel takes its row-oriented path (per-row access,
-//!   reference gathering). This is the baseline the byte-identity
-//!   invariant is defined against.
-//! * `Columns` — the kernel may gather the columns it reads into
-//!   contiguous buffers ([`ColumnarBatch::feature_column`]) and evaluate
-//!   them with block kernels. Results must stay **bit-identical** to the
-//!   `Rows` path: gathering a dense feature vector is a bitwise copy and
-//!   every model scores both layouts through the same
-//!   `pp_linalg::kernels`, so this holds by construction. Sparse vectors
-//!   are never gathered (densifying would reassociate their dot-product
-//!   sums); a column containing any sparse cell falls back to the
-//!   reference path inside the kernel itself.
+//! The byte-identity invariant is defined against the **scalar per-row
+//! path** ([`RowFilter::passes`](crate::udf::RowFilter::passes),
+//! [`Processor::process`](crate::udf::Processor::process)) — the path the
+//! executor already uses for retries, i.e. what a `K=1, batch_size=1` run
+//! evaluates. `eval_batch` must stay **bit-identical** to it: gathering a
+//! dense feature vector is a bitwise copy and every model scores the
+//! block through the same `pp_linalg::kernels`, so this holds by
+//! construction. Sparse vectors are never gathered (densifying would
+//! reassociate their dot-product sums); a column containing any sparse or
+//! ragged cell is scored through the gathered references instead, inside
+//! the kernel itself.
 //!
-//! Scalar UDFs ignore the distinction via [`for_each_row`], which walks
-//! either variant in row order.
+//! Scalar UDFs use [`for_each_row`], which walks the batch in row order.
 
 use pp_linalg::{FeatureBlock, Features};
 
-use crate::row::{Row, RowBatch};
+use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 
-/// A unified batch of rows: the single argument to
-/// [`BatchKernel::eval_batch`].
-#[derive(Debug, Clone, Copy)]
-pub enum Batch<'a> {
-    /// Row-oriented view; kernels take their per-row/reference path.
-    Rows(RowBatch<'a>),
-    /// Columnar view; kernels may gather contiguous feature blocks.
-    Columns(ColumnarBatch<'a>),
-}
-
-/// Which [`Batch`] variant the executor hands to kernels — a per-context
-/// knob ([`with_batch_mode`](crate::exec::ExecutionContextBuilder::with_batch_mode)).
-/// Both modes produce bit-identical results; `Rows` exists as the baseline for the
-/// byte-identity invariant and for benchmarking the columnar speed-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Hand kernels the historical row-oriented view.
-    Rows,
-    /// Hand kernels the columnar view (the default).
-    #[default]
-    Columnar,
-}
-
-impl<'a> Batch<'a> {
-    /// Builds a row-mode batch over `rows`, where `rows[0]` sits at global
-    /// input index `offset`.
-    pub fn rows(schema: &'a Schema, rows: &'a [Row], offset: usize) -> Self {
-        Batch::Rows(RowBatch::new(schema, rows, offset))
-    }
-
-    /// Builds the batch variant selected by `mode` over the same rows.
-    pub fn with_mode(mode: BatchMode, schema: &'a Schema, rows: &'a [Row], offset: usize) -> Self {
-        match mode {
-            BatchMode::Rows => Batch::rows(schema, rows, offset),
-            BatchMode::Columnar => Batch::columns(schema, rows, offset),
-        }
-    }
-
-    /// Builds a columnar-mode batch over the same borrowed rows.
-    pub fn columns(schema: &'a Schema, rows: &'a [Row], offset: usize) -> Self {
-        Batch::Columns(ColumnarBatch {
-            schema,
-            rows,
-            offset,
-        })
-    }
-
-    /// The schema every row in the batch conforms to.
-    pub fn schema(&self) -> &'a Schema {
-        match self {
-            Batch::Rows(b) => b.schema(),
-            Batch::Columns(b) => b.schema,
-        }
-    }
-
-    /// The underlying rows, in batch order.
-    pub fn row_slice(&self) -> &'a [Row] {
-        match self {
-            Batch::Rows(b) => b.rows(),
-            Batch::Columns(b) => b.rows,
-        }
-    }
-
-    /// Global input index of the batch's first row.
-    pub fn offset(&self) -> usize {
-        match self {
-            Batch::Rows(b) => b.offset(),
-            Batch::Columns(b) => b.offset,
-        }
-    }
-
-    /// Number of rows in the batch.
-    pub fn len(&self) -> usize {
-        self.row_slice().len()
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.row_slice().is_empty()
-    }
-
-    /// The columnar view, when the executor offered one.
-    pub fn as_columns(&self) -> Option<&ColumnarBatch<'a>> {
-        match self {
-            Batch::Rows(_) => None,
-            Batch::Columns(b) => Some(b),
-        }
-    }
-}
-
-/// A columnar view over a borrowed row slice.
+/// A batch of rows: the single argument to [`BatchKernel::eval_batch`].
 ///
 /// Feature columns are gathered on demand via
-/// [`feature_column`](ColumnarBatch::feature_column) — one pass per
-/// (batch, column) that the kernel
-/// actually reads, producing a contiguous [`FeatureBlock`] plus a
-/// selection vector and per-row validity. Non-feature columns stay in row
-/// form; vectorizing plain predicate evaluation is not where PP plans
-/// spend their time.
+/// [`feature_column`](Batch::feature_column) — one pass per (batch,
+/// column) that the kernel actually reads, producing a contiguous
+/// [`FeatureBlock`] plus a selection vector and per-row validity.
+/// Non-feature columns stay in row form; vectorizing plain predicate
+/// evaluation is not where PP plans spend their time.
 #[derive(Debug, Clone, Copy)]
-pub struct ColumnarBatch<'a> {
+pub struct Batch<'a> {
     schema: &'a Schema,
     rows: &'a [Row],
     offset: usize,
 }
 
-impl<'a> ColumnarBatch<'a> {
+impl<'a> Batch<'a> {
+    /// Builds a batch over `rows`, where `rows[0]` sits at global input
+    /// index `offset`.
+    pub fn new(schema: &'a Schema, rows: &'a [Row], offset: usize) -> Self {
+        Batch {
+            schema,
+            rows,
+            offset,
+        }
+    }
+
     /// The schema every row conforms to.
     pub fn schema(&self) -> &'a Schema {
         self.schema
@@ -240,7 +154,7 @@ impl<'a> ColumnarBatch<'a> {
     }
 }
 
-/// The result of gathering one blob column from a [`ColumnarBatch`].
+/// The result of gathering one blob column from a [`Batch`].
 #[derive(Debug)]
 pub struct FeatureColumn<'a> {
     /// Per-row extraction outcome in batch order — the validity mask.
@@ -261,9 +175,8 @@ pub struct FeatureColumn<'a> {
 /// (`results.len() == batch.len()`), each counting as that row's *first
 /// attempt* — the executor retries failed rows individually through the
 /// scalar path. Implementations must be row-independent (row `i`'s outcome
-/// may not depend on which other rows share the batch) and
-/// **layout-independent**: the `Rows` and `Columns` variants of the same
-/// underlying rows must produce bit-identical outcomes.
+/// may not depend on which other rows share the batch) and bit-identical
+/// to the scalar per-row path over the same rows.
 pub trait BatchKernel: Send + Sync {
     /// Per-row output type (`bool` for filters, appended rows for
     /// processors).
@@ -273,14 +186,14 @@ pub trait BatchKernel: Send + Sync {
     fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<Self::Out>>;
 }
 
-/// Evaluates a scalar per-row function over either batch variant in row
-/// order — the fallback for UDFs with no vectorized form.
+/// Evaluates a scalar per-row function over the batch in row order — the
+/// fallback for UDFs with no vectorized form.
 pub fn for_each_row<T>(
     batch: &Batch<'_>,
     mut f: impl FnMut(&Row, &Schema) -> Result<T>,
 ) -> Vec<Result<T>> {
     let schema = batch.schema();
-    batch.row_slice().iter().map(|row| f(row, schema)).collect()
+    batch.rows().iter().map(|row| f(row, schema)).collect()
 }
 
 /// Type alias documenting the processor kernel output: appended cells for
@@ -308,18 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn variants_agree_on_shape() {
+    fn batch_reports_its_shape() {
         let s = blob_schema();
         let rows = vec![dense_row(0, vec![1.0, 2.0]), dense_row(1, vec![3.0, 4.0])];
-        let r = Batch::rows(&s, &rows, 7);
-        let c = Batch::columns(&s, &rows, 7);
-        for b in [&r, &c] {
-            assert_eq!(b.len(), 2);
-            assert_eq!(b.offset(), 7);
-            assert!(!b.is_empty());
-        }
-        assert!(r.as_columns().is_none());
-        assert!(c.as_columns().is_some());
+        let b = Batch::new(&s, &rows, 7);
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.offset(), 7);
+        assert!(!b.is_empty());
     }
 
     #[test]
@@ -330,8 +238,8 @@ mod tests {
             dense_row(1, vec![3.0, 4.0]),
             dense_row(2, vec![5.0, 6.0]),
         ];
-        let b = Batch::columns(&s, &rows, 0);
-        let col = b.as_columns().unwrap().feature_column("blob");
+        let b = Batch::new(&s, &rows, 0);
+        let col = b.feature_column("blob");
         let block = col.block.as_ref().unwrap();
         assert_eq!(block.len(), 3);
         assert_eq!(block.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -347,8 +255,8 @@ mod tests {
             Row::new(vec![Value::Int(1), Value::Int(99)]), // not a blob
             dense_row(2, vec![5.0, 6.0]),
         ];
-        let b = Batch::columns(&s, &rows, 0);
-        let col = b.as_columns().unwrap().feature_column("blob");
+        let b = Batch::new(&s, &rows, 0);
+        let col = b.feature_column("blob");
         assert!(matches!(
             col.cells[1],
             Err(EngineError::TypeMismatch {
@@ -372,8 +280,8 @@ mod tests {
             dense_row(0, vec![1.0, 2.0]),
             Row::new(vec![Value::Int(1), Value::blob(sparse)]),
         ];
-        let b = Batch::columns(&s, &rows, 0);
-        let col = b.as_columns().unwrap().feature_column("blob");
+        let b = Batch::new(&s, &rows, 0);
+        let col = b.feature_column("blob");
         assert!(col.block.is_none(), "sparse cells must not be densified");
         assert_eq!(col.selection, vec![0, 1]);
         assert_eq!(col.cells.len(), 2);
@@ -383,8 +291,8 @@ mod tests {
     fn unknown_column_errors_every_row() {
         let s = blob_schema();
         let rows = vec![dense_row(0, vec![1.0]), dense_row(1, vec![2.0])];
-        let b = Batch::columns(&s, &rows, 0);
-        let col = b.as_columns().unwrap().feature_column("nope");
+        let b = Batch::new(&s, &rows, 0);
+        let col = b.feature_column("nope");
         assert_eq!(col.cells.len(), 2);
         for c in &col.cells {
             assert!(matches!(c, Err(EngineError::UnknownColumn(n)) if n == "nope"));
@@ -394,24 +302,20 @@ mod tests {
     }
 
     #[test]
-    fn for_each_row_walks_both_variants() {
+    fn for_each_row_walks_in_row_order() {
         let s = blob_schema();
         let rows = vec![dense_row(3, vec![1.0]), dense_row(4, vec![2.0])];
-        let per_row = |row: &Row, _s: &Schema| row.get(0).as_int();
-        let from_rows = for_each_row(&Batch::rows(&s, &rows, 0), per_row);
-        let from_cols = for_each_row(&Batch::columns(&s, &rows, 0), per_row);
-        let a: Vec<i64> = from_rows.into_iter().map(|r| r.unwrap()).collect();
-        let b: Vec<i64> = from_cols.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![3, 4]);
+        let out = for_each_row(&Batch::new(&s, &rows, 0), |row, _| row.get(0).as_int());
+        let ids: Vec<i64> = out.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(ids, vec![3, 4]);
     }
 
     #[test]
     fn ragged_dims_disable_the_block() {
         let s = blob_schema();
         let rows = vec![dense_row(0, vec![1.0, 2.0]), dense_row(1, vec![3.0])];
-        let b = Batch::columns(&s, &rows, 0);
-        let col = b.as_columns().unwrap().feature_column("blob");
+        let b = Batch::new(&s, &rows, 0);
+        let col = b.feature_column("blob");
         assert!(col.block.is_none());
         assert_eq!(col.cells.len(), 2);
     }

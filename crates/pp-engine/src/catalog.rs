@@ -3,18 +3,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::provider::TableProvider;
-use crate::row::{Row, Rowset};
+use crate::provider::{MemoryProvider, TableProvider};
+use crate::row::Rowset;
 use crate::schema::Schema;
 use crate::{EngineError, Result};
 
-/// Named tables visible to plans: materialized in-memory [`Rowset`]s
-/// and/or out-of-core [`TableProvider`]s. When both are registered under
-/// one name, the in-memory table shadows the provider.
+/// Named tables visible to plans. Every table is a [`TableProvider`]: an
+/// in-memory [`Rowset`] is registered as a one-group
+/// [`MemoryProvider::whole`], an out-of-core table as whatever provider
+/// the store hands over. Registering a name again replaces the earlier
+/// table, whichever kind either was.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Arc<Rowset>>,
-    providers: HashMap<String, Arc<dyn TableProvider>>,
+    tables: HashMap<String, Arc<dyn TableProvider>>,
 }
 
 impl Catalog {
@@ -23,138 +24,78 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers (or replaces) a table.
+    /// Registers (or replaces) an in-memory table.
     pub fn register(&mut self, name: impl Into<String>, table: Rowset) {
-        self.tables.insert(name.into(), Arc::new(table));
+        self.register_shared(name, Arc::new(table));
     }
 
-    /// Registers a shared table without copying.
+    /// Registers (or replaces) a shared in-memory table without copying.
     pub fn register_shared(&mut self, name: impl Into<String>, table: Arc<Rowset>) {
-        self.tables.insert(name.into(), table);
+        self.register_provider(name, Arc::new(MemoryProvider::whole(table)));
     }
 
-    /// Registers (or replaces) an out-of-core table provider.
+    /// Registers (or replaces) a table provider.
     pub fn register_provider(&mut self, name: impl Into<String>, provider: Arc<dyn TableProvider>) {
-        self.providers.insert(name.into(), provider);
+        self.tables.insert(name.into(), provider);
     }
 
-    /// Looks up an in-memory table.
-    pub fn table(&self, name: &str) -> Result<&Arc<Rowset>> {
+    /// Looks up a table.
+    pub fn provider(&self, name: &str) -> Result<&Arc<dyn TableProvider>> {
         self.tables
             .get(name)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// Looks up an out-of-core provider, if one is registered.
-    pub fn provider(&self, name: &str) -> Option<&Arc<dyn TableProvider>> {
-        self.providers.get(name)
-    }
-
-    /// The schema of a table, whether in-memory or provider-backed.
+    /// The schema of a table.
     pub fn table_schema(&self, name: &str) -> Result<Arc<Schema>> {
-        if let Some(t) = self.tables.get(name) {
-            return Ok(t.schema().clone());
-        }
-        self.providers
-            .get(name)
-            .map(|p| p.schema())
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+        Ok(self.provider(name)?.schema())
     }
 
-    /// The row count of a table, whether in-memory or provider-backed.
+    /// The row count of a table.
     pub fn table_rows(&self, name: &str) -> Result<usize> {
-        if let Some(t) = self.tables.get(name) {
-            return Ok(t.len());
-        }
-        self.providers
-            .get(name)
-            .map(|p| p.row_count())
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+        Ok(self.provider(name)?.row_count())
     }
 
-    /// Materializes a table as a [`Rowset`]: a cheap clone for in-memory
-    /// tables, a full decode (in group order) for provider-backed ones.
-    /// Off-hot-path consumers (training, audit replay) use this; the
-    /// executor streams groups instead.
+    /// Materializes a table as a [`Rowset`] (see
+    /// [`read_all`](crate::provider::read_all)).
     pub fn read_table(&self, name: &str) -> Result<Rowset> {
-        if let Some(t) = self.tables.get(name) {
-            return Ok((**t).clone());
-        }
-        let provider = self
-            .providers
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-        let mut rows: Vec<Row> = Vec::with_capacity(provider.row_count());
-        for g in 0..provider.group_count() {
-            rows.extend(provider.read_group(g)?);
-        }
-        Rowset::new(provider.schema(), rows)
+        crate::provider::read_all(self.provider(name)?.as_ref())
     }
 
-    /// Table names (unordered; provider-only names included once).
+    /// Table names (unordered).
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str).chain(
-            self.providers
-                .keys()
-                .filter(|k| !self.tables.contains_key(*k))
-                .map(String::as_str),
-        )
+        self.tables.keys().map(String::as_str)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::MemoryProvider;
+    use crate::row::Row;
     use crate::schema::{Column, DataType};
     use crate::value::Value;
+
+    fn int_schema(name: &str) -> Arc<Schema> {
+        Schema::new(vec![Column::new(name, DataType::Int)]).unwrap()
+    }
+
+    fn sample_table(n: usize) -> Arc<Rowset> {
+        let rows: Vec<Row> = (0..n)
+            .map(|i| Row::new(vec![Value::Int(i as i64)]))
+            .collect();
+        Arc::new(Rowset::new(int_schema("x"), rows).unwrap())
+    }
 
     #[test]
     fn register_and_lookup() {
         let mut c = Catalog::new();
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        c.register("t", Rowset::empty(schema));
-        assert!(c.table("t").is_ok());
+        c.register("t", Rowset::empty(int_schema("x")));
+        assert!(c.provider("t").is_ok());
+        assert_eq!(c.table_names().count(), 1);
         assert!(matches!(
-            c.table("missing"),
+            c.provider("missing"),
             Err(EngineError::UnknownTable(_))
         ));
-        assert_eq!(c.table_names().count(), 1);
-    }
-
-    #[test]
-    fn register_replaces() {
-        let mut c = Catalog::new();
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        c.register("t", Rowset::empty(schema.clone()));
-        let schema2 = Schema::new(vec![Column::new("y", DataType::Str)]).unwrap();
-        c.register("t", Rowset::empty(schema2));
-        assert!(c.table("t").unwrap().schema().contains("y"));
-    }
-
-    fn sample_provider(n: usize) -> Arc<MemoryProvider> {
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        let rows: Vec<Row> = (0..n)
-            .map(|i| Row::new(vec![Value::Int(i as i64)]))
-            .collect();
-        Arc::new(MemoryProvider::new(
-            Arc::new(Rowset::new(schema, rows).unwrap()),
-            4,
-            1,
-        ))
-    }
-
-    #[test]
-    fn provider_backed_lookups() {
-        let mut c = Catalog::new();
-        c.register_provider("disk", sample_provider(10));
-        assert!(c.table("disk").is_err(), "no in-memory table");
-        assert!(c.provider("disk").is_some());
-        assert_eq!(c.table_rows("disk").unwrap(), 10);
-        assert_eq!(c.table_schema("disk").unwrap().len(), 1);
-        let materialized = c.read_table("disk").unwrap();
-        assert_eq!(materialized.len(), 10);
-        assert_eq!(c.table_names().count(), 1);
         assert!(matches!(
             c.table_schema("missing"),
             Err(EngineError::UnknownTable(_))
@@ -170,12 +111,45 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_shadows_provider() {
+    fn in_memory_table_is_one_unzoned_group() {
         let mut c = Catalog::new();
-        c.register_provider("t", sample_provider(10));
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        c.register("t", Rowset::empty(schema));
+        c.register_shared("t", sample_table(10));
+        let p = c.provider("t").unwrap();
+        assert_eq!(p.group_count(), 1);
+        assert_eq!(p.group_meta(0).rows, 10);
+        assert!(!crate::provider::publishes_zone_maps(p.as_ref()));
+        assert_eq!(c.table_rows("t").unwrap(), 10);
+        assert_eq!(c.table_schema("t").unwrap().len(), 1);
+        assert_eq!(c.read_table("t").unwrap().len(), 10);
+    }
+
+    #[test]
+    fn grouped_provider_lookups() {
+        let mut c = Catalog::new();
+        c.register_provider(
+            "disk",
+            Arc::new(MemoryProvider::new(sample_table(10), 4, 1)),
+        );
+        let p = c.provider("disk").unwrap();
+        assert_eq!(p.group_count(), 3);
+        assert!(crate::provider::publishes_zone_maps(p.as_ref()));
+        assert_eq!(c.table_rows("disk").unwrap(), 10);
+        assert_eq!(c.read_table("disk").unwrap().len(), 10);
+        assert_eq!(c.table_names().count(), 1);
+    }
+
+    /// One map: whichever kind of table was registered last under a name
+    /// is the table, in both directions.
+    #[test]
+    fn last_registration_wins() {
+        let mut c = Catalog::new();
+        c.register_provider("t", Arc::new(MemoryProvider::new(sample_table(10), 4, 1)));
+        c.register("t", Rowset::empty(int_schema("y")));
         assert_eq!(c.table_rows("t").unwrap(), 0);
+        assert!(c.table_schema("t").unwrap().contains("y"));
+        c.register_provider("t", Arc::new(MemoryProvider::new(sample_table(10), 4, 1)));
+        assert_eq!(c.table_rows("t").unwrap(), 10);
+        assert!(c.table_schema("t").unwrap().contains("x"));
         assert_eq!(c.table_names().count(), 1);
     }
 }

@@ -35,14 +35,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::batch::BatchMode;
 use crate::cancel::CancelToken;
 use crate::catalog::Catalog;
 use crate::cost::{CostMeter, CostModel, QueryMetrics};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
 use crate::memo::UdfMemo;
-use crate::physical::{execute_partitioned, ExecOptions};
+use crate::physical::{ExecOptions, Executor};
 use crate::resilience::{ExecReport, ExecSession, ResilienceConfig};
 use crate::row::Rowset;
 use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
@@ -106,16 +105,6 @@ impl<'a> ExecutionContextBuilder<'a> {
         self
     }
 
-    /// Sets which [`Batch`](crate::batch::Batch) variant kernels receive:
-    /// [`BatchMode::Columnar`] (the default) lets them gather feature
-    /// columns into contiguous blocks; [`BatchMode::Rows`] forces the
-    /// historical row-at-a-time view. Both produce bit-identical output;
-    /// the knob exists for benchmarking and bisection.
-    pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
     /// Installs a cooperative [`CancelToken`] polled at batch and group
     /// boundaries of every [`ExecutionContext::run`]. A fired token stops
     /// the run with [`EngineError::Cancelled`](crate::EngineError::Cancelled),
@@ -148,42 +137,6 @@ impl<'a> ExecutionContextBuilder<'a> {
     pub fn with_udf_memo(mut self, memo: Arc<UdfMemo>) -> Self {
         self.udf_memo = Some(memo);
         self
-    }
-
-    /// Deprecated alias of [`with_cost_model`][Self::with_cost_model].
-    #[deprecated(since = "0.7.0", note = "renamed to with_cost_model")]
-    pub fn cost_model(self, model: CostModel) -> Self {
-        self.with_cost_model(model)
-    }
-
-    /// Deprecated alias of [`with_resilience`][Self::with_resilience].
-    #[deprecated(since = "0.7.0", note = "renamed to with_resilience")]
-    pub fn resilience(self, config: ResilienceConfig) -> Self {
-        self.with_resilience(config)
-    }
-
-    /// Deprecated alias of [`with_fault_plan`][Self::with_fault_plan].
-    #[deprecated(since = "0.7.0", note = "renamed to with_fault_plan")]
-    pub fn fault_plan(self, plan: FaultPlan) -> Self {
-        self.with_fault_plan(plan)
-    }
-
-    /// Deprecated alias of [`with_parallelism`][Self::with_parallelism].
-    #[deprecated(since = "0.7.0", note = "renamed to with_parallelism")]
-    pub fn parallelism(self, k: usize) -> Self {
-        self.with_parallelism(k)
-    }
-
-    /// Deprecated alias of [`with_batch_size`][Self::with_batch_size].
-    #[deprecated(since = "0.7.0", note = "renamed to with_batch_size")]
-    pub fn batch_size(self, rows: usize) -> Self {
-        self.with_batch_size(rows)
-    }
-
-    /// Deprecated alias of [`with_cancel_token`][Self::with_cancel_token].
-    #[deprecated(since = "0.7.0", note = "renamed to with_cancel_token")]
-    pub fn cancel_token(self, token: CancelToken) -> Self {
-        self.with_cancel_token(token)
     }
 
     /// Finalizes the context.
@@ -299,16 +252,16 @@ impl<'a> ExecutionContext<'a> {
             }
             None => plan,
         };
-        let result = execute_partitioned(
-            plan,
-            self.catalog,
-            &mut self.meter,
-            &self.model,
-            &mut self.session,
-            self.opts,
-            &mut tel,
-            &self.cancel,
-        );
+        let result = Executor {
+            catalog: self.catalog,
+            meter: &mut self.meter,
+            model: &self.model,
+            session: &mut self.session,
+            opts: self.opts,
+            tel: &mut tel,
+            cancel: &self.cancel,
+        }
+        .run(plan);
         // Breaker transitions (trips during this run, plus any manual
         // resets since the last run) become events, in the deterministic
         // order the session recorded them.
@@ -392,11 +345,6 @@ impl<'a> ExecutionContext<'a> {
     /// Rows per morsel claimed by scheduler workers.
     pub fn morsel_size(&self) -> usize {
         self.opts.morsel_size
-    }
-
-    /// Which [`Batch`](crate::batch::Batch) variant kernels receive.
-    pub fn batch_mode(&self) -> BatchMode {
-        self.opts.mode
     }
 
     /// The cost meter of the most recent [`run`][Self::run] (empty before

@@ -176,16 +176,19 @@ fn predict_into(
         .ok_or_else(|| EngineError::InvalidPlan("prediction traversal diverged".into()))?;
     let ratio = hints.ratio(&op).unwrap_or(1.0);
     let (rows_out, seconds) = match plan {
-        // Provider-backed scans with a pushdown predict zone-map pruning
-        // *exactly* (zone maps are static, an accuracy-1.0 PP): rows_out
-        // and seconds cover only the rows surviving group pruning, which
-        // is precisely what the executor emits and charges.
+        // A scan with a pushdown predicts zone-map pruning *exactly* (zone
+        // maps are static, an accuracy-1.0 PP): rows_out and seconds cover
+        // only the rows surviving group pruning, which is precisely what
+        // the executor emits and charges. A table without zone maps
+        // prunes nothing.
         LogicalPlan::Scan { table, pushdown } => {
-            let kept = match (catalog.provider(table), pushdown) {
-                (Some(p), Some(pred)) if catalog.table(table).is_err() => {
-                    rows_in - crate::provider::prune_stats(p.as_ref(), pred).rows_pruned as f64
+            let kept = match pushdown {
+                Some(pred) => {
+                    let provider = catalog.provider(table)?;
+                    rows_in
+                        - crate::provider::prune_stats(provider.as_ref(), pred).rows_pruned as f64
                 }
-                _ => rows_in,
+                None => rows_in,
             };
             (kept * ratio, kept * model.scan)
         }

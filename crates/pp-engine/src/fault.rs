@@ -473,9 +473,8 @@ impl std::fmt::Debug for FaultyProcessor {
 
 impl crate::batch::BatchKernel for FaultyProcessor {
     type Out = crate::batch::ProcessedRows;
-    /// Deliberately takes the per-row path regardless of batch variant, so
-    /// every row draws its own fault and the batch layout can never change
-    /// which faults fire.
+    /// Deliberately takes the per-row path, so every row draws its own
+    /// fault and batching can never change which faults fire.
     fn eval_batch(
         &self,
         batch: &crate::batch::Batch<'_>,
@@ -552,8 +551,7 @@ impl Processor for FaultyProcessor {
 /// Stateless like [`FaultyProcessor`]: decisions key off the row
 /// fingerprint and attempt ordinal, never off call order. The shim's
 /// batch kernel deliberately routes every batch through the per-row path,
-/// so faulted filters ignore the batch layout and every row draws its own
-/// fault.
+/// so every row draws its own fault.
 pub struct FaultyFilter {
     inner: Arc<dyn RowFilter>,
     spec: FaultSpec,
@@ -590,8 +588,8 @@ impl std::fmt::Debug for FaultyFilter {
 
 impl crate::batch::BatchKernel for FaultyFilter {
     type Out = bool;
-    /// Per-row regardless of batch variant (see [`FaultyProcessor`]'s
-    /// kernel): every row draws its own fault.
+    /// Per-row (see [`FaultyProcessor`]'s kernel): every row draws its
+    /// own fault.
     fn eval_batch(&self, batch: &crate::batch::Batch<'_>) -> Vec<Result<bool>> {
         crate::batch::for_each_row(batch, |row, schema| self.passes(row, schema))
     }

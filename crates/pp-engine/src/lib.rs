@@ -42,7 +42,7 @@ pub mod telemetry;
 pub mod udf;
 pub mod value;
 
-pub use batch::{Batch, BatchKernel, BatchMode, ColumnarBatch, FeatureColumn, ProcessedRows};
+pub use batch::{Batch, BatchKernel, FeatureColumn, ProcessedRows};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
 pub use cost::{CostMeter, QueryMetrics};
@@ -54,8 +54,8 @@ pub use logical::{LogicalPlan, OpParallelism};
 pub use memo::{memoize_plan, MemoProcessor, MemoStats, UdfMemo};
 pub use predicate::{Clause, CompareOp, Predicate};
 pub use provider::{
-    group_may_match, kept_groups, prune_stats, shard_prune_stats, MemoryProvider, PruneStats,
-    RowGroupMeta, TableProvider, ZoneMap,
+    group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
+    MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
 pub use resilience::{
     BreakerTransition, ExecReport, ExecSession, OpResilience, ResilienceConfig, RetryPolicy,

@@ -84,7 +84,7 @@ pub enum LogicalPlan {
         /// zone-map row-group pruning. Pruning is conservative — it only
         /// skips groups that provably cannot match — so results are
         /// unchanged; the full predicate is still applied above the
-        /// scan. Ignored for in-memory tables.
+        /// scan. Prunes nothing on a table that publishes no zone maps.
         pushdown: Option<Predicate>,
     },
     /// Apply a processor UDF (appends columns, may fan out or drop rows).
@@ -191,8 +191,8 @@ impl LogicalPlan {
 
     /// Returns a copy of the plan with `pushdown` attached to every scan
     /// of `table` (replacing any existing pushdown there). Used by the
-    /// planner to push zone-map-prunable conjuncts into provider-backed
-    /// scans.
+    /// planner to push zone-map-prunable conjuncts into scans of tables
+    /// that publish zone maps.
     pub fn with_scan_pushdown(&self, table: &str, pushdown: &Predicate) -> LogicalPlan {
         match self {
             LogicalPlan::Scan { table: t, .. } if t == table => LogicalPlan::Scan {

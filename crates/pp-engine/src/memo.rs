@@ -180,7 +180,7 @@ impl UdfMemo {
 /// are scalar (their vectorized entry point is defined as
 /// [`for_each_row`](crate::batch::for_each_row) over
 /// [`process`](Processor::process)), so the per-row memoized path is
-/// bit-identical to the unmemoized kernel in either batch layout.
+/// bit-identical to the unmemoized kernel.
 pub struct MemoProcessor {
     inner: Arc<dyn Processor>,
     /// Interned once so every key shares one allocation.

@@ -2,13 +2,24 @@
 //! cost metering, fault-tolerant UDF dispatch, and morsel-driven
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
-//! Corpora in this reproduction are in-memory, so operators materialize
-//! their outputs (no volcano iterators); the interesting quantity is the
-//! *charged* cost, not the wall clock. Every operator charges
-//! `attempts × cost_per_row` simulated seconds to the [`CostMeter`] —
-//! which equals the classic `rows_in × cost_per_row` on a fault-free run —
-//! plus any retry backoff and timeout stalls accrued by the
-//! [`ExecSession`].
+//! Operators materialize their outputs (no volcano iterators); the
+//! interesting quantity is the *charged* cost, not the wall clock. Every
+//! operator charges `attempts × cost_per_row` simulated seconds to the
+//! [`CostMeter`] — which equals the classic `rows_in × cost_per_row` on a
+//! fault-free run — plus any retry backoff and timeout stalls accrued by
+//! the [`ExecSession`].
+//!
+//! # One path
+//!
+//! Every plan runs down the same path. A `Scan` streams the row groups
+//! of the table's [`TableProvider`](crate::provider::TableProvider) (an
+//! in-memory table is one group with no zone maps, see
+//! [`MemoryProvider::whole`](crate::provider::MemoryProvider::whole)).
+//! Every operator body runs inside `Executor::operator`, which owns the
+//! one wall-clock bracket, the span push, the meter charge and the
+//! failure hand-back. `Filter` and `Process` share one probe→consume
+//! fold (`Executor::fold_udf`); `Reduce` and `Combine` share one
+//! group-invocation loop (`Executor::fold_groups`).
 //!
 //! # Morsel-driven execution
 //!
@@ -17,22 +28,22 @@
 //! `ExecOptions::morsel_size`) that a `std::thread` worker pool claims
 //! off a shared atomic counter: a worker stuck on an expensive morsel
 //! never blocks the rest of the input (work stealing by construction).
-//! Within a morsel, rows are *probed* one [`Batch`] at a time — columnar
-//! by default, so batch-capable UDFs can gather feature columns into
-//! contiguous blocks and vectorize (see [`crate::batch`]). Batch
-//! boundaries are a pure function of `(morsel_size, batch_size)`, never of
-//! the worker count. Probing runs the full retry loop per row but touches
-//! no shared state; the main thread then *consumes* the probe outcomes
-//! sequentially in global row order (morsels reassembled by index), which
-//! replays circuit-breaker evolution, fail-open decisions, resilience
-//! counters, and cost charges exactly as a serial run would. Injected
-//! faults key off row identity and attempt ordinal (see
-//! [`fault`](crate::fault)), and kernels are layout-independent, so
-//! results, row order, reports, and charges are byte-identical to serial
-//! row-mode execution for every seed, every parallelism, every batch and
-//! morsel size, and both batch modes.
+//! Within a morsel, rows are *probed* one columnar [`Batch`] at a time, so
+//! batch-capable UDFs can gather feature columns into contiguous blocks
+//! and vectorize (see [`crate::batch`]). Batch boundaries are a pure
+//! function of `(morsel_size, batch_size)`, never of the worker count.
+//! Probing runs the full retry loop per row but touches no shared state;
+//! the main thread then *consumes* the probe outcomes sequentially in
+//! global row order (morsels reassembled by index), which replays
+//! circuit-breaker evolution, fail-open decisions, resilience counters,
+//! and cost charges exactly as a serial run would. Injected faults key
+//! off row identity and attempt ordinal (see [`fault`](crate::fault)),
+//! and batch kernels are bit-identical to the scalar per-row path, so
+//! results, row order, reports, and charges are byte-identical to the
+//! scalar reference (`parallelism = 1, batch_size = 1`) for every seed,
+//! every parallelism, and every batch and morsel size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
-//! `Scan`/`Project` stay serial; see
+//! `Project` stay serial; see
 //! [`LogicalPlan::partitionability`](crate::logical::LogicalPlan::partitionability).
 //!
 //! Failure semantics, per operator kind:
@@ -46,20 +57,22 @@
 //!   their errors are not maskable; after retries the error propagates.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::batch::{Batch, BatchMode};
-use crate::cancel::CancelToken;
+use crate::batch::Batch;
+use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
 use crate::cost::{CostMeter, CostModel};
-use crate::logical::{AggFunc, LogicalPlan};
+use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
-use crate::provider::TableProvider;
 use crate::resilience::{ExecSession, Invocation};
 use crate::row::{Row, Rowset};
+use crate::schema::{Column, Schema};
 use crate::telemetry::{EventKind, OperatorSpan, SpanCollector};
+use crate::udf::{Combiner, Processor, Reducer, RowFilter};
 use crate::value::{Key, Value};
 use crate::{EngineError, Result};
 
@@ -73,8 +86,6 @@ pub(crate) struct ExecOptions {
     pub batch_size: usize,
     /// Rows per morsel — the unit workers claim off the shared counter.
     pub morsel_size: usize,
-    /// Which [`Batch`] variant kernels receive.
-    pub mode: BatchMode,
 }
 
 impl Default for ExecOptions {
@@ -83,16 +94,15 @@ impl Default for ExecOptions {
             parallelism: 1,
             batch_size: 256,
             morsel_size: 1024,
-            mode: BatchMode::default(),
         }
     }
 }
 
-/// Runs `work` over `items` (rows, or row-group indices for provider
-/// scans) split into morsels of `opts.morsel_size`, each evaluated one
-/// batch of at most `opts.batch_size` at a time. `work` receives each
-/// batch slice plus the global index of its first item and must return
-/// one output per input item.
+/// Runs `work` over `items` (rows, or row-group indices for scans) split
+/// into morsels of `opts.morsel_size`, each evaluated one batch of at
+/// most `opts.batch_size` at a time. `work` receives each batch slice
+/// plus the global index of its first item and must return one output
+/// per input item.
 ///
 /// With `parallelism > 1` a scoped worker pool claims morsels off a
 /// shared atomic counter (work stealing: no static assignment, so one
@@ -104,7 +114,9 @@ impl Default for ExecOptions {
 /// A batch may return `Err` (only cancellation does today); the
 /// lowest-indexed erroring morsel's error wins and the probe results are
 /// discarded — nothing was consumed, so nothing is charged, matching how
-/// an open breaker discards unconsumed probes.
+/// an open breaker discards unconsumed probes. A worker that panics
+/// inside `work` loses its morsel; the run then fails with
+/// [`CancelReason::WorkerPanic`] instead of re-raising the panic.
 fn run_morsels<I, T, F>(items: &[I], opts: ExecOptions, work: F) -> Result<Vec<T>>
 where
     I: Sync,
@@ -138,121 +150,76 @@ where
     let slots: Vec<Mutex<Option<Result<Vec<T>>>>> =
         (0..n_morsels).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_morsels {
-                    break;
-                }
-                let r = run_one(i * morsel);
-                if r.is_err() {
-                    // First error aborts the fan-out; morsels nobody has
-                    // claimed yet stay unprocessed (their probes would be
-                    // discarded anyway).
-                    stop.store(true, Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("morsel slot poisoned") = Some(r);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_morsels {
+                        break;
+                    }
+                    let r = run_one(i * morsel);
+                    if r.is_err() {
+                        // First error aborts the fan-out; morsels nobody
+                        // has claimed yet stay unprocessed (their probes
+                        // would be discarded anyway).
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    // A slot holds a finished value or nothing, so a
+                    // poisoned one is still valid to write.
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                })
+            })
+            .collect();
+        // Join by hand: an unjoined panicked worker would re-raise its
+        // panic out of the scope. Its morsel's slot stays empty instead.
+        for handle in handles {
+            if handle.join().is_err() {
+                stop.store(true, Ordering::Relaxed);
+            }
         }
     });
     let mut out = Vec::with_capacity(items.len());
     for slot in slots {
-        match slot.into_inner().expect("morsel slot poisoned") {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok(v)) => out.extend(v),
             Some(Err(e)) => return Err(e),
-            // Morsels are claimed in index order, so unclaimed (None)
-            // slots can only trail the erroring morsel returned above.
-            None => unreachable!("unprocessed morsel with no earlier error"),
+            // Morsels are claimed in index order, so an empty slot ahead
+            // of any error was claimed by a worker that panicked in it.
+            None => {
+                return Err(EngineError::Cancelled {
+                    reason: CancelReason::WorkerPanic,
+                })
+            }
         }
     }
     Ok(out)
 }
 
-/// Scans a provider-backed table: prunes row groups the pushdown
-/// provably cannot match (zone-map satisfiability — conservative, so
-/// verdicts never change), then decodes the kept groups in waves whose
-/// encoded bytes respect the provider's memory budget. Each wave fans
-/// its groups out on the morsel scheduler (one group per morsel) and
-/// reassembles them in group order, so row order — and therefore every
-/// downstream result, charge, and span — is byte-identical to the
-/// in-memory scan at any parallelism.
-///
-/// Charge/span contract: `rows_in` is the full table, `rows_filtered`
-/// the rows inside pruned groups (skipped without decoding), and
-/// `seconds` covers only decoded rows — an unpruned provider scan
-/// charges exactly what the in-memory scan does.
-#[allow(clippy::too_many_arguments)]
-fn scan_provider(
-    provider: &dyn TableProvider,
-    table: &str,
-    pushdown: Option<&Predicate>,
-    meter: &mut CostMeter,
-    model: &CostModel,
-    opts: ExecOptions,
-    tel: &mut SpanCollector,
-    cancel: &CancelToken,
-    start: Instant,
-) -> Result<Rowset> {
-    let op = format!("Scan[{table}]");
-    let total = provider.row_count();
-    let kept = crate::provider::kept_groups(provider, pushdown);
-    let pruned = provider.group_count() - kept.len();
-    let budget = provider.memory_budget();
-    // Group decode reuses the morsel scheduler with one group per
-    // morsel; group sizes are row counts, so the row-oriented batch and
-    // morsel knobs don't apply here (parallelism still does).
-    let decode_opts = ExecOptions {
-        batch_size: 1,
-        morsel_size: 1,
-        ..opts
-    };
-    let mut rows: Vec<Row> = Vec::with_capacity(total);
-    let mut read_bytes: u64 = 0;
-    let mut wave_start = 0;
-    while wave_start < kept.len() {
-        cancel.check()?;
-        // Grow the wave until the next group would overflow the budget;
-        // a single oversized group still decodes (alone).
-        let mut wave_end = wave_start;
-        let mut wave_bytes: u64 = 0;
-        while wave_end < kept.len() {
-            let bytes = provider.group_meta(kept[wave_end]).bytes;
-            if wave_end > wave_start && budget.is_some_and(|cap| wave_bytes + bytes > cap) {
-                break;
-            }
-            wave_bytes += bytes;
-            wave_end += 1;
-        }
-        let decoded = run_morsels(&kept[wave_start..wave_end], decode_opts, |groups, _| {
-            groups.iter().map(|&g| provider.read_group(g)).collect()
-        })?;
-        for group in decoded {
-            rows.extend(group);
-        }
-        read_bytes += wave_bytes;
-        wave_start = wave_end;
-    }
-    tel.store_groups_scanned.add(kept.len() as u64);
-    tel.store_groups_pruned.add(pruned as u64);
-    tel.store_bytes_read.add(read_bytes);
-    let emitted = rows.len();
-    let seconds = emitted as f64 * model.scan;
-    let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), total);
-    span.rows_out = emitted as u64;
-    span.rows_emitted = emitted as u64;
-    span.rows_filtered = total.saturating_sub(emitted) as u64;
-    span.seconds = seconds;
-    span.latency.record_n(model.scan, emitted as u64);
-    span.wall_nanos = start.elapsed().as_nanos() as u64;
-    tel.push_span(span);
-    meter.charge(op, total, emitted, seconds);
-    Rowset::new(provider.schema(), rows)
+/// What an operator body hands to [`Executor::operator`]: its span with
+/// everything but `rows_emitted`, `rows_failed` and `wall_nanos` filled
+/// in, the rows it produced, and the terminal error if it stopped early
+/// (the work done up to that point is still charged).
+struct Finished {
+    span: OperatorSpan,
+    out: Rowset,
+    failure: Option<EngineError>,
 }
 
-/// The partitioned executor behind [`ExecutionContext`](crate::exec::ExecutionContext).
+impl Finished {
+    fn ok(span: OperatorSpan, out: Rowset) -> Result<Finished> {
+        Ok(Finished {
+            span,
+            out,
+            failure: None,
+        })
+    }
+}
+
+/// The state one plan evaluation threads through the recursion, built by
+/// [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
 ///
 /// Telemetry contract: every operator pushes exactly one [`OperatorSpan`]
 /// to `tel` at the moment it charges the cost meter, so span order equals
@@ -263,672 +230,632 @@ fn scan_provider(
 ///
 /// Cancellation contract: `cancel` is polled on operator entry, at the
 /// start of every probe batch, at batch boundaries of the Filter/Process
-/// consume loops, and before every Reduce/Combine group. A consume-loop
-/// cancellation charges the work consumed so far (the span closes failed
-/// and pushes a [`EventKind::Cancelled`] event); a probe-phase or entry
-/// cancellation charges nothing for the operator, because none of its
-/// work was consumed. A token that never fires leaves every byte of
-/// output, charge, and telemetry unchanged.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_partitioned(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    meter: &mut CostMeter,
-    model: &CostModel,
-    session: &mut ExecSession,
-    opts: ExecOptions,
-    tel: &mut SpanCollector,
-    cancel: &CancelToken,
-) -> Result<Rowset> {
-    cancel.check()?;
-    match plan {
-        LogicalPlan::Scan { table, pushdown } => {
-            let start = Instant::now();
-            let t = match catalog.table(table) {
-                Ok(t) => t,
-                // No in-memory table: fall through to the out-of-core
-                // provider path (streamed row groups, zone-map pruning).
-                Err(e) => match catalog.provider(table) {
-                    Some(p) => {
-                        return scan_provider(
-                            p.as_ref(),
-                            table,
-                            pushdown.as_ref(),
-                            meter,
-                            model,
-                            opts,
-                            tel,
-                            cancel,
-                            start,
-                        )
-                    }
-                    None => return Err(e),
-                },
-            };
-            let op = format!("Scan[{table}]");
-            let seconds = t.len() as f64 * model.scan;
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), t.len());
-            span.rows_out = t.len() as u64;
-            span.rows_emitted = t.len() as u64;
-            span.seconds = seconds;
-            span.latency.record_n(model.scan, t.len() as u64);
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, t.len(), t.len(), seconds);
-            Ok((**t).clone())
+/// consume loop, before every scan wave, and before every Reduce/Combine
+/// group. A consume-loop cancellation charges the work consumed so far
+/// (the span closes failed and pushes a [`EventKind::Cancelled`] event); a
+/// probe-phase or entry cancellation charges nothing for the operator,
+/// because none of its work was consumed. A token that never fires leaves
+/// every byte of output, charge, and telemetry unchanged.
+pub(crate) struct Executor<'a> {
+    pub catalog: &'a Catalog,
+    pub meter: &'a mut CostMeter,
+    pub model: &'a CostModel,
+    pub session: &'a mut ExecSession,
+    pub opts: ExecOptions,
+    pub tel: &'a mut SpanCollector,
+    pub cancel: &'a CancelToken,
+}
+
+impl Executor<'_> {
+    /// Evaluates `plan` bottom-up: inputs first, then the operator's own
+    /// body under [`operator`](Self::operator).
+    pub(crate) fn run(&mut self, plan: &LogicalPlan) -> Result<Rowset> {
+        self.cancel.check()?;
+        match plan {
+            LogicalPlan::Scan { table, pushdown } => {
+                self.operator(|ex| ex.scan(table, pushdown.as_ref()))
+            }
+            LogicalPlan::Process { input, processor } => {
+                let rows = self.run(input)?;
+                self.operator(|ex| ex.process(rows, processor.as_ref()))
+            }
+            LogicalPlan::Select { input, predicate } => {
+                let rows = self.run(input)?;
+                self.operator(|ex| ex.select(rows, predicate))
+            }
+            LogicalPlan::Filter { input, filter } => {
+                let rows = self.run(input)?;
+                self.operator(|ex| ex.filter(rows, filter.as_ref()))
+            }
+            LogicalPlan::Project { input, items } => {
+                let rows = self.run(input)?;
+                self.operator(|ex| ex.project(rows, items))
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                let l = self.run(left)?;
+                let r = self.run(right)?;
+                self.operator(|ex| ex.join(l, r, left_key, right_key))
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let rows = self.run(input)?;
+                let out_schema = plan.output_schema(self.catalog)?;
+                self.operator(|ex| ex.aggregate(rows, out_schema, group_by, aggs))
+            }
+            LogicalPlan::Reduce { input, reducer } => {
+                let rows = self.run(input)?;
+                self.operator(|ex| ex.reduce(rows, reducer.as_ref()))
+            }
+            LogicalPlan::Combine {
+                left,
+                right,
+                combiner,
+            } => {
+                let l = self.run(left)?;
+                let r = self.run(right)?;
+                self.operator(|ex| ex.combine(l, r, combiner.as_ref()))
+            }
         }
-        LogicalPlan::Process { input, processor } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let in_schema = in_rows.schema().clone();
-            let out_schema = in_rows.schema().extend(processor.output_columns())?;
-            let op = format!("Process[{}]", processor.name());
-            let validate = session.config().validate_outputs;
-            let config = *session.config();
-            let (wr, wb) = (tel.worker_rows.clone(), tel.worker_batches.clone());
-            // Probe phase: batch-evaluate first attempts (vectorizable),
-            // retry failed rows individually. Pure — no session state.
-            let probes = run_morsels(in_rows.rows(), opts, |rows, offset| {
-                cancel.check()?;
-                wr.add(rows.len() as u64);
-                wb.inc();
-                let batch = Batch::with_mode(opts.mode, &in_schema, rows, offset);
-                let firsts = crate::fault::with_attempt_ordinal(0, || processor.eval_batch(&batch));
-                debug_assert_eq!(firsts.len(), rows.len());
-                Ok(firsts
-                    .into_iter()
-                    .zip(rows)
-                    .map(|(first, row)| {
-                        let first = first.and_then(|groups| {
-                            if validate {
-                                validate_cells(&groups, processor.name())?;
-                            }
-                            Ok(groups)
-                        });
-                        config.resume_probe(&op, first, || {
-                            let groups = processor.process(row, &in_schema)?;
-                            if validate {
-                                validate_cells(&groups, processor.name())?;
-                            }
-                            Ok(groups)
-                        })
-                    })
-                    .collect())
-            })?;
-            // Consume phase: fold outcomes into the session in row order.
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), in_rows.len());
-            let mut out = Rowset::empty(out_schema);
-            let mut attempts: u64 = 0;
-            let mut extra_seconds = 0.0;
-            let mut failure: Option<EngineError> = None;
-            // Resolve the operator's session entry once; the breaker is
-            // sticky within a run (it only flips open inside `consume` on
-            // a terminal error), so mirror it locally and refresh only on
-            // the (rare) error path. The per-row fold then does no map
-            // lookups at all.
-            let mut fold = session.op_fold(&op);
-            let mut breaker_open = fold.breaker_open();
-            let mut clean_rows: u64 = 0;
-            for (idx, (row, probe)) in in_rows.rows().iter().zip(probes).enumerate() {
-                let row_idx = idx as u64;
-                if idx % opts.batch_size.max(1) == 0 {
-                    if let Err(e) = cancel.check() {
-                        tel.push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
-                        failure = Some(e);
-                        break;
-                    }
+    }
+
+    /// The operator skeleton: times `body` (the operator's own phase,
+    /// inputs excluded), closes its span, pushes the span, charges the
+    /// meter, and hands back the rows or the failure. A `body` that
+    /// returns `Err` never ran for accounting purposes: no span, no
+    /// charge.
+    fn operator(&mut self, body: impl FnOnce(&mut Self) -> Result<Finished>) -> Result<Rowset> {
+        let start = Instant::now();
+        let Finished {
+            mut span,
+            out,
+            failure,
+        } = body(self)?;
+        span.rows_emitted = out.len() as u64;
+        if failure.is_some() {
+            span.close_failed();
+        }
+        span.wall_nanos = start.elapsed().as_nanos() as u64;
+        self.meter.charge(
+            span.op.clone(),
+            span.rows_in as usize,
+            out.len(),
+            span.seconds,
+        );
+        self.tel.push_span(span);
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
+    }
+
+    /// A span for an operator that charges a flat `unit` seconds for each
+    /// of `n` rows.
+    fn flat_span(
+        &self,
+        op: impl Into<String>,
+        rows_in: usize,
+        unit: f64,
+        n: usize,
+    ) -> OperatorSpan {
+        let mut span = OperatorSpan::new(self.tel.next_op_id(), op, rows_in);
+        span.seconds = n as f64 * unit;
+        span.latency.record_n(unit, n as u64);
+        span
+    }
+
+    /// Fans `work` out over `rows` on the morsel scheduler, polling the
+    /// cancel token and bumping the `worker.*` counters once per batch.
+    fn probe<T: Send>(
+        &self,
+        rows: &[Row],
+        work: impl Fn(&[Row], usize) -> Vec<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let (cancel, worker_rows, worker_batches) =
+            (self.cancel, &self.tel.worker_rows, &self.tel.worker_batches);
+        run_morsels(rows, self.opts, |rows, offset| {
+            cancel.check()?;
+            worker_rows.add(rows.len() as u64);
+            worker_batches.inc();
+            Ok(work(rows, offset))
+        })
+    }
+
+    /// Prunes row groups the pushdown provably cannot match (zone-map
+    /// satisfiability — conservative, so verdicts never change), then
+    /// decodes the kept groups in waves whose encoded bytes respect the
+    /// provider's memory budget. Each wave fans its groups out on the
+    /// morsel scheduler (one group per morsel) and reassembles them in
+    /// group order, so row order — and therefore every downstream result,
+    /// charge, and span — is the same for every provider holding the same
+    /// rows, at any parallelism.
+    ///
+    /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
+    /// the rows inside pruned groups (skipped without decoding), and
+    /// `seconds` covers only decoded rows.
+    fn scan(&mut self, table: &str, pushdown: Option<&Predicate>) -> Result<Finished> {
+        let provider = self.catalog.provider(table)?.as_ref();
+        let total = provider.row_count();
+        let kept = crate::provider::kept_groups(provider, pushdown);
+        let budget = provider.memory_budget();
+        // Group sizes are row counts, so the row-oriented batch and
+        // morsel knobs don't apply here (parallelism still does).
+        let decode_opts = ExecOptions {
+            batch_size: 1,
+            morsel_size: 1,
+            ..self.opts
+        };
+        let mut rows: Vec<Row> = Vec::new();
+        let mut read_bytes: u64 = 0;
+        let mut wave_start = 0;
+        while wave_start < kept.len() {
+            self.cancel.check()?;
+            // Grow the wave until the next group would overflow the
+            // budget; a single oversized group still decodes (alone).
+            let mut wave_end = wave_start;
+            let mut wave_bytes: u64 = 0;
+            while wave_end < kept.len() {
+                let bytes = provider.group_meta(kept[wave_end]).bytes;
+                if wave_end > wave_start && budget.is_some_and(|cap| wave_bytes + bytes > cap) {
+                    break;
                 }
-                let was_open = breaker_open;
-                let (p_retries, p_failures, p_timeouts) =
-                    (probe.retries, probe.failures, probe.timeouts);
-                let inv = fold.consume(probe);
-                attempts += u64::from(inv.attempts);
-                extra_seconds += inv.extra_seconds;
-                if was_open {
-                    span.short_circuited += 1;
-                    tel.push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
+                wave_bytes += bytes;
+                wave_end += 1;
+            }
+            let decoded = run_morsels(&kept[wave_start..wave_end], decode_opts, |groups, _| {
+                groups.iter().map(|&g| provider.read_group(g)).collect()
+            })?;
+            for group in decoded {
+                if rows.is_empty() {
+                    // Take the first group as decoded: a one-group
+                    // (in-memory) table is then scanned without a copy.
+                    rows = group;
+                    rows.reserve(total.saturating_sub(rows.len()));
                 } else {
-                    span.attempts += u64::from(inv.attempts);
-                    span.retries += p_retries;
-                    span.failures += p_failures;
-                    span.timeouts += p_timeouts;
-                    if p_retries > 0 {
-                        tel.push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
-                    }
-                    if p_timeouts > 0 {
-                        tel.push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
-                    }
-                    if inv.attempts == 1 && inv.extra_seconds == 0.0 {
-                        // Overwhelmingly common case: one clean attempt.
-                        // The latency value is the constant cost_per_row,
-                        // so count these and record them in one batched
-                        // `record_n` after the loop — same buckets, same
-                        // counts, no per-row histogram math.
-                        clean_rows += 1;
-                    } else {
-                        span.latency.record(
-                            f64::from(inv.attempts) * processor.cost_per_row() + inv.extra_seconds,
-                        );
-                    }
-                    // The breaker can only have tripped during this row's
-                    // consume, and it only trips on a terminal error —
-                    // skip the check on the (hot) success path.
-                    if inv.result.is_err() {
-                        breaker_open = fold.breaker_open();
-                        if breaker_open {
-                            span.breaker_tripped = true;
-                        }
-                    }
-                }
-                match inv.result {
-                    Ok(groups) => {
-                        span.rows_out += 1;
-                        for cells in groups {
-                            out.push(row.extended(cells))?;
-                        }
-                    }
-                    Err(e) => {
-                        // A processor materializes real columns; its failure
-                        // cannot be masked. Charge the work done, then bail.
-                        failure = Some(e);
-                        break;
-                    }
+                    rows.extend(group);
                 }
             }
-            if clean_rows > 0 {
-                span.latency.record_n(processor.cost_per_row(), clean_rows);
-            }
-            let seconds = attempts as f64 * processor.cost_per_row() + extra_seconds;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            if failure.is_some() {
-                span.close_failed();
-            }
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, in_rows.len(), out.len(), seconds);
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(out),
+            read_bytes += wave_bytes;
+            wave_start = wave_end;
+        }
+        self.tel.store_groups_scanned.add(kept.len() as u64);
+        self.tel
+            .store_groups_pruned
+            .add((provider.group_count() - kept.len()) as u64);
+        self.tel.store_bytes_read.add(read_bytes);
+        let emitted = rows.len();
+        let mut span = self.flat_span(format!("Scan[{table}]"), total, self.model.scan, emitted);
+        span.rows_out = emitted as u64;
+        span.rows_filtered = total.saturating_sub(emitted) as u64;
+        Finished::ok(span, Rowset::new(provider.schema(), rows)?)
+    }
+
+    fn select(&mut self, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
+        let schema = in_rows.schema().clone();
+        let total = in_rows.len();
+        let verdicts = self.probe(in_rows.rows(), |rows, _| {
+            rows.iter()
+                .map(|row| predicate.eval(row, &schema))
+                .collect()
+        })?;
+        let mut out = Rowset::empty(schema);
+        for (row, verdict) in in_rows.into_rows().into_iter().zip(verdicts) {
+            // An eval error propagates before the operator charges.
+            if verdict? {
+                out.push(row)?;
             }
         }
-        LogicalPlan::Select { input, predicate } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let schema = in_rows.schema().clone();
-            let total = in_rows.len();
-            let (wr, wb) = (tel.worker_rows.clone(), tel.worker_batches.clone());
-            let verdicts = run_morsels(in_rows.rows(), opts, |rows, _offset| {
-                cancel.check()?;
-                wr.add(rows.len() as u64);
-                wb.inc();
-                Ok(rows
-                    .iter()
-                    .map(|row| predicate.eval(row, &schema))
-                    .collect())
-            })?;
-            let mut out = Rowset::empty(schema.clone());
-            for (row, verdict) in in_rows.into_rows().into_iter().zip(verdicts) {
-                // An eval error propagates before the operator charges,
-                // matching the serial executor. No charge means no span:
-                // the operator never "ran" for accounting purposes.
-                if verdict? {
-                    out.push(row)?;
-                }
-            }
-            let op = format!("Select[{predicate}]");
-            let seconds = total as f64 * model.select;
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), total);
-            span.rows_out = out.len() as u64;
-            span.rows_filtered = (total - out.len()) as u64;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            span.latency.record_n(model.select, total as u64);
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, total, out.len(), seconds);
-            Ok(out)
-        }
-        LogicalPlan::Filter { input, filter } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let schema = in_rows.schema().clone();
-            let total = in_rows.len();
-            let op = filter.name().to_string();
-            let fail_open = session.config().fail_open_filters && filter.fail_open();
-            let config = *session.config();
-            let (wr, wb) = (tel.worker_rows.clone(), tel.worker_batches.clone());
-            // Probe phase: batch first attempts, per-row retries, no
-            // session state. If the breaker is (or becomes) open, the
-            // consume phase discards the affected probes, so charges stay
-            // identical to a serial run that never made those calls.
-            let probes = run_morsels(in_rows.rows(), opts, |rows, offset| {
-                cancel.check()?;
-                wr.add(rows.len() as u64);
-                wb.inc();
-                let batch = Batch::with_mode(opts.mode, &schema, rows, offset);
-                let firsts = crate::fault::with_attempt_ordinal(0, || filter.eval_batch(&batch));
-                debug_assert_eq!(firsts.len(), rows.len());
-                Ok(firsts
-                    .into_iter()
-                    .zip(rows)
-                    .map(|(first, row)| {
-                        config.resume_probe(&op, first, || filter.passes(row, &schema))
-                    })
-                    .collect())
-            })?;
-            // Consume phase: row-order fold drives breaker + fail-open
-            // exactly as serial execution would.
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), total);
-            let mut out = Rowset::empty(schema.clone());
-            let mut attempts: u64 = 0;
-            let mut extra_seconds = 0.0;
-            let mut failure: Option<EngineError> = None;
-            // Per-operator fold + sticky-breaker mirror: see the Process
-            // consume loop.
-            let mut fold = session.op_fold(&op);
-            let mut breaker_open = fold.breaker_open();
-            let mut clean_rows: u64 = 0;
-            for (idx, (row, probe)) in in_rows.into_rows().into_iter().zip(probes).enumerate() {
-                let row_idx = idx as u64;
-                if idx % opts.batch_size.max(1) == 0 {
-                    if let Err(e) = cancel.check() {
-                        tel.push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
-                        failure = Some(e);
-                        break;
-                    }
-                }
-                let was_open = breaker_open;
-                let (p_retries, p_failures, p_timeouts) =
-                    (probe.retries, probe.failures, probe.timeouts);
-                let inv = fold.consume(probe);
-                attempts += u64::from(inv.attempts);
-                extra_seconds += inv.extra_seconds;
-                if was_open {
-                    span.short_circuited += 1;
-                    tel.push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
-                } else {
-                    span.attempts += u64::from(inv.attempts);
-                    span.retries += p_retries;
-                    span.failures += p_failures;
-                    span.timeouts += p_timeouts;
-                    if p_retries > 0 {
-                        tel.push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
-                    }
-                    if p_timeouts > 0 {
-                        tel.push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
-                    }
-                    if inv.attempts == 1 && inv.extra_seconds == 0.0 {
-                        // One clean attempt: constant latency, batched via
-                        // `record_n` after the loop (see the Process fold).
-                        clean_rows += 1;
-                    } else {
-                        span.latency.record(
-                            f64::from(inv.attempts) * filter.cost_per_row() + inv.extra_seconds,
-                        );
-                    }
-                    // The breaker can only have tripped during this row's
-                    // consume, and it only trips on a terminal error —
-                    // skip the check on the (hot) success path.
-                    if inv.result.is_err() {
-                        breaker_open = fold.breaker_open();
-                        if breaker_open {
-                            span.breaker_tripped = true;
-                        }
-                    }
-                }
-                let keep = match inv.result {
-                    Ok(b) => b,
-                    Err(_) if fail_open => {
-                        // Safe degradation: a PP is pure data reduction, so
-                        // on failure the row passes. We lose speed-up on
-                        // this row, never a result.
-                        fold.record_fail_open();
-                        span.failed_open += 1;
-                        tel.push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
-                        true
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                };
+        let mut span = self.flat_span(
+            format!("Select[{predicate}]"),
+            total,
+            self.model.select,
+            total,
+        );
+        span.rows_out = out.len() as u64;
+        span.rows_filtered = (total - out.len()) as u64;
+        Finished::ok(span, out)
+    }
+
+    fn filter(&mut self, in_rows: Rowset, filter: &dyn RowFilter) -> Result<Finished> {
+        let out_schema = in_rows.schema().clone();
+        // Safe degradation: a PP is pure data reduction, so on failure
+        // the row passes. We lose speed-up on that row, never a result.
+        let fail_open = self.session.config().fail_open_filters && filter.fail_open();
+        self.fold_udf(
+            filter.name().to_string(),
+            in_rows,
+            out_schema,
+            filter.cost_per_row(),
+            fail_open,
+            |batch| filter.eval_batch(batch),
+            |row, schema| filter.passes(row, schema),
+            |row, keep, out| {
                 if keep {
-                    span.rows_out += 1;
                     out.push(row)?;
+                }
+                Ok(keep)
+            },
+        )
+    }
+
+    fn process(&mut self, in_rows: Rowset, processor: &dyn Processor) -> Result<Finished> {
+        let out_schema = in_rows.schema().extend(processor.output_columns())?;
+        let validate = self.session.config().validate_outputs;
+        let checked = |result: Result<Vec<Vec<Value>>>| match result {
+            Ok(groups) if validate => validate_cells(&groups, processor.name()).map(|()| groups),
+            other => other,
+        };
+        self.fold_udf(
+            format!("Process[{}]", processor.name()),
+            in_rows,
+            out_schema,
+            processor.cost_per_row(),
+            // A processor materializes real columns; its failure cannot
+            // be masked.
+            false,
+            |batch| {
+                let firsts = processor.eval_batch(batch);
+                if validate {
+                    firsts.into_iter().map(&checked).collect()
                 } else {
-                    span.rows_filtered += 1;
+                    firsts
                 }
-            }
-            if clean_rows > 0 {
-                span.latency.record_n(filter.cost_per_row(), clean_rows);
-            }
-            let seconds = attempts as f64 * filter.cost_per_row() + extra_seconds;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            if failure.is_some() {
-                span.close_failed();
-            }
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, total, out.len(), seconds);
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(out),
-            }
-        }
-        LogicalPlan::Project { input, items } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let out_schema = plan_project_schema(&in_rows, items)?;
-            let indices: Vec<usize> = items
-                .iter()
-                .map(|i| in_rows.schema().index_of(i.source()))
-                .collect::<Result<_>>()?;
-            let total = in_rows.len();
-            let mut out = Rowset::empty(out_schema);
-            for row in in_rows.rows() {
-                out.push(Row::new(
-                    indices.iter().map(|&i| row.get(i).clone()).collect(),
-                ))?;
-            }
-            let seconds = total as f64 * model.project;
-            let mut span = OperatorSpan::new(tel.next_op_id(), "Project", total);
-            span.rows_out = total as u64;
-            span.rows_emitted = total as u64;
-            span.seconds = seconds;
-            span.latency.record_n(model.project, total as u64);
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge("Project", total, total, seconds);
-            Ok(out)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            let l = execute_partitioned(left, catalog, meter, model, session, opts, tel, cancel)?;
-            let r = execute_partitioned(right, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let lk = l.schema().index_of(left_key)?;
-            let rk = r.schema().index_of(right_key)?;
-            // Build on the (primary-key) right side.
-            let mut build: HashMap<Key, Vec<&Row>> = HashMap::new();
-            for row in r.rows() {
-                build.entry(row.get(rk).as_key()?).or_default().push(row);
-            }
-            let mut out_cols = l.schema().columns().to_vec();
-            for c in r.schema().columns() {
-                if c.name != *right_key {
-                    out_cols.push(c.clone());
+            },
+            |row, schema| checked(processor.process(row, schema)),
+            |row, groups, out| {
+                for cells in groups {
+                    out.push(row.extended(cells))?;
                 }
-            }
-            let out_schema = crate::schema::Schema::new(out_cols)?;
-            let mut out = Rowset::empty(out_schema);
-            let mut matched_left: u64 = 0;
-            for lrow in l.rows() {
-                let key = lrow.get(lk).as_key()?;
-                if let Some(matches) = build.get(&key) {
-                    matched_left += 1;
-                    for rrow in matches {
-                        let mut cells = lrow.values().to_vec();
-                        for (i, v) in rrow.values().iter().enumerate() {
-                            if i != rk {
-                                cells.push(v.clone());
-                            }
-                        }
-                        out.push(Row::new(cells))?;
-                    }
-                }
-            }
-            let rows_in = l.len() + r.len();
-            let op = format!("Join[{left_key} = {right_key}]");
-            let seconds = rows_in as f64 * model.join;
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), rows_in);
-            // Unmatched left rows are dropped by the join predicate —
-            // filtered, in conservation terms.
-            span.rows_out = matched_left + r.len() as u64;
-            span.rows_filtered = l.len() as u64 - matched_left;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            span.latency.record_n(model.join, rows_in as u64);
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, rows_in, out.len(), seconds);
-            Ok(out)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let out_schema = plan.output_schema(catalog)?;
-            let key_idx: Vec<usize> = group_by
-                .iter()
-                .map(|g| in_rows.schema().index_of(g))
-                .collect::<Result<_>>()?;
-            let agg_idx: Vec<Option<usize>> = aggs
-                .iter()
-                .map(|a| {
-                    if a.func == AggFunc::Count {
-                        Ok(None)
-                    } else {
-                        in_rows.schema().index_of(&a.column).map(Some)
-                    }
-                })
-                .collect::<Result<_>>()?;
-            // First-seen group ordering keeps output deterministic.
-            let mut order: Vec<Vec<Key>> = Vec::new();
-            let mut groups: HashMap<Vec<Key>, Vec<&Row>> = HashMap::new();
-            for row in in_rows.rows() {
-                let key: Vec<Key> = key_idx
-                    .iter()
-                    .map(|&i| row.get(i).as_key())
-                    .collect::<Result<_>>()?;
-                let entry = groups.entry(key.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(key);
-                }
-                entry.push(row);
-            }
-            let mut out = Rowset::empty(out_schema);
-            for key in &order {
-                let rows = &groups[key];
-                let mut cells: Vec<Value> =
-                    key_idx.iter().map(|&i| rows[0].get(i).clone()).collect();
-                for (a, idx) in aggs.iter().zip(&agg_idx) {
-                    cells.push(eval_agg(a.func, *idx, rows)?);
-                }
-                out.push(Row::new(cells))?;
-            }
-            let seconds = in_rows.len() as f64 * model.aggregate;
-            let mut span = OperatorSpan::new(tel.next_op_id(), "Aggregate", in_rows.len());
-            span.rows_out = in_rows.len() as u64;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            span.latency.record_n(model.aggregate, in_rows.len() as u64);
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge("Aggregate", in_rows.len(), out.len(), seconds);
-            Ok(out)
-        }
-        LogicalPlan::Reduce { input, reducer } => {
-            let in_rows =
-                execute_partitioned(input, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let out_schema = crate::schema::Schema::new(reducer.output_columns().to_vec())?;
-            let op = format!("Reduce[{}]", reducer.name());
-            let key_idx: Vec<usize> = reducer
-                .key_columns()
-                .iter()
-                .map(|k| in_rows.schema().index_of(k))
-                .collect::<Result<_>>()?;
-            let mut order: Vec<Vec<Key>> = Vec::new();
-            let mut groups: HashMap<Vec<Key>, Vec<Row>> = HashMap::new();
-            for row in in_rows.rows() {
-                let key: Vec<Key> = key_idx
-                    .iter()
-                    .map(|&i| row.get(i).as_key())
-                    .collect::<Result<_>>()?;
-                let entry = groups.entry(key.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(key);
-                }
-                entry.push(row.clone());
-            }
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), in_rows.len());
-            let mut out = Rowset::empty(out_schema);
-            // Reducers are charged per input row; a retried group re-pays
-            // for each of its rows.
-            let mut retried_rows: usize = 0;
-            let mut extra_seconds = 0.0;
-            let mut failure: Option<EngineError> = None;
-            for key in &order {
-                if let Err(e) = cancel.check() {
-                    tel.push_event(&op, None, EventKind::Cancelled, 1);
+                Ok(true)
+            },
+        )
+    }
+
+    /// The probe→consume fold shared by Filter and Process.
+    ///
+    /// Probe phase (workers): `eval` makes every row's first attempt one
+    /// [`Batch`] at a time (vectorizable); rows whose first attempt
+    /// failed retry individually through the scalar `retry`. Pure — no
+    /// session state. If the breaker is (or becomes) open, the consume
+    /// phase discards the affected probes, so charges stay identical to a
+    /// serial run that never made those calls.
+    ///
+    /// Consume phase (main thread): folds the outcomes into the session
+    /// in row order, driving the breaker and fail-open exactly as serial
+    /// execution would. `emit` receives each row with its `Ok` value,
+    /// pushes what the row produces, and says whether the row passed
+    /// (`false` = filtered). A terminal error passes the row through
+    /// unchanged when `fail_open`, and stops the operator otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_udf<T: Send>(
+        &mut self,
+        op: String,
+        in_rows: Rowset,
+        out_schema: Arc<Schema>,
+        cost_per_row: f64,
+        fail_open: bool,
+        eval: impl Fn(&Batch<'_>) -> Vec<Result<T>> + Sync,
+        retry: impl Fn(&Row, &Schema) -> Result<T> + Sync,
+        mut emit: impl FnMut(Row, T, &mut Rowset) -> Result<bool>,
+    ) -> Result<Finished> {
+        let in_schema = in_rows.schema().clone();
+        let config = *self.session.config();
+        let probes = self.probe(in_rows.rows(), |rows, offset| {
+            let batch = Batch::new(&in_schema, rows, offset);
+            let firsts = crate::fault::with_attempt_ordinal(0, || eval(&batch));
+            debug_assert_eq!(firsts.len(), rows.len());
+            firsts
+                .into_iter()
+                .zip(rows)
+                .map(|(first, row)| config.resume_probe(&op, first, || retry(row, &in_schema)))
+                .collect()
+        })?;
+        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), in_rows.len());
+        let mut out = Rowset::empty(out_schema);
+        let mut attempts: u64 = 0;
+        let mut extra_seconds = 0.0;
+        let mut failure: Option<EngineError> = None;
+        // Resolve the operator's session entry once; the breaker is
+        // sticky within a run (it only flips open inside `consume` on a
+        // terminal error), so mirror it locally and refresh only on the
+        // (rare) error path. The per-row fold then does no map lookups.
+        let mut fold = self.session.op_fold(&op);
+        let mut breaker_open = fold.breaker_open();
+        let mut clean_rows: u64 = 0;
+        let batch_size = self.opts.batch_size.max(1);
+        for (idx, (row, probe)) in in_rows.into_rows().into_iter().zip(probes).enumerate() {
+            let row_idx = idx as u64;
+            if idx % batch_size == 0 {
+                if let Err(e) = self.cancel.check() {
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
                     failure = Some(e);
                     break;
                 }
-                let group = &groups[key];
-                let inv = session.invoke(&op, || reducer.reduce(group, in_rows.schema()));
-                record_group_invocation(
-                    tel,
-                    session,
-                    &mut span,
-                    &op,
-                    &inv,
-                    group.len() as f64 * reducer.cost_per_row(),
-                );
-                if inv.attempts > 1 {
-                    retried_rows += (inv.attempts as usize - 1) * group.len();
-                }
-                extra_seconds += inv.extra_seconds;
-                match inv.result {
-                    Ok(rows) => {
-                        span.rows_out += group.len() as u64;
-                        for row in rows {
-                            out.push(row)?;
-                        }
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
             }
-            let seconds =
-                (in_rows.len() + retried_rows) as f64 * reducer.cost_per_row() + extra_seconds;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            if failure.is_some() {
-                span.close_failed();
-            }
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, in_rows.len(), out.len(), seconds);
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(out),
-            }
-        }
-        LogicalPlan::Combine {
-            left,
-            right,
-            combiner,
-        } => {
-            let l = execute_partitioned(left, catalog, meter, model, session, opts, tel, cancel)?;
-            let r = execute_partitioned(right, catalog, meter, model, session, opts, tel, cancel)?;
-            let start = Instant::now();
-            let lk = l.schema().index_of(combiner.left_key())?;
-            let rk = r.schema().index_of(combiner.right_key())?;
-            let op = format!("Combine[{}]", combiner.name());
-            let mut order: Vec<Key> = Vec::new();
-            let mut lgroups: HashMap<Key, Vec<Row>> = HashMap::new();
-            for row in l.rows() {
-                let key = row.get(lk).as_key()?;
-                let entry = lgroups.entry(key.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(key);
-                }
-                entry.push(row.clone());
-            }
-            let mut rgroups: HashMap<Key, Vec<Row>> = HashMap::new();
-            for row in r.rows() {
-                rgroups
-                    .entry(row.get(rk).as_key()?)
-                    .or_default()
-                    .push(row.clone());
-            }
-            let out_schema = crate::schema::Schema::new(combiner.output_columns().to_vec())?;
-            let rows_in = l.len() + r.len();
-            let mut span = OperatorSpan::new(tel.next_op_id(), op.clone(), rows_in);
-            let mut out = Rowset::empty(out_schema);
-            let mut retried_rows: usize = 0;
-            let mut extra_seconds = 0.0;
-            let mut failure: Option<EngineError> = None;
-            for key in &order {
-                if let Err(e) = cancel.check() {
-                    tel.push_event(&op, None, EventKind::Cancelled, 1);
-                    failure = Some(e);
-                    break;
-                }
-                if let Some(rg) = rgroups.get(key) {
-                    let lg = &lgroups[key];
-                    let inv =
-                        session.invoke(&op, || combiner.combine(lg, rg, l.schema(), r.schema()));
-                    record_group_invocation(
-                        tel,
-                        session,
-                        &mut span,
-                        &op,
-                        &inv,
-                        (lg.len() + rg.len()) as f64 * combiner.cost_per_row(),
-                    );
-                    if inv.attempts > 1 {
-                        retried_rows += (inv.attempts as usize - 1) * (lg.len() + rg.len());
-                    }
-                    extra_seconds += inv.extra_seconds;
-                    match inv.result {
-                        Ok(rows) => {
-                            span.rows_out += (lg.len() + rg.len()) as u64;
-                            for row in rows {
-                                out.push(row)?;
-                            }
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            let seconds = (rows_in + retried_rows) as f64 * combiner.cost_per_row() + extra_seconds;
-            span.rows_emitted = out.len() as u64;
-            span.seconds = seconds;
-            if failure.is_some() {
-                span.close_failed();
+            let was_open = breaker_open;
+            let (p_retries, p_failures, p_timeouts) =
+                (probe.retries, probe.failures, probe.timeouts);
+            let inv = fold.consume(probe);
+            attempts += u64::from(inv.attempts);
+            extra_seconds += inv.extra_seconds;
+            if was_open {
+                span.short_circuited += 1;
+                self.tel
+                    .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
             } else {
-                // Rows in unmatched groups never reached the combiner —
-                // dropped by the key predicate, i.e. filtered.
-                span.rows_filtered = span.rows_in - span.rows_out;
+                span.attempts += u64::from(inv.attempts);
+                span.retries += p_retries;
+                span.failures += p_failures;
+                span.timeouts += p_timeouts;
+                if p_retries > 0 {
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
+                }
+                if p_timeouts > 0 {
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
+                }
+                if inv.attempts == 1 && inv.extra_seconds == 0.0 {
+                    // Overwhelmingly common case: one clean attempt. The
+                    // latency value is the constant cost_per_row, so count
+                    // these and record them in one batched `record_n`
+                    // after the loop — same buckets, same counts, no
+                    // per-row histogram math.
+                    clean_rows += 1;
+                } else {
+                    span.latency
+                        .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
+                }
+                // The breaker can only have tripped during this row's
+                // consume, and it only trips on a terminal error — skip
+                // the check on the (hot) success path.
+                if inv.result.is_err() {
+                    breaker_open = fold.breaker_open();
+                    if breaker_open {
+                        span.breaker_tripped = true;
+                    }
+                }
             }
-            span.wall_nanos = start.elapsed().as_nanos() as u64;
-            tel.push_span(span);
-            meter.charge(op, rows_in, out.len(), seconds);
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(out),
+            let passed = match inv.result {
+                Ok(value) => emit(row, value, &mut out)?,
+                Err(_) if fail_open => {
+                    fold.record_fail_open();
+                    span.failed_open += 1;
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
+                    out.push(row)?;
+                    true
+                }
+                Err(e) => {
+                    // Charge the work done, then bail.
+                    failure = Some(e);
+                    break;
+                }
+            };
+            if passed {
+                span.rows_out += 1;
+            } else {
+                span.rows_filtered += 1;
             }
         }
+        if clean_rows > 0 {
+            span.latency.record_n(cost_per_row, clean_rows);
+        }
+        span.seconds = attempts as f64 * cost_per_row + extra_seconds;
+        Ok(Finished { span, out, failure })
+    }
+
+    fn project(&mut self, in_rows: Rowset, items: &[ProjectItem]) -> Result<Finished> {
+        let mut cols = Vec::with_capacity(items.len());
+        let mut indices = Vec::with_capacity(items.len());
+        for item in items {
+            let src = in_rows.schema().column(item.source())?;
+            cols.push(Column::new(item.output(), src.dtype));
+            indices.push(in_rows.schema().index_of(item.source())?);
+        }
+        let total = in_rows.len();
+        let mut out = Rowset::empty(Schema::new(cols)?);
+        for row in in_rows.rows() {
+            out.push(Row::new(
+                indices.iter().map(|&i| row.get(i).clone()).collect(),
+            ))?;
+        }
+        let mut span = self.flat_span("Project", total, self.model.project, total);
+        span.rows_out = total as u64;
+        Finished::ok(span, out)
+    }
+
+    fn join(&mut self, l: Rowset, r: Rowset, left_key: &str, right_key: &str) -> Result<Finished> {
+        let lk = l.schema().index_of(left_key)?;
+        let rk = r.schema().index_of(right_key)?;
+        // Build on the (primary-key) right side.
+        let mut build: HashMap<Key, Vec<&Row>> = HashMap::new();
+        for row in r.rows() {
+            build.entry(row.get(rk).as_key()?).or_default().push(row);
+        }
+        let mut out_cols = l.schema().columns().to_vec();
+        for c in r.schema().columns() {
+            if c.name != *right_key {
+                out_cols.push(c.clone());
+            }
+        }
+        let mut out = Rowset::empty(Schema::new(out_cols)?);
+        let mut matched_left: u64 = 0;
+        for lrow in l.rows() {
+            let key = lrow.get(lk).as_key()?;
+            if let Some(matches) = build.get(&key) {
+                matched_left += 1;
+                for rrow in matches {
+                    let mut cells = lrow.values().to_vec();
+                    for (i, v) in rrow.values().iter().enumerate() {
+                        if i != rk {
+                            cells.push(v.clone());
+                        }
+                    }
+                    out.push(Row::new(cells))?;
+                }
+            }
+        }
+        let rows_in = l.len() + r.len();
+        let mut span = self.flat_span(
+            format!("Join[{left_key} = {right_key}]"),
+            rows_in,
+            self.model.join,
+            rows_in,
+        );
+        // Unmatched left rows are dropped by the join predicate —
+        // filtered, in conservation terms.
+        span.rows_out = matched_left + r.len() as u64;
+        span.rows_filtered = l.len() as u64 - matched_left;
+        Finished::ok(span, out)
+    }
+
+    fn aggregate(
+        &mut self,
+        in_rows: Rowset,
+        out_schema: Arc<Schema>,
+        group_by: &[String],
+        aggs: &[AggExpr],
+    ) -> Result<Finished> {
+        let key_idx = column_indices(in_rows.schema(), group_by)?;
+        let agg_idx: Vec<Option<usize>> = aggs
+            .iter()
+            .map(|a| {
+                if a.func == AggFunc::Count {
+                    Ok(None)
+                } else {
+                    in_rows.schema().index_of(&a.column).map(Some)
+                }
+            })
+            .collect::<Result<_>>()?;
+        let mut out = Rowset::empty(out_schema);
+        for rows in group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))? {
+            let mut cells: Vec<Value> = key_idx.iter().map(|&i| rows[0].get(i).clone()).collect();
+            for (a, idx) in aggs.iter().zip(&agg_idx) {
+                cells.push(eval_agg(a.func, *idx, &rows)?);
+            }
+            out.push(Row::new(cells))?;
+        }
+        let total = in_rows.len();
+        let mut span = self.flat_span("Aggregate", total, self.model.aggregate, total);
+        span.rows_out = total as u64;
+        Finished::ok(span, out)
+    }
+
+    fn reduce(&mut self, in_rows: Rowset, reducer: &dyn Reducer) -> Result<Finished> {
+        let key_idx = column_indices(in_rows.schema(), reducer.key_columns())?;
+        let groups: Vec<Vec<Row>> = group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))?
+            .into_iter()
+            .map(owned)
+            .collect();
+        self.fold_groups(
+            format!("Reduce[{}]", reducer.name()),
+            in_rows.len(),
+            Schema::new(reducer.output_columns().to_vec())?,
+            reducer.cost_per_row(),
+            &groups,
+            Vec::len,
+            |group| reducer.reduce(group, in_rows.schema()),
+        )
+    }
+
+    fn combine(&mut self, l: Rowset, r: Rowset, combiner: &dyn Combiner) -> Result<Finished> {
+        let lk = l.schema().index_of(combiner.left_key())?;
+        let rk = r.schema().index_of(combiner.right_key())?;
+        let mut rgroups: HashMap<Key, Vec<Row>> = HashMap::new();
+        for row in r.rows() {
+            rgroups
+                .entry(row.get(rk).as_key()?)
+                .or_default()
+                .push(row.clone());
+        }
+        // Left groups in first-seen order, each paired with the right
+        // group sharing its key; a left group without one never reaches
+        // the combiner.
+        let mut pairs: Vec<(Vec<Row>, &Vec<Row>)> = Vec::new();
+        for lg in group_first_seen(l.rows(), |row| row.get(lk).as_key())? {
+            if let Some(rg) = rgroups.get(&lg[0].get(lk).as_key()?) {
+                pairs.push((owned(lg), rg));
+            }
+        }
+        self.fold_groups(
+            format!("Combine[{}]", combiner.name()),
+            l.len() + r.len(),
+            Schema::new(combiner.output_columns().to_vec())?,
+            combiner.cost_per_row(),
+            &pairs,
+            |(lg, rg)| lg.len() + rg.len(),
+            |(lg, rg)| combiner.combine(lg, rg, l.schema(), r.schema()),
+        )
+    }
+
+    /// The group-invocation loop shared by Reduce and Combine: one
+    /// resilient `call` per group, serially on the main thread. Group
+    /// UDFs are charged per input row; a retried group re-pays for each
+    /// of its `size` rows. Input rows that reached no group (Combine's
+    /// unmatched keys) count as filtered.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_groups<G>(
+        &mut self,
+        op: String,
+        rows_in: usize,
+        out_schema: Arc<Schema>,
+        cost_per_row: f64,
+        groups: &[G],
+        size: impl Fn(&G) -> usize,
+        call: impl Fn(&G) -> Result<Vec<Row>>,
+    ) -> Result<Finished> {
+        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), rows_in);
+        let mut out = Rowset::empty(out_schema);
+        let mut retried_rows: usize = 0;
+        let mut extra_seconds = 0.0;
+        let mut failure: Option<EngineError> = None;
+        for group in groups {
+            if let Err(e) = self.cancel.check() {
+                self.tel.push_event(&op, None, EventKind::Cancelled, 1);
+                failure = Some(e);
+                break;
+            }
+            let n = size(group);
+            let inv = self.session.invoke(&op, || call(group));
+            record_group_invocation(
+                self.tel,
+                self.session,
+                &mut span,
+                &op,
+                &inv,
+                n as f64 * cost_per_row,
+            );
+            if inv.attempts > 1 {
+                retried_rows += (inv.attempts as usize - 1) * n;
+            }
+            extra_seconds += inv.extra_seconds;
+            match inv.result {
+                Ok(rows) => {
+                    span.rows_out += n as u64;
+                    for row in rows {
+                        out.push(row)?;
+                    }
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        span.seconds = (rows_in + retried_rows) as f64 * cost_per_row + extra_seconds;
+        if failure.is_none() {
+            span.rows_filtered = span.rows_in - span.rows_out;
+        }
+        Ok(Finished { span, out, failure })
     }
 }
 
@@ -988,16 +915,34 @@ fn validate_cells(groups: &[Vec<Value>], udf: &str) -> Result<()> {
     Ok(())
 }
 
-fn plan_project_schema(
-    input: &Rowset,
-    items: &[crate::logical::ProjectItem],
-) -> Result<std::sync::Arc<crate::schema::Schema>> {
-    let mut cols = Vec::with_capacity(items.len());
-    for item in items {
-        let src = input.schema().column(item.source())?;
-        cols.push(crate::schema::Column::new(item.output(), src.dtype));
+fn column_indices(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
+    names.iter().map(|n| schema.index_of(n)).collect()
+}
+
+fn row_key(row: &Row, key_idx: &[usize]) -> Result<Vec<Key>> {
+    key_idx.iter().map(|&i| row.get(i).as_key()).collect()
+}
+
+/// Groups `rows` by `key`, groups in first-seen key order and rows in
+/// input order within each — which keeps grouped output deterministic.
+fn group_first_seen<K: Hash + Eq>(
+    rows: &[Row],
+    key: impl Fn(&Row) -> Result<K>,
+) -> Result<Vec<Vec<&Row>>> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Vec<&Row>> = Vec::new();
+    for row in rows {
+        let slot = *index.entry(key(row)?).or_insert(groups.len());
+        if slot == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[slot].push(row);
     }
-    crate::schema::Schema::new(cols)
+    Ok(groups)
+}
+
+fn owned(group: Vec<&Row>) -> Vec<Row> {
+    group.into_iter().cloned().collect()
 }
 
 fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
@@ -1052,13 +997,11 @@ fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::cost::OpStats;
-    use crate::logical::{AggExpr, ProjectItem};
-    use crate::predicate::{Clause, CompareOp, Predicate};
+    use crate::predicate::{Clause, CompareOp};
     use crate::resilience::{ResilienceConfig, RetryPolicy};
-    use crate::schema::{Column, DataType, Schema};
+    use crate::schema::DataType;
     use crate::udf::{ClosureFilter, ClosureProcessor, ClosureReducer};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicU64;
 
     fn catalog() -> Result<Catalog> {
         let schema = Schema::new(vec![
@@ -1091,16 +1034,28 @@ mod tests {
         meter: &mut CostMeter,
         session: &mut ExecSession,
     ) -> Result<Rowset> {
-        execute_partitioned(
-            plan,
-            cat,
+        let mut tel = SpanCollector::detached();
+        run_opts(plan, cat, meter, session, ExecOptions::default(), &mut tel)
+    }
+
+    fn run_opts(
+        plan: &LogicalPlan,
+        cat: &Catalog,
+        meter: &mut CostMeter,
+        session: &mut ExecSession,
+        opts: ExecOptions,
+        tel: &mut SpanCollector,
+    ) -> Result<Rowset> {
+        Executor {
+            catalog: cat,
             meter,
-            &CostModel::default(),
+            model: &CostModel::default(),
             session,
-            ExecOptions::default(),
-            &mut SpanCollector::detached(),
-            &CancelToken::new(),
-        )
+            opts,
+            tel,
+            cancel: &CancelToken::new(),
+        }
+        .run(plan)
     }
 
     fn find_op<'a>(meter: &'a CostMeter, prefix: &str) -> Result<&'a OpStats> {
@@ -1306,6 +1261,123 @@ mod tests {
         assert_eq!(out.len(), 2);
         let reduce_secs = find_op(&meter, "Reduce")?.seconds;
         assert!((reduce_secs - 5.0).abs() < 1e-9);
+        Ok(())
+    }
+
+    /// Pairs each camera's frames with its one dimension row; camera C3
+    /// exists only on the right, C2 only on the left.
+    struct CamCombiner;
+    impl Combiner for CamCombiner {
+        fn name(&self) -> &str {
+            "CamPairs"
+        }
+        fn left_key(&self) -> &str {
+            "cam"
+        }
+        fn right_key(&self) -> &str {
+            "cam_name"
+        }
+        fn output_columns(&self) -> &[Column] {
+            static COLS: std::sync::OnceLock<Vec<Column>> = std::sync::OnceLock::new();
+            COLS.get_or_init(|| {
+                vec![
+                    Column::new("cam", DataType::Str),
+                    Column::new("pairs", DataType::Int),
+                ]
+            })
+        }
+        fn cost_per_row(&self) -> f64 {
+            0.5
+        }
+        fn combine(&self, l: &[Row], r: &[Row], ls: &Schema, _: &Schema) -> Result<Vec<Row>> {
+            let cam = l[0].get_named(ls, "cam")?.clone();
+            Ok(vec![Row::new(vec![
+                cam,
+                Value::Int((l.len() * r.len()) as i64),
+            ])])
+        }
+    }
+
+    #[test]
+    fn combine_pairs_matching_groups_and_filters_the_rest() -> Result<()> {
+        let mut cat = catalog()?;
+        let dim = Schema::new(vec![Column::new("cam_name", DataType::Str)])?;
+        cat.register(
+            "cams",
+            Rowset::new(
+                dim,
+                vec![
+                    Row::new(vec![Value::str("C3")]),
+                    Row::new(vec![Value::str("C1")]),
+                ],
+            )?,
+        );
+        let plan = LogicalPlan::Combine {
+            left: Box::new(LogicalPlan::scan("frames")),
+            right: Box::new(LogicalPlan::scan("cams")),
+            combiner: Arc::new(CamCombiner),
+        };
+        let mut meter = CostMeter::new();
+        let mut tel = SpanCollector::detached();
+        let out = run_opts(
+            &plan,
+            &cat,
+            &mut meter,
+            &mut ExecSession::default(),
+            ExecOptions::default(),
+            &mut tel,
+        )?;
+        // Only C1 has both sides: 5 frames × 1 dimension row.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.rows()[0].get(1).as_int()?, 5);
+        let charged = find_op(&meter, "Combine[CamPairs]")?;
+        assert_eq!((charged.rows_in, charged.rows_out), (12, 1));
+        assert!((charged.seconds - 6.0).abs() < 1e-9);
+        let span = &tel.spans()[2];
+        // 5 + 1 rows reached the combiner; C2's 5 frames and C3's row
+        // reached no group.
+        assert_eq!(
+            (span.rows_out, span.rows_filtered, span.attempts),
+            (6, 6, 1)
+        );
+        assert!(span.check_conservation());
+        Ok(())
+    }
+
+    /// A kernel that panics on a worker thread costs its morsel, not the
+    /// process: the run ends with the typed worker-panic cancellation and
+    /// the operator, whose probes were never consumed, charges nothing.
+    #[test]
+    fn panicking_kernel_at_k4_is_a_typed_error() -> Result<()> {
+        let cat = catalog()?;
+        let bomb = Arc::new(ClosureFilter::new("PP[bomb]", 0.1, |row, _| {
+            if row.get(0).as_int()? == 7 {
+                panic!("kernel bug on row 7");
+            }
+            Ok(true)
+        }));
+        let plan = LogicalPlan::scan("frames").filter(bomb);
+        let mut meter = CostMeter::new();
+        let opts = ExecOptions {
+            parallelism: 4,
+            batch_size: 2,
+            morsel_size: 2,
+        };
+        let result = run_opts(
+            &plan,
+            &cat,
+            &mut meter,
+            &mut ExecSession::default(),
+            opts,
+            &mut SpanCollector::detached(),
+        );
+        assert!(matches!(
+            result,
+            Err(EngineError::Cancelled {
+                reason: CancelReason::WorkerPanic
+            })
+        ));
+        assert_eq!(meter.entries().len(), 1, "only the scan charged");
         Ok(())
     }
 

@@ -1,10 +1,12 @@
-//! Out-of-core table providers and zone-map pruning.
+//! Table providers and zone-map pruning.
 //!
 //! A [`TableProvider`] exposes a table as a sequence of **row groups**
 //! with per-column [`ZoneMap`] statistics (null/presence counts, min/max
-//! for numeric columns). The executor streams groups instead of
-//! materializing the table, and a pushed-down predicate may *prune*
-//! groups the predicate provably cannot match.
+//! for numeric columns). Every table the catalog holds is one: an
+//! in-memory [`Rowset`] is a single group that publishes no zone maps
+//! ([`MemoryProvider::whole`]), a segment directory is many groups that
+//! do. The executor streams groups, and a pushed-down predicate may
+//! *prune* groups the predicate provably cannot match.
 //!
 //! Zone maps are coarse probabilistic predicates with accuracy 1.0 and
 //! near-zero cost: the skip decision in [`group_may_match`] is
@@ -100,9 +102,9 @@ pub struct RowGroupMeta {
     pub zones: BTreeMap<String, ZoneMap>,
 }
 
-/// A table backed by out-of-core row groups instead of an in-memory
-/// [`Rowset`]. Implementations must be cheap to query for metadata;
-/// only [`TableProvider::read_group`] may touch storage.
+/// A table as a sequence of row groups. Implementations must be cheap to
+/// query for metadata; only [`TableProvider::read_group`] may touch
+/// storage.
 pub trait TableProvider: fmt::Debug + Send + Sync {
     /// The table schema.
     fn schema(&self) -> Arc<Schema>;
@@ -178,7 +180,24 @@ pub fn kept_groups(provider: &dyn TableProvider, predicate: Option<&Predicate>) 
         .collect()
 }
 
-/// Static pruning prediction for a provider-backed scan: exact, because
+/// Whether any row group of `provider` publishes zone maps — what the
+/// planner looks at to decide if a scan pushdown can prune anything.
+pub fn publishes_zone_maps(provider: &dyn TableProvider) -> bool {
+    (0..provider.group_count()).any(|g| !provider.group_meta(g).zones.is_empty())
+}
+
+/// Decodes every group of `provider`, in group order, into a [`Rowset`].
+/// Off-hot-path consumers (training, audit replay) use this; the executor
+/// streams groups under the provider's memory budget instead.
+pub fn read_all(provider: &dyn TableProvider) -> Result<Rowset> {
+    let mut rows: Vec<Row> = Vec::with_capacity(provider.row_count());
+    for g in 0..provider.group_count() {
+        rows.extend(provider.read_group(g)?);
+    }
+    Rowset::new(provider.schema(), rows)
+}
+
+/// Static pruning prediction for a scan with a pushdown: exact, because
 /// zone maps are known before execution (an accuracy-1.0 "PP").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruneStats {
@@ -247,9 +266,11 @@ pub fn shard_prune_stats(provider: &dyn TableProvider, predicate: &Predicate) ->
     per_shard
 }
 
-/// An in-memory [`TableProvider`]: a [`Rowset`] chopped into fixed-size
-/// row groups with computed zone maps. Useful for tests and as a
-/// reference implementation of the provider contract — on-disk segment
+/// An in-memory [`TableProvider`] over a shared [`Rowset`]: either the
+/// whole table as one group without statistics ([`whole`](Self::whole) —
+/// how the catalog holds every registered `Rowset`), or chopped into
+/// fixed-size row groups with computed zone maps ([`new`](Self::new), the
+/// reference implementation of the pruning contract). On-disk segment
 /// providers live in the `pp-store` crate.
 #[derive(Debug, Clone)]
 pub struct MemoryProvider {
@@ -261,6 +282,24 @@ pub struct MemoryProvider {
 }
 
 impl MemoryProvider {
+    /// The whole table as one row group that publishes no zone maps and
+    /// occupies no bytes at rest: nothing to prune, nothing to decode —
+    /// `read_group(0)` is a reference-count bump per row.
+    pub fn whole(table: Arc<Rowset>) -> MemoryProvider {
+        MemoryProvider {
+            groups: vec![RowGroupMeta {
+                rows: table.len(),
+                bytes: 0,
+                shard: 0,
+                zones: BTreeMap::new(),
+            }],
+            bounds: vec![(0, table.len())],
+            table,
+            shards: 1,
+            budget: None,
+        }
+    }
+
     /// Splits `table` into groups of `rows_per_group` rows, spread over
     /// `shards` contiguous shards. `rows_per_group` and `shards` are
     /// clamped to at least 1.

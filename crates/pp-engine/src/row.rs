@@ -63,58 +63,6 @@ impl Row {
     }
 }
 
-/// A borrowed, contiguous slice of rows handed to batch-capable UDFs.
-///
-/// The partitioned executor evaluates filters and processors one batch at
-/// a time instead of one row at a time, letting implementations amortize
-/// per-call overhead (e.g. vectorized model scoring in `pp-ml`).
-/// `offset` is the global index of `rows[0]` within the operator's full
-/// input, so batch implementations can key per-row behavior off stable
-/// row positions rather than arrival order.
-#[derive(Debug, Clone, Copy)]
-pub struct RowBatch<'a> {
-    schema: &'a Schema,
-    rows: &'a [Row],
-    offset: usize,
-}
-
-impl<'a> RowBatch<'a> {
-    /// Creates a batch view over `rows`, where `rows[0]` sits at global
-    /// input index `offset`.
-    pub fn new(schema: &'a Schema, rows: &'a [Row], offset: usize) -> Self {
-        RowBatch {
-            schema,
-            rows,
-            offset,
-        }
-    }
-
-    /// The schema every row in the batch conforms to.
-    pub fn schema(&self) -> &'a Schema {
-        self.schema
-    }
-
-    /// The rows in the batch.
-    pub fn rows(&self) -> &'a [Row] {
-        self.rows
-    }
-
-    /// Global input index of the batch's first row.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Number of rows in the batch.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// A materialized table: a schema plus rows.
 #[derive(Debug, Clone)]
 pub struct Rowset {

@@ -32,8 +32,8 @@
 //!   [`MetricsRegistry`] and are excluded from the snapshot, as are the
 //!   context's parallelism/batch knobs themselves. The storage-backend
 //!   `store.*` namespace (row groups scanned/pruned, bytes read by
-//!   provider scans) is excluded for the same reason: a segment-backed
-//!   scan must snapshot byte-identically to its in-memory twin.
+//!   scans) is excluded for the same reason: a segment-backed scan must
+//!   snapshot byte-identically to its in-memory twin.
 //!
 //! Latency histograms bucket *simulated* per-row seconds (charged cost),
 //! not wall time, so p50/p99 are reproducible; wall-clock fields are the
@@ -358,7 +358,7 @@ impl MetricsRegistry {
     /// Samples eligible for the deterministic snapshot: everything except
     /// the scheduling-dependent `worker.*` namespace and the
     /// storage-backend `store.*` namespace (those depend on whether a
-    /// table is served from memory or from segments — a provider-backed
+    /// table is served from memory or from segments — a segment-backed
     /// scan must snapshot byte-identically to its in-memory twin).
     pub fn snapshot_samples(&self) -> Vec<(String, MetricValue)> {
         self.samples()
@@ -785,11 +785,11 @@ pub(crate) struct SpanCollector {
     pub worker_rows: Counter,
     /// `worker.batches_total` handle, bumped from worker threads.
     pub worker_batches: Counter,
-    /// `store.row_groups_scanned_total` handle (provider scans).
+    /// `store.row_groups_scanned_total` handle.
     pub store_groups_scanned: Counter,
-    /// `store.row_groups_pruned_total` handle (provider scans).
+    /// `store.row_groups_pruned_total` handle.
     pub store_groups_pruned: Counter,
-    /// `store.bytes_read_total` handle (provider scans).
+    /// `store.bytes_read_total` handle.
     pub store_bytes_read: Counter,
 }
 

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use crate::batch::{Batch, BatchKernel, ProcessedRows};
-use crate::row::{Row, RowBatch};
+use crate::row::Row;
 use crate::schema::{Column, Schema};
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -26,7 +26,7 @@ use crate::{EngineError, Result};
 /// input row.
 ///
 /// Batch evaluation goes through the [`BatchKernel`] supertrait: the
-/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a unified
+/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a
 /// [`Batch`]. Scalar processors implement it with
 /// [`for_each_row`](crate::batch::for_each_row) over
 /// [`process`](Self::process).
@@ -41,11 +41,6 @@ pub trait Processor: Send + Sync + BatchKernel<Out = ProcessedRows> {
     /// Returning an empty vec drops the row (e.g. a detector finding no
     /// vehicles).
     fn process(&self, row: &Row, schema: &Schema) -> Result<Vec<Vec<Value>>>;
-    /// Processes a whole row batch.
-    #[deprecated(note = "use BatchKernel::eval_batch with a unified Batch")]
-    fn process_batch(&self, batch: &RowBatch<'_>) -> Vec<Result<Vec<Vec<Value>>>> {
-        self.eval_batch(&Batch::Rows(*batch))
-    }
 }
 
 /// A reducer UDF: consumes a group of related rows, emits aggregated rows.
@@ -88,7 +83,7 @@ pub trait Combiner: Send + Sync {
 /// inside a plan.
 ///
 /// Batch evaluation goes through the [`BatchKernel`] supertrait: the
-/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a unified
+/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a
 /// [`Batch`]. PP filters vectorize it (columnar block scoring in
 /// `pp-core`); scalar filters use
 /// [`for_each_row`](crate::batch::for_each_row) over
@@ -100,11 +95,6 @@ pub trait RowFilter: Send + Sync + BatchKernel<Out = bool> {
     fn cost_per_row(&self) -> f64;
     /// Whether the row survives the filter.
     fn passes(&self, row: &Row, schema: &Schema) -> Result<bool>;
-    /// Evaluates a whole row batch.
-    #[deprecated(note = "use BatchKernel::eval_batch with a unified Batch")]
-    fn passes_batch(&self, batch: &RowBatch<'_>) -> Vec<Result<bool>> {
-        self.eval_batch(&Batch::Rows(*batch))
-    }
     /// Whether the executor may degrade this filter to pass-through when
     /// it fails (see [`resilience`](crate::resilience)). Defaults to true:
     /// PP-style filters are best-effort data reduction, so letting a row

@@ -24,9 +24,9 @@ pub trait ScoreModel {
     /// Scores one feature vector; higher means "more likely to pass".
     fn score(&self, x: &Features) -> f64;
 
-    /// Scores a unified batch of feature vectors ([`FeatureBatch::Refs`]
-    /// for row-oriented callers, [`FeatureBatch::Block`] for columnar
-    /// callers).
+    /// Scores a batch of feature vectors ([`FeatureBatch::Block`] for a
+    /// gathered dense column, [`FeatureBatch::Refs`] for a column with
+    /// sparse or ragged cells).
     ///
     /// Semantically equivalent to calling [`score`][Self::score] on each
     /// element; implementations may override it to amortize per-call work
@@ -40,12 +40,6 @@ pub trait ScoreModel {
                 .map(|row| self.score(&Features::Dense(row.to_vec())))
                 .collect(),
         }
-    }
-
-    /// Scores a slice of feature references.
-    #[deprecated(note = "use score_many with a unified FeatureBatch")]
-    fn score_batch(&self, xs: &[&Features]) -> Vec<f64> {
-        self.score_many(&FeatureBatch::Refs(xs))
     }
 }
 
@@ -249,18 +243,6 @@ impl Pipeline {
     pub fn passes_many(&self, xs: &FeatureBatch<'_>, a: f64) -> Result<Vec<bool>> {
         let th = self.calibration.threshold(a)?;
         Ok(self.score_many(xs).into_iter().map(|s| s >= th).collect())
-    }
-
-    /// Scores a slice of blob references.
-    #[deprecated(note = "use score_many with a unified FeatureBatch")]
-    pub fn score_batch(&self, xs: &[&Features]) -> Vec<f64> {
-        self.score_many(&FeatureBatch::Refs(xs))
-    }
-
-    /// Batch decision over a slice of blob references.
-    #[deprecated(note = "use passes_many with a unified FeatureBatch")]
-    pub fn passes_batch(&self, xs: &[&Features], a: f64) -> Result<Vec<bool>> {
-        self.passes_many(&FeatureBatch::Refs(xs), a)
     }
 
     /// The calibration table.

@@ -406,8 +406,8 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let Some(spec) = inner.sources.get(&task.source) else {
             continue;
         };
-        // `read_table` falls back to decoding provider-backed (segment)
-        // tables, so audit replay covers out-of-core sources too.
+        // `read_table` decodes segment tables too, so audit replay covers
+        // out-of-core sources.
         let Ok(table) = inner.data.read_table(spec.table()) else {
             continue;
         };

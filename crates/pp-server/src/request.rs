@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use pp_core::catalog::CatalogEpoch;
 use pp_core::planner::PlanReport;
-use pp_engine::batch::BatchMode;
 use pp_engine::cancel::{CancelReason, CancelToken};
 use pp_engine::fault::FaultPlan;
 use pp_engine::predicate::Predicate;
@@ -52,10 +51,6 @@ pub struct QueryRequest {
     pub batch_size: Option<usize>,
     /// Optional rows-per-morsel override for the work-stealing scheduler.
     pub morsel_size: Option<usize>,
-    /// Optional batch-mode override (columnar vs row-oriented kernels).
-    /// Output bytes are identical either way; this is a perf/bisection
-    /// knob.
-    pub batch_mode: Option<BatchMode>,
 }
 
 impl QueryRequest {
@@ -72,7 +67,6 @@ impl QueryRequest {
             parallelism: None,
             batch_size: None,
             morsel_size: None,
-            batch_mode: None,
         }
     }
 
@@ -111,12 +105,6 @@ impl QueryRequest {
     /// Overrides rows-per-morsel claimed by scheduler workers.
     pub fn with_morsel_size(mut self, rows: usize) -> Self {
         self.morsel_size = Some(rows.max(1));
-        self
-    }
-
-    /// Overrides which batch variant kernels receive for this query.
-    pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
-        self.batch_mode = Some(mode);
         self
     }
 }

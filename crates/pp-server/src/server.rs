@@ -792,9 +792,6 @@ fn run_query(
     if let Some(rows) = request.morsel_size {
         builder = builder.with_morsel_size(rows);
     }
-    if let Some(mode) = request.batch_mode {
-        builder = builder.with_batch_mode(mode);
-    }
     let mut ctx = builder.build();
     trace.enter(RequestStage::Execute);
     let result = ctx.run(&cached.plan);
@@ -806,7 +803,10 @@ fn run_query(
     let telemetry = ctx.telemetry().cloned();
     match result {
         Ok(rows) => {
-            let telemetry = telemetry.expect("successful run always has telemetry");
+            let Some(telemetry) = telemetry else {
+                inner.metrics.counter("server.failed_total").inc();
+                return QueryOutcome::Failed("run completed without a telemetry snapshot".into());
+            };
             inner.monitor.observe_run(&cached.report, &telemetry);
             inner.metrics.counter("server.completed_total").inc();
             // Enqueue for the off-hot-path accuracy audit (replays happen

@@ -41,6 +41,18 @@
 //! bound ([`WireError::DepthExceeded`]) so hostile bytes cannot blow the
 //! stack. `tests/wire.rs` pins the exact byte layout with golden files.
 //!
+//! # Request payload
+//!
+//! | field | encoding |
+//! |-------|----------|
+//! | source | length-prefixed UTF-8 |
+//! | predicate | tagged tree, depth ≤ [`MAX_PREDICATE_DEPTH`] |
+//! | accuracy target | `f64` bits |
+//! | deadline (ms) | option flag + `u64` |
+//! | parallelism, batch size, morsel size | option flag + `u32`, each |
+//! | *reserved* | one byte: the encoder writes `0`; the decoder accepts `0`–`2` and ignores the value (`PPW1` clients sent a batch-mode selector here, which no longer selects anything) |
+//! | shared | one byte, non-zero = shared-scan window |
+//!
 //! # Values on the wire
 //!
 //! All [`Value`] variants round-trip, including blobs (dense or sparse
@@ -53,7 +65,6 @@ use std::io::{Read, Write};
 
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::value::Value;
-use pp_engine::BatchMode;
 use pp_linalg::features::Features;
 use pp_linalg::sparse::SparseVector;
 
@@ -146,8 +157,6 @@ pub struct WireRequest {
     pub batch_size: Option<u32>,
     /// Optional rows-per-morsel override.
     pub morsel_size: Option<u32>,
-    /// Optional batch-mode override.
-    pub batch_mode: Option<BatchMode>,
     /// Route through the shared-scan coordinator
     /// ([`PpServer::submit_shared`]) instead of a dedicated worker.
     pub shared: bool,
@@ -165,7 +174,6 @@ impl WireRequest {
             parallelism: None,
             batch_size: None,
             morsel_size: None,
-            batch_mode: None,
             shared: false,
         }
     }
@@ -188,9 +196,6 @@ impl WireRequest {
         }
         if let Some(rows) = self.morsel_size {
             req = req.with_morsel_size(rows as usize);
-        }
-        if let Some(mode) = self.batch_mode {
-            req = req.with_batch_mode(mode);
         }
         req
     }
@@ -595,11 +600,7 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             put_option_u32(&mut out, req.parallelism);
             put_option_u32(&mut out, req.batch_size);
             put_option_u32(&mut out, req.morsel_size);
-            match req.batch_mode {
-                None => out.push(0),
-                Some(BatchMode::Rows) => out.push(1),
-                Some(BatchMode::Columnar) => out.push(2),
-            }
+            out.push(0); // reserved, see the module docs
             out.push(u8::from(req.shared));
             TYPE_REQUEST
         }
@@ -684,12 +685,12 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let parallelism = get_option_u32(&mut cur)?;
             let batch_size = get_option_u32(&mut cur)?;
             let morsel_size = get_option_u32(&mut cur)?;
-            let batch_mode = match cur.u8()? {
-                0 => None,
-                1 => Some(BatchMode::Rows),
-                2 => Some(BatchMode::Columnar),
-                other => return Err(WireError::Malformed(format!("batch mode {other}"))),
-            };
+            // Formerly the batch-mode selector: the values old clients
+            // could send are accepted and ignored.
+            match cur.u8()? {
+                0..=2 => {}
+                other => return Err(WireError::Malformed(format!("reserved byte {other}"))),
+            }
             let shared = cur.u8()? != 0;
             Frame::Request(WireRequest {
                 source,
@@ -699,7 +700,6 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
                 parallelism,
                 batch_size,
                 morsel_size,
-                batch_mode,
                 shared,
             })
         }

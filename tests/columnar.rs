@@ -1,36 +1,58 @@
-//! The columnar safety rail: for a fixed plan, catalog, and fault seed,
-//! the columnar vectorized path must be **byte-identical** to the serial
-//! row path — same result rows, same cost-meter charges, same telemetry
-//! snapshot (after [`TelemetrySnapshot::zero_wall_clock`]) — at every
-//! combination of batch mode, parallelism, batch size, and morsel size,
-//! with and without injected faults and under cancellation.
+//! The execution safety rail: the engine has one execution path, and for
+//! a fixed plan, catalog, and fault seed its output must be
+//! **byte-identical** — same result rows, same cost-meter charges, same
+//! telemetry snapshot (after [`TelemetrySnapshot::zero_wall_clock`]) — at
+//! every parallelism, batch size, and morsel size, with and without
+//! injected faults.
+//!
+//! The invariant is anchored twice. At the kernel: every built-in
+//! `BatchKernel`'s `eval_batch` over a multi-row batch equals the
+//! scalar per-row path (`RowFilter::passes` / `Processor::process`),
+//! which is what production retries run. At the engine: every
+//! (K, batch, morsel) shape equals the `K=1, batch=1` run, where each
+//! batch is one row.
 //!
 //! [`TelemetrySnapshot::zero_wall_clock`]:
 //! probabilistic_predicates::engine::telemetry::TelemetrySnapshot::zero_wall_clock
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
+use probabilistic_predicates::engine::udf::{ClosureFilter, Processor, RowFilter};
 use probabilistic_predicates::engine::{
-    Batch, BatchKernel, BatchMode, Catalog, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig,
-    RetryPolicy, Rowset,
+    memoize_plan, Batch, Catalog, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig, RetryPolicy,
+    Row, Rowset, UdfMemo, Value,
 };
+use probabilistic_predicates::linalg::sparse::SparseVector;
+use probabilistic_predicates::linalg::Features;
+use probabilistic_predicates::ml::dnn::DnnParams;
+use probabilistic_predicates::ml::kde::KdeParams;
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 
 struct Fixture {
+    dataset: TrafficDataset,
     catalog: Catalog,
     /// Q1 (`vehType = SUV`) with the PP injected above the scan — the
-    /// PP filter is the operator with a real columnar kernel.
+    /// PP filter is the operator with a real block kernel.
     pp_plan: LogicalPlan,
     /// Display name of the injected PP filter operator.
     pp_op: String,
+}
+
+fn trainer(reducer: ReducerSpec, model: ModelSpec) -> PpTrainer {
+    PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach { reducer, model }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    })
 }
 
 fn fixture() -> &'static Fixture {
@@ -41,20 +63,14 @@ fn fixture() -> &'static Fixture {
             seed: 0xC01A,
             ..Default::default()
         });
-        let trainer = PpTrainer::new(TrainerConfig {
-            approach_override: Some(Approach {
-                reducer: ReducerSpec::Identity,
-                model: ModelSpec::Svm(SvmParams::default()),
-            }),
-            cost_per_row: Some(0.0025),
-            ..Default::default()
-        });
         let clauses = TrafficDataset::pp_corpus_clauses();
         let labeled: Vec<_> = clauses
             .iter()
             .map(|c| dataset.labeled_for_clause_range(c, 0..400))
             .collect();
-        let pp_catalog = trainer.train_catalog(&clauses, &labeled).expect("train");
+        let pp_catalog = trainer(ReducerSpec::Identity, ModelSpec::Svm(SvmParams::default()))
+            .train_catalog(&clauses, &labeled)
+            .expect("train");
         let mut domains = Domains::new();
         for (col, values) in TrafficDataset::column_domains() {
             domains.declare(col, values);
@@ -81,6 +97,7 @@ fn fixture() -> &'static Fixture {
             .op
             .clone();
         Fixture {
+            dataset,
             catalog,
             pp_plan: optimized.plan,
             pp_op,
@@ -105,120 +122,182 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
     )
 }
 
-/// The tentpole acceptance gate: columnar execution is byte-identical to
-/// the serial row path at every (mode, K, batch, morsel) combination —
-/// results, charges, and telemetry snapshots all match.
+/// The engine-level gate: every (K, batch, morsel) shape is
+/// byte-identical — results, charges, telemetry snapshot, resilience
+/// report — to the `K=1, batch=1` reference, clean and under seeded
+/// faults (faults key off row identity, so retries and fail-opens land
+/// on the same rows at any shape).
 #[test]
-fn columnar_matches_serial_row_path_at_every_shape() {
+fn every_shape_matches_the_scalar_reference() {
     let f = fixture();
-    let mut baseline = ExecutionContext::builder(&f.catalog)
-        .with_batch_mode(BatchMode::Rows)
-        .with_parallelism(1)
-        .build();
-    let out = baseline.run(&f.pp_plan).expect("serial row run");
-    let base = observe(&baseline, &out);
-
-    for mode in [BatchMode::Rows, BatchMode::Columnar] {
-        for k in [1usize, 2, 4, 8] {
-            for batch in [1usize, 7, 64] {
+    let spec = FaultSpec::transient(0.2).with_timeouts(0.05, 2.0);
+    for faulted in [false, true] {
+        let run = |k: usize, batch: usize, morsel: usize| {
+            let mut builder = ExecutionContext::builder(&f.catalog)
+                .with_parallelism(k)
+                .with_batch_size(batch)
+                .with_morsel_size(morsel);
+            if faulted {
+                builder = builder
+                    .with_fault_plan(
+                        FaultPlan::new(0xC01A7)
+                            .inject("VehTypeClassifier", spec)
+                            .inject(&f.pp_op, spec),
+                    )
+                    .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
+                        max_retries: 8,
+                        ..Default::default()
+                    }));
+            }
+            let mut ctx = builder.build();
+            let out = ctx.run(&f.pp_plan).expect("run");
+            (observe(&ctx, &out), ctx.report())
+        };
+        let (base, base_report) = run(1, 1, 1024);
+        assert_eq!(
+            base_report.total_failures() > 0,
+            faulted,
+            "faults fire exactly when injected"
+        );
+        for k in [1usize, 4] {
+            for batch in [1usize, 64] {
                 for morsel in [16usize, 100, 1024] {
-                    let mut ctx = ExecutionContext::builder(&f.catalog)
-                        .with_batch_mode(mode)
-                        .with_parallelism(k)
-                        .with_batch_size(batch)
-                        .with_morsel_size(morsel)
-                        .build();
-                    let out = ctx.run(&f.pp_plan).expect("run");
-                    let got = observe(&ctx, &out);
-                    assert_eq!(
-                        got.0, base.0,
-                        "{mode:?} K={k} batch={batch} morsel={morsel}: rows diverged"
-                    );
-                    assert_eq!(
-                        got.1, base.1,
-                        "{mode:?} K={k} batch={batch} morsel={morsel}: charges diverged"
-                    );
-                    assert_eq!(
-                        got.2, base.2,
-                        "{mode:?} K={k} batch={batch} morsel={morsel}: telemetry diverged"
-                    );
+                    let (got, report) = run(k, batch, morsel);
+                    let shape = format!("faulted={faulted} K={k} batch={batch} morsel={morsel}");
+                    assert_eq!(got.0, base.0, "{shape}: rows diverged");
+                    assert_eq!(got.1, base.1, "{shape}: charges diverged");
+                    assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
+                    assert_eq!(report, base_report, "{shape}: resilience report diverged");
                 }
             }
         }
     }
 }
 
-/// The identity holds under seeded fault injection: faults key off row
-/// identity, not batch layout, so retries and fail-opens land on the same
-/// rows in either mode at any morsel size.
+/// The kernel-level gate: for every built-in [`BatchKernel`] — the PP
+/// filter over each model family and reducer, the closure filter and
+/// processor, the memo shim and the fault shims — `eval_batch` over a
+/// multi-row batch equals the scalar `passes`/`process` row by row,
+/// errors included. The batches are a dense column (scored off the
+/// gathered block), the same column with one cell stored sparse (the
+/// `Refs` fallback: nothing is densified), and one with a non-blob cell
+/// (a per-row error).
 #[test]
-fn columnar_matches_row_path_under_seeded_faults() {
+fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
     let f = fixture();
-    let spec = FaultSpec::transient(0.2).with_timeouts(0.05, 2.0);
-    let run = |mode: BatchMode, k: usize, batch: usize, morsel: usize| {
-        let mut ctx = ExecutionContext::builder(&f.catalog)
-            .with_fault_plan(
-                FaultPlan::new(0xC01A7)
-                    .inject("VehTypeClassifier", spec)
-                    .inject(&f.pp_op, spec),
-            )
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-                max_retries: 8,
-                ..Default::default()
-            }))
-            .with_batch_mode(mode)
-            .with_parallelism(k)
-            .with_batch_size(batch)
-            .with_morsel_size(morsel)
-            .build();
-        let out = ctx.run(&f.pp_plan).expect("faulted run");
-        let obs = observe(&ctx, &out);
-        (obs, ctx.report())
+    let table = f.catalog.read_table("traffic").expect("registered slice");
+    let schema = table.schema().clone();
+    let blob_idx = schema.index_of("frame").expect("blob column");
+    // 70 rows: not a multiple of the kernels' 8 lanes.
+    let dense: Vec<Row> = table.rows()[..70].to_vec();
+    let with_cell = |at: usize, cell: Value| -> Vec<Row> {
+        let mut rows = dense.clone();
+        let mut values = rows[at].values().to_vec();
+        values[blob_idx] = cell;
+        rows[at] = Row::new(values);
+        rows
     };
-    let (base, base_report) = run(BatchMode::Rows, 1, 1, 1024);
-    assert!(
-        base_report.total_failures() > 0,
-        "faults must actually fire"
-    );
-    for mode in [BatchMode::Rows, BatchMode::Columnar] {
-        for (k, batch, morsel) in [(1, 7, 32), (4, 64, 64), (8, 7, 256)] {
-            let (got, report) = run(mode, k, batch, morsel);
+    let sparse_cell = {
+        let blob = dense[3].get(blob_idx).as_blob().expect("blob cell");
+        let coords = blob.as_dense().expect("traffic blobs are dense");
+        let pairs = coords
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != 0.0)
+            .map(|(i, v)| (i as u32, *v))
+            .collect();
+        Value::blob(Features::Sparse(
+            SparseVector::from_pairs(coords.len(), pairs).expect("sparse twin"),
+        ))
+    };
+    let batches = [
+        ("dense", dense.clone()),
+        ("sparse cell", with_cell(3, sparse_cell)),
+        ("non-blob cell", with_cell(5, Value::Int(7))),
+    ];
+
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let labeled = f.dataset.labeled_for_clause_range(&clause, 0..400);
+    let mut filters: Vec<Arc<dyn RowFilter>> =
+        vec![Arc::new(ClosureFilter::new("even", 0.01, |row, _| {
+            Ok(row.get(0).as_int()? % 2 == 0)
+        }))];
+    for (reducer, model) in [
+        (ReducerSpec::Identity, ModelSpec::Svm(SvmParams::default())),
+        (ReducerSpec::Identity, ModelSpec::Kde(KdeParams::default())),
+        (ReducerSpec::Identity, ModelSpec::Dnn(DnnParams::default())),
+        (
+            ReducerSpec::Pca {
+                k: 4,
+                fit_sample: 200,
+            },
+            ModelSpec::Svm(SvmParams::default()),
+        ),
+        (
+            ReducerSpec::FeatureHash { dr: 8 },
+            ModelSpec::Svm(SvmParams::default()),
+        ),
+    ] {
+        let pp = trainer(reducer, model)
+            .train_clause(&clause, &labeled)
+            .expect("train")
+            .remove(0);
+        let planned = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95).expect("plan");
+        filters.push(Arc::new(planned.into_filter("frame")));
+    }
+    let udf = f.dataset.udf("vehType").expect("vehType UDF");
+    let faults = |name: &str| {
+        FaultPlan::new(0xFA17).inject(name, FaultSpec::transient(0.3).with_timeouts(0.1, 2.0))
+    };
+    // The fault shims wrap whatever the plan holds, so take them off a
+    // faulted plan.
+    for filter in filters.clone() {
+        let plan = faults(filter.name()).apply(&LogicalPlan::scan("traffic").filter(filter));
+        match plan {
+            LogicalPlan::Filter { filter, .. } => filters.push(filter),
+            other => panic!("expected a filter plan, got {other:?}"),
+        }
+    }
+    let udf_plan = LogicalPlan::scan("traffic").process(Arc::clone(&udf));
+    let mut processors: Vec<Arc<dyn Processor>> = vec![udf];
+    for plan in [
+        memoize_plan(&udf_plan, &Arc::new(UdfMemo::new(schema.len()))),
+        faults("VehTypeClassifier").apply(&udf_plan),
+    ] {
+        match plan {
+            LogicalPlan::Process { processor, .. } => processors.push(processor),
+            other => panic!("expected a process plan, got {other:?}"),
+        }
+    }
+
+    for (label, rows) in &batches {
+        let batch = Batch::new(&schema, rows, 0);
+        for filter in &filters {
+            let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
             assert_eq!(
-                got, base,
-                "{mode:?} K={k} batch={batch} morsel={morsel}: faulted run diverged"
+                format!("{:?}", filter.eval_batch(&batch)),
+                format!("{scalar:?}"),
+                "{} over the {label} batch",
+                filter.name()
             );
+        }
+        for processor in &processors {
+            let scalar: Vec<_> = rows.iter().map(|r| processor.process(r, &schema)).collect();
             assert_eq!(
-                report, base_report,
-                "{mode:?} K={k} batch={batch} morsel={morsel}: fault report diverged"
+                format!("{:?}", processor.eval_batch(&batch)),
+                format!("{scalar:?}"),
+                "{} over the {label} batch",
+                processor.name()
             );
         }
     }
 }
 
-/// Columnar is the engine default; `BatchMode::Rows` is an explicit
-/// opt-out. A default-built context must agree with an explicit
-/// row-mode context bit for bit.
-#[test]
-fn columnar_is_the_default_and_agrees_with_rows() {
-    let f = fixture();
-    let mut default_ctx = ExecutionContext::new(&f.catalog);
-    assert_eq!(default_ctx.batch_mode(), BatchMode::Columnar);
-    let mut rows_ctx = ExecutionContext::builder(&f.catalog)
-        .with_batch_mode(BatchMode::Rows)
-        .build();
-    let out_default = default_ctx.run(&f.pp_plan).expect("default run");
-    let out_rows = rows_ctx.run(&f.pp_plan).expect("row-mode run");
-    assert_eq!(
-        observe(&default_ctx, &out_default),
-        observe(&rows_ctx, &out_rows)
-    );
-}
-
 /// Engine-level edge shapes: an empty table and a single-row table run
-/// identically in both modes at extreme batch/morsel settings.
+/// identically at extreme batch/morsel settings.
 #[test]
-fn edge_shapes_are_mode_independent() {
-    use probabilistic_predicates::engine::{Column, DataType, Row, Schema, Value};
+fn edge_shapes_are_shape_independent() {
+    use probabilistic_predicates::engine::{Column, DataType, Schema};
 
     let schema = Schema::new(vec![Column::new("id", DataType::Int)]).expect("schema");
     let mut catalog = Catalog::new();
@@ -233,89 +312,21 @@ fn edge_shapes_are_mode_independent() {
     for table in ["empty", "one"] {
         let plan = LogicalPlan::scan(table);
         let mut base: Option<(String, String, String)> = None;
-        for mode in [BatchMode::Rows, BatchMode::Columnar] {
-            for (k, batch, morsel) in [(1, 1, 1), (8, 64, 1), (8, 1, 4096)] {
-                let mut ctx = ExecutionContext::builder(&catalog)
-                    .with_batch_mode(mode)
-                    .with_parallelism(k)
-                    .with_batch_size(batch)
-                    .with_morsel_size(morsel)
-                    .build();
-                let out = ctx.run(&plan).expect("edge run");
-                let got = observe(&ctx, &out);
-                match &base {
-                    None => base = Some(got),
-                    Some(b) => assert_eq!(
-                        &got, b,
-                        "{table}: {mode:?} K={k} batch={batch} morsel={morsel} diverged"
-                    ),
-                }
+        for (k, batch, morsel) in [(1, 1, 1), (8, 64, 1), (8, 1, 4096)] {
+            let mut ctx = ExecutionContext::builder(&catalog)
+                .with_parallelism(k)
+                .with_batch_size(batch)
+                .with_morsel_size(morsel)
+                .build();
+            let out = ctx.run(&plan).expect("edge run");
+            let got = observe(&ctx, &out);
+            match &base {
+                None => base = Some(got),
+                Some(b) => assert_eq!(
+                    &got, b,
+                    "{table}: K={k} batch={batch} morsel={morsel} diverged"
+                ),
             }
         }
     }
-}
-
-/// A kernel that sees only one batch variant would silently skip half the
-/// matrix; this pins that both variants reach a user [`BatchKernel`] when
-/// the mode toggles.
-#[test]
-fn both_batch_variants_reach_kernels() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    use probabilistic_predicates::engine::udf::RowFilter;
-    use probabilistic_predicates::engine::{Column, DataType, Row, Schema, Value};
-
-    struct Probe {
-        rows_seen: AtomicUsize,
-        cols_seen: AtomicUsize,
-    }
-    struct ProbeFilter(Arc<Probe>);
-    impl RowFilter for ProbeFilter {
-        fn name(&self) -> &str {
-            "probe"
-        }
-        fn cost_per_row(&self) -> f64 {
-            1e-6
-        }
-        fn passes(
-            &self,
-            _row: &Row,
-            _schema: &Schema,
-        ) -> probabilistic_predicates::engine::Result<bool> {
-            Ok(true)
-        }
-    }
-    impl BatchKernel for ProbeFilter {
-        type Out = bool;
-        fn eval_batch(
-            &self,
-            batch: &Batch<'_>,
-        ) -> Vec<probabilistic_predicates::engine::Result<bool>> {
-            match batch.as_columns() {
-                Some(_) => self.0.cols_seen.fetch_add(batch.len(), Ordering::Relaxed),
-                None => self.0.rows_seen.fetch_add(batch.len(), Ordering::Relaxed),
-            };
-            (0..batch.len()).map(|_| Ok(true)).collect()
-        }
-    }
-
-    let schema = Schema::new(vec![Column::new("id", DataType::Int)]).expect("schema");
-    let rows: Vec<Row> = (0..50).map(|i| Row::new(vec![Value::Int(i)])).collect();
-    let mut catalog = Catalog::new();
-    catalog.register("t", Rowset::new(schema, rows).expect("rowset"));
-    let probe = Arc::new(Probe {
-        rows_seen: AtomicUsize::new(0),
-        cols_seen: AtomicUsize::new(0),
-    });
-    let plan = LogicalPlan::scan("t").filter(Arc::new(ProbeFilter(Arc::clone(&probe))));
-    for mode in [BatchMode::Rows, BatchMode::Columnar] {
-        let mut ctx = ExecutionContext::builder(&catalog)
-            .with_batch_mode(mode)
-            .with_batch_size(8)
-            .build();
-        ctx.run(&plan).expect("probe run");
-    }
-    assert_eq!(probe.rows_seen.load(Ordering::Relaxed), 50);
-    assert_eq!(probe.cols_seen.load(Ordering::Relaxed), 50);
 }

@@ -25,7 +25,6 @@ use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::udf::{ClosureFilter, ClosureProcessor};
-use probabilistic_predicates::engine::BatchMode;
 use probabilistic_predicates::engine::{
     Catalog, EngineError, EventKind, FaultPlan, FaultSpec, LogicalPlan, QueryId, ResilienceConfig,
     RetryPolicy, Row, Rowset, Value,
@@ -379,8 +378,8 @@ fn serve_one(server: &PpServer, request: QueryRequest) -> QueryResponse {
 /// The tentpole invariant, serving edition: every stage span telescopes
 /// off the same clock, so the spans sum *exactly* to the end-to-end
 /// latency, and the timeline's structure — stage names, cache detail,
-/// terminal stage — is byte-identical across `BatchMode` × parallelism ×
-/// batch size, with and without seeded engine faults. (Fresh server per
+/// terminal stage — is byte-identical across parallelism × batch size,
+/// with and without seeded engine faults. (Fresh server per
 /// config: `CacheKey` ignores engine knobs, so a shared server would flip
 /// the cache detail from `build` to `hit` across configs.)
 #[test]
@@ -389,80 +388,76 @@ fn request_timelines_are_structure_identical_across_engine_configs() {
     for fault_seed in [None, Some(0xFA07u64)] {
         let mut reference: Option<String> = None;
         let mut histogram_reference: Option<Vec<(String, u64)>> = None;
-        for mode in [BatchMode::Rows, BatchMode::Columnar] {
-            for parallelism in [1usize, 4] {
-                for batch_size in [1usize, 64] {
-                    let mut server = serve_server(ServerConfig {
-                        workers: 1,
-                        ..Default::default()
-                    });
-                    let mut request = QueryRequest::new("traffic", f.suv.clone(), 0.95)
-                        .with_batch_mode(mode)
-                        .with_parallelism(parallelism)
-                        .with_batch_size(batch_size);
-                    if let Some(seed) = fault_seed {
-                        // Target the source's UDFs rather than a PP op so
-                        // the fault plan is plan-shape-agnostic; PPs fail
-                        // open, UDF faults retry deterministically.
-                        request = request.with_fault_plan(
-                            FaultPlan::new(seed)
-                                .inject("VehTypeClassifier", FaultSpec::transient(0.15)),
-                        );
-                    }
-                    let response = serve_one(&server, request);
-                    assert!(
-                        matches!(response.outcome, QueryOutcome::Complete(_)),
-                        "mode={mode:?} K={parallelism} batch={batch_size}: {:?}",
-                        response.outcome
+        for parallelism in [1usize, 4] {
+            for batch_size in [1usize, 64] {
+                let mut server = serve_server(ServerConfig {
+                    workers: 1,
+                    ..Default::default()
+                });
+                let mut request = QueryRequest::new("traffic", f.suv.clone(), 0.95)
+                    .with_parallelism(parallelism)
+                    .with_batch_size(batch_size);
+                if let Some(seed) = fault_seed {
+                    // Target the source's UDFs rather than a PP op so
+                    // the fault plan is plan-shape-agnostic; PPs fail
+                    // open, UDF faults retry deterministically.
+                    request = request.with_fault_plan(
+                        FaultPlan::new(seed)
+                            .inject("VehTypeClassifier", FaultSpec::transient(0.15)),
                     );
-                    let timeline = &response.timeline;
-                    let span_sum: u64 = timeline.stages.iter().map(|s| s.nanos).sum();
-                    assert_eq!(
-                        span_sum, timeline.total_nanos,
-                        "stage spans must telescope exactly to the end-to-end latency"
-                    );
-                    assert_eq!(timeline.terminal, "respond");
-                    assert_eq!(
-                        timeline.stage_names(),
-                        vec!["admission", "queue", "cache", "execute", "respond"]
-                    );
-                    let structure = timeline.zero_durations().to_json();
-                    match &reference {
-                        None => reference = Some(structure),
-                        Some(expected) => assert_eq!(
-                            expected, &structure,
-                            "timeline structure diverged at mode={mode:?} K={parallelism} \
-                             batch={batch_size} faults={fault_seed:?}"
-                        ),
-                    }
-                    // Histogram *counts* (names and observation counts, not
-                    // wall-clock values) are config-independent too: one
-                    // observation per stage per request.
-                    let histogram_counts: Vec<(String, u64)> = server
-                        .metrics()
-                        .histogram_samples()
-                        .into_iter()
-                        .map(|(name, h)| (name, h.count()))
-                        .collect();
-                    for stage in ["admission", "queue", "cache", "execute", "respond"] {
-                        assert!(
-                            histogram_counts
-                                .iter()
-                                .any(|(n, c)| n == &format!("server.stage.{stage}_seconds")
-                                    && *c == 1),
-                            "missing stage histogram for {stage}: {histogram_counts:?}"
-                        );
-                    }
-                    match &histogram_reference {
-                        None => histogram_reference = Some(histogram_counts),
-                        Some(expected) => assert_eq!(
-                            expected, &histogram_counts,
-                            "histogram names/counts diverged at mode={mode:?} \
-                             K={parallelism} batch={batch_size} faults={fault_seed:?}"
-                        ),
-                    }
-                    server.shutdown();
                 }
+                let response = serve_one(&server, request);
+                assert!(
+                    matches!(response.outcome, QueryOutcome::Complete(_)),
+                    "K={parallelism} batch={batch_size}: {:?}",
+                    response.outcome
+                );
+                let timeline = &response.timeline;
+                let span_sum: u64 = timeline.stages.iter().map(|s| s.nanos).sum();
+                assert_eq!(
+                    span_sum, timeline.total_nanos,
+                    "stage spans must telescope exactly to the end-to-end latency"
+                );
+                assert_eq!(timeline.terminal, "respond");
+                assert_eq!(
+                    timeline.stage_names(),
+                    vec!["admission", "queue", "cache", "execute", "respond"]
+                );
+                let structure = timeline.zero_durations().to_json();
+                match &reference {
+                    None => reference = Some(structure),
+                    Some(expected) => assert_eq!(
+                        expected, &structure,
+                        "timeline structure diverged at K={parallelism} \
+                         batch={batch_size} faults={fault_seed:?}"
+                    ),
+                }
+                // Histogram *counts* (names and observation counts, not
+                // wall-clock values) are config-independent too: one
+                // observation per stage per request.
+                let histogram_counts: Vec<(String, u64)> = server
+                    .metrics()
+                    .histogram_samples()
+                    .into_iter()
+                    .map(|(name, h)| (name, h.count()))
+                    .collect();
+                for stage in ["admission", "queue", "cache", "execute", "respond"] {
+                    assert!(
+                        histogram_counts
+                            .iter()
+                            .any(|(n, c)| n == &format!("server.stage.{stage}_seconds") && *c == 1),
+                        "missing stage histogram for {stage}: {histogram_counts:?}"
+                    );
+                }
+                match &histogram_reference {
+                    None => histogram_reference = Some(histogram_counts),
+                    Some(expected) => assert_eq!(
+                        expected, &histogram_counts,
+                        "histogram names/counts diverged at \
+                         K={parallelism} batch={batch_size} faults={fault_seed:?}"
+                    ),
+                }
+                server.shutdown();
             }
         }
     }

@@ -6,8 +6,8 @@
 //! counting UDF shims *and* the server's `server.sharedscan.*` metrics)
 //! while every per-query observable — verdict rows, `PlanReport`,
 //! `CostMeter` charges, telemetry snapshot — is byte-identical to the
-//! same query submitted solo, across batch mode × parallelism × batch
-//! size, under mid-window epoch publishes, and under injected worker
+//! same query submitted solo, across parallelism × batch size,
+//! under mid-window epoch publishes, and under injected worker
 //! panics.
 
 use std::collections::BTreeMap;
@@ -25,7 +25,7 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::batch::for_each_row;
 use probabilistic_predicates::engine::{
-    Batch, BatchKernel, BatchMode, Column, ProcessedRows, Processor, Row, Schema,
+    Batch, BatchKernel, Column, ProcessedRows, Processor, Row, Schema,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -203,13 +203,12 @@ fn wait_success(server: &PpServer, req: QueryRequest, shared: bool) -> QuerySucc
     }
 }
 
-fn traf_requests(mode: BatchMode, parallelism: usize, batch: usize) -> Vec<QueryRequest> {
+fn traf_requests(parallelism: usize, batch: usize) -> Vec<QueryRequest> {
     traf20_queries()
         .into_iter()
         .filter(|q| q.id <= 4)
         .map(|q| {
             QueryRequest::new("traffic", q.predicate, 0.95)
-                .with_batch_mode(mode)
                 .with_parallelism(parallelism)
                 .with_batch_size(batch)
         })
@@ -228,83 +227,80 @@ fn full_window(n: usize) -> SharedScanConfig {
 
 /// The acceptance matrix: four concurrent TRAF-20 queries sharing one
 /// source, window-batched, must answer byte-identically to solo across
-/// BatchMode × parallelism {1,4} × batch size {1,64} — while the window
+/// parallelism {1,4} × batch size {1,64} — while the window
 /// saves UDF work (counted two ways: shim counters and server metrics).
 #[test]
-fn shared_window_matches_solo_across_mode_parallelism_batch() {
-    for mode in [BatchMode::Rows, BatchMode::Columnar] {
-        for parallelism in [1usize, 4] {
-            for batch in [1usize, 64] {
-                let requests = traf_requests(mode, parallelism, batch);
+fn shared_window_matches_solo_across_parallelism_batch() {
+    for parallelism in [1usize, 4] {
+        for batch in [1usize, 64] {
+            let requests = traf_requests(parallelism, batch);
 
-                // Solo baseline: fresh counters, strictly sequential.
-                let (mut solo, solo_counts) =
-                    make_server(2, SharedScanConfig::default(), None, &[]);
-                let solo_lines: Vec<String> = requests
-                    .iter()
-                    .map(|r| canonical(&wait_success(&solo, r.clone(), false)))
-                    .collect();
-                let solo_total = total_calls(&solo_counts);
-                solo.shutdown();
+            // Solo baseline: fresh counters, strictly sequential.
+            let (mut solo, solo_counts) = make_server(2, SharedScanConfig::default(), None, &[]);
+            let solo_lines: Vec<String> = requests
+                .iter()
+                .map(|r| canonical(&wait_success(&solo, r.clone(), false)))
+                .collect();
+            let solo_total = total_calls(&solo_counts);
+            solo.shutdown();
 
-                // Shared: all four land in one window.
-                let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
-                let tickets: Vec<_> = requests
-                    .iter()
-                    .map(|r| shared.submit_shared(r.clone()).expect("admitted"))
-                    .collect();
-                let shared_lines: Vec<String> = tickets
-                    .into_iter()
-                    .map(|t| match t.wait().outcome {
-                        QueryOutcome::Complete(s) => canonical(&s),
-                        other => panic!("shared query did not complete: {other:?}"),
-                    })
-                    .collect();
-                // Shutdown joins the pool, so the window job has flushed
-                // its memo stats into the server counters by the time we
-                // read them.
-                shared.shutdown();
-                let shared_total = total_calls(&shared_counts);
-                let invoked = shared
-                    .metrics()
-                    .counter("server.sharedscan.udf_invocations_total")
-                    .get();
-                let saved = shared
-                    .metrics()
-                    .counter("server.sharedscan.udf_invocations_saved_total")
-                    .get();
-                let windows = shared
-                    .metrics()
-                    .counter("server.sharedscan.windows_total")
-                    .get();
-                let window_queries = shared
-                    .metrics()
-                    .counter("server.sharedscan.window_queries_total")
-                    .get();
+            // Shared: all four land in one window.
+            let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
+            let tickets: Vec<_> = requests
+                .iter()
+                .map(|r| shared.submit_shared(r.clone()).expect("admitted"))
+                .collect();
+            let shared_lines: Vec<String> = tickets
+                .into_iter()
+                .map(|t| match t.wait().outcome {
+                    QueryOutcome::Complete(s) => canonical(&s),
+                    other => panic!("shared query did not complete: {other:?}"),
+                })
+                .collect();
+            // Shutdown joins the pool, so the window job has flushed
+            // its memo stats into the server counters by the time we
+            // read them.
+            shared.shutdown();
+            let shared_total = total_calls(&shared_counts);
+            let invoked = shared
+                .metrics()
+                .counter("server.sharedscan.udf_invocations_total")
+                .get();
+            let saved = shared
+                .metrics()
+                .counter("server.sharedscan.udf_invocations_saved_total")
+                .get();
+            let windows = shared
+                .metrics()
+                .counter("server.sharedscan.windows_total")
+                .get();
+            let window_queries = shared
+                .metrics()
+                .counter("server.sharedscan.window_queries_total")
+                .get();
 
-                let ctx = format!("mode={mode:?} k={parallelism} batch={batch}");
-                assert_eq!(
-                    solo_lines, shared_lines,
-                    "{ctx}: shared-scan output diverged from solo"
-                );
-                assert_eq!(windows, 1, "{ctx}: expected one window");
-                assert_eq!(window_queries, 4, "{ctx}");
-                // The shim counts actual UDF invocations; the memo metric
-                // must agree, and lookups (invoked + saved) must equal the
-                // solo run's call count exactly — same executions, shared.
-                assert_eq!(invoked, shared_total, "{ctx}");
-                assert_eq!(invoked + saved, solo_total, "{ctx}");
+            let ctx = format!("k={parallelism} batch={batch}");
+            assert_eq!(
+                solo_lines, shared_lines,
+                "{ctx}: shared-scan output diverged from solo"
+            );
+            assert_eq!(windows, 1, "{ctx}: expected one window");
+            assert_eq!(window_queries, 4, "{ctx}");
+            // The shim counts actual UDF invocations; the memo metric
+            // must agree, and lookups (invoked + saved) must equal the
+            // solo run's call count exactly — same executions, shared.
+            assert_eq!(invoked, shared_total, "{ctx}");
+            assert_eq!(invoked + saved, solo_total, "{ctx}");
+            assert!(
+                saved > 0,
+                "{ctx}: overlapping queries must share UDF work (invoked={invoked})"
+            );
+            // At most once per blob per (source, UDF) within the window.
+            for (op, calls) in &shared_counts {
                 assert!(
-                    saved > 0,
-                    "{ctx}: overlapping queries must share UDF work (invoked={invoked})"
+                    calls.load(Ordering::Relaxed) <= TABLE_ROWS,
+                    "{ctx}: {op} ran more than once per blob"
                 );
-                // At most once per blob per (source, UDF) within the window.
-                for (op, calls) in &shared_counts {
-                    assert!(
-                        calls.load(Ordering::Relaxed) <= TABLE_ROWS,
-                        "{ctx}: {op} ran more than once per blob"
-                    );
-                }
             }
         }
     }
@@ -366,7 +362,7 @@ fn identical_queries_pay_for_each_blob_exactly_once() {
 #[test]
 fn mid_window_epoch_publish_pins_each_member_snapshot() {
     let f = fixture();
-    let requests = traf_requests(BatchMode::Rows, 1, 64);
+    let requests = traf_requests(1, 64);
 
     let (mut solo, _) = make_server(2, SharedScanConfig::default(), None, &[]);
     let solo_rows: Vec<String> = requests
@@ -410,7 +406,7 @@ fn mid_window_epoch_publish_pins_each_member_snapshot() {
 /// and the panicked member's ticket resolves as a typed `Failed`.
 #[test]
 fn worker_panic_mid_window_sheds_only_the_affected_member() {
-    let requests = traf_requests(BatchMode::Rows, 1, 64);
+    let requests = traf_requests(1, 64);
 
     let (mut solo, _) = make_server(2, SharedScanConfig::default(), None, &[]);
     let solo_lines: Vec<String> = requests
@@ -468,7 +464,7 @@ fn worker_panic_mid_window_sheds_only_the_affected_member() {
 /// cancelled by its guard).
 #[test]
 fn shutdown_flushes_parked_windows_without_losing_tickets() {
-    let requests = traf_requests(BatchMode::Rows, 1, 64);
+    let requests = traf_requests(1, 64);
     // max_window larger than the submit count: the window would linger
     // until the 30s wait without the shutdown flush.
     let (mut shared, _) = make_server(1, full_window(8), None, &[]);

@@ -1,8 +1,8 @@
 //! The out-of-core safety rail: scanning a segment-backed table must be
 //! **byte-identical** to scanning the same rows in memory — same result
 //! rows, same cost-meter charges, same telemetry snapshot (after
-//! `zero_wall_clock`) — at every combination of shard count, batch mode,
-//! parallelism, and batch size, with and without injected faults. Zone-map
+//! `zero_wall_clock`) — at every combination of shard count, parallelism,
+//! and batch size, with and without injected faults. Zone-map
 //! pruning may only *skip row groups the predicate provably cannot match*:
 //! verdicts never change, and the pruned counter proves groups were
 //! actually skipped.
@@ -21,8 +21,8 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::{
-    BatchMode, Catalog, Clause, Column, CompareOp, DataType, FaultPlan, FaultSpec, LogicalPlan,
-    Predicate, ResilienceConfig, RetryPolicy, Row, Rowset, Schema, Value,
+    Catalog, Clause, Column, CompareOp, DataType, FaultPlan, FaultSpec, LogicalPlan,
+    MemoryProvider, Predicate, ResilienceConfig, RetryPolicy, Row, Rowset, Schema, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -103,42 +103,32 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
 // Equivalence matrix.
 // ---------------------------------------------------------------------------
 
-/// The tentpole acceptance gate: a sharded on-disk scan is byte-identical
-/// to the in-memory scan at every (shards, mode, K, batch) combination.
+/// The acceptance gate: a sharded on-disk scan is byte-identical to the
+/// in-memory scalar reference (`K=1, batch=1`) at every (shards, K,
+/// batch) combination.
 #[test]
 fn segment_scan_matches_in_memory_at_every_shape() {
     let f = fixture();
     let mut baseline = ExecutionContext::builder(&f.mem_catalog)
-        .with_batch_mode(BatchMode::Rows)
         .with_parallelism(1)
+        .with_batch_size(1)
         .build();
     let out = baseline.run(&f.q1_plan).expect("in-memory run");
     let base = observe(&baseline, &out);
 
     for (shards, catalog) in &f.shard_catalogs {
-        for mode in [BatchMode::Rows, BatchMode::Columnar] {
-            for k in [1usize, 4] {
-                for batch in [1usize, 64] {
-                    let mut ctx = ExecutionContext::builder(catalog)
-                        .with_batch_mode(mode)
-                        .with_parallelism(k)
-                        .with_batch_size(batch)
-                        .build();
-                    let out = ctx.run(&f.q1_plan).expect("segment run");
-                    let got = observe(&ctx, &out);
-                    assert_eq!(
-                        got.0, base.0,
-                        "shards={shards} {mode:?} K={k} batch={batch}: rows diverged"
-                    );
-                    assert_eq!(
-                        got.1, base.1,
-                        "shards={shards} {mode:?} K={k} batch={batch}: charges diverged"
-                    );
-                    assert_eq!(
-                        got.2, base.2,
-                        "shards={shards} {mode:?} K={k} batch={batch}: telemetry diverged"
-                    );
-                }
+        for k in [1usize, 4] {
+            for batch in [1usize, 64] {
+                let mut ctx = ExecutionContext::builder(catalog)
+                    .with_parallelism(k)
+                    .with_batch_size(batch)
+                    .build();
+                let out = ctx.run(&f.q1_plan).expect("segment run");
+                let got = observe(&ctx, &out);
+                let shape = format!("shards={shards} K={k} batch={batch}");
+                assert_eq!(got.0, base.0, "{shape}: rows diverged");
+                assert_eq!(got.1, base.1, "{shape}: charges diverged");
+                assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
             }
         }
     }
@@ -150,32 +140,79 @@ fn segment_scan_matches_in_memory_at_every_shape() {
 fn segment_scan_matches_in_memory_under_seeded_faults() {
     let f = fixture();
     let spec = FaultSpec::transient(0.2).with_timeouts(0.05, 2.0);
-    let run = |catalog: &Catalog, mode: BatchMode, k: usize| {
+    let run = |catalog: &Catalog, k: usize, batch: usize| {
         let mut ctx = ExecutionContext::builder(catalog)
             .with_fault_plan(FaultPlan::new(0x5709F).inject("VehTypeClassifier", spec))
             .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
                 max_retries: 8,
                 ..Default::default()
             }))
-            .with_batch_mode(mode)
             .with_parallelism(k)
+            .with_batch_size(batch)
             .build();
         let out = ctx.run(&f.q1_plan).expect("faulted run");
         let obs = observe(&ctx, &out);
         (obs, ctx.report())
     };
-    let (base, base_report) = run(&f.mem_catalog, BatchMode::Rows, 1);
+    let (base, base_report) = run(&f.mem_catalog, 1, 1);
     assert!(base_report.total_failures() > 0, "faults must fire");
     for (shards, catalog) in &f.shard_catalogs {
-        for mode in [BatchMode::Rows, BatchMode::Columnar] {
-            for k in [1usize, 4] {
-                let (got, report) = run(catalog, mode, k);
-                assert_eq!(got, base, "shards={shards} {mode:?} K={k}: diverged");
-                assert_eq!(
-                    report, base_report,
-                    "shards={shards} {mode:?} K={k}: fault report diverged"
-                );
-            }
+        for k in [1usize, 4] {
+            let (got, report) = run(catalog, k, 256);
+            assert_eq!(got, base, "shards={shards} K={k}: diverged");
+            assert_eq!(
+                report, base_report,
+                "shards={shards} K={k}: fault report diverged"
+            );
+        }
+    }
+}
+
+/// One table source: the same rows registered as an in-memory `Rowset`
+/// (one group, no zone maps), as a zone-mapped [`MemoryProvider`], and as
+/// segment shards all run down the same scan, so an unpruned scan — with
+/// no pushdown, or with one that rules no group out — yields the same
+/// rows, the same `Scan` span, and the same charge from each.
+#[test]
+fn unpruned_scan_is_identical_across_table_sources() {
+    let f = fixture();
+    let mut grouped = Catalog::new();
+    grouped.register_provider(
+        "traffic",
+        Arc::new(MemoryProvider::new(Arc::clone(f.dataset.table()), 32, 2)),
+    );
+    let keeps_all = Predicate::from(Clause::new("frameID", CompareOp::Ge, 0i64));
+    for plan in [
+        LogicalPlan::scan("traffic"),
+        LogicalPlan::scan("traffic").with_scan_pushdown("traffic", &keeps_all),
+    ] {
+        let mut mem_ctx = ExecutionContext::new(&f.mem_catalog);
+        let out = mem_ctx.run(&plan).expect("in-memory scan");
+        assert_eq!(out.len(), f.dataset.len());
+        let base = observe(&mem_ctx, &out);
+        let span = mem_ctx
+            .telemetry()
+            .expect("snapshot")
+            .span("Scan[")
+            .cloned();
+        let span = span.expect("scan span");
+        assert_eq!(
+            (span.rows_in, span.rows_out, span.rows_filtered),
+            (out.len() as u64, out.len() as u64, 0)
+        );
+        let sources = std::iter::once(("memory provider", &grouped))
+            .chain(f.shard_catalogs.iter().map(|(_, c)| ("segments", c)));
+        for (label, catalog) in sources {
+            let mut ctx = ExecutionContext::new(catalog);
+            let out = ctx.run(&plan).expect("scan");
+            assert_eq!(observe(&ctx, &out), base, "{label} diverged");
+            assert_eq!(
+                ctx.registry()
+                    .counter("store.row_groups_pruned_total")
+                    .get(),
+                0,
+                "{label} pruned an unprunable scan"
+            );
         }
     }
 }

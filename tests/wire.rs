@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use probabilistic_predicates::engine::udf::ClosureProcessor;
 use probabilistic_predicates::engine::{
-    BatchMode, Catalog, Clause, Column, CompareOp, DataType, Predicate, Row, Rowset, Schema, Value,
+    Catalog, Clause, Column, CompareOp, DataType, Predicate, Row, Rowset, Schema, Value,
 };
 use probabilistic_predicates::linalg::features::Features;
 use probabilistic_predicates::linalg::sparse::SparseVector;
@@ -77,7 +77,6 @@ fn corpus() -> Vec<(&'static str, Frame)> {
     request.parallelism = Some(4);
     request.batch_size = Some(64);
     request.morsel_size = Some(128);
-    request.batch_mode = Some(BatchMode::Columnar);
     request.shared = true;
 
     vec![
@@ -237,6 +236,31 @@ fn oversized_bad_magic_unknown_type_and_trailing_bytes_are_rejected() {
     padded[len_at..len_at + 4].copy_from_slice(&(declared + 1).to_be_bytes());
     assert!(matches!(
         read_frame(&mut Cursor::new(&padded)),
+        Err(WireError::Malformed(_))
+    ));
+}
+
+/// The request's reserved byte (second to last; `PPW1` clients sent a
+/// batch-mode selector there): every value those clients could send
+/// decodes to the same request and re-encodes as `0`; anything else is
+/// malformed.
+#[test]
+fn reserved_request_byte_accepts_legacy_values_and_ignores_them() {
+    let canonical = encode_frame(&corpus().remove(0).1);
+    let reserved_at = canonical.len() - 2;
+    assert_eq!(canonical[reserved_at], 0);
+    for legacy in 0..=2u8 {
+        let mut bytes = canonical.clone();
+        bytes[reserved_at] = legacy;
+        let decoded = read_frame(&mut Cursor::new(&bytes))
+            .unwrap()
+            .expect("one frame");
+        assert_eq!(encode_frame(&decoded), canonical, "legacy value {legacy}");
+    }
+    let mut bytes = canonical;
+    bytes[reserved_at] = 3;
+    assert!(matches!(
+        read_frame(&mut Cursor::new(&bytes)),
         Err(WireError::Malformed(_))
     ));
 }
