@@ -27,6 +27,7 @@ use std::io::Write;
 
 use pp_bench::setup::traffic_setup;
 use pp_data::traf20::traf20_queries;
+use pp_engine::telemetry::{json_f64, json_string};
 use pp_server::{AuditConfig, PpServer, QueryRequest, ServerConfig, SourceRegistry, SourceSpec};
 
 struct Args {
@@ -71,10 +72,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -162,14 +159,15 @@ fn main() {
     let mut min_achieved = f64::INFINITY;
     let mut undercuts = 0usize;
     for e in &entries {
+        let mut expr = String::new();
+        json_string(&mut expr, &e.expr);
         writeln!(
             out,
-            "{{\"kind\": \"audit_entry\", \"expr\": \"{}\", \"promised_accuracy\": {}, \
+            "{{\"kind\": \"audit_entry\", \"expr\": {expr}, \"promised_accuracy\": {}, \
              \"achieved_accuracy_lower_bound\": {:.6}, \"queries\": {}, \
              \"result_rows\": {}, \"dropped_rows\": {}, \"sampled\": {}, \
              \"false_drops\": {}, \"violated\": {}}}",
-            json_escape(&e.expr),
-            e.promised_accuracy,
+            json_f64(e.promised_accuracy),
             e.achieved_accuracy_lower_bound,
             e.queries,
             e.result_rows,

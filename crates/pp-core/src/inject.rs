@@ -194,134 +194,29 @@ pub fn inject_above_scan(
     table: &str,
     filter: Arc<dyn RowFilter>,
 ) -> Result<LogicalPlan> {
-    let (rebuilt, injected) = inject_rec(plan, table, &filter);
-    if injected {
-        Ok(rebuilt)
-    } else {
-        Err(PpError::InvalidParameter(
+    let mut filter = Some(filter);
+    let rebuilt = inject_rec(plan, table, &mut filter);
+    match filter {
+        None => Ok(rebuilt),
+        Some(_) => Err(PpError::InvalidParameter(
             "blob table scan not found in plan",
-        ))
+        )),
     }
 }
 
-fn inject_rec(plan: &LogicalPlan, table: &str, filter: &Arc<dyn RowFilter>) -> (LogicalPlan, bool) {
+/// Places `filter` above the first scan of `table` in walk order (left
+/// input before right) and takes it, so at most one scan is filtered.
+fn inject_rec(
+    plan: &LogicalPlan,
+    table: &str,
+    filter: &mut Option<Arc<dyn RowFilter>>,
+) -> LogicalPlan {
     match plan {
-        LogicalPlan::Scan { table: t, .. } if t == table => (
-            LogicalPlan::Filter {
-                input: Box::new(plan.clone()),
-                filter: filter.clone(),
-            },
-            true,
-        ),
-        LogicalPlan::Scan { .. } => (plan.clone(), false),
-        LogicalPlan::Process { input, processor } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Process {
-                    input: Box::new(inner),
-                    processor: processor.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Select { input, predicate } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Select {
-                    input: Box::new(inner),
-                    predicate: predicate.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Filter { input, filter: f } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(inner),
-                    filter: f.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Project { input, items } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Project {
-                    input: Box::new(inner),
-                    items: items.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            let (l, lh) = inject_rec(left, table, filter);
-            // Inject on at most one side (the first that matches).
-            let (r, rh) = if lh {
-                ((**right).clone(), false)
-            } else {
-                inject_rec(right, table, filter)
-            };
-            (
-                LogicalPlan::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    left_key: left_key.clone(),
-                    right_key: right_key.clone(),
-                },
-                lh || rh,
-            )
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Aggregate {
-                    input: Box::new(inner),
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Reduce { input, reducer } => {
-            let (inner, hit) = inject_rec(input, table, filter);
-            (
-                LogicalPlan::Reduce {
-                    input: Box::new(inner),
-                    reducer: reducer.clone(),
-                },
-                hit,
-            )
-        }
-        LogicalPlan::Combine {
-            left,
-            right,
-            combiner,
-        } => {
-            let (l, lh) = inject_rec(left, table, filter);
-            let (r, rh) = if lh {
-                ((**right).clone(), false)
-            } else {
-                inject_rec(right, table, filter)
-            };
-            (
-                LogicalPlan::Combine {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    combiner: combiner.clone(),
-                },
-                lh || rh,
-            )
-        }
+        LogicalPlan::Scan { table: t, .. } if t == table => match filter.take() {
+            Some(f) => plan.clone().filter(f),
+            None => plan.clone(),
+        },
+        _ => plan.map_children(|child| inject_rec(child, table, filter)),
     }
 }
 
@@ -329,23 +224,16 @@ fn inject_rec(plan: &LogicalPlan, table: &str, filter: &Arc<dyn RowFilter>) -> (
 /// Combine) in the plan — the `u` of §3's cost model, approximating
 /// one-output-per-input row flow.
 pub fn udf_cost_per_blob(plan: &LogicalPlan) -> f64 {
-    match plan {
-        LogicalPlan::Scan { .. } => 0.0,
-        LogicalPlan::Process { input, processor } => {
-            processor.cost_per_row() + udf_cost_per_blob(input)
-        }
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => udf_cost_per_blob(input),
-        LogicalPlan::Reduce { input, reducer } => reducer.cost_per_row() + udf_cost_per_blob(input),
-        LogicalPlan::Join { left, right, .. } => udf_cost_per_blob(left) + udf_cost_per_blob(right),
-        LogicalPlan::Combine {
-            left,
-            right,
-            combiner,
-        } => combiner.cost_per_row() + udf_cost_per_blob(left) + udf_cost_per_blob(right),
-    }
+    let own = match plan {
+        LogicalPlan::Process { processor, .. } => processor.cost_per_row(),
+        LogicalPlan::Reduce { reducer, .. } => reducer.cost_per_row(),
+        LogicalPlan::Combine { combiner, .. } => combiner.cost_per_row(),
+        _ => 0.0,
+    };
+    // Own cost first, then inputs left to right: the summation order is
+    // part of the byte-identical `PlanReport`.
+    plan.children()
+        .fold(own, |sum, child| sum + udf_cost_per_blob(child))
 }
 
 #[cfg(test)]

@@ -400,7 +400,8 @@ impl PpQueryOptimizer {
                 let survivors = 1.0 - chosen.estimate.reduction;
                 if survivors > 1e-12 {
                     let ratio = pp.observed_selectivity() * chosen.estimate.accuracy / survivors;
-                    hints = hints.with_ratio(format!("Select[{predicate}]"), ratio.clamp(0.0, 1.0));
+                    hints = hints
+                        .with_ratio(LogicalPlan::select_label(&predicate), ratio.clamp(0.0, 1.0));
                 }
             }
             report.chosen = Some(chosen);

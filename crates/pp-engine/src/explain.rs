@@ -12,9 +12,10 @@
 //! per-row costs as large seconds errors).
 //!
 //! Join key: the operator id is the 0-based index of the operator in
-//! cost-meter charge order — a pure function of plan shape, identical to
-//! the traversal of [`LogicalPlan::partitionability`], so prediction `i`
-//! describes span `OperatorId(i)` and both carry the same display name.
+//! cost-meter charge order — a pure function of plan shape: every walker,
+//! the executor included, visits [`LogicalPlan::children`] before the
+//! node, so prediction `i` describes span `OperatorId(i)` and both carry
+//! the node's [`LogicalPlan::op_label`].
 //! The join is validated on both sides: a name mismatch is an
 //! [`EngineError::InvalidPlan`], a span with no predicted node is an
 //! orphan, and a node without a span (a run that aborted early) is left
@@ -113,25 +114,17 @@ impl OperatorPrediction {
 /// against `catalog`, in cost-meter charge order.
 ///
 /// Scan cardinalities come from the catalog; downstream cardinalities
-/// thread bottom-up through the `hints` ratios. The traversal is the one
-/// used by [`LogicalPlan::partitionability`] (inputs before self; left
-/// before right), so `predictions[i]` describes [`OperatorId`]`(i)`.
+/// thread bottom-up through the `hints` ratios. The traversal is
+/// [`LogicalPlan::children`] before the node, so `predictions[i]`
+/// describes [`OperatorId`]`(i)`.
 pub fn predict(
     plan: &LogicalPlan,
     catalog: &Catalog,
     model: &CostModel,
     hints: &PredictionHints,
 ) -> Result<Vec<OperatorPrediction>> {
-    let names = plan.partitionability();
-    let mut out = Vec::with_capacity(names.len());
-    predict_into(plan, catalog, model, hints, &names, &mut out)?;
-    if out.len() != names.len() {
-        return Err(EngineError::InvalidPlan(format!(
-            "prediction traversal diverged: {} predictions for {} operators",
-            out.len(),
-            names.len()
-        )));
-    }
+    let mut out = Vec::new();
+    predict_into(plan, catalog, model, hints, &mut out)?;
     Ok(out)
 }
 
@@ -143,37 +136,23 @@ fn predict_into(
     catalog: &Catalog,
     model: &CostModel,
     hints: &PredictionHints,
-    names: &[crate::logical::OpParallelism],
     out: &mut Vec<OperatorPrediction>,
 ) -> Result<f64> {
     // Recurse inputs first so `out.len()` is this node's charge index.
-    let (rows_in, left_rows) = match plan {
-        LogicalPlan::Scan { table, .. } => (catalog.table_rows(table)? as f64, 0.0),
-        LogicalPlan::Process { input, .. }
-        | LogicalPlan::Select { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Reduce { input, .. } => {
-            let c = predict_into(input, catalog, model, hints, names, out)?;
-            (c, c)
+    let mut rows_in = 0.0;
+    let mut left_rows = 0.0;
+    for (i, child) in plan.children().enumerate() {
+        let rows = predict_into(child, catalog, model, hints, out)?;
+        if i == 0 {
+            left_rows = rows;
         }
-        LogicalPlan::Join { left, right, .. } => {
-            let l = predict_into(left, catalog, model, hints, names, out)?;
-            let r = predict_into(right, catalog, model, hints, names, out)?;
-            (l + r, l)
-        }
-        LogicalPlan::Combine { left, right, .. } => {
-            let l = predict_into(left, catalog, model, hints, names, out)?;
-            let r = predict_into(right, catalog, model, hints, names, out)?;
-            (l + r, l)
-        }
-    };
+        rows_in += rows;
+    }
+    if let LogicalPlan::Scan { table, .. } = plan {
+        rows_in = catalog.table_rows(table)? as f64;
+    }
     let idx = out.len();
-    let op = names
-        .get(idx)
-        .map(|e| e.op.clone())
-        .ok_or_else(|| EngineError::InvalidPlan("prediction traversal diverged".into()))?;
+    let op = plan.op_label();
     let ratio = hints.ratio(&op).unwrap_or(1.0);
     let (rows_out, seconds) = match plan {
         // A scan with a pushdown predicts zone-map pruning *exactly* (zone
@@ -288,20 +267,18 @@ impl ExplainAnalyze {
         predictions: &[OperatorPrediction],
         snapshot: &TelemetrySnapshot,
     ) -> Result<ExplainAnalyze> {
-        let names = plan.partitionability();
-        if predictions.len() != names.len() {
+        let mut operators = 0usize;
+        let root = build_node(plan, predictions, snapshot, &mut operators)?;
+        if predictions.len() != operators {
             return Err(EngineError::InvalidPlan(format!(
-                "{} predictions for a plan with {} operators",
-                predictions.len(),
-                names.len()
+                "{} predictions for a plan with {operators} operators",
+                predictions.len()
             )));
         }
-        let mut next = 0usize;
-        let root = build_node(plan, predictions, snapshot, &names, &mut next)?;
         let orphans: Vec<OperatorSpan> = snapshot
             .spans
             .iter()
-            .filter(|s| s.op_id.0 as usize >= names.len())
+            .filter(|s| s.op_id.0 as usize >= operators)
             .cloned()
             .collect();
         Ok(ExplainAnalyze {
@@ -375,32 +352,15 @@ fn build_node(
     plan: &LogicalPlan,
     predictions: &[OperatorPrediction],
     snapshot: &TelemetrySnapshot,
-    names: &[crate::logical::OpParallelism],
     next: &mut usize,
 ) -> Result<ExplainNode> {
-    let children = match plan {
-        LogicalPlan::Scan { .. } => Vec::new(),
-        LogicalPlan::Process { input, .. }
-        | LogicalPlan::Select { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Reduce { input, .. } => {
-            vec![build_node(input, predictions, snapshot, names, next)?]
-        }
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::Combine { left, right, .. } => {
-            vec![
-                build_node(left, predictions, snapshot, names, next)?,
-                build_node(right, predictions, snapshot, names, next)?,
-            ]
-        }
-    };
+    let children = plan
+        .children()
+        .map(|child| build_node(child, predictions, snapshot, next))
+        .collect::<Result<Vec<_>>>()?;
     let idx = *next;
     *next += 1;
-    let op = names
-        .get(idx)
-        .map(|e| e.op.clone())
-        .ok_or_else(|| EngineError::InvalidPlan("explain traversal diverged".into()))?;
+    let op = plan.op_label();
     let predicted = predictions
         .get(idx)
         .ok_or_else(|| EngineError::InvalidPlan(format!("no prediction for operator #{idx}")))?;

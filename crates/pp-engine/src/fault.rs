@@ -254,88 +254,32 @@ impl FaultPlan {
     /// output, and cost-meter entries stay comparable with the fault-free
     /// run.
     pub fn apply(&self, plan: &LogicalPlan) -> LogicalPlan {
-        match plan {
-            LogicalPlan::Scan { table, pushdown } => LogicalPlan::Scan {
-                table: table.clone(),
-                pushdown: pushdown.clone(),
-            },
+        match plan.map_children(|child| self.apply(child)) {
             LogicalPlan::Process { input, processor } => {
                 let processor = match self.spec_for(processor.name()) {
                     Some(spec) => {
-                        let mut shim = FaultyProcessor::new(
-                            Arc::clone(processor),
-                            spec,
-                            derive_seed(self.seed, processor.name()),
-                        );
+                        let seed = derive_seed(self.seed, processor.name());
+                        let mut shim = FaultyProcessor::new(processor, spec, seed);
                         shim.log = self.log.clone();
-                        Arc::new(shim) as Arc<dyn Processor>
+                        Arc::new(shim)
                     }
-                    None => Arc::clone(processor),
+                    None => processor,
                 };
-                LogicalPlan::Process {
-                    input: Box::new(self.apply(input)),
-                    processor,
-                }
+                LogicalPlan::Process { input, processor }
             }
             LogicalPlan::Filter { input, filter } => {
                 let filter = match self.spec_for(filter.name()) {
                     Some(spec) => {
-                        let mut shim = FaultyFilter::new(
-                            Arc::clone(filter),
-                            spec,
-                            derive_seed(self.seed, filter.name()),
-                        );
+                        let seed = derive_seed(self.seed, filter.name());
+                        let mut shim = FaultyFilter::new(filter, spec, seed);
                         shim.log = self.log.clone();
-                        Arc::new(shim) as Arc<dyn RowFilter>
+                        Arc::new(shim)
                     }
-                    None => Arc::clone(filter),
+                    None => filter,
                 };
-                LogicalPlan::Filter {
-                    input: Box::new(self.apply(input)),
-                    filter,
-                }
+                LogicalPlan::Filter { input, filter }
             }
-            LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
-                input: Box::new(self.apply(input)),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Project { input, items } => LogicalPlan::Project {
-                input: Box::new(self.apply(input)),
-                items: items.clone(),
-            },
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => LogicalPlan::Join {
-                left: Box::new(self.apply(left)),
-                right: Box::new(self.apply(right)),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-            },
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(self.apply(input)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            LogicalPlan::Reduce { input, reducer } => LogicalPlan::Reduce {
-                input: Box::new(self.apply(input)),
-                reducer: Arc::clone(reducer),
-            },
-            LogicalPlan::Combine {
-                left,
-                right,
-                combiner,
-            } => LogicalPlan::Combine {
-                left: Box::new(self.apply(left)),
-                right: Box::new(self.apply(right)),
-                combiner: Arc::clone(combiner),
-            },
+            other => other,
         }
     }
 }

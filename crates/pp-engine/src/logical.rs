@@ -189,6 +189,112 @@ impl LogicalPlan {
         }
     }
 
+    /// Input subtrees, left before right. Every walker in the workspace
+    /// visits `children()` before the node itself, which is the order
+    /// operators charge the cost meter and open telemetry spans.
+    pub fn children(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
+            LogicalPlan::Process { input, .. }
+            | LogicalPlan::Select { input, .. }
+            | LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Reduce { input, .. } => (Some(&**input), None),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Combine { left, right, .. } => {
+                (Some(&**left), Some(&**right))
+            }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// A copy of this node over `f(child)` for each child, left before
+    /// right; the node's own fields are cloned. This is the one place a
+    /// node is rebuilt variant by variant: a plan rewrite matches the
+    /// variants it changes and hands every other node here.
+    pub fn map_children(&self, mut f: impl FnMut(&LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut map = |child: &LogicalPlan| Box::new(f(child));
+        match self {
+            LogicalPlan::Scan { .. } => self.clone(),
+            LogicalPlan::Process { input, processor } => LogicalPlan::Process {
+                input: map(input),
+                processor: processor.clone(),
+            },
+            LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
+                input: map(input),
+                predicate: predicate.clone(),
+            },
+            LogicalPlan::Filter { input, filter } => LogicalPlan::Filter {
+                input: map(input),
+                filter: filter.clone(),
+            },
+            LogicalPlan::Project { input, items } => LogicalPlan::Project {
+                input: map(input),
+                items: items.clone(),
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => LogicalPlan::Join {
+                left: map(left),
+                right: map(right),
+                left_key: left_key.clone(),
+                right_key: right_key.clone(),
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => LogicalPlan::Aggregate {
+                input: map(input),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            },
+            LogicalPlan::Reduce { input, reducer } => LogicalPlan::Reduce {
+                input: map(input),
+                reducer: reducer.clone(),
+            },
+            LogicalPlan::Combine {
+                left,
+                right,
+                combiner,
+            } => LogicalPlan::Combine {
+                left: map(left),
+                right: map(right),
+                combiner: combiner.clone(),
+            },
+        }
+    }
+
+    /// The operator's display name: its cost-meter label, its telemetry
+    /// span name, and the name fault plans and prediction hints target.
+    pub fn op_label(&self) -> String {
+        match self {
+            LogicalPlan::Scan { table, .. } => format!("Scan[{table}]"),
+            LogicalPlan::Process { processor, .. } => format!("Process[{}]", processor.name()),
+            LogicalPlan::Select { predicate, .. } => LogicalPlan::select_label(predicate),
+            LogicalPlan::Filter { filter, .. } => filter.name().to_string(),
+            LogicalPlan::Project { .. } => "Project".to_string(),
+            LogicalPlan::Join {
+                left_key,
+                right_key,
+                ..
+            } => format!("Join[{left_key} = {right_key}]"),
+            LogicalPlan::Aggregate { .. } => "Aggregate".to_string(),
+            LogicalPlan::Reduce { reducer, .. } => format!("Reduce[{}]", reducer.name()),
+            LogicalPlan::Combine { combiner, .. } => format!("Combine[{}]", combiner.name()),
+        }
+    }
+
+    /// The [`op_label`](Self::op_label) of a `Select` over `predicate`,
+    /// for callers that hold the predicate but not the node (the planner's
+    /// prediction hints).
+    pub fn select_label(predicate: &Predicate) -> String {
+        format!("Select[{predicate}]")
+    }
+
     /// Returns a copy of the plan with `pushdown` attached to every scan
     /// of `table` (replacing any existing pushdown there). Used by the
     /// planner to push zone-map-prunable conjuncts into scans of tables
@@ -199,56 +305,7 @@ impl LogicalPlan {
                 table: t.clone(),
                 pushdown: Some(pushdown.clone()),
             },
-            LogicalPlan::Scan { .. } => self.clone(),
-            LogicalPlan::Process { input, processor } => LogicalPlan::Process {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                processor: processor.clone(),
-            },
-            LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Filter { input, filter } => LogicalPlan::Filter {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                filter: filter.clone(),
-            },
-            LogicalPlan::Project { input, items } => LogicalPlan::Project {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                items: items.clone(),
-            },
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => LogicalPlan::Join {
-                left: Box::new(left.with_scan_pushdown(table, pushdown)),
-                right: Box::new(right.with_scan_pushdown(table, pushdown)),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-            },
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            LogicalPlan::Reduce { input, reducer } => LogicalPlan::Reduce {
-                input: Box::new(input.with_scan_pushdown(table, pushdown)),
-                reducer: reducer.clone(),
-            },
-            LogicalPlan::Combine {
-                left,
-                right,
-                combiner,
-            } => LogicalPlan::Combine {
-                left: Box::new(left.with_scan_pushdown(table, pushdown)),
-                right: Box::new(right.with_scan_pushdown(table, pushdown)),
-                combiner: combiner.clone(),
-            },
+            _ => self.map_children(|child| child.with_scan_pushdown(table, pushdown)),
         }
     }
 
@@ -398,80 +455,20 @@ impl LogicalPlan {
     }
 
     fn partitionability_into(&self, out: &mut Vec<OpParallelism>) {
-        let entry = match self {
-            LogicalPlan::Scan { table, .. } => OpParallelism {
-                op: format!("Scan[{table}]"),
-                partitionable: true,
-            },
-            LogicalPlan::Process { input, processor } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: format!("Process[{}]", processor.name()),
-                    partitionable: true,
-                }
-            }
-            LogicalPlan::Select { input, predicate } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: format!("Select[{predicate}]"),
-                    partitionable: true,
-                }
-            }
-            LogicalPlan::Filter { input, filter } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: filter.name().to_string(),
-                    partitionable: true,
-                }
-            }
-            LogicalPlan::Project { input, .. } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: "Project".to_string(),
-                    partitionable: true,
-                }
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                left.partitionability_into(out);
-                right.partitionability_into(out);
-                OpParallelism {
-                    op: format!("Join[{left_key} = {right_key}]"),
-                    partitionable: false,
-                }
-            }
-            LogicalPlan::Aggregate { input, .. } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: "Aggregate".to_string(),
-                    partitionable: false,
-                }
-            }
-            LogicalPlan::Reduce { input, reducer } => {
-                input.partitionability_into(out);
-                OpParallelism {
-                    op: format!("Reduce[{}]", reducer.name()),
-                    partitionable: false,
-                }
-            }
-            LogicalPlan::Combine {
-                left,
-                right,
-                combiner,
-            } => {
-                left.partitionability_into(out);
-                right.partitionability_into(out);
-                OpParallelism {
-                    op: format!("Combine[{}]", combiner.name()),
-                    partitionable: false,
-                }
-            }
-        };
-        out.push(entry);
+        for child in self.children() {
+            child.partitionability_into(out);
+        }
+        out.push(OpParallelism {
+            op: self.op_label(),
+            partitionable: matches!(
+                self,
+                LogicalPlan::Scan { .. }
+                    | LogicalPlan::Process { .. }
+                    | LogicalPlan::Select { .. }
+                    | LogicalPlan::Filter { .. }
+                    | LogicalPlan::Project { .. }
+            ),
+        });
     }
 
     /// An indented, EXPLAIN-style rendering of the plan.
@@ -482,75 +479,42 @@ impl LogicalPlan {
     }
 
     fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match self {
-            LogicalPlan::Scan { table, pushdown } => match pushdown {
-                // Keep `Scan[{table}]` verbatim so operator-name matching
-                // (spans, meter labels) is unaffected by the annotation.
-                Some(p) => out.push_str(&format!("{pad}Scan[{table}] pushdown=[{p}]\n")),
-                None => out.push_str(&format!("{pad}Scan[{table}]\n")),
-            },
-            LogicalPlan::Process { input, processor } => {
-                out.push_str(&format!(
-                    "{pad}Process[{} cost={}s/row]\n",
-                    processor.name(),
-                    processor.cost_per_row()
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Select { input, predicate } => {
-                out.push_str(&format!("{pad}Select[{predicate}]\n"));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Filter { input, filter } => {
-                out.push_str(&format!(
-                    "{pad}Filter[{} cost={}s/row]\n",
-                    filter.name(),
-                    filter.cost_per_row()
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Project { input, items } => {
+        let head = match self {
+            // The label stays verbatim so operator-name matching (spans,
+            // meter labels) is unaffected by the annotation.
+            LogicalPlan::Scan {
+                pushdown: Some(p), ..
+            } => format!("{} pushdown=[{p}]", self.op_label()),
+            LogicalPlan::Process { processor, .. } => format!(
+                "Process[{} cost={}s/row]",
+                processor.name(),
+                processor.cost_per_row()
+            ),
+            LogicalPlan::Filter { filter, .. } => format!(
+                "Filter[{} cost={}s/row]",
+                filter.name(),
+                filter.cost_per_row()
+            ),
+            LogicalPlan::Project { items, .. } => {
                 let cols: Vec<&str> = items.iter().map(|i| i.output()).collect();
-                out.push_str(&format!("{pad}Project[{}]\n", cols.join(", ")));
-                input.explain_into(out, depth + 1);
+                format!("Project[{}]", cols.join(", "))
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                out.push_str(&format!("{pad}Join[{left_key} = {right_key}]\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
                 let names: Vec<&str> = aggs.iter().map(|a| a.alias.as_str()).collect();
-                out.push_str(&format!(
-                    "{pad}Aggregate[by {}; {}]\n",
+                format!(
+                    "Aggregate[by {}; {}]",
                     group_by.join(", "),
                     names.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
+                )
             }
-            LogicalPlan::Reduce { input, reducer } => {
-                out.push_str(&format!("{pad}Reduce[{}]\n", reducer.name()));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Combine {
-                left,
-                right,
-                combiner,
-            } => {
-                out.push_str(&format!("{pad}Combine[{}]\n", combiner.name()));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
+            // The remaining operators render as their meter label.
+            _ => self.op_label(),
+        };
+        out.push_str(&"  ".repeat(depth));
+        out.push_str(&head);
+        out.push('\n');
+        for child in self.children() {
+            child.explain_into(out, depth + 1);
         }
     }
 }

@@ -232,60 +232,12 @@ impl Processor for MemoProcessor {
 /// structure, predicates, filters, costs) are untouched, so `explain()`
 /// and `partitionability()` render identically.
 pub fn memoize_plan(plan: &LogicalPlan, memo: &Arc<UdfMemo>) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { table, pushdown } => LogicalPlan::Scan {
-            table: table.clone(),
-            pushdown: pushdown.clone(),
-        },
+    match plan.map_children(|child| memoize_plan(child, memo)) {
         LogicalPlan::Process { input, processor } => LogicalPlan::Process {
-            input: Box::new(memoize_plan(input, memo)),
-            processor: Arc::new(MemoProcessor::new(Arc::clone(processor), Arc::clone(memo))),
-        },
-        LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
-            input: Box::new(memoize_plan(input, memo)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Filter { input, filter } => LogicalPlan::Filter {
-            input: Box::new(memoize_plan(input, memo)),
-            filter: Arc::clone(filter),
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(memoize_plan(input, memo)),
-            items: items.clone(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => LogicalPlan::Join {
-            left: Box::new(memoize_plan(left, memo)),
-            right: Box::new(memoize_plan(right, memo)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-        },
-        LogicalPlan::Aggregate {
             input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(memoize_plan(input, memo)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
+            processor: Arc::new(MemoProcessor::new(processor, Arc::clone(memo))),
         },
-        LogicalPlan::Reduce { input, reducer } => LogicalPlan::Reduce {
-            input: Box::new(memoize_plan(input, memo)),
-            reducer: Arc::clone(reducer),
-        },
-        LogicalPlan::Combine {
-            left,
-            right,
-            combiner,
-        } => LogicalPlan::Combine {
-            left: Box::new(memoize_plan(left, memo)),
-            right: Box::new(memoize_plan(right, memo)),
-            combiner: Arc::clone(combiner),
-        },
+        other => other,
     }
 }
 

@@ -251,25 +251,26 @@ impl Executor<'_> {
     /// body under [`operator`](Self::operator).
     pub(crate) fn run(&mut self, plan: &LogicalPlan) -> Result<Rowset> {
         self.cancel.check()?;
+        let op = plan.op_label();
         match plan {
             LogicalPlan::Scan { table, pushdown } => {
-                self.operator(|ex| ex.scan(table, pushdown.as_ref()))
+                self.operator(|ex| ex.scan(op, table, pushdown.as_ref()))
             }
             LogicalPlan::Process { input, processor } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.process(rows, processor.as_ref()))
+                self.operator(|ex| ex.process(op, rows, processor.as_ref()))
             }
             LogicalPlan::Select { input, predicate } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.select(rows, predicate))
+                self.operator(|ex| ex.select(op, rows, predicate))
             }
             LogicalPlan::Filter { input, filter } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.filter(rows, filter.as_ref()))
+                self.operator(|ex| ex.filter(op, rows, filter.as_ref()))
             }
             LogicalPlan::Project { input, items } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.project(rows, items))
+                self.operator(|ex| ex.project(op, rows, items))
             }
             LogicalPlan::Join {
                 left,
@@ -279,7 +280,7 @@ impl Executor<'_> {
             } => {
                 let l = self.run(left)?;
                 let r = self.run(right)?;
-                self.operator(|ex| ex.join(l, r, left_key, right_key))
+                self.operator(|ex| ex.join(op, l, r, left_key, right_key))
             }
             LogicalPlan::Aggregate {
                 input,
@@ -288,11 +289,11 @@ impl Executor<'_> {
             } => {
                 let rows = self.run(input)?;
                 let out_schema = plan.output_schema(self.catalog)?;
-                self.operator(|ex| ex.aggregate(rows, out_schema, group_by, aggs))
+                self.operator(|ex| ex.aggregate(op, rows, out_schema, group_by, aggs))
             }
             LogicalPlan::Reduce { input, reducer } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.reduce(rows, reducer.as_ref()))
+                self.operator(|ex| ex.reduce(op, rows, reducer.as_ref()))
             }
             LogicalPlan::Combine {
                 left,
@@ -301,7 +302,7 @@ impl Executor<'_> {
             } => {
                 let l = self.run(left)?;
                 let r = self.run(right)?;
-                self.operator(|ex| ex.combine(l, r, combiner.as_ref()))
+                self.operator(|ex| ex.combine(op, l, r, combiner.as_ref()))
             }
         }
     }
@@ -338,13 +339,7 @@ impl Executor<'_> {
 
     /// A span for an operator that charges a flat `unit` seconds for each
     /// of `n` rows.
-    fn flat_span(
-        &self,
-        op: impl Into<String>,
-        rows_in: usize,
-        unit: f64,
-        n: usize,
-    ) -> OperatorSpan {
+    fn flat_span(&self, op: String, rows_in: usize, unit: f64, n: usize) -> OperatorSpan {
         let mut span = OperatorSpan::new(self.tel.next_op_id(), op, rows_in);
         span.seconds = n as f64 * unit;
         span.latency.record_n(unit, n as u64);
@@ -380,7 +375,7 @@ impl Executor<'_> {
     /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
     /// the rows inside pruned groups (skipped without decoding), and
     /// `seconds` covers only decoded rows.
-    fn scan(&mut self, table: &str, pushdown: Option<&Predicate>) -> Result<Finished> {
+    fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Finished> {
         let provider = self.catalog.provider(table)?.as_ref();
         let total = provider.row_count();
         let kept = crate::provider::kept_groups(provider, pushdown);
@@ -431,13 +426,13 @@ impl Executor<'_> {
             .add((provider.group_count() - kept.len()) as u64);
         self.tel.store_bytes_read.add(read_bytes);
         let emitted = rows.len();
-        let mut span = self.flat_span(format!("Scan[{table}]"), total, self.model.scan, emitted);
+        let mut span = self.flat_span(op, total, self.model.scan, emitted);
         span.rows_out = emitted as u64;
         span.rows_filtered = total.saturating_sub(emitted) as u64;
         Finished::ok(span, Rowset::new(provider.schema(), rows)?)
     }
 
-    fn select(&mut self, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
+    fn select(&mut self, op: String, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
         let verdicts = self.probe(in_rows.rows(), |rows, _| {
@@ -452,24 +447,19 @@ impl Executor<'_> {
                 out.push(row)?;
             }
         }
-        let mut span = self.flat_span(
-            format!("Select[{predicate}]"),
-            total,
-            self.model.select,
-            total,
-        );
+        let mut span = self.flat_span(op, total, self.model.select, total);
         span.rows_out = out.len() as u64;
         span.rows_filtered = (total - out.len()) as u64;
         Finished::ok(span, out)
     }
 
-    fn filter(&mut self, in_rows: Rowset, filter: &dyn RowFilter) -> Result<Finished> {
+    fn filter(&mut self, op: String, in_rows: Rowset, filter: &dyn RowFilter) -> Result<Finished> {
         let out_schema = in_rows.schema().clone();
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
         let fail_open = self.session.config().fail_open_filters && filter.fail_open();
         self.fold_udf(
-            filter.name().to_string(),
+            op,
             in_rows,
             out_schema,
             filter.cost_per_row(),
@@ -485,7 +475,12 @@ impl Executor<'_> {
         )
     }
 
-    fn process(&mut self, in_rows: Rowset, processor: &dyn Processor) -> Result<Finished> {
+    fn process(
+        &mut self,
+        op: String,
+        in_rows: Rowset,
+        processor: &dyn Processor,
+    ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
         let validate = self.session.config().validate_outputs;
         let checked = |result: Result<Vec<Vec<Value>>>| match result {
@@ -493,7 +488,7 @@ impl Executor<'_> {
             other => other,
         };
         self.fold_udf(
-            format!("Process[{}]", processor.name()),
+            op,
             in_rows,
             out_schema,
             processor.cost_per_row(),
@@ -653,7 +648,7 @@ impl Executor<'_> {
         Ok(Finished { span, out, failure })
     }
 
-    fn project(&mut self, in_rows: Rowset, items: &[ProjectItem]) -> Result<Finished> {
+    fn project(&mut self, op: String, in_rows: Rowset, items: &[ProjectItem]) -> Result<Finished> {
         let mut cols = Vec::with_capacity(items.len());
         let mut indices = Vec::with_capacity(items.len());
         for item in items {
@@ -668,12 +663,19 @@ impl Executor<'_> {
                 indices.iter().map(|&i| row.get(i).clone()).collect(),
             ))?;
         }
-        let mut span = self.flat_span("Project", total, self.model.project, total);
+        let mut span = self.flat_span(op, total, self.model.project, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
     }
 
-    fn join(&mut self, l: Rowset, r: Rowset, left_key: &str, right_key: &str) -> Result<Finished> {
+    fn join(
+        &mut self,
+        op: String,
+        l: Rowset,
+        r: Rowset,
+        left_key: &str,
+        right_key: &str,
+    ) -> Result<Finished> {
         let lk = l.schema().index_of(left_key)?;
         let rk = r.schema().index_of(right_key)?;
         // Build on the (primary-key) right side.
@@ -705,12 +707,7 @@ impl Executor<'_> {
             }
         }
         let rows_in = l.len() + r.len();
-        let mut span = self.flat_span(
-            format!("Join[{left_key} = {right_key}]"),
-            rows_in,
-            self.model.join,
-            rows_in,
-        );
+        let mut span = self.flat_span(op, rows_in, self.model.join, rows_in);
         // Unmatched left rows are dropped by the join predicate —
         // filtered, in conservation terms.
         span.rows_out = matched_left + r.len() as u64;
@@ -720,6 +717,7 @@ impl Executor<'_> {
 
     fn aggregate(
         &mut self,
+        op: String,
         in_rows: Rowset,
         out_schema: Arc<Schema>,
         group_by: &[String],
@@ -745,19 +743,19 @@ impl Executor<'_> {
             out.push(Row::new(cells))?;
         }
         let total = in_rows.len();
-        let mut span = self.flat_span("Aggregate", total, self.model.aggregate, total);
+        let mut span = self.flat_span(op, total, self.model.aggregate, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
     }
 
-    fn reduce(&mut self, in_rows: Rowset, reducer: &dyn Reducer) -> Result<Finished> {
+    fn reduce(&mut self, op: String, in_rows: Rowset, reducer: &dyn Reducer) -> Result<Finished> {
         let key_idx = column_indices(in_rows.schema(), reducer.key_columns())?;
         let groups: Vec<Vec<Row>> = group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))?
             .into_iter()
             .map(owned)
             .collect();
         self.fold_groups(
-            format!("Reduce[{}]", reducer.name()),
+            op,
             in_rows.len(),
             Schema::new(reducer.output_columns().to_vec())?,
             reducer.cost_per_row(),
@@ -767,7 +765,13 @@ impl Executor<'_> {
         )
     }
 
-    fn combine(&mut self, l: Rowset, r: Rowset, combiner: &dyn Combiner) -> Result<Finished> {
+    fn combine(
+        &mut self,
+        op: String,
+        l: Rowset,
+        r: Rowset,
+        combiner: &dyn Combiner,
+    ) -> Result<Finished> {
         let lk = l.schema().index_of(combiner.left_key())?;
         let rk = r.schema().index_of(combiner.right_key())?;
         let mut rgroups: HashMap<Key, Vec<Row>> = HashMap::new();
@@ -787,7 +791,7 @@ impl Executor<'_> {
             }
         }
         self.fold_groups(
-            format!("Combine[{}]", combiner.name()),
+            op,
             l.len() + r.len(),
             Schema::new(combiner.output_columns().to_vec())?,
             combiner.cost_per_row(),

@@ -677,7 +677,9 @@ impl TelemetrySnapshot {
     }
 }
 
-pub(crate) fn json_f64(x: f64) -> String {
+/// A float as a JSON number; non-finite values (which JSON cannot
+/// represent) render as `null`.
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -685,7 +687,10 @@ pub(crate) fn json_f64(x: f64) -> String {
     }
 }
 
-pub(crate) fn json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and every control character — the one string escaper the
+/// workspace's hand-rolled JSON writers share.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -48,7 +48,7 @@ use pp_engine::cost::CostMeter;
 use pp_engine::memo::{MemoProcessor, UdfMemo};
 use pp_engine::row::Row;
 use pp_engine::schema::Schema;
-use pp_engine::telemetry::TelemetrySnapshot;
+use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
 use pp_engine::udf::{Processor, RowFilter};
 use pp_engine::LogicalPlan;
 
@@ -72,6 +72,21 @@ pub struct AuditConfig {
     pub z: f64,
     /// Audit tasks drained per maintenance pass (backpressure bound).
     pub max_tasks_per_pass: usize,
+}
+
+/// How many maintenance passes' worth of tasks may wait for replay.
+const PENDING_PASSES: usize = 4;
+
+impl AuditConfig {
+    /// The most audit tasks that wait for replay: a few passes' worth.
+    /// With no maintenance pass draining it (the default
+    /// `maintenance_interval: None`) the queue would otherwise grow with
+    /// every query, each task pinning a plan the cache may have evicted;
+    /// past the bound the oldest task is dropped and counted in
+    /// `server.audit.dropped_total`.
+    pub fn max_pending(&self) -> usize {
+        self.max_tasks_per_pass.max(1) * PENDING_PASSES
+    }
 }
 
 impl Default for AuditConfig {
@@ -198,6 +213,7 @@ impl Auditor {
         plan: &Arc<CachedPlan>,
         telemetry: &TelemetrySnapshot,
         result_rows: usize,
+        metrics: &MetricsRegistry,
     ) {
         if !self.config.enabled || plan.report.chosen.is_none() {
             return;
@@ -211,12 +227,17 @@ impl Auditor {
         if dropped == 0 {
             return;
         }
-        self.state.lock().pending.push_back(AuditTask {
+        let mut state = self.state.lock();
+        state.pending.push_back(AuditTask {
             request_id,
             source: source.to_string(),
             plan: Arc::clone(plan),
             result_rows: result_rows as u64,
         });
+        if state.pending.len() > self.config.max_pending() {
+            state.pending.pop_front();
+            metrics.counter("server.audit.dropped_total").inc();
+        }
     }
 
     /// Queries recorded but not yet replayed.

@@ -102,10 +102,9 @@ pub struct ChaosConfig {
     /// Republish the PP corpus every N submits (`None` disables the
     /// publish storm).
     pub publish_every: Option<usize>,
-    /// Probability a query is routed through the shared-scan coordinator
-    /// ([`PpServer::submit_shared`]) instead of plain `submit`, exercising
-    /// window formation, claiming, and per-member panic isolation under
-    /// the same churn. Shared-scan execution is byte-identical to solo,
+    /// Probability a query is submitted with [`QueryRequest::shared()`] set,
+    /// exercising window formation, claiming, and per-member panic
+    /// isolation under the same churn. Shared-scan execution is byte-identical to solo,
     /// so baselines need no adjustment.
     pub shared_probability: f64,
 }
@@ -187,15 +186,12 @@ pub fn run_chaos(
             }
         }
         report.submitted += 1;
-        let shared = config.shared_probability > 0.0
+        let mut request = request.clone();
+        request.shared |= config.shared_probability > 0.0
             && unit(config.seed, "harness-shared", i as u64) < config.shared_probability;
-        let submitted = if shared {
-            report.shared_submits += 1;
-            server.submit_shared(request.clone())
-        } else {
-            server.submit(request.clone())
-        };
-        match submitted {
+        let shared = request.shared;
+        report.shared_submits += usize::from(shared);
+        match server.submit(request) {
             Ok(ticket) => {
                 report.events.push(format!(
                     "submit i={i} id={} shared={shared}",

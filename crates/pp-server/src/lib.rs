@@ -33,9 +33,9 @@
 //!   with engine faults, cancels, publish storms, and admission pressure
 //!   while checking robustness invariants,
 //! * [`sharedscan`] — cross-query shared-scan batching: concurrent
-//!   queries over the same source are windowed and run over one shared
-//!   UDF memo ([`PpServer::submit_shared`](server::PpServer::submit_shared)),
-//!   so each expensive UDF runs at most once per blob per window while
+//!   queries over the same source, submitted with
+//!   [`QueryRequest::shared()`](request::QueryRequest::shared()) set, are
+//!   windowed and run over one shared UDF memo, so each expensive UDF runs at most once per blob per window while
 //!   every per-query verdict, charge, and report stays byte-identical to
 //!   solo execution,
 //! * [`wire`] — a framed, length-prefixed binary request/response

@@ -51,6 +51,10 @@ pub struct QueryRequest {
     pub batch_size: Option<usize>,
     /// Optional rows-per-morsel override for the work-stealing scheduler.
     pub morsel_size: Option<usize>,
+    /// Run in a shared-scan window with concurrent queries over the same
+    /// source (see [`crate::sharedscan`]) instead of alone. Results are
+    /// byte-identical either way.
+    pub shared: bool,
 }
 
 impl QueryRequest {
@@ -67,6 +71,7 @@ impl QueryRequest {
             parallelism: None,
             batch_size: None,
             morsel_size: None,
+            shared: false,
         }
     }
 
@@ -105,6 +110,12 @@ impl QueryRequest {
     /// Overrides rows-per-morsel claimed by scheduler workers.
     pub fn with_morsel_size(mut self, rows: usize) -> Self {
         self.morsel_size = Some(rows.max(1));
+        self
+    }
+
+    /// Routes the query through a shared-scan window.
+    pub fn shared(mut self) -> Self {
+        self.shared = true;
         self
     }
 }

@@ -8,6 +8,10 @@
 //! 1. **Submit** (caller thread): admission's depth gate either issues a
 //!    permit or sheds with [`RejectReason::QueueFull`]; the current
 //!    catalog snapshot is pinned to the request; a ticket is returned.
+//!    The request is queued alone, or — with
+//!    [`QueryRequest::shared()`] set — parked in a shared-scan window
+//!    ([`crate::sharedscan`]); either way one pool job runs it, as a
+//!    window of one or of many.
 //! 2. **Plan** (worker thread): the plan cache answers with a memoized
 //!    plan or single-flights one optimization against the *pinned*
 //!    snapshot (corrections and quarantines from the shared monitor
@@ -93,8 +97,8 @@ pub struct ServerConfig {
     /// Seeded server-side fault injection (chaos testing); `None` (the
     /// default) injects nothing.
     pub faults: Option<ServerFaults>,
-    /// Shared-scan window batching knobs
-    /// ([`submit_shared`][PpServer::submit_shared]).
+    /// Shared-scan window batching knobs (requests with
+    /// [`QueryRequest::shared()`] set).
     pub sharedscan: SharedScanConfig,
     /// Online accuracy-audit knobs (see [`crate::audit`]).
     pub audit: AuditConfig,
@@ -340,10 +344,9 @@ impl PpServer {
         }
     }
 
-    /// Admission shared by [`submit`][Self::submit] and
-    /// [`submit_shared`][Self::submit_shared]: shutdown/source checks,
-    /// depth gate, snapshot pin, id mint, cancel-token registration, and
-    /// the response guard + ticket plumbing.
+    /// Admission: shutdown/source checks, depth gate, snapshot pin, id
+    /// mint, cancel-token registration, and the response guard + ticket
+    /// plumbing.
     fn admit(&self, request: QueryRequest) -> Result<(WindowMember, QueryTicket), RejectReason> {
         // The trace (and deadline) clock starts here, before any checks:
         // admission time is part of the latency the caller observes.
@@ -405,68 +408,46 @@ impl PpServer {
     /// Submits a query. Synchronous shedding (queue depth, unknown
     /// source, shutdown) comes back as `Err`; everything after admission
     /// — including the plan-cost rejection — arrives through the ticket.
+    ///
+    /// A request with [`QueryRequest::shared()`] set is parked in the
+    /// shared-scan coordinator: concurrent queries over the same source
+    /// are window-batched and executed over one shared [`UdfMemo`], so
+    /// each expensive UDF runs at most once per blob per window while
+    /// every query's verdicts, `PlanReport`, and `CostMeter` charges stay
+    /// byte-identical to running alone (see [`crate::sharedscan`]). Any
+    /// other request is queued as a window of one. Admission, deadlines,
+    /// cancellation, and drain semantics are the same for both.
     pub fn submit(&self, request: QueryRequest) -> Result<QueryTicket, RejectReason> {
         let (member, ticket) = self.admit(request)?;
-        let WindowMember {
-            request_id,
-            request,
-            snapshot,
-            guard,
-        } = member;
-        // Admission is done; time from here to the worker picking the job
-        // up is pool-queue wait.
-        guard.trace.enter(RequestStage::Queue);
-        let queued = self.pool.submit(move || {
-            let outcome = run_query(
-                &guard.inner,
-                request_id,
-                &request,
-                &snapshot,
-                &guard.cancel,
-                &guard.trace,
-                None,
-            );
-            guard.finish(outcome);
-        });
-        if !queued {
-            // The closure (and with it the guard) was dropped by the pool;
-            // the guard already tidied the active map and permit.
-            return Err(RejectReason::ShuttingDown);
-        }
-        Ok(ticket)
-    }
-
-    /// Submits a query through the shared-scan coordinator: concurrent
-    /// queries over the same source are window-batched and executed over
-    /// one shared [`UdfMemo`], so each
-    /// expensive UDF runs at most once per blob per window while every
-    /// query's verdicts, `PlanReport`, and `CostMeter` charges stay
-    /// byte-identical to a solo [`submit`][Self::submit] (see
-    /// [`crate::sharedscan`]). Admission, deadlines, cancellation, and
-    /// drain semantics are identical to `submit`.
-    pub fn submit_shared(&self, request: QueryRequest) -> Result<QueryTicket, RejectReason> {
-        let (member, ticket) = self.admit(request)?;
-        // The window stage covers everything between admission and this
-        // member's own execution: pool-queue wait, the claiming worker's
-        // linger, and earlier window members' runs.
-        member.guard.trace.enter(RequestStage::Window);
-        match self.shared.enqueue(member) {
-            Enqueued::Joined => {}
-            Enqueued::Opened(window_id) => {
-                let inner = Arc::clone(&self.inner);
-                let coord = Arc::clone(&self.shared);
-                let queued = self.pool.submit(move || {
-                    let members = coord.claim(window_id);
-                    run_window(&inner, members);
-                });
-                if !queued {
-                    // Pool rejected the window job: resolve everything
-                    // parked in it (tickets already handed out land as
-                    // `Cancelled` via their guards) and shed this caller.
-                    drop(self.shared.take(window_id));
-                    return Err(RejectReason::ShuttingDown);
+        let queued = if member.request.shared {
+            // The window stage covers everything between admission and
+            // this member's own execution: pool-queue wait, the claiming
+            // worker's linger, and earlier window members' runs.
+            member.guard.trace.enter(RequestStage::Window);
+            match self.shared.enqueue(member) {
+                Enqueued::Joined => true,
+                Enqueued::Opened(window_id) => {
+                    let coord = Arc::clone(&self.shared);
+                    let queued = self.pool.submit(move || run_window(coord.claim(window_id)));
+                    if !queued {
+                        // Resolve everything parked in the window: tickets
+                        // already handed out land as `Cancelled` via their
+                        // guards.
+                        drop(self.shared.take(window_id));
+                    }
+                    queued
                 }
             }
+        } else {
+            // Admission is done; time from here to the worker picking the
+            // job up is pool-queue wait.
+            member.guard.trace.enter(RequestStage::Queue);
+            self.pool.submit(move || run_window(vec![member]))
+        };
+        if !queued {
+            // The pool dropped the job, and with it the guards, which
+            // already tidied the active map and the permits.
+            return Err(RejectReason::ShuttingDown);
         }
         Ok(ticket)
     }
@@ -630,83 +611,77 @@ impl Drop for PpServer {
     }
 }
 
+/// The one pool-job body: runs a window of queries in submit order, which
+/// keeps execution deterministic for a fixed submission sequence. Each
+/// member runs the per-query path inside its own `catch_unwind`, so a
+/// panicking member (chaos or real) sheds only itself — its guard
+/// resolves the ticket as `Failed` — and the siblings still run.
+///
+/// A claimed shared-scan window runs over one shared [`UdfMemo`] and is
+/// counted in `server.sharedscan.*`; a solo query is a window of one
+/// with neither.
+fn run_window(members: Vec<WindowMember>) {
+    let Some(first) = members.first() else { return };
+    let inner = Arc::clone(&first.guard.inner);
+    let memo = first.request.shared.then(|| {
+        inner
+            .metrics
+            .counter("server.sharedscan.windows_total")
+            .inc();
+        inner
+            .metrics
+            .counter("server.sharedscan.window_queries_total")
+            .add(members.len() as u64);
+        // Memo keys are the source table's base columns: appended UDF
+        // columns are pure functions of those, so plans applying
+        // different UDF subsets still share work soundly (see
+        // `pp_engine::memo`). If the table lookup fails the fallback keys
+        // on whole rows — never wrong, just less sharing.
+        let key_prefix = inner
+            .sources
+            .get(&first.request.source)
+            .and_then(|spec| inner.data.table_schema(spec.table()).ok())
+            .map(|schema| schema.len())
+            .unwrap_or(usize::MAX);
+        Arc::new(UdfMemo::new(key_prefix))
+    });
+    for member in members {
+        let memo = memo.clone();
+        // The guard moves into the closure: on a panic it drops while
+        // unwinding and resolves the ticket as `Failed` with
+        // `CancelReason::WorkerPanic` latched.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let outcome = run_query(&member, memo);
+            member.guard.finish(outcome);
+        }));
+    }
+    if let Some(memo) = memo {
+        let stats = memo.stats();
+        inner
+            .metrics
+            .counter("server.sharedscan.udf_invocations_total")
+            .add(stats.invoked);
+        inner
+            .metrics
+            .counter("server.sharedscan.udf_invocations_saved_total")
+            .add(stats.hits);
+    }
+}
+
 /// The worker-side query path: plan (via cache) → cost-admit → execute →
 /// fold telemetry. Never panics on query-shaped failures; every error is
 /// an outcome. (Injected chaos panics are the deliberate exception — the
-/// response guard and the pool's `catch_unwind` turn those into `Failed`.)
-/// Runs one claimed shared-scan window: every member query executes the
-/// normal per-query path over one shared [`UdfMemo`], inside its own
-/// `catch_unwind` so a panicking member (chaos or real) sheds only itself
-/// — its guard resolves the ticket as `Failed`, and the siblings still
-/// run. Members execute in submit order, which keeps window execution
-/// deterministic for a fixed submission sequence.
-fn run_window(inner: &Arc<ServerInner>, members: Vec<WindowMember>) {
-    let Some(first) = members.first() else { return };
-    // Memo keys are the source table's base columns: appended UDF columns
-    // are pure functions of those, so plans applying different UDF
-    // subsets still share work soundly (see `pp_engine::memo`). If the
-    // table lookup fails the fallback keys on whole rows — never wrong,
-    // just less sharing.
-    let key_prefix = inner
-        .sources
-        .get(&first.request.source)
-        .and_then(|spec| inner.data.table_schema(spec.table()).ok())
-        .map(|schema| schema.len())
-        .unwrap_or(usize::MAX);
-    let memo = Arc::new(UdfMemo::new(key_prefix));
-    inner
-        .metrics
-        .counter("server.sharedscan.windows_total")
-        .inc();
-    inner
-        .metrics
-        .counter("server.sharedscan.window_queries_total")
-        .add(members.len() as u64);
-    for member in members {
-        let WindowMember {
-            request_id,
-            request,
-            snapshot,
-            guard,
-        } = member;
-        let memo = Arc::clone(&memo);
-        // The guard moves into the closure: on a panic it drops while
-        // unwinding and resolves the ticket as `Failed` with
-        // `CancelReason::WorkerPanic` latched, exactly like a solo job.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let outcome = run_query(
-                &guard.inner,
-                request_id,
-                &request,
-                &snapshot,
-                &guard.cancel,
-                &guard.trace,
-                Some(&memo),
-            );
-            guard.finish(outcome);
-        }));
-    }
-    let stats = memo.stats();
-    inner
-        .metrics
-        .counter("server.sharedscan.udf_invocations_total")
-        .add(stats.invoked);
-    inner
-        .metrics
-        .counter("server.sharedscan.udf_invocations_saved_total")
-        .add(stats.hits);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_query(
-    inner: &ServerInner,
-    request_id: u64,
-    request: &QueryRequest,
-    snapshot: &CatalogSnapshot,
-    cancel: &CancelToken,
-    trace: &TraceContext,
-    memo: Option<&Arc<UdfMemo>>,
-) -> QueryOutcome {
+/// response guard and `run_window`'s `catch_unwind` turn those into
+/// `Failed`.)
+fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome {
+    let WindowMember {
+        request_id,
+        request,
+        snapshot,
+        guard,
+    } = member;
+    let (inner, request_id, cancel, trace) =
+        (&*guard.inner, *request_id, &guard.cancel, &guard.trace);
     // A query cancelled while queued (drain, caller, expired deadline)
     // stops here, before planning: no work done, nothing billed.
     if let Some(reason) = cancel.reason() {
@@ -775,7 +750,7 @@ fn run_query(
 
     let mut builder = ExecutionContext::builder(&inner.data).with_cancel_token(cancel.clone());
     if let Some(memo) = memo {
-        builder = builder.with_udf_memo(Arc::clone(memo));
+        builder = builder.with_udf_memo(memo);
     }
     if let Some(fp) = &request.fault_plan {
         builder = builder.with_fault_plan(fp.clone());
@@ -811,9 +786,14 @@ fn run_query(
             inner.metrics.counter("server.completed_total").inc();
             // Enqueue for the off-hot-path accuracy audit (replays happen
             // in the maintenance pass; this only records the plan Arc).
-            inner
-                .audit
-                .observe(request_id, &request.source, &cached, &telemetry, rows.len());
+            inner.audit.observe(
+                request_id,
+                &request.source,
+                &cached,
+                &telemetry,
+                rows.len(),
+                &inner.metrics,
+            );
             trace.enter(RequestStage::Respond);
             QueryOutcome::Complete(Box::new(QuerySuccess {
                 rows,

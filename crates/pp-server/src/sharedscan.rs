@@ -3,9 +3,9 @@
 //!
 //! The paper's cost model says the expensive UDF dominates; N concurrent
 //! queries over the same source should therefore pay for each blob once,
-//! not N times. [`PpServer::submit_shared`](crate::PpServer::submit_shared)
-//! routes a query through the coordinator in this module instead of
-//! handing it straight to a worker:
+//! not N times. [`PpServer::submit`](crate::PpServer::submit) parks a
+//! request that has [`QueryRequest::shared()`](QueryRequest::shared()) set
+//! in the coordinator in this module instead of queueing it alone:
 //!
 //! 1. **Join or open a window.** Windows are keyed by source name. The
 //!    first query over a source opens a window and enqueues one pool job
@@ -17,8 +17,9 @@
 //!    can pile in; with `None` it takes whatever joined while the job was
 //!    queued — classic group-commit adaptive batching: windows grow under
 //!    load and degrade to singletons when the pool is idle.
-//! 3. **Execute.** The window runs every member query through the normal
-//!    per-query path — own pinned snapshot, own plan, own
+//! 3. **Execute.** The window runs every member query through the one
+//!    pool-job body every query ends in (a solo query is a window of one
+//!    with no linger, no memo and no `server.sharedscan.*` count) — own pinned snapshot, own plan, own
 //!    `ExecutionContext`, own `CostMeter` — but all members share one
 //!    [`UdfMemo`](pp_engine::memo::UdfMemo), so each expensive UDF runs at most once per blob
 //!    across the window. Each query's own PP prefix still decides which

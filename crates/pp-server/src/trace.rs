@@ -7,8 +7,7 @@
 //! vs. execution. This module closes that gap:
 //!
 //! * a [`TraceContext`] is minted inside
-//!   [`PpServer::submit`](crate::server::PpServer::submit) /
-//!   [`submit_shared`](crate::server::PpServer::submit_shared) admission
+//!   [`PpServer::submit`](crate::server::PpServer::submit)'s admission
 //!   and rides the worker-side response guard through every stage the
 //!   request crosses,
 //! * each stage transition (`TraceContext::enter`) closes the previous
@@ -38,6 +37,7 @@
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use pp_engine::telemetry::json_string;
 
 /// A pipeline stage a request can occupy. Stages are entered in
 /// submission order and never revisited; the wall-clock interval between
@@ -47,11 +47,13 @@ pub enum RequestStage {
     /// Admission control: shutdown/source checks, the depth gate, the
     /// catalog-snapshot pin, and ticket plumbing (caller thread).
     Admission,
-    /// Parked in the worker pool's FIFO queue (solo submits).
+    /// Parked in the worker pool's FIFO queue (requests without
+    /// [`QueryRequest::shared()`](crate::request::QueryRequest::shared())).
     Queue,
     /// Parked in a shared-scan window: pool queue wait, the claiming
     /// worker's linger, and any earlier window members' execution
-    /// (shared submits).
+    /// (requests with
+    /// [`QueryRequest::shared()`](crate::request::QueryRequest::shared())).
     Window,
     /// Plan-cache interaction: a memoized hit, a single-flight wait on a
     /// concurrent builder, or a fresh optimization (see the span's
@@ -160,20 +162,18 @@ impl RequestTimeline {
         out.push_str(&self.trace_id.to_string());
         out.push_str(",\"total_nanos\":");
         out.push_str(&self.total_nanos.to_string());
-        out.push_str(",\"terminal\":\"");
-        out.push_str(&escape(&self.terminal));
-        out.push_str("\",\"stages\":[");
+        out.push_str(",\"terminal\":");
+        json_string(&mut out, &self.terminal);
+        out.push_str(",\"stages\":[");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"stage\":\"");
-            out.push_str(&escape(&s.name));
-            out.push('"');
+            out.push_str("{\"stage\":");
+            json_string(&mut out, &s.name);
             if let Some(d) = &s.detail {
-                out.push_str(",\"detail\":\"");
-                out.push_str(&escape(d));
-                out.push('"');
+                out.push_str(",\"detail\":");
+                json_string(&mut out, d);
             }
             out.push_str(",\"nanos\":");
             out.push_str(&s.nanos.to_string());
@@ -182,17 +182,6 @@ impl RequestTimeline {
         out.push_str("]}");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 struct TraceState {
@@ -344,6 +333,24 @@ mod tests {
              {\"stage\":\"cache\",\"detail\":\"hit\",\"nanos\":0},\
              {\"stage\":\"execute\",\"nanos\":0},\
              {\"stage\":\"respond\",\"nanos\":0}]}"
+        );
+    }
+
+    #[test]
+    fn untrusted_stage_names_render_as_valid_json() {
+        // Stage names and details arrive as arbitrary strings in a wire
+        // `Trace` frame.
+        let mut t = RequestTimeline::empty(1);
+        t.stages.push(StageSpan {
+            name: "\t\u{1}\"".into(),
+            detail: Some("\r".into()),
+            nanos: 0,
+        });
+        assert!(
+            t.to_json()
+                .contains(r#"{"stage":"\t\u0001\"","detail":"\r","nanos":0}"#),
+            "{}",
+            t.to_json()
         );
     }
 

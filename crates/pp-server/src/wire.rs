@@ -157,8 +157,8 @@ pub struct WireRequest {
     pub batch_size: Option<u32>,
     /// Optional rows-per-morsel override.
     pub morsel_size: Option<u32>,
-    /// Route through the shared-scan coordinator
-    /// ([`PpServer::submit_shared`]) instead of a dedicated worker.
+    /// Run in a shared-scan window ([`QueryRequest::shared()`]) instead of
+    /// alone.
     pub shared: bool,
 }
 
@@ -197,6 +197,7 @@ impl WireRequest {
         if let Some(rows) = self.morsel_size {
             req = req.with_morsel_size(rows as usize);
         }
+        req.shared = self.shared;
         req
     }
 }
@@ -314,6 +315,15 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    /// Fails unless `count` items of `item_len` bytes each are still
+    /// unread — checked before reserving room for `count` of anything.
+    fn expect_items(&self, count: usize, item_len: usize) -> Result<(), WireError> {
+        if (self.buf.len() - self.pos) / item_len < count {
+            return Err(WireError::Truncated);
+        }
+        Ok(())
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -427,7 +437,8 @@ fn get_value(cur: &mut Cursor<'_>) -> Result<Value, WireError> {
         VAL_STR => Value::str(cur.string()?),
         VAL_BLOB_DENSE => {
             let n = cur.u32()? as usize;
-            let mut coords = Vec::with_capacity(n.min(MAX_FRAME_LEN as usize / 8));
+            cur.expect_items(n, 8)?;
+            let mut coords = Vec::with_capacity(n);
             for _ in 0..n {
                 coords.push(cur.f64()?);
             }
@@ -436,8 +447,9 @@ fn get_value(cur: &mut Cursor<'_>) -> Result<Value, WireError> {
         VAL_BLOB_SPARSE => {
             let dim = cur.u32()? as usize;
             let nnz = cur.u32()? as usize;
-            let mut indices = Vec::with_capacity(nnz.min(MAX_FRAME_LEN as usize / 12));
-            let mut values = Vec::with_capacity(nnz.min(MAX_FRAME_LEN as usize / 12));
+            cur.expect_items(nnz, 12)?;
+            let mut indices = Vec::with_capacity(nnz);
+            let mut values = Vec::with_capacity(nnz);
             for _ in 0..nnz {
                 indices.push(cur.u32()?);
                 values.push(cur.f64()?);
@@ -1016,14 +1028,7 @@ pub fn serve_connection<R: Read, W: Write>(
             let _ = writer.flush();
             return Err(e);
         };
-        let shared = wire_req.shared;
-        let request = wire_req.to_query_request();
-        let submitted = if shared {
-            server.submit_shared(request)
-        } else {
-            server.submit(request)
-        };
-        match submitted {
+        match server.submit(wire_req.to_query_request()) {
             Ok(ticket) => {
                 let request_id = ticket.request_id();
                 let response = ticket.wait();

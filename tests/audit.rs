@@ -321,3 +321,28 @@ fn audit_never_perturbs_query_results() {
     let unaudited = run(false);
     assert_eq!(audited, unaudited);
 }
+
+/// Without a maintenance pass nothing drains the audit queue, so it is
+/// bounded: past `AuditConfig::max_pending` the oldest task is dropped
+/// and counted, and the next pass still replays the newest ones.
+#[test]
+fn audit_queue_is_bounded_without_a_maintenance_pass() {
+    let f = fixture();
+    let config = AuditConfig {
+        max_tasks_per_pass: 1,
+        ..audit_config()
+    };
+    let bound = config.max_pending();
+    let server = make_server(f.honest.clone(), config);
+    let overflow = 3;
+    for _ in 0..bound + overflow {
+        complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
+    }
+    assert_eq!(server.auditor().pending(), bound);
+    assert_eq!(
+        server.metrics().counter("server.audit.dropped_total").get(),
+        overflow as u64
+    );
+    assert_eq!(server.maintenance_now().audit.audited, 1);
+    assert_eq!(server.auditor().pending(), bound - 1);
+}

@@ -528,7 +528,7 @@ fn shared_submissions_trace_the_window_stage() {
         ..Default::default()
     });
     let response = server
-        .submit_shared(QueryRequest::new("traffic", f.suv.clone(), 0.95))
+        .submit(QueryRequest::new("traffic", f.suv.clone(), 0.95).shared())
         .expect("admitted")
         .wait();
     assert!(

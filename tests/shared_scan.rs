@@ -1,5 +1,5 @@
 //! Multi-query equivalence suite for cross-query shared-scan batching
-//! (`PpServer::submit_shared`).
+//! (`PpServer::submit` of a `QueryRequest::shared()` request).
 //!
 //! The contract under test: window-batched queries share expensive UDF
 //! work (each UDF runs at most once per blob per window — asserted with
@@ -25,7 +25,7 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::batch::for_each_row;
 use probabilistic_predicates::engine::{
-    Batch, BatchKernel, Column, ProcessedRows, Processor, Row, Schema,
+    Batch, BatchKernel, Column, MetricValue, ProcessedRows, Processor, Row, Schema,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -190,13 +190,9 @@ fn canonical(s: &QuerySuccess) -> String {
     )
 }
 
-fn wait_success(server: &PpServer, req: QueryRequest, shared: bool) -> QuerySuccess {
-    let ticket = if shared {
-        server.submit_shared(req)
-    } else {
-        server.submit(req)
-    }
-    .expect("admitted");
+fn wait_success(server: &PpServer, mut req: QueryRequest, shared: bool) -> QuerySuccess {
+    req.shared = shared;
+    let ticket = server.submit(req).expect("admitted");
     match ticket.wait().outcome {
         QueryOutcome::Complete(s) => *s,
         other => panic!("expected completion, got {other:?}"),
@@ -243,12 +239,18 @@ fn shared_window_matches_solo_across_parallelism_batch() {
                 .collect();
             let solo_total = total_calls(&solo_counts);
             solo.shutdown();
+            // A solo query is a window of one that is not counted as one.
+            for (name, value) in solo.metrics().samples() {
+                if name.starts_with("server.sharedscan.") {
+                    assert_eq!(value, MetricValue::Counter(0), "solo run bumped {name}");
+                }
+            }
 
             // Shared: all four land in one window.
             let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
             let tickets: Vec<_> = requests
                 .iter()
-                .map(|r| shared.submit_shared(r.clone()).expect("admitted"))
+                .map(|r| shared.submit(r.clone().shared()).expect("admitted"))
                 .collect();
             let shared_lines: Vec<String> = tickets
                 .into_iter()
@@ -321,7 +323,7 @@ fn identical_queries_pay_for_each_blob_exactly_once() {
 
     let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
     let tickets: Vec<_> = (0..4)
-        .map(|_| shared.submit_shared(req.clone()).expect("admitted"))
+        .map(|_| shared.submit(req.clone().shared()).expect("admitted"))
         .collect();
     let mut lines = Vec::new();
     for t in tickets {
@@ -378,7 +380,7 @@ fn mid_window_epoch_publish_pins_each_member_snapshot() {
             // Mid-window hot swap (same corpus content, new epoch).
             assert_eq!(shared.publish_pps(f.pp_catalog.clone()), CatalogEpoch(2));
         }
-        tickets.push(shared.submit_shared(r.clone()).expect("admitted"));
+        tickets.push(shared.submit(r.clone().shared()).expect("admitted"));
     }
     for (i, t) in tickets.into_iter().enumerate() {
         match t.wait().outcome {
@@ -425,7 +427,7 @@ fn worker_panic_mid_window_sheds_only_the_affected_member() {
     let (mut shared, _) = make_server(2, full_window(4), Some(faults), &[]);
     let tickets: Vec<_> = requests
         .iter()
-        .map(|r| shared.submit_shared(r.clone()).expect("admitted"))
+        .map(|r| shared.submit(r.clone().shared()).expect("admitted"))
         .collect();
     let mut completed = 0;
     let mut failed = 0;
@@ -470,7 +472,7 @@ fn shutdown_flushes_parked_windows_without_losing_tickets() {
     let (mut shared, _) = make_server(1, full_window(8), None, &[]);
     let tickets: Vec<_> = requests
         .iter()
-        .map(|r| shared.submit_shared(r.clone()).expect("admitted"))
+        .map(|r| shared.submit(r.clone().shared()).expect("admitted"))
         .collect();
     let start = std::time::Instant::now();
     shared.shutdown();
@@ -559,12 +561,9 @@ proptest! {
             if publish_mid && i == mix.len() / 2 {
                 server.publish_pps(f.pp_catalog.clone());
             }
-            let ticket = if e.shared {
-                server.submit_shared(build(e))
-            } else {
-                server.submit(build(e))
-            };
-            tickets.push(ticket.expect("admitted"));
+            let mut request = build(e);
+            request.shared = e.shared;
+            tickets.push(server.submit(request).expect("admitted"));
         }
         for (e, t) in mix.iter().zip(tickets) {
             let key = format!("{}#{}#{}", e.source, e.query_idx, e.accuracy);

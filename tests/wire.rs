@@ -45,6 +45,9 @@ fn check_golden(name: &str, actual: &str) {
     assert_eq!(expected, actual, "golden mismatch for {name}");
 }
 
+/// `"PPW1"`, the frame type byte, and the big-endian payload length.
+const FRAME_HEADER_LEN: usize = 9;
+
 fn hex(bytes: &[u8]) -> String {
     let mut out = String::new();
     for chunk in bytes.chunks(32) {
@@ -186,16 +189,73 @@ fn frame_encodings_match_golden_and_round_trip() {
 
 /// Clean EOF between frames is `Ok(None)`; EOF anywhere inside a frame is
 /// a typed `Truncated` error, never a panic or a hang.
+///
+/// The same holds one level in: a frame that arrives whole but whose
+/// payload stops early (declared length = what is there) is `Truncated`
+/// too — for a blob literal, before room for its declared element count
+/// is reserved.
 #[test]
 fn truncation_at_every_byte_is_rejected() {
-    let (_, frame) = &corpus()[0];
-    let bytes = encode_frame(frame);
+    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
+    let blob_literals = Predicate::And(vec![
+        Predicate::Clause(Clause::new(
+            "blob",
+            CompareOp::Eq,
+            Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
+        )),
+        Predicate::Clause(Clause::new(
+            "blob",
+            CompareOp::Ne,
+            Value::blob(Features::Sparse(sparse)),
+        )),
+    ]);
+    let frames = [
+        corpus().remove(0).1,
+        Frame::Request(WireRequest::new("t", blob_literals, 0.5)),
+    ];
     assert!(matches!(read_frame(&mut Cursor::new(&[][..])), Ok(None)));
-    for cut in 1..bytes.len() {
-        match read_frame(&mut Cursor::new(&bytes[..cut])) {
-            Err(WireError::Truncated) => {}
-            other => panic!("prefix of {cut} bytes: expected Truncated, got {other:?}"),
+    for frame in &frames {
+        let bytes = encode_frame(frame);
+        for cut in 1..bytes.len() {
+            match read_frame(&mut Cursor::new(&bytes[..cut])) {
+                Err(WireError::Truncated) => {}
+                other => panic!("prefix of {cut} bytes: expected Truncated, got {other:?}"),
+            }
         }
+        for cut in FRAME_HEADER_LEN..bytes.len() {
+            let mut short = bytes[..cut].to_vec();
+            let payload_len = (cut - FRAME_HEADER_LEN) as u32;
+            short[5..FRAME_HEADER_LEN].copy_from_slice(&payload_len.to_be_bytes());
+            match read_frame(&mut Cursor::new(&short)) {
+                Err(WireError::Truncated) => {}
+                other => {
+                    panic!("payload of {payload_len} bytes: expected Truncated, got {other:?}")
+                }
+            }
+        }
+    }
+}
+
+/// A blob literal's declared element count is checked against the bytes
+/// actually present before anything is allocated for it.
+#[test]
+fn blob_literal_count_beyond_the_payload_is_truncated() {
+    for (tag, counts) in [(5u8, 1), (6u8, 2)] {
+        // request: source "t", predicate = clause("c", Eq, blob literal)
+        let mut payload = vec![0, 0, 0, 1, b't', 2, 0, 0, 0, 1, b'c', 0, tag];
+        for _ in 0..counts {
+            payload.extend_from_slice(&u32::MAX.to_be_bytes());
+        }
+        let mut frame = b"PPW1\x01".to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&payload);
+        assert!(
+            matches!(
+                read_frame(&mut Cursor::new(&frame)),
+                Err(WireError::Truncated)
+            ),
+            "value tag {tag}"
+        );
     }
 }
 
