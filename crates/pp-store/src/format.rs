@@ -156,27 +156,62 @@ impl From<StoreError> for pp_engine::EngineError {
     }
 }
 
-/// CRC32 (IEEE 802.3, reflected), table-driven.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slice-by-16 lookup tables for the reflected IEEE 802.3 polynomial,
+/// evaluated at compile time. `CRC_TABLES[0]` is the classic byte table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC32 (IEEE 802.3, reflected), sixteen input bytes per step. The one
+/// checksum of the format: pages, footer, reader and writer all use it.
+pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    // Folds one little-endian input word into four table lookups; `k` is
+    // how many bytes follow the word within the 16-byte block.
+    let fold = |w: u32, k: usize| {
+        t[k + 3][(w & 0xFF) as usize]
+            ^ t[k + 2][((w >> 8) & 0xFF) as usize]
+            ^ t[k + 1][((w >> 16) & 0xFF) as usize]
+            ^ t[k][(w >> 24) as usize]
+    };
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        crc = fold(w0, 12) ^ fold(w1, 8) ^ fold(w2, 4) ^ fold(w3, 0);
+    }
+    for &b in tail {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -193,6 +228,16 @@ pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends `n` fixed-width big-endian words with one resize instead of `n`
+/// capacity-checked pushes; `words` must yield exactly `n` items.
+fn put_words<const N: usize>(buf: &mut Vec<u8>, n: usize, words: impl Iterator<Item = [u8; N]>) {
+    let start = buf.len();
+    buf.resize(start + n * N, 0);
+    for (dst, w) in buf[start..].as_chunks_mut::<N>().0.iter_mut().zip(words) {
+        *dst = w;
+    }
 }
 
 pub(crate) fn dtype_code(d: DataType) -> u8 {
@@ -256,9 +301,7 @@ pub(crate) fn encode_value(buf: &mut Vec<u8>, v: &Value) -> Result<(), StoreErro
                 }
                 buf.push(TAG_DENSE);
                 put_u32(buf, xs.len() as u32);
-                for x in xs {
-                    buf.extend_from_slice(&x.to_bits().to_be_bytes());
-                }
+                put_words(buf, xs.len(), xs.iter().map(|x| x.to_bits().to_be_bytes()));
             }
             Features::Sparse(sv) => {
                 if sv.dim() as u64 > MAX_BLOB_LEN as u64 {
@@ -271,12 +314,12 @@ pub(crate) fn encode_value(buf: &mut Vec<u8>, v: &Value) -> Result<(), StoreErro
                 buf.push(TAG_SPARSE);
                 put_u32(buf, sv.dim() as u32);
                 put_u32(buf, sv.nnz() as u32);
-                for (i, _) in sv.iter() {
-                    put_u32(buf, i);
-                }
-                for (_, x) in sv.iter() {
-                    buf.extend_from_slice(&x.to_bits().to_be_bytes());
-                }
+                put_words(buf, sv.nnz(), sv.iter().map(|(i, _)| i.to_be_bytes()));
+                put_words(
+                    buf,
+                    sv.nnz(),
+                    sv.iter().map(|(_, x)| x.to_bits().to_be_bytes()),
+                );
             }
         },
     }
@@ -306,70 +349,81 @@ pub(crate) fn encode_bound(buf: &mut Vec<u8>, bound: &Option<Value>) {
 /// A bounds-checked reader over a byte slice. Every accessor returns
 /// [`StoreError::Truncated`] instead of reading past the end.
 pub(crate) struct Cursor<'a> {
+    /// The bytes not yet consumed.
     data: &'a [u8],
-    pos: usize,
     context: &'static str,
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(data: &'a [u8], context: &'static str) -> Cursor<'a> {
-        Cursor {
-            data,
-            pos: 0,
-            context,
-        }
+        Cursor { data, context }
     }
 
     pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.data.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.data.is_empty()
+    }
+
+    fn truncated(&self) -> StoreError {
+        StoreError::Truncated {
+            context: self.context,
+        }
     }
 
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Truncated {
-                context: self.context,
-            });
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        let (head, rest) = self
+            .data
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated())?;
+        self.data = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let (head, rest) = self
+            .data
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated())?;
+        self.data = rest;
+        Ok(*head)
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.bytes(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_be_bytes(
-            self.bytes(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(
-            self.bytes(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     pub(crate) fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_be_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(i64::from_be_bytes(self.array()?))
     }
 
     pub(crate) fn f64_bits(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64()?))
     }
+}
+
+/// Converts a payload of whole big-endian `f64` bit patterns in one pass.
+fn be_f64s(payload: &[u8]) -> Vec<f64> {
+    let (words, _) = payload.as_chunks::<8>();
+    words
+        .iter()
+        .map(|w| f64::from_bits(u64::from_be_bytes(*w)))
+        .collect()
 }
 
 /// Decodes one tag-encoded value.
@@ -413,11 +467,7 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
                     context: "dense blob payload",
                 });
             }
-            let mut xs = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                xs.push(cur.f64_bits()?);
-            }
-            Value::blob(Features::Dense(xs))
+            Value::blob(Features::Dense(be_f64s(cur.bytes(n as usize * 8)?)))
         }
         TAG_SPARSE => {
             let dim = cur.u32()?;
@@ -439,14 +489,9 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
                     context: "sparse blob payload",
                 });
             }
-            let mut indices = Vec::with_capacity(nnz as usize);
-            for _ in 0..nnz {
-                indices.push(cur.u32()?);
-            }
-            let mut values = Vec::with_capacity(nnz as usize);
-            for _ in 0..nnz {
-                values.push(cur.f64_bits()?);
-            }
+            let (indices, _) = cur.bytes(nnz as usize * 4)?.as_chunks::<4>();
+            let indices = indices.iter().map(|c| u32::from_be_bytes(*c)).collect();
+            let values = be_f64s(cur.bytes(nnz as usize * 8)?);
             let sv = SparseVector::new(dim as usize, indices, values)
                 .map_err(|e| StoreError::Corrupt(format!("invalid sparse blob: {e}")))?;
             Value::blob(Features::Sparse(sv))
@@ -469,11 +514,69 @@ pub(crate) fn decode_bound(cur: &mut Cursor<'_>) -> Result<Option<Value>, StoreE
 mod tests {
     use super::*;
 
+    /// CRC-32 one byte at a time, straight from the polynomial with no
+    /// table: the oracle for the word-at-a-time [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle() {
+        // Every length around the 16-byte block, at every alignment.
+        let patterned: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=67 {
+                let data = &patterned[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
+            }
+        }
+        // A seeded 64 KiB buffer (splitmix64 stream).
+        let mut state = 0x5709_u64;
+        let big: Vec<u8> = (0..64 * 1024)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    /// A blob as (dim, indices, value bit patterns); dense has no indices.
+    fn blob_bits(f: &Features) -> (usize, Vec<u32>, Vec<u64>) {
+        match f {
+            Features::Dense(xs) => (
+                xs.len(),
+                Vec::new(),
+                xs.iter().map(|x| x.to_bits()).collect(),
+            ),
+            Features::Sparse(sv) => (
+                sv.dim(),
+                sv.iter().map(|(i, _)| i).collect(),
+                sv.iter().map(|(_, x)| x.to_bits()).collect(),
+            ),
+        }
     }
 
     #[test]
@@ -501,6 +604,10 @@ mod tests {
         for v in &values {
             let got = decode_value(&mut cur).unwrap();
             assert_eq!(format!("{v:?}"), format!("{got:?}"));
+            // `Debug` prints a blob as `<blob dim=N>`; compare its contents.
+            if let (Value::Blob(want), Value::Blob(got)) = (v, &got) {
+                assert_eq!(blob_bits(want), blob_bits(got));
+            }
         }
         assert!(cur.is_empty());
     }

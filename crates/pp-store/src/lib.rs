@@ -23,6 +23,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Everything here may be handed untrusted bytes: no panicking shortcuts.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod format;
 pub mod scan;

@@ -91,9 +91,9 @@ impl SegmentScan {
         SegmentScan::open(&paths)
     }
 
-    /// Caps the bytes of row-group pages decoded concurrently; the scan
-    /// operator streams groups in budget-sized waves instead of
-    /// materialising every group at once.
+    /// Caps the encoded bytes of row-group pages decoded concurrently:
+    /// the scan operator decodes groups in budget-sized waves. It does
+    /// not bound the decoded rows, which the scan accumulates.
     pub fn with_memory_budget(mut self, bytes: u64) -> SegmentScan {
         self.budget = Some(bytes);
         self

@@ -3,10 +3,11 @@
 //! [`Segment::open`] validates the header magic and version, the trailer,
 //! and the CRC-checksummed footer before trusting a single directory
 //! entry; every declared size is capped before allocation and every page
-//! extent is bounds-checked against the data region. Decoding a row
-//! group re-verifies the page checksum and requires each page to decode
-//! to exactly the declared row count with no trailing bytes. Corrupt or
-//! truncated input yields a typed [`StoreError`] — never a panic.
+//! extent is bounds-checked against the data region. Reading a row
+//! group verifies every page checksum first, then decodes all columns in
+//! one pass and requires each page to hold exactly the declared row
+//! count with no trailing bytes. Corrupt or truncated input yields a
+//! typed [`StoreError`] — never a panic.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -170,6 +171,10 @@ impl Segment {
         }
         let mut groups = Vec::with_capacity(n_groups as usize);
         let mut dir_rows: u64 = 0;
+        // Pages never overlap in a written segment, so together they fit
+        // in the data region; holding the directory to that bounds every
+        // group's read buffer by the file's own size.
+        let mut page_budget = footer_start - HEADER_LEN;
         for _ in 0..n_groups {
             let group_rows = cur.u32()?;
             if group_rows > MAX_GROUP_ROWS {
@@ -201,6 +206,9 @@ impl Segment {
                 let present = cur.u64()?;
                 let min = decode_bound(&mut cur)?;
                 let max = decode_bound(&mut cur)?;
+                page_budget = page_budget.checked_sub(len).ok_or_else(|| {
+                    StoreError::Corrupt("pages overlap: they exceed the data region".to_string())
+                })?;
                 pages.push(PageRef { offset, len, crc });
                 zones.push(ZoneMap {
                     nulls,
@@ -208,6 +216,14 @@ impl Segment {
                     min,
                     max,
                 });
+            }
+            // Every encoded value is at least one byte (its tag), so no
+            // page can hold more rows than it has bytes.
+            let shortest = pages.iter().map(|p| p.len).min().unwrap_or(0);
+            if group_rows as u64 > shortest {
+                return Err(StoreError::Corrupt(format!(
+                    "group declares {group_rows} rows over a {shortest}-byte page"
+                )));
             }
             groups.push(GroupEntry {
                 rows: group_rows,
@@ -293,6 +309,9 @@ impl Segment {
     }
 
     /// Reads, checksums, and decodes row group `g` back into rows.
+    ///
+    /// All pages land in one buffer of [`Segment::group_bytes`] bytes and
+    /// every checksum is verified before any value is decoded.
     pub fn read_group(&self, g: usize) -> Result<Vec<Row>> {
         let entry = self.groups.get(g).ok_or_else(|| {
             StoreError::Corrupt(format!(
@@ -300,14 +319,21 @@ impl Segment {
                 self.groups.len()
             ))
         })?;
-        let n_rows = entry.rows as usize;
-        let n_cols = self.schema.len();
-        // Column-major decode, then transpose into rows.
-        let mut columns: Vec<Vec<pp_engine::value::Value>> = Vec::with_capacity(n_cols);
+        let group_bytes = self.group_bytes(g);
+        let len = usize::try_from(group_bytes).map_err(|_| StoreError::TooLarge {
+            what: "row group",
+            len: group_bytes,
+            max: usize::MAX as u64,
+        })?;
+        let mut buf = vec![0u8; len];
+        let mut cursors = Vec::with_capacity(entry.pages.len());
+        let mut rest = buf.as_mut_slice();
         for (c, page) in entry.pages.iter().enumerate() {
-            let mut buf = vec![0u8; page.len as usize];
-            self.file.read_exact_at(&mut buf, page.offset)?;
-            let actual = crc32(&buf);
+            // In range: `buf` is the sum of exactly these lengths.
+            let (page_buf, tail) = rest.split_at_mut(page.len as usize);
+            rest = tail;
+            self.file.read_exact_at(page_buf, page.offset)?;
+            let actual = crc32(page_buf);
             if actual != page.crc {
                 return Err(StoreError::ChecksumMismatch {
                     context: format!("page group={g} col={c}"),
@@ -315,30 +341,114 @@ impl Segment {
                     actual,
                 });
             }
-            let mut cur = Cursor::new(&buf, "column page");
-            let mut vals = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                vals.push(decode_value(&mut cur)?);
+            cursors.push(Cursor::new(page_buf, "column page"));
+        }
+        let n_rows = entry.rows as usize;
+        // `open` admits no group with more rows than page bytes; the cap
+        // keeps that bound next to the allocation it protects.
+        let mut rows = Vec::with_capacity(n_rows.min(len));
+        for _ in 0..n_rows {
+            let mut values = Vec::with_capacity(cursors.len());
+            for cur in &mut cursors {
+                values.push(decode_value(cur)?);
             }
+            rows.push(Row::new(values));
+        }
+        for (c, cur) in cursors.iter().enumerate() {
             if !cur.is_empty() {
                 return Err(StoreError::Corrupt(format!(
                     "{} trailing bytes in page group={g} col={c}",
                     cur.remaining()
                 )));
             }
-            columns.push(vals);
-        }
-        let mut rows = Vec::with_capacity(n_rows);
-        for r in 0..n_rows {
-            let mut values = Vec::with_capacity(n_cols);
-            for col in columns.iter_mut() {
-                values.push(std::mem::replace(
-                    &mut col[r],
-                    pp_engine::value::Value::Null,
-                ));
-            }
-            rows.push(Row::new(values));
         }
         Ok(rows)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The golden segment of `tests/store.rs` (5 rows, 5 columns, 3 groups).
+    fn golden() -> Vec<u8> {
+        let hex: Vec<u8> = include_str!("../../../tests/golden/segment.hex")
+            .bytes()
+            .filter(u8::is_ascii_hexdigit)
+            .collect();
+        hex.chunks_exact(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// Opens the golden segment after `patch` rewrote its footer — handed
+    /// the footer bytes and the offset of group 0's directory entry —
+    /// with the trailer's footer CRC recomputed, so only the directory's
+    /// own validation stands between the patch and `read_group`.
+    fn open_patched(tag: &str, patch: impl FnOnce(&mut [u8], usize)) -> Result<Segment> {
+        let mut bytes = golden();
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let footer_len = u64::from_be_bytes(bytes[trailer + 4..trailer + 12].try_into().unwrap());
+        let footer_start = trailer - footer_len as usize;
+        // Skip shard ids, row count and the schema to find the directory.
+        let mut cur = Cursor::new(&bytes[footer_start..trailer], "footer");
+        cur.bytes(16).unwrap();
+        for _ in 0..cur.u32().unwrap() {
+            let name_len = cur.u16().unwrap();
+            cur.bytes(name_len as usize + 1).unwrap();
+        }
+        cur.u32().unwrap();
+        let group0 = footer_len as usize - cur.remaining();
+
+        patch(&mut bytes[footer_start..trailer], group0);
+        let crc = crc32(&bytes[footer_start..trailer]);
+        bytes[trailer..trailer + 4].copy_from_slice(&crc.to_be_bytes());
+        let path =
+            std::env::temp_dir().join(format!("pp-store-unit-{}-{tag}.pps", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = Segment::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        opened
+    }
+
+    #[test]
+    fn unpatched_golden_opens() {
+        let seg = open_patched("intact", |_, _| {}).expect("open");
+        assert_eq!((seg.rows(), seg.group_count()), (5, 3));
+    }
+
+    /// A group may not declare more rows than its shortest page has bytes:
+    /// 2^30 rows over a few-byte page would otherwise reserve gigabytes in
+    /// `read_group` before a single value is decoded.
+    #[test]
+    fn over_declared_group_rows_are_rejected_at_open() {
+        let err = open_patched("rows", |footer, group0| {
+            // Keep the directory total consistent so only the new check fires.
+            let total = 5 - 2 + MAX_GROUP_ROWS as u64;
+            footer[8..16].copy_from_slice(&total.to_be_bytes());
+            footer[group0..group0 + 4].copy_from_slice(&MAX_GROUP_ROWS.to_be_bytes());
+        })
+        .expect_err("over-declared rows must not open");
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("rows over")),
+            "{err}"
+        );
+    }
+
+    /// Pages that overlap could sum to many times the file's size in one
+    /// group buffer; the directory as a whole must fit the data region.
+    #[test]
+    fn overlapping_pages_are_rejected_at_open() {
+        let err = open_patched("overlap", |footer, group0| {
+            // Group 0, column 0: claim the whole data region.
+            let data_len = golden().len() as u64 - HEADER_LEN - footer.len() as u64 - TRAILER_LEN;
+            footer[group0 + 4..group0 + 12].copy_from_slice(&HEADER_LEN.to_be_bytes());
+            footer[group0 + 12..group0 + 20].copy_from_slice(&data_len.to_be_bytes());
+        })
+        .expect_err("overlapping pages must not open");
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("overlap")),
+            "{err}"
+        );
     }
 }

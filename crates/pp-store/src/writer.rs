@@ -115,6 +115,13 @@ impl SegmentWriter {
                 max: MAX_COLUMNS as u64,
             });
         }
+        // A row is at least one tag byte per column; the reader holds every
+        // group to that, so rows without columns have no encoding.
+        if n_cols == 0 && !table.is_empty() {
+            return Err(StoreError::Corrupt(
+                "a zero-column table cannot carry rows".to_string(),
+            ));
+        }
         let rows_per_group = self.config.rows_per_group.max(1);
         if rows_per_group as u64 > MAX_GROUP_ROWS as u64 {
             return Err(StoreError::TooLarge {
@@ -149,15 +156,13 @@ impl SegmentWriter {
             let rows = &table.rows()[start..end];
             let mut cols = Vec::with_capacity(n_cols);
             for c in 0..n_cols {
-                let offset = out.len() as u64;
-                let mut page = Vec::new();
+                let offset = out.len();
                 for row in rows {
-                    encode_value(&mut page, row.get(c))?;
+                    encode_value(&mut out, row.get(c))?;
                 }
-                let crc = crc32(&page);
+                let page = &out[offset..];
                 let zone = ZoneMap::from_values(rows.iter().map(|r| r.get(c)));
-                out.extend_from_slice(&page);
-                cols.push((offset, page.len() as u64, crc, zone));
+                cols.push((offset as u64, page.len() as u64, crc32(page), zone));
             }
             dirs.push(GroupDir {
                 rows: rows.len() as u32,

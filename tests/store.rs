@@ -493,6 +493,59 @@ fn golden_segment_round_trips() {
     assert_eq!(format!("{decoded:?}"), format!("{:?}", table.rows()));
 }
 
+/// The shape the bulk blob codec actually serves: a 64-dim dense blob
+/// column over one full and one partial 256-row group, compared by bit
+/// pattern (`Debug` prints a blob as `<blob dim=N>`, hiding its values).
+#[test]
+fn dense_blob_groups_round_trip_bit_for_bit() {
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("frame", DataType::Blob),
+    ])
+    .expect("schema");
+    let blob = |r: usize| -> Vec<f64> {
+        (0..64)
+            .map(|d| match (r + d) % 61 {
+                0 => -0.0,
+                1 => f64::NAN,
+                2 => f64::NEG_INFINITY,
+                _ => (r * 64 + d) as f64 * 0.37 - 1234.5,
+            })
+            .collect()
+    };
+    let rows: Vec<Row> = (0..300)
+        .map(|r| {
+            Row::new(vec![
+                Value::Int(r as i64),
+                Value::blob(Features::Dense(blob(r))),
+            ])
+        })
+        .collect();
+    let table = Rowset::new(schema, rows).expect("rowset");
+    let path = scratch_dir("dense").join("dense.pps");
+    SegmentWriter::new(SegmentWriterConfig {
+        rows_per_group: 256,
+    })
+    .write_segment(&path, &table, 0, 1)
+    .expect("write");
+    let seg = Segment::open(&path).expect("open");
+    let shape: Vec<usize> = (0..seg.group_count()).map(|g| seg.group_rows(g)).collect();
+    assert_eq!(shape, [256, 44]);
+    let decoded: Vec<Row> = (0..seg.group_count())
+        .flat_map(|g| seg.read_group(g).expect("read group"))
+        .collect();
+    assert_eq!(decoded.len(), 300);
+    for (r, row) in decoded.iter().enumerate() {
+        assert_eq!(row.len(), 2);
+        assert_eq!(row.get(0).as_int().expect("id"), r as i64);
+        let Features::Dense(xs) = &**row.get(1).as_blob().expect("blob") else {
+            panic!("row {r}: blob decoded as sparse");
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(xs), bits(&blob(r)), "row {r}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hardened-reader rejection: corrupt input is a typed error, never a panic.
 // ---------------------------------------------------------------------------
@@ -562,21 +615,50 @@ fn corrupt_footer_fails_checksum() {
     ));
 }
 
+/// Flipping any one byte of the data region leaves the footer intact, so
+/// open succeeds; the group that owns the byte must then fail its page
+/// checksum, and every other group must still decode to its rows.
 #[test]
 fn corrupt_page_fails_checksum_on_read() {
     let bytes = golden_bytes();
-    // Flip one byte in the first page (just after the 8-byte header). The
-    // footer is intact, so open succeeds; the read must catch it.
-    let mut corrupt = bytes.clone();
-    corrupt[8] ^= 0x01;
+    let table = golden_rowset();
     let dir = scratch_dir("page-crc");
     let path = dir.join("p.pps");
-    fs::write(&path, &corrupt).expect("write");
-    let seg = Segment::open(&path).expect("open succeeds on intact footer");
-    assert!(matches!(
-        seg.read_group(0),
-        Err(StoreError::ChecksumMismatch { .. })
-    ));
+    fs::write(&path, &bytes).expect("write");
+    let seg = Segment::open(&path).expect("open");
+    // Pages are laid out group by group from the end of the 8-byte
+    // header, so group byte counts give each group's extent.
+    let mut owner = Vec::new();
+    for g in 0..seg.group_count() {
+        owner.extend(std::iter::repeat_n(g, seg.group_bytes(g) as usize));
+    }
+    let footer_len = u64::from_be_bytes(
+        bytes[bytes.len() - 12..bytes.len() - 4]
+            .try_into()
+            .expect("8 bytes"),
+    ) as usize;
+    assert_eq!(8 + owner.len(), bytes.len() - 16 - footer_len);
+
+    for (i, &owning) in owner.iter().enumerate() {
+        let mut corrupt = bytes.clone();
+        corrupt[8 + i] ^= 0xFF;
+        fs::write(&path, &corrupt).expect("write");
+        let seg = Segment::open(&path).expect("open succeeds on intact footer");
+        for g in 0..seg.group_count() {
+            let got = seg.read_group(g);
+            if g == owning {
+                assert!(
+                    matches!(got, Err(StoreError::ChecksumMismatch { .. })),
+                    "byte {}: group {g} returned {got:?}",
+                    8 + i
+                );
+            } else {
+                let rows = got.expect("an untouched group still decodes");
+                let want = &table.rows()[2 * g..(2 * g + 2).min(table.len())];
+                assert_eq!(format!("{rows:?}"), format!("{want:?}"), "byte {}", 8 + i);
+            }
+        }
+    }
 }
 
 #[test]
