@@ -158,30 +158,32 @@ impl PpExpr {
         *next_leaf += self.leaf_count();
     }
 
-    /// [`passes_rec`][Self::passes_rec] against pre-computed per-leaf
-    /// classifier scores (pre-order indexed like the assignment). The walk
-    /// is identical — same short-circuiting, same leaf numbering, and
-    /// threshold lookups only for leaves actually evaluated — so decisions
-    /// and errors match the per-blob path bit for bit; only the expensive
-    /// scoring is hoisted out.
-    fn passes_cached(
+    /// [`passes_rec`][Self::passes_rec] for row `pos` of a batch, against
+    /// each leaf's pre-computed scores over the batch and its threshold
+    /// (both pre-order indexed like the assignment). The walk is identical
+    /// — same short-circuiting, same leaf numbering, and a threshold that
+    /// did not resolve is reported only by rows that evaluate its leaf —
+    /// so decisions and errors match the per-blob path bit for bit; only
+    /// the scoring and the threshold lookup are hoisted out.
+    fn passes_cached<'t>(
         &self,
-        scores: &[f64],
-        assignment: &Assignment,
+        scores: &[Vec<f64>],
+        pos: usize,
+        thresholds: &'t [Result<f64>],
         next_leaf: &mut usize,
-    ) -> Result<bool> {
+    ) -> std::result::Result<bool, &'t PpError> {
         match self {
-            PpExpr::Leaf(pp) => {
-                let a = assignment.accuracy(*next_leaf)?;
-                let score = scores[*next_leaf];
+            PpExpr::Leaf(_) => {
+                let leaf = *next_leaf;
                 *next_leaf += 1;
-                Ok(score >= pp.pipeline().calibration().threshold(a)?)
+                let threshold = thresholds[leaf].as_ref()?;
+                Ok(scores[leaf][pos] >= *threshold)
             }
             PpExpr::And(es) => {
                 let mut verdict = true;
                 for e in es {
                     if verdict {
-                        verdict = e.passes_cached(scores, assignment, next_leaf)?;
+                        verdict = e.passes_cached(scores, pos, thresholds, next_leaf)?;
                     } else {
                         e.skip_leaves(next_leaf);
                     }
@@ -192,7 +194,7 @@ impl PpExpr {
                 let mut verdict = false;
                 for e in es {
                     if !verdict {
-                        verdict = e.passes_cached(scores, assignment, next_leaf)?;
+                        verdict = e.passes_cached(scores, pos, thresholds, next_leaf)?;
                     } else {
                         e.skip_leaves(next_leaf);
                     }
@@ -338,9 +340,9 @@ impl BatchKernel for PpExprFilter {
     type Out = bool;
 
     /// Vectorized evaluation: every leaf classifier scores the whole batch
-    /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)),
-    /// then each row replays the expression walk against its cached
-    /// scores. A blob column that gathers into a dense
+    /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)) and
+    /// resolves its threshold once, then each row replays the expression
+    /// walk against its scores. A blob column that gathers into a dense
     /// [`FeatureBlock`](pp_linalg::FeatureBlock) is scored straight off
     /// the contiguous block; otherwise (sparse/ragged cells) scoring goes
     /// through gathered references. Decisions, row order, and per-row
@@ -348,40 +350,39 @@ impl BatchKernel for PpExprFilter {
     /// per row: the block is a bitwise gather of the same cells and both
     /// score through the same `pp_linalg` kernels.
     fn eval_batch(&self, batch: &Batch<'_>) -> Vec<pp_engine::Result<bool>> {
-        let leaves = self.planned.expr.leaves();
-        let score_all = |fb: &FeatureBatch<'_>| -> Vec<Vec<f64>> {
-            leaves
-                .iter()
-                .map(|pp| pp.pipeline().score_many(fb))
-                .collect()
-        };
+        let PlannedPpExpr {
+            expr, assignment, ..
+        } = &self.planned;
+        let leaves = expr.leaves();
         let col = batch.feature_column(&self.blob_column);
-        let leaf_scores = match &col.block {
-            Some(block) => score_all(&FeatureBatch::Block(block)),
-            None => {
-                let refs: Vec<&Features> = col
-                    .cells
-                    .iter()
-                    .filter_map(|c| c.as_ref().ok().copied())
-                    .collect();
-                score_all(&FeatureBatch::Refs(&refs))
-            }
+        let features = match &col.block {
+            Some(block) => FeatureBatch::Block(block),
+            None => FeatureBatch::Refs(&col.refs),
         };
+        let scores: Vec<Vec<f64>> = leaves
+            .iter()
+            .map(|pp| pp.pipeline().score_many(&features))
+            .collect();
+        let thresholds: Vec<Result<f64>> = leaves
+            .iter()
+            .enumerate()
+            .map(|(leaf, pp)| {
+                let a = assignment.accuracy(leaf)?;
+                Ok(pp.pipeline().calibration().threshold(a)?)
+            })
+            .collect();
+        // Rows without a valid cell report its error; the others are the
+        // scored rows, in order.
+        let mut errors = col.errors.into_iter().peekable();
         let mut pos = 0usize;
-        let mut row_scores = vec![0.0; leaf_scores.len()];
-        col.cells
-            .into_iter()
-            .map(|cell| {
-                cell?;
-                for (s, leaf) in row_scores.iter_mut().zip(&leaf_scores) {
-                    *s = leaf[pos];
+        (0..batch.len() as u32)
+            .map(|at| {
+                if let Some((_, e)) = errors.next_if(|(i, _)| *i == at) {
+                    return Err(e);
                 }
+                let verdict = expr.passes_cached(&scores, pos, &thresholds, &mut 0);
                 pos += 1;
-                let mut next_leaf = 0usize;
-                self.planned
-                    .expr
-                    .passes_cached(&row_scores, &self.planned.assignment, &mut next_leaf)
-                    .map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
+                verdict.map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
             })
             .collect()
     }

@@ -31,7 +31,7 @@ use crate::Result;
 /// Feature columns are gathered on demand via
 /// [`feature_column`](Batch::feature_column) — one pass per (batch,
 /// column) that the kernel actually reads, producing a contiguous
-/// [`FeatureBlock`] plus a selection vector and per-row validity.
+/// [`FeatureBlock`] plus the rows that have no valid cell.
 /// Non-feature columns stay in row form; vectorizing plain predicate
 /// evaluation is not where PP plans spend their time.
 #[derive(Debug, Clone, Copy)]
@@ -77,96 +77,76 @@ impl<'a> Batch<'a> {
         self.rows.is_empty()
     }
 
-    /// Gathers blob column `name` into a [`FeatureColumn`].
+    /// Gathers blob column `name` into a [`FeatureColumn`], in one pass
+    /// over the rows.
     ///
     /// Per-row extraction reproduces the row path exactly: an unknown
     /// column yields `UnknownColumn` for every row, a non-blob cell yields
     /// `TypeMismatch` for that row — the same errors, in the same order,
     /// that `row.get_named(..).and_then(as_blob)` would produce.
     ///
-    /// The contiguous block is built only when every valid cell is dense
+    /// The contiguous block is kept only when every valid cell is dense
     /// with one uniform dimension; otherwise `block` is `None` and the
     /// kernel scores through the gathered references (bit-identical to the
     /// row path by definition — it *is* the row path's data).
     pub fn feature_column(&self, name: &str) -> FeatureColumn<'a> {
-        let idx = match self.schema.index_of(name) {
-            Ok(i) => i,
-            Err(_) => {
-                // Reproduce the row path: every row reports the same
-                // unknown-column error.
-                return FeatureColumn {
-                    cells: self
-                        .rows
-                        .iter()
-                        .map(|_| Err(crate::EngineError::UnknownColumn(name.to_string())))
-                        .collect(),
-                    block: None,
-                    selection: Vec::new(),
-                };
-            }
+        let mut col = FeatureColumn {
+            refs: Vec::new(),
+            block: None,
+            errors: Vec::new(),
         };
-        let mut cells: Vec<Result<&'a Features>> = Vec::with_capacity(self.rows.len());
-        let mut selection: Vec<u32> = Vec::with_capacity(self.rows.len());
+        let Ok(idx) = self.schema.index_of(name) else {
+            let unknown = || crate::EngineError::UnknownColumn(name.to_string());
+            col.errors = (0..self.rows.len() as u32)
+                .map(|i| (i, unknown()))
+                .collect();
+            return col;
+        };
+        col.refs.reserve(self.rows.len());
+        // Rows go into the block as they are met, until a sparse or
+        // ragged cell shows the column cannot be one.
         let mut gatherable = true;
-        let mut dim: Option<usize> = None;
         for (i, row) in self.rows.iter().enumerate() {
             match row.get(idx).as_blob() {
                 Ok(blob) => {
                     let f: &'a Features = blob;
-                    match f.as_dense() {
-                        Some(d) => match dim {
-                            None => dim = Some(d.len()),
-                            Some(expect) if expect != d.len() => gatherable = false,
-                            Some(_) => {}
-                        },
-                        None => gatherable = false,
+                    if gatherable {
+                        gatherable = match f.as_dense() {
+                            Some(d) => col
+                                .block
+                                .get_or_insert_with(|| {
+                                    FeatureBlock::with_capacity(d.len(), self.rows.len())
+                                })
+                                .push_dense(d)
+                                .is_ok(),
+                            None => false,
+                        };
                     }
-                    selection.push(i as u32);
-                    cells.push(Ok(f));
+                    col.refs.push(f);
                 }
-                Err(e) => cells.push(Err(e)),
+                Err(e) => col.errors.push((i as u32, e)),
             }
         }
-        let block = if gatherable && !selection.is_empty() {
-            let dim = dim.unwrap_or(0);
-            let mut block = FeatureBlock::with_capacity(dim, selection.len());
-            for cell in cells.iter().flatten() {
-                // All valid cells are dense with dimension `dim`.
-                if block.push_features(cell).is_err() {
-                    // Unreachable by construction; fall back rather than
-                    // serve a partial block.
-                    return FeatureColumn {
-                        cells,
-                        block: None,
-                        selection,
-                    };
-                }
-            }
-            Some(block)
-        } else {
-            None
-        };
-        FeatureColumn {
-            cells,
-            block,
-            selection,
+        if !gatherable {
+            col.block = None;
         }
+        col
     }
 }
 
 /// The result of gathering one blob column from a [`Batch`].
 #[derive(Debug)]
 pub struct FeatureColumn<'a> {
-    /// Per-row extraction outcome in batch order — the validity mask.
-    /// Errors are exactly what the row path's
-    /// `get_named(..).and_then(as_blob)` would have produced.
-    pub cells: Vec<Result<&'a Features>>,
-    /// Contiguous gather of the valid cells, present only when every valid
-    /// cell is dense with one uniform dimension. Block row `j` is a bitwise
-    /// copy of the cell at batch row `selection[j]`.
+    /// The valid (blob) cells, in batch order.
+    pub refs: Vec<&'a Features>,
+    /// Contiguous gather of `refs`, present only when every one is dense
+    /// with one uniform dimension. Block row `j` is a bitwise copy of
+    /// `refs[j]`.
     pub block: Option<FeatureBlock>,
-    /// Selection vector: batch row indices of the valid cells, ascending.
-    pub selection: Vec<u32>,
+    /// The batch rows with no valid cell, ascending, each with exactly the
+    /// error the row path's `get_named(..).and_then(as_blob)` would have
+    /// produced. Normally empty.
+    pub errors: Vec<(u32, crate::EngineError)>,
 }
 
 /// A batch-capable UDF kernel: the single vectorized entry point.
@@ -243,8 +223,8 @@ mod tests {
         let block = col.block.as_ref().unwrap();
         assert_eq!(block.len(), 3);
         assert_eq!(block.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(col.selection, vec![0, 1, 2]);
-        assert!(col.cells.iter().all(|c| c.is_ok()));
+        assert_eq!(col.refs.len(), 3);
+        assert!(col.errors.is_empty());
     }
 
     #[test]
@@ -258,16 +238,19 @@ mod tests {
         let b = Batch::new(&s, &rows, 0);
         let col = b.feature_column("blob");
         assert!(matches!(
-            col.cells[1],
-            Err(EngineError::TypeMismatch {
-                expected: "blob",
-                ..
-            })
+            col.errors[..],
+            [(
+                1,
+                EngineError::TypeMismatch {
+                    expected: "blob",
+                    ..
+                }
+            )]
         ));
-        // The block skips the invalid row; selection maps back.
+        // The block skips the invalid row.
         let block = col.block.as_ref().unwrap();
         assert_eq!(block.len(), 2);
-        assert_eq!(col.selection, vec![0, 2]);
+        assert_eq!(col.refs.len(), 2);
         assert_eq!(block.row(1), &[5.0, 6.0]);
     }
 
@@ -283,8 +266,8 @@ mod tests {
         let b = Batch::new(&s, &rows, 0);
         let col = b.feature_column("blob");
         assert!(col.block.is_none(), "sparse cells must not be densified");
-        assert_eq!(col.selection, vec![0, 1]);
-        assert_eq!(col.cells.len(), 2);
+        assert_eq!(col.refs.len(), 2);
+        assert!(col.errors.is_empty());
     }
 
     #[test]
@@ -293,12 +276,13 @@ mod tests {
         let rows = vec![dense_row(0, vec![1.0]), dense_row(1, vec![2.0])];
         let b = Batch::new(&s, &rows, 0);
         let col = b.feature_column("nope");
-        assert_eq!(col.cells.len(), 2);
-        for c in &col.cells {
-            assert!(matches!(c, Err(EngineError::UnknownColumn(n)) if n == "nope"));
+        assert_eq!(col.errors.len(), 2);
+        for (i, (at, e)) in col.errors.iter().enumerate() {
+            assert_eq!(*at as usize, i);
+            assert!(matches!(e, EngineError::UnknownColumn(n) if n == "nope"));
         }
         assert!(col.block.is_none());
-        assert!(col.selection.is_empty());
+        assert!(col.refs.is_empty());
     }
 
     #[test]
@@ -317,6 +301,6 @@ mod tests {
         let b = Batch::new(&s, &rows, 0);
         let col = b.feature_column("blob");
         assert!(col.block.is_none());
-        assert_eq!(col.cells.len(), 2);
+        assert_eq!(col.refs.len(), 2);
     }
 }

@@ -32,16 +32,20 @@
 //! batch-capable UDFs can gather feature columns into contiguous blocks
 //! and vectorize (see [`crate::batch`]). Batch boundaries are a pure
 //! function of `(morsel_size, batch_size)`, never of the worker count.
-//! Probing runs the full retry loop per row but touches no shared state;
-//! the main thread then *consumes* the probe outcomes sequentially in
-//! global row order (morsels reassembled by index), which replays
-//! circuit-breaker evolution, fail-open decisions, resilience counters,
-//! and cost charges exactly as a serial run would. Injected faults key
-//! off row identity and attempt ordinal (see [`fault`](crate::fault)),
-//! and batch kernels are bit-identical to the scalar per-row path, so
-//! results, row order, reports, and charges are byte-identical to the
-//! scalar reference (`parallelism = 1, batch_size = 1`) for every seed,
-//! every parallelism, and every batch and morsel size.
+//! Probing touches no shared state and yields **one record per batch**:
+//! the first-attempt values plus — normally none — the rows whose first
+//! attempt failed, each with the outcome of its full retry loop. The main
+//! thread then *consumes* the records sequentially in global row order
+//! (morsels reassembled by index), which replays circuit-breaker
+//! evolution, fail-open decisions, resilience counters, and cost charges
+//! exactly as a serial run would: a record with no failed row, met while
+//! the breaker is closed, in closed form (its rows only bump counters that
+//! add up), every other record row by row. Injected faults key off row
+//! identity and attempt ordinal (see [`fault`](crate::fault)), and batch
+//! kernels are bit-identical to the scalar per-row path, so results, row
+//! order, reports, and charges are byte-identical to the scalar reference
+//! (`parallelism = 1, batch_size = 1`) for every seed, every parallelism,
+//! and every batch and morsel size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
 //! `Project` stay serial; see
 //! [`LogicalPlan::partitionability`](crate::logical::LogicalPlan::partitionability).
@@ -68,7 +72,7 @@ use crate::catalog::Catalog;
 use crate::cost::{CostMeter, CostModel};
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
-use crate::resilience::{ExecSession, Invocation};
+use crate::resilience::{ExecSession, Invocation, ProbeOutcome};
 use crate::row::{Row, Rowset};
 use crate::schema::{Column, Schema};
 use crate::telemetry::{EventKind, OperatorSpan, SpanCollector};
@@ -101,8 +105,8 @@ impl Default for ExecOptions {
 /// Runs `work` over `items` (rows, or row-group indices for scans) split
 /// into morsels of `opts.morsel_size`, each evaluated one batch of at
 /// most `opts.batch_size` at a time. `work` receives each batch slice
-/// plus the global index of its first item and must return one output
-/// per input item.
+/// plus the global index of its first item and returns one record for
+/// the batch; the records come back in batch order.
 ///
 /// With `parallelism > 1` a scoped worker pool claims morsels off a
 /// shared atomic counter (work stealing: no static assignment, so one
@@ -121,17 +125,17 @@ fn run_morsels<I, T, F>(items: &[I], opts: ExecOptions, work: F) -> Result<Vec<T
 where
     I: Sync,
     T: Send,
-    F: Fn(&[I], usize) -> Result<Vec<T>> + Sync,
+    F: Fn(&[I], usize) -> Result<T> + Sync,
 {
     let step = opts.batch_size.max(1);
     let morsel = opts.morsel_size.max(1);
     let run_one = |start: usize| -> Result<Vec<T>> {
         let end = (start + morsel).min(items.len());
-        let mut out = Vec::with_capacity(end - start);
+        let mut out = Vec::with_capacity((end - start).div_ceil(step));
         let mut b = start;
         while b < end {
             let be = (b + step).min(end);
-            out.extend(work(&items[b..be], b)?);
+            out.push(work(&items[b..be], b)?);
             b = be;
         }
         Ok(out)
@@ -139,7 +143,7 @@ where
     let n_morsels = items.len().div_ceil(morsel).max(1);
     let workers = opts.parallelism.min(n_morsels);
     if workers <= 1 {
-        let mut out = Vec::with_capacity(items.len());
+        let mut out = Vec::new();
         for i in 0..n_morsels {
             out.extend(run_one(i * morsel)?);
         }
@@ -181,7 +185,7 @@ where
             }
         }
     });
-    let mut out = Vec::with_capacity(items.len());
+    let mut out = Vec::new();
     for slot in slots {
         match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok(v)) => out.extend(v),
@@ -218,6 +222,16 @@ impl Finished {
     }
 }
 
+/// What the probe phase hands the consume phase for one batch: the
+/// first-attempt values in row order, plus — normally empty — the rows
+/// whose first attempt failed, by position in the batch, each with the
+/// outcome of its full retry loop. Row `at` of the batch is `failed`'s
+/// entry for `at` if there is one, else the next unread value.
+struct Probed<T> {
+    values: Vec<T>,
+    failed: Vec<(usize, ProbeOutcome<T>)>,
+}
+
 /// The state one plan evaluation threads through the recursion, built by
 /// [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
 ///
@@ -229,13 +243,14 @@ impl Finished {
 /// touch nothing but the registry-level `worker.*` counters.
 ///
 /// Cancellation contract: `cancel` is polled on operator entry, at the
-/// start of every probe batch, at batch boundaries of the Filter/Process
-/// consume loop, before every scan wave, and before every Reduce/Combine
-/// group. A consume-loop cancellation charges the work consumed so far
-/// (the span closes failed and pushes a [`EventKind::Cancelled`] event); a
-/// probe-phase or entry cancellation charges nothing for the operator,
-/// because none of its work was consumed. A token that never fires leaves
-/// every byte of output, charge, and telemetry unchanged.
+/// start of every probe batch, at each batch record's first row in the
+/// Filter/Process consume loop, before every scan wave, and before every
+/// Reduce/Combine group. A consume-loop cancellation charges the work
+/// consumed so far (the span closes failed and pushes a
+/// [`EventKind::Cancelled`] event); a probe-phase or entry cancellation
+/// charges nothing for the operator, because none of its work was
+/// consumed. A token that never fires leaves every byte of output,
+/// charge, and telemetry unchanged.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
     pub meter: &'a mut CostMeter,
@@ -346,12 +361,13 @@ impl Executor<'_> {
         span
     }
 
-    /// Fans `work` out over `rows` on the morsel scheduler, polling the
-    /// cancel token and bumping the `worker.*` counters once per batch.
+    /// Fans `work` out over `rows` on the morsel scheduler — one record
+    /// per batch, in row order — polling the cancel token and bumping the
+    /// `worker.*` counters once per batch.
     fn probe<T: Send>(
         &self,
         rows: &[Row],
-        work: impl Fn(&[Row], usize) -> Vec<T> + Sync,
+        work: impl Fn(&[Row], usize) -> T + Sync,
     ) -> Result<Vec<T>> {
         let (cancel, worker_rows, worker_batches) =
             (self.cancel, &self.tel.worker_rows, &self.tel.worker_batches);
@@ -405,9 +421,12 @@ impl Executor<'_> {
                 wave_end += 1;
             }
             let decoded = run_morsels(&kept[wave_start..wave_end], decode_opts, |groups, _| {
-                groups.iter().map(|&g| provider.read_group(g)).collect()
+                groups
+                    .iter()
+                    .map(|&g| provider.read_group(g))
+                    .collect::<Result<Vec<_>>>()
             })?;
-            for group in decoded {
+            for group in decoded.into_iter().flatten() {
                 if rows.is_empty() {
                     // Take the first group as decoded: a one-group
                     // (in-memory) table is then scanned without a copy.
@@ -438,9 +457,10 @@ impl Executor<'_> {
         let verdicts = self.probe(in_rows.rows(), |rows, _| {
             rows.iter()
                 .map(|row| predicate.eval(row, &schema))
-                .collect()
+                .collect::<Vec<_>>()
         })?;
         let mut out = Rowset::empty(schema);
+        let verdicts = verdicts.into_iter().flatten();
         for (row, verdict) in in_rows.into_rows().into_iter().zip(verdicts) {
             // An eval error propagates before the operator charges.
             if verdict? {
@@ -516,18 +536,24 @@ impl Executor<'_> {
     /// The probe→consume fold shared by Filter and Process.
     ///
     /// Probe phase (workers): `eval` makes every row's first attempt one
-    /// [`Batch`] at a time (vectorizable); rows whose first attempt
-    /// failed retry individually through the scalar `retry`. Pure — no
-    /// session state. If the breaker is (or becomes) open, the consume
-    /// phase discards the affected probes, so charges stay identical to a
-    /// serial run that never made those calls.
+    /// [`Batch`] at a time (vectorizable), yielding one [`Probed`] record
+    /// per batch; rows whose first attempt failed retry individually
+    /// through the scalar `retry`. Pure — no session state. If the
+    /// breaker is (or becomes) open, the consume phase discards the
+    /// affected probes, so charges stay identical to a serial run that
+    /// never made those calls.
     ///
-    /// Consume phase (main thread): folds the outcomes into the session
-    /// in row order, driving the breaker and fail-open exactly as serial
-    /// execution would. `emit` receives each row with its `Ok` value,
-    /// pushes what the row produces, and says whether the row passed
-    /// (`false` = filtered). A terminal error passes the row through
-    /// unchanged when `fail_open`, and stops the operator otherwise.
+    /// Consume phase (main thread): folds the records into the session in
+    /// row order, driving the breaker and fail-open exactly as serial
+    /// execution would. A record with no failed row, met while the
+    /// breaker is closed, is folded in closed form: `n` clean consumes
+    /// touch the session only through `calls += 1` and
+    /// `consecutive_failures = 0`, which is `OpFold::consume_clean(n)`.
+    /// Every other record walks the per-row body. `emit` receives each
+    /// row with its `Ok` value, pushes what the row produces, and says
+    /// whether the row passed (`false` = filtered). A terminal error
+    /// passes the row through unchanged when `fail_open`, and stops the
+    /// operator otherwise.
     #[allow(clippy::too_many_arguments)]
     fn fold_udf<T: Send>(
         &mut self,
@@ -546,11 +572,17 @@ impl Executor<'_> {
             let batch = Batch::new(&in_schema, rows, offset);
             let firsts = crate::fault::with_attempt_ordinal(0, || eval(&batch));
             debug_assert_eq!(firsts.len(), rows.len());
-            firsts
-                .into_iter()
-                .zip(rows)
-                .map(|(first, row)| config.resume_probe(&op, first, || retry(row, &in_schema)))
-                .collect()
+            let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
+            for (at, (first, row)) in firsts.into_iter().zip(rows).enumerate() {
+                match first {
+                    Ok(value) => values.push(value),
+                    err => {
+                        let probe = config.resume_probe(&op, err, || retry(row, &in_schema));
+                        failed.push((at, probe));
+                    }
+                }
+            }
+            Probed { values, failed }
         })?;
         let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), in_rows.len());
         let mut out = Rowset::empty(out_schema);
@@ -560,85 +592,108 @@ impl Executor<'_> {
         // Resolve the operator's session entry once; the breaker is
         // sticky within a run (it only flips open inside `consume` on a
         // terminal error), so mirror it locally and refresh only on the
-        // (rare) error path. The per-row fold then does no map lookups.
+        // (rare) error path. The fold then does no map lookups.
         let mut fold = self.session.op_fold(&op);
         let mut breaker_open = fold.breaker_open();
         let mut clean_rows: u64 = 0;
-        let batch_size = self.opts.batch_size.max(1);
-        for (idx, (row, probe)) in in_rows.into_rows().into_iter().zip(probes).enumerate() {
-            let row_idx = idx as u64;
-            if idx % batch_size == 0 {
-                if let Err(e) = self.cancel.check() {
-                    self.tel
-                        .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
-                    failure = Some(e);
-                    break;
-                }
-            }
-            let was_open = breaker_open;
-            let (p_retries, p_failures, p_timeouts) =
-                (probe.retries, probe.failures, probe.timeouts);
-            let inv = fold.consume(probe);
-            attempts += u64::from(inv.attempts);
-            extra_seconds += inv.extra_seconds;
-            if was_open {
-                span.short_circuited += 1;
+        let mut rows = in_rows.into_rows().into_iter();
+        let mut row_idx: u64 = 0;
+        'records: for Probed { values, failed } in probes {
+            if let Err(e) = self.cancel.check() {
                 self.tel
-                    .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
-            } else {
-                span.attempts += u64::from(inv.attempts);
-                span.retries += p_retries;
-                span.failures += p_failures;
-                span.timeouts += p_timeouts;
-                if p_retries > 0 {
-                    self.tel
-                        .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
+                    .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
+                failure = Some(e);
+                break;
+            }
+            if failed.is_empty() && !breaker_open {
+                let n = values.len() as u64;
+                fold.consume_clean(n);
+                attempts += n;
+                span.attempts += n;
+                clean_rows += n;
+                row_idx += n;
+                // `values` leads the zip: it ends the batch without
+                // taking a row from the next one.
+                for (value, row) in values.into_iter().zip(rows.by_ref()) {
+                    let passed = emit(row, value, &mut out)?;
+                    span.rows_out += u64::from(passed);
+                    span.rows_filtered += u64::from(!passed);
                 }
-                if p_timeouts > 0 {
-                    self.tel
-                        .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
-                }
-                if inv.attempts == 1 && inv.extra_seconds == 0.0 {
-                    // Overwhelmingly common case: one clean attempt. The
-                    // latency value is the constant cost_per_row, so count
-                    // these and record them in one batched `record_n`
-                    // after the loop — same buckets, same counts, no
-                    // per-row histogram math.
-                    clean_rows += 1;
+                continue;
+            }
+            let (mut values, mut failed) = (values.into_iter(), failed.into_iter().peekable());
+            for at in 0.. {
+                let was_open = breaker_open;
+                let first = if let Some((_, probe)) = failed.next_if(|(i, _)| *i == at) {
+                    Err(probe)
+                } else if let Some(value) = values.next() {
+                    Ok(value)
                 } else {
-                    span.latency
-                        .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
-                }
-                // The breaker can only have tripped during this row's
-                // consume, and it only trips on a terminal error — skip
-                // the check on the (hot) success path.
-                if inv.result.is_err() {
-                    breaker_open = fold.breaker_open();
-                    if breaker_open {
-                        span.breaker_tripped = true;
+                    break;
+                };
+                let Some(row) = rows.next() else { break };
+                let (p_retries, p_failures, p_timeouts) = first
+                    .as_ref()
+                    .err()
+                    .map_or((0, 0, 0), |p| (p.retries, p.failures, p.timeouts));
+                let inv = fold.consume(first);
+                attempts += u64::from(inv.attempts);
+                extra_seconds += inv.extra_seconds;
+                if was_open {
+                    span.short_circuited += 1;
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
+                } else {
+                    span.attempts += u64::from(inv.attempts);
+                    span.retries += p_retries;
+                    span.failures += p_failures;
+                    span.timeouts += p_timeouts;
+                    if p_retries > 0 {
+                        self.tel
+                            .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
+                    }
+                    if p_timeouts > 0 {
+                        self.tel
+                            .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
+                    }
+                    if inv.attempts == 1 && inv.extra_seconds == 0.0 {
+                        // One attempt, no overhead: the latency value is
+                        // the constant cost_per_row, so count these and
+                        // record them in one batched `record_n` after the
+                        // loop — same buckets, same counts.
+                        clean_rows += 1;
+                    } else {
+                        span.latency
+                            .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
+                    }
+                    // The breaker can only have tripped during this row's
+                    // consume, and it only trips on a terminal error.
+                    if inv.result.is_err() {
+                        breaker_open = fold.breaker_open();
+                        if breaker_open {
+                            span.breaker_tripped = true;
+                        }
                     }
                 }
-            }
-            let passed = match inv.result {
-                Ok(value) => emit(row, value, &mut out)?,
-                Err(_) if fail_open => {
-                    fold.record_fail_open();
-                    span.failed_open += 1;
-                    self.tel
-                        .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
-                    out.push(row)?;
-                    true
-                }
-                Err(e) => {
-                    // Charge the work done, then bail.
-                    failure = Some(e);
-                    break;
-                }
-            };
-            if passed {
-                span.rows_out += 1;
-            } else {
-                span.rows_filtered += 1;
+                let passed = match inv.result {
+                    Ok(value) => emit(row, value, &mut out)?,
+                    Err(_) if fail_open => {
+                        fold.record_fail_open();
+                        span.failed_open += 1;
+                        self.tel
+                            .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
+                        out.push(row)?;
+                        true
+                    }
+                    Err(e) => {
+                        // Charge the work done, then bail.
+                        failure = Some(e);
+                        break 'records;
+                    }
+                };
+                span.rows_out += u64::from(passed);
+                span.rows_filtered += u64::from(!passed);
+                row_idx += 1;
             }
         }
         if clean_rows > 0 {
@@ -1382,6 +1437,68 @@ mod tests {
             })
         ));
         assert_eq!(meter.entries().len(), 1, "only the scan charged");
+        Ok(())
+    }
+
+    /// The consume loop polls the token at the first row of every batch
+    /// record — also when `morsel_size` is not a multiple of `batch_size`,
+    /// so that batches restart at every morsel (here rows 0, 100, 200) and
+    /// a multiple of `batch_size` (256) starts none.
+    #[test]
+    fn consume_polls_cancellation_at_each_batch_records_first_row() -> Result<()> {
+        let schema = Schema::new(vec![Column::new("id", DataType::Int)])?;
+        let rows = (0..300).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        let in_rows = Rowset::new(schema.clone(), rows)?;
+        let token = CancelToken::new();
+        let mut tel = SpanCollector::detached();
+        let done = Executor {
+            catalog: &Catalog::new(),
+            meter: &mut CostMeter::new(),
+            model: &CostModel::default(),
+            session: &mut ExecSession::default(),
+            opts: ExecOptions {
+                parallelism: 1,
+                batch_size: 256,
+                morsel_size: 100,
+            },
+            tel: &mut tel,
+            cancel: &token,
+        }
+        .fold_udf(
+            "PP[poll]".to_string(),
+            in_rows,
+            schema,
+            0.1,
+            true,
+            |batch| crate::batch::for_each_row(batch, |_, _| Ok(true)),
+            |_, _| Ok(true),
+            // Stands in for a caller cancelling while the fold consumes:
+            // the token fires in the middle of the second batch.
+            |row, keep, out| {
+                if row.get(0).as_int()? == 150 {
+                    token.cancel(CancelReason::Requested);
+                }
+                out.push(row)?;
+                Ok(keep)
+            },
+        )?;
+        assert!(matches!(
+            done.failure,
+            Some(EngineError::Cancelled {
+                reason: CancelReason::Requested
+            })
+        ));
+        // The second batch was consumed to its end and is charged; the
+        // third was never started.
+        assert_eq!((done.out.len(), done.span.attempts), (200, 200));
+        let events = tel
+            .finish(crate::telemetry::QueryId(1), vec![], vec![], None, 0)
+            .events;
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].row, events[0].kind),
+            (Some(200), EventKind::Cancelled)
+        );
         Ok(())
     }
 

@@ -15,7 +15,7 @@
 //! never a correctness gate, so degrading one loses data reduction but can
 //! never introduce false negatives beyond the accuracy target.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{EngineError, Result};
@@ -38,12 +38,12 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            let word = u64::from_le_bytes(*w);
             self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
         }
-        for &b in chunks.remainder() {
+        for &b in tail {
             self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
         }
     }
@@ -170,7 +170,7 @@ impl ResilienceConfig {
     /// session state — no circuit breakers, no counters. This is the
     /// worker-thread half of the resilient invocation: the partitioned
     /// executor probes rows in parallel, then folds the outcomes into the
-    /// session sequentially via [`ExecSession::consume`] so breaker
+    /// session sequentially via [`OpFold::consume`] so breaker
     /// evolution and charges match serial execution exactly.
     ///
     /// Every attempt runs with the fault layer's attempt ordinal set to
@@ -315,7 +315,7 @@ impl ExecReport {
 ///
 /// A probe is safe to compute on any worker thread; the counters it
 /// carries are folded into the owning [`ExecSession`] — in deterministic
-/// row order — by [`ExecSession::consume`].
+/// row order — by [`OpFold::consume`].
 #[derive(Debug)]
 pub struct ProbeOutcome<T> {
     /// The terminal result (already wrapped in
@@ -448,49 +448,24 @@ impl ExecSession {
         }
     }
 
-    /// Ensures `op` is tracked. Hot path: called once per consumed row.
-    /// Avoids the owned-key `entry` form, which would allocate a String
-    /// per call even when the operator is already tracked.
-    fn state(&mut self, op: &str) -> &mut OpState {
-        if !self.ops.contains_key(op) {
-            self.touch_order.push(op.to_string());
-            self.ops.insert(op.to_string(), OpState::new(op));
-        }
-        self.ops.get_mut(op).expect("op state just ensured")
-    }
-
-    /// Records that a filter passed a row via fail-open degradation.
-    pub fn record_fail_open(&mut self, op: &str) {
-        self.state(op).stat.failed_open += 1;
-    }
-
-    /// Folds a worker-side [`ProbeOutcome`] into the session: breaker
-    /// check, counter accounting, and breaker evolution, exactly as if
-    /// the probe's retry loop had run inline via [`invoke`][Self::invoke].
-    ///
-    /// If `op`'s breaker is open when the probe is consumed, the probe is
-    /// *discarded* — no calls, failures, or overhead are recorded — and a
-    /// [`EngineError::BreakerOpen`] short-circuit is returned, because a
-    /// serial executor would never have made those calls. This is what
-    /// keeps parallel charges byte-identical to serial ones.
-    pub fn consume<T>(&mut self, op: &str, probe: ProbeOutcome<T>) -> Invocation<T> {
-        self.op_fold(op).consume(probe)
-    }
-
     /// A consume cursor for one operator: resolves the operator's session
-    /// entry once, so a consume loop folding thousands of rows for the
-    /// same operator does no per-row map lookups at all. Dropping the
-    /// fold releases the session; state changes are visible immediately
-    /// (the fold borrows, it does not copy).
+    /// entry once (one lookup through the map entry), so a consume loop
+    /// folding thousands of rows for the same operator does no per-row
+    /// map lookups at all. Dropping the fold releases the session; state
+    /// changes are visible immediately (the fold borrows, it does not
+    /// copy).
     pub fn op_fold<'a>(&'a mut self, op: &'a str) -> OpFold<'a> {
-        if !self.ops.contains_key(op) {
-            self.touch_order.push(op.to_string());
-            self.ops.insert(op.to_string(), OpState::new(op));
-        }
+        let state = match self.ops.entry(op.to_string()) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                self.touch_order.push(op.to_string());
+                entry.insert(OpState::new(op))
+            }
+        };
         OpFold {
             op,
             threshold: self.config.breaker_threshold,
-            state: self.ops.get_mut(op).expect("op state just ensured"),
+            state,
             transitions: &mut self.transitions,
         }
     }
@@ -500,16 +475,12 @@ impl ExecSession {
     /// extra_seconds` to the cost meter and decides how to handle a
     /// terminal error (processors propagate, filters may fail open).
     pub fn invoke<T>(&mut self, op: &str, call: impl FnMut() -> Result<T>) -> Invocation<T> {
-        if self.breaker_open(op) {
-            self.state(op).stat.short_circuited += 1;
-            return Invocation {
-                result: Err(EngineError::BreakerOpen { op: op.to_string() }),
-                attempts: 0,
-                extra_seconds: 0.0,
-            };
+        let config = self.config;
+        let mut fold = self.op_fold(op);
+        if fold.breaker_open() {
+            return fold.short_circuit();
         }
-        let probe = self.config.probe(op, call);
-        self.consume(op, probe)
+        fold.consume(Err(config.probe(op, call)))
     }
 }
 
@@ -535,20 +506,53 @@ impl OpFold<'_> {
         self.state.stat.failed_open += 1;
     }
 
-    /// Folds one worker-side probe into the session — identical semantics
-    /// to [`ExecSession::consume`] (which delegates here).
-    pub fn consume<T>(&mut self, probe: ProbeOutcome<T>) -> Invocation<T> {
-        let s = &mut *self.state;
-        if s.breaker.open {
-            s.stat.short_circuited += 1;
-            return Invocation {
-                result: Err(EngineError::BreakerOpen {
-                    op: self.op.to_string(),
-                }),
-                attempts: 0,
-                extra_seconds: 0.0,
-            };
+    /// Folds `n ≥ 1` clean first attempts — one call each, none failed —
+    /// in one step: what `n` [`consume`](Self::consume)s of `Ok` values
+    /// leave behind. Only valid while the breaker is closed.
+    pub fn consume_clean(&mut self, n: u64) {
+        debug_assert!(n > 0 && !self.state.breaker.open);
+        self.state.stat.calls += n;
+        self.state.breaker.consecutive_failures = 0;
+    }
+
+    fn short_circuit<T>(&mut self) -> Invocation<T> {
+        self.state.stat.short_circuited += 1;
+        Invocation {
+            result: Err(EngineError::BreakerOpen {
+                op: self.op.to_string(),
+            }),
+            attempts: 0,
+            extra_seconds: 0.0,
         }
+    }
+
+    /// Folds one row into the session — its first attempt's value, or the
+    /// worker-side [`ProbeOutcome`] of its retry loop if that attempt
+    /// failed: breaker check, counter accounting, and breaker evolution,
+    /// exactly as if the calls had been made inline via
+    /// [`ExecSession::invoke`].
+    ///
+    /// If the breaker is open when the row is consumed, its outcome is
+    /// *discarded* — no calls, failures, or overhead are recorded — and a
+    /// [`EngineError::BreakerOpen`] short-circuit is returned, because a
+    /// serial executor would never have made those calls. This is what
+    /// keeps parallel charges byte-identical to serial ones.
+    pub fn consume<T>(&mut self, first: std::result::Result<T, ProbeOutcome<T>>) -> Invocation<T> {
+        if self.state.breaker.open {
+            return self.short_circuit();
+        }
+        let probe = match first {
+            Ok(value) => {
+                self.consume_clean(1);
+                return Invocation {
+                    result: Ok(value),
+                    attempts: 1,
+                    extra_seconds: 0.0,
+                };
+            }
+            Err(probe) => probe,
+        };
+        let s = &mut *self.state;
         s.stat.calls += u64::from(probe.attempts);
         s.stat.failures += probe.failures;
         s.stat.retries += probe.retries;

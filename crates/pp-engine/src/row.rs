@@ -51,10 +51,11 @@ impl Row {
 
     /// A new row with extra cells appended (used by Process nodes).
     pub fn extended(&self, extra: Vec<Value>) -> Row {
-        let mut values = Vec::with_capacity(self.values.len() + extra.len());
-        values.extend_from_slice(&self.values);
-        values.extend(extra);
-        Row::new(values)
+        // Both halves report an exact length, so the shared slice is
+        // allocated once at its final size.
+        Row {
+            values: self.values.iter().cloned().chain(extra).collect(),
+        }
     }
 
     /// Consumes the row, yielding its values.

@@ -67,6 +67,7 @@ pub mod server;
 pub mod sharedscan;
 pub mod source;
 pub mod trace;
+#[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod wire;
 
 pub use admission::AdmissionConfig;

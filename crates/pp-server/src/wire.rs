@@ -65,6 +65,7 @@ use std::io::{Read, Write};
 
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::value::Value;
+use pp_engine::Row;
 use pp_linalg::features::Features;
 use pp_linalg::sparse::SparseVector;
 
@@ -295,69 +296,80 @@ pub enum Frame {
 // Payload primitives
 // ---------------------------------------------------------------------
 
+/// A bounds-checked reader over a payload: every accessor returns
+/// [`WireError::Truncated`] instead of reading past the end.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor { rest: buf }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Fails unless `count` items of `item_len` bytes each are still
     /// unread — checked before reserving room for `count` of anything.
     fn expect_items(&self, count: usize, item_len: usize) -> Result<(), WireError> {
-        if (self.buf.len() - self.pos) / item_len < count {
+        if self.rest.len() / item_len < count {
             return Err(WireError::Truncated);
         }
         Ok(())
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_be_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
     }
 
+    fn string(&mut self) -> Result<String, WireError> {
+        self.str().map(str::to_owned)
+    }
+
     fn finished(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(WireError::Malformed(format!(
                 "{} trailing bytes after payload",
-                self.buf.len() - self.pos
+                self.rest.len()
             )))
         }
     }
@@ -374,6 +386,16 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `n` fixed-width words with one resize instead of `n`
+/// capacity-checked pushes; `words` must yield exactly `n` items.
+fn put_words<const N: usize>(out: &mut Vec<u8>, n: usize, words: impl Iterator<Item = [u8; N]>) {
+    let start = out.len();
+    out.resize(start + n * N, 0);
+    for (dst, w) in out[start..].as_chunks_mut::<N>().0.iter_mut().zip(words) {
+        *dst = w;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -411,18 +433,20 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
             Features::Dense(coords) => {
                 out.push(VAL_BLOB_DENSE);
                 put_u32(out, coords.len() as u32);
-                for c in coords {
-                    put_u64(out, c.to_bits());
-                }
+                let words = coords.iter().map(|c| c.to_bits().to_be_bytes());
+                put_words(out, coords.len(), words);
             }
             Features::Sparse(sv) => {
                 out.push(VAL_BLOB_SPARSE);
                 put_u32(out, sv.dim() as u32);
                 put_u32(out, sv.nnz() as u32);
-                for (idx, val) in sv.iter() {
-                    put_u32(out, idx);
-                    put_u64(out, val.to_bits());
-                }
+                let entries = sv.iter().map(|(idx, val)| {
+                    let mut entry = [0u8; 12];
+                    entry[..4].copy_from_slice(&idx.to_be_bytes());
+                    entry[4..].copy_from_slice(&val.to_bits().to_be_bytes());
+                    entry
+                });
+                put_words(out, sv.nnz(), entries);
             }
         },
     }
@@ -434,25 +458,24 @@ fn get_value(cur: &mut Cursor<'_>) -> Result<Value, WireError> {
         VAL_BOOL => Value::Bool(cur.u8()? != 0),
         VAL_INT => Value::Int(cur.i64()?),
         VAL_FLOAT => Value::Float(cur.f64()?),
-        VAL_STR => Value::str(cur.string()?),
+        VAL_STR => Value::Str(cur.str()?.into()),
         VAL_BLOB_DENSE => {
             let n = cur.u32()? as usize;
             cur.expect_items(n, 8)?;
-            let mut coords = Vec::with_capacity(n);
-            for _ in 0..n {
-                coords.push(cur.f64()?);
-            }
-            Value::blob(Features::Dense(coords))
+            let (words, _) = cur.take(n * 8)?.as_chunks::<8>();
+            let coords = words.iter().map(|w| f64::from_bits(u64::from_be_bytes(*w)));
+            Value::blob(Features::Dense(coords.collect()))
         }
         VAL_BLOB_SPARSE => {
             let dim = cur.u32()? as usize;
             let nnz = cur.u32()? as usize;
             cur.expect_items(nnz, 12)?;
+            let (entries, _) = cur.take(nnz * 12)?.as_chunks::<12>();
             let mut indices = Vec::with_capacity(nnz);
             let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(cur.u32()?);
-                values.push(cur.f64()?);
+            for &[i0, i1, i2, i3, val @ ..] in entries {
+                indices.push(u32::from_be_bytes([i0, i1, i2, i3]));
+                values.push(f64::from_bits(u64::from_be_bytes(val)));
             }
             let sv = SparseVector::new(dim, indices, values)
                 .map_err(|e| WireError::Malformed(format!("sparse blob: {e}")))?;
@@ -601,20 +624,58 @@ fn get_option_u32(cur: &mut Cursor<'_>) -> Result<Option<u32>, WireError> {
     })
 }
 
-fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
-    let mut out = Vec::new();
-    let ty = match frame {
+/// Appends a verdict batch's payload; `rows` yields each row's cells.
+fn put_verdict_batch<'r>(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    rows: impl ExactSizeIterator<Item = &'r [Value]>,
+) {
+    put_u64(out, request_id);
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_u32(out, row.len() as u32);
+        for cell in row {
+            put_value(out, cell);
+        }
+    }
+}
+
+/// Appends one frame to `out`: the header, then whatever `payload`
+/// writes, then the header's length field patched to cover it — the
+/// payload is encoded where it is sent from, never copied behind a header.
+fn put_frame(out: &mut Vec<u8>, ty: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(&MAGIC);
+    out.push(ty);
+    put_u32(out, 0);
+    let body = out.len();
+    payload(out);
+    let len = (out.len() - body) as u32;
+    out[body - 4..body].copy_from_slice(&len.to_be_bytes());
+}
+
+fn frame_type(frame: &Frame) -> u8 {
+    match frame {
+        Frame::Request(_) => TYPE_REQUEST,
+        Frame::ResultHeader { .. } => TYPE_RESULT_HEADER,
+        Frame::VerdictBatch { .. } => TYPE_VERDICT_BATCH,
+        Frame::Complete { .. } => TYPE_COMPLETE,
+        Frame::Error { .. } => TYPE_ERROR,
+        Frame::Trace(_) => TYPE_TRACE,
+    }
+}
+
+fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
+    match frame {
         Frame::Request(req) => {
-            put_string(&mut out, &req.source);
-            put_predicate(&mut out, &req.predicate);
-            put_u64(&mut out, req.accuracy_target.to_bits());
-            put_option_u64(&mut out, req.deadline_ms);
-            put_option_u32(&mut out, req.parallelism);
-            put_option_u32(&mut out, req.batch_size);
-            put_option_u32(&mut out, req.morsel_size);
+            put_string(out, &req.source);
+            put_predicate(out, &req.predicate);
+            put_u64(out, req.accuracy_target.to_bits());
+            put_option_u64(out, req.deadline_ms);
+            put_option_u32(out, req.parallelism);
+            put_option_u32(out, req.batch_size);
+            put_option_u32(out, req.morsel_size);
             out.push(0); // reserved, see the module docs
             out.push(u8::from(req.shared));
-            TYPE_REQUEST
         }
         Frame::ResultHeader {
             request_id,
@@ -622,33 +683,23 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             cache_hit,
             columns,
         } => {
-            put_u64(&mut out, *request_id);
-            put_u64(&mut out, *epoch);
+            put_u64(out, *request_id);
+            put_u64(out, *epoch);
             out.push(u8::from(*cache_hit));
-            put_u32(&mut out, columns.len() as u32);
+            put_u32(out, columns.len() as u32);
             for c in columns {
-                put_string(&mut out, c);
+                put_string(out, c);
             }
-            TYPE_RESULT_HEADER
         }
         Frame::VerdictBatch { request_id, rows } => {
-            put_u64(&mut out, *request_id);
-            put_u32(&mut out, rows.len() as u32);
-            for row in rows {
-                put_u32(&mut out, row.len() as u32);
-                for cell in row {
-                    put_value(&mut out, cell);
-                }
-            }
-            TYPE_VERDICT_BATCH
+            put_verdict_batch(out, *request_id, rows.iter().map(Vec::as_slice));
         }
         Frame::Complete {
             request_id,
             total_rows,
         } => {
-            put_u64(&mut out, *request_id);
-            put_u64(&mut out, *total_rows);
-            TYPE_COMPLETE
+            put_u64(out, *request_id);
+            put_u64(out, *total_rows);
         }
         Frame::Error {
             request_id,
@@ -657,33 +708,30 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             rows_processed,
             charged_cluster_seconds,
         } => {
-            put_u64(&mut out, *request_id);
+            put_u64(out, *request_id);
             out.push(kind.code());
-            put_string(&mut out, detail);
-            put_u64(&mut out, *rows_processed);
-            put_u64(&mut out, charged_cluster_seconds.to_bits());
-            TYPE_ERROR
+            put_string(out, detail);
+            put_u64(out, *rows_processed);
+            put_u64(out, charged_cluster_seconds.to_bits());
         }
         Frame::Trace(timeline) => {
-            put_u64(&mut out, timeline.trace_id);
-            put_string(&mut out, &timeline.terminal);
-            put_u64(&mut out, timeline.total_nanos);
-            put_u32(&mut out, timeline.stages.len() as u32);
+            put_u64(out, timeline.trace_id);
+            put_string(out, &timeline.terminal);
+            put_u64(out, timeline.total_nanos);
+            put_u32(out, timeline.stages.len() as u32);
             for stage in &timeline.stages {
-                put_string(&mut out, &stage.name);
+                put_string(out, &stage.name);
                 match &stage.detail {
                     Some(d) => {
                         out.push(1);
-                        put_string(&mut out, d);
+                        put_string(out, d);
                     }
                     None => out.push(0),
                 }
-                put_u64(&mut out, stage.nanos);
+                put_u64(out, stage.nanos);
             }
-            TYPE_TRACE
         }
-    };
-    (ty, out)
+    }
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
@@ -798,12 +846,8 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
 
 /// Encodes `frame` into its exact wire bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (ty, payload) = encode_payload(frame);
-    let mut out = Vec::with_capacity(9 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(ty);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    put_frame(&mut out, frame_type(frame), |out| put_payload(out, frame));
     out
 }
 
@@ -833,8 +877,8 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, WireError> {
     reader
         .read_exact(&mut head)
         .map_err(|_| WireError::Truncated)?;
-    let ty = head[0];
-    let len = u32::from_be_bytes(head[1..5].try_into().unwrap());
+    let [ty, len @ ..] = head;
+    let len = u32::from_be_bytes(len);
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
             len,
@@ -1080,14 +1124,15 @@ fn write_outcome<W: Write>(
                 },
             )?;
             let all = success.rows.rows();
+            // Each chunk is encoded from the borrowed rows into one
+            // buffer, reused from frame to frame.
+            let mut frame = Vec::new();
             for chunk in all.chunks(VERDICT_CHUNK_ROWS) {
-                write_frame(
-                    writer,
-                    &Frame::VerdictBatch {
-                        request_id,
-                        rows: chunk.iter().map(|r| r.values().to_vec()).collect(),
-                    },
-                )?;
+                frame.clear();
+                put_frame(&mut frame, TYPE_VERDICT_BATCH, |out| {
+                    put_verdict_batch(out, request_id, chunk.iter().map(Row::values));
+                });
+                writer.write_all(&frame)?;
             }
             write_frame(
                 writer,

@@ -174,6 +174,171 @@ fn every_shape_matches_the_scalar_reference() {
     }
 }
 
+/// Where the fold's two branches meet. The consume phase folds a batch
+/// with no failed first attempt in closed form and walks every other batch
+/// row by row; each scenario below makes both happen inside one operator,
+/// over several runs of one context (breakers persist between runs), and
+/// every shape must still equal the `K=1, batch=1` reference, where every
+/// batch is one row: rows or the terminal error, charges, telemetry
+/// snapshot, resilience report.
+#[test]
+fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
+    use probabilistic_predicates::engine::telemetry::EventKind;
+    use probabilistic_predicates::engine::udf::ClosureProcessor;
+    use probabilistic_predicates::engine::{Column, DataType};
+
+    let f = fixture();
+    let retrying = ResilienceConfig::default().with_retry(RetryPolicy {
+        max_retries: 8,
+        ..Default::default()
+    });
+    // Trips on the second consecutive terminal failure.
+    let brittle = ResilienceConfig::default()
+        .with_retry(RetryPolicy::none())
+        .with_breaker_threshold(2);
+    let fanout = Arc::new(ClosureProcessor::new(
+        "Fanout",
+        vec![Column::new("copy", DataType::Int)],
+        0.5,
+        |row, _| {
+            let id = row.get(0).as_int()?;
+            Ok((0..id.rem_euclid(3)).map(|c| vec![Value::Int(c)]).collect())
+        },
+    ));
+    let fanout_plan = LogicalPlan::scan("traffic").process(fanout);
+    /// What a scenario's reference run must show, so that it is known to
+    /// take both branches of the fold.
+    enum Expect {
+        /// Some 64-row batches hold a retried row and some none;
+        /// `fail_open`: a poisoned row passed the filter.
+        MixedBatches { fail_open: bool },
+        /// The breaker tripped part-way through the first run and a whole
+        /// further run was short-circuited.
+        TripThenShortCircuit,
+        /// Every run ended in an error, the last at an open breaker.
+        TripThenError,
+    }
+    let sparse = FaultSpec::transient(0.03);
+    let trip = FaultSpec::transient(0.15);
+    let pp_op = f.pp_op.as_str();
+    // (label, plan, faulted operator, its faults, resilience, runs, expect)
+    let scenarios = [
+        (
+            // (a) faults in only some batches; poisoned rows fail open.
+            "sparse faults",
+            &f.pp_plan,
+            pp_op,
+            sparse.with_poison(0.02),
+            retrying,
+            1,
+            Expect::MixedBatches { fail_open: true },
+        ),
+        (
+            // (b) the breaker trips mid-input: every batch after the trip,
+            // and all of the second run, is short-circuited row by row.
+            "breaker trip, fail-open",
+            &f.pp_plan,
+            pp_op,
+            trip,
+            brittle,
+            2,
+            Expect::TripThenShortCircuit,
+        ),
+        (
+            // The same with fatal filter errors: the first run ends at
+            // its first failed row, which trips; the second meets an open
+            // breaker at row 0.
+            "breaker trip, fail-closed",
+            &f.pp_plan,
+            pp_op,
+            trip,
+            brittle
+                .with_breaker_threshold(1)
+                .with_fail_open_filters(false),
+            2,
+            Expect::TripThenError,
+        ),
+        (
+            // (c) a 1 : n processor (0, 1 or 2 output rows per input row).
+            "fan-out processor",
+            &fanout_plan,
+            "Fanout",
+            sparse,
+            retrying,
+            1,
+            Expect::MixedBatches { fail_open: false },
+        ),
+    ];
+    for (label, plan, faulted, spec, resilience, rounds, expect) in scenarios {
+        let faults = FaultPlan::new(0xFA17).inject(faulted, spec);
+        let run = |k: usize, batch: usize, morsel: usize| {
+            let mut ctx = ExecutionContext::builder(&f.catalog)
+                .with_parallelism(k)
+                .with_batch_size(batch)
+                .with_morsel_size(morsel)
+                .with_fault_plan(faults.clone())
+                .with_resilience(resilience)
+                .build();
+            let mut seen = Vec::new();
+            for _ in 0..rounds {
+                let rows = match ctx.run(plan) {
+                    Ok(out) => digest(&out),
+                    Err(e) => format!("error: {e}"),
+                };
+                let mut snap = ctx.telemetry().expect("snapshot after run").clone();
+                snap.zero_wall_clock();
+                seen.push((rows, format!("{:?}", ctx.meter().entries()), snap));
+            }
+            (seen, ctx.report())
+        };
+        let (base, base_report) = run(1, 1, 1024);
+
+        let op = base_report
+            .ops
+            .iter()
+            .find(|o| o.op.contains(faulted))
+            .expect("faulted operator ran");
+        match expect {
+            Expect::MixedBatches { fail_open } => {
+                let retried: Vec<u64> = base[0]
+                    .2
+                    .events
+                    .iter()
+                    .filter(|e| e.op == op.op && e.kind == EventKind::Retry)
+                    .filter_map(|e| e.row)
+                    .collect();
+                let hit = |batch: u64| retried.iter().any(|r| r / 64 == batch);
+                let batches = 400 / 64 + 1;
+                assert!((0..batches).any(hit), "{label}: no batch has a fault");
+                assert!(!(0..batches).all(hit), "{label}: no batch is clean");
+                assert_eq!(op.failed_open > 0, fail_open, "{label}: {op:?}");
+            }
+            Expect::TripThenShortCircuit => {
+                assert!(op.breaker_tripped, "{label}");
+                assert!(op.calls > 64 && op.short_circuited > 400, "{label}: {op:?}");
+            }
+            Expect::TripThenError => {
+                assert!(
+                    op.breaker_tripped && op.short_circuited == 1,
+                    "{label}: {op:?}"
+                );
+                assert!(base.iter().all(|(rows, ..)| rows.starts_with("error")));
+            }
+        }
+
+        for k in [1usize, 2, 4] {
+            for batch in [1usize, 7, 64, 256] {
+                for morsel in [64usize, 100, 1024] {
+                    let (got, report) = run(k, batch, morsel);
+                    let shape = format!("{label}: K={k} batch={batch} morsel={morsel}");
+                    assert_eq!(got, base, "{shape}: rows, charges or telemetry diverged");
+                    assert_eq!(report, base_report, "{shape}: resilience report diverged");
+                }
+            }
+        }
+    }
+}
+
 /// The kernel-level gate: for every built-in [`BatchKernel`] — the PP
 /// filter over each model family and reducer, the closure filter and
 /// processor, the memo shim and the fault shims — `eval_batch` over a

@@ -212,6 +212,13 @@ fn truncation_at_every_byte_is_rejected() {
     let frames = [
         corpus().remove(0).1,
         Frame::Request(WireRequest::new("t", blob_literals, 0.5)),
+        // What a verdict stream is made of: rows carrying a dense blob.
+        Frame::VerdictBatch {
+            request_id: 7,
+            rows: (0..3)
+                .map(|i| vec![Value::Int(i), Value::blob(Features::Dense(awkward_f64s()))])
+                .collect(),
+        },
     ];
     assert!(matches!(read_frame(&mut Cursor::new(&[][..])), Ok(None)));
     for frame in &frames {
@@ -234,6 +241,62 @@ fn truncation_at_every_byte_is_rejected() {
             }
         }
     }
+}
+
+/// Floats whose bit patterns a careless codec would not keep: NaNs with
+/// payloads and either sign, both zeros, both infinities, a subnormal.
+fn awkward_f64s() -> Vec<f64> {
+    [
+        0x7ff8_0000_0000_0001u64,
+        0xfff4_dead_beef_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+    ]
+    .map(f64::from_bits)
+    .into_iter()
+    .chain([0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25e-300])
+    .collect()
+}
+
+/// Dense and sparse blobs survive `encode_frame` → `read_frame` bit for
+/// bit (the bulk word conversion is a copy, not an arithmetic round trip).
+#[test]
+fn blobs_round_trip_bit_for_bit() {
+    let coords = awkward_f64s();
+    let indices: Vec<u32> = (0..coords.len() as u32).map(|i| i * 7 + 1).collect();
+    let sparse = SparseVector::new(100, indices.clone(), coords.clone()).unwrap();
+    let frame = Frame::VerdictBatch {
+        request_id: 1,
+        rows: vec![
+            vec![
+                Value::blob(Features::Dense(coords.clone())),
+                Value::str("é"),
+            ],
+            vec![Value::blob(Features::Sparse(sparse)), Value::Null],
+            vec![Value::blob(Features::Dense(vec![])), Value::str("")],
+        ],
+    };
+    let decoded = read_frame(&mut Cursor::new(encode_frame(&frame)))
+        .expect("decodes")
+        .expect("not EOF");
+    let Frame::VerdictBatch { rows, .. } = decoded else {
+        panic!("expected a verdict batch, got {decoded:?}");
+    };
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let dense = rows[0][0].as_blob().unwrap().as_dense().unwrap();
+    assert_eq!(bits(dense), bits(&coords));
+    assert_eq!(rows[0][1].as_str().unwrap(), "é");
+    match &**rows[1][0].as_blob().unwrap() {
+        Features::Sparse(sv) => {
+            assert_eq!(sv.dim(), 100);
+            let (idx, vals): (Vec<u32>, Vec<f64>) = sv.iter().unzip();
+            assert_eq!(idx, indices);
+            assert_eq!(bits(&vals), bits(&coords));
+        }
+        other => panic!("expected a sparse blob, got {other:?}"),
+    }
+    assert!(rows[2][0].as_blob().unwrap().as_dense().unwrap().is_empty());
+    assert_eq!(rows[2][1].as_str().unwrap(), "");
 }
 
 /// A blob literal's declared element count is checked against the bytes
