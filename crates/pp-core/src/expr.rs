@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pp_engine::batch::{Batch, BatchKernel};
 use pp_engine::udf::RowFilter;
 use pp_engine::{Predicate, Row, Schema};
-use pp_linalg::{FeatureBatch, Features};
+use pp_linalg::Features;
 
 use crate::combine::{conjoin_all, disjoin_all, Estimate};
 use crate::pp::ProbabilisticPredicate;
@@ -342,23 +342,21 @@ impl BatchKernel for PpExprFilter {
     /// Vectorized evaluation: every leaf classifier scores the whole batch
     /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)) and
     /// resolves its threshold once, then each row replays the expression
-    /// walk against its scores. A blob column that gathers into a dense
-    /// [`FeatureBlock`](pp_linalg::FeatureBlock) is scored straight off
-    /// the contiguous block; otherwise (sparse/ragged cells) scoring goes
-    /// through gathered references. Decisions, row order, and per-row
-    /// errors are bit-identical to calling [`passes`][RowFilter::passes]
-    /// per row: the block is a bitwise gather of the same cells and both
-    /// score through the same `pp_linalg` kernels.
+    /// walk against its scores. A blob column the batch has as a dense
+    /// [`FeatureBlock`](pp_linalg::FeatureBlock) — the chunk's own, or
+    /// gathered — is scored straight off the contiguous block; otherwise
+    /// (sparse/ragged cells) scoring goes through gathered references.
+    /// Decisions, row order, and per-row errors are bit-identical to
+    /// calling [`passes`][RowFilter::passes] per row: the block holds the
+    /// same cells bit for bit and both score through the same `pp_linalg`
+    /// kernels.
     fn eval_batch(&self, batch: &Batch<'_>) -> Vec<pp_engine::Result<bool>> {
         let PlannedPpExpr {
             expr, assignment, ..
         } = &self.planned;
         let leaves = expr.leaves();
         let col = batch.feature_column(&self.blob_column);
-        let features = match &col.block {
-            Some(block) => FeatureBatch::Block(block),
-            None => FeatureBatch::Refs(&col.refs),
-        };
+        let features = col.features();
         let scores: Vec<Vec<f64>> = leaves
             .iter()
             .map(|pp| pp.pipeline().score_many(&features))
@@ -480,7 +478,7 @@ mod tests {
 
     #[test]
     fn batch_filter_matches_per_row_path() {
-        use pp_engine::{Column, DataType, Row, Schema, Value};
+        use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
         let expr = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
         let planned = PlannedPpExpr::uniform(expr, 0.95).unwrap();
         let filter = planned.into_filter("blob");
@@ -498,7 +496,8 @@ mod tests {
                 ])
             })
             .collect();
-        let batched = filter.eval_batch(&Batch::new(&schema, &rows, 0));
+        let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema.clone(), rows.clone()).unwrap()));
+        let batched = filter.eval_batch(&Batch::new(&chunk, 0..rows.len(), 0));
         assert_eq!(batched.len(), rows.len());
         for (row, b) in rows.iter().zip(batched) {
             assert_eq!(filter.passes(row, &schema).unwrap(), b.unwrap());
@@ -507,7 +506,7 @@ mod tests {
 
     #[test]
     fn batch_filter_reports_per_row_errors() {
-        use pp_engine::{Column, DataType, Row, Schema, Value};
+        use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
         let planned = PlannedPpExpr::uniform(leaf(1), 0.95).unwrap();
         let filter = planned.into_filter("blob");
         let schema = Schema::new(vec![Column::new("blob", DataType::Blob)]).unwrap();
@@ -516,7 +515,8 @@ mod tests {
             Row::new(vec![Value::Int(7)]), // wrong type: this row errors
             Row::new(vec![Value::blob(Features::Dense(vec![-2.5, 0.0]))]),
         ];
-        let out = filter.eval_batch(&Batch::new(&schema, &rows, 0));
+        let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema, rows).unwrap()));
+        let out = filter.eval_batch(&Batch::new(&chunk, 0..3, 0));
         assert!(out[0].as_ref().is_ok_and(|&b| b));
         assert!(out[1].is_err());
         assert!(out[2].as_ref().is_ok_and(|&b| !b));

@@ -44,7 +44,9 @@ use crate::memo::UdfMemo;
 use crate::physical::{ExecOptions, Executor};
 use crate::resilience::{ExecReport, ExecSession, ResilienceConfig};
 use crate::row::Rowset;
-use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
+use crate::telemetry::{
+    EventKind, MetricsRegistry, QueryId, SpanCollector, StoreCounters, TelemetrySnapshot,
+};
 use crate::Result;
 
 /// Builder for [`ExecutionContext`]. Created by
@@ -228,11 +230,7 @@ impl<'a> ExecutionContext<'a> {
             self.registry.counter("worker.rows_probed_total"),
             self.registry.counter("worker.batches_total"),
         )
-        .with_store_counters(
-            self.registry.counter("store.row_groups_scanned_total"),
-            self.registry.counter("store.row_groups_pruned_total"),
-            self.registry.counter("store.bytes_read_total"),
-        );
+        .with_store_counters(StoreCounters::of(&self.registry));
         // Memoize before fault application so fault shims wrap the
         // memoized UDFs: injected faults fire identically to solo runs
         // and corrupted outputs are never cached.

@@ -24,6 +24,7 @@
 pub mod batch;
 pub mod cancel;
 pub mod catalog;
+pub mod chunk;
 pub mod cost;
 pub mod exec;
 pub mod explain;
@@ -45,6 +46,7 @@ pub mod value;
 pub use batch::{Batch, BatchKernel, FeatureColumn, ProcessedRows};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
+pub use chunk::{Chunk, ChunkColumn};
 pub use cost::{CostMeter, QueryMetrics};
 pub use exec::{ExecutionContext, ExecutionContextBuilder};
 pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHints};

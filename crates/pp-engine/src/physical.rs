@@ -1,37 +1,49 @@
-//! The executor: materialized, bottom-up evaluation of logical plans with
-//! cost metering, fault-tolerant UDF dispatch, and morsel-driven
+//! The executor: bottom-up evaluation of logical plans with cost
+//! metering, fault-tolerant UDF dispatch, and morsel-driven
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
-//! Operators materialize their outputs (no volcano iterators); the
-//! interesting quantity is the *charged* cost, not the wall clock. Every
-//! operator charges `attempts × cost_per_row` simulated seconds to the
-//! [`CostMeter`] — which equals the classic `rows_in × cost_per_row` on a
-//! fault-free run — plus any retry backoff and timeout stalls accrued by
-//! the [`ExecSession`].
+//! An operator hands the one above it a materialized [`Rowset`] (no
+//! volcano iterators) — with one exception, the edge the paper is about:
+//! a `Filter` directly above a `Scan`, which is where every PP sits,
+//! rides the scan's stream. The scan decodes one budget-sized *wave* of
+//! row groups at a time into [`Chunk`]s (the rows in the layout their
+//! source has: a contiguous block per blob column), the filter probes
+//! and consumes the wave, and only the rows it kept are turned into
+//! tuples before the wave is dropped. A blob the PP drops is never a
+//! `Row`, and what is resident is one wave plus the survivors.
+//!
+//! The interesting quantity is the *charged* cost, not the wall clock.
+//! Every operator charges `attempts × cost_per_row` simulated seconds to
+//! the [`CostMeter`] — which equals the classic `rows_in × cost_per_row`
+//! on a fault-free run — plus any retry backoff and timeout stalls
+//! accrued by the [`ExecSession`].
 //!
 //! # One path
 //!
 //! Every plan runs down the same path. A `Scan` streams the row groups
-//! of the table's [`TableProvider`](crate::provider::TableProvider) (an
+//! of the table's [`TableProvider`] (an
 //! in-memory table is one group with no zone maps, see
-//! [`MemoryProvider::whole`](crate::provider::MemoryProvider::whole)).
-//! Every operator body runs inside `Executor::operator`, which owns the
-//! one wall-clock bracket, the span push, the meter charge and the
-//! failure hand-back. `Filter` and `Process` share one probe→consume
-//! fold (`Executor::fold_udf`); `Reduce` and `Combine` share one
+//! [`MemoryProvider::whole`](crate::provider::MemoryProvider::whole),
+//! hence one wave). Every operator closes through
+//! `Executor::close_span`, which owns the span push and the meter
+//! charge; `Executor::operator` brackets a body with it. `Filter` and
+//! `Process` share one probe→consume fold over waves
+//! (`Executor::fold_udf` — an operator above a materialized input folds
+//! that input as its only wave); `Reduce` and `Combine` share one
 //! group-invocation loop (`Executor::fold_groups`).
 //!
 //! # Morsel-driven execution
 //!
 //! Row-parallel operators — `Filter`, `Process`, and `Select` — split
-//! their input into fixed-size *morsels* (contiguous row ranges of
-//! `ExecOptions::morsel_size`) that a `std::thread` worker pool claims
-//! off a shared atomic counter: a worker stuck on an expensive morsel
-//! never blocks the rest of the input (work stealing by construction).
-//! Within a morsel, rows are *probed* one columnar [`Batch`] at a time, so
-//! batch-capable UDFs can gather feature columns into contiguous blocks
-//! and vectorize (see [`crate::batch`]). Batch boundaries are a pure
-//! function of `(morsel_size, batch_size)`, never of the worker count.
+//! each chunk of their input into *morsels* (contiguous row ranges of at
+//! most `ExecOptions::morsel_size`; a row group smaller than that is one
+//! morsel) that a `std::thread` worker pool claims off a shared atomic
+//! counter: a worker stuck on an expensive morsel never blocks the rest
+//! of the input (work stealing by construction). Within a morsel, rows
+//! are *probed* one [`Batch`] at a time, so batch-capable UDFs score a
+//! blob column as a contiguous block (see [`crate::batch`]). Batch
+//! boundaries are a pure function of `(chunk sizes, morsel_size,
+//! batch_size)`, never of the worker count.
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
 //! attempt failed, each with the outcome of its full retry loop. The main
@@ -62,16 +74,19 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::batch::Batch;
 use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
+use crate::chunk::Chunk;
 use crate::cost::{CostMeter, CostModel};
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
+use crate::provider::TableProvider;
 use crate::resilience::{ExecSession, Invocation, ProbeOutcome};
 use crate::row::{Row, Rowset};
 use crate::schema::{Column, Schema};
@@ -102,57 +117,42 @@ impl Default for ExecOptions {
     }
 }
 
-/// Runs `work` over `items` (rows, or row-group indices for scans) split
-/// into morsels of `opts.morsel_size`, each evaluated one batch of at
-/// most `opts.batch_size` at a time. `work` receives each batch slice
-/// plus the global index of its first item and returns one record for
-/// the batch; the records come back in batch order.
+/// One morsel of an operator's input: rows `rows` of chunk number
+/// `chunk`, the first of them input row `offset` of the operator.
+struct Morsel {
+    chunk: usize,
+    rows: Range<usize>,
+    offset: usize,
+}
+
+/// Runs `work` over `morsels` — row ranges for the row-parallel
+/// operators, row-group indices for a scan wave — and returns one result
+/// per morsel, in morsel order.
 ///
 /// With `parallelism > 1` a scoped worker pool claims morsels off a
 /// shared atomic counter (work stealing: no static assignment, so one
-/// slow morsel never idles the pool) and outputs are reassembled in
-/// morsel order — bit-identical to the serial walk. Batch boundaries are
-/// relative to each morsel's start, a pure function of
-/// `(morsel_size, batch_size)` and never of the worker count.
+/// slow morsel never idles the pool) and the results are reassembled in
+/// morsel order — bit-identical to the serial walk.
 ///
-/// A batch may return `Err` (only cancellation does today); the
-/// lowest-indexed erroring morsel's error wins and the probe results are
-/// discarded — nothing was consumed, so nothing is charged, matching how
-/// an open breaker discards unconsumed probes. A worker that panics
-/// inside `work` loses its morsel; the run then fails with
-/// [`CancelReason::WorkerPanic`] instead of re-raising the panic.
-fn run_morsels<I, T, F>(items: &[I], opts: ExecOptions, work: F) -> Result<Vec<T>>
+/// A morsel may return `Err` (cancellation, a group that fails to
+/// decode); the lowest-indexed erroring morsel's error wins and the
+/// other results are discarded — nothing was consumed, so nothing is
+/// charged, matching how an open breaker discards unconsumed probes. A
+/// worker that panics inside `work` loses its morsel; the run then fails
+/// with [`CancelReason::WorkerPanic`] instead of re-raising the panic.
+fn run_morsels<M, T, F>(morsels: &[M], parallelism: usize, work: F) -> Result<Vec<T>>
 where
-    I: Sync,
+    M: Sync,
     T: Send,
-    F: Fn(&[I], usize) -> Result<T> + Sync,
+    F: Fn(&M) -> Result<T> + Sync,
 {
-    let step = opts.batch_size.max(1);
-    let morsel = opts.morsel_size.max(1);
-    let run_one = |start: usize| -> Result<Vec<T>> {
-        let end = (start + morsel).min(items.len());
-        let mut out = Vec::with_capacity((end - start).div_ceil(step));
-        let mut b = start;
-        while b < end {
-            let be = (b + step).min(end);
-            out.push(work(&items[b..be], b)?);
-            b = be;
-        }
-        Ok(out)
-    };
-    let n_morsels = items.len().div_ceil(morsel).max(1);
-    let workers = opts.parallelism.min(n_morsels);
+    let workers = parallelism.min(morsels.len());
     if workers <= 1 {
-        let mut out = Vec::new();
-        for i in 0..n_morsels {
-            out.extend(run_one(i * morsel)?);
-        }
-        return Ok(out);
+        return morsels.iter().map(work).collect();
     }
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<Vec<T>>>>> =
-        (0..n_morsels).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T>>>> = morsels.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -161,13 +161,11 @@ where
                         break;
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_morsels {
-                        break;
-                    }
-                    let r = run_one(i * morsel);
+                    let Some(morsel) = morsels.get(i) else { break };
+                    let r = work(morsel);
                     if r.is_err() {
                         // First error aborts the fan-out; morsels nobody
-                        // has claimed yet stay unprocessed (their probes
+                        // has claimed yet stay unprocessed (their results
                         // would be discarded anyway).
                         stop.store(true, Ordering::Relaxed);
                     }
@@ -185,10 +183,10 @@ where
             }
         }
     });
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(morsels.len());
     for slot in slots {
         match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Ok(v)) => out.extend(v),
+            Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
             // Morsels are claimed in index order, so an empty slot ahead
             // of any error was claimed by a worker that panicked in it.
@@ -202,7 +200,7 @@ where
     Ok(out)
 }
 
-/// What an operator body hands to [`Executor::operator`]: its span with
+/// What an operator body hands to [`Executor::finish`]: its span with
 /// everything but `rows_emitted`, `rows_failed` and `wall_nanos` filled
 /// in, the rows it produced, and the terminal error if it stopped early
 /// (the work done up to that point is still charged).
@@ -232,6 +230,117 @@ struct Probed<T> {
     failed: Vec<(usize, ProbeOutcome<T>)>,
 }
 
+/// A batch's record with where the batch sits in its wave: the chunk's
+/// number and the batch's first row within that chunk.
+type Located<T> = (usize, usize, T);
+
+/// The input of an operator above a materialized one: its rows, as the
+/// only wave.
+fn one_wave<X>(rows: Rowset) -> impl FnMut(&mut X) -> Result<Option<Vec<Chunk>>> {
+    let mut wave = Some(vec![Chunk::from_rows(Arc::new(rows))]);
+    move |_| Ok(wave.take())
+}
+
+/// A scan in progress: the row groups a pushdown could not rule out,
+/// decoded one memory-budget-sized wave at a time.
+///
+/// Pruning is zone-map satisfiability — conservative, so verdicts never
+/// change. Each wave fans its groups out on the morsel scheduler (one
+/// group per morsel) and reassembles them in group order, so row order —
+/// and therefore every downstream result, charge, and span — is the same
+/// for every provider holding the same rows, at any parallelism.
+struct ScanStream<'p> {
+    provider: &'p dyn TableProvider,
+    kept: Vec<usize>,
+    /// How many of `kept` are decoded.
+    next: usize,
+    /// Whether any poll has succeeded; a scan whose first poll fails
+    /// never ran.
+    polled: bool,
+    rows: usize,
+    bytes: u64,
+    wall: Duration,
+}
+
+impl<'p> ScanStream<'p> {
+    fn open(catalog: &'p Catalog, table: &str, pushdown: Option<&Predicate>) -> Result<Self> {
+        let provider = catalog.provider(table)?.as_ref();
+        Ok(ScanStream {
+            provider,
+            kept: crate::provider::kept_groups(provider, pushdown),
+            next: 0,
+            polled: false,
+            rows: 0,
+            bytes: 0,
+            wall: Duration::ZERO,
+        })
+    }
+
+    /// Decodes the next wave: kept groups, in order, until the next one
+    /// would overflow the provider's budget (a single oversized group
+    /// still decodes, alone). `None` once every kept group is out.
+    fn next_wave(&mut self, ex: &Executor<'_>) -> Result<Option<Vec<Chunk>>> {
+        if self.next == self.kept.len() {
+            self.polled = true;
+            return Ok(None);
+        }
+        let start = Instant::now();
+        ex.cancel.check()?;
+        let budget = self.provider.memory_budget();
+        let (mut end, mut wave_bytes) = (self.next, 0u64);
+        while end < self.kept.len() {
+            let bytes = self.provider.group_meta(self.kept[end]).bytes;
+            if end > self.next && budget.is_some_and(|cap| wave_bytes + bytes > cap) {
+                break;
+            }
+            wave_bytes += bytes;
+            end += 1;
+        }
+        // Group sizes are row counts, so the row-oriented batch and
+        // morsel knobs don't apply here (parallelism still does).
+        let chunks = run_morsels(&self.kept[self.next..end], ex.opts.parallelism, |&g| {
+            self.provider.read_group(g)
+        })?;
+        self.next = end;
+        self.bytes += wave_bytes;
+        self.rows += chunks.iter().map(Chunk::len).sum::<usize>();
+        self.wall += start.elapsed();
+        self.polled = true;
+        Ok(Some(chunks))
+    }
+
+    /// Charges the scan for the waves it decoded, wherever the stream
+    /// stopped; `materialized` of the decoded rows left it as tuples.
+    ///
+    /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
+    /// the rows inside pruned groups (skipped without decoding),
+    /// `rows_failed` those of kept groups an early stop left undecoded,
+    /// and `seconds` covers only decoded rows.
+    fn close(self, ex: &mut Executor<'_>, op: String, materialized: usize) {
+        if !self.polled {
+            return;
+        }
+        let store = &ex.tel.store;
+        store.groups_scanned.add(self.next as u64);
+        store
+            .groups_pruned
+            .add((self.provider.group_count() - self.kept.len()) as u64);
+        store.bytes_read.add(self.bytes);
+        store.rows_decoded.add(self.rows as u64);
+        store.rows_materialized.add(materialized as u64);
+        let total = self.provider.row_count();
+        let undecoded: usize = self.kept[self.next..]
+            .iter()
+            .map(|&g| self.provider.group_meta(g).rows)
+            .sum();
+        let mut span = ex.flat_span(op, total, ex.model.scan, self.rows);
+        span.rows_out = self.rows as u64;
+        span.rows_failed = undecoded as u64;
+        span.rows_filtered = total.saturating_sub(self.rows + undecoded) as u64;
+        ex.close_span(span, self.rows, self.wall);
+    }
+}
+
 /// The state one plan evaluation threads through the recursion, built by
 /// [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
 ///
@@ -251,6 +360,16 @@ struct Probed<T> {
 /// charges nothing for the operator, because none of its work was
 /// consumed. A token that never fires leaves every byte of output,
 /// charge, and telemetry unchanged.
+///
+/// Early-stop contract for `Scan → Filter`: whatever ends the stream —
+/// the filter's terminal error, a cancellation, a group that fails to
+/// decode — each of the two is charged for what it consumed: the scan
+/// for the waves it decoded, the filter for the waves it folded (its
+/// span counts every row handed to it and closes failed over the rest).
+/// The scan's span is pushed first, as plan order has it. An operator
+/// that consumed nothing never ran: no span, no charge. A table of one
+/// wave — every in-memory table — therefore charges exactly what it
+/// would if the scan had materialized first.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
     pub meter: &'a mut CostMeter,
@@ -268,9 +387,7 @@ impl Executor<'_> {
         self.cancel.check()?;
         let op = plan.op_label();
         match plan {
-            LogicalPlan::Scan { table, pushdown } => {
-                self.operator(|ex| ex.scan(op, table, pushdown.as_ref()))
-            }
+            LogicalPlan::Scan { table, pushdown } => self.scan(op, table, pushdown.as_ref()),
             LogicalPlan::Process { input, processor } => {
                 let rows = self.run(input)?;
                 self.operator(|ex| ex.process(op, rows, processor.as_ref()))
@@ -279,10 +396,22 @@ impl Executor<'_> {
                 let rows = self.run(input)?;
                 self.operator(|ex| ex.select(op, rows, predicate))
             }
-            LogicalPlan::Filter { input, filter } => {
-                let rows = self.run(input)?;
-                self.operator(|ex| ex.filter(op, rows, filter.as_ref()))
-            }
+            LogicalPlan::Filter { input, filter } => match input.as_ref() {
+                // Directly above a scan — where every PP is injected —
+                // the filter rides the scan's stream.
+                LogicalPlan::Scan { table, pushdown } => self.scan_filter(
+                    input.op_label(),
+                    table,
+                    pushdown.as_ref(),
+                    op,
+                    filter.as_ref(),
+                ),
+                _ => {
+                    let rows = self.run(input)?;
+                    let schema = rows.schema().clone();
+                    self.operator(|ex| ex.filter(op, schema, one_wave(rows), filter.as_ref()))
+                }
+            },
             LogicalPlan::Project { input, items } => {
                 let rows = self.run(input)?;
                 self.operator(|ex| ex.project(op, rows, items))
@@ -323,33 +452,46 @@ impl Executor<'_> {
     }
 
     /// The operator skeleton: times `body` (the operator's own phase,
-    /// inputs excluded), closes its span, pushes the span, charges the
-    /// meter, and hands back the rows or the failure. A `body` that
-    /// returns `Err` never ran for accounting purposes: no span, no
-    /// charge.
+    /// inputs excluded) and [`finish`](Self::finish)es what it hands
+    /// back. A `body` that returns `Err` never ran for accounting
+    /// purposes: no span, no charge.
     fn operator(&mut self, body: impl FnOnce(&mut Self) -> Result<Finished>) -> Result<Rowset> {
         let start = Instant::now();
+        let done = body(self)?;
+        self.finish(done, start.elapsed())
+    }
+
+    /// Closes a finished operator's span — failed, if it stopped early —
+    /// and hands back the rows or the failure.
+    fn finish(&mut self, done: Finished, wall: Duration) -> Result<Rowset> {
         let Finished {
             mut span,
             out,
             failure,
-        } = body(self)?;
-        span.rows_emitted = out.len() as u64;
+        } = done;
         if failure.is_some() {
             span.close_failed();
         }
-        span.wall_nanos = start.elapsed().as_nanos() as u64;
-        self.meter.charge(
-            span.op.clone(),
-            span.rows_in as usize,
-            out.len(),
-            span.seconds,
-        );
-        self.tel.push_span(span);
+        self.close_span(span, out.len(), wall);
         match failure {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// The one place a span is pushed and the meter charged, so span
+    /// order equals charge order and the span's id is its place in it.
+    fn close_span(&mut self, mut span: OperatorSpan, emitted: usize, wall: Duration) {
+        span.op_id = crate::telemetry::OperatorId(self.tel.next_op_id());
+        span.rows_emitted = emitted as u64;
+        span.wall_nanos = wall.as_nanos() as u64;
+        self.meter.charge(
+            span.op.clone(),
+            span.rows_in as usize,
+            emitted,
+            span.seconds,
+        );
+        self.tel.push_span(span);
     }
 
     /// A span for an operator that charges a flat `unit` seconds for each
@@ -361,110 +503,118 @@ impl Executor<'_> {
         span
     }
 
-    /// Fans `work` out over `rows` on the morsel scheduler — one record
-    /// per batch, in row order — polling the cancel token and bumping the
-    /// `worker.*` counters once per batch.
+    /// Fans `work` out over the rows of `chunks` on the morsel scheduler
+    /// — one record per batch, in row order, batches never straddling a
+    /// chunk — polling the cancel token and bumping the `worker.*`
+    /// counters once per batch. `first_row` is the input index of the
+    /// first chunk's first row.
     fn probe<T: Send>(
         &self,
-        rows: &[Row],
-        work: impl Fn(&[Row], usize) -> T + Sync,
-    ) -> Result<Vec<T>> {
+        chunks: &[Chunk],
+        first_row: usize,
+        work: impl Fn(&Batch<'_>) -> T + Sync,
+    ) -> Result<Vec<Located<T>>> {
+        let (step, size) = (self.opts.batch_size.max(1), self.opts.morsel_size.max(1));
+        let mut morsels = Vec::new();
+        let mut offset = first_row;
+        for (chunk, rows) in chunks.iter().map(Chunk::len).enumerate() {
+            for start in (0..rows).step_by(size) {
+                morsels.push(Morsel {
+                    chunk,
+                    rows: start..(start + size).min(rows),
+                    offset: offset + start,
+                });
+            }
+            offset += rows;
+        }
         let (cancel, worker_rows, worker_batches) =
             (self.cancel, &self.tel.worker_rows, &self.tel.worker_batches);
-        run_morsels(rows, self.opts, |rows, offset| {
-            cancel.check()?;
-            worker_rows.add(rows.len() as u64);
-            worker_batches.inc();
-            Ok(work(rows, offset))
-        })
+        let records = run_morsels(&morsels, self.opts.parallelism, |m| {
+            let mut out = Vec::with_capacity(m.rows.len().div_ceil(step));
+            for start in m.rows.clone().step_by(step) {
+                let rows = start..(start + step).min(m.rows.end);
+                cancel.check()?;
+                worker_rows.add(rows.len() as u64);
+                worker_batches.inc();
+                let offset = m.offset + (start - m.rows.start);
+                let batch = Batch::new(&chunks[m.chunk], rows, offset);
+                out.push((m.chunk, start, work(&batch)));
+            }
+            Ok(out)
+        })?;
+        Ok(records.into_iter().flatten().collect())
     }
 
-    /// Prunes row groups the pushdown provably cannot match (zone-map
-    /// satisfiability — conservative, so verdicts never change), then
-    /// decodes the kept groups in waves whose encoded bytes respect the
-    /// provider's memory budget. Each wave fans its groups out on the
-    /// morsel scheduler (one group per morsel) and reassembles them in
-    /// group order, so row order — and therefore every downstream result,
-    /// charge, and span — is the same for every provider holding the same
-    /// rows, at any parallelism.
-    ///
-    /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
-    /// the rows inside pruned groups (skipped without decoding), and
-    /// `seconds` covers only decoded rows.
-    fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Finished> {
-        let provider = self.catalog.provider(table)?.as_ref();
-        let total = provider.row_count();
-        let kept = crate::provider::kept_groups(provider, pushdown);
-        let budget = provider.memory_budget();
-        // Group sizes are row counts, so the row-oriented batch and
-        // morsel knobs don't apply here (parallelism still does).
-        let decode_opts = ExecOptions {
-            batch_size: 1,
-            morsel_size: 1,
-            ..self.opts
-        };
+    /// A `Scan` with nothing riding its stream: every decoded row leaves
+    /// as a tuple.
+    fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Rowset> {
+        let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
+        let provider = stream.provider;
         let mut rows: Vec<Row> = Vec::new();
-        let mut read_bytes: u64 = 0;
-        let mut wave_start = 0;
-        while wave_start < kept.len() {
-            self.cancel.check()?;
-            // Grow the wave until the next group would overflow the
-            // budget; a single oversized group still decodes (alone).
-            let mut wave_end = wave_start;
-            let mut wave_bytes: u64 = 0;
-            while wave_end < kept.len() {
-                let bytes = provider.group_meta(kept[wave_end]).bytes;
-                if wave_end > wave_start && budget.is_some_and(|cap| wave_bytes + bytes > cap) {
-                    break;
+        let stopped = loop {
+            match stream.next_wave(self) {
+                Ok(Some(chunks)) => {
+                    for chunk in chunks {
+                        if rows.is_empty() {
+                            // Take the first group as decoded: a one-group
+                            // (in-memory) table is scanned with one copy.
+                            rows = chunk.into_rows();
+                            rows.reserve(provider.row_count().saturating_sub(rows.len()));
+                        } else {
+                            rows.extend(chunk.into_rows());
+                        }
+                    }
                 }
-                wave_bytes += bytes;
-                wave_end += 1;
+                Ok(None) => break None,
+                Err(e) => break Some(e),
             }
-            let decoded = run_morsels(&kept[wave_start..wave_end], decode_opts, |groups, _| {
-                groups
-                    .iter()
-                    .map(|&g| provider.read_group(g))
-                    .collect::<Result<Vec<_>>>()
-            })?;
-            for group in decoded.into_iter().flatten() {
-                if rows.is_empty() {
-                    // Take the first group as decoded: a one-group
-                    // (in-memory) table is then scanned without a copy.
-                    rows = group;
-                    rows.reserve(total.saturating_sub(rows.len()));
-                } else {
-                    rows.extend(group);
-                }
-            }
-            read_bytes += wave_bytes;
-            wave_start = wave_end;
+        };
+        stream.close(self, op, rows.len());
+        match stopped {
+            Some(e) => Err(e),
+            None => Rowset::new(provider.schema(), rows),
         }
-        self.tel.store_groups_scanned.add(kept.len() as u64);
-        self.tel
-            .store_groups_pruned
-            .add((provider.group_count() - kept.len()) as u64);
-        self.tel.store_bytes_read.add(read_bytes);
-        let emitted = rows.len();
-        let mut span = self.flat_span(op, total, self.model.scan, emitted);
-        span.rows_out = emitted as u64;
-        span.rows_filtered = total.saturating_sub(emitted) as u64;
-        Finished::ok(span, Rowset::new(provider.schema(), rows)?)
+    }
+
+    /// `Scan → Filter`: the filter folds the scan's waves as they are
+    /// decoded, and only the rows it keeps become tuples. Both spans are
+    /// pushed when the stream ends, the scan's first (see the early-stop
+    /// contract on [`Executor`]).
+    fn scan_filter(
+        &mut self,
+        scan_op: String,
+        table: &str,
+        pushdown: Option<&Predicate>,
+        op: String,
+        filter: &dyn RowFilter,
+    ) -> Result<Rowset> {
+        let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
+        let schema = stream.provider.schema();
+        let start = Instant::now();
+        let done = self.filter(op, schema, |ex| stream.next_wave(ex), filter);
+        let wall = start.elapsed().saturating_sub(stream.wall);
+        let survivors = done.as_ref().map_or(0, |done| done.out.len());
+        stream.close(self, scan_op, survivors);
+        self.finish(done?, wall)
     }
 
     fn select(&mut self, op: String, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
-        let verdicts = self.probe(in_rows.rows(), |rows, _| {
-            rows.iter()
+        let input = [Chunk::from_rows(Arc::new(in_rows))];
+        let verdicts = self.probe(&input, 0, |batch| {
+            batch
+                .rows()
+                .iter()
                 .map(|row| predicate.eval(row, &schema))
                 .collect::<Vec<_>>()
         })?;
         let mut out = Rowset::empty(schema);
-        let verdicts = verdicts.into_iter().flatten();
-        for (row, verdict) in in_rows.into_rows().into_iter().zip(verdicts) {
+        let verdicts = verdicts.into_iter().flat_map(|(_, _, verdicts)| verdicts);
+        for (row, verdict) in input[0].rows().iter().zip(verdicts) {
             // An eval error propagates before the operator charges.
             if verdict? {
-                out.push(row)?;
+                out.push(row.clone())?;
             }
         }
         let mut span = self.flat_span(op, total, self.model.select, total);
@@ -473,22 +623,27 @@ impl Executor<'_> {
         Finished::ok(span, out)
     }
 
-    fn filter(&mut self, op: String, in_rows: Rowset, filter: &dyn RowFilter) -> Result<Finished> {
-        let out_schema = in_rows.schema().clone();
+    fn filter(
+        &mut self,
+        op: String,
+        schema: Arc<Schema>,
+        waves: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
+        filter: &dyn RowFilter,
+    ) -> Result<Finished> {
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
         let fail_open = self.session.config().fail_open_filters && filter.fail_open();
         self.fold_udf(
             op,
-            in_rows,
-            out_schema,
+            schema,
             filter.cost_per_row(),
             fail_open,
+            waves,
             |batch| filter.eval_batch(batch),
             |row, schema| filter.passes(row, schema),
-            |row, keep, out| {
+            |chunk, at, keep, out| {
                 if keep {
-                    out.push(row)?;
+                    out.push(chunk.row(at))?;
                 }
                 Ok(keep)
             },
@@ -509,12 +664,12 @@ impl Executor<'_> {
         };
         self.fold_udf(
             op,
-            in_rows,
             out_schema,
             processor.cost_per_row(),
             // A processor materializes real columns; its failure cannot
             // be masked.
             false,
+            one_wave(in_rows),
             |batch| {
                 let firsts = processor.eval_batch(batch);
                 if validate {
@@ -524,16 +679,17 @@ impl Executor<'_> {
                 }
             },
             |row, schema| checked(processor.process(row, schema)),
-            |row, groups, out| {
+            |chunk, at, groups, out| {
                 for cells in groups {
-                    out.push(row.extended(cells))?;
+                    out.push(chunk.rows()[at].extended(cells))?;
                 }
                 Ok(true)
             },
         )
     }
 
-    /// The probe→consume fold shared by Filter and Process.
+    /// The probe→consume fold shared by Filter and Process, over the
+    /// waves `next_wave` yields until it says `None`.
     ///
     /// Probe phase (workers): `eval` makes every row's first attempt one
     /// [`Batch`] at a time (vectorizable), yielding one [`Probed`] record
@@ -550,155 +706,181 @@ impl Executor<'_> {
     /// touch the session only through `calls += 1` and
     /// `consecutive_failures = 0`, which is `OpFold::consume_clean(n)`.
     /// Every other record walks the per-row body. `emit` receives each
-    /// row with its `Ok` value, pushes what the row produces, and says
-    /// whether the row passed (`false` = filtered). A terminal error
-    /// passes the row through unchanged when `fail_open`, and stops the
-    /// operator otherwise.
+    /// row — its chunk and place in it — with its `Ok` value, pushes
+    /// what the row produces, and says whether the row passed (`false` =
+    /// filtered). A terminal error passes the row through unchanged when
+    /// `fail_open`, and stops the operator otherwise.
+    ///
+    /// Everything the fold accumulates — span, attempts, overhead, the
+    /// input row index — is carried from wave to wave, and the session's
+    /// breaker is sticky, so how the input is cut into waves changes
+    /// nothing it reports. A wave that cannot be had (the scan below was
+    /// cancelled or failed to decode) or probed ends the fold: one that
+    /// has consumed a wave is charged for what it consumed, one that has
+    /// not never ran (`Err`).
     #[allow(clippy::too_many_arguments)]
     fn fold_udf<T: Send>(
         &mut self,
         op: String,
-        in_rows: Rowset,
         out_schema: Arc<Schema>,
         cost_per_row: f64,
         fail_open: bool,
+        mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
         eval: impl Fn(&Batch<'_>) -> Vec<Result<T>> + Sync,
         retry: impl Fn(&Row, &Schema) -> Result<T> + Sync,
-        mut emit: impl FnMut(Row, T, &mut Rowset) -> Result<bool>,
+        mut emit: impl FnMut(&Chunk, usize, T, &mut Rowset) -> Result<bool>,
     ) -> Result<Finished> {
-        let in_schema = in_rows.schema().clone();
         let config = *self.session.config();
-        let probes = self.probe(in_rows.rows(), |rows, offset| {
-            let batch = Batch::new(&in_schema, rows, offset);
-            let firsts = crate::fault::with_attempt_ordinal(0, || eval(&batch));
-            debug_assert_eq!(firsts.len(), rows.len());
-            let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
-            for (at, (first, row)) in firsts.into_iter().zip(rows).enumerate() {
-                match first {
-                    Ok(value) => values.push(value),
-                    err => {
-                        let probe = config.resume_probe(&op, err, || retry(row, &in_schema));
-                        failed.push((at, probe));
-                    }
-                }
-            }
-            Probed { values, failed }
-        })?;
-        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), in_rows.len());
+        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), 0);
         let mut out = Rowset::empty(out_schema);
         let mut attempts: u64 = 0;
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
-        // Resolve the operator's session entry once; the breaker is
-        // sticky within a run (it only flips open inside `consume` on a
-        // terminal error), so mirror it locally and refresh only on the
-        // (rare) error path. The fold then does no map lookups.
-        let mut fold = self.session.op_fold(&op);
-        let mut breaker_open = fold.breaker_open();
         let mut clean_rows: u64 = 0;
-        let mut rows = in_rows.into_rows().into_iter();
         let mut row_idx: u64 = 0;
-        'records: for Probed { values, failed } in probes {
-            if let Err(e) = self.cancel.check() {
-                self.tel
-                    .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
-                failure = Some(e);
-                break;
-            }
-            if failed.is_empty() && !breaker_open {
-                let n = values.len() as u64;
-                fold.consume_clean(n);
-                attempts += n;
-                span.attempts += n;
-                clean_rows += n;
-                row_idx += n;
-                // `values` leads the zip: it ends the batch without
-                // taking a row from the next one.
-                for (value, row) in values.into_iter().zip(rows.by_ref()) {
-                    let passed = emit(row, value, &mut out)?;
-                    span.rows_out += u64::from(passed);
-                    span.rows_filtered += u64::from(!passed);
-                }
-                continue;
-            }
-            let (mut values, mut failed) = (values.into_iter(), failed.into_iter().peekable());
-            for at in 0.. {
-                let was_open = breaker_open;
-                let first = if let Some((_, probe)) = failed.next_if(|(i, _)| *i == at) {
-                    Err(probe)
-                } else if let Some(value) = values.next() {
-                    Ok(value)
-                } else {
-                    break;
-                };
-                let Some(row) = rows.next() else { break };
-                let (p_retries, p_failures, p_timeouts) = first
-                    .as_ref()
-                    .err()
-                    .map_or((0, 0, 0), |p| (p.retries, p.failures, p.timeouts));
-                let inv = fold.consume(first);
-                attempts += u64::from(inv.attempts);
-                extra_seconds += inv.extra_seconds;
-                if was_open {
-                    span.short_circuited += 1;
-                    self.tel
-                        .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
-                } else {
-                    span.attempts += u64::from(inv.attempts);
-                    span.retries += p_retries;
-                    span.failures += p_failures;
-                    span.timeouts += p_timeouts;
-                    if p_retries > 0 {
-                        self.tel
-                            .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
-                    }
-                    if p_timeouts > 0 {
-                        self.tel
-                            .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
-                    }
-                    if inv.attempts == 1 && inv.extra_seconds == 0.0 {
-                        // One attempt, no overhead: the latency value is
-                        // the constant cost_per_row, so count these and
-                        // record them in one batched `record_n` after the
-                        // loop — same buckets, same counts.
-                        clean_rows += 1;
-                    } else {
-                        span.latency
-                            .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
-                    }
-                    // The breaker can only have tripped during this row's
-                    // consume, and it only trips on a terminal error.
-                    if inv.result.is_err() {
-                        breaker_open = fold.breaker_open();
-                        if breaker_open {
-                            span.breaker_tripped = true;
+        let (mut handed, mut consumed_any) = (0usize, false);
+        'waves: loop {
+            let probed = next_wave(self).and_then(|wave| {
+                let Some(chunks) = wave else { return Ok(None) };
+                let first_row = handed;
+                handed += chunks.iter().map(Chunk::len).sum::<usize>();
+                let probes = self.probe(&chunks, first_row, |batch| {
+                    let firsts = crate::fault::with_attempt_ordinal(0, || eval(batch));
+                    debug_assert_eq!(firsts.len(), batch.len());
+                    let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
+                    for (at, first) in firsts.into_iter().enumerate() {
+                        match first {
+                            Ok(value) => values.push(value),
+                            err => {
+                                let row = &batch.rows()[at];
+                                let probe =
+                                    config.resume_probe(&op, err, || retry(row, batch.schema()));
+                                failed.push((at, probe));
+                            }
                         }
                     }
+                    Probed { values, failed }
+                })?;
+                Ok(Some((chunks, probes)))
+            });
+            let (chunks, probes) = match probed {
+                Ok(Some(wave)) => wave,
+                Ok(None) => break,
+                Err(e) if !consumed_any => return Err(e),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
                 }
-                let passed = match inv.result {
-                    Ok(value) => emit(row, value, &mut out)?,
-                    Err(_) if fail_open => {
-                        fold.record_fail_open();
-                        span.failed_open += 1;
+            };
+            // Resolve the operator's session entry once per wave; the
+            // breaker is sticky within a run (it only flips open inside
+            // `consume` on a terminal error), so mirror it locally and
+            // refresh only on the (rare) error path. The fold then does
+            // no map lookups.
+            let mut fold = self.session.op_fold(&op);
+            let mut breaker_open = fold.breaker_open();
+            for (chunk, first, Probed { values, failed }) in probes {
+                let chunk = &chunks[chunk];
+                if let Err(e) = self.cancel.check() {
+                    self.tel
+                        .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
+                    failure = Some(e);
+                    break 'waves;
+                }
+                if failed.is_empty() && !breaker_open {
+                    let n = values.len() as u64;
+                    fold.consume_clean(n);
+                    attempts += n;
+                    span.attempts += n;
+                    clean_rows += n;
+                    row_idx += n;
+                    for (at, value) in values.into_iter().enumerate() {
+                        let passed = emit(chunk, first + at, value, &mut out)?;
+                        span.rows_out += u64::from(passed);
+                        span.rows_filtered += u64::from(!passed);
+                    }
+                    continue;
+                }
+                let (mut values, mut failed) = (values.into_iter(), failed.into_iter().peekable());
+                for at in 0.. {
+                    let was_open = breaker_open;
+                    let attempt = if let Some((_, probe)) = failed.next_if(|(i, _)| *i == at) {
+                        Err(probe)
+                    } else if let Some(value) = values.next() {
+                        Ok(value)
+                    } else {
+                        break;
+                    };
+                    let (p_retries, p_failures, p_timeouts) = attempt
+                        .as_ref()
+                        .err()
+                        .map_or((0, 0, 0), |p| (p.retries, p.failures, p.timeouts));
+                    let inv = fold.consume(attempt);
+                    attempts += u64::from(inv.attempts);
+                    extra_seconds += inv.extra_seconds;
+                    if was_open {
+                        span.short_circuited += 1;
                         self.tel
-                            .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
-                        out.push(row)?;
-                        true
+                            .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
+                    } else {
+                        span.attempts += u64::from(inv.attempts);
+                        span.retries += p_retries;
+                        span.failures += p_failures;
+                        span.timeouts += p_timeouts;
+                        if p_retries > 0 {
+                            self.tel
+                                .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
+                        }
+                        if p_timeouts > 0 {
+                            self.tel
+                                .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
+                        }
+                        if inv.attempts == 1 && inv.extra_seconds == 0.0 {
+                            // One attempt, no overhead: the latency value is
+                            // the constant cost_per_row, so count these and
+                            // record them in one batched `record_n` after the
+                            // loop — same buckets, same counts.
+                            clean_rows += 1;
+                        } else {
+                            span.latency
+                                .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
+                        }
+                        // The breaker can only have tripped during this row's
+                        // consume, and it only trips on a terminal error.
+                        if inv.result.is_err() {
+                            breaker_open = fold.breaker_open();
+                            if breaker_open {
+                                span.breaker_tripped = true;
+                            }
+                        }
                     }
-                    Err(e) => {
-                        // Charge the work done, then bail.
-                        failure = Some(e);
-                        break 'records;
-                    }
-                };
-                span.rows_out += u64::from(passed);
-                span.rows_filtered += u64::from(!passed);
-                row_idx += 1;
+                    let passed = match inv.result {
+                        Ok(value) => emit(chunk, first + at, value, &mut out)?,
+                        Err(_) if fail_open => {
+                            fold.record_fail_open();
+                            span.failed_open += 1;
+                            self.tel
+                                .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
+                            out.push(chunk.row(first + at))?;
+                            true
+                        }
+                        Err(e) => {
+                            // Charge the work done, then bail.
+                            failure = Some(e);
+                            break 'waves;
+                        }
+                    };
+                    span.rows_out += u64::from(passed);
+                    span.rows_filtered += u64::from(!passed);
+                    row_idx += 1;
+                }
             }
+            consumed_any = true;
         }
         if clean_rows > 0 {
             span.latency.record_n(cost_per_row, clean_rows);
         }
+        span.rows_in = handed as u64;
         span.seconds = attempts as f64 * cost_per_row + extra_seconds;
         Ok(Finished { span, out, failure })
     }
@@ -1466,19 +1648,19 @@ mod tests {
         }
         .fold_udf(
             "PP[poll]".to_string(),
-            in_rows,
             schema,
             0.1,
             true,
+            one_wave(in_rows),
             |batch| crate::batch::for_each_row(batch, |_, _| Ok(true)),
             |_, _| Ok(true),
             // Stands in for a caller cancelling while the fold consumes:
             // the token fires in the middle of the second batch.
-            |row, keep, out| {
-                if row.get(0).as_int()? == 150 {
+            |chunk, at, keep, out| {
+                if at == 150 {
                     token.cancel(CancelReason::Requested);
                 }
-                out.push(row)?;
+                out.push(chunk.row(at))?;
                 Ok(keep)
             },
         )?;

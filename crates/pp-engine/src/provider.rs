@@ -5,8 +5,9 @@
 //! for numeric columns). Every table the catalog holds is one: an
 //! in-memory [`Rowset`] is a single group that publishes no zone maps
 //! ([`MemoryProvider::whole`]), a segment directory is many groups that
-//! do. The executor streams groups, and a pushed-down predicate may
-//! *prune* groups the predicate provably cannot match.
+//! do. The executor streams groups — each decoded into a [`Chunk`], the
+//! rows in the layout their source already has — and a pushed-down
+//! predicate may *prune* groups the predicate provably cannot match.
 //!
 //! Zone maps are coarse probabilistic predicates with accuracy 1.0 and
 //! near-zero cost: the skip decision in [`group_may_match`] is
@@ -19,8 +20,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::chunk::{attached_blocks, AttachedBlocks, Chunk};
 use crate::predicate::{Clause, CompareOp, Predicate};
-use crate::row::{Row, Rowset};
+use crate::row::Rowset;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
@@ -114,11 +116,12 @@ pub trait TableProvider: fmt::Debug + Send + Sync {
     fn group_count(&self) -> usize;
     /// Metadata for one group (`index < group_count()`).
     fn group_meta(&self, index: usize) -> &RowGroupMeta;
-    /// Decodes one group's rows. Errors must be typed — never panic.
-    fn read_group(&self, index: usize) -> Result<Vec<Row>>;
+    /// Decodes one group. Errors must be typed — never panic.
+    fn read_group(&self, index: usize) -> Result<Chunk>;
     /// Number of shards backing the table.
     fn shard_count(&self) -> usize;
-    /// Optional cap on encoded bytes decoded concurrently.
+    /// Optional cap on the encoded bytes of the groups a scan holds
+    /// decoded at once (see [`MemoryProvider::with_memory_budget`]).
     fn memory_budget(&self) -> Option<u64> {
         None
     }
@@ -186,13 +189,13 @@ pub fn publishes_zone_maps(provider: &dyn TableProvider) -> bool {
     (0..provider.group_count()).any(|g| !provider.group_meta(g).zones.is_empty())
 }
 
-/// Decodes every group of `provider`, in group order, into a [`Rowset`].
-/// Off-hot-path consumers (training, audit replay) use this; the executor
-/// streams groups under the provider's memory budget instead.
+/// Decodes every group of `provider`, in group order, into the rows of a
+/// [`Rowset`]. Off-hot-path consumers (training, audit replay) use this;
+/// the executor streams groups under the provider's memory budget instead.
 pub fn read_all(provider: &dyn TableProvider) -> Result<Rowset> {
-    let mut rows: Vec<Row> = Vec::with_capacity(provider.row_count());
+    let mut rows = Vec::with_capacity(provider.row_count());
     for g in 0..provider.group_count() {
-        rows.extend(provider.read_group(g)?);
+        rows.extend(provider.read_group(g)?.into_rows());
     }
     Rowset::new(provider.schema(), rows)
 }
@@ -272,6 +275,14 @@ pub fn shard_prune_stats(provider: &dyn TableProvider, predicate: &Predicate) ->
 /// fixed-size row groups with computed zone maps ([`new`](Self::new), the
 /// reference implementation of the pruning contract). On-disk segment
 /// providers live in the `pp-store` crate.
+///
+/// A group is a [`Chunk`] over the registered rows themselves, so what a
+/// query keeps of it are the table's own `Row`s — blob identity
+/// ([`Value::sql_eq`], [`UdfMemo`](crate::memo::UdfMemo) keys) survives
+/// a scan. The first kernel to read a blob column gathers it, for the
+/// whole table, into one contiguous block that stays attached to the
+/// provider; every later batch of every later query scores a window of
+/// it.
 #[derive(Debug, Clone)]
 pub struct MemoryProvider {
     table: Arc<Rowset>,
@@ -279,14 +290,16 @@ pub struct MemoryProvider {
     bounds: Vec<(usize, usize)>,
     shards: usize,
     budget: Option<u64>,
+    blocks: Arc<AttachedBlocks>,
 }
 
 impl MemoryProvider {
     /// The whole table as one row group that publishes no zone maps and
     /// occupies no bytes at rest: nothing to prune, nothing to decode —
-    /// `read_group(0)` is a reference-count bump per row.
+    /// `read_group(0)` is a view of the table.
     pub fn whole(table: Arc<Rowset>) -> MemoryProvider {
         MemoryProvider {
+            blocks: attached_blocks(table.schema().len()),
             groups: vec![RowGroupMeta {
                 rows: table.len(),
                 bytes: 0,
@@ -335,6 +348,7 @@ impl MemoryProvider {
             start = end;
         }
         MemoryProvider {
+            blocks: attached_blocks(table.schema().len()),
             table,
             groups,
             bounds,
@@ -343,7 +357,12 @@ impl MemoryProvider {
         }
     }
 
-    /// Sets the decode memory budget reported to the executor.
+    /// Sets the memory budget reported to the executor: a scan decodes
+    /// the table in waves of groups whose `bytes` add up to at most this
+    /// (a group over it decodes alone). Under `Scan → Filter` a wave is
+    /// dropped once its survivors are out, so the budget bounds the
+    /// decoded data resident at once; any other consumer of the scan
+    /// still receives every decoded row.
     pub fn with_memory_budget(mut self, bytes: u64) -> MemoryProvider {
         self.budget = Some(bytes);
         self
@@ -367,11 +386,15 @@ impl TableProvider for MemoryProvider {
         &self.groups[index]
     }
 
-    fn read_group(&self, index: usize) -> Result<Vec<Row>> {
+    fn read_group(&self, index: usize) -> Result<Chunk> {
         let (start, end) = self.bounds.get(index).copied().ok_or_else(|| {
             crate::EngineError::Storage(format!("row group {index} out of range"))
         })?;
-        Ok(self.table.rows()[start..end].to_vec())
+        Ok(Chunk::from_table_range(
+            Arc::clone(&self.table),
+            start..end,
+            Some(Arc::clone(&self.blocks)),
+        ))
     }
 
     fn shard_count(&self) -> usize {
@@ -386,6 +409,7 @@ impl TableProvider for MemoryProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::{Column, DataType};
 
     fn zone(vals: &[Value]) -> BTreeMap<String, ZoneMap> {
@@ -510,7 +534,7 @@ mod tests {
         let mut all = Vec::new();
         for g in 0..p.group_count() {
             assert_eq!(p.group_meta(g).rows, p.read_group(g).unwrap().len());
-            all.extend(p.read_group(g).unwrap());
+            all.extend(p.read_group(g).unwrap().into_rows());
         }
         assert_eq!(all.len(), 10);
         assert!(p.read_group(99).is_err());

@@ -53,14 +53,22 @@ impl Row {
     pub fn extended(&self, extra: Vec<Value>) -> Row {
         // Both halves report an exact length, so the shared slice is
         // allocated once at its final size.
-        Row {
-            values: self.values.iter().cloned().chain(extra).collect(),
-        }
+        self.values.iter().cloned().chain(extra).collect()
     }
 
     /// Consumes the row, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values.to_vec()
+    }
+}
+
+/// Collects cells straight into the shared slice: an iterator that knows
+/// its length allocates the row once.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(cells: I) -> Self {
+        Row {
+            values: cells.into_iter().collect(),
+        }
     }
 }
 

@@ -31,9 +31,10 @@
 //!   lock-free from worker threads) live only in the context-level
 //!   [`MetricsRegistry`] and are excluded from the snapshot, as are the
 //!   context's parallelism/batch knobs themselves. The storage-backend
-//!   `store.*` namespace (row groups scanned/pruned, bytes read by
-//!   scans) is excluded for the same reason: a segment-backed scan must
-//!   snapshot byte-identically to its in-memory twin.
+//!   `store.*` namespace (row groups scanned/pruned, bytes read, rows
+//!   decoded and rows turned into tuples by scans) is excluded for the
+//!   same reason: a segment-backed scan must snapshot byte-identically
+//!   to its in-memory twin.
 //!
 //! Latency histograms bucket *simulated* per-row seconds (charged cost),
 //! not wall time, so p50/p99 are reproducible; wall-clock fields are the
@@ -790,12 +791,38 @@ pub(crate) struct SpanCollector {
     pub worker_rows: Counter,
     /// `worker.batches_total` handle, bumped from worker threads.
     pub worker_batches: Counter,
-    /// `store.row_groups_scanned_total` handle.
-    pub store_groups_scanned: Counter,
-    /// `store.row_groups_pruned_total` handle.
-    pub store_groups_pruned: Counter,
-    /// `store.bytes_read_total` handle.
-    pub store_bytes_read: Counter,
+    /// The `store.*` handles.
+    pub store: StoreCounters,
+}
+
+/// The registry-level `store.*` counters a scan bumps when it closes.
+#[derive(Debug, Default)]
+pub(crate) struct StoreCounters {
+    /// `store.row_groups_scanned_total`: groups decoded.
+    pub groups_scanned: Counter,
+    /// `store.row_groups_pruned_total`: groups a pushdown ruled out.
+    pub groups_pruned: Counter,
+    /// `store.bytes_read_total`: encoded bytes of the decoded groups.
+    pub bytes_read: Counter,
+    /// `store.rows_decoded_total`: rows in the decoded groups.
+    pub rows_decoded: Counter,
+    /// `store.rows_materialized_total`: rows that left a scan as tuples —
+    /// every decoded row, or only a filter's survivors when one sits
+    /// directly above the scan.
+    pub rows_materialized: Counter,
+}
+
+impl StoreCounters {
+    /// The handles registered under `registry`.
+    pub(crate) fn of(registry: &MetricsRegistry) -> Self {
+        StoreCounters {
+            groups_scanned: registry.counter("store.row_groups_scanned_total"),
+            groups_pruned: registry.counter("store.row_groups_pruned_total"),
+            bytes_read: registry.counter("store.bytes_read_total"),
+            rows_decoded: registry.counter("store.rows_decoded_total"),
+            rows_materialized: registry.counter("store.rows_materialized_total"),
+        }
+    }
 }
 
 impl SpanCollector {
@@ -807,22 +834,13 @@ impl SpanCollector {
             max_events: DEFAULT_MAX_EVENTS,
             worker_rows,
             worker_batches,
-            store_groups_scanned: Counter::default(),
-            store_groups_pruned: Counter::default(),
-            store_bytes_read: Counter::default(),
+            store: StoreCounters::default(),
         }
     }
 
     /// Attaches registry-backed `store.*` counter handles.
-    pub(crate) fn with_store_counters(
-        mut self,
-        scanned: Counter,
-        pruned: Counter,
-        bytes: Counter,
-    ) -> Self {
-        self.store_groups_scanned = scanned;
-        self.store_groups_pruned = pruned;
-        self.store_bytes_read = bytes;
+    pub(crate) fn with_store_counters(mut self, store: StoreCounters) -> Self {
+        self.store = store;
         self
     }
 

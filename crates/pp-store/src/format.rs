@@ -30,7 +30,8 @@ use std::fmt;
 
 use pp_engine::schema::DataType;
 use pp_engine::value::Value;
-use pp_linalg::{Features, SparseVector};
+use pp_engine::ChunkColumn;
+use pp_linalg::{FeatureBlock, Features, SparseVector};
 
 /// Leading file magic (`PPSG`).
 pub(crate) const MAGIC: [u8; 4] = *b"PPSG";
@@ -498,6 +499,53 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
         }
         t => return Err(StoreError::Corrupt(format!("unknown value tag {t:#04x}"))),
     })
+}
+
+/// Decodes one column page of `rows` values: a page of dense blobs of
+/// one dimension into one block, in a single big-endian → `f64` pass;
+/// any other page cell by cell.
+pub(crate) fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ChunkColumn, StoreError> {
+    if let Some(block) = dense_block(cur, rows) {
+        return Ok(ChunkColumn::Block(block));
+    }
+    // Every encoded value is at least its tag byte, which bounds the
+    // reservation by the page.
+    let mut cells = Vec::with_capacity(rows.min(cur.remaining()));
+    for _ in 0..rows {
+        cells.push(decode_value(cur)?);
+    }
+    Ok(ChunkColumn::Cells(cells))
+}
+
+/// The whole page as one block, if it is exactly `rows` dense blobs of
+/// one non-zero dimension; consumes the page then, and leaves it
+/// untouched otherwise (a sparse, ragged, empty, `Null` or non-blob cell
+/// anywhere: the cells decode one by one and report what they report).
+fn dense_block(cur: &mut Cursor<'_>, rows: usize) -> Option<FeatureBlock> {
+    let page = cur.data;
+    let (header, _) = page.split_first_chunk::<5>()?;
+    let [tag, dim @ ..] = *header;
+    let dim = u32::from_be_bytes(dim);
+    if tag != TAG_DENSE || dim == 0 || dim > MAX_BLOB_LEN {
+        return None;
+    }
+    let cell = header.len() + dim as usize * 8;
+    // The page's own length bounds the buffer reserved below.
+    if rows.checked_mul(cell)? != page.len() {
+        return None;
+    }
+    let mut data = Vec::with_capacity(rows * dim as usize);
+    for bytes in page.chunks_exact(cell) {
+        let (this, payload) = bytes.split_first_chunk::<5>()?;
+        if this != header {
+            return None;
+        }
+        let (words, _) = payload.as_chunks::<8>();
+        data.extend(words.iter().map(|w| f64::from_bits(u64::from_be_bytes(*w))));
+    }
+    let block = FeatureBlock::from_vec(dim as usize, data).ok()?;
+    cur.data = &[];
+    Some(block)
 }
 
 /// Decodes a zone-map bound written by [`encode_bound`].

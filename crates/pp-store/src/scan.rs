@@ -11,9 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pp_engine::row::Row;
 use pp_engine::schema::Schema;
-use pp_engine::{EngineError, RowGroupMeta, TableProvider};
+use pp_engine::{Chunk, EngineError, RowGroupMeta, TableProvider};
 
 use crate::segment::Segment;
 use crate::{Result, StoreError};
@@ -91,9 +90,13 @@ impl SegmentScan {
         SegmentScan::open(&paths)
     }
 
-    /// Caps the encoded bytes of row-group pages decoded concurrently:
-    /// the scan operator decodes groups in budget-sized waves. It does
-    /// not bound the decoded rows, which the scan accumulates.
+    /// Caps the encoded bytes of the row groups a scan holds decoded at
+    /// once: the scan operator decodes groups in budget-sized waves (a
+    /// group over the budget decodes alone). Under `Scan → Filter` — every
+    /// PP plan — a wave is dropped as soon as the filter's survivors are
+    /// out of it, so the budget bounds the decoded data resident at any
+    /// time; any other consumer of the scan still receives every decoded
+    /// row at once.
     pub fn with_memory_budget(mut self, bytes: u64) -> SegmentScan {
         self.budget = Some(bytes);
         self
@@ -122,7 +125,7 @@ impl TableProvider for SegmentScan {
         &self.metas[index]
     }
 
-    fn read_group(&self, index: usize) -> std::result::Result<Vec<Row>, EngineError> {
+    fn read_group(&self, index: usize) -> std::result::Result<Chunk, EngineError> {
         let (si, g) = *self
             .index
             .get(index)

@@ -4,9 +4,10 @@
 //! and the CRC-checksummed footer before trusting a single directory
 //! entry; every declared size is capped before allocation and every page
 //! extent is bounds-checked against the data region. Reading a row
-//! group verifies every page checksum first, then decodes all columns in
-//! one pass and requires each page to hold exactly the declared row
-//! count with no trailing bytes. Corrupt or truncated input yields a
+//! group verifies every page checksum first, then decodes it column by
+//! column into a [`Chunk`] — a blob page of uniformly dense vectors into
+//! one contiguous block, never into per-row tuples — and requires each
+//! page to hold exactly the declared row count with no trailing bytes. Corrupt or truncated input yields a
 //! typed [`StoreError`] — never a panic.
 
 use std::collections::BTreeMap;
@@ -16,12 +17,11 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-use pp_engine::row::Row;
 use pp_engine::schema::{Column, Schema};
-use pp_engine::ZoneMap;
+use pp_engine::{Chunk, ZoneMap};
 
 use crate::format::{
-    crc32, decode_bound, decode_value, dtype_from_code, Cursor, FOOTER_MAGIC, HEADER_LEN, MAGIC,
+    crc32, decode_bound, decode_column, dtype_from_code, Cursor, FOOTER_MAGIC, HEADER_LEN, MAGIC,
     MAX_COLUMNS, MAX_FOOTER_LEN, MAX_GROUPS, MAX_GROUP_ROWS, MAX_NAME_LEN, SEGMENT_VERSION,
     TRAILER_LEN,
 };
@@ -308,11 +308,11 @@ impl Segment {
             .collect()
     }
 
-    /// Reads, checksums, and decodes row group `g` back into rows.
+    /// Reads, checksums, and decodes row group `g`.
     ///
     /// All pages land in one buffer of [`Segment::group_bytes`] bytes and
     /// every checksum is verified before any value is decoded.
-    pub fn read_group(&self, g: usize) -> Result<Vec<Row>> {
+    pub fn read_group(&self, g: usize) -> Result<Chunk> {
         let entry = self.groups.get(g).ok_or_else(|| {
             StoreError::Corrupt(format!(
                 "row group {g} out of range ({})",
@@ -343,18 +343,9 @@ impl Segment {
             }
             cursors.push(Cursor::new(page_buf, "column page"));
         }
-        let n_rows = entry.rows as usize;
-        // `open` admits no group with more rows than page bytes; the cap
-        // keeps that bound next to the allocation it protects.
-        let mut rows = Vec::with_capacity(n_rows.min(len));
-        for _ in 0..n_rows {
-            let mut values = Vec::with_capacity(cursors.len());
-            for cur in &mut cursors {
-                values.push(decode_value(cur)?);
-            }
-            rows.push(Row::new(values));
-        }
-        for (c, cur) in cursors.iter().enumerate() {
+        let mut columns = Vec::with_capacity(cursors.len());
+        for (c, cur) in cursors.iter_mut().enumerate() {
+            columns.push(decode_column(cur, entry.rows as usize)?);
             if !cur.is_empty() {
                 return Err(StoreError::Corrupt(format!(
                     "{} trailing bytes in page group={g} col={c}",
@@ -362,7 +353,8 @@ impl Segment {
                 )));
             }
         }
-        Ok(rows)
+        Chunk::from_columns(Arc::clone(&self.schema), columns)
+            .map_err(|e| StoreError::Corrupt(format!("row group {g}: {e}")))
     }
 }
 

@@ -26,8 +26,8 @@ use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::{ClosureFilter, Processor, RowFilter};
 use probabilistic_predicates::engine::{
-    memoize_plan, Batch, Catalog, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig, RetryPolicy,
-    Row, Rowset, UdfMemo, Value,
+    memoize_plan, Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig,
+    RetryPolicy, Row, Rowset, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -436,7 +436,10 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
     }
 
     for (label, rows) in &batches {
-        let batch = Batch::new(&schema, rows, 0);
+        let chunk = Chunk::from_rows(Arc::new(
+            Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema"),
+        ));
+        let batch = Batch::new(&chunk, 0..rows.len(), 0);
         for filter in &filters {
             let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
             assert_eq!(
@@ -456,6 +459,51 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
             );
         }
     }
+}
+
+/// What a scan keeps of an in-memory table are the table's own rows: a
+/// survivor's blob is the registered `Arc`, not a copy — `Value::sql_eq`
+/// and the UDF memo key on that identity — so a memoized plan run a
+/// second time, by which time the table's blob column is scored off its
+/// attached block, makes no new UDF calls.
+#[test]
+fn survivors_of_an_in_memory_table_are_the_registered_rows() {
+    let f = fixture();
+    let registered = f.catalog.read_table("traffic").expect("registered slice");
+    let blob_at = registered.schema().index_of("frame").expect("blob column");
+    let id_at = registered.schema().index_of("frameID").expect("id column");
+    let by_id = |id: i64| {
+        let mut rows = registered.rows().iter();
+        rows.find(|r| r.get(id_at).as_int().expect("id") == id)
+            .expect("a registered row")
+    };
+    // The injected plan is Scan → PP filter → Process → Select.
+    let mut pp_only = &f.pp_plan;
+    while !matches!(pp_only, LogicalPlan::Filter { .. }) {
+        pp_only = pp_only.children().next().expect("a filter above the scan");
+    }
+    for k in [1usize, 4] {
+        let mut ctx = ExecutionContext::builder(&f.catalog)
+            .with_parallelism(k)
+            .build();
+        let out = ctx.run(pp_only).expect("run");
+        assert!(!out.is_empty() && out.len() < registered.len());
+        for row in out.rows() {
+            let original = by_id(row.get(id_at).as_int().expect("id"));
+            assert!(row.get(blob_at).sql_eq(original.get(blob_at)), "K={k}");
+        }
+    }
+
+    let memo = Arc::new(UdfMemo::new(registered.schema().len()));
+    let mut ctx = ExecutionContext::builder(&f.catalog)
+        .with_udf_memo(Arc::clone(&memo))
+        .build();
+    let first = ctx.run(&f.pp_plan).expect("first run");
+    let invoked = memo.stats().invoked;
+    assert!(invoked > 0);
+    let second = ctx.run(&f.pp_plan).expect("second run");
+    assert_eq!(memo.stats().invoked, invoked, "every row was a memo hit");
+    assert_eq!(digest(&first), digest(&second));
 }
 
 /// Engine-level edge shapes: an empty table and a single-row table run

@@ -10,7 +10,9 @@
 //!     excludes it,
 //! (c) the whole fault harness is deterministic: the same seed reproduces
 //!     identical outputs, identical resilience reports, and identical
-//!     cost-meter charges.
+//!     cost-meter charges,
+//! (d) a `Scan → Filter` stream that stops early charges each of the two
+//!     for what it consumed, identically at every parallelism.
 
 use std::sync::OnceLock;
 
@@ -293,4 +295,143 @@ fn same_seed_reproduces_outputs_and_charges() {
         clean.len(),
         nop_out.len()
     );
+}
+
+/// (d) Early-stop accounting over a table of several waves. A segment
+/// table of five 32-row groups under a budget of one group is scanned
+/// with a filter directly above it; the stream is stopped in its third
+/// wave, once by the filter's terminal error (fail-open off) and once by
+/// a cancellation fired from inside the filter. Either way the scan is
+/// charged for the three waves it decoded and the filter for what it
+/// folded, byte for byte the same at K = 1 and K = 4, and the error is
+/// the same error.
+#[test]
+fn an_early_stop_charges_each_operator_for_what_it_consumed() {
+    use probabilistic_predicates::engine::udf::ClosureFilter;
+    use probabilistic_predicates::engine::{
+        CancelReason, CancelToken, Column, DataType, EngineError, Row, Schema, Value,
+    };
+    use probabilistic_predicates::store::{SegmentScan, SegmentWriter, SegmentWriterConfig};
+    use std::sync::Arc;
+
+    const GROUP: usize = 32;
+    const STOP_AT: i64 = 2 * GROUP as i64 + 5;
+    let schema = Schema::new(vec![Column::new("id", DataType::Int)]).expect("schema");
+    let rows = (0..5 * GROUP as i64)
+        .map(|i| Row::new(vec![Value::Int(i)]))
+        .collect();
+    let table = Rowset::new(schema, rows).expect("rowset");
+    let dir = std::env::temp_dir().join(format!("pp-early-stop-{}", std::process::id()));
+    let paths = SegmentWriter::new(SegmentWriterConfig {
+        rows_per_group: GROUP,
+    })
+    .write_shards(&dir, "t", &table, 1)
+    .expect("write");
+    let mut catalog = Catalog::new();
+    catalog.register_provider(
+        "t",
+        Arc::new(
+            SegmentScan::open(&paths)
+                .expect("open")
+                .with_memory_budget(1),
+        ),
+    );
+
+    // What one run leaves behind: the error, the charges, the spans
+    // (wall clock scrubbed) and the scan's registry counters.
+    let observe = |k: usize, token: &CancelToken, filter: Arc<ClosureFilter>| {
+        let mut ctx = ExecutionContext::builder(&catalog)
+            .with_parallelism(k)
+            .with_batch_size(GROUP)
+            .with_cancel_token(token.clone())
+            .with_resilience(
+                ResilienceConfig::default()
+                    .with_retry(RetryPolicy::none())
+                    .with_fail_open_filters(false),
+            )
+            .build();
+        let err = ctx
+            .run(&LogicalPlan::scan("t").filter(filter))
+            .expect_err("the stream stops in wave 3");
+        let mut snap = ctx.telemetry().expect("snapshot").clone();
+        snap.zero_wall_clock();
+        let counter = |name: &str| ctx.registry().counter(name).get();
+        (
+            err.to_string(),
+            format!("{:?}", ctx.meter().entries()),
+            snap,
+            [
+                counter("store.row_groups_scanned_total"),
+                counter("store.rows_decoded_total"),
+                counter("store.rows_materialized_total"),
+            ],
+        )
+    };
+
+    // The filter's own terminal error, at a row of wave 3.
+    let failing = |k: usize| {
+        let filter = ClosureFilter::new("PP[gate]", 0.1, |row, _| match row.get(0).as_int()? {
+            STOP_AT => Err(EngineError::Transient("model server down".into())),
+            id => Ok(id % 2 == 0),
+        });
+        observe(k, &CancelToken::new(), Arc::new(filter))
+    };
+    let (err, charges, snap, store) = failing(1);
+    assert!(err.contains("model server down"), "{err}");
+    let scan = snap.span("Scan[").expect("scan span");
+    assert_eq!(
+        (
+            scan.rows_in,
+            scan.rows_out,
+            scan.rows_filtered,
+            scan.rows_failed
+        ),
+        (160, 96, 0, 64),
+        "the scan is charged for the three waves it decoded"
+    );
+    let filter = snap.span("PP[gate]").expect("filter span");
+    // Rows 0..=68 got a verdict (35 even ids kept), row 69 failed, and
+    // the 26 rows of wave 3 behind it were left unprocessed.
+    assert_eq!(
+        (filter.rows_in, filter.rows_out, filter.rows_filtered),
+        (96, 35, 34)
+    );
+    assert_eq!((filter.rows_failed, filter.attempts), (27, 70));
+    assert!(scan.check_conservation() && filter.check_conservation());
+    assert_eq!((scan.op_id.0, filter.op_id.0), (0, 1), "plan order");
+    assert_eq!(store, [3, 96, 35]);
+    assert_eq!(failing(4), (err, charges, snap, store), "K = 4 diverged");
+
+    // A cancellation fired while wave 3 is probed: the consume phase
+    // meets it at the wave's first record, so the filter is charged for
+    // two waves and the scan, again, for three.
+    let cancelled = |k: usize| {
+        let token = CancelToken::new();
+        let fire = token.clone();
+        let filter = ClosureFilter::new("PP[gate]", 0.1, move |row, _| {
+            let id = row.get(0).as_int()?;
+            if id == STOP_AT {
+                fire.cancel(CancelReason::Requested);
+            }
+            Ok(id % 2 == 0)
+        });
+        observe(k, &token, Arc::new(filter))
+    };
+    let (err, charges, snap, store) = cancelled(1);
+    assert!(err.contains("cancelled"), "{err}");
+    let scan = snap.span("Scan[").expect("scan span");
+    assert_eq!((scan.rows_out, scan.rows_failed), (96, 64));
+    let filter = snap.span("PP[gate]").expect("filter span");
+    assert_eq!(
+        (
+            filter.rows_in,
+            filter.rows_out,
+            filter.rows_failed,
+            filter.attempts
+        ),
+        (96, 32, 32, 64)
+    );
+    assert_eq!(store, [3, 96, 32]);
+    assert_eq!(cancelled(4), (err, charges, snap, store), "K = 4 diverged");
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }

@@ -17,15 +17,22 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
+use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
+use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
+use probabilistic_predicates::engine::udf::RowFilter;
 use probabilistic_predicates::engine::{
     Catalog, Clause, Column, CompareOp, DataType, FaultPlan, FaultSpec, LogicalPlan,
-    MemoryProvider, Predicate, ResilienceConfig, RetryPolicy, Row, Rowset, Schema, Value,
+    MemoryProvider, Predicate, ResilienceConfig, RetryPolicy, Row, Rowset, Schema, TableProvider,
+    Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
+use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
+use probabilistic_predicates::ml::reduction::ReducerSpec;
+use probabilistic_predicates::ml::svm::SvmParams;
 use probabilistic_predicates::store::{
     Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
 };
@@ -40,6 +47,8 @@ struct Fixture {
     mem_catalog: Catalog,
     /// Segment-backed catalogs at 1, 2, and 4 shards.
     shard_catalogs: Vec<(usize, Catalog)>,
+    /// The shard files behind them, to reopen under a memory budget.
+    shard_paths: Vec<Vec<PathBuf>>,
     /// Q1's NoP plan (`vehType = SUV`), the equivalence workhorse.
     q1_plan: LogicalPlan,
 }
@@ -62,6 +71,7 @@ fn fixture() -> &'static Fixture {
         dataset.register(&mut mem_catalog);
         let writer = SegmentWriter::new(SegmentWriterConfig { rows_per_group: 32 });
         let mut shard_catalogs = Vec::new();
+        let mut shard_paths = Vec::new();
         for shards in [1usize, 2, 4] {
             let dir = scratch_dir(&format!("shards{shards}"));
             let paths = writer
@@ -72,6 +82,7 @@ fn fixture() -> &'static Fixture {
             let mut catalog = Catalog::new();
             catalog.register_provider("traffic", Arc::new(scan));
             shard_catalogs.push((shards, catalog));
+            shard_paths.push(paths);
         }
         let q1 = traf20_queries()
             .into_iter()
@@ -82,6 +93,7 @@ fn fixture() -> &'static Fixture {
             dataset,
             mem_catalog,
             shard_catalogs,
+            shard_paths,
             q1_plan,
         }
     })
@@ -168,11 +180,56 @@ fn segment_scan_matches_in_memory_under_seeded_faults() {
     }
 }
 
+/// A result set cell by cell, blobs by bit pattern (`Debug` prints a
+/// blob as `<blob dim=N>`, hiding its values).
+fn digest_bits(out: &Rowset) -> String {
+    let mut text = String::new();
+    for row in out.rows() {
+        for cell in row.values() {
+            match cell {
+                Value::Blob(f) => match f.as_dense() {
+                    Some(xs) => text.extend(xs.iter().map(|x| format!("{:016x}", x.to_bits()))),
+                    None => text.push_str(&format!("{f:?}")),
+                },
+                other => text.push_str(&format!("{other:?}")),
+            }
+            text.push('|');
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// A single-leaf SVM PP for `clause` over the raw blob, as the filter
+/// that rides a scan's stream.
+fn pp_filter(f: &Fixture, clause: &Clause) -> Arc<dyn RowFilter> {
+    let labeled = f.dataset.labeled_for_clause_range(clause, 0..400);
+    let pp = PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach {
+            reducer: ReducerSpec::Identity,
+            model: ModelSpec::Svm(SvmParams::default()),
+        }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    })
+    .train_clause(clause, &labeled)
+    .expect("train")
+    .remove(0);
+    let planned = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95).expect("plan");
+    Arc::new(planned.into_filter("frame"))
+}
+
 /// One table source: the same rows registered as an in-memory `Rowset`
 /// (one group, no zone maps), as a zone-mapped [`MemoryProvider`], and as
 /// segment shards all run down the same scan, so an unpruned scan — with
 /// no pushdown, or with one that rules no group out — yields the same
-/// rows, the same `Scan` span, and the same charge from each.
+/// rows, the same `Scan` span, and the same charge from each. So does the
+/// paper's pipeline over it, `Scan → PP filter → Process → Select`, in
+/// which the filter folds the scan's waves: whatever cuts the table into
+/// groups and waves — the source, its memory budget, the parallelism —
+/// and with or without seeded faults on the filter, rows (blobs bit for
+/// bit), spans, charges, telemetry and the resilience report equal the
+/// in-memory `K = 1, batch = 1` run's.
 #[test]
 fn unpruned_scan_is_identical_across_table_sources() {
     let f = fixture();
@@ -213,6 +270,192 @@ fn unpruned_scan_is_identical_across_table_sources() {
                 0,
                 "{label} pruned an unprunable scan"
             );
+        }
+    }
+
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let filter = pp_filter(f, &clause);
+    let pp_op = filter.name().to_string();
+    let plan = LogicalPlan::scan("traffic")
+        .filter(filter)
+        .process(f.dataset.udf(&clause.column).expect("the clause's UDF"))
+        .select(Predicate::from(clause));
+    // Every source under no budget, one group per wave, three per wave.
+    let mut sources: Vec<(String, Catalog)> = vec![("rowset".into(), f.mem_catalog.clone())];
+    for groups in [None, Some(1u64), Some(3)] {
+        let budgeted = |provider: Arc<dyn TableProvider>,
+                        with: &dyn Fn(u64) -> Arc<dyn TableProvider>| {
+            let group = (0..provider.group_count())
+                .map(|g| provider.group_meta(g).bytes)
+                .max()
+                .expect("groups");
+            let mut catalog = Catalog::new();
+            catalog.register_provider("traffic", groups.map_or(provider, |n| with(n * group)));
+            catalog
+        };
+        let zoned = || MemoryProvider::new(Arc::clone(f.dataset.table()), 32, 2);
+        sources.push((
+            format!("memory provider, budget {groups:?}"),
+            budgeted(Arc::new(zoned()), &|b| {
+                Arc::new(zoned().with_memory_budget(b))
+            }),
+        ));
+        for paths in &f.shard_paths {
+            let open = || SegmentScan::open(paths).expect("open shards");
+            sources.push((
+                format!("{} shards, budget {groups:?}", paths.len()),
+                budgeted(Arc::new(open()), &|b| {
+                    Arc::new(open().with_memory_budget(b))
+                }),
+            ));
+        }
+    }
+    for faulted in [false, true] {
+        let run = |catalog: &Catalog, k: usize, batch: usize| {
+            let mut builder = ExecutionContext::builder(catalog)
+                .with_parallelism(k)
+                .with_batch_size(batch);
+            if faulted {
+                let spec = FaultSpec::transient(0.2).with_poison(0.02);
+                builder = builder
+                    .with_fault_plan(FaultPlan::new(0x5709F).inject(&pp_op, spec))
+                    .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
+                        max_retries: 8,
+                        ..Default::default()
+                    }));
+            }
+            let mut ctx = builder.build();
+            let out = ctx.run(&plan).expect("pipeline run");
+            assert!(!out.is_empty());
+            let (_, charges, telemetry) = observe(&ctx, &out);
+            (digest_bits(&out), charges, telemetry, ctx.report())
+        };
+        let base = run(&f.mem_catalog, 1, 1);
+        assert_eq!(
+            base.3.total_failures() > 0,
+            faulted,
+            "faults fire when injected"
+        );
+        if faulted {
+            let pp = base.3.op(&pp_op).expect("PP tracked");
+            assert!(pp.failed_open > 0, "poisoned rows fail open: {pp:?}");
+        }
+        for (label, catalog) in &sources {
+            for k in [1usize, 2, 4] {
+                let got = run(catalog, k, 256);
+                let shape = format!("faulted={faulted} {label} K={k}");
+                assert_eq!(got.0, base.0, "{shape}: rows diverged");
+                assert_eq!(got.1, base.1, "{shape}: charges diverged");
+                assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
+                assert_eq!(got.3, base.3, "{shape}: resilience report diverged");
+            }
+        }
+    }
+}
+
+/// A row group whose blob page is not uniformly dense — a sparse blob, a
+/// `Null` and an `Int` among dense vectors in one group, a vector of
+/// another dimension in the next — decodes to cells, not a block, so the
+/// filter above the scan meets what the row path meets: the sparse cell
+/// is scored as stored, the `Null` and the `Int` fail with the row
+/// path's errors, in the row path's order, whether those fail open or
+/// end the query. (The models treat a vector of the wrong dimension as a
+/// caller bug, so the ragged group is decoded here but not scored.)
+#[test]
+fn an_irregular_blob_group_decodes_to_cells_and_fails_like_the_row_path() {
+    use probabilistic_predicates::engine::{Batch, ExecutionContextBuilder};
+
+    let f = fixture();
+    let table = f.dataset.table();
+    let blob_at = table.schema().index_of("frame").expect("blob column");
+    let mut rows: Vec<Row> = table.rows()[..24].to_vec();
+    let coords = rows[9].get(blob_at).as_blob().expect("blob").as_dense();
+    let coords = coords.expect("traffic blobs are dense").to_vec();
+    let pairs = coords.iter().enumerate().map(|(i, v)| (i as u32, *v));
+    let sparse = SparseVector::from_pairs(coords.len(), pairs.filter(|(_, v)| *v != 0.0).collect());
+    for (at, cell) in [
+        (
+            9,
+            Value::blob(Features::Sparse(sparse.expect("sparse twin"))),
+        ),
+        (12, Value::Null),
+        (14, Value::Int(7)),
+        (17, Value::blob(Features::Dense(coords[1..].to_vec()))),
+    ] {
+        let mut cells = rows[at].values().to_vec();
+        cells[blob_at] = cell;
+        rows[at] = Row::new(cells);
+    }
+    let table = Rowset::new(table.schema().clone(), rows).expect("rowset");
+    let path = scratch_dir("irregular").join("irregular.pps");
+    SegmentWriter::new(SegmentWriterConfig { rows_per_group: 8 })
+        .write_segment(&path, &table, 0, 1)
+        .expect("write");
+
+    // Group 0 hands over its own block; groups 1 and 2 have none to hand.
+    let seg = Segment::open(&path).expect("open");
+    for (g, own_block, errors) in [(0, true, 0), (1, false, 2), (2, false, 0)] {
+        let chunk = seg.read_group(g).expect("decodes");
+        let col = Batch::new(&chunk, 0..chunk.len(), 0).feature_column("frame");
+        assert_eq!(col.block.is_some(), own_block, "group {g}");
+        assert_eq!(col.refs.is_empty(), own_block, "group {g}");
+        assert_eq!(col.errors.len(), errors, "group {g}");
+    }
+
+    let scored = Rowset::new(table.schema().clone(), table.rows()[..16].to_vec());
+    let scored = scored.expect("rowset");
+    let paths = SegmentWriter::new(SegmentWriterConfig { rows_per_group: 8 })
+        .write_shards(&scratch_dir("irregular"), "scored", &scored, 1)
+        .expect("write");
+    let mut mem = Catalog::new();
+    mem.register("traffic", scored);
+    let mut disk = Catalog::new();
+    disk.register_provider(
+        "traffic",
+        Arc::new(
+            SegmentScan::open(&paths)
+                .expect("open")
+                .with_memory_budget(1),
+        ),
+    );
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let filter = pp_filter(f, &clause);
+    let pp_op = filter.name().to_string();
+    let plan = LogicalPlan::scan("traffic").filter(filter);
+    for fail_open in [true, false] {
+        let run = |builder: ExecutionContextBuilder<'_>| {
+            let mut ctx = builder
+                .with_resilience(
+                    ResilienceConfig::default()
+                        .with_retry(RetryPolicy::none())
+                        .with_breaker_threshold(100)
+                        .with_fail_open_filters(fail_open),
+                )
+                .build();
+            let rows = match ctx.run(&plan) {
+                Ok(out) => digest_bits(&out),
+                Err(e) => format!("error: {e}"),
+            };
+            let mut snap = ctx.telemetry().expect("snapshot").clone();
+            snap.zero_wall_clock();
+            (
+                rows,
+                format!("{:?}", ctx.meter().entries()),
+                snap,
+                ctx.report(),
+            )
+        };
+        let base = run(ExecutionContext::builder(&mem).with_batch_size(1));
+        let pp = base.3.op(&pp_op).expect("PP tracked");
+        if fail_open {
+            assert_eq!(pp.failed_open, 2, "the Null and the Int row pass: {pp:?}");
+        } else {
+            assert!(base.0.starts_with("error"), "{}", base.0);
+            assert_eq!(base.2.span(&pp_op).expect("filter span").attempts, 13);
+        }
+        for k in [1usize, 4] {
+            let got = run(ExecutionContext::builder(&disk).with_parallelism(k));
+            assert_eq!(got, base, "fail_open={fail_open} K={k}");
         }
     }
 }
@@ -350,6 +593,8 @@ fn store_metrics_export_in_stable_order_and_stay_out_of_snapshots() {
         "pp_store_bytes_read_total",
         "pp_store_row_groups_pruned_total",
         "pp_store_row_groups_scanned_total",
+        "pp_store_rows_decoded_total",
+        "pp_store_rows_materialized_total",
     ];
     let mut last = 0usize;
     for name in families {
@@ -363,6 +608,15 @@ fn store_metrics_export_in_stable_order_and_stay_out_of_snapshots() {
         assert!(at > last, "{name} out of lexicographic order in:\n{text}");
         last = at;
     }
+
+    // A scan with nothing riding its stream hands over every row it
+    // decoded, and decodes exactly the rows of the groups it kept.
+    let counter = |name: &str| ctx.registry().counter(name).get();
+    let decoded = counter("store.rows_decoded_total");
+    assert_eq!(decoded, counter("store.rows_materialized_total"));
+    let scan = ctx.telemetry().expect("snapshot").span("Scan[").cloned();
+    assert_eq!(decoded, scan.expect("scan span").rows_out);
+    assert!(decoded > 0 && decoded < f.dataset.len() as u64);
 
     // The per-run snapshot carries no store.* samples: provider-backed
     // and in-memory runs must snapshot byte-identically.
@@ -488,7 +742,7 @@ fn golden_segment_round_trips() {
     let table = golden_rowset();
     let mut decoded = Vec::new();
     for g in 0..seg.group_count() {
-        decoded.extend(seg.read_group(g).expect("read group"));
+        decoded.extend(seg.read_group(g).expect("read group").into_rows());
     }
     assert_eq!(format!("{decoded:?}"), format!("{:?}", table.rows()));
 }
@@ -532,7 +786,7 @@ fn dense_blob_groups_round_trip_bit_for_bit() {
     let shape: Vec<usize> = (0..seg.group_count()).map(|g| seg.group_rows(g)).collect();
     assert_eq!(shape, [256, 44]);
     let decoded: Vec<Row> = (0..seg.group_count())
-        .flat_map(|g| seg.read_group(g).expect("read group"))
+        .flat_map(|g| seg.read_group(g).expect("read group").into_rows())
         .collect();
     assert_eq!(decoded.len(), 300);
     for (r, row) in decoded.iter().enumerate() {
@@ -653,7 +907,7 @@ fn corrupt_page_fails_checksum_on_read() {
                     8 + i
                 );
             } else {
-                let rows = got.expect("an untouched group still decodes");
+                let rows = got.expect("an untouched group still decodes").into_rows();
                 let want = &table.rows()[2 * g..(2 * g + 2).min(table.len())];
                 assert_eq!(format!("{rows:?}"), format!("{want:?}"), "byte {}", 8 + i);
             }
