@@ -27,7 +27,7 @@ use std::io::Write;
 
 use pp_bench::setup::traffic_setup;
 use pp_data::traf20::traf20_queries;
-use pp_engine::telemetry::{json_f64, json_string};
+use pp_engine::json::JsonWriter;
 use pp_server::{AuditConfig, PpServer, QueryRequest, ServerConfig, SourceRegistry, SourceSpec};
 
 struct Args {
@@ -128,14 +128,14 @@ fn main() {
                 resp.outcome
             );
             completed += 1;
-            writeln!(
-                out,
-                "{{\"kind\": \"trace\", \"round\": {round}, \"query\": {}, \
-                 \"timeline\": {}}}",
-                q.id,
-                resp.timeline.to_json()
-            )
-            .expect("write jsonl");
+            let mut line = JsonWriter::default();
+            line.object(|w| {
+                w.key("kind").string("trace");
+                w.key("round").uint(round as u64);
+                w.key("query").uint(q.id as u64);
+                w.key("timeline").raw(&resp.timeline.to_json());
+            });
+            writeln!(out, "{}", line.finish()).expect("write jsonl");
         }
         // Each maintenance pass drains the round's audit queue and replays
         // the PP-dropped blobs through the ground-truth UDFs.
@@ -159,24 +159,21 @@ fn main() {
     let mut min_achieved = f64::INFINITY;
     let mut undercuts = 0usize;
     for e in &entries {
-        let mut expr = String::new();
-        json_string(&mut expr, &e.expr);
-        writeln!(
-            out,
-            "{{\"kind\": \"audit_entry\", \"expr\": {expr}, \"promised_accuracy\": {}, \
-             \"achieved_accuracy_lower_bound\": {:.6}, \"queries\": {}, \
-             \"result_rows\": {}, \"dropped_rows\": {}, \"sampled\": {}, \
-             \"false_drops\": {}, \"violated\": {}}}",
-            json_f64(e.promised_accuracy),
-            e.achieved_accuracy_lower_bound,
-            e.queries,
-            e.result_rows,
-            e.dropped_rows,
-            e.sampled,
-            e.false_drops,
-            e.violated
-        )
-        .expect("write jsonl");
+        let mut line = JsonWriter::default();
+        line.object(|w| {
+            w.key("kind").string("audit_entry");
+            w.key("expr").string(&e.expr);
+            w.key("promised_accuracy").float(e.promised_accuracy);
+            w.key("achieved_accuracy_lower_bound")
+                .raw(&format!("{:.6}", e.achieved_accuracy_lower_bound));
+            w.key("queries").uint(e.queries);
+            w.key("result_rows").uint(e.result_rows);
+            w.key("dropped_rows").uint(e.dropped_rows);
+            w.key("sampled").uint(e.sampled);
+            w.key("false_drops").uint(e.false_drops);
+            w.key("violated").boolean(e.violated);
+        });
+        writeln!(out, "{}", line.finish()).expect("write jsonl");
         println!(
             "RESULT expr={} promised={} achieved_lower_bound={:.4} sampled={} \
              false_drops={} violated={}",

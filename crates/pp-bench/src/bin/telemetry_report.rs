@@ -4,8 +4,8 @@
 //! seeded fault plan aimed at its probabilistic predicates — and renders
 //! the per-operator span table from the [`TelemetrySnapshot`]: rows in /
 //! out, reduction, simulated p50/p99 latency, retries, and injected
-//! faults. The faulted snapshot is then fed to the runtime monitor so the
-//! drift and quarantine diagnostics are shown end to end.
+//! faults. Both runs are then fed to the runtime monitor so the
+//! calibration and quarantine diagnostics are shown end to end.
 //!
 //! [`TelemetrySnapshot`]: pp_engine::TelemetrySnapshot
 
@@ -86,14 +86,13 @@ fn main() {
     let optimized = setup
         .optimizer(0.95)
         .optimize(&nop_plan, &setup.catalog)
-        .expect("QO")
-        .plan;
+        .expect("QO");
 
     // Clean run: discover the PP operators the optimizer injected.
     let mut ctx = ExecutionContext::builder(&setup.catalog)
         .with_parallelism(4)
         .build();
-    ctx.run(&optimized).expect("clean execution");
+    ctx.run(&optimized.plan).expect("clean execution");
     let clean = ctx.telemetry().expect("telemetry snapshot").clone();
     let pp_ops: Vec<String> = clean
         .spans
@@ -112,7 +111,7 @@ fn main() {
         .with_parallelism(4)
         .with_fault_plan(fault_plan)
         .build();
-    faulted_ctx.run(&optimized).expect("faulted execution");
+    faulted_ctx.run(&optimized.plan).expect("faulted execution");
     let faulted = faulted_ctx.telemetry().expect("telemetry snapshot").clone();
 
     println!(
@@ -149,15 +148,16 @@ fn main() {
         .sum::<u64>();
     println!("timeout events: {timeouts}");
 
-    // Feed both snapshots to the runtime monitor: two observations per PP
-    // give it a selectivity baseline, so drift becomes reportable.
+    // Feed both runs to the runtime monitor: two calibration samples per
+    // PP are what its default thresholds trust, so drift is reportable.
     let monitor = RuntimeMonitor::new();
-    monitor.observe_telemetry(&clean);
-    monitor.observe_telemetry(&faulted);
-    let mut drift_table = Table::new("Runtime monitor — per-PP drift after both runs").headers([
+    monitor.observe_run(&optimized.report, &clean);
+    monitor.observe_run(&optimized.report, &faulted);
+    let mut pp_table = Table::new("Runtime monitor — per-PP state after both runs").headers([
         "pp",
-        "observations",
-        "drift",
+        "samples",
+        "mean observed r",
+        "reduction MAE",
         "fault calls",
         "fault rate",
         "quarantined",
@@ -168,12 +168,12 @@ fn main() {
             .and_then(|s| s.strip_suffix(']'))
             .unwrap_or(op);
         let stats = monitor.fault_stats(key);
-        drift_table.row([
+        let calibration = monitor.calibration_summary(key).unwrap_or_default();
+        pp_table.row([
             clip(key, 28),
-            monitor.selectivity_history(key).len().to_string(),
-            monitor
-                .drift(key)
-                .map_or_else(|| "-".to_string(), |d| format!("{d:.4}")),
+            calibration.samples.to_string(),
+            format!("{:.4}", calibration.mean_observed_reduction),
+            format!("{:.4}", calibration.reduction_mae),
             stats.calls.to_string(),
             f2(stats.rate()),
             match monitor.why_broken(key) {
@@ -182,5 +182,5 @@ fn main() {
             },
         ]);
     }
-    drift_table.print();
+    pp_table.print();
 }

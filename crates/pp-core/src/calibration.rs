@@ -4,10 +4,13 @@
 //! The planner's cost model runs on two per-PP curves — the validation
 //! reduction estimate r(a) and the declared per-row cost — and both drift:
 //! live data shifts away from the training distribution, models get
-//! redeployed on different hardware. This module accumulates one
+//! redeployed on different hardware. This module folds one
 //! [`CalibrationRecord`] per executed run (predicted reduction/cost from
 //! the chosen plan's estimate, observed reduction/cost from the executed
-//! filter span) and summarizes them into bias/MAE per PP key. The
+//! filter span) into running sums per PP key — `n`, Σerr, Σ|err|, the same
+//! two for cost, Σpredicted, Σobserved — so a key's bias/MAE summary is a
+//! handful of divisions however long the server has been up, and does not
+//! depend on the order records arrived in (up to float association). The
 //! [`RuntimeMonitor`](crate::runtime::RuntimeMonitor) turns those
 //! summaries into a [`CalibrationReport`], a `needs_replan()` signal, and
 //! a multiplicative reduction correction the planner applies before
@@ -16,7 +19,7 @@
 //! Join keys match the rest of the feedback loop: records are keyed by the
 //! PP's canonical key (`predicate.to_string()`) for single-PP plans and by
 //! the composite expression display (e.g. `(PP[a] ∧ PP[b])`) otherwise —
-//! the same strings the monitor's fault and selectivity histories use.
+//! the same strings the monitor's fault counters use.
 
 use std::collections::BTreeMap;
 
@@ -81,10 +84,52 @@ impl CalibrationSummary {
     }
 }
 
-/// Accumulates [`CalibrationRecord`]s per key and summarizes them.
+/// The running sums one key's records fold into — all a
+/// [`CalibrationSummary`] needs, whatever the number of records.
+#[derive(Debug, Clone, Copy, Default)]
+struct CalibrationSums {
+    n: u64,
+    err: f64,
+    abs_err: f64,
+    cost_err: f64,
+    abs_cost_err: f64,
+    predicted: f64,
+    observed: f64,
+}
+
+impl CalibrationSums {
+    fn add(&mut self, r: &CalibrationRecord) {
+        self.n += 1;
+        self.err += r.reduction_error();
+        self.abs_err += r.reduction_error().abs();
+        self.cost_err += r.cost_error();
+        self.abs_cost_err += r.cost_error().abs();
+        self.predicted += r.predicted_reduction;
+        self.observed += r.observed_reduction;
+    }
+
+    fn summary(&self) -> CalibrationSummary {
+        let n = self.n as f64;
+        CalibrationSummary {
+            samples: self.n,
+            reduction_bias: self.err / n,
+            reduction_mae: self.abs_err / n,
+            cost_bias: self.cost_err / n,
+            cost_mae: self.abs_cost_err / n,
+            mean_predicted_reduction: self.predicted / n,
+            mean_observed_reduction: self.observed / n,
+        }
+    }
+}
+
+/// Folds [`CalibrationRecord`]s into per-key running sums and summarizes
+/// them. State is one fixed-size accumulator per key: a record is added
+/// to the sums and dropped, so memory and the cost of
+/// [`summary`](Self::summary) / [`report`](Self::report) depend on the
+/// number of keys, never on the number of runs observed.
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationTracker {
-    records: BTreeMap<String, Vec<CalibrationRecord>>,
+    sums: BTreeMap<String, CalibrationSums>,
 }
 
 impl CalibrationTracker {
@@ -93,46 +138,27 @@ impl CalibrationTracker {
         CalibrationTracker::default()
     }
 
-    /// Appends one record for `key`.
+    /// Folds one record into `key`'s sums.
     pub fn record(&mut self, key: &str, record: CalibrationRecord) {
-        self.records
-            .entry(key.to_string())
-            .or_default()
-            .push(record);
-    }
-
-    /// All records for `key`, in arrival order.
-    pub fn records(&self, key: &str) -> &[CalibrationRecord] {
-        self.records.get(key).map(Vec::as_slice).unwrap_or(&[])
+        match self.sums.get_mut(key) {
+            Some(sums) => sums.add(&record),
+            None => self.sums.entry(key.to_string()).or_default().add(&record),
+        }
     }
 
     /// All tracked keys, sorted.
     pub fn keys(&self) -> Vec<String> {
-        self.records.keys().cloned().collect()
+        self.sums.keys().cloned().collect()
     }
 
-    /// Drops all records for `key` (e.g. after retraining the PP).
+    /// Forgets `key` (e.g. after retraining the PP).
     pub fn clear(&mut self, key: &str) {
-        self.records.remove(key);
+        self.sums.remove(key);
     }
 
     /// The bias/MAE summary for `key`, or `None` if never recorded.
     pub fn summary(&self, key: &str) -> Option<CalibrationSummary> {
-        let records = self.records.get(key)?;
-        let n = records.len() as f64;
-        let mut s = CalibrationSummary {
-            samples: records.len() as u64,
-            ..Default::default()
-        };
-        for r in records {
-            s.reduction_bias += r.reduction_error() / n;
-            s.reduction_mae += r.reduction_error().abs() / n;
-            s.cost_bias += r.cost_error() / n;
-            s.cost_mae += r.cost_error().abs() / n;
-            s.mean_predicted_reduction += r.predicted_reduction / n;
-            s.mean_observed_reduction += r.observed_reduction / n;
-        }
-        Some(s)
+        self.sums.get(key).map(CalibrationSums::summary)
     }
 
     /// Summaries for every key, each flagged `drifted` when it has at
@@ -141,17 +167,16 @@ impl CalibrationTracker {
     /// [`RuntimeMonitor::needs_replan`](crate::runtime::RuntimeMonitor::needs_replan).
     pub fn report(&self, min_samples: u64, error_threshold: f64) -> CalibrationReport {
         let entries = self
-            .records
-            .keys()
-            .filter_map(|key| {
-                let summary = self.summary(key)?;
-                let drifted =
-                    summary.samples >= min_samples && summary.reduction_mae > error_threshold;
-                Some(CalibrationEntry {
+            .sums
+            .iter()
+            .map(|(key, sums)| {
+                let summary = sums.summary();
+                CalibrationEntry {
                     key: key.clone(),
                     summary,
-                    drifted,
-                })
+                    drifted: summary.samples >= min_samples
+                        && summary.reduction_mae > error_threshold,
+                }
             })
             .collect();
         CalibrationReport { entries }
@@ -258,11 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_history() {
+    fn clear_forgets_the_key() {
         let mut t = CalibrationTracker::new();
         t.record("k", rec(0.5, 0.5));
         assert_eq!(t.keys(), vec!["k"]);
-        assert_eq!(t.records("k").len(), 1);
         t.clear("k");
         assert!(t.summary("k").is_none());
         assert!(t.keys().is_empty());

@@ -21,10 +21,9 @@ use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
 use pp_engine::logical::{LogicalPlan, OpParallelism};
 use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
-use pp_engine::{prune_stats, publishes_zone_maps, shard_prune_stats, Catalog};
+use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 
 use crate::alloc::{allocate, allocate_uniform, AccuracyGrid};
-use crate::calibration::CalibrationRecord;
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
@@ -217,7 +216,10 @@ impl PpQueryOptimizer {
     /// provided: predicates flagged as dependent (Appendix A.5) are
     /// limited to single-PP expressions, and candidates using a broken
     /// (fault-quarantined) PP are excluded entirely — if every candidate
-    /// is broken, the query degrades to its original, PP-free plan.
+    /// is broken, the query degrades to its original, PP-free plan; a leaf
+    /// whose calibration drifted is costed at its corrected reduction. The
+    /// monitor is only read: planning records nothing in it, so building a
+    /// plan twice leaves it exactly as it was.
     pub fn optimize_with_monitor(
         &self,
         plan: &LogicalPlan,
@@ -275,25 +277,6 @@ impl PpQueryOptimizer {
             };
             if let Some(push) = push {
                 let stats = prune_stats(provider.as_ref(), &push);
-                if let Some(m) = monitor {
-                    let key = format!("zone[{table}:{push}]");
-                    for (s, ss) in shard_prune_stats(provider.as_ref(), &push)
-                        .iter()
-                        .enumerate()
-                    {
-                        let frac = ss.row_fraction();
-                        m.record_shard_calibration(
-                            &key,
-                            s,
-                            CalibrationRecord {
-                                predicted_reduction: frac,
-                                observed_reduction: frac,
-                                predicted_cost: 0.0,
-                                observed_cost: 0.0,
-                            },
-                        );
-                    }
-                }
                 report.zone_pushdowns.push(ZonePushdownReport {
                     table: table.clone(),
                     predicate: push.to_string(),

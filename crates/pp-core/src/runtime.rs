@@ -10,17 +10,25 @@
 //! predicate."
 //!
 //! This module generalizes that fix into a [`RuntimeMonitor`] which also
-//! watches execution health: feeding it the executor's
-//! [`ExecReport`] after each query lets
-//! it mark PPs *broken* — ones whose filters keep failing or whose circuit
-//! breakers tripped — so the planner stops injecting them. A broken PP
-//! degrades the query to its no-PP plan: slower, never wrong.
+//! watches execution health: feeding it each run's [`TelemetrySnapshot`]
+//! lets it mark PPs *broken* — ones whose filters keep failing or whose
+//! circuit breakers tripped — so the planner stops injecting them. A
+//! broken PP degrades the query to its no-PP plan: slower, never wrong.
+//!
+//! The monitor is a fold, not a log: every run is added to fixed-size
+//! state (per PP key one pair of fault counters with the quarantine cause,
+//! one set of calibration running sums; the dependency flags as a set) and
+//! then dropped. Its memory and the cost of every read depend on how many
+//! keys exist, never on how many runs were observed. Runs are its only
+//! writer — the planner reads ([`is_flagged`](RuntimeMonitor::is_flagged),
+//! [`is_broken`](RuntimeMonitor::is_broken),
+//! [`reduction_correction`](RuntimeMonitor::reduction_correction)) and
+//! records nothing.
 
 use std::collections::{HashMap, HashSet};
 
 use parking_lot::RwLock;
 
-use pp_engine::resilience::ExecReport;
 use pp_engine::telemetry::TelemetrySnapshot;
 
 use crate::calibration::{
@@ -168,19 +176,74 @@ pub struct RuntimeMonitor {
     inner: RwLock<Inner>,
 }
 
-/// The original name of the Appendix A.5 monitor; [`RuntimeMonitor`]
-/// subsumes it.
-pub type DependencyMonitor = RuntimeMonitor;
+/// One PP key's fault counters and, once quarantined, the first cause.
+#[derive(Debug, Default)]
+struct Health {
+    faults: FaultStats,
+    quarantined: Option<QuarantineReason>,
+}
 
 #[derive(Debug, Default)]
 struct Inner {
-    history: HashMap<String, Vec<Observation>>,
-    flagged: HashMap<String, bool>,
-    faults: HashMap<String, FaultStats>,
-    broken: HashSet<String>,
-    reasons: HashMap<String, QuarantineReason>,
-    selectivity: HashMap<String, Vec<f64>>,
+    flagged: HashSet<String>,
+    health: HashMap<String, Health>,
     calibration: CalibrationTracker,
+}
+
+impl Inner {
+    fn observe(&mut self, config: &MonitorConfig, predicate_key: &str, obs: Observation) {
+        if obs.deviation() > config.deviation_threshold && !self.flagged.contains(predicate_key) {
+            self.flagged.insert(predicate_key.to_string());
+        }
+    }
+
+    /// Adds one operator's calls and failures to `pp_key`'s counters and
+    /// quarantines it on a crossed fault rate or a tripped breaker. The
+    /// first recorded cause wins: it is the reason the PP *became*
+    /// quarantined.
+    fn record_faults(
+        &mut self,
+        config: &MonitorConfig,
+        pp_key: &str,
+        calls: u64,
+        failures: u64,
+        breaker_tripped: bool,
+    ) {
+        let health = match self.health.get_mut(pp_key) {
+            Some(health) => health,
+            None => self.health.entry(pp_key.to_string()).or_default(),
+        };
+        health.faults.calls += calls;
+        health.faults.failures += failures;
+        let stats = health.faults;
+        if stats.calls >= config.min_calls && stats.rate() >= config.fault_rate_threshold {
+            health
+                .quarantined
+                .get_or_insert(QuarantineReason::FaultRate {
+                    calls: stats.calls,
+                    failures: stats.failures,
+                });
+        }
+        if breaker_tripped {
+            health
+                .quarantined
+                .get_or_insert(QuarantineReason::BreakerTripped);
+        }
+    }
+
+    fn observe_telemetry(&mut self, config: &MonitorConfig, snapshot: &TelemetrySnapshot) {
+        for span in &snapshot.spans {
+            for key in pp_keys(&span.op) {
+                self.record_faults(
+                    config,
+                    key,
+                    span.attempts,
+                    span.failures,
+                    span.breaker_tripped,
+                );
+            }
+        }
+    }
 }
 
 impl RuntimeMonitor {
@@ -203,67 +266,30 @@ impl RuntimeMonitor {
     }
 
     /// Records an execution of a (multi-PP) plan for `predicate_key` —
-    /// canonically `predicate.to_string()`.
+    /// canonically `predicate.to_string()` — flagging the predicate as
+    /// possibly dependent when the observation deviates dramatically.
     pub fn observe(&self, predicate_key: &str, obs: Observation) {
-        let mut inner = self.inner.write();
-        inner
-            .history
-            .entry(predicate_key.to_string())
-            .or_default()
-            .push(obs);
-        if obs.deviation() > self.config.deviation_threshold {
-            inner.flagged.insert(predicate_key.to_string(), true);
-        }
+        self.inner.write().observe(&self.config, predicate_key, obs);
     }
 
     /// Whether the predicate has been flagged as possibly dependent; the
     /// planner restricts flagged predicates to single-PP expressions.
     pub fn is_flagged(&self, predicate_key: &str) -> bool {
-        self.inner
-            .read()
-            .flagged
-            .get(predicate_key)
-            .copied()
-            .unwrap_or(false)
+        self.inner.read().flagged.contains(predicate_key)
     }
 
-    /// All recorded observations for a predicate.
-    pub fn history(&self, predicate_key: &str) -> Vec<Observation> {
-        self.inner
-            .read()
-            .history
-            .get(predicate_key)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Clears a predicate's dependency flag and history (e.g. after
-    /// retraining the PPs involved).
+    /// Clears a predicate's dependency flag (e.g. after retraining the PPs
+    /// involved).
     pub fn clear(&self, predicate_key: &str) {
-        let mut inner = self.inner.write();
-        inner.flagged.remove(predicate_key);
-        inner.history.remove(predicate_key);
+        self.inner.write().flagged.remove(predicate_key);
     }
 
     /// Accumulates fault counters for one PP key, quarantining it when its
     /// failure rate crosses the threshold.
     pub fn record_faults(&self, pp_key: &str, calls: u64, failures: u64) {
-        let mut inner = self.inner.write();
-        let stats = inner.faults.entry(pp_key.to_string()).or_default();
-        stats.calls += calls;
-        stats.failures += failures;
-        let stats = *stats;
-        if stats.calls >= self.config.min_calls && stats.rate() >= self.config.fault_rate_threshold
-        {
-            inner.broken.insert(pp_key.to_string());
-            inner
-                .reasons
-                .entry(pp_key.to_string())
-                .or_insert(QuarantineReason::FaultRate {
-                    calls: stats.calls,
-                    failures: stats.failures,
-                });
-        }
+        self.inner
+            .write()
+            .record_faults(&self.config, pp_key, calls, failures, false);
     }
 
     /// Explicitly quarantines a PP (e.g. after an out-of-band incident).
@@ -289,27 +315,36 @@ impl RuntimeMonitor {
     }
 
     fn mark_broken_for(&self, pp_key: &str, reason: QuarantineReason) {
-        let mut inner = self.inner.write();
-        inner.broken.insert(pp_key.to_string());
-        // The first recorded cause wins: it is the reason the PP *became*
-        // quarantined.
-        inner.reasons.entry(pp_key.to_string()).or_insert(reason);
+        // The first recorded cause wins.
+        self.inner
+            .write()
+            .health
+            .entry(pp_key.to_string())
+            .or_default()
+            .quarantined
+            .get_or_insert(reason);
     }
 
     /// Why `pp_key` is quarantined, or `None` if it is not.
     pub fn why_broken(&self, pp_key: &str) -> Option<QuarantineReason> {
-        self.inner.read().reasons.get(pp_key).copied()
+        self.inner.read().health.get(pp_key)?.quarantined
     }
 
     /// Whether the PP is quarantined; the planner excludes broken PPs from
     /// candidate expressions, degrading to the no-PP plan if none remain.
     pub fn is_broken(&self, pp_key: &str) -> bool {
-        self.inner.read().broken.contains(pp_key)
+        self.why_broken(pp_key).is_some()
     }
 
     /// All quarantined PP keys, sorted.
     pub fn broken(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.inner.read().broken.iter().cloned().collect();
+        let inner = self.inner.read();
+        let mut keys: Vec<String> = inner
+            .health
+            .iter()
+            .filter(|(_, health)| health.quarantined.is_some())
+            .map(|(key, _)| key.clone())
+            .collect();
         keys.sort();
         keys
     }
@@ -318,120 +353,34 @@ impl RuntimeMonitor {
     pub fn fault_stats(&self, pp_key: &str) -> FaultStats {
         self.inner
             .read()
-            .faults
+            .health
             .get(pp_key)
-            .copied()
+            .map(|health| health.faults)
             .unwrap_or_default()
     }
 
     /// Restores a quarantined PP and resets its fault counters (e.g. after
-    /// redeploying a fixed model). The selectivity history is kept — it
-    /// describes the model's statistical behavior, not its health.
+    /// redeploying a fixed model). Its calibration sums are kept — they
+    /// describe the model's statistical behavior, not its health.
     pub fn restore(&self, pp_key: &str) {
-        let mut inner = self.inner.write();
-        inner.broken.remove(pp_key);
-        inner.faults.remove(pp_key);
-        inner.reasons.remove(pp_key);
+        self.inner.write().health.remove(pp_key);
     }
 
-    /// Appends one observed data reduction for a PP key (the telemetry
-    /// span's [`reduction`](pp_engine::telemetry::OperatorSpan::reduction)).
-    pub fn observe_selectivity(&self, pp_key: &str, observed_reduction: f64) {
-        self.inner
-            .write()
-            .selectivity
-            .entry(pp_key.to_string())
-            .or_default()
-            .push(observed_reduction);
-    }
-
-    /// All observed reductions recorded for a PP key, in query order.
-    pub fn selectivity_history(&self, pp_key: &str) -> Vec<f64> {
-        self.inner
-            .read()
-            .selectivity
-            .get(pp_key)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Selectivity drift: absolute gap between the latest observed
-    /// reduction and the mean of all earlier ones. `None` until a PP has
-    /// at least two observations. A large drift means the training-time
-    /// reduction estimate no longer describes live data — the signal the
-    /// paper's runtime fix (Appendix A.5) keys off.
-    pub fn drift(&self, pp_key: &str) -> Option<f64> {
-        let inner = self.inner.read();
-        let history = inner.selectivity.get(pp_key)?;
-        let (latest, earlier) = history.split_last()?;
-        if earlier.is_empty() {
-            return None;
-        }
-        let mean = earlier.iter().sum::<f64>() / earlier.len() as f64;
-        Some((latest - mean).abs())
-    }
-
-    /// Digests an executor report: every `PP[...]` operator's calls and
-    /// failures are attributed to the PP keys named in it (a composite
-    /// filter charges all its member leaves — conservative, since a broken
-    /// PP only costs speed-up, never results), and a tripped circuit
-    /// breaker quarantines those keys outright.
-    pub fn observe_query(&self, report: &ExecReport) {
-        for op in &report.ops {
-            let keys = extract_pp_keys(&op.op);
-            if keys.is_empty() {
-                continue;
-            }
-            for key in &keys {
-                self.record_faults(key, op.calls, op.failures);
-                if op.breaker_tripped {
-                    self.mark_broken_for(key, QuarantineReason::BreakerTripped);
-                }
-            }
-        }
-    }
-
-    /// Digests one run's [`TelemetrySnapshot`]: like
-    /// [`observe_query`][Self::observe_query] it attributes every
-    /// `PP[...]` span's attempts/failures to its PP keys and quarantines
-    /// on breaker trips, but it additionally records each PP span's
-    /// *observed data reduction* into the selectivity history, turning
-    /// runtime telemetry into [`drift`][Self::drift] signal. Spans that
-    /// aborted (nonzero `rows_failed`) skip the selectivity sample — their
-    /// reduction is truncated, not observed.
+    /// Digests one run's [`TelemetrySnapshot`]: every `PP[...]` span's
+    /// attempts and failures are attributed to the PP keys named in it (a
+    /// composite filter charges all its member leaves — conservative,
+    /// since a broken PP only costs speed-up, never results), and a
+    /// tripped circuit breaker quarantines those keys outright. This is
+    /// all a run that *failed* contributes; a run that succeeded goes
+    /// through [`observe_run`](Self::observe_run), which adds calibration.
     pub fn observe_telemetry(&self, snapshot: &TelemetrySnapshot) {
-        for span in &snapshot.spans {
-            let keys = extract_pp_keys(&span.op);
-            if keys.is_empty() {
-                continue;
-            }
-            for key in &keys {
-                self.record_faults(key, span.attempts, span.failures);
-                if span.breaker_tripped {
-                    self.mark_broken_for(key, QuarantineReason::BreakerTripped);
-                }
-                if span.rows_failed == 0 && span.rows_in > 0 {
-                    self.observe_selectivity(key, span.reduction());
-                }
-            }
-        }
+        self.inner.write().observe_telemetry(&self.config, snapshot);
     }
 
-    /// Appends one predicted-vs-observed calibration record for a PP key
-    /// (or composite expression display).
+    /// Folds one predicted-vs-observed calibration record into the sums
+    /// of a PP key (or composite expression display).
     pub fn record_calibration(&self, key: &str, record: CalibrationRecord) {
         self.inner.write().calibration.record(key, record);
-    }
-
-    /// Records one predicted-vs-observed calibration record for a
-    /// (PP, shard) pair under the composite key `{key}@shard{shard}`.
-    /// Shard-level zone-map pruning rates differ when data is skewed
-    /// across segment files (one camera's frames cluster in one shard),
-    /// so the planner seeds and tracks calibration per shard; the
-    /// composite keys surface alongside plain keys in
-    /// [`calibration_report`](Self::calibration_report).
-    pub fn record_shard_calibration(&self, key: &str, shard: usize, record: CalibrationRecord) {
-        self.record_calibration(&format!("{key}@shard{shard}"), record);
     }
 
     /// The accumulated calibration summary for `key`, or `None` if never
@@ -471,11 +420,12 @@ impl RuntimeMonitor {
         summary.correction_factor()
     }
 
-    /// Joins one run's plan report with its telemetry: digests the
-    /// snapshot as [`observe_telemetry`][Self::observe_telemetry] does,
-    /// then locates the chosen PP filter's span (by its injected operator
-    /// name) and records a [`CalibrationRecord`] comparing the plan's
-    /// estimate against the span's observed reduction and per-blob cost.
+    /// Joins one run's plan report with its telemetry, under one write
+    /// lock: digests the snapshot as
+    /// [`observe_telemetry`][Self::observe_telemetry] does, then locates
+    /// the chosen PP filter's span (by its injected operator name) and
+    /// folds in a [`CalibrationRecord`] comparing the plan's estimate
+    /// against the span's observed reduction and per-blob cost.
     /// Single-PP plans record under the leaf key (where
     /// [`reduction_correction`][Self::reduction_correction] looks);
     /// composites record under the expression display. The estimate is
@@ -483,7 +433,8 @@ impl RuntimeMonitor {
     /// Appendix A.5's dependent-predicate flag. Spans that aborted or saw
     /// no rows are skipped — their reduction is truncated, not observed.
     pub fn observe_run(&self, report: &PlanReport, snapshot: &TelemetrySnapshot) {
-        self.observe_telemetry(snapshot);
+        let mut inner = self.inner.write();
+        inner.observe_telemetry(&self.config, snapshot);
         let Some(chosen) = &report.chosen else {
             return;
         };
@@ -496,11 +447,11 @@ impl RuntimeMonitor {
         }
         let observed_reduction = span.reduction();
         let key = match &chosen.leaf_keys[..] {
-            [only] => only.clone(),
-            _ => chosen.expr.clone(),
+            [only] => only,
+            _ => &chosen.expr,
         };
-        self.record_calibration(
-            &key,
+        inner.calibration.record(
+            key,
             CalibrationRecord {
                 predicted_reduction: chosen.estimate.reduction,
                 observed_reduction,
@@ -508,7 +459,8 @@ impl RuntimeMonitor {
                 observed_cost: span.seconds / span.rows_in as f64,
             },
         );
-        self.observe(
+        inner.observe(
+            &self.config,
             &report.predicate,
             Observation {
                 estimated_reduction: chosen.estimate.reduction,
@@ -518,28 +470,22 @@ impl RuntimeMonitor {
     }
 }
 
-/// Extracts every `PP[<key>]` occurrence from an operator display name
-/// (e.g. `(PP[t = SUV] ∧ PP[c = red])` → `["t = SUV", "c = red"]`).
-fn extract_pp_keys(op: &str) -> Vec<String> {
-    let mut keys = Vec::new();
+/// Every `PP[<key>]` occurrence in an operator display name
+/// (e.g. `(PP[t = SUV] ∧ PP[c = red])` → `t = SUV`, `c = red`).
+fn pp_keys(op: &str) -> impl Iterator<Item = &str> {
     let mut rest = op;
-    while let Some(start) = rest.find("PP[") {
-        let tail = &rest[start + 3..];
-        match tail.find(']') {
-            Some(end) => {
-                keys.push(tail[..end].to_string());
-                rest = &tail[end + 1..];
-            }
-            None => break,
-        }
-    }
-    keys
+    std::iter::from_fn(move || {
+        let tail = &rest[rest.find("PP[")? + 3..];
+        let end = tail.find(']')?;
+        rest = &tail[end + 1..];
+        Some(&tail[..end])
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::resilience::OpResilience;
+    use pp_engine::telemetry::OperatorSpan;
 
     #[test]
     fn small_deviation_not_flagged() {
@@ -552,7 +498,6 @@ mod tests {
             },
         );
         assert!(!m.is_flagged("t = SUV"));
-        assert_eq!(m.history("t = SUV").len(), 1);
     }
 
     #[test]
@@ -583,7 +528,6 @@ mod tests {
         assert!(m.is_flagged("p"));
         m.clear("p");
         assert!(!m.is_flagged("p"));
-        assert!(m.history("p").is_empty());
     }
 
     #[test]
@@ -652,51 +596,6 @@ mod tests {
         assert!(!m.is_broken("t = SUV"));
     }
 
-    #[test]
-    fn observe_query_attributes_pp_ops() {
-        let m = RuntimeMonitor::new();
-        let report = ExecReport {
-            ops: vec![
-                OpResilience {
-                    op: "PP[t = SUV]".into(),
-                    calls: 20,
-                    failures: 20,
-                    breaker_tripped: true,
-                    ..Default::default()
-                },
-                OpResilience {
-                    op: "Process[VehType]".into(),
-                    calls: 100,
-                    failures: 100,
-                    ..Default::default()
-                },
-            ],
-        };
-        m.observe_query(&report);
-        assert!(m.is_broken("t = SUV"));
-        // Non-PP operators are not the monitor's business.
-        assert!(!m.is_broken("Process[VehType]"));
-        assert!(!m.is_broken("VehType"));
-    }
-
-    #[test]
-    fn composite_filter_charges_all_leaves() {
-        let m = RuntimeMonitor::new();
-        let report = ExecReport {
-            ops: vec![OpResilience {
-                op: "(PP[t = SUV] ∧ PP[c = red])".into(),
-                calls: 40,
-                failures: 30,
-                ..Default::default()
-            }],
-        };
-        m.observe_query(&report);
-        assert!(m.is_broken("t = SUV"));
-        assert!(m.is_broken("c = red"));
-    }
-
-    use pp_engine::telemetry::OperatorSpan;
-
     fn pp_span(op: &str, rows_in: u64, rows_emitted: u64, failures: u64) -> OperatorSpan {
         use pp_engine::telemetry::{LatencyHistogram, OperatorId};
         OperatorSpan {
@@ -735,31 +634,63 @@ mod tests {
     }
 
     #[test]
-    fn observe_telemetry_builds_selectivity_history_and_drift() {
+    fn observe_telemetry_attributes_pp_spans() {
         let m = RuntimeMonitor::new();
-        // Stable reductions for a few queries, then a shifted one.
-        for _ in 0..3 {
-            m.observe_telemetry(&snapshot_of(vec![pp_span("PP[t = SUV]", 100, 40, 0)]));
-        }
-        assert_eq!(m.selectivity_history("t = SUV"), vec![0.6, 0.6, 0.6]);
-        assert!(m.drift("t = SUV").is_some_and(|d| d < 1e-12));
-        m.observe_telemetry(&snapshot_of(vec![pp_span("PP[t = SUV]", 100, 90, 0)]));
-        let drift = m.drift("t = SUV").expect("four observations");
-        assert!((drift - 0.5).abs() < 1e-12, "got {drift}");
-        // One observation is not enough for drift.
-        assert!(m.drift("unseen").is_none());
-        m.observe_selectivity("fresh", 0.5);
-        assert!(m.drift("fresh").is_none());
+        let mut pp = pp_span("PP[t = SUV]", 20, 20, 20);
+        pp.breaker_tripped = true;
+        m.observe_telemetry(&snapshot_of(vec![
+            pp,
+            pp_span("Process[VehType]", 100, 100, 100),
+        ]));
+        assert!(m.is_broken("t = SUV"));
+        // Non-PP operators are not the monitor's business.
+        assert!(!m.is_broken("Process[VehType]"));
+        assert!(!m.is_broken("VehType"));
+        assert_eq!(m.broken(), vec!["t = SUV".to_string()]);
     }
 
     #[test]
-    fn observe_telemetry_skips_selectivity_of_aborted_spans() {
+    fn composite_filter_charges_all_leaves() {
+        let composite = "PP(PP[t = SUV] ∧ PP[c = red])";
+        let stats = FaultStats {
+            calls: 40,
+            failures: 30,
+        };
         let m = RuntimeMonitor::new();
+        m.observe_telemetry(&snapshot_of(vec![pp_span(composite, 40, 40, 30)]));
+        for key in ["t = SUV", "c = red"] {
+            assert!(m.is_broken(key));
+            assert_eq!(m.fault_stats(key), stats);
+        }
+        // The same attribution through the successful-run entry point.
+        let m = RuntimeMonitor::new();
+        let report = report_with_chosen(
+            "(PP[t = SUV] ∧ PP[c = red])",
+            vec!["t = SUV", "c = red"],
+            0.0,
+        );
+        m.observe_run(&report, &snapshot_of(vec![pp_span(composite, 40, 40, 30)]));
+        for key in ["t = SUV", "c = red"] {
+            assert_eq!(m.fault_stats(key), stats);
+            assert!(matches!(
+                m.why_broken(key),
+                Some(QuarantineReason::FaultRate { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn aborted_spans_count_faults_but_are_not_observed_reductions() {
+        let m = RuntimeMonitor::new();
+        let report = report_with_chosen("PP[t = SUV]", vec!["t = SUV"], 0.6);
         let mut span = pp_span("PP[t = SUV]", 100, 10, 90);
         span.rows_failed = 90;
         span.rows_filtered = 0;
-        m.observe_telemetry(&snapshot_of(vec![span]));
-        assert!(m.selectivity_history("t = SUV").is_empty());
+        m.observe_run(&report, &snapshot_of(vec![span]));
+        // The truncated reduction (0.9 against 0.6) is neither a
+        // calibration sample nor a dependency signal.
+        assert!(m.calibration_summary("t = SUV").is_none());
+        assert!(!m.is_flagged("t = SUV"));
         // Fault counters still accumulate from the aborted span.
         assert_eq!(m.fault_stats("t = SUV").failures, 90);
     }
@@ -905,12 +836,10 @@ mod tests {
 
     #[test]
     fn pp_key_extraction() {
-        assert_eq!(extract_pp_keys("PP[t = SUV]"), vec!["t = SUV"]);
-        assert_eq!(
-            extract_pp_keys("(PP[a] ∨ (PP[b] ∧ PP[c]))"),
-            vec!["a", "b", "c"]
-        );
-        assert!(extract_pp_keys("Scan[video]").is_empty());
-        assert!(extract_pp_keys("PP[unterminated").is_empty());
+        let keys = |op| pp_keys(op).collect::<Vec<_>>();
+        assert_eq!(keys("PP[t = SUV]"), vec!["t = SUV"]);
+        assert_eq!(keys("(PP[a] ∨ (PP[b] ∧ PP[c]))"), vec!["a", "b", "c"]);
+        assert!(keys("Scan[video]").is_empty());
+        assert!(keys("PP[unterminated").is_empty());
     }
 }

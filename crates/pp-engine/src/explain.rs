@@ -31,10 +31,9 @@ use std::collections::BTreeMap;
 
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
+use crate::json::JsonWriter;
 use crate::logical::LogicalPlan;
-use crate::telemetry::{
-    json_f64, json_string, OperatorId, OperatorSpan, QueryId, TelemetrySnapshot,
-};
+use crate::telemetry::{OperatorId, OperatorSpan, QueryId, TelemetrySnapshot};
 use crate::{EngineError, Result};
 
 /// Planner-supplied per-operator selectivity hints, keyed by operator
@@ -329,15 +328,14 @@ impl ExplainAnalyze {
     /// fixed plan/catalog/fault-seed the output is byte-identical at every
     /// parallelism × batch size.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"query_id\":");
-        out.push_str(&self.query_id.0.to_string());
-        out.push_str(",\"orphan_spans\":");
-        out.push_str(&self.orphans.len().to_string());
-        out.push_str(",\"plan\":");
-        node_json(&self.root, &mut out);
-        out.push('}');
-        out
+        let mut w = JsonWriter::with_capacity(2048);
+        w.object(|w| {
+            w.key("query_id").uint(self.query_id.0);
+            w.key("orphan_spans").uint(self.orphans.len() as u64);
+            w.key("plan");
+            node_json(w, &self.root);
+        });
+        w.finish()
     }
 }
 
@@ -431,73 +429,31 @@ fn render_node(node: &ExplainNode, depth: usize, out: &mut String) {
     }
 }
 
-fn opt_f64_json(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => out.push_str(&json_f64(v)),
-        None => out.push_str("null"),
-    }
-}
-
-fn node_json(node: &ExplainNode, out: &mut String) {
+fn node_json(w: &mut JsonWriter, node: &ExplainNode) {
     let p = &node.predicted;
-    out.push_str("{\"op_id\":");
-    out.push_str(&node.op_id.0.to_string());
-    out.push_str(",\"op\":");
-    json_string(out, &node.op);
-    out.push_str(",\"predicted\":{\"rows_in\":");
-    out.push_str(&json_f64(p.rows_in));
-    out.push_str(",\"rows_out\":");
-    out.push_str(&json_f64(p.rows_out));
-    out.push_str(",\"selectivity\":");
-    out.push_str(&json_f64(p.selectivity()));
-    out.push_str(",\"reduction\":");
-    out.push_str(&json_f64(p.reduction()));
-    out.push_str(",\"seconds\":");
-    out.push_str(&json_f64(p.seconds));
-    out.push_str("},\"actual\":");
-    match &node.actual {
-        Some(s) => {
-            out.push_str("{\"rows_in\":");
-            out.push_str(&s.rows_in.to_string());
-            for (name, v) in [
-                ("rows_out", s.rows_out),
-                ("rows_filtered", s.rows_filtered),
-                ("rows_failed", s.rows_failed),
-                ("rows_emitted", s.rows_emitted),
-                ("attempts", s.attempts),
-                ("retries", s.retries),
-                ("failures", s.failures),
-                ("timeouts", s.timeouts),
-                ("failed_open", s.failed_open),
-                ("short_circuited", s.short_circuited),
-            ] {
-                out.push_str(",\"");
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&v.to_string());
-            }
-            out.push_str(",\"breaker_tripped\":");
-            out.push_str(if s.breaker_tripped { "true" } else { "false" });
-            out.push_str(",\"reduction\":");
-            out.push_str(&json_f64(s.reduction()));
-            out.push_str(",\"seconds\":");
-            out.push_str(&json_f64(s.seconds));
-            out.push('}');
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"rows_error\":");
-    opt_f64_json(out, node.rows_error());
-    out.push_str(",\"seconds_error\":");
-    opt_f64_json(out, node.seconds_error());
-    out.push_str(",\"children\":[");
-    for (i, child) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        node_json(child, out);
-    }
-    out.push_str("]}");
+    w.object(|w| {
+        w.key("op_id").uint(u64::from(node.op_id.0));
+        w.key("op").string(&node.op);
+        w.key("predicted").object(|w| {
+            w.key("rows_in").float(p.rows_in);
+            w.key("rows_out").float(p.rows_out);
+            w.key("selectivity").float(p.selectivity());
+            w.key("reduction").float(p.reduction());
+            w.key("seconds").float(p.seconds);
+        });
+        w.key("actual").optional(node.actual.as_ref(), |w, s| {
+            w.object(|w| {
+                s.counters_json(w);
+                w.key("reduction").float(s.reduction());
+                w.key("seconds").float(s.seconds);
+            })
+        });
+        w.key("rows_error")
+            .optional(node.rows_error(), JsonWriter::float);
+        w.key("seconds_error")
+            .optional(node.seconds_error(), JsonWriter::float);
+        w.key("children").array(&node.children, node_json);
+    });
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod exec;
 pub mod explain;
 pub mod export;
 pub mod fault;
+pub mod json;
 pub mod logical;
 pub mod memo;
 pub mod physical;

@@ -248,8 +248,9 @@ pub fn prune_stats(provider: &dyn TableProvider, predicate: &Predicate) -> Prune
     stats
 }
 
-/// Like [`prune_stats`] but per shard, for seeding per-(PP, shard)
-/// calibration: element `s` covers only the groups of shard `s`.
+/// Like [`prune_stats`] but per shard — pruning rates differ when data is
+/// skewed across segment files (one camera's frames cluster in one
+/// shard): element `s` covers only the groups of shard `s`.
 pub fn shard_prune_stats(provider: &dyn TableProvider, predicate: &Predicate) -> Vec<PruneStats> {
     let mut per_shard = vec![PruneStats::default(); provider.shard_count()];
     for i in 0..provider.group_count() {

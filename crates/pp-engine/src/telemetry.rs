@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::fault::InjectedFault;
+use crate::json::JsonWriter;
 
 /// Stable identifier of one query run within an
 /// [`ExecutionContext`](crate::exec::ExecutionContext): the 1-based run
@@ -628,53 +629,27 @@ impl TelemetrySnapshot {
     /// workspace builds offline, without serde); floats use Rust's
     /// shortest-roundtrip formatting, so equal values serialize equally.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"query_id\":");
-        out.push_str(&self.query_id.0.to_string());
-        out.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            span_json(&mut out, s);
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            event_json(&mut out, e);
-        }
-        out.push_str("],\"events_dropped\":");
-        out.push_str(&self.events_dropped.to_string());
-        out.push_str(",\"injected_faults\":[");
-        for (i, f) in self.injected_faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            fault_json(&mut out, f);
-        }
-        out.push_str("],\"metrics\":{");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, name);
-            out.push(':');
-            match value {
-                MetricValue::Counter(c) => out.push_str(&c.to_string()),
-                MetricValue::Gauge(g) => out.push_str(&json_f64(*g)),
-            }
-        }
-        out.push_str("},\"error\":");
-        match &self.error {
-            Some(e) => json_string(&mut out, e),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"wall_nanos\":");
-        out.push_str(&self.wall_nanos.to_string());
-        out.push('}');
-        out
+        let mut w = JsonWriter::with_capacity(4096);
+        w.object(|w| {
+            w.key("query_id").uint(self.query_id.0);
+            w.key("spans").array(&self.spans, span_json);
+            w.key("events").array(&self.events, event_json);
+            w.key("events_dropped").uint(self.events_dropped);
+            w.key("injected_faults")
+                .array(&self.injected_faults, fault_json);
+            w.key("metrics").object(|w| {
+                for (name, value) in &self.metrics {
+                    match value {
+                        MetricValue::Counter(c) => w.key(name).uint(*c),
+                        MetricValue::Gauge(g) => w.key(name).float(*g),
+                    };
+                }
+            });
+            w.key("error")
+                .optional(self.error.as_deref(), JsonWriter::string);
+            w.key("wall_nanos").uint(self.wall_nanos);
+        });
+        w.finish()
     }
 }
 
@@ -707,70 +682,62 @@ pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn span_json(out: &mut String, s: &OperatorSpan) {
-    out.push_str("{\"op_id\":");
-    out.push_str(&s.op_id.0.to_string());
-    out.push_str(",\"op\":");
-    json_string(out, &s.op);
-    for (name, v) in [
-        ("rows_in", s.rows_in),
-        ("rows_out", s.rows_out),
-        ("rows_filtered", s.rows_filtered),
-        ("rows_failed", s.rows_failed),
-        ("rows_emitted", s.rows_emitted),
-        ("attempts", s.attempts),
-        ("retries", s.retries),
-        ("failures", s.failures),
-        ("timeouts", s.timeouts),
-        ("failed_open", s.failed_open),
-        ("short_circuited", s.short_circuited),
-    ] {
-        out.push_str(",\"");
-        out.push_str(name);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
-    out.push_str(",\"breaker_tripped\":");
-    out.push_str(if s.breaker_tripped { "true" } else { "false" });
-    out.push_str(",\"seconds\":");
-    out.push_str(&json_f64(s.seconds));
-    out.push_str(",\"latency_buckets\":[");
-    for (i, (bucket, count)) in s.latency.nonzero_buckets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl OperatorSpan {
+    /// Writes the row and resilience counters, `rows_in` through
+    /// `breaker_tripped`, as keys of the object `w` is inside — the part
+    /// of a span the snapshot and EXPLAIN ANALYZE both export.
+    pub(crate) fn counters_json(&self, w: &mut JsonWriter) {
+        for (name, v) in [
+            ("rows_in", self.rows_in),
+            ("rows_out", self.rows_out),
+            ("rows_filtered", self.rows_filtered),
+            ("rows_failed", self.rows_failed),
+            ("rows_emitted", self.rows_emitted),
+            ("attempts", self.attempts),
+            ("retries", self.retries),
+            ("failures", self.failures),
+            ("timeouts", self.timeouts),
+            ("failed_open", self.failed_open),
+            ("short_circuited", self.short_circuited),
+        ] {
+            w.key(name).uint(v);
         }
-        out.push_str(&format!("[{bucket},{count}]"));
+        w.key("breaker_tripped").boolean(self.breaker_tripped);
     }
-    out.push_str("],\"wall_nanos\":");
-    out.push_str(&s.wall_nanos.to_string());
-    out.push('}');
 }
 
-fn event_json(out: &mut String, e: &TelemetryEvent) {
-    out.push_str("{\"op\":");
-    json_string(out, &e.op);
-    out.push_str(",\"row\":");
-    match e.row {
-        Some(r) => out.push_str(&r.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"kind\":");
-    json_string(out, e.kind.name());
-    out.push_str(",\"count\":");
-    out.push_str(&e.count.to_string());
-    out.push('}');
+fn span_json(w: &mut JsonWriter, s: &OperatorSpan) {
+    w.object(|w| {
+        w.key("op_id").uint(u64::from(s.op_id.0));
+        w.key("op").string(&s.op);
+        s.counters_json(w);
+        w.key("seconds").float(s.seconds);
+        w.key("latency_buckets")
+            .array(s.latency.nonzero_buckets(), |w, (bucket, count)| {
+                w.array([bucket as u64, count], |w, n| {
+                    w.uint(n);
+                });
+            });
+        w.key("wall_nanos").uint(s.wall_nanos);
+    });
 }
 
-fn fault_json(out: &mut String, f: &InjectedFault) {
-    out.push_str("{\"op\":");
-    json_string(out, &f.op);
-    out.push_str(",\"row_fingerprint\":");
-    out.push_str(&f.row_fingerprint.to_string());
-    out.push_str(",\"attempt\":");
-    out.push_str(&f.attempt.to_string());
-    out.push_str(",\"kind\":");
-    json_string(out, f.kind.name());
-    out.push('}');
+fn event_json(w: &mut JsonWriter, e: &TelemetryEvent) {
+    w.object(|w| {
+        w.key("op").string(&e.op);
+        w.key("row").optional(e.row, JsonWriter::uint);
+        w.key("kind").string(e.kind.name());
+        w.key("count").uint(e.count);
+    });
+}
+
+fn fault_json(w: &mut JsonWriter, f: &InjectedFault) {
+    w.object(|w| {
+        w.key("op").string(&f.op);
+        w.key("row_fingerprint").uint(f.row_fingerprint);
+        w.key("attempt").uint(f.attempt);
+        w.key("kind").string(f.kind.name());
+    });
 }
 
 /// Default cap on recorded events per run; overflow increments

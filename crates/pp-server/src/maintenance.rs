@@ -51,12 +51,13 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
     // violated keys join the drifted set so the very same pass replans the
     // affected cache entries (no extra pass of violating queries).
     let audit_report = audit::run_pass(inner);
-    let calibration = inner.monitor.calibration_report();
-    let mut drifted: BTreeSet<String> = calibration
+    let mut drifted: BTreeSet<String> = inner
+        .monitor
+        .calibration_report()
         .entries
-        .iter()
+        .into_iter()
         .filter(|e| e.drifted)
-        .map(|e| e.key.clone())
+        .map(|e| e.key)
         .collect();
     drifted.extend(audit_report.violated_keys.iter().cloned());
     let needs_replan = !drifted.is_empty();

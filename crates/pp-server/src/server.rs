@@ -771,11 +771,15 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
     trace.enter(RequestStage::Execute);
     let result = ctx.run(&cached.plan);
     // Fold this run into the shared state regardless of outcome: service
-    // metrics always, calibration only for clean runs (observe_run skips
+    // metrics always, fault rates always (they count toward quarantine
+    // decisions), calibration only for clean runs (observe_run skips
     // failed spans itself, but a failed *query* has no meaningful
     // reduction to calibrate on).
     inner.metrics.merge(ctx.registry());
     let telemetry = ctx.telemetry().cloned();
+    if let (Err(_), Some(t)) = (&result, &telemetry) {
+        inner.monitor.observe_telemetry(t);
+    }
     match result {
         Ok(rows) => {
             let Some(telemetry) = telemetry else {
@@ -804,10 +808,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
             }))
         }
         Err(EngineError::Cancelled { reason }) => {
-            if let Some(t) = &telemetry {
-                // Fault rates still count toward quarantine decisions.
-                inner.monitor.observe_telemetry(t);
-            }
             // Bill what the meter actually charged: completed operators
             // plus consumed-but-interrupted batches. Discarded probe work
             // was never charged, so it is not reported either.
@@ -820,10 +820,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
             }
         }
         Err(e) => {
-            if let Some(t) = &telemetry {
-                // Fault rates still count toward quarantine decisions.
-                inner.monitor.observe_telemetry(t);
-            }
             inner.metrics.counter("server.failed_total").inc();
             QueryOutcome::Failed(e.to_string())
         }

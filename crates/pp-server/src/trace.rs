@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use pp_engine::telemetry::json_string;
+use pp_engine::json::JsonWriter;
 
 /// A pipeline stage a request can occupy. Stages are entered in
 /// submission order and never revisited; the wall-clock interval between
@@ -157,30 +157,22 @@ impl RequestTimeline {
     /// Stable-order JSON rendering (hand-rolled, like every exporter in
     /// this workspace — field order is fixed, no map iteration).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"trace_id\":");
-        out.push_str(&self.trace_id.to_string());
-        out.push_str(",\"total_nanos\":");
-        out.push_str(&self.total_nanos.to_string());
-        out.push_str(",\"terminal\":");
-        json_string(&mut out, &self.terminal);
-        out.push_str(",\"stages\":[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"stage\":");
-            json_string(&mut out, &s.name);
-            if let Some(d) = &s.detail {
-                out.push_str(",\"detail\":");
-                json_string(&mut out, d);
-            }
-            out.push_str(",\"nanos\":");
-            out.push_str(&s.nanos.to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::with_capacity(128);
+        w.object(|w| {
+            w.key("trace_id").uint(self.trace_id);
+            w.key("total_nanos").uint(self.total_nanos);
+            w.key("terminal").string(&self.terminal);
+            w.key("stages").array(&self.stages, |w, s| {
+                w.object(|w| {
+                    w.key("stage").string(&s.name);
+                    if let Some(d) = &s.detail {
+                        w.key("detail").string(d);
+                    }
+                    w.key("nanos").uint(s.nanos);
+                });
+            });
+        });
+        w.finish()
     }
 }
 

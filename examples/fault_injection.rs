@@ -127,7 +127,7 @@ fn main() {
 
     // Act 3 — the monitor quarantines the PP; replanning excludes it.
     let monitor = RuntimeMonitor::new();
-    monitor.observe_query(&report);
+    monitor.observe_telemetry(broken.telemetry().expect("telemetry snapshot"));
     println!("quarantined PPs:           {:?}", monitor.broken());
     let replanned = qo
         .optimize_with_monitor(&plan, &catalog, Some(&monitor))

@@ -16,15 +16,16 @@
 //!    the same rows the in-memory catalog does; the verdicts match
 //!    row-for-row while shards feed the morsel scheduler in parallel.
 //! 3. **Prune** — the optimizer spots the `frameID < …` conjunct as
-//!    zone-map-answerable, pushes it into the scan as a zero-cost
-//!    accuracy-1.0 leaf PP, and seeds per-shard calibration; the
-//!    `store.*` counters prove row groups were skipped.
+//!    zone-map-answerable and pushes it into the scan as a zero-cost
+//!    accuracy-1.0 leaf PP; the `store.*` counters prove row groups were
+//!    skipped, and the zone maps alone show the skew across shards.
 //! 4. **Serve** — the same segment-backed catalog drops into [`PpServer`]
 //!    unchanged: a [`SourceSpec`] only names the table, so out-of-core
 //!    sources need no serving-layer changes.
 
 use std::sync::Arc;
 
+use probabilistic_predicates::engine::shard_prune_stats;
 use probabilistic_predicates::prelude::*;
 
 fn main() {
@@ -87,16 +88,11 @@ fn main() {
     // Add a range conjunct on a *stored* column. The optimizer pushes it
     // into the scan: zone maps answer it per row group, so most groups
     // are never read — a PP with accuracy 1.0 and zero cost.
-    let pred = Predicate::and(
-        Predicate::from(Clause::new("frameID", CompareOp::Lt, 300i64)),
-        suv.clone(),
-    );
+    let frame_range = Predicate::from(Clause::new("frameID", CompareOp::Lt, 300i64));
+    let pred = Predicate::and(frame_range.clone(), suv.clone());
     let plan = spec.nop_plan(&pred);
-    let monitor = RuntimeMonitor::default();
     let qo = PpQueryOptimizer::new(PpCatalog::new(), Domains::new(), QoConfig::default());
-    let optimized = qo
-        .optimize_with_monitor(&plan, &seg_catalog, Some(&monitor))
-        .expect("optimize");
+    let optimized = qo.optimize(&plan, &seg_catalog).expect("optimize");
     for push in &optimized.report.zone_pushdowns {
         println!(
             "\nzone pushdown on `{}`: `{}` prunes {}/{} row groups ({} rows) before decode",
@@ -127,16 +123,14 @@ fn main() {
             .get(),
         ctx.registry().counter("store.bytes_read_total").get()
     );
-    // The monitor was seeded with per-shard reduction records, so skew
-    // across shards is visible before the first real execution.
-    let seeded: Vec<String> = monitor
-        .calibration_report()
-        .entries
+    // One camera's frames cluster in one shard, so the same conjunct
+    // prunes each shard differently — read straight off the zone maps.
+    let provider = seg_catalog.provider("traffic").expect("traffic provider");
+    let skew: Vec<String> = shard_prune_stats(provider.as_ref(), &frame_range)
         .iter()
-        .filter(|e| e.key.starts_with("zone["))
-        .map(|e| e.key.clone())
+        .map(|s| format!("{}/{}", s.groups_pruned, s.groups_total))
         .collect();
-    println!("seeded per-shard calibration keys: {seeded:?}");
+    println!("row groups pruned per shard: {skew:?}");
 
     // ---------------------------------------------------------------- 4
     // The serving stack takes the segment-backed catalog unchanged.

@@ -13,6 +13,10 @@
 //! deterministic where a timing is not, and fails the moment a per-row
 //! record (a boxed outcome, a `Vec` per row, a `Vec` → `Arc` copy, a
 //! tuple for a dropped blob) comes back.
+//!
+//! The runtime monitor is held to the same kind of budget: it folds every
+//! observed run into fixed-size state per key, so what it holds after ten
+//! thousand more runs is, to the byte, what it held before them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +24,7 @@ use std::sync::Arc;
 
 use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
+use probabilistic_predicates::core::RuntimeMonitor;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::ClosureProcessor;
@@ -30,6 +35,8 @@ use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 use probabilistic_predicates::store::{SegmentScan, SegmentWriter, SegmentWriterConfig};
+
+mod common;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
@@ -276,4 +283,44 @@ fn segment_scan_under_a_pp_filter_allocates_per_group_and_per_survivor() {
         "held beside the survivors: {small} bytes over {SMALL} rows, {large} over {LARGE}"
     );
     std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+}
+
+/// The monitor's state is O(keys): after the first pass over a workload
+/// has created every key, ten thousand further runs leave the calling
+/// thread holding exactly the bytes it held before them — whether the
+/// same twenty reports recur (a dashboard) or every run carries a
+/// predicate string never seen before (ad-hoc traffic over the same PPs).
+#[test]
+fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
+    let runs = common::observed_runs();
+    let held_after = |monitor: &RuntimeMonitor, from: usize, to: usize, adhoc: bool| {
+        for i in from..to {
+            let (report, snapshot) = &runs[i % runs.len()];
+            if adhoc {
+                let mut report = report.clone();
+                report.predicate = format!("adhoc{i} = {i}");
+                monitor.observe_run(&report, snapshot);
+            } else {
+                monitor.observe_run(report, snapshot);
+            }
+        }
+        LIVE.with(Cell::get)
+    };
+    for adhoc in [false, true] {
+        let monitor = RuntimeMonitor::new();
+        let warm = held_after(&monitor, 0, 100, adhoc);
+        let later = held_after(&monitor, 100, 10_100, adhoc);
+        assert_eq!(
+            later,
+            warm,
+            "adhoc={adhoc}: the monitor grew by {} bytes over 10 000 runs",
+            later - warm
+        );
+        // The runs were folded, not dropped.
+        let summary = monitor
+            .calibration_summary("col0 = v")
+            .expect("query 0 calibrates its PP");
+        assert_eq!(summary.samples, 10_100 / runs.len() as u64);
+        assert!(!monitor.needs_replan() && monitor.broken().is_empty());
+    }
 }

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
-use probabilistic_predicates::core::RuntimeMonitor;
+use probabilistic_predicates::core::{QuarantineReason, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
@@ -194,7 +194,12 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     let config = ResilienceConfig::default()
         .with_retry(RetryPolicy::none())
         .with_breaker_threshold(3);
-    let (out, _, report) = run_resilient(&faulted, config);
+    let mut ctx = ExecutionContext::builder(&f.catalog)
+        .with_resilience(config)
+        .with_parallelism(4)
+        .build();
+    let out = ctx.run(&faulted).expect("resilient execute");
+    let report = ctx.report();
 
     assert_eq!(
         digest(&out),
@@ -216,7 +221,12 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     // eligible — as each fails in turn and is quarantined, planning
     // degrades all the way to the PP-free plan.
     let monitor = RuntimeMonitor::new();
-    monitor.observe_query(&report);
+    monitor.observe_telemetry(ctx.telemetry().expect("telemetry snapshot"));
+    assert_eq!(
+        monitor.why_broken("vehType = SUV"),
+        Some(QuarantineReason::BreakerTripped),
+        "three failed calls are under min_calls: the breaker is the cause"
+    );
     assert!(
         monitor.is_broken("vehType = SUV"),
         "broken: {:?}",

@@ -18,7 +18,10 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
+use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
+use probabilistic_predicates::core::wrangle::Domains;
+use probabilistic_predicates::core::{CalibrationRecord, PpCatalog, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
@@ -551,6 +554,50 @@ fn zone_map_pruning_skips_groups_without_changing_verdicts() {
             "shards={shards}: no bytes accounted"
         );
     }
+}
+
+/// The planner only reads the monitor. Planning a zone pushdown over a
+/// segment-backed table reports what the zone maps prune in the
+/// [`PlanReport`](probabilistic_predicates::core::planner::PlanReport) and
+/// leaves the monitor's calibration digest exactly as it found it — so
+/// planning the same query again and again cannot grow it.
+#[test]
+fn planning_a_zone_pushdown_leaves_the_monitor_as_it_was() {
+    let f = fixture();
+    let (_, catalog) = f.shard_catalogs.last().expect("4-shard catalog");
+    let plan = LogicalPlan::scan("traffic")
+        .process(f.dataset.udf("vehType").expect("vehType UDF"))
+        .select(Predicate::and(
+            Predicate::from(Clause::new("frameID", CompareOp::Lt, 100i64)),
+            Predicate::from(Clause::new("vehType", CompareOp::Eq, "SUV")),
+        ));
+    let qo = PpQueryOptimizer::new(PpCatalog::new(), Domains::new(), QoConfig::default());
+    let monitor = RuntimeMonitor::new();
+    monitor.record_calibration(
+        "vehType = SUV",
+        CalibrationRecord {
+            predicted_reduction: 0.7,
+            observed_reduction: 0.65,
+            predicted_cost: 0.01,
+            observed_cost: 0.01,
+        },
+    );
+    let before = monitor.calibration_report();
+    for _ in 0..3 {
+        let optimized = qo
+            .optimize_with_monitor(&plan, catalog, Some(&monitor))
+            .expect("optimize");
+        let [push] = &optimized.report.zone_pushdowns[..] else {
+            panic!(
+                "one pushdown expected: {:?}",
+                optimized.report.zone_pushdowns
+            );
+        };
+        assert_eq!(push.predicate, "frameID < 100");
+        assert!(push.row_groups_pruned > 0 && push.row_groups_pruned < push.row_groups_total);
+        assert_eq!(monitor.calibration_report(), before);
+    }
+    assert_eq!(before.entries.len(), 1);
 }
 
 /// An unpushed predicate must not prune anything: the scan returns every
