@@ -23,7 +23,7 @@ use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 
-use crate::alloc::{allocate, allocate_uniform, AccuracyGrid};
+use crate::alloc::{allocate, AccuracyGrid};
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
@@ -44,12 +44,6 @@ pub struct QoConfig {
     pub rewrite: RewriteConfig,
     /// Accuracy grid for budget allocation (§6.2).
     pub grid: AccuracyGrid,
-    /// Use the DP allocator; `false` falls back to uniform splitting (an
-    /// ablation of §6.2's dynamic program).
-    pub use_dp_allocation: bool,
-    /// Only inject when the estimated plan cost beats the unfiltered plan
-    /// (§3: filtering can hurt when `r ≤ c/u`).
-    pub require_improvement: bool,
 }
 
 impl Default for QoConfig {
@@ -58,8 +52,6 @@ impl Default for QoConfig {
             accuracy_target: 0.95,
             rewrite: RewriteConfig::default(),
             grid: AccuracyGrid::default(),
-            use_dp_allocation: true,
-            require_improvement: true,
         }
     }
 }
@@ -314,17 +306,12 @@ impl PpQueryOptimizer {
 
             let mut best: Option<(f64, PlannedPpExpr)> = None;
             for cand in candidates {
-                let planned = if self.config.use_dp_allocation {
-                    allocate(
-                        &cand,
-                        self.config.accuracy_target,
-                        udf_cost,
-                        &self.config.grid,
-                    )
-                } else {
-                    allocate_uniform(&cand, self.config.accuracy_target, &self.config.grid)
-                };
-                let planned = match planned {
+                let planned = match allocate(
+                    &cand,
+                    self.config.accuracy_target,
+                    udf_cost,
+                    &self.config.grid,
+                ) {
                     Ok(p) => p,
                     Err(PpError::InfeasibleAccuracy(_)) => {
                         // Record the candidate for the audit trail with a
@@ -354,8 +341,8 @@ impl PpQueryOptimizer {
             let Some((cost, planned)) = best else {
                 continue;
             };
-            if self.config.require_improvement && cost >= udf_cost {
-                continue; // §3: early filtering would not pay off
+            if cost >= udf_cost {
+                continue; // §3: filtering can hurt when `r ≤ c/u`
             }
             // Order the PPs for execution, then inject.
             let planned = reorder(planned)?;

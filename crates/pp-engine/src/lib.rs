@@ -22,6 +22,7 @@
 #![warn(clippy::all)]
 
 pub mod batch;
+pub mod bytes;
 pub mod cancel;
 pub mod catalog;
 pub mod chunk;

@@ -20,8 +20,8 @@
 //!    source's *ground-truth* UDF pipeline (memoized per source via
 //!    [`UdfMemo`], so repeated audits of the same blob pay once). A
 //!    sampled blob whose UDF-derived columns satisfy the query predicate
-//!    is a **false drop**. All replay cost is charged to a separate
-//!    audit [`CostMeter`] — it never touches any query's bill, verdicts,
+//!    is a **false drop**. All replay cost is summed into the auditor's
+//!    own cluster-seconds — it never touches any query's bill, verdicts,
 //!    or telemetry.
 //! 3. **Verify** (Wilson interval): per PP expression, the false-drop
 //!    fraction `f` among sampled dropped blobs gets a Wilson score upper
@@ -44,7 +44,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pp_engine::cost::CostMeter;
 use pp_engine::memo::{MemoProcessor, UdfMemo};
 use pp_engine::row::Row;
 use pp_engine::schema::Schema;
@@ -79,9 +78,9 @@ const PENDING_PASSES: usize = 4;
 
 impl AuditConfig {
     /// The most audit tasks that wait for replay: a few passes' worth.
-    /// With no maintenance pass draining it (the default
-    /// `maintenance_interval: None`) the queue would otherwise grow with
-    /// every query, each task pinning a plan the cache may have evicted;
+    /// With no maintenance pass draining it (the server runs one only
+    /// when asked) the queue would otherwise grow with every query, each
+    /// task pinning a plan the cache may have evicted;
     /// past the bound the oldest task is dropped and counted in
     /// `server.audit.dropped_total`.
     pub fn max_pending(&self) -> usize {
@@ -171,12 +170,14 @@ struct AuditState {
     /// Per-source replay memo: repeated audits of the same blob through
     /// the same UDF pay the invocation once (shared-scan reuse).
     memos: HashMap<String, Arc<UdfMemo>>,
-    meter: CostMeter,
+    /// Simulated cluster-seconds of every replay so far: a sum, so the
+    /// state is O(expressions + memoised blobs), not O(replays).
+    audit_seconds: f64,
 }
 
 /// The server's accuracy auditor. Hot-path `observe` only enqueues; all
-/// replay work happens in `run_pass` on the
-/// maintenance thread.
+/// replay work happens in `run_pass`, on the thread of whoever asked for
+/// the maintenance pass.
 pub struct Auditor {
     config: AuditConfig,
     state: Mutex<AuditState>,
@@ -198,7 +199,7 @@ impl Auditor {
                 pending: VecDeque::new(),
                 stats: BTreeMap::new(),
                 memos: HashMap::new(),
-                meter: CostMeter::new(),
+                audit_seconds: 0.0,
             }),
         }
     }
@@ -248,7 +249,7 @@ impl Auditor {
     /// Simulated cluster-seconds charged to audit replays so far —
     /// metered separately from every query's own bill.
     pub fn cluster_seconds(&self) -> f64 {
-        self.state.lock().meter.cluster_seconds()
+        self.state.lock().audit_seconds
     }
 
     /// Current audit evidence per PP expression, in stable (sorted
@@ -367,31 +368,26 @@ fn collect_pp_filters(plan: &LogicalPlan) -> Vec<Arc<dyn RowFilter>> {
 /// Replays one dropped base row through `processors` (the source's
 /// ground-truth UDFs, memo-wrapped) and evaluates the query predicate on
 /// the derived rows. `Ok(true)` means the row *would have been* a result
-/// row — a false drop. Charges `meter` for every (simulated) invocation.
+/// row — a false drop. Adds every (simulated) invocation's cost to
+/// `seconds`.
 fn replay_row(
     row: &Row,
     base_schema: &Arc<Schema>,
     processors: &[Arc<dyn Processor>],
     predicate: &pp_engine::predicate::Predicate,
-    meter: &mut CostMeter,
+    seconds: &mut f64,
 ) -> Result<bool, pp_engine::EngineError> {
     let mut rows = vec![row.clone()];
     let mut schema = Arc::clone(base_schema);
     for proc in processors {
         let out_schema = schema.extend(proc.output_columns())?;
         let mut next = Vec::with_capacity(rows.len());
-        let rows_in = rows.len();
         for r in &rows {
             for cells in proc.process(r, &schema)? {
                 next.push(r.extended(cells));
             }
         }
-        meter.charge(
-            format!("Audit[{}]", proc.name()),
-            rows_in,
-            next.len(),
-            rows_in as f64 * proc.cost_per_row(),
-        );
+        *seconds += rows.len() as f64 * proc.cost_per_row();
         rows = next;
         schema = out_schema;
     }
@@ -407,8 +403,8 @@ fn replay_row(
 /// PP-dropped set against the base table, replay the deterministic
 /// sample through the ground-truth pipeline, fold the evidence into
 /// per-PP-expression stats, and quarantine expressions whose Wilson
-/// lower bound on achieved accuracy falls below the promise. Runs on the
-/// maintenance thread, never on a query worker.
+/// lower bound on achieved accuracy falls below the promise. Runs in the
+/// maintenance pass, never on a query worker.
 pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
     let config = &inner.config.audit;
     let mut report = AuditPassReport::default();
@@ -457,6 +453,7 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let mut sampled_rows = 0u64;
         let mut false_drops = 0u64;
         let mut replay_errors = 0u64;
+        let mut seconds = 0.0;
         for (idx, row) in table.rows().iter().enumerate() {
             // A PP filter error fails open in the engine (the row passes),
             // so it is not a drop here either.
@@ -475,13 +472,12 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
             ) {
                 continue;
             }
-            let mut state = inner.audit.state.lock();
             match replay_row(
                 row,
                 &base_schema,
                 &processors,
                 &task.plan.predicate,
-                &mut state.meter,
+                &mut seconds,
             ) {
                 Ok(true) => {
                     sampled_rows += 1;
@@ -497,6 +493,7 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         report.replays += sampled_rows;
         report.false_drops += false_drops;
         let mut state = inner.audit.state.lock();
+        state.audit_seconds += seconds;
         let entry = state.stats.entry(chosen.expr.clone()).or_default();
         if entry.queries == 0 {
             entry.leaf_keys = chosen.leaf_keys.clone();
@@ -535,7 +532,7 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         inner
             .metrics
             .gauge("server.audit.cluster_seconds")
-            .set(state.meter.cluster_seconds());
+            .set(state.audit_seconds);
     }
     inner
         .metrics

@@ -19,7 +19,7 @@
 //!   optimization, no dogpile. If the builder fails (or panics), a drop
 //!   guard returns the slot to vacant and wakes a waiter to retry, so an
 //!   error can never wedge the key or leave a partial entry behind.
-//! * **Atomic swap.** The maintenance loop replaces a stale plan with
+//! * **Atomic swap.** The maintenance pass replaces a stale plan with
 //!   [`swap`][PlanCache::swap]; readers see either the old or the new
 //!   `Arc<CachedPlan>`, never a torn state.
 //! * **Cost-weighted LRU eviction.** The cache is bounded by
@@ -73,7 +73,7 @@ impl CacheKey {
 }
 
 /// One memoized optimizer output: the executable plan plus its report,
-/// and the inputs needed to *re*-optimize it (the maintenance loop
+/// and the inputs needed to *re*-optimize it (the maintenance pass
 /// rebuilds from these when calibration drift flags the plan's PPs).
 #[derive(Debug)]
 pub struct CachedPlan {
@@ -161,7 +161,7 @@ pub struct CacheStats {
     pub build_failures: u64,
     /// Entries removed by epoch invalidation.
     pub invalidated: u64,
-    /// Entries atomically replaced by the maintenance loop.
+    /// Entries atomically replaced by the maintenance pass.
     pub swapped: u64,
     /// Entries removed by cost-weighted LRU capacity eviction.
     pub evicted: u64,

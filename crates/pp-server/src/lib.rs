@@ -55,6 +55,9 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// A poisoned lock or a panicking job must not take the front door down:
+// outside tests, nothing in this crate may `unwrap` or `expect`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod audit;
@@ -67,7 +70,6 @@ pub mod server;
 pub mod sharedscan;
 pub mod source;
 pub mod trace;
-#[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod wire;
 
 pub use admission::AdmissionConfig;

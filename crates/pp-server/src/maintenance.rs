@@ -1,5 +1,4 @@
-//! The background maintenance loop: calibration-driven replanning off the
-//! hot path.
+//! The maintenance pass: calibration-driven replanning off the hot path.
 //!
 //! Every query run already folds its telemetry into the shared
 //! [`RuntimeMonitor`](pp_core::runtime::RuntimeMonitor) (see
@@ -13,16 +12,12 @@
 //! per-blob verdicts are unchanged (pinned by a test in
 //! `tests/serving.rs`).
 //!
-//! Passes run either on a background thread
-//! ([`ServerConfig::maintenance_interval`](crate::server::ServerConfig))
-//! or synchronously via
-//! [`PpServer::maintenance_now`](crate::server::PpServer::maintenance_now)
-//! — deterministic tests use the latter.
+//! A pass runs when the embedder asks for one —
+//! [`PpServer::maintenance_now`](crate::server::PpServer::maintenance_now),
+//! on the caller's thread — and once more as the last step of
+//! [`PpServer::drain`](crate::server::PpServer::drain).
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pp_core::catalog::CatalogEpoch;
 
@@ -143,69 +138,5 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
         examined,
         replanned,
         audit: audit_report,
-    }
-}
-
-/// Handle to the background maintenance thread; stop it with
-/// [`stop`][MaintenanceHandle::stop] (the server does this on shutdown).
-#[derive(Debug)]
-pub struct MaintenanceHandle {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl MaintenanceHandle {
-    /// Signals the loop to exit and joins it.
-    pub fn stop(mut self) {
-        self.signal();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    fn signal(&self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-    }
-}
-
-impl Drop for MaintenanceHandle {
-    fn drop(&mut self) {
-        self.signal();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-pub(crate) fn spawn(inner: Arc<ServerInner>, every: Duration) -> MaintenanceHandle {
-    let stop = Arc::new((Mutex::new(false), Condvar::new()));
-    let stop2 = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("pp-server-maintenance".into())
-        .spawn(move || {
-            let (lock, cv) = &*stop2;
-            let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if *stopped {
-                    return;
-                }
-                let (guard, _timeout) = cv
-                    .wait_timeout(stopped, every)
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = guard;
-                if *stopped {
-                    return;
-                }
-                drop(stopped);
-                run_once(&inner);
-                stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-            }
-        })
-        .expect("spawn maintenance thread");
-    MaintenanceHandle {
-        stop,
-        thread: Some(thread),
     }
 }

@@ -59,7 +59,10 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (clamped to at least 1).
+    /// Spawns `workers` threads (clamped to at least 1). If the OS refuses
+    /// a thread the pool runs with the ones it got; with none at all it
+    /// starts shut down, so [`submit`](Self::submit) returns `false` and
+    /// the server sheds with a typed rejection rather than panicking.
     pub fn new(workers: usize) -> Self {
         let queue = Arc::new(Queue {
             jobs: Mutex::new(QueueState {
@@ -68,15 +71,22 @@ impl WorkerPool {
             }),
             cv: Condvar::new(),
         });
-        let workers = (0..workers.max(1))
-            .map(|i| {
+        let workers: Vec<_> = (0..workers.max(1))
+            .map_while(|i| {
                 let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("pp-server-worker-{i}"))
                     .spawn(move || worker_loop(&queue))
-                    .expect("spawn worker thread")
+                    .ok()
             })
             .collect();
+        if workers.is_empty() {
+            queue
+                .jobs
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .shutting_down = true;
+        }
         WorkerPool { queue, workers }
     }
 

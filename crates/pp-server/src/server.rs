@@ -66,7 +66,7 @@ use crate::admission::{check_cost_budget, AdmissionConfig, DepthGate, Permit};
 use crate::audit::{AuditConfig, Auditor};
 use crate::cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, PlanCache};
 use crate::chaos::ServerFaults;
-use crate::maintenance::{self, MaintenanceHandle, MaintenanceReport};
+use crate::maintenance::{self, MaintenanceReport};
 use crate::pool::{DrainPolicy, WorkerPool};
 use crate::request::{
     QueryOutcome, QueryRequest, QueryResponse, QuerySuccess, QueryTicket, RejectReason,
@@ -87,11 +87,6 @@ pub struct ServerConfig {
     pub qo: QoConfig,
     /// Runtime-monitor thresholds.
     pub monitor: MonitorConfig,
-    /// Interval of the background maintenance loop; `None` (the default)
-    /// leaves maintenance to explicit
-    /// [`maintenance_now`][PpServer::maintenance_now] calls, which is
-    /// also what deterministic tests want.
-    pub maintenance_interval: Option<Duration>,
     /// Plan-cache capacity / eviction knobs.
     pub cache: CacheConfig,
     /// Seeded server-side fault injection (chaos testing); `None` (the
@@ -111,7 +106,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             qo: QoConfig::default(),
             monitor: MonitorConfig::default(),
-            maintenance_interval: None,
             cache: CacheConfig::default(),
             faults: None,
             sharedscan: SharedScanConfig::default(),
@@ -120,7 +114,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything workers and the maintenance loop share.
+/// Everything workers and the maintenance pass share.
 pub(crate) struct ServerInner {
     pub(crate) data: Catalog,
     pub(crate) sources: SourceRegistry,
@@ -150,10 +144,13 @@ impl ServerInner {
         accuracy_target: f64,
         snapshot: &CatalogSnapshot,
     ) -> Result<CachedPlan, pp_core::PpError> {
+        // Admission checked the name and the registry never changes, and a
+        // cache key's source passed the same check; were that ever untrue,
+        // the query fails and the maintenance replan counts a failure.
         let spec = self
             .sources
             .get(source)
-            .expect("source validated at submit");
+            .ok_or_else(|| EngineError::UnknownTable(source.to_string()))?;
         let nop = spec.nop_plan(predicate);
         let qo = PpQueryOptimizer::new(
             snapshot.pps().clone(),
@@ -289,7 +286,6 @@ pub struct DrainReport {
 pub struct PpServer {
     inner: Arc<ServerInner>,
     pool: WorkerPool,
-    maintenance: Option<MaintenanceHandle>,
     shared: Arc<SharedScanCoordinator>,
 }
 
@@ -315,7 +311,6 @@ impl PpServer {
     ) -> Self {
         let monitor = Arc::new(RuntimeMonitor::with_config(config.monitor));
         let workers = config.workers;
-        let maintenance_interval = config.maintenance_interval;
         let cache = PlanCache::with_config(config.cache.clone());
         let shared = Arc::new(SharedScanCoordinator::new(config.sharedscan.clone()));
         let audit = Auditor::new(config.audit.clone());
@@ -334,12 +329,9 @@ impl PpServer {
             shutting_down: AtomicBool::new(false),
             active: Mutex::new(HashMap::new()),
         });
-        let maintenance =
-            maintenance_interval.map(|every| maintenance::spawn(Arc::clone(&inner), every));
         PpServer {
             inner,
             pool: WorkerPool::new(workers),
-            maintenance,
             shared,
         }
     }
@@ -479,8 +471,8 @@ impl PpServer {
 
     /// The online accuracy auditor (pending tasks, per-PP-expression
     /// evidence, replay cluster-seconds). Replays run inside
-    /// [`maintenance_now`][Self::maintenance_now] / the background
-    /// maintenance loop, never on the query path.
+    /// [`maintenance_now`][Self::maintenance_now], never on the query
+    /// path.
     pub fn auditor(&self) -> &crate::audit::Auditor {
         &self.inner.audit
     }
@@ -518,21 +510,17 @@ impl PpServer {
 
     /// Runs one maintenance pass synchronously: folds nothing new (that
     /// happens per query) but checks calibration drift and re-optimizes /
-    /// swaps every cached plan whose PPs drifted. Deterministic tests call
-    /// this instead of configuring a background interval.
+    /// swaps every cached plan whose PPs drifted. It runs on the caller's
+    /// thread; the server starts no timer of its own.
     pub fn maintenance_now(&self) -> MaintenanceReport {
         maintenance::run_once(&self.inner)
     }
 
-    /// Stops intake, drains queued queries, joins workers, and stops the
-    /// background maintenance loop. Idempotent; also runs on drop. This
-    /// waits however long the queued queries take; use
-    /// [`drain`][PpServer::drain] for a bounded exit.
+    /// Stops intake, drains queued queries, and joins workers. Idempotent;
+    /// also runs on drop. This waits however long the queued queries take;
+    /// use [`drain`][PpServer::drain] for a bounded exit.
     pub fn shutdown(&mut self) {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        if let Some(m) = self.maintenance.take() {
-            m.stop();
-        }
         // Close shared-scan windows so their jobs claim without lingering
         // and every parked query still runs before the pool drains.
         self.shared.flush_all();
@@ -561,9 +549,6 @@ impl PpServer {
     /// [`shutdown`][PpServer::shutdown]; also safe to call twice.
     pub fn drain(&mut self, timeout: Duration) -> DrainReport {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        if let Some(m) = self.maintenance.take() {
-            m.stop();
-        }
         // Close shared-scan windows: their pool jobs claim immediately,
         // so parked queries either run inside the grace period or resolve
         // as `Cancelled` when the deadline abandons their jobs.

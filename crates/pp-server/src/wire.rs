@@ -41,6 +41,13 @@
 //! bound ([`WireError::DepthExceeded`]) so hostile bytes cannot blow the
 //! stack. `tests/wire.rs` pins the exact byte layout with golden files.
 //!
+//! Payloads decode through [`pp_engine::bytes::Reader`], the bounded
+//! reader the segment store uses too, under its one rule: a count read
+//! from the payload is held to the unread bytes
+//! ([`Reader::expect_items`], with the fewest bytes one item can take)
+//! before room for that many items is reserved — so what a frame makes
+//! the decoder hold is linear in the bytes the peer actually sent.
+//!
 //! # Request payload
 //!
 //! | field | encoding |
@@ -63,6 +70,7 @@
 
 use std::io::{Read, Write};
 
+use pp_engine::bytes::{put_u32, put_u64, put_words, Reader, Truncated};
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::value::Value;
 use pp_engine::Row;
@@ -133,6 +141,12 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
+}
 
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
@@ -296,106 +310,23 @@ pub enum Frame {
 // Payload primitives
 // ---------------------------------------------------------------------
 
-/// A bounds-checked reader over a payload: every accessor returns
-/// [`WireError::Truncated`] instead of reading past the end.
-struct Cursor<'a> {
-    /// The bytes not yet consumed.
-    rest: &'a [u8],
+/// A length-prefixed UTF-8 string, borrowed from the payload.
+fn get_str<'a>(cur: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let len = cur.u32()? as usize;
+    std::str::from_utf8(cur.take(len)?)
+        .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { rest: buf }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let (head, rest) = self.rest.split_at_checked(n).ok_or(WireError::Truncated)?;
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let (head, rest) = self
-            .rest
-            .split_first_chunk::<N>()
-            .ok_or(WireError::Truncated)?;
-        self.rest = rest;
-        Ok(*head)
-    }
-
-    /// Fails unless `count` items of `item_len` bytes each are still
-    /// unread — checked before reserving room for `count` of anything.
-    fn expect_items(&self, count: usize, item_len: usize) -> Result<(), WireError> {
-        if self.rest.len() / item_len < count {
-            return Err(WireError::Truncated);
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_be_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<&'a str, WireError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        self.str().map(str::to_owned)
-    }
-
-    fn finished(&self) -> Result<(), WireError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes after payload",
-                self.rest.len()
-            )))
-        }
-    }
+fn get_string(cur: &mut Reader<'_>) -> Result<String, WireError> {
+    get_str(cur).map(str::to_owned)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
+/// Fewest payload bytes a string takes: its length prefix.
+const MIN_STRING_LEN: usize = 4;
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends `n` fixed-width words with one resize instead of `n`
-/// capacity-checked pushes; `words` must yield exactly `n` items.
-fn put_words<const N: usize>(out: &mut Vec<u8>, n: usize, words: impl Iterator<Item = [u8; N]>) {
-    let start = out.len();
-    out.resize(start + n * N, 0);
-    for (dst, w) in out[start..].as_chunks_mut::<N>().0.iter_mut().zip(words) {
-        *dst = w;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -452,25 +383,23 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-fn get_value(cur: &mut Cursor<'_>) -> Result<Value, WireError> {
+fn get_value(cur: &mut Reader<'_>) -> Result<Value, WireError> {
     Ok(match cur.u8()? {
         VAL_NULL => Value::Null,
         VAL_BOOL => Value::Bool(cur.u8()? != 0),
         VAL_INT => Value::Int(cur.i64()?),
         VAL_FLOAT => Value::Float(cur.f64()?),
-        VAL_STR => Value::Str(cur.str()?.into()),
+        VAL_STR => Value::Str(get_str(cur)?.into()),
         VAL_BLOB_DENSE => {
             let n = cur.u32()? as usize;
-            cur.expect_items(n, 8)?;
-            let (words, _) = cur.take(n * 8)?.as_chunks::<8>();
+            let words = cur.words::<8>(n)?;
             let coords = words.iter().map(|w| f64::from_bits(u64::from_be_bytes(*w)));
             Value::blob(Features::Dense(coords.collect()))
         }
         VAL_BLOB_SPARSE => {
             let dim = cur.u32()? as usize;
             let nnz = cur.u32()? as usize;
-            cur.expect_items(nnz, 12)?;
-            let (entries, _) = cur.take(nnz * 12)?.as_chunks::<12>();
+            let entries = cur.words::<12>(nnz)?;
             let mut indices = Vec::with_capacity(nnz);
             let mut values = Vec::with_capacity(nnz);
             for &[i0, i1, i2, i3, val @ ..] in entries {
@@ -550,7 +479,7 @@ fn put_predicate(out: &mut Vec<u8>, predicate: &Predicate) {
     }
 }
 
-fn get_predicate(cur: &mut Cursor<'_>, depth: u32) -> Result<Predicate, WireError> {
+fn get_predicate(cur: &mut Reader<'_>, depth: u32) -> Result<Predicate, WireError> {
     if depth > MAX_PREDICATE_DEPTH {
         return Err(WireError::DepthExceeded);
     }
@@ -558,30 +487,27 @@ fn get_predicate(cur: &mut Cursor<'_>, depth: u32) -> Result<Predicate, WireErro
         PRED_TRUE => Predicate::True,
         PRED_FALSE => Predicate::False,
         PRED_CLAUSE => {
-            let column = cur.string()?;
+            let column = get_string(cur)?;
             let op = compare_op_from(cur.u8()?)?;
             let value = get_value(cur)?;
             Predicate::Clause(Clause::new(column, op, value))
         }
         PRED_NOT => Predicate::Not(Box::new(get_predicate(cur, depth + 1)?)),
-        PRED_AND => {
-            let n = cur.u32()? as usize;
-            let mut children = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                children.push(get_predicate(cur, depth + 1)?);
-            }
-            Predicate::And(children)
-        }
-        PRED_OR => {
-            let n = cur.u32()? as usize;
-            let mut children = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                children.push(get_predicate(cur, depth + 1)?);
-            }
-            Predicate::Or(children)
-        }
+        PRED_AND => Predicate::And(get_children(cur, depth)?),
+        PRED_OR => Predicate::Or(get_children(cur, depth)?),
         other => return Err(WireError::Malformed(format!("predicate tag {other}"))),
     })
+}
+
+/// The children of an `And`/`Or` node. Each is at least its tag byte, so a
+/// count beyond the unread bytes fails here; the vector still grows with
+/// the children actually decoded rather than being reserved from the
+/// count, because up to [`MAX_PREDICATE_DEPTH`] nested nodes could each
+/// lay claim to the same unread bytes.
+fn get_children(cur: &mut Reader<'_>, depth: u32) -> Result<Vec<Predicate>, WireError> {
+    let n = cur.u32()? as usize;
+    cur.expect_items(n, 1)?;
+    (0..n).map(|_| get_predicate(cur, depth + 1)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -598,7 +524,7 @@ fn put_option_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn get_option_u64(cur: &mut Cursor<'_>) -> Result<Option<u64>, WireError> {
+fn get_option_u64(cur: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
     Ok(match cur.u8()? {
         0 => None,
         1 => Some(cur.u64()?),
@@ -616,7 +542,7 @@ fn put_option_u32(out: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-fn get_option_u32(cur: &mut Cursor<'_>) -> Result<Option<u32>, WireError> {
+fn get_option_u32(cur: &mut Reader<'_>) -> Result<Option<u32>, WireError> {
     Ok(match cur.u8()? {
         0 => None,
         1 => Some(cur.u32()?),
@@ -735,16 +661,16 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
-    let mut cur = Cursor::new(payload);
+    let cur = &mut Reader::new(payload, "frame payload");
     let frame = match ty {
         TYPE_REQUEST => {
-            let source = cur.string()?;
-            let predicate = get_predicate(&mut cur, 0)?;
+            let source = get_string(cur)?;
+            let predicate = get_predicate(cur, 0)?;
             let accuracy_target = cur.f64()?;
-            let deadline_ms = get_option_u64(&mut cur)?;
-            let parallelism = get_option_u32(&mut cur)?;
-            let batch_size = get_option_u32(&mut cur)?;
-            let morsel_size = get_option_u32(&mut cur)?;
+            let deadline_ms = get_option_u64(cur)?;
+            let parallelism = get_option_u32(cur)?;
+            let batch_size = get_option_u32(cur)?;
+            let morsel_size = get_option_u32(cur)?;
             // Formerly the batch-mode selector: the values old clients
             // could send are accepted and ignored.
             match cur.u8()? {
@@ -768,9 +694,10 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let epoch = cur.u64()?;
             let cache_hit = cur.u8()? != 0;
             let n = cur.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
+            cur.expect_items(n, MIN_STRING_LEN)?;
+            let mut columns = Vec::with_capacity(n);
             for _ in 0..n {
-                columns.push(cur.string()?);
+                columns.push(get_string(cur)?);
             }
             Frame::ResultHeader {
                 request_id,
@@ -782,12 +709,15 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
         TYPE_VERDICT_BATCH => {
             let request_id = cur.u64()?;
             let n = cur.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(VERDICT_CHUNK_ROWS * 4));
+            // A row is at least its cell count, a cell at least its tag.
+            cur.expect_items(n, 4)?;
+            let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let cells = cur.u32()? as usize;
-                let mut row = Vec::with_capacity(cells.min(1024));
+                cur.expect_items(cells, 1)?;
+                let mut row = Vec::with_capacity(cells);
                 for _ in 0..cells {
-                    row.push(get_value(&mut cur)?);
+                    row.push(get_value(cur)?);
                 }
                 rows.push(row);
             }
@@ -800,7 +730,7 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
         TYPE_ERROR => {
             let request_id = cur.u64()?;
             let kind = WireErrorKind::from_code(cur.u8()?)?;
-            let detail = cur.string()?;
+            let detail = get_string(cur)?;
             let rows_processed = cur.u64()?;
             let charged_cluster_seconds = cur.f64()?;
             Frame::Error {
@@ -813,15 +743,17 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
         }
         TYPE_TRACE => {
             let trace_id = cur.u64()?;
-            let terminal = cur.string()?;
+            let terminal = get_string(cur)?;
             let total_nanos = cur.u64()?;
             let n = cur.u32()? as usize;
-            let mut stages = Vec::with_capacity(n.min(64));
+            // A stage is at least a name, a detail flag and its nanos.
+            cur.expect_items(n, MIN_STRING_LEN + 1 + 8)?;
+            let mut stages = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = cur.string()?;
+                let name = get_string(cur)?;
                 let detail = match cur.u8()? {
                     0 => None,
-                    1 => Some(cur.string()?),
+                    1 => Some(get_string(cur)?),
                     other => return Err(WireError::Malformed(format!("detail flag {other}"))),
                 };
                 let nanos = cur.u64()?;
@@ -840,7 +772,12 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
         }
         other => return Err(WireError::UnknownFrameType(other)),
     };
-    cur.finished()?;
+    if !cur.is_empty() {
+        return Err(WireError::Malformed(format!(
+            "{} trailing bytes after payload",
+            cur.remaining()
+        )));
+    }
     Ok(frame)
 }
 
@@ -885,10 +822,17 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, WireError> {
             max: MAX_FRAME_LEN,
         });
     }
-    let mut payload = vec![0u8; len as usize];
+    // The buffer grows with the bytes that arrive, not with the length the
+    // header declares: a peer that promises 16 MiB and sends none holds none.
+    let mut payload = Vec::new();
     reader
-        .read_exact(&mut payload)
+        .by_ref()
+        .take(u64::from(len))
+        .read_to_end(&mut payload)
         .map_err(|_| WireError::Truncated)?;
+    if payload.len() < len as usize {
+        return Err(WireError::Truncated);
+    }
     Ok(Some(decode_payload(ty, &payload)?))
 }
 

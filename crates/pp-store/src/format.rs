@@ -28,6 +28,7 @@
 
 use std::fmt;
 
+use pp_engine::bytes::{put_u32, put_words, Reader, Truncated};
 use pp_engine::schema::DataType;
 use pp_engine::value::Value;
 use pp_engine::ChunkColumn;
@@ -151,6 +152,12 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
+impl From<Truncated> for StoreError {
+    fn from(e: Truncated) -> Self {
+        StoreError::Truncated { context: e.context }
+    }
+}
+
 impl From<StoreError> for pp_engine::EngineError {
     fn from(e: StoreError) -> Self {
         pp_engine::EngineError::Storage(e.to_string())
@@ -191,8 +198,9 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 };
 
 /// CRC32 (IEEE 802.3, reflected), sixteen input bytes per step. The one
-/// checksum of the format: pages, footer, reader and writer all use it.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
+/// checksum of the format: pages, footer, reader and writer all use it
+/// (public so a test can re-seal a page or footer it has rewritten).
+pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     // Folds one little-endian input word into four table lookups; `k` is
     // how many bytes follow the word within the 16-byte block.
@@ -218,28 +226,6 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---- encoding helpers ----------------------------------------------------
-
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Appends `n` fixed-width big-endian words with one resize instead of `n`
-/// capacity-checked pushes; `words` must yield exactly `n` items.
-fn put_words<const N: usize>(buf: &mut Vec<u8>, n: usize, words: impl Iterator<Item = [u8; N]>) {
-    let start = buf.len();
-    buf.resize(start + n * N, 0);
-    for (dst, w) in buf[start..].as_chunks_mut::<N>().0.iter_mut().zip(words) {
-        *dst = w;
-    }
-}
 
 pub(crate) fn dtype_code(d: DataType) -> u8 {
     match d {
@@ -347,88 +333,13 @@ pub(crate) fn encode_bound(buf: &mut Vec<u8>, bound: &Option<Value>) {
 
 // ---- decoding ------------------------------------------------------------
 
-/// A bounds-checked reader over a byte slice. Every accessor returns
-/// [`StoreError::Truncated`] instead of reading past the end.
-pub(crate) struct Cursor<'a> {
-    /// The bytes not yet consumed.
-    data: &'a [u8],
-    context: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8], context: &'static str) -> Cursor<'a> {
-        Cursor { data, context }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    fn truncated(&self) -> StoreError {
-        StoreError::Truncated {
-            context: self.context,
-        }
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let (head, rest) = self
-            .data
-            .split_at_checked(n)
-            .ok_or_else(|| self.truncated())?;
-        self.data = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
-        let (head, rest) = self
-            .data
-            .split_first_chunk::<N>()
-            .ok_or_else(|| self.truncated())?;
-        self.data = rest;
-        Ok(*head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_be_bytes(self.array()?))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(self.array()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_be_bytes(self.array()?))
-    }
-
-    pub(crate) fn f64_bits(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-/// Converts a payload of whole big-endian `f64` bit patterns in one pass.
-fn be_f64s(payload: &[u8]) -> Vec<f64> {
-    let (words, _) = payload.as_chunks::<8>();
-    words
-        .iter()
-        .map(|w| f64::from_bits(u64::from_be_bytes(*w)))
-        .collect()
+/// An `f64` from its big-endian bit pattern.
+fn be_f64(word: &[u8; 8]) -> f64 {
+    f64::from_bits(u64::from_be_bytes(*word))
 }
 
 /// Decodes one tag-encoded value.
-pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
+pub(crate) fn decode_value(cur: &mut Reader<'_>) -> Result<Value, StoreError> {
     let tag = cur.u8()?;
     Ok(match tag {
         TAG_NULL => Value::Null,
@@ -438,7 +349,7 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
             b => return Err(StoreError::Corrupt(format!("bad bool byte {b:#04x}"))),
         },
         TAG_INT => Value::Int(cur.i64()?),
-        TAG_FLOAT => Value::Float(cur.f64_bits()?),
+        TAG_FLOAT => Value::Float(cur.f64()?),
         TAG_STR => {
             let len = cur.u32()?;
             if len > MAX_STR_LEN {
@@ -448,7 +359,7 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
                     max: MAX_STR_LEN as u64,
                 });
             }
-            let bytes = cur.bytes(len as usize)?;
+            let bytes = cur.take(len as usize)?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|e| StoreError::Corrupt(format!("invalid utf-8 string: {e}")))?;
             Value::str(s)
@@ -462,13 +373,8 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
                     max: MAX_BLOB_LEN as u64,
                 });
             }
-            // Bound the allocation by what the page actually holds.
-            if cur.remaining() < n as usize * 8 {
-                return Err(StoreError::Truncated {
-                    context: "dense blob payload",
-                });
-            }
-            Value::blob(Features::Dense(be_f64s(cur.bytes(n as usize * 8)?)))
+            let coords = cur.words(n as usize)?.iter().map(be_f64).collect();
+            Value::blob(Features::Dense(coords))
         }
         TAG_SPARSE => {
             let dim = cur.u32()?;
@@ -485,14 +391,11 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
                     "sparse blob nnz {nnz} exceeds dim {dim}"
                 )));
             }
-            if cur.remaining() < nnz as usize * 12 {
-                return Err(StoreError::Truncated {
-                    context: "sparse blob payload",
-                });
-            }
-            let (indices, _) = cur.bytes(nnz as usize * 4)?.as_chunks::<4>();
-            let indices = indices.iter().map(|c| u32::from_be_bytes(*c)).collect();
-            let values = be_f64s(cur.bytes(nnz as usize * 8)?);
+            // Both arrays must be there before either is reserved.
+            cur.expect_items(nnz as usize, 12)?;
+            let indices = cur.words(nnz as usize)?;
+            let indices = indices.iter().map(|w| u32::from_be_bytes(*w)).collect();
+            let values = cur.words(nnz as usize)?.iter().map(be_f64).collect();
             let sv = SparseVector::new(dim as usize, indices, values)
                 .map_err(|e| StoreError::Corrupt(format!("invalid sparse blob: {e}")))?;
             Value::blob(Features::Sparse(sv))
@@ -504,13 +407,13 @@ pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, StoreError> {
 /// Decodes one column page of `rows` values: a page of dense blobs of
 /// one dimension into one block, in a single big-endian → `f64` pass;
 /// any other page cell by cell.
-pub(crate) fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ChunkColumn, StoreError> {
+pub(crate) fn decode_column(cur: &mut Reader<'_>, rows: usize) -> Result<ChunkColumn, StoreError> {
     if let Some(block) = dense_block(cur, rows) {
         return Ok(ChunkColumn::Block(block));
     }
-    // Every encoded value is at least its tag byte, which bounds the
-    // reservation by the page.
-    let mut cells = Vec::with_capacity(rows.min(cur.remaining()));
+    // Every encoded value is at least its tag byte.
+    cur.expect_items(rows, 1)?;
+    let mut cells = Vec::with_capacity(rows);
     for _ in 0..rows {
         cells.push(decode_value(cur)?);
     }
@@ -521,8 +424,8 @@ pub(crate) fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ChunkCo
 /// one non-zero dimension; consumes the page then, and leaves it
 /// untouched otherwise (a sparse, ragged, empty, `Null` or non-blob cell
 /// anywhere: the cells decode one by one and report what they report).
-fn dense_block(cur: &mut Cursor<'_>, rows: usize) -> Option<FeatureBlock> {
-    let page = cur.data;
+fn dense_block(cur: &mut Reader<'_>, rows: usize) -> Option<FeatureBlock> {
+    let page = cur.rest();
     let (header, _) = page.split_first_chunk::<5>()?;
     let [tag, dim @ ..] = *header;
     let dim = u32::from_be_bytes(dim);
@@ -541,19 +444,19 @@ fn dense_block(cur: &mut Cursor<'_>, rows: usize) -> Option<FeatureBlock> {
             return None;
         }
         let (words, _) = payload.as_chunks::<8>();
-        data.extend(words.iter().map(|w| f64::from_bits(u64::from_be_bytes(*w))));
+        data.extend(words.iter().map(be_f64));
     }
     let block = FeatureBlock::from_vec(dim as usize, data).ok()?;
-    cur.data = &[];
+    cur.take(page.len()).ok()?;
     Some(block)
 }
 
 /// Decodes a zone-map bound written by [`encode_bound`].
-pub(crate) fn decode_bound(cur: &mut Cursor<'_>) -> Result<Option<Value>, StoreError> {
+pub(crate) fn decode_bound(cur: &mut Reader<'_>) -> Result<Option<Value>, StoreError> {
     match cur.u8()? {
         0 => Ok(None),
         TAG_INT => Ok(Some(Value::Int(cur.i64()?))),
-        TAG_FLOAT => Ok(Some(Value::Float(cur.f64_bits()?))),
+        TAG_FLOAT => Ok(Some(Value::Float(cur.f64()?))),
         t => Err(StoreError::Corrupt(format!("unknown bound tag {t:#04x}"))),
     }
 }
@@ -648,7 +551,7 @@ mod tests {
         for v in &values {
             encode_value(&mut buf, v).unwrap();
         }
-        let mut cur = Cursor::new(&buf, "test");
+        let mut cur = Reader::new(&buf, "test");
         for v in &values {
             let got = decode_value(&mut cur).unwrap();
             assert_eq!(format!("{v:?}"), format!("{got:?}"));
@@ -665,7 +568,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_value(&mut buf, &Value::str("hello world")).unwrap();
         for cut in 0..buf.len() {
-            let mut cur = Cursor::new(&buf[..cut], "test");
+            let mut cur = Reader::new(&buf[..cut], "test");
             assert!(decode_value(&mut cur).is_err(), "cut at {cut}");
         }
     }
@@ -676,7 +579,7 @@ mod tests {
         let mut buf = vec![TAG_STR];
         put_u32(&mut buf, MAX_STR_LEN + 1);
         buf.extend_from_slice(b"x");
-        let mut cur = Cursor::new(&buf, "test");
+        let mut cur = Reader::new(&buf, "test");
         assert!(matches!(
             decode_value(&mut cur),
             Err(StoreError::TooLarge { .. })
@@ -684,7 +587,7 @@ mod tests {
         // A dense blob claiming a huge count must not allocate it.
         let mut buf = vec![TAG_DENSE];
         put_u32(&mut buf, MAX_BLOB_LEN);
-        let mut cur = Cursor::new(&buf, "test");
+        let mut cur = Reader::new(&buf, "test");
         assert!(matches!(
             decode_value(&mut cur),
             Err(StoreError::Truncated { .. })
@@ -693,12 +596,12 @@ mod tests {
 
     #[test]
     fn bad_tags_are_corrupt() {
-        let mut cur = Cursor::new(&[0xEE], "test");
+        let mut cur = Reader::new(&[0xEE], "test");
         assert!(matches!(
             decode_value(&mut cur),
             Err(StoreError::Corrupt(_))
         ));
-        let mut cur = Cursor::new(&[TAG_BOOL, 7], "test");
+        let mut cur = Reader::new(&[TAG_BOOL, 7], "test");
         assert!(matches!(
             decode_value(&mut cur),
             Err(StoreError::Corrupt(_))
@@ -712,7 +615,7 @@ mod tests {
         encode_bound(&mut buf, &Some(Value::Int(-5)));
         encode_bound(&mut buf, &Some(Value::Float(2.5)));
         encode_bound(&mut buf, &Some(Value::str("not numeric")));
-        let mut cur = Cursor::new(&buf, "test");
+        let mut cur = Reader::new(&buf, "test");
         assert!(decode_bound(&mut cur).unwrap().is_none());
         assert!(matches!(
             decode_bound(&mut cur).unwrap(),

@@ -17,7 +17,10 @@
 //! predicates with accuracy 1.0 and near-zero cost that slot beneath the
 //! trained PPs in the same cascade. Readers are hardened — corrupt,
 //! truncated, or oversized inputs yield typed [`StoreError`]s, never
-//! panics — and every size field is capped before allocation.
+//! panics — every size field is capped before allocation, and every
+//! count is held to the bytes actually there before room for that many
+//! items is reserved (the bounded reader of [`pp_engine::bytes`], which
+//! the wire protocol decodes through too).
 //!
 //! [`ZoneMap`]: pp_engine::ZoneMap
 
@@ -31,7 +34,7 @@ pub mod scan;
 pub mod segment;
 pub mod writer;
 
-pub use format::{StoreError, MAX_FOOTER_LEN, SEGMENT_VERSION};
+pub use format::{crc32, StoreError, MAX_FOOTER_LEN, SEGMENT_VERSION};
 pub use scan::SegmentScan;
 pub use segment::Segment;
 pub use writer::{SegmentInfo, SegmentWriter, SegmentWriterConfig};

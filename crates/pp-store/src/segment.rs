@@ -17,15 +17,24 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
+use pp_engine::bytes::Reader;
 use pp_engine::schema::{Column, Schema};
 use pp_engine::{Chunk, ZoneMap};
 
 use crate::format::{
-    crc32, decode_bound, decode_column, dtype_from_code, Cursor, FOOTER_MAGIC, HEADER_LEN, MAGIC,
+    crc32, decode_bound, decode_column, dtype_from_code, FOOTER_MAGIC, HEADER_LEN, MAGIC,
     MAX_COLUMNS, MAX_FOOTER_LEN, MAX_GROUPS, MAX_GROUP_ROWS, MAX_NAME_LEN, SEGMENT_VERSION,
     TRAILER_LEN,
 };
 use crate::{Result, StoreError};
+
+/// Fewest footer bytes one schema column takes: name length (2), an empty
+/// name, dtype (1).
+const MIN_COLUMN_LEN: usize = 3;
+/// Fewest footer bytes one page's directory entry takes: offset (8), len
+/// (8), crc (4), nulls (8), present (8), and two absent bounds (1 each). A
+/// group's entry is its row count (4) and one of these per column.
+const MIN_PAGE_ENTRY_LEN: usize = 38;
 
 /// Extent and checksum of one column page within the data region.
 #[derive(Debug, Clone, Copy)]
@@ -73,13 +82,15 @@ impl Segment {
         // Header: magic + version.
         let mut header = [0u8; HEADER_LEN as usize];
         file.read_exact(&mut header)?;
-        if header[..4] != MAGIC {
+        let mut cur = Reader::new(&header, "segment header");
+        let found = cur.array()?;
+        if found != MAGIC {
             return Err(StoreError::BadMagic {
                 context: "segment header",
-                found: [header[0], header[1], header[2], header[3]],
+                found,
             });
         }
-        let version = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        let version = cur.u32()?;
         if version != SEGMENT_VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
@@ -87,23 +98,16 @@ impl Segment {
         // Trailer: footer crc32 · footer len · footer magic.
         let mut trailer = [0u8; TRAILER_LEN as usize];
         file.read_exact_at(&mut trailer, file_len - TRAILER_LEN)?;
-        if trailer[12..16] != FOOTER_MAGIC {
+        let mut cur = Reader::new(&trailer, "segment trailer");
+        let footer_crc = cur.u32()?;
+        let footer_len = cur.u64()?;
+        let found = cur.array()?;
+        if found != FOOTER_MAGIC {
             return Err(StoreError::BadMagic {
                 context: "segment trailer",
-                found: [trailer[12], trailer[13], trailer[14], trailer[15]],
+                found,
             });
         }
-        let footer_crc = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let footer_len = u64::from_be_bytes([
-            trailer[4],
-            trailer[5],
-            trailer[6],
-            trailer[7],
-            trailer[8],
-            trailer[9],
-            trailer[10],
-            trailer[11],
-        ]);
         if footer_len > MAX_FOOTER_LEN {
             return Err(StoreError::TooLarge {
                 what: "footer",
@@ -130,7 +134,7 @@ impl Segment {
         }
 
         // Footer payload: shard ids, row count, schema, group directory.
-        let mut cur = Cursor::new(&footer, "segment footer");
+        let mut cur = Reader::new(&footer, "segment footer");
         let shard = cur.u32()?;
         let shard_count = cur.u32()?;
         let rows = cur.u64()?;
@@ -142,6 +146,7 @@ impl Segment {
                 max: MAX_COLUMNS as u64,
             });
         }
+        cur.expect_items(n_cols as usize, MIN_COLUMN_LEN)?;
         let mut columns = Vec::with_capacity(n_cols as usize);
         for _ in 0..n_cols {
             let name_len = cur.u16()?;
@@ -152,7 +157,7 @@ impl Segment {
                     max: MAX_NAME_LEN as u64,
                 });
             }
-            let name = std::str::from_utf8(cur.bytes(name_len as usize)?)
+            let name = std::str::from_utf8(cur.take(name_len as usize)?)
                 .map_err(|_| StoreError::Corrupt("column name is not valid utf-8".to_string()))?
                 .to_string();
             let dtype = dtype_from_code(cur.u8()?)?;
@@ -169,6 +174,8 @@ impl Segment {
                 max: MAX_GROUPS as u64,
             });
         }
+        let min_group_len = 4 + n_cols as usize * MIN_PAGE_ENTRY_LEN;
+        cur.expect_items(n_groups as usize, min_group_len)?;
         let mut groups = Vec::with_capacity(n_groups as usize);
         let mut dir_rows: u64 = 0;
         // Pages never overlap in a written segment, so together they fit
@@ -185,6 +192,7 @@ impl Segment {
                 });
             }
             dir_rows += group_rows as u64;
+            cur.expect_items(n_cols as usize, MIN_PAGE_ENTRY_LEN)?;
             let mut pages = Vec::with_capacity(n_cols as usize);
             let mut zones = Vec::with_capacity(n_cols as usize);
             for _ in 0..n_cols {
@@ -341,7 +349,7 @@ impl Segment {
                     actual,
                 });
             }
-            cursors.push(Cursor::new(page_buf, "column page"));
+            cursors.push(Reader::new(page_buf, "column page"));
         }
         let mut columns = Vec::with_capacity(cursors.len());
         for (c, cur) in cursors.iter_mut().enumerate() {
@@ -383,11 +391,11 @@ mod tests {
         let footer_len = u64::from_be_bytes(bytes[trailer + 4..trailer + 12].try_into().unwrap());
         let footer_start = trailer - footer_len as usize;
         // Skip shard ids, row count and the schema to find the directory.
-        let mut cur = Cursor::new(&bytes[footer_start..trailer], "footer");
-        cur.bytes(16).unwrap();
+        let mut cur = Reader::new(&bytes[footer_start..trailer], "footer");
+        cur.take(16).unwrap();
         for _ in 0..cur.u32().unwrap() {
             let name_len = cur.u16().unwrap();
-            cur.bytes(name_len as usize + 1).unwrap();
+            cur.take(name_len as usize + 1).unwrap();
         }
         cur.u32().unwrap();
         let group0 = footer_len as usize - cur.remaining();

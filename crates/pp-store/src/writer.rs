@@ -4,12 +4,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use pp_engine::bytes::{put_u16, put_u32, put_u64};
 use pp_engine::row::Rowset;
 use pp_engine::ZoneMap;
 
 use crate::format::{
-    crc32, dtype_code, encode_bound, encode_value, put_u16, put_u32, put_u64, FOOTER_MAGIC, MAGIC,
-    MAX_COLUMNS, MAX_GROUPS, MAX_GROUP_ROWS, MAX_NAME_LEN, SEGMENT_VERSION,
+    crc32, dtype_code, encode_bound, encode_value, FOOTER_MAGIC, MAGIC, MAX_COLUMNS, MAX_GROUPS,
+    MAX_GROUP_ROWS, MAX_NAME_LEN, SEGMENT_VERSION,
 };
 use crate::{Result, StoreError};
 

@@ -17,7 +17,7 @@
 //!   correlation filter of Joglekar et al., a NoScope-like cascade),
 //! * [`server`] — a concurrent serving runtime: plan cache, versioned PP
 //!   catalog with epoch-stamped snapshots, admission control,
-//!   drift-triggered background replanning, query deadlines with
+//!   drift-triggered replanning off the hot path, query deadlines with
 //!   cooperative cancellation, bounded graceful drain, and a seeded
 //!   chaos harness,
 //! * [`store`] — an out-of-core columnar segment store: checksummed

@@ -16,25 +16,51 @@
 //!
 //! The runtime monitor is held to the same kind of budget: it folds every
 //! observed run into fixed-size state per key, so what it holds after ten
-//! thousand more runs is, to the byte, what it held before them.
+//! thousand more runs is, to the byte, what it held before them. So is the
+//! accuracy auditor: a maintenance pass over replays it has memoised
+//! leaves nothing behind.
+//!
+//! And so are the two doors untrusted bytes come in by. One mutation
+//! harness takes every frame of `tests/golden/wire_frames.hex` and the
+//! segment of `tests/golden/segment.hex` through bit flips, inflated
+//! lengths and counts, splices and truncation at every byte — footers and
+//! pages re-sealed with their CRC, frame lengths re-patched, so that the
+//! mutation reaches the decoder — and asserts a typed error or a valid
+//! value, never a panic, with the decoder holding at most
+//! [`DECODE_BYTES_PER_INPUT_BYTE`] bytes per byte of input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fs::File;
+use std::io::Cursor;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
+use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::RuntimeMonitor;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
+use probabilistic_predicates::engine::bytes::Reader;
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::ClosureProcessor;
 use probabilistic_predicates::engine::{
-    Catalog, Column, DataType, LogicalPlan, Rowset, TableProvider, Value,
+    Catalog, Column, DataType, LogicalPlan, Predicate, Rowset, TableProvider, Value,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
-use probabilistic_predicates::store::{SegmentScan, SegmentWriter, SegmentWriterConfig};
+use probabilistic_predicates::server::wire::{encode_frame, read_frame, Frame, WireRequest};
+use probabilistic_predicates::server::{
+    AuditConfig, PpServer, QueryRequest, ServerConfig, SourceRegistry, SourceSpec,
+};
+use probabilistic_predicates::store::{
+    crc32, Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
+};
 
 mod common;
 
@@ -92,37 +118,41 @@ const SMALL: usize = 12_000;
 const LARGE: usize = 24_000;
 const BATCH: usize = 256;
 
-/// What the calling thread's heap did while `plan` ran serially.
-struct Spent {
+/// What the calling thread's heap did while some work ran on it.
+struct Spent<T> {
     /// Allocations made.
     allocations: u64,
-    /// The most bytes held at once, over what was held before the run.
+    /// The most bytes held at once, over what was held before the work.
     peak_bytes: u64,
-    /// Bytes still held when the run returned: the output rows (and the
-    /// context's few kilobytes of telemetry).
+    /// Bytes still held when the work returned: what it handed back (for
+    /// a plan, the output rows and the context's few kilobytes of
+    /// telemetry).
     kept_bytes: u64,
-    out: Rowset,
+    out: T,
 }
 
-fn run_counted(catalog: &Catalog, plan: &LogicalPlan) -> Spent {
+fn counted<T>(work: impl FnOnce() -> T) -> Spent<T> {
+    let before = ALLOCATIONS.with(Cell::get);
+    let held = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(held));
+    let out = work();
+    Spent {
+        allocations: ALLOCATIONS.with(Cell::get) - before,
+        peak_bytes: (PEAK.with(Cell::get) - held) as u64,
+        kept_bytes: (LIVE.with(Cell::get) - held) as u64,
+        out,
+    }
+}
+
+/// `plan`, run serially on the calling thread.
+fn run_counted(catalog: &Catalog, plan: &LogicalPlan) -> Spent<Rowset> {
     let mut ctx = ExecutionContext::builder(catalog)
         .with_parallelism(1)
         .with_batch_size(BATCH)
         .build();
-    let before = ALLOCATIONS.with(Cell::get);
-    let held = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(held));
-    let out = ctx.run(plan).expect("plan runs");
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
-    let peak_bytes = (PEAK.with(Cell::get) - held) as u64;
-    let kept_bytes = (LIVE.with(Cell::get) - held) as u64;
-    assert!(!out.is_empty(), "the plan must do some work");
-    Spent {
-        allocations,
-        peak_bytes,
-        kept_bytes,
-        out,
-    }
+    let spent = counted(|| ctx.run(plan).expect("plan runs"));
+    assert!(!spent.out.is_empty(), "the plan must do some work");
+    spent
 }
 
 fn allocations_of(catalog: &Catalog, plan: &LogicalPlan) -> u64 {
@@ -323,4 +353,436 @@ fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
         assert_eq!(summary.samples, 10_100 / runs.len() as u64);
         assert!(!monitor.needs_replan() && monitor.broken().is_empty());
     }
+}
+
+/// The auditor's state is O(expressions + memoised blobs), not O(replays):
+/// once a warm-up cycle has replayed every dropped blob (`sample_fraction
+/// = 1.0`) and so filled the per-table memo, a further identical cycle's
+/// maintenance pass returns with the calling thread holding no more than
+/// it held going in. The pass runs on this thread and serving on the
+/// worker's, which this thread's counters do not see — hence the mark
+/// brackets the pass, not the cycle.
+#[test]
+fn the_auditor_holds_no_more_after_another_identical_cycle() {
+    let dataset = TrafficDataset::generate(TrafficConfig {
+        n_frames: 800,
+        seed: 0xA0D17,
+        ..Default::default()
+    });
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let labeled = dataset.labeled_for_clause_range(&clause, 0..400);
+    let pps = PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach {
+            reducer: ReducerSpec::Identity,
+            model: ModelSpec::Svm(SvmParams::default()),
+        }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    })
+    .train_catalog(std::slice::from_ref(&clause), &[labeled])
+    .expect("train");
+    let mut domains = Domains::new();
+    for (col, values) in TrafficDataset::column_domains() {
+        domains.declare(col, values);
+    }
+    let mut catalog = Catalog::new();
+    dataset.register_slice(&mut catalog, 400..800);
+    let mut sources = SourceRegistry::new();
+    let udf = dataset.udf(&clause.column).expect("known column");
+    sources.register(
+        "traffic",
+        SourceSpec::new("traffic").with_udf(&clause.column, udf),
+    );
+    let server = PpServer::new(
+        ServerConfig {
+            workers: 1,
+            audit: AuditConfig {
+                sample_fraction: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        catalog,
+        sources,
+        pps,
+        domains,
+    );
+
+    // Four servings of one query, then the pass that audits them: what the
+    // pass replayed, and what it left this thread holding.
+    let cycle = || {
+        for _ in 0..4 {
+            let request = QueryRequest::new("traffic", Predicate::from(clause.clone()), 0.95);
+            let response = server.submit(request).expect("admitted").wait();
+            assert!(response.outcome.success().is_some(), "the query completes");
+        }
+        let held = LIVE.with(Cell::get);
+        let replays = server.maintenance_now().audit.replays;
+        (replays, LIVE.with(Cell::get) - held)
+    };
+    let (warm_replays, _) = cycle();
+    assert!(warm_replays >= 400, "only {warm_replays} replays to hold");
+    for _ in 0..2 {
+        let (replays, grew) = cycle();
+        assert_eq!(replays, warm_replays, "the cycles are identical");
+        assert!(
+            grew <= 0,
+            "the auditor grew by {grew} bytes over {replays} memoised replays"
+        );
+    }
+    assert!(server.auditor().cluster_seconds() > 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: one mutation harness, pointed at both front doors.
+// ---------------------------------------------------------------------------
+
+/// The most a decoder may hold at once per byte it was handed. The bounded
+/// reader lets a count reserve room only for items the unread bytes could
+/// still encode, so the constant is the worst ratio of an item in memory
+/// to its shortest encoding — a one-byte `True` child of an `And` becomes a
+/// 56-byte `Predicate`, a one-byte `Null` cell a 24-byte `Value` — times
+/// three for a vector caught mid-doubling.
+const DECODE_BYTES_PER_INPUT_BYTE: u64 = 3 * std::mem::size_of::<Predicate>() as u64;
+/// What a decode may hold whatever its input: a path, an error's message,
+/// a schema's name index.
+const DECODE_FLOOR_BYTES: u64 = 4096;
+/// Seeded splices tried per mutated region.
+const SPLICES: usize = 2_000;
+
+fn assert_within_budget(name: &str, kind: &str, input_len: usize, peak_bytes: u64) {
+    let allowed = DECODE_FLOOR_BYTES + DECODE_BYTES_PER_INPUT_BYTE * input_len as u64;
+    assert!(
+        peak_bytes <= allowed,
+        "{name}, {kind}: {peak_bytes} bytes held at once decoding {input_len} ({allowed} allowed)"
+    );
+}
+
+/// The byte strings of a golden hex file, by the `# name` line above each
+/// (the whole file under its own name where there is none).
+fn golden_sections(file: &str) -> Vec<(String, Vec<u8>)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let text = std::fs::read_to_string(path).expect("golden file");
+    let mut sections = Vec::new();
+    for line in text.lines() {
+        if let Some(name) = line.strip_prefix("# ") {
+            sections.push((name.to_string(), Vec::new()));
+            continue;
+        }
+        if sections.is_empty() {
+            sections.push((file.to_string(), Vec::new()));
+        }
+        let (_, bytes) = sections.last_mut().expect("pushed above");
+        bytes.extend(line.as_bytes().chunks_exact(2).map(|pair| {
+            let pair = std::str::from_utf8(pair).expect("ascii");
+            u8::from_str_radix(pair, 16).expect("hex digits")
+        }));
+    }
+    sections
+}
+
+/// Hands `check` every mutation of `region`, with its kind: each bit
+/// flipped; each 2-, 4- and 8-byte window overwritten with an inflated
+/// big-endian count (at every offset, so at every real length and count
+/// field's own); every proper prefix; and [`SPLICES`] seeded splices — up
+/// to 16 bytes of some `donors` region written over, inserted into, or
+/// cut out of this one.
+fn for_each_mutation(
+    region: &[u8],
+    donors: &[&[u8]],
+    rng: &mut StdRng,
+    mut check: impl FnMut(&str, &[u8]),
+) {
+    let mut buf = region.to_vec();
+    for bit in 0..region.len() * 8 {
+        buf[bit / 8] ^= 1 << (bit % 8);
+        check("bit flip", &buf);
+        buf[bit / 8] ^= 1 << (bit % 8);
+    }
+    let inflated: [(usize, &[u64]); 3] = [
+        (2, &[u16::MAX as u64]),
+        (4, &[1 << 16, 1 << 20, 1 << 31, u32::MAX as u64]),
+        (8, &[1 << 16, 1 << 20, 1 << 31, u64::MAX]),
+    ];
+    for (width, counts) in inflated {
+        for at in 0..(region.len() + 1).saturating_sub(width) {
+            for count in counts {
+                buf[at..at + width].copy_from_slice(&count.to_be_bytes()[8 - width..]);
+                check("inflated count", &buf);
+            }
+            buf[at..at + width].copy_from_slice(&region[at..at + width]);
+        }
+    }
+    for cut in 0..region.len() {
+        check("truncation", &region[..cut]);
+    }
+    for _ in 0..SPLICES {
+        let donor = donors[rng.gen_range(0..donors.len())];
+        let width = 1 + rng.gen_range(0..donor.len().min(16));
+        let from = rng.gen_range(0..donor.len() - width + 1);
+        let at = rng.gen_range(0..region.len() + 1);
+        let end = (at + width).min(region.len());
+        buf.clear();
+        buf.extend_from_slice(&region[..at]);
+        match rng.gen_range(0..3u8) {
+            0 => buf.extend_from_slice(&region[end..]),
+            1 => {
+                buf.extend_from_slice(&donor[from..from + width]);
+                buf.extend_from_slice(&region[end..]);
+            }
+            _ => {
+                buf.extend_from_slice(&donor[from..from + width]);
+                buf.extend_from_slice(&region[at..]);
+            }
+        }
+        check("splice", &buf);
+    }
+}
+
+/// `"PPW1"`, the frame type byte, and the big-endian payload length.
+const FRAME_HEADER_LEN: usize = 9;
+
+/// One decode of `frame`: a typed error or a frame, within the budget;
+/// and a frame that came back is a valid one — it encodes, and decodes to
+/// itself again.
+fn check_frame(name: &str, kind: &str, frame: &[u8]) {
+    let spent = counted(|| read_frame(&mut Cursor::new(frame)));
+    assert_within_budget(name, kind, frame.len(), spent.peak_bytes);
+    if let Ok(Some(decoded)) = spent.out {
+        let again = read_frame(&mut Cursor::new(encode_frame(&decoded)));
+        let again = again.expect("what decoded encodes to a frame");
+        assert_eq!(
+            format!("{again:?}"),
+            format!("{:?}", Some(&decoded)),
+            "{name}, {kind}"
+        );
+    }
+}
+
+#[test]
+fn mutated_golden_frames_decode_to_a_typed_error_or_a_frame_within_budget() {
+    let frames = golden_sections("wire_frames.hex");
+    assert_eq!(frames.len(), 7, "one golden frame of every type");
+    let whole: Vec<&[u8]> = frames.iter().map(|(_, f)| f.as_slice()).collect();
+    let payloads: Vec<&[u8]> = whole.iter().map(|f| &f[FRAME_HEADER_LEN..]).collect();
+    // The costliest bytes there are, which no mutation of a golden frame
+    // comes near: one-byte `True`s under an `And`, one more of them than a
+    // power of two, so that the vector of children has just doubled.
+    let bomb = Predicate::And(vec![Predicate::True; 4097]);
+    let bomb = encode_frame(&Frame::Request(WireRequest::new("t", bomb, 0.5)));
+    check_frame("request", "an And of 4097 Trues", &bomb);
+
+    let mut rng = StdRng::seed_from_u64(0xF8A3E);
+    for (name, frame) in &frames {
+        check_frame(name, "intact", frame);
+        // The frame as it stands: magic, type and the length field are
+        // under mutation too, and nothing is patched up after it.
+        for_each_mutation(frame, &whole, &mut rng, |kind, mutated| {
+            check_frame(name, kind, mutated);
+        });
+        // Its payload, under a header whose length is the mutated
+        // payload's, so that the payload decoder sees all of it.
+        let (header, payload) = frame.split_at(FRAME_HEADER_LEN);
+        let mut sealed = Vec::new();
+        for_each_mutation(payload, &payloads, &mut rng, |kind, mutated| {
+            sealed.clear();
+            sealed.extend_from_slice(&header[..5]);
+            sealed.extend_from_slice(&(mutated.len() as u32).to_be_bytes());
+            sealed.extend_from_slice(mutated);
+            check_frame(name, kind, &sealed);
+        });
+    }
+}
+
+/// Header bytes of a segment file: magic and version.
+const SEGMENT_HEADER_LEN: usize = 8;
+
+/// A segment file of `data` (header and pages) and `footer`, sealed: the
+/// trailer carries this footer's CRC and length.
+fn sealed_segment(data: &[u8], footer: &[u8]) -> Vec<u8> {
+    let mut file = data.to_vec();
+    file.extend_from_slice(footer);
+    file.extend_from_slice(&crc32(footer).to_be_bytes());
+    file.extend_from_slice(&(footer.len() as u64).to_be_bytes());
+    file.extend_from_slice(b"GSPP");
+    file
+}
+
+/// The golden segment, taken apart the way `Segment::open` reads it.
+struct GoldenSegment {
+    /// Header and pages: everything before the footer.
+    data: Vec<u8>,
+    footer: Vec<u8>,
+    /// Per page, in directory order: its bytes, and where in the footer
+    /// its directory entry (offset, length, CRC, zone map) begins.
+    pages: Vec<(Vec<u8>, usize)>,
+}
+
+impl GoldenSegment {
+    fn load() -> GoldenSegment {
+        let (_, file) = golden_sections("segment.hex").remove(0);
+        let trailer = file.len() - 16;
+        let mut cur = Reader::new(&file[trailer + 4..], "trailer");
+        let footer_start = trailer - cur.u64().expect("footer length") as usize;
+        let footer = &file[footer_start..trailer];
+
+        let walked = "the golden footer is whole";
+        let mut cur = Reader::new(footer, "footer");
+        cur.take(16).expect(walked); // shard, shard count, rows
+        let n_cols = cur.u32().expect(walked);
+        for _ in 0..n_cols {
+            let name_len = cur.u16().expect(walked) as usize;
+            cur.take(name_len + 1).expect(walked); // name, dtype
+        }
+        let mut pages = Vec::new();
+        for _ in 0..cur.u32().expect(walked) {
+            cur.u32().expect(walked); // rows
+            for _ in 0..n_cols {
+                let entry = footer.len() - cur.remaining();
+                let offset = cur.u64().expect(walked) as usize;
+                let len = cur.u64().expect(walked) as usize;
+                cur.take(4 + 8 + 8).expect(walked); // crc, nulls, present
+                for _ in 0..2 {
+                    // min, then max: absent, or a tagged 8-byte value
+                    if cur.u8().expect(walked) != 0 {
+                        cur.take(8).expect(walked);
+                    }
+                }
+                pages.push((file[offset..offset + len].to_vec(), entry));
+            }
+        }
+        assert!(cur.is_empty() && pages.len() == 15, "5 columns × 3 groups");
+        GoldenSegment {
+            data: file[..footer_start].to_vec(),
+            footer: footer.to_vec(),
+            pages,
+        }
+    }
+
+    /// The file with `page` for its `p`th page, sealed: the new bytes go
+    /// where the footer began (the old ones stay behind, unreferenced —
+    /// a page of another length would otherwise move every later one),
+    /// and the directory entry points at them with their length and CRC.
+    fn with_page(&self, p: usize, page: &[u8]) -> Vec<u8> {
+        let (_, entry) = self.pages[p];
+        let mut footer = self.footer.clone();
+        footer[entry..entry + 8].copy_from_slice(&(self.data.len() as u64).to_be_bytes());
+        footer[entry + 8..entry + 16].copy_from_slice(&(page.len() as u64).to_be_bytes());
+        footer[entry + 16..entry + 20].copy_from_slice(&crc32(page).to_be_bytes());
+        sealed_segment(&[&self.data, page].concat(), &footer)
+    }
+}
+
+/// The one file every mutated segment is opened from, rewritten in place
+/// (creating or truncating a file per mutation costs a thousand times the
+/// decode under test).
+struct ScratchFile {
+    path: PathBuf,
+    file: File,
+}
+
+impl ScratchFile {
+    fn create() -> ScratchFile {
+        let path = std::env::temp_dir().join(format!("pp-hostile-{}.pps", std::process::id()));
+        let file = File::create(&path).expect("scratch file created");
+        ScratchFile { path, file }
+    }
+
+    /// The path, once the file holds exactly `bytes`.
+    fn holding(&self, bytes: &[u8]) -> &Path {
+        self.file
+            .write_all_at(bytes, 0)
+            .expect("scratch file written");
+        self.file
+            .set_len(bytes.len() as u64)
+            .expect("scratch file sized");
+        &self.path
+    }
+}
+
+/// One open of `file` and a read of every group it declares: typed errors
+/// or chunks of the declared length, within the budget. Returns what the
+/// open said.
+fn check_segment(
+    scratch: &ScratchFile,
+    name: &str,
+    kind: &str,
+    file: &[u8],
+) -> Result<(), StoreError> {
+    let path = scratch.holding(file);
+    let spent = counted(|| {
+        let segment = Segment::open(path)?;
+        for g in 0..segment.group_count() {
+            // A group that fails to decode leaves the others readable.
+            if let Ok(chunk) = segment.read_group(g) {
+                assert_eq!(chunk.len(), segment.group_rows(g), "{name}, {kind}");
+            }
+        }
+        Ok(())
+    });
+    assert_within_budget(name, kind, file.len(), spent.peak_bytes);
+    spent.out
+}
+
+#[test]
+fn mutated_golden_segment_decodes_to_typed_errors_or_chunks_within_budget() {
+    let golden = GoldenSegment::load();
+    let intact = sealed_segment(&golden.data, &golden.footer);
+    let scratch = &ScratchFile::create();
+    check_segment(scratch, "segment", "intact", &intact).expect("the golden segment opens");
+    let mut rng = StdRng::seed_from_u64(0x5E6);
+
+    // The file as it stands: header, trailer and checksummed regions under
+    // mutation, nothing re-sealed — mostly the checksums' business.
+    for_each_mutation(&intact, &[&intact], &mut rng, |kind, file| {
+        let _ = check_segment(scratch, "file", kind, file);
+    });
+    // The footer, re-sealed so that its decoder is what answers.
+    for_each_mutation(
+        &golden.footer,
+        &[&golden.footer],
+        &mut rng,
+        |kind, footer| {
+            let file = sealed_segment(&golden.data, footer);
+            let _ = check_segment(scratch, "footer", kind, &file);
+        },
+    );
+    // Each page, re-sealed likewise; the other pages are the donors.
+    let donors: Vec<&[u8]> = golden.pages.iter().map(|(page, _)| &page[..]).collect();
+    for (p, (page, _)) in golden.pages.iter().enumerate() {
+        for_each_mutation(page, &donors, &mut rng, |kind, page| {
+            let opened = check_segment(scratch, "page", kind, &golden.with_page(p, page));
+            // Only the directory's rows-per-page-byte check may refuse a
+            // re-sealed page at open; anything else is for `read_group`.
+            assert!(
+                matches!(&opened, Ok(()) | Err(StoreError::Corrupt(_))),
+                "page {p}, {kind}: {opened:?}"
+            );
+        });
+    }
+
+    // The file the rule was measured on: a sealed 24-byte footer with no
+    // columns that declares 2^20 row groups. Room for a million directory
+    // entries (56 MiB) used to be reserved before the first one turned
+    // out not to be there.
+    let mut footer = [0u8; 24];
+    footer[20..].copy_from_slice(&(1u32 << 20).to_be_bytes());
+    let file = sealed_segment(&intact[..SEGMENT_HEADER_LEN], &footer);
+    assert_eq!(file.len(), 48);
+    let path = scratch.holding(&file);
+    let spent = counted(|| Segment::open(path));
+    assert!(
+        matches!(
+            spent.out,
+            Err(StoreError::Truncated {
+                context: "segment footer"
+            })
+        ),
+        "{:?}",
+        spent.out
+    );
+    assert!(spent.peak_bytes < 64 * 1024, "{} bytes", spent.peak_bytes);
+    std::fs::remove_file(path).expect("scratch file removed");
 }

@@ -37,7 +37,7 @@ use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 use probabilistic_predicates::store::{
-    Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
+    crc32, Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
 };
 
 // ---------------------------------------------------------------------------
@@ -868,6 +868,36 @@ fn truncation_at_every_byte_is_rejected() {
                 assert!(all.is_err(), "truncated at {cut}/{} decoded", bytes.len());
             }
         }
+    }
+
+    // The same holds one level in: a footer that arrives whole and sealed
+    // (the trailer's length and CRC are its own) but stops early is
+    // `Truncated` — as is one that declares 2^20 row groups and holds none
+    // — before room for what it declares is reserved.
+    let trailer = bytes.len() - 16;
+    let footer_len = u64::from_be_bytes(bytes[trailer + 4..trailer + 12].try_into().unwrap());
+    let (data, footer) = bytes[..trailer].split_at(trailer - footer_len as usize);
+    let mut no_groups = [0u8; 24];
+    no_groups[20..].copy_from_slice(&(1u32 << 20).to_be_bytes());
+    let short_footers = (0..footer.len()).map(|cut| &footer[..cut]);
+    for footer in short_footers.chain([&no_groups[..]]) {
+        let mut sealed = data.to_vec();
+        sealed.extend_from_slice(footer);
+        sealed.extend_from_slice(&crc32(footer).to_be_bytes());
+        sealed.extend_from_slice(&(footer.len() as u64).to_be_bytes());
+        sealed.extend_from_slice(b"GSPP");
+        fs::write(&path, &sealed).expect("write");
+        let opened = Segment::open(&path);
+        assert!(
+            matches!(
+                opened,
+                Err(StoreError::Truncated {
+                    context: "segment footer"
+                })
+            ),
+            "footer of {} bytes: {opened:?}",
+            footer.len()
+        );
     }
 }
 

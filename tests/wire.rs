@@ -190,9 +190,10 @@ fn frame_encodings_match_golden_and_round_trip() {
 /// Clean EOF between frames is `Ok(None)`; EOF anywhere inside a frame is
 /// a typed `Truncated` error, never a panic or a hang.
 ///
-/// The same holds one level in: a frame that arrives whole but whose
-/// payload stops early (declared length = what is there) is `Truncated`
-/// too — for a blob literal, before room for its declared element count
+/// The same holds one level in: a frame of any type that arrives whole
+/// but whose payload stops early (declared length = what is there) is
+/// `Truncated` too — for a blob literal, a column list, a verdict batch's
+/// rows and cells or a trace's stages, before room for the declared count
 /// is reserved.
 #[test]
 fn truncation_at_every_byte_is_rejected() {
@@ -209,8 +210,8 @@ fn truncation_at_every_byte_is_rejected() {
             Value::blob(Features::Sparse(sparse)),
         )),
     ]);
-    let frames = [
-        corpus().remove(0).1,
+    let mut frames: Vec<Frame> = corpus().into_iter().map(|(_, frame)| frame).collect();
+    frames.extend([
         Frame::Request(WireRequest::new("t", blob_literals, 0.5)),
         // What a verdict stream is made of: rows carrying a dense blob.
         Frame::VerdictBatch {
@@ -219,7 +220,7 @@ fn truncation_at_every_byte_is_rejected() {
                 .map(|i| vec![Value::Int(i), Value::blob(Features::Dense(awkward_f64s()))])
                 .collect(),
         },
-    ];
+    ]);
     assert!(matches!(read_frame(&mut Cursor::new(&[][..])), Ok(None)));
     for frame in &frames {
         let bytes = encode_frame(frame);
