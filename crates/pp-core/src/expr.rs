@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use pp_engine::batch::{Batch, BatchKernel};
+use pp_engine::batch::Batch;
 use pp_engine::udf::RowFilter;
 use pp_engine::{Predicate, Row, Schema};
 use pp_linalg::Features;
@@ -334,10 +334,6 @@ impl RowFilter for PpExprFilter {
             .passes(blob, &self.planned.assignment)
             .map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
     }
-}
-
-impl BatchKernel for PpExprFilter {
-    type Out = bool;
 
     /// Vectorized evaluation: every leaf classifier scores the whole batch
     /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)) and

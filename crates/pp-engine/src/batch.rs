@@ -1,26 +1,24 @@
-//! The batch representation handed to batch-capable UDFs.
+//! The batch representation the executor probes UDFs with.
 //!
-//! Every UDF implements [`BatchKernel::eval_batch`] over a [`Batch`]: a
-//! view over a run of rows of one [`Chunk`]. A kernel asks for the blob
-//! column it reads as a [`FeatureColumn`] ([`Batch::feature_column`]) and
-//! evaluates it with block kernels; where the chunk already holds the
-//! column as one contiguous block — a decoded row group, a registered
-//! table — the batch's part of it is a window onto that block, not a
-//! copy.
+//! A [`Batch`] is a view over a run of rows of one [`Chunk`]. A filter
+//! sees it whole ([`RowFilter::eval_batch`](crate::udf::RowFilter::eval_batch));
+//! one that vectorizes asks for the blob column it reads as a
+//! [`FeatureColumn`] ([`Batch::feature_column`]) and evaluates it with
+//! block kernels; where the chunk already holds the column as one
+//! contiguous block — a decoded row group, a registered table — the
+//! batch's part of it is a window onto that block, not a copy.
 //!
 //! The byte-identity invariant is defined against the **scalar per-row
 //! path** ([`RowFilter::passes`](crate::udf::RowFilter::passes),
 //! [`Processor::process`](crate::udf::Processor::process)) — the path the
 //! executor already uses for retries, i.e. what a `K=1, batch_size=1` run
-//! evaluates. `eval_batch` must stay **bit-identical** to it: a block row
-//! holds a dense feature vector bit for bit and every model scores the
-//! block through the same `pp_linalg::kernels`, so this holds by
-//! construction. Sparse vectors are never gathered (densifying would
+//! evaluates. An `eval_batch` override must stay **bit-identical** to it:
+//! a block row holds a dense feature vector bit for bit and every model
+//! scores the block through the same `pp_linalg::kernels`, so this holds
+//! by construction. Sparse vectors are never gathered (densifying would
 //! reassociate their dot-product sums); a column containing any sparse or
 //! ragged cell is scored through the gathered references instead, inside
 //! the kernel itself.
-//!
-//! Scalar UDFs use [`for_each_row`], which walks the batch in row order.
 
 use std::ops::Range;
 
@@ -29,10 +27,8 @@ use pp_linalg::{FeatureBatch, FeatureBlock, Features};
 use crate::chunk::Chunk;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::Value;
-use crate::Result;
 
-/// A batch of rows: the single argument to [`BatchKernel::eval_batch`].
+/// A batch of rows: what one probe step evaluates.
 ///
 /// Feature columns come through
 /// [`feature_column`](Batch::feature_column). Non-feature columns are
@@ -177,37 +173,6 @@ impl FeatureColumn<'_> {
     }
 }
 
-/// A batch-capable UDF kernel: the single vectorized entry point.
-///
-/// `eval_batch` returns one outcome per input row
-/// (`results.len() == batch.len()`), each counting as that row's *first
-/// attempt* — the executor retries failed rows individually through the
-/// scalar path. Implementations must be row-independent (row `i`'s outcome
-/// may not depend on which other rows share the batch) and bit-identical
-/// to the scalar per-row path over the same rows.
-pub trait BatchKernel: Send + Sync {
-    /// Per-row output type (`bool` for filters, appended rows for
-    /// processors).
-    type Out;
-
-    /// Evaluates a whole batch, returning one outcome per input row.
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<Self::Out>>;
-}
-
-/// Evaluates a scalar per-row function over the batch in row order — the
-/// fallback for UDFs with no vectorized form.
-pub fn for_each_row<T>(
-    batch: &Batch<'_>,
-    mut f: impl FnMut(&Row, &Schema) -> Result<T>,
-) -> Vec<Result<T>> {
-    let schema = batch.schema();
-    batch.rows().iter().map(|row| f(row, schema)).collect()
-}
-
-/// Type alias documenting the processor kernel output: appended cells for
-/// each output row derived from one input row.
-pub type ProcessedRows = Vec<Vec<Value>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,14 +300,6 @@ mod tests {
         }
         assert!(col.block.is_none());
         assert!(col.refs.is_empty());
-    }
-
-    #[test]
-    fn for_each_row_walks_in_row_order() {
-        let c = chunk(vec![dense_row(3, vec![1.0]), dense_row(4, vec![2.0])]);
-        let out = for_each_row(&Batch::new(&c, 0..2, 0), |row, _| row.get(0).as_int());
-        let ids: Vec<i64> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(ids, vec![3, 4]);
     }
 
     #[test]

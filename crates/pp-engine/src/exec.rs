@@ -26,11 +26,23 @@
 //! # Determinism contract
 //!
 //! For a fixed plan, catalog, resilience config, and fault seed, `run`
-//! returns byte-identical results, row order, resilience reports, and
+//! returns byte-identical results, row order, operator spans, and
 //! cost-meter charges for **every** `parallelism` setting — workers only
 //! *probe* rows (pure retry loops keyed off row identity), while all
 //! stateful accounting is replayed sequentially in global row order. See
 //! the [`physical`](crate::physical) module docs for how.
+//!
+//! # One ledger
+//!
+//! The executor writes one record per operator, its
+//! [`OperatorSpan`](crate::telemetry::OperatorSpan): rows, attempts,
+//! retries, failures, timeouts, fail-opens, short-circuits, the breaker
+//! trip, and the seconds charged. Everything else `run` leaves behind —
+//! the [`CostMeter`], [`QueryMetrics`], the registry's `retries_total` /
+//! `failures_total` / `breaker_trips_total` — is a view of the finished
+//! spans, taken once at the end of `run`, on success and on failure
+//! alike. Recovery overhead is `span.seconds − span.attempts ×
+//! cost_per_row`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,11 +54,9 @@ use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
 use crate::memo::UdfMemo;
 use crate::physical::{ExecOptions, Executor};
-use crate::resilience::{ExecReport, ExecSession, ResilienceConfig};
+use crate::resilience::{ExecSession, ResilienceConfig};
 use crate::row::Rowset;
-use crate::telemetry::{
-    EventKind, MetricsRegistry, QueryId, SpanCollector, StoreCounters, TelemetrySnapshot,
-};
+use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
 use crate::Result;
 
 /// Builder for [`ExecutionContext`]. Created by
@@ -84,16 +94,19 @@ impl<'a> ExecutionContextBuilder<'a> {
     }
 
     /// Sets the number of worker threads for row-parallel operators
-    /// (clamped to at least 1; 1 means fully serial, the default).
+    /// (clamped to at least 1; 1 means fully serial, the default). This
+    /// is a request: a fan-out never spawns more threads than
+    /// [`std::thread::available_parallelism`] reports, and output bytes
+    /// never depend on how many it got.
     pub fn with_parallelism(mut self, k: usize) -> Self {
-        self.opts.parallelism = k.max(1);
+        self.opts = ExecOptions::new(k, self.opts.batch_size(), self.opts.morsel_size());
         self
     }
 
-    /// Sets the number of rows per batch handed to batch-capable UDFs
+    /// Sets the number of rows per batch a probe step evaluates
     /// (clamped to at least 1; defaults to 256).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.opts.batch_size = rows.max(1);
+        self.opts = ExecOptions::new(self.opts.parallelism(), rows, self.opts.morsel_size());
         self
     }
 
@@ -103,7 +116,7 @@ impl<'a> ExecutionContextBuilder<'a> {
     /// larger morsels amortize claim overhead. Output bytes never depend
     /// on the setting.
     pub fn with_morsel_size(mut self, rows: usize) -> Self {
-        self.opts.morsel_size = rows.max(1);
+        self.opts = ExecOptions::new(self.opts.parallelism(), self.opts.batch_size(), rows);
         self
     }
 
@@ -169,11 +182,10 @@ impl<'a> ExecutionContextBuilder<'a> {
 /// meter and derived [`QueryMetrics`] of the most recent run.
 ///
 /// The context is stateful across runs the way a long-lived cluster
-/// service is: circuit breakers and resilience counters persist from one
-/// [`run`][Self::run] to the next (inspect them via
-/// [`report`][Self::report], clear a breaker with
-/// [`reset_breaker`][Self::reset_breaker]). The cost meter, by contrast,
-/// is reset at the start of every run so [`meter`][Self::meter] and
+/// service is: circuit breakers persist from one [`run`][Self::run] to
+/// the next (inspect one with [`breaker_open`][Self::breaker_open], clear
+/// it with [`reset_breaker`][Self::reset_breaker]). Everything counted is
+/// per run: [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
 /// [`metrics`][Self::metrics] always describe the latest query.
 #[derive(Debug)]
 pub struct ExecutionContext<'a> {
@@ -213,12 +225,13 @@ impl<'a> ExecutionContext<'a> {
         Self::builder(catalog).build()
     }
 
-    /// Executes `plan`, applying the installed fault plan (if any),
-    /// charging the (reset) cost meter, and refreshing
-    /// [`telemetry`][Self::telemetry]. On success it also refreshes
+    /// Executes `plan`, applying the installed fault plan (if any), and
+    /// refreshes [`telemetry`][Self::telemetry] and the cost meter, which
+    /// is filled from the run's spans. On success it also refreshes
     /// [`metrics`][Self::metrics]; on failure `metrics` stays `None` (no
     /// stale metrics from a previous run) while the telemetry snapshot
-    /// records the error plus every span charged before the abort.
+    /// and the meter record the error plus every span charged before the
+    /// abort.
     pub fn run(&mut self, plan: &LogicalPlan) -> Result<Rowset> {
         let start = Instant::now();
         self.meter = CostMeter::new();
@@ -226,11 +239,7 @@ impl<'a> ExecutionContext<'a> {
         self.telemetry = None;
         self.runs += 1;
         let query_id = QueryId(self.runs);
-        let mut tel = SpanCollector::new(
-            self.registry.counter("worker.rows_probed_total"),
-            self.registry.counter("worker.batches_total"),
-        )
-        .with_store_counters(StoreCounters::of(&self.registry));
+        let mut tel = SpanCollector::new(&self.registry);
         // Memoize before fault application so fault shims wrap the
         // memoized UDFs: injected faults fire identically to solo runs
         // and corrupted outputs are never cached.
@@ -252,7 +261,6 @@ impl<'a> ExecutionContext<'a> {
         };
         let result = Executor {
             catalog: self.catalog,
-            meter: &mut self.meter,
             model: &self.model,
             session: &mut self.session,
             opts: self.opts,
@@ -282,6 +290,16 @@ impl<'a> ExecutionContext<'a> {
             self.registry.counter("queries_failed_total").inc();
         }
         let spans = tel.spans();
+        // The meter is the spans' (op, rows in, rows emitted, seconds),
+        // in charge order — whether or not the run got to its end.
+        for span in spans {
+            self.meter.charge(
+                span.op.clone(),
+                span.rows_in as usize,
+                span.rows_emitted as usize,
+                span.seconds,
+            );
+        }
         let retries: u64 = spans.iter().map(|s| s.retries).sum();
         let failures: u64 = spans.iter().map(|s| s.failures).sum();
         let trips = spans.iter().filter(|s| s.breaker_tripped).count() as u64;
@@ -332,17 +350,17 @@ impl<'a> ExecutionContext<'a> {
 
     /// Worker threads used for row-parallel operators.
     pub fn parallelism(&self) -> usize {
-        self.opts.parallelism
+        self.opts.parallelism()
     }
 
-    /// Rows per batch handed to batch-capable UDFs.
+    /// Rows per batch a probe step evaluates.
     pub fn batch_size(&self) -> usize {
-        self.opts.batch_size
+        self.opts.batch_size()
     }
 
     /// Rows per morsel claimed by scheduler workers.
     pub fn morsel_size(&self) -> usize {
-        self.opts.morsel_size
+        self.opts.morsel_size()
     }
 
     /// The cost meter of the most recent [`run`][Self::run] (empty before
@@ -357,11 +375,6 @@ impl<'a> ExecutionContext<'a> {
         self.metrics.as_ref()
     }
 
-    /// Resilience counters accumulated across all runs of this context.
-    pub fn report(&self) -> ExecReport {
-        self.session.report()
-    }
-
     /// Whether `op`'s circuit breaker is currently open.
     pub fn breaker_open(&self, op: &str) -> bool {
         self.session.breaker_open(op)
@@ -371,11 +384,6 @@ impl<'a> ExecutionContext<'a> {
     /// redeploying a fixed UDF).
     pub fn reset_breaker(&mut self, op: &str) {
         self.session.reset_breaker(op);
-    }
-
-    /// The underlying resilience session, for advanced inspection.
-    pub fn session(&self) -> &ExecSession {
-        &self.session
     }
 
     /// The telemetry snapshot of the most recent [`run`][Self::run]
@@ -452,7 +460,12 @@ mod tests {
         let b = parallel.run(&plan).unwrap();
         assert_eq!(format!("{:?}", a.rows()), format!("{:?}", b.rows()));
         assert_eq!(serial.meter().entries(), parallel.meter().entries());
-        assert_eq!(serial.report(), parallel.report());
+        let spans = |ctx: &ExecutionContext<'_>| {
+            let mut snap = ctx.telemetry().unwrap().clone();
+            snap.zero_wall_clock();
+            snap.spans
+        };
+        assert_eq!(spans(&serial), spans(&parallel));
     }
 
     #[test]
@@ -579,8 +592,7 @@ mod tests {
         // Dead filter fails open on every row: nothing is dropped.
         let out = ctx.run(&plan).unwrap();
         assert_eq!(out.len(), 64);
-        let report = ctx.report();
-        let pp = report.op("PP[even]").expect("PP tracked");
+        let pp = ctx.telemetry().unwrap().span("PP[even]").expect("PP ran");
         assert!(pp.failures > 0);
         assert_eq!(pp.failed_open, 64);
         // Breakers persist across runs: the second run short-circuits.

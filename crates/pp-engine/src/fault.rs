@@ -415,18 +415,6 @@ impl std::fmt::Debug for FaultyProcessor {
     }
 }
 
-impl crate::batch::BatchKernel for FaultyProcessor {
-    type Out = crate::batch::ProcessedRows;
-    /// Deliberately takes the per-row path, so every row draws its own
-    /// fault and batching can never change which faults fire.
-    fn eval_batch(
-        &self,
-        batch: &crate::batch::Batch<'_>,
-    ) -> Vec<Result<crate::batch::ProcessedRows>> {
-        crate::batch::for_each_row(batch, |row, schema| self.process(row, schema))
-    }
-}
-
 impl Processor for FaultyProcessor {
     fn name(&self) -> &str {
         self.inner.name()
@@ -493,9 +481,10 @@ impl Processor for FaultyProcessor {
 /// A [`RowFilter`] shim injecting seeded faults around an inner filter.
 ///
 /// Stateless like [`FaultyProcessor`]: decisions key off the row
-/// fingerprint and attempt ordinal, never off call order. The shim's
-/// batch kernel deliberately routes every batch through the per-row path,
-/// so every row draws its own fault.
+/// fingerprint and attempt ordinal, never off call order. The shim keeps
+/// [`RowFilter::eval_batch`]'s per-row default even around a filter that
+/// vectorizes, so every row draws its own fault and batching can never
+/// change which faults fire.
 pub struct FaultyFilter {
     inner: Arc<dyn RowFilter>,
     spec: FaultSpec,
@@ -527,15 +516,6 @@ impl std::fmt::Debug for FaultyFilter {
             .field("inner", &self.inner.name())
             .field("spec", &self.spec)
             .finish_non_exhaustive()
-    }
-}
-
-impl crate::batch::BatchKernel for FaultyFilter {
-    type Out = bool;
-    /// Per-row (see [`FaultyProcessor`]'s kernel): every row draws its
-    /// own fault.
-    fn eval_batch(&self, batch: &crate::batch::Batch<'_>) -> Vec<Result<bool>> {
-        crate::batch::for_each_row(batch, |row, schema| self.passes(row, schema))
     }
 }
 

@@ -20,6 +20,9 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// The executor sits under both front doors (wire frames, segment bytes):
+// failures are typed errors, not panicking shortcuts.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
 pub mod bytes;
@@ -45,7 +48,7 @@ pub mod telemetry;
 pub mod udf;
 pub mod value;
 
-pub use batch::{Batch, BatchKernel, FeatureColumn, ProcessedRows};
+pub use batch::{Batch, FeatureColumn};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
 pub use chunk::{Chunk, ChunkColumn};
@@ -61,9 +64,7 @@ pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
-pub use resilience::{
-    BreakerTransition, ExecReport, ExecSession, OpResilience, ResilienceConfig, RetryPolicy,
-};
+pub use resilience::{BreakerTransition, ExecSession, ResilienceConfig, RetryPolicy};
 pub use row::{Row, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{

@@ -44,7 +44,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::batch::{Batch, BatchKernel, ProcessedRows};
 use crate::logical::LogicalPlan;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
@@ -176,11 +175,8 @@ impl UdfMemo {
 /// A name-, cost- and schema-preserving [`Processor`] shim that consults a
 /// [`UdfMemo`] before invoking the wrapped UDF.
 ///
-/// Evaluation always takes the per-row path: the wrapped expensive UDFs
-/// are scalar (their vectorized entry point is defined as
-/// [`for_each_row`](crate::batch::for_each_row) over
-/// [`process`](Processor::process)), so the per-row memoized path is
-/// bit-identical to the unmemoized kernel.
+/// A [`Processor`] is scalar, so consulting the memo row by row is the
+/// unmemoized evaluation order exactly.
 pub struct MemoProcessor {
     inner: Arc<dyn Processor>,
     /// Interned once so every key shares one allocation.
@@ -201,13 +197,6 @@ impl std::fmt::Debug for MemoProcessor {
         f.debug_struct("MemoProcessor")
             .field("inner", &self.inner.name())
             .finish_non_exhaustive()
-    }
-}
-
-impl BatchKernel for MemoProcessor {
-    type Out = ProcessedRows;
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<Self::Out>> {
-        crate::batch::for_each_row(batch, |row, schema| self.process(row, schema))
     }
 }
 

@@ -13,10 +13,14 @@
 //! `Row`, and what is resident is one wave plus the survivors.
 //!
 //! The interesting quantity is the *charged* cost, not the wall clock.
-//! Every operator charges `attempts × cost_per_row` simulated seconds to
-//! the [`CostMeter`] — which equals the classic `rows_in × cost_per_row`
-//! on a fault-free run — plus any retry backoff and timeout stalls
-//! accrued by the [`ExecSession`].
+//! Every operator charges `attempts × cost_per_row` simulated seconds —
+//! which equals the classic `rows_in × cost_per_row` on a fault-free run
+//! — plus any retry backoff and timeout stalls its UDF calls accrued.
+//! The charge is written once, into the operator's [`OperatorSpan`]: the
+//! span is the only ledger the executor keeps, and the
+//! [`CostMeter`](crate::cost::CostMeter) is a view of the finished spans
+//! taken by [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
+//! The [`ExecSession`] holds no counts, only the circuit breakers.
 //!
 //! # One path
 //!
@@ -25,12 +29,13 @@
 //! in-memory table is one group with no zone maps, see
 //! [`MemoryProvider::whole`](crate::provider::MemoryProvider::whole),
 //! hence one wave). Every operator closes through
-//! `Executor::close_span`, which owns the span push and the meter
-//! charge; `Executor::operator` brackets a body with it. `Filter` and
+//! `Executor::close_span`, which owns the span push;
+//! `Executor::operator` brackets a body with it. `Filter` and
 //! `Process` share one probe→consume fold over waves
 //! (`Executor::fold_udf` — an operator above a materialized input folds
 //! that input as its only wave); `Reduce` and `Combine` share one
-//! group-invocation loop (`Executor::fold_groups`).
+//! group-invocation loop (`Executor::fold_groups`). Both folds count a
+//! consumed UDF outcome through the same function (`record_outcome`).
 //!
 //! # Morsel-driven execution
 //!
@@ -39,23 +44,25 @@
 //! most `ExecOptions::morsel_size`; a row group smaller than that is one
 //! morsel) that a `std::thread` worker pool claims off a shared atomic
 //! counter: a worker stuck on an expensive morsel never blocks the rest
-//! of the input (work stealing by construction). Within a morsel, rows
-//! are *probed* one [`Batch`] at a time, so batch-capable UDFs score a
-//! blob column as a contiguous block (see [`crate::batch`]). Batch
-//! boundaries are a pure function of `(chunk sizes, morsel_size,
-//! batch_size)`, never of the worker count.
+//! of the input (work stealing by construction). The pool is never
+//! larger than the machine: `parallelism` asks, and
+//! `std::thread::available_parallelism` caps. Within a morsel, rows are
+//! *probed* one [`Batch`] at a time, so a filter that overrides
+//! `eval_batch` scores a blob column as a contiguous block (see
+//! [`crate::batch`]). Batch boundaries are a pure function of `(chunk
+//! sizes, morsel_size, batch_size)`, never of the worker count.
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
 //! attempt failed, each with the outcome of its full retry loop. The main
 //! thread then *consumes* the records sequentially in global row order
 //! (morsels reassembled by index), which replays circuit-breaker
-//! evolution, fail-open decisions, resilience counters, and cost charges
+//! evolution, fail-open decisions, span counters, and cost charges
 //! exactly as a serial run would: a record with no failed row, met while
 //! the breaker is closed, in closed form (its rows only bump counters that
 //! add up), every other record row by row. Injected faults key off row
 //! identity and attempt ordinal (see [`fault`](crate::fault)), and batch
 //! kernels are bit-identical to the scalar per-row path, so results, row
-//! order, reports, and charges are byte-identical to the scalar reference
+//! order, spans, and charges are byte-identical to the scalar reference
 //! (`parallelism = 1, batch_size = 1`) for every seed, every parallelism,
 //! and every batch and morsel size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
@@ -76,46 +83,75 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::batch::Batch;
 use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
 use crate::chunk::Chunk;
-use crate::cost::{CostMeter, CostModel};
+use crate::cost::CostModel;
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
-use crate::resilience::{ExecSession, Invocation, ProbeOutcome};
+use crate::resilience::{ExecSession, ProbeOutcome};
 use crate::row::{Row, Rowset};
 use crate::schema::{Column, Schema};
-use crate::telemetry::{EventKind, OperatorSpan, SpanCollector};
+use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
 use crate::udf::{Combiner, Processor, Reducer, RowFilter};
 use crate::value::{Key, Value};
 use crate::{EngineError, Result};
 
 /// Tuning knobs for the morsel-driven executor, carried through the plan
-/// recursion. Constructed by [`ExecutionContext`](crate::exec::ExecutionContext).
+/// recursion. Every field is at least 1: [`ExecOptions::new`] is the only
+/// way to build one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecOptions {
-    /// Worker threads for row-parallel operators (1 = inline/serial).
-    pub parallelism: usize,
-    /// Rows per [`Batch`] handed to batch-capable UDFs.
-    pub batch_size: usize,
+    /// Worker threads asked for (1 = inline/serial); a fan-out spawns at
+    /// most [`HARDWARE_THREADS`] of them.
+    parallelism: usize,
+    /// Rows per [`Batch`] a probe step evaluates.
+    batch_size: usize,
     /// Rows per morsel — the unit workers claim off the shared counter.
-    pub morsel_size: usize,
+    morsel_size: usize,
+}
+
+impl ExecOptions {
+    /// The one place caller-supplied knobs — builder arguments, wire
+    /// request fields — are clamped to at least 1.
+    pub fn new(parallelism: usize, batch_size: usize, morsel_size: usize) -> Self {
+        ExecOptions {
+            parallelism: parallelism.max(1),
+            batch_size: batch_size.max(1),
+            morsel_size: morsel_size.max(1),
+        }
+    }
+
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    pub fn morsel_size(&self) -> usize {
+        self.morsel_size
+    }
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            parallelism: 1,
-            batch_size: 256,
-            morsel_size: 1024,
-        }
+        ExecOptions::new(1, 256, 1024)
     }
 }
+
+/// What the machine can run at once, read once: the cap on a fan-out's
+/// worker threads. `parallelism` arrives from outside (a wire frame can
+/// ask for four billion), and a count read from the input must not size a
+/// resource.
+static HARDWARE_THREADS: LazyLock<usize> =
+    LazyLock::new(|| std::thread::available_parallelism().map_or(1, usize::from));
 
 /// One morsel of an operator's input: rows `rows` of chunk number
 /// `chunk`, the first of them input row `offset` of the operator.
@@ -129,10 +165,12 @@ struct Morsel {
 /// operators, row-group indices for a scan wave — and returns one result
 /// per morsel, in morsel order.
 ///
-/// With `parallelism > 1` a scoped worker pool claims morsels off a
-/// shared atomic counter (work stealing: no static assignment, so one
-/// slow morsel never idles the pool) and the results are reassembled in
-/// morsel order — bit-identical to the serial walk.
+/// With `parallelism > 1` a scoped worker pool — `parallelism` threads,
+/// but never more than there are morsels or [`HARDWARE_THREADS`], each
+/// spawn counted in `spawned` — claims morsels off a shared atomic
+/// counter (work stealing: no static assignment, so one slow morsel never
+/// idles the pool) and the results are reassembled in morsel order —
+/// bit-identical to the serial walk.
 ///
 /// A morsel may return `Err` (cancellation, a group that fails to
 /// decode); the lowest-indexed erroring morsel's error wins and the
@@ -140,16 +178,22 @@ struct Morsel {
 /// charged, matching how an open breaker discards unconsumed probes. A
 /// worker that panics inside `work` loses its morsel; the run then fails
 /// with [`CancelReason::WorkerPanic`] instead of re-raising the panic.
-fn run_morsels<M, T, F>(morsels: &[M], parallelism: usize, work: F) -> Result<Vec<T>>
+fn run_morsels<M, T, F>(
+    morsels: &[M],
+    parallelism: usize,
+    spawned: &Counter,
+    work: F,
+) -> Result<Vec<T>>
 where
     M: Sync,
     T: Send,
     F: Fn(&M) -> Result<T> + Sync,
 {
-    let workers = parallelism.min(morsels.len());
+    let workers = parallelism.min(morsels.len()).min(*HARDWARE_THREADS);
     if workers <= 1 {
         return morsels.iter().map(work).collect();
     }
+    spawned.add(workers as u64);
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<Result<T>>>> = morsels.iter().map(|_| Mutex::new(None)).collect();
@@ -298,9 +342,12 @@ impl<'p> ScanStream<'p> {
         }
         // Group sizes are row counts, so the row-oriented batch and
         // morsel knobs don't apply here (parallelism still does).
-        let chunks = run_morsels(&self.kept[self.next..end], ex.opts.parallelism, |&g| {
-            self.provider.read_group(g)
-        })?;
+        let chunks = run_morsels(
+            &self.kept[self.next..end],
+            ex.opts.parallelism,
+            &ex.tel.worker_threads,
+            |&g| self.provider.read_group(g),
+        )?;
         self.next = end;
         self.bytes += wave_bytes;
         self.rows += chunks.iter().map(Chunk::len).sum::<usize>();
@@ -345,7 +392,7 @@ impl<'p> ScanStream<'p> {
 /// [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
 ///
 /// Telemetry contract: every operator pushes exactly one [`OperatorSpan`]
-/// to `tel` at the moment it charges the cost meter, so span order equals
+/// to `tel` when it closes — the span *is* its charge, so span order is
 /// charge order and [`OperatorId`](crate::telemetry::OperatorId)s are a
 /// pure function of the plan shape. Spans and events are recorded only on
 /// the main thread, in the deterministic consume phase; worker threads
@@ -372,7 +419,6 @@ impl<'p> ScanStream<'p> {
 /// would if the scan had materialized first.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
-    pub meter: &'a mut CostMeter,
     pub model: &'a CostModel,
     pub session: &'a mut ExecSession,
     pub opts: ExecOptions,
@@ -479,18 +525,12 @@ impl Executor<'_> {
         }
     }
 
-    /// The one place a span is pushed and the meter charged, so span
-    /// order equals charge order and the span's id is its place in it.
+    /// The one place a span is pushed, so the span's id is its place in
+    /// charge order.
     fn close_span(&mut self, mut span: OperatorSpan, emitted: usize, wall: Duration) {
         span.op_id = crate::telemetry::OperatorId(self.tel.next_op_id());
         span.rows_emitted = emitted as u64;
         span.wall_nanos = wall.as_nanos() as u64;
-        self.meter.charge(
-            span.op.clone(),
-            span.rows_in as usize,
-            emitted,
-            span.seconds,
-        );
         self.tel.push_span(span);
     }
 
@@ -514,7 +554,7 @@ impl Executor<'_> {
         first_row: usize,
         work: impl Fn(&Batch<'_>) -> T + Sync,
     ) -> Result<Vec<Located<T>>> {
-        let (step, size) = (self.opts.batch_size.max(1), self.opts.morsel_size.max(1));
+        let (step, size) = (self.opts.batch_size, self.opts.morsel_size);
         let mut morsels = Vec::new();
         let mut offset = first_row;
         for (chunk, rows) in chunks.iter().map(Chunk::len).enumerate() {
@@ -529,7 +569,8 @@ impl Executor<'_> {
         }
         let (cancel, worker_rows, worker_batches) =
             (self.cancel, &self.tel.worker_rows, &self.tel.worker_batches);
-        let records = run_morsels(&morsels, self.opts.parallelism, |m| {
+        let spawned = &self.tel.worker_threads;
+        let records = run_morsels(&morsels, self.opts.parallelism, spawned, |m| {
             let mut out = Vec::with_capacity(m.rows.len().div_ceil(step));
             for start in m.rows.clone().step_by(step) {
                 let rows = start..(start + step).min(m.rows.end);
@@ -658,9 +699,14 @@ impl Executor<'_> {
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
         let validate = self.session.config().validate_outputs;
-        let checked = |result: Result<Vec<Vec<Value>>>| match result {
-            Ok(groups) if validate => validate_cells(&groups, processor.name()).map(|()| groups),
-            other => other,
+        // A processor is scalar: a row's first attempt and its retries
+        // are the same call.
+        let call = |row: &Row, schema: &Schema| {
+            let groups = processor.process(row, schema)?;
+            if validate {
+                validate_cells(&groups, processor.name())?;
+            }
+            Ok(groups)
         };
         self.fold_udf(
             op,
@@ -671,14 +717,10 @@ impl Executor<'_> {
             false,
             one_wave(in_rows),
             |batch| {
-                let firsts = processor.eval_batch(batch);
-                if validate {
-                    firsts.into_iter().map(&checked).collect()
-                } else {
-                    firsts
-                }
+                let schema = batch.schema();
+                batch.rows().iter().map(|row| call(row, schema)).collect()
             },
-            |row, schema| checked(processor.process(row, schema)),
+            call,
             |chunk, at, groups, out| {
                 for cells in groups {
                     out.push(chunk.rows()[at].extended(cells))?;
@@ -699,20 +741,22 @@ impl Executor<'_> {
     /// affected probes, so charges stay identical to a serial run that
     /// never made those calls.
     ///
-    /// Consume phase (main thread): folds the records into the session in
-    /// row order, driving the breaker and fail-open exactly as serial
-    /// execution would. A record with no failed row, met while the
-    /// breaker is closed, is folded in closed form: `n` clean consumes
-    /// touch the session only through `calls += 1` and
-    /// `consecutive_failures = 0`, which is `OpFold::consume_clean(n)`.
-    /// Every other record walks the per-row body. `emit` receives each
-    /// row — its chunk and place in it — with its `Ok` value, pushes
-    /// what the row produces, and says whether the row passed (`false` =
-    /// filtered). A terminal error passes the row through unchanged when
-    /// `fail_open`, and stops the operator otherwise.
+    /// Consume phase (main thread): folds the records into the session's
+    /// breaker and the operator's span in row order, driving the breaker
+    /// and fail-open exactly as serial execution would. A record with no
+    /// failed row, met while the breaker is closed, is folded in closed
+    /// form: `n` clean consumes leave the breaker at
+    /// `consecutive_failures = 0` (`OpFold::consume_clean`) and the span
+    /// `n` attempts richer. Every other record walks the per-row body,
+    /// which counts each consumed outcome through `record_outcome`.
+    /// `emit` receives each row — its chunk and place in it — with its
+    /// `Ok` value, pushes what the row produces, and says whether the row
+    /// passed (`false` = filtered). A terminal error passes the row
+    /// through unchanged when `fail_open`, and stops the operator
+    /// otherwise.
     ///
-    /// Everything the fold accumulates — span, attempts, overhead, the
-    /// input row index — is carried from wave to wave, and the session's
+    /// Everything the fold accumulates — span, overhead, the input row
+    /// index — is carried from wave to wave, and the session's
     /// breaker is sticky, so how the input is cut into waves changes
     /// nothing it reports. A wave that cannot be had (the scan below was
     /// cancelled or failed to decode) or probed ends the fold: one that
@@ -733,7 +777,6 @@ impl Executor<'_> {
         let config = *self.session.config();
         let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), 0);
         let mut out = Rowset::empty(out_schema);
-        let mut attempts: u64 = 0;
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
         let mut clean_rows: u64 = 0;
@@ -772,11 +815,9 @@ impl Executor<'_> {
                     break;
                 }
             };
-            // Resolve the operator's session entry once per wave; the
-            // breaker is sticky within a run (it only flips open inside
-            // `consume` on a terminal error), so mirror it locally and
-            // refresh only on the (rare) error path. The fold then does
-            // no map lookups.
+            // Resolve the operator's breaker once per wave; it is sticky
+            // within a run (it only flips open inside `consume`), so
+            // mirror it locally. The fold then does no map lookups.
             let mut fold = self.session.op_fold(&op);
             let mut breaker_open = fold.breaker_open();
             for (chunk, first, Probed { values, failed }) in probes {
@@ -789,8 +830,7 @@ impl Executor<'_> {
                 }
                 if failed.is_empty() && !breaker_open {
                     let n = values.len() as u64;
-                    fold.consume_clean(n);
-                    attempts += n;
+                    fold.consume_clean();
                     span.attempts += n;
                     clean_rows += n;
                     row_idx += n;
@@ -803,7 +843,6 @@ impl Executor<'_> {
                 }
                 let (mut values, mut failed) = (values.into_iter(), failed.into_iter().peekable());
                 for at in 0.. {
-                    let was_open = breaker_open;
                     let attempt = if let Some((_, probe)) = failed.next_if(|(i, _)| *i == at) {
                         Err(probe)
                     } else if let Some(value) = values.next() {
@@ -811,53 +850,20 @@ impl Executor<'_> {
                     } else {
                         break;
                     };
-                    let (p_retries, p_failures, p_timeouts) = attempt
-                        .as_ref()
-                        .err()
-                        .map_or((0, 0, 0), |p| (p.retries, p.failures, p.timeouts));
-                    let inv = fold.consume(attempt);
-                    attempts += u64::from(inv.attempts);
-                    extra_seconds += inv.extra_seconds;
-                    if was_open {
-                        span.short_circuited += 1;
-                        self.tel
-                            .push_event(&op, Some(row_idx), EventKind::ShortCircuit, 1);
-                    } else {
-                        span.attempts += u64::from(inv.attempts);
-                        span.retries += p_retries;
-                        span.failures += p_failures;
-                        span.timeouts += p_timeouts;
-                        if p_retries > 0 {
-                            self.tel
-                                .push_event(&op, Some(row_idx), EventKind::Retry, p_retries);
-                        }
-                        if p_timeouts > 0 {
-                            self.tel
-                                .push_event(&op, Some(row_idx), EventKind::Timeout, p_timeouts);
-                        }
-                        if inv.attempts == 1 && inv.extra_seconds == 0.0 {
-                            // One attempt, no overhead: the latency value is
-                            // the constant cost_per_row, so count these and
-                            // record them in one batched `record_n` after the
-                            // loop — same buckets, same counts.
-                            clean_rows += 1;
-                        } else {
-                            span.latency
-                                .record(f64::from(inv.attempts) * cost_per_row + inv.extra_seconds);
-                        }
-                        // The breaker can only have tripped during this row's
-                        // consume, and it only trips on a terminal error.
-                        if inv.result.is_err() {
-                            breaker_open = fold.breaker_open();
-                            if breaker_open {
-                                span.breaker_tripped = true;
-                            }
-                        }
-                    }
-                    let passed = match inv.result {
+                    let outcome = fold.consume(attempt);
+                    breaker_open = fold.breaker_open();
+                    extra_seconds += outcome.extra_seconds;
+                    record_outcome(
+                        self.tel,
+                        &mut span,
+                        Some(row_idx),
+                        &outcome,
+                        cost_per_row,
+                        breaker_open,
+                    );
+                    let passed = match outcome.result {
                         Ok(value) => emit(chunk, first + at, value, &mut out)?,
                         Err(_) if fail_open => {
-                            fold.record_fail_open();
                             span.failed_open += 1;
                             self.tel
                                 .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
@@ -881,7 +887,7 @@ impl Executor<'_> {
             span.latency.record_n(cost_per_row, clean_rows);
         }
         span.rows_in = handed as u64;
-        span.seconds = attempts as f64 * cost_per_row + extra_seconds;
+        span.seconds = span.attempts as f64 * cost_per_row + extra_seconds;
         Ok(Finished { span, out, failure })
     }
 
@@ -1066,20 +1072,18 @@ impl Executor<'_> {
                 break;
             }
             let n = size(group);
-            let inv = self.session.invoke(&op, || call(group));
-            record_group_invocation(
+            let outcome = self.session.invoke(&op, || call(group));
+            record_outcome(
                 self.tel,
-                self.session,
                 &mut span,
-                &op,
-                &inv,
+                None,
+                &outcome,
                 n as f64 * cost_per_row,
+                self.session.breaker_open(&op),
             );
-            if inv.attempts > 1 {
-                retried_rows += (inv.attempts as usize - 1) * n;
-            }
-            extra_seconds += inv.extra_seconds;
-            match inv.result {
+            retried_rows += outcome.attempts.saturating_sub(1) as usize * n;
+            extra_seconds += outcome.extra_seconds;
+            match outcome.result {
                 Ok(rows) => {
                     span.rows_out += n as u64;
                     for row in rows {
@@ -1100,40 +1104,41 @@ impl Executor<'_> {
     }
 }
 
-/// Folds one group-operator [`Invocation`] (Reduce/Combine) into the
-/// operator's span and event stream. Group invocations run serially on the
-/// main thread, so recording here preserves the determinism contract.
-/// Timeouts are visible only through `extra_seconds` for group operators
-/// (the [`Invocation`] does not carry a per-kind breakdown).
-fn record_group_invocation<T>(
+/// Counts one consumed UDF outcome — a row's for Filter/Process (`row` is
+/// its input index), a group's for Reduce/Combine — into the operator's
+/// span and event stream. This is the only place recovery work is
+/// counted, and it runs on the main thread in consume order, which is what
+/// the determinism contract rests on. `unit` is what one attempt costs;
+/// `breaker_open` is the breaker's state after the outcome was consumed.
+fn record_outcome<T>(
     tel: &mut SpanCollector,
-    session: &ExecSession,
     span: &mut OperatorSpan,
-    op: &str,
-    inv: &Invocation<T>,
-    cost_secs_per_attempt: f64,
+    row: Option<u64>,
+    outcome: &ProbeOutcome<T>,
+    unit: f64,
+    breaker_open: bool,
 ) {
-    if inv.attempts == 0 {
+    if outcome.attempts == 0 {
         span.short_circuited += 1;
-        tel.push_event(op, None, EventKind::ShortCircuit, 1);
+        tel.push_event(&span.op, row, EventKind::ShortCircuit, 1);
         return;
     }
-    span.attempts += u64::from(inv.attempts);
-    let retries = u64::from(inv.attempts - 1);
-    if retries > 0 {
-        span.retries += retries;
-        tel.push_event(op, None, EventKind::Retry, retries);
+    span.attempts += u64::from(outcome.attempts);
+    span.retries += outcome.retries;
+    span.failures += outcome.failures;
+    span.timeouts += outcome.timeouts;
+    if outcome.retries > 0 {
+        tel.push_event(&span.op, row, EventKind::Retry, outcome.retries);
     }
-    span.failures += match &inv.result {
-        Err(_) => u64::from(inv.attempts),
-        Ok(_) => retries,
-    };
+    if outcome.timeouts > 0 {
+        tel.push_event(&span.op, row, EventKind::Timeout, outcome.timeouts);
+    }
     span.latency
-        .record(f64::from(inv.attempts) * cost_secs_per_attempt + inv.extra_seconds);
-    // Reaching here means the breaker was closed when the call started
-    // (an open breaker short-circuits with 0 attempts), so an open
-    // breaker now means this invocation tripped it.
-    if inv.result.is_err() && session.breaker_open(op) {
+        .record(f64::from(outcome.attempts) * unit + outcome.extra_seconds);
+    // The breaker was closed when the calls were made (an open one
+    // short-circuits with no attempts) and only a terminal error opens
+    // it, so open now means this outcome tripped it.
+    if outcome.result.is_err() && breaker_open {
         span.breaker_tripped = true;
     }
 }
@@ -1237,7 +1242,6 @@ fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::OpStats;
     use crate::predicate::{Clause, CompareOp};
     use crate::resilience::{ResilienceConfig, RetryPolicy};
     use crate::schema::DataType;
@@ -1262,34 +1266,31 @@ mod tests {
         Ok(c)
     }
 
-    fn run(plan: &LogicalPlan, cat: &Catalog) -> Result<(Rowset, CostMeter)> {
-        let mut meter = CostMeter::new();
-        let mut session = ExecSession::default();
-        let out = run_with(plan, cat, &mut meter, &mut session)?;
-        Ok((out, meter))
+    /// Runs `plan` under a default session; the spans are the charges.
+    fn run(plan: &LogicalPlan, cat: &Catalog) -> Result<(Rowset, Vec<OperatorSpan>)> {
+        let mut tel = SpanCollector::detached();
+        let out = run_with(plan, cat, &mut ExecSession::default(), &mut tel)?;
+        Ok((out, tel.spans().to_vec()))
     }
 
     fn run_with(
         plan: &LogicalPlan,
         cat: &Catalog,
-        meter: &mut CostMeter,
         session: &mut ExecSession,
+        tel: &mut SpanCollector,
     ) -> Result<Rowset> {
-        let mut tel = SpanCollector::detached();
-        run_opts(plan, cat, meter, session, ExecOptions::default(), &mut tel)
+        run_opts(plan, cat, session, ExecOptions::default(), tel)
     }
 
     fn run_opts(
         plan: &LogicalPlan,
         cat: &Catalog,
-        meter: &mut CostMeter,
         session: &mut ExecSession,
         opts: ExecOptions,
         tel: &mut SpanCollector,
     ) -> Result<Rowset> {
         Executor {
             catalog: cat,
-            meter,
             model: &CostModel::default(),
             session,
             opts,
@@ -1299,20 +1300,19 @@ mod tests {
         .run(plan)
     }
 
-    fn find_op<'a>(meter: &'a CostMeter, prefix: &str) -> Result<&'a OpStats> {
-        meter
-            .entries()
+    fn find_op<'a>(spans: &'a [OperatorSpan], prefix: &str) -> Result<&'a OperatorSpan> {
+        spans
             .iter()
-            .find(|e| e.op.starts_with(prefix))
+            .find(|s| s.op.starts_with(prefix))
             .ok_or_else(|| EngineError::InvalidPlan(format!("no operator matching {prefix}")))
     }
 
     #[test]
     fn scan_returns_everything_and_charges() -> Result<()> {
         let cat = catalog()?;
-        let (out, meter) = run(&LogicalPlan::scan("frames"), &cat)?;
+        let (out, spans) = run(&LogicalPlan::scan("frames"), &cat)?;
         assert_eq!(out.len(), 10);
-        assert!(meter.cluster_seconds() > 0.0);
+        assert!(find_op(&spans, "Scan")?.seconds > 0.0);
         Ok(())
     }
 
@@ -1333,10 +1333,10 @@ mod tests {
             },
         ));
         let plan = LogicalPlan::scan("frames").process(detector);
-        let (out, meter) = run(&plan, &cat)?;
+        let (out, spans) = run(&plan, &cat)?;
         assert_eq!(out.len(), 10); // 5 even ids × 2 objects
                                    // UDF charged for all 10 input rows at 2.0s each.
-        let udf_secs = find_op(&meter, "Process")?.seconds;
+        let udf_secs = find_op(&spans, "Process")?.seconds;
         assert!((udf_secs - 20.0).abs() < 1e-9);
         Ok(())
     }
@@ -1361,11 +1361,11 @@ mod tests {
             Ok(row.get(0).as_int()? < 4)
         }));
         let plan = LogicalPlan::scan("frames").filter(f);
-        let (out, meter) = run(&plan, &cat)?;
+        let (out, spans) = run(&plan, &cat)?;
         assert_eq!(out.len(), 4);
-        let pp = find_op(&meter, "PP[test]")?;
+        let pp = find_op(&spans, "PP[test]")?;
         assert_eq!(pp.rows_in, 10);
-        assert_eq!(pp.rows_out, 4);
+        assert_eq!(pp.rows_emitted, 4);
         assert!((pp.seconds - 1.0).abs() < 1e-9);
         Ok(())
     }
@@ -1498,9 +1498,9 @@ mod tests {
             },
         ));
         let plan = LogicalPlan::scan("frames").reduce(reducer);
-        let (out, meter) = run(&plan, &cat)?;
+        let (out, spans) = run(&plan, &cat)?;
         assert_eq!(out.len(), 2);
-        let reduce_secs = find_op(&meter, "Reduce")?.seconds;
+        let reduce_secs = find_op(&spans, "Reduce")?.seconds;
         assert!((reduce_secs - 5.0).abs() < 1e-9);
         Ok(())
     }
@@ -1558,23 +1558,14 @@ mod tests {
             right: Box::new(LogicalPlan::scan("cams")),
             combiner: Arc::new(CamCombiner),
         };
-        let mut meter = CostMeter::new();
-        let mut tel = SpanCollector::detached();
-        let out = run_opts(
-            &plan,
-            &cat,
-            &mut meter,
-            &mut ExecSession::default(),
-            ExecOptions::default(),
-            &mut tel,
-        )?;
+        let (out, spans) = run(&plan, &cat)?;
         // Only C1 has both sides: 5 frames × 1 dimension row.
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0].get(1).as_int()?, 5);
-        let charged = find_op(&meter, "Combine[CamPairs]")?;
-        assert_eq!((charged.rows_in, charged.rows_out), (12, 1));
-        assert!((charged.seconds - 6.0).abs() < 1e-9);
-        let span = &tel.spans()[2];
+        let span = find_op(&spans, "Combine[CamPairs]")?;
+        assert_eq!(span.op_id, crate::telemetry::OperatorId(2));
+        assert_eq!((span.rows_in, span.rows_emitted), (12, 1));
+        assert!((span.seconds - 6.0).abs() < 1e-9);
         // 5 + 1 rows reached the combiner; C2's 5 frames and C3's row
         // reached no group.
         assert_eq!(
@@ -1590,6 +1581,11 @@ mod tests {
     /// the operator, whose probes were never consumed, charges nothing.
     #[test]
     fn panicking_kernel_at_k4_is_a_typed_error() -> Result<()> {
+        if *HARDWARE_THREADS < 2 {
+            // No fan-out on this machine: the kernel would run (and
+            // panic) on the caller's own thread, as at K = 1.
+            return Ok(());
+        }
         let cat = catalog()?;
         let bomb = Arc::new(ClosureFilter::new("PP[bomb]", 0.1, |row, _| {
             if row.get(0).as_int()? == 7 {
@@ -1598,19 +1594,13 @@ mod tests {
             Ok(true)
         }));
         let plan = LogicalPlan::scan("frames").filter(bomb);
-        let mut meter = CostMeter::new();
-        let opts = ExecOptions {
-            parallelism: 4,
-            batch_size: 2,
-            morsel_size: 2,
-        };
+        let mut tel = SpanCollector::detached();
         let result = run_opts(
             &plan,
             &cat,
-            &mut meter,
             &mut ExecSession::default(),
-            opts,
-            &mut SpanCollector::detached(),
+            ExecOptions::new(4, 2, 2),
+            &mut tel,
         );
         assert!(matches!(
             result,
@@ -1618,7 +1608,7 @@ mod tests {
                 reason: CancelReason::WorkerPanic
             })
         ));
-        assert_eq!(meter.entries().len(), 1, "only the scan charged");
+        assert_eq!(tel.spans().len(), 1, "only the scan charged");
         Ok(())
     }
 
@@ -1635,14 +1625,9 @@ mod tests {
         let mut tel = SpanCollector::detached();
         let done = Executor {
             catalog: &Catalog::new(),
-            meter: &mut CostMeter::new(),
             model: &CostModel::default(),
             session: &mut ExecSession::default(),
-            opts: ExecOptions {
-                parallelism: 1,
-                batch_size: 256,
-                morsel_size: 100,
-            },
+            opts: ExecOptions::new(1, 256, 100),
             tel: &mut tel,
             cancel: &token,
         }
@@ -1652,7 +1637,7 @@ mod tests {
             0.1,
             true,
             one_wave(in_rows),
-            |batch| crate::batch::for_each_row(batch, |_, _| Ok(true)),
+            |batch| batch.rows().iter().map(|_| Ok(true)).collect(),
             |_, _| Ok(true),
             // Stands in for a caller cancelling while the fold consumes:
             // the token fires in the middle of the second batch.
@@ -1727,12 +1712,10 @@ mod tests {
     fn transient_filter_failures_are_retried_and_charged() -> Result<()> {
         let cat = catalog()?;
         let plan = LogicalPlan::scan("frames").filter(flaky_filter(2));
-        let mut meter = CostMeter::new();
-        let mut session = ExecSession::default();
-        let out = run_with(&plan, &cat, &mut meter, &mut session)?;
+        let (out, spans) = run(&plan, &cat)?;
         // Retries hid the failures entirely: same rows as a healthy run.
         assert_eq!(out.len(), 5);
-        let pp = find_op(&meter, "PP[flaky]")?;
+        let pp = find_op(&spans, "PP[flaky]")?;
         // 12 attempts (10 rows + 2 retries on the first row) at 0.1s, plus
         // exponential backoff of 0.05s then 0.10s.
         assert!(
@@ -1740,12 +1723,8 @@ mod tests {
             "got {}",
             pp.seconds
         );
-        let report = session.report();
-        let stats = report
-            .op("PP[flaky]")
-            .ok_or_else(|| EngineError::InvalidPlan("missing resilience stats".into()))?;
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.failed_open, 0);
+        assert_eq!(pp.retries, 2);
+        assert_eq!(pp.failed_open, 0);
         Ok(())
     }
 
@@ -1756,28 +1735,24 @@ mod tests {
             Err::<bool, _>(EngineError::Transient("model server down".into()))
         }));
         let plan = LogicalPlan::scan("frames").filter(dead);
-        let mut meter = CostMeter::new();
         let mut session = ExecSession::new(
             ResilienceConfig::default()
                 .with_retry(RetryPolicy::none())
                 .with_breaker_threshold(3),
         );
-        let out = run_with(&plan, &cat, &mut meter, &mut session)?;
+        let mut tel = SpanCollector::detached();
+        let out = run_with(&plan, &cat, &mut session, &mut tel)?;
         // Fail-open: every row passes despite the filter being dead.
         assert_eq!(out.len(), 10);
         assert!(session.breaker_open("PP[dead]"));
-        let report = session.report();
-        let stats = report
-            .op("PP[dead]")
-            .ok_or_else(|| EngineError::InvalidPlan("missing resilience stats".into()))?;
+        let pp = find_op(tel.spans(), "PP[dead]")?;
         // 3 real failures trip the breaker; the remaining 7 rows skip the
         // call entirely.
-        assert_eq!(stats.calls, 3);
-        assert_eq!(stats.short_circuited, 7);
-        assert_eq!(stats.failed_open, 10);
-        assert!(stats.breaker_tripped);
+        assert_eq!(pp.attempts, 3);
+        assert_eq!(pp.short_circuited, 7);
+        assert_eq!(pp.failed_open, 10);
+        assert!(pp.breaker_tripped);
         // Only the 3 attempted calls are charged.
-        let pp = find_op(&meter, "PP[dead]")?;
         assert!((pp.seconds - 0.3).abs() < 1e-9);
         Ok(())
     }
@@ -1785,14 +1760,6 @@ mod tests {
     #[test]
     fn fail_closed_filter_propagates_the_error() -> Result<()> {
         struct Gate;
-        impl crate::batch::BatchKernel for Gate {
-            type Out = bool;
-            fn eval_batch(&self, batch: &crate::batch::Batch<'_>) -> Vec<Result<bool>> {
-                crate::batch::for_each_row(batch, |row, schema| {
-                    crate::udf::RowFilter::passes(self, row, schema)
-                })
-            }
-        }
         impl crate::udf::RowFilter for Gate {
             fn name(&self) -> &str {
                 "Gate"
@@ -1809,10 +1776,9 @@ mod tests {
         }
         let cat = catalog()?;
         let plan = LogicalPlan::scan("frames").filter(Arc::new(Gate));
-        let mut meter = CostMeter::new();
         let mut session =
             ExecSession::new(ResilienceConfig::default().with_retry(RetryPolicy::none()));
-        let err = match run_with(&plan, &cat, &mut meter, &mut session) {
+        let err = match run_with(&plan, &cat, &mut session, &mut SpanCollector::detached()) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
@@ -1830,9 +1796,8 @@ mod tests {
             |_, _| Err::<Vec<Value>, _>(EngineError::Transient("gpu lost".into())),
         ));
         let plan = LogicalPlan::scan("frames").process(broken);
-        let mut meter = CostMeter::new();
-        let mut session = ExecSession::default();
-        let err = match run_with(&plan, &cat, &mut meter, &mut session) {
+        let mut tel = SpanCollector::detached();
+        let err = match run_with(&plan, &cat, &mut ExecSession::default(), &mut tel) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
@@ -1841,7 +1806,7 @@ mod tests {
             other => return Err(other),
         }
         // The failed attempts were still charged.
-        let p = find_op(&meter, "Process[Broken]")?;
+        let p = find_op(tel.spans(), "Process[Broken]")?;
         assert!(p.seconds > 0.0);
         Ok(())
     }
@@ -1860,13 +1825,12 @@ mod tests {
         let (out, _) = run(&plan, &cat)?;
         assert_eq!(out.len(), 10);
         // With validation it is a (retryable, here always-failing) error.
-        let mut meter = CostMeter::new();
         let mut session = ExecSession::new(
             ResilienceConfig::default()
                 .with_validate_outputs(true)
                 .with_retry(RetryPolicy::none()),
         );
-        let result = run_with(&plan, &cat, &mut meter, &mut session);
+        let result = run_with(&plan, &cat, &mut session, &mut SpanCollector::detached());
         assert!(matches!(result, Err(EngineError::CorruptOutput(_))));
         Ok(())
     }
@@ -1887,9 +1851,15 @@ mod tests {
                 alias: "n".into(),
             }],
         );
-        let (_, meter_a) = run(&plan, &cat)?;
-        let (_, meter_b) = run(&plan, &cat)?;
-        assert_eq!(meter_a.entries(), meter_b.entries());
+        let charges = |spans: &[OperatorSpan]| -> Vec<(String, u64, u64, f64)> {
+            spans
+                .iter()
+                .map(|s| (s.op.clone(), s.rows_in, s.rows_emitted, s.seconds))
+                .collect()
+        };
+        let (_, a) = run(&plan, &cat)?;
+        let (_, b) = run(&plan, &cat)?;
+        assert_eq!(charges(&a), charges(&b));
         Ok(())
     }
 }

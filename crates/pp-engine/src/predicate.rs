@@ -297,10 +297,10 @@ impl Predicate {
                         other => out.push(other),
                     }
                 }
-                match out.len() {
-                    0 => Predicate::True,
-                    1 => out.pop().expect("len checked"),
-                    _ => Predicate::And(out),
+                match <[Predicate; 1]>::try_from(out) {
+                    Ok([only]) => only,
+                    Err(out) if out.is_empty() => Predicate::True,
+                    Err(out) => Predicate::And(out),
                 }
             }
             Predicate::Or(ps) => {
@@ -313,10 +313,10 @@ impl Predicate {
                         other => out.push(other),
                     }
                 }
-                match out.len() {
-                    0 => Predicate::False,
-                    1 => out.pop().expect("len checked"),
-                    _ => Predicate::Or(out),
+                match <[Predicate; 1]>::try_from(out) {
+                    Ok([only]) => only,
+                    Err(out) if out.is_empty() => Predicate::False,
+                    Err(out) => Predicate::Or(out),
                 }
             }
             Predicate::Not(p) => match p.simplify() {

@@ -9,6 +9,13 @@
 //! backoff and stalled calls add simulated seconds — so the cost meter
 //! stays an honest account of what a cluster would have spent.
 //!
+//! The session remembers only what recovery needs from one call to the
+//! next: the config, each operator's circuit breaker, and the breaker
+//! transitions not yet drained. What a call *cost* — attempts, retries,
+//! failures, timeouts, overhead — travels in the [`ProbeOutcome`] that
+//! [`OpFold::consume`] hands back, and the executor counts it once, into
+//! the operator's [`OperatorSpan`](crate::telemetry::OperatorSpan).
+//!
 //! The key safety property lives one level up, in the executor: a
 //! [`RowFilter`](crate::udf::RowFilter) that keeps failing *fails open*
 //! (rows pass unfiltered). A probabilistic predicate is an optimization,
@@ -27,7 +34,7 @@ use crate::{EngineError, Result};
 /// consumed row, which made SipHash the single largest line item in the
 /// serial consume fold. The keys come from the plan, not from user data,
 /// so HashDoS hardening buys nothing here. Iteration order is never
-/// observed (reports use `touch_order`), so the hasher only affects speed.
+/// observed, so the hasher only affects speed.
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
@@ -167,7 +174,7 @@ impl ResilienceConfig {
     }
 
     /// Runs the full retry loop for one UDF call *without* touching any
-    /// session state — no circuit breakers, no counters. This is the
+    /// session state — no circuit breakers. This is the
     /// worker-thread half of the resilient invocation: the partitioned
     /// executor probes rows in parallel, then folds the outcomes into the
     /// session sequentially via [`OpFold::consume`] so breaker
@@ -256,73 +263,22 @@ impl ResilienceConfig {
     }
 }
 
-/// Per-operator resilience counters, reported after execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OpResilience {
-    /// Operator display name.
-    pub op: String,
-    /// UDF executions attempted (first calls + retries).
-    pub calls: u64,
-    /// Attempts that returned an error.
-    pub failures: u64,
-    /// Retries performed (a subset of `calls`).
-    pub retries: u64,
-    /// Attempts cancelled by the timeout budget.
-    pub timeouts: u64,
-    /// Rows a filter passed because the call failed (or its breaker was
-    /// open) and the filter degrades fail-open.
-    pub failed_open: u64,
-    /// Calls skipped outright because the circuit breaker was open.
-    pub short_circuited: u64,
-    /// Whether the breaker tripped during execution.
-    pub breaker_tripped: bool,
-    /// Simulated seconds of recovery overhead (backoff + stalls) charged
-    /// on top of per-attempt UDF cost.
-    pub extra_seconds: f64,
-}
-
-/// Resilience counters for one execution, per operator in first-touch
-/// order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecReport {
-    /// Per-operator counters.
-    pub ops: Vec<OpResilience>,
-}
-
-impl ExecReport {
-    /// The counters for one operator, if it was touched.
-    pub fn op(&self, name: &str) -> Option<&OpResilience> {
-        self.ops.iter().find(|o| o.op == name)
-    }
-
-    /// Total failed attempts across all operators.
-    pub fn total_failures(&self) -> u64 {
-        self.ops.iter().map(|o| o.failures).sum()
-    }
-
-    /// Fraction of attempted calls that failed for `op` (0.0 if untouched
-    /// or never called).
-    pub fn failure_rate(&self, op: &str) -> f64 {
-        match self.op(op) {
-            Some(o) if o.calls > 0 => o.failures as f64 / o.calls as f64,
-            _ => 0.0,
-        }
-    }
-}
-
 /// The session-independent outcome of one UDF retry loop, produced by
 /// [`ResilienceConfig::probe`] / [`ResilienceConfig::resume_probe`].
 ///
-/// A probe is safe to compute on any worker thread; the counters it
-/// carries are folded into the owning [`ExecSession`] — in deterministic
-/// row order — by [`OpFold::consume`].
+/// A probe is safe to compute on any worker thread; it is folded into the
+/// owning [`ExecSession`]'s breaker — in deterministic row order — by
+/// [`OpFold::consume`], which hands back the outcome the caller charges:
+/// the probe itself, or a zero-attempt [`EngineError::BreakerOpen`] when
+/// the breaker was open and the calls must count as never made.
 #[derive(Debug)]
 pub struct ProbeOutcome<T> {
     /// The terminal result (already wrapped in
     /// [`EngineError::RetriesExhausted`] when more than one attempt was
     /// made and all failed).
     pub result: Result<T>,
-    /// UDF executions performed (first call + retries).
+    /// UDF executions performed (first call + retries; 0 when the breaker
+    /// short-circuited the call).
     pub attempts: u32,
     /// Attempts that returned an error.
     pub failures: u64,
@@ -331,17 +287,6 @@ pub struct ProbeOutcome<T> {
     /// Attempts cancelled by the timeout budget.
     pub timeouts: u64,
     /// Simulated seconds of backoff + stall overhead.
-    pub extra_seconds: f64,
-}
-
-/// The outcome of one resilient UDF invocation.
-#[derive(Debug)]
-pub struct Invocation<T> {
-    /// The final result after retries (or a terminal error).
-    pub result: Result<T>,
-    /// UDF executions performed (0 when the breaker short-circuited).
-    pub attempts: u32,
-    /// Simulated seconds of backoff + stall overhead to charge.
     pub extra_seconds: f64,
 }
 
@@ -362,38 +307,16 @@ pub struct BreakerTransition {
     pub opened: bool,
 }
 
-/// A stateful execution session: owns the config, per-operator circuit
-/// breakers, and resilience counters. One session spans every
+/// A stateful execution session: owns the config and the per-operator
+/// circuit breakers. One session spans every
 /// [`ExecutionContext::run`](crate::exec::ExecutionContext::run) of its
-/// context, so breaker state and fault history persist across queries, the
-/// way a long-running cluster service would track a misbehaving UDF.
+/// context, so breaker state persists across queries, the way a
+/// long-running cluster service would track a misbehaving UDF.
 #[derive(Debug, Default)]
 pub struct ExecSession {
     config: ResilienceConfig,
-    ops: HashMap<String, OpState, FxBuild>,
-    touch_order: Vec<String>,
+    breakers: HashMap<String, BreakerState, FxBuild>,
     transitions: Vec<BreakerTransition>,
-}
-
-/// Per-operator session state: resilience counters and the circuit
-/// breaker live in one map entry so the per-row consume fold pays for a
-/// single lookup, not one per concern.
-#[derive(Debug, Default)]
-struct OpState {
-    stat: OpResilience,
-    breaker: BreakerState,
-}
-
-impl OpState {
-    fn new(op: &str) -> Self {
-        OpState {
-            stat: OpResilience {
-                op: op.to_string(),
-                ..Default::default()
-            },
-            breaker: BreakerState::default(),
-        }
-    }
 }
 
 impl ExecSession {
@@ -412,16 +335,16 @@ impl ExecSession {
 
     /// Whether `op`'s circuit breaker is currently open.
     pub fn breaker_open(&self, op: &str) -> bool {
-        self.ops.get(op).is_some_and(|s| s.breaker.open)
+        self.breakers.get(op).is_some_and(|b| b.open)
     }
 
     /// Manually reset one operator's breaker (e.g. after redeploying a
     /// fixed UDF).
     pub fn reset_breaker(&mut self, op: &str) {
-        if let Some(s) = self.ops.get_mut(op) {
-            s.breaker.consecutive_failures = 0;
-            if s.breaker.open {
-                s.breaker.open = false;
+        if let Some(b) = self.breakers.get_mut(op) {
+            b.consecutive_failures = 0;
+            if b.open {
+                b.open = false;
                 self.transitions.push(BreakerTransition {
                     op: op.to_string(),
                     opened: false,
@@ -436,45 +359,30 @@ impl ExecSession {
         std::mem::take(&mut self.transitions)
     }
 
-    /// Snapshot of the per-operator counters, in first-touch order.
-    pub fn report(&self) -> ExecReport {
-        ExecReport {
-            ops: self
-                .touch_order
-                .iter()
-                .filter_map(|op| self.ops.get(op))
-                .map(|s| s.stat.clone())
-                .collect(),
-        }
-    }
-
-    /// A consume cursor for one operator: resolves the operator's session
-    /// entry once (one lookup through the map entry), so a consume loop
-    /// folding thousands of rows for the same operator does no per-row
-    /// map lookups at all. Dropping the fold releases the session; state
+    /// A consume cursor for one operator: resolves the operator's breaker
+    /// once (one lookup through the map entry), so a consume loop folding
+    /// thousands of rows for the same operator does no per-row map
+    /// lookups at all. Dropping the fold releases the session; state
     /// changes are visible immediately (the fold borrows, it does not
     /// copy).
     pub fn op_fold<'a>(&'a mut self, op: &'a str) -> OpFold<'a> {
-        let state = match self.ops.entry(op.to_string()) {
+        let breaker = match self.breakers.entry(op.to_string()) {
             Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => {
-                self.touch_order.push(op.to_string());
-                entry.insert(OpState::new(op))
-            }
+            Entry::Vacant(entry) => entry.insert(BreakerState::default()),
         };
         OpFold {
             op,
             threshold: self.config.breaker_threshold,
-            state,
+            breaker,
             transitions: &mut self.transitions,
         }
     }
 
     /// Runs one UDF call under the session's retry / timeout / breaker
     /// policy. The caller charges `attempts × cost_per_row +
-    /// extra_seconds` to the cost meter and decides how to handle a
-    /// terminal error (processors propagate, filters may fail open).
-    pub fn invoke<T>(&mut self, op: &str, call: impl FnMut() -> Result<T>) -> Invocation<T> {
+    /// extra_seconds` and decides how to handle a terminal error
+    /// (processors propagate, filters may fail open).
+    pub fn invoke<T>(&mut self, op: &str, call: impl FnMut() -> Result<T>) -> ProbeOutcome<T> {
         let config = self.config;
         let mut fold = self.op_fold(op);
         if fold.breaker_open() {
@@ -486,109 +394,89 @@ impl ExecSession {
 
 /// A borrowed per-operator view into an [`ExecSession`], produced by
 /// [`ExecSession::op_fold`]. All reads and writes go straight to the
-/// session entry; the value of the handle is that the entry is resolved
-/// once per operator instead of once per consumed row.
+/// session's breaker; the value of the handle is that the entry is
+/// resolved once per operator instead of once per consumed row.
 pub struct OpFold<'a> {
     op: &'a str,
     threshold: u32,
-    state: &'a mut OpState,
+    breaker: &'a mut BreakerState,
     transitions: &'a mut Vec<BreakerTransition>,
 }
 
 impl OpFold<'_> {
     /// Whether this operator's circuit breaker is currently open.
     pub fn breaker_open(&self) -> bool {
-        self.state.breaker.open
+        self.breaker.open
     }
 
-    /// Records that a filter passed a row via fail-open degradation.
-    pub fn record_fail_open(&mut self) {
-        self.state.stat.failed_open += 1;
+    /// Folds any number (≥ 1) of clean first attempts — one call each,
+    /// none failed — in one step: what that many
+    /// [`consume`](Self::consume)s of `Ok` values leave behind. Only valid
+    /// while the breaker is closed.
+    pub fn consume_clean(&mut self) {
+        debug_assert!(!self.breaker.open);
+        self.breaker.consecutive_failures = 0;
     }
 
-    /// Folds `n ≥ 1` clean first attempts — one call each, none failed —
-    /// in one step: what `n` [`consume`](Self::consume)s of `Ok` values
-    /// leave behind. Only valid while the breaker is closed.
-    pub fn consume_clean(&mut self, n: u64) {
-        debug_assert!(n > 0 && !self.state.breaker.open);
-        self.state.stat.calls += n;
-        self.state.breaker.consecutive_failures = 0;
-    }
-
-    fn short_circuit<T>(&mut self) -> Invocation<T> {
-        self.state.stat.short_circuited += 1;
-        Invocation {
+    fn short_circuit<T>(&self) -> ProbeOutcome<T> {
+        ProbeOutcome {
             result: Err(EngineError::BreakerOpen {
                 op: self.op.to_string(),
             }),
             attempts: 0,
+            failures: 0,
+            retries: 0,
+            timeouts: 0,
             extra_seconds: 0.0,
         }
     }
 
     /// Folds one row into the session — its first attempt's value, or the
     /// worker-side [`ProbeOutcome`] of its retry loop if that attempt
-    /// failed: breaker check, counter accounting, and breaker evolution,
-    /// exactly as if the calls had been made inline via
-    /// [`ExecSession::invoke`].
+    /// failed — and returns the outcome to charge: breaker check and
+    /// breaker evolution, exactly as if the calls had been made inline
+    /// via [`ExecSession::invoke`].
     ///
     /// If the breaker is open when the row is consumed, its outcome is
-    /// *discarded* — no calls, failures, or overhead are recorded — and a
-    /// [`EngineError::BreakerOpen`] short-circuit is returned, because a
-    /// serial executor would never have made those calls. This is what
-    /// keeps parallel charges byte-identical to serial ones.
-    pub fn consume<T>(&mut self, first: std::result::Result<T, ProbeOutcome<T>>) -> Invocation<T> {
-        if self.state.breaker.open {
+    /// *discarded* and a zero-attempt [`EngineError::BreakerOpen`]
+    /// short-circuit is returned in its place, because a serial executor
+    /// would never have made those calls. This is what keeps parallel
+    /// charges byte-identical to serial ones.
+    pub fn consume<T>(
+        &mut self,
+        first: std::result::Result<T, ProbeOutcome<T>>,
+    ) -> ProbeOutcome<T> {
+        if self.breaker.open {
             return self.short_circuit();
         }
         let probe = match first {
             Ok(value) => {
-                self.consume_clean(1);
-                return Invocation {
+                self.consume_clean();
+                return ProbeOutcome {
                     result: Ok(value),
                     attempts: 1,
+                    failures: 0,
+                    retries: 0,
+                    timeouts: 0,
                     extra_seconds: 0.0,
                 };
             }
             Err(probe) => probe,
         };
-        let s = &mut *self.state;
-        s.stat.calls += u64::from(probe.attempts);
-        s.stat.failures += probe.failures;
-        s.stat.retries += probe.retries;
-        s.stat.timeouts += probe.timeouts;
-        s.stat.extra_seconds += probe.extra_seconds;
-
-        match probe.result {
-            Ok(value) => {
-                s.breaker.consecutive_failures = 0;
-                Invocation {
-                    result: Ok(value),
-                    attempts: probe.attempts,
-                    extra_seconds: probe.extra_seconds,
-                }
-            }
-            Err(err) => {
-                // Terminal failure: count toward the breaker.
-                s.breaker.consecutive_failures += 1;
-                if self.threshold > 0
-                    && s.breaker.consecutive_failures >= self.threshold
-                    && !s.breaker.open
-                {
-                    s.breaker.open = true;
-                    s.stat.breaker_tripped = true;
-                    self.transitions.push(BreakerTransition {
-                        op: self.op.to_string(),
-                        opened: true,
-                    });
-                }
-                Invocation {
-                    result: Err(err),
-                    attempts: probe.attempts,
-                    extra_seconds: probe.extra_seconds,
-                }
+        if probe.result.is_ok() {
+            self.breaker.consecutive_failures = 0;
+        } else {
+            // Terminal failure: count toward the breaker.
+            self.breaker.consecutive_failures += 1;
+            if self.threshold > 0 && self.breaker.consecutive_failures >= self.threshold {
+                self.breaker.open = true;
+                self.transitions.push(BreakerTransition {
+                    op: self.op.to_string(),
+                    opened: true,
+                });
             }
         }
+        probe
     }
 }
 
@@ -615,9 +503,7 @@ mod tests {
         assert_eq!(inv.attempts, 1);
         assert_eq!(inv.extra_seconds, 0.0);
         assert!(matches!(inv.result, Ok(42)));
-        let report = s.report();
-        assert_eq!(report.op("op").map(|o| o.calls), Some(1));
-        assert_eq!(report.total_failures(), 0);
+        assert_eq!((inv.failures, inv.retries, inv.timeouts), (0, 0, 0));
     }
 
     #[test]
@@ -628,10 +514,8 @@ mod tests {
         assert_eq!(inv.attempts, 3);
         // 0.05 + 0.10 of backoff.
         assert!((inv.extra_seconds - 0.15).abs() < 1e-12);
-        let report = s.report();
-        let op = report.op("op").expect("op touched");
-        assert_eq!(op.retries, 2);
-        assert_eq!(op.failures, 2);
+        assert_eq!(inv.retries, 2);
+        assert_eq!(inv.failures, 2);
     }
 
     #[test]
@@ -673,7 +557,7 @@ mod tests {
             })
         });
         assert!((inv.extra_seconds - 1.0).abs() < 1e-12);
-        assert_eq!(s.report().op("op").map(|o| o.timeouts), Some(1));
+        assert_eq!(inv.timeouts, 1);
     }
 
     #[test]
@@ -693,10 +577,9 @@ mod tests {
         let inv = s.invoke("op", || Ok::<_, EngineError>(1));
         assert_eq!(inv.attempts, 0);
         assert!(matches!(inv.result, Err(EngineError::BreakerOpen { .. })));
-        let report = s.report();
-        let op = report.op("op").expect("op touched");
-        assert!(op.breaker_tripped);
-        assert_eq!(op.short_circuited, 1);
+        // The short-circuit charges nothing, and the trip was logged once.
+        assert_eq!((inv.failures, inv.extra_seconds), (0, 0.0));
+        assert_eq!(s.take_transitions().len(), 1);
 
         s.reset_breaker("op");
         assert!(!s.breaker_open("op"));
@@ -749,15 +632,5 @@ mod tests {
             ]
         );
         assert!(s.take_transitions().is_empty());
-    }
-
-    #[test]
-    fn failure_rate_reflects_attempts() {
-        let mut s = ExecSession::new(ResilienceConfig::default().with_retry(RetryPolicy::none()));
-        let _ = s.invoke("op", || Err::<u32, _>(EngineError::Transient("x".into())));
-        let _ = s.invoke("op", || Ok::<_, EngineError>(1));
-        let report = s.report();
-        assert!((report.failure_rate("op") - 0.5).abs() < 1e-12);
-        assert_eq!(report.failure_rate("untouched"), 0.0);
     }
 }

@@ -758,6 +758,9 @@ pub(crate) struct SpanCollector {
     pub worker_rows: Counter,
     /// `worker.batches_total` handle, bumped from worker threads.
     pub worker_batches: Counter,
+    /// `worker.threads_spawned_total` handle: morsel threads spawned, all
+    /// fan-outs of the run together.
+    pub worker_threads: Counter,
     /// The `store.*` handles.
     pub store: StoreCounters,
 }
@@ -793,28 +796,25 @@ impl StoreCounters {
 }
 
 impl SpanCollector {
-    pub(crate) fn new(worker_rows: Counter, worker_batches: Counter) -> Self {
+    /// A collector whose `worker.*` and `store.*` handles are registered
+    /// under `registry`.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
         SpanCollector {
             spans: Vec::new(),
             events: Vec::new(),
             events_dropped: 0,
             max_events: DEFAULT_MAX_EVENTS,
-            worker_rows,
-            worker_batches,
-            store: StoreCounters::default(),
+            worker_rows: registry.counter("worker.rows_probed_total"),
+            worker_batches: registry.counter("worker.batches_total"),
+            worker_threads: registry.counter("worker.threads_spawned_total"),
+            store: StoreCounters::of(registry),
         }
-    }
-
-    /// Attaches registry-backed `store.*` counter handles.
-    pub(crate) fn with_store_counters(mut self, store: StoreCounters) -> Self {
-        self.store = store;
-        self
     }
 
     /// A collector detached from any registry (test harness only).
     #[cfg(test)]
     pub(crate) fn detached() -> Self {
-        SpanCollector::new(Counter::default(), Counter::default())
+        SpanCollector::new(&MetricsRegistry::new())
     }
 
     /// Next operator id (charge order).

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use crate::batch::{Batch, BatchKernel, ProcessedRows};
+use crate::batch::Batch;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
 use crate::value::Value;
@@ -25,12 +25,9 @@ use crate::{EngineError, Result};
 /// A processor UDF: appends columns, emitting zero or more output rows per
 /// input row.
 ///
-/// Batch evaluation goes through the [`BatchKernel`] supertrait: the
-/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a
-/// [`Batch`]. Scalar processors implement it with
-/// [`for_each_row`](crate::batch::for_each_row) over
-/// [`process`](Self::process).
-pub trait Processor: Send + Sync + BatchKernel<Out = ProcessedRows> {
+/// A processor is scalar: the executor calls [`process`](Self::process)
+/// once per row of a batch, and again per retry.
+pub trait Processor: Send + Sync {
     /// Unique UDF name.
     fn name(&self) -> &str;
     /// The columns this processor appends to its input schema.
@@ -82,13 +79,12 @@ pub trait Combiner: Send + Sync {
 /// A row-level filter — the physical form a probabilistic predicate takes
 /// inside a plan.
 ///
-/// Batch evaluation goes through the [`BatchKernel`] supertrait: the
-/// executor calls [`eval_batch`](BatchKernel::eval_batch) with a
-/// [`Batch`]. PP filters vectorize it (columnar block scoring in
-/// `pp-core`); scalar filters use
-/// [`for_each_row`](crate::batch::for_each_row) over
-/// [`passes`](Self::passes).
-pub trait RowFilter: Send + Sync + BatchKernel<Out = bool> {
+/// The executor makes every row's first attempt through
+/// [`eval_batch`](Self::eval_batch), one [`Batch`] at a time, and retries
+/// failed rows individually through [`passes`](Self::passes). A scalar
+/// filter implements `passes` only; PP filters override `eval_batch` with
+/// columnar block scoring (`pp-core`).
+pub trait RowFilter: Send + Sync {
     /// Display name (e.g. `PP[t = SUV]@0.95`).
     fn name(&self) -> &str;
     /// Simulated cluster seconds charged per input row (the `c` of §3).
@@ -103,6 +99,21 @@ pub trait RowFilter: Send + Sync + BatchKernel<Out = bool> {
     /// failures fatal instead.
     fn fail_open(&self) -> bool {
         true
+    }
+    /// Evaluates a whole batch: one outcome per input row
+    /// (`results.len() == batch.len()`), each counting as that row's
+    /// *first attempt*. The default walks the batch through
+    /// [`passes`](Self::passes) in row order. An override must be
+    /// row-independent (row `i`'s outcome may not depend on which other
+    /// rows share the batch) and bit-identical to `passes` over the same
+    /// rows.
+    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<bool>> {
+        let schema = batch.schema();
+        batch
+            .rows()
+            .iter()
+            .map(|row| self.passes(row, schema))
+            .collect()
     }
 }
 
@@ -157,13 +168,6 @@ impl std::fmt::Debug for ClosureProcessor {
             .field("name", &self.name)
             .field("cost_per_row", &self.cost_per_row)
             .finish_non_exhaustive()
-    }
-}
-
-impl BatchKernel for ClosureProcessor {
-    type Out = ProcessedRows;
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<Self::Out>> {
-        crate::batch::for_each_row(batch, |row, schema| self.process(row, schema))
     }
 }
 
@@ -284,13 +288,6 @@ impl std::fmt::Debug for ClosureFilter {
     }
 }
 
-impl BatchKernel for ClosureFilter {
-    type Out = bool;
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<bool>> {
-        crate::batch::for_each_row(batch, |row, schema| self.passes(row, schema))
-    }
-}
-
 impl RowFilter for ClosureFilter {
     fn name(&self) -> &str {
         &self.name
@@ -365,6 +362,35 @@ mod tests {
         let s = schema();
         assert!(f.passes(&Row::new(vec![Value::Int(4)]), &s).unwrap());
         assert!(!f.passes(&Row::new(vec![Value::Int(3)]), &s).unwrap());
+    }
+
+    /// The default `eval_batch` is `passes` in row order, however the
+    /// input is cut into batches — errors included, each at its own row.
+    #[test]
+    fn default_eval_batch_equals_per_row_passes_over_ragged_batches() {
+        use crate::chunk::Chunk;
+        use crate::row::Rowset;
+        let f = ClosureFilter::new("odd-or-bust", 0.01, |row, _| match row.get(0).as_int()? {
+            n if n % 7 == 3 => Err(EngineError::Transient(format!("row {n}"))),
+            n => Ok(n % 2 == 1),
+        });
+        let s = schema();
+        let rows: Vec<Row> = (0..100).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        let per_row: Vec<String> = rows
+            .iter()
+            .map(|row| format!("{:?}", f.passes(row, &s)))
+            .collect();
+        let chunk = Chunk::from_rows(Arc::new(Rowset::new(s, rows).unwrap()));
+        for size in [1, 3, 7, 64, 100, 256] {
+            let mut batched = Vec::new();
+            for start in (0..chunk.len()).step_by(size) {
+                let rows = start..(start + size).min(chunk.len());
+                let out = f.eval_batch(&Batch::new(&chunk, rows.clone(), start));
+                assert_eq!(out.len(), rows.len(), "batch size {size}");
+                batched.extend(out.iter().map(|r| format!("{r:?}")));
+            }
+            assert_eq!(batched, per_row, "batch size {size}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct QueryRequest {
     /// Optional worker-thread override for this query's executor (the
     /// server default is serial).
     pub parallelism: Option<usize>,
-    /// Optional rows-per-batch override for batch-capable UDFs.
+    /// Optional rows-per-batch override.
     pub batch_size: Option<usize>,
     /// Optional rows-per-morsel override for the work-stealing scheduler.
     pub morsel_size: Option<usize>,
@@ -93,23 +93,25 @@ impl QueryRequest {
         self
     }
 
-    /// Overrides executor worker threads for this query (morsels are fed
+    /// Asks for executor worker threads for this query (morsels are fed
     /// to a work-stealing pool; results are byte-identical at any
-    /// setting).
+    /// setting). Like the two knobs below it is passed on as given: the
+    /// engine clamps all three to at least 1 and caps the threads at what
+    /// the machine has.
     pub fn with_parallelism(mut self, k: usize) -> Self {
-        self.parallelism = Some(k.max(1));
+        self.parallelism = Some(k);
         self
     }
 
-    /// Overrides rows-per-batch handed to batch-capable UDFs.
+    /// Overrides rows per batch (what one probe step evaluates).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.batch_size = Some(rows.max(1));
+        self.batch_size = Some(rows);
         self
     }
 
     /// Overrides rows-per-morsel claimed by scheduler workers.
     pub fn with_morsel_size(mut self, rows: usize) -> Self {
-        self.morsel_size = Some(rows.max(1));
+        self.morsel_size = Some(rows);
         self
     }
 

@@ -54,9 +54,9 @@
 //! |-------|----------|
 //! | source | length-prefixed UTF-8 |
 //! | predicate | tagged tree, depth ≤ [`MAX_PREDICATE_DEPTH`] |
-//! | accuracy target | `f64` bits |
+//! | accuracy target | `f64` bits; the decoder refuses NaN and anything outside `(0, 1]` |
 //! | deadline (ms) | option flag + `u64` |
-//! | parallelism, batch size, morsel size | option flag + `u32`, each |
+//! | parallelism, batch size, morsel size | option flag + `u32`, each; requests, not reservations — the engine clamps each to ≥ 1 and caps threads at the machine's |
 //! | *reserved* | one byte: the encoder writes `0`; the decoder accepts `0`–`2` and ignores the value (`PPW1` clients sent a batch-mode selector here, which no longer selects anything) |
 //! | shared | one byte, non-zero = shared-scan window |
 //!
@@ -162,7 +162,8 @@ pub struct WireRequest {
     pub source: String,
     /// The WHERE predicate.
     pub predicate: Predicate,
-    /// Accuracy target `a` in `(0, 1]`.
+    /// Accuracy target `a` in `(0, 1]`; a Request frame carrying anything
+    /// else (NaN included) decodes to [`WireError::Malformed`].
     pub accuracy_target: f64,
     /// Optional deadline in milliseconds, measured from admission.
     pub deadline_ms: Option<u64>,
@@ -667,6 +668,12 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let source = get_string(cur)?;
             let predicate = get_predicate(cur, 0)?;
             let accuracy_target = cur.f64()?;
+            // NaN fails the comparison too.
+            if !(accuracy_target > 0.0 && accuracy_target <= 1.0) {
+                return Err(WireError::Malformed(format!(
+                    "accuracy target {accuracy_target} outside (0, 1]"
+                )));
+            }
             let deadline_ms = get_option_u64(cur)?;
             let parallelism = get_option_u32(cur)?;
             let batch_size = get_option_u32(cur)?;

@@ -77,8 +77,10 @@ fn main() {
         .with_parallelism(4)
         .build();
     let out = flaky.run(&plan).expect("recovered run");
-    let report = flaky.report();
-    let udf = report.op("Process[VehTypeClassifier]").expect("udf stats");
+    let snapshot = flaky.telemetry().expect("telemetry snapshot");
+    let udf = snapshot
+        .span("Process[VehTypeClassifier]")
+        .expect("udf span");
     println!(
         "20% transient UDF faults:  {:4} rows, {:7.1}s cluster time  ({} failures, {} retries, identical: {})",
         out.len(),
@@ -92,10 +94,11 @@ fn main() {
     let mut healthy = ExecutionContext::new(&catalog);
     let out = healthy.run(&optimized.plan).expect("pp run");
     let pp_op = healthy
-        .report()
-        .ops
+        .telemetry()
+        .expect("telemetry snapshot")
+        .spans
         .iter()
-        .find(|o| o.op.contains("PP["))
+        .find(|s| s.op.contains("PP["))
         .expect("pp op")
         .op
         .clone();
@@ -114,8 +117,8 @@ fn main() {
         .with_fault_plan(FaultPlan::new(0x0BAD).inject(&pp_op, FaultSpec::transient(1.0)))
         .build();
     let out = broken.run(&optimized.plan).expect("fail-open run");
-    let report = broken.report();
-    let pp = report.op(&pp_op).expect("pp stats");
+    let snapshot = broken.telemetry().expect("telemetry snapshot");
+    let pp = snapshot.span(&pp_op).expect("pp span");
     println!(
         "hard-failed PP:            {:4} rows, {:7.1}s cluster time  (breaker tripped: {}, short-circuited: {}, matches NoP: {})",
         out.len(),

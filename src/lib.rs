@@ -53,7 +53,7 @@ pub mod prelude {
     pub use pp_core::wrangle::Domains;
     pub use pp_core::{CatalogEpoch, PpCatalog, VersionedPpCatalog};
     pub use pp_data::traffic::{TrafficConfig, TrafficDataset};
-    pub use pp_engine::batch::{Batch, BatchKernel, FeatureColumn};
+    pub use pp_engine::batch::{Batch, FeatureColumn};
     pub use pp_engine::cancel::{CancelReason, CancelToken};
     pub use pp_engine::cost::{CostMeter, CostModel, QueryMetrics};
     pub use pp_engine::exec::{ExecutionContext, ExecutionContextBuilder};
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use pp_engine::fault::{FaultPlan, FaultSpec};
     pub use pp_engine::logical::{LogicalPlan, OpParallelism};
     pub use pp_engine::predicate::{Clause, CompareOp, Predicate};
-    pub use pp_engine::resilience::{ExecReport, ResilienceConfig, RetryPolicy};
+    pub use pp_engine::resilience::{ResilienceConfig, RetryPolicy};
     pub use pp_engine::row::{Row, Rowset};
     pub use pp_engine::schema::{Column, DataType, Schema};
     pub use pp_engine::telemetry::{

@@ -6,9 +6,10 @@
 //! injected faults.
 //!
 //! The invariant is anchored twice. At the kernel: every built-in
-//! `BatchKernel`'s `eval_batch` over a multi-row batch equals the
-//! scalar per-row path (`RowFilter::passes` / `Processor::process`),
-//! which is what production retries run. At the engine: every
+//! filter's `RowFilter::eval_batch` over a multi-row batch equals the
+//! scalar per-row path (`RowFilter::passes`), which is what production
+//! retries run (a `Processor` is scalar and has no other path). At the
+//! engine: every
 //! (K, batch, morsel) shape equals the `K=1, batch=1` run, where each
 //! batch is one row.
 //!
@@ -24,9 +25,9 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
-use probabilistic_predicates::engine::udf::{ClosureFilter, Processor, RowFilter};
+use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
-    memoize_plan, Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig,
+    Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig,
     RetryPolicy, Row, Rowset, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
@@ -89,10 +90,11 @@ fn fixture() -> &'static Fixture {
         let mut ctx = ExecutionContext::new(&catalog);
         ctx.run(&optimized.plan).expect("pp plan executes");
         let pp_op = ctx
-            .report()
-            .ops
+            .telemetry()
+            .expect("snapshot after run")
+            .spans
             .iter()
-            .find(|o| o.op.contains("PP["))
+            .find(|s| s.op.contains("PP["))
             .expect("PP filter op present")
             .op
             .clone();
@@ -123,9 +125,9 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
 }
 
 /// The engine-level gate: every (K, batch, morsel) shape is
-/// byte-identical — results, charges, telemetry snapshot, resilience
-/// report — to the `K=1, batch=1` reference, clean and under seeded
-/// faults (faults key off row identity, so retries and fail-opens land
+/// byte-identical — results, charges, telemetry snapshot (every span
+/// counter included) — to the `K=1, batch=1` reference, clean and under
+/// seeded faults (faults key off row identity, so retries and fail-opens land
 /// on the same rows at any shape).
 #[test]
 fn every_shape_matches_the_scalar_reference() {
@@ -151,23 +153,24 @@ fn every_shape_matches_the_scalar_reference() {
             }
             let mut ctx = builder.build();
             let out = ctx.run(&f.pp_plan).expect("run");
-            (observe(&ctx, &out), ctx.report())
+            let snap = ctx.telemetry().expect("snapshot after run");
+            let failures: u64 = snap.spans.iter().map(|s| s.failures).sum();
+            (observe(&ctx, &out), failures)
         };
-        let (base, base_report) = run(1, 1, 1024);
+        let (base, base_failures) = run(1, 1, 1024);
         assert_eq!(
-            base_report.total_failures() > 0,
+            base_failures > 0,
             faulted,
             "faults fire exactly when injected"
         );
         for k in [1usize, 4] {
             for batch in [1usize, 64] {
                 for morsel in [16usize, 100, 1024] {
-                    let (got, report) = run(k, batch, morsel);
+                    let (got, _) = run(k, batch, morsel);
                     let shape = format!("faulted={faulted} K={k} batch={batch} morsel={morsel}");
                     assert_eq!(got.0, base.0, "{shape}: rows diverged");
                     assert_eq!(got.1, base.1, "{shape}: charges diverged");
                     assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
-                    assert_eq!(report, base_report, "{shape}: resilience report diverged");
                 }
             }
         }
@@ -180,7 +183,7 @@ fn every_shape_matches_the_scalar_reference() {
 /// over several runs of one context (breakers persist between runs), and
 /// every shape must still equal the `K=1, batch=1` reference, where every
 /// batch is one row: rows or the terminal error, charges, telemetry
-/// snapshot, resilience report.
+/// snapshot.
 #[test]
 fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     use probabilistic_predicates::engine::telemetry::EventKind;
@@ -289,15 +292,19 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
                 snap.zero_wall_clock();
                 seen.push((rows, format!("{:?}", ctx.meter().entries()), snap));
             }
-            (seen, ctx.report())
+            seen
         };
-        let (base, base_report) = run(1, 1, 1024);
+        let base = run(1, 1, 1024);
 
-        let op = base_report
-            .ops
+        // The faulted operator's span, one per run.
+        let ops: Vec<&OperatorSpan> = base
             .iter()
-            .find(|o| o.op.contains(faulted))
-            .expect("faulted operator ran");
+            .map(|(_, _, snap)| {
+                let span = snap.spans.iter().find(|s| s.op.contains(faulted));
+                span.expect("faulted operator ran")
+            })
+            .collect();
+        let (op, short_circuited) = (ops[0], ops.iter().map(|s| s.short_circuited).sum::<u64>());
         match expect {
             Expect::MixedBatches { fail_open } => {
                 let retried: Vec<u64> = base[0]
@@ -315,12 +322,15 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             }
             Expect::TripThenShortCircuit => {
                 assert!(op.breaker_tripped, "{label}");
-                assert!(op.calls > 64 && op.short_circuited > 400, "{label}: {op:?}");
+                assert!(
+                    op.attempts > 64 && short_circuited > 400,
+                    "{label}: {ops:?}"
+                );
             }
             Expect::TripThenError => {
                 assert!(
-                    op.breaker_tripped && op.short_circuited == 1,
-                    "{label}: {op:?}"
+                    op.breaker_tripped && short_circuited == 1,
+                    "{label}: {ops:?}"
                 );
                 assert!(base.iter().all(|(rows, ..)| rows.starts_with("error")));
             }
@@ -329,21 +339,22 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         for k in [1usize, 2, 4] {
             for batch in [1usize, 7, 64, 256] {
                 for morsel in [64usize, 100, 1024] {
-                    let (got, report) = run(k, batch, morsel);
+                    let got = run(k, batch, morsel);
                     let shape = format!("{label}: K={k} batch={batch} morsel={morsel}");
                     assert_eq!(got, base, "{shape}: rows, charges or telemetry diverged");
-                    assert_eq!(report, base_report, "{shape}: resilience report diverged");
                 }
             }
         }
     }
 }
 
-/// The kernel-level gate: for every built-in [`BatchKernel`] — the PP
-/// filter over each model family and reducer, the closure filter and
-/// processor, the memo shim and the fault shims — `eval_batch` over a
-/// multi-row batch equals the scalar `passes`/`process` row by row,
-/// errors included. The batches are a dense column (scored off the
+/// The kernel-level gate: for every built-in [`RowFilter`] — the PP
+/// filter over each model family and reducer (the one `eval_batch`
+/// override), the closure filter, and the fault shim around each —
+/// `eval_batch` over a multi-row batch equals the scalar `passes` row by
+/// row, errors included. (A `Processor` is scalar: the executor's probe
+/// and its retries are the same `process` call, so there is no second
+/// path to compare.) The batches are a dense column (scored off the
 /// gathered block), the same column with one cell stored sparse (the
 /// `Refs` fallback: nothing is densified), and one with a non-blob cell
 /// (a per-row error).
@@ -410,7 +421,6 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
         let planned = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95).expect("plan");
         filters.push(Arc::new(planned.into_filter("frame")));
     }
-    let udf = f.dataset.udf("vehType").expect("vehType UDF");
     let faults = |name: &str| {
         FaultPlan::new(0xFA17).inject(name, FaultSpec::transient(0.3).with_timeouts(0.1, 2.0))
     };
@@ -421,17 +431,6 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
         match plan {
             LogicalPlan::Filter { filter, .. } => filters.push(filter),
             other => panic!("expected a filter plan, got {other:?}"),
-        }
-    }
-    let udf_plan = LogicalPlan::scan("traffic").process(Arc::clone(&udf));
-    let mut processors: Vec<Arc<dyn Processor>> = vec![udf];
-    for plan in [
-        memoize_plan(&udf_plan, &Arc::new(UdfMemo::new(schema.len()))),
-        faults("VehTypeClassifier").apply(&udf_plan),
-    ] {
-        match plan {
-            LogicalPlan::Process { processor, .. } => processors.push(processor),
-            other => panic!("expected a process plan, got {other:?}"),
         }
     }
 
@@ -447,15 +446,6 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
                 format!("{scalar:?}"),
                 "{} over the {label} batch",
                 filter.name()
-            );
-        }
-        for processor in &processors {
-            let scalar: Vec<_> = rows.iter().map(|r| processor.process(r, &schema)).collect();
-            assert_eq!(
-                format!("{:?}", processor.eval_batch(&batch)),
-                format!("{scalar:?}"),
-                "{} over the {label} batch",
-                processor.name()
             );
         }
     }

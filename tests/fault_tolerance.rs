@@ -9,10 +9,11 @@
 //!     results; the runtime monitor then quarantines the PP so replanning
 //!     excludes it,
 //! (c) the whole fault harness is deterministic: the same seed reproduces
-//!     identical outputs, identical resilience reports, and identical
+//!     identical outputs, identical operator spans, and identical
 //!     cost-meter charges,
 //! (d) a `Scan → Filter` stream that stops early charges each of the two
-//!     for what it consumed, identically at every parallelism.
+//!     for what it consumed, identically at every parallelism,
+//! (e) a group operator's timeouts are counted like a row operator's.
 
 use std::sync::OnceLock;
 
@@ -23,9 +24,9 @@ use probabilistic_predicates::core::{QuarantineReason, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
-use probabilistic_predicates::engine::resilience::ExecReport;
 use probabilistic_predicates::engine::{
-    Catalog, CostMeter, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig, RetryPolicy, Rowset,
+    Catalog, CostMeter, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig,
+    RetryPolicy, Rowset,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -84,10 +85,11 @@ fn fixture() -> &'static Fixture {
         let mut ctx = ExecutionContext::new(&catalog);
         ctx.run(&optimized.plan).expect("pp plan executes");
         let pp_op = ctx
-            .report()
-            .ops
+            .telemetry()
+            .expect("snapshot")
+            .spans
             .iter()
-            .find(|o| o.op.contains("PP["))
+            .find(|s| s.op.contains("PP["))
             .expect("PP filter op present")
             .op
             .clone();
@@ -127,7 +129,11 @@ fn run_plain(plan: &LogicalPlan) -> (Rowset, CostMeter) {
     (out, meter)
 }
 
-fn run_resilient(plan: &LogicalPlan, config: ResilienceConfig) -> (Rowset, CostMeter, ExecReport) {
+/// The run's output, charges, and spans (wall clock scrubbed).
+fn run_resilient(
+    plan: &LogicalPlan,
+    config: ResilienceConfig,
+) -> (Rowset, CostMeter, Vec<OperatorSpan>) {
     let f = fixture();
     let mut ctx = ExecutionContext::builder(&f.catalog)
         .with_resilience(config)
@@ -135,8 +141,16 @@ fn run_resilient(plan: &LogicalPlan, config: ResilienceConfig) -> (Rowset, CostM
         .build();
     let out = ctx.run(plan).expect("resilient execute");
     let meter = ctx.meter().clone();
-    let report = ctx.report();
-    (out, meter, report)
+    let mut snap = ctx.telemetry().expect("snapshot").clone();
+    snap.zero_wall_clock();
+    (out, meter, snap.spans)
+}
+
+fn span<'a>(spans: &'a [OperatorSpan], op: &str) -> &'a OperatorSpan {
+    spans
+        .iter()
+        .find(|s| s.op == op)
+        .unwrap_or_else(|| panic!("no span for {op}"))
 }
 
 /// (a) 20% transient failures on the vehicle-type UDF, recovered by
@@ -154,22 +168,30 @@ fn transient_udf_failures_recover_to_identical_results() {
         max_retries: 8,
         ..Default::default()
     });
-    let (out, meter, report) = run_resilient(&faulted, config);
+    let (out, meter, spans) = run_resilient(&faulted, config);
 
     assert_eq!(
         digest(&out),
         digest(&baseline),
         "results must be byte-identical"
     );
-    let udf = report
-        .op("Process[VehTypeClassifier]")
-        .expect("UDF op tracked");
+    let udf = span(&spans, "Process[VehTypeClassifier]");
     assert!(udf.failures > 0, "fault injection must have fired: {udf:?}");
     assert_eq!(
         udf.retries, udf.failures,
         "every transient failure is retried"
     );
-    assert!(udf.extra_seconds > 0.0, "backoff must be charged");
+    // A clean run charges rows × cost_per_row and nothing else.
+    let base = base_meter
+        .entries()
+        .iter()
+        .find(|e| e.op == udf.op)
+        .expect("baseline UDF charge");
+    let cost_per_row = base.seconds / base.rows_in as f64;
+    assert!(
+        udf.seconds - udf.attempts as f64 * cost_per_row > 0.0,
+        "backoff must be charged"
+    );
     assert!(
         meter.cluster_seconds() > base_meter.cluster_seconds(),
         "retries cost cluster time: {} vs {}",
@@ -199,16 +221,15 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
         .with_parallelism(4)
         .build();
     let out = ctx.run(&faulted).expect("resilient execute");
-    let report = ctx.report();
 
     assert_eq!(
         digest(&out),
         digest(&nop_out),
         "fail-open PP must reproduce the NoP plan's results exactly"
     );
-    let pp = report.op(&f.pp_op).expect("PP op tracked");
+    let pp = span(&ctx.telemetry().expect("snapshot").spans, &f.pp_op);
     assert!(pp.breaker_tripped, "breaker must trip: {pp:?}");
-    assert_eq!(pp.calls, 3, "breaker threshold bounds the attempts");
+    assert_eq!(pp.attempts, 3, "breaker threshold bounds the attempts");
     assert!(pp.short_circuited > 0, "remaining rows skip the broken PP");
     assert_eq!(
         pp.failed_open,
@@ -265,7 +286,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     assert!(restored.report.chosen.is_some());
 }
 
-/// (c) Same seed ⇒ identical outputs, identical resilience reports, and
+/// (c) Same seed ⇒ identical outputs, identical operator spans, and
 /// identical cost-meter charges — the harness is fully deterministic.
 #[test]
 fn same_seed_reproduces_outputs_and_charges() {
@@ -280,19 +301,22 @@ fn same_seed_reproduces_outputs_and_charges() {
             max_retries: 8,
             ..Default::default()
         });
-        let (out, meter, report) = run_resilient(&faulted, config);
-        (digest(&out), out.len(), meter, report)
+        let (out, meter, spans) = run_resilient(&faulted, config);
+        (digest(&out), out.len(), meter, spans)
     };
-    let (out_a, len_a, meter_a, report_a) = run(0x5EED);
-    let (out_b, _, meter_b, report_b) = run(0x5EED);
+    let (out_a, len_a, meter_a, spans_a) = run(0x5EED);
+    let (out_b, _, meter_b, spans_b) = run(0x5EED);
     assert_eq!(out_a, out_b, "outputs must be identical for the same seed");
-    assert_eq!(report_a, report_b, "resilience reports must be identical");
+    assert_eq!(spans_a, spans_b, "operator spans must be identical");
     assert_eq!(
         meter_a.entries(),
         meter_b.entries(),
         "charges must be identical"
     );
-    assert!(report_a.total_failures() > 0, "faults must actually fire");
+    assert!(
+        spans_a.iter().map(|s| s.failures).sum::<u64>() > 0,
+        "faults must actually fire"
+    );
 
     // Fault recovery is also *safe*: UDF faults are fully recovered, and PP
     // faults only fail open (the PP's own false negatives may reappear), so
@@ -444,4 +468,74 @@ fn an_early_stop_charges_each_operator_for_what_it_consumed() {
     assert_eq!(store, [3, 96, 32]);
     assert_eq!(cancelled(4), (err, charges, snap, store), "K = 4 diverged");
     std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+}
+
+/// (e) A group operator's recovery is counted like a row operator's: a
+/// reducer that stalls once on its first group and then succeeds shows
+/// the timeout in its span, as a `Timeout` event, and — capped at the
+/// call budget — in the seconds it is charged.
+#[test]
+fn a_group_operators_timeout_is_counted_and_charged() {
+    use probabilistic_predicates::engine::udf::ClosureReducer;
+    use probabilistic_predicates::engine::{
+        Column, DataType, EngineError, EventKind, Row, Schema, Value,
+    };
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let schema = Schema::new(vec![Column::new("cam", DataType::Int)]).expect("schema");
+    let rows = (0..10).map(|i| Row::new(vec![Value::Int(i % 2)])).collect();
+    let mut catalog = Catalog::new();
+    catalog.register("t", Rowset::new(schema, rows).expect("rowset"));
+    let stalled = AtomicBool::new(false);
+    let tracker = ClosureReducer::new(
+        "Tracker",
+        vec!["cam".into()],
+        vec![Column::new("n", DataType::Int)],
+        0.5,
+        move |group, _| {
+            if !stalled.swap(true, Ordering::Relaxed) {
+                return Err(EngineError::Timeout {
+                    op: "Tracker".into(),
+                    stalled_seconds: 50.0,
+                });
+            }
+            Ok(vec![Row::new(vec![Value::Int(group.len() as i64)])])
+        },
+    );
+    let mut ctx = ExecutionContext::builder(&catalog)
+        .with_resilience(ResilienceConfig::default().with_udf_timeout_secs(3.0))
+        .build();
+    let out = ctx
+        .run(&LogicalPlan::scan("t").reduce(Arc::new(tracker)))
+        .expect("the retry succeeds");
+    assert_eq!(out.len(), 2);
+    let snap = ctx.telemetry().expect("snapshot");
+    let reduce = snap.span("Reduce[").expect("reduce span");
+    assert_eq!(
+        (
+            reduce.attempts,
+            reduce.retries,
+            reduce.failures,
+            reduce.timeouts
+        ),
+        (3, 1, 1, 1)
+    );
+    let timeouts: Vec<_> = snap
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Timeout)
+        .collect();
+    assert_eq!(timeouts.len(), 1, "events: {:?}", snap.events);
+    assert_eq!(
+        (timeouts[0].op.as_str(), timeouts[0].count),
+        (reduce.op.as_str(), 1)
+    );
+    // 10 rows + the 5 of the retried group at 0.5 s, the stall up to its
+    // 3 s budget, and the first backoff (0.05 s).
+    assert!(
+        (reduce.seconds - (15.0 * 0.5 + 3.0 + 0.05)).abs() < 1e-9,
+        "charged {}",
+        reduce.seconds
+    );
 }

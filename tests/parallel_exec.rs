@@ -13,7 +13,7 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::{
-    Catalog, FaultPlan, FaultSpec, LogicalPlan, ResilienceConfig, RetryPolicy, Rowset,
+    Catalog, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig, RetryPolicy, Rowset,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -67,11 +67,9 @@ fn fixture() -> &'static Fixture {
         assert!(optimized.report.chosen.is_some(), "Q1 must get a PP");
         let mut ctx = ExecutionContext::new(&catalog);
         ctx.run(&optimized.plan).expect("pp plan executes");
-        let pp_op = ctx
-            .report()
-            .ops
+        let pp_op = spans(&ctx)
             .iter()
-            .find(|o| o.op.contains("PP["))
+            .find(|s| s.op.contains("PP["))
             .expect("PP filter op present")
             .op
             .clone();
@@ -89,6 +87,14 @@ fn digest(out: &Rowset) -> String {
     format!("{:?}", out.rows())
 }
 
+/// The latest run's operator spans — every counter the executor keeps —
+/// with the wall clock scrubbed.
+fn spans(ctx: &ExecutionContext<'_>) -> Vec<OperatorSpan> {
+    let mut snap = ctx.telemetry().expect("snapshot").clone();
+    snap.zero_wall_clock();
+    snap.spans
+}
+
 /// (a) Every (parallelism, batch size) combination returns the same rows in
 /// the same order with the same charges as serial execution.
 #[test]
@@ -99,7 +105,7 @@ fn every_parallelism_matches_serial_exactly() {
         let baseline = serial.run(plan).expect("serial run");
         let base_digest = digest(&baseline);
         let base_meter = serial.meter().clone();
-        let base_report = serial.report();
+        let base_spans = spans(&serial);
 
         for k in [1usize, 2, 4, 8] {
             for batch in [1usize, 7, 64, 1024] {
@@ -119,9 +125,9 @@ fn every_parallelism_matches_serial_exactly() {
                     "K={k} batch={batch}: charges diverged from serial"
                 );
                 assert_eq!(
-                    ctx.report(),
-                    base_report,
-                    "K={k} batch={batch}: resilience report diverged from serial"
+                    spans(&ctx),
+                    base_spans,
+                    "K={k} batch={batch}: operator spans diverged from serial"
                 );
             }
         }
@@ -149,22 +155,22 @@ fn parallel_fault_injection_matches_serial() {
             .with_parallelism(k)
             .build();
         let out = ctx.run(&f.pp_plan).expect("faulted run");
-        (digest(&out), ctx.meter().clone(), ctx.report())
+        (digest(&out), ctx.meter().clone(), spans(&ctx))
     };
-    let (out_serial, meter_serial, report_serial) = run(1);
+    let (out_serial, meter_serial, spans_serial) = run(1);
     assert!(
-        report_serial.total_failures() > 0,
+        spans_serial.iter().map(|s| s.failures).sum::<u64>() > 0,
         "faults must actually fire"
     );
     for k in [2usize, 4, 8] {
-        let (out, meter, report) = run(k);
+        let (out, meter, spans) = run(k);
         assert_eq!(out, out_serial, "K={k}: faulted rows diverged");
         assert_eq!(
             meter.entries(),
             meter_serial.entries(),
             "K={k}: faulted charges diverged"
         );
-        assert_eq!(report, report_serial, "K={k}: fault report diverged");
+        assert_eq!(spans, spans_serial, "K={k}: faulted spans diverged");
     }
 }
 

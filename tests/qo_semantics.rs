@@ -177,10 +177,11 @@ fn fault_fixture() -> &'static FaultFixture {
         let nop_out = ctx.run(&nop_plan).expect("nop");
         let clean_out = ctx.run(&optimized.plan).expect("clean pp run");
         let pp_op = ctx
-            .report()
-            .ops
+            .telemetry()
+            .expect("snapshot")
+            .spans
             .iter()
-            .find(|o| o.op.contains("PP["))
+            .find(|s| s.op.contains("PP["))
             .expect("PP filter op")
             .op
             .clone();

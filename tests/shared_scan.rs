@@ -23,10 +23,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
-use probabilistic_predicates::engine::batch::for_each_row;
-use probabilistic_predicates::engine::{
-    Batch, BatchKernel, Column, MetricValue, ProcessedRows, Processor, Row, Schema,
-};
+use probabilistic_predicates::engine::{Column, MetricValue, Processor, Row, Schema};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -43,16 +40,6 @@ const TABLE_ROWS: u64 = 400;
 struct CountingUdf {
     inner: Arc<dyn Processor>,
     calls: Arc<AtomicU64>,
-}
-
-impl BatchKernel for CountingUdf {
-    type Out = ProcessedRows;
-    fn eval_batch(
-        &self,
-        batch: &Batch<'_>,
-    ) -> Vec<probabilistic_predicates::engine::Result<ProcessedRows>> {
-        for_each_row(batch, |row, schema| self.process(row, schema))
-    }
 }
 
 impl Processor for CountingUdf {

@@ -114,6 +114,12 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
     )
 }
 
+/// Failed UDF attempts of the latest run, all operators together.
+fn failures(ctx: &ExecutionContext) -> u64 {
+    let snap = ctx.telemetry().expect("snapshot after run");
+    snap.spans.iter().map(|s| s.failures).sum()
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence matrix.
 // ---------------------------------------------------------------------------
@@ -166,19 +172,14 @@ fn segment_scan_matches_in_memory_under_seeded_faults() {
             .with_batch_size(batch)
             .build();
         let out = ctx.run(&f.q1_plan).expect("faulted run");
-        let obs = observe(&ctx, &out);
-        (obs, ctx.report())
+        (observe(&ctx, &out), failures(&ctx))
     };
-    let (base, base_report) = run(&f.mem_catalog, 1, 1);
-    assert!(base_report.total_failures() > 0, "faults must fire");
+    let (base, base_failures) = run(&f.mem_catalog, 1, 1);
+    assert!(base_failures > 0, "faults must fire");
     for (shards, catalog) in &f.shard_catalogs {
         for k in [1usize, 4] {
-            let (got, report) = run(catalog, k, 256);
+            let (got, _) = run(catalog, k, 256);
             assert_eq!(got, base, "shards={shards} K={k}: diverged");
-            assert_eq!(
-                report, base_report,
-                "shards={shards} K={k}: fault report diverged"
-            );
         }
     }
 }
@@ -331,17 +332,20 @@ fn unpruned_scan_is_identical_across_table_sources() {
             let out = ctx.run(&plan).expect("pipeline run");
             assert!(!out.is_empty());
             let (_, charges, telemetry) = observe(&ctx, &out);
-            (digest_bits(&out), charges, telemetry, ctx.report())
+            let pp = ctx.telemetry().expect("snapshot").span(&pp_op);
+            let failed_open = pp.expect("PP span").failed_open;
+            (
+                digest_bits(&out),
+                charges,
+                telemetry,
+                (failures(&ctx), failed_open),
+            )
         };
         let base = run(&f.mem_catalog, 1, 1);
-        assert_eq!(
-            base.3.total_failures() > 0,
-            faulted,
-            "faults fire when injected"
-        );
+        let (base_failures, failed_open) = base.3;
+        assert_eq!(base_failures > 0, faulted, "faults fire when injected");
         if faulted {
-            let pp = base.3.op(&pp_op).expect("PP tracked");
-            assert!(pp.failed_open > 0, "poisoned rows fail open: {pp:?}");
+            assert!(failed_open > 0, "poisoned rows fail open");
         }
         for (label, catalog) in &sources {
             for k in [1usize, 2, 4] {
@@ -350,7 +354,6 @@ fn unpruned_scan_is_identical_across_table_sources() {
                 assert_eq!(got.0, base.0, "{shape}: rows diverged");
                 assert_eq!(got.1, base.1, "{shape}: charges diverged");
                 assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
-                assert_eq!(got.3, base.3, "{shape}: resilience report diverged");
             }
         }
     }
@@ -441,20 +444,15 @@ fn an_irregular_blob_group_decodes_to_cells_and_fails_like_the_row_path() {
             };
             let mut snap = ctx.telemetry().expect("snapshot").clone();
             snap.zero_wall_clock();
-            (
-                rows,
-                format!("{:?}", ctx.meter().entries()),
-                snap,
-                ctx.report(),
-            )
+            (rows, format!("{:?}", ctx.meter().entries()), snap)
         };
         let base = run(ExecutionContext::builder(&mem).with_batch_size(1));
-        let pp = base.3.op(&pp_op).expect("PP tracked");
+        let pp = base.2.span(&pp_op).expect("filter span");
         if fail_open {
             assert_eq!(pp.failed_open, 2, "the Null and the Int row pass: {pp:?}");
         } else {
             assert!(base.0.starts_with("error"), "{}", base.0);
-            assert_eq!(base.2.span(&pp_op).expect("filter span").attempts, 13);
+            assert_eq!(pp.attempts, 13);
         }
         for k in [1usize, 4] {
             let got = run(ExecutionContext::builder(&disk).with_parallelism(k));

@@ -362,6 +362,24 @@ fn oversized_bad_magic_unknown_type_and_trailing_bytes_are_rejected() {
         read_frame(&mut Cursor::new(&padded)),
         Err(WireError::Malformed(_))
     ));
+
+    // An accuracy target that is not one: NaN, or outside `(0, 1]`.
+    let with_target = |a: f64| {
+        let request = WireRequest::new("t", Predicate::False, a);
+        read_frame(&mut Cursor::new(encode_frame(&Frame::Request(request))))
+    };
+    for not_a_target in [f64::NAN, -1.0, 0.0, 7.0] {
+        assert!(
+            matches!(with_target(not_a_target), Err(WireError::Malformed(_))),
+            "accuracy target {not_a_target}"
+        );
+    }
+    for target in [f64::MIN_POSITIVE, 1.0] {
+        assert!(
+            matches!(with_target(target), Ok(Some(Frame::Request(_)))),
+            "accuracy target {target}"
+        );
+    }
 }
 
 /// The request's reserved byte (second to last; `PPW1` clients sent a
@@ -499,6 +517,66 @@ fn serve_connection_streams_solo_and_shared_results() {
             assert!(detail.contains("nope"), "detail: {detail}");
         }
         other => panic!("expected error outcome, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A frame may ask for threads; the machine decides how many. A request
+/// for four billion workers over one-row morsels is answered with the rows
+/// of the `K = 1` run, and no fan-out it caused spawned more threads than
+/// the machine has (at most one fan-out per operator: the table is one
+/// wave).
+#[test]
+fn a_frame_asking_for_four_billion_threads_gets_the_machines() {
+    let mut server = tiny_server();
+    let serve = |req: WireRequest| {
+        let mut inbox = Vec::new();
+        write_frame(&mut inbox, &Frame::Request(req)).unwrap();
+        let mut outbox = Vec::new();
+        serve_connection(&server, Cursor::new(inbox), &mut outbox).unwrap();
+        match read_response(&mut Cursor::new(&outbox[..]))
+            .unwrap()
+            .outcome
+        {
+            WireOutcome::Complete { rows, .. } => format!("{rows:?}"),
+            other => panic!("expected completion, got {other:?}"),
+        }
+    };
+    let spawned = || {
+        server
+            .metrics()
+            .counter("worker.threads_spawned_total")
+            .get()
+    };
+    let operators = {
+        let run = server
+            .submit(tag_request(false).to_query_request())
+            .unwrap()
+            .wait();
+        let success = run.outcome.success().expect("completes");
+        success.telemetry.spans.len() as u64
+    };
+
+    let mut serial = tag_request(false);
+    serial.parallelism = Some(1);
+    let expected = serve(serial);
+    assert_eq!(spawned(), 0, "K = 1 runs on the calling thread");
+
+    let mut hostile = tag_request(false);
+    hostile.parallelism = Some(4_000_000_000);
+    hostile.morsel_size = Some(1);
+    assert_eq!(serve(hostile), expected, "rows diverged from the K = 1 run");
+    let machine = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+    assert!(
+        spawned() <= operators * machine,
+        "{} threads for {operators} operators on {machine} hardware threads",
+        spawned()
+    );
+    if machine > 1 {
+        assert!(
+            spawned() > 0,
+            "the fan-out was asked for and did not happen"
+        );
     }
     server.shutdown();
 }
