@@ -268,7 +268,10 @@ mod tests {
             "VehType",
             vec![Column::new("vehType", DataType::Str)],
             5.0,
-            |_, _| Ok(vec![Value::str("SUV")]),
+            |_, _, out| {
+                out.push(Value::str("SUV"));
+                Ok(())
+            },
         ))
     }
 
@@ -412,7 +415,10 @@ mod tests {
                 "Color",
                 vec![Column::new("vehColor", DataType::Str)],
                 7.5,
-                |_, _| Ok(vec![Value::str("red")]),
+                |_, _, out| {
+                    out.push(Value::str("red"));
+                    Ok(())
+                },
             )))
             .select(Predicate::from(Clause::new(
                 "vehType",

@@ -538,13 +538,14 @@ mod tests {
             "VehType",
             vec![Column::new("vehType", DataType::Str)],
             5.0,
-            |row, schema| {
+            |row, schema, out| {
                 let blob = row.get_named(schema, "frame")?.as_blob()?;
-                Ok(vec![Value::str(if blob.to_dense()[0] > 0.0 {
+                out.push(Value::str(if blob.to_dense()[0] > 0.0 {
                     "SUV"
                 } else {
                     "sedan"
-                })])
+                }));
+                Ok(())
             },
         ));
         let plan = LogicalPlan::scan("video")
@@ -645,7 +646,10 @@ mod tests {
             "Cheap",
             vec![Column::new("vehType", DataType::Str)],
             1e-6,
-            |_, _| Ok(vec![Value::str("SUV")]),
+            |_, _, out| {
+                out.push(Value::str("SUV"));
+                Ok(())
+            },
         ));
         let plan = LogicalPlan::scan("video")
             .process(udf)

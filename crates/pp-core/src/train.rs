@@ -234,10 +234,11 @@ mod tests {
             "VehType",
             vec![Column::new("vehType", DataType::Str)],
             5.0,
-            |row, schema| {
+            |row, schema, out| {
                 let blob = row.get_named(schema, "frame")?.as_blob()?;
                 let v = blob.to_dense();
-                Ok(vec![Value::str(if v[0] > 0.0 { "SUV" } else { "sedan" })])
+                out.push(Value::str(if v[0] > 0.0 { "SUV" } else { "sedan" }));
+                Ok(())
             },
         ));
         let plan = LogicalPlan::scan("video").process(udf);
@@ -266,13 +267,12 @@ mod tests {
             "Detector",
             vec![Column::new("vehType", DataType::Str)],
             5.0,
-            |row: &Row, schema: &Schema| {
+            |row, schema, out| {
                 let blob = row.get_named(schema, "frame")?.as_blob()?;
                 if blob.to_dense()[0] > 0.0 {
-                    Ok(vec![vec![Value::str("SUV")]])
-                } else {
-                    Ok(vec![])
+                    out.push(Value::str("SUV"));
                 }
+                Ok(())
             },
         ));
         let plan = LogicalPlan::scan("video").process(detector);

@@ -257,6 +257,22 @@ impl TrafficDataset {
     /// (`vehType`, `vehColor`, `speed`, `fromI`, `toI`).
     pub fn udf(&self, column: &str) -> Option<Arc<dyn Processor>> {
         type TruthGetter = Box<dyn Fn(&FrameTruth) -> Value + Send + Sync>;
+        // A categorical is one of a handful of strings: build each once
+        // and hand out clones, a reference-count bump instead of a string
+        // allocation per row.
+        fn interned(
+            domain: &'static [&'static str],
+            pick: fn(&FrameTruth) -> &'static str,
+        ) -> TruthGetter {
+            let values: Vec<Value> = domain.iter().map(Value::str).collect();
+            Box::new(move |t| {
+                let label = pick(t);
+                match domain.iter().position(|d| *d == label) {
+                    Some(i) => values[i].clone(),
+                    None => Value::str(label),
+                }
+            })
+        }
         let truths = self.truths.clone();
         let costs = self.config.udf_costs;
         let (name, dtype, cost, get): (&str, DataType, f64, TruthGetter) = match column {
@@ -264,13 +280,13 @@ impl TrafficDataset {
                 "VehTypeClassifier",
                 DataType::Str,
                 costs.veh_type,
-                Box::new(|t: &FrameTruth| Value::str(t.veh_type)),
+                interned(&VEH_TYPES, |t| t.veh_type),
             ),
             "vehColor" => (
                 "VehColorClassifier",
                 DataType::Str,
                 costs.color,
-                Box::new(|t: &FrameTruth| Value::str(t.color)),
+                interned(&VEH_COLORS, |t| t.color),
             ),
             "speed" => (
                 "SpeedEstimator",
@@ -282,13 +298,13 @@ impl TrafficDataset {
                 "EntryTracker",
                 DataType::Str,
                 costs.from,
-                Box::new(|t: &FrameTruth| Value::str(t.from)),
+                interned(&INTERSECTIONS, |t| t.from),
             ),
             "toI" => (
                 "ExitTracker",
                 DataType::Str,
                 costs.to,
-                Box::new(|t: &FrameTruth| Value::str(t.to)),
+                interned(&INTERSECTIONS, |t| t.to),
             ),
             _ => return None,
         };
@@ -297,12 +313,13 @@ impl TrafficDataset {
             name,
             vec![out_col],
             cost,
-            move |row, schema| {
+            move |row, schema, out| {
                 let frame = row.get_named(schema, "frameID")?.as_int()? as usize;
                 let truth = truths.get(frame).ok_or_else(|| {
                     pp_engine::EngineError::Udf(format!("frame {frame} out of range"))
                 })?;
-                Ok(vec![get(truth)])
+                out.push(get(truth));
+                Ok(())
             },
         )))
     }

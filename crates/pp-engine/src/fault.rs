@@ -425,7 +425,7 @@ impl Processor for FaultyProcessor {
     fn cost_per_row(&self) -> f64 {
         self.inner.cost_per_row()
     }
-    fn process(&self, row: &Row, schema: &Schema) -> Result<Vec<Vec<Value>>> {
+    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
         if poisoned(&self.spec, self.seed, row) {
             self.record(row, 0, FaultKind::Poison);
             return Err(EngineError::PoisonedRow(format!(
@@ -453,27 +453,27 @@ impl Processor for FaultyProcessor {
                 self.record(row, attempt, FaultKind::Corrupt);
                 // Silent corruption: NaN out every float cell. Only output
                 // validation (ResilienceConfig::validate_outputs) catches it.
-                let mut rows = self.inner.process(row, schema)?;
-                let mut corrupted = false;
-                for cells in &mut rows {
-                    for cell in cells.iter_mut() {
+                crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
+                    let mut corrupted = false;
+                    for cell in fresh {
                         if matches!(cell, Value::Float(_)) {
                             *cell = Value::Float(f64::NAN);
                             corrupted = true;
                         }
                     }
-                }
-                if !corrupted {
+                    if corrupted {
+                        return Ok(());
+                    }
                     // No float cells to corrupt — surface a loud failure
-                    // instead so the configured rate still bites.
-                    return Err(EngineError::CorruptOutput(format!(
+                    // instead so the configured rate still bites (and
+                    // leave none of the inner call's cells behind).
+                    Err(EngineError::CorruptOutput(format!(
                         "{}: injected garbage output",
                         self.name()
-                    )));
-                }
-                Ok(rows)
+                    )))
+                })
             }
-            Drawn::None => self.inner.process(row, schema),
+            Drawn::None => self.inner.process(row, schema, out),
         }
     }
 }
@@ -587,16 +587,22 @@ mod tests {
             "P",
             vec![Column::new("y", DataType::Float)],
             1.0,
-            |row, _| Ok(vec![Value::Float(row.get(0).as_int()? as f64)]),
+            |row, _, out| {
+                out.push(Value::Float(row.get(0).as_int()? as f64));
+                Ok(())
+            },
         ))
+    }
+
+    fn cells(p: &dyn Processor, row: &Row) -> Result<Vec<Value>> {
+        crate::udf::written(p, row, &schema())
     }
 
     #[test]
     fn zero_rates_are_transparent() {
         let p = FaultyProcessor::new(passthrough(), FaultSpec::default(), 7);
-        let s = schema();
         for i in 0..50 {
-            let out = match p.process(&Row::new(vec![Value::Int(i)]), &s) {
+            let out = match cells(&p, &Row::new(vec![Value::Int(i)])) {
                 Ok(o) => o,
                 Err(e) => panic!("unexpected fault: {e}"),
             };
@@ -610,9 +616,8 @@ mod tests {
     fn transient_rate_is_roughly_respected_and_deterministic() {
         let run = || {
             let p = FaultyProcessor::new(passthrough(), FaultSpec::transient(0.3), 42);
-            let s = schema();
             (0..1000)
-                .map(|i| p.process(&Row::new(vec![Value::Int(i)]), &s).is_err())
+                .map(|i| cells(&p, &Row::new(vec![Value::Int(i)])).is_err())
                 .collect::<Vec<bool>>()
         };
         let a = run();
@@ -626,9 +631,8 @@ mod tests {
     fn different_seeds_give_different_streams() {
         let stream = |seed| {
             let p = FaultyProcessor::new(passthrough(), FaultSpec::transient(0.5), seed);
-            let s = schema();
             (0..64)
-                .map(|i| p.process(&Row::new(vec![Value::Int(i)]), &s).is_err())
+                .map(|i| cells(&p, &Row::new(vec![Value::Int(i)])).is_err())
                 .collect::<Vec<bool>>()
         };
         assert_ne!(stream(1), stream(2));
@@ -637,26 +641,44 @@ mod tests {
     #[test]
     fn poison_is_per_row_not_per_attempt() {
         let p = FaultyProcessor::new(passthrough(), FaultSpec::poison(0.5), 9);
-        let s = schema();
         let row = Row::new(vec![Value::Int(12345)]);
-        let first = p.process(&row, &s).is_err();
+        let first = cells(&p, &row).is_err();
         for _ in 0..10 {
-            assert_eq!(p.process(&row, &s).is_err(), first);
+            assert_eq!(cells(&p, &row).is_err(), first);
         }
     }
 
     #[test]
     fn corrupt_processor_emits_nan() {
         let p = FaultyProcessor::new(passthrough(), FaultSpec::corrupt(1.0), 3);
-        let s = schema();
-        let out = match p.process(&Row::new(vec![Value::Int(1)]), &s) {
+        let out = match cells(&p, &Row::new(vec![Value::Int(1)])) {
             Ok(o) => o,
             Err(e) => panic!("corruption should be silent here: {e}"),
         };
-        match out[0][0] {
+        match out[0] {
             Value::Float(f) => assert!(f.is_nan()),
             ref other => panic!("expected NaN float, got {other:?}"),
         }
+    }
+
+    /// With no float to corrupt the shim fails loudly — and the inner
+    /// call's cells, already written, do not stay behind.
+    #[test]
+    fn corrupt_processor_without_floats_fails_and_writes_nothing() {
+        let inner = Arc::new(ClosureProcessor::map(
+            "I",
+            vec![Column::new("y", DataType::Int)],
+            1.0,
+            |_, _, out| {
+                out.push(Value::Int(1));
+                Ok(())
+            },
+        ));
+        let p = FaultyProcessor::new(inner, FaultSpec::corrupt(1.0), 3);
+        let mut out = vec![Value::Int(-1)];
+        let result = p.process(&Row::new(vec![Value::Int(1)]), &schema(), &mut out);
+        assert!(matches!(result, Err(EngineError::CorruptOutput(_))));
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -674,8 +696,7 @@ mod tests {
     #[test]
     fn timeout_carries_the_stall() {
         let p = FaultyProcessor::new(passthrough(), FaultSpec::timeouts(1.0, 30.0), 3);
-        let s = schema();
-        match p.process(&Row::new(vec![Value::Int(1)]), &s) {
+        match cells(&p, &Row::new(vec![Value::Int(1)])) {
             Err(EngineError::Timeout {
                 stalled_seconds, ..
             }) => {
@@ -690,10 +711,9 @@ mod tests {
         let log = Arc::new(FaultLog::new());
         let mut p = FaultyProcessor::new(passthrough(), FaultSpec::transient(1.0), 42);
         p.log = Some(Arc::clone(&log));
-        let s = schema();
         let row = Row::new(vec![Value::Int(5)]);
-        let _ = p.process(&row, &s);
-        let _ = with_attempt_ordinal(1, || p.process(&row, &s));
+        let _ = cells(&p, &row);
+        let _ = with_attempt_ordinal(1, || cells(&p, &row));
         assert_eq!(log.len(), 2);
         let events = log.drain();
         assert!(log.is_empty());

@@ -548,7 +548,10 @@ mod tests {
             "VehType",
             vec![Column::new("vehType", DataType::Str)],
             1.0,
-            |_, _| Ok(vec![Value::str("SUV")]),
+            |_, _, out| {
+                out.push(Value::str("SUV"));
+                Ok(())
+            },
         ))
     }
 

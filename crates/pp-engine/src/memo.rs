@@ -38,9 +38,21 @@
 //! the memo's lifetime, so a pointer uniquely names a blob).
 //!
 //! Errors are never cached: a failing invocation is retried (and re-drawn
-//! by any fault shim) exactly as it would be solo.
+//! by any fault shim) exactly as it would be solo, and leaves none of its
+//! cells in the caller's buffer.
+//!
+//! ## What a hit costs
+//!
+//! An entry is the flat run of cells the call appended (how many output
+//! rows that is follows from the UDF's column count, as it does for a live
+//! call — see [`Processor::process`]). A hit hashes the row's key cells in
+//! place, finds the entry and clones its cells into the caller's buffer:
+//! no key is built and nothing is allocated, so a memoized `Process` row
+//! costs its output tuple and nothing else (`tests/alloc_budget.rs`).
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -75,7 +87,29 @@ fn cell_key(value: &Value) -> CellKey {
     }
 }
 
-type MemoKey = (Arc<str>, Box<[CellKey]>);
+/// One cached call: what it was keyed on, and the cells it appended.
+struct Entry {
+    op: Arc<str>,
+    key: Box<[CellKey]>,
+    cells: Box<[Value]>,
+}
+
+impl Entry {
+    fn is_for(&self, op: &str, key_cells: &[Value]) -> bool {
+        *self.op == *op
+            && self.key.len() == key_cells.len()
+            && self
+                .key
+                .iter()
+                .zip(key_cells)
+                .all(|(k, v)| *k == cell_key(v))
+    }
+}
+
+/// Entries by the hash of their `(op, key cells)`, which a lookup computes
+/// from the row's own cells; a bucket holds the (practically never more
+/// than one) entries sharing a hash, told apart by exact comparison.
+type Cache = HashMap<u64, Vec<Entry>>;
 
 /// Running totals for a memo's lifetime (one shared-scan window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,7 +131,9 @@ pub struct UdfMemo {
     /// base column count. See the module docs for why appended columns
     /// are excluded.
     key_prefix: usize,
-    cache: Mutex<HashMap<MemoKey, Arc<Vec<Vec<Value>>>>>,
+    cache: Mutex<Cache>,
+    /// Keys the hash of `(op, key cells)`; per memo, like a map's own.
+    hasher: RandomState,
     invoked: AtomicU64,
     hits: AtomicU64,
 }
@@ -119,6 +155,7 @@ impl UdfMemo {
         UdfMemo {
             key_prefix,
             cache: Mutex::new(HashMap::new()),
+            hasher: RandomState::new(),
             invoked: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
@@ -129,46 +166,57 @@ impl UdfMemo {
         MemoStats {
             invoked: self.invoked.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            entries: self.lock_cache().len() as u64,
+            entries: self.lock_cache().values().map(Vec::len).sum::<usize>() as u64,
         }
     }
 
     /// The cache holds only fully computed entries, so a panic elsewhere
     /// on a window worker can never leave it half-written — recover from
     /// poisoning instead of wedging every sibling query.
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<MemoKey, Arc<Vec<Vec<Value>>>>> {
+    fn lock_cache(&self) -> MutexGuard<'_, Cache> {
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn key_for(&self, op: &Arc<str>, row: &Row) -> MemoKey {
-        let cells = row.values();
-        let take = self.key_prefix.min(cells.len());
-        let key: Box<[CellKey]> = cells[..take].iter().map(cell_key).collect();
-        (Arc::clone(op), key)
-    }
-
-    /// Looks up `(op, row)`, invoking `compute` on a miss and caching the
-    /// successful result. Errors pass through uncached so retries (and
-    /// re-drawn faults) behave exactly as they would solo.
-    fn get_or_invoke(
+    /// Appends to `out` what `(op, row)` produced: the cached cells, or —
+    /// on a miss — what `compute` appends, which it hands back to be
+    /// cached. Errors pass through uncached so retries (and re-drawn
+    /// faults) behave exactly as they would solo.
+    fn replay_or_invoke(
         &self,
         op: &Arc<str>,
         row: &Row,
-        compute: impl FnOnce() -> Result<Vec<Vec<Value>>>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let key = self.key_for(op, row);
-        if let Some(cached) = self.lock_cache().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.as_ref().clone());
+        out: &mut Vec<Value>,
+        compute: impl FnOnce(&mut Vec<Value>) -> Result<Box<[Value]>>,
+    ) -> Result<()> {
+        let cells = row.values();
+        let key_cells = &cells[..self.key_prefix.min(cells.len())];
+        let mut hasher = self.hasher.build_hasher();
+        op.hash(&mut hasher);
+        for cell in key_cells {
+            cell_key(cell).hash(&mut hasher);
         }
-        let computed = compute()?;
+        let hash = hasher.finish();
+        let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, key_cells));
+        if let Some(bucket) = self.lock_cache().get(&hash) {
+            if let Some(hit) = find(bucket) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                out.extend_from_slice(&bucket[hit].cells);
+                return Ok(());
+            }
+        }
+        let cells = compute(out)?;
         self.invoked.fetch_add(1, Ordering::Relaxed);
-        let entry = self
-            .lock_cache()
-            .entry(key)
-            .or_insert_with(|| Arc::new(computed))
-            .clone();
-        Ok(entry.as_ref().clone())
+        let mut cache = self.lock_cache();
+        let bucket = cache.entry(hash).or_default();
+        // A sibling may have computed the same (pure) call meanwhile.
+        if find(bucket).is_none() {
+            bucket.push(Entry {
+                op: Arc::clone(op),
+                key: key_cells.iter().map(cell_key).collect(),
+                cells,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -210,9 +258,12 @@ impl Processor for MemoProcessor {
     fn cost_per_row(&self) -> f64 {
         self.inner.cost_per_row()
     }
-    fn process(&self, row: &Row, schema: &Schema) -> Result<Vec<Vec<Value>>> {
-        self.memo
-            .get_or_invoke(&self.op, row, || self.inner.process(row, schema))
+    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+        self.memo.replay_or_invoke(&self.op, row, out, |out| {
+            crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
+                Ok(Box::from(&*fresh))
+            })
+        })
     }
 }
 
@@ -242,12 +293,17 @@ mod tests {
             "Doubler",
             vec![Column::new("doubled", DataType::Int)],
             0.5,
-            move |row, schema| {
+            move |row, schema, out| {
                 calls.fetch_add(1, Ordering::SeqCst);
                 let v = row.get_named(schema, "id")?.as_int().unwrap_or(0);
-                Ok(vec![Value::Int(v * 2)])
+                out.push(Value::Int(v * 2));
+                Ok(())
             },
         ))
+    }
+
+    fn cells(p: &dyn Processor, row: &Row) -> Result<Vec<Value>> {
+        crate::udf::written(p, row, &schema())
     }
 
     fn schema() -> Arc<Schema> {
@@ -259,11 +315,10 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
         let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
-        let schema = schema();
         let row = Row::new(vec![Value::Int(21)]);
-        let first = shim.process(&row, &schema).unwrap();
-        let second = shim.process(&row, &schema).unwrap();
-        assert_eq!(format!("{first:?}"), "[[Int(42)]]");
+        let first = cells(&shim, &row).unwrap();
+        let second = cells(&shim, &row).unwrap();
+        assert_eq!(format!("{first:?}"), "[Int(42)]");
         assert_eq!(format!("{first:?}"), format!("{second:?}"));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         let stats = memo.stats();
@@ -275,10 +330,8 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
         let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
-        let schema = schema();
         for id in 0..4 {
-            shim.process(&Row::new(vec![Value::Int(id)]), &schema)
-                .unwrap();
+            cells(&shim, &Row::new(vec![Value::Int(id)])).unwrap();
         }
         assert_eq!(calls.load(Ordering::SeqCst), 4);
         assert_eq!(memo.stats().hits, 0);
@@ -289,12 +342,11 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
         let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
-        let schema = schema();
         // Same base cell, different appended tail: one real invocation.
         let bare = Row::new(vec![Value::Int(7)]);
         let extended = Row::new(vec![Value::Int(7), Value::str("tagged")]);
-        let a = shim.process(&bare, &schema).unwrap();
-        let b = shim.process(&extended, &schema).unwrap();
+        let a = cells(&shim, &bare).unwrap();
+        let b = cells(&shim, &extended).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
@@ -308,21 +360,25 @@ mod tests {
                 "Flaky",
                 vec![Column::new("out", DataType::Int)],
                 0.5,
-                move |_, _| {
+                // Writes, then fails: neither cached nor left behind.
+                move |_, _, out| {
+                    out.push(Value::Int(1));
                     if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
                         Err(crate::EngineError::Transient("first call fails".into()))
                     } else {
-                        Ok(vec![Value::Int(1)])
+                        Ok(())
                     }
                 },
             ))
         };
         let memo = Arc::new(UdfMemo::new(1));
         let shim = MemoProcessor::new(inner, Arc::clone(&memo));
-        let schema = schema();
-        let row = Row::new(vec![Value::Int(0)]);
-        assert!(shim.process(&row, &schema).is_err());
-        assert!(shim.process(&row, &schema).is_ok());
+        let (schema, row) = (schema(), Row::new(vec![Value::Int(0)]));
+        let mut out = Vec::new();
+        assert!(shim.process(&row, &schema, &mut out).is_err());
+        assert!(out.is_empty());
+        assert!(shim.process(&row, &schema, &mut out).is_ok());
+        assert_eq!(out.len(), 1);
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
         assert_eq!(memo.stats().invoked, 1);
     }

@@ -53,9 +53,15 @@
 //! sizes, morsel_size, batch_size)`, never of the worker count.
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
-//! attempt failed, each with the outcome of its full retry loop. The main
-//! thread then *consumes* the records sequentially in global row order
-//! (morsels reassembled by index), which replays circuit-breaker
+//! attempt failed, each with the outcome of its full retry loop. A
+//! `Process` batch's values are one flat buffer: every
+//! [`Processor::process`] call of the batch appends its cells to it (a
+//! failed attempt's are cut off again), with an output-row count only for
+//! a row that did not make exactly one, and consume builds each output
+//! tuple once, at its final width, from the input row's cells and a slice
+//! of that buffer — one allocation per output row, none per input row.
+//! The main thread then *consumes* the records sequentially in global row
+//! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
 //! exactly as a serial run would: a record with no failed row, met while
 //! the breaker is closed, in closed form (its rows only bump counters that
@@ -264,14 +270,26 @@ impl Finished {
     }
 }
 
-/// What the probe phase hands the consume phase for one batch: the
-/// first-attempt values in row order, plus — normally empty — the rows
-/// whose first attempt failed, by position in the batch, each with the
-/// outcome of its full retry loop. Row `at` of the batch is `failed`'s
-/// entry for `at` if there is one, else the next unread value.
-struct Probed<T> {
-    values: Vec<T>,
+/// What the probe phase hands the consume phase for one batch: what the
+/// clean first attempts produced, packed as the operator likes (`firsts`,
+/// which consume reads back in row order), plus — normally empty — the
+/// rows whose first attempt failed, by position in the batch, each with
+/// the outcome of its full retry loop. Row `at` of the batch is `failed`'s
+/// entry for `at` if there is one, else the next clean row of `firsts`.
+struct Probed<B, T> {
+    firsts: B,
     failed: Vec<(usize, ProbeOutcome<T>)>,
+}
+
+/// A `Process` batch's [`Probed::firsts`]: every cell the batch's calls
+/// appended, output row after output row in input-row order — a retried
+/// row's among them, where its first attempt's would have been. A row's
+/// value is how many output rows it made; `ragged` holds that count for
+/// the clean rows that did not make exactly one, by position in the batch.
+struct Appended {
+    rows: usize,
+    cells: std::vec::IntoIter<Value>,
+    ragged: std::iter::Peekable<std::vec::IntoIter<(usize, usize)>>,
 }
 
 /// A batch's record with where the batch sits in its wave: the chunk's
@@ -674,15 +692,34 @@ impl Executor<'_> {
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
         let fail_open = self.session.config().fail_open_filters && filter.fail_open();
+        let config = *self.session.config();
         self.fold_udf(
-            op,
+            &op,
             schema,
             filter.cost_per_row(),
             fail_open,
             waves,
-            |batch| filter.eval_batch(batch),
-            |row, schema| filter.passes(row, schema),
-            |chunk, at, keep, out| {
+            |batch| {
+                let firsts = filter.eval_batch(batch);
+                debug_assert_eq!(firsts.len(), batch.len());
+                let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
+                for (at, first) in firsts.into_iter().enumerate() {
+                    match first {
+                        Ok(keep) => values.push(keep),
+                        err => {
+                            let row = &batch.rows()[at];
+                            let retry = || filter.passes(row, batch.schema());
+                            failed.push((at, config.resume_probe(&op, err, retry)));
+                        }
+                    }
+                }
+                Probed {
+                    firsts: values.into_iter(),
+                    failed,
+                }
+            },
+            |verdicts, _| verdicts.next(),
+            |_, chunk, at, keep, out| {
                 if keep {
                     out.push(chunk.row(at))?;
                 }
@@ -698,18 +735,24 @@ impl Executor<'_> {
         processor: &dyn Processor,
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
-        let validate = self.session.config().validate_outputs;
+        let config = *self.session.config();
+        let width = processor.output_columns().len();
         // A processor is scalar: a row's first attempt and its retries
-        // are the same call.
-        let call = |row: &Row, schema: &Schema| {
-            let groups = processor.process(row, schema)?;
-            if validate {
-                validate_cells(&groups, processor.name())?;
-            }
-            Ok(groups)
+        // are the same call, answering how many output rows it appended
+        // to the batch's buffer. An attempt that fails — the UDF's error,
+        // a part-written row, a non-finite float under `validate_outputs`
+        // — is like any other failed call, and leaves no cell behind.
+        let call = |row: &Row, schema: &Schema, cells: &mut Vec<Value>| {
+            crate::udf::attempt(processor, row, schema, cells, |fresh| {
+                let rows = crate::udf::output_rows(processor, fresh.len())?;
+                if config.validate_outputs {
+                    validate_cells(fresh, processor.name())?;
+                }
+                Ok(rows)
+            })
         };
         self.fold_udf(
-            op,
+            &op,
             out_schema,
             processor.cost_per_row(),
             // A processor materializes real columns; its failure cannot
@@ -718,11 +761,36 @@ impl Executor<'_> {
             one_wave(in_rows),
             |batch| {
                 let schema = batch.schema();
-                batch.rows().iter().map(|row| call(row, schema)).collect()
+                let mut cells = Vec::with_capacity(batch.len() * width);
+                let (mut ragged, mut failed) = (Vec::new(), Vec::new());
+                for (at, row) in batch.rows().iter().enumerate() {
+                    match call(row, schema, &mut cells) {
+                        Ok(1) => {}
+                        Ok(rows) => ragged.push((at, rows)),
+                        err => {
+                            let retry = || call(row, schema, &mut cells);
+                            failed.push((at, config.resume_probe(&op, err, retry)));
+                        }
+                    }
+                }
+                let firsts = Appended {
+                    rows: batch.len(),
+                    cells: cells.into_iter(),
+                    ragged: ragged.into_iter().peekable(),
+                };
+                Probed { firsts, failed }
             },
-            call,
-            |chunk, at, groups, out| {
-                for cells in groups {
+            |appended, at| {
+                let ragged = &mut appended.ragged;
+                (at < appended.rows).then(|| ragged.next_if(|r| r.0 == at).map_or(1, |r| r.1))
+            },
+            // The one place an output tuple is built: once, at its final
+            // width. Every row before this one was emitted too (a row
+            // `Process` cannot emit ends it), so the next unread cells
+            // are this row's.
+            |appended, chunk, at, rows, out| {
+                for _ in 0..rows {
+                    let cells = appended.cells.by_ref().take(width);
                     out.push(chunk.rows()[at].extended(cells))?;
                 }
                 Ok(true)
@@ -733,10 +801,10 @@ impl Executor<'_> {
     /// The probe→consume fold shared by Filter and Process, over the
     /// waves `next_wave` yields until it says `None`.
     ///
-    /// Probe phase (workers): `eval` makes every row's first attempt one
-    /// [`Batch`] at a time (vectorizable), yielding one [`Probed`] record
-    /// per batch; rows whose first attempt failed retry individually
-    /// through the scalar `retry`. Pure — no session state. If the
+    /// Probe phase (workers): `probe` makes every row's first attempt one
+    /// [`Batch`] at a time (vectorizable), and runs the retry loop
+    /// (`resume_probe`) of each row whose first attempt failed, yielding
+    /// one [`Probed`] record per batch. Pure — no session state. If the
     /// breaker is (or becomes) open, the consume phase discards the
     /// affected probes, so charges stay identical to a serial run that
     /// never made those calls.
@@ -749,9 +817,11 @@ impl Executor<'_> {
     /// `consecutive_failures = 0` (`OpFold::consume_clean`) and the span
     /// `n` attempts richer. Every other record walks the per-row body,
     /// which counts each consumed outcome through `record_outcome`.
-    /// `emit` receives each row — its chunk and place in it — with its
-    /// `Ok` value, pushes what the row produces, and says whether the row
-    /// passed (`false` = filtered). A terminal error passes the row
+    /// `first` reads the next clean row's value off the record's `firsts`
+    /// (`None` past the batch's last row). `emit` receives each row — its
+    /// chunk and place in it — with its `Ok` value and the same `firsts`,
+    /// pushes what the row produces, and says whether the row passed
+    /// (`false` = filtered). A terminal error passes the row
     /// through unchanged when `fail_open`, and stops the operator
     /// otherwise.
     ///
@@ -763,19 +833,18 @@ impl Executor<'_> {
     /// has consumed a wave is charged for what it consumed, one that has
     /// not never ran (`Err`).
     #[allow(clippy::too_many_arguments)]
-    fn fold_udf<T: Send>(
+    fn fold_udf<B: Send, T: Send>(
         &mut self,
-        op: String,
+        op: &str,
         out_schema: Arc<Schema>,
         cost_per_row: f64,
         fail_open: bool,
         mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
-        eval: impl Fn(&Batch<'_>) -> Vec<Result<T>> + Sync,
-        retry: impl Fn(&Row, &Schema) -> Result<T> + Sync,
-        mut emit: impl FnMut(&Chunk, usize, T, &mut Rowset) -> Result<bool>,
+        probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Sync,
+        mut first: impl FnMut(&mut B, usize) -> Option<T>,
+        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut Rowset) -> Result<bool>,
     ) -> Result<Finished> {
-        let config = *self.session.config();
-        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), 0);
+        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.to_string(), 0);
         let mut out = Rowset::empty(out_schema);
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
@@ -787,22 +856,10 @@ impl Executor<'_> {
                 let Some(chunks) = wave else { return Ok(None) };
                 let first_row = handed;
                 handed += chunks.iter().map(Chunk::len).sum::<usize>();
+                // First attempts are attempt 0; a retry loop inside
+                // `probe` numbers its own.
                 let probes = self.probe(&chunks, first_row, |batch| {
-                    let firsts = crate::fault::with_attempt_ordinal(0, || eval(batch));
-                    debug_assert_eq!(firsts.len(), batch.len());
-                    let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
-                    for (at, first) in firsts.into_iter().enumerate() {
-                        match first {
-                            Ok(value) => values.push(value),
-                            err => {
-                                let row = &batch.rows()[at];
-                                let probe =
-                                    config.resume_probe(&op, err, || retry(row, batch.schema()));
-                                failed.push((at, probe));
-                            }
-                        }
-                    }
-                    Probed { values, failed }
+                    crate::fault::with_attempt_ordinal(0, || probe(batch))
                 })?;
                 Ok(Some((chunks, probes)))
             });
@@ -818,34 +875,35 @@ impl Executor<'_> {
             // Resolve the operator's breaker once per wave; it is sticky
             // within a run (it only flips open inside `consume`), so
             // mirror it locally. The fold then does no map lookups.
-            let mut fold = self.session.op_fold(&op);
+            let mut fold = self.session.op_fold(op);
             let mut breaker_open = fold.breaker_open();
-            for (chunk, first, Probed { values, failed }) in probes {
+            for (chunk, start, Probed { mut firsts, failed }) in probes {
                 let chunk = &chunks[chunk];
                 if let Err(e) = self.cancel.check() {
                     self.tel
-                        .push_event(&op, Some(row_idx), EventKind::Cancelled, 1);
+                        .push_event(op, Some(row_idx), EventKind::Cancelled, 1);
                     failure = Some(e);
                     break 'waves;
                 }
                 if failed.is_empty() && !breaker_open {
-                    let n = values.len() as u64;
                     fold.consume_clean();
-                    span.attempts += n;
-                    clean_rows += n;
-                    row_idx += n;
-                    for (at, value) in values.into_iter().enumerate() {
-                        let passed = emit(chunk, first + at, value, &mut out)?;
+                    let mut n = 0;
+                    while let Some(value) = first(&mut firsts, n) {
+                        let passed = emit(&mut firsts, chunk, start + n, value, &mut out)?;
                         span.rows_out += u64::from(passed);
                         span.rows_filtered += u64::from(!passed);
+                        n += 1;
                     }
+                    span.attempts += n as u64;
+                    clean_rows += n as u64;
+                    row_idx += n as u64;
                     continue;
                 }
-                let (mut values, mut failed) = (values.into_iter(), failed.into_iter().peekable());
+                let mut failed = failed.into_iter().peekable();
                 for at in 0.. {
                     let attempt = if let Some((_, probe)) = failed.next_if(|(i, _)| *i == at) {
                         Err(probe)
-                    } else if let Some(value) = values.next() {
+                    } else if let Some(value) = first(&mut firsts, at) {
                         Ok(value)
                     } else {
                         break;
@@ -862,12 +920,12 @@ impl Executor<'_> {
                         breaker_open,
                     );
                     let passed = match outcome.result {
-                        Ok(value) => emit(chunk, first + at, value, &mut out)?,
+                        Ok(value) => emit(&mut firsts, chunk, start + at, value, &mut out)?,
                         Err(_) if fail_open => {
                             span.failed_open += 1;
                             self.tel
-                                .push_event(&op, Some(row_idx), EventKind::FailOpen, 1);
-                            out.push(chunk.row(first + at))?;
+                                .push_event(op, Some(row_idx), EventKind::FailOpen, 1);
+                            out.push(chunk.row(start + at))?;
                             true
                         }
                         Err(e) => {
@@ -1146,15 +1204,13 @@ fn record_outcome<T>(
 /// Rejects non-finite floats in processor output (when
 /// [`ResilienceConfig::validate_outputs`](crate::resilience::ResilienceConfig)
 /// is on), converting silent corruption into a retryable error.
-fn validate_cells(groups: &[Vec<Value>], udf: &str) -> Result<()> {
-    for cells in groups {
-        for cell in cells {
-            if let Value::Float(f) = cell {
-                if !f.is_finite() {
-                    return Err(EngineError::CorruptOutput(format!(
-                        "{udf}: non-finite float in output"
-                    )));
-                }
+fn validate_cells(cells: &[Value], udf: &str) -> Result<()> {
+    for cell in cells {
+        if let Value::Float(f) = cell {
+            if !f.is_finite() {
+                return Err(EngineError::CorruptOutput(format!(
+                    "{udf}: non-finite float in output"
+                )));
             }
         }
     }
@@ -1323,13 +1379,12 @@ mod tests {
             "Detector",
             vec![Column::new("obj", DataType::Int)],
             2.0,
-            |row, _| {
+            |row, _, out| {
                 // Even ids produce two objects, odd ids none.
                 if row.get(0).as_int()? % 2 == 0 {
-                    Ok(vec![vec![Value::Int(0)], vec![Value::Int(1)]])
-                } else {
-                    Ok(vec![])
+                    out.extend([Value::Int(0), Value::Int(1)]);
                 }
+                Ok(())
             },
         ));
         let plan = LogicalPlan::scan("frames").process(detector);
@@ -1632,16 +1687,19 @@ mod tests {
             cancel: &token,
         }
         .fold_udf(
-            "PP[poll]".to_string(),
+            "PP[poll]",
             schema,
             0.1,
             true,
             one_wave(in_rows),
-            |batch| batch.rows().iter().map(|_| Ok(true)).collect(),
-            |_, _| Ok(true),
+            |batch| Probed {
+                firsts: 0..batch.len(),
+                failed: Vec::<(usize, ProbeOutcome<bool>)>::new(),
+            },
+            |rows, _| rows.next().map(|_| true),
             // Stands in for a caller cancelling while the fold consumes:
             // the token fires in the middle of the second batch.
-            |chunk, at, keep, out| {
+            |_, chunk, at, keep, out| {
                 if at == 150 {
                     token.cancel(CancelReason::Requested);
                 }
@@ -1793,7 +1851,7 @@ mod tests {
             "Broken",
             vec![Column::new("y", DataType::Int)],
             1.0,
-            |_, _| Err::<Vec<Value>, _>(EngineError::Transient("gpu lost".into())),
+            |_, _, _| Err(EngineError::Transient("gpu lost".into())),
         ));
         let plan = LogicalPlan::scan("frames").process(broken);
         let mut tel = SpanCollector::detached();
@@ -1811,6 +1869,87 @@ mod tests {
         Ok(())
     }
 
+    /// Arity is the executor's check, so it covers a `Processor` written
+    /// by hand: a part-written row is a failed first attempt — counted,
+    /// charged, the span closed failed — not an `InvalidPlan` out of the
+    /// middle of the operator.
+    #[test]
+    fn a_short_row_from_any_processor_is_a_charged_udf_failure() -> Result<()> {
+        struct Short(Vec<Column>);
+        impl Processor for Short {
+            fn name(&self) -> &str {
+                "Short"
+            }
+            fn output_columns(&self) -> &[Column] {
+                &self.0
+            }
+            fn cost_per_row(&self) -> f64 {
+                2.0
+            }
+            fn process(&self, row: &Row, _: &Schema, out: &mut Vec<Value>) -> Result<()> {
+                out.push(Value::Int(1));
+                if row.get(0).as_int()? != 3 {
+                    out.push(Value::Int(2));
+                }
+                Ok(())
+            }
+        }
+        let cat = catalog()?;
+        let columns = vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ];
+        let plan = LogicalPlan::scan("frames").process(Arc::new(Short(columns)));
+        let mut tel = SpanCollector::detached();
+        match run_with(&plan, &cat, &mut ExecSession::default(), &mut tel) {
+            Err(EngineError::Udf(m)) => {
+                assert_eq!(m, "Short: produced 1 cells, declared 2 output columns")
+            }
+            other => panic!("expected a UDF error, got {other:?}"),
+        }
+        let p = find_op(tel.spans(), "Process[Short]")?;
+        assert_eq!((p.attempts, p.failures, p.rows_emitted), (4, 1, 3));
+        assert!((p.seconds - 8.0).abs() < 1e-9);
+        Ok(())
+    }
+
+    /// A first attempt that writes part of a row and then fails leaves
+    /// nothing in the batch's buffer: the row is its retry's cells, and
+    /// its neighbours' cells stay theirs.
+    #[test]
+    fn a_failed_attempts_cells_never_prefix_the_retrys() -> Result<()> {
+        let cat = catalog()?;
+        let failed_once = AtomicBool::new(false);
+        let flaky = Arc::new(ClosureProcessor::map(
+            "Flaky",
+            ["a", "b", "c"]
+                .map(|c| Column::new(c, DataType::Int))
+                .to_vec(),
+            1.0,
+            move |row, _, out| {
+                let id = row.get(0).as_int()?;
+                if id == 4 && !failed_once.swap(true, Ordering::SeqCst) {
+                    out.extend([Value::Int(-1), Value::Int(-2)]);
+                    return Err(EngineError::Transient("after two of three cells".into()));
+                }
+                out.extend([id, id * 10, id * 100].map(Value::Int));
+                Ok(())
+            },
+        ));
+        let plan = LogicalPlan::scan("frames").process(flaky);
+        let (out, spans) = run(&plan, &cat)?;
+        assert_eq!(find_op(&spans, "Process[Flaky]")?.retries, 1);
+        assert_eq!(out.len(), 10);
+        for (id, row) in (0..).zip(out.rows()) {
+            let cells: Vec<i64> = row.values()[2..]
+                .iter()
+                .map(Value::as_int)
+                .collect::<Result<_>>()?;
+            assert_eq!(cells, [id, id * 10, id * 100]);
+        }
+        Ok(())
+    }
+
     #[test]
     fn validation_catches_nan_output() -> Result<()> {
         let cat = catalog()?;
@@ -1818,7 +1957,10 @@ mod tests {
             "NanGen",
             vec![Column::new("score", DataType::Float)],
             1.0,
-            |_, _| Ok(vec![Value::Float(f64::NAN)]),
+            |_, _, out| {
+                out.push(Value::Float(f64::NAN));
+                Ok(())
+            },
         ));
         let plan = LogicalPlan::scan("frames").process(nan_gen);
         // Without validation the NaN flows straight through.

@@ -50,9 +50,11 @@ impl Row {
     }
 
     /// A new row with extra cells appended (used by Process nodes).
-    pub fn extended(&self, extra: Vec<Value>) -> Row {
-        // Both halves report an exact length, so the shared slice is
-        // allocated once at its final size.
+    ///
+    /// The row is allocated once, at its final size, as long as `extra`
+    /// reports an exact length — a `Vec`, an array, or
+    /// `iter.by_ref().take(n)` over a `Vec`'s cells all do.
+    pub fn extended(&self, extra: impl IntoIterator<Item = Value>) -> Row {
         self.values.iter().cloned().chain(extra).collect()
     }
 
@@ -177,7 +179,7 @@ mod tests {
     #[test]
     fn extended_appends_cells() {
         let r = Row::new(vec![Value::Int(1)]);
-        let e = r.extended(vec![Value::str("red")]);
+        let e = r.extended([Value::str("red")]);
         assert_eq!(e.len(), 2);
         assert!(e.get(1).sql_eq(&Value::str("red")));
         // Original untouched.

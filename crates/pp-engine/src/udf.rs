@@ -13,6 +13,13 @@
 //!
 //! Every UDF declares a per-input-row cost in simulated cluster seconds —
 //! the `u` (UDF cost) and `c` (early-filter cost) of §3's cost model.
+//!
+//! A [`Processor`] has one entry point, [`Processor::process`], and it
+//! returns nothing it allocated: it appends its output rows' cells to a
+//! buffer the caller owns. The executor hands it one buffer per batch and
+//! checks every call the same way, whoever wrote the processor — a whole
+//! number of rows ([`output_rows`]), and nothing left behind by a call
+//! that failed.
 
 use std::sync::Arc;
 
@@ -34,10 +41,56 @@ pub trait Processor: Send + Sync {
     fn output_columns(&self) -> &[Column];
     /// Simulated cluster seconds charged per *input* row.
     fn cost_per_row(&self) -> f64;
-    /// Produces the appended cells for each output row derived from `row`.
-    /// Returning an empty vec drops the row (e.g. a detector finding no
-    /// vehicles).
-    fn process(&self, row: &Row, schema: &Schema) -> Result<Vec<Vec<Value>>>;
+    /// Appends to `out` the cells of each output row derived from `row`,
+    /// row after row: `output_columns().len()` cells per output row, so
+    /// writing nothing drops the row (e.g. a detector finding no
+    /// vehicles). `out` already holds other rows' cells; a processor only
+    /// appends. The caller checks that a whole number of rows was written
+    /// and, when the call fails, discards whatever it had written.
+    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
+}
+
+/// How many output rows the `cells` one [`Processor::process`] call
+/// appended make up: a whole number of rows of `output_columns().len()`
+/// cells each, or the call failed. (A processor that appends no column
+/// passes each row through once.)
+pub fn output_rows(processor: &dyn Processor, cells: usize) -> Result<usize> {
+    let width = processor.output_columns().len();
+    match cells.checked_rem(width) {
+        Some(0) => Ok(cells / width),
+        None if cells == 0 => Ok(1),
+        _ => Err(EngineError::Udf(format!(
+            "{}: produced {cells} cells, declared {width} output columns",
+            processor.name()
+        ))),
+    }
+}
+
+/// One call into `processor`, all or nothing: `then` sees the cells the
+/// call appended to `out`, and if either fails `out` is cut back to where
+/// it was, so a failed attempt can never prefix the next one's output.
+/// Everything in this crate that calls a processor calls it through here.
+pub(crate) fn attempt<T>(
+    processor: &dyn Processor,
+    row: &Row,
+    schema: &Schema,
+    out: &mut Vec<Value>,
+    then: impl FnOnce(&mut [Value]) -> Result<T>,
+) -> Result<T> {
+    let mark = out.len();
+    let result = processor
+        .process(row, schema, out)
+        .and_then(|()| match out.get_mut(mark..) {
+            Some(fresh) => then(fresh),
+            None => Err(EngineError::Udf(format!(
+                "{}: removed cells from its output buffer",
+                processor.name()
+            ))),
+        });
+    if result.is_err() {
+        out.truncate(mark);
+    }
+    result
 }
 
 /// A reducer UDF: consumes a group of related rows, emits aggregated rows.
@@ -123,11 +176,12 @@ pub struct ClosureProcessor {
     output_columns: Vec<Column>,
     cost_per_row: f64,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&Row, &Schema) -> Result<Vec<Vec<Value>>> + Send + Sync>,
+    f: Arc<dyn Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync>,
 }
 
 impl ClosureProcessor {
-    /// Creates a processor from a closure returning appended cells.
+    /// Creates a processor from a closure appending its output rows' cells
+    /// (see [`Processor::process`]).
     pub fn new<F>(
         name: impl Into<String>,
         output_columns: Vec<Column>,
@@ -135,7 +189,7 @@ impl ClosureProcessor {
         f: F,
     ) -> Self
     where
-        F: Fn(&Row, &Schema) -> Result<Vec<Vec<Value>>> + Send + Sync + 'static,
+        F: Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
     {
         ClosureProcessor {
             name: name.into(),
@@ -145,8 +199,8 @@ impl ClosureProcessor {
         }
     }
 
-    /// Creates a 1:1 processor that maps each input row to exactly one
-    /// output row.
+    /// Creates a 1:1 processor: `f` must append exactly one output row, and
+    /// a call that appends anything else fails.
     pub fn map<F>(
         name: impl Into<String>,
         output_columns: Vec<Column>,
@@ -154,11 +208,25 @@ impl ClosureProcessor {
         f: F,
     ) -> Self
     where
-        F: Fn(&Row, &Schema) -> Result<Vec<Value>> + Send + Sync + 'static,
+        F: Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
     {
-        Self::new(name, output_columns, cost_per_row, move |row, schema| {
-            Ok(vec![f(row, schema)?])
-        })
+        let name = name.into();
+        let (udf, width) = (name.clone(), output_columns.len());
+        Self::new(
+            name,
+            output_columns,
+            cost_per_row,
+            move |row, schema, out| {
+                let mark = out.len();
+                f(row, schema, out)?;
+                if out.len().checked_sub(mark) != Some(width) {
+                    return Err(EngineError::Udf(format!(
+                        "{udf}: a 1:1 processor must write one row of {width} cells"
+                    )));
+                }
+                Ok(())
+            },
+        )
     }
 }
 
@@ -181,19 +249,8 @@ impl Processor for ClosureProcessor {
     fn cost_per_row(&self) -> f64 {
         self.cost_per_row
     }
-    fn process(&self, row: &Row, schema: &Schema) -> Result<Vec<Vec<Value>>> {
-        let rows = (self.f)(row, schema)?;
-        for cells in &rows {
-            if cells.len() != self.output_columns.len() {
-                return Err(EngineError::Udf(format!(
-                    "{}: produced {} cells, declared {} output columns",
-                    self.name,
-                    cells.len(),
-                    self.output_columns.len()
-                )));
-            }
-        }
-        Ok(rows)
+    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+        (self.f)(row, schema, out)
     }
 }
 
@@ -301,6 +358,13 @@ impl RowFilter for ClosureFilter {
 }
 
 #[cfg(test)]
+/// One direct call into `p`: the cells it wrote.
+pub(crate) fn written(p: &dyn Processor, row: &Row, schema: &Schema) -> Result<Vec<Value>> {
+    let mut out = Vec::new();
+    p.process(row, schema, &mut out).map(|()| out)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::DataType;
@@ -309,29 +373,33 @@ mod tests {
         Schema::new(vec![Column::new("x", DataType::Int)]).unwrap()
     }
 
-    #[test]
-    fn closure_processor_validates_arity() {
-        let p = ClosureProcessor::new("bad", vec![Column::new("y", DataType::Int)], 0.1, |_, _| {
-            Ok(vec![vec![Value::Int(1), Value::Int(2)]])
-        });
-        let s = schema();
-        assert!(p.process(&Row::new(vec![Value::Int(0)]), &s).is_err());
+    fn cells(p: &dyn Processor, row: &Row) -> Result<Vec<Value>> {
+        written(p, row, &schema())
     }
 
     #[test]
     fn map_processor_is_one_to_one() {
-        let p = ClosureProcessor::map(
-            "double",
-            vec![Column::new("y", DataType::Int)],
-            0.5,
-            |row, _| Ok(vec![Value::Int(row.get(0).as_int()? * 2)]),
-        );
-        let s = schema();
-        let out = p.process(&Row::new(vec![Value::Int(21)]), &s).unwrap();
+        let y = || vec![Column::new("y", DataType::Int)];
+        let p = ClosureProcessor::map("double", y(), 0.5, |row, _, out| {
+            out.push(Value::Int(row.get(0).as_int()? * 2));
+            Ok(())
+        });
+        let out = cells(&p, &Row::new(vec![Value::Int(21)])).unwrap();
         assert_eq!(out.len(), 1);
-        assert!(out[0][0].sql_eq(&Value::Int(42)));
+        assert!(out[0].sql_eq(&Value::Int(42)));
         assert_eq!(p.cost_per_row(), 0.5);
         assert_eq!(p.name(), "double");
+        // Two rows, or none, are not 1:1.
+        for n in [0, 2] {
+            let p = ClosureProcessor::map("bad", y(), 0.1, move |_, _, out| {
+                out.extend((0..n).map(Value::Int));
+                Ok(())
+            });
+            assert!(matches!(
+                cells(&p, &Row::new(vec![Value::Int(0)])),
+                Err(EngineError::Udf(_))
+            ));
+        }
     }
 
     #[test]
@@ -340,20 +408,46 @@ mod tests {
             "detector",
             vec![Column::new("box", DataType::Int)],
             1.0,
-            |row, _| {
-                let n = row.get(0).as_int()?;
-                Ok((0..n).map(|i| vec![Value::Int(i)]).collect())
+            |row, _, out| {
+                out.extend((0..row.get(0).as_int()?).map(Value::Int));
+                Ok(())
+            },
+        );
+        assert_eq!(cells(&p, &Row::new(vec![Value::Int(3)])).unwrap().len(), 3);
+        assert!(cells(&p, &Row::new(vec![Value::Int(0)]))
+            .unwrap()
+            .is_empty());
+    }
+
+    /// An attempt that fails — in the UDF after it wrote, or in the
+    /// caller's check of what it wrote — leaves the buffer as it was.
+    #[test]
+    fn a_failed_attempt_leaves_the_buffer_as_it_was() {
+        let p = ClosureProcessor::new(
+            "half",
+            vec![Column::new("y", DataType::Int)],
+            1.0,
+            |row, _, out| {
+                out.push(Value::Int(7));
+                match row.get(0).as_int()? {
+                    0 => Err(EngineError::Transient("after writing".into())),
+                    _ => Ok(()),
+                }
             },
         );
         let s = schema();
-        assert_eq!(
-            p.process(&Row::new(vec![Value::Int(3)]), &s).unwrap().len(),
-            3
-        );
-        assert!(p
-            .process(&Row::new(vec![Value::Int(0)]), &s)
-            .unwrap()
-            .is_empty());
+        let mut out = vec![Value::Int(-1)];
+        let row = |i| Row::new(vec![Value::Int(i)]);
+        assert!(attempt(&p, &row(0), &s, &mut out, |_| Ok(())).is_err());
+        assert_eq!(out.len(), 1);
+        let rejected = attempt(&p, &row(1), &s, &mut out, |fresh| {
+            assert_eq!(fresh.len(), 1);
+            Err::<(), _>(EngineError::Udf("caller says no".into()))
+        });
+        assert!(rejected.is_err());
+        assert_eq!(out.len(), 1);
+        let fresh = attempt(&p, &row(1), &s, &mut out, |fresh| Ok(fresh.len()));
+        assert_eq!((fresh.unwrap(), out.len()), (1, 2));
     }
 
     #[test]

@@ -379,12 +379,18 @@ fn replay_row(
 ) -> Result<bool, pp_engine::EngineError> {
     let mut rows = vec![row.clone()];
     let mut schema = Arc::clone(base_schema);
+    let mut cells = Vec::new();
     for proc in processors {
         let out_schema = schema.extend(proc.output_columns())?;
+        let width = proc.output_columns().len();
         let mut next = Vec::with_capacity(rows.len());
         for r in &rows {
-            for cells in proc.process(r, &schema)? {
-                next.push(r.extended(cells));
+            cells.clear();
+            proc.process(r, &schema, &mut cells)?;
+            let made = pp_engine::udf::output_rows(proc.as_ref(), cells.len())?;
+            let mut cells = cells.drain(..);
+            for _ in 0..made {
+                next.push(r.extended(cells.by_ref().take(width)));
             }
         }
         *seconds += rows.len() as f64 * proc.cost_per_row();

@@ -126,7 +126,10 @@ mod tests {
             name,
             vec![Column::new(col, DataType::Int)],
             0.01,
-            move |_, _| Ok(vec![Value::Int(1)]),
+            move |_, _, out| {
+                out.push(Value::Int(1));
+                Ok(())
+            },
         ))
     }
 

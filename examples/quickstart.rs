@@ -45,10 +45,11 @@ fn main() {
         "CatClassifier",
         vec![Column::new("label", DataType::Str)],
         0.050,
-        |row, schema| {
+        |row, schema, out| {
             let blob = row.get_named(schema, "image")?.as_blob()?;
             let is_cat = blob.to_dense()[0] > 0.0;
-            Ok(vec![Value::str(if is_cat { "cat" } else { "other" })])
+            out.push(Value::str(if is_cat { "cat" } else { "other" }));
+            Ok(())
         },
     ));
     let query = LogicalPlan::scan("images")

@@ -38,12 +38,13 @@ fn main() {
             "Tagger",
             vec![Column::new("tag", DataType::Int)],
             0.002,
-            |row, schema| {
+            |row, schema, out| {
                 let id = match row.get_named(schema, "id")? {
                     Value::Int(i) => *i,
                     _ => 0,
                 };
-                Ok(vec![Value::Int(id % 10)])
+                out.push(Value::Int(id % 10));
+                Ok(())
             },
         ));
     let mut sources = SourceRegistry::new();

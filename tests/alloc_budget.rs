@@ -4,7 +4,11 @@
 //! The probe→consume fold hands one record per *batch* from the probe
 //! phase to the consume phase, so what a PP filter allocates grows with
 //! the number of batches, not rows; a processor allocates what its rows
-//! are made of and nothing around them. A segment scan under a PP filter
+//! are made of and nothing around them — one allocation per output row,
+//! its tuple, whether the UDF ran, ran behind another, or was answered by
+//! a warm `UdfMemo`: the UDF writes its cells into the batch's buffer
+//! (`Processor::process`), and the tuple is built from there, once, at
+//! its final width. A segment scan under a PP filter
 //! decodes a row group into a handful of column buffers and builds a
 //! tuple only for a row the filter kept, so it allocates per group and
 //! per survivor, and holds one wave of groups plus the survivors at a
@@ -49,7 +53,7 @@ use probabilistic_predicates::engine::bytes::Reader;
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::ClosureProcessor;
 use probabilistic_predicates::engine::{
-    Catalog, Column, DataType, LogicalPlan, Predicate, Rowset, TableProvider, Value,
+    Catalog, Column, DataType, LogicalPlan, Predicate, Rowset, TableProvider, UdfMemo, Value,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -146,17 +150,26 @@ fn counted<T>(work: impl FnOnce() -> T) -> Spent<T> {
 
 /// `plan`, run serially on the calling thread.
 fn run_counted(catalog: &Catalog, plan: &LogicalPlan) -> Spent<Rowset> {
-    let mut ctx = ExecutionContext::builder(catalog)
+    run_counted_through(catalog, plan, None)
+}
+
+/// `plan`, run serially on the calling thread, its UDFs behind `memo` if
+/// there is one.
+fn run_counted_through(
+    catalog: &Catalog,
+    plan: &LogicalPlan,
+    memo: Option<&Arc<UdfMemo>>,
+) -> Spent<Rowset> {
+    let mut builder = ExecutionContext::builder(catalog)
         .with_parallelism(1)
-        .with_batch_size(BATCH)
-        .build();
+        .with_batch_size(BATCH);
+    if let Some(memo) = memo {
+        builder = builder.with_udf_memo(Arc::clone(memo));
+    }
+    let mut ctx = builder.build();
     let spent = counted(|| ctx.run(plan).expect("plan runs"));
     assert!(!spent.out.is_empty(), "the plan must do some work");
     spent
-}
-
-fn allocations_of(catalog: &Catalog, plan: &LogicalPlan) -> u64 {
-    run_counted(catalog, plan).allocations
 }
 
 /// The corpus every case runs over: 400 frames to train on, then up to
@@ -198,22 +211,25 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
         "Tagger",
         vec![Column::new("tag", DataType::Int)],
         0.5,
-        |row, _| Ok(vec![Value::Int(row.len() as i64)]),
+        |row, _, out| {
+            out.push(Value::Int(row.len() as i64));
+            Ok(())
+        },
     ));
 
     // The same plan over a table and over one twice its size.
-    let spent = |plan: LogicalPlan| {
+    let spent_through = |plan: &LogicalPlan, memo: Option<&Arc<UdfMemo>>| {
         let run = |rows: usize| {
             let mut catalog = Catalog::new();
             dataset.register_slice(&mut catalog, 400..400 + rows);
-            allocations_of(&catalog, &plan)
+            run_counted_through(&catalog, plan, memo).allocations
         };
         (run(SMALL), run(LARGE))
     };
     let extra_rows = (LARGE - SMALL) as u64;
     let extra_batches = extra_rows.div_ceil(BATCH as u64);
 
-    let (small, large) = spent(pp_filter_plan(&dataset));
+    let (small, large) = spent_through(&pp_filter_plan(&dataset), None);
     let per_batch = (large - small) as f64 / extra_batches as f64;
     assert!(
         per_batch <= 24.0,
@@ -221,13 +237,38 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
          {per_batch:.1} per extra batch — something allocates per row again"
     );
 
-    let (small, large) = spent(LogicalPlan::scan("traffic").process(tagger));
-    let per_row = (large - small) as f64 / extra_rows as f64;
-    assert!(
-        per_row <= 4.0,
-        "Process: {small} allocations over {SMALL} rows, {large} over {LARGE}: \
-         {per_row:.2} per extra row"
+    // A `Process` row costs its output tuple — the one `Arc<[Value]>`,
+    // built at its final width — and nothing else: not in the UDF (it
+    // writes into the batch's buffer; the traffic UDFs' categoricals are
+    // interned), not between probe and consume, and not in a memo hit.
+    let assert_per_row = |what: &str, processes: u64, (small, large): (u64, u64)| {
+        let per_row = (large - small) as f64 / (extra_rows * processes) as f64;
+        assert!(
+            per_row <= 1.25,
+            "{what}: {small} allocations over {SMALL} rows, {large} over {LARGE}: \
+             {per_row:.2} per extra row per Process"
+        );
+    };
+    let tagged = LogicalPlan::scan("traffic").process(tagger);
+    assert_per_row("Process", 1, spent_through(&tagged, None));
+
+    let udf = |column| dataset.udf(column).expect("a traffic UDF");
+    let chain = LogicalPlan::scan("traffic")
+        .process(udf("vehType"))
+        .process(udf("speed"));
+    assert_per_row("Process → Process", 2, spent_through(&chain, None));
+
+    // Every frame is in the memo after one pass; the counted passes hit.
+    let memo = Arc::new(UdfMemo::new(dataset.table().schema().len()));
+    spent_through(&chain, Some(&memo));
+    let warm = memo.stats();
+    let hits = spent_through(&chain, Some(&memo));
+    assert_eq!(
+        memo.stats().invoked,
+        warm.invoked,
+        "the counted passes only hit"
     );
+    assert_per_row("Process → Process behind a warm memo", 2, hits);
 }
 
 /// A segment table under `Scan → PP filter`: what the scan allocates

@@ -203,9 +203,10 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         "Fanout",
         vec![Column::new("copy", DataType::Int)],
         0.5,
-        |row, _| {
+        |row, _, out| {
             let id = row.get(0).as_int()?;
-            Ok((0..id.rem_euclid(3)).map(|c| vec![Value::Int(c)]).collect())
+            out.extend((0..id.rem_euclid(3)).map(Value::Int));
+            Ok(())
         },
     ));
     let fanout_plan = LogicalPlan::scan("traffic").process(fanout);

@@ -47,7 +47,10 @@ fn fixture_plan() -> LogicalPlan {
         "Tagger",
         vec![Column::new("tag", DataType::Int)],
         0.03125,
-        |row, _| Ok(vec![Value::Int(row.get(0).as_int()? % 10)]),
+        |row, _, out| {
+            out.push(Value::Int(row.get(0).as_int()? % 10));
+            Ok(())
+        },
     ));
     LogicalPlan::scan("t").filter(pp).process(tagger)
 }

@@ -193,7 +193,10 @@ fn tag_processor() -> Arc<ClosureProcessor> {
             probabilistic_predicates::engine::DataType::Int,
         )],
         0.05,
-        |row, _| Ok(vec![Value::Int(row.get(0).as_int()? % 10)]),
+        |row, _, out| {
+            out.push(Value::Int(row.get(0).as_int()? % 10));
+            Ok(())
+        },
     ))
 }
 

@@ -118,10 +118,11 @@ fn nine_variant_plan(tagger_calls: Arc<AtomicUsize>) -> LogicalPlan {
         "Tagger",
         vec![Column::new("tag", DataType::Str)],
         2.0,
-        move |row, _| {
+        move |row, _, out| {
             tagger_calls.fetch_add(1, Ordering::SeqCst);
             let hot = row.get(0).as_int()? % 4 != 1;
-            Ok(vec![Value::str(if hot { "hot" } else { "cold" })])
+            out.push(Value::str(if hot { "hot" } else { "cold" }));
+            Ok(())
         },
     ));
     let even = Arc::new(ClosureFilter::new("PP[even]", 0.01, |row, _| {

@@ -56,10 +56,10 @@ impl Processor for CountingUdf {
         &self,
         row: &Row,
         schema: &Schema,
-    ) -> probabilistic_predicates::engine::Result<Vec<Vec<probabilistic_predicates::engine::Value>>>
-    {
+        out: &mut Vec<probabilistic_predicates::engine::Value>,
+    ) -> probabilistic_predicates::engine::Result<()> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.process(row, schema)
+        self.inner.process(row, schema, out)
     }
 }
 

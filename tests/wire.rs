@@ -433,7 +433,10 @@ fn tiny_server() -> PpServer {
         "Tagger",
         vec![Column::new("tag", DataType::Int)],
         0.001,
-        |row, _| Ok(vec![Value::Int(row.get(0).as_int()? % 10)]),
+        |row, _, out| {
+            out.push(Value::Int(row.get(0).as_int()? % 10));
+            Ok(())
+        },
     ));
     let mut sources = SourceRegistry::new();
     sources.register("tiny", SourceSpec::new("t").with_udf("tag", tagger));
