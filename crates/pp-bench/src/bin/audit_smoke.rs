@@ -23,67 +23,28 @@
 //! expression's achieved lower bound undercuts its promise, if anything
 //! was quarantined, or if no replays ran at all.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::Write;
 
-use pp_bench::setup::traffic_setup;
+use pp_bench::setup::{traffic_setup, Flags};
 use pp_data::traf20::traf20_queries;
 use pp_engine::json::JsonWriter;
-use pp_server::{AuditConfig, PpServer, QueryRequest, ServerConfig, SourceRegistry, SourceSpec};
+use pp_server::{AuditConfig, PpServer, QueryRequest, ServerConfig};
 
-struct Args {
-    frames: usize,
-    rounds: usize,
-    accuracy: f64,
-    queries: Option<Vec<u32>>,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        frames: 2_000,
-        rounds: 3,
-        accuracy: 0.9,
-        queries: None,
-        out: "audit_report.jsonl".into(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        });
-        match flag.as_str() {
-            "--frames" => args.frames = value.parse().expect("frames: usize"),
-            "--rounds" => args.rounds = value.parse().expect("rounds: usize"),
-            "--accuracy" => args.accuracy = value.parse().expect("accuracy: f64"),
-            "--queries" => {
-                args.queries = Some(
-                    value
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("queries: u32 id list"))
-                        .collect(),
-                );
-            }
-            "--out" => args.out = value,
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let train = (args.frames / 4).max(200);
-    let setup = traffic_setup(args.frames, train, 0x5E42);
-    let mut sources = SourceRegistry::new();
-    let mut spec = SourceSpec::new("traffic");
-    for col in ["vehType", "vehColor", "speed", "fromI", "toI"] {
-        spec = spec.with_udf(col, setup.dataset.udf(col).expect("known column"));
-    }
-    sources.register("traffic", spec);
+fn main() -> pp_bench::Result<()> {
+    let flags = Flags::parse(&["--frames", "--rounds", "--accuracy", "--queries", "--out"])?;
+    let frames: usize = flags.get("--frames")?.unwrap_or(2_000);
+    let rounds: usize = flags.get("--rounds")?.unwrap_or(3);
+    let accuracy: f64 = flags.get("--accuracy")?.unwrap_or(0.9);
+    let out_path: String = flags.get("--out")?.unwrap_or("audit_report.jsonl".into());
+    let ids: Option<Vec<u32>> = flags
+        .get::<String>("--queries")?
+        .map(|list| list.split(',').map(|s| s.trim().parse()).collect())
+        .transpose()
+        .map_err(|e| format!("--queries: {e}"))?;
+    let train = (frames / 4).max(200);
+    let setup = traffic_setup(frames, train, 0x5E42)?;
     let audit = AuditConfig {
         // Replay every dropped blob: a smoke run wants the tightest bound
         // the evidence can support, not a sampled estimate.
@@ -98,35 +59,30 @@ fn main() {
             ..Default::default()
         },
         setup.catalog.clone(),
-        sources,
+        setup.sources()?,
         setup.pp_catalog.clone(),
         setup.domains.clone(),
     );
 
-    let mut out = std::fs::File::create(&args.out).expect("create jsonl");
+    let mut out = std::fs::File::create(&out_path)?;
     let queries: Vec<_> = traf20_queries()
         .into_iter()
-        .filter(|q| args.queries.as_ref().is_none_or(|ids| ids.contains(&q.id)))
+        .filter(|q| ids.as_ref().is_none_or(|ids| ids.contains(&q.id)))
         .collect();
-    assert!(!queries.is_empty(), "--queries matched no TRAF-20 ids");
+    if queries.is_empty() {
+        return Err("--queries matched no TRAF-20 ids".into());
+    }
     let mut completed = 0u64;
     let mut audited = 0usize;
-    for round in 0..args.rounds {
+    for round in 0..rounds {
         for q in &queries {
             let resp = server
-                .submit(QueryRequest::new(
-                    "traffic",
-                    q.predicate.clone(),
-                    args.accuracy,
-                ))
-                .expect("admitted")
+                .submit(QueryRequest::new("traffic", q.predicate.clone(), accuracy))
+                .map_err(|e| format!("query {} rejected: {e:?}", q.id))?
                 .wait();
-            assert!(
-                resp.outcome.success().is_some(),
-                "query {} failed: {:?}",
-                q.id,
-                resp.outcome
-            );
+            if resp.outcome.success().is_none() {
+                return Err(format!("query {} failed: {:?}", q.id, resp.outcome).into());
+            }
             completed += 1;
             let mut line = JsonWriter::default();
             line.object(|w| {
@@ -135,7 +91,7 @@ fn main() {
                 w.key("query").uint(q.id as u64);
                 w.key("timeline").raw(&resp.timeline.to_json());
             });
-            writeln!(out, "{}", line.finish()).expect("write jsonl");
+            writeln!(out, "{}", line.finish())?;
         }
         // Each maintenance pass drains the round's audit queue and replays
         // the PP-dropped blobs through the ground-truth UDFs.
@@ -173,7 +129,7 @@ fn main() {
             w.key("false_drops").uint(e.false_drops);
             w.key("violated").boolean(e.violated);
         });
-        writeln!(out, "{}", line.finish()).expect("write jsonl");
+        writeln!(out, "{}", line.finish())?;
         println!(
             "RESULT expr={} promised={} achieved_lower_bound={:.4} sampled={} \
              false_drops={} violated={}",
@@ -194,17 +150,17 @@ fn main() {
     println!(
         "RESULT completed={completed} audited={audited} audit_replays_total={replays_total} \
          violations_total={violations_total} undercuts={undercuts} \
-         min_achieved_lower_bound={min_achieved:.4} target={}",
-        args.accuracy
+         min_achieved_lower_bound={min_achieved:.4} target={accuracy}"
     );
-    println!("wrote {}", args.out);
+    println!("wrote {out_path}");
     server.shutdown();
     if replays_total == 0 {
         eprintln!("no audit replays ran — the auditor never saw evidence");
         std::process::exit(1);
     }
     if violations_total > 0 || undercuts > 0 {
-        eprintln!("accuracy guarantee violated — see {}", args.out);
+        eprintln!("accuracy guarantee violated — see {out_path}");
         std::process::exit(1);
     }
+    Ok(())
 }

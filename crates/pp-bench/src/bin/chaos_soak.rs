@@ -21,65 +21,30 @@
 //! failure); the final `RESULT` line is machine-parseable for the
 //! `chaos-smoke` CI job.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::Write;
 use std::time::Duration;
 
-use pp_bench::setup::traffic_setup;
+use pp_bench::setup::{traffic_setup, Flags};
 use pp_data::traf20::traf20_queries;
 use pp_engine::fault::{FaultPlan, FaultSpec};
 use pp_engine::telemetry::LatencyHistogram;
 use pp_server::{
     rows_digest, run_chaos, AdmissionConfig, CacheConfig, ChaosConfig, PpServer, QueryRequest,
-    ServerConfig, ServerFaults, SourceRegistry, SourceSpec,
+    ServerConfig, ServerFaults,
 };
 
-struct Args {
-    rounds: usize,
-    requests: usize,
-    seed: u64,
-    frames: usize,
-    log: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        rounds: 4,
-        requests: 24,
-        seed: 0xCAFEBABE,
-        frames: 1_200,
-        log: "chaos_events.log".into(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        });
-        match flag.as_str() {
-            "--rounds" => args.rounds = value.parse().expect("rounds: usize"),
-            "--requests" => args.requests = value.parse().expect("requests: usize"),
-            "--seed" => args.seed = value.parse().expect("seed: u64"),
-            "--frames" => args.frames = value.parse().expect("frames: usize"),
-            "--log" => args.log = value,
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let train = (args.frames / 4).max(200);
-    let setup = traffic_setup(args.frames, train, 0x5E42);
-    let mut sources = SourceRegistry::new();
-    let mut spec = SourceSpec::new("traffic");
-    for col in ["vehType", "vehColor", "speed", "fromI", "toI"] {
-        spec = spec.with_udf(col, setup.dataset.udf(col).expect("known column"));
-    }
-    sources.register("traffic", spec);
+fn main() -> pp_bench::Result<()> {
+    let flags = Flags::parse(&["--rounds", "--requests", "--seed", "--frames", "--log"])?;
+    let rounds: usize = flags.get("--rounds")?.unwrap_or(4);
+    let requests: usize = flags.get("--requests")?.unwrap_or(24);
+    let seed: u64 = flags.get("--seed")?.unwrap_or(0xCAFEBABE);
+    let frames: usize = flags.get("--frames")?.unwrap_or(1_200);
+    let log_path: String = flags.get("--log")?.unwrap_or("chaos_events.log".into());
+    let train = (frames / 4).max(200);
+    let setup = traffic_setup(frames, train, 0x5E42)?;
+    let sources = setup.sources()?;
     let make_server = |config: ServerConfig| {
         PpServer::new(
             config,
@@ -101,15 +66,18 @@ fn main() {
         for q in &queries {
             let resp = server
                 .submit(QueryRequest::new("traffic", q.predicate.clone(), 0.95))
-                .expect("baseline admitted")
+                .map_err(|e| format!("baseline Q{} rejected: {e:?}", q.id))?
                 .wait();
-            let s = resp.outcome.success().expect("baseline completes");
+            let s = resp
+                .outcome
+                .success()
+                .ok_or_else(|| format!("baseline Q{} failed: {:?}", q.id, resp.outcome))?;
             baselines.insert(q.predicate.to_string(), rows_digest(&s.rows));
         }
         server.shutdown();
     }
 
-    let workload: Vec<QueryRequest> = (0..args.requests)
+    let workload: Vec<QueryRequest> = (0..requests)
         .map(|i| {
             let q = &queries[i % queries.len()];
             let mut req = QueryRequest::new("traffic", q.predicate.clone(), 0.95);
@@ -119,7 +87,7 @@ fn main() {
                 // typed failures. PP-targeted faults would legitimately
                 // change result rows and break the baseline oracle.
                 req = req.with_fault_plan(
-                    FaultPlan::new(args.seed ^ i as u64)
+                    FaultPlan::new(seed ^ i as u64)
                         .inject("VehTypeClassifier", FaultSpec::transient(0.3)),
                 );
             }
@@ -127,7 +95,7 @@ fn main() {
         })
         .collect();
 
-    let mut log = std::fs::File::create(&args.log).expect("create event log");
+    let mut log = std::fs::File::create(&log_path)?;
     let mut totals = (0usize, 0usize, 0usize, 0usize, 0usize); // completed, cancelled, failed, rejected, shed
     let mut lost = 0usize;
     let mut mismatches = 0usize;
@@ -139,13 +107,13 @@ fn main() {
     // short-circuits) landed.
     let mut stage_totals: std::collections::BTreeMap<String, LatencyHistogram> =
         std::collections::BTreeMap::new();
-    for round in 0..args.rounds {
+    for round in 0..rounds {
         let workers = [1, 2, 4, 8][round % 4];
-        let round_seed = args.seed.wrapping_add(round as u64);
+        let round_seed = seed.wrapping_add(round as u64);
         let mut server = make_server(ServerConfig {
             workers,
             admission: AdmissionConfig {
-                max_queue_depth: (args.requests * 3) / 4,
+                max_queue_depth: (requests * 3) / 4,
                 ..Default::default()
             },
             cache: CacheConfig { max_entries: 2 },
@@ -206,10 +174,9 @@ fn main() {
             report.lost_tickets,
             report.mismatches.len(),
             drain.clean,
-        )
-        .expect("write log");
+        )?;
         for event in &report.events {
-            writeln!(log, "round={round} {event}").expect("write log");
+            writeln!(log, "round={round} {event}")?;
         }
         totals.0 += report.completed;
         totals.1 += report.cancelled;
@@ -238,7 +205,7 @@ fn main() {
         "\nRESULT rounds={} completed={} cancelled={} failed={} rejected={} shed={} \
          lost_tickets={lost} mismatches={mismatches} permits_leaked={leaked} poisoned={poisoned} \
          shared_submits={shared_submits}",
-        args.rounds, totals.0, totals.1, totals.2, totals.3, totals.4,
+        rounds, totals.0, totals.1, totals.2, totals.3, totals.4,
     );
     for stage in [
         "admission",
@@ -260,7 +227,8 @@ fn main() {
         }
     }
     if lost + mismatches + leaked + poisoned > 0 {
-        eprintln!("invariant violation — see {}", args.log);
+        eprintln!("invariant violation — see {}", log_path);
         std::process::exit(1);
     }
+    Ok(())
 }

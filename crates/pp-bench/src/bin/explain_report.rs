@@ -11,58 +11,26 @@
 //!
 //! [`ExplainAnalyze`]: pp_engine::ExplainAnalyze
 
-use pp_bench::setup::traffic_setup;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use pp_bench::setup::{clean_and_faulted_q1, CleanAndFaulted};
 use pp_core::RuntimeMonitor;
-use pp_data::traf20::traf20_queries;
-use pp_engine::exec::ExecutionContext;
 use pp_engine::export::openmetrics;
-use pp_engine::{ExplainAnalyze, FaultPlan, FaultSpec, TelemetrySnapshot};
+use pp_engine::ExplainAnalyze;
 
-fn snapshot_of(ctx: &ExecutionContext) -> TelemetrySnapshot {
-    let mut snap = ctx.telemetry().expect("telemetry snapshot").clone();
-    snap.zero_wall_clock();
-    snap
-}
-
-fn main() {
-    let setup = traffic_setup(2_000, 500, 0xF16);
-    let queries = traf20_queries();
-    let q = &queries[0];
-    let nop_plan = q.nop_plan(&setup.dataset);
-    let optimized = setup
-        .optimizer(0.95)
-        .optimize(&nop_plan, &setup.catalog)
-        .expect("QO");
-    assert!(
-        !optimized.report.predictions.is_empty(),
-        "the QO must forecast the emitted plan"
-    );
-
-    // Clean run.
-    let mut ctx = ExecutionContext::builder(&setup.catalog)
-        .with_parallelism(4)
-        .build();
-    ctx.run(&optimized.plan).expect("clean execution");
-    let clean = snapshot_of(&ctx);
-    let pp_ops: Vec<String> = clean
-        .spans
-        .iter()
-        .filter(|s| s.op.starts_with("PP"))
-        .map(|s| s.op.clone())
-        .collect();
-    assert!(!pp_ops.is_empty(), "optimized plan should carry PP filters");
-
-    // Faulted run: transient faults + occasional timeouts on every PP.
-    let mut fault_plan = FaultPlan::new(0xBAD5EED);
-    for op in &pp_ops {
-        fault_plan = fault_plan.inject(op, FaultSpec::transient(0.08).with_timeouts(0.02, 90.0));
+fn main() -> pp_bench::Result<()> {
+    let CleanAndFaulted {
+        query: q,
+        optimized,
+        mut clean,
+        mut faulted,
+        ..
+    } = clean_and_faulted_q1()?;
+    if optimized.report.predictions.is_empty() {
+        return Err("the QO must forecast the emitted plan".into());
     }
-    let mut faulted_ctx = ExecutionContext::builder(&setup.catalog)
-        .with_parallelism(4)
-        .with_fault_plan(fault_plan)
-        .build();
-    faulted_ctx.run(&optimized.plan).expect("faulted execution");
-    let faulted = snapshot_of(&faulted_ctx);
+    clean.zero_wall_clock();
+    faulted.zero_wall_clock();
 
     println!(
         "TRAF-20 Q{} ({}), PP plan @ accuracy 0.95, parallelism 4\n",
@@ -70,18 +38,15 @@ fn main() {
     );
 
     let clean_analyze =
-        ExplainAnalyze::analyze(&optimized.plan, &optimized.report.predictions, &clean)
-            .expect("clean join");
-    assert!(
-        clean_analyze.unjoined_nodes().is_empty() && clean_analyze.orphan_spans().is_empty(),
-        "a completed run joins every operator"
-    );
+        ExplainAnalyze::analyze(&optimized.plan, &optimized.report.predictions, &clean)?;
+    if !(clean_analyze.unjoined_nodes().is_empty() && clean_analyze.orphan_spans().is_empty()) {
+        return Err("a completed run joins every operator".into());
+    }
     println!("-- clean run --");
     print!("{}", clean_analyze.render());
 
     let faulted_analyze =
-        ExplainAnalyze::analyze(&optimized.plan, &optimized.report.predictions, &faulted)
-            .expect("faulted join");
+        ExplainAnalyze::analyze(&optimized.plan, &optimized.report.predictions, &faulted)?;
     println!("\n-- faulted run (transient 8% + timeout 2% on every PP) --");
     print!("{}", faulted_analyze.render());
 
@@ -108,4 +73,5 @@ fn main() {
         );
     }
     println!("needs_replan: {}", monitor.needs_replan());
+    Ok(())
 }

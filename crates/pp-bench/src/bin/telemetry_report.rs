@@ -9,14 +9,14 @@
 //!
 //! [`TelemetrySnapshot`]: pp_engine::TelemetrySnapshot
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 
-use pp_bench::setup::traffic_setup;
+use pp_bench::setup::{clean_and_faulted_q1, CleanAndFaulted};
 use pp_bench::table::{f2, Table};
 use pp_core::RuntimeMonitor;
-use pp_data::traf20::traf20_queries;
-use pp_engine::exec::ExecutionContext;
-use pp_engine::{EventKind, FaultPlan, FaultSpec, TelemetrySnapshot};
+use pp_engine::{EventKind, TelemetrySnapshot};
 
 /// Milliseconds with two decimals, for simulated per-row latencies.
 fn ms(seconds: f64) -> String {
@@ -78,41 +78,14 @@ fn event_summary(snap: &TelemetrySnapshot) -> String {
         .join(" ")
 }
 
-fn main() {
-    let setup = traffic_setup(2_000, 500, 0xF16);
-    let queries = traf20_queries();
-    let q = &queries[0];
-    let nop_plan = q.nop_plan(&setup.dataset);
-    let optimized = setup
-        .optimizer(0.95)
-        .optimize(&nop_plan, &setup.catalog)
-        .expect("QO");
-
-    // Clean run: discover the PP operators the optimizer injected.
-    let mut ctx = ExecutionContext::builder(&setup.catalog)
-        .with_parallelism(4)
-        .build();
-    ctx.run(&optimized.plan).expect("clean execution");
-    let clean = ctx.telemetry().expect("telemetry snapshot").clone();
-    let pp_ops: Vec<String> = clean
-        .spans
-        .iter()
-        .filter(|s| s.op.starts_with("PP["))
-        .map(|s| s.op.clone())
-        .collect();
-    assert!(!pp_ops.is_empty(), "optimized plan should carry PP filters");
-
-    // Faulted run: transient faults + occasional timeouts on every PP.
-    let mut fault_plan = FaultPlan::new(0xBAD5EED);
-    for op in &pp_ops {
-        fault_plan = fault_plan.inject(op, FaultSpec::transient(0.08).with_timeouts(0.02, 90.0));
-    }
-    let mut faulted_ctx = ExecutionContext::builder(&setup.catalog)
-        .with_parallelism(4)
-        .with_fault_plan(fault_plan)
-        .build();
-    faulted_ctx.run(&optimized.plan).expect("faulted execution");
-    let faulted = faulted_ctx.telemetry().expect("telemetry snapshot").clone();
+fn main() -> pp_bench::Result<()> {
+    let CleanAndFaulted {
+        query: q,
+        optimized,
+        pp_ops,
+        clean,
+        faulted,
+    } = clean_and_faulted_q1()?;
 
     println!(
         "TRAF-20 Q{} ({}), PP plan @ accuracy 0.95, parallelism 4\n",
@@ -132,14 +105,13 @@ fn main() {
         faulted.total_retries(),
         faulted.conservation_violations().len(),
     );
-    assert!(
-        faulted.injected_fault_count() > 0 && faulted.total_retries() > 0,
-        "the seeded fault plan should fire and force retries"
-    );
-    assert!(
-        clean.conservation_violations().is_empty() && faulted.conservation_violations().is_empty(),
-        "row conservation must hold in both runs"
-    );
+    if faulted.injected_fault_count() == 0 || faulted.total_retries() == 0 {
+        return Err("the seeded fault plan should fire and force retries".into());
+    }
+    if !(clean.conservation_violations().is_empty() && faulted.conservation_violations().is_empty())
+    {
+        return Err("row conservation must hold in both runs".into());
+    }
     let timeouts = faulted
         .events
         .iter()
@@ -183,4 +155,5 @@ fn main() {
         ]);
     }
     pp_table.print();
+    Ok(())
 }

@@ -8,12 +8,28 @@
 //! possible PP combination decrease but not substantially" when half the
 //! corpus is dropped.
 
-use pp_bench::setup::traffic_setup;
-use pp_bench::table::{f3, Table};
 use pp_core::alloc::{allocate, AccuracyGrid};
 use pp_core::combine::plan_cost_per_blob;
 use pp_core::rewrite::{rewrite, RewriteConfig};
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
+
+use crate::setup::traffic_setup;
+use crate::table::{f3, Table};
+use crate::{least, most, Experiment, Report, Result};
+
+pub(crate) const EXPERIMENT: Experiment = Experiment {
+    id: "table10",
+    paper: "Table 10",
+    checks: &[
+        "the full corpus offers 19 / 27 / 1594 feasible plans for the 1- / 2- / 4-clause \
+         predicates",
+        "the range predicate's picked plan is exactly the paper's: the boundary PPs conjoined",
+        "halving the corpus collapses the choice space: no count grows and their sum falls \
+         below a tenth",
+        "the best estimated reduction survives halving for every predicate (within 0.005)",
+    ],
+    run,
+};
 
 fn example_predicates() -> Vec<(&'static str, Predicate)> {
     fn c(col: &str, op: CompareOp, v: impl Into<pp_engine::Value>) -> Predicate {
@@ -49,11 +65,14 @@ fn example_predicates() -> Vec<(&'static str, Predicate)> {
     ]
 }
 
-fn main() {
-    let setup = traffic_setup(4_000, 1_500, 0xF1A);
+fn run() -> Result<Report> {
+    let setup = traffic_setup(4_000, 1_500, 0xF1A)?;
     let udf_cost = 0.05; // representative downstream UDF cost per blob
     let grid = AccuracyGrid::default();
     let cfg = RewriteConfig::default();
+    let mut report = Report::default();
+    // Per corpus, per predicate: (feasible plans, picked expr, its est. r).
+    let mut picked: Vec<Vec<(u64, String, f64)>> = Vec::new();
 
     for (corpus_label, drop_half) in [("full corpus", false), ("half the PPs dropped", true)] {
         let mut catalog = setup.pp_catalog.clone();
@@ -76,6 +95,7 @@ fn main() {
             "picked (est. r)",
             "alternates (est. r)",
         ]);
+        let mut per_predicate = Vec::new();
         for (label, pred) in example_predicates() {
             let outcome = rewrite(&pred, &catalog, &setup.domains, &cfg);
             let mut costed: Vec<(String, f64, f64)> = Vec::new(); // (expr, r, plan cost)
@@ -92,31 +112,51 @@ fn main() {
             let range = if costed.is_empty() {
                 "-".to_string()
             } else {
-                let lo = costed.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
-                let hi = costed.iter().map(|c| c.1).fold(f64::NEG_INFINITY, f64::max);
-                format!("{}–{}", f3(lo), f3(hi))
+                let rs = || costed.iter().map(|c| c.1);
+                format!("{}–{}", f3(least(rs())), f3(most(rs())))
             };
-            let picked = costed
-                .first()
-                .map_or("-".to_string(), |c| format!("{} ({})", c.0, f3(c.1)));
-            let alternates = costed
-                .iter()
-                .skip(1)
-                .take(2)
-                .map(|c| format!("{} ({})", c.0, f3(c.1)))
-                .collect::<Vec<_>>()
-                .join("; ");
+            let show = |c: &(String, f64, f64)| format!("{} ({})", c.0, f3(c.1));
             table.row([
                 label.to_string(),
                 outcome.feasible_count.to_string(),
                 range,
-                picked,
-                alternates,
+                costed.first().map_or("-".to_string(), show),
+                costed
+                    .iter()
+                    .skip(1)
+                    .take(2)
+                    .map(show)
+                    .collect::<Vec<_>>()
+                    .join("; "),
             ]);
+            let (expr, r) = costed
+                .first()
+                .map_or((String::new(), 0.0), |c| (c.0.clone(), c.1));
+            per_predicate.push((outcome.feasible_count, expr, r));
         }
-        table.print();
+        report.table(&table);
+        picked.push(per_predicate);
     }
-    println!("Paper (Table 10): 4 / 18 / 216 feasible plans on the full 32-PP corpus;");
-    println!("picked plans reach r = 0.42 / 0.79 / 0.77; halving the corpus shrinks the");
-    println!("plan count but best reductions drop only slightly (e.g. 0.42 → 0.40).");
+    report.line("Paper (Table 10): 4 / 18 / 216 feasible plans on the full 32-PP corpus;");
+    report.line("picked plans reach r = 0.42 / 0.79 / 0.77; halving the corpus shrinks the");
+    report.line("plan count but best reductions drop only slightly (e.g. 0.42 → 0.40).");
+
+    let (full, half) = (&picked[0], &picked[1]);
+    let counts = |c: &[(u64, String, f64)]| c.iter().map(|p| p.0).collect::<Vec<_>>();
+    report.check(
+        counts(full) == [19, 27, 1594],
+        format!("{:?}", counts(full)),
+    );
+    report.check(
+        full[1].1 == "(PP[speed >= 60] ∧ PP[speed <= 65])",
+        full[1].1.clone(),
+    );
+    report.check(
+        full.iter().zip(half).all(|(f, h)| h.0 <= f.0)
+            && 10 * counts(half).iter().sum::<u64>() < counts(full).iter().sum(),
+        format!("{:?} → {:?}", counts(full), counts(half)),
+    );
+    let drop = most(full.iter().zip(half).map(|(f, h)| f.2 - h.2));
+    report.check(drop < 0.005, format!("largest drop {}", f3(drop)));
+    Ok(report)
 }

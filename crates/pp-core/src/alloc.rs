@@ -114,29 +114,6 @@ pub fn allocate(
     })
 }
 
-/// Uniform-allocation baseline (ablation): every leaf gets the same grid
-/// accuracy — the smallest one whose combined accuracy still meets the
-/// target.
-pub fn allocate_uniform(expr: &PpExpr, target: f64, grid: &AccuracyGrid) -> Result<PlannedPpExpr> {
-    if !(target > 0.0 && target <= 1.0) {
-        return Err(PpError::InvalidParameter(
-            "accuracy target must be in (0, 1]",
-        ));
-    }
-    for &a in grid.points() {
-        let assignment = Assignment::uniform(expr, a)?;
-        let estimate = expr.estimate(&assignment)?;
-        if estimate.accuracy >= target - 1e-12 {
-            return Ok(PlannedPpExpr {
-                expr: expr.clone(),
-                assignment,
-                estimate,
-            });
-        }
-    }
-    Err(PpError::InfeasibleAccuracy(target))
-}
-
 /// Computes the DP curve for a sub-expression: `curve[i]` is the best entry
 /// with combined accuracy ≥ `grid.points()[i]`, if any.
 fn build_curve(
@@ -250,6 +227,29 @@ mod tests {
 
     fn leaf(seed: u64, cost: f64) -> PpExpr {
         PpExpr::leaf(Arc::new(trained_pp(0.3, seed, cost)))
+    }
+
+    /// The reference the DP is held against: every leaf gets the same grid
+    /// accuracy — the smallest one whose combined accuracy still meets the
+    /// target.
+    fn allocate_uniform(expr: &PpExpr, target: f64, grid: &AccuracyGrid) -> Result<PlannedPpExpr> {
+        if !(target > 0.0 && target <= 1.0) {
+            return Err(PpError::InvalidParameter(
+                "accuracy target must be in (0, 1]",
+            ));
+        }
+        for &a in grid.points() {
+            let assignment = Assignment::uniform(expr, a)?;
+            let estimate = expr.estimate(&assignment)?;
+            if estimate.accuracy >= target - 1e-12 {
+                return Ok(PlannedPpExpr {
+                    expr: expr.clone(),
+                    assignment,
+                    estimate,
+                });
+            }
+        }
+        Err(PpError::InfeasibleAccuracy(target))
     }
 
     #[test]

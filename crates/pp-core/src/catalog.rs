@@ -17,9 +17,8 @@
 
 use std::sync::{Arc, Weak};
 
-use parking_lot::{Mutex, RwLock};
-
 use pp_engine::predicate::{Clause, Predicate};
+use pp_engine::sync::{Mutex, RwLock};
 
 use crate::implication::{clause_implies, implies};
 use crate::pp::ProbabilisticPredicate;

@@ -27,8 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use parking_lot::RwLock;
-
+use pp_engine::sync::RwLock;
 use pp_engine::telemetry::TelemetrySnapshot;
 
 use crate::calibration::{

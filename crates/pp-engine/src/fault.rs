@@ -26,13 +26,14 @@
 //!   [`EngineError::PoisonedRow`] is not retryable.
 
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pp_linalg::rng::{derive_seed, hash2};
 
 use crate::logical::LogicalPlan;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
+use crate::sync::Mutex;
 use crate::udf::{Processor, RowFilter};
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -173,25 +174,22 @@ impl FaultLog {
     }
 
     fn record(&self, op: &str, row_fingerprint: u64, attempt: u64, kind: FaultKind) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(InjectedFault {
-                op: op.to_string(),
-                row_fingerprint,
-                attempt,
-                kind,
-            });
+        self.events.lock().push(InjectedFault {
+            op: op.to_string(),
+            row_fingerprint,
+            attempt,
+            kind,
+        });
     }
 
     /// Drains all recorded faults (unsorted).
     pub fn drain(&self) -> Vec<InjectedFault> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
+        std::mem::take(&mut *self.events.lock())
     }
 
     /// Number of recorded faults.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.events.lock().len()
     }
 
     /// Whether the log is empty.

@@ -44,6 +44,7 @@ pub mod resilience;
 pub mod row;
 pub mod schema;
 pub mod stats;
+pub mod sync;
 pub mod telemetry;
 pub mod udf;
 pub mod value;

@@ -54,11 +54,12 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::logical::LogicalPlan;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
+use crate::sync::Mutex;
 use crate::udf::Processor;
 use crate::value::Value;
 use crate::Result;
@@ -166,15 +167,8 @@ impl UdfMemo {
         MemoStats {
             invoked: self.invoked.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            entries: self.lock_cache().values().map(Vec::len).sum::<usize>() as u64,
+            entries: self.cache.lock().values().map(Vec::len).sum::<usize>() as u64,
         }
-    }
-
-    /// The cache holds only fully computed entries, so a panic elsewhere
-    /// on a window worker can never leave it half-written — recover from
-    /// poisoning instead of wedging every sibling query.
-    fn lock_cache(&self) -> MutexGuard<'_, Cache> {
-        self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Appends to `out` what `(op, row)` produced: the cached cells, or —
@@ -197,7 +191,7 @@ impl UdfMemo {
         }
         let hash = hasher.finish();
         let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, key_cells));
-        if let Some(bucket) = self.lock_cache().get(&hash) {
+        if let Some(bucket) = self.cache.lock().get(&hash) {
             if let Some(hit) = find(bucket) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 out.extend_from_slice(&bucket[hit].cells);
@@ -206,7 +200,7 @@ impl UdfMemo {
         }
         let cells = compute(out)?;
         self.invoked.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.lock_cache();
+        let mut cache = self.cache.lock();
         let bucket = cache.entry(hash).or_default();
         // A sibling may have computed the same (pure) call meanwhile.
         if find(bucket).is_none() {

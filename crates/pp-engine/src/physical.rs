@@ -89,7 +89,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, PoisonError};
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 use crate::batch::Batch;
@@ -103,6 +103,7 @@ use crate::provider::TableProvider;
 use crate::resilience::{ExecSession, ProbeOutcome};
 use crate::row::{Row, Rowset};
 use crate::schema::{Column, Schema};
+use crate::sync::Mutex;
 use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
 use crate::udf::{Combiner, Processor, Reducer, RowFilter};
 use crate::value::{Key, Value};
@@ -219,9 +220,7 @@ where
                         // would be discarded anyway).
                         stop.store(true, Ordering::Relaxed);
                     }
-                    // A slot holds a finished value or nothing, so a
-                    // poisoned one is still valid to write.
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                    *slots[i].lock() = Some(r);
                 })
             })
             .collect();
@@ -235,7 +234,7 @@ where
     });
     let mut out = Vec::with_capacity(morsels.len());
     for slot in slots {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        match slot.into_inner() {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
             // Morsels are claimed in index order, so an empty slot ahead

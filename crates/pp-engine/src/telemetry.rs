@@ -42,10 +42,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::fault::InjectedFault;
 use crate::json::JsonWriter;
+use crate::sync::Mutex;
 
 /// Stable identifier of one query run within an
 /// [`ExecutionContext`](crate::exec::ExecutionContext): the 1-based run
@@ -295,10 +296,6 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<String, Arc<SharedHistogram>>>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl MetricsRegistry {
     /// A fresh registry.
     pub fn new() -> Self {
@@ -307,7 +304,8 @@ impl MetricsRegistry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        lock(&self.counters)
+        self.counters
+            .lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -315,7 +313,8 @@ impl MetricsRegistry {
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        lock(&self.gauges)
+        self.gauges
+            .lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -323,7 +322,8 @@ impl MetricsRegistry {
 
     /// The shared histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<SharedHistogram> {
-        lock(&self.histograms)
+        self.histograms
+            .lock()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -333,10 +333,10 @@ impl MetricsRegistry {
     /// name order (stable export order).
     pub fn samples(&self) -> Vec<(String, MetricValue)> {
         let mut out: Vec<(String, MetricValue)> = Vec::new();
-        for (name, c) in lock(&self.counters).iter() {
+        for (name, c) in self.counters.lock().iter() {
             out.push((name.clone(), MetricValue::Counter(c.get())));
         }
-        for (name, g) in lock(&self.gauges).iter() {
+        for (name, g) in self.gauges.lock().iter() {
             out.push((name.clone(), MetricValue::Gauge(g.get())));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -349,7 +349,9 @@ impl MetricsRegistry {
     /// durations, so they never participate in the byte-identical
     /// deterministic snapshots.
     pub fn histogram_samples(&self) -> Vec<(String, LatencyHistogram)> {
-        let out: Vec<(String, LatencyHistogram)> = lock(&self.histograms)
+        let out: Vec<(String, LatencyHistogram)> = self
+            .histograms
+            .lock()
             .iter()
             .map(|(n, h)| (n.clone(), h.load()))
             .collect();
@@ -378,15 +380,21 @@ impl MetricsRegistry {
     pub fn merge(&self, other: &MetricsRegistry) {
         // Read `other` fully before touching `self` so merging a registry
         // into itself (or concurrent cross-merges) cannot deadlock.
-        let counters: Vec<(String, u64)> = lock(&other.counters)
+        let counters: Vec<(String, u64)> = other
+            .counters
+            .lock()
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
             .collect();
-        let gauges: Vec<(String, f64)> = lock(&other.gauges)
+        let gauges: Vec<(String, f64)> = other
+            .gauges
+            .lock()
             .iter()
             .map(|(n, g)| (n.clone(), g.get()))
             .collect();
-        let histograms: Vec<(String, LatencyHistogram)> = lock(&other.histograms)
+        let histograms: Vec<(String, LatencyHistogram)> = other
+            .histograms
+            .lock()
             .iter()
             .map(|(n, h)| (n.clone(), h.load()))
             .collect();

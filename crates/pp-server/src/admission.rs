@@ -16,11 +16,12 @@
 //!   [`RejectReason::CostBudgetExceeded`] *before* any UDF runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pp_core::planner::PlanReport;
 use pp_engine::cost::CostMeter;
+use pp_engine::sync::{Condvar, Mutex};
 
 use crate::request::RejectReason;
 
@@ -92,7 +93,7 @@ impl DepthGate {
     /// queries their grace period before firing cancellation tokens.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.idle.lock();
         loop {
             if self.depth() == 0 {
                 return true;
@@ -105,10 +106,7 @@ impl DepthGate {
             // somehow lost; permit drops notify under the lock, so in
             // practice each release wakes the waiter immediately.
             let slice = (deadline - now).min(Duration::from_millis(10));
-            let (g, _) = self
-                .idle_cv
-                .wait_timeout(guard, slice)
-                .unwrap_or_else(|e| e.into_inner());
+            let (g, _) = self.idle_cv.wait_timeout(guard, slice);
             guard = g;
         }
     }
@@ -124,7 +122,7 @@ impl Drop for Permit {
         self.0.depth.fetch_sub(1, Ordering::SeqCst);
         // Taking the mutex orders this release after any in-progress
         // depth check in `wait_idle`, so the notification cannot be lost.
-        drop(self.0.idle.lock().unwrap_or_else(|e| e.into_inner()));
+        drop(self.0.idle.lock());
         self.0.idle_cv.notify_all();
     }
 }

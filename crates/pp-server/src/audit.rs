@@ -43,10 +43,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use pp_engine::memo::{MemoProcessor, UdfMemo};
-use pp_engine::row::Row;
+use pp_engine::row::{Row, Rowset};
 use pp_engine::schema::Schema;
+use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
 use pp_engine::udf::{Processor, RowFilter};
 use pp_engine::LogicalPlan;
@@ -422,6 +422,9 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let n = state.pending.len().min(config.max_tasks_per_pass.max(1));
         state.pending.drain(..n).collect()
     };
+    // Each table is decoded once per pass and shared by that pass's
+    // tasks; nothing outlives the pass.
+    let mut tables: HashMap<&str, Option<Rowset>> = HashMap::new();
     for task in tasks {
         let Some(chosen) = task.plan.report.chosen.as_ref() else {
             continue;
@@ -431,7 +434,10 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         };
         // `read_table` decodes segment tables too, so audit replay covers
         // out-of-core sources.
-        let Ok(table) = inner.data.read_table(spec.table()) else {
+        let Some(table) = tables
+            .entry(spec.table())
+            .or_insert_with(|| inner.data.read_table(spec.table()).ok())
+        else {
             continue;
         };
         let filters = collect_pp_filters(&task.plan.plan);

@@ -35,11 +35,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use pp_core::catalog::CatalogEpoch;
 use pp_core::planner::PlanReport;
 use pp_engine::predicate::Predicate;
+use pp_engine::sync::{Condvar, Mutex};
 use pp_engine::LogicalPlan;
 
 /// Cache key: everything that determines the optimizer's output.
@@ -124,7 +125,7 @@ impl BuildGuard<'_> {
 impl Drop for BuildGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.slot.state.lock();
             if matches!(*state, SlotState::Building) {
                 *state = SlotState::Vacant;
             }
@@ -219,7 +220,7 @@ impl PlanCache {
     }
 
     fn slot(&self, key: &CacheKey) -> Arc<Slot> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = self.slots.lock();
         Arc::clone(slots.entry(key.clone()).or_insert_with(|| {
             Arc::new(Slot {
                 state: Mutex::new(SlotState::Vacant),
@@ -242,13 +243,13 @@ impl PlanCache {
     /// state lock is contended — a builder or reader mid-flight keeps its
     /// slot. Score is `predicted_cost / (age + 1)`: cheap and stale loses.
     fn evict_over_capacity(&self, keep: &CacheKey) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = self.slots.lock();
         loop {
             let now = self.tick.load(Ordering::Relaxed);
             let mut ready = 0usize;
             let mut victim: Option<(CacheKey, f64)> = None;
             for (k, slot) in slots.iter() {
-                let Ok(state) = slot.state.try_lock() else {
+                let Some(state) = slot.state.try_lock() else {
                     continue;
                 };
                 if !matches!(&*state, SlotState::Ready(_)) {
@@ -285,7 +286,7 @@ impl PlanCache {
         build: impl FnOnce() -> Result<CachedPlan, E>,
     ) -> Result<(Arc<CachedPlan>, bool), E> {
         let slot = self.slot(key);
-        let mut state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = slot.state.lock();
         loop {
             match &*state {
                 SlotState::Ready(plan) => {
@@ -296,7 +297,7 @@ impl PlanCache {
                     return Ok((plan, true));
                 }
                 SlotState::Building => {
-                    state = slot.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+                    state = slot.cv.wait(state);
                 }
                 SlotState::Vacant => {
                     *state = SlotState::Building;
@@ -312,7 +313,7 @@ impl PlanCache {
                             let plan = Arc::new(plan);
                             let cost = crate::admission::predicted_cluster_seconds(&plan.report);
                             slot.predicted_cost.store(cost.to_bits(), Ordering::Relaxed);
-                            let mut state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
+                            let mut state = slot.state.lock();
                             *state = SlotState::Ready(Arc::clone(&plan));
                             drop(state);
                             guard.disarm();
@@ -336,10 +337,10 @@ impl PlanCache {
     /// in-flight builders).
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         let slot = {
-            let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+            let slots = self.slots.lock();
             slots.get(key).cloned()?
         };
-        let state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = slot.state.lock();
         match &*state {
             SlotState::Ready(plan) => Some(Arc::clone(plan)),
             _ => None,
@@ -352,14 +353,14 @@ impl PlanCache {
     /// resurrecting a stale epoch.
     pub fn swap(&self, key: &CacheKey, plan: CachedPlan) -> bool {
         let slot = {
-            let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+            let slots = self.slots.lock();
             match slots.get(key) {
                 Some(s) => Arc::clone(s),
                 None => return false,
             }
         };
         let cost = crate::admission::predicted_cluster_seconds(&plan.report);
-        let mut state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = slot.state.lock();
         match &*state {
             SlotState::Ready(_) => {
                 *state = SlotState::Ready(Arc::new(plan));
@@ -377,7 +378,7 @@ impl PlanCache {
     /// for stale keys finish into their (now unreachable-by-new-arrivals)
     /// slots harmlessly: new arrivals carry the new epoch in their key.
     pub fn invalidate_stale(&self, current: CatalogEpoch) -> usize {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = self.slots.lock();
         let before = slots.len();
         slots.retain(|key, _| key.epoch >= current);
         let dropped = before - slots.len();
@@ -389,7 +390,7 @@ impl PlanCache {
     /// Keys of all ready entries (maintenance iterates these).
     pub fn ready_keys(&self) -> Vec<CacheKey> {
         let slots: Vec<(CacheKey, Arc<Slot>)> = {
-            let map = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+            let map = self.slots.lock();
             map.iter()
                 .map(|(k, s)| (k.clone(), Arc::clone(s)))
                 .collect()
@@ -397,7 +398,7 @@ impl PlanCache {
         slots
             .into_iter()
             .filter(|(_, slot)| {
-                let state = slot.state.lock().unwrap_or_else(|e| e.into_inner());
+                let state = slot.state.lock();
                 matches!(&*state, SlotState::Ready(_))
             })
             .map(|(k, _)| k)
@@ -406,7 +407,7 @@ impl PlanCache {
 
     /// Number of entries (any state).
     pub fn len(&self) -> usize {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.slots.lock().len()
     }
 
     /// True when no entries exist.

@@ -12,8 +12,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+
+use pp_engine::sync::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -81,11 +83,7 @@ impl WorkerPool {
             })
             .collect();
         if workers.is_empty() {
-            queue
-                .jobs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .shutting_down = true;
+            queue.jobs.lock().shutting_down = true;
         }
         WorkerPool { queue, workers }
     }
@@ -97,7 +95,7 @@ impl WorkerPool {
 
     /// Enqueues a job; returns `false` (job not queued) after shutdown.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        let mut state = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.queue.jobs.lock();
         if state.shutting_down {
             return false;
         }
@@ -109,12 +107,7 @@ impl WorkerPool {
 
     /// Jobs waiting for a worker (excludes running jobs).
     pub fn queued(&self) -> usize {
-        self.queue
-            .jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pending
-            .len()
+        self.queue.jobs.lock().pending.len()
     }
 
     /// Stops intake, lets queued jobs finish, and joins every worker
@@ -129,7 +122,7 @@ impl WorkerPool {
     /// whatever the first left (e.g. joining still-attached workers).
     pub fn shutdown_with(&mut self, policy: DrainPolicy) -> usize {
         let abandoned: Vec<Job> = {
-            let mut state = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.queue.jobs.lock();
             state.shutting_down = true;
             match policy {
                 DrainPolicy::DrainQueued => Vec::new(),
@@ -166,7 +159,7 @@ impl Drop for WorkerPool {
 fn worker_loop(queue: &Queue) {
     loop {
         let job = {
-            let mut state = queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = queue.jobs.lock();
             loop {
                 if let Some(job) = state.pending.pop_front() {
                     break job;
@@ -174,7 +167,7 @@ fn worker_loop(queue: &Queue) {
                 if state.shutting_down {
                     return;
                 }
-                state = queue.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+                state = queue.cv.wait(state);
             }
         };
         // A panicking job must not kill the worker; the panic is contained
@@ -212,9 +205,9 @@ mod tests {
             let gate = Arc::clone(&gate);
             pool.submit(move || {
                 let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
+                let mut open = lock.lock();
                 while !*open {
-                    open = cv.wait(open).unwrap();
+                    open = cv.wait(open);
                 }
             });
         }
@@ -227,7 +220,7 @@ mod tests {
             std::thread::spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 let (lock, cv) = &*gate;
-                *lock.lock().unwrap() = true;
+                *lock.lock() = true;
                 cv.notify_all();
             })
         };
@@ -253,9 +246,9 @@ mod tests {
             pool.submit(move || {
                 started_tx.send(()).unwrap();
                 let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
+                let mut open = lock.lock();
                 while !*open {
-                    open = cv.wait(open).unwrap();
+                    open = cv.wait(open);
                 }
             });
         }
@@ -272,7 +265,7 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), "dropped");
         // Unblock the detached worker so its thread exits cleanly.
         let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
+        *lock.lock() = true;
         cv.notify_all();
         assert!(!pool.submit(|| {}), "post-abandon submit accepted");
     }

@@ -50,7 +50,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use pp_core::catalog::{CatalogEpoch, CatalogSnapshot, SnapshotGarbage, VersionedPpCatalog};
 use pp_core::planner::{PpQueryOptimizer, QoConfig};
 use pp_core::runtime::{MonitorConfig, RuntimeMonitor};
@@ -59,6 +58,7 @@ use pp_core::PpCatalog;
 use pp_engine::cancel::{CancelReason, CancelToken};
 use pp_engine::exec::ExecutionContext;
 use pp_engine::memo::UdfMemo;
+use pp_engine::sync::Mutex;
 use pp_engine::telemetry::MetricsRegistry;
 use pp_engine::{Catalog, EngineError};
 

@@ -36,10 +36,11 @@
 //! seeded faults.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pp_core::catalog::CatalogSnapshot;
+use pp_engine::sync::{Condvar, Mutex};
 
 use crate::request::QueryRequest;
 use crate::server::ResponseGuard;
@@ -124,18 +125,11 @@ impl SharedScanCoordinator {
         self.config.max_window.max(1)
     }
 
-    /// Locks the coordinator state, recovering from poison: the state is
-    /// plain bookkeeping mutated only under short critical sections, so a
-    /// panicking peer cannot leave it half-updated in a harmful way.
-    fn lock_state(&self) -> MutexGuard<'_, CoordState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Adds `member` to the joinable window for its source, opening a new
     /// one when none exists (or the open one is full/flushed/claimed).
     pub(crate) fn enqueue(&self, member: WindowMember) -> Enqueued {
         let source = member.request.source.clone();
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         if let Some(&id) = state.open.get(&source) {
             if let Some(slot) = state.windows.get_mut(&id) {
                 if !slot.flushed && slot.members.len() < self.max_window() {
@@ -167,7 +161,7 @@ impl SharedScanCoordinator {
     /// pool job; lingers up to `window_wait` (if configured) for the
     /// window to fill before claiming whatever joined.
     pub(crate) fn claim(&self, window_id: u64) -> Vec<WindowMember> {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         if let Some(wait) = self.config.window_wait {
             let deadline = Instant::now() + wait;
             loop {
@@ -182,10 +176,7 @@ impl SharedScanCoordinator {
                 if now >= deadline {
                     break;
                 }
-                let (guard, timeout) = self
-                    .wakeup
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
+                let (guard, timeout) = self.wakeup.wait_timeout(state, deadline - now);
                 state = guard;
                 if timeout.timed_out() {
                     break;
@@ -197,7 +188,7 @@ impl SharedScanCoordinator {
 
     /// Removes the window without waiting (pool rejected its job).
     pub(crate) fn take(&self, window_id: u64) -> Vec<WindowMember> {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         self.take_locked(&mut state, window_id)
     }
 
@@ -217,7 +208,7 @@ impl SharedScanCoordinator {
     /// as `Cancelled` if their jobs are abandoned) — tickets are never
     /// lost.
     pub(crate) fn flush_all(&self) {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         for slot in state.windows.values_mut() {
             slot.flushed = true;
         }
@@ -227,7 +218,7 @@ impl SharedScanCoordinator {
 
     /// Members currently parked in unclaimed windows (gauge fodder).
     pub(crate) fn pending(&self) -> usize {
-        let state = self.lock_state();
+        let state = self.state.lock();
         state.windows.values().map(|s| s.members.len()).sum()
     }
 }

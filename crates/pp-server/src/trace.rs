@@ -36,8 +36,8 @@
 
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use pp_engine::json::JsonWriter;
+use pp_engine::sync::Mutex;
 
 /// A pipeline stage a request can occupy. Stages are entered in
 /// submission order and never revisited; the wall-clock interval between

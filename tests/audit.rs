@@ -8,7 +8,8 @@
 //! of the seed and the submission sequence, and enabling the auditor never
 //! perturbs any query's verdicts, charges, or telemetry snapshot.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use probabilistic_predicates::core::runtime::QuarantineReason;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
@@ -16,7 +17,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
-use probabilistic_predicates::engine::Catalog;
+use probabilistic_predicates::engine::{Catalog, Chunk, RowGroupMeta, Schema, TableProvider};
 use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -345,4 +346,67 @@ fn audit_queue_is_bounded_without_a_maintenance_pass() {
     );
     assert_eq!(server.maintenance_now().audit.audited, 1);
     assert_eq!(server.auditor().pending(), bound - 1);
+}
+
+/// Delegates to the fixture's table and counts group decodes.
+#[derive(Debug)]
+struct CountingProvider {
+    inner: Arc<dyn TableProvider>,
+    reads: AtomicUsize,
+}
+
+impl TableProvider for CountingProvider {
+    fn schema(&self) -> Arc<Schema> {
+        self.inner.schema()
+    }
+    fn row_count(&self) -> usize {
+        self.inner.row_count()
+    }
+    fn group_count(&self) -> usize {
+        self.inner.group_count()
+    }
+    fn group_meta(&self, index: usize) -> &RowGroupMeta {
+        self.inner.group_meta(index)
+    }
+    fn read_group(&self, index: usize) -> probabilistic_predicates::engine::Result<Chunk> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_group(index)
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+}
+
+/// A pass decodes each source table once and shares it across the tasks
+/// it drains, however many there are.
+#[test]
+fn an_audit_pass_reads_each_table_once() {
+    let f = fixture();
+    let counting = Arc::new(CountingProvider {
+        inner: Arc::clone(f.catalog.provider("traffic").expect("registered")),
+        reads: AtomicUsize::new(0),
+    });
+    let mut catalog = f.catalog.clone();
+    catalog.register_provider("traffic", counting.clone());
+    let server = PpServer::new(
+        ServerConfig {
+            workers: 1,
+            audit: audit_config(),
+            ..Default::default()
+        },
+        catalog,
+        f.sources.clone(),
+        f.honest.clone(),
+        f.domains.clone(),
+    );
+    for _ in 0..3 {
+        complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
+    }
+    let before = counting.reads.load(Ordering::Relaxed);
+    assert_eq!(server.maintenance_now().audit.audited, 3);
+    assert_eq!(
+        counting.reads.load(Ordering::Relaxed) - before,
+        counting.group_count(),
+        "three tasks over one table decode it once"
+    );
 }
