@@ -79,10 +79,11 @@ fn run() -> Result<Report> {
         if drop_half {
             // Drop every other PP per the paper's "randomly dropped half"
             // (deterministic here: keep even-indexed entries).
-            let keys: Vec<String> = catalog.all().iter().map(|pp| pp.key()).collect();
-            let dropped: std::collections::BTreeSet<String> =
-                keys.iter().skip(1).step_by(2).cloned().collect();
-            catalog.retain(|pp| !dropped.contains(&pp.key()));
+            let dropped: std::collections::BTreeSet<String> = (catalog.all().iter().skip(1))
+                .step_by(2)
+                .map(|pp| pp.key().to_string())
+                .collect();
+            catalog.retain(|pp| !dropped.contains(pp.key()));
         }
         let mut table = Table::new(format!(
             "Table 10 — QO plan exploration ({corpus_label}, {} PPs)",

@@ -10,9 +10,19 @@
 //! least `g`, folding children with the Eq. 9/10 algebra; read the answer
 //! at the query's accuracy target. Plan cost is `c + (1 − r) · u` (§3),
 //! so the objective correctly trades filter cost against saved UDF work.
+//!
+//! A fold tries every pair of entries of two curves against every grid
+//! level the pair satisfies, so curve entries are `Copy`: an estimate, its
+//! plan cost and a back-pointer into a per-candidate arena of operand
+//! pairs. The per-leaf accuracies are spelled from the back-pointers once,
+//! for the entry that won.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::combine::{conjoin, disjoin, plan_cost_per_blob, Estimate};
 use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
+use crate::pp::ProbabilisticPredicate;
 use crate::{PpError, Result};
 
 /// The discrete per-leaf accuracy levels the DP considers.
@@ -65,151 +75,239 @@ impl AccuracyGrid {
     }
 }
 
-/// One entry of a sub-expression's DP curve.
-#[derive(Debug, Clone)]
+/// One entry of a sub-expression's DP curve. `Copy`: installing it in a
+/// grid slot copies six words, whatever the subtree's size.
+#[derive(Debug, Clone, Copy)]
 struct CurveEntry {
     estimate: Estimate,
-    /// Per-leaf accuracies for the subtree, in pre-order.
-    assignment: Vec<f64>,
+    /// `plan_cost_per_blob(&estimate, udf_cost)`, what entries compete on.
+    plan_cost: f64,
+    /// How to spell the subtree's per-leaf accuracies, should this entry
+    /// end up in the winner.
+    back: Back,
+}
+
+/// Where a curve entry's accuracies come from.
+#[derive(Debug, Clone, Copy)]
+enum Back {
+    /// One leaf, set to this accuracy.
+    Leaf(f64),
+    /// `arena[i]`: the left operand's leaves, then the right operand's.
+    Pair(usize),
+}
+
+/// `curve[i]` is the best entry with combined accuracy ≥
+/// `grid.points()[i]`, if any.
+type Curve = Vec<Option<CurveEntry>>;
+
+/// Whether an entry costing `plan_cost` takes `slot`: first seen wins
+/// unless the newcomer is strictly cheaper by 1e-15.
+fn beats(slot: &Option<CurveEntry>, plan_cost: f64) -> bool {
+    slot.is_none_or(|held| plan_cost < held.plan_cost - 1e-15)
+}
+
+/// The budget DP for the candidates of one `optimize` call: one target,
+/// one downstream UDF cost, one grid. A leaf's curve depends on nothing
+/// else but the leaf, so it is built once and shared by every candidate
+/// the leaf appears in.
+#[derive(Debug)]
+pub struct BudgetDp<'g> {
+    target: f64,
+    udf_cost: f64,
+    grid: &'g AccuracyGrid,
+    /// Leaf curves by what determines them
+    /// ([`same_estimates`](ProbabilisticPredicate::same_estimates)): the
+    /// planner's calibration corrections mint a fresh `Arc` per candidate,
+    /// so the pointer alone would not do. Holding the leaf keeps it alive
+    /// for as long as its curve is.
+    leaf_curves: Vec<(Arc<ProbabilisticPredicate>, Curve)>,
+    /// Operand pairs of the combined entries that won a slot while the
+    /// current candidate was folded; cleared per candidate.
+    arena: Vec<[Back; 2]>,
+}
+
+impl<'g> BudgetDp<'g> {
+    /// A DP reading its answers at `target` (validated when a candidate is
+    /// [allocated](Self::allocate)) and costing plans as `c + (1 − r)·u`
+    /// with `u = udf_cost`.
+    pub fn new(target: f64, udf_cost: f64, grid: &'g AccuracyGrid) -> Self {
+        BudgetDp {
+            target,
+            udf_cost,
+            grid,
+            leaf_curves: Vec::new(),
+            arena: Vec::new(),
+        }
+    }
+
+    /// Allocates the accuracy budget over `expr`'s leaves to minimize plan
+    /// cost subject to combined accuracy ≥ the target.
+    pub fn allocate(&mut self, expr: &PpExpr) -> Result<PlannedPpExpr> {
+        let target = self.target;
+        if !(target > 0.0 && target <= 1.0) {
+            return Err(PpError::InvalidParameter(
+                "accuracy target must be in (0, 1]",
+            ));
+        }
+        self.build_leaf_curves(expr)?;
+        self.arena.clear();
+        let curve = fold_curve(
+            expr,
+            &self.leaf_curves,
+            &mut self.arena,
+            self.udf_cost,
+            self.grid.points(),
+        )?;
+        let idx = self
+            .grid
+            .ceil_index(target)
+            .ok_or(PpError::InfeasibleAccuracy(target))?;
+        // The best entry at or above the target index.
+        let mut best: Option<CurveEntry> = None;
+        for entry in curve.iter().skip(idx).flatten() {
+            if beats(&best, entry.plan_cost) {
+                best = Some(*entry);
+            }
+        }
+        let chosen = best.ok_or(PpError::InfeasibleAccuracy(target))?;
+        // The assignment is spelled once, for the winner.
+        let mut accuracies = Vec::with_capacity(expr.leaf_count());
+        spell(chosen.back, &self.arena, &mut accuracies);
+        let assignment = Assignment::new(accuracies)?;
+        let estimate = expr.estimate(&assignment)?;
+        Ok(PlannedPpExpr {
+            expr: expr.clone(),
+            assignment,
+            estimate,
+        })
+    }
+
+    /// Makes sure every leaf of `expr` has its curve.
+    fn build_leaf_curves(&mut self, expr: &PpExpr) -> Result<()> {
+        match expr {
+            PpExpr::Leaf(pp) => {
+                if !self.leaf_curves.iter().any(|(l, _)| l.same_estimates(pp)) {
+                    let curve = leaf_curve(pp, self.udf_cost, self.grid.points())?;
+                    self.leaf_curves.push((Arc::clone(pp), curve));
+                }
+                Ok(())
+            }
+            PpExpr::And(children) | PpExpr::Or(children) => children
+                .iter()
+                .try_for_each(|child| self.build_leaf_curves(child)),
+        }
+    }
 }
 
 /// Allocates the accuracy budget over `expr`'s leaves to minimize plan cost
-/// `c + (1 − r)·u` subject to combined accuracy ≥ `target`.
+/// `c + (1 − r)·u` subject to combined accuracy ≥ `target`: a
+/// [`BudgetDp`] of one candidate.
 pub fn allocate(
     expr: &PpExpr,
     target: f64,
     udf_cost: f64,
     grid: &AccuracyGrid,
 ) -> Result<PlannedPpExpr> {
-    if !(target > 0.0 && target <= 1.0) {
-        return Err(PpError::InvalidParameter(
-            "accuracy target must be in (0, 1]",
-        ));
+    BudgetDp::new(target, udf_cost, grid).allocate(expr)
+}
+
+/// Appends the per-leaf accuracies behind `back`, in leaf pre-order.
+fn spell(back: Back, arena: &[[Back; 2]], out: &mut Vec<f64>) {
+    match back {
+        Back::Leaf(a) => out.push(a),
+        Back::Pair(i) => {
+            let [left, right] = arena[i];
+            spell(left, arena, out);
+            spell(right, arena, out);
+        }
     }
-    let curve = build_curve(expr, udf_cost, grid)?;
-    let idx = grid
-        .ceil_index(target)
-        .ok_or(PpError::InfeasibleAccuracy(target))?;
-    // The best entry at or above the target index.
-    let mut best: Option<&CurveEntry> = None;
-    for entry in curve.iter().skip(idx).flatten() {
-        let better = match best {
-            None => true,
-            Some(b) => {
-                plan_cost_per_blob(&entry.estimate, udf_cost)
-                    < plan_cost_per_blob(&b.estimate, udf_cost) - 1e-15
-            }
+}
+
+/// A leaf's curve: set to accuracy `a` it achieves exactly `a`, and
+/// satisfies every grid level ≤ `a`.
+fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64, g: &[f64]) -> Result<Curve> {
+    let mut curve: Curve = vec![None; g.len()];
+    for (i, &a) in g.iter().enumerate() {
+        let estimate = Estimate {
+            accuracy: a,
+            reduction: pp.reduction(a)?,
+            cost: pp.cost_per_row(),
         };
-        if better {
-            best = Some(entry);
+        let entry = CurveEntry {
+            estimate,
+            plan_cost: plan_cost_per_blob(&estimate, udf_cost),
+            back: Back::Leaf(a),
+        };
+        for slot in curve.iter_mut().take(i + 1) {
+            if beats(slot, entry.plan_cost) {
+                *slot = Some(entry);
+            }
         }
     }
-    let chosen = best.ok_or(PpError::InfeasibleAccuracy(target))?;
-    let assignment = Assignment::new(chosen.assignment.clone())?;
-    let estimate = expr.estimate(&assignment)?;
-    Ok(PlannedPpExpr {
-        expr: expr.clone(),
-        assignment,
-        estimate,
-    })
+    Ok(curve)
 }
 
-/// Computes the DP curve for a sub-expression: `curve[i]` is the best entry
-/// with combined accuracy ≥ `grid.points()[i]`, if any.
-fn build_curve(
+/// Computes the DP curve of a sub-expression whose leaves all have their
+/// curves in `leaf_curves`, folding children pairwise under the node's
+/// combination rule and keeping the lowest-plan-cost entry per accuracy
+/// level.
+fn fold_curve<'c>(
     expr: &PpExpr,
+    leaf_curves: &'c [(Arc<ProbabilisticPredicate>, Curve)],
+    arena: &mut Vec<[Back; 2]>,
     udf_cost: f64,
-    grid: &AccuracyGrid,
-) -> Result<Vec<Option<CurveEntry>>> {
-    let g = grid.points();
-    match expr {
+    g: &[f64],
+) -> Result<Cow<'c, [Option<CurveEntry>]>> {
+    let (children, combine): (_, fn(Estimate, Estimate) -> Estimate) = match expr {
         PpExpr::Leaf(pp) => {
-            let mut curve: Vec<Option<CurveEntry>> = vec![None; g.len()];
-            // A leaf set to accuracy a achieves exactly a; it satisfies
-            // every grid level ≤ a.
-            for (i, &a) in g.iter().enumerate() {
-                let est = Estimate {
-                    accuracy: a,
-                    reduction: pp.reduction(a)?,
-                    cost: pp.cost_per_row(),
-                };
-                let entry = CurveEntry {
-                    estimate: est,
-                    assignment: vec![a],
-                };
-                for (j, slot) in curve.iter_mut().enumerate().take(i + 1) {
-                    let _ = j;
-                    let better = match slot {
-                        None => true,
-                        Some(existing) => {
-                            plan_cost_per_blob(&entry.estimate, udf_cost)
-                                < plan_cost_per_blob(&existing.estimate, udf_cost) - 1e-15
-                        }
-                    };
-                    if better {
-                        *slot = Some(entry.clone());
-                    }
-                }
-            }
-            Ok(curve)
+            let (_, curve) = leaf_curves
+                .iter()
+                .find(|(l, _)| l.same_estimates(pp))
+                .expect("build_leaf_curves covered every leaf");
+            return Ok(Cow::Borrowed(curve));
         }
-        PpExpr::And(children) => fold_children(children, udf_cost, grid, conjoin),
-        PpExpr::Or(children) => {
-            if children.is_empty() {
-                return Err(PpError::InvalidParameter("empty disjunction"));
-            }
-            fold_children(children, udf_cost, grid, disjoin)
+        PpExpr::And(children) => (children, conjoin),
+        PpExpr::Or(children) if children.is_empty() => {
+            return Err(PpError::InvalidParameter("empty disjunction"));
         }
-    }
-}
-
-/// Folds child curves pairwise under a combination rule, keeping the
-/// lowest-plan-cost entry per accuracy level.
-fn fold_children(
-    children: &[PpExpr],
-    udf_cost: f64,
-    grid: &AccuracyGrid,
-    combine: fn(Estimate, Estimate) -> Estimate,
-) -> Result<Vec<Option<CurveEntry>>> {
-    let g = grid.points();
-    let mut acc: Option<Vec<Option<CurveEntry>>> = None;
+        PpExpr::Or(children) => (children, disjoin),
+    };
+    let mut acc: Option<Cow<'c, [Option<CurveEntry>]>> = None;
     for child in children {
-        let child_curve = build_curve(child, udf_cost, grid)?;
-        acc = Some(match acc {
-            None => child_curve,
-            Some(prev) => {
-                let mut merged: Vec<Option<CurveEntry>> = vec![None; g.len()];
-                for a_entry in prev.iter().flatten() {
-                    for b_entry in child_curve.iter().flatten() {
-                        let est = combine(a_entry.estimate, b_entry.estimate);
-                        // The combined entry satisfies every grid level up
-                        // to its achieved accuracy.
-                        let Some(upto) = highest_satisfied(g, est.accuracy) else {
-                            continue;
-                        };
-                        let mut assignment = a_entry.assignment.clone();
-                        assignment.extend_from_slice(&b_entry.assignment);
-                        let candidate = CurveEntry {
-                            estimate: est,
-                            assignment,
-                        };
-                        for slot in merged.iter_mut().take(upto + 1) {
-                            let better = match slot {
-                                None => true,
-                                Some(existing) => {
-                                    plan_cost_per_blob(&candidate.estimate, udf_cost)
-                                        < plan_cost_per_blob(&existing.estimate, udf_cost) - 1e-15
-                                }
-                            };
-                            if better {
-                                *slot = Some(candidate.clone());
-                            }
-                        }
+        let child_curve = fold_curve(child, leaf_curves, arena, udf_cost, g)?;
+        let Some(prev) = acc else {
+            acc = Some(child_curve);
+            continue;
+        };
+        let mut merged: Curve = vec![None; g.len()];
+        for a in prev.iter().flatten() {
+            for b in child_curve.iter().flatten() {
+                let estimate = combine(a.estimate, b.estimate);
+                // The combined entry satisfies every grid level up to its
+                // achieved accuracy.
+                let Some(upto) = highest_satisfied(g, estimate.accuracy) else {
+                    continue;
+                };
+                let plan_cost = plan_cost_per_blob(&estimate, udf_cost);
+                // Its operands go into the arena the first time it wins a
+                // slot; most combinations never do.
+                let mut back = None;
+                for slot in merged.iter_mut().take(upto + 1) {
+                    if beats(slot, plan_cost) {
+                        let back = *back.get_or_insert_with(|| {
+                            arena.push([a.back, b.back]);
+                            Back::Pair(arena.len() - 1)
+                        });
+                        *slot = Some(CurveEntry {
+                            estimate,
+                            plan_cost,
+                            back,
+                        });
                     }
                 }
-                merged
             }
-        });
+        }
+        acc = Some(Cow::Owned(merged));
     }
     acc.ok_or(PpError::InvalidParameter("expression has no children"))
 }
@@ -298,6 +396,39 @@ mod tests {
             dp.estimate,
             uniform.estimate
         );
+    }
+
+    #[test]
+    fn one_dp_for_many_candidates_plans_each_like_a_dp_of_its_own() {
+        let (a, b, c) = (
+            Arc::new(trained_pp(0.3, 1, 0.001)),
+            Arc::new(trained_pp(0.3, 2, 0.004)),
+            Arc::new(trained_pp(0.3, 5, 0.02)),
+        );
+        // Rescaled copies: a fresh `Arc` each, as the planner's corrections
+        // mint them. Equal scales share a curve; a different scale must not.
+        let halved = || PpExpr::leaf(Arc::new(a.with_reduction_scale(0.5)));
+        let (la, lb, lc) = (PpExpr::leaf(a.clone()), PpExpr::leaf(b), PpExpr::leaf(c));
+        let candidates = [
+            la.clone(),
+            halved(),
+            PpExpr::And(vec![la.clone(), lb.clone()]),
+            PpExpr::And(vec![halved(), lb.clone(), lc.clone()]),
+            PpExpr::And(vec![PpExpr::Or(vec![la, lc.clone()]), halved()]),
+            PpExpr::Or(vec![lb, lc]),
+        ];
+        let grid = AccuracyGrid::default();
+        for target in [0.9, 0.95, 1.0] {
+            let mut shared = BudgetDp::new(target, 5.0, &grid);
+            for cand in &candidates {
+                let together = shared.allocate(cand).unwrap();
+                let alone = allocate(cand, target, 5.0, &grid).unwrap();
+                assert_eq!(together.assignment, alone.assignment, "{cand} at {target}");
+                assert_eq!(together.estimate, alone.estimate, "{cand} at {target}");
+            }
+            // a, its halved copy, b and c: four curves for thirteen leaves.
+            assert_eq!(shared.leaf_curves.len(), 4);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::{Arc, Weak};
 use pp_engine::predicate::{Clause, Predicate};
 use pp_engine::sync::{Mutex, RwLock};
 
-use crate::implication::{clause_implies, implies};
+use crate::implication::Antecedent;
 use crate::pp::ProbabilisticPredicate;
 
 /// A collection of trained PPs.
@@ -78,25 +78,19 @@ impl PpCatalog {
     /// Sorted by ascending efficiency ratio `c/r(1]` so that greedy
     /// consumers try the best PP first (§6.1).
     pub fn implied_by_clause(&self, c: &Clause) -> Vec<Arc<ProbabilisticPredicate>> {
-        let mut out: Vec<Arc<ProbabilisticPredicate>> = self
-            .pps
-            .iter()
-            .filter(|pp| match pp.predicate() {
-                Predicate::Clause(q) => clause_implies(c, q),
-                q => implies(&Predicate::Clause(c.clone()), q),
-            })
-            .cloned()
-            .collect();
-        out.sort_by(|a, b| a.efficiency_ratio().total_cmp(&b.efficiency_ratio()));
-        out
+        self.implied_by(&Predicate::Clause(c.clone()))
     }
 
-    /// PPs usable as necessary conditions for an arbitrary predicate.
+    /// PPs usable as necessary conditions for an arbitrary predicate, in
+    /// [`implied_by_clause`](Self::implied_by_clause)'s order. The
+    /// predicate is prepared as an antecedent once and every PP's stored
+    /// normal form is tested against it.
     pub fn implied_by(&self, predicate: &Predicate) -> Vec<Arc<ProbabilisticPredicate>> {
+        let antecedent = Antecedent::new(predicate);
         let mut out: Vec<Arc<ProbabilisticPredicate>> = self
             .pps
             .iter()
-            .filter(|pp| implies(predicate, pp.predicate()))
+            .filter(|pp| antecedent.implies(pp.nnf()))
             .cloned()
             .collect();
         out.sort_by(|a, b| a.efficiency_ratio().total_cmp(&b.efficiency_ratio()));

@@ -207,17 +207,19 @@ impl PpExpr {
 
 impl std::fmt::Display for PpExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PpExpr::Leaf(pp) => write!(f, "PP[{}]", pp.key()),
-            PpExpr::And(es) => {
-                let parts: Vec<String> = es.iter().map(|e| e.to_string()).collect();
-                write!(f, "({})", parts.join(" ∧ "))
+        let (children, gate) = match self {
+            PpExpr::Leaf(pp) => return write!(f, "PP[{}]", pp.key()),
+            PpExpr::And(es) => (es, " ∧ "),
+            PpExpr::Or(es) => (es, " ∨ "),
+        };
+        f.write_str("(")?;
+        for (i, child) in children.iter().enumerate() {
+            if i > 0 {
+                f.write_str(gate)?;
             }
-            PpExpr::Or(es) => {
-                let parts: Vec<String> = es.iter().map(|e| e.to_string()).collect();
-                write!(f, "({})", parts.join(" ∨ "))
-            }
+            child.fmt(f)?;
         }
+        f.write_str(")")
     }
 }
 

@@ -8,7 +8,7 @@
 //! not hold, though it may miss some that do (it reasons syntactically over
 //! CNF with single-column interval logic).
 
-use pp_engine::predicate::{Clause, CompareOp, Predicate};
+use pp_engine::predicate::{Clause, Cnf, CompareOp, Predicate};
 
 /// Does clause `p` imply clause `q`? Sound; complete for same-column
 /// comparisons over totally ordered values.
@@ -59,22 +59,43 @@ pub fn clause_implies(p: &Clause, q: &Clause) -> bool {
 /// Cap on CNF size used during implication checking.
 const CNF_CAP: usize = 256;
 
-/// Does `p ⇒ q`? Sound and incomplete.
+/// The left side of `p ⇒ q`, prepared once to be tested against many
+/// `q`: whether `p` simplifies to `FALSE`, and its CNF. A catalog lookup
+/// prepares the query's predicate and tests every PP's stored
+/// [`nnf`](crate::pp::ProbabilisticPredicate::nnf) against it.
+#[derive(Debug)]
+pub struct Antecedent {
+    is_false: bool,
+    /// `None` when `p` is too complex to normalize (or a constant).
+    cnf: Option<Cnf>,
+}
+
+impl Antecedent {
+    /// Prepares `p`.
+    pub fn new(p: &Predicate) -> Self {
+        Antecedent {
+            is_false: matches!(p.simplify(), Predicate::False),
+            cnf: p.to_cnf(CNF_CAP),
+        }
+    }
+
+    /// Does the prepared `p` imply `q`, given as `q.to_nnf().simplify()`?
+    /// Sound and incomplete.
+    pub fn implies(&self, q_nnf: &Predicate) -> bool {
+        match q_nnf {
+            Predicate::True => true,
+            Predicate::False => self.is_false,
+            _ if self.is_false => true,
+            // No CNF: too complex, give up (soundly).
+            q => self.cnf.as_ref().is_some_and(|cnf| implies_cnf(cnf, q)),
+        }
+    }
+}
+
+/// Does `p ⇒ q`? Sound and incomplete. The one-shot form of
+/// [`Antecedent::implies`].
 pub fn implies(p: &Predicate, q: &Predicate) -> bool {
-    let q = q.to_nnf().simplify();
-    match &q {
-        Predicate::True => return true,
-        Predicate::False => return matches!(p.simplify(), Predicate::False),
-        _ => {}
-    }
-    if matches!(p.simplify(), Predicate::False) {
-        return true;
-    }
-    let cnf = match p.to_cnf(CNF_CAP) {
-        Some(c) => c,
-        None => return false, // too complex: give up (soundly)
-    };
-    implies_cnf(&cnf, &q)
+    Antecedent::new(p).implies(&q.to_nnf().simplify())
 }
 
 /// CNF-against-NNF implication: every case is a *sufficient* syntactic
@@ -263,5 +284,77 @@ mod tests {
             Predicate::from(Clause::new("x", CompareOp::Lt, 5.0)),
         );
         assert!(!implies(&Predicate::True, &tautology));
+    }
+
+    /// `implies` as it was before the antecedent could be prepared: both
+    /// sides normalized per call. The reference the prepared form is held
+    /// against.
+    fn implies_per_call(p: &Predicate, q: &Predicate) -> bool {
+        let q = q.to_nnf().simplify();
+        match &q {
+            Predicate::True => return true,
+            Predicate::False => return matches!(p.simplify(), Predicate::False),
+            _ => {}
+        }
+        if matches!(p.simplify(), Predicate::False) {
+            return true;
+        }
+        match p.to_cnf(CNF_CAP) {
+            Some(cnf) => implies_cnf(&cnf, &q),
+            None => false,
+        }
+    }
+
+    /// Random predicates over a vocabulary small enough that implications
+    /// between two of them are common.
+    fn arb_predicate() -> impl proptest::strategy::Strategy<Value = Predicate> {
+        use proptest::prelude::*;
+        let ops = || {
+            proptest::sample::select(vec![
+                CompareOp::Eq,
+                CompareOp::Ne,
+                CompareOp::Lt,
+                CompareOp::Le,
+                CompareOp::Gt,
+                CompareOp::Ge,
+            ])
+        };
+        let leaf = prop_oneof![
+            (ops(), proptest::sample::select(vec![40.0, 50.0, 60.0]))
+                .prop_map(|(op, v)| Predicate::from(cl("s", op, v))),
+            (ops(), proptest::sample::select(vec!["SUV", "van"]))
+                .prop_map(|(op, v)| Predicate::from(cl("t", op, v))),
+            proptest::sample::select(vec![Predicate::True, Predicate::False]),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Predicate::And),
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Predicate::Or),
+                inner.prop_map(Predicate::not),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        /// One prepared antecedent answers for every consequent what the
+        /// per-call check answers for the pair.
+        #[test]
+        fn prepared_antecedent_agrees_with_the_per_call_check(
+            p in arb_predicate(),
+            qs in proptest::collection::vec(arb_predicate(), 1..6),
+        ) {
+            let prepared = Antecedent::new(&p);
+            for q in &qs {
+                let expected = implies_per_call(&p, q);
+                proptest::prop_assert!(
+                    prepared.implies(&q.to_nnf().simplify()) == expected,
+                    "prepared: {p} ⇒ {q} should be {expected}"
+                );
+                proptest::prop_assert!(
+                    implies(&p, q) == expected,
+                    "one-shot: {p} ⇒ {q} should be {expected}"
+                );
+            }
+        }
     }
 }

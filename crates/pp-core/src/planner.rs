@@ -23,7 +23,7 @@ use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 
-use crate::alloc::{allocate, AccuracyGrid};
+use crate::alloc::{AccuracyGrid, BudgetDp};
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
@@ -288,30 +288,26 @@ impl PpQueryOptimizer {
             // single PP. Broken PPs (fault-quarantined by the monitor) are
             // excluded outright — injecting a filter that keeps failing
             // would charge its cost for no reduction.
-            let flagged = monitor.is_some_and(|m| m.is_flagged(&predicate.to_string()));
+            report.predicate = predicate.to_string();
+            let flagged = monitor.is_some_and(|m| m.is_flagged(&report.predicate));
             let candidates: Vec<PpExpr> = outcome
                 .candidates
                 .into_iter()
                 .filter(|c| !flagged || c.leaf_count() == 1)
                 .filter(|c| {
-                    monitor.is_none_or(|m| !c.leaves().iter().any(|pp| m.is_broken(&pp.key())))
+                    monitor.is_none_or(|m| !c.leaves().iter().any(|pp| m.is_broken(pp.key())))
                 })
                 .map(|c| match monitor {
                     Some(m) => apply_corrections(c, m),
                     None => c,
                 })
                 .collect();
-            report.predicate = predicate.to_string();
             report.feasible_count = outcome.feasible_count;
 
+            let mut dp = BudgetDp::new(self.config.accuracy_target, udf_cost, &self.config.grid);
             let mut best: Option<(f64, PlannedPpExpr)> = None;
             for cand in candidates {
-                let planned = match allocate(
-                    &cand,
-                    self.config.accuracy_target,
-                    udf_cost,
-                    &self.config.grid,
-                ) {
+                let planned = match dp.allocate(&cand) {
                     Ok(p) => p,
                     Err(PpError::InfeasibleAccuracy(_)) => {
                         // Record the candidate for the audit trail with a
@@ -350,7 +346,7 @@ impl PpQueryOptimizer {
             let mut leaf_keys = Vec::with_capacity(accs.len());
             let mut leaf_reductions = Vec::with_capacity(accs.len());
             for (pp, &a) in planned.expr.leaves().iter().zip(&accs) {
-                leaf_keys.push(pp.key());
+                leaf_keys.push(pp.key().to_string());
                 leaf_reductions.push(pp.reduction(a)?);
             }
             let chosen = ChosenPlan {
@@ -421,7 +417,7 @@ fn storable_conjuncts(predicate: &Predicate, schema: &Schema) -> Option<Predicat
 /// verdicts are untouched — corrected plans return the same rows.
 fn apply_corrections(expr: PpExpr, monitor: &RuntimeMonitor) -> PpExpr {
     match expr {
-        PpExpr::Leaf(pp) => match monitor.reduction_correction(&pp.key()) {
+        PpExpr::Leaf(pp) => match monitor.reduction_correction(pp.key()) {
             Some(s) if (s - 1.0).abs() > 1e-12 => {
                 PpExpr::Leaf(Arc::new(pp.with_reduction_scale(s)))
             }

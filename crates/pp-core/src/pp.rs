@@ -13,13 +13,21 @@ use pp_engine::Predicate;
 use pp_linalg::Features;
 use pp_ml::Pipeline;
 
+use crate::implication::Antecedent;
 use crate::{PpError, Result};
 
 /// A trained probabilistic predicate.
+///
+/// Everything that depends only on the PP is computed once, when it is
+/// built, and shared by every copy: its canonical [`key`](Self::key), both
+/// sides of the implication check — the normal form it is tested by
+/// ([`nnf`](Self::nnf)) and the prepared antecedent it tests others with
+/// ([`implies`](Self::implies)) — and its uncorrected `r(1]`. The planner reads
+/// these thousands of times per query; none of them changes afterwards —
+/// [`with_reduction_scale`](Self::with_reduction_scale) only rescales.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticPredicate {
-    predicate: Predicate,
-    pipeline: Arc<Pipeline>,
+    trained: Arc<Trained>,
     /// Per-blob execution cost in simulated cluster seconds (the `c` of
     /// §3). Defaults to the measured wall-clock inference cost but is
     /// usually set explicitly by the workload so that the simulated cost
@@ -31,6 +39,22 @@ pub struct ProbabilisticPredicate {
     reduction_scale: f64,
 }
 
+/// What training fixed, and what follows from it alone.
+#[derive(Debug)]
+struct Trained {
+    predicate: Predicate,
+    /// `predicate.to_string()`.
+    key: String,
+    /// `predicate.to_nnf().simplify()`.
+    nnf: Predicate,
+    /// `predicate`, prepared as the left side of an implication.
+    antecedent: Antecedent,
+    pipeline: Pipeline,
+    /// The validation curve's `r(1]`, before any correction (0 when the
+    /// curve cannot be read, which ranks like no reduction at all).
+    full_reduction: f64,
+}
+
 impl ProbabilisticPredicate {
     /// Wraps a trained pipeline as the PP for `predicate`, with an explicit
     /// simulated per-blob cost.
@@ -38,39 +62,68 @@ impl ProbabilisticPredicate {
         if cost_per_row.is_nan() || cost_per_row < 0.0 {
             return Err(PpError::InvalidParameter("cost_per_row must be >= 0"));
         }
-        Ok(ProbabilisticPredicate {
-            predicate,
-            pipeline: Arc::new(pipeline),
-            cost_per_row,
-            reduction_scale: 1.0,
-        })
+        Ok(Self::assemble(predicate, pipeline, cost_per_row))
     }
 
     /// Wraps a trained pipeline, using its measured wall-clock inference
     /// cost as the simulated cost.
     pub fn from_measured(predicate: Predicate, pipeline: Pipeline) -> Self {
         let cost = pipeline.test_seconds_per_blob();
+        Self::assemble(predicate, pipeline, cost)
+    }
+
+    fn assemble(predicate: Predicate, pipeline: Pipeline, cost_per_row: f64) -> Self {
         ProbabilisticPredicate {
-            predicate,
-            pipeline: Arc::new(pipeline),
-            cost_per_row: cost,
+            trained: Arc::new(Trained {
+                key: predicate.to_string(),
+                nnf: predicate.to_nnf().simplify(),
+                antecedent: Antecedent::new(&predicate),
+                full_reduction: pipeline.reduction(1.0).unwrap_or(0.0),
+                predicate,
+                pipeline,
+            }),
+            cost_per_row,
             reduction_scale: 1.0,
         }
     }
 
     /// The predicate this PP mimics.
     pub fn predicate(&self) -> &Predicate {
-        &self.predicate
+        &self.trained.predicate
     }
 
-    /// Canonical identity string (catalog key / display).
-    pub fn key(&self) -> String {
-        self.predicate.to_string()
+    /// Canonical identity string (catalog key / display): the mimicked
+    /// predicate's display form.
+    pub fn key(&self) -> &str {
+        &self.trained.key
+    }
+
+    /// The mimicked predicate in negation normal form, simplified — the
+    /// consequent [`Antecedent::implies`](crate::implication::Antecedent::implies)
+    /// tests.
+    pub fn nnf(&self) -> &Predicate {
+        &self.trained.nnf
+    }
+
+    /// Does this PP's predicate imply `other`'s (sound, incomplete)? A PP
+    /// whose predicate implies another's makes that other redundant in a
+    /// conjunction.
+    pub fn implies(&self, other: &ProbabilisticPredicate) -> bool {
+        self.trained.antecedent.implies(other.nnf())
     }
 
     /// The underlying trained pipeline.
     pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+        &self.trained.pipeline
+    }
+
+    /// Whether `other` yields the same estimates at every accuracy: the
+    /// same trained pipeline at the same cost and reduction scale. (Two
+    /// rescaled copies of one PP are different `Arc`s but one curve.)
+    pub(crate) fn same_estimates(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.trained, &other.trained)
+            && self.cost_per_row.to_bits() == other.cost_per_row.to_bits()
+            && self.reduction_scale.to_bits() == other.reduction_scale.to_bits()
     }
 
     /// Per-blob execution cost in simulated cluster seconds.
@@ -82,7 +135,7 @@ impl ProbabilisticPredicate {
     /// scaled by the calibration correction
     /// ([`reduction_scale`][Self::reduction_scale]), clamped to `[0, 1]`.
     pub fn reduction(&self, a: f64) -> Result<f64> {
-        Ok((self.pipeline.reduction(a)? * self.reduction_scale).clamp(0.0, 1.0))
+        Ok((self.pipeline().reduction(a)? * self.reduction_scale).clamp(0.0, 1.0))
     }
 
     /// The calibration correction currently applied to the reduction curve
@@ -113,12 +166,12 @@ impl ProbabilisticPredicate {
     /// The decision for one blob at accuracy `a` (Eq. 2): `true` keeps the
     /// blob.
     pub fn passes(&self, blob: &Features, a: f64) -> Result<bool> {
-        Ok(self.pipeline.passes(blob, a)?)
+        Ok(self.pipeline().passes(blob, a)?)
     }
 
     /// Raw classifier score `f(ψ(x))`.
     pub fn score(&self, blob: &Features) -> f64 {
-        self.pipeline.score(blob)
+        self.pipeline().score(blob)
     }
 
     /// The intrinsic cost-to-reduction ratio `c / r(1]` used by the QO's
@@ -127,21 +180,23 @@ impl ProbabilisticPredicate {
     /// correction. Returns `f64::INFINITY` when the PP achieves no
     /// (corrected) reduction at full accuracy.
     pub fn efficiency_ratio(&self) -> f64 {
-        match self.reduction(1.0) {
-            Ok(r) if r > 0.0 => self.cost_per_row / r,
-            _ => f64::INFINITY,
+        let r = (self.trained.full_reduction * self.reduction_scale).clamp(0.0, 1.0);
+        if r > 0.0 {
+            self.cost_per_row / r
+        } else {
+            f64::INFINITY
         }
     }
 
     /// The selectivity of the mimicked predicate observed on validation
     /// data.
     pub fn observed_selectivity(&self) -> f64 {
-        self.pipeline.calibration().selectivity()
+        self.pipeline().calibration().selectivity()
     }
 
     /// Training wall time in seconds (reported in Tables 5/9).
     pub fn train_seconds(&self) -> f64 {
-        self.pipeline.train_seconds()
+        self.pipeline().train_seconds()
     }
 }
 
@@ -211,9 +266,9 @@ pub(crate) mod tests {
     #[test]
     fn negative_cost_rejected() {
         let pp = trained_pp(0.3, 4, 0.001);
-        let pipeline = (*pp.pipeline).clone();
+        let pipeline = pp.pipeline().clone();
         assert!(matches!(
-            ProbabilisticPredicate::new(pp.predicate.clone(), pipeline, -1.0),
+            ProbabilisticPredicate::new(pp.predicate().clone(), pipeline, -1.0),
             Err(PpError::InvalidParameter(_))
         ));
     }

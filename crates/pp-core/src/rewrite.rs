@@ -148,10 +148,7 @@ fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) 
             if subset.len() >= config.max_group_conj {
                 break;
             }
-            let redundant = subset.iter().any(|s| {
-                crate::implication::implies(s.predicate(), pp.predicate())
-                    || crate::implication::implies(pp.predicate(), s.predicate())
-            });
+            let redundant = subset.iter().any(|s| s.implies(pp) || pp.implies(s));
             if !redundant {
                 subset.push(pp.clone());
             }
@@ -179,7 +176,7 @@ fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) 
             .map(|c| {
                 let mut opts = catalog.implied_by_clause(c);
                 // Exact match first.
-                let exact_key = Predicate::Clause(c.clone()).to_string();
+                let exact_key = c.to_string();
                 if let Some(pos) = opts.iter().position(|pp| pp.key() == exact_key) {
                     let exact = opts.remove(pos);
                     opts.insert(0, exact);

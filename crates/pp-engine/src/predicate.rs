@@ -121,11 +121,6 @@ impl Clause {
             value: self.value.clone(),
         }
     }
-
-    /// A canonical identity string (used as a PP catalog key).
-    pub fn key(&self) -> String {
-        format!("{} {} {}", self.column, self.op.token(), self.value)
-    }
 }
 
 impl PartialEq for Clause {

@@ -1,5 +1,5 @@
 //! The plan cache: memoized optimizer output keyed by
-//! `(source, canonical predicate, accuracy bucket, catalog epoch)`.
+//! `(source, canonical predicate, accuracy target, catalog epoch)`.
 //!
 //! Table 9 puts PP query optimization at 80–100 ms per query — far too
 //! much to repeat for every arrival of a recurring query. The cache makes
@@ -7,8 +7,10 @@
 //!
 //! * **Canonical keys.** The predicate is [`simplify`]-ed and rendered to
 //!   its display string, so syntactic variants of the same predicate share
-//!   an entry; the accuracy target is bucketed to 1/1000ths so `0.95` and
-//!   `0.9500001` share too.
+//!   an entry. The accuracy target is keyed exactly, by its bits: a plan
+//!   built for `0.9496` must not answer a request for `0.9504` — the
+//!   budget DP read its grid below what the second caller asked for, and
+//!   the contract is achieved ≥ requested.
 //! * **Epoch scoping.** The key embeds the [`CatalogEpoch`] pinned at
 //!   submit time. Publishing a retrained corpus bumps the epoch, so new
 //!   arrivals miss (and re-plan against the new corpus) while
@@ -28,8 +30,9 @@
 //!   evicted: cheap-to-rebuild plans go first, and among equal costs the
 //!   least recently used goes first. The just-inserted entry and any
 //!   in-flight build are never victims, so single-flight and epoch
-//!   semantics are unchanged. Evictions are counted in
-//!   [`CacheStats::evicted`].
+//!   semantics are unchanged. The victim is picked from the slots'
+//!   atomics — no slot lock is taken — and freed after the map lock is
+//!   released. Evictions are counted in [`CacheStats::evicted`].
 //!
 //! [`simplify`]: pp_engine::predicate::Predicate::simplify
 
@@ -50,8 +53,8 @@ pub struct CacheKey {
     pub source: String,
     /// Canonical (simplified, display-form) predicate.
     pub predicate: String,
-    /// Accuracy target in 1/1000ths (`(a * 1000).round()`).
-    pub accuracy_bucket: u32,
+    /// The exact accuracy target, as `f64::to_bits`.
+    pub accuracy_bits: u64,
     /// Catalog epoch the plan is valid for.
     pub epoch: CatalogEpoch,
 }
@@ -67,7 +70,7 @@ impl CacheKey {
         CacheKey {
             source: source.to_string(),
             predicate: predicate.simplify().to_string(),
-            accuracy_bucket: (accuracy_target * 1000.0).round() as u32,
+            accuracy_bits: accuracy_target.to_bits(),
             epoch,
         }
     }
@@ -100,7 +103,12 @@ enum SlotState {
 struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
-    /// Logical tick of the last `get_or_build` touch (hit or insert).
+    /// Logical tick of the last `get_or_build` touch (hit or insert); 0
+    /// until the first. A slot is touched only once it is `Ready`, and a
+    /// `Ready` slot stays so until it leaves the map, so `last_used != 0`
+    /// *is* readiness — which is how eviction reads it without the state
+    /// lock. Stored with `Release` after `predicted_cost`, loaded with
+    /// `Acquire` before it.
     last_used: AtomicU64,
     /// Predicted cluster-seconds of the cached plan, as `f64` bits —
     /// the rebuild bill eviction weighs against recency.
@@ -221,38 +229,42 @@ impl PlanCache {
 
     fn slot(&self, key: &CacheKey) -> Arc<Slot> {
         let mut slots = self.slots.lock();
-        Arc::clone(slots.entry(key.clone()).or_insert_with(|| {
-            Arc::new(Slot {
-                state: Mutex::new(SlotState::Vacant),
-                cv: Condvar::new(),
-                last_used: AtomicU64::new(0),
-                predicted_cost: AtomicU64::new(0),
-            })
-        }))
+        if let Some(slot) = slots.get(key) {
+            return Arc::clone(slot);
+        }
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState::Vacant),
+            cv: Condvar::new(),
+            last_used: AtomicU64::new(0),
+            predicted_cost: AtomicU64::new(0),
+        });
+        slots.insert(key.clone(), Arc::clone(&slot));
+        slot
     }
 
-    /// Stamps `slot` with the next logical tick.
+    /// Stamps `slot` (which is `Ready`) with the next logical tick.
     fn touch(&self, slot: &Slot) {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        slot.last_used.store(now, Ordering::Relaxed);
+        slot.last_used.store(now, Ordering::Release);
     }
 
     /// Evicts lowest-score ready entries until at most
     /// [`CacheConfig::max_entries`] remain. `keep` (the entry whose insert
-    /// triggered this) is never a victim, and neither is any slot whose
-    /// state lock is contended — a builder or reader mid-flight keeps its
-    /// slot. Score is `predicted_cost / (age + 1)`: cheap and stale loses.
+    /// triggered this) is never a victim, and neither is a slot nobody has
+    /// touched yet — vacant, or mid-build. Score is
+    /// `predicted_cost / (age + 1)`: cheap and stale loses. Victims are
+    /// unlinked under the map lock and freed — plan tree, report strings —
+    /// after it is released.
     fn evict_over_capacity(&self, keep: &CacheKey) {
+        let mut unlinked: Vec<(CacheKey, Arc<Slot>)> = Vec::new();
         let mut slots = self.slots.lock();
         loop {
             let now = self.tick.load(Ordering::Relaxed);
             let mut ready = 0usize;
-            let mut victim: Option<(CacheKey, f64)> = None;
+            let mut victim: Option<(&CacheKey, f64)> = None;
             for (k, slot) in slots.iter() {
-                let Some(state) = slot.state.try_lock() else {
-                    continue;
-                };
-                if !matches!(&*state, SlotState::Ready(_)) {
+                let last_used = slot.last_used.load(Ordering::Acquire);
+                if last_used == 0 {
                     continue;
                 }
                 ready += 1;
@@ -260,19 +272,27 @@ impl PlanCache {
                     continue;
                 }
                 let cost = f64::from_bits(slot.predicted_cost.load(Ordering::Relaxed));
-                let age = now.saturating_sub(slot.last_used.load(Ordering::Relaxed)) as f64;
+                let age = now.saturating_sub(last_used) as f64;
                 let score = cost / (age + 1.0);
-                if victim.as_ref().is_none_or(|(_, s)| score < *s) {
-                    victim = Some((k.clone(), score));
+                if victim.is_none_or(|(_, s)| score < s) {
+                    victim = Some((k, score));
                 }
             }
             if ready <= self.config.max_entries {
-                return;
+                break;
             }
-            let Some((k, _)) = victim else { return };
-            slots.remove(&k);
+            let Some((k, _)) = victim else { break };
+            let k = k.clone();
+            unlinked.extend(slots.remove_entry(&k));
             self.evicted.fetch_add(1, Ordering::Relaxed);
+            // One insert puts the cache one over; only a burst of
+            // concurrent inserts needs another scan.
+            if ready - 1 <= self.config.max_entries {
+                break;
+            }
         }
+        drop(slots);
+        drop(unlinked);
     }
 
     /// Returns the memoized plan for `key`, running `build` (at most once
@@ -439,7 +459,7 @@ mod tests {
         CacheKey {
             source: "s".into(),
             predicate: pred.into(),
-            accuracy_bucket: 950,
+            accuracy_bits: 0.95f64.to_bits(),
             epoch: CatalogEpoch(epoch),
         }
     }
@@ -454,23 +474,26 @@ mod tests {
     }
 
     #[test]
-    fn canonical_key_merges_predicate_variants_and_buckets_accuracy() {
+    fn canonical_key_merges_predicate_variants_and_keeps_targets_apart() {
         use pp_engine::predicate::{Clause, CompareOp};
         let epoch = CatalogEpoch(1);
         let p = Predicate::from(Clause::new("t", CompareOp::Eq, "SUV"));
-        // `p ∧ true` simplifies to `p`; near-identical accuracies share a
-        // bucket.
+        // `p ∧ true` simplifies to `p`: one entry.
         let a = CacheKey::new("s", &p, 0.95, epoch);
         let b = CacheKey::new(
             "s",
             &Predicate::and(p.clone(), Predicate::True),
-            0.9500001,
+            0.95,
             epoch,
         );
         assert_eq!(a, b);
-        // A different accuracy bucket is a different key.
-        let c = CacheKey::new("s", &p, 0.9, epoch);
-        assert_ne!(a, c);
+        // Targets a rounding apart are different keys: the plan built for
+        // the lower one promises less than the higher one asks for.
+        let below = CacheKey::new("s", &p, 0.9496, epoch);
+        let above = CacheKey::new("s", &p, 0.9504, epoch);
+        assert_ne!(below, above);
+        assert_ne!(a, below);
+        assert_ne!(a, above);
     }
 
     #[test]
@@ -649,6 +672,63 @@ mod tests {
         assert!(cache.peek(&key("old-but-touched", 1)).is_some());
         assert!(cache.peek(&key("new", 1)).is_some());
         assert_eq!(cache.stats().evicted, 1);
+    }
+
+    #[test]
+    fn concurrent_inserts_past_capacity_leave_a_hot_entry_readable() {
+        const CAPACITY: usize = 8;
+        const INSERTS_PER_WRITER: usize = 200;
+        let cache = Arc::new(PlanCache::with_config(CacheConfig {
+            max_entries: CAPACITY,
+        }));
+        // Expensive to rebuild, so never the cheapest victim.
+        let (hot, _) = cache
+            .get_or_build::<()>(&key("hot", 1), || Ok(plan_costing(1e9)))
+            .unwrap();
+        let barrier = Arc::new(Barrier::new(3));
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let cache = Arc::clone(&cache);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..INSERTS_PER_WRITER {
+                        let (_, hit) = cache
+                            .get_or_build::<()>(&key(&format!("w{w}-{i}"), 1), || {
+                                Ok(plan_costing(1.0))
+                            })
+                            .unwrap();
+                        assert!(!hit);
+                    }
+                })
+            })
+            .collect();
+        let reader = {
+            let cache = Arc::clone(&cache);
+            let barrier = Arc::clone(&barrier);
+            let hot = Arc::clone(&hot);
+            std::thread::spawn(move || {
+                barrier.wait();
+                for _ in 0..2 * INSERTS_PER_WRITER {
+                    let (plan, hit) = cache
+                        .get_or_build::<()>(&key("hot", 1), || panic!("the hot entry was evicted"))
+                        .unwrap();
+                    assert!(hit && Arc::ptr_eq(&plan, &hot));
+                }
+            })
+        };
+        for t in writers {
+            t.join().expect("writer");
+        }
+        reader.join().expect("reader");
+        // Whichever eviction pass ran last saw every entry ready.
+        assert_eq!(cache.len(), CAPACITY);
+        let stats = cache.stats();
+        let inserted = 1 + 2 * INSERTS_PER_WRITER as u64;
+        assert_eq!((stats.misses, stats.builds), (inserted, inserted));
+        assert_eq!(stats.hits, 2 * INSERTS_PER_WRITER as u64);
+        assert_eq!(stats.evicted, inserted - CAPACITY as u64);
+        assert!(cache.peek(&key("hot", 1)).is_some());
     }
 
     #[test]

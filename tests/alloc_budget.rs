@@ -24,6 +24,17 @@
 //! accuracy auditor: a maintenance pass over replays it has memoised
 //! leaves nothing behind.
 //!
+//! Planning has a budget too, because for a never-repeating predicate
+//! stream it is the critical path. A PP carries its key, normal form and
+//! `r(1]`, a catalog lookup prepares the query's side of the implication
+//! once, and the budget DP's curve entries are `Copy`, so
+//! `PpQueryOptimizer::optimize` over TRAF-20 makes at most
+//! [`OPTIMIZE_ALLOCATIONS`] allocations a call on average (379 measured;
+//! 5 010 when every comparison re-formatted a key and every DP slot cloned
+//! an assignment), and `alloc::allocate` makes O(leaves + grid) of them —
+//! at most [`ALLOCATE_ALLOCATIONS`] for a four-leaf conjunction on the
+//! default 16-point grid (18 measured), where O(grid² · grid) was 1 560.
+//!
 //! And so are the two doors untrusted bytes come in by. One mutation
 //! harness takes every frame of `tests/golden/wire_frames.hex` and the
 //! segment of `tests/golden/segment.hex` through bit flips, inflated
@@ -44,10 +55,13 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use probabilistic_predicates::core::alloc::{allocate, AccuracyGrid};
 use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
+use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::RuntimeMonitor;
+use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::bytes::Reader;
 use probabilistic_predicates::engine::exec::ExecutionContext;
@@ -394,6 +408,90 @@ fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
         assert_eq!(summary.samples, 10_100 / runs.len() as u64);
         assert!(!monitor.needs_replan() && monitor.broken().is_empty());
     }
+}
+
+/// Mean allocations of one `PpQueryOptimizer::optimize` call over TRAF-20.
+const OPTIMIZE_ALLOCATIONS: f64 = 500.0;
+/// Allocations of `alloc::allocate` on a four-leaf conjunction: four leaf
+/// curves, three folded ones, the arena's doublings, the winner's
+/// assignment and the planned expression.
+const ALLOCATE_ALLOCATIONS: u64 = 32;
+
+/// What planning allocates is bounded per call (see the header): nothing
+/// is formatted per comparison, normalized per catalog entry or cloned per
+/// DP slot.
+#[test]
+fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
+    let dataset = TrafficDataset::generate(TrafficConfig {
+        n_frames: 800,
+        seed: 0xA110C,
+        ..Default::default()
+    });
+    let clauses = TrafficDataset::pp_corpus_clauses();
+    let labeled: Vec<_> = clauses
+        .iter()
+        .map(|c| dataset.labeled_for_clause_range(c, 0..600))
+        .collect();
+    let pps = PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach {
+            reducer: ReducerSpec::Identity,
+            model: ModelSpec::Svm(SvmParams::default()),
+        }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    })
+    .train_catalog(&clauses, &labeled)
+    .expect("train");
+    let mut catalog = Catalog::new();
+    dataset.register_slice(&mut catalog, 600..800);
+    let mut domains = Domains::new();
+    for (column, values) in TrafficDataset::column_domains() {
+        domains.declare(column, values);
+    }
+
+    let queries = traf20_queries();
+    let qo = PpQueryOptimizer::new(pps.clone(), domains, QoConfig::default());
+    let mut allocations = 0u64;
+    let mut injected = 0usize;
+    for q in &queries {
+        let nop = q.nop_plan(&dataset);
+        let spent = counted(|| qo.optimize(&nop, &catalog).expect("optimize"));
+        allocations += spent.allocations;
+        injected += usize::from(spent.out.report.chosen.is_some());
+    }
+    assert!(
+        injected >= 15,
+        "TRAF-20 must exercise the planner: {injected}"
+    );
+    let mean = allocations as f64 / queries.len() as f64;
+    assert!(
+        mean <= OPTIMIZE_ALLOCATIONS,
+        "optimize: {mean:.0} allocations per TRAF-20 query"
+    );
+
+    // The four best PPs of four different columns, conjoined.
+    let leaves: Vec<PpExpr> = [
+        "vehType = SUV",
+        "vehColor = red",
+        "speed >= 50",
+        "fromI = pt101",
+    ]
+    .iter()
+    .map(|key| {
+        let pp = pps.all().iter().find(|pp| pp.key() == *key);
+        PpExpr::leaf(Arc::clone(pp.expect("trained")))
+    })
+    .collect();
+    let conjunction = PpExpr::And(leaves);
+    let grid = AccuracyGrid::default();
+    let spent = counted(|| allocate(&conjunction, 0.95, 0.1, &grid).expect("allocate"));
+    assert_eq!(spent.out.assignment.accuracies().len(), 4);
+    assert!(
+        spent.allocations <= ALLOCATE_ALLOCATIONS,
+        "allocate: {} allocations for four leaves on {} grid points",
+        spent.allocations,
+        grid.points().len()
+    );
 }
 
 /// The auditor's state is O(expressions + memoised blobs), not O(replays):

@@ -187,7 +187,7 @@ fn rigged_pp_is_quarantined_and_replanned() {
         .rigged
         .all()
         .first()
-        .map(|pp| pp.key())
+        .map(|pp| pp.key().to_string())
         .expect("rigged corpus has one PP");
 
     let before = complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));

@@ -3,17 +3,27 @@
 //! query predicate (property-tested over random predicates), and the
 //! calibration/combination machinery must keep its monotonicity
 //! guarantees through the full stack.
+//!
+//! `tests/golden/plans.txt` pins the optimizer's whole output — candidate
+//! order, estimates and costs to the bit, the chosen expression and the
+//! emitted plan — for TRAF-20 and 200 seeded random predicates, with and
+//! without runtime feedback. A planner change that is meant to move a
+//! plan regenerates it with `UPDATE_GOLDEN=1 cargo test --test
+//! qo_semantics`; one that is meant to be a pure speed-up must not.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
+use probabilistic_predicates::core::calibration::CalibrationRecord;
 use probabilistic_predicates::core::implication::implies;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::rewrite::{rewrite, RewriteConfig};
+use probabilistic_predicates::core::runtime::{Observation, RuntimeMonitor};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
-use probabilistic_predicates::data::traf20::traf20_queries;
-use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
+use probabilistic_predicates::data::traf20::{traf20_queries, TrafQuery};
+use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset, INTERSECTIONS};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::{Catalog, FaultPlan, FaultSpec, LogicalPlan, Rowset, Value};
@@ -21,13 +31,22 @@ use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use rand::SeedableRng;
 
-fn traf_pp_catalog() -> PpCatalog {
-    let dataset = TrafficDataset::generate(TrafficConfig {
+fn traf_dataset() -> TrafficDataset {
+    TrafficDataset::generate(TrafficConfig {
         n_frames: 600,
         seed: 0x5E1,
         ..Default::default()
-    });
+    })
+}
+
+fn traf_pp_catalog() -> PpCatalog {
+    traf_pp_catalog_over(&traf_dataset())
+}
+
+fn traf_pp_catalog_over(dataset: &TrafficDataset) -> PpCatalog {
     let trainer = PpTrainer::new(TrainerConfig {
         approach_override: Some(Approach {
             reducer: ReducerSpec::Identity,
@@ -63,6 +82,10 @@ fn arb_clause() -> impl Strategy<Value = Predicate> {
             .prop_map(|t| { Predicate::from(Clause::new("vehType", CompareOp::Ne, t)) }),
         (30.0f64..75.0).prop_map(|v| Predicate::from(Clause::new("speed", CompareOp::Gt, v))),
         (30.0f64..75.0).prop_map(|v| Predicate::from(Clause::new("speed", CompareOp::Lt, v))),
+        proptest::sample::select(INTERSECTIONS.to_vec())
+            .prop_map(|i| { Predicate::from(Clause::new("fromI", CompareOp::Eq, i)) }),
+        proptest::sample::select(INTERSECTIONS.to_vec())
+            .prop_map(|i| { Predicate::from(Clause::new("toI", CompareOp::Ne, i)) }),
     ]
 }
 
@@ -279,4 +302,171 @@ fn negated_pp_catalog_entries_behave_inversely() {
         let ns = neg.score(blob);
         assert!((s + ns).abs() < 1e-9, "scores not negated: {s} vs {ns}");
     }
+}
+
+/// What the plan-identity golden plans against: the TRAF corpus, its
+/// trained PP catalog and the registered frames.
+struct PlanFixture {
+    dataset: TrafficDataset,
+    pps: PpCatalog,
+    data: Catalog,
+}
+
+fn plan_fixture() -> &'static PlanFixture {
+    static FIXTURE: std::sync::OnceLock<PlanFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dataset = traf_dataset();
+        let mut data = Catalog::new();
+        dataset.register(&mut data);
+        PlanFixture {
+            pps: traf_pp_catalog_over(&dataset),
+            dataset,
+            data,
+        }
+    })
+}
+
+/// The golden's query list: TRAF-20 at four targets, then 200 predicates
+/// of one to four clauses drawn from [`arb_predicate`] on a fixed seed.
+fn golden_queries() -> Vec<(String, Predicate, f64)> {
+    const TARGETS: [f64; 4] = [0.9, 0.95, 0.99, 1.0];
+    let mut out = Vec::new();
+    for q in traf20_queries() {
+        for a in TARGETS {
+            out.push((format!("Q{}", q.id), q.predicate.clone(), a));
+        }
+    }
+    let strategy = arb_predicate();
+    let mut rng = TestRng::seed_from_u64(0x9014_1DE7);
+    let mut drawn = 0usize;
+    while drawn < 200 {
+        let pred = strategy.generate(&mut rng);
+        if pred.clauses().len() > 4 {
+            continue;
+        }
+        out.push((format!("R{drawn}"), pred, TARGETS[drawn % TARGETS.len()]));
+        drawn += 1;
+    }
+    out
+}
+
+/// Runtime feedback touching each of the planner's three monitor reads:
+/// one flagged predicate (single-PP candidates only), one quarantined PP
+/// (its candidates dropped) and one drifted PP (costed at a corrected
+/// reduction).
+fn feedback_monitor() -> RuntimeMonitor {
+    let monitor = RuntimeMonitor::new();
+    let flagged = traf20_queries()
+        .into_iter()
+        .find(|q| q.id == 6)
+        .expect("Q6")
+        .predicate
+        .simplify()
+        .to_string();
+    monitor.observe(
+        &flagged,
+        Observation {
+            estimated_reduction: 0.9,
+            observed_reduction: 0.2,
+        },
+    );
+    monitor.mark_broken("vehType = SUV");
+    for _ in 0..2 {
+        monitor.record_calibration(
+            "speed >= 60",
+            CalibrationRecord {
+                predicted_reduction: 0.7,
+                observed_reduction: 0.2,
+                predicted_cost: 0.0025,
+                observed_cost: 0.0025,
+            },
+        );
+    }
+    assert!(monitor.is_flagged(&flagged));
+    assert!(monitor.reduction_correction("speed >= 60").is_some());
+    monitor
+}
+
+/// One golden line per query: everything the optimizer reports and emits,
+/// floats as their bits.
+fn plan_lines(monitor: Option<&RuntimeMonitor>) -> String {
+    let f = plan_fixture();
+    let tag = if monitor.is_some() { "fed" } else { "bare" };
+    let bits = |xs: &[f64]| -> Vec<String> {
+        xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect()
+    };
+    let mut out = String::new();
+    for (name, predicate, target) in golden_queries() {
+        let nop = TrafQuery {
+            id: 0,
+            kind: "",
+            predicate: predicate.clone(),
+        }
+        .nop_plan(&f.dataset);
+        let qo = PpQueryOptimizer::new(
+            f.pps.clone(),
+            domains(),
+            QoConfig {
+                accuracy_target: target,
+                ..Default::default()
+            },
+        );
+        let optimized = qo
+            .optimize_with_monitor(&nop, &f.data, monitor)
+            .expect("optimize");
+        let report = &optimized.report;
+        write!(
+            out,
+            "{tag} {name} a={target} pred={:?} feasible={}",
+            report.predicate, report.feasible_count
+        )
+        .unwrap();
+        for c in &report.candidates {
+            let e = c.estimate;
+            write!(
+                out,
+                " cand={:?}/{}/{}/{}",
+                c.expr,
+                bits(&[e.accuracy, e.reduction, e.cost]).join(","),
+                bits(&[c.plan_cost])[0],
+                c.feasible
+            )
+            .unwrap();
+        }
+        match &report.chosen {
+            Some(chosen) => write!(
+                out,
+                " chosen={:?} keys={:?} accs={}",
+                chosen.expr,
+                chosen.leaf_keys,
+                bits(&chosen.leaf_accuracies).join(",")
+            )
+            .unwrap(),
+            None => out.push_str(" chosen=none"),
+        }
+        writeln!(out, " plan={:?}", optimized.plan.explain()).unwrap();
+    }
+    out
+}
+
+/// Plans, reports and candidate order are byte-identical to the recorded
+/// ones, with and without runtime feedback.
+#[test]
+fn plans_match_the_recorded_golden() {
+    let monitor = feedback_monitor();
+    let actual = plan_lines(None) + &plan_lines(Some(&monitor));
+    // The feedback is not a no-op: it moves at least one plan.
+    let (bare, fed) = actual.split_at(actual.find("fed Q1 ").expect("fed section"));
+    assert_ne!(bare.replace("bare ", "fed "), fed);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plans.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); run UPDATE_GOLDEN=1"));
+    for (i, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(want, got, "plans.txt line {}", i + 1);
+    }
+    assert_eq!(expected.len(), actual.len(), "plans.txt length");
 }

@@ -239,6 +239,33 @@ fn cache_hit_returns_identical_report_and_epoch_bump_invalidates() {
     server.shutdown();
 }
 
+/// The plan cache keys on the exact target: a request a rounding above
+/// another's must not be served the plan built for the lower one (the
+/// budget DP read its grid at 0.95 for it, below 0.9504).
+#[test]
+fn near_equal_targets_each_get_a_plan_meeting_their_own() {
+    let mut server = make_server(1);
+    let q1 = &traf20_queries()[0];
+    for target in [0.9496, 0.9504, 0.9504] {
+        let response = server
+            .submit(QueryRequest::new("traffic", q1.predicate.clone(), target))
+            .unwrap()
+            .wait();
+        let s = response.outcome.success().expect("q1 completes");
+        let chosen = s.report.chosen.as_ref().expect("q1 gets a PP");
+        assert!(
+            chosen.estimate.accuracy >= target
+                && chosen.leaf_accuracies.iter().all(|&a| a >= target),
+            "target {target}: planned at {:?}",
+            chosen.leaf_accuracies
+        );
+    }
+    // Two plans for two targets; the repeat of the second is a hit.
+    let stats = server.cache_stats();
+    assert_eq!((stats.builds, stats.hits), (2, 1));
+    server.shutdown();
+}
+
 /// Concurrent identical queries race get-or-optimize; single-flight must
 /// coalesce them into exactly one optimization.
 #[test]
