@@ -37,12 +37,15 @@ pub struct AccuracyGrid {
 }
 
 impl Default for AccuracyGrid {
+    /// Already what [`AccuracyGrid::new`] would make of it: ascending,
+    /// distinct, in (0, 1], ending at 1.0.
     fn default() -> Self {
-        AccuracyGrid::new(vec![
-            0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998, 0.999,
-            1.0,
-        ])
-        .expect("default grid is valid")
+        AccuracyGrid {
+            points: vec![
+                0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998,
+                0.999, 1.0,
+            ],
+        }
     }
 }
 
@@ -263,7 +266,7 @@ fn fold_curve<'c>(
             let (_, curve) = leaf_curves
                 .iter()
                 .find(|(l, _)| l.same_estimates(pp))
-                .expect("build_leaf_curves covered every leaf");
+                .ok_or(PpError::InvalidParameter("leaf without a curve"))?;
             return Ok(Cow::Borrowed(curve));
         }
         PpExpr::And(children) => (children, conjoin),
@@ -358,6 +361,10 @@ mod tests {
         // 1.0 appended automatically.
         let g = AccuracyGrid::new(vec![0.9]).unwrap();
         assert_eq!(g.points(), &[0.9, 1.0]);
+        // The default skips validation because it would pass it unchanged.
+        let default = AccuracyGrid::default();
+        let validated = AccuracyGrid::new(default.points().to_vec()).unwrap();
+        assert_eq!(default.points(), validated.points());
     }
 
     #[test]

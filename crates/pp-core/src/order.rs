@@ -59,15 +59,17 @@ pub fn best_order(items: &[OrderItem], gate: Gate) -> (Vec<usize>, f64) {
         return (Vec::new(), 0.0);
     }
     if n <= EXHAUSTIVE_LIMIT {
-        let mut best: Option<(Vec<usize>, f64)> = None;
+        // The identity order is the first permutation visited, so it is
+        // where the search starts.
         let mut order: Vec<usize> = (0..n).collect();
+        let mut best = (order.clone(), sequence_cost(items, &order, gate));
         permute(&mut order, 0, &mut |perm| {
             let c = sequence_cost(items, perm, gate);
-            if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
-                best = Some((perm.to_vec(), c));
+            if c < best.1 {
+                best = (perm.to_vec(), c);
             }
         });
-        return best.expect("n >= 1 yields at least one permutation");
+        return best;
     }
     // Greedy order by intrinsic cost/reduction ratio. For disjunctions,
     // high reduction means the next PP *does* run, so greedy prefers low

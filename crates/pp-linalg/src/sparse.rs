@@ -54,12 +54,16 @@ impl SparseVector {
         let mut indices = Vec::with_capacity(pairs.len());
         let mut values: Vec<f64> = Vec::with_capacity(pairs.len());
         for (i, v) in pairs {
-            if indices.last() == Some(&i) {
-                *values.last_mut().expect("values parallel to indices") += v;
-            } else {
-                indices.push(i);
-                values.push(v);
+            // `values` is parallel to `indices`: a repeated index adds to
+            // the value pushed with it.
+            if let (Some(&last), Some(sum)) = (indices.last(), values.last_mut()) {
+                if last == i {
+                    *sum += v;
+                    continue;
+                }
             }
+            indices.push(i);
+            values.push(v);
         }
         SparseVector::new(dim, indices, values)
     }

@@ -164,6 +164,16 @@ impl From<StoreError> for pp_engine::EngineError {
     }
 }
 
+/// `P`, the IEEE 802.3 polynomial, reflected: bit 31 is `x^0`, bit 0 is
+/// `x^31` (and `x^32` is implied).
+const POLY: u32 = 0xEDB8_8320;
+
+/// Inputs at least this long are checksummed as [`CHAINS`] independent
+/// chains; shorter ones as one.
+const CHAIN_MIN_LEN: usize = 4096;
+/// Independent register chains folded side by side over a long input.
+const CHAINS: usize = 4;
+
 /// Slice-by-16 lookup tables for the reflected IEEE 802.3 polynomial,
 /// evaluated at compile time. `CRC_TABLES[0]` is the classic byte table;
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
@@ -174,11 +184,7 @@ static CRC_TABLES: [[u32; 256]; 16] = {
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
         t[0][i] = c;
@@ -197,32 +203,111 @@ static CRC_TABLES: [[u32; 256]; 16] = {
     t
 };
 
-/// CRC32 (IEEE 802.3, reflected), sixteen input bytes per step. The one
-/// checksum of the format: pages, footer, reader and writer all use it
-/// (public so a test can re-seal a page or footer it has rewritten).
-pub fn crc32(data: &[u8]) -> u32 {
+/// `X2N_TABLE[k]` is `x^(2^k) mod P`, evaluated at compile time by
+/// repeated squaring from `x^1`.
+static X2N_TABLE: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1 << 30;
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// `a · b mod P` for two reflected polynomials (zlib's `multmodp`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+    }
+    p
+}
+
+/// `x^(8n) mod P`: multiplying a raw register by it appends `n` zero
+/// bytes. The table wraps at 32 entries because `x^(2^32) ≡ x mod P`.
+fn x8nmodp(mut n: usize) -> u32 {
+    let mut p = 1 << 31;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N_TABLE[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// Folds sixteen bytes into the raw register `crc`: four little-endian
+/// words, four table lookups each.
+#[inline(always)]
+fn fold_block(crc: u32, b: &[u8; 16]) -> u32 {
     let t = &CRC_TABLES;
-    // Folds one little-endian input word into four table lookups; `k` is
-    // how many bytes follow the word within the 16-byte block.
-    let fold = |w: u32, k: usize| {
+    // `k` is how many bytes follow the word within the block.
+    let word = |w: u32, k: usize| {
         t[k + 3][(w & 0xFF) as usize]
             ^ t[k + 2][((w >> 8) & 0xFF) as usize]
             ^ t[k + 1][((w >> 16) & 0xFF) as usize]
             ^ t[k][(w >> 24) as usize]
     };
-    let mut crc = 0xFFFF_FFFFu32;
+    let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
+    let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+    let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+    let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+    word(w0, 12) ^ word(w1, 8) ^ word(w2, 4) ^ word(w3, 0)
+}
+
+/// Folds `data` into the raw register `crc` as one chain.
+fn fold(mut crc: u32, data: &[u8]) -> u32 {
     let (blocks, tail) = data.as_chunks::<16>();
     for b in blocks {
-        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
-        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
-        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
-        crc = fold(w0, 12) ^ fold(w1, 8) ^ fold(w2, 4) ^ fold(w3, 0);
+        crc = fold_block(crc, b);
     }
     for &b in tail {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
+}
+
+/// CRC32 (IEEE 802.3, reflected). The one checksum of the format: pages,
+/// footer, reader and writer all use it (public so a test can re-seal a
+/// page or footer it has rewritten).
+///
+/// A short input is folded sixteen bytes per step as one chain. A long
+/// one is cut into [`CHAINS`] equal stretches of whole blocks folded side
+/// by side — the first from the initial register, the others from zero,
+/// so one chain's lookups hide another's latency — and joined exactly:
+/// by linearity, the register after `a‖b` is `a`'s register times
+/// `x^(8·|b|) mod P`, plus `b`'s register from zero. The few bytes left
+/// over fold onto the joined register.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0;
+    let mut rest = data;
+    if data.len() >= CHAIN_MIN_LEN {
+        let (blocks, _) = data.as_chunks::<16>();
+        let n = blocks.len() / CHAINS;
+        let mut regs = [0; CHAINS];
+        regs[0] = crc;
+        for i in 0..n {
+            for (c, reg) in regs.iter_mut().enumerate() {
+                *reg = fold_block(*reg, &blocks[c * n + i]);
+            }
+        }
+        let shift = x8nmodp(16 * n);
+        crc = regs[1..]
+            .iter()
+            .fold(regs[0], |crc, &next| multmodp(shift, crc) ^ next);
+        rest = &data[16 * n * CHAINS..];
+    }
+    !fold(crc, rest)
 }
 
 // ---- encoding helpers ----------------------------------------------------
@@ -490,6 +575,21 @@ mod tests {
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The next word of a splitmix64 stream.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `len` seeded pseudo-random bytes.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len).map(|_| splitmix64(&mut state) as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_bytewise_oracle() {
         // Every length around the 16-byte block, at every alignment.
@@ -500,18 +600,81 @@ mod tests {
                 assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
             }
         }
-        // A seeded 64 KiB buffer (splitmix64 stream).
-        let mut state = 0x5709_u64;
-        let big: Vec<u8> = (0..64 * 1024)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
-            .collect();
-        assert_eq!(crc32(&big), crc32_bytewise(&big));
+
+        // The chained path at each of its edges: where it starts, every
+        // remainder its stretches leave, and long inputs.
+        let buf = seeded_bytes(0xC4A1, 1 << 20);
+        let check = |data: &[u8], what: &str| {
+            assert_eq!(
+                crc32(data),
+                crc32_bytewise(data),
+                "{what} len={}",
+                data.len()
+            );
+        };
+        // Either side of the threshold, at every alignment.
+        for start in 0..16 {
+            for len in CHAIN_MIN_LEN - 1..=CHAIN_MIN_LEN + 64 {
+                check(&buf[start..start + len], &format!("start={start}"));
+            }
+        }
+        // Stretches of 100 blocks, then 1 to 63 bytes left over.
+        for rem in 1..16 * CHAINS {
+            check(&buf[..16 * CHAINS * 100 + rem], "remainder");
+        }
+        // Seeded lengths up to 1 MiB.
+        let mut state = 0x1E57;
+        for _ in 0..8 {
+            let len = (splitmix64(&mut state) % (buf.len() as u64 + 1)) as usize;
+            check(&buf[..len], "seeded");
+        }
+        check(&buf, "whole");
+    }
+
+    /// `a · b mod P` with both in natural bit order (bit 0 is `x^0`): a
+    /// carry-less multiply into 64 bits, then long division. Shares
+    /// nothing with the reflected [`multmodp`].
+    fn mulmod_natural(a: u32, b: u32) -> u32 {
+        let mut prod = 0u64;
+        for i in 0..32 {
+            if (b >> i) & 1 != 0 {
+                prod ^= (a as u64) << i;
+            }
+        }
+        for i in (32..64).rev() {
+            if (prod >> i) & 1 != 0 {
+                prod ^= 0x1_04C1_1DB7 << (i - 32);
+            }
+        }
+        prod as u32
+    }
+
+    #[test]
+    fn x2n_table_is_repeated_squaring() {
+        let mut p = 1u32 << 1; // x, natural order
+        for (k, &entry) in X2N_TABLE.iter().enumerate() {
+            assert_eq!(entry, p.reverse_bits(), "x^(2^{k})");
+            p = mulmod_natural(p, p);
+        }
+        // x^(2^32) ≡ x, so `x8nmodp` may wrap its table index.
+        assert_eq!(p, 1 << 1);
+        assert_eq!(multmodp(X2N_TABLE[31], X2N_TABLE[31]), X2N_TABLE[0]);
+    }
+
+    proptest::proptest! {
+        /// The law the chains are joined by: `a`'s raw register times
+        /// `x^(8·|b|) mod P`, plus `b`'s register from zero, is the
+        /// register of `a‖b`.
+        #[test]
+        fn joined_registers_are_the_register_of_the_concatenation(
+            init in 0u32..=u32::MAX,
+            a in proptest::collection::vec(0u8..=255, 0..700),
+            b in proptest::collection::vec(0u8..=255, 0..9000),
+        ) {
+            let joined = multmodp(x8nmodp(b.len()), fold(init, &a)) ^ fold(0, &b);
+            let whole: Vec<u8> = a.iter().chain(&b).copied().collect();
+            proptest::prop_assert_eq!(joined, fold(init, &whole));
+        }
     }
 
     /// A blob as (dim, indices, value bit patterns); dense has no indices.

@@ -24,6 +24,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::{CalibrationRecord, PpCatalog, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
+use probabilistic_predicates::engine::bytes::Reader;
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::RowFilter;
 use probabilistic_predicates::engine::{
@@ -843,6 +844,107 @@ fn dense_blob_groups_round_trip_bit_for_bit() {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(xs), bits(&blob(r)), "row {r}");
     }
+}
+
+/// A `scan_segments`-shaped shard: 1 024 TRAF frames of 64-dim dense
+/// blobs in 256-row groups, so each blob page is ≈ 129 KiB.
+fn traffic_shard() -> (TrafficDataset, Vec<u8>) {
+    let dataset = TrafficDataset::generate(TrafficConfig {
+        n_frames: 1024,
+        blob_dim: 64,
+        seed: 0x5709,
+        ..Default::default()
+    });
+    let bytes = SegmentWriter::new(SegmentWriterConfig {
+        rows_per_group: 256,
+    })
+    .encode(dataset.table(), 0, 1)
+    .expect("encode");
+    (dataset, bytes)
+}
+
+/// CRC-32 bit by bit from the polynomial: an oracle that shares nothing
+/// with [`crc32`].
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// One line per page of `bytes`' directory — group, column, offset,
+/// length, stored CRC — and one for the whole file, asserting on the way
+/// that every stored CRC is the bitwise CRC of its page.
+fn page_crcs(bytes: &[u8]) -> String {
+    let trailer = bytes.len() - 16;
+    let footer_len = u64::from_be_bytes(bytes[trailer + 4..trailer + 12].try_into().unwrap());
+    let mut cur = Reader::new(&bytes[trailer - footer_len as usize..trailer], "footer");
+    cur.take(16).unwrap(); // shard, shard count, rows
+    let names: Vec<String> = (0..cur.u32().unwrap())
+        .map(|_| {
+            let len = cur.u16().unwrap() as usize;
+            let name = String::from_utf8(cur.take(len).unwrap().to_vec()).unwrap();
+            cur.u8().unwrap(); // dtype
+            name
+        })
+        .collect();
+    let mut out = String::new();
+    for g in 0..cur.u32().unwrap() {
+        let rows = cur.u32().unwrap();
+        for name in &names {
+            let offset = cur.u64().unwrap();
+            let len = cur.u64().unwrap();
+            let crc = cur.u32().unwrap();
+            cur.take(16).unwrap(); // nulls, present
+            for _bound in 0..2 {
+                if cur.u8().unwrap() != 0 {
+                    cur.take(8).unwrap();
+                }
+            }
+            let page = &bytes[offset as usize..(offset + len) as usize];
+            assert_eq!(crc, crc32_bitwise(page), "group {g} column {name}");
+            out.push_str(&format!(
+                "group={g} rows={rows} col={name} offset={offset} len={len} crc={crc:08x}\n"
+            ));
+        }
+    }
+    assert!(cur.is_empty());
+    out.push_str(&format!(
+        "file len={} crc={:08x}\n",
+        bytes.len(),
+        crc32(bytes)
+    ));
+    out
+}
+
+/// `segment.hex`'s pages are all a few bytes long; these are the pages a
+/// scan actually checksums. The golden was recorded with the one-chain
+/// slice-by-16 `crc32`, so it pins the multi-chain one to the same values.
+#[test]
+fn large_page_checksums_are_pinned() {
+    let (_, bytes) = traffic_shard();
+    assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+    check_golden("page_crcs.txt", &page_crcs(&bytes));
+}
+
+/// The same shard, written to disk, opens and decodes to the rows it was
+/// written from, blobs bit for bit.
+#[test]
+fn a_traffic_shard_decodes_to_its_table() {
+    let (dataset, bytes) = traffic_shard();
+    let path = scratch_dir("traffic-shard").join("traffic.pps");
+    fs::write(&path, &bytes).expect("write");
+    let seg = Segment::open(&path).expect("open");
+    assert_eq!(seg.group_count(), 4);
+    let rows = (0..seg.group_count())
+        .flat_map(|g| seg.read_group(g).expect("read group").into_rows())
+        .collect();
+    let decoded = Rowset::new(Arc::clone(seg.schema()), rows).expect("rowset");
+    assert_eq!(digest_bits(&decoded), digest_bits(dataset.table()));
 }
 
 // ---------------------------------------------------------------------------
