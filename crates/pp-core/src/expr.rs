@@ -7,12 +7,13 @@
 //! injected query plans of Figures 7 and 8 — conjunctions short-circuit on
 //! the first rejecting PP, disjunctions accept on the first accepting PP.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pp_engine::batch::Batch;
 use pp_engine::udf::RowFilter;
 use pp_engine::{Predicate, Row, Schema};
-use pp_linalg::Features;
+use pp_linalg::{FeatureBatch, Features};
 
 use crate::combine::{conjoin_all, disjoin_all, Estimate};
 use crate::pp::ProbabilisticPredicate;
@@ -157,51 +158,101 @@ impl PpExpr {
     fn skip_leaves(&self, next_leaf: &mut usize) {
         *next_leaf += self.leaf_count();
     }
+}
 
-    /// [`passes_rec`][Self::passes_rec] for row `pos` of a batch, against
-    /// each leaf's pre-computed scores over the batch and its threshold
-    /// (both pre-order indexed like the assignment). The walk is identical
-    /// — same short-circuiting, same leaf numbering, and a threshold that
-    /// did not resolve is reported only by rows that evaluate its leaf —
-    /// so decisions and errors match the per-blob path bit for bit; only
-    /// the scoring and the threshold lookup are hoisted out.
-    fn passes_cached<'t>(
-        &self,
-        scores: &[Vec<f64>],
-        pos: usize,
-        thresholds: &'t [Result<f64>],
-        next_leaf: &mut usize,
-    ) -> std::result::Result<bool, &'t PpError> {
-        match self {
-            PpExpr::Leaf(_) => {
-                let leaf = *next_leaf;
-                *next_leaf += 1;
-                let threshold = thresholds[leaf].as_ref()?;
-                Ok(scores[leaf][pos] >= *threshold)
-            }
-            PpExpr::And(es) => {
-                let mut verdict = true;
-                for e in es {
-                    if verdict {
-                        verdict = e.passes_cached(scores, pos, thresholds, next_leaf)?;
-                    } else {
-                        e.skip_leaves(next_leaf);
+/// [`PpExpr::passes`] over a batch, one leaf at a time: each leaf scores
+/// only the rows that reach it (Figures 7 and 8), held as a selection
+/// vector of positions into the batch's valid cells.
+struct LeafWalk<'a> {
+    features: FeatureBatch<'a>,
+    assignment: &'a Assignment,
+    rows_scored: &'a [AtomicU64],
+    /// Pre-order index of the next leaf, as in `passes_rec`.
+    next_leaf: usize,
+    /// The batch's verdicts: `Ok(false)` until the walk decides otherwise,
+    /// or the error of a row without a valid cell.
+    out: Vec<pp_engine::Result<bool>>,
+    /// The batch row of each valid cell.
+    row_of: Vec<u32>,
+}
+
+impl LeafWalk<'_> {
+    /// Evaluates `expr` on the rows in `sel`, all of which reach it.
+    /// Afterwards `sel` holds the rows whose verdict is `keep` and those
+    /// whose verdict is `!keep` have been appended to `moved`; a row that
+    /// met a threshold that did not resolve is in neither and has that
+    /// error for its verdict. An empty selection scores nothing but still
+    /// numbers the leaves it passes over.
+    fn eval(&mut self, expr: &PpExpr, sel: &mut Vec<u32>, keep: bool, moved: &mut Vec<u32>) {
+        match expr {
+            PpExpr::Leaf(pp) => self.leaf(pp, sel, keep, moved),
+            PpExpr::And(es) | PpExpr::Or(es) => {
+                // A row stays with a conjunction while its children accept
+                // it and with a disjunction while they reject it; any other
+                // verdict decides the row.
+                let stay = matches!(expr, PpExpr::And(_));
+                if keep == stay {
+                    for e in es {
+                        self.eval(e, sel, stay, moved);
                     }
-                }
-                Ok(verdict)
-            }
-            PpExpr::Or(es) => {
-                let mut verdict = false;
-                for e in es {
-                    if !verdict {
-                        verdict = e.passes_cached(scores, pos, thresholds, next_leaf)?;
-                    } else {
-                        e.skip_leaves(next_leaf);
+                } else {
+                    let mut undecided = std::mem::take(sel);
+                    for e in es {
+                        self.eval(e, &mut undecided, stay, sel);
                     }
+                    moved.append(&mut undecided);
                 }
-                Ok(verdict)
             }
         }
+    }
+
+    fn leaf(
+        &mut self,
+        pp: &ProbabilisticPredicate,
+        sel: &mut Vec<u32>,
+        keep: bool,
+        moved: &mut Vec<u32>,
+    ) {
+        let leaf = self.next_leaf;
+        self.next_leaf += 1;
+        if sel.is_empty() {
+            return;
+        }
+        let pipeline = pp.pipeline();
+        let threshold = self
+            .assignment
+            .accuracy(leaf)
+            .and_then(|a| Ok(pipeline.calibration().threshold(a)?));
+        let threshold = match threshold {
+            Ok(threshold) => threshold,
+            Err(e) => {
+                let e = format!("pp filter: {e}");
+                for p in sel.drain(..) {
+                    let row = self.row_of[p as usize] as usize;
+                    self.out[row] = Err(pp_engine::EngineError::Udf(e.clone()));
+                }
+                return;
+            }
+        };
+        self.rows_scored[leaf].fetch_add(sel.len() as u64, Ordering::Relaxed);
+        // The first leaf meets every row of the batch, in order, and takes
+        // the contiguous pass over the whole column; later leaves score the
+        // rows left, in place — gathering them would copy about as many
+        // bytes as scoring reads.
+        let scores = if leaf == 0 {
+            pipeline.score_many(&self.features)
+        } else {
+            pipeline.score_selected(&self.features, sel)
+        };
+        let mut at = 0;
+        sel.retain(|&p| {
+            let verdict = scores[at] >= threshold;
+            at += 1;
+            if verdict != keep {
+                moved.push(p);
+            }
+            verdict == keep
+        });
     }
 }
 
@@ -297,6 +348,9 @@ impl PlannedPpExpr {
         PpExprFilter {
             name,
             blob_column: blob_column.into(),
+            leaf_rows_scored: (0..self.expr.leaf_count())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             planned: self,
         }
     }
@@ -304,17 +358,33 @@ impl PlannedPpExpr {
 
 /// The physical form of an injected PP expression: an engine row filter
 /// that reads the raw blob column and applies the expression.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PpExprFilter {
     name: String,
     blob_column: String,
     planned: PlannedPpExpr,
+    /// Rows each leaf (pre-order) has scored in batches, over the filter's
+    /// life.
+    leaf_rows_scored: Box<[AtomicU64]>,
 }
 
 impl PpExprFilter {
     /// The planned expression this filter executes.
     pub fn planned(&self) -> &PlannedPpExpr {
         &self.planned
+    }
+
+    /// How many rows each leaf, in pre-order, has scored in
+    /// [`eval_batch`](RowFilter::eval_batch) since the filter was built,
+    /// summed over every run that used it: the rows that reached the leaf
+    /// undecided, which is what the per-row walk scores there. (A leaf
+    /// whose threshold did not resolve scores nothing.) It is a property of
+    /// the rows, so it is the same at every parallelism and batch size.
+    pub fn leaf_rows_scored(&self) -> Vec<u64> {
+        self.leaf_rows_scored
+            .iter()
+            .map(|n| n.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -337,50 +407,54 @@ impl RowFilter for PpExprFilter {
             .map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
     }
 
-    /// Vectorized evaluation: every leaf classifier scores the whole batch
-    /// at once ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)) and
-    /// resolves its threshold once, then each row replays the expression
-    /// walk against its scores. A blob column the batch has as a dense
+    /// Vectorized evaluation, one leaf at a time over a selection vector
+    /// of the rows still undecided: a conjunction drops from it the rows a
+    /// child rejects, a disjunction passes the rows a child accepts, and a
+    /// row that meets a leaf whose threshold did not resolve takes that
+    /// leaf's error. A leaf's threshold is resolved once per batch. The
+    /// first leaf, which every row reaches, scores the whole blob column
+    /// ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)); later
+    /// leaves only the selected rows, where they lie
+    /// ([`Pipeline::score_selected`](pp_ml::Pipeline::score_selected)). A
+    /// column the batch has as a dense
     /// [`FeatureBlock`](pp_linalg::FeatureBlock) — the chunk's own, or
-    /// gathered — is scored straight off the contiguous block; otherwise
-    /// (sparse/ragged cells) scoring goes through gathered references.
-    /// Decisions, row order, and per-row errors are bit-identical to
-    /// calling [`passes`][RowFilter::passes] per row: the block holds the
-    /// same cells bit for bit and both score through the same `pp_linalg`
-    /// kernels.
+    /// gathered — is scored off the block; otherwise (sparse/ragged cells)
+    /// through gathered references. Decisions, row order and per-row errors
+    /// are bit-identical to calling [`passes`][RowFilter::passes] per row:
+    /// every row reaches the leaves it reaches there, the block holds the
+    /// same cells bit for bit, and every path scores through the same
+    /// `pp_linalg` kernels.
     fn eval_batch(&self, batch: &Batch<'_>) -> Vec<pp_engine::Result<bool>> {
-        let PlannedPpExpr {
-            expr, assignment, ..
-        } = &self.planned;
-        let leaves = expr.leaves();
-        let col = batch.feature_column(&self.blob_column);
-        let features = col.features();
-        let scores: Vec<Vec<f64>> = leaves
-            .iter()
-            .map(|pp| pp.pipeline().score_many(&features))
-            .collect();
-        let thresholds: Vec<Result<f64>> = leaves
-            .iter()
-            .enumerate()
-            .map(|(leaf, pp)| {
-                let a = assignment.accuracy(leaf)?;
-                Ok(pp.pipeline().calibration().threshold(a)?)
-            })
-            .collect();
-        // Rows without a valid cell report its error; the others are the
-        // scored rows, in order.
-        let mut errors = col.errors.into_iter().peekable();
-        let mut pos = 0usize;
-        (0..batch.len() as u32)
-            .map(|at| {
-                if let Some((_, e)) = errors.next_if(|(i, _)| *i == at) {
-                    return Err(e);
+        let mut col = batch.feature_column(&self.blob_column);
+        // Rows without a valid cell report its error; the others start out
+        // dropped, and the walk passes or fails them by position.
+        let mut out = Vec::with_capacity(batch.len());
+        let mut row_of = Vec::with_capacity(batch.len());
+        let mut errors = std::mem::take(&mut col.errors).into_iter().peekable();
+        for at in 0..batch.len() as u32 {
+            match errors.next_if(|(i, _)| *i == at) {
+                Some((_, e)) => out.push(Err(e)),
+                None => {
+                    out.push(Ok(false));
+                    row_of.push(at);
                 }
-                let verdict = expr.passes_cached(&scores, pos, &thresholds, &mut 0);
-                pos += 1;
-                verdict.map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
-            })
-            .collect()
+            }
+        }
+        let mut walk = LeafWalk {
+            features: col.features(),
+            assignment: &self.planned.assignment,
+            rows_scored: &self.leaf_rows_scored,
+            next_leaf: 0,
+            out,
+            row_of,
+        };
+        let mut passed: Vec<u32> = (0..walk.row_of.len() as u32).collect();
+        let mut dropped = Vec::with_capacity(passed.len());
+        walk.eval(&self.planned.expr, &mut passed, true, &mut dropped);
+        for p in passed {
+            walk.out[walk.row_of[p as usize] as usize] = Ok(true);
+        }
+        walk.out
     }
 }
 

@@ -26,7 +26,7 @@ use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 use crate::alloc::{AccuracyGrid, BudgetDp};
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
-use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
+use crate::expr::{Assignment, PlannedPpExpr, PpExpr, PpExprFilter};
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::{rewrite, RewriteConfig};
@@ -174,6 +174,11 @@ pub struct OptimizedQuery {
     pub plan: LogicalPlan,
     /// What the optimizer considered and chose.
     pub report: PlanReport,
+    /// The PP filters injected into `plan`, one per filtered table: the
+    /// operators the plan runs, so their per-leaf counters
+    /// ([`PpExprFilter::leaf_rows_scored`]) count what runs of `plan`
+    /// scored.
+    pub pp_filters: Vec<Arc<PpExprFilter>>,
 }
 
 /// The PP-aware query optimizer.
@@ -230,6 +235,7 @@ impl PpQueryOptimizer {
                         .unwrap_or_default(),
                     ..Default::default()
                 },
+                pp_filters: Vec::new(),
             });
         }
         // Conjoin pushable predicates per blob table (stacked selects).
@@ -248,6 +254,7 @@ impl PpQueryOptimizer {
             udf_cost_per_blob: udf_cost,
             ..Default::default()
         };
+        let mut pp_filters = Vec::new();
         for (table, blob_column, mut preds) in by_table {
             let predicate = match preds.len() {
                 1 => preds.swap_remove(0),
@@ -372,7 +379,8 @@ impl PpQueryOptimizer {
             }
             report.chosen = Some(chosen);
             let filter = Arc::new(planned.into_filter(blob_column));
-            out_plan = inject_above_scan(&out_plan, &table, filter)?;
+            out_plan = inject_above_scan(&out_plan, &table, Arc::clone(&filter) as _)?;
+            pp_filters.push(filter);
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
         report.partitionability = out_plan.partitionability();
@@ -381,6 +389,7 @@ impl PpQueryOptimizer {
         Ok(OptimizedQuery {
             plan: out_plan,
             report,
+            pp_filters,
         })
     }
 }

@@ -660,11 +660,12 @@ impl Executor<'_> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
         let input = [Chunk::from_rows(Arc::new(in_rows))];
+        let predicate = predicate.bind(&schema);
         let verdicts = self.probe(&input, 0, |batch| {
             batch
                 .rows()
                 .iter()
-                .map(|row| predicate.eval(row, &schema))
+                .map(|row| predicate.eval(row))
                 .collect::<Vec<_>>()
         })?;
         let mut out = Rowset::empty(schema);

@@ -13,7 +13,7 @@ use std::fmt;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
-use crate::Result;
+use crate::{EngineError, Result};
 
 /// Comparison operators ϕ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,30 +181,16 @@ impl Predicate {
         Predicate::Not(Box::new(p))
     }
 
-    /// Evaluates against a row.
+    /// Evaluates against a row. To evaluate many rows of one schema,
+    /// [`bind`](Self::bind) once instead.
     pub fn eval(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::False => Ok(false),
-            Predicate::Clause(c) => c.eval(row, schema),
-            Predicate::Not(p) => Ok(!p.eval(row, schema)?),
-            Predicate::And(ps) => {
-                for p in ps {
-                    if !p.eval(row, schema)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Predicate::Or(ps) => {
-                for p in ps {
-                    if p.eval(row, schema)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
+        self.bind(schema).eval(row)
+    }
+
+    /// The predicate with every clause's column resolved against `schema`
+    /// once, for evaluating rows of that schema.
+    pub fn bind<'p>(&'p self, schema: &Schema) -> BoundPredicate<'p> {
+        BoundPredicate(Bound::new(self, schema))
     }
 
     /// Column names the predicate references.
@@ -398,6 +384,70 @@ impl Predicate {
     }
 }
 
+/// A [`Predicate`] bound to one schema ([`Predicate::bind`]): each clause
+/// reads its cell by position instead of looking its column up per row.
+#[derive(Debug)]
+pub struct BoundPredicate<'p>(Bound<'p>);
+
+impl BoundPredicate<'_> {
+    /// Evaluates against a row of the schema the predicate was bound to,
+    /// with [`Predicate::eval`]'s verdicts and short-circuit order: a
+    /// clause naming a column the schema lacks fails with
+    /// `UnknownColumn` in each row that reaches it.
+    pub fn eval(&self, row: &Row) -> Result<bool> {
+        self.0.eval(row.values())
+    }
+}
+
+#[derive(Debug)]
+enum Bound<'p> {
+    Const(bool),
+    /// The clause and its column's position, `None` if the schema lacks it.
+    Clause(&'p Clause, Option<usize>),
+    Not(Box<Bound<'p>>),
+    And(Vec<Bound<'p>>),
+    Or(Vec<Bound<'p>>),
+}
+
+impl<'p> Bound<'p> {
+    fn new(p: &'p Predicate, schema: &Schema) -> Self {
+        let all = |ps: &'p [Predicate]| ps.iter().map(|p| Bound::new(p, schema)).collect();
+        match p {
+            Predicate::True => Bound::Const(true),
+            Predicate::False => Bound::Const(false),
+            Predicate::Clause(c) => Bound::Clause(c, schema.index_of(&c.column).ok()),
+            Predicate::Not(p) => Bound::Not(Box::new(Bound::new(p, schema))),
+            Predicate::And(ps) => Bound::And(all(ps)),
+            Predicate::Or(ps) => Bound::Or(all(ps)),
+        }
+    }
+
+    fn eval(&self, values: &[Value]) -> Result<bool> {
+        match self {
+            Bound::Const(verdict) => Ok(*verdict),
+            Bound::Clause(c, Some(at)) => Ok(c.op.eval(&values[*at], &c.value)),
+            Bound::Clause(c, None) => Err(EngineError::UnknownColumn(c.column.clone())),
+            Bound::Not(p) => Ok(!p.eval(values)?),
+            Bound::And(ps) => {
+                for p in ps {
+                    if !p.eval(values)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Bound::Or(ps) => {
+                for p in ps {
+                    if p.eval(values)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+        }
+    }
+}
+
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -472,6 +522,23 @@ mod tests {
         assert!(!p.eval(&row("van", 65.0), &sch).unwrap());
         let q = Predicate::not(p);
         assert!(q.eval(&row("van", 65.0), &sch).unwrap());
+    }
+
+    /// A bound clause naming a column the schema lacks fails only the
+    /// rows whose short-circuit walk reaches it.
+    #[test]
+    fn bound_missing_column_fails_the_rows_that_reach_it() {
+        let sch = schema();
+        let p = Predicate::or(
+            Predicate::from(Clause::new("t", CompareOp::Eq, "SUV")),
+            Predicate::from(Clause::new("nope", CompareOp::Gt, 1.0)),
+        );
+        let bound = p.bind(&sch);
+        assert!(bound.eval(&row("SUV", 0.0)).unwrap());
+        assert!(matches!(
+            bound.eval(&row("van", 0.0)),
+            Err(EngineError::UnknownColumn(c)) if c == "nope"
+        ));
     }
 
     #[test]

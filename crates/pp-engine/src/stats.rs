@@ -25,14 +25,14 @@ pub fn estimate_selectivity(
     if rows.is_empty() {
         return Ok(0.0);
     }
-    let schema = rows.schema();
+    let predicate = predicate.bind(rows.schema());
     let n = rows.len();
     let mut hit = 0usize;
     let mut total = 0usize;
     if n <= sample_cap {
         for row in rows.rows() {
             total += 1;
-            if predicate.eval(row, schema)? {
+            if predicate.eval(row)? {
                 hit += 1;
             }
         }
@@ -41,7 +41,7 @@ pub fn estimate_selectivity(
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
         for &i in idx.iter().take(sample_cap) {
             total += 1;
-            if predicate.eval(&rows.rows()[i], schema)? {
+            if predicate.eval(&rows.rows()[i])? {
                 hit += 1;
             }
         }

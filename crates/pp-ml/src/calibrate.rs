@@ -72,11 +72,16 @@ impl Calibration {
         if !(a > 0.0 && a <= 1.0) {
             return Err(MlError::InvalidParameter("accuracy must be in (0, 1]"));
         }
+        Ok(self.keeping(a))
+    }
+
+    /// The threshold keeping at least `⌈a·m⌉` positives, for an `a` the
+    /// caller has checked to be in `(0, 1]`.
+    fn keeping(&self, a: f64) -> f64 {
         let m = self.pos_scores.len();
-        // Keep at least ⌈a·m⌉ positives.
         let keep = (a * m as f64).ceil() as usize;
         let keep = keep.clamp(1, m);
-        Ok(self.pos_scores[m - keep])
+        self.pos_scores[m - keep]
     }
 
     /// `r(a]` per Eq. 4: fraction of validation blobs scoring strictly
@@ -107,8 +112,7 @@ impl Calibration {
             .map(|i| {
                 // Sweep a from 0.5 to 1.0 (below 0.5 is never useful).
                 let a = 0.5 + 0.5 * i as f64 / (points - 1) as f64;
-                let r = self.reduction(a).expect("a in (0,1] by construction");
-                (a, r)
+                (a, self.reduction_at_threshold(self.keeping(a)))
             })
             .collect()
     }

@@ -74,12 +74,12 @@ impl Layer {
         }
     }
 
-    fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = self.w.matvec(x).expect("layer dims fixed at construction");
+    fn forward(&self, x: &[f64]) -> Result<Vec<f64>> {
+        let mut out = self.w.matvec(x)?;
         for (o, b) in out.iter_mut().zip(&self.b) {
             *o += b;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -136,27 +136,39 @@ impl Dnn {
             order.shuffle(&mut rng);
             for &i in &order {
                 let (x, label) = &dense[i];
-                Self::sgd_step(&mut layers, x, *label, pos_weight, params);
+                Self::sgd_step(&mut layers, x, *label, pos_weight, params)?;
             }
         }
         Ok(Dnn { layers })
     }
 
     /// One forward/backward pass and parameter update for a single sample.
-    fn sgd_step(layers: &mut [Layer], x: &[f64], label: bool, pos_weight: f64, params: &DnnParams) {
-        // Forward, remembering pre-activations per layer.
-        let mut activations: Vec<Vec<f64>> = vec![x.to_vec()];
+    ///
+    /// A sample whose dimension does not match the first layer is a
+    /// [`MlError::Linalg`] dimension mismatch.
+    fn sgd_step(
+        layers: &mut [Layer],
+        x: &[f64],
+        label: bool,
+        pos_weight: f64,
+        params: &DnnParams,
+    ) -> Result<()> {
+        // Forward, remembering each layer's input (the previous layer's
+        // post-activation values).
+        let mut activations: Vec<Vec<f64>> = Vec::with_capacity(layers.len());
+        let mut z = x.to_vec();
         for (li, layer) in layers.iter().enumerate() {
-            let mut z = layer.forward(activations.last().expect("nonempty"));
+            let mut next = layer.forward(&z)?;
             let is_output = li == layers.len() - 1;
             if !is_output {
-                for v in &mut z {
+                for v in &mut next {
                     *v = v.max(0.0); // ReLU
                 }
             }
-            activations.push(z);
+            activations.push(std::mem::replace(&mut z, next));
         }
-        let logit = activations.last().expect("output layer")[0];
+        // The output layer has one unit, the logit.
+        let logit = z[0];
         let y = if label { 1.0 } else { 0.0 };
         let p = 1.0 / (1.0 + (-logit).exp());
         let weight = if label { pos_weight } else { 1.0 };
@@ -168,10 +180,7 @@ impl Dnn {
             let input = &activations[li];
             // Gradient wrt this layer's input, for the next iteration.
             let prev_delta = if li > 0 {
-                let mut g = layers[li]
-                    .w
-                    .matvec_t(&delta)
-                    .expect("layer dims fixed at construction");
+                let mut g = layers[li].w.matvec_t(&delta)?;
                 // ReLU derivative uses the post-activation values (>0 ⇔ active).
                 for (gi, a) in g.iter_mut().zip(&activations[li]) {
                     if *a <= 0.0 {
@@ -203,6 +212,7 @@ impl Dnn {
                 delta = g;
             }
         }
+        Ok(())
     }
 
     /// Number of layers (hidden + output).

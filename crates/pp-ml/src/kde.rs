@@ -98,10 +98,15 @@ impl Kde {
 
     /// Approximate log-density of `x` under the tree's point set, using the
     /// `n'` nearest neighbors only.
+    ///
+    /// A vector of another dimension than the training data has no
+    /// neighbors: its density is zero in both trees, so it scores like a
+    /// blob far from everything instead of panicking (a linear model
+    /// likewise scores a mismatched blob rather than fail).
     fn log_density(&self, tree: &KdTree, x: &[f64]) -> f64 {
-        let nbrs = tree
-            .nearest(x, self.neighbors)
-            .expect("dimension verified by caller");
+        let Ok(nbrs) = tree.nearest(x, self.neighbors) else {
+            return f64::NEG_INFINITY;
+        };
         let inv2h2 = 1.0 / (2.0 * self.bandwidth * self.bandwidth);
         // log-sum-exp over the kernel terms, normalized by class size so
         // the ratio compares densities rather than unnormalized masses.
@@ -365,6 +370,8 @@ mod tests {
         let kde = Kde::train(&data, &KdeParams::default()).unwrap();
         let s = kde.score(&Features::Dense(vec![1e6, 1e6]));
         assert!(s.is_finite());
+        // A blob of another dimension has no neighbors in either class.
+        assert_eq!(kde.score(&Features::Dense(vec![0.5; 3])), 0.0);
     }
 
     #[test]

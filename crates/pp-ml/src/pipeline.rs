@@ -6,6 +6,7 @@
 //! accuracy/reduction curve measured on validation data, plus observed
 //! training and per-blob inference costs (the `c` of §3).
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use pp_linalg::{FeatureBatch, Features};
@@ -33,13 +34,30 @@ pub trait ScoreModel {
     /// (scratch buffers, hoisted lookups, contiguous block walks) but must
     /// return bit-identical scores in input order across both variants.
     fn score_many(&self, xs: &FeatureBatch<'_>) -> Vec<f64> {
-        match xs {
-            FeatureBatch::Refs(refs) => refs.iter().map(|x| self.score(x)).collect(),
-            FeatureBatch::Block(block) => block
-                .rows()
-                .map(|row| self.score(&Features::Dense(row.to_vec())))
-                .collect(),
-        }
+        (0..xs.len()).map(|i| self.score(&element(xs, i))).collect()
+    }
+
+    /// Scores the batch elements at `positions`, in the order given: one
+    /// score per position, bit-identical to
+    /// [`score_many`][Self::score_many]'s at that position. The elements
+    /// are read where they lie — a block row is not gathered first.
+    ///
+    /// # Panics
+    /// If a position is not below `xs.len()`.
+    fn score_selected(&self, xs: &FeatureBatch<'_>, positions: &[u32]) -> Vec<f64> {
+        positions
+            .iter()
+            .map(|&p| self.score(&element(xs, p as usize)))
+            .collect()
+    }
+}
+
+/// Element `i` of a batch as the scalar path sees it: a block row is the
+/// dense vector it was gathered from.
+fn element<'a>(xs: &FeatureBatch<'a>, i: usize) -> Cow<'a, Features> {
+    match *xs {
+        FeatureBatch::Refs(refs) => Cow::Borrowed(refs[i]),
+        FeatureBatch::Block(block) => Cow::Owned(Features::Dense(block.row(i).to_vec())),
     }
 }
 
@@ -123,15 +141,25 @@ impl ScoreModel for Model {
             Model::Svm(m) => m.score_many(xs),
             Model::Kde(m) => m.score_many(xs),
             Model::Dnn(m) => m.score_many(xs),
-            Model::Negated(m) => {
-                let mut scores = m.score_many(xs);
-                for s in &mut scores {
-                    *s = -*s;
-                }
-                scores
-            }
+            Model::Negated(m) => negate(m.score_many(xs)),
         }
     }
+
+    fn score_selected(&self, xs: &FeatureBatch<'_>, positions: &[u32]) -> Vec<f64> {
+        match self {
+            Model::Svm(m) => m.score_selected(xs, positions),
+            Model::Kde(m) => m.score_selected(xs, positions),
+            Model::Dnn(m) => m.score_selected(xs, positions),
+            Model::Negated(m) => negate(m.score_selected(xs, positions)),
+        }
+    }
+}
+
+fn negate(mut scores: Vec<f64>) -> Vec<f64> {
+    for s in &mut scores {
+        *s = -*s;
+    }
+    scores
 }
 
 /// A fully trained, calibrated PP scorer.
@@ -224,18 +252,34 @@ impl Pipeline {
     pub fn score_many(&self, xs: &FeatureBatch<'_>) -> Vec<f64> {
         match &self.reducer {
             Reducer::Identity => self.model.score_many(xs),
-            r => {
-                let reduced: Vec<Features> = match xs {
-                    FeatureBatch::Refs(refs) => refs.iter().map(|x| r.apply(x)).collect(),
-                    FeatureBatch::Block(block) => block
-                        .rows()
-                        .map(|row| r.apply(&Features::Dense(row.to_vec())))
-                        .collect(),
-                };
-                let refs: Vec<&Features> = reduced.iter().collect();
-                self.model.score_many(&FeatureBatch::Refs(&refs))
-            }
+            r => self.score_reduced(r, (0..xs.len()).map(|i| element(xs, i))),
         }
+    }
+
+    /// Scores the raw blobs at `positions` of a batch, in the order given;
+    /// bit-identical to [`score_many`][Self::score_many] at those
+    /// positions, without gathering them first
+    /// ([`ScoreModel::score_selected`]).
+    ///
+    /// # Panics
+    /// If a position is not below `xs.len()`.
+    pub fn score_selected(&self, xs: &FeatureBatch<'_>, positions: &[u32]) -> Vec<f64> {
+        match &self.reducer {
+            Reducer::Identity => self.model.score_selected(xs, positions),
+            r => self.score_reduced(r, positions.iter().map(|&p| element(xs, p as usize))),
+        }
+    }
+
+    /// `f(ψ(x))` over blobs that need a reduction first: ψ builds a vector
+    /// per blob, which the model scores as references.
+    fn score_reduced<'a>(
+        &self,
+        r: &Reducer,
+        xs: impl Iterator<Item = Cow<'a, Features>>,
+    ) -> Vec<f64> {
+        let reduced: Vec<Features> = xs.map(|x| r.apply(&x)).collect();
+        let refs: Vec<&Features> = reduced.iter().collect();
+        self.model.score_many(&FeatureBatch::Refs(&refs))
     }
 
     /// Batch decision at accuracy target `a`: the threshold is resolved
@@ -382,6 +426,10 @@ mod tests {
                 reducer: ReducerSpec::Identity,
                 model: ModelSpec::Dnn(DnnParams::default()),
             },
+            Approach {
+                reducer: ReducerSpec::FeatureHash { dr: 4 },
+                model: ModelSpec::Svm(SvmParams::default()),
+            },
         ];
         for approach in &approaches {
             let pp = Pipeline::train(approach, &train, &val, 13).unwrap();
@@ -400,6 +448,25 @@ mod tests {
                 // The columnar block variant is bit-identical to refs.
                 let columnar = pipeline.score_many(&FeatureBatch::Block(&block));
                 assert_eq!(batch, columnar, "{}", pipeline.approach_name());
+                // Scoring a selection in place is score_many at those
+                // positions, bit for bit, for every subset of the first
+                // eight rows (in descending order too) and over both forms.
+                let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                for subset in 0u32..256 {
+                    let mut positions: Vec<u32> = (0..8).filter(|p| subset >> p & 1 == 1).collect();
+                    if subset % 2 == 0 {
+                        positions.reverse();
+                    }
+                    let want: Vec<f64> = positions.iter().map(|&p| batch[p as usize]).collect();
+                    for form in [FeatureBatch::Refs(&xs), FeatureBatch::Block(&block)] {
+                        assert_eq!(
+                            bits(&pipeline.score_selected(&form, &positions)),
+                            bits(&want),
+                            "{} at {positions:?}",
+                            pipeline.approach_name()
+                        );
+                    }
+                }
                 let decisions = pipeline
                     .passes_many(&FeatureBatch::Refs(&xs), 0.95)
                     .unwrap();

@@ -171,6 +171,25 @@ impl ScoreModel for LinearSvm {
             }
         }
     }
+
+    fn score_selected(&self, xs: &FeatureBatch<'_>, positions: &[u32]) -> Vec<f64> {
+        let (w, b) = (self.weights.as_slice(), self.bias);
+        match xs {
+            FeatureBatch::Refs(refs) => positions
+                .iter()
+                .map(|&p| self.score(refs[p as usize]))
+                .collect(),
+            FeatureBatch::Block(block) => {
+                debug_assert_eq!(block.dim(), w.len(), "svm score: dimension mismatch");
+                // Each row is read in place, with the kernels::dot + bias
+                // that block_dot applies to it in score_many.
+                positions
+                    .iter()
+                    .map(|&p| pp_linalg::kernels::dot(block.row(p as usize), w) + b)
+                    .collect()
+            }
+        }
+    }
 }
 
 #[cfg(test)]

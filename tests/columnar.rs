@@ -18,8 +18,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
+use probabilistic_predicates::core::expr::{Assignment, PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
+use probabilistic_predicates::core::pp::ProbabilisticPredicate;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::data::traf20::traf20_queries;
@@ -37,10 +38,16 @@ use probabilistic_predicates::ml::kde::KdeParams;
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 struct Fixture {
     dataset: TrafficDataset,
     catalog: Catalog,
+    /// The optimizer over a linear-SVM PP (and its negation) for every
+    /// corpus clause, at a = 0.95.
+    qo: PpQueryOptimizer,
     /// Q1 (`vehType = SUV`) with the PP injected above the scan — the
     /// PP filter is the operator with a real block kernel.
     pp_plan: LogicalPlan,
@@ -101,10 +108,55 @@ fn fixture() -> &'static Fixture {
         Fixture {
             dataset,
             catalog,
+            qo,
             pp_plan: optimized.plan,
             pp_op,
         }
     })
+}
+
+/// One PP per model family and reducer, all for the corpus's first
+/// clause: linear SVM, KDE and DNN over the raw blob, then PCA + SVM and
+/// FH + SVM.
+fn families() -> &'static [Arc<ProbabilisticPredicate>] {
+    static FAMILIES: OnceLock<Vec<Arc<ProbabilisticPredicate>>> = OnceLock::new();
+    FAMILIES.get_or_init(|| {
+        let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+        let labeled = fixture().dataset.labeled_for_clause_range(&clause, 0..400);
+        [
+            (ReducerSpec::Identity, ModelSpec::Svm(SvmParams::default())),
+            (ReducerSpec::Identity, ModelSpec::Kde(KdeParams::default())),
+            (ReducerSpec::Identity, ModelSpec::Dnn(DnnParams::default())),
+            (
+                ReducerSpec::Pca {
+                    k: 4,
+                    fit_sample: 200,
+                },
+                ModelSpec::Svm(SvmParams::default()),
+            ),
+            (
+                ReducerSpec::FeatureHash { dr: 8 },
+                ModelSpec::Svm(SvmParams::default()),
+            ),
+        ]
+        .into_iter()
+        .map(|(reducer, model)| {
+            let pp = trainer(reducer, model)
+                .train_clause(&clause, &labeled)
+                .expect("train")
+                .remove(0);
+            Arc::new(pp)
+        })
+        .collect()
+    })
+}
+
+/// The fixture catalog's linear-SVM PP for `key` (`vehType != sedan` is
+/// the sign-flipped `vehType = sedan`).
+fn catalog_pp(key: &str) -> Arc<ProbabilisticPredicate> {
+    let all = fixture().qo.catalog().all();
+    let pp = all.iter().find(|pp| pp.key() == key);
+    Arc::clone(pp.expect("a corpus clause"))
 }
 
 /// Byte-comparable digest of a result set (values *and* row order).
@@ -350,8 +402,9 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
 }
 
 /// The kernel-level gate: for every built-in [`RowFilter`] — the PP
-/// filter over each model family and reducer (the one `eval_batch`
-/// override), the closure filter, and the fault shim around each —
+/// filter over each model family and reducer and over a 3-leaf
+/// conjunction and a 2-leaf disjunction (the one `eval_batch` override),
+/// the closure filter, and the fault shim around each —
 /// `eval_batch` over a multi-row batch equals the scalar `passes` row by
 /// row, errors included. (A `Processor` is scalar: the executor's probe
 /// and its retries are the same `process` call, so there is no second
@@ -393,33 +446,25 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
         ("non-blob cell", with_cell(5, Value::Int(7))),
     ];
 
-    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
-    let labeled = f.dataset.labeled_for_clause_range(&clause, 0..400);
     let mut filters: Vec<Arc<dyn RowFilter>> =
         vec![Arc::new(ClosureFilter::new("even", 0.01, |row, _| {
             Ok(row.get(0).as_int()? % 2 == 0)
         }))];
-    for (reducer, model) in [
-        (ReducerSpec::Identity, ModelSpec::Svm(SvmParams::default())),
-        (ReducerSpec::Identity, ModelSpec::Kde(KdeParams::default())),
-        (ReducerSpec::Identity, ModelSpec::Dnn(DnnParams::default())),
-        (
-            ReducerSpec::Pca {
-                k: 4,
-                fit_sample: 200,
-            },
-            ModelSpec::Svm(SvmParams::default()),
-        ),
-        (
-            ReducerSpec::FeatureHash { dr: 8 },
-            ModelSpec::Svm(SvmParams::default()),
-        ),
-    ] {
-        let pp = trainer(reducer, model)
-            .train_clause(&clause, &labeled)
-            .expect("train")
-            .remove(0);
-        let planned = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95).expect("plan");
+    let [svm, kde, dnn, pca, fh] = families() else {
+        panic!("five families")
+    };
+    let leaf = |pp: &Arc<ProbabilisticPredicate>| PpExpr::leaf(Arc::clone(pp));
+    let exprs = [svm, kde, dnn, pca, fh].map(leaf).into_iter().chain([
+        // Later leaves score only the rows the earlier ones left undecided.
+        PpExpr::And(vec![
+            leaf(&catalog_pp("speed >= 50")),
+            leaf(dnn),
+            leaf(&catalog_pp("vehColor != red")),
+        ]),
+        PpExpr::Or(vec![leaf(fh), leaf(&catalog_pp("vehColor = white"))]),
+    ]);
+    for expr in exprs {
+        let planned = PlannedPpExpr::uniform(expr, 0.95).expect("plan");
         filters.push(Arc::new(planned.into_filter("frame")));
     }
     let faults = |name: &str| {
@@ -450,6 +495,201 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
             );
         }
     }
+}
+
+/// A random And/Or tree over `leaves` leaves drawn from `pool`.
+fn random_expr(rng: &mut StdRng, pool: &[Arc<ProbabilisticPredicate>], leaves: usize) -> PpExpr {
+    if leaves == 1 {
+        let pp = pool.choose(rng).expect("a non-empty pool");
+        return PpExpr::leaf(Arc::clone(pp));
+    }
+    let mut children = Vec::new();
+    let mut left = leaves;
+    while left > 0 {
+        // At least two children.
+        let most = if children.is_empty() { left - 1 } else { left };
+        let size = rng.gen_range(1..=most);
+        children.push(random_expr(rng, pool, size));
+        left -= size;
+    }
+    if rng.gen_bool(0.5) {
+        PpExpr::And(children)
+    } else {
+        PpExpr::Or(children)
+    }
+}
+
+/// The batch walk scores each leaf only on the rows the expression has
+/// not decided yet, and must still equal `passes` row by row, errors
+/// included: random And/Or trees of 1–5 leaves drawn from every model
+/// family, negated PPs among them, each planned once with every accuracy
+/// and once with its last leaf's missing (a threshold that does not
+/// resolve), over random batches of 1, 7 and 256 rows with invalid blob
+/// cells — scored as a block, and with one cell stored sparse as
+/// references.
+#[test]
+fn leaf_by_leaf_walk_equals_the_scalar_path_on_random_expressions() {
+    let f = fixture();
+    let table = f.catalog.read_table("traffic").expect("registered slice");
+    let schema = table.schema().clone();
+    let blob_idx = schema.index_of("frame").expect("blob column");
+    let mut pool = families().to_vec();
+    for key in [
+        "speed >= 50",
+        "vehColor = red",
+        "vehType != sedan",
+        "vehColor != white",
+    ] {
+        pool.push(catalog_pp(key));
+    }
+    let mut rng = StdRng::seed_from_u64(0x1EAF);
+    let mut failed_rows = 0;
+    for _ in 0..24 {
+        let leaves = rng.gen_range(1..=5);
+        let expr = random_expr(&mut rng, &pool, leaves);
+        let accuracies: Vec<f64> = (0..leaves)
+            .map(|_| *[0.9, 0.95, 1.0].choose(&mut rng).expect("three"))
+            .collect();
+        let full = Assignment::new(accuracies.clone()).expect("in (0, 1]");
+        let estimate = expr.estimate(&full).expect("estimate");
+        let short = Assignment::new(accuracies[..leaves - 1].to_vec()).expect("in (0, 1]");
+        for assignment in [full, short] {
+            let filter = PlannedPpExpr {
+                expr: expr.clone(),
+                assignment,
+                estimate,
+            }
+            .into_filter("frame");
+            for size in [1usize, 7, 256] {
+                let mut rows: Vec<Row> = (0..size)
+                    .map(|_| {
+                        let row = &table.rows()[rng.gen_range(0..table.len())];
+                        let mut values = row.values().to_vec();
+                        match rng.gen_range(0..40) {
+                            0 => values[blob_idx] = Value::Int(7),
+                            1 => values[blob_idx] = Value::Null,
+                            _ => {}
+                        }
+                        Row::new(values)
+                    })
+                    .collect();
+                let dense = rows.clone();
+                // The same rows with one valid cell stored sparse.
+                let at = rng.gen_range(0..size);
+                if let Ok(blob) = rows[at].get(blob_idx).as_blob() {
+                    let coords = blob.as_dense().expect("traffic blobs are dense");
+                    let pairs = coords.iter().enumerate();
+                    let pairs = pairs
+                        .filter(|(_, v)| **v != 0.0)
+                        .map(|(i, v)| (i as u32, *v));
+                    let sparse = SparseVector::from_pairs(coords.len(), pairs.collect())
+                        .expect("sparse twin");
+                    let mut values = rows[at].values().to_vec();
+                    values[blob_idx] = Value::blob(Features::Sparse(sparse));
+                    rows[at] = Row::new(values);
+                }
+                for rows in [dense, rows] {
+                    let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
+                    failed_rows += scalar.iter().filter(|v| v.is_err()).count();
+                    let chunk = Chunk::from_rows(Arc::new(
+                        Rowset::new(schema.clone(), rows).expect("rows share the schema"),
+                    ));
+                    assert_eq!(
+                        format!("{:?}", filter.eval_batch(&Batch::new(&chunk, 0..size, 0))),
+                        format!("{scalar:?}"),
+                        "{} over {size} rows",
+                        filter.name()
+                    );
+                }
+            }
+        }
+    }
+    assert!(failed_rows > 0, "some rows met an error");
+}
+
+/// What a leaf counts is what the per-row walk does there: over the
+/// TRAF-20 plans at a = 0.95, a run adds to each leaf's count the rows
+/// whose `passes` walk reaches that leaf — at K = 1 and 2 and at batch
+/// sizes 64 and 256 alike — which after the first leaf is fewer than the
+/// rows scanned.
+#[test]
+fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
+    /// `passes`, counting the rows that reach each leaf.
+    fn reach(
+        expr: &PpExpr,
+        blob: &Features,
+        a: &Assignment,
+        next: &mut usize,
+        n: &mut [u64],
+    ) -> bool {
+        let mut gate = |es: &[PpExpr], stay: bool| {
+            let mut verdict = stay;
+            for e in es {
+                if verdict == stay {
+                    verdict = reach(e, blob, a, next, n);
+                } else {
+                    *next += e.leaf_count();
+                }
+            }
+            verdict
+        };
+        match expr {
+            PpExpr::Leaf(pp) => {
+                n[*next] += 1;
+                let accuracy = a.accuracy(*next).expect("assigned");
+                *next += 1;
+                pp.passes(blob, accuracy).expect("threshold")
+            }
+            PpExpr::And(es) => gate(es, true),
+            PpExpr::Or(es) => gate(es, false),
+        }
+    }
+
+    let f = fixture();
+    let table = f.catalog.read_table("traffic").expect("registered slice");
+    let blob_idx = table.schema().index_of("frame").expect("blob column");
+    let blobs: Vec<&Features> = table
+        .rows()
+        .iter()
+        .map(|r| &**r.get(blob_idx).as_blob().expect("blob cell"))
+        .collect();
+    let (mut later_leaves, mut later_scored) = (0, 0);
+    for q in traf20_queries() {
+        let optimized =
+            f.qo.optimize(&q.nop_plan(&f.dataset), &f.catalog)
+                .expect("optimize");
+        let [filter] = &optimized.pp_filters[..] else {
+            continue;
+        };
+        let PlannedPpExpr {
+            expr, assignment, ..
+        } = filter.planned();
+        let mut want = vec![0u64; expr.leaf_count()];
+        for blob in &blobs {
+            reach(expr, blob, assignment, &mut 0, &mut want);
+        }
+        assert_eq!(want[0], blobs.len() as u64, "Q{}", q.id);
+        later_leaves += want.len() - 1;
+        later_scored += want[1..].iter().sum::<u64>();
+        for k in [1usize, 2] {
+            for batch in [64usize, 256] {
+                let before = filter.leaf_rows_scored();
+                let mut ctx = ExecutionContext::builder(&f.catalog)
+                    .with_parallelism(k)
+                    .with_batch_size(batch)
+                    .build();
+                ctx.run(&optimized.plan).expect("run");
+                let after = filter.leaf_rows_scored();
+                let ran: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                assert_eq!(ran, want, "Q{}: K={k} batch={batch}", q.id);
+            }
+        }
+    }
+    assert!(later_leaves > 0, "some plan has more than one leaf");
+    assert!(
+        later_scored < (later_leaves * blobs.len()) as u64,
+        "later leaves score fewer rows than were scanned"
+    );
 }
 
 /// What a scan keeps of an in-memory table are the table's own rows: a
