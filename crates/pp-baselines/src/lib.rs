@@ -16,6 +16,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod correlation;
 pub mod noscope;

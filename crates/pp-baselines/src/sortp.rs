@@ -58,29 +58,28 @@ pub fn sortp_plan(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) ->
     let mut remaining: Vec<usize> = (0..groups.len()).collect();
     let mut materialized: BTreeSet<String> = BTreeSet::new();
     let mut plan = LogicalPlan::scan("traffic");
-    while !remaining.is_empty() {
-        let (pos, &gi) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                let rank = |g: &Group| {
-                    let new_cost: f64 = g
-                        .columns
-                        .iter()
-                        .filter(|c| !materialized.contains(*c))
-                        .map(|c| udf_cost(c))
-                        .sum();
-                    let drop = (1.0 - g.pass_rate).max(1e-9);
-                    new_cost / drop
-                };
-                rank(&groups[a]).total_cmp(&rank(&groups[b]))
-            })
-            .expect("remaining non-empty");
+    while let Some((pos, &gi)) = remaining.iter().enumerate().min_by(|(_, &a), (_, &b)| {
+        let rank = |g: &Group| {
+            let new_cost: f64 = g
+                .columns
+                .iter()
+                .filter(|c| !materialized.contains(*c))
+                .map(|c| udf_cost(c))
+                .sum();
+            let drop = (1.0 - g.pass_rate).max(1e-9);
+            new_cost / drop
+        };
+        rank(&groups[a]).total_cmp(&rank(&groups[b]))
+    }) {
         remaining.remove(pos);
         let group = &groups[gi];
         for col in &group.columns {
+            // A column no UDF makes is left for the select to reject, as
+            // in the NoP plan.
             if materialized.insert(col.clone()) {
-                plan = plan.process(dataset.udf(col).expect("known predicate column"));
+                if let Some(udf) = dataset.udf(col) {
+                    plan = plan.process(udf);
+                }
             }
         }
         let pred = if group.clauses.len() == 1 {

@@ -57,14 +57,13 @@ impl Corpus {
 
     /// The labeled set for one category ("find blobs with category c").
     pub fn labeled(&self, category: usize) -> LabeledSet {
-        LabeledSet::new(
-            self.blobs
-                .iter()
-                .zip(&self.labels[category])
-                .map(|(b, &l)| Sample::new(b.clone(), l))
-                .collect(),
-        )
-        .expect("generator emits uniform dimensions")
+        // Collected unchecked: each generator below emits every blob of a
+        // corpus at its one `DIM`, so the samples share one dimension.
+        self.blobs
+            .iter()
+            .zip(&self.labels[category])
+            .map(|(b, &l)| Sample::new(b.clone(), l))
+            .collect()
     }
 
     /// Selectivity of one category.
@@ -130,9 +129,13 @@ pub fn lshtc_like(n: usize, seed: u64) -> Corpus {
                 pairs.push((words[0], 1.0));
             }
         }
-        blobs.push(Features::Sparse(
-            SparseVector::from_pairs(DIM, pairs).expect("indices in range"),
-        ));
+        // `from_pairs` sorts and merges the pairs, so only an index past
+        // DIM could fail it, and every index is a Zipf rank under 9 000 or
+        // a signature word under 10 000 + N_CATS · SIG_WORDS.
+        let Ok(document) = SparseVector::from_pairs(DIM, pairs) else {
+            unreachable!("LSHTC word indices lie below DIM")
+        };
+        blobs.push(Features::Sparse(document));
     }
     Corpus {
         name: "LSHTC".into(),
@@ -175,7 +178,11 @@ pub fn sun_like(n: usize, seed: u64) -> Corpus {
                     .iter()
                     .map(|x| pp_linalg::dense::sq_dist(x, c))
                     .collect();
-                pp_linalg::stats::percentile(&d2, 0.10).expect("non-empty sample")
+                // 2 000 distances and a quantile in [0, 1]: never `None`.
+                let Some(radius2) = pp_linalg::stats::percentile(&d2, 0.10) else {
+                    unreachable!("the calibration sample is not empty")
+                };
+                radius2
             })
             .collect()
     };

@@ -20,6 +20,7 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod corpora;
 pub mod synth;

@@ -27,6 +27,9 @@ pub const VEH_COLORS: [&str; 5] = ["red", "black", "white", "silver", "other"];
 /// Traffic intersections (the paper's `ptX` identifiers).
 pub const INTERSECTIONS: [&str; 6] = ["pt101", "pt211", "pt303", "pt306", "pt335", "pt400"];
 
+/// Where the blob column, `frame`, sits in the traffic table.
+const FRAME_COLUMN: usize = 2;
+
 /// Latent ground truth for one frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameTruth {
@@ -113,12 +116,6 @@ impl TrafficDataset {
         let type_w = [0.50, 0.20, 0.10, 0.20];
         let color_w = [0.08, 0.25, 0.30, 0.22, 0.15];
         let mut truths = Vec::with_capacity(config.n_frames);
-        let schema = Schema::new(vec![
-            Column::new("cameraID", DataType::Int),
-            Column::new("frameID", DataType::Int),
-            Column::new("frame", DataType::Blob),
-        ])
-        .expect("static schema");
         let mut rows = Vec::with_capacity(config.n_frames);
         for i in 0..config.n_frames {
             let veh_type = VEH_TYPES[weighted_choice(&type_w, &mut rng)];
@@ -151,9 +148,18 @@ impl TrafficDataset {
             ]));
             truths.push(truth);
         }
+        let schema = Schema::new(vec![
+            Column::new("cameraID", DataType::Int),
+            Column::new("frameID", DataType::Int),
+            Column::new("frame", DataType::Blob),
+        ]);
+        // Three distinct names, and three cells in every row above.
+        let Ok(table) = schema.and_then(|schema| Rowset::new(schema, rows)) else {
+            unreachable!("the traffic table is well-formed by construction")
+        };
         TrafficDataset {
             truths: Arc::new(truths),
-            table: Arc::new(Rowset::new(schema, rows).expect("arity matches schema")),
+            table: Arc::new(table),
             config,
         }
     }
@@ -221,10 +227,11 @@ impl TrafficDataset {
     /// rest, §8.2).
     pub fn register_slice(&self, catalog: &mut Catalog, range: std::ops::Range<usize>) {
         let rows: Vec<Row> = self.table.rows()[range].to_vec();
-        catalog.register(
-            "traffic",
-            Rowset::new(self.table.schema().clone(), rows).expect("rows share the schema"),
-        );
+        // The rows are the table's own, so they fit its schema.
+        let Ok(slice) = Rowset::new(self.table.schema().clone(), rows) else {
+            unreachable!("a slice of a table fits the table's schema")
+        };
+        catalog.register("traffic", slice);
     }
 
     /// Like [`Self::labeled_for_clause`] but restricted to a frame range.
@@ -233,19 +240,16 @@ impl TrafficDataset {
         clause: &Clause,
         range: std::ops::Range<usize>,
     ) -> LabeledSet {
-        let blob_idx = 2;
-        LabeledSet::new(
-            range
-                .map(|i| {
-                    let blob = self.table.rows()[i]
-                        .get(blob_idx)
-                        .as_blob()
-                        .expect("blob column");
-                    Sample::new((**blob).clone(), self.clause_truth(clause, i))
-                })
-                .collect(),
-        )
-        .expect("uniform blob dimensions")
+        // Collected unchecked: every frame is a blob rendered at
+        // `config.blob_dim`, so the samples share one dimension.
+        range
+            .map(|i| {
+                let Value::Blob(blob) = self.table.rows()[i].get(FRAME_COLUMN) else {
+                    unreachable!("`generate` puts a blob in every frame cell")
+                };
+                Sample::new((**blob).clone(), self.clause_truth(clause, i))
+            })
+            .collect()
     }
 
     /// The blob table.
@@ -358,19 +362,7 @@ impl TrafficDataset {
     /// truth (equivalent to harvesting labels by running the UDF plan —
     /// the UDFs recover the truth exactly).
     pub fn labeled_for_clause(&self, clause: &Clause) -> LabeledSet {
-        let blob_idx = 2; // frame column
-        LabeledSet::new(
-            self.table
-                .rows()
-                .iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    let blob = row.get(blob_idx).as_blob().expect("blob column");
-                    Sample::new((**blob).clone(), self.clause_truth(clause, i))
-                })
-                .collect(),
-        )
-        .expect("uniform blob dimensions")
+        self.labeled_for_clause_range(clause, 0..self.len())
     }
 
     /// The PP training corpus of §8.2: equality clauses for the

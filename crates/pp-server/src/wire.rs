@@ -67,8 +67,20 @@
 //! equality is `Arc` pointer identity, so a *decoded* blob is a distinct
 //! value from the catalog's copy even when its coordinates match —
 //! verdict rows are for reading out, not for feeding back in.
+//!
+//! [`read_response`] reads every frame of a response into one payload
+//! buffer, which grows only with the bytes that arrive, and decodes
+//! verdict rows straight into the response's row vector. Its strings go
+//! through a table scoped to the response and bounded at 256 distinct
+//! strings: a categorical cell repeated down the stream (`vehType`,
+//! `vehColor`, …) decodes to a clone of the first one's `Arc<str>`, so
+//! decoded strings of one response may share storage. Past the bound a
+//! new string gets an allocation of its own. ([`read_frame`] decodes each
+//! frame with a table of its own.)
 
-use std::io::{Read, Write};
+use std::collections::HashSet;
+use std::io::{ErrorKind, Read, Write};
+use std::sync::Arc;
 
 use pp_engine::bytes::{put_u32, put_u64, put_words, Reader, Truncated};
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
@@ -90,6 +102,8 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 pub const VERDICT_CHUNK_ROWS: usize = 256;
 /// Maximum predicate nesting accepted by the decoder.
 pub const MAX_PREDICATE_DEPTH: u32 = 64;
+/// Most distinct strings the string table of one [`read_response`] holds.
+const STRING_TABLE_ENTRIES: usize = 256;
 
 const TYPE_REQUEST: u8 = 0x01;
 const TYPE_RESULT_HEADER: u8 = 0x02;
@@ -330,6 +344,27 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The strings decoded so far in one response: a string seen before comes
+/// back as a clone of the first one's `Arc`. At most
+/// [`STRING_TABLE_ENTRIES`] are kept; past that, a new string is still
+/// decoded, just not remembered. The strings are the peer's bytes, so the
+/// set keeps the standard library's keyed hasher.
+#[derive(Default)]
+struct StringTable(HashSet<Arc<str>>);
+
+impl StringTable {
+    fn get(&mut self, s: &str) -> Arc<str> {
+        if let Some(seen) = self.0.get(s) {
+            return Arc::clone(seen);
+        }
+        let fresh = Arc::<str>::from(s);
+        if self.0.len() < STRING_TABLE_ENTRIES {
+            self.0.insert(Arc::clone(&fresh));
+        }
+        fresh
+    }
+}
+
 // ---------------------------------------------------------------------
 // Values
 // ---------------------------------------------------------------------
@@ -384,13 +419,13 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-fn get_value(cur: &mut Reader<'_>) -> Result<Value, WireError> {
+fn get_value(cur: &mut Reader<'_>, strings: &mut StringTable) -> Result<Value, WireError> {
     Ok(match cur.u8()? {
         VAL_NULL => Value::Null,
         VAL_BOOL => Value::Bool(cur.u8()? != 0),
         VAL_INT => Value::Int(cur.i64()?),
         VAL_FLOAT => Value::Float(cur.f64()?),
-        VAL_STR => Value::Str(get_str(cur)?.into()),
+        VAL_STR => Value::Str(strings.get(get_str(cur)?)),
         VAL_BLOB_DENSE => {
             let n = cur.u32()? as usize;
             let words = cur.words::<8>(n)?;
@@ -480,7 +515,11 @@ fn put_predicate(out: &mut Vec<u8>, predicate: &Predicate) {
     }
 }
 
-fn get_predicate(cur: &mut Reader<'_>, depth: u32) -> Result<Predicate, WireError> {
+fn get_predicate(
+    cur: &mut Reader<'_>,
+    depth: u32,
+    strings: &mut StringTable,
+) -> Result<Predicate, WireError> {
     if depth > MAX_PREDICATE_DEPTH {
         return Err(WireError::DepthExceeded);
     }
@@ -490,12 +529,12 @@ fn get_predicate(cur: &mut Reader<'_>, depth: u32) -> Result<Predicate, WireErro
         PRED_CLAUSE => {
             let column = get_string(cur)?;
             let op = compare_op_from(cur.u8()?)?;
-            let value = get_value(cur)?;
+            let value = get_value(cur, strings)?;
             Predicate::Clause(Clause::new(column, op, value))
         }
-        PRED_NOT => Predicate::Not(Box::new(get_predicate(cur, depth + 1)?)),
-        PRED_AND => Predicate::And(get_children(cur, depth)?),
-        PRED_OR => Predicate::Or(get_children(cur, depth)?),
+        PRED_NOT => Predicate::Not(Box::new(get_predicate(cur, depth + 1, strings)?)),
+        PRED_AND => Predicate::And(get_children(cur, depth, strings)?),
+        PRED_OR => Predicate::Or(get_children(cur, depth, strings)?),
         other => return Err(WireError::Malformed(format!("predicate tag {other}"))),
     })
 }
@@ -505,10 +544,16 @@ fn get_predicate(cur: &mut Reader<'_>, depth: u32) -> Result<Predicate, WireErro
 /// the children actually decoded rather than being reserved from the
 /// count, because up to [`MAX_PREDICATE_DEPTH`] nested nodes could each
 /// lay claim to the same unread bytes.
-fn get_children(cur: &mut Reader<'_>, depth: u32) -> Result<Vec<Predicate>, WireError> {
+fn get_children(
+    cur: &mut Reader<'_>,
+    depth: u32,
+    strings: &mut StringTable,
+) -> Result<Vec<Predicate>, WireError> {
     let n = cur.u32()? as usize;
     cur.expect_items(n, 1)?;
-    (0..n).map(|_| get_predicate(cur, depth + 1)).collect()
+    (0..n)
+        .map(|_| get_predicate(cur, depth + 1, strings))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -565,6 +610,30 @@ fn put_verdict_batch<'r>(
             put_value(out, cell);
         }
     }
+}
+
+/// Decodes a verdict batch's payload, appending its rows to `rows`;
+/// returns the batch's request id.
+fn get_verdict_batch(
+    cur: &mut Reader<'_>,
+    strings: &mut StringTable,
+    rows: &mut Vec<Vec<Value>>,
+) -> Result<u64, WireError> {
+    let request_id = cur.u64()?;
+    let n = cur.u32()? as usize;
+    // A row is at least its cell count, a cell at least its tag.
+    cur.expect_items(n, 4)?;
+    rows.reserve(n);
+    for _ in 0..n {
+        let cells = cur.u32()? as usize;
+        cur.expect_items(cells, 1)?;
+        let mut row = Vec::with_capacity(cells);
+        for _ in 0..cells {
+            row.push(get_value(cur, strings)?);
+        }
+        rows.push(row);
+    }
+    Ok(request_id)
 }
 
 /// Appends one frame to `out`: the header, then whatever `payload`
@@ -661,12 +730,26 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
     }
 }
 
-fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
-    let cur = &mut Reader::new(payload, "frame payload");
+/// What every [`Reader`] over a frame payload reports when it runs short.
+const PAYLOAD: &str = "frame payload";
+
+/// Fails unless the payload has been read to its end.
+fn payload_read(cur: &Reader<'_>) -> Result<(), WireError> {
+    if !cur.is_empty() {
+        return Err(WireError::Malformed(format!(
+            "{} trailing bytes after payload",
+            cur.remaining()
+        )));
+    }
+    Ok(())
+}
+
+fn decode_payload(ty: u8, payload: &[u8], strings: &mut StringTable) -> Result<Frame, WireError> {
+    let cur = &mut Reader::new(payload, PAYLOAD);
     let frame = match ty {
         TYPE_REQUEST => {
             let source = get_string(cur)?;
-            let predicate = get_predicate(cur, 0)?;
+            let predicate = get_predicate(cur, 0, strings)?;
             let accuracy_target = cur.f64()?;
             // NaN fails the comparison too.
             if !(accuracy_target > 0.0 && accuracy_target <= 1.0) {
@@ -714,20 +797,8 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
             }
         }
         TYPE_VERDICT_BATCH => {
-            let request_id = cur.u64()?;
-            let n = cur.u32()? as usize;
-            // A row is at least its cell count, a cell at least its tag.
-            cur.expect_items(n, 4)?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cells = cur.u32()? as usize;
-                cur.expect_items(cells, 1)?;
-                let mut row = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    row.push(get_value(cur)?);
-                }
-                rows.push(row);
-            }
+            let mut rows = Vec::new();
+            let request_id = get_verdict_batch(cur, strings, &mut rows)?;
             Frame::VerdictBatch { request_id, rows }
         }
         TYPE_COMPLETE => Frame::Complete {
@@ -779,12 +850,7 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, WireError> {
         }
         other => return Err(WireError::UnknownFrameType(other)),
     };
-    if !cur.is_empty() {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after payload",
-            cur.remaining()
-        )));
-    }
+    payload_read(cur)?;
     Ok(frame)
 }
 
@@ -803,24 +869,47 @@ pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<(), WireEr
 
 /// Reads one frame from `reader`. Returns `Ok(None)` on a clean
 /// end-of-stream (the connection closed *between* frames); EOF anywhere
-/// inside a frame is [`WireError::Truncated`].
+/// inside a frame is [`WireError::Truncated`], and any other transport
+/// failure [`WireError::Io`] (an interrupted read is retried).
 pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, WireError> {
+    let mut payload = Vec::new();
+    match read_frame_into(reader, &mut payload)? {
+        Some(ty) => Ok(Some(decode_payload(
+            ty,
+            &payload,
+            &mut StringTable::default(),
+        )?)),
+        None => Ok(None),
+    }
+}
+
+/// Reads one frame's header and its payload into `payload`, replacing what
+/// was there; returns the frame type, or `None` on a clean end-of-stream.
+fn read_frame_into<R: Read>(
+    reader: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, WireError> {
     let mut magic = [0u8; 4];
     let mut filled = 0;
     while filled < magic.len() {
-        match reader.read(&mut magic[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => return Err(WireError::Truncated),
-            n => filled += n,
+        match reader.read(&mut magic[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(WireError::Truncated),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
         }
     }
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
+    // `read_exact` and `read_to_end` retry interrupted reads themselves.
+    let cut_short = |e: std::io::Error| match e.kind() {
+        ErrorKind::UnexpectedEof => WireError::Truncated,
+        _ => WireError::Io(e),
+    };
     let mut head = [0u8; 5];
-    reader
-        .read_exact(&mut head)
-        .map_err(|_| WireError::Truncated)?;
+    reader.read_exact(&mut head).map_err(cut_short)?;
     let [ty, len @ ..] = head;
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME_LEN {
@@ -831,16 +920,16 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, WireError> {
     }
     // The buffer grows with the bytes that arrive, not with the length the
     // header declares: a peer that promises 16 MiB and sends none holds none.
-    let mut payload = Vec::new();
+    payload.clear();
     reader
         .by_ref()
         .take(u64::from(len))
-        .read_to_end(&mut payload)
-        .map_err(|_| WireError::Truncated)?;
+        .read_to_end(payload)
+        .map_err(cut_short)?;
     if payload.len() < len as usize {
         return Err(WireError::Truncated);
     }
-    Ok(Some(decode_payload(ty, &payload)?))
+    Ok(Some(ty))
 }
 
 /// A fully collected response, assembled from the frame stream by
@@ -887,13 +976,30 @@ pub enum WireOutcome {
 /// Collects one query's response frames (header, verdict batches,
 /// complete/error) into a [`WireResponse`]. Verifies the `complete`
 /// frame's row count against the rows actually streamed.
+///
+/// Reads exactly what [`read_frame`] in a loop would, to the same
+/// response or error, with one payload buffer and one string table (see
+/// the module docs) for the whole response.
 pub fn read_response<R: Read>(reader: &mut R) -> Result<WireResponse, WireError> {
     let mut header: Option<(u64, u64, bool, Vec<String>)> = None;
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut trace: Option<RequestTimeline> = None;
+    let mut payload = Vec::new();
+    let mut strings = StringTable::default();
     loop {
-        let frame = read_frame(reader)?.ok_or(WireError::Truncated)?;
-        match frame {
+        let ty = read_frame_into(reader, &mut payload)?.ok_or(WireError::Truncated)?;
+        if ty == TYPE_VERDICT_BATCH {
+            // Straight into the response's rows, checked in the order
+            // `decode_payload` then the header test would check them.
+            let cur = &mut Reader::new(&payload, PAYLOAD);
+            let request_id = get_verdict_batch(cur, &mut strings, &mut rows)?;
+            payload_read(cur)?;
+            if !matches!(&header, Some((id, ..)) if *id == request_id) {
+                return Err(WireError::Malformed("verdict batch before header".into()));
+            }
+            continue;
+        }
+        match decode_payload(ty, &payload, &mut strings)? {
             Frame::ResultHeader {
                 request_id,
                 epoch,
@@ -905,15 +1011,7 @@ pub fn read_response<R: Read>(reader: &mut R) -> Result<WireResponse, WireError>
                 }
                 header = Some((request_id, epoch, cache_hit, columns));
             }
-            Frame::VerdictBatch {
-                request_id,
-                rows: chunk,
-            } => {
-                if !matches!(&header, Some((id, ..)) if *id == request_id) {
-                    return Err(WireError::Malformed("verdict batch before header".into()));
-                }
-                rows.extend(chunk);
-            }
+            Frame::VerdictBatch { .. } => unreachable!("verdict batches are decoded above"),
             Frame::Complete {
                 request_id,
                 total_rows,
@@ -1127,5 +1225,29 @@ fn write_outcome<W: Write>(
                 charged_cluster_seconds: 0.0,
             },
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A string seen before is the first one's `Arc`; strings that never
+    /// repeat still decode to themselves, and the table stops growing at
+    /// its bound however many of them go by.
+    #[test]
+    fn the_string_table_shares_repeats_and_stays_bounded() {
+        let mut strings = StringTable::default();
+        let first = strings.get("SUV");
+        assert!(Arc::ptr_eq(&first, &strings.get("SUV")));
+        for i in 0..4 * STRING_TABLE_ENTRIES {
+            let s = format!("distinct-{i}");
+            assert_eq!(&*strings.get(&s), s);
+            assert!(strings.0.len() <= STRING_TABLE_ENTRIES);
+        }
+        assert_eq!(strings.0.len(), STRING_TABLE_ENTRIES);
+        assert!(Arc::ptr_eq(&first, &strings.get("SUV")), "kept while full");
+        let late = "distinct-999999";
+        assert!(!Arc::ptr_eq(&strings.get(late), &strings.get(late)));
     }
 }

@@ -42,7 +42,12 @@
 //! pages re-sealed with their CRC, frame lengths re-patched, so that the
 //! mutation reaches the decoder — and asserts a typed error or a valid
 //! value, never a panic, with the decoder holding at most
-//! [`DECODE_BYTES_PER_INPUT_BYTE`] bytes per byte of input.
+//! [`DECODE_BYTES_PER_INPUT_BYTE`] bytes per byte of input. A whole
+//! response stream goes through it too, into `read_response`, which must
+//! answer exactly what a fold over `read_frame` answers; and decoding a
+//! verdict stream costs a row its cells' vector and its blob, and a frame
+//! next to nothing (no payload buffer per frame, no string per repeated
+//! categorical cell).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,12 +74,17 @@ use probabilistic_predicates::engine::udf::ClosureProcessor;
 use probabilistic_predicates::engine::{
     Catalog, Column, DataType, LogicalPlan, Predicate, Rowset, TableProvider, UdfMemo, Value,
 };
+use probabilistic_predicates::linalg::features::Features;
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
-use probabilistic_predicates::server::wire::{encode_frame, read_frame, Frame, WireRequest};
+use probabilistic_predicates::server::wire::{
+    encode_frame, read_frame, read_response, Frame, WireError, WireOutcome, WireRequest,
+    WireResponse,
+};
 use probabilistic_predicates::server::{
-    AuditConfig, PpServer, QueryRequest, ServerConfig, SourceRegistry, SourceSpec,
+    AuditConfig, PpServer, QueryRequest, RequestTimeline, ServerConfig, SourceRegistry, SourceSpec,
+    StageSpan,
 };
 use probabilistic_predicates::store::{
     crc32, Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
@@ -733,6 +743,254 @@ fn mutated_golden_frames_decode_to_a_typed_error_or_a_frame_within_budget() {
             check_frame(name, kind, &sealed);
         });
     }
+}
+
+/// What `read_response` did before it read a response through one payload
+/// buffer and one string table: a fold over `read_frame`. Kept as the
+/// reference the response door is held to.
+fn read_response_by_frames(bytes: &[u8]) -> Result<WireResponse, WireError> {
+    let reader = &mut Cursor::new(bytes);
+    let mut header: Option<(u64, u64, bool, Vec<String>)> = None;
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut trace: Option<RequestTimeline> = None;
+    loop {
+        match read_frame(reader)?.ok_or(WireError::Truncated)? {
+            Frame::ResultHeader {
+                request_id,
+                epoch,
+                cache_hit,
+                columns,
+            } => {
+                if header.is_some() {
+                    return Err(WireError::Malformed("duplicate result header".into()));
+                }
+                header = Some((request_id, epoch, cache_hit, columns));
+            }
+            Frame::VerdictBatch {
+                request_id,
+                rows: chunk,
+            } => {
+                if !matches!(&header, Some((id, ..)) if *id == request_id) {
+                    return Err(WireError::Malformed("verdict batch before header".into()));
+                }
+                rows.extend(chunk);
+            }
+            Frame::Complete {
+                request_id,
+                total_rows,
+            } => {
+                let Some((id, epoch, cache_hit, columns)) = header else {
+                    return Err(WireError::Malformed("complete before header".into()));
+                };
+                if id != request_id {
+                    return Err(WireError::Malformed("complete for a different id".into()));
+                }
+                if rows.len() as u64 != total_rows {
+                    return Err(WireError::Malformed(format!(
+                        "stream carried {} rows, complete frame declared {total_rows}",
+                        rows.len()
+                    )));
+                }
+                let outcome = WireOutcome::Complete {
+                    epoch,
+                    cache_hit,
+                    columns,
+                    rows,
+                };
+                return Ok(WireResponse {
+                    request_id,
+                    outcome,
+                    trace,
+                });
+            }
+            Frame::Error {
+                request_id,
+                kind,
+                detail,
+                rows_processed,
+                charged_cluster_seconds,
+            } => {
+                let outcome = WireOutcome::Error {
+                    kind,
+                    detail,
+                    rows_processed,
+                    charged_cluster_seconds,
+                };
+                return Ok(WireResponse {
+                    request_id,
+                    outcome,
+                    trace,
+                });
+            }
+            Frame::Trace(timeline) => {
+                if trace.is_some() {
+                    return Err(WireError::Malformed("duplicate trace frame".into()));
+                }
+                trace = Some(timeline);
+            }
+            Frame::Request(_) => {
+                return Err(WireError::Malformed("request frame from server".into()));
+            }
+        }
+    }
+}
+
+/// A verdict row shaped like a traffic result: two ids, a dense blob, two
+/// categoricals and a speed. `label` picks the strings.
+fn verdict_row(i: usize, label: impl Fn(usize, usize) -> String) -> Vec<Value> {
+    vec![
+        Value::Int(i as i64 % 8),
+        Value::Int(i as i64),
+        Value::blob(Features::Dense(vec![i as f64 * 0.25; 8])),
+        Value::str(label(i, 0)),
+        Value::str(label(i, 1)),
+        Value::Float(20.0 + (i % 60) as f64),
+    ]
+}
+
+/// The frames of one response: a trace, the header, `rows` verdict rows
+/// in batches of `per_frame`, and the completion.
+fn response_stream(
+    rows: usize,
+    per_frame: usize,
+    label: impl Fn(usize, usize) -> String,
+) -> Vec<Vec<u8>> {
+    let id = 7;
+    let mut frames = vec![
+        encode_frame(&Frame::Trace(RequestTimeline {
+            trace_id: id,
+            stages: vec![StageSpan {
+                name: "execute".into(),
+                detail: Some("hit".into()),
+                nanos: 1_000,
+            }],
+            terminal: "respond".into(),
+            total_nanos: 2_000,
+        })),
+        encode_frame(&Frame::ResultHeader {
+            request_id: id,
+            epoch: 1,
+            cache_hit: true,
+            columns: [
+                "cameraID", "frameID", "frame", "vehType", "vehColor", "speed",
+            ]
+            .map(String::from)
+            .into(),
+        }),
+    ];
+    let all: Vec<Vec<Value>> = (0..rows).map(|i| verdict_row(i, &label)).collect();
+    for chunk in all.chunks(per_frame) {
+        frames.push(encode_frame(&Frame::VerdictBatch {
+            request_id: id,
+            rows: chunk.to_vec(),
+        }));
+    }
+    frames.push(encode_frame(&Frame::Complete {
+        request_id: id,
+        total_rows: rows as u64,
+    }));
+    frames
+}
+
+/// Categoricals as a traffic result carries them: a handful of values,
+/// repeated down the stream.
+fn categorical(i: usize, column: usize) -> String {
+    ["SUV", "car", "truck", "van", "red", "white", "black"][(i * 3 + column * 5) % 7].to_string()
+}
+
+/// One `read_response` of `stream`: a typed error or a response within
+/// the budget, and the one a fold over `read_frame` reads from the same
+/// bytes.
+fn check_response(kind: &str, stream: &[u8]) {
+    let spent = counted(|| read_response(&mut Cursor::new(stream)));
+    assert_within_budget("response", kind, stream.len(), spent.peak_bytes);
+    assert_eq!(
+        format!("{:?}", spent.out),
+        format!("{:?}", read_response_by_frames(stream)),
+        "response, {kind}"
+    );
+}
+
+#[test]
+fn mutated_response_streams_decode_like_the_frames_they_are_made_of() {
+    // Two verdict batches of three rows, their strings repeating within a
+    // batch and across the two.
+    let frames = response_stream(6, 3, categorical);
+    assert_eq!(frames.len(), 5, "trace, header, two batches, complete");
+    let stream = frames.concat();
+    let response = read_response(&mut Cursor::new(&stream)).expect("the stream decodes");
+    assert!(matches!(&response.outcome, WireOutcome::Complete { rows, .. } if rows.len() == 6));
+    check_response("intact", &stream);
+
+    let golden = golden_sections("wire_frames.hex");
+    let mut donors: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+    donors.extend(golden.iter().map(|(_, f)| f.as_slice()));
+    let mut rng = StdRng::seed_from_u64(0x2E5);
+    // The stream as it stands: every frame's header under mutation too.
+    for_each_mutation(&stream, &donors, &mut rng, check_response);
+    // Each verdict batch's payload, re-sealed in place, so that the
+    // straight-into-the-rows decode sees all of it.
+    let payloads: Vec<&[u8]> = frames.iter().map(|f| &f[FRAME_HEADER_LEN..]).collect();
+    for batch in [2, 3] {
+        let (header, payload) = frames[batch].split_at(FRAME_HEADER_LEN);
+        let mut sealed = Vec::new();
+        for_each_mutation(payload, &payloads, &mut rng, |kind, mutated| {
+            sealed.clear();
+            frames[..batch]
+                .iter()
+                .for_each(|f| sealed.extend_from_slice(f));
+            sealed.extend_from_slice(&header[..5]);
+            sealed.extend_from_slice(&(mutated.len() as u32).to_be_bytes());
+            sealed.extend_from_slice(mutated);
+            frames[batch + 1..]
+                .iter()
+                .for_each(|f| sealed.extend_from_slice(f));
+            check_response(kind, &sealed);
+        });
+    }
+}
+
+/// Verdict rows per frame in the decode budget's streams: few enough that
+/// a buffer or two per frame would show against the per-row allowance.
+const ROWS_PER_FRAME: usize = 16;
+
+/// Decoding a verdict stream costs each row its cells' vector and its
+/// blob (coordinates and `Arc`), and each frame next to nothing: the
+/// payload buffer is the response's, and a categorical cell seen before is
+/// an `Arc` clone, not a string allocation.
+#[test]
+fn a_verdict_stream_decodes_in_three_allocations_a_row() {
+    let decode = |rows: usize| {
+        let stream = response_stream(rows, ROWS_PER_FRAME, categorical).concat();
+        let spent = counted(|| read_response(&mut Cursor::new(&stream)).expect("decodes"));
+        match spent.out.outcome {
+            WireOutcome::Complete { rows: got, .. } => assert_eq!(got.len(), rows),
+            other => panic!("expected completion, got {other:?}"),
+        }
+        spent.allocations
+    };
+    let (small, large) = (decode(2_048), decode(4_096));
+    let extra_rows = 2_048.0;
+    let extra_frames = extra_rows / ROWS_PER_FRAME as f64;
+    let allowed = 3.1 * extra_rows + 1.0 * extra_frames;
+    let extra = (large - small) as f64;
+    assert!(
+        extra <= allowed,
+        "{small} allocations over 2 048 rows, {large} over 4 096: {:.2} per extra row, \
+         {:.1} per extra frame ({allowed:.0} allowed in all)",
+        extra / extra_rows,
+        extra / extra_frames,
+    );
+
+    // Strings that never repeat still decode, each its own allocation once
+    // the table is full, to what the frames hold.
+    let distinct = |i: usize, column: usize| format!("{column}-{i}");
+    let stream = response_stream(1_024, ROWS_PER_FRAME, distinct).concat();
+    let response = read_response(&mut Cursor::new(&stream)).expect("decodes");
+    assert_eq!(
+        format!("{response:?}"),
+        format!("{:?}", read_response_by_frames(&stream).expect("decodes"))
+    );
 }
 
 /// Header bytes of a segment file: magic and version.

@@ -9,7 +9,7 @@
 //! change with `UPDATE_GOLDEN=1 cargo test --test wire`.
 
 use std::fs;
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -405,6 +405,66 @@ fn reserved_request_byte_accepts_legacy_values_and_ignores_them() {
         read_frame(&mut Cursor::new(&bytes)),
         Err(WireError::Malformed(_))
     ));
+}
+
+/// A transport that ends every read at byte `at` of `bytes` and then fails
+/// there: once if the error is `Interrupted`, every time otherwise.
+struct FailingAt {
+    bytes: Cursor<Vec<u8>>,
+    at: u64,
+    kind: std::io::ErrorKind,
+    failed: bool,
+}
+
+impl Read for FailingAt {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let pos = self.bytes.position();
+        let once = self.kind == std::io::ErrorKind::Interrupted;
+        if pos == self.at && !(once && self.failed) {
+            self.failed = true;
+            return Err(self.kind.into());
+        }
+        let room = if pos < self.at {
+            buf.len().min((self.at - pos) as usize)
+        } else {
+            buf.len()
+        };
+        self.bytes.read(&mut buf[..room])
+    }
+}
+
+/// `read_frame` tells a transport failure from a frame that stopped short,
+/// wherever in the frame it strikes: an interrupted read is retried (as
+/// `read_exact` does), a timed-out one is `Io` with its kind — in the
+/// magic, the header or the payload — and only the end of the stream is
+/// `Truncated`. `read_response` reads frames the same way.
+#[test]
+fn transport_errors_are_io_and_interrupted_reads_are_retried() {
+    let frame = corpus().remove(2).1;
+    let bytes = encode_frame(&frame);
+    let want = format!("{:?}", Some(&frame));
+    let reader = |at: usize, kind| FailingAt {
+        bytes: Cursor::new(bytes.clone()),
+        at: at as u64,
+        kind,
+        failed: false,
+    };
+    for at in 0..bytes.len() {
+        let got = read_frame(&mut reader(at, std::io::ErrorKind::Interrupted));
+        assert_eq!(format!("{:?}", got.expect("retried")), want, "byte {at}");
+        match read_frame(&mut reader(at, std::io::ErrorKind::TimedOut)) {
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => {}
+            other => panic!("timed out at byte {at}: expected Io(TimedOut), got {other:?}"),
+        }
+        match read_response(&mut reader(at, std::io::ErrorKind::TimedOut)) {
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => {}
+            other => panic!("response timed out at byte {at}: got {other:?}"),
+        }
+    }
+    // At the frame's end the frame is whole: the failure is the next read's.
+    let mut stream = reader(bytes.len(), std::io::ErrorKind::Interrupted);
+    assert!(read_frame(&mut stream).expect("whole").is_some());
+    assert!(matches!(read_frame(&mut stream), Ok(None)));
 }
 
 /// A predicate nested beyond the decoder's depth cap is rejected instead
