@@ -25,7 +25,7 @@ use std::ops::Range;
 use pp_linalg::{FeatureBatch, FeatureBlock, Features};
 
 use crate::chunk::Chunk;
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 use crate::schema::Schema;
 
 /// A batch of rows: what one probe step evaluates.
@@ -70,6 +70,13 @@ impl<'a> Batch<'a> {
     /// read a feature column never call it.
     pub fn rows(&self) -> &'a [Row] {
         &self.chunk.rows()[self.rows.clone()]
+    }
+
+    /// The rows in batch order, each read where its chunk keeps it: no
+    /// tuple is built for a row whose cells a processor appended.
+    pub fn row_refs(&self) -> impl ExactSizeIterator<Item = RowRef<'a>> + 'a {
+        let chunk = self.chunk;
+        self.rows.clone().map(move |i| chunk.row_ref(i))
     }
 
     /// Global input index of the first row.

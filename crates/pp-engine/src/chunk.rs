@@ -5,16 +5,18 @@
 //! range of them, shared, never copied); a decoded segment group is one
 //! vector of cells per scalar column and one contiguous
 //! [`FeatureBlock`] per blob column. Operators read a chunk through
-//! [`Batch`](crate::batch::Batch) views and turn a row into a [`Row`]
-//! only when something needs the tuple — a scalar UDF, a retry, a row
-//! that survived its filter.
+//! [`Batch`](crate::batch::Batch) views and turn a decoded row into a
+//! [`Row`] only when something needs the tuple — a filter's scalar path,
+//! a retry, a row that survived its filter. A table's rows are read as
+//! its rowset keeps them ([`Chunk::row_ref`]): a `Process` output's
+//! appended cells in their buffer.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use pp_linalg::{FeatureBlock, Features};
 
-use crate::row::{Row, Rowset};
+use crate::row::{Row, RowRef, Rowset};
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -169,6 +171,22 @@ impl Chunk {
                 build_row(columns, i)
             }
             _ => self.rows()[i].clone(),
+        }
+    }
+
+    /// Row `i` read where it is kept: a table's row as its rowset keeps it
+    /// (cells a processor appended included, no tuple built), a decoded
+    /// row through its tuple.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn row_ref(&self, i: usize) -> RowRef<'_> {
+        match &self.data {
+            Data::Rows { table, start, .. } => {
+                assert!(i < self.len, "row {i} out of a {}-row chunk", self.len);
+                table.row_ref(start + i)
+            }
+            Data::Columns { .. } => RowRef::from(&self.rows()[i]),
         }
     }
 

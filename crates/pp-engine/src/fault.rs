@@ -31,7 +31,7 @@ use std::sync::Arc;
 use pp_linalg::rng::{derive_seed, hash2};
 
 use crate::logical::LogicalPlan;
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 use crate::schema::{Column, Schema};
 use crate::sync::Mutex;
 use crate::udf::{Processor, RowFilter};
@@ -329,7 +329,7 @@ enum Drawn {
 /// identity — not arrival order — selects the decision stream, and the
 /// attempt ordinal walks it, so retries draw fresh decisions while
 /// repeated runs (serial or partitioned) reproduce the same faults.
-fn draw(spec: &FaultSpec, seed: u64, row: &Row, attempt: u64) -> Drawn {
+fn draw(spec: &FaultSpec, seed: u64, row: RowRef<'_>, attempt: u64) -> Drawn {
     let u = unit(hash2(hash2(seed, row_fingerprint(row)), attempt));
     if u < spec.transient_rate {
         Drawn::Transient
@@ -346,9 +346,9 @@ fn draw(spec: &FaultSpec, seed: u64, row: &Row, attempt: u64) -> Drawn {
 /// bools). Floats and blobs are skipped so the fingerprint is stable under
 /// derived-column jitter; if a row has no hashable cells its fingerprint
 /// is a constant.
-fn row_fingerprint(row: &Row) -> u64 {
+fn row_fingerprint(row: RowRef<'_>) -> u64 {
     let mut acc: u64 = 0x9E37_79B9_7F4A_7C15;
-    for v in row.values() {
+    for v in row.iter() {
         let cell = match v {
             Value::Int(i) => hash2(1, *i as u64),
             Value::Bool(b) => hash2(2, u64::from(*b)),
@@ -366,7 +366,7 @@ fn row_fingerprint(row: &Row) -> u64 {
     acc
 }
 
-fn poisoned(spec: &FaultSpec, seed: u64, row: &Row) -> bool {
+fn poisoned(spec: &FaultSpec, seed: u64, row: RowRef<'_>) -> bool {
     spec.poison_rate > 0.0
         && unit(hash2(derive_seed(seed, "poison"), row_fingerprint(row))) < spec.poison_rate
 }
@@ -397,7 +397,7 @@ impl FaultyProcessor {
 }
 
 impl FaultyProcessor {
-    fn record(&self, row: &Row, attempt: u64, kind: FaultKind) {
+    fn record(&self, row: RowRef<'_>, attempt: u64, kind: FaultKind) {
         if let Some(log) = &self.log {
             log.record(self.name(), row_fingerprint(row), attempt, kind);
         }
@@ -423,7 +423,7 @@ impl Processor for FaultyProcessor {
     fn cost_per_row(&self) -> f64 {
         self.inner.cost_per_row()
     }
-    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+    fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
         if poisoned(&self.spec, self.seed, row) {
             self.record(row, 0, FaultKind::Poison);
             return Err(EngineError::PoisonedRow(format!(
@@ -503,7 +503,12 @@ impl FaultyFilter {
 
     fn record(&self, row: &Row, attempt: u64, kind: FaultKind) {
         if let Some(log) = &self.log {
-            log.record(self.name(), row_fingerprint(row), attempt, kind);
+            log.record(
+                self.name(),
+                row_fingerprint(RowRef::from(row)),
+                attempt,
+                kind,
+            );
         }
     }
 }
@@ -528,7 +533,7 @@ impl RowFilter for FaultyFilter {
         self.inner.fail_open()
     }
     fn passes(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        if poisoned(&self.spec, self.seed, row) {
+        if poisoned(&self.spec, self.seed, RowRef::from(row)) {
             self.record(row, 0, FaultKind::Poison);
             return Err(EngineError::PoisonedRow(format!(
                 "{}: input row crashes the filter",
@@ -536,7 +541,7 @@ impl RowFilter for FaultyFilter {
             )));
         }
         let attempt = attempt_ordinal();
-        match draw(&self.spec, self.seed, row, attempt) {
+        match draw(&self.spec, self.seed, RowRef::from(row), attempt) {
             Drawn::Transient => {
                 self.record(row, attempt, FaultKind::Transient);
                 Err(EngineError::Transient(format!(
@@ -674,7 +679,8 @@ mod tests {
         ));
         let p = FaultyProcessor::new(inner, FaultSpec::corrupt(1.0), 3);
         let mut out = vec![Value::Int(-1)];
-        let result = p.process(&Row::new(vec![Value::Int(1)]), &schema(), &mut out);
+        let row = Row::new(vec![Value::Int(1)]);
+        let result = p.process(RowRef::from(&row), &schema(), &mut out);
         assert!(matches!(result, Err(EngineError::CorruptOutput(_))));
         assert_eq!(out.len(), 1);
     }

@@ -66,7 +66,7 @@ pub use provider::{
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
 pub use resilience::{BreakerTransition, ExecSession, ResilienceConfig, RetryPolicy};
-pub use row::{Row, Rowset};
+pub use row::{Row, RowRef, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{
     EventKind, LatencyHistogram, MetricValue, MetricsRegistry, OperatorId, OperatorSpan, QueryId,

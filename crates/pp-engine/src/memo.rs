@@ -46,9 +46,10 @@
 //! An entry is the flat run of cells the call appended (how many output
 //! rows that is follows from the UDF's column count, as it does for a live
 //! call — see [`Processor::process`]). A hit hashes the row's key cells in
-//! place, finds the entry and clones its cells into the caller's buffer:
-//! no key is built and nothing is allocated, so a memoized `Process` row
-//! costs its output tuple and nothing else (`tests/alloc_budget.rs`).
+//! place — the row's first cells, read where the row keeps them — finds
+//! the entry and clones its cells into the caller's buffer: no key is
+//! built and nothing is allocated, so a memoized `Process` row allocates
+//! nothing (`tests/alloc_budget.rs`).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -57,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::logical::LogicalPlan;
-use crate::row::Row;
+use crate::row::RowRef;
 use crate::schema::{Column, Schema};
 use crate::sync::Mutex;
 use crate::udf::Processor;
@@ -96,9 +97,11 @@ struct Entry {
 }
 
 impl Entry {
-    fn is_for(&self, op: &str, key_cells: &[Value]) -> bool {
+    /// Whether this is the entry of `op` over the `n` key cells `key_cells`
+    /// yields.
+    fn is_for<'a>(&self, op: &str, n: usize, key_cells: impl Iterator<Item = &'a Value>) -> bool {
         *self.op == *op
-            && self.key.len() == key_cells.len()
+            && self.key.len() == n
             && self
                 .key
                 .iter()
@@ -178,19 +181,19 @@ impl UdfMemo {
     fn replay_or_invoke(
         &self,
         op: &Arc<str>,
-        row: &Row,
+        row: RowRef<'_>,
         out: &mut Vec<Value>,
         compute: impl FnOnce(&mut Vec<Value>) -> Result<Box<[Value]>>,
     ) -> Result<()> {
-        let cells = row.values();
-        let key_cells = &cells[..self.key_prefix.min(cells.len())];
+        let n = self.key_prefix.min(row.len());
+        let key_cells = || row.iter().take(n);
         let mut hasher = self.hasher.build_hasher();
         op.hash(&mut hasher);
-        for cell in key_cells {
+        for cell in key_cells() {
             cell_key(cell).hash(&mut hasher);
         }
         let hash = hasher.finish();
-        let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, key_cells));
+        let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, n, key_cells()));
         if let Some(bucket) = self.cache.lock().get(&hash) {
             if let Some(hit) = find(bucket) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -206,7 +209,7 @@ impl UdfMemo {
         if find(bucket).is_none() {
             bucket.push(Entry {
                 op: Arc::clone(op),
-                key: key_cells.iter().map(cell_key).collect(),
+                key: key_cells().map(cell_key).collect(),
                 cells,
             });
         }
@@ -252,7 +255,7 @@ impl Processor for MemoProcessor {
     fn cost_per_row(&self) -> f64 {
         self.inner.cost_per_row()
     }
-    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+    fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
         self.memo.replay_or_invoke(&self.op, row, out, |out| {
             crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
                 Ok(Box::from(&*fresh))
@@ -278,6 +281,7 @@ pub fn memoize_plan(plan: &LogicalPlan, memo: &Arc<UdfMemo>) -> LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::DataType;
     use crate::udf::ClosureProcessor;
     use std::sync::atomic::AtomicUsize;
@@ -369,9 +373,9 @@ mod tests {
         let shim = MemoProcessor::new(inner, Arc::clone(&memo));
         let (schema, row) = (schema(), Row::new(vec![Value::Int(0)]));
         let mut out = Vec::new();
-        assert!(shim.process(&row, &schema, &mut out).is_err());
+        assert!(shim.process(RowRef::from(&row), &schema, &mut out).is_err());
         assert!(out.is_empty());
-        assert!(shim.process(&row, &schema, &mut out).is_ok());
+        assert!(shim.process(RowRef::from(&row), &schema, &mut out).is_ok());
         assert_eq!(out.len(), 1);
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
         assert_eq!(memo.stats().invoked, 1);

@@ -3,7 +3,9 @@
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
 //! An operator hands the one above it a materialized [`Rowset`] (no
-//! volcano iterators) — with one exception, the edge the paper is about:
+//! volcano iterators) — a `Process` (and a `Select` above one) a deferred
+//! one, its rows' appended cells in one buffer and no tuple built — with
+//! one exception, the edge the paper is about:
 //! a `Filter` directly above a `Scan`, which is where every PP sits,
 //! rides the scan's stream. The scan decodes one budget-sized *wave* of
 //! row groups at a time into [`Chunk`]s (the rows in the layout their
@@ -57,9 +59,10 @@
 //! `Process` batch's values are one flat buffer: every
 //! [`Processor::process`] call of the batch appends its cells to it (a
 //! failed attempt's are cut off again), with an output-row count only for
-//! a row that did not make exactly one, and consume builds each output
-//! tuple once, at its final width, from the input row's cells and a slice
-//! of that buffer — one allocation per output row, none per input row.
+//! a row that did not make exactly one, and consume moves each output
+//! row's cells on into the operator's one output buffer — no allocation
+//! per row, and no tuple until something asks for one
+//! ([`Rowset::rows`]).
 //! The main thread then *consumes* the records sequentially in global row
 //! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
@@ -101,7 +104,7 @@ use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
 use crate::resilience::{ExecSession, ProbeOutcome};
-use crate::row::{Row, Rowset};
+use crate::row::{Row, RowRef, Rowset};
 use crate::schema::{Column, Schema};
 use crate::sync::Mutex;
 use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
@@ -251,11 +254,12 @@ where
 
 /// What an operator body hands to [`Executor::finish`]: its span with
 /// everything but `rows_emitted`, `rows_failed` and `wall_nanos` filled
-/// in, the rows it produced, and the terminal error if it stopped early
-/// (the work done up to that point is still charged).
-struct Finished {
+/// in, the rows it produced (as a [`Rowset`] once the body is done; `O` is
+/// what a fold accumulates them in), and the terminal error if it stopped
+/// early (the work done up to that point is still charged).
+struct Finished<O = Rowset> {
     span: OperatorSpan,
-    out: Rowset,
+    out: O,
     failure: Option<EngineError>,
 }
 
@@ -267,6 +271,13 @@ impl Finished {
             failure: None,
         })
     }
+}
+
+/// What `Process` accumulates, for [`Rowset::extend`]: the processor's
+/// cells, and per output row its input row.
+struct Appending {
+    cells: Vec<Value>,
+    from: Vec<usize>,
 }
 
 /// What the probe phase hands the consume phase for one batch: what the
@@ -297,8 +308,8 @@ type Located<T> = (usize, usize, T);
 
 /// The input of an operator above a materialized one: its rows, as the
 /// only wave.
-fn one_wave<X>(rows: Rowset) -> impl FnMut(&mut X) -> Result<Option<Vec<Chunk>>> {
-    let mut wave = Some(vec![Chunk::from_rows(Arc::new(rows))]);
+fn one_wave<X>(rows: Arc<Rowset>) -> impl FnMut(&mut X) -> Result<Option<Vec<Chunk>>> {
+    let mut wave = Some(vec![Chunk::from_rows(rows)]);
     move |_| Ok(wave.take())
 }
 
@@ -472,7 +483,8 @@ impl Executor<'_> {
                 _ => {
                     let rows = self.run(input)?;
                     let schema = rows.schema().clone();
-                    self.operator(|ex| ex.filter(op, schema, one_wave(rows), filter.as_ref()))
+                    let waves = one_wave(Arc::new(rows));
+                    self.operator(|ex| ex.filter(op, schema, waves, filter.as_ref()))
                 }
             },
             LogicalPlan::Project { input, items } => {
@@ -656,26 +668,30 @@ impl Executor<'_> {
         self.finish(done?, wall)
     }
 
+    /// `Select` evaluates its bound predicate on each row where the row is
+    /// kept — a `Process` output's base cells, then its appended ones —
+    /// and keeps rows by index, so a deferred input stays deferred.
     fn select(&mut self, op: String, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
-        let input = [Chunk::from_rows(Arc::new(in_rows))];
+        let input = Arc::new(in_rows);
+        let chunks = [Chunk::from_rows(Arc::clone(&input))];
         let predicate = predicate.bind(&schema);
-        let verdicts = self.probe(&input, 0, |batch| {
+        let verdicts = self.probe(&chunks, 0, |batch| {
             batch
-                .rows()
-                .iter()
+                .row_refs()
                 .map(|row| predicate.eval(row))
                 .collect::<Vec<_>>()
         })?;
-        let mut out = Rowset::empty(schema);
+        let mut kept = Vec::new();
         let verdicts = verdicts.into_iter().flat_map(|(_, _, verdicts)| verdicts);
-        for (row, verdict) in input[0].rows().iter().zip(verdicts) {
+        for (at, verdict) in verdicts.enumerate() {
             // An eval error propagates before the operator charges.
             if verdict? {
-                out.push(row.clone())?;
+                kept.push(at);
             }
         }
+        let out = input.pick(&kept);
         let mut span = self.flat_span(op, total, self.model.select, total);
         span.rows_out = out.len() as u64;
         span.rows_filtered = (total - out.len()) as u64;
@@ -695,9 +711,9 @@ impl Executor<'_> {
         let config = *self.session.config();
         self.fold_udf(
             &op,
-            schema,
             filter.cost_per_row(),
-            fail_open,
+            fail_open.then_some(true),
+            Rowset::empty(schema),
             waves,
             |batch| {
                 let firsts = filter.eval_batch(batch);
@@ -728,6 +744,10 @@ impl Executor<'_> {
         )
     }
 
+    /// `Process` hands over a deferred [`Rowset`]: each output row is its
+    /// input row's base row plus the cells appended to it so far and the
+    /// processor's own, all in one buffer — no tuple is built here, and a
+    /// second processor reads the first one's cells where they are.
     fn process(
         &mut self,
         op: String,
@@ -737,12 +757,13 @@ impl Executor<'_> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
         let config = *self.session.config();
         let width = processor.output_columns().len();
+        let input = Arc::new(in_rows);
         // A processor is scalar: a row's first attempt and its retries
         // are the same call, answering how many output rows it appended
         // to the batch's buffer. An attempt that fails — the UDF's error,
         // a part-written row, a non-finite float under `validate_outputs`
         // — is like any other failed call, and leaves no cell behind.
-        let call = |row: &Row, schema: &Schema, cells: &mut Vec<Value>| {
+        let call = |row: RowRef<'_>, schema: &Schema, cells: &mut Vec<Value>| {
             crate::udf::attempt(processor, row, schema, cells, |fresh| {
                 let rows = crate::udf::output_rows(processor, fresh.len())?;
                 if config.validate_outputs {
@@ -751,19 +772,23 @@ impl Executor<'_> {
                 Ok(rows)
             })
         };
-        self.fold_udf(
+        let out = Appending {
+            cells: Vec::with_capacity(input.len() * width),
+            from: Vec::with_capacity(input.len()),
+        };
+        let done = self.fold_udf(
             &op,
-            out_schema,
             processor.cost_per_row(),
             // A processor materializes real columns; its failure cannot
             // be masked.
-            false,
-            one_wave(in_rows),
+            None,
+            out,
+            one_wave(Arc::clone(&input)),
             |batch| {
                 let schema = batch.schema();
                 let mut cells = Vec::with_capacity(batch.len() * width);
                 let (mut ragged, mut failed) = (Vec::new(), Vec::new());
-                for (at, row) in batch.rows().iter().enumerate() {
+                for (at, row) in batch.row_refs().enumerate() {
                     match call(row, schema, &mut cells) {
                         Ok(1) => {}
                         Ok(rows) => ragged.push((at, rows)),
@@ -784,18 +809,23 @@ impl Executor<'_> {
                 let ragged = &mut appended.ragged;
                 (at < appended.rows).then(|| ragged.next_if(|r| r.0 == at).map_or(1, |r| r.1))
             },
-            // The one place an output tuple is built: once, at its final
-            // width. Every row before this one was emitted too (a row
-            // `Process` cannot emit ends it), so the next unread cells
-            // are this row's.
-            |appended, chunk, at, rows, out| {
+            // Every row before this one was emitted too (a row `Process`
+            // cannot emit ends it), so the next unread cells are this
+            // row's. The input is the only chunk, so `at` is its row.
+            |appended, _, at, rows, out| {
                 for _ in 0..rows {
-                    let cells = appended.cells.by_ref().take(width);
-                    out.push(chunk.rows()[at].extended(cells))?;
+                    out.from.push(at);
+                    out.cells.extend(appended.cells.by_ref().take(width));
                 }
                 Ok(true)
             },
-        )
+        )?;
+        let Appending { cells, from } = done.out;
+        Ok(Finished {
+            span: done.span,
+            out: Rowset::extend(input, out_schema, cells, from),
+            failure: done.failure,
+        })
     }
 
     /// The probe→consume fold shared by Filter and Process, over the
@@ -820,10 +850,10 @@ impl Executor<'_> {
     /// `first` reads the next clean row's value off the record's `firsts`
     /// (`None` past the batch's last row). `emit` receives each row — its
     /// chunk and place in it — with its `Ok` value and the same `firsts`,
-    /// pushes what the row produces, and says whether the row passed
-    /// (`false` = filtered). A terminal error passes the row
-    /// through unchanged when `fail_open`, and stops the operator
-    /// otherwise.
+    /// pushes what the row produces into `out`, and says whether the row
+    /// passed (`false` = filtered). A terminal error emits the row with
+    /// the value `fail_open` holds, if it holds one (a filter's: pass the
+    /// row through unchanged), and stops the operator otherwise.
     ///
     /// Everything the fold accumulates — span, overhead, the input row
     /// index — is carried from wave to wave, and the session's
@@ -833,19 +863,18 @@ impl Executor<'_> {
     /// has consumed a wave is charged for what it consumed, one that has
     /// not never ran (`Err`).
     #[allow(clippy::too_many_arguments)]
-    fn fold_udf<B: Send, T: Send>(
+    fn fold_udf<B: Send, T: Send + Copy, O>(
         &mut self,
         op: &str,
-        out_schema: Arc<Schema>,
         cost_per_row: f64,
-        fail_open: bool,
+        fail_open: Option<T>,
+        mut out: O,
         mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
         probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Sync,
         mut first: impl FnMut(&mut B, usize) -> Option<T>,
-        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut Rowset) -> Result<bool>,
-    ) -> Result<Finished> {
+        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> Result<bool>,
+    ) -> Result<Finished<O>> {
         let mut span = OperatorSpan::new(self.tel.next_op_id(), op.to_string(), 0);
-        let mut out = Rowset::empty(out_schema);
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
         let mut clean_rows: u64 = 0;
@@ -919,16 +948,15 @@ impl Executor<'_> {
                         cost_per_row,
                         breaker_open,
                     );
-                    let passed = match outcome.result {
-                        Ok(value) => emit(&mut firsts, chunk, start + at, value, &mut out)?,
-                        Err(_) if fail_open => {
+                    let passed = match (outcome.result, fail_open) {
+                        (Ok(value), _) => emit(&mut firsts, chunk, start + at, value, &mut out)?,
+                        (Err(_), Some(pass)) => {
                             span.failed_open += 1;
                             self.tel
                                 .push_event(op, Some(row_idx), EventKind::FailOpen, 1);
-                            out.push(chunk.row(start + at))?;
-                            true
+                            emit(&mut firsts, chunk, start + at, pass, &mut out)?
                         }
-                        Err(e) => {
+                        (Err(e), None) => {
                             // Charge the work done, then bail.
                             failure = Some(e);
                             break 'waves;
@@ -959,10 +987,8 @@ impl Executor<'_> {
         }
         let total = in_rows.len();
         let mut out = Rowset::empty(Schema::new(cols)?);
-        for row in in_rows.rows() {
-            out.push(Row::new(
-                indices.iter().map(|&i| row.get(i).clone()).collect(),
-            ))?;
+        for row in in_rows.row_refs() {
+            out.push(indices.iter().map(|&i| row.get(i).clone()).collect())?;
         }
         let mut span = self.flat_span(op, total, self.model.project, total);
         span.rows_out = total as u64;
@@ -1675,7 +1701,7 @@ mod tests {
     fn consume_polls_cancellation_at_each_batch_records_first_row() -> Result<()> {
         let schema = Schema::new(vec![Column::new("id", DataType::Int)])?;
         let rows = (0..300).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let in_rows = Rowset::new(schema.clone(), rows)?;
+        let in_rows = Rowset::new(Arc::clone(&schema), rows)?;
         let token = CancelToken::new();
         let mut tel = SpanCollector::detached();
         let done = Executor {
@@ -1688,10 +1714,10 @@ mod tests {
         }
         .fold_udf(
             "PP[poll]",
-            schema,
             0.1,
-            true,
-            one_wave(in_rows),
+            Some(true),
+            Rowset::empty(schema),
+            one_wave(Arc::new(in_rows)),
             |batch| Probed {
                 firsts: 0..batch.len(),
                 failed: Vec::<(usize, ProbeOutcome<bool>)>::new(),
@@ -1886,7 +1912,7 @@ mod tests {
             fn cost_per_row(&self) -> f64 {
                 2.0
             }
-            fn process(&self, row: &Row, _: &Schema, out: &mut Vec<Value>) -> Result<()> {
+            fn process(&self, row: RowRef<'_>, _: &Schema, out: &mut Vec<Value>) -> Result<()> {
                 out.push(Value::Int(1));
                 if row.get(0).as_int()? != 3 {
                     out.push(Value::Int(2));

@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -184,7 +184,7 @@ impl Predicate {
     /// Evaluates against a row. To evaluate many rows of one schema,
     /// [`bind`](Self::bind) once instead.
     pub fn eval(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        self.bind(schema).eval(row)
+        self.bind(schema).eval(RowRef::from(row))
     }
 
     /// The predicate with every clause's column resolved against `schema`
@@ -394,8 +394,8 @@ impl BoundPredicate<'_> {
     /// with [`Predicate::eval`]'s verdicts and short-circuit order: a
     /// clause naming a column the schema lacks fails with
     /// `UnknownColumn` in each row that reaches it.
-    pub fn eval(&self, row: &Row) -> Result<bool> {
-        self.0.eval(row.values())
+    pub fn eval(&self, row: RowRef<'_>) -> Result<bool> {
+        self.0.eval(row)
     }
 }
 
@@ -422,10 +422,10 @@ impl<'p> Bound<'p> {
         }
     }
 
-    fn eval(&self, values: &[Value]) -> Result<bool> {
+    fn eval(&self, values: RowRef<'_>) -> Result<bool> {
         match self {
             Bound::Const(verdict) => Ok(*verdict),
-            Bound::Clause(c, Some(at)) => Ok(c.op.eval(&values[*at], &c.value)),
+            Bound::Clause(c, Some(at)) => Ok(c.op.eval(values.get(*at), &c.value)),
             Bound::Clause(c, None) => Err(EngineError::UnknownColumn(c.column.clone())),
             Bound::Not(p) => Ok(!p.eval(values)?),
             Bound::And(ps) => {
@@ -534,9 +534,9 @@ mod tests {
             Predicate::from(Clause::new("nope", CompareOp::Gt, 1.0)),
         );
         let bound = p.bind(&sch);
-        assert!(bound.eval(&row("SUV", 0.0)).unwrap());
+        assert!(bound.eval(RowRef::from(&row("SUV", 0.0))).unwrap());
         assert!(matches!(
-            bound.eval(&row("van", 0.0)),
+            bound.eval(RowRef::from(&row("van", 0.0))),
             Err(EngineError::UnknownColumn(c)) if c == "nope"
         ));
     }

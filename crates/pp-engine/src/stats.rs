@@ -30,7 +30,7 @@ pub fn estimate_selectivity(
     let mut hit = 0usize;
     let mut total = 0usize;
     if n <= sample_cap {
-        for row in rows.rows() {
+        for row in rows.row_refs() {
             total += 1;
             if predicate.eval(row)? {
                 hit += 1;
@@ -41,7 +41,7 @@ pub fn estimate_selectivity(
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
         for &i in idx.iter().take(sample_cap) {
             total += 1;
-            if predicate.eval(&rows.rows()[i])? {
+            if predicate.eval(rows.row_ref(i))? {
                 hit += 1;
             }
         }

@@ -15,16 +15,17 @@
 //! the `u` (UDF cost) and `c` (early-filter cost) of §3's cost model.
 //!
 //! A [`Processor`] has one entry point, [`Processor::process`], and it
-//! returns nothing it allocated: it appends its output rows' cells to a
-//! buffer the caller owns. The executor hands it one buffer per batch and
-//! checks every call the same way, whoever wrote the processor — a whole
-//! number of rows ([`output_rows`]), and nothing left behind by a call
-//! that failed.
+//! returns nothing it allocated: it reads its input row where the row is
+//! kept (a [`RowRef`]) and appends its output rows' cells to a buffer the
+//! caller owns. The executor hands it one buffer per batch and checks
+//! every call the same way, whoever wrote the processor — a whole number
+//! of rows ([`output_rows`]), and nothing left behind by a call that
+//! failed.
 
 use std::sync::Arc;
 
 use crate::batch::Batch;
-use crate::row::Row;
+use crate::row::{Row, RowRef};
 use crate::schema::{Column, Schema};
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -47,7 +48,13 @@ pub trait Processor: Send + Sync {
     /// vehicles). `out` already holds other rows' cells; a processor only
     /// appends. The caller checks that a whole number of rows was written
     /// and, when the call fails, discards whatever it had written.
-    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
+    ///
+    /// `row` is a view, not a tuple: the input row's cells in `schema`
+    /// order ([`RowRef::get`], [`RowRef::get_named`], [`RowRef::iter`]),
+    /// read where they are kept — the columns earlier processors of the
+    /// chain appended are read in their buffer, never copied into a tuple
+    /// for this call.
+    fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
 }
 
 /// How many output rows the `cells` one [`Processor::process`] call
@@ -72,7 +79,7 @@ pub fn output_rows(processor: &dyn Processor, cells: usize) -> Result<usize> {
 /// Everything in this crate that calls a processor calls it through here.
 pub(crate) fn attempt<T>(
     processor: &dyn Processor,
-    row: &Row,
+    row: RowRef<'_>,
     schema: &Schema,
     out: &mut Vec<Value>,
     then: impl FnOnce(&mut [Value]) -> Result<T>,
@@ -176,7 +183,7 @@ pub struct ClosureProcessor {
     output_columns: Vec<Column>,
     cost_per_row: f64,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync>,
+    f: Arc<dyn Fn(RowRef<'_>, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync>,
 }
 
 impl ClosureProcessor {
@@ -189,7 +196,7 @@ impl ClosureProcessor {
         f: F,
     ) -> Self
     where
-        F: Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
+        F: Fn(RowRef<'_>, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
     {
         ClosureProcessor {
             name: name.into(),
@@ -208,7 +215,7 @@ impl ClosureProcessor {
         f: F,
     ) -> Self
     where
-        F: Fn(&Row, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
+        F: Fn(RowRef<'_>, &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
     {
         let name = name.into();
         let (udf, width) = (name.clone(), output_columns.len());
@@ -249,7 +256,7 @@ impl Processor for ClosureProcessor {
     fn cost_per_row(&self) -> f64 {
         self.cost_per_row
     }
-    fn process(&self, row: &Row, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+    fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
         (self.f)(row, schema, out)
     }
 }
@@ -361,7 +368,7 @@ impl RowFilter for ClosureFilter {
 /// One direct call into `p`: the cells it wrote.
 pub(crate) fn written(p: &dyn Processor, row: &Row, schema: &Schema) -> Result<Vec<Value>> {
     let mut out = Vec::new();
-    p.process(row, schema, &mut out).map(|()| out)
+    p.process(RowRef::from(row), schema, &mut out).map(|()| out)
 }
 
 #[cfg(test)]
@@ -437,16 +444,17 @@ mod tests {
         );
         let s = schema();
         let mut out = vec![Value::Int(-1)];
-        let row = |i| Row::new(vec![Value::Int(i)]);
-        assert!(attempt(&p, &row(0), &s, &mut out, |_| Ok(())).is_err());
+        let (zero, one) = ([Value::Int(0)], [Value::Int(1)]);
+        let (zero, one) = (RowRef::from(&zero[..]), RowRef::from(&one[..]));
+        assert!(attempt(&p, zero, &s, &mut out, |_| Ok(())).is_err());
         assert_eq!(out.len(), 1);
-        let rejected = attempt(&p, &row(1), &s, &mut out, |fresh| {
+        let rejected = attempt(&p, one, &s, &mut out, |fresh| {
             assert_eq!(fresh.len(), 1);
             Err::<(), _>(EngineError::Udf("caller says no".into()))
         });
         assert!(rejected.is_err());
         assert_eq!(out.len(), 1);
-        let fresh = attempt(&p, &row(1), &s, &mut out, |fresh| Ok(fresh.len()));
+        let fresh = attempt(&p, one, &s, &mut out, |fresh| Ok(fresh.len()));
         assert_eq!((fresh.unwrap(), out.len()), (1, 2));
     }
 

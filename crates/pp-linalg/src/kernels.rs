@@ -25,9 +25,12 @@
 
 /// Number of independent partial-sum lanes in the chunked kernels.
 ///
-/// Eight f64 lanes fill two AVX2 registers (or one AVX-512 register) and
-/// leave enough independent chains to hide FMA latency on current x86 and
-/// aarch64 cores.
+/// The workspace sets no `target-cpu`, so an x86-64 build targets the
+/// baseline ISA: eight f64 lanes are four 128-bit SSE2 registers (two f64
+/// each), and eight independent add chains — Rust never contracts a
+/// multiply and an add into an FMA, which would change the bits — hide the
+/// adds' latency. A build for a wider ISA maps the same lanes onto fewer,
+/// wider registers with the same results.
 pub const LANES: usize = 8;
 
 /// Fixed-order horizontal reduction of a lane accumulator.
@@ -98,45 +101,6 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
         tail += d * d;
     }
     hsum(acc) + tail
-}
-
-/// Dots two rows against one shared vector in a single interleaved pass,
-/// returning `(dot(a1, b), dot(a2, b))` **bit-for-bit**.
-///
-/// This is the register-blocking primitive for columnar batch scoring:
-/// `b` (a weight row) is loaded once and streamed against two input rows,
-/// doubling the independent FMA chains in flight and halving weight-load
-/// traffic. Each row keeps its own lane accumulator, updated in exactly
-/// the order [`dot`] uses, so interleaving changes scheduling — never
-/// results. Callers with a contiguous block of rows pair them up and fall
-/// back to [`dot`] for an odd tail.
-///
-/// # Panics
-/// Debug-asserts equal lengths (see [`dot`]).
-#[inline]
-pub fn dot2(a1: &[f64], a2: &[f64], b: &[f64]) -> (f64, f64) {
-    debug_assert_eq!(a1.len(), b.len(), "kernels::dot2: dimension mismatch");
-    debug_assert_eq!(a2.len(), b.len(), "kernels::dot2: dimension mismatch");
-    let n = a1.len().min(a2.len()).min(b.len());
-    let main = n - n % LANES;
-    let mut acc1 = [0.0f64; LANES];
-    let mut acc2 = [0.0f64; LANES];
-    for ((c1, c2), cb) in a1[..main]
-        .chunks_exact(LANES)
-        .zip(a2[..main].chunks_exact(LANES))
-        .zip(b[..main].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            acc1[l] += c1[l] * cb[l];
-            acc2[l] += c2[l] * cb[l];
-        }
-    }
-    let (mut t1, mut t2) = (0.0f64, 0.0f64);
-    for ((x1, x2), y) in a1[main..n].iter().zip(&a2[main..n]).zip(&b[main..n]) {
-        t1 += x1 * y;
-        t2 += x2 * y;
-    }
-    (hsum(acc1) + t1, hsum(acc2) + t2)
 }
 
 /// Dots every row of a contiguous row-major block against one weight
@@ -254,17 +218,6 @@ mod tests {
         let (a, b) = vecs(100, 3);
         assert_eq!(sq_dist(&a, &b).to_bits(), sq_dist(&b, &a).to_bits());
         assert_eq!(sq_dist(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn dot2_matches_dot_bit_for_bit() {
-        for n in [0, 1, 7, LANES, LANES + 3, 24, 257] {
-            let (a1, a2) = vecs(n, n as u64 + 40);
-            let (b, _) = vecs(n, n as u64 + 80);
-            let (d1, d2) = dot2(&a1, &a2, &b);
-            assert_eq!(d1.to_bits(), dot(&a1, &b).to_bits(), "lane 1, n={n}");
-            assert_eq!(d2.to_bits(), dot(&a2, &b).to_bits(), "lane 2, n={n}");
-        }
     }
 
     #[test]

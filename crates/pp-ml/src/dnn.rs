@@ -257,9 +257,9 @@ impl Dnn {
     /// Forward pass over a whole contiguous block: the batch walk is one
     /// linear pass over the block buffer, each row funneling through
     /// [`Self::score_dense_into`] with shared scratch, so per-row results
-    /// are bit-identical to the scalar path by construction. (A paired-row
-    /// variant over [`pp_linalg::kernels::dot2`] was measured slower on
-    /// narrow-SIMD hosts — the extra accumulator set spills — so the block
+    /// are bit-identical to the scalar path by construction. (Dotting rows
+    /// in pairs against one weight row was measured slower on the default
+    /// x86-64 target — the second accumulator set spills — so the block
     /// path keeps the per-row walk and lets the contiguous layout do the
     /// work.)
     fn score_block(&self, block: &pp_linalg::FeatureBlock) -> Vec<f64> {

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use pp_engine::memo::{MemoProcessor, UdfMemo};
-use pp_engine::row::{Row, Rowset};
+use pp_engine::row::{Row, RowRef, Rowset};
 use pp_engine::schema::Schema;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
@@ -377,7 +377,7 @@ fn replay_row(
     predicate: &pp_engine::predicate::Predicate,
     seconds: &mut f64,
 ) -> Result<bool, pp_engine::EngineError> {
-    let mut rows = vec![row.clone()];
+    let mut rows = vec![row.values().to_vec()];
     let mut schema = Arc::clone(base_schema);
     let mut cells = Vec::new();
     for proc in processors {
@@ -386,19 +386,19 @@ fn replay_row(
         let mut next = Vec::with_capacity(rows.len());
         for r in &rows {
             cells.clear();
-            proc.process(r, &schema, &mut cells)?;
+            proc.process(RowRef::from(&r[..]), &schema, &mut cells)?;
             let made = pp_engine::udf::output_rows(proc.as_ref(), cells.len())?;
-            let mut cells = cells.drain(..);
-            for _ in 0..made {
-                next.push(r.extended(cells.by_ref().take(width)));
+            for i in 0..made {
+                next.push([&r[..], &cells[i * width..(i + 1) * width]].concat());
             }
         }
         *seconds += rows.len() as f64 * proc.cost_per_row();
         rows = next;
         schema = out_schema;
     }
+    let predicate = predicate.bind(&schema);
     for r in &rows {
-        if predicate.eval(r, &schema)? {
+        if predicate.eval(RowRef::from(&r[..]))? {
             return Ok(true);
         }
     }

@@ -85,8 +85,8 @@ pub use sharedscan::SharedScanConfig;
 pub use source::{SourceRegistry, SourceSpec};
 pub use trace::{RequestStage, RequestTimeline, StageSpan};
 pub use wire::{
-    encode_frame, read_frame, read_response, serve_connection, write_frame, Frame, WireError,
-    WireErrorKind, WireOutcome, WireRequest, WireResponse, MAX_FRAME_LEN,
+    encode_frame, read_frame, read_response, serve_connection, write_frame, write_verdicts, Frame,
+    WireError, WireErrorKind, WireOutcome, WireRequest, WireResponse, MAX_FRAME_LEN,
 };
 
 /// Errors produced by the serving runtime itself (planning and execution

@@ -85,7 +85,7 @@ use std::sync::Arc;
 use pp_engine::bytes::{put_u32, put_u64, put_words, Reader, Truncated};
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::value::Value;
-use pp_engine::Row;
+use pp_engine::{RowRef, Rowset};
 use pp_linalg::features::Features;
 use pp_linalg::sparse::SparseVector;
 
@@ -600,13 +600,13 @@ fn get_option_u32(cur: &mut Reader<'_>) -> Result<Option<u32>, WireError> {
 fn put_verdict_batch<'r>(
     out: &mut Vec<u8>,
     request_id: u64,
-    rows: impl ExactSizeIterator<Item = &'r [Value]>,
+    rows: impl ExactSizeIterator<Item = RowRef<'r>>,
 ) {
     put_u64(out, request_id);
     put_u32(out, rows.len() as u32);
     for row in rows {
         put_u32(out, row.len() as u32);
-        for cell in row {
+        for cell in row.iter() {
             put_value(out, cell);
         }
     }
@@ -688,7 +688,8 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
             }
         }
         Frame::VerdictBatch { request_id, rows } => {
-            put_verdict_batch(out, *request_id, rows.iter().map(Vec::as_slice));
+            let rows = rows.iter().map(|row| RowRef::from(row.as_slice()));
+            put_verdict_batch(out, *request_id, rows);
         }
         Frame::Complete {
             request_id,
@@ -1148,6 +1149,29 @@ pub fn serve_connection<R: Read, W: Write>(
     }
 }
 
+/// Writes `rows` as the verdict batch frames of request `request_id`,
+/// [`VERDICT_CHUNK_ROWS`] rows a frame — the frames `Frame::VerdictBatch`
+/// encodes for the same cells. Each row is encoded where the rowset keeps
+/// it ([`Rowset::row_ref`]): a `Process` output's appended cells are read
+/// in their buffer and no tuple is built. One buffer is reused from frame
+/// to frame.
+pub fn write_verdicts<W: Write>(
+    writer: &mut W,
+    request_id: u64,
+    rows: &Rowset,
+) -> Result<(), WireError> {
+    let mut frame = Vec::new();
+    for start in (0..rows.len()).step_by(VERDICT_CHUNK_ROWS) {
+        let chunk = start..(start + VERDICT_CHUNK_ROWS).min(rows.len());
+        frame.clear();
+        put_frame(&mut frame, TYPE_VERDICT_BATCH, |out| {
+            put_verdict_batch(out, request_id, chunk.map(|i| rows.row_ref(i)));
+        });
+        writer.write_all(&frame)?;
+    }
+    Ok(())
+}
+
 /// Streams one query outcome as response frames.
 fn write_outcome<W: Write>(
     writer: &mut W,
@@ -1172,22 +1196,12 @@ fn write_outcome<W: Write>(
                     columns,
                 },
             )?;
-            let all = success.rows.rows();
-            // Each chunk is encoded from the borrowed rows into one
-            // buffer, reused from frame to frame.
-            let mut frame = Vec::new();
-            for chunk in all.chunks(VERDICT_CHUNK_ROWS) {
-                frame.clear();
-                put_frame(&mut frame, TYPE_VERDICT_BATCH, |out| {
-                    put_verdict_batch(out, request_id, chunk.iter().map(Row::values));
-                });
-                writer.write_all(&frame)?;
-            }
+            write_verdicts(writer, request_id, &success.rows)?;
             write_frame(
                 writer,
                 &Frame::Complete {
                     request_id,
-                    total_rows: all.len() as u64,
+                    total_rows: success.rows.len() as u64,
                 },
             )
         }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use pp_engine::logical::{LogicalPlan, OpParallelism};
     pub use pp_engine::predicate::{Clause, CompareOp, Predicate};
     pub use pp_engine::resilience::{ResilienceConfig, RetryPolicy};
-    pub use pp_engine::row::{Row, Rowset};
+    pub use pp_engine::row::{Row, RowRef, Rowset};
     pub use pp_engine::schema::{Column, DataType, Schema};
     pub use pp_engine::telemetry::{
         EventKind, MetricsRegistry, OperatorSpan, TelemetryEvent, TelemetrySnapshot,

@@ -26,10 +26,11 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
+use probabilistic_predicates::engine::telemetry::EventKind;
 use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
     Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig,
-    RetryPolicy, Row, Rowset, UdfMemo, Value,
+    RetryPolicy, Row, RowRef, Rowset, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -238,7 +239,6 @@ fn every_shape_matches_the_scalar_reference() {
 /// snapshot.
 #[test]
 fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
-    use probabilistic_predicates::engine::telemetry::EventKind;
     use probabilistic_predicates::engine::udf::ClosureProcessor;
     use probabilistic_predicates::engine::{Column, DataType};
 
@@ -735,6 +735,305 @@ fn survivors_of_an_in_memory_table_are_the_registered_rows() {
     let second = ctx.run(&f.pp_plan).expect("second run");
     assert_eq!(memo.stats().invoked, invoked, "every row was a memo hit");
     assert_eq!(digest(&first), digest(&second));
+}
+
+/// What a run leaves in its ledger, in a form the deferred run and its
+/// oracle can both produce: the `CostMeter` entries, and the telemetry's
+/// spans (numbered in charge order, wall clock zeroed), operator events,
+/// breaker transitions (which a run appends after every operator's
+/// events) and fired faults.
+#[derive(Debug, Default, PartialEq)]
+struct Ledger {
+    meter: Vec<String>,
+    spans: Vec<String>,
+    events: Vec<String>,
+    transitions: Vec<String>,
+    faults: Vec<String>,
+}
+
+impl Ledger {
+    /// Adds a run's ledger, leaving out its first `skip` operators.
+    fn add(&mut self, ctx: &ExecutionContext, skip: usize) {
+        let snap = ctx.telemetry().expect("snapshot after run");
+        let entries = ctx.meter().entries().iter().skip(skip);
+        self.meter.extend(entries.map(|e| format!("{e:?}")));
+        for span in snap.spans.iter().skip(skip) {
+            let mut span = span.clone();
+            span.op_id.0 = self.spans.len() as _;
+            span.wall_nanos = 0;
+            self.spans.push(format!("{span:?}"));
+        }
+        for event in &snap.events {
+            let transition = matches!(
+                event.kind,
+                EventKind::BreakerOpened | EventKind::BreakerReset
+            );
+            let into = if transition {
+                &mut self.transitions
+            } else {
+                &mut self.events
+            };
+            into.push(format!("{event:?}"));
+        }
+        self.faults
+            .extend(snap.injected_faults.iter().map(|f| format!("{f:?}")));
+        self.faults.sort();
+    }
+}
+
+/// The verdict rows — their cells and order read in place, then built —
+/// and each blob cell's `Arc`; or the run's terminal error. With the
+/// ledger, what a run is compared on.
+type Observed = (Result<(String, String, Vec<usize>), String>, Ledger);
+
+fn verdicts(out: &Rowset) -> (String, String, Vec<usize>) {
+    let cells: Vec<Vec<Value>> = out
+        .row_refs()
+        .map(|r| r.iter().cloned().collect())
+        .collect();
+    let blobs = out
+        .rows()
+        .iter()
+        .flat_map(|r| r.values().iter().filter_map(blob_at));
+    (format!("{cells:?}"), digest(out), blobs.collect())
+}
+
+fn blob_at(cell: &Value) -> Option<usize> {
+    match cell {
+        Value::Blob(blob) => Some(Arc::as_ptr(blob) as usize),
+        _ => None,
+    }
+}
+
+/// A context at `(K, batch, morsel)` that retries a failed UDF call up to
+/// eight times and trips a breaker on the second terminal failure in a
+/// row, injecting `faults` if there are any.
+fn deferred_context<'c>(
+    catalog: &'c Catalog,
+    (k, batch, morsel): (usize, usize, usize),
+    faults: Option<&FaultPlan>,
+) -> ExecutionContext<'c> {
+    let retrying = ResilienceConfig::default()
+        .with_retry(RetryPolicy {
+            max_retries: 8,
+            ..Default::default()
+        })
+        .with_breaker_threshold(2);
+    let mut builder = ExecutionContext::builder(catalog)
+        .with_parallelism(k)
+        .with_batch_size(batch)
+        .with_morsel_size(morsel)
+        .with_resilience(retrying);
+    if let Some(faults) = faults {
+        builder = builder.with_fault_plan(faults.clone());
+    }
+    builder.build()
+}
+
+/// `plan` run the engine's way at `shape`.
+fn deferred_run(
+    plan: &LogicalPlan,
+    faults: Option<&FaultPlan>,
+    shape: (usize, usize, usize),
+) -> Observed {
+    let mut ctx = deferred_context(&fixture().catalog, shape, faults);
+    let result = ctx.run(plan);
+    let mut ledger = Ledger::default();
+    ledger.add(&ctx, 0);
+    (
+        result.as_ref().map(verdicts).map_err(ToString::to_string),
+        ledger,
+    )
+}
+
+/// `plan` (operators above `Scan → PP filter`) the way an executor that
+/// builds a tuple after every operator runs it, at `K = 1, batch = 1`.
+/// The rows are this oracle's own: each `Process` calls its (fault-free)
+/// UDF on every tuple and builds a tuple per output row — the input
+/// row's cells, then the row's — and each `Select` evaluates its
+/// predicate on every tuple. The ledger is the engine's, run operator by
+/// operator, each over the oracle's tuples registered as a table of their
+/// own (those tables' scans are left out): the engine charges what its
+/// resilience model does with them, and its own rows must be these.
+fn scalar_oracle(plan: &LogicalPlan, faults: Option<&FaultPlan>) -> Observed {
+    let f = fixture();
+    let mut stages = vec![plan];
+    while !matches!(stages[0], LogicalPlan::Filter { .. }) {
+        let below = stages[0]
+            .children()
+            .next()
+            .expect("an operator above the filter");
+        stages.insert(0, below);
+    }
+    let mut ledger = Ledger::default();
+    let mut tuples: Option<Rowset> = None;
+    for op in stages {
+        let staged;
+        let (catalog, plan, skip) = match &tuples {
+            None => (&f.catalog, op.clone(), 0),
+            Some(tuples) => {
+                let mut catalog = Catalog::new();
+                catalog.register("stage", tuples.clone());
+                staged = catalog;
+                (&staged, op.map_children(|_| LogicalPlan::scan("stage")), 1)
+            }
+        };
+        let mut ctx = deferred_context(catalog, (1, 1, 1024), faults);
+        let result = ctx.run(&plan);
+        ledger.add(&ctx, skip);
+        let out = match result {
+            Ok(out) => out,
+            Err(e) => return (Err(e.to_string()), ledger),
+        };
+        let schema = out.schema().clone();
+        let rows = match (op, tuples.take()) {
+            (LogicalPlan::Process { processor, .. }, Some(input)) => {
+                let width = processor.output_columns().len();
+                let mut rows = Vec::new();
+                for row in input.rows() {
+                    let mut cells = Vec::new();
+                    let call = processor.process(RowRef::from(row), input.schema(), &mut cells);
+                    call.expect("a fault-free call");
+                    for made in cells.chunks(width) {
+                        rows.push(Row::new(row.values().iter().chain(made).cloned().collect()));
+                    }
+                }
+                rows
+            }
+            (LogicalPlan::Select { predicate, .. }, Some(input)) => {
+                let keep = |row: &&Row| predicate.eval(row, &schema).expect("a verdict");
+                input.rows().iter().filter(keep).cloned().collect()
+            }
+            // The PP filter's survivors, as tuples.
+            _ => out
+                .row_refs()
+                .map(|r| Row::new(r.iter().cloned().collect()))
+                .collect(),
+        };
+        tuples = Some(Rowset::new(schema, rows).expect("rows fit"));
+    }
+    (Ok(verdicts(&tuples.expect("the filter ran"))), ledger)
+}
+
+/// Deferred execution — `Process` appends cells, `Select` keeps rows by
+/// index, the tuples are built once when asked for — against the scalar
+/// oracle that builds them after every operator: verdict rows (cells,
+/// order, blob `Arc`s), `CostMeter` and telemetry are equal at every
+/// (K, batch, morsel) shape, for chains of one, two and three UDFs and a
+/// ragged processor (0, 1 or 2 rows per input row) before and after a
+/// UDF, with `Select` on an appended column and on a base one; clean,
+/// under faults that force retries and trip the PP filter's breaker, and
+/// under a poisoned UDF row that ends the run.
+#[test]
+fn deferred_execution_matches_a_tuple_after_every_operator() {
+    use probabilistic_predicates::engine::udf::ClosureProcessor;
+    use probabilistic_predicates::engine::{Clause, Column, CompareOp, DataType, Predicate};
+
+    let f = fixture();
+    let mut pp = &f.pp_plan;
+    while !matches!(pp, LogicalPlan::Filter { .. }) {
+        pp = pp.children().next().expect("a filter above the scan");
+    }
+    let udf = |column| {
+        pp.clone()
+            .process(f.dataset.udf(column).expect("a traffic UDF"))
+    };
+    let ragged = Arc::new(ClosureProcessor::new(
+        "Ragged",
+        vec![Column::new("copy", DataType::Int)],
+        0.5,
+        |row, schema, out| {
+            let id = row.get_named(schema, "frameID")?.as_int()?;
+            let copies = [0, 2, 1][id.rem_euclid(3) as usize];
+            out.extend((0..copies).map(|k| Value::Int(id * 10 + k)));
+            Ok(())
+        },
+    ));
+    let is = |column: &str, op, value: Value| Predicate::from(Clause::new(column, op, value));
+    let chain = |plan: LogicalPlan, column| plan.process(f.dataset.udf(column).expect("a UDF"));
+    let plans = [
+        (
+            "1 UDF, Select on its column",
+            udf("vehType").select(is("vehType", CompareOp::Eq, Value::str("SUV"))),
+        ),
+        (
+            "2 UDFs",
+            chain(udf("vehType"), "vehColor").select(Predicate::or(
+                is("vehColor", CompareOp::Eq, Value::str("red")),
+                is("vehType", CompareOp::Eq, Value::str("SUV")),
+            )),
+        ),
+        (
+            "3 UDFs",
+            chain(chain(udf("vehType"), "vehColor"), "speed").select(Predicate::and(
+                is("speed", CompareOp::Ge, Value::Float(50.0)),
+                is("vehColor", CompareOp::Ne, Value::str("white")),
+            )),
+        ),
+        (
+            "ragged, then a UDF, Select on a base column",
+            chain(pp.clone().process(ragged.clone()), "vehColor").select(is(
+                "cameraID",
+                CompareOp::Le,
+                Value::Int(3),
+            )),
+        ),
+        (
+            "a UDF, then ragged, Select on the ragged column",
+            udf("vehType")
+                .process(ragged)
+                .select(is("copy", CompareOp::Ge, Value::Int(5_000))),
+        ),
+    ];
+    let transient = FaultSpec::transient(0.2);
+    let faults = [
+        ("clean", None),
+        (
+            "retries and a tripped breaker",
+            Some(
+                FaultPlan::new(0xDEF3)
+                    .inject(&f.pp_op, FaultSpec::poison(0.3))
+                    .inject("VehTypeClassifier", transient)
+                    .inject("VehColorClassifier", transient)
+                    .inject("Ragged", transient),
+            ),
+        ),
+        (
+            "a poisoned UDF row",
+            Some(FaultPlan::new(0xDEF3).inject("VehColorClassifier", FaultSpec::poison(0.02))),
+        ),
+    ];
+    let (mut retried, mut tripped, mut failed) = (false, false, false);
+    for (label, plan) in &plans {
+        for (faulted, fault_plan) in &faults {
+            let want = scalar_oracle(plan, fault_plan.as_ref());
+            let (rows, ledger) = &want;
+            retried |= ledger
+                .events
+                .iter()
+                .any(|e| e.contains(&format!("{:?}", EventKind::Retry)));
+            tripped |= ledger
+                .spans
+                .iter()
+                .any(|s| s.contains("breaker_tripped: true"));
+            failed |= rows.is_err();
+            for k in [1usize, 2, 4] {
+                for batch in [1usize, 7, 64] {
+                    for morsel in [16usize, 100] {
+                        let got = deferred_run(plan, fault_plan.as_ref(), (k, batch, morsel));
+                        let shape =
+                            format!("{label}, {faulted}: K={k} batch={batch} morsel={morsel}");
+                        assert_eq!(got.0, want.0, "{shape}: rows");
+                        assert_eq!(got.1, want.1, "{shape}: ledger");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        retried && tripped && failed,
+        "retried {retried}, tripped {tripped}, failed {failed}"
+    );
 }
 
 /// Engine-level edge shapes: an empty table and a single-row table run

@@ -23,7 +23,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
-use probabilistic_predicates::engine::{Column, MetricValue, Processor, Row, Schema};
+use probabilistic_predicates::engine::{Column, MetricValue, Processor, RowRef, Schema};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -54,7 +54,7 @@ impl Processor for CountingUdf {
     }
     fn process(
         &self,
-        row: &Row,
+        row: RowRef<'_>,
         schema: &Schema,
         out: &mut Vec<probabilistic_predicates::engine::Value>,
     ) -> probabilistic_predicates::engine::Result<()> {

@@ -13,15 +13,17 @@ use std::io::{Cursor, Read};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::ClosureProcessor;
 use probabilistic_predicates::engine::{
-    Catalog, Clause, Column, CompareOp, DataType, Predicate, Row, Rowset, Schema, Value,
+    Catalog, Clause, Column, CompareOp, DataType, LogicalPlan, Predicate, Row, Rowset, Schema,
+    Value,
 };
 use probabilistic_predicates::linalg::features::Features;
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::server::wire::{
-    encode_frame, read_frame, read_response, serve_connection, write_frame, Frame, WireError,
-    WireErrorKind, WireOutcome, WireRequest, MAX_FRAME_LEN,
+    encode_frame, read_frame, read_response, serve_connection, write_frame, write_verdicts, Frame,
+    WireError, WireErrorKind, WireOutcome, WireRequest, MAX_FRAME_LEN,
 };
 use probabilistic_predicates::server::{
     PpServer, RequestTimeline, ServerConfig, SourceRegistry, SourceSpec, StageSpan,
@@ -185,6 +187,119 @@ fn frame_encodings_match_golden_and_round_trip() {
         );
     }
     check_golden("wire_frames.hex", &golden);
+}
+
+/// The bytes of the golden frame `# name` in `wire_frames.hex`.
+fn golden_frame(name: &str) -> Vec<u8> {
+    let text = fs::read_to_string(golden_path("wire_frames.hex")).expect("golden file");
+    let mut lines = text
+        .lines()
+        .skip_while(|l| *l != format!("# {name}"))
+        .skip(1);
+    let hex: String = lines
+        .by_ref()
+        .take_while(|l| !l.starts_with("# "))
+        .collect();
+    let pairs = hex
+        .as_bytes()
+        .chunks(2)
+        .map(|p| std::str::from_utf8(p).expect("ascii"));
+    pairs
+        .map(|p| u8::from_str_radix(p, 16).expect("hex"))
+        .collect()
+}
+
+/// What `write_verdicts` streams for `rows`, and what `encode_frame`
+/// makes of the same rows built into tuples, 256 to a frame.
+fn verdict_frames(rows: &Rowset) -> (Vec<u8>, Vec<u8>) {
+    let mut streamed = Vec::new();
+    write_verdicts(&mut streamed, 7, rows).expect("written");
+    let built = rows.rows().chunks(256).flat_map(|chunk| {
+        let rows = chunk.iter().map(|r| r.values().to_vec()).collect();
+        encode_frame(&Frame::VerdictBatch {
+            request_id: 7,
+            rows,
+        })
+    });
+    (streamed, built.collect())
+}
+
+/// Verdict frames are encoded from the rows where a plan's result keeps
+/// them — a `Process` output's appended cells in their buffer — and are
+/// the bytes `Frame::VerdictBatch` encodes for the same rows built into
+/// tuples: for the golden frame's rows, made by a processor over a table
+/// of their first two cells; for a ragged processor's output, where a
+/// base row repeats, over several frames and behind a `Select`; and for a
+/// result with no rows, which is no frame at all.
+#[test]
+fn verdict_frames_from_a_deferred_result_are_the_frames_of_its_tuples() {
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("blob", DataType::Blob),
+    ])
+    .unwrap();
+    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
+    let rows = vec![
+        Row::new(vec![
+            Value::Int(3),
+            Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
+        ]),
+        Row::new(vec![Value::Null, Value::blob(Features::Sparse(sparse))]),
+    ];
+    let mut catalog = Catalog::new();
+    catalog.register("golden", Rowset::new(schema.clone(), rows).unwrap());
+    let tag = Arc::new(ClosureProcessor::map(
+        "Tag",
+        vec![Column::new("vehType", DataType::Str)],
+        0.1,
+        |row, _, out| {
+            out.push(match row.get(0) {
+                Value::Int(_) => Value::str("SUV"),
+                _ => Value::Bool(false),
+            });
+            Ok(())
+        },
+    ));
+    let run = |catalog: &Catalog, plan: &LogicalPlan| {
+        ExecutionContext::new(catalog)
+            .run(plan)
+            .expect("the plan runs")
+    };
+    let golden = run(&catalog, &LogicalPlan::scan("golden").process(tag));
+    let (streamed, built) = verdict_frames(&golden);
+    assert_eq!(streamed, golden_frame("verdict_batch"), "the golden frame");
+    assert_eq!(streamed, built);
+
+    // Id `i` makes `i % 3` rows: none, one, or its base row twice.
+    let ids = (0..900).map(|i| Row::new(vec![Value::Int(i), Value::Null]));
+    catalog.register("ids", Rowset::new(schema, ids.collect()).unwrap());
+    let ragged = Arc::new(ClosureProcessor::new(
+        "Ragged",
+        vec![Column::new("copy", DataType::Int)],
+        0.1,
+        |row, _, out| {
+            let id = row.get(0).as_int()?;
+            out.extend((0..id % 3).map(|k| Value::Int(-k)));
+            Ok(())
+        },
+    ));
+    let fanned = LogicalPlan::scan("ids").process(ragged);
+    let kept = |min: i64| {
+        let plan = fanned
+            .clone()
+            .select(Predicate::from(Clause::new("id", CompareOp::Ge, min)));
+        run(&catalog, &plan)
+    };
+    let (all, some, none) = (run(&catalog, &fanned), kept(450), kept(900));
+    assert_eq!((all.len(), some.len(), none.len()), (900, 450, 0));
+    for (label, rows) in [("fanned out", &all), ("selected", &some), ("empty", &none)] {
+        let (streamed, built) = verdict_frames(rows);
+        assert_eq!(streamed, built, "{label}");
+    }
+    assert!(
+        verdict_frames(&none).0.is_empty(),
+        "an empty result has no frame"
+    );
 }
 
 /// Clean EOF between frames is `Ok(None)`; EOF anywhere inside a frame is
