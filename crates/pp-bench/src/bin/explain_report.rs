@@ -4,16 +4,20 @@
 //! seeded fault plan aimed at its probabilistic predicates — and renders
 //! the annotated [`ExplainAnalyze`] tree for each run: predicted vs actual
 //! rows, reduction, and charged seconds per operator, with relative-error
-//! annotations. The clean snapshot is then emitted in both export formats
-//! (OpenMetrics text exposition and one JSONL record) to show the scrape
-//! surface, and both runs are fed to the runtime monitor to print the
-//! calibration report driving `needs_replan()`.
+//! annotations. It fails unless the fault plan fired and forced retries
+//! and every span of both runs conserves its rows. The clean snapshot is
+//! then emitted in both export formats (OpenMetrics text exposition and
+//! one JSONL record) to show the scrape surface, and both runs are fed to
+//! the runtime monitor to print the calibration report driving
+//! `needs_replan()` and each PP's fault calls, fault rate and quarantine
+//! cause.
 //!
 //! [`ExplainAnalyze`]: pp_engine::ExplainAnalyze
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use pp_bench::setup::{clean_and_faulted_q1, CleanAndFaulted};
+use pp_bench::table::{f2, Table};
 use pp_core::RuntimeMonitor;
 use pp_engine::export::openmetrics;
 use pp_engine::ExplainAnalyze;
@@ -22,9 +26,9 @@ fn main() -> pp_bench::Result<()> {
     let CleanAndFaulted {
         query: q,
         optimized,
+        pp_ops,
         mut clean,
         mut faulted,
-        ..
     } = clean_and_faulted_q1()?;
     if optimized.report.predictions.is_empty() {
         return Err("the QO must forecast the emitted plan".into());
@@ -49,6 +53,19 @@ fn main() -> pp_bench::Result<()> {
         ExplainAnalyze::analyze(&optimized.plan, &optimized.report.predictions, &faulted)?;
     println!("\n-- faulted run (transient 8% + timeout 2% on every PP) --");
     print!("{}", faulted_analyze.render());
+    println!(
+        "injected faults: {}  retries: {}  conservation violations: {}",
+        faulted.injected_fault_count(),
+        faulted.total_retries(),
+        faulted.conservation_violations().len(),
+    );
+    if faulted.injected_fault_count() == 0 || faulted.total_retries() == 0 {
+        return Err("the seeded fault plan should fire and force retries".into());
+    }
+    if !(clean.conservation_violations().is_empty() && faulted.conservation_violations().is_empty())
+    {
+        return Err("row conservation must hold in both runs".into());
+    }
 
     // Export surfaces: OpenMetrics text exposition + one JSONL record.
     println!("\n-- OpenMetrics exposition (clean run) --");
@@ -73,5 +90,29 @@ fn main() -> pp_bench::Result<()> {
         );
     }
     println!("needs_replan: {}", monitor.needs_replan());
+    println!();
+    let mut pp_table = Table::new("Runtime monitor — per-PP faults after both runs").headers([
+        "pp",
+        "fault calls",
+        "fault rate",
+        "quarantined",
+    ]);
+    for op in &pp_ops {
+        let key = op
+            .strip_prefix("PP[")
+            .and_then(|s| s.strip_suffix(']'))
+            .unwrap_or(op);
+        let stats = monitor.fault_stats(key);
+        pp_table.row([
+            key.to_string(),
+            stats.calls.to_string(),
+            f2(stats.rate()),
+            match monitor.why_broken(key) {
+                Some(reason) => format!("{reason:?}"),
+                None => "no".to_string(),
+            },
+        ]);
+    }
+    pp_table.print();
     Ok(())
 }

@@ -169,8 +169,7 @@ impl TrafSetup {
 
 /// TRAF-20 Q1 planned at a = 0.95 and executed twice at parallelism 4:
 /// clean, and with seeded transient faults and timeouts on every PP
-/// operator — the pair of runs `explain_report` and `telemetry_report`
-/// print from.
+/// operator — the pair of runs `explain_report` prints from.
 pub struct CleanAndFaulted {
     /// The query (TRAF-20 Q1).
     pub query: TrafQuery,

@@ -67,11 +67,6 @@ impl PpCatalog {
         self.pps.iter().find(|p| p.key() == key)
     }
 
-    /// Exact-match lookup by simple clause.
-    pub fn get_clause(&self, clause: &Clause) -> Option<&Arc<ProbabilisticPredicate>> {
-        self.get(&Predicate::Clause(clause.clone()))
-    }
-
     /// PPs usable as necessary conditions for a simple clause `c`: every PP
     /// whose mimicked predicate `q` satisfies `c ⇒ q`.
     ///

@@ -105,7 +105,3 @@ impl From<pp_engine::EngineError> for PpError {
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, PpError>;
-
-/// Alias emphasizing the planning-time error surface: everything the query
-/// optimizer ([`planner::PpQueryOptimizer`]) can fail with is a [`PpError`].
-pub type PlanError = PpError;

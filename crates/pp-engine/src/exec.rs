@@ -99,24 +99,17 @@ impl<'a> ExecutionContextBuilder<'a> {
     /// [`std::thread::available_parallelism`] reports, and output bytes
     /// never depend on how many it got.
     pub fn with_parallelism(mut self, k: usize) -> Self {
-        self.opts = ExecOptions::new(k, self.opts.batch_size(), self.opts.morsel_size());
+        self.opts = ExecOptions::new(k, self.opts.batch_size());
         self
     }
 
     /// Sets the number of rows per batch a probe step evaluates
-    /// (clamped to at least 1; defaults to 256).
+    /// (clamped to at least 1; defaults to 256). A worker claims four
+    /// batches at a time. `1` is the scalar reference the determinism
+    /// contract is stated against: output bytes never depend on the
+    /// setting.
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.opts = ExecOptions::new(self.opts.parallelism(), rows, self.opts.morsel_size());
-        self
-    }
-
-    /// Sets the number of rows per morsel — the contiguous row range a
-    /// worker claims off the shared scheduler counter (clamped to at
-    /// least 1; defaults to 1024). Smaller morsels steal more evenly;
-    /// larger morsels amortize claim overhead. Output bytes never depend
-    /// on the setting.
-    pub fn with_morsel_size(mut self, rows: usize) -> Self {
-        self.opts = ExecOptions::new(self.opts.parallelism(), self.opts.batch_size(), rows);
+        self.opts = ExecOptions::new(self.opts.parallelism(), rows);
         self
     }
 
@@ -341,26 +334,6 @@ impl<'a> ExecutionContext<'a> {
     /// The catalog this context executes against.
     pub fn catalog(&self) -> &'a Catalog {
         self.catalog
-    }
-
-    /// The cost model used for charging and metric derivation.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Worker threads used for row-parallel operators.
-    pub fn parallelism(&self) -> usize {
-        self.opts.parallelism()
-    }
-
-    /// Rows per batch a probe step evaluates.
-    pub fn batch_size(&self) -> usize {
-        self.opts.batch_size()
-    }
-
-    /// Rows per morsel claimed by scheduler workers.
-    pub fn morsel_size(&self) -> usize {
-        self.opts.morsel_size()
     }
 
     /// The cost meter of the most recent [`run`][Self::run] (empty before

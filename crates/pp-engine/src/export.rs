@@ -3,8 +3,7 @@
 //!
 //! The telemetry subsystem deliberately keeps its in-memory types
 //! scrape-agnostic; this module is the boundary where they leave the
-//! process. Two formats ship, behind the [`Exporter`] trait so future
-//! sinks (OTLP, a push gateway) plug in without touching the engine:
+//! process. Two formats ship:
 //!
 //! * [`openmetrics`] renders a [`TelemetrySnapshot`] as Prometheus /
 //!   OpenMetrics text exposition — registry samples first (lexicographic
@@ -22,12 +21,6 @@
 use std::io::{self, Write};
 
 use crate::telemetry::{MetricValue, MetricsRegistry, OperatorSpan, TelemetrySnapshot};
-
-/// A sink that consumes telemetry snapshots.
-pub trait Exporter {
-    /// Exports one snapshot; the encoding is the implementor's.
-    fn export(&mut self, snapshot: &TelemetrySnapshot) -> io::Result<()>;
-}
 
 /// Sanitizes a registry metric name into the Prometheus grammar
 /// (`[a-zA-Z0-9_:]`, here always prefixed `pp_`): every other character
@@ -167,8 +160,8 @@ pub fn openmetrics_registry(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// [`Exporter`] writing OpenMetrics text exposition to a sink; each
-/// exported snapshot is one complete, `# EOF`-terminated exposition.
+/// Writes OpenMetrics text exposition to a sink; each exported snapshot
+/// is one complete, `# EOF`-terminated exposition.
 #[derive(Debug)]
 pub struct OpenMetricsExporter<W: Write> {
     writer: W,
@@ -184,15 +177,14 @@ impl<W: Write> OpenMetricsExporter<W> {
     pub fn into_inner(self) -> W {
         self.writer
     }
-}
 
-impl<W: Write> Exporter for OpenMetricsExporter<W> {
-    fn export(&mut self, snapshot: &TelemetrySnapshot) -> io::Result<()> {
+    /// Writes one snapshot's exposition.
+    pub fn export(&mut self, snapshot: &TelemetrySnapshot) -> io::Result<()> {
         self.writer.write_all(openmetrics(snapshot).as_bytes())
     }
 }
 
-/// [`Exporter`] appending one JSON line per snapshot
+/// Appends one JSON line per snapshot
 /// ([`TelemetrySnapshot::to_json`] + `\n`) to a sink — the append-only
 /// JSONL format log shippers ingest natively.
 #[derive(Debug)]
@@ -210,10 +202,9 @@ impl<W: Write> JsonlExporter<W> {
     pub fn into_inner(self) -> W {
         self.writer
     }
-}
 
-impl<W: Write> Exporter for JsonlExporter<W> {
-    fn export(&mut self, snapshot: &TelemetrySnapshot) -> io::Result<()> {
+    /// Appends one snapshot's JSON line.
+    pub fn export(&mut self, snapshot: &TelemetrySnapshot) -> io::Result<()> {
         self.writer.write_all(snapshot.to_json().as_bytes())?;
         self.writer.write_all(b"\n")
     }

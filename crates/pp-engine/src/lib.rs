@@ -43,7 +43,6 @@ pub mod provider;
 pub mod resilience;
 pub mod row;
 pub mod schema;
-pub mod stats;
 pub mod sync;
 pub mod telemetry;
 pub mod udf;
@@ -56,7 +55,7 @@ pub use chunk::{Chunk, ChunkColumn};
 pub use cost::{CostMeter, QueryMetrics};
 pub use exec::{ExecutionContext, ExecutionContextBuilder};
 pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHints};
-pub use export::{Exporter, JsonlExporter, OpenMetricsExporter};
+pub use export::{JsonlExporter, OpenMetricsExporter};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultSpec, InjectedFault};
 pub use logical::{LogicalPlan, OpParallelism};
 pub use memo::{memoize_plan, MemoProcessor, MemoStats, UdfMemo};

@@ -34,8 +34,11 @@
 //! shared through the source registry), so two plans that apply different
 //! UDF subsets before the same processor still produce the same output for
 //! the same base row. Cells are compared exactly: floats by bit pattern,
-//! blobs by `Arc` pointer identity (the catalog keeps every blob alive for
-//! the memo's lifetime, so a pointer uniquely names a blob).
+//! blobs by `Arc` pointer identity. An entry holds the `Arc`s of the blobs
+//! it is keyed on, so a pointer names one blob for as long as the memo
+//! can be asked about it: a segment scan decodes a fresh `Arc` per row
+//! and wave, and a freed blob's address could otherwise come back as
+//! another blob's.
 //!
 //! Errors are never cached: a failing invocation is retried (and re-drawn
 //! by any fault shim) exactly as it would be solo, and leaves none of its
@@ -57,6 +60,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pp_linalg::Features;
+
 use crate::logical::LogicalPlan;
 use crate::row::RowRef;
 use crate::schema::{Column, Schema};
@@ -65,8 +70,9 @@ use crate::udf::Processor;
 use crate::value::Value;
 use crate::Result;
 
-/// One row cell reduced to an exactly-comparable, hashable key.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// One row cell as an entry keeps it: exactly comparable, and holding on
+/// to what it names.
+#[derive(Debug)]
 enum CellKey {
     Null,
     Bool(bool),
@@ -74,18 +80,47 @@ enum CellKey {
     /// Bit pattern — distinguishes `-0.0`/`0.0` and keeps NaNs keyable.
     Float(u64),
     Str(Arc<str>),
-    /// `Arc` pointer identity; the owning catalog outlives the memo.
-    Blob(usize),
+    /// Compared by `Arc` pointer identity; holding the `Arc` keeps the
+    /// address from naming another blob while the entry lives.
+    Blob(Arc<Features>),
 }
 
-fn cell_key(value: &Value) -> CellKey {
+impl CellKey {
+    fn of(value: &Value) -> CellKey {
+        match value {
+            Value::Null => CellKey::Null,
+            Value::Bool(b) => CellKey::Bool(*b),
+            Value::Int(i) => CellKey::Int(*i),
+            Value::Float(f) => CellKey::Float(f.to_bits()),
+            Value::Str(s) => CellKey::Str(Arc::clone(s)),
+            Value::Blob(b) => CellKey::Blob(Arc::clone(b)),
+        }
+    }
+
+    /// Whether `value` is the cell this key was made of.
+    fn is(&self, value: &Value) -> bool {
+        match (self, value) {
+            (CellKey::Null, Value::Null) => true,
+            (CellKey::Bool(k), Value::Bool(v)) => k == v,
+            (CellKey::Int(k), Value::Int(v)) => k == v,
+            (CellKey::Float(k), Value::Float(v)) => *k == v.to_bits(),
+            (CellKey::Str(k), Value::Str(v)) => k == v,
+            (CellKey::Blob(k), Value::Blob(v)) => Arc::ptr_eq(k, v),
+            _ => false,
+        }
+    }
+}
+
+/// Hashes `value` the way [`CellKey::is`] compares it, in place.
+fn hash_cell(value: &Value, hasher: &mut impl Hasher) {
+    std::mem::discriminant(value).hash(hasher);
     match value {
-        Value::Null => CellKey::Null,
-        Value::Bool(b) => CellKey::Bool(*b),
-        Value::Int(i) => CellKey::Int(*i),
-        Value::Float(f) => CellKey::Float(f.to_bits()),
-        Value::Str(s) => CellKey::Str(Arc::clone(s)),
-        Value::Blob(b) => CellKey::Blob(Arc::as_ptr(b) as usize),
+        Value::Null => {}
+        Value::Bool(b) => b.hash(hasher),
+        Value::Int(i) => i.hash(hasher),
+        Value::Float(f) => f.to_bits().hash(hasher),
+        Value::Str(s) => s.hash(hasher),
+        Value::Blob(b) => Arc::as_ptr(b).hash(hasher),
     }
 }
 
@@ -102,11 +137,7 @@ impl Entry {
     fn is_for<'a>(&self, op: &str, n: usize, key_cells: impl Iterator<Item = &'a Value>) -> bool {
         *self.op == *op
             && self.key.len() == n
-            && self
-                .key
-                .iter()
-                .zip(key_cells)
-                .all(|(k, v)| *k == cell_key(v))
+            && self.key.iter().zip(key_cells).all(|(k, v)| k.is(v))
     }
 }
 
@@ -190,7 +221,7 @@ impl UdfMemo {
         let mut hasher = self.hasher.build_hasher();
         op.hash(&mut hasher);
         for cell in key_cells() {
-            cell_key(cell).hash(&mut hasher);
+            hash_cell(cell, &mut hasher);
         }
         let hash = hasher.finish();
         let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, n, key_cells()));
@@ -209,7 +240,7 @@ impl UdfMemo {
         if find(bucket).is_none() {
             bucket.push(Entry {
                 op: Arc::clone(op),
-                key: key_cells().map(cell_key).collect(),
+                key: key_cells().map(CellKey::of).collect(),
                 cells,
             });
         }
@@ -383,13 +414,39 @@ mod tests {
 
     #[test]
     fn float_keys_compare_by_bit_pattern() {
-        assert_ne!(
-            cell_key(&Value::Float(0.0)),
-            cell_key(&Value::Float(-0.0)),
+        assert!(
+            !CellKey::of(&Value::Float(0.0)).is(&Value::Float(-0.0)),
             "0.0 and -0.0 must key separately"
         );
-        assert_eq!(cell_key(&Value::Float(f64::NAN)), {
-            cell_key(&Value::Float(f64::NAN))
-        });
+        assert!(CellKey::of(&Value::Float(f64::NAN)).is(&Value::Float(f64::NAN)));
+    }
+
+    /// An entry keeps the blobs it is keyed on alive, so their addresses
+    /// cannot be reused by other blobs while the memo can match them.
+    #[test]
+    fn an_entry_holds_its_blob() {
+        let memo = Arc::new(UdfMemo::new(1));
+        let shim = MemoProcessor::new(
+            Arc::new(ClosureProcessor::map(
+                "Dim",
+                vec![Column::new("dim", DataType::Int)],
+                0.5,
+                |row, _, out| {
+                    out.push(Value::Int(row.get(0).as_blob()?.dim() as i64));
+                    Ok(())
+                },
+            )),
+            Arc::clone(&memo),
+        );
+        let blob = Arc::new(Features::Dense(vec![1.0, 2.0]));
+        let schema = Schema::new(vec![Column::new("frame", DataType::Blob)]).unwrap();
+        let row = Row::new(vec![Value::Blob(Arc::clone(&blob))]);
+        let mut out = Vec::new();
+        shim.process(RowRef::from(&row), &schema, &mut out).unwrap();
+        drop(row);
+        assert_eq!(format!("{out:?}"), "[Int(2)]");
+        assert_eq!(Arc::strong_count(&blob), 2, "the entry holds the blob");
+        drop((shim, memo));
+        assert_eq!(Arc::strong_count(&blob), 1, "and lets it go with the memo");
     }
 }

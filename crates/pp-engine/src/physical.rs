@@ -43,7 +43,7 @@
 //!
 //! Row-parallel operators — `Filter`, `Process`, and `Select` — split
 //! each chunk of their input into *morsels* (contiguous row ranges of at
-//! most `ExecOptions::morsel_size`; a row group smaller than that is one
+//! most `MORSEL_BATCHES` batches; a row group smaller than that is one
 //! morsel) that a `std::thread` worker pool claims off a shared atomic
 //! counter: a worker stuck on an expensive morsel never blocks the rest
 //! of the input (work stealing by construction). The pool is never
@@ -52,7 +52,7 @@
 //! *probed* one [`Batch`] at a time, so a filter that overrides
 //! `eval_batch` scores a blob column as a contiguous block (see
 //! [`crate::batch`]). Batch boundaries are a pure function of `(chunk
-//! sizes, morsel_size, batch_size)`, never of the worker count.
+//! sizes, batch_size)`, never of the worker count.
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
 //! attempt failed, each with the outcome of its full retry loop. A
@@ -73,7 +73,7 @@
 //! kernels are bit-identical to the scalar per-row path, so results, row
 //! order, spans, and charges are byte-identical to the scalar reference
 //! (`parallelism = 1, batch_size = 1`) for every seed, every parallelism,
-//! and every batch and morsel size.
+//! and every batch size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
 //! `Project` stay serial; see
 //! [`LogicalPlan::partitionability`](crate::logical::LogicalPlan::partitionability).
@@ -112,6 +112,10 @@ use crate::udf::{Combiner, Processor, Reducer, RowFilter};
 use crate::value::{Key, Value};
 use crate::{EngineError, Result};
 
+/// Batches per morsel — the unit workers claim off the shared counter:
+/// 1 024 rows at the default batch size.
+const MORSEL_BATCHES: usize = 4;
+
 /// Tuning knobs for the morsel-driven executor, carried through the plan
 /// recursion. Every field is at least 1: [`ExecOptions::new`] is the only
 /// way to build one.
@@ -122,18 +126,14 @@ pub(crate) struct ExecOptions {
     parallelism: usize,
     /// Rows per [`Batch`] a probe step evaluates.
     batch_size: usize,
-    /// Rows per morsel — the unit workers claim off the shared counter.
-    morsel_size: usize,
 }
 
 impl ExecOptions {
-    /// The one place caller-supplied knobs — builder arguments, wire
-    /// request fields — are clamped to at least 1.
-    pub fn new(parallelism: usize, batch_size: usize, morsel_size: usize) -> Self {
+    /// The one place caller-supplied knobs are clamped to at least 1.
+    pub fn new(parallelism: usize, batch_size: usize) -> Self {
         ExecOptions {
             parallelism: parallelism.max(1),
             batch_size: batch_size.max(1),
-            morsel_size: morsel_size.max(1),
         }
     }
 
@@ -144,15 +144,11 @@ impl ExecOptions {
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
-
-    pub fn morsel_size(&self) -> usize {
-        self.morsel_size
-    }
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions::new(1, 256, 1024)
+        ExecOptions::new(1, 256)
     }
 }
 
@@ -368,8 +364,8 @@ impl<'p> ScanStream<'p> {
             wave_bytes += bytes;
             end += 1;
         }
-        // Group sizes are row counts, so the row-oriented batch and
-        // morsel knobs don't apply here (parallelism still does).
+        // Group sizes are row counts, so the row-oriented batch size
+        // doesn't apply here (parallelism still does).
         let chunks = run_morsels(
             &self.kept[self.next..end],
             ex.opts.parallelism,
@@ -583,7 +579,8 @@ impl Executor<'_> {
         first_row: usize,
         work: impl Fn(&Batch<'_>) -> T + Sync,
     ) -> Result<Vec<Located<T>>> {
-        let (step, size) = (self.opts.batch_size, self.opts.morsel_size);
+        let step = self.opts.batch_size;
+        let size = step.saturating_mul(MORSEL_BATCHES);
         let mut morsels = Vec::new();
         let mut offset = first_row;
         for (chunk, rows) in chunks.iter().map(Chunk::len).enumerate() {
@@ -1680,7 +1677,7 @@ mod tests {
             &plan,
             &cat,
             &mut ExecSession::default(),
-            ExecOptions::new(4, 2, 2),
+            ExecOptions::new(4, 2),
             &mut tel,
         );
         assert!(matches!(
@@ -1694,9 +1691,7 @@ mod tests {
     }
 
     /// The consume loop polls the token at the first row of every batch
-    /// record — also when `morsel_size` is not a multiple of `batch_size`,
-    /// so that batches restart at every morsel (here rows 0, 100, 200) and
-    /// a multiple of `batch_size` (256) starts none.
+    /// record (here rows 0, 100, 200; the first morsel holds all three).
     #[test]
     fn consume_polls_cancellation_at_each_batch_records_first_row() -> Result<()> {
         let schema = Schema::new(vec![Column::new("id", DataType::Int)])?;
@@ -1708,7 +1703,7 @@ mod tests {
             catalog: &Catalog::new(),
             model: &CostModel::default(),
             session: &mut ExecSession::default(),
-            opts: ExecOptions::new(1, 256, 100),
+            opts: ExecOptions::new(1, 100),
             tel: &mut tel,
             cancel: &token,
         }

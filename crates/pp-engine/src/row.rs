@@ -48,11 +48,6 @@ impl Row {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Consumes the row, yielding its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.to_vec()
-    }
 }
 
 /// Collects cells straight into the shared slice: an iterator that knows

@@ -74,17 +74,6 @@ impl Value {
         }
     }
 
-    /// Extracts a bool.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(EngineError::TypeMismatch {
-                expected: "bool",
-                found: other.type_name(),
-            }),
-        }
-    }
-
     /// Extracts a string slice.
     pub fn as_str(&self) -> Result<&str> {
         match self {

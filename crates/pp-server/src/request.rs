@@ -47,10 +47,6 @@ pub struct QueryRequest {
     /// Optional worker-thread override for this query's executor (the
     /// server default is serial).
     pub parallelism: Option<usize>,
-    /// Optional rows-per-batch override.
-    pub batch_size: Option<usize>,
-    /// Optional rows-per-morsel override for the work-stealing scheduler.
-    pub morsel_size: Option<usize>,
     /// Run in a shared-scan window with concurrent queries over the same
     /// source (see [`crate::sharedscan`]) instead of alone. Results are
     /// byte-identical either way.
@@ -69,8 +65,6 @@ impl QueryRequest {
             resilience: None,
             deadline: None,
             parallelism: None,
-            batch_size: None,
-            morsel_size: None,
             shared: false,
         }
     }
@@ -95,23 +89,11 @@ impl QueryRequest {
 
     /// Asks for executor worker threads for this query (morsels are fed
     /// to a work-stealing pool; results are byte-identical at any
-    /// setting). Like the two knobs below it is passed on as given: the
-    /// engine clamps all three to at least 1 and caps the threads at what
-    /// the machine has.
+    /// setting). It is passed on as given: the engine clamps it to at
+    /// least 1 and caps the threads at what the machine has. How the
+    /// engine cuts the rows into batches and morsels is its own.
     pub fn with_parallelism(mut self, k: usize) -> Self {
         self.parallelism = Some(k);
-        self
-    }
-
-    /// Overrides rows per batch (what one probe step evaluates).
-    pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.batch_size = Some(rows);
-        self
-    }
-
-    /// Overrides rows-per-morsel claimed by scheduler workers.
-    pub fn with_morsel_size(mut self, rows: usize) -> Self {
-        self.morsel_size = Some(rows);
         self
     }
 
@@ -213,11 +195,6 @@ impl QueryOutcome {
         }
     }
 
-    /// True when the query was shed by admission control.
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, QueryOutcome::Rejected(_))
-    }
-
     /// True when the query was cancelled mid-flight.
     pub fn is_cancelled(&self) -> bool {
         matches!(self, QueryOutcome::Cancelled { .. })
@@ -281,22 +258,5 @@ impl QueryTicket {
             outcome: QueryOutcome::Failed("worker disappeared without responding".into()),
             timeline: RequestTimeline::empty(request_id),
         })
-    }
-
-    /// Non-blocking poll: `Ok(response)` if the query already reached a
-    /// terminal state (including the worker-disappeared fallback),
-    /// `Err(self)` — the ticket back, still valid — while it is in
-    /// flight. Lets a wire connection or event loop multiplex many
-    /// tickets without parking a thread per query.
-    pub fn try_wait(self) -> Result<QueryResponse, QueryTicket> {
-        match self.rx.try_recv() {
-            Ok(response) => Ok(response),
-            Err(mpsc::TryRecvError::Empty) => Err(self),
-            Err(mpsc::TryRecvError::Disconnected) => Ok(QueryResponse {
-                request_id: self.request_id,
-                outcome: QueryOutcome::Failed("worker disappeared without responding".into()),
-                timeline: RequestTimeline::empty(self.request_id),
-            }),
-        }
     }
 }

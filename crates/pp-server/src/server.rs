@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use pp_core::catalog::{CatalogEpoch, CatalogSnapshot, SnapshotGarbage, VersionedPpCatalog};
+use pp_core::catalog::{CatalogEpoch, CatalogSnapshot, VersionedPpCatalog};
 use pp_core::planner::{PpQueryOptimizer, QoConfig};
 use pp_core::runtime::{MonitorConfig, RuntimeMonitor};
 use pp_core::wrangle::Domains;
@@ -444,11 +444,6 @@ impl PpServer {
         Ok(ticket)
     }
 
-    /// Queries parked in shared-scan windows not yet claimed by a worker.
-    pub fn shared_pending(&self) -> usize {
-        self.shared.pending()
-    }
-
     /// Publishes a retrained PP corpus under the next epoch, invalidating
     /// exactly the cache entries planned against superseded epochs.
     /// In-flight queries keep their pinned snapshots.
@@ -491,21 +486,6 @@ impl PpServer {
     /// Queued + running queries.
     pub fn in_flight(&self) -> usize {
         self.inner.gate.depth()
-    }
-
-    /// Live pinned catalog snapshots per epoch — superseded epochs with a
-    /// nonzero count are garbage kept alive by in-flight (or leaked)
-    /// queries. The maintenance pass exports these as gauges.
-    pub fn snapshot_garbage(&self) -> Vec<SnapshotGarbage> {
-        self.inner.pps.pinned_snapshots()
-    }
-
-    /// Cancels one in-flight query by request id with
-    /// [`CancelReason::Requested`]. Returns `false` when the id is
-    /// unknown, already terminal, or already cancelled.
-    pub fn cancel_query(&self, request_id: u64) -> bool {
-        let token = self.inner.active.lock().get(&request_id).cloned();
-        token.is_some_and(|t| t.cancel(CancelReason::Requested))
     }
 
     /// Runs one maintenance pass synchronously: folds nothing new (that
@@ -745,12 +725,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
     }
     if let Some(k) = request.parallelism {
         builder = builder.with_parallelism(k);
-    }
-    if let Some(rows) = request.batch_size {
-        builder = builder.with_batch_size(rows);
-    }
-    if let Some(rows) = request.morsel_size {
-        builder = builder.with_morsel_size(rows);
     }
     let mut ctx = builder.build();
     trace.enter(RequestStage::Execute);

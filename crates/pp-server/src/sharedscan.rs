@@ -215,10 +215,4 @@ impl SharedScanCoordinator {
         state.open.clear();
         self.wakeup.notify_all();
     }
-
-    /// Members currently parked in unclaimed windows (gauge fodder).
-    pub(crate) fn pending(&self) -> usize {
-        let state = self.state.lock();
-        state.windows.values().map(|s| s.members.len()).sum()
-    }
 }

@@ -32,7 +32,7 @@
 //! stage-name sequence, stage details, and terminal stage — is
 //! deterministic for a fixed submission sequence, which
 //! [`RequestTimeline::zero_durations`] lets tests pin byte-identically
-//! across parallelism × batch size × batch mode ± seeded faults.
+//! across parallelism ± seeded faults.
 
 use std::time::Instant;
 

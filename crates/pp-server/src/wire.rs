@@ -56,7 +56,8 @@
 //! | predicate | tagged tree, depth ≤ [`MAX_PREDICATE_DEPTH`] |
 //! | accuracy target | `f64` bits; the decoder refuses NaN and anything outside `(0, 1]` |
 //! | deadline (ms) | option flag + `u64` |
-//! | parallelism, batch size, morsel size | option flag + `u32`, each; requests, not reservations — the engine clamps each to ≥ 1 and caps threads at the machine's |
+//! | parallelism | option flag + `u32`; a request, not a reservation — the engine clamps it to ≥ 1 and caps threads at the machine's |
+//! | *reserved* ×2 | option flag + `u32`, each: the encoder writes absent (`0`); the decoder reads either form and ignores the value (`PPW1` clients sent a batch size and a morsel size here, which the engine now picks itself) |
 //! | *reserved* | one byte: the encoder writes `0`; the decoder accepts `0`–`2` and ignores the value (`PPW1` clients sent a batch-mode selector here, which no longer selects anything) |
 //! | shared | one byte, non-zero = shared-scan window |
 //!
@@ -183,10 +184,6 @@ pub struct WireRequest {
     pub deadline_ms: Option<u64>,
     /// Optional executor parallelism override.
     pub parallelism: Option<u32>,
-    /// Optional rows-per-batch override.
-    pub batch_size: Option<u32>,
-    /// Optional rows-per-morsel override.
-    pub morsel_size: Option<u32>,
     /// Run in a shared-scan window ([`QueryRequest::shared()`]) instead of
     /// alone.
     pub shared: bool,
@@ -202,8 +199,6 @@ impl WireRequest {
             accuracy_target,
             deadline_ms: None,
             parallelism: None,
-            batch_size: None,
-            morsel_size: None,
             shared: false,
         }
     }
@@ -220,12 +215,6 @@ impl WireRequest {
         }
         if let Some(k) = self.parallelism {
             req = req.with_parallelism(k as usize);
-        }
-        if let Some(rows) = self.batch_size {
-            req = req.with_batch_size(rows as usize);
-        }
-        if let Some(rows) = self.morsel_size {
-            req = req.with_morsel_size(rows as usize);
         }
         req.shared = self.shared;
         req
@@ -668,9 +657,8 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
             put_u64(out, req.accuracy_target.to_bits());
             put_option_u64(out, req.deadline_ms);
             put_option_u32(out, req.parallelism);
-            put_option_u32(out, req.batch_size);
-            put_option_u32(out, req.morsel_size);
-            out.push(0); // reserved, see the module docs
+            // Reserved, see the module docs: two absent sizes and a byte.
+            out.extend_from_slice(&[0, 0, 0]);
             out.push(u8::from(req.shared));
         }
         Frame::ResultHeader {
@@ -760,10 +748,11 @@ fn decode_payload(ty: u8, payload: &[u8], strings: &mut StringTable) -> Result<F
             }
             let deadline_ms = get_option_u64(cur)?;
             let parallelism = get_option_u32(cur)?;
-            let batch_size = get_option_u32(cur)?;
-            let morsel_size = get_option_u32(cur)?;
-            // Formerly the batch-mode selector: the values old clients
-            // could send are accepted and ignored.
+            // Formerly a batch size, a morsel size and the batch-mode
+            // selector: what old clients could send is accepted and
+            // ignored.
+            get_option_u32(cur)?;
+            get_option_u32(cur)?;
             match cur.u8()? {
                 0..=2 => {}
                 other => return Err(WireError::Malformed(format!("reserved byte {other}"))),
@@ -775,8 +764,6 @@ fn decode_payload(ty: u8, payload: &[u8], strings: &mut StringTable) -> Result<F
                 accuracy_target,
                 deadline_ms,
                 parallelism,
-                batch_size,
-                morsel_size,
                 shared,
             })
         }

@@ -8,7 +8,7 @@
 //! deterministic morsel merge yields byte-identical results to an
 //! in-memory scan of the same table.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use pp_engine::schema::Schema;
@@ -77,17 +77,6 @@ impl SegmentScan {
             metas,
             budget: None,
         })
-    }
-
-    /// Opens all `*.pps` files under `dir`, sorted by file name (the
-    /// writer's `{stem}-NNNN.pps` naming makes that shard order).
-    pub fn open_dir(dir: &Path) -> Result<SegmentScan> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "pps"))
-            .collect();
-        paths.sort();
-        SegmentScan::open(&paths)
     }
 
     /// Caps the encoded bytes of the row groups a scan holds decoded at

@@ -2,7 +2,6 @@
 //! shards it into N files with contiguous row ranges.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use pp_engine::bytes::{put_u16, put_u32, put_u64};
 use pp_engine::row::Rowset;
@@ -217,17 +216,4 @@ impl SegmentWriter {
     pub fn config(&self) -> &SegmentWriterConfig {
         &self.config
     }
-}
-
-/// Convenience: writes `table` to `shards` segment files under `dir` and
-/// opens them as a [`crate::SegmentScan`] with default writer settings.
-pub fn write_and_open(
-    dir: &Path,
-    stem: &str,
-    table: &Arc<Rowset>,
-    shards: usize,
-    config: SegmentWriterConfig,
-) -> Result<crate::SegmentScan> {
-    let paths = SegmentWriter::new(config).write_shards(dir, stem, table, shards)?;
-    crate::SegmentScan::open(&paths)
 }

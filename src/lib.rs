@@ -58,7 +58,7 @@ pub mod prelude {
     pub use pp_engine::cost::{CostMeter, CostModel, QueryMetrics};
     pub use pp_engine::exec::{ExecutionContext, ExecutionContextBuilder};
     pub use pp_engine::explain::{ExplainAnalyze, OperatorPrediction, PredictionHints};
-    pub use pp_engine::export::{Exporter, JsonlExporter, OpenMetricsExporter};
+    pub use pp_engine::export::{JsonlExporter, OpenMetricsExporter};
     pub use pp_engine::fault::{FaultPlan, FaultSpec};
     pub use pp_engine::logical::{LogicalPlan, OpParallelism};
     pub use pp_engine::predicate::{Clause, CompareOp, Predicate};

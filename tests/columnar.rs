@@ -2,16 +2,15 @@
 //! a fixed plan, catalog, and fault seed its output must be
 //! **byte-identical** — same result rows, same cost-meter charges, same
 //! telemetry snapshot (after [`TelemetrySnapshot::zero_wall_clock`]) — at
-//! every parallelism, batch size, and morsel size, with and without
-//! injected faults.
+//! every parallelism and batch size, with and without injected faults.
 //!
 //! The invariant is anchored twice. At the kernel: every built-in
 //! filter's `RowFilter::eval_batch` over a multi-row batch equals the
 //! scalar per-row path (`RowFilter::passes`), which is what production
 //! retries run (a `Processor` is scalar and has no other path). At the
 //! engine: every
-//! (K, batch, morsel) shape equals the `K=1, batch=1` run, where each
-//! batch is one row.
+//! (K, batch) shape equals the `K=1, batch=1` run, where each batch is one
+//! row. A morsel is four batches, so the batch sweep sweeps morsels too.
 //!
 //! [`TelemetrySnapshot::zero_wall_clock`]:
 //! probabilistic_predicates::engine::telemetry::TelemetrySnapshot::zero_wall_clock
@@ -177,7 +176,7 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
     )
 }
 
-/// The engine-level gate: every (K, batch, morsel) shape is
+/// The engine-level gate: every (K, batch) shape is
 /// byte-identical — results, charges, telemetry snapshot (every span
 /// counter included) — to the `K=1, batch=1` reference, clean and under
 /// seeded faults (faults key off row identity, so retries and fail-opens land
@@ -187,11 +186,10 @@ fn every_shape_matches_the_scalar_reference() {
     let f = fixture();
     let spec = FaultSpec::transient(0.2).with_timeouts(0.05, 2.0);
     for faulted in [false, true] {
-        let run = |k: usize, batch: usize, morsel: usize| {
+        let run = |k: usize, batch: usize| {
             let mut builder = ExecutionContext::builder(&f.catalog)
                 .with_parallelism(k)
-                .with_batch_size(batch)
-                .with_morsel_size(morsel);
+                .with_batch_size(batch);
             if faulted {
                 builder = builder
                     .with_fault_plan(
@@ -210,21 +208,19 @@ fn every_shape_matches_the_scalar_reference() {
             let failures: u64 = snap.spans.iter().map(|s| s.failures).sum();
             (observe(&ctx, &out), failures)
         };
-        let (base, base_failures) = run(1, 1, 1024);
+        let (base, base_failures) = run(1, 1);
         assert_eq!(
             base_failures > 0,
             faulted,
             "faults fire exactly when injected"
         );
         for k in [1usize, 4] {
-            for batch in [1usize, 64] {
-                for morsel in [16usize, 100, 1024] {
-                    let (got, _) = run(k, batch, morsel);
-                    let shape = format!("faulted={faulted} K={k} batch={batch} morsel={morsel}");
-                    assert_eq!(got.0, base.0, "{shape}: rows diverged");
-                    assert_eq!(got.1, base.1, "{shape}: charges diverged");
-                    assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
-                }
+            for batch in [1usize, 4, 25, 64, 256] {
+                let (got, _) = run(k, batch);
+                let shape = format!("faulted={faulted} K={k} batch={batch}");
+                assert_eq!(got.0, base.0, "{shape}: rows diverged");
+                assert_eq!(got.1, base.1, "{shape}: charges diverged");
+                assert_eq!(got.2, base.2, "{shape}: telemetry diverged");
             }
         }
     }
@@ -327,11 +323,10 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     ];
     for (label, plan, faulted, spec, resilience, rounds, expect) in scenarios {
         let faults = FaultPlan::new(0xFA17).inject(faulted, spec);
-        let run = |k: usize, batch: usize, morsel: usize| {
+        let run = |k: usize, batch: usize| {
             let mut ctx = ExecutionContext::builder(&f.catalog)
                 .with_parallelism(k)
                 .with_batch_size(batch)
-                .with_morsel_size(morsel)
                 .with_fault_plan(faults.clone())
                 .with_resilience(resilience)
                 .build();
@@ -347,7 +342,7 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             }
             seen
         };
-        let base = run(1, 1, 1024);
+        let base = run(1, 1);
 
         // The faulted operator's span, one per run.
         let ops: Vec<&OperatorSpan> = base
@@ -390,12 +385,10 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         }
 
         for k in [1usize, 2, 4] {
-            for batch in [1usize, 7, 64, 256] {
-                for morsel in [64usize, 100, 1024] {
-                    let got = run(k, batch, morsel);
-                    let shape = format!("{label}: K={k} batch={batch} morsel={morsel}");
-                    assert_eq!(got, base, "{shape}: rows, charges or telemetry diverged");
-                }
+            for batch in [1usize, 7, 16, 25, 64, 256] {
+                let got = run(k, batch);
+                let shape = format!("{label}: K={k} batch={batch}");
+                assert_eq!(got, base, "{shape}: rows, charges or telemetry diverged");
             }
         }
     }
@@ -805,12 +798,12 @@ fn blob_at(cell: &Value) -> Option<usize> {
     }
 }
 
-/// A context at `(K, batch, morsel)` that retries a failed UDF call up to
+/// A context at `(K, batch)` that retries a failed UDF call up to
 /// eight times and trips a breaker on the second terminal failure in a
 /// row, injecting `faults` if there are any.
 fn deferred_context<'c>(
     catalog: &'c Catalog,
-    (k, batch, morsel): (usize, usize, usize),
+    (k, batch): (usize, usize),
     faults: Option<&FaultPlan>,
 ) -> ExecutionContext<'c> {
     let retrying = ResilienceConfig::default()
@@ -822,7 +815,6 @@ fn deferred_context<'c>(
     let mut builder = ExecutionContext::builder(catalog)
         .with_parallelism(k)
         .with_batch_size(batch)
-        .with_morsel_size(morsel)
         .with_resilience(retrying);
     if let Some(faults) = faults {
         builder = builder.with_fault_plan(faults.clone());
@@ -831,11 +823,7 @@ fn deferred_context<'c>(
 }
 
 /// `plan` run the engine's way at `shape`.
-fn deferred_run(
-    plan: &LogicalPlan,
-    faults: Option<&FaultPlan>,
-    shape: (usize, usize, usize),
-) -> Observed {
+fn deferred_run(plan: &LogicalPlan, faults: Option<&FaultPlan>, shape: (usize, usize)) -> Observed {
     let mut ctx = deferred_context(&fixture().catalog, shape, faults);
     let result = ctx.run(plan);
     let mut ledger = Ledger::default();
@@ -878,7 +866,7 @@ fn scalar_oracle(plan: &LogicalPlan, faults: Option<&FaultPlan>) -> Observed {
                 (&staged, op.map_children(|_| LogicalPlan::scan("stage")), 1)
             }
         };
-        let mut ctx = deferred_context(catalog, (1, 1, 1024), faults);
+        let mut ctx = deferred_context(catalog, (1, 1), faults);
         let result = ctx.run(&plan);
         ledger.add(&ctx, skip);
         let out = match result {
@@ -919,7 +907,7 @@ fn scalar_oracle(plan: &LogicalPlan, faults: Option<&FaultPlan>) -> Observed {
 /// index, the tuples are built once when asked for — against the scalar
 /// oracle that builds them after every operator: verdict rows (cells,
 /// order, blob `Arc`s), `CostMeter` and telemetry are equal at every
-/// (K, batch, morsel) shape, for chains of one, two and three UDFs and a
+/// (K, batch) shape, for chains of one, two and three UDFs and a
 /// ragged processor (0, 1 or 2 rows per input row) before and after a
 /// UDF, with `Select` on an appended column and on a base one; clean,
 /// under faults that force retries and trip the PP filter's breaker, and
@@ -1018,14 +1006,11 @@ fn deferred_execution_matches_a_tuple_after_every_operator() {
                 .any(|s| s.contains("breaker_tripped: true"));
             failed |= rows.is_err();
             for k in [1usize, 2, 4] {
-                for batch in [1usize, 7, 64] {
-                    for morsel in [16usize, 100] {
-                        let got = deferred_run(plan, fault_plan.as_ref(), (k, batch, morsel));
-                        let shape =
-                            format!("{label}, {faulted}: K={k} batch={batch} morsel={morsel}");
-                        assert_eq!(got.0, want.0, "{shape}: rows");
-                        assert_eq!(got.1, want.1, "{shape}: ledger");
-                    }
+                for batch in [1usize, 4, 7, 25, 64] {
+                    let got = deferred_run(plan, fault_plan.as_ref(), (k, batch));
+                    let shape = format!("{label}, {faulted}: K={k} batch={batch}");
+                    assert_eq!(got.0, want.0, "{shape}: rows");
+                    assert_eq!(got.1, want.1, "{shape}: ledger");
                 }
             }
         }
@@ -1037,7 +1022,7 @@ fn deferred_execution_matches_a_tuple_after_every_operator() {
 }
 
 /// Engine-level edge shapes: an empty table and a single-row table run
-/// identically at extreme batch/morsel settings.
+/// identically at extreme parallelism and batch settings.
 #[test]
 fn edge_shapes_are_shape_independent() {
     use probabilistic_predicates::engine::{Column, DataType, Schema};
@@ -1055,20 +1040,16 @@ fn edge_shapes_are_shape_independent() {
     for table in ["empty", "one"] {
         let plan = LogicalPlan::scan(table);
         let mut base: Option<(String, String, String)> = None;
-        for (k, batch, morsel) in [(1, 1, 1), (8, 64, 1), (8, 1, 4096)] {
+        for (k, batch) in [(1, 1), (8, 1), (8, 64), (8, 4096)] {
             let mut ctx = ExecutionContext::builder(&catalog)
                 .with_parallelism(k)
                 .with_batch_size(batch)
-                .with_morsel_size(morsel)
                 .build();
             let out = ctx.run(&plan).expect("edge run");
             let got = observe(&ctx, &out);
             match &base {
                 None => base = Some(got),
-                Some(b) => assert_eq!(
-                    &got, b,
-                    "{table}: K={k} batch={batch} morsel={morsel} diverged"
-                ),
+                Some(b) => assert_eq!(&got, b, "{table}: K={k} batch={batch} diverged"),
             }
         }
     }

@@ -18,8 +18,7 @@ use std::sync::Arc;
 
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::export::{
-    openmetrics, openmetrics_registry, sanitize_metric_name, Exporter, JsonlExporter,
-    OpenMetricsExporter,
+    openmetrics, openmetrics_registry, sanitize_metric_name, JsonlExporter, OpenMetricsExporter,
 };
 use probabilistic_predicates::engine::telemetry::MetricsRegistry;
 use probabilistic_predicates::engine::udf::{ClosureFilter, ClosureProcessor};

@@ -6,7 +6,7 @@
 //! counting UDF shims *and* the server's `server.sharedscan.*` metrics)
 //! while every per-query observable — verdict rows, `PlanReport`,
 //! `CostMeter` charges, telemetry snapshot — is byte-identical to the
-//! same query submitted solo, across parallelism × batch size,
+//! same query submitted solo, across parallelism,
 //! under mid-window epoch publishes, and under injected worker
 //! panics.
 
@@ -186,15 +186,11 @@ fn wait_success(server: &PpServer, mut req: QueryRequest, shared: bool) -> Query
     }
 }
 
-fn traf_requests(parallelism: usize, batch: usize) -> Vec<QueryRequest> {
+fn traf_requests(parallelism: usize) -> Vec<QueryRequest> {
     traf20_queries()
         .into_iter()
         .filter(|q| q.id <= 4)
-        .map(|q| {
-            QueryRequest::new("traffic", q.predicate, 0.95)
-                .with_parallelism(parallelism)
-                .with_batch_size(batch)
-        })
+        .map(|q| QueryRequest::new("traffic", q.predicate, 0.95).with_parallelism(parallelism))
         .collect()
 }
 
@@ -209,88 +205,87 @@ fn full_window(n: usize) -> SharedScanConfig {
 }
 
 /// The acceptance matrix: four concurrent TRAF-20 queries sharing one
-/// source, window-batched, must answer byte-identically to solo across
-/// parallelism {1,4} × batch size {1,64} — while the window
-/// saves UDF work (counted two ways: shim counters and server metrics).
+/// source, window-batched, must answer byte-identically to solo at
+/// parallelism 1 and 4 — while the window saves UDF work (counted two
+/// ways: shim counters and server metrics). The engine picks the batch
+/// size a served query runs at; the engine-level suites sweep it.
 #[test]
 fn shared_window_matches_solo_across_parallelism_batch() {
     for parallelism in [1usize, 4] {
-        for batch in [1usize, 64] {
-            let requests = traf_requests(parallelism, batch);
+        let requests = traf_requests(parallelism);
 
-            // Solo baseline: fresh counters, strictly sequential.
-            let (mut solo, solo_counts) = make_server(2, SharedScanConfig::default(), None, &[]);
-            let solo_lines: Vec<String> = requests
-                .iter()
-                .map(|r| canonical(&wait_success(&solo, r.clone(), false)))
-                .collect();
-            let solo_total = total_calls(&solo_counts);
-            solo.shutdown();
-            // A solo query is a window of one that is not counted as one.
-            for (name, value) in solo.metrics().samples() {
-                if name.starts_with("server.sharedscan.") {
-                    assert_eq!(value, MetricValue::Counter(0), "solo run bumped {name}");
-                }
+        // Solo baseline: fresh counters, strictly sequential.
+        let (mut solo, solo_counts) = make_server(2, SharedScanConfig::default(), None, &[]);
+        let solo_lines: Vec<String> = requests
+            .iter()
+            .map(|r| canonical(&wait_success(&solo, r.clone(), false)))
+            .collect();
+        let solo_total = total_calls(&solo_counts);
+        solo.shutdown();
+        // A solo query is a window of one that is not counted as one.
+        for (name, value) in solo.metrics().samples() {
+            if name.starts_with("server.sharedscan.") {
+                assert_eq!(value, MetricValue::Counter(0), "solo run bumped {name}");
             }
+        }
 
-            // Shared: all four land in one window.
-            let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| shared.submit(r.clone().shared()).expect("admitted"))
-                .collect();
-            let shared_lines: Vec<String> = tickets
-                .into_iter()
-                .map(|t| match t.wait().outcome {
-                    QueryOutcome::Complete(s) => canonical(&s),
-                    other => panic!("shared query did not complete: {other:?}"),
-                })
-                .collect();
-            // Shutdown joins the pool, so the window job has flushed
-            // its memo stats into the server counters by the time we
-            // read them.
-            shared.shutdown();
-            let shared_total = total_calls(&shared_counts);
-            let invoked = shared
-                .metrics()
-                .counter("server.sharedscan.udf_invocations_total")
-                .get();
-            let saved = shared
-                .metrics()
-                .counter("server.sharedscan.udf_invocations_saved_total")
-                .get();
-            let windows = shared
-                .metrics()
-                .counter("server.sharedscan.windows_total")
-                .get();
-            let window_queries = shared
-                .metrics()
-                .counter("server.sharedscan.window_queries_total")
-                .get();
+        // Shared: all four land in one window.
+        let (mut shared, shared_counts) = make_server(2, full_window(4), None, &[]);
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|r| shared.submit(r.clone().shared()).expect("admitted"))
+            .collect();
+        let shared_lines: Vec<String> = tickets
+            .into_iter()
+            .map(|t| match t.wait().outcome {
+                QueryOutcome::Complete(s) => canonical(&s),
+                other => panic!("shared query did not complete: {other:?}"),
+            })
+            .collect();
+        // Shutdown joins the pool, so the window job has flushed
+        // its memo stats into the server counters by the time we
+        // read them.
+        shared.shutdown();
+        let shared_total = total_calls(&shared_counts);
+        let invoked = shared
+            .metrics()
+            .counter("server.sharedscan.udf_invocations_total")
+            .get();
+        let saved = shared
+            .metrics()
+            .counter("server.sharedscan.udf_invocations_saved_total")
+            .get();
+        let windows = shared
+            .metrics()
+            .counter("server.sharedscan.windows_total")
+            .get();
+        let window_queries = shared
+            .metrics()
+            .counter("server.sharedscan.window_queries_total")
+            .get();
 
-            let ctx = format!("k={parallelism} batch={batch}");
-            assert_eq!(
-                solo_lines, shared_lines,
-                "{ctx}: shared-scan output diverged from solo"
-            );
-            assert_eq!(windows, 1, "{ctx}: expected one window");
-            assert_eq!(window_queries, 4, "{ctx}");
-            // The shim counts actual UDF invocations; the memo metric
-            // must agree, and lookups (invoked + saved) must equal the
-            // solo run's call count exactly — same executions, shared.
-            assert_eq!(invoked, shared_total, "{ctx}");
-            assert_eq!(invoked + saved, solo_total, "{ctx}");
+        let ctx = format!("k={parallelism}");
+        assert_eq!(
+            solo_lines, shared_lines,
+            "{ctx}: shared-scan output diverged from solo"
+        );
+        assert_eq!(windows, 1, "{ctx}: expected one window");
+        assert_eq!(window_queries, 4, "{ctx}");
+        // The shim counts actual UDF invocations; the memo metric
+        // must agree, and lookups (invoked + saved) must equal the
+        // solo run's call count exactly — same executions, shared.
+        assert_eq!(invoked, shared_total, "{ctx}");
+        assert_eq!(invoked + saved, solo_total, "{ctx}");
+        assert!(
+            saved > 0,
+            "{ctx}: overlapping queries must share UDF work (invoked={invoked})"
+        );
+        // At most once per blob per (source, UDF) within the window.
+        for (op, calls) in &shared_counts {
             assert!(
-                saved > 0,
-                "{ctx}: overlapping queries must share UDF work (invoked={invoked})"
+                calls.load(Ordering::Relaxed) <= TABLE_ROWS,
+                "{ctx}: {op} ran more than once per blob"
             );
-            // At most once per blob per (source, UDF) within the window.
-            for (op, calls) in &shared_counts {
-                assert!(
-                    calls.load(Ordering::Relaxed) <= TABLE_ROWS,
-                    "{ctx}: {op} ran more than once per blob"
-                );
-            }
         }
     }
 }
@@ -351,7 +346,7 @@ fn identical_queries_pay_for_each_blob_exactly_once() {
 #[test]
 fn mid_window_epoch_publish_pins_each_member_snapshot() {
     let f = fixture();
-    let requests = traf_requests(1, 64);
+    let requests = traf_requests(1);
 
     let (mut solo, _) = make_server(2, SharedScanConfig::default(), None, &[]);
     let solo_rows: Vec<String> = requests
@@ -395,7 +390,7 @@ fn mid_window_epoch_publish_pins_each_member_snapshot() {
 /// and the panicked member's ticket resolves as a typed `Failed`.
 #[test]
 fn worker_panic_mid_window_sheds_only_the_affected_member() {
-    let requests = traf_requests(1, 64);
+    let requests = traf_requests(1);
 
     let (mut solo, _) = make_server(2, SharedScanConfig::default(), None, &[]);
     let solo_lines: Vec<String> = requests
@@ -453,7 +448,7 @@ fn worker_panic_mid_window_sheds_only_the_affected_member() {
 /// cancelled by its guard).
 #[test]
 fn shutdown_flushes_parked_windows_without_losing_tickets() {
-    let requests = traf_requests(1, 64);
+    let requests = traf_requests(1);
     // max_window larger than the submit count: the window would linger
     // until the 30s wait without the shutdown flush.
     let (mut shared, _) = make_server(1, full_window(8), None, &[]);
@@ -522,7 +517,6 @@ proptest! {
         let queries: Vec<_> = traf20_queries().into_iter().filter(|q| q.id <= 4).collect();
         let build = |e: &MixEntry| {
             QueryRequest::new(e.source, queries[e.query_idx].predicate.clone(), e.accuracy)
-                .with_batch_size(64)
         };
 
         // Solo digests per distinct (source, query, accuracy).

@@ -80,8 +80,6 @@ fn corpus() -> Vec<(&'static str, Frame)> {
     let mut request = WireRequest::new("traffic", predicate, 0.95);
     request.deadline_ms = Some(1500);
     request.parallelism = Some(4);
-    request.batch_size = Some(64);
-    request.morsel_size = Some(128);
     request.shared = true;
 
     vec![
@@ -200,6 +198,11 @@ fn golden_frame(name: &str) -> Vec<u8> {
         .by_ref()
         .take_while(|l| !l.starts_with("# "))
         .collect();
+    unhex(&hex)
+}
+
+/// The bytes `hex` spells, two digits a byte.
+fn unhex(hex: &str) -> Vec<u8> {
     let pairs = hex
         .as_bytes()
         .chunks(2)
@@ -522,6 +525,71 @@ fn reserved_request_byte_accepts_legacy_values_and_ignores_them() {
     ));
 }
 
+/// The golden `request` frame as `PPW1` clients that sized the engine's
+/// work sent it: the same request, with a batch size of 64 and a morsel
+/// size of 128 in the two slots that are reserved now.
+const SIZED_REQUEST: &str = "\
+    5050573101000000760000000774726166666963040000000302000000077665\
+    6854797065000400000003535556050000000202000000057370656564050340\
+    4540000000000003020000000566726f6d490102fffffffffffffff9003fee66\
+    66666666660100000000000005dc0100000004010000004001000000800001";
+
+/// A frame that still sets sizes decodes to the request without them, and
+/// the server runs it as it runs that request: the same rows, the same
+/// operator spans and the same number of probe batches
+/// (`worker.batches_total`) — the engine cuts the rows, not the client.
+#[test]
+fn a_frame_that_sets_sizes_runs_as_the_request_without_them() {
+    let bytes = unhex(SIZED_REQUEST);
+    let Some(Frame::Request(sized)) = read_frame(&mut Cursor::new(&bytes)).expect("decodes") else {
+        panic!("expected a request frame");
+    };
+    assert_eq!(
+        encode_frame(&Frame::Request(sized.clone())),
+        golden_frame("request"),
+        "the sizes are read and dropped"
+    );
+    let mut plain = WireRequest::new(
+        sized.source.clone(),
+        sized.predicate.clone(),
+        sized.accuracy_target,
+    );
+    plain.deadline_ms = sized.deadline_ms;
+    plain.parallelism = sized.parallelism;
+    plain.shared = sized.shared;
+
+    let mut server = sized_server(3000);
+    let batches = || server.metrics().counter("worker.batches_total").get();
+    let run = |inbox: Vec<u8>, request: &WireRequest| {
+        let before = batches();
+        let mut outbox = Vec::new();
+        serve_connection(&server, Cursor::new(inbox), &mut outbox).unwrap();
+        let rows = match read_response(&mut Cursor::new(&outbox[..]))
+            .unwrap()
+            .outcome
+        {
+            WireOutcome::Complete { rows, .. } => format!("{rows:?}"),
+            other => panic!("expected completion, got {other:?}"),
+        };
+        let served = batches() - before;
+        let response = server.submit(request.to_query_request()).unwrap().wait();
+        let mut telemetry = response
+            .outcome
+            .success()
+            .expect("completes")
+            .telemetry
+            .clone();
+        telemetry.zero_wall_clock();
+        (rows, served, format!("{:?}", telemetry.spans))
+    };
+    let mut inbox = Vec::new();
+    write_frame(&mut inbox, &Frame::Request(plain.clone())).unwrap();
+    let want = run(inbox, &plain);
+    assert!(want.1 > 0, "the request probed batches");
+    assert_eq!(run(bytes, &sized), want);
+    server.shutdown();
+}
+
 /// A transport that ends every read at byte `at` of `bytes` and then fails
 /// there: once if the error is `Interrupted`, every time otherwise.
 struct FailingAt {
@@ -597,24 +665,62 @@ fn predicate_depth_bomb_is_rejected() {
     ));
 }
 
-/// A tiny server over a plain integer table (no trained PPs): enough to
-/// drive `serve_connection` end-to-end without the traffic fixture.
-fn tiny_server() -> PpServer {
-    let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
-    let rows = (0..600).map(|i| Row::new(vec![Value::Int(i)])).collect();
-    let mut catalog = Catalog::new();
-    catalog.register("t", Rowset::new(schema, rows).unwrap());
-    let tagger = Arc::new(ClosureProcessor::map(
-        "Tagger",
-        vec![Column::new("tag", DataType::Int)],
+/// A UDF `name` appending column `column`, computed from the row's id.
+fn id_udf(
+    name: &str,
+    column: &str,
+    dtype: DataType,
+    f: impl Fn(i64) -> Value + Send + Sync + 'static,
+) -> Arc<ClosureProcessor> {
+    Arc::new(ClosureProcessor::map(
+        name,
+        vec![Column::new(column, dtype)],
         0.001,
-        |row, _, out| {
-            out.push(Value::Int(row.get(0).as_int()? % 10));
+        move |row, _, out| {
+            out.push(f(row.get(0).as_int()?));
             Ok(())
         },
-    ));
+    ))
+}
+
+/// A tiny server over a plain integer table of 600 rows (no trained PPs):
+/// enough to drive `serve_connection` end-to-end without the traffic
+/// fixture.
+fn tiny_server() -> PpServer {
+    sized_server(600)
+}
+
+/// The tiny server over `rows` ids. Besides `tiny` (`tag = id % 10`) it
+/// serves `traffic`, with the columns the golden request's predicate reads.
+fn sized_server(rows: i64) -> PpServer {
+    let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
+    let rows = (0..rows).map(|i| Row::new(vec![Value::Int(i)])).collect();
+    let mut catalog = Catalog::new();
+    catalog.register("t", Rowset::new(schema, rows).unwrap());
     let mut sources = SourceRegistry::new();
+    let tagger = id_udf("Tagger", "tag", DataType::Int, |id| Value::Int(id % 10));
     sources.register("tiny", SourceSpec::new("t").with_udf("tag", tagger));
+    let types = ["SUV", "sedan", "truck"];
+    let traffic = SourceSpec::new("t")
+        .with_udf(
+            "vehType",
+            id_udf("TypeOf", "vehType", DataType::Str, move |id| {
+                Value::str(types[id as usize % 3])
+            }),
+        )
+        .with_udf(
+            "speed",
+            id_udf("SpeedOf", "speed", DataType::Float, |id| {
+                Value::Float((id % 80) as f64)
+            }),
+        )
+        .with_udf(
+            "fromI",
+            id_udf("FromOf", "fromI", DataType::Int, |id| {
+                Value::Int(id % 9 - 8)
+            }),
+        );
+    sources.register("traffic", traffic);
     PpServer::new(
         ServerConfig {
             workers: 2,
@@ -633,7 +739,6 @@ fn tag_request(shared: bool) -> WireRequest {
         Predicate::Clause(Clause::new("tag", CompareOp::Eq, Value::Int(3))),
         0.9,
     );
-    req.batch_size = Some(64);
     req.shared = shared;
     req
 }
@@ -700,13 +805,13 @@ fn serve_connection_streams_solo_and_shared_results() {
 }
 
 /// A frame may ask for threads; the machine decides how many. A request
-/// for four billion workers over one-row morsels is answered with the rows
-/// of the `K = 1` run, and no fan-out it caused spawned more threads than
-/// the machine has (at most one fan-out per operator: the table is one
-/// wave).
+/// for four billion workers over a table of four morsels is answered with
+/// the rows of the `K = 1` run, and no fan-out it caused spawned more
+/// threads than the machine has (at most one fan-out per operator: the
+/// table is one wave).
 #[test]
 fn a_frame_asking_for_four_billion_threads_gets_the_machines() {
-    let mut server = tiny_server();
+    let mut server = sized_server(4 * 1024);
     let serve = |req: WireRequest| {
         let mut inbox = Vec::new();
         write_frame(&mut inbox, &Frame::Request(req)).unwrap();
@@ -742,7 +847,6 @@ fn a_frame_asking_for_four_billion_threads_gets_the_machines() {
 
     let mut hostile = tag_request(false);
     hostile.parallelism = Some(4_000_000_000);
-    hostile.morsel_size = Some(1);
     assert_eq!(serve(hostile), expected, "rows diverged from the K = 1 run");
     let machine = std::thread::available_parallelism().map_or(1, usize::from) as u64;
     assert!(
@@ -766,12 +870,11 @@ fn a_frame_asking_for_four_billion_threads_gets_the_machines() {
 fn large_results_stream_across_multiple_verdict_frames() {
     let mut server = tiny_server();
     // tag >= 0 matches all 600 rows → 3 chunks of ≤256.
-    let mut req = WireRequest::new(
+    let req = WireRequest::new(
         "tiny",
         Predicate::Clause(Clause::new("tag", CompareOp::Ge, Value::Int(0))),
         0.9,
     );
-    req.batch_size = Some(64);
 
     let mut inbox = Vec::new();
     write_frame(&mut inbox, &Frame::Request(req)).unwrap();
