@@ -44,20 +44,27 @@
 //! by any fault shim) exactly as it would be solo, and leaves none of its
 //! cells in the caller's buffer.
 //!
-//! ## What a hit costs
+//! ## What a lookup costs
 //!
-//! An entry is the flat run of cells the call appended (how many output
-//! rows that is follows from the UDF's column count, as it does for a live
-//! call — see [`Processor::process`]). A hit hashes the row's key cells in
-//! place — the row's first cells, read where the row keeps them — finds
-//! the entry and clones its cells into the caller's buffer: no key is
-//! built and nothing is allocated, so a memoized `Process` row allocates
-//! nothing (`tests/alloc_budget.rs`).
+//! The memo keeps one table per op, which a [`MemoProcessor`] looks up by
+//! name once, when it is built; no op name is hashed or compared per row.
+//! A lookup hashes the row's key cells in place — the row's first cells,
+//! read where the row keeps them — once, with the memo's own keyed hasher,
+//! and the table's index maps that hash, unhashed again, to the newest
+//! entry with it; older ones are chained behind it and told apart by exact
+//! comparison. An entry is a slot in two flat arenas: its key cells, and
+//! the run of cells the call appended (how many output rows that is
+//! follows from the UDF's column count, as it does for a live call — see
+//! [`Processor::process`]). A hit clones those cells into the caller's
+//! buffer. A miss runs the UDF with no lock held and then appends its key
+//! and its fresh cells to the arenas. Neither builds a key or allocates
+//! anything of its own beyond the arenas' and the index's doublings, so a
+//! memoized `Process` row allocates nothing, warm or cold
+//! (`tests/alloc_budget.rs`).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use pp_linalg::Features;
@@ -124,27 +131,103 @@ fn hash_cell(value: &Value, hasher: &mut impl Hasher) {
     }
 }
 
-/// One cached call: what it was keyed on, and the cells it appended.
-struct Entry {
-    op: Arc<str>,
-    key: Box<[CellKey]>,
-    cells: Box<[Value]>,
-}
+/// Hands a `u64` through as its own hash: a table's index is keyed by
+/// hashes the memo's keyed hasher already made.
+#[derive(Default)]
+struct PassThrough(u64);
 
-impl Entry {
-    /// Whether this is the entry of `op` over the `n` key cells `key_cells`
-    /// yields.
-    fn is_for<'a>(&self, op: &str, n: usize, key_cells: impl Iterator<Item = &'a Value>) -> bool {
-        *self.op == *op
-            && self.key.len() == n
-            && self.key.iter().zip(key_cells).all(|(k, v)| k.is(v))
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached for a `u64` key; fold anything else.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
-/// Entries by the hash of their `(op, key cells)`, which a lookup computes
-/// from the row's own cells; a bucket holds the (practically never more
-/// than one) entries sharing a hash, told apart by exact comparison.
-type Cache = HashMap<u64, Vec<Entry>>;
+/// One cached call: where its key cells and its appended cells begin in
+/// the table's arenas (each run ends where the next slot's begins), and
+/// the next older slot whose key has the same hash.
+struct Slot {
+    key: usize,
+    cells: usize,
+    older: Option<u32>,
+}
+
+/// One op's cached calls and counts.
+#[derive(Default)]
+struct Table {
+    /// The newest slot of each key hash.
+    newest: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// In insertion order.
+    slots: Vec<Slot>,
+    keys: Vec<CellKey>,
+    cells: Vec<Value>,
+    invoked: u64,
+    hits: u64,
+}
+
+impl Table {
+    /// The key cells of slot `i`.
+    fn key(&self, i: usize) -> &[CellKey] {
+        let end = self.slots.get(i + 1).map_or(self.keys.len(), |s| s.key);
+        &self.keys[self.slots[i].key..end]
+    }
+
+    /// The cells slot `i`'s call appended.
+    fn cells(&self, i: usize) -> &[Value] {
+        let end = self.slots.get(i + 1).map_or(self.cells.len(), |s| s.cells);
+        &self.cells[self.slots[i].cells..end]
+    }
+
+    /// The slot of the key hashing to `hash` whose cells are the `n`
+    /// cells `key_cells` yields.
+    fn find<'a>(
+        &self,
+        hash: u64,
+        n: usize,
+        key_cells: impl Iterator<Item = &'a Value> + Clone,
+    ) -> Option<usize> {
+        let mut at = self.newest.get(&hash).copied();
+        while let Some(i) = at {
+            let i = i as usize;
+            let key = self.key(i);
+            if key.len() == n && key.iter().zip(key_cells.clone()).all(|(k, v)| k.is(v)) {
+                return Some(i);
+            }
+            at = self.slots[i].older;
+        }
+        None
+    }
+
+    /// Caches `cells` as the output of the call keyed on `key_cells`. A
+    /// table of `u32::MAX` slots caches no more.
+    fn insert<'a>(
+        &mut self,
+        hash: u64,
+        key_cells: impl Iterator<Item = &'a Value>,
+        cells: &[Value],
+    ) {
+        let Ok(slot) = u32::try_from(self.slots.len()) else {
+            return;
+        };
+        self.slots.push(Slot {
+            key: self.keys.len(),
+            cells: self.cells.len(),
+            older: self.newest.insert(hash, slot),
+        });
+        self.keys.extend(key_cells.map(CellKey::of));
+        self.cells.extend_from_slice(cells);
+    }
+}
 
 /// Running totals for a memo's lifetime (one shared-scan window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,11 +249,10 @@ pub struct UdfMemo {
     /// base column count. See the module docs for why appended columns
     /// are excluded.
     key_prefix: usize,
-    cache: Mutex<Cache>,
-    /// Keys the hash of `(op, key cells)`; per memo, like a map's own.
+    /// One table per op, by op name.
+    tables: Mutex<HashMap<Box<str>, Arc<Mutex<Table>>>>,
+    /// Keys the hash of a row's key cells; per memo, like a map's own.
     hasher: RandomState,
-    invoked: AtomicU64,
-    hits: AtomicU64,
 }
 
 impl std::fmt::Debug for UdfMemo {
@@ -189,62 +271,33 @@ impl UdfMemo {
     pub fn new(key_prefix: usize) -> Self {
         UdfMemo {
             key_prefix,
-            cache: Mutex::new(HashMap::new()),
+            tables: Mutex::new(HashMap::new()),
             hasher: RandomState::new(),
-            invoked: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
         }
     }
 
-    /// Current counters.
+    /// Current counters, summed over the ops.
     pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            invoked: self.invoked.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            entries: self.cache.lock().values().map(Vec::len).sum::<usize>() as u64,
-        }
+        let tables = self.tables.lock();
+        tables.values().fold(MemoStats::default(), |sum, table| {
+            let table = table.lock();
+            MemoStats {
+                invoked: sum.invoked + table.invoked,
+                hits: sum.hits + table.hits,
+                entries: sum.entries + table.slots.len() as u64,
+            }
+        })
     }
 
-    /// Appends to `out` what `(op, row)` produced: the cached cells, or —
-    /// on a miss — what `compute` appends, which it hands back to be
-    /// cached. Errors pass through uncached so retries (and re-drawn
-    /// faults) behave exactly as they would solo.
-    fn replay_or_invoke(
-        &self,
-        op: &Arc<str>,
-        row: RowRef<'_>,
-        out: &mut Vec<Value>,
-        compute: impl FnOnce(&mut Vec<Value>) -> Result<Box<[Value]>>,
-    ) -> Result<()> {
-        let n = self.key_prefix.min(row.len());
-        let key_cells = || row.iter().take(n);
-        let mut hasher = self.hasher.build_hasher();
-        op.hash(&mut hasher);
-        for cell in key_cells() {
-            hash_cell(cell, &mut hasher);
+    /// The table of the op named `op`, created on first use.
+    fn table(&self, op: &str) -> Arc<Mutex<Table>> {
+        let mut tables = self.tables.lock();
+        if let Some(table) = tables.get(op) {
+            return Arc::clone(table);
         }
-        let hash = hasher.finish();
-        let find = |bucket: &[Entry]| bucket.iter().position(|e| e.is_for(op, n, key_cells()));
-        if let Some(bucket) = self.cache.lock().get(&hash) {
-            if let Some(hit) = find(bucket) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.extend_from_slice(&bucket[hit].cells);
-                return Ok(());
-            }
-        }
-        let cells = compute(out)?;
-        self.invoked.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache.lock();
-        let bucket = cache.entry(hash).or_default();
-        // A sibling may have computed the same (pure) call meanwhile.
-        if find(bucket).is_none() {
-            bucket.push(Entry {
-                op: Arc::clone(op),
-                key: key_cells().map(CellKey::of).collect(),
-                cells,
-            });
-        }
-        Ok(())
+        let table = Arc::new(Mutex::new(Table::default()));
+        tables.insert(Box::from(op), Arc::clone(&table));
+        table
     }
 }
 
@@ -255,16 +308,17 @@ impl UdfMemo {
 /// unmemoized evaluation order exactly.
 pub struct MemoProcessor {
     inner: Arc<dyn Processor>,
-    /// Interned once so every key shares one allocation.
-    op: Arc<str>,
     memo: Arc<UdfMemo>,
+    /// The memo's table for `inner`'s name, shared with every other shim
+    /// of the same name over the same memo.
+    table: Arc<Mutex<Table>>,
 }
 
 impl MemoProcessor {
     /// Wraps `inner` so invocations consult (and populate) `memo`.
     pub fn new(inner: Arc<dyn Processor>, memo: Arc<UdfMemo>) -> Self {
-        let op: Arc<str> = Arc::from(inner.name());
-        MemoProcessor { inner, op, memo }
+        let table = memo.table(inner.name());
+        MemoProcessor { inner, memo, table }
     }
 }
 
@@ -286,11 +340,34 @@ impl Processor for MemoProcessor {
     fn cost_per_row(&self) -> f64 {
         self.inner.cost_per_row()
     }
+    /// Appends the cached cells of `row`'s key, or — on a miss — what the
+    /// wrapped UDF appends, which is then cached. Errors pass through
+    /// uncached so retries (and re-drawn faults) behave exactly as they
+    /// would solo.
     fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
-        self.memo.replay_or_invoke(&self.op, row, out, |out| {
-            crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
-                Ok(Box::from(&*fresh))
-            })
+        let n = self.memo.key_prefix.min(row.len());
+        let key_cells = row.iter().take(n);
+        let mut hasher = self.memo.hasher.build_hasher();
+        for cell in key_cells.clone() {
+            hash_cell(cell, &mut hasher);
+        }
+        let hash = hasher.finish();
+        {
+            let mut table = self.table.lock();
+            if let Some(hit) = table.find(hash, n, key_cells.clone()) {
+                table.hits += 1;
+                out.extend_from_slice(table.cells(hit));
+                return Ok(());
+            }
+        }
+        crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
+            let mut table = self.table.lock();
+            table.invoked += 1;
+            // A sibling may have computed the same (pure) call meanwhile.
+            if table.find(hash, n, key_cells.clone()).is_none() {
+                table.insert(hash, key_cells, fresh);
+            }
+            Ok(())
         })
     }
 }
@@ -315,11 +392,11 @@ mod tests {
     use crate::row::Row;
     use crate::schema::DataType;
     use crate::udf::ClosureProcessor;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn counting_udf(calls: Arc<AtomicUsize>) -> Arc<dyn Processor> {
+    fn counting_udf(name: &str, calls: Arc<AtomicUsize>) -> Arc<dyn Processor> {
         Arc::new(ClosureProcessor::map(
-            "Doubler",
+            name,
             vec![Column::new("doubled", DataType::Int)],
             0.5,
             move |row, schema, out| {
@@ -343,7 +420,8 @@ mod tests {
     fn memo_invokes_once_per_key_and_preserves_output() {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
-        let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
+        let udf = counting_udf("Doubler", Arc::clone(&calls));
+        let shim = MemoProcessor::new(udf, Arc::clone(&memo));
         let row = Row::new(vec![Value::Int(21)]);
         let first = cells(&shim, &row).unwrap();
         let second = cells(&shim, &row).unwrap();
@@ -358,7 +436,8 @@ mod tests {
     fn distinct_keys_each_invoke() {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
-        let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
+        let udf = counting_udf("Doubler", Arc::clone(&calls));
+        let shim = MemoProcessor::new(udf, Arc::clone(&memo));
         for id in 0..4 {
             cells(&shim, &Row::new(vec![Value::Int(id)])).unwrap();
         }
@@ -370,7 +449,8 @@ mod tests {
     fn key_prefix_ignores_appended_columns() {
         let calls = Arc::new(AtomicUsize::new(0));
         let memo = Arc::new(UdfMemo::new(1));
-        let shim = MemoProcessor::new(counting_udf(Arc::clone(&calls)), Arc::clone(&memo));
+        let udf = counting_udf("Doubler", Arc::clone(&calls));
+        let shim = MemoProcessor::new(udf, Arc::clone(&memo));
         // Same base cell, different appended tail: one real invocation.
         let bare = Row::new(vec![Value::Int(7)]);
         let extended = Row::new(vec![Value::Int(7), Value::str("tagged")]);
@@ -378,6 +458,31 @@ mod tests {
         let b = cells(&shim, &extended).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    /// The op is no part of the hash, so ops are kept apart by their
+    /// tables: differently named shims over one row each invoke, and
+    /// same-named ones share the entry.
+    #[test]
+    fn ops_are_apart_and_a_name_shares_its_entries() {
+        let memo = Arc::new(UdfMemo::new(1));
+        let row = Row::new(vec![Value::Int(5)]);
+        let shim = |name, calls: &Arc<AtomicUsize>| {
+            MemoProcessor::new(counting_udf(name, Arc::clone(calls)), Arc::clone(&memo))
+        };
+        let (a_calls, b_calls) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        cells(&shim("A", &a_calls), &row).unwrap();
+        cells(&shim("B", &b_calls), &row).unwrap();
+        assert_eq!(a_calls.load(Ordering::SeqCst), 1);
+        assert_eq!(b_calls.load(Ordering::SeqCst), 1);
+        assert_eq!(memo.stats().entries, 2);
+
+        let again_calls = Arc::new(AtomicUsize::new(0));
+        let again = cells(&shim("A", &again_calls), &row).unwrap();
+        assert_eq!(format!("{again:?}"), "[Int(10)]");
+        assert_eq!(again_calls.load(Ordering::SeqCst), 0, "A's entry answers");
+        let stats = memo.stats();
+        assert_eq!((stats.invoked, stats.hits, stats.entries), (2, 1, 2));
     }
 
     #[test]
@@ -409,7 +514,8 @@ mod tests {
         assert!(shim.process(RowRef::from(&row), &schema, &mut out).is_ok());
         assert_eq!(out.len(), 1);
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
-        assert_eq!(memo.stats().invoked, 1);
+        let stats = memo.stats();
+        assert_eq!((stats.invoked, stats.entries), (1, 1));
     }
 
     #[test]
@@ -421,25 +527,47 @@ mod tests {
         assert!(CellKey::of(&Value::Float(f64::NAN)).is(&Value::Float(f64::NAN)));
     }
 
+    /// A memo over one blob column, and a shim of a UDF writing the blob's
+    /// dimension, counting its calls.
+    fn blob_dim_shim(calls: &Arc<AtomicUsize>) -> (Arc<UdfMemo>, MemoProcessor, Arc<Schema>) {
+        let calls = Arc::clone(calls);
+        let udf = Arc::new(ClosureProcessor::map(
+            "Dim",
+            vec![Column::new("dim", DataType::Int)],
+            0.5,
+            move |row, _, out| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                out.push(Value::Int(row.get(0).as_blob()?.dim() as i64));
+                Ok(())
+            },
+        ));
+        let memo = Arc::new(UdfMemo::new(1));
+        let shim = MemoProcessor::new(udf, Arc::clone(&memo));
+        let schema = Schema::new(vec![Column::new("frame", DataType::Blob)]).unwrap();
+        (memo, shim, schema)
+    }
+
+    /// Blobs key by identity: equal coordinates in two `Arc`s are two keys.
+    #[test]
+    fn equal_blobs_in_distinct_arcs_are_two_keys() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (memo, shim, schema) = blob_dim_shim(&calls);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            let row = Row::new(vec![Value::blob(Features::Dense(vec![1.0, 2.0]))]);
+            shim.process(RowRef::from(&row), &schema, &mut out).unwrap();
+        }
+        assert_eq!(format!("{out:?}"), "[Int(2), Int(2)]");
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(memo.stats().entries, 2);
+    }
+
     /// An entry keeps the blobs it is keyed on alive, so their addresses
     /// cannot be reused by other blobs while the memo can match them.
     #[test]
     fn an_entry_holds_its_blob() {
-        let memo = Arc::new(UdfMemo::new(1));
-        let shim = MemoProcessor::new(
-            Arc::new(ClosureProcessor::map(
-                "Dim",
-                vec![Column::new("dim", DataType::Int)],
-                0.5,
-                |row, _, out| {
-                    out.push(Value::Int(row.get(0).as_blob()?.dim() as i64));
-                    Ok(())
-                },
-            )),
-            Arc::clone(&memo),
-        );
+        let (memo, shim, schema) = blob_dim_shim(&Arc::new(AtomicUsize::new(0)));
         let blob = Arc::new(Features::Dense(vec![1.0, 2.0]));
-        let schema = Schema::new(vec![Column::new("frame", DataType::Blob)]).unwrap();
         let row = Row::new(vec![Value::Blob(Arc::clone(&blob))]);
         let mut out = Vec::new();
         shim.process(RowRef::from(&row), &schema, &mut out).unwrap();

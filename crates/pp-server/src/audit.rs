@@ -17,8 +17,9 @@
 //!    through the plan's PP filters to find the dropped set, a
 //!    deterministic seeded per-`(query, row)` coin samples a configured
 //!    fraction of them, and the sampled blobs are replayed through the
-//!    source's *ground-truth* UDF pipeline (memoized per source via
-//!    [`UdfMemo`], so repeated audits of the same blob pay once). A
+//!    source's *ground-truth* UDF pipeline (memoized per table for the
+//!    pass via [`UdfMemo`], so the pass's audits of the same blob pay
+//!    once, and the auditor's state stays O(expressions)). A
 //!    sampled blob whose UDF-derived columns satisfy the query predicate
 //!    is a **false drop**. All replay cost is summed into the auditor's
 //!    own cluster-seconds — it never touches any query's bill, verdicts,
@@ -167,11 +168,9 @@ pub struct AuditPassReport {
 struct AuditState {
     pending: VecDeque<AuditTask>,
     stats: BTreeMap<String, ExprStats>,
-    /// Per-source replay memo: repeated audits of the same blob through
-    /// the same UDF pay the invocation once (shared-scan reuse).
-    memos: HashMap<String, Arc<UdfMemo>>,
     /// Simulated cluster-seconds of every replay so far: a sum, so the
-    /// state is O(expressions + memoised blobs), not O(replays).
+    /// state is O(expressions), not O(replays); the replay memo lives for
+    /// one pass (`run_pass`).
     audit_seconds: f64,
 }
 
@@ -198,7 +197,6 @@ impl Auditor {
             state: Mutex::new(AuditState {
                 pending: VecDeque::new(),
                 stats: BTreeMap::new(),
-                memos: HashMap::new(),
                 audit_seconds: 0.0,
             }),
         }
@@ -422,9 +420,11 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let n = state.pending.len().min(config.max_tasks_per_pass.max(1));
         state.pending.drain(..n).collect()
     };
-    // Each table is decoded once per pass and shared by that pass's
-    // tasks; nothing outlives the pass.
-    let mut tables: HashMap<&str, Option<Rowset>> = HashMap::new();
+    // Each table is decoded once per pass and shared, with a replay memo,
+    // by that pass's tasks; nothing outlives the pass. (A segment table
+    // decodes fresh blob `Arc`s on every read, so a memo kept across
+    // passes would never hit again and only hold every blob it had seen.)
+    let mut tables: HashMap<&str, Option<(Rowset, Arc<UdfMemo>)>> = HashMap::new();
     for task in tasks {
         let Some(chosen) = task.plan.report.chosen.as_ref() else {
             continue;
@@ -434,10 +434,11 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         };
         // `read_table` decodes segment tables too, so audit replay covers
         // out-of-core sources.
-        let Some(table) = tables
-            .entry(spec.table())
-            .or_insert_with(|| inner.data.read_table(spec.table()).ok())
-        else {
+        let Some((table, memo)) = tables.entry(spec.table()).or_insert_with(|| {
+            let table = inner.data.read_table(spec.table()).ok()?;
+            let memo = Arc::new(UdfMemo::new(table.schema().len()));
+            Some((table, memo))
+        }) else {
             continue;
         };
         let filters = collect_pp_filters(&task.plan.plan);
@@ -446,21 +447,13 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         }
         let base_schema = table.schema().clone();
         let used = task.plan.predicate.columns();
-        let processors: Vec<Arc<dyn Processor>> = {
-            let mut state = inner.audit.state.lock();
-            let memo = state
-                .memos
-                .entry(spec.table().to_string())
-                .or_insert_with(|| Arc::new(UdfMemo::new(base_schema.len())));
-            let memo = Arc::clone(memo);
-            spec.udf_processors()
-                .filter(|(column, _)| used.contains(*column))
-                .map(|(_, p)| {
-                    Arc::new(MemoProcessor::new(Arc::clone(p), Arc::clone(&memo)))
-                        as Arc<dyn Processor>
-                })
-                .collect()
-        };
+        let processors: Vec<Arc<dyn Processor>> = spec
+            .udf_processors()
+            .filter(|(column, _)| used.contains(*column))
+            .map(|(_, p)| {
+                Arc::new(MemoProcessor::new(Arc::clone(p), Arc::clone(memo))) as Arc<dyn Processor>
+            })
+            .collect();
         let mut dropped_rows = 0u64;
         let mut sampled_rows = 0u64;
         let mut false_drops = 0u64;

@@ -4,8 +4,8 @@
 //! The probe→consume fold hands one record per *batch* from the probe
 //! phase to the consume phase, so what a PP filter allocates grows with
 //! the number of batches, not rows; and so does what a processor
-//! allocates, whether the UDF ran, ran behind another, or was answered by
-//! a warm `UdfMemo`: the UDF writes its cells into the batch's buffer
+//! allocates, whether the UDF ran, ran behind another, or ran behind a
+//! `UdfMemo`, cold or warm: the UDF writes its cells into the batch's buffer
 //! (`Processor::process`), consume moves them into the operator's one
 //! output buffer, and no tuple is built — the result is a deferred
 //! `Rowset`, whose `rows()` builds each tuple once, in one allocation,
@@ -24,8 +24,8 @@
 //! The runtime monitor is held to the same kind of budget: it folds every
 //! observed run into fixed-size state per key, so what it holds after ten
 //! thousand more runs is, to the byte, what it held before them. So is the
-//! accuracy auditor: a maintenance pass over replays it has memoised
-//! leaves nothing behind.
+//! accuracy auditor: a maintenance pass leaves nothing behind, its replay
+//! memo included, over an in-memory table and over a segment table alike.
 //!
 //! Planning has a budget too, because for a never-repeating predicate
 //! stream it is the critical path. A PP carries its key, normal form and
@@ -267,9 +267,10 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
 
     // A `Process` row costs nothing of its own — not in the UDF (it
     // writes into the batch's buffer; the traffic UDFs' categoricals are
-    // interned), not between probe and consume, not in a memo hit, and not
-    // for a tuple: the cells go on into the operator's one output buffer
-    // and the rows stay deferred. What is left is per batch.
+    // interned), not between probe and consume, not in a memo lookup, hit
+    // or miss, and not for a tuple: the cells go on into the operator's
+    // one output buffer and the rows stay deferred. What is left is per
+    // batch.
     let assert_per_row = |what: &str, processes: u64, (small, large): (u64, u64)| {
         let per_batch = PROCESS_ALLOCATIONS_PER_BATCH * (extra_batches * processes) as f64;
         let per_row = ((large - small) as f64 - per_batch) / (extra_rows * processes) as f64;
@@ -288,8 +289,25 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
         .process(udf("speed"));
     assert_per_row("Process → Process", 2, spent_through(&chain, None));
 
+    // A cold memo: every row misses, runs the UDF and is cached, in a
+    // slot of its op's arenas rather than an allocation of its own.
+    let key_prefix = dataset.table().schema().len();
+    let cold = |rows: usize| {
+        let memo = Arc::new(UdfMemo::new(key_prefix));
+        let mut catalog = Catalog::new();
+        dataset.register_slice(&mut catalog, 400..400 + rows);
+        let allocations = run_counted_through(&catalog, &chain, Some(&memo)).allocations;
+        assert_eq!(memo.stats().hits, 0, "a cold memo only misses");
+        allocations
+    };
+    assert_per_row(
+        "Process → Process behind a cold memo",
+        2,
+        (cold(SMALL), cold(LARGE)),
+    );
+
     // Every frame is in the memo after one pass; the counted passes hit.
-    let memo = Arc::new(UdfMemo::new(dataset.table().schema().len()));
+    let memo = Arc::new(UdfMemo::new(key_prefix));
     spent_through(&chain, Some(&memo));
     let warm = memo.stats();
     let hits = spent_through(&chain, Some(&memo));
@@ -627,13 +645,15 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
     );
 }
 
-/// The auditor's state is O(expressions + memoised blobs), not O(replays):
-/// once a warm-up cycle has replayed every dropped blob (`sample_fraction
-/// = 1.0`) and so filled the per-table memo, a further identical cycle's
-/// maintenance pass returns with the calling thread holding no more than
-/// it held going in. The pass runs on this thread and serving on the
-/// worker's, which this thread's counters do not see — hence the mark
-/// brackets the pass, not the cycle.
+/// The auditor's state is O(expressions), not O(replays) or O(blobs
+/// replayed): once a warm-up cycle has replayed every dropped blob
+/// (`sample_fraction = 1.0`), a further identical cycle's maintenance pass
+/// returns with the calling thread holding no more than it held going in —
+/// its replay memo lives for the pass. The table is in memory, and then a
+/// segment, whose every read decodes fresh blob `Arc`s that a memo kept
+/// across passes would hold on to and never hit. The pass runs on this
+/// thread and serving on the worker's, which this thread's counters do not
+/// see — hence the mark brackets the pass, not the cycle.
 #[test]
 fn the_auditor_holds_no_more_after_another_identical_cycle() {
     let dataset = TrafficDataset::generate(TrafficConfig {
@@ -657,52 +677,78 @@ fn the_auditor_holds_no_more_after_another_identical_cycle() {
     for (col, values) in TrafficDataset::column_domains() {
         domains.declare(col, values);
     }
-    let mut catalog = Catalog::new();
-    dataset.register_slice(&mut catalog, 400..800);
-    let mut sources = SourceRegistry::new();
-    let udf = dataset.udf(&clause.column).expect("known column");
-    sources.register(
-        "traffic",
-        SourceSpec::new("traffic").with_udf(&clause.column, udf),
-    );
-    let server = PpServer::new(
-        ServerConfig {
-            workers: 1,
-            audit: AuditConfig {
-                sample_fraction: 1.0,
+
+    let in_memory = {
+        let mut catalog = Catalog::new();
+        dataset.register_slice(&mut catalog, 400..800);
+        catalog
+    };
+    let dir = std::env::temp_dir().join(format!("pp-alloc-audit-{}", std::process::id()));
+    let segments = {
+        let frames = dataset.table().rows()[400..800].to_vec();
+        let table = Rowset::new(dataset.table().schema().clone(), frames).expect("rowset");
+        let paths = SegmentWriter::new(SegmentWriterConfig {
+            rows_per_group: 256,
+        })
+        .write_shards(&dir, "audit", &table, 1)
+        .expect("write");
+        let mut catalog = Catalog::new();
+        let scan = SegmentScan::open(&paths).expect("open");
+        catalog.register_provider("traffic", Arc::new(scan));
+        catalog
+    };
+
+    for (source, catalog) in [("in memory", in_memory), ("segments", segments)] {
+        let mut sources = SourceRegistry::new();
+        let udf = dataset.udf(&clause.column).expect("known column");
+        sources.register(
+            "traffic",
+            SourceSpec::new("traffic").with_udf(&clause.column, udf),
+        );
+        let mut server = PpServer::new(
+            ServerConfig {
+                workers: 1,
+                audit: AuditConfig {
+                    sample_fraction: 1.0,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        },
-        catalog,
-        sources,
-        pps,
-        domains,
-    );
-
-    // Four servings of one query, then the pass that audits them: what the
-    // pass replayed, and what it left this thread holding.
-    let cycle = || {
-        for _ in 0..4 {
-            let request = QueryRequest::new("traffic", Predicate::from(clause.clone()), 0.95);
-            let response = server.submit(request).expect("admitted").wait();
-            assert!(response.outcome.success().is_some(), "the query completes");
-        }
-        let held = LIVE.with(Cell::get);
-        let replays = server.maintenance_now().audit.replays;
-        (replays, LIVE.with(Cell::get) - held)
-    };
-    let (warm_replays, _) = cycle();
-    assert!(warm_replays >= 400, "only {warm_replays} replays to hold");
-    for _ in 0..2 {
-        let (replays, grew) = cycle();
-        assert_eq!(replays, warm_replays, "the cycles are identical");
-        assert!(
-            grew <= 0,
-            "the auditor grew by {grew} bytes over {replays} memoised replays"
+            catalog,
+            sources,
+            pps.clone(),
+            domains.clone(),
         );
+
+        // Four servings of one query, then the pass that audits them: what
+        // the pass replayed, and what it left this thread holding.
+        let cycle = || {
+            for _ in 0..4 {
+                let request = QueryRequest::new("traffic", Predicate::from(clause.clone()), 0.95);
+                let response = server.submit(request).expect("admitted").wait();
+                assert!(response.outcome.success().is_some(), "the query completes");
+            }
+            let held = LIVE.with(Cell::get);
+            let replays = server.maintenance_now().audit.replays;
+            (replays, LIVE.with(Cell::get) - held)
+        };
+        let (warm_replays, _) = cycle();
+        assert!(
+            warm_replays >= 400,
+            "{source}: only {warm_replays} replays to hold"
+        );
+        for _ in 0..2 {
+            let (replays, grew) = cycle();
+            assert_eq!(replays, warm_replays, "{source}: the cycles are identical");
+            assert!(
+                grew <= 0,
+                "{source}: the auditor grew by {grew} bytes over {replays} replays"
+            );
+        }
+        assert!(server.auditor().cluster_seconds() > 0.0);
+        server.shutdown();
     }
-    assert!(server.auditor().cluster_seconds() > 0.0);
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 // ---------------------------------------------------------------------------
