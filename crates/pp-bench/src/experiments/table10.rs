@@ -8,9 +8,9 @@
 //! possible PP combination decrease but not substantially" when half the
 //! corpus is dropped.
 
-use pp_core::alloc::{allocate, AccuracyGrid};
+use pp_core::alloc::allocate;
 use pp_core::combine::plan_cost_per_blob;
-use pp_core::rewrite::{rewrite, RewriteConfig};
+use pp_core::rewrite::rewrite;
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 
 use crate::setup::traffic_setup;
@@ -68,8 +68,6 @@ fn example_predicates() -> Vec<(&'static str, Predicate)> {
 fn run() -> Result<Report> {
     let setup = traffic_setup(4_000, 1_500, 0xF1A)?;
     let udf_cost = 0.05; // representative downstream UDF cost per blob
-    let grid = AccuracyGrid::default();
-    let cfg = RewriteConfig::default();
     let mut report = Report::default();
     // Per corpus, per predicate: (feasible plans, picked expr, its est. r).
     let mut picked: Vec<Vec<(u64, String, f64)>> = Vec::new();
@@ -98,10 +96,10 @@ fn run() -> Result<Report> {
         ]);
         let mut per_predicate = Vec::new();
         for (label, pred) in example_predicates() {
-            let outcome = rewrite(&pred, &catalog, &setup.domains, &cfg);
+            let outcome = rewrite(&pred, &catalog, &setup.domains);
             let mut costed: Vec<(String, f64, f64)> = Vec::new(); // (expr, r, plan cost)
             for cand in &outcome.candidates {
-                if let Ok(planned) = allocate(cand, 0.95, udf_cost, &grid) {
+                if let Ok(planned) = allocate(cand, 0.95, udf_cost) {
                     costed.push((
                         planned.expr.to_string(),
                         planned.estimate.reduction,

@@ -146,10 +146,7 @@ impl TrafSetup {
         PpQueryOptimizer::new(
             self.pp_catalog.clone(),
             self.domains.clone(),
-            QoConfig {
-                accuracy_target,
-                ..Default::default()
-            },
+            QoConfig { accuracy_target },
         )
     }
 

@@ -4,12 +4,13 @@
 //! budget to individual PPs ... The first problem translates to a dynamic
 //! program which we omit for brevity."
 //!
-//! The DP here: discretize per-leaf accuracies onto a grid; compute for
-//! every sub-expression a *curve* mapping each grid accuracy `g` to the
-//! best-known (lowest plan cost) estimate whose combined accuracy is at
-//! least `g`, folding children with the Eq. 9/10 algebra; read the answer
-//! at the query's accuracy target. Plan cost is `c + (1 − r) · u` (§3),
-//! so the objective correctly trades filter cost against saved UDF work.
+//! The DP here: discretize per-leaf accuracies onto [`ACCURACY_GRID`];
+//! compute for every sub-expression a *curve* mapping each grid accuracy
+//! `g` to the best-known (lowest plan cost) estimate whose combined
+//! accuracy is at least `g`, folding children with the Eq. 9/10 algebra;
+//! read the answer at the query's accuracy target. Plan cost is
+//! `c + (1 − r) · u` (§3), so the objective correctly trades filter cost
+//! against saved UDF work.
 //!
 //! A fold tries every pair of entries of two curves against every grid
 //! level the pair satisfies, so curve entries are `Copy`: an estimate, its
@@ -25,57 +26,19 @@ use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
 use crate::pp::ProbabilisticPredicate;
 use crate::{PpError, Result};
 
-/// The discrete per-leaf accuracy levels the DP considers.
+/// The discrete per-leaf accuracy levels the DP considers: ascending,
+/// distinct, in (0, 1].
 ///
-/// Always contains 1.0, so any target ≤ 1 is feasible (all leaves at full
+/// Ends at 1.0, so any target ≤ 1 is feasible (all leaves at full
 /// accuracy combine to ≥ target under conjunction; disjunction only
 /// improves accuracy).
-#[derive(Debug, Clone)]
-pub struct AccuracyGrid {
-    /// Ascending accuracy levels in (0, 1].
-    points: Vec<f64>,
-}
+pub const ACCURACY_GRID: [f64; 16] = [
+    0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998, 0.999, 1.0,
+];
 
-impl Default for AccuracyGrid {
-    /// Already what [`AccuracyGrid::new`] would make of it: ascending,
-    /// distinct, in (0, 1], ending at 1.0.
-    fn default() -> Self {
-        AccuracyGrid {
-            points: vec![
-                0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998,
-                0.999, 1.0,
-            ],
-        }
-    }
-}
-
-impl AccuracyGrid {
-    /// Builds a grid; points are sorted, deduplicated, and must lie in
-    /// (0, 1]. 1.0 is appended when missing.
-    pub fn new(mut points: Vec<f64>) -> Result<Self> {
-        if points.iter().any(|&p| !(p > 0.0 && p <= 1.0)) {
-            return Err(PpError::InvalidParameter("grid points must be in (0, 1]"));
-        }
-        if !points.contains(&1.0) {
-            points.push(1.0);
-        }
-        points.sort_by(f64::total_cmp);
-        points.dedup();
-        if points.is_empty() {
-            return Err(PpError::InvalidParameter("grid must be non-empty"));
-        }
-        Ok(AccuracyGrid { points })
-    }
-
-    /// The grid points, ascending.
-    pub fn points(&self) -> &[f64] {
-        &self.points
-    }
-
-    /// Index of the smallest grid point ≥ `a` (for reading answers).
-    fn ceil_index(&self, a: f64) -> Option<usize> {
-        self.points.iter().position(|&p| p >= a - 1e-12)
-    }
+/// Index of the smallest grid point ≥ `a` (for reading answers).
+fn ceil_index(a: f64) -> Option<usize> {
+    ACCURACY_GRID.iter().position(|&p| p >= a - 1e-12)
 }
 
 /// One entry of a sub-expression's DP curve. `Copy`: installing it in a
@@ -100,7 +63,7 @@ enum Back {
 }
 
 /// `curve[i]` is the best entry with combined accuracy ≥
-/// `grid.points()[i]`, if any.
+/// `ACCURACY_GRID[i]`, if any.
 type Curve = Vec<Option<CurveEntry>>;
 
 /// Whether an entry costing `plan_cost` takes `slot`: first seen wins
@@ -110,14 +73,13 @@ fn beats(slot: &Option<CurveEntry>, plan_cost: f64) -> bool {
 }
 
 /// The budget DP for the candidates of one `optimize` call: one target,
-/// one downstream UDF cost, one grid. A leaf's curve depends on nothing
-/// else but the leaf, so it is built once and shared by every candidate
-/// the leaf appears in.
+/// one downstream UDF cost. A leaf's curve depends on nothing else but
+/// the leaf, so it is built once and shared by every candidate the leaf
+/// appears in.
 #[derive(Debug)]
-pub struct BudgetDp<'g> {
+pub struct BudgetDp {
     target: f64,
     udf_cost: f64,
-    grid: &'g AccuracyGrid,
     /// Leaf curves by what determines them
     /// ([`same_estimates`](ProbabilisticPredicate::same_estimates)): the
     /// planner's calibration corrections mint a fresh `Arc` per candidate,
@@ -129,15 +91,14 @@ pub struct BudgetDp<'g> {
     arena: Vec<[Back; 2]>,
 }
 
-impl<'g> BudgetDp<'g> {
+impl BudgetDp {
     /// A DP reading its answers at `target` (validated when a candidate is
     /// [allocated](Self::allocate)) and costing plans as `c + (1 − r)·u`
     /// with `u = udf_cost`.
-    pub fn new(target: f64, udf_cost: f64, grid: &'g AccuracyGrid) -> Self {
+    pub fn new(target: f64, udf_cost: f64) -> Self {
         BudgetDp {
             target,
             udf_cost,
-            grid,
             leaf_curves: Vec::new(),
             arena: Vec::new(),
         }
@@ -154,17 +115,8 @@ impl<'g> BudgetDp<'g> {
         }
         self.build_leaf_curves(expr)?;
         self.arena.clear();
-        let curve = fold_curve(
-            expr,
-            &self.leaf_curves,
-            &mut self.arena,
-            self.udf_cost,
-            self.grid.points(),
-        )?;
-        let idx = self
-            .grid
-            .ceil_index(target)
-            .ok_or(PpError::InfeasibleAccuracy(target))?;
+        let curve = fold_curve(expr, &self.leaf_curves, &mut self.arena, self.udf_cost)?;
+        let idx = ceil_index(target).ok_or(PpError::InfeasibleAccuracy(target))?;
         // The best entry at or above the target index.
         let mut best: Option<CurveEntry> = None;
         for entry in curve.iter().skip(idx).flatten() {
@@ -190,7 +142,7 @@ impl<'g> BudgetDp<'g> {
         match expr {
             PpExpr::Leaf(pp) => {
                 if !self.leaf_curves.iter().any(|(l, _)| l.same_estimates(pp)) {
-                    let curve = leaf_curve(pp, self.udf_cost, self.grid.points())?;
+                    let curve = leaf_curve(pp, self.udf_cost)?;
                     self.leaf_curves.push((Arc::clone(pp), curve));
                 }
                 Ok(())
@@ -205,13 +157,8 @@ impl<'g> BudgetDp<'g> {
 /// Allocates the accuracy budget over `expr`'s leaves to minimize plan cost
 /// `c + (1 − r)·u` subject to combined accuracy ≥ `target`: a
 /// [`BudgetDp`] of one candidate.
-pub fn allocate(
-    expr: &PpExpr,
-    target: f64,
-    udf_cost: f64,
-    grid: &AccuracyGrid,
-) -> Result<PlannedPpExpr> {
-    BudgetDp::new(target, udf_cost, grid).allocate(expr)
+pub fn allocate(expr: &PpExpr, target: f64, udf_cost: f64) -> Result<PlannedPpExpr> {
+    BudgetDp::new(target, udf_cost).allocate(expr)
 }
 
 /// Appends the per-leaf accuracies behind `back`, in leaf pre-order.
@@ -228,9 +175,9 @@ fn spell(back: Back, arena: &[[Back; 2]], out: &mut Vec<f64>) {
 
 /// A leaf's curve: set to accuracy `a` it achieves exactly `a`, and
 /// satisfies every grid level ≤ `a`.
-fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64, g: &[f64]) -> Result<Curve> {
-    let mut curve: Curve = vec![None; g.len()];
-    for (i, &a) in g.iter().enumerate() {
+fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64) -> Result<Curve> {
+    let mut curve: Curve = vec![None; ACCURACY_GRID.len()];
+    for (i, &a) in ACCURACY_GRID.iter().enumerate() {
         let estimate = Estimate {
             accuracy: a,
             reduction: pp.reduction(a)?,
@@ -259,7 +206,6 @@ fn fold_curve<'c>(
     leaf_curves: &'c [(Arc<ProbabilisticPredicate>, Curve)],
     arena: &mut Vec<[Back; 2]>,
     udf_cost: f64,
-    g: &[f64],
 ) -> Result<Cow<'c, [Option<CurveEntry>]>> {
     let (children, combine): (_, fn(Estimate, Estimate) -> Estimate) = match expr {
         PpExpr::Leaf(pp) => {
@@ -277,18 +223,18 @@ fn fold_curve<'c>(
     };
     let mut acc: Option<Cow<'c, [Option<CurveEntry>]>> = None;
     for child in children {
-        let child_curve = fold_curve(child, leaf_curves, arena, udf_cost, g)?;
+        let child_curve = fold_curve(child, leaf_curves, arena, udf_cost)?;
         let Some(prev) = acc else {
             acc = Some(child_curve);
             continue;
         };
-        let mut merged: Curve = vec![None; g.len()];
+        let mut merged: Curve = vec![None; ACCURACY_GRID.len()];
         for a in prev.iter().flatten() {
             for b in child_curve.iter().flatten() {
                 let estimate = combine(a.estimate, b.estimate);
                 // The combined entry satisfies every grid level up to its
                 // achieved accuracy.
-                let Some(upto) = highest_satisfied(g, estimate.accuracy) else {
+                let Some(upto) = highest_satisfied(estimate.accuracy) else {
                     continue;
                 };
                 let plan_cost = plan_cost_per_blob(&estimate, udf_cost);
@@ -316,8 +262,8 @@ fn fold_curve<'c>(
 }
 
 /// Largest grid index whose level is satisfied by `accuracy`.
-fn highest_satisfied(grid: &[f64], accuracy: f64) -> Option<usize> {
-    grid.iter().rposition(|&p| p <= accuracy + 1e-12)
+fn highest_satisfied(accuracy: f64) -> Option<usize> {
+    ACCURACY_GRID.iter().rposition(|&p| p <= accuracy + 1e-12)
 }
 
 #[cfg(test)]
@@ -333,13 +279,13 @@ mod tests {
     /// The reference the DP is held against: every leaf gets the same grid
     /// accuracy — the smallest one whose combined accuracy still meets the
     /// target.
-    fn allocate_uniform(expr: &PpExpr, target: f64, grid: &AccuracyGrid) -> Result<PlannedPpExpr> {
+    fn allocate_uniform(expr: &PpExpr, target: f64) -> Result<PlannedPpExpr> {
         if !(target > 0.0 && target <= 1.0) {
             return Err(PpError::InvalidParameter(
                 "accuracy target must be in (0, 1]",
             ));
         }
-        for &a in grid.points() {
+        for a in ACCURACY_GRID {
             let assignment = Assignment::uniform(expr, a)?;
             let estimate = expr.estimate(&assignment)?;
             if estimate.accuracy >= target - 1e-12 {
@@ -354,24 +300,21 @@ mod tests {
     }
 
     #[test]
-    fn grid_validation() {
-        assert!(AccuracyGrid::new(vec![0.5, 0.9]).is_ok());
-        assert!(AccuracyGrid::new(vec![0.0]).is_err());
-        assert!(AccuracyGrid::new(vec![1.5]).is_err());
-        // 1.0 appended automatically.
-        let g = AccuracyGrid::new(vec![0.9]).unwrap();
-        assert_eq!(g.points(), &[0.9, 1.0]);
-        // The default skips validation because it would pass it unchanged.
-        let default = AccuracyGrid::default();
-        let validated = AccuracyGrid::new(default.points().to_vec()).unwrap();
-        assert_eq!(default.points(), validated.points());
+    fn grid_is_ascending_distinct_in_unit_interval_and_ends_at_one() {
+        assert!(ACCURACY_GRID.iter().all(|&p| p > 0.0 && p <= 1.0));
+        assert!(ACCURACY_GRID.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ACCURACY_GRID.last(), Some(&1.0));
+        assert_eq!(ceil_index(0.95), Some(7));
+        assert_eq!(ceil_index(0.951), Some(8));
+        assert_eq!(ceil_index(0.1), Some(0));
+        assert_eq!(highest_satisfied(0.949), Some(6));
+        assert_eq!(highest_satisfied(0.4), None);
     }
 
     #[test]
     fn single_leaf_allocation_meets_target() {
         let e = leaf(1, 0.001);
-        let grid = AccuracyGrid::default();
-        let planned = allocate(&e, 0.95, 10.0, &grid).unwrap();
+        let planned = allocate(&e, 0.95, 10.0).unwrap();
         assert!(planned.estimate.accuracy >= 0.95 - 1e-12);
         // The allocator should relax accuracy down to the target (more
         // reduction), not pin it at 1.0.
@@ -381,8 +324,7 @@ mod tests {
     #[test]
     fn conjunction_splits_budget() {
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(2, 0.001)]);
-        let grid = AccuracyGrid::default();
-        let planned = allocate(&e, 0.95, 10.0, &grid).unwrap();
+        let planned = allocate(&e, 0.95, 10.0).unwrap();
         assert!(planned.estimate.accuracy >= 0.95 - 1e-12);
         // Each leaf accuracy must exceed the overall target (they multiply).
         for &a in planned.assignment.accuracies() {
@@ -393,10 +335,9 @@ mod tests {
     #[test]
     fn dp_at_least_as_good_as_uniform() {
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(5, 0.02)]);
-        let grid = AccuracyGrid::default();
         let u = 5.0;
-        let dp = allocate(&e, 0.9, u, &grid).unwrap();
-        let uniform = allocate_uniform(&e, 0.9, &grid).unwrap();
+        let dp = allocate(&e, 0.9, u).unwrap();
+        let uniform = allocate_uniform(&e, 0.9).unwrap();
         assert!(
             plan_cost_per_blob(&dp.estimate, u) <= plan_cost_per_blob(&uniform.estimate, u) + 1e-9,
             "dp={:?} uniform={:?}",
@@ -424,12 +365,11 @@ mod tests {
             PpExpr::And(vec![PpExpr::Or(vec![la, lc.clone()]), halved()]),
             PpExpr::Or(vec![lb, lc]),
         ];
-        let grid = AccuracyGrid::default();
         for target in [0.9, 0.95, 1.0] {
-            let mut shared = BudgetDp::new(target, 5.0, &grid);
+            let mut shared = BudgetDp::new(target, 5.0);
             for cand in &candidates {
                 let together = shared.allocate(cand).unwrap();
-                let alone = allocate(cand, target, 5.0, &grid).unwrap();
+                let alone = allocate(cand, target, 5.0).unwrap();
                 assert_eq!(together.assignment, alone.assignment, "{cand} at {target}");
                 assert_eq!(together.estimate, alone.estimate, "{cand} at {target}");
             }
@@ -441,8 +381,7 @@ mod tests {
     #[test]
     fn full_accuracy_target_forces_ones_under_conjunction() {
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(2, 0.001)]);
-        let grid = AccuracyGrid::default();
-        let planned = allocate(&e, 1.0, 10.0, &grid).unwrap();
+        let planned = allocate(&e, 1.0, 10.0).unwrap();
         for &a in planned.assignment.accuracies() {
             assert_eq!(a, 1.0);
         }
@@ -453,8 +392,7 @@ mod tests {
         // Under the dependence-safe bound a = min(a_i), every disjunct
         // must individually meet the target (no branch starvation).
         let e = PpExpr::Or(vec![leaf(1, 0.001), leaf(2, 0.001)]);
-        let grid = AccuracyGrid::default();
-        let planned = allocate(&e, 0.99, 10.0, &grid).unwrap();
+        let planned = allocate(&e, 0.99, 10.0).unwrap();
         assert!(planned.estimate.accuracy >= 0.99 - 1e-12);
         for &a in planned.assignment.accuracies() {
             assert!(a >= 0.99 - 1e-12, "leaf accuracy {a}");
@@ -464,10 +402,9 @@ mod tests {
     #[test]
     fn rejects_bad_targets() {
         let e = leaf(1, 0.001);
-        let grid = AccuracyGrid::default();
-        assert!(allocate(&e, 0.0, 1.0, &grid).is_err());
-        assert!(allocate(&e, 1.5, 1.0, &grid).is_err());
-        assert!(allocate_uniform(&e, 0.0, &grid).is_err());
+        assert!(allocate(&e, 0.0, 1.0).is_err());
+        assert!(allocate(&e, 1.5, 1.0).is_err());
+        assert!(allocate_uniform(&e, 0.0).is_err());
     }
 
     #[test]
@@ -477,8 +414,7 @@ mod tests {
         // leaves — that is the enumerator's job), but plan cost reflects
         // the filter burden.
         let e = leaf(3, 50.0);
-        let grid = AccuracyGrid::default();
-        let planned = allocate(&e, 0.95, 0.001, &grid).unwrap();
+        let planned = allocate(&e, 0.95, 0.001).unwrap();
         assert!(plan_cost_per_blob(&planned.estimate, 0.001) >= 50.0);
     }
 }

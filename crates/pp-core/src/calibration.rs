@@ -146,16 +146,6 @@ impl CalibrationTracker {
         }
     }
 
-    /// All tracked keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.sums.keys().cloned().collect()
-    }
-
-    /// Forgets `key` (e.g. after retraining the PP).
-    pub fn clear(&mut self, key: &str) {
-        self.sums.remove(key);
-    }
-
     /// The bias/MAE summary for `key`, or `None` if never recorded.
     pub fn summary(&self, key: &str) -> Option<CalibrationSummary> {
         self.sums.get(key).map(CalibrationSums::summary)
@@ -280,15 +270,5 @@ mod tests {
         // Entries come out sorted by key.
         let keys: Vec<&str> = report.entries.iter().map(|e| e.key.as_str()).collect();
         assert_eq!(keys, vec!["skewed", "stable"]);
-    }
-
-    #[test]
-    fn clear_forgets_the_key() {
-        let mut t = CalibrationTracker::new();
-        t.record("k", rec(0.5, 0.5));
-        assert_eq!(t.keys(), vec!["k"]);
-        t.clear("k");
-        assert!(t.summary("k").is_none());
-        assert!(t.keys().is_empty());
     }
 }

@@ -52,7 +52,7 @@ pub use catalog::{CatalogEpoch, CatalogSnapshot, PpCatalog, SnapshotGarbage, Ver
 pub use expr::PpExpr;
 pub use planner::{PpQueryOptimizer, QoConfig, ZonePushdownReport};
 pub use pp::ProbabilisticPredicate;
-pub use runtime::{MonitorConfig, QuarantineReason, RuntimeMonitor};
+pub use runtime::{QuarantineReason, RuntimeMonitor};
 
 /// Errors produced by the PP core.
 #[derive(Debug)]

@@ -16,42 +16,38 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pp_engine::cost::CostModel;
 use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
 use pp_engine::logical::{LogicalPlan, OpParallelism};
 use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 
-use crate::alloc::{AccuracyGrid, BudgetDp};
+use crate::alloc::BudgetDp;
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{Assignment, PlannedPpExpr, PpExpr, PpExprFilter};
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
-use crate::rewrite::{rewrite, RewriteConfig};
+use crate::rewrite::rewrite;
 use crate::runtime::RuntimeMonitor;
 use crate::wrangle::Domains;
 use crate::{PpError, Result};
 
-/// Configuration of the PP query optimizer.
+/// Configuration of the PP query optimizer. The rewrite caps (§6.1, e.g.
+/// [`MAX_PPS`](crate::rewrite::MAX_PPS)) and the allocation grid (§6.2,
+/// [`ACCURACY_GRID`](crate::alloc::ACCURACY_GRID)) are planner policy:
+/// constants, not fields.
 #[derive(Debug, Clone)]
 pub struct QoConfig {
     /// Query-level accuracy threshold `a` (§4; users "specify a desired
     /// accuracy threshold").
     pub accuracy_target: f64,
-    /// Rewrite-search tunables (§6.1).
-    pub rewrite: RewriteConfig,
-    /// Accuracy grid for budget allocation (§6.2).
-    pub grid: AccuracyGrid,
 }
 
 impl Default for QoConfig {
     fn default() -> Self {
         QoConfig {
             accuracy_target: 0.95,
-            rewrite: RewriteConfig::default(),
-            grid: AccuracyGrid::default(),
         }
     }
 }
@@ -231,8 +227,7 @@ impl PpQueryOptimizer {
                 report: PlanReport {
                     optimize_seconds: started.elapsed().as_secs_f64(),
                     partitionability: plan.partitionability(),
-                    predictions: predict(plan, catalog, &CostModel::default(), &Default::default())
-                        .unwrap_or_default(),
+                    predictions: predict(plan, catalog, &Default::default()).unwrap_or_default(),
                     ..Default::default()
                 },
                 pp_filters: Vec::new(),
@@ -285,12 +280,7 @@ impl PpQueryOptimizer {
                 });
                 out_plan = out_plan.with_scan_pushdown(&table, &push);
             }
-            let outcome = rewrite(
-                &predicate,
-                &self.pp_catalog,
-                &self.domains,
-                &self.config.rewrite,
-            );
+            let outcome = rewrite(&predicate, &self.pp_catalog, &self.domains);
             // Dependent-predicate fix: flagged predicates may only use a
             // single PP. Broken PPs (fault-quarantined by the monitor) are
             // excluded outright — injecting a filter that keeps failing
@@ -311,7 +301,7 @@ impl PpQueryOptimizer {
                 .collect();
             report.feasible_count = outcome.feasible_count;
 
-            let mut dp = BudgetDp::new(self.config.accuracy_target, udf_cost, &self.config.grid);
+            let mut dp = BudgetDp::new(self.config.accuracy_target, udf_cost);
             let mut best: Option<(f64, PlannedPpExpr)> = None;
             for cand in candidates {
                 let planned = match dp.allocate(&cand) {
@@ -384,8 +374,7 @@ impl PpQueryOptimizer {
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
         report.partitionability = out_plan.partitionability();
-        report.predictions =
-            predict(&out_plan, catalog, &CostModel::default(), &hints).unwrap_or_default();
+        report.predictions = predict(&out_plan, catalog, &hints).unwrap_or_default();
         Ok(OptimizedQuery {
             plan: out_plan,
             report,
@@ -600,7 +589,6 @@ mod tests {
         let (cat, plan) = setup(400, 2)?;
         let config = QoConfig {
             accuracy_target: 1.0,
-            ..Default::default()
         };
         let qo = PpQueryOptimizer::new(pp_catalog()?, Domains::new(), config);
         let optimized = qo.optimize(&plan, &cat)?;
@@ -821,7 +809,6 @@ mod tests {
         )?);
         let config = QoConfig {
             accuracy_target: 1.0,
-            ..Default::default()
         };
         let qo = PpQueryOptimizer::new(ppcat, Domains::new(), config);
         let monitor = RuntimeMonitor::new();

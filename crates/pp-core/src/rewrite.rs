@@ -32,29 +32,14 @@ use crate::expr::PpExpr;
 use crate::pp::ProbabilisticPredicate;
 use crate::wrangle::{Domains, Wrangler};
 
-/// Tunables for the rewrite search.
-#[derive(Debug, Clone, Copy)]
-pub struct RewriteConfig {
-    /// Maximum number of PPs per expression (the paper's `k`).
-    pub max_pps: usize,
-    /// Cap on CNF size during normalization.
-    pub cnf_cap: usize,
-    /// Maximum candidate expressions returned.
-    pub max_candidates: usize,
-    /// How many whole-group PPs may be conjoined per CNF group.
-    pub max_group_conj: usize,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> Self {
-        RewriteConfig {
-            max_pps: 4,
-            cnf_cap: 64,
-            max_candidates: 16,
-            max_group_conj: 2,
-        }
-    }
-}
+/// Maximum number of PPs per expression (the paper's `k`).
+pub const MAX_PPS: usize = 4;
+/// Cap on CNF size during normalization.
+const CNF_CAP: usize = 64;
+/// Maximum candidate expressions returned.
+const MAX_CANDIDATES: usize = 16;
+/// How many whole-group PPs may be conjoined per CNF group.
+const MAX_GROUP_CONJ: usize = 2;
 
 /// One way to cover a single CNF group with PPs.
 #[derive(Debug, Clone)]
@@ -70,7 +55,7 @@ struct GroupImpl {
 /// count the paper reports in Table 10.
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
-    /// Candidate expressions, best-ranked first, each using ≤ `max_pps`
+    /// Candidate expressions, best-ranked first, each using ≤ [`MAX_PPS`]
     /// PPs and implied by the query predicate.
     pub candidates: Vec<PpExpr>,
     /// Total number of feasible (group-subset × implementation) plans
@@ -88,14 +73,9 @@ struct GroupAnalysis {
 }
 
 /// Rewrites `pred` into candidate PP expressions using the catalog.
-pub fn rewrite(
-    pred: &Predicate,
-    catalog: &PpCatalog,
-    domains: &Domains,
-    config: &RewriteConfig,
-) -> RewriteOutcome {
+pub fn rewrite(pred: &Predicate, catalog: &PpCatalog, domains: &Domains) -> RewriteOutcome {
     let wrangled = Wrangler::new(domains, catalog).wrangle(pred);
-    let Some(cnf) = wrangled.to_cnf(config.cnf_cap) else {
+    let Some(cnf) = wrangled.to_cnf(CNF_CAP) else {
         return RewriteOutcome {
             candidates: Vec::new(),
             feasible_count: 0,
@@ -104,11 +84,11 @@ pub fn rewrite(
     // Implementations per CNF group.
     let groups: Vec<GroupAnalysis> = cnf
         .iter()
-        .map(|group| analyze_group(group, catalog, config))
+        .map(|group| analyze_group(group, catalog))
         .collect();
 
-    let feasible_count = count_feasible(&groups, config.max_pps);
-    let candidates = enumerate_candidates(&groups, config);
+    let feasible_count = count_feasible(&groups);
+    let candidates = enumerate_candidates(&groups);
     RewriteOutcome {
         candidates,
         feasible_count,
@@ -116,7 +96,7 @@ pub fn rewrite(
 }
 
 /// Analyzes one CNF group `c1 ∨ … ∨ cm`.
-fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) -> GroupAnalysis {
+fn analyze_group(group: &[Clause], catalog: &PpCatalog) -> GroupAnalysis {
     let mut impls: Vec<GroupImpl> = Vec::new();
     let mut counting: Vec<(usize, u64)> = Vec::new();
     let group_pred = if group.len() == 1 {
@@ -142,10 +122,10 @@ fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) 
     // a PP with one its predicate implies (s ≥ 60 ∧ s ≥ 50) adds cost but
     // no filtering power, and the independence estimate would wrongly
     // credit it with extra reduction. Count all pairs.
-    if whole.len() >= 2 && config.max_group_conj >= 2 {
+    if whole.len() >= 2 {
         let mut subset: Vec<Arc<ProbabilisticPredicate>> = Vec::new();
         for pp in &whole {
-            if subset.len() >= config.max_group_conj {
+            if subset.len() >= MAX_GROUP_CONJ {
                 break;
             }
             let redundant = subset.iter().any(|s| s.implies(pp) || pp.implies(s));
@@ -190,7 +170,7 @@ fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) 
             for o in &options {
                 combos = combos.saturating_mul(o.len() as u64).min(1_000_000);
             }
-            counting.push((group.len().min(config.max_pps), combos));
+            counting.push((group.len().min(MAX_PPS), combos));
 
             let picks: Vec<Arc<ProbabilisticPredicate>> =
                 options.iter().map(|o| o[0].clone()).collect();
@@ -236,19 +216,19 @@ fn analyze_group(group: &[Clause], catalog: &PpCatalog, config: &RewriteConfig) 
 
 /// Counts feasible plans: choices of a non-empty subset of groups, one
 /// implementation each, within the PP budget. (Table 10's "# plans".)
-fn count_feasible(groups: &[GroupAnalysis], max_pps: usize) -> u64 {
+fn count_feasible(groups: &[GroupAnalysis]) -> u64 {
     // DP over groups: ways[b] = number of (subset, impl) choices using
     // exactly b PPs. Saturating arithmetic: counts are reported, not used
     // for search.
-    let mut ways: Vec<u64> = vec![0; max_pps + 1];
+    let mut ways: Vec<u64> = vec![0; MAX_PPS + 1];
     ways[0] = 1;
     for group in groups {
         let mut next = ways.clone(); // skipping this group
         for &(leaves, count) in &group.counting {
-            if leaves > max_pps || count == 0 {
+            if leaves > MAX_PPS || count == 0 {
                 continue;
             }
-            for b in 0..=(max_pps - leaves) {
+            for b in 0..=(MAX_PPS - leaves) {
                 let add = ways[b].saturating_mul(count);
                 if add > 0 {
                     next[b + leaves] = next[b + leaves].saturating_add(add);
@@ -261,7 +241,7 @@ fn count_feasible(groups: &[GroupAnalysis], max_pps: usize) -> u64 {
 }
 
 /// Greedy candidate enumeration: group combinations in efficiency order.
-fn enumerate_candidates(groups: &[GroupAnalysis], config: &RewriteConfig) -> Vec<PpExpr> {
+fn enumerate_candidates(groups: &[GroupAnalysis]) -> Vec<PpExpr> {
     let mut candidates: Vec<(f64, PpExpr)> = Vec::new();
     // Order groups by the score of their best implementation.
     let mut group_order: Vec<usize> = (0..groups.len())
@@ -276,7 +256,7 @@ fn enumerate_candidates(groups: &[GroupAnalysis], config: &RewriteConfig) -> Vec
     // Single-group candidates: every implementation of every group.
     for &g in &group_order {
         for gi in &groups[g].impls {
-            if gi.leaves <= config.max_pps {
+            if gi.leaves <= MAX_PPS {
                 candidates.push((gi.score, gi.expr.clone()));
             }
         }
@@ -286,10 +266,10 @@ fn enumerate_candidates(groups: &[GroupAnalysis], config: &RewriteConfig) -> Vec
     // greedy chains that vary one group's choice at a time.
     if group_order.len() >= 2 {
         let product: usize = group_order.iter().map(|&g| groups[g].impls.len()).product();
-        if product <= config.max_candidates.max(8) {
-            cartesian_chains(groups, &group_order, config, &mut candidates);
+        if product <= MAX_CANDIDATES {
+            cartesian_chains(groups, &group_order, &mut candidates);
         } else {
-            vary_one_chains(groups, &group_order, config, &mut candidates);
+            vary_one_chains(groups, &group_order, &mut candidates);
         }
     }
     // Rank, dedupe by display form, cap.
@@ -300,7 +280,7 @@ fn enumerate_candidates(groups: &[GroupAnalysis], config: &RewriteConfig) -> Vec
         let key = expr.to_string();
         if seen.insert(key) {
             out.push(expr);
-            if out.len() >= config.max_candidates {
+            if out.len() >= MAX_CANDIDATES {
                 break;
             }
         }
@@ -310,14 +290,7 @@ fn enumerate_candidates(groups: &[GroupAnalysis], config: &RewriteConfig) -> Vec
 
 /// All combinations of one implementation per group (small cross products
 /// only), including sub-chains that skip trailing groups over budget.
-#[allow(clippy::too_many_arguments)] // recursive enumeration state
-fn cartesian_chains(
-    groups: &[GroupAnalysis],
-    order: &[usize],
-    config: &RewriteConfig,
-    out: &mut Vec<(f64, PpExpr)>,
-) {
-    #[allow(clippy::too_many_arguments)]
+fn cartesian_chains(groups: &[GroupAnalysis], order: &[usize], out: &mut Vec<(f64, PpExpr)>) {
     fn rec(
         groups: &[GroupAnalysis],
         order: &[usize],
@@ -325,7 +298,6 @@ fn cartesian_chains(
         parts: &mut Vec<PpExpr>,
         leaves: usize,
         score: f64,
-        config: &RewriteConfig,
         out: &mut Vec<(f64, PpExpr)>,
     ) {
         if pos == order.len() {
@@ -335,7 +307,7 @@ fn cartesian_chains(
             return;
         }
         for gi in &groups[order[pos]].impls {
-            if leaves + gi.leaves <= config.max_pps {
+            if leaves + gi.leaves <= MAX_PPS {
                 parts.push(gi.expr.clone());
                 rec(
                     groups,
@@ -344,26 +316,20 @@ fn cartesian_chains(
                     parts,
                     leaves + gi.leaves,
                     score + gi.score,
-                    config,
                     out,
                 );
                 parts.pop();
             }
         }
         // Also allow skipping this group.
-        rec(groups, order, pos + 1, parts, leaves, score, config, out);
+        rec(groups, order, pos + 1, parts, leaves, score, out);
     }
-    rec(groups, order, 0, &mut Vec::new(), 0, 0.0, config, out);
+    rec(groups, order, 0, &mut Vec::new(), 0, 0.0, out);
 }
 
 /// Greedy chains (best impl per group), varying one group's choice at a
 /// time, one chain per greedy-order starting point.
-fn vary_one_chains(
-    groups: &[GroupAnalysis],
-    order: &[usize],
-    config: &RewriteConfig,
-    out: &mut Vec<(f64, PpExpr)>,
-) {
+fn vary_one_chains(groups: &[GroupAnalysis], order: &[usize], out: &mut Vec<(f64, PpExpr)>) {
     let build = |choice: &dyn Fn(usize) -> usize, start: usize| -> Option<(f64, PpExpr)> {
         let mut parts = Vec::new();
         let mut leaves = 0usize;
@@ -371,7 +337,7 @@ fn vary_one_chains(
         for (i, &g) in order.iter().enumerate().skip(start) {
             let idx = choice(i).min(groups[g].impls.len() - 1);
             let gi = &groups[g].impls[idx];
-            if leaves + gi.leaves > config.max_pps {
+            if leaves + gi.leaves > MAX_PPS {
                 continue;
             }
             parts.push(gi.expr.clone());
@@ -459,7 +425,7 @@ mod tests {
             Predicate::from(Clause::new("t", CompareOp::Eq, "van")),
         );
         let cat = traf_catalog();
-        let out = rewrite(&pred, &cat, &domains(), &RewriteConfig::default());
+        let out = rewrite(&pred, &cat, &domains());
         assert!(!out.candidates.is_empty());
         assert!(out.feasible_count >= 3, "count={}", out.feasible_count);
         // Candidates include an OR of the two equality PPs.
@@ -491,7 +457,7 @@ mod tests {
             Predicate::from(Clause::new("s", CompareOp::Lt, 65.0)),
         );
         let cat = traf_catalog();
-        let out = rewrite(&pred, &cat, &domains(), &RewriteConfig::default());
+        let out = rewrite(&pred, &cat, &domains());
         assert!(!out.candidates.is_empty());
         // The best multi-group candidate conjoins a ≥60-side PP with a
         // ≤65-side PP.
@@ -540,10 +506,9 @@ mod tests {
                 Predicate::from(Clause::new("t", CompareOp::Eq, "van")),
             ),
         ]);
-        let cfg = RewriteConfig::default();
         let d = domains();
-        let small = rewrite(&two_clause, &cat, &d, &cfg);
-        let big = rewrite(&four_clause, &cat, &d, &cfg);
+        let small = rewrite(&two_clause, &cat, &d);
+        let big = rewrite(&four_clause, &cat, &d);
         assert!(
             big.feasible_count > small.feasible_count,
             "big={} small={}",
@@ -552,7 +517,7 @@ mod tests {
         );
         for c in &big.candidates {
             assert!(implies(&four_clause, &c.mimicked()), "not implied: {c}");
-            assert!(c.leaf_count() <= cfg.max_pps);
+            assert!(c.leaf_count() <= MAX_PPS);
         }
     }
 
@@ -567,10 +532,9 @@ mod tests {
         let full = traf_catalog();
         let mut halved = traf_catalog();
         halved.retain(|pp| !pp.key().starts_with("t ="));
-        let cfg = RewriteConfig::default();
         let d = domains();
-        let out_full = rewrite(&pred, &full, &d, &cfg);
-        let out_half = rewrite(&pred, &halved, &d, &cfg);
+        let out_full = rewrite(&pred, &full, &d);
+        let out_half = rewrite(&pred, &halved, &d);
         assert!(out_half.feasible_count < out_full.feasible_count);
         assert!(!out_half.candidates.is_empty());
         for c in &out_half.candidates {
@@ -582,13 +546,15 @@ mod tests {
     fn no_catalog_no_candidates() {
         let pred = Predicate::from(Clause::new("t", CompareOp::Eq, "SUV"));
         let cat = PpCatalog::new();
-        let out = rewrite(&pred, &cat, &domains(), &RewriteConfig::default());
+        let out = rewrite(&pred, &cat, &domains());
         assert!(out.candidates.is_empty());
         assert_eq!(out.feasible_count, 0);
     }
 
     #[test]
     fn budget_k_limits_leaf_count() {
+        // Five leaves would cover every group: one per speed bound, two
+        // for the vehicle-type disjunction, one for the colour.
         let pred = Predicate::And(vec![
             Predicate::from(Clause::new("s", CompareOp::Gt, 60.0)),
             Predicate::from(Clause::new("s", CompareOp::Lt, 65.0)),
@@ -596,15 +562,30 @@ mod tests {
                 Predicate::from(Clause::new("t", CompareOp::Eq, "SUV")),
                 Predicate::from(Clause::new("t", CompareOp::Eq, "van")),
             ),
+            Predicate::from(Clause::new("c", CompareOp::Eq, "white")),
         ]);
-        let cat = traf_catalog();
-        let cfg = RewriteConfig {
-            max_pps: 2,
-            ..Default::default()
-        };
-        let out = rewrite(&pred, &cat, &domains(), &cfg);
+        let mut cat = traf_catalog();
+        let base = trained_pp(0.3, 99, 0.001);
+        cat.insert(
+            ProbabilisticPredicate::new(
+                Predicate::from(Clause::new("c", CompareOp::Eq, "white")),
+                base.pipeline().clone(),
+                0.001,
+            )
+            .unwrap(),
+        );
+        let out = rewrite(&pred, &cat, &domains());
         for c in &out.candidates {
-            assert!(c.leaf_count() <= 2, "too many PPs: {c}");
+            assert!(c.leaf_count() <= MAX_PPS, "too many PPs: {c}");
         }
+        // The cap binds: the widest candidates stop at exactly k.
+        assert!(
+            out.candidates.iter().any(|c| c.leaf_count() == MAX_PPS),
+            "{:?}",
+            out.candidates
+                .iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+        );
     }
 }

@@ -51,78 +51,29 @@ impl Observation {
     }
 }
 
-/// Thresholds governing when the monitor flags or quarantines a PP.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Estimate-vs-observation reduction deviation above which a single
-    /// observation is "dramatic" and flags its predicate as dependent
-    /// (Appendix A.5's runtime fix).
-    pub deviation_threshold: f64,
-    /// Fraction of failed filter calls above which a PP is considered
-    /// broken (once `min_calls` have been seen).
-    pub fault_rate_threshold: f64,
-    /// Minimum recorded calls before the fault rate is trusted; prevents a
-    /// single unlucky call from quarantining a healthy PP.
-    pub min_calls: u64,
-    /// Mean absolute reduction-calibration error above which a PP key is
-    /// considered drifted ([`RuntimeMonitor::needs_replan`] fires and the
-    /// planner applies a reduction correction).
-    pub calibration_error_threshold: f64,
-    /// Minimum calibration records for a key before its error is trusted.
-    pub calibration_min_samples: u64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            deviation_threshold: 0.15,
-            fault_rate_threshold: 0.5,
-            min_calls: 10,
-            calibration_error_threshold: 0.15,
-            calibration_min_samples: 2,
-        }
-    }
-}
-
-impl MonitorConfig {
-    /// Sets the dependency-deviation threshold.
-    pub fn with_deviation_threshold(mut self, t: f64) -> Self {
-        self.deviation_threshold = t;
-        self
-    }
-
-    /// Sets the broken-PP fault-rate threshold.
-    pub fn with_fault_rate_threshold(mut self, t: f64) -> Self {
-        self.fault_rate_threshold = t;
-        self
-    }
-
-    /// Sets the minimum calls before fault rates are trusted.
-    pub fn with_min_calls(mut self, n: u64) -> Self {
-        self.min_calls = n;
-        self
-    }
-
-    /// Sets the calibration reduction-MAE threshold.
-    pub fn with_calibration_error_threshold(mut self, t: f64) -> Self {
-        self.calibration_error_threshold = t;
-        self
-    }
-
-    /// Sets the minimum calibration samples before drift is trusted.
-    pub fn with_calibration_min_samples(mut self, n: u64) -> Self {
-        self.calibration_min_samples = n;
-        self
-    }
-}
+/// Estimate-vs-observation reduction deviation above which a single
+/// observation is "dramatic" and flags its predicate as dependent
+/// (Appendix A.5's runtime fix).
+pub const DEVIATION_THRESHOLD: f64 = 0.15;
+/// Fraction of failed filter calls at or above which a PP is considered
+/// broken (once [`MIN_CALLS`] have been seen).
+pub const FAULT_RATE_THRESHOLD: f64 = 0.5;
+/// Minimum recorded calls before the fault rate is trusted; prevents a
+/// single unlucky call from quarantining a healthy PP.
+pub const MIN_CALLS: u64 = 10;
+/// Mean absolute reduction-calibration error above which a PP key is
+/// considered drifted ([`RuntimeMonitor::needs_replan`] fires and the
+/// planner applies a reduction correction).
+pub const CALIBRATION_ERROR_THRESHOLD: f64 = 0.15;
+/// Minimum calibration records for a key before its error is trusted.
+pub const CALIBRATION_MIN_SAMPLES: u64 = 2;
 
 /// Why a PP was quarantined — kept so operators can ask "why is this PP
 /// not being used?" instead of reverse-engineering the broken set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// Its observed failure rate crossed
-    /// [`fault_rate_threshold`](MonitorConfig::fault_rate_threshold) at
-    /// these cumulative counters.
+    /// Its observed failure rate crossed [`FAULT_RATE_THRESHOLD`] at these
+    /// cumulative counters.
     FaultRate {
         /// Filter calls recorded when the threshold was crossed.
         calls: u64,
@@ -171,7 +122,6 @@ impl FaultStats {
 /// per-PP fault health (broken set), feeding both back into planning.
 #[derive(Debug, Default)]
 pub struct RuntimeMonitor {
-    config: MonitorConfig,
     inner: RwLock<Inner>,
 }
 
@@ -190,8 +140,8 @@ struct Inner {
 }
 
 impl Inner {
-    fn observe(&mut self, config: &MonitorConfig, predicate_key: &str, obs: Observation) {
-        if obs.deviation() > config.deviation_threshold && !self.flagged.contains(predicate_key) {
+    fn observe(&mut self, predicate_key: &str, obs: Observation) {
+        if obs.deviation() > DEVIATION_THRESHOLD && !self.flagged.contains(predicate_key) {
             self.flagged.insert(predicate_key.to_string());
         }
     }
@@ -200,14 +150,7 @@ impl Inner {
     /// quarantines it on a crossed fault rate or a tripped breaker. The
     /// first recorded cause wins: it is the reason the PP *became*
     /// quarantined.
-    fn record_faults(
-        &mut self,
-        config: &MonitorConfig,
-        pp_key: &str,
-        calls: u64,
-        failures: u64,
-        breaker_tripped: bool,
-    ) {
+    fn record_faults(&mut self, pp_key: &str, calls: u64, failures: u64, breaker_tripped: bool) {
         let health = match self.health.get_mut(pp_key) {
             Some(health) => health,
             None => self.health.entry(pp_key.to_string()).or_default(),
@@ -215,7 +158,7 @@ impl Inner {
         health.faults.calls += calls;
         health.faults.failures += failures;
         let stats = health.faults;
-        if stats.calls >= config.min_calls && stats.rate() >= config.fault_rate_threshold {
+        if stats.calls >= MIN_CALLS && stats.rate() >= FAULT_RATE_THRESHOLD {
             health
                 .quarantined
                 .get_or_insert(QuarantineReason::FaultRate {
@@ -230,65 +173,32 @@ impl Inner {
         }
     }
 
-    fn observe_telemetry(&mut self, config: &MonitorConfig, snapshot: &TelemetrySnapshot) {
+    fn observe_telemetry(&mut self, snapshot: &TelemetrySnapshot) {
         for span in &snapshot.spans {
             for key in pp_keys(&span.op) {
-                self.record_faults(
-                    config,
-                    key,
-                    span.attempts,
-                    span.failures,
-                    span.breaker_tripped,
-                );
+                self.record_faults(key, span.attempts, span.failures, span.breaker_tripped);
             }
         }
     }
 }
 
 impl RuntimeMonitor {
-    /// A fresh monitor with default thresholds.
+    /// A fresh monitor.
     pub fn new() -> Self {
         RuntimeMonitor::default()
-    }
-
-    /// A fresh monitor with explicit thresholds.
-    pub fn with_config(config: MonitorConfig) -> Self {
-        RuntimeMonitor {
-            config,
-            inner: RwLock::default(),
-        }
-    }
-
-    /// The monitor's thresholds.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
     }
 
     /// Records an execution of a (multi-PP) plan for `predicate_key` —
     /// canonically `predicate.to_string()` — flagging the predicate as
     /// possibly dependent when the observation deviates dramatically.
     pub fn observe(&self, predicate_key: &str, obs: Observation) {
-        self.inner.write().observe(&self.config, predicate_key, obs);
+        self.inner.write().observe(predicate_key, obs);
     }
 
     /// Whether the predicate has been flagged as possibly dependent; the
     /// planner restricts flagged predicates to single-PP expressions.
     pub fn is_flagged(&self, predicate_key: &str) -> bool {
         self.inner.read().flagged.contains(predicate_key)
-    }
-
-    /// Clears a predicate's dependency flag (e.g. after retraining the PPs
-    /// involved).
-    pub fn clear(&self, predicate_key: &str) {
-        self.inner.write().flagged.remove(predicate_key);
-    }
-
-    /// Accumulates fault counters for one PP key, quarantining it when its
-    /// failure rate crosses the threshold.
-    pub fn record_faults(&self, pp_key: &str, calls: u64, failures: u64) {
-        self.inner
-            .write()
-            .record_faults(&self.config, pp_key, calls, failures, false);
     }
 
     /// Explicitly quarantines a PP (e.g. after an out-of-band incident).
@@ -373,7 +283,7 @@ impl RuntimeMonitor {
     /// all a run that *failed* contributes; a run that succeeded goes
     /// through [`observe_run`](Self::observe_run), which adds calibration.
     pub fn observe_telemetry(&self, snapshot: &TelemetrySnapshot) {
-        self.inner.write().observe_telemetry(&self.config, snapshot);
+        self.inner.write().observe_telemetry(snapshot);
     }
 
     /// Folds one predicted-vs-observed calibration record into the sums
@@ -389,16 +299,17 @@ impl RuntimeMonitor {
     }
 
     /// The calibration digest across every tracked key, flagging drifted
-    /// ones per this monitor's thresholds.
+    /// ones per [`CALIBRATION_MIN_SAMPLES`] and
+    /// [`CALIBRATION_ERROR_THRESHOLD`].
     pub fn calibration_report(&self) -> CalibrationReport {
-        self.inner.read().calibration.report(
-            self.config.calibration_min_samples,
-            self.config.calibration_error_threshold,
-        )
+        self.inner
+            .read()
+            .calibration
+            .report(CALIBRATION_MIN_SAMPLES, CALIBRATION_ERROR_THRESHOLD)
     }
 
-    /// Whether any tracked key's calibration drifted past the configured
-    /// threshold — the signal to re-run
+    /// Whether any tracked key's calibration drifted past
+    /// [`CALIBRATION_ERROR_THRESHOLD`] — the signal to re-run
     /// [`optimize_with_monitor`](crate::planner::PpQueryOptimizer::optimize_with_monitor)
     /// so corrections take effect.
     pub fn needs_replan(&self) -> bool {
@@ -411,8 +322,8 @@ impl RuntimeMonitor {
     /// healthy PPs keep their validation curves.
     pub fn reduction_correction(&self, key: &str) -> Option<f64> {
         let summary = self.calibration_summary(key)?;
-        if summary.samples < self.config.calibration_min_samples
-            || summary.reduction_mae <= self.config.calibration_error_threshold
+        if summary.samples < CALIBRATION_MIN_SAMPLES
+            || summary.reduction_mae <= CALIBRATION_ERROR_THRESHOLD
         {
             return None;
         }
@@ -433,7 +344,7 @@ impl RuntimeMonitor {
     /// no rows are skipped — their reduction is truncated, not observed.
     pub fn observe_run(&self, report: &PlanReport, snapshot: &TelemetrySnapshot) {
         let mut inner = self.inner.write();
-        inner.observe_telemetry(&self.config, snapshot);
+        inner.observe_telemetry(snapshot);
         let Some(chosen) = &report.chosen else {
             return;
         };
@@ -459,7 +370,6 @@ impl RuntimeMonitor {
             },
         );
         inner.observe(
-            &self.config,
             &report.predicate,
             Observation {
                 estimated_reduction: chosen.estimate.reduction,
@@ -515,21 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let m = RuntimeMonitor::new();
-        m.observe(
-            "p",
-            Observation {
-                estimated_reduction: 1.0,
-                observed_reduction: 0.0,
-            },
-        );
-        assert!(m.is_flagged("p"));
-        m.clear("p");
-        assert!(!m.is_flagged("p"));
-    }
-
-    #[test]
     fn deviation_math() {
         let o = Observation {
             estimated_reduction: 0.7,
@@ -539,47 +434,48 @@ mod tests {
     }
 
     #[test]
-    fn deviation_threshold_is_configurable() {
-        let strict =
-            RuntimeMonitor::with_config(MonitorConfig::default().with_deviation_threshold(0.01));
-        strict.observe(
-            "p",
-            Observation {
-                estimated_reduction: 0.5,
-                observed_reduction: 0.45,
-            },
-        );
-        assert!(strict.is_flagged("p"));
-        let lax =
-            RuntimeMonitor::with_config(MonitorConfig::default().with_deviation_threshold(0.5));
-        lax.observe(
-            "p",
-            Observation {
-                estimated_reduction: 0.8,
-                observed_reduction: 0.4,
-            },
-        );
-        assert!(!lax.is_flagged("p"));
+    fn flags_only_past_the_deviation_threshold() {
+        let observe = |observed_reduction| {
+            let m = RuntimeMonitor::new();
+            m.observe(
+                "p",
+                Observation {
+                    estimated_reduction: 0.5,
+                    observed_reduction,
+                },
+            );
+            m.is_flagged("p")
+        };
+        assert!(observe(0.5 - DEVIATION_THRESHOLD - 0.01));
+        assert!(observe(0.5 + DEVIATION_THRESHOLD + 0.01));
+        assert!(!observe(0.5 - DEVIATION_THRESHOLD + 0.01));
+        assert!(!observe(0.5 + DEVIATION_THRESHOLD - 0.01));
+    }
+
+    /// One run of `PP[key]` that attempted `calls` rows and failed `failures`.
+    fn faults(m: &RuntimeMonitor, key: &str, calls: u64, failures: u64) {
+        m.observe_telemetry(&snapshot_of(vec![pp_span(
+            &format!("PP[{key}]"),
+            calls,
+            calls,
+            failures,
+        )]));
     }
 
     #[test]
     fn fault_rate_quarantines_after_min_calls() {
-        let m = RuntimeMonitor::with_config(
-            MonitorConfig::default()
-                .with_fault_rate_threshold(0.5)
-                .with_min_calls(10),
-        );
-        // Below min_calls: a bad rate is not yet trusted.
-        m.record_faults("t = SUV", 5, 5);
+        let m = RuntimeMonitor::new();
+        // Below MIN_CALLS: a bad rate is not yet trusted.
+        faults(&m, "t = SUV", MIN_CALLS - 1, MIN_CALLS - 1);
         assert!(!m.is_broken("t = SUV"));
-        // Crossing min_calls with rate ≥ 0.5 quarantines.
-        m.record_faults("t = SUV", 5, 1);
+        // Reaching MIN_CALLS with rate ≥ FAULT_RATE_THRESHOLD quarantines.
+        faults(&m, "t = SUV", 1, 0);
         assert!(m.is_broken("t = SUV"));
         assert_eq!(
             m.fault_stats("t = SUV"),
             FaultStats {
-                calls: 10,
-                failures: 6
+                calls: MIN_CALLS,
+                failures: MIN_CALLS - 1
             }
         );
         assert_eq!(m.broken(), vec!["t = SUV".to_string()]);
@@ -589,9 +485,21 @@ mod tests {
     }
 
     #[test]
+    fn quarantines_at_the_fault_rate_threshold_and_not_below() {
+        let at = (FAULT_RATE_THRESHOLD * MIN_CALLS as f64).ceil() as u64;
+        let m = RuntimeMonitor::new();
+        faults(&m, "at", MIN_CALLS, at);
+        faults(&m, "below", MIN_CALLS, at - 1);
+        assert!(m.fault_stats("at").rate() >= FAULT_RATE_THRESHOLD);
+        assert!(m.fault_stats("below").rate() < FAULT_RATE_THRESHOLD);
+        assert!(m.is_broken("at"));
+        assert!(!m.is_broken("below"));
+    }
+
+    #[test]
     fn healthy_rate_never_quarantines() {
         let m = RuntimeMonitor::new();
-        m.record_faults("t = SUV", 1000, 10);
+        faults(&m, "t = SUV", 1000, 10);
         assert!(!m.is_broken("t = SUV"));
     }
 
@@ -696,13 +604,9 @@ mod tests {
 
     #[test]
     fn quarantine_reasons_are_explainable() {
-        let m = RuntimeMonitor::with_config(
-            MonitorConfig::default()
-                .with_fault_rate_threshold(0.5)
-                .with_min_calls(10),
-        );
+        let m = RuntimeMonitor::new();
         assert!(m.why_broken("t = SUV").is_none());
-        m.record_faults("t = SUV", 10, 8);
+        faults(&m, "t = SUV", 10, 8);
         assert_eq!(
             m.why_broken("t = SUV"),
             Some(QuarantineReason::FaultRate {

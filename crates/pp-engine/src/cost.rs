@@ -6,9 +6,10 @@
 //! end-to-end user waiting time taking PP overhead into account" (§8.2).
 //!
 //! Here, every operator charges `rows_in × cost_per_row` simulated seconds
-//! to the meter. Latency is modeled on top of the same ledger: each
-//! operator stage contributes `seconds / degree_of_parallelism` plus a
-//! fixed scheduling overhead, so plans with more serialized stages (e.g.
+//! to the meter (a UDF's declared rate, or one of the `*_S_PER_ROW`
+//! constants below). Latency is modeled on top of the same ledger: each
+//! operator stage contributes `seconds /` [`DEGREE_OF_PARALLELISM`] plus
+//! [`STAGE_OVERHEAD_S`], so plans with more serialized stages (e.g.
 //! SortP's predicate chains) pay proportionally more latency — matching the
 //! paper's observation that "serializing the predicates (and UDFs) leads to
 //! longer critical paths".
@@ -26,42 +27,25 @@ pub struct OpStats {
     pub seconds: f64,
 }
 
-/// Built-in per-row costs for relational operators (UDFs carry their own).
-///
-/// Values are simulated cluster seconds per input row and are deliberately
-/// tiny relative to ML-UDF costs — the paper's premise is that UDFs
-/// dominate ("materialization cost ... would dominate", §2).
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Reading one row from a table.
-    pub scan: f64,
-    /// Evaluating a predicate on one row.
-    pub select: f64,
-    /// Projecting one row.
-    pub project: f64,
-    /// Hash-join work per (build + probe) row.
-    pub join: f64,
-    /// Grouped-aggregation work per row.
-    pub aggregate: f64,
-    /// Modeled degree of parallelism for latency (cluster task slots).
-    pub degree_of_parallelism: f64,
-    /// Modeled per-stage scheduling overhead in seconds.
-    pub stage_overhead: f64,
-}
+// Built-in per-row costs for relational operators (UDFs carry their own),
+// in simulated cluster seconds per input row. They are deliberately tiny
+// relative to ML-UDF costs — the paper's premise is that UDFs dominate
+// ("materialization cost ... would dominate", §2).
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            scan: 1e-7,
-            select: 1e-6,
-            project: 5e-7,
-            join: 2e-6,
-            aggregate: 1e-6,
-            degree_of_parallelism: 16.0,
-            stage_overhead: 0.05,
-        }
-    }
-}
+/// Reading one row from a table.
+pub const SCAN_S_PER_ROW: f64 = 1e-7;
+/// Evaluating a predicate on one row.
+pub const SELECT_S_PER_ROW: f64 = 1e-6;
+/// Projecting one row.
+pub const PROJECT_S_PER_ROW: f64 = 5e-7;
+/// Hash-join work per (build + probe) row.
+pub const JOIN_S_PER_ROW: f64 = 2e-6;
+/// Grouped-aggregation work per row.
+pub const AGGREGATE_S_PER_ROW: f64 = 1e-6;
+/// Modeled degree of parallelism for latency (cluster task slots).
+pub const DEGREE_OF_PARALLELISM: f64 = 16.0;
+/// Modeled per-stage scheduling overhead in seconds.
+pub const STAGE_OVERHEAD_S: f64 = 0.05;
 
 /// Accumulates per-operator charges for one query execution.
 #[derive(Debug, Clone, Default)]
@@ -95,13 +79,13 @@ impl CostMeter {
         self.entries.iter().map(|e| e.seconds).sum()
     }
 
-    /// Summarizes into query metrics under a cost model.
-    pub fn metrics(&self, model: &CostModel) -> QueryMetrics {
+    /// Summarizes into query metrics under the latency model.
+    pub fn metrics(&self) -> QueryMetrics {
         let cluster_seconds = self.cluster_seconds();
         let latency_seconds = self
             .entries
             .iter()
-            .map(|e| e.seconds / model.degree_of_parallelism + model.stage_overhead)
+            .map(|e| e.seconds / DEGREE_OF_PARALLELISM + STAGE_OVERHEAD_S)
             .sum();
         QueryMetrics {
             cluster_seconds,
@@ -149,21 +133,18 @@ mod tests {
 
     #[test]
     fn latency_model_penalizes_stages() {
-        let model = CostModel {
-            degree_of_parallelism: 10.0,
-            stage_overhead: 1.0,
-            ..Default::default()
-        };
         let mut one_stage = CostMeter::new();
-        one_stage.charge("A", 10, 10, 100.0);
+        one_stage.charge("A", 10, 10, 160.0);
         let mut two_stages = CostMeter::new();
-        two_stages.charge("A", 10, 10, 50.0);
-        two_stages.charge("B", 10, 10, 50.0);
-        let m1 = one_stage.metrics(&model);
-        let m2 = two_stages.metrics(&model);
+        two_stages.charge("A", 10, 10, 80.0);
+        two_stages.charge("B", 10, 10, 80.0);
+        let m1 = one_stage.metrics();
+        let m2 = two_stages.metrics();
         assert_eq!(m1.cluster_seconds, m2.cluster_seconds);
         assert!(m2.latency_seconds > m1.latency_seconds);
-        assert!((m1.latency_seconds - 11.0).abs() < 1e-12);
+        let spread = 160.0 / DEGREE_OF_PARALLELISM;
+        assert!((m1.latency_seconds - (spread + STAGE_OVERHEAD_S)).abs() < 1e-12);
+        assert!((m2.latency_seconds - (spread + 2.0 * STAGE_OVERHEAD_S)).abs() < 1e-12);
     }
 
     #[test]
@@ -172,7 +153,7 @@ mod tests {
         m.charge("PP[t = SUV]", 100, 40, 0.2);
         m.charge("PP[c = red]", 40, 10, 0.1);
         m.charge("Process[F1]", 10, 10, 5.0);
-        let metrics = m.metrics(&CostModel::default());
+        let metrics = m.metrics();
         assert!((metrics.seconds_for_prefix("PP[") - 0.3).abs() < 1e-12);
     }
 }

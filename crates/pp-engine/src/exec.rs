@@ -1,5 +1,5 @@
 //! The unified execution API: [`ExecutionContext`] bundles everything a
-//! query run needs — catalog, cost model, resilience policy, optional
+//! query run needs — catalog, resilience policy, optional
 //! fault injection, and parallelism — behind one builder. It is the only
 //! way to execute a plan; the historical five-argument free functions
 //! (`execute` / `execute_with`) have been removed.
@@ -49,7 +49,7 @@ use std::time::Instant;
 
 use crate::cancel::CancelToken;
 use crate::catalog::Catalog;
-use crate::cost::{CostMeter, CostModel, QueryMetrics};
+use crate::cost::{CostMeter, QueryMetrics};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
 use crate::memo::UdfMemo;
@@ -65,7 +65,6 @@ use crate::Result;
 #[derive(Debug)]
 pub struct ExecutionContextBuilder<'a> {
     catalog: &'a Catalog,
-    model: CostModel,
     resilience: ResilienceConfig,
     fault_plan: Option<FaultPlan>,
     opts: ExecOptions,
@@ -74,12 +73,6 @@ pub struct ExecutionContextBuilder<'a> {
 }
 
 impl<'a> ExecutionContextBuilder<'a> {
-    /// Sets the cost model used for operator charging and derived metrics.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Sets the resilience policy (retries, timeouts, breakers, fail-open).
     pub fn with_resilience(mut self, config: ResilienceConfig) -> Self {
         self.resilience = config;
@@ -124,15 +117,6 @@ impl<'a> ExecutionContextBuilder<'a> {
         self
     }
 
-    /// Installs a fresh deadline token: runs are cancelled once `deadline`
-    /// has elapsed from this call. Replaces any previously installed
-    /// token; use [`with_cancel_token`][Self::with_cancel_token] with
-    /// [`CancelToken::with_deadline`] to share or inspect the token.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.cancel = Some(CancelToken::with_deadline(deadline));
-        self
-    }
-
     /// Installs a shared [`UdfMemo`]: every `Process` node of every plan
     /// passed to [`ExecutionContext::run`] is wrapped in a
     /// [`MemoProcessor`](crate::memo::MemoProcessor) consulting it, so
@@ -152,7 +136,6 @@ impl<'a> ExecutionContextBuilder<'a> {
         let fault_log = Arc::new(FaultLog::new());
         ExecutionContext {
             catalog: self.catalog,
-            model: self.model,
             session: ExecSession::new(self.resilience),
             fault_plan: self
                 .fault_plan
@@ -170,8 +153,8 @@ impl<'a> ExecutionContextBuilder<'a> {
     }
 }
 
-/// A configured query-execution environment: catalog + cost model +
-/// resilience session + optional fault plan + parallelism, with the cost
+/// A configured query-execution environment: catalog + resilience
+/// session + optional fault plan + parallelism, with the cost
 /// meter and derived [`QueryMetrics`] of the most recent run.
 ///
 /// The context is stateful across runs the way a long-lived cluster
@@ -183,7 +166,6 @@ impl<'a> ExecutionContextBuilder<'a> {
 #[derive(Debug)]
 pub struct ExecutionContext<'a> {
     catalog: &'a Catalog,
-    model: CostModel,
     session: ExecSession,
     fault_plan: Option<FaultPlan>,
     fault_log: Arc<FaultLog>,
@@ -203,7 +185,6 @@ impl<'a> ExecutionContext<'a> {
     pub fn builder(catalog: &'a Catalog) -> ExecutionContextBuilder<'a> {
         ExecutionContextBuilder {
             catalog,
-            model: CostModel::default(),
             resilience: ResilienceConfig::default(),
             fault_plan: None,
             opts: ExecOptions::default(),
@@ -254,7 +235,6 @@ impl<'a> ExecutionContext<'a> {
         };
         let result = Executor {
             catalog: self.catalog,
-            model: &self.model,
             session: &mut self.session,
             opts: self.opts,
             tel: &mut tel,
@@ -319,7 +299,7 @@ impl<'a> ExecutionContext<'a> {
         ));
         match result {
             Ok(out) => {
-                self.metrics = Some(self.meter.metrics(&self.model));
+                self.metrics = Some(self.meter.metrics());
                 Ok(out)
             }
             Err(e) => {

@@ -30,7 +30,9 @@
 use std::collections::BTreeMap;
 
 use crate::catalog::Catalog;
-use crate::cost::CostModel;
+use crate::cost::{
+    AGGREGATE_S_PER_ROW, JOIN_S_PER_ROW, PROJECT_S_PER_ROW, SCAN_S_PER_ROW, SELECT_S_PER_ROW,
+};
 use crate::json::JsonWriter;
 use crate::logical::LogicalPlan;
 use crate::telemetry::{OperatorId, OperatorSpan, QueryId, TelemetrySnapshot};
@@ -75,9 +77,9 @@ impl PredictionHints {
 /// Cardinalities are fractional expectations, not integers: a PP with
 /// estimated reduction 0.83 over 400 rows predicts 68.0 output rows.
 /// Predicted seconds mirror the executor's charge formulas (rows × the
-/// [`CostModel`] rate for relational operators, rows × declared
-/// per-row cost for UDFs), so on a fault-free run with the same cost
-/// model the seconds error is zero by construction.
+/// [`cost`](crate::cost) module's per-row constant for relational
+/// operators, rows × declared per-row cost for UDFs), so on a fault-free
+/// run the seconds error is zero by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorPrediction {
     /// Operator id this prediction describes (charge-order index).
@@ -119,11 +121,10 @@ impl OperatorPrediction {
 pub fn predict(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    model: &CostModel,
     hints: &PredictionHints,
 ) -> Result<Vec<OperatorPrediction>> {
     let mut out = Vec::new();
-    predict_into(plan, catalog, model, hints, &mut out)?;
+    predict_into(plan, catalog, hints, &mut out)?;
     Ok(out)
 }
 
@@ -133,7 +134,6 @@ pub fn predict(
 fn predict_into(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    model: &CostModel,
     hints: &PredictionHints,
     out: &mut Vec<OperatorPrediction>,
 ) -> Result<f64> {
@@ -141,7 +141,7 @@ fn predict_into(
     let mut rows_in = 0.0;
     let mut left_rows = 0.0;
     for (i, child) in plan.children().enumerate() {
-        let rows = predict_into(child, catalog, model, hints, out)?;
+        let rows = predict_into(child, catalog, hints, out)?;
         if i == 0 {
             left_rows = rows;
         }
@@ -168,18 +168,18 @@ fn predict_into(
                 }
                 None => rows_in,
             };
-            (kept * ratio, kept * model.scan)
+            (kept * ratio, kept * SCAN_S_PER_ROW)
         }
         LogicalPlan::Process { processor, .. } => {
             (rows_in * ratio, rows_in * processor.cost_per_row())
         }
-        LogicalPlan::Select { .. } => (rows_in * ratio, rows_in * model.select),
+        LogicalPlan::Select { .. } => (rows_in * ratio, rows_in * SELECT_S_PER_ROW),
         LogicalPlan::Filter { filter, .. } => (rows_in * ratio, rows_in * filter.cost_per_row()),
-        LogicalPlan::Project { .. } => (rows_in * ratio, rows_in * model.project),
+        LogicalPlan::Project { .. } => (rows_in * ratio, rows_in * PROJECT_S_PER_ROW),
         // Foreign-key join: each probe-side row matches; ratio scales the
         // left (probe) cardinality.
-        LogicalPlan::Join { .. } => (left_rows * ratio, rows_in * model.join),
-        LogicalPlan::Aggregate { .. } => (rows_in * ratio, rows_in * model.aggregate),
+        LogicalPlan::Join { .. } => (left_rows * ratio, rows_in * JOIN_S_PER_ROW),
+        LogicalPlan::Aggregate { .. } => (rows_in * ratio, rows_in * AGGREGATE_S_PER_ROW),
         LogicalPlan::Reduce { reducer, .. } => (rows_in * ratio, rows_in * reducer.cost_per_row()),
         LogicalPlan::Combine { combiner, .. } => {
             (left_rows * ratio, rows_in * combiner.cost_per_row())
@@ -493,7 +493,7 @@ mod tests {
         let hints = PredictionHints::new()
             .with_ratio("PP[even]", 0.5)
             .with_ratio("Select[id < 10]", 0.1);
-        let preds = predict(&plan(), &cat, &CostModel::default(), &hints).unwrap();
+        let preds = predict(&plan(), &cat, &hints).unwrap();
         assert_eq!(preds.len(), 3);
         assert_eq!(preds[0].op, "Scan[t]");
         assert_eq!(preds[1].op, "PP[even]");
@@ -514,7 +514,7 @@ mod tests {
         let cat = int_catalog(100);
         let plan = plan();
         let hints = PredictionHints::new().with_ratio("PP[even]", 0.5);
-        let preds = predict(&plan, &cat, &CostModel::default(), &hints).unwrap();
+        let preds = predict(&plan, &cat, &hints).unwrap();
         let mut ctx = ExecutionContext::new(&cat);
         ctx.run(&plan).unwrap();
         let snap = ctx.telemetry().unwrap().clone();
@@ -550,8 +550,7 @@ mod tests {
     fn analyze_rejects_mismatched_predictions() {
         let cat = int_catalog(10);
         let plan = plan();
-        let mut preds =
-            predict(&plan, &cat, &CostModel::default(), &PredictionHints::new()).unwrap();
+        let mut preds = predict(&plan, &cat, &PredictionHints::new()).unwrap();
         let mut ctx = ExecutionContext::new(&cat);
         ctx.run(&plan).unwrap();
         let snap = ctx.telemetry().unwrap().clone();
@@ -572,7 +571,7 @@ mod tests {
     fn unjoined_nodes_survive_missing_spans() {
         let cat = int_catalog(10);
         let plan = plan();
-        let preds = predict(&plan, &cat, &CostModel::default(), &PredictionHints::new()).unwrap();
+        let preds = predict(&plan, &cat, &PredictionHints::new()).unwrap();
         let mut ctx = ExecutionContext::new(&cat);
         ctx.run(&plan).unwrap();
         let mut snap = ctx.telemetry().unwrap().clone();

@@ -99,7 +99,9 @@ use crate::batch::Batch;
 use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
 use crate::chunk::Chunk;
-use crate::cost::CostModel;
+use crate::cost::{
+    AGGREGATE_S_PER_ROW, JOIN_S_PER_ROW, PROJECT_S_PER_ROW, SCAN_S_PER_ROW, SELECT_S_PER_ROW,
+};
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
@@ -404,7 +406,7 @@ impl<'p> ScanStream<'p> {
             .iter()
             .map(|&g| self.provider.group_meta(g).rows)
             .sum();
-        let mut span = ex.flat_span(op, total, ex.model.scan, self.rows);
+        let mut span = ex.flat_span(op, total, SCAN_S_PER_ROW, self.rows);
         span.rows_out = self.rows as u64;
         span.rows_failed = undecoded as u64;
         span.rows_filtered = total.saturating_sub(self.rows + undecoded) as u64;
@@ -443,7 +445,6 @@ impl<'p> ScanStream<'p> {
 /// would if the scan had materialized first.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
-    pub model: &'a CostModel,
     pub session: &'a mut ExecSession,
     pub opts: ExecOptions,
     pub tel: &'a mut SpanCollector,
@@ -689,7 +690,7 @@ impl Executor<'_> {
             }
         }
         let out = input.pick(&kept);
-        let mut span = self.flat_span(op, total, self.model.select, total);
+        let mut span = self.flat_span(op, total, SELECT_S_PER_ROW, total);
         span.rows_out = out.len() as u64;
         span.rows_filtered = (total - out.len()) as u64;
         Finished::ok(span, out)
@@ -987,7 +988,7 @@ impl Executor<'_> {
         for row in in_rows.row_refs() {
             out.push(indices.iter().map(|&i| row.get(i).clone()).collect())?;
         }
-        let mut span = self.flat_span(op, total, self.model.project, total);
+        let mut span = self.flat_span(op, total, PROJECT_S_PER_ROW, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
     }
@@ -1031,7 +1032,7 @@ impl Executor<'_> {
             }
         }
         let rows_in = l.len() + r.len();
-        let mut span = self.flat_span(op, rows_in, self.model.join, rows_in);
+        let mut span = self.flat_span(op, rows_in, JOIN_S_PER_ROW, rows_in);
         // Unmatched left rows are dropped by the join predicate —
         // filtered, in conservation terms.
         span.rows_out = matched_left + r.len() as u64;
@@ -1067,7 +1068,7 @@ impl Executor<'_> {
             out.push(Row::new(cells))?;
         }
         let total = in_rows.len();
-        let mut span = self.flat_span(op, total, self.model.aggregate, total);
+        let mut span = self.flat_span(op, total, AGGREGATE_S_PER_ROW, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
     }
@@ -1370,7 +1371,6 @@ mod tests {
     ) -> Result<Rowset> {
         Executor {
             catalog: cat,
-            model: &CostModel::default(),
             session,
             opts,
             tel,
@@ -1701,7 +1701,6 @@ mod tests {
         let mut tel = SpanCollector::detached();
         let done = Executor {
             catalog: &Catalog::new(),
-            model: &CostModel::default(),
             session: &mut ExecSession::default(),
             opts: ExecOptions::new(1, 100),
             tel: &mut tel,

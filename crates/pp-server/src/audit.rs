@@ -68,11 +68,13 @@ pub struct AuditConfig {
     /// Minimum sampled replays for a PP expression before its Wilson
     /// bound is trusted enough to quarantine.
     pub min_replays: u64,
-    /// Wilson interval z-score (1.96 ≈ 95% confidence).
-    pub z: f64,
     /// Audit tasks drained per maintenance pass (backpressure bound).
     pub max_tasks_per_pass: usize,
 }
+
+/// Wilson interval z-score of the achieved-accuracy bound (1.96 ≈ 95%
+/// confidence).
+const WILSON_Z: f64 = 1.96;
 
 /// How many maintenance passes' worth of tasks may wait for replay.
 const PENDING_PASSES: usize = 4;
@@ -96,7 +98,6 @@ impl Default for AuditConfig {
             sample_fraction: 0.25,
             seed: 0xA0D17,
             min_replays: 30,
-            z: 1.96,
             max_tasks_per_pass: 64,
         }
     }
@@ -266,7 +267,7 @@ impl Auditor {
                 dropped_rows: s.dropped_rows,
                 sampled: s.sampled,
                 false_drops: s.false_drops,
-                achieved_accuracy_lower_bound: achieved_lower_bound(s, self.config.z),
+                achieved_accuracy_lower_bound: achieved_lower_bound(s),
                 violated: s.violated,
             })
             .collect()
@@ -303,7 +304,7 @@ fn wilson_upper(hits: u64, n: u64, z: f64) -> f64 {
 /// exact measured rate instead of the Wilson floor `z²/(n+z²)` — which
 /// would otherwise condemn highly selective queries (tiny `R`) on zero
 /// observed false drops.
-fn achieved_lower_bound(s: &ExprStats, z: f64) -> f64 {
+fn achieved_lower_bound(s: &ExprStats) -> f64 {
     if s.sampled == 0 {
         return 1.0;
     }
@@ -314,7 +315,7 @@ fn achieved_lower_bound(s: &ExprStats, z: f64) -> f64 {
         let pop = s.dropped_rows as f64;
         ((pop - n) / (pop - 1.0)).sqrt()
     };
-    let f_upper = wilson_upper(s.false_drops, s.sampled, z * fpc);
+    let f_upper = wilson_upper(s.false_drops, s.sampled, WILSON_Z * fpc);
     let r = s.result_rows as f64;
     let lost = f_upper * s.dropped_rows as f64;
     if r + lost <= 0.0 {
@@ -517,13 +518,12 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
     // lower bound crossed below its promise since the last pass.
     {
         let mut state = inner.audit.state.lock();
-        let z = config.z;
         let min_replays = config.min_replays;
         for stats in state.stats.values_mut() {
             if stats.violated || stats.sampled < min_replays {
                 continue;
             }
-            let achieved = achieved_lower_bound(stats, z);
+            let achieved = achieved_lower_bound(stats);
             if achieved < stats.promised {
                 stats.violated = true;
                 for key in &stats.leaf_keys {
@@ -589,14 +589,14 @@ mod tests {
     #[test]
     fn wilson_upper_bound_behaves() {
         // No evidence: bound is vacuous.
-        assert_eq!(wilson_upper(0, 0, 1.96), 1.0);
+        assert_eq!(wilson_upper(0, 0, WILSON_Z), 1.0);
         // Zero observed failures still leaves a nonzero upper bound.
-        let b = wilson_upper(0, 50, 1.96);
+        let b = wilson_upper(0, 50, WILSON_Z);
         assert!(b > 0.0 && b < 0.1, "got {b}");
         // More evidence tightens the bound.
-        assert!(wilson_upper(0, 500, 1.96) < b);
+        assert!(wilson_upper(0, 500, WILSON_Z) < b);
         // Heavy failure rates push the bound toward 1.
-        assert!(wilson_upper(45, 50, 1.96) > 0.8);
+        assert!(wilson_upper(45, 50, WILSON_Z) > 0.8);
     }
 
     #[test]
@@ -612,8 +612,8 @@ mod tests {
             false_drops: 60,
             ..clean.clone()
         };
-        let a_clean = achieved_lower_bound(&clean, 1.96);
-        let a_dirty = achieved_lower_bound(&dirty, 1.96);
+        let a_clean = achieved_lower_bound(&clean);
+        let a_dirty = achieved_lower_bound(&dirty);
         assert!(a_clean > 0.85, "got {a_clean}");
         assert!(a_dirty < 0.35, "got {a_dirty}");
     }
@@ -631,12 +631,12 @@ mod tests {
             false_drops: 0,
             ..Default::default()
         };
-        assert_eq!(achieved_lower_bound(&clean, 1.96), 1.0);
+        assert_eq!(achieved_lower_bound(&clean), 1.0);
         let dirty = ExprStats {
             false_drops: 8,
             ..clean
         };
         // Exactly 8 true matches lost against 2 kept: 2 / (2 + 8).
-        assert!((achieved_lower_bound(&dirty, 1.96) - 0.2).abs() < 1e-12);
+        assert!((achieved_lower_bound(&dirty) - 0.2).abs() < 1e-12);
     }
 }

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use pp_core::catalog::{CatalogEpoch, CatalogSnapshot, VersionedPpCatalog};
 use pp_core::planner::{PpQueryOptimizer, QoConfig};
-use pp_core::runtime::{MonitorConfig, RuntimeMonitor};
+use pp_core::runtime::RuntimeMonitor;
 use pp_core::wrangle::Domains;
 use pp_core::PpCatalog;
 use pp_engine::cancel::{CancelReason, CancelToken};
@@ -82,11 +82,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-control knobs.
     pub admission: AdmissionConfig,
-    /// Base optimizer configuration; `accuracy_target` is overridden per
-    /// request.
-    pub qo: QoConfig,
-    /// Runtime-monitor thresholds.
-    pub monitor: MonitorConfig,
     /// Plan-cache capacity / eviction knobs.
     pub cache: CacheConfig,
     /// Seeded server-side fault injection (chaos testing); `None` (the
@@ -104,8 +99,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             admission: AdmissionConfig::default(),
-            qo: QoConfig::default(),
-            monitor: MonitorConfig::default(),
             cache: CacheConfig::default(),
             faults: None,
             sharedscan: SharedScanConfig::default(),
@@ -155,10 +148,7 @@ impl ServerInner {
         let qo = PpQueryOptimizer::new(
             snapshot.pps().clone(),
             self.domains.clone(),
-            QoConfig {
-                accuracy_target,
-                ..self.config.qo.clone()
-            },
+            QoConfig { accuracy_target },
         );
         let optimized = qo.optimize_with_monitor(&nop, &self.data, Some(&self.monitor))?;
         Ok(CachedPlan {
@@ -309,7 +299,7 @@ impl PpServer {
         initial_pps: PpCatalog,
         domains: Domains,
     ) -> Self {
-        let monitor = Arc::new(RuntimeMonitor::with_config(config.monitor));
+        let monitor = Arc::new(RuntimeMonitor::new());
         let workers = config.workers;
         let cache = PlanCache::with_config(config.cache.clone());
         let shared = Arc::new(SharedScanCoordinator::new(config.sharedscan.clone()));

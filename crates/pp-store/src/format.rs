@@ -282,8 +282,8 @@ fn fold(mut crc: u32, data: &[u8]) -> u32 {
 /// page or footer it has rewritten).
 ///
 /// A short input is folded sixteen bytes per step as one chain. A long
-/// one is cut into [`CHAINS`] equal stretches of whole blocks folded side
-/// by side — the first from the initial register, the others from zero,
+/// one is cut into `CHAINS` (four) equal stretches of whole blocks folded
+/// side by side — the first from the initial register, the others from zero,
 /// so one chain's lookups hide another's latency — and joined exactly:
 /// by linearity, the register after `a‖b` is `a`'s register times
 /// `x^(8·|b|) mod P`, plus `b`'s register from zero. The few bytes left

@@ -89,16 +89,14 @@ fn main() {
         Domains::new(),
         QoConfig {
             accuracy_target: 0.95,
-            ..Default::default()
         },
     );
     let optimized = qo.optimize(&query, &catalog).expect("optimize");
     println!("optimized plan:\n{}", optimized.plan.explain());
 
-    // One context per plan run: the builder bundles catalog, cost model,
-    // and parallelism; `run` meters each query from zero.
+    // One context per plan run: the builder bundles catalog and
+    // parallelism; `run` meters each query from zero.
     let mut ctx = ExecutionContext::builder(&catalog)
-        .with_cost_model(CostModel::default())
         .with_parallelism(4)
         .build();
     let baseline = ctx.run(&query).expect("baseline");

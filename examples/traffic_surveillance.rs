@@ -63,7 +63,6 @@ fn main() {
         domains,
         QoConfig {
             accuracy_target: 0.95,
-            ..Default::default()
         },
     );
     let optimized = qo.optimize(&query, &catalog).expect("optimize");

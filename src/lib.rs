@@ -55,7 +55,7 @@ pub mod prelude {
     pub use pp_data::traffic::{TrafficConfig, TrafficDataset};
     pub use pp_engine::batch::{Batch, FeatureColumn};
     pub use pp_engine::cancel::{CancelReason, CancelToken};
-    pub use pp_engine::cost::{CostMeter, CostModel, QueryMetrics};
+    pub use pp_engine::cost::{CostMeter, QueryMetrics};
     pub use pp_engine::exec::{ExecutionContext, ExecutionContextBuilder};
     pub use pp_engine::explain::{ExplainAnalyze, OperatorPrediction, PredictionHints};
     pub use pp_engine::export::{JsonlExporter, OpenMetricsExporter};

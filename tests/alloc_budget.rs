@@ -36,7 +36,7 @@
 //! 5 010 when every comparison re-formatted a key and every DP slot cloned
 //! an assignment), and `alloc::allocate` makes O(leaves + grid) of them —
 //! at most [`ALLOCATE_ALLOCATIONS`] for a four-leaf conjunction on the
-//! default 16-point grid (18 measured), where O(grid² · grid) was 1 560.
+//! 16-point `ACCURACY_GRID` (18 measured), where O(grid² · grid) was 1 560.
 //!
 //! And so are the two doors untrusted bytes come in by. One mutation
 //! harness takes every frame of `tests/golden/wire_frames.hex` and the
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use probabilistic_predicates::core::alloc::{allocate, AccuracyGrid};
+use probabilistic_predicates::core::alloc::{allocate, ACCURACY_GRID};
 use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
@@ -634,14 +634,13 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
     })
     .collect();
     let conjunction = PpExpr::And(leaves);
-    let grid = AccuracyGrid::default();
-    let spent = counted(|| allocate(&conjunction, 0.95, 0.1, &grid).expect("allocate"));
+    let spent = counted(|| allocate(&conjunction, 0.95, 0.1).expect("allocate"));
     assert_eq!(spent.out.assignment.accuracies().len(), 4);
     assert!(
         spent.allocations <= ALLOCATE_ALLOCATIONS,
         "allocate: {} allocations for four leaves on {} grid points",
         spent.allocations,
-        grid.points().len()
+        ACCURACY_GRID.len()
     );
 }
 

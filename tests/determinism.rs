@@ -45,7 +45,6 @@ fn run_once() -> (usize, f64, String) {
         domains,
         QoConfig {
             accuracy_target: 0.95,
-            ..Default::default()
         },
     );
     let q = traf20_queries()

@@ -57,7 +57,6 @@ fn build_world(accuracy: f64) -> World {
         domains,
         QoConfig {
             accuracy_target: accuracy,
-            ..Default::default()
         },
     );
     World {

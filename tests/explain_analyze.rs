@@ -221,7 +221,6 @@ fn calibration_drift_replans_without_changing_results() {
         .insert(ProbabilisticPredicate::new(not_sedan, base.pipeline().clone(), 0.01).expect("pp"));
     let config = QoConfig {
         accuracy_target: 1.0,
-        ..Default::default()
     };
     let qo = PpQueryOptimizer::new(shared, f.domains.clone(), config);
     let monitor = RuntimeMonitor::new();

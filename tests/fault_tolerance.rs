@@ -246,7 +246,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     assert_eq!(
         monitor.why_broken("vehType = SUV"),
         Some(QuarantineReason::BreakerTripped),
-        "three failed calls are under min_calls: the breaker is the cause"
+        "three failed calls are under MIN_CALLS: the breaker is the cause"
     );
     assert!(
         monitor.is_broken("vehType = SUV"),

@@ -11,7 +11,9 @@
 
 use probabilistic_predicates::core::calibration::{CalibrationRecord, CalibrationSummary};
 use probabilistic_predicates::core::planner::PlanReport;
-use probabilistic_predicates::core::{MonitorConfig, RuntimeMonitor};
+use probabilistic_predicates::core::runtime::{
+    RuntimeMonitor, CALIBRATION_ERROR_THRESHOLD, CALIBRATION_MIN_SAMPLES,
+};
 use probabilistic_predicates::engine::telemetry::TelemetrySnapshot;
 
 mod common;
@@ -43,19 +45,40 @@ proptest::proptest! {
     /// On any stream of records the running sums yield the per-record
     /// summary to 1e-12, the same `drifted` bit and the same reduction
     /// correction — in arrival order and reversed (the summary does not
-    /// depend on order beyond float association).
+    /// depend on order beyond float association). Each case lands on a
+    /// chosen side of both drift constants: fewer records than
+    /// [`CALIBRATION_MIN_SAMPLES`] or enough, and every error within
+    /// [`CALIBRATION_ERROR_THRESHOLD`] or every error past it.
     #[test]
     fn running_sums_match_the_per_record_formula(
         stream in proptest::collection::vec(
             (0.05f64..=1.0, 0.0f64..=1.0, 0.0f64..0.5, 0.0f64..0.5),
-            1..80,
+            CALIBRATION_MIN_SAMPLES as usize..80,
         ),
-        min_samples in 1u64..6,
-        threshold in 0.02f64..0.6,
+        under_sampled in 0u8..2,
+        drifting in 0u8..2,
     ) {
-        let records: Vec<CalibrationRecord> = stream
+        let (under_sampled, drifting) = (under_sampled == 1, drifting == 1);
+        let len = if under_sampled {
+            CALIBRATION_MIN_SAMPLES as usize - 1
+        } else {
+            stream.len()
+        };
+        let records: Vec<CalibrationRecord> = stream[..len]
             .iter()
-            .map(|&(predicted_reduction, observed_reduction, predicted_cost, observed_cost)| {
+            .map(|&(predicted_reduction, magnitude, predicted_cost, observed_cost)| {
+                // |predicted − observed|, on the chosen side of the
+                // threshold; the sign keeps the observation in [0, 1].
+                let error = if drifting {
+                    CALIBRATION_ERROR_THRESHOLD + 0.01 + magnitude * 0.3
+                } else {
+                    magnitude * (CALIBRATION_ERROR_THRESHOLD - 0.01)
+                };
+                let observed_reduction = if predicted_reduction >= 0.5 {
+                    predicted_reduction - error
+                } else {
+                    predicted_reduction + error
+                };
                 CalibrationRecord {
                     predicted_reduction,
                     observed_reduction,
@@ -65,14 +88,13 @@ proptest::proptest! {
             })
             .collect();
         let reference = per_record_summary(&records);
-        let drifted = reference.samples >= min_samples && reference.reduction_mae > threshold;
+        let drifted = reference.samples >= CALIBRATION_MIN_SAMPLES
+            && reference.reduction_mae > CALIBRATION_ERROR_THRESHOLD;
+        proptest::prop_assert_eq!(drifted, !under_sampled && drifting);
         let correction = if drifted { reference.correction_factor() } else { None };
 
-        let config = MonitorConfig::default()
-            .with_calibration_min_samples(min_samples)
-            .with_calibration_error_threshold(threshold);
-        let forward = RuntimeMonitor::with_config(config);
-        let backward = RuntimeMonitor::with_config(config);
+        let forward = RuntimeMonitor::new();
+        let backward = RuntimeMonitor::new();
         for r in &records {
             forward.record_calibration("k", *r);
         }

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use probabilistic_predicates::core::calibration::CalibrationRecord;
 use probabilistic_predicates::core::implication::implies;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
-use probabilistic_predicates::core::rewrite::{rewrite, RewriteConfig};
+use probabilistic_predicates::core::rewrite::rewrite;
 use probabilistic_predicates::core::runtime::{Observation, RuntimeMonitor};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
@@ -110,7 +110,7 @@ proptest! {
         use std::sync::OnceLock;
         static CATALOG: OnceLock<PpCatalog> = OnceLock::new();
         let catalog = CATALOG.get_or_init(traf_pp_catalog);
-        let outcome = rewrite(&pred, catalog, &domains(), &RewriteConfig::default());
+        let outcome = rewrite(&pred, catalog, &domains());
         for cand in &outcome.candidates {
             prop_assert!(
                 implies(&pred, &cand.mimicked()),
@@ -127,7 +127,7 @@ fn wrangled_inequality_finds_candidates() {
     // `vehColor != white` should match the trained negation PP directly
     // AND yield an expanded disjunction of equality PPs.
     let pred = Predicate::from(Clause::new("vehColor", CompareOp::Ne, "white"));
-    let outcome = rewrite(&pred, &catalog, &domains(), &RewriteConfig::default());
+    let outcome = rewrite(&pred, &catalog, &domains());
     assert!(!outcome.candidates.is_empty());
     for cand in &outcome.candidates {
         assert!(implies(&pred, &cand.mimicked()), "{pred} vs {cand}");
@@ -138,7 +138,7 @@ fn wrangled_inequality_finds_candidates() {
 fn unknown_columns_produce_no_candidates() {
     let catalog = traf_pp_catalog();
     let pred = Predicate::from(Clause::new("weather", CompareOp::Eq, Value::str("rain")));
-    let outcome = rewrite(&pred, &catalog, &domains(), &RewriteConfig::default());
+    let outcome = rewrite(&pred, &catalog, &domains());
     assert!(outcome.candidates.is_empty());
     assert_eq!(outcome.feasible_count, 0);
 }
@@ -408,7 +408,6 @@ fn plan_lines(monitor: Option<&RuntimeMonitor>) -> String {
             domains(),
             QoConfig {
                 accuracy_target: target,
-                ..Default::default()
             },
         );
         let optimized = qo

@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 
 use probabilistic_predicates::core::calibration::CalibrationRecord;
 use probabilistic_predicates::core::catalog::CatalogEpoch;
-use probabilistic_predicates::core::planner::QoConfig;
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
-use probabilistic_predicates::core::rewrite::RewriteConfig;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
@@ -297,9 +295,11 @@ fn concurrent_identical_queries_optimize_once() {
 fn drift_replan_swaps_cached_plan_with_identical_verdicts() {
     let f = fixture();
     // Two PPs sharing one trained pipeline: at any common accuracy they
-    // threshold identically, so per-blob verdicts cannot change whichever
-    // the QO picks. A mimics the query predicate cheaply; B mimics an
-    // implied predicate (SUV ⇒ ≠ sedan) at 4× the cost.
+    // threshold identically. A mimics the query predicate cheaply; B
+    // mimics an implied predicate (SUV ⇒ ≠ sedan) at 4× the cost. The
+    // query asks for accuracy 1.0, so every leaf of every candidate runs
+    // at the shared th(1.0]: per-blob verdicts cannot change whichever
+    // expression the QO picks, however many leaves it conjoins.
     let pred_a = Predicate::from(Clause::new("vehType", CompareOp::Eq, "SUV"));
     let pred_b = Predicate::from(Clause::new("vehType", CompareOp::Ne, "sedan"));
     let mut corpus = PpCatalog::new();
@@ -312,15 +312,6 @@ fn drift_replan_swaps_cached_plan_with_identical_verdicts() {
     let mut server = PpServer::new(
         ServerConfig {
             workers: 2,
-            // Single-leaf expressions only: the full accuracy budget goes
-            // to whichever PP is chosen, pinning the shared threshold.
-            qo: QoConfig {
-                rewrite: RewriteConfig {
-                    max_pps: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
             ..Default::default()
         },
         f.catalog.clone(),
@@ -329,7 +320,7 @@ fn drift_replan_swaps_cached_plan_with_identical_verdicts() {
         f.domains.clone(),
     );
 
-    let req = QueryRequest::new("traffic", pred_a.clone(), 0.95);
+    let req = QueryRequest::new("traffic", pred_a.clone(), 1.0);
     let before = server.submit(req.clone()).unwrap().wait();
     let before = before.outcome.success().expect("completes").clone();
     let chosen_before = before
