@@ -86,11 +86,13 @@ impl<'a> ExecutionContextBuilder<'a> {
         self
     }
 
-    /// Sets the number of worker threads for row-parallel operators
-    /// (clamped to at least 1; 1 means fully serial, the default). This
-    /// is a request: a fan-out never spawns more threads than
-    /// [`std::thread::available_parallelism`] reports, and output bytes
-    /// never depend on how many it got.
+    /// Sets the number of threads row-parallel operators fan out on
+    /// (clamped to at least 1; 1 means fully serial, the default): the
+    /// calling thread and up to `k − 1` of the process's helper threads.
+    /// This is a request: a fan-out never runs on more threads than
+    /// [`std::thread::available_parallelism`] reports, it spawns none
+    /// (helpers are started once per process, on demand), and output
+    /// bytes never depend on how many it got.
     pub fn with_parallelism(mut self, k: usize) -> Self {
         self.opts = ExecOptions::new(k, self.opts.batch_size());
         self

@@ -44,11 +44,18 @@
 //! Row-parallel operators — `Filter`, `Process`, and `Select` — split
 //! each chunk of their input into *morsels* (contiguous row ranges of at
 //! most `MORSEL_BATCHES` batches; a row group smaller than that is one
-//! morsel) that a `std::thread` worker pool claims off a shared atomic
-//! counter: a worker stuck on an expensive morsel never blocks the rest
-//! of the input (work stealing by construction). The pool is never
-//! larger than the machine: `parallelism` asks, and
-//! `std::thread::available_parallelism` caps. Within a morsel, rows are
+//! morsel) that the calling thread and the process's helper threads
+//! claim off one shared counter: a thread stuck on an expensive morsel
+//! never blocks the rest of the input (work stealing by construction).
+//! A fan-out spawns no thread. Helpers are started on demand, at most
+//! one fewer than `std::thread::available_parallelism`, and live as long
+//! as the process; a fan-out offers them `parallelism − 1` seats (never
+//! more than the machine has), and the caller claims morsels itself, so
+//! a query never waits for a helper busy elsewhere. Morsel jobs own what
+//! they read — the chunks, the provider, the UDF, a bound predicate, all
+//! behind `Arc`s — which is what lets a thread that outlives the call
+//! run them in safe Rust. A scan wave fans out one job per row group,
+//! which reads, checks and decodes it. Within a morsel, rows are
 //! *probed* one [`Batch`] at a time, so a filter that overrides
 //! `eval_batch` scores a blob column as a contiguous block (see
 //! [`crate::batch`]). Batch boundaries are a pure function of `(chunk
@@ -63,7 +70,7 @@
 //! row's cells on into the operator's one output buffer — no allocation
 //! per row, and no tuple until something asks for one
 //! ([`Rowset::rows`]).
-//! The main thread then *consumes* the records sequentially in global row
+//! The calling thread then *consumes* the records sequentially in global row
 //! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
 //! exactly as a serial run would: a record with no failed row, met while
@@ -88,10 +95,10 @@
 //! * **Process / Reduce / Combine**: these materialize real columns, so
 //!   their errors are not maskable; after retries the error propagates.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
@@ -108,7 +115,7 @@ use crate::provider::TableProvider;
 use crate::resilience::{ExecSession, ProbeOutcome};
 use crate::row::{Row, RowRef, Rowset};
 use crate::schema::{Column, Schema};
-use crate::sync::Mutex;
+use crate::sync::{Condvar, Mutex};
 use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
 use crate::udf::{Combiner, Processor, Reducer, RowFilter};
 use crate::value::{Key, Value};
@@ -123,8 +130,9 @@ const MORSEL_BATCHES: usize = 4;
 /// way to build one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecOptions {
-    /// Worker threads asked for (1 = inline/serial); a fan-out spawns at
-    /// most [`HARDWARE_THREADS`] of them.
+    /// Threads a fan-out runs on (1 = inline/serial): the caller and at
+    /// most `parallelism − 1` of the process's helper threads, never more
+    /// than [`HARDWARE_THREADS`] in all.
     parallelism: usize,
     /// Rows per [`Batch`] a probe step evaluates.
     batch_size: usize,
@@ -154,12 +162,169 @@ impl Default for ExecOptions {
     }
 }
 
-/// What the machine can run at once, read once: the cap on a fan-out's
-/// worker threads. `parallelism` arrives from outside (a wire frame can
-/// ask for four billion), and a count read from the input must not size a
+/// What the machine can run at once, read once: the cap on the threads a
+/// fan-out runs on, and one more than the helpers the process ever
+/// starts. `parallelism` arrives from outside (a wire frame can ask for
+/// four billion), and a count read from the input must not size a
 /// resource.
 static HARDWARE_THREADS: LazyLock<usize> =
     LazyLock::new(|| std::thread::available_parallelism().map_or(1, usize::from));
+
+/// Runs `work`, turning a panic into the typed worker-panic
+/// cancellation: inside a fan-out a panic costs its morsel, not the
+/// thread that ran it. The thread's fault attempt ordinal is put back
+/// too, which a retry that panicked skipped.
+fn contained<T>(work: impl FnOnce() -> Result<T>) -> Result<T> {
+    let caught = crate::fault::with_attempt_ordinal(0, || catch_unwind(AssertUnwindSafe(work)));
+    caught.unwrap_or(Err(EngineError::Cancelled {
+        reason: CancelReason::WorkerPanic,
+    }))
+}
+
+/// The process's helper threads: started on demand, never more than
+/// [`HARDWARE_THREADS`] − 1 of them, and alive as long as the process. A
+/// fan-out offers itself here with the seats it has for helpers; an idle
+/// helper takes a seat at the oldest open offer, claims morsels until
+/// none is left, and goes back to waiting.
+struct Helpers {
+    offers: Mutex<Offers>,
+    wake: Condvar,
+}
+
+struct Offers {
+    /// Fan-outs that want helpers, oldest first, each with its seats
+    /// still open.
+    open: VecDeque<(Job, usize)>,
+    /// Helper threads started so far.
+    started: usize,
+}
+
+static HELPERS: Helpers = Helpers {
+    offers: Mutex::new(Offers {
+        open: VecDeque::new(),
+        started: 0,
+    }),
+    wake: Condvar::new(),
+};
+
+/// A fan-out as a helper sees it: claims and runs morsels until none is
+/// left to claim.
+type Job = Arc<dyn Fn() + Send + Sync>;
+
+impl Helpers {
+    /// Offers `job` to `seats` helpers, first starting the ones the
+    /// process lacks (each start counted in `spawned`): once as many
+    /// helpers are running as the widest fan-out wanted, a fan-out starts
+    /// nothing.
+    fn offer(&'static self, job: &Job, seats: usize, spawned: &Counter) {
+        let missing = {
+            let mut offers = self.offers.lock();
+            offers.open.push_back((Arc::clone(job), seats));
+            let missing = seats.saturating_sub(offers.started);
+            offers.started += missing;
+            missing
+        };
+        for _ in 0..missing {
+            // A helper lives as long as the process, so nothing joins it;
+            // a job contains every panic of the work it runs, so none is
+            // hidden by the detached handle.
+            match std::thread::Builder::new()
+                .name("pp-morsel-helper".into())
+                .spawn(|| self.serve())
+            {
+                Ok(_) => spawned.inc(),
+                // The caller claims every morsel nobody helps with.
+                Err(_) => self.offers.lock().started -= 1,
+            }
+        }
+        if seats == 1 {
+            self.wake.notify_one();
+        } else {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Withdraws `job`'s offer once its caller has nothing left to claim,
+    /// so no helper wakes for it and nothing it owns outlives it here.
+    fn retract(&self, job: &Job) {
+        self.offers
+            .lock()
+            .open
+            .retain(|(open, _)| !Arc::ptr_eq(open, job));
+    }
+
+    /// A helper's life: take a seat at the oldest open offer, help, and
+    /// wait for the next. A job contains every panic of the work it runs,
+    /// so no job ends a helper.
+    fn serve(&self) {
+        let mut offers = self.offers.lock();
+        loop {
+            let Some((job, seats)) = offers.open.front_mut() else {
+                offers = self.wake.wait(offers);
+                continue;
+            };
+            let job = Arc::clone(job);
+            *seats -= 1;
+            if *seats == 0 {
+                offers.open.pop_front();
+            }
+            drop(offers);
+            job();
+            drop(job);
+            offers = self.offers.lock();
+        }
+    }
+}
+
+/// One fan-out: the morsels and their work, owned so that helpers can
+/// hold them, and the claims and results the caller and its helpers
+/// share.
+struct FanOut<M, T, F> {
+    morsels: Vec<M>,
+    work: F,
+    claims: Mutex<Claims<T>>,
+    /// Signalled when the last running morsel finishes while the caller
+    /// waits for it.
+    settled: Condvar,
+}
+
+struct Claims<T> {
+    /// The next morsel to claim: morsels are claimed in index order.
+    next: usize,
+    /// Set by the first morsel that fails: nothing more is claimed.
+    stopped: bool,
+    /// Morsels claimed and not finished yet.
+    running: usize,
+    /// Whether the caller is waiting for `running` to reach 0.
+    waiting: bool,
+    /// One result per claimed morsel, by morsel index.
+    slots: Vec<Option<Result<T>>>,
+}
+
+impl<M, T, F: Fn(&M) -> Result<T>> FanOut<M, T, F> {
+    /// Claims and runs morsels until none is left or one has failed.
+    fn drain(&self) {
+        loop {
+            let i = {
+                let mut claims = self.claims.lock();
+                if claims.stopped || claims.next == self.morsels.len() {
+                    return;
+                }
+                claims.next += 1;
+                claims.running += 1;
+                claims.next - 1
+            };
+            let result = contained(|| (self.work)(&self.morsels[i]));
+            let mut claims = self.claims.lock();
+            claims.stopped |= result.is_err();
+            claims.slots[i] = Some(result);
+            claims.running -= 1;
+            if claims.running == 0 && claims.waiting {
+                self.settled.notify_one();
+            }
+        }
+    }
+}
 
 /// One morsel of an operator's input: rows `rows` of chunk number
 /// `chunk`, the first of them input row `offset` of the operator.
@@ -169,86 +334,9 @@ struct Morsel {
     offset: usize,
 }
 
-/// Runs `work` over `morsels` — row ranges for the row-parallel
-/// operators, row-group indices for a scan wave — and returns one result
-/// per morsel, in morsel order.
-///
-/// With `parallelism > 1` a scoped worker pool — `parallelism` threads,
-/// but never more than there are morsels or [`HARDWARE_THREADS`], each
-/// spawn counted in `spawned` — claims morsels off a shared atomic
-/// counter (work stealing: no static assignment, so one slow morsel never
-/// idles the pool) and the results are reassembled in morsel order —
-/// bit-identical to the serial walk.
-///
-/// A morsel may return `Err` (cancellation, a group that fails to
-/// decode); the lowest-indexed erroring morsel's error wins and the
-/// other results are discarded — nothing was consumed, so nothing is
-/// charged, matching how an open breaker discards unconsumed probes. A
-/// worker that panics inside `work` loses its morsel; the run then fails
-/// with [`CancelReason::WorkerPanic`] instead of re-raising the panic.
-fn run_morsels<M, T, F>(
-    morsels: &[M],
-    parallelism: usize,
-    spawned: &Counter,
-    work: F,
-) -> Result<Vec<T>>
-where
-    M: Sync,
-    T: Send,
-    F: Fn(&M) -> Result<T> + Sync,
-{
-    let workers = parallelism.min(morsels.len()).min(*HARDWARE_THREADS);
-    if workers <= 1 {
-        return morsels.iter().map(work).collect();
-    }
-    spawned.add(workers as u64);
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<T>>>> = morsels.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(morsel) = morsels.get(i) else { break };
-                    let r = work(morsel);
-                    if r.is_err() {
-                        // First error aborts the fan-out; morsels nobody
-                        // has claimed yet stay unprocessed (their results
-                        // would be discarded anyway).
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    *slots[i].lock() = Some(r);
-                })
-            })
-            .collect();
-        // Join by hand: an unjoined panicked worker would re-raise its
-        // panic out of the scope. Its morsel's slot stays empty instead.
-        for handle in handles {
-            if handle.join().is_err() {
-                stop.store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(morsels.len());
-    for slot in slots {
-        match slot.into_inner() {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            // Morsels are claimed in index order, so an empty slot ahead
-            // of any error was claimed by a worker that panicked in it.
-            None => {
-                return Err(EngineError::Cancelled {
-                    reason: CancelReason::WorkerPanic,
-                })
-            }
-        }
-    }
-    Ok(out)
-}
+/// A probe that morsel jobs share: what a filter or processor makes of
+/// one [`Batch`], owning everything it reads.
+type ProbeFn<P> = Arc<dyn Fn(&Batch<'_>) -> P + Send + Sync>;
 
 /// What an operator body hands to [`Executor::finish`]: its span with
 /// everything but `rows_emitted`, `rows_failed` and `wall_nanos` filled
@@ -319,8 +407,8 @@ fn one_wave<X>(rows: Arc<Rowset>) -> impl FnMut(&mut X) -> Result<Option<Vec<Chu
 /// group per morsel) and reassembles them in group order, so row order —
 /// and therefore every downstream result, charge, and span — is the same
 /// for every provider holding the same rows, at any parallelism.
-struct ScanStream<'p> {
-    provider: &'p dyn TableProvider,
+struct ScanStream {
+    provider: Arc<dyn TableProvider>,
     kept: Vec<usize>,
     /// How many of `kept` are decoded.
     next: usize,
@@ -332,12 +420,12 @@ struct ScanStream<'p> {
     wall: Duration,
 }
 
-impl<'p> ScanStream<'p> {
-    fn open(catalog: &'p Catalog, table: &str, pushdown: Option<&Predicate>) -> Result<Self> {
-        let provider = catalog.provider(table)?.as_ref();
+impl ScanStream {
+    fn open(catalog: &Catalog, table: &str, pushdown: Option<&Predicate>) -> Result<Self> {
+        let provider = Arc::clone(catalog.provider(table)?);
         Ok(ScanStream {
+            kept: crate::provider::kept_groups(provider.as_ref(), pushdown),
             provider,
-            kept: crate::provider::kept_groups(provider, pushdown),
             next: 0,
             polled: false,
             rows: 0,
@@ -368,12 +456,10 @@ impl<'p> ScanStream<'p> {
         }
         // Group sizes are row counts, so the row-oriented batch size
         // doesn't apply here (parallelism still does).
-        let chunks = run_morsels(
-            &self.kept[self.next..end],
-            ex.opts.parallelism,
-            &ex.tel.worker_threads,
-            |&g| self.provider.read_group(g),
-        )?;
+        let provider = Arc::clone(&self.provider);
+        let chunks = ex.run_morsels(self.kept[self.next..end].to_vec(), move |&g| {
+            provider.read_group(g)
+        })?;
         self.next = end;
         self.bytes += wave_bytes;
         self.rows += chunks.iter().map(Chunk::len).sum::<usize>();
@@ -421,7 +507,7 @@ impl<'p> ScanStream<'p> {
 /// to `tel` when it closes — the span *is* its charge, so span order is
 /// charge order and [`OperatorId`](crate::telemetry::OperatorId)s are a
 /// pure function of the plan shape. Spans and events are recorded only on
-/// the main thread, in the deterministic consume phase; worker threads
+/// the calling thread, in the deterministic consume phase; morsel jobs
 /// touch nothing but the registry-level `worker.*` counters.
 ///
 /// Cancellation contract: `cancel` is polled on operator entry, at the
@@ -461,7 +547,7 @@ impl Executor<'_> {
             LogicalPlan::Scan { table, pushdown } => self.scan(op, table, pushdown.as_ref()),
             LogicalPlan::Process { input, processor } => {
                 let rows = self.run(input)?;
-                self.operator(|ex| ex.process(op, rows, processor.as_ref()))
+                self.operator(|ex| ex.process(op, rows, processor))
             }
             LogicalPlan::Select { input, predicate } => {
                 let rows = self.run(input)?;
@@ -470,18 +556,14 @@ impl Executor<'_> {
             LogicalPlan::Filter { input, filter } => match input.as_ref() {
                 // Directly above a scan — where every PP is injected —
                 // the filter rides the scan's stream.
-                LogicalPlan::Scan { table, pushdown } => self.scan_filter(
-                    input.op_label(),
-                    table,
-                    pushdown.as_ref(),
-                    op,
-                    filter.as_ref(),
-                ),
+                LogicalPlan::Scan { table, pushdown } => {
+                    self.scan_filter(input.op_label(), table, pushdown.as_ref(), op, filter)
+                }
                 _ => {
                     let rows = self.run(input)?;
                     let schema = rows.schema().clone();
                     let waves = one_wave(Arc::new(rows));
-                    self.operator(|ex| ex.filter(op, schema, waves, filter.as_ref()))
+                    self.operator(|ex| ex.filter(op, schema, waves, filter))
                 }
             },
             LogicalPlan::Project { input, items } => {
@@ -569,17 +651,92 @@ impl Executor<'_> {
         span
     }
 
-    /// Fans `work` out over the rows of `chunks` on the morsel scheduler
+    /// Runs `work` over `morsels` — row ranges for the row-parallel
+    /// operators, row groups for a scan wave — and returns one result per
+    /// morsel, in morsel order.
+    ///
+    /// With `parallelism > 1` the fan-out runs on `parallelism` threads,
+    /// but never more than there are morsels or [`HARDWARE_THREADS`]:
+    /// the morsels are offered to that many less one of the process's
+    /// helper threads ([`Helpers`]), and the calling thread claims
+    /// morsels itself: claims come off one
+    /// shared counter (work stealing: no static assignment, so one slow
+    /// morsel never idles the rest), and a helper busy elsewhere never
+    /// holds the query up, because the caller claims whatever nobody
+    /// else has. The results are reassembled in morsel order —
+    /// bit-identical to the serial walk. Once the caller has nothing left
+    /// to claim it withdraws the offer and waits only for the morsels
+    /// already running. The fan-out owns what it reads, so `work` and the
+    /// morsels are `'static`: `Arc`s of the chunks, the provider, the
+    /// UDF.
+    ///
+    /// A morsel may return `Err` (cancellation, a group that fails to
+    /// decode); the lowest-indexed erroring morsel's error wins and the
+    /// other results are discarded — nothing was consumed, so nothing is
+    /// charged, matching how an open breaker discards unconsumed probes.
+    /// A morsel whose `work` panics, on the caller or a helper, fails
+    /// with [`CancelReason::WorkerPanic`] instead of re-raising the
+    /// panic, and the thread lives on.
+    fn run_morsels<M, T, F>(&self, morsels: Vec<M>, work: F) -> Result<Vec<T>>
+    where
+        M: Send + Sync + 'static,
+        T: Send + 'static,
+        F: Fn(&M) -> Result<T> + Send + Sync + 'static,
+    {
+        // The threads this fan-out runs on, the caller included.
+        let width = self
+            .opts
+            .parallelism
+            .min(morsels.len())
+            .min(*HARDWARE_THREADS);
+        if width <= 1 {
+            return morsels.iter().map(work).collect();
+        }
+        let fan = Arc::new(FanOut {
+            claims: Mutex::new(Claims {
+                next: 0,
+                stopped: false,
+                running: 0,
+                waiting: false,
+                slots: morsels.iter().map(|_| None).collect(),
+            }),
+            morsels,
+            work,
+            settled: Condvar::new(),
+        });
+        let job: Job = {
+            let fan = Arc::clone(&fan);
+            Arc::new(move || fan.drain())
+        };
+        self.tel.worker_fanouts.inc();
+        HELPERS.offer(&job, width - 1, &self.tel.worker_threads);
+        fan.drain();
+        HELPERS.retract(&job);
+        let slots = {
+            let mut claims = fan.claims.lock();
+            claims.waiting = true;
+            while claims.running > 0 {
+                claims = fan.settled.wait(claims);
+            }
+            std::mem::take(&mut claims.slots)
+        };
+        // Morsels are claimed in index order and a fan-out stops claiming
+        // only at a failed morsel, so every morsel without a result comes
+        // after one with an error.
+        slots.into_iter().flatten().collect()
+    }
+
+    /// Fans `probe` out over the rows of `chunks` on the morsel scheduler
     /// — one record per batch, in row order, batches never straddling a
     /// chunk — polling the cancel token and bumping the `worker.*`
     /// counters once per batch. `first_row` is the input index of the
     /// first chunk's first row.
-    fn probe<T: Send>(
+    fn probe<P: Send + 'static>(
         &self,
-        chunks: &[Chunk],
+        chunks: &Arc<[Chunk]>,
         first_row: usize,
-        work: impl Fn(&Batch<'_>) -> T + Sync,
-    ) -> Result<Vec<Located<T>>> {
+        probe: &ProbeFn<P>,
+    ) -> Result<Vec<Located<P>>> {
         let step = self.opts.batch_size;
         let size = step.saturating_mul(MORSEL_BATCHES);
         let mut morsels = Vec::new();
@@ -594,10 +751,12 @@ impl Executor<'_> {
             }
             offset += rows;
         }
-        let (cancel, worker_rows, worker_batches) =
-            (self.cancel, &self.tel.worker_rows, &self.tel.worker_batches);
-        let spawned = &self.tel.worker_threads;
-        let records = run_morsels(&morsels, self.opts.parallelism, spawned, |m| {
+        let (cancel, chunks, probe) = (self.cancel.clone(), Arc::clone(chunks), Arc::clone(probe));
+        let (worker_rows, worker_batches) = (
+            self.tel.worker_rows.clone(),
+            self.tel.worker_batches.clone(),
+        );
+        let records = self.run_morsels(morsels, move |m: &Morsel| {
             let mut out = Vec::with_capacity(m.rows.len().div_ceil(step));
             for start in m.rows.clone().step_by(step) {
                 let rows = start..(start + step).min(m.rows.end);
@@ -606,7 +765,7 @@ impl Executor<'_> {
                 worker_batches.inc();
                 let offset = m.offset + (start - m.rows.start);
                 let batch = Batch::new(&chunks[m.chunk], rows, offset);
-                out.push((m.chunk, start, work(&batch)));
+                out.push((m.chunk, start, probe(&batch)));
             }
             Ok(out)
         })?;
@@ -617,7 +776,7 @@ impl Executor<'_> {
     /// as a tuple.
     fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Rowset> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
-        let provider = stream.provider;
+        let provider = Arc::clone(&stream.provider);
         let mut rows: Vec<Row> = Vec::new();
         let stopped = loop {
             match stream.next_wave(self) {
@@ -654,7 +813,7 @@ impl Executor<'_> {
         table: &str,
         pushdown: Option<&Predicate>,
         op: String,
-        filter: &dyn RowFilter,
+        filter: &Arc<dyn RowFilter>,
     ) -> Result<Rowset> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
         let schema = stream.provider.schema();
@@ -673,14 +832,11 @@ impl Executor<'_> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
         let input = Arc::new(in_rows);
-        let chunks = [Chunk::from_rows(Arc::clone(&input))];
+        let chunks: Arc<[Chunk]> = Arc::new([Chunk::from_rows(Arc::clone(&input))]);
         let predicate = predicate.bind(&schema);
-        let verdicts = self.probe(&chunks, 0, |batch| {
-            batch
-                .row_refs()
-                .map(|row| predicate.eval(row))
-                .collect::<Vec<_>>()
-        })?;
+        let eval: ProbeFn<Vec<Result<bool>>> =
+            Arc::new(move |batch| batch.row_refs().map(|row| predicate.eval(row)).collect());
+        let verdicts = self.probe(&chunks, 0, &eval)?;
         let mut kept = Vec::new();
         let verdicts = verdicts.into_iter().flat_map(|(_, _, verdicts)| verdicts);
         for (at, verdict) in verdicts.enumerate() {
@@ -701,19 +857,20 @@ impl Executor<'_> {
         op: String,
         schema: Arc<Schema>,
         waves: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
-        filter: &dyn RowFilter,
+        filter: &Arc<dyn RowFilter>,
     ) -> Result<Finished> {
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
         let fail_open = self.session.config().fail_open_filters && filter.fail_open();
         let config = *self.session.config();
+        let (name, filter) = (op.clone(), Arc::clone(filter));
         self.fold_udf(
             &op,
             filter.cost_per_row(),
             fail_open.then_some(true),
             Rowset::empty(schema),
             waves,
-            |batch| {
+            move |batch| {
                 let firsts = filter.eval_batch(batch);
                 debug_assert_eq!(firsts.len(), batch.len());
                 let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
@@ -723,7 +880,7 @@ impl Executor<'_> {
                         err => {
                             let row = &batch.rows()[at];
                             let retry = || filter.passes(row, batch.schema());
-                            failed.push((at, config.resume_probe(&op, err, retry)));
+                            failed.push((at, config.resume_probe(&name, err, retry)));
                         }
                     }
                 }
@@ -750,26 +907,13 @@ impl Executor<'_> {
         &mut self,
         op: String,
         in_rows: Rowset,
-        processor: &dyn Processor,
+        processor: &Arc<dyn Processor>,
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
         let config = *self.session.config();
         let width = processor.output_columns().len();
         let input = Arc::new(in_rows);
-        // A processor is scalar: a row's first attempt and its retries
-        // are the same call, answering how many output rows it appended
-        // to the batch's buffer. An attempt that fails — the UDF's error,
-        // a part-written row, a non-finite float under `validate_outputs`
-        // — is like any other failed call, and leaves no cell behind.
-        let call = |row: RowRef<'_>, schema: &Schema, cells: &mut Vec<Value>| {
-            crate::udf::attempt(processor, row, schema, cells, |fresh| {
-                let rows = crate::udf::output_rows(processor, fresh.len())?;
-                if config.validate_outputs {
-                    validate_cells(fresh, processor.name())?;
-                }
-                Ok(rows)
-            })
-        };
+        let (name, udf) = (op.clone(), Arc::clone(processor));
         let out = Appending {
             cells: Vec::with_capacity(input.len() * width),
             from: Vec::with_capacity(input.len()),
@@ -782,7 +926,22 @@ impl Executor<'_> {
             None,
             out,
             one_wave(Arc::clone(&input)),
-            |batch| {
+            move |batch| {
+                // A processor is scalar: a row's first attempt and its
+                // retries are the same call, answering how many output
+                // rows it appended to the batch's buffer. An attempt that
+                // fails — the UDF's error, a part-written row, a
+                // non-finite float under `validate_outputs` — is like any
+                // other failed call, and leaves no cell behind.
+                let call = |row: RowRef<'_>, schema: &Schema, cells: &mut Vec<Value>| {
+                    crate::udf::attempt(udf.as_ref(), row, schema, cells, |fresh| {
+                        let rows = crate::udf::output_rows(udf.as_ref(), fresh.len())?;
+                        if config.validate_outputs {
+                            validate_cells(fresh, udf.name())?;
+                        }
+                        Ok(rows)
+                    })
+                };
                 let schema = batch.schema();
                 let mut cells = Vec::with_capacity(batch.len() * width);
                 let (mut ragged, mut failed) = (Vec::new(), Vec::new());
@@ -792,7 +951,7 @@ impl Executor<'_> {
                         Ok(rows) => ragged.push((at, rows)),
                         err => {
                             let retry = || call(row, schema, &mut cells);
-                            failed.push((at, config.resume_probe(&op, err, retry)));
+                            failed.push((at, config.resume_probe(&name, err, retry)));
                         }
                     }
                 }
@@ -829,7 +988,7 @@ impl Executor<'_> {
     /// The probe→consume fold shared by Filter and Process, over the
     /// waves `next_wave` yields until it says `None`.
     ///
-    /// Probe phase (workers): `probe` makes every row's first attempt one
+    /// Probe phase (morsel jobs): `probe` makes every row's first attempt one
     /// [`Batch`] at a time (vectorizable), and runs the retry loop
     /// (`resume_probe`) of each row whose first attempt failed, yielding
     /// one [`Probed`] record per batch. Pure — no session state. If the
@@ -837,7 +996,7 @@ impl Executor<'_> {
     /// affected probes, so charges stay identical to a serial run that
     /// never made those calls.
     ///
-    /// Consume phase (main thread): folds the records into the session's
+    /// Consume phase (calling thread): folds the records into the session's
     /// breaker and the operator's span in row order, driving the breaker
     /// and fail-open exactly as serial execution would. A record with no
     /// failed row, met while the breaker is closed, is folded in closed
@@ -861,14 +1020,14 @@ impl Executor<'_> {
     /// has consumed a wave is charged for what it consumed, one that has
     /// not never ran (`Err`).
     #[allow(clippy::too_many_arguments)]
-    fn fold_udf<B: Send, T: Send + Copy, O>(
+    fn fold_udf<B: Send + 'static, T: Send + Copy + 'static, O>(
         &mut self,
         op: &str,
         cost_per_row: f64,
         fail_open: Option<T>,
         mut out: O,
         mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
-        probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Sync,
+        probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Send + Sync + 'static,
         mut first: impl FnMut(&mut B, usize) -> Option<T>,
         mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> Result<bool>,
     ) -> Result<Finished<O>> {
@@ -878,16 +1037,17 @@ impl Executor<'_> {
         let mut clean_rows: u64 = 0;
         let mut row_idx: u64 = 0;
         let (mut handed, mut consumed_any) = (0usize, false);
+        // First attempts are attempt 0; a retry loop inside `probe`
+        // numbers its own.
+        let probe: ProbeFn<Probed<B, T>> =
+            Arc::new(move |batch| crate::fault::with_attempt_ordinal(0, || probe(batch)));
         'waves: loop {
             let probed = next_wave(self).and_then(|wave| {
                 let Some(chunks) = wave else { return Ok(None) };
+                let chunks: Arc<[Chunk]> = chunks.into();
                 let first_row = handed;
                 handed += chunks.iter().map(Chunk::len).sum::<usize>();
-                // First attempts are attempt 0; a retry loop inside
-                // `probe` numbers its own.
-                let probes = self.probe(&chunks, first_row, |batch| {
-                    crate::fault::with_attempt_ordinal(0, || probe(batch))
-                })?;
+                let probes = self.probe(&chunks, first_row, &probe)?;
                 Ok(Some((chunks, probes)))
             });
             let (chunks, probes) = match probed {
@@ -1127,7 +1287,7 @@ impl Executor<'_> {
     }
 
     /// The group-invocation loop shared by Reduce and Combine: one
-    /// resilient `call` per group, serially on the main thread. Group
+    /// resilient `call` per group, serially on the calling thread. Group
     /// UDFs are charged per input row; a retried group re-pays for each
     /// of its `size` rows. Input rows that reached no group (Combine's
     /// unmatched keys) count as filtered.
@@ -1189,7 +1349,7 @@ impl Executor<'_> {
 /// Counts one consumed UDF outcome — a row's for Filter/Process (`row` is
 /// its input index), a group's for Reduce/Combine — into the operator's
 /// span and event stream. This is the only place recovery work is
-/// counted, and it runs on the main thread in consume order, which is what
+/// counted, and it runs on the calling thread in consume order, which is what
 /// the determinism contract rests on. `unit` is what one attempt costs;
 /// `breaker_open` is the breaker's state after the outcome was consumed.
 fn record_outcome<T>(
@@ -1326,7 +1486,7 @@ mod tests {
     use crate::resilience::{ResilienceConfig, RetryPolicy};
     use crate::schema::DataType;
     use crate::udf::{ClosureFilter, ClosureProcessor, ClosureReducer};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn catalog() -> Result<Catalog> {
         let schema = Schema::new(vec![
@@ -1654,39 +1814,137 @@ mod tests {
         Ok(())
     }
 
-    /// A kernel that panics on a worker thread costs its morsel, not the
-    /// process: the run ends with the typed worker-panic cancellation and
-    /// the operator, whose probes were never consumed, charges nothing.
+    /// Holds each thread that meets it until `parties` have, so that a
+    /// fan-out whose morsels all meet it must have run them on that many
+    /// threads, whichever claimed which. A broken pool fails the meeting
+    /// after a generous wait instead of hanging the test.
+    struct Gate {
+        arrived: Mutex<usize>,
+        all_in: Condvar,
+        parties: usize,
+        failed: AtomicBool,
+    }
+
+    impl Gate {
+        fn new(parties: usize) -> Arc<Gate> {
+            Arc::new(Gate {
+                arrived: Mutex::new(0),
+                all_in: Condvar::new(),
+                parties,
+                failed: AtomicBool::new(false),
+            })
+        }
+
+        fn meet(&self) {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut arrived = self.arrived.lock();
+            *arrived += 1;
+            self.all_in.notify_all();
+            while *arrived < self.parties {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    self.failed.store(true, Ordering::SeqCst);
+                    return;
+                }
+                arrived = self.all_in.wait_timeout(arrived, left).0;
+            }
+        }
+
+        fn met(&self) -> bool {
+            !self.failed.load(Ordering::SeqCst)
+        }
+    }
+
+    /// `frames` at parallelism 4, batch size 2: two morsels (rows 0..8
+    /// and 8..10), so the fan-out is the caller and one helper seat on
+    /// any machine with two hardware threads or more. Each morsel's
+    /// first row meets `gate`, which makes the two run on two threads —
+    /// the caller and a helper — and then `kernel` decides the row.
+    fn gated_k4_run(gate: &Arc<Gate>, kernel: fn(i64) -> bool) -> (Result<Rowset>, SpanCollector) {
+        let gate = Arc::clone(gate);
+        let filter = Arc::new(ClosureFilter::new("PP[gated]", 0.1, move |row, _| {
+            let id = row.get(0).as_int()?;
+            if id % 8 == 0 {
+                gate.meet();
+            }
+            Ok(kernel(id))
+        }));
+        let mut tel = SpanCollector::detached();
+        let result = catalog().and_then(|cat| {
+            run_opts(
+                &LogicalPlan::scan("frames").filter(filter),
+                &cat,
+                &mut ExecSession::default(),
+                ExecOptions::new(4, 2),
+                &mut tel,
+            )
+        });
+        (result, tel)
+    }
+
+    /// A kernel that panics costs its morsel, not the process, whether
+    /// the caller or a helper claimed the morsel: the run ends with the
+    /// typed worker-panic cancellation and the filter, whose probes were
+    /// never consumed, charges nothing.
     #[test]
-    fn panicking_kernel_at_k4_is_a_typed_error() -> Result<()> {
+    fn panicking_kernel_at_k4_is_a_typed_error() {
         if *HARDWARE_THREADS < 2 {
             // No fan-out on this machine: the kernel would run (and
             // panic) on the caller's own thread, as at K = 1.
+            return;
+        }
+        // Both morsels panic, one on the caller and one on a helper; then
+        // only the first does, while its sibling on the other thread
+        // succeeds.
+        let kernels: [fn(i64) -> bool; 2] = [
+            |_| panic!("kernel bug"),
+            |id| if id < 8 { panic!("kernel bug") } else { true },
+        ];
+        for kernel in kernels {
+            let gate = Gate::new(2);
+            let (result, tel) = gated_k4_run(&gate, kernel);
+            assert!(gate.met(), "the two morsels ran on one thread");
+            assert!(matches!(
+                result,
+                Err(EngineError::Cancelled {
+                    reason: CancelReason::WorkerPanic
+                })
+            ));
+            assert_eq!(tel.spans().len(), 1, "only the scan charged");
+            assert!(tel.spans()[0].op.starts_with("Scan"));
+        }
+    }
+
+    /// A helper lives through the panic of a job it ran: a K = 4 run
+    /// after a panicked one still fans out onto a helper, returns the
+    /// K = 1 rows, and starts no thread.
+    #[test]
+    fn a_helper_survives_its_jobs_panic() -> Result<()> {
+        if *HARDWARE_THREADS < 2 {
             return Ok(());
         }
-        let cat = catalog()?;
-        let bomb = Arc::new(ClosureFilter::new("PP[bomb]", 0.1, |row, _| {
-            if row.get(0).as_int()? == 7 {
-                panic!("kernel bug on row 7");
-            }
-            Ok(true)
+        let panicked = Gate::new(2);
+        let (result, _) = gated_k4_run(&panicked, |_| panic!("kernel bug"));
+        assert!(panicked.met(), "the two morsels ran on one thread");
+        assert!(result.is_err());
+
+        let gate = Gate::new(2);
+        let (rows, tel) = gated_k4_run(&gate, |id| id % 2 == 0);
+        assert!(gate.met(), "no helper ran a morsel after the panic");
+        let even = Arc::new(ClosureFilter::new("PP[gated]", 0.1, |row, _| {
+            Ok(row.get(0).as_int()? % 2 == 0)
         }));
-        let plan = LogicalPlan::scan("frames").filter(bomb);
-        let mut tel = SpanCollector::detached();
-        let result = run_opts(
-            &plan,
-            &cat,
-            &mut ExecSession::default(),
-            ExecOptions::new(4, 2),
-            &mut tel,
+        let (serial, _) = run(&LogicalPlan::scan("frames").filter(even), &catalog()?)?;
+        assert_eq!(
+            format!("{:?}", rows?.rows()),
+            format!("{:?}", serial.rows())
         );
-        assert!(matches!(
-            result,
-            Err(EngineError::Cancelled {
-                reason: CancelReason::WorkerPanic
-            })
-        ));
-        assert_eq!(tel.spans().len(), 1, "only the scan charged");
+        assert_eq!(tel.worker_fanouts.get(), 1);
+        assert_eq!(
+            tel.worker_threads.get(),
+            0,
+            "the helper was already running"
+        );
         Ok(())
     }
 

@@ -189,7 +189,7 @@ impl Predicate {
 
     /// The predicate with every clause's column resolved against `schema`
     /// once, for evaluating rows of that schema.
-    pub fn bind<'p>(&'p self, schema: &Schema) -> BoundPredicate<'p> {
+    pub fn bind(&self, schema: &Schema) -> BoundPredicate {
         BoundPredicate(Bound::new(self, schema))
     }
 
@@ -386,10 +386,14 @@ impl Predicate {
 
 /// A [`Predicate`] bound to one schema ([`Predicate::bind`]): each clause
 /// reads its cell by position instead of looking its column up per row.
+/// It owns what it compares, so a morsel job can hold it. Binding
+/// allocates only the `And` / `Or` lists: a clause keeps its operator,
+/// its constant (a string's is shared) and its column's position, and
+/// names the column only if the schema lacks it.
 #[derive(Debug)]
-pub struct BoundPredicate<'p>(Bound<'p>);
+pub struct BoundPredicate(Bound);
 
-impl BoundPredicate<'_> {
+impl BoundPredicate {
     /// Evaluates against a row of the schema the predicate was bound to,
     /// with [`Predicate::eval`]'s verdicts and short-circuit order: a
     /// clause naming a column the schema lacks fails with
@@ -400,22 +404,27 @@ impl BoundPredicate<'_> {
 }
 
 #[derive(Debug)]
-enum Bound<'p> {
+enum Bound {
     Const(bool),
-    /// The clause and its column's position, `None` if the schema lacks it.
-    Clause(&'p Clause, Option<usize>),
-    Not(Box<Bound<'p>>),
-    And(Vec<Bound<'p>>),
-    Or(Vec<Bound<'p>>),
+    /// A clause's operator and constant, and its column's position.
+    Clause(CompareOp, Value, usize),
+    /// A clause whose column the schema lacks: the column's name.
+    Missing(String),
+    Not(Box<Bound>),
+    And(Vec<Bound>),
+    Or(Vec<Bound>),
 }
 
-impl<'p> Bound<'p> {
-    fn new(p: &'p Predicate, schema: &Schema) -> Self {
-        let all = |ps: &'p [Predicate]| ps.iter().map(|p| Bound::new(p, schema)).collect();
+impl Bound {
+    fn new(p: &Predicate, schema: &Schema) -> Self {
+        let all = |ps: &[Predicate]| ps.iter().map(|p| Bound::new(p, schema)).collect();
         match p {
             Predicate::True => Bound::Const(true),
             Predicate::False => Bound::Const(false),
-            Predicate::Clause(c) => Bound::Clause(c, schema.index_of(&c.column).ok()),
+            Predicate::Clause(c) => match schema.index_of(&c.column) {
+                Ok(at) => Bound::Clause(c.op, c.value.clone(), at),
+                Err(_) => Bound::Missing(c.column.clone()),
+            },
             Predicate::Not(p) => Bound::Not(Box::new(Bound::new(p, schema))),
             Predicate::And(ps) => Bound::And(all(ps)),
             Predicate::Or(ps) => Bound::Or(all(ps)),
@@ -425,8 +434,8 @@ impl<'p> Bound<'p> {
     fn eval(&self, values: RowRef<'_>) -> Result<bool> {
         match self {
             Bound::Const(verdict) => Ok(*verdict),
-            Bound::Clause(c, Some(at)) => Ok(c.op.eval(values.get(*at), &c.value)),
-            Bound::Clause(c, None) => Err(EngineError::UnknownColumn(c.column.clone())),
+            Bound::Clause(op, value, at) => Ok(op.eval(values.get(*at), value)),
+            Bound::Missing(column) => Err(EngineError::UnknownColumn(column.clone())),
             Bound::Not(p) => Ok(!p.eval(values)?),
             Bound::And(ps) => {
                 for p in ps {

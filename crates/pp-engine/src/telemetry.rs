@@ -766,9 +766,14 @@ pub(crate) struct SpanCollector {
     pub worker_rows: Counter,
     /// `worker.batches_total` handle, bumped from worker threads.
     pub worker_batches: Counter,
-    /// `worker.threads_spawned_total` handle: morsel threads spawned, all
-    /// fan-outs of the run together.
+    /// `worker.threads_spawned_total` handle: helper threads the run's
+    /// fan-outs started. The process starts at most one fewer than the
+    /// machine has hardware threads, all told, so a run spawns none once
+    /// an earlier one as wide has run.
     pub worker_threads: Counter,
+    /// `worker.fanouts_total` handle: fan-outs the run offered to the
+    /// helper threads — however many of them, or none, took a seat.
+    pub worker_fanouts: Counter,
     /// The `store.*` handles.
     pub store: StoreCounters,
 }
@@ -815,6 +820,7 @@ impl SpanCollector {
             worker_rows: registry.counter("worker.rows_probed_total"),
             worker_batches: registry.counter("worker.batches_total"),
             worker_threads: registry.counter("worker.threads_spawned_total"),
+            worker_fanouts: registry.counter("worker.fanouts_total"),
             store: StoreCounters::of(registry),
         }
     }

@@ -28,9 +28,9 @@ use probabilistic_predicates::engine::bytes::Reader;
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::RowFilter;
 use probabilistic_predicates::engine::{
-    Catalog, Clause, Column, CompareOp, DataType, FaultPlan, FaultSpec, LogicalPlan,
-    MemoryProvider, Predicate, ResilienceConfig, RetryPolicy, Row, Rowset, Schema, TableProvider,
-    Value,
+    CancelReason, CancelToken, Catalog, Clause, Column, CompareOp, DataType, EngineError,
+    FaultPlan, FaultSpec, LogicalPlan, MemoryProvider, Predicate, ResilienceConfig, RetryPolicy,
+    Row, Rowset, Schema, TableProvider, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -488,28 +488,172 @@ fn all_traf20_queries_agree_across_backends() {
 }
 
 /// A memory budget changes streaming wave sizes, never results, charges,
-/// or telemetry.
+/// or telemetry — at any parallelism, whether the scan hands every wave
+/// on as tuples (Q1's NoP plan) or a PP rides its stream.
 #[test]
 fn memory_budget_streams_without_changing_anything_observable() {
     let f = fixture();
-    let mut baseline = ExecutionContext::new(&f.mem_catalog);
-    let out = baseline.run(&f.q1_plan).expect("in-memory run");
-    let base = observe(&baseline, &out);
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let pp_plan = LogicalPlan::scan("traffic").filter(pp_filter(f, &clause));
 
     let dir = scratch_dir("budget");
     let paths = SegmentWriter::new(SegmentWriterConfig { rows_per_group: 32 })
         .write_shards(&dir, "traffic", f.dataset.table(), 2)
         .expect("write shards");
-    // A 1-byte budget forces one-group-at-a-time waves (a single group
-    // always overflows, and must still decode alone rather than stall).
-    let scan = SegmentScan::open(&paths)
-        .expect("open")
-        .with_memory_budget(1);
+    let open = || SegmentScan::open(&paths).expect("open");
+    let group = {
+        let scan = open();
+        (0..scan.group_count())
+            .map(|g| scan.group_meta(g).bytes)
+            .max()
+            .expect("groups")
+    };
+    for plan in [&f.q1_plan, &pp_plan] {
+        let mut baseline = ExecutionContext::new(&f.mem_catalog);
+        let out = baseline.run(plan).expect("in-memory run");
+        let base = observe(&baseline, &out);
+        // A 1-byte budget forces one-group-at-a-time waves (a single
+        // group always overflows, and must still decode alone rather
+        // than stall); three groups' worth makes waves of several.
+        for budget in [1, 3 * group] {
+            let mut catalog = Catalog::new();
+            catalog.register_provider("traffic", Arc::new(open().with_memory_budget(budget)));
+            for k in [1usize, 2, 4] {
+                let mut ctx = ExecutionContext::builder(&catalog)
+                    .with_parallelism(k)
+                    .build();
+                let out = ctx.run(plan).expect("budgeted run");
+                assert_eq!(
+                    observe(&ctx, &out),
+                    base,
+                    "budget {budget} K={k}: the budgeted scan diverged"
+                );
+            }
+        }
+    }
+}
+
+/// Passes every row through `inner`, and cancels the query once it meets
+/// a row at or past frame `from`: a probe error in whichever wave holds
+/// that frame, at whatever parallelism the probe runs.
+struct CancelsFrom {
+    inner: Arc<dyn RowFilter>,
+    token: CancelToken,
+    from: i64,
+}
+
+impl RowFilter for CancelsFrom {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn cost_per_row(&self) -> f64 {
+        self.inner.cost_per_row()
+    }
+
+    fn passes(&self, row: &Row, schema: &Schema) -> probabilistic_predicates::engine::Result<bool> {
+        if row.get_named(schema, "frameID")?.as_int()? >= self.from {
+            self.token.cancel(CancelReason::Requested);
+        }
+        self.inner.passes(row, schema)
+    }
+}
+
+/// A page that fails its checksum in a later wave ends a budgeted
+/// `Scan → PP` run the same way at every parallelism: the typed storage
+/// error, the scan charged for the waves before it (the failing wave's
+/// rows counted failed), and the filter for the rows it consumed, its
+/// span closed failed. The decode error wins over a probe error in the
+/// same wave: a filter that cancels the query on the first row it meets
+/// in the failing wave changes nothing, though wherever the wave's
+/// groups are probed as they decode, the group before the corrupt one
+/// (four batches of eight rows) fails its next batch's cancellation
+/// poll.
+#[test]
+fn a_corrupt_page_in_a_later_wave_fails_alike_at_every_parallelism() {
+    let f = fixture();
+    let dir = scratch_dir("late-crc");
+    let paths = SegmentWriter::new(SegmentWriterConfig { rows_per_group: 32 })
+        .write_shards(&dir, "traffic", f.dataset.table(), 1)
+        .expect("write shard");
+    let seg = Segment::open(&paths[0]).expect("open");
+    let group = (0..seg.group_count())
+        .map(|g| seg.group_bytes(g))
+        .max()
+        .expect("groups");
+    // Pages are laid out group by group after the 8-byte header: flip
+    // the first byte of group 7, in the third wave of three groups.
+    let at = 8 + (0..7).map(|g| seg.group_bytes(g)).sum::<u64>() as usize;
+    let mut bytes = fs::read(&paths[0]).expect("read shard");
+    bytes[at] ^= 0xFF;
+    fs::write(&paths[0], &bytes).expect("corrupt shard");
     let mut catalog = Catalog::new();
-    catalog.register_provider("traffic", Arc::new(scan));
-    let mut ctx = ExecutionContext::new(&catalog);
-    let out = ctx.run(&f.q1_plan).expect("budgeted run");
-    assert_eq!(observe(&ctx, &out), base, "budgeted scan diverged");
+    catalog.register_provider(
+        "traffic",
+        Arc::new(
+            SegmentScan::open(&paths)
+                .expect("open succeeds on an intact footer")
+                .with_memory_budget(3 * group),
+        ),
+    );
+
+    let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+    let pp = pp_filter(f, &clause);
+    let pp_op = pp.name().to_string();
+    let table = f.dataset.table();
+    let wave3 = table.rows()[6 * 32].get_named(table.schema(), "frameID");
+    let wave3 = wave3.and_then(|v| v.as_int()).expect("frameID");
+    let run = |k: usize, cancels: bool| {
+        let token = CancelToken::new();
+        let filter: Arc<dyn RowFilter> = if cancels {
+            Arc::new(CancelsFrom {
+                inner: Arc::clone(&pp),
+                token: token.clone(),
+                from: wave3,
+            })
+        } else {
+            Arc::clone(&pp)
+        };
+        let mut ctx = ExecutionContext::builder(&catalog)
+            .with_parallelism(k)
+            .with_batch_size(8)
+            .with_cancel_token(token)
+            .build();
+        let err = match ctx.run(&LogicalPlan::scan("traffic").filter(filter)) {
+            Err(e) => e,
+            Ok(_) => panic!("K={k}: a corrupt page decoded"),
+        };
+        let mut snap = ctx.telemetry().expect("snapshot of a failed run").clone();
+        snap.zero_wall_clock();
+        (err, snap)
+    };
+    let (base_err, base) = run(1, false);
+    assert!(
+        matches!(&base_err, EngineError::Storage(m) if m.contains("checksum")),
+        "got {base_err:?}"
+    );
+    assert_eq!(base.spans.len(), 2, "the scan and the filter charge");
+    let scan = base.span("Scan[").expect("scan span");
+    assert_eq!(
+        (scan.rows_in, scan.rows_out, scan.rows_failed),
+        (
+            f.dataset.len() as u64,
+            6 * 32,
+            f.dataset.len() as u64 - 6 * 32
+        ),
+        "two waves decoded, the rest failed"
+    );
+    let filter = base.span(&pp_op).expect("filter span");
+    assert_eq!(filter.rows_in, 6 * 32, "the filter consumed two waves");
+    assert_eq!(base.error.as_deref(), Some(base_err.to_string().as_str()));
+    for k in [1usize, 2, 4] {
+        for cancels in [false, true] {
+            let (err, snap) = run(k, cancels);
+            let shape = format!("K={k} cancels={cancels}");
+            assert_eq!(err.to_string(), base_err.to_string(), "{shape}: error");
+            assert_eq!(snap.to_json(), base.to_json(), "{shape}: telemetry");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
