@@ -23,6 +23,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::runtime::{CALIBRATION_ERROR_THRESHOLD, CALIBRATION_MIN_SAMPLES};
+
 /// One run's predicted-vs-observed sample for a PP (or composite PP
 /// expression).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,6 +74,14 @@ pub struct CalibrationSummary {
 }
 
 impl CalibrationSummary {
+    /// Whether the key has drifted: at least [`CALIBRATION_MIN_SAMPLES`]
+    /// records, with a reduction MAE above
+    /// [`CALIBRATION_ERROR_THRESHOLD`]. The one definition the report,
+    /// the planner's correction and the maintenance pass all read.
+    pub fn drifted(&self) -> bool {
+        self.samples >= CALIBRATION_MIN_SAMPLES && self.reduction_mae > CALIBRATION_ERROR_THRESHOLD
+    }
+
     /// The multiplicative correction that maps the mean predicted
     /// reduction onto the mean observed one (`observed / predicted`,
     /// clamped to `[0, 20]`). `None` without samples or when the mean
@@ -151,11 +161,11 @@ impl CalibrationTracker {
         self.sums.get(key).map(CalibrationSums::summary)
     }
 
-    /// Summaries for every key, each flagged `drifted` when it has at
-    /// least `min_samples` records and its reduction MAE exceeds
-    /// `error_threshold` — the re-optimization signal surfaced by
+    /// Summaries for every key, each flagged per
+    /// [`CalibrationSummary::drifted`] — the re-optimization signal
+    /// surfaced by
     /// [`RuntimeMonitor::needs_replan`](crate::runtime::RuntimeMonitor::needs_replan).
-    pub fn report(&self, min_samples: u64, error_threshold: f64) -> CalibrationReport {
+    pub fn report(&self) -> CalibrationReport {
         let entries = self
             .sums
             .iter()
@@ -164,8 +174,7 @@ impl CalibrationTracker {
                 CalibrationEntry {
                     key: key.clone(),
                     summary,
-                    drifted: summary.samples >= min_samples
-                        && summary.reduction_mae > error_threshold,
+                    drifted: summary.drifted(),
                 }
             })
             .collect();
@@ -180,8 +189,7 @@ pub struct CalibrationEntry {
     pub key: String,
     /// Accumulated bias/MAE statistics.
     pub summary: CalibrationSummary,
-    /// Whether this key crossed the configured error threshold with enough
-    /// samples to be trusted.
+    /// [`CalibrationSummary::drifted`] of `summary`.
     pub drifted: bool,
 }
 
@@ -253,22 +261,37 @@ mod tests {
     }
 
     #[test]
-    fn report_flags_drift_only_with_enough_samples() {
+    fn report_flags_drift_only_past_both_constants() {
+        assert_eq!(
+            (CALIBRATION_MIN_SAMPLES, CALIBRATION_ERROR_THRESHOLD),
+            (2, 0.15)
+        );
         let mut t = CalibrationTracker::new();
-        t.record("stable", rec(0.7, 0.69));
-        t.record("stable", rec(0.7, 0.71));
-        t.record("skewed", rec(0.8, 0.2));
-        // One skewed sample is not yet trusted at min_samples = 2.
-        let report = t.report(2, 0.1);
-        assert!(!report.needs_replan());
+        // MAE 0.14 and 0.16 either side of the threshold, 0.4 well past it.
+        for _ in 0..2 {
+            t.record("within", rec(0.7, 0.56));
+            t.record("past", rec(0.7, 0.54));
+        }
+        t.record("skewed", rec(0.8, 0.4));
+        // One skewed sample is under the minimum: not yet trusted.
+        let report = t.report();
+        assert!(!report.entry("within").unwrap().drifted);
+        assert!(report.entry("past").unwrap().drifted);
         assert!(!report.entry("skewed").unwrap().drifted);
-        t.record("skewed", rec(0.8, 0.25));
-        let report = t.report(2, 0.1);
+        t.record("skewed", rec(0.8, 0.4));
+        let report = t.report();
         assert!(report.needs_replan());
         assert!(report.entry("skewed").unwrap().drifted);
-        assert!(!report.entry("stable").unwrap().drifted);
+        for e in &report.entries {
+            assert_eq!(e.drifted, e.summary.drifted());
+        }
         // Entries come out sorted by key.
         let keys: Vec<&str> = report.entries.iter().map(|e| e.key.as_str()).collect();
-        assert_eq!(keys, vec!["skewed", "stable"]);
+        assert_eq!(keys, vec!["past", "skewed", "within"]);
+        // A tracker with only in-threshold keys asks for no replan.
+        let mut calm = CalibrationTracker::new();
+        calm.record("within", rec(0.7, 0.56));
+        calm.record("within", rec(0.7, 0.56));
+        assert!(!calm.report().needs_replan());
     }
 }

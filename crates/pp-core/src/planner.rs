@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
-use pp_engine::logical::{LogicalPlan, OpParallelism};
+use pp_engine::logical::LogicalPlan;
 use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
@@ -135,12 +135,8 @@ pub struct PlanReport {
     pub udf_cost_per_blob: f64,
     /// Wall-clock optimization time in seconds (Table 9 reports 80–100ms).
     pub optimize_seconds: f64,
-    /// Per-operator parallelizability of the emitted plan, in cost-meter
-    /// charge order — which stages of the (possibly PP-injected) plan a
-    /// partitioned executor may fan out across row partitions.
-    pub partitionability: Vec<OpParallelism>,
-    /// Per-operator cardinality/cost forecast for the emitted plan, in the
-    /// same charge order — the "plan" side of
+    /// Per-operator cardinality/cost forecast for the emitted plan, in
+    /// cost-meter charge order — the "plan" side of
     /// [`ExplainAnalyze`](pp_engine::explain::ExplainAnalyze).
     pub predictions: Vec<OperatorPrediction>,
     /// Zone-map pushdowns applied to segment-backed scans, one per table.
@@ -226,7 +222,6 @@ impl PpQueryOptimizer {
                 plan: plan.clone(),
                 report: PlanReport {
                     optimize_seconds: started.elapsed().as_secs_f64(),
-                    partitionability: plan.partitionability(),
                     predictions: predict(plan, catalog, &Default::default()).unwrap_or_default(),
                     ..Default::default()
                 },
@@ -373,7 +368,6 @@ impl PpQueryOptimizer {
             pp_filters.push(filter);
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
-        report.partitionability = out_plan.partitionability();
         report.predictions = predict(&out_plan, catalog, &hints).unwrap_or_default();
         Ok(OptimizedQuery {
             plan: out_plan,
@@ -611,27 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn report_annotates_partitionability_of_emitted_plan() -> Result<()> {
-        let (cat, plan) = setup(300, 9)?;
-        let qo = PpQueryOptimizer::new(pp_catalog()?, Domains::new(), QoConfig::default());
-        let optimized = qo.optimize(&plan, &cat)?;
-        assert!(optimized.report.chosen.is_some());
-        let ann = &optimized.report.partitionability;
-        assert_eq!(ann, &optimized.plan.partitionability());
-        // The injected PP filter shows up as a partitionable stage.
-        assert!(
-            ann.iter()
-                .any(|op| op.op.starts_with("PP") && op.partitionable),
-            "{ann:?}"
-        );
-        // The PP-free path annotates the original plan instead.
-        let bare = PpQueryOptimizer::new(PpCatalog::new(), Domains::new(), QoConfig::default())
-            .optimize(&plan, &cat)?;
-        assert_eq!(bare.report.partitionability, plan.partitionability());
-        Ok(())
-    }
-
-    #[test]
     fn expensive_pp_not_injected_when_udf_is_cheap() -> Result<()> {
         let (cat, _) = setup(100, 4)?;
         // A UDF costing less than the PP itself.
@@ -766,11 +739,18 @@ mod tests {
         let chosen = optimized.report.chosen.as_ref().expect("injects");
         // One prediction per operator, in charge order, names matching.
         let preds = &optimized.report.predictions;
-        assert_eq!(preds.len(), optimized.report.partitionability.len());
+        let ops = optimized.plan.partitionability();
+        assert_eq!(preds.len(), ops.len());
         for (i, p) in preds.iter().enumerate() {
             assert_eq!(p.op_id.0 as usize, i);
-            assert_eq!(p.op, optimized.report.partitionability[i].op);
+            assert_eq!(p.op, ops[i].op);
         }
+        // The injected PP filter is a partitionable stage.
+        assert!(
+            ops.iter()
+                .any(|op| op.op == chosen.filter_op() && op.partitionable),
+            "{ops:?}"
+        );
         // The injected filter's prediction carries the chosen reduction.
         let pp_pred = preds
             .iter()

@@ -299,13 +299,9 @@ impl RuntimeMonitor {
     }
 
     /// The calibration digest across every tracked key, flagging drifted
-    /// ones per [`CALIBRATION_MIN_SAMPLES`] and
-    /// [`CALIBRATION_ERROR_THRESHOLD`].
+    /// ones per [`CalibrationSummary::drifted`].
     pub fn calibration_report(&self) -> CalibrationReport {
-        self.inner
-            .read()
-            .calibration
-            .report(CALIBRATION_MIN_SAMPLES, CALIBRATION_ERROR_THRESHOLD)
+        self.inner.read().calibration.report()
     }
 
     /// Whether any tracked key's calibration drifted past
@@ -322,9 +318,7 @@ impl RuntimeMonitor {
     /// healthy PPs keep their validation curves.
     pub fn reduction_correction(&self, key: &str) -> Option<f64> {
         let summary = self.calibration_summary(key)?;
-        if summary.samples < CALIBRATION_MIN_SAMPLES
-            || summary.reduction_mae <= CALIBRATION_ERROR_THRESHOLD
-        {
+        if !summary.drifted() {
             return None;
         }
         summary.correction_factor()

@@ -61,11 +61,6 @@ impl Catalog {
     pub fn read_table(&self, name: &str) -> Result<Rowset> {
         crate::provider::read_all(self.provider(name)?.as_ref())
     }
-
-    /// Table names (unordered).
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,6 @@ mod tests {
         let mut c = Catalog::new();
         c.register("t", Rowset::empty(int_schema("x")));
         assert!(c.provider("t").is_ok());
-        assert_eq!(c.table_names().count(), 1);
         assert!(matches!(
             c.provider("missing"),
             Err(EngineError::UnknownTable(_))
@@ -135,7 +129,6 @@ mod tests {
         assert!(crate::provider::publishes_zone_maps(p.as_ref()));
         assert_eq!(c.table_rows("disk").unwrap(), 10);
         assert_eq!(c.read_table("disk").unwrap().len(), 10);
-        assert_eq!(c.table_names().count(), 1);
     }
 
     /// One map: whichever kind of table was registered last under a name
@@ -150,6 +143,5 @@ mod tests {
         c.register_provider("t", Arc::new(MemoryProvider::new(sample_table(10), 4, 1)));
         assert_eq!(c.table_rows("t").unwrap(), 10);
         assert!(c.table_schema("t").unwrap().contains("x"));
-        assert_eq!(c.table_names().count(), 1);
     }
 }

@@ -88,12 +88,6 @@ impl FaultSpec {
         }
     }
 
-    /// Adds transient failures at `rate`.
-    pub fn with_transient(mut self, rate: f64) -> Self {
-        self.transient_rate = rate;
-        self
-    }
-
     /// Adds timeouts at `rate` stalling `stall_seconds`.
     pub fn with_timeouts(mut self, rate: f64, stall_seconds: f64) -> Self {
         self.timeout_rate = rate;

@@ -84,11 +84,6 @@ impl ZoneMap {
         }
         zone
     }
-
-    /// True when the zone has a numeric `[min, max]` range.
-    pub fn has_range(&self) -> bool {
-        self.min.is_some() && self.max.is_some()
-    }
 }
 
 /// Metadata for one row group of a provider-backed table.
@@ -216,17 +211,6 @@ pub struct PruneStats {
     pub bytes_total: u64,
     /// Encoded bytes inside pruned groups.
     pub bytes_pruned: u64,
-}
-
-impl PruneStats {
-    /// Fraction of rows skipped (0 when the table is empty).
-    pub fn row_fraction(&self) -> f64 {
-        if self.rows_total == 0 {
-            0.0
-        } else {
-            self.rows_pruned as f64 / self.rows_total as f64
-        }
-    }
 }
 
 /// Computes exact [`PruneStats`] for a pushdown against a provider.
@@ -438,7 +422,7 @@ mod tests {
     fn non_numeric_cells_void_the_range() {
         let z = ZoneMap::from_values([Value::Int(3), Value::str("a")].iter());
         assert_eq!(z.present, 2);
-        assert!(!z.has_range());
+        assert!(z.min.is_none() && z.max.is_none());
         // Without a range, nothing prunes.
         let zones = zone(&[Value::Int(3), Value::str("a")]);
         assert!(group_may_match(&clause(CompareOp::Eq, "a"), &zones));
@@ -549,7 +533,6 @@ mod tests {
         assert_eq!(stats.groups_total, 10);
         assert_eq!(stats.groups_pruned, 7);
         assert_eq!(stats.rows_pruned, 70);
-        assert!((stats.row_fraction() - 0.7).abs() < 1e-12);
         assert_eq!(kept_groups(&p, Some(&pred)), vec![0, 1, 2]);
         assert_eq!(kept_groups(&p, None).len(), 10);
         let per_shard = shard_prune_stats(&provider(100, 10, 2), &pred);

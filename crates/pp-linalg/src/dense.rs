@@ -160,29 +160,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.cols,
-                actual: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let dst = out.row_mut(i);
-                axpy(aik, orow, dst);
-            }
-        }
-        Ok(out)
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -246,14 +223,6 @@ mod tests {
         let direct = m.matvec_t(&x).unwrap();
         let via_transpose = m.transpose().matvec(&x).unwrap();
         assert_eq!(direct, via_transpose);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl FeatureHasher {
         FeatureHasher { reduced_dim, seed }
     }
 
-    /// The output dimensionality `d_r`.
-    #[inline]
-    pub fn reduced_dim(&self) -> usize {
-        self.reduced_dim
-    }
-
     /// Bucket for original dimension `j` (the `h` hash).
     #[inline]
     pub fn bucket(&self, j: u32) -> usize {

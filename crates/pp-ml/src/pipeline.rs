@@ -282,13 +282,6 @@ impl Pipeline {
         self.model.score_many(&FeatureBatch::Refs(&refs))
     }
 
-    /// Batch decision at accuracy target `a`: the threshold is resolved
-    /// once and compared against [`score_many`][Self::score_many].
-    pub fn passes_many(&self, xs: &FeatureBatch<'_>, a: f64) -> Result<Vec<bool>> {
-        let th = self.calibration.threshold(a)?;
-        Ok(self.score_many(xs).into_iter().map(|s| s >= th).collect())
-    }
-
     /// The calibration table.
     pub fn calibration(&self) -> &Calibration {
         &self.calibration
@@ -466,12 +459,6 @@ mod tests {
                             pipeline.approach_name()
                         );
                     }
-                }
-                let decisions = pipeline
-                    .passes_many(&FeatureBatch::Refs(&xs), 0.95)
-                    .unwrap();
-                for (x, d) in xs.iter().zip(&decisions) {
-                    assert_eq!(pipeline.passes(x, 0.95).unwrap(), *d);
                 }
             }
         }

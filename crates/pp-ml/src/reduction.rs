@@ -83,15 +83,6 @@ impl Reducer {
         }
     }
 
-    /// Output dimensionality given an input dimensionality.
-    pub fn output_dim(&self, input_dim: usize) -> usize {
-        match self {
-            Reducer::Identity => input_dim,
-            Reducer::Pca(p) => p.n_components(),
-            Reducer::Hash(h) => h.reduced_dim(),
-        }
-    }
-
     /// Applies ψ to every sample in a set, preserving labels.
     pub fn apply_set(&self, set: &LabeledSet) -> Result<LabeledSet> {
         LabeledSet::new(
@@ -130,7 +121,6 @@ mod tests {
         let r = ReducerSpec::Identity.fit(&set, 1).unwrap();
         let x = &set.samples()[0].features;
         assert_eq!(r.apply(x), *x);
-        assert_eq!(r.output_dim(4), 4);
     }
 
     #[test]
@@ -144,7 +134,6 @@ mod tests {
         .unwrap();
         let out = r.apply(&set.samples()[0].features);
         assert_eq!(out.dim(), 3);
-        assert_eq!(r.output_dim(10), 3);
     }
 
     #[test]

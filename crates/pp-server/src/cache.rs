@@ -14,16 +14,22 @@
 //! * **Epoch scoping.** The key embeds the [`CatalogEpoch`] pinned at
 //!   submit time. Publishing a retrained corpus bumps the epoch, so new
 //!   arrivals miss (and re-plan against the new corpus) while
-//!   [`invalidate_stale`][PlanCache::invalidate_stale] removes exactly the
-//!   superseded entries.
-//! * **Single-flight building.** Concurrent misses on one key elect one
-//!   builder; the rest block on a condvar and reuse its output — one
-//!   optimization, no dogpile. If the builder fails (or panics), a drop
-//!   guard returns the slot to vacant and wakes a waiter to retry, so an
-//!   error can never wedge the key or leave a partial entry behind.
-//! * **Atomic swap.** The maintenance pass replaces a stale plan with
-//!   [`swap`][PlanCache::swap]; readers see either the old or the new
-//!   `Arc<CachedPlan>`, never a torn state.
+//!   [`invalidate`][PlanCache::invalidate] removes exactly the ready
+//!   entries of superseded epochs.
+//! * **One way in, one lookup.** [`get_or_build`][PlanCache::get_or_build]
+//!   is the only way a plan enters the cache and the only lookup a query
+//!   makes; it reports what it did as a [`Lookup`]. Concurrent misses on
+//!   one key elect one builder; the rest block on a condvar and reuse its
+//!   output — one optimization, no dogpile. Every build is counted in
+//!   [`CacheStats::builds`], has its cost stamped for eviction, and is
+//!   checked against capacity, whether a query or the maintenance pass
+//!   asked for it. If the builder fails (or panics), a drop guard returns
+//!   the slot to vacant and wakes a waiter to retry, so an error can never
+//!   wedge the key or leave a partial entry behind. The maintenance pass
+//!   replans by invalidating an entry and rebuilding it through the same
+//!   call; if that rebuild fails the key stays vacant (the old plan used a
+//!   drifted or quarantined PP), and the next arrival builds it like any
+//!   miss.
 //! * **Cost-weighted LRU eviction.** The cache is bounded by
 //!   [`CacheConfig::max_entries`]. When an insert pushes it over, the
 //!   ready entry with the lowest `predicted_cost / (age + 1)` score is
@@ -113,14 +119,21 @@ struct Slot {
     /// Predicted cluster-seconds of the cached plan, as `f64` bits —
     /// the rebuild bill eviction weighs against recency.
     predicted_cost: AtomicU64,
+    /// Callers that found the slot `Building`, counted under the state
+    /// lock: a unit test holds a build open until a waiter is parked.
+    #[cfg(test)]
+    waiting: AtomicU64,
 }
 
 /// Resets a `Building` slot to `Vacant` and wakes waiters unless the
 /// builder reached `disarm()`. Covers both the error return and the
 /// builder panicking mid-optimization — either way the key must not stay
-/// wedged in `Building`.
+/// wedged in `Building`. A vacant slot nobody waits on is unlinked, so a
+/// failed build leaves no slot behind.
 struct BuildGuard<'a> {
-    slot: &'a Slot,
+    cache: &'a PlanCache,
+    key: &'a CacheKey,
+    slot: &'a Arc<Slot>,
     armed: bool,
 }
 
@@ -139,6 +152,22 @@ impl Drop for BuildGuard<'_> {
             }
             drop(state);
             self.slot.cv.notify_all();
+            // Held only by the map and this builder, the slot cannot change
+            // while the map is locked: nobody else can lock its state or
+            // fetch it. Another caller may have rebuilt it since the reset,
+            // so only a slot still vacant goes.
+            let mut slots = self.cache.slots.lock();
+            if Arc::strong_count(self.slot) == 2
+                && matches!(
+                    self.slot.state.try_lock().as_deref(),
+                    Some(SlotState::Vacant)
+                )
+                && slots
+                    .get(self.key)
+                    .is_some_and(|s| Arc::ptr_eq(s, self.slot))
+            {
+                slots.remove(self.key);
+            }
         }
     }
 }
@@ -157,10 +186,22 @@ impl Default for CacheConfig {
     }
 }
 
+/// How [`PlanCache::get_or_build`] found its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// A ready entry answered.
+    Hit,
+    /// Another caller was building the plan; this one waited for it.
+    Waited,
+    /// This caller ran the build.
+    Built,
+}
+
 /// Hit/miss/build counters, cheap to copy out for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from a ready entry.
+    /// Lookups served from a ready entry, at once or after waiting on a
+    /// concurrent build.
     pub hits: u64,
     /// Lookups that found no usable entry.
     pub misses: u64,
@@ -168,10 +209,8 @@ pub struct CacheStats {
     pub builds: u64,
     /// Failed builds (optimizer error or panic).
     pub build_failures: u64,
-    /// Entries removed by epoch invalidation.
+    /// Entries removed by [`PlanCache::invalidate`].
     pub invalidated: u64,
-    /// Entries atomically replaced by the maintenance pass.
-    pub swapped: u64,
     /// Entries removed by cost-weighted LRU capacity eviction.
     pub evicted: u64,
 }
@@ -187,7 +226,6 @@ pub struct PlanCache {
     builds: AtomicU64,
     build_failures: AtomicU64,
     invalidated: AtomicU64,
-    swapped: AtomicU64,
     evicted: AtomicU64,
 }
 
@@ -222,7 +260,6 @@ impl PlanCache {
             builds: AtomicU64::new(0),
             build_failures: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-            swapped: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
     }
@@ -237,6 +274,8 @@ impl PlanCache {
             cv: Condvar::new(),
             last_used: AtomicU64::new(0),
             predicted_cost: AtomicU64::new(0),
+            #[cfg(test)]
+            waiting: AtomicU64::new(0),
         });
         slots.insert(key.clone(), Arc::clone(&slot));
         slot
@@ -295,18 +334,19 @@ impl PlanCache {
         drop(unlinked);
     }
 
-    /// Returns the memoized plan for `key`, running `build` (at most once
-    /// across concurrent callers) on a miss. The boolean is `true` for a
-    /// hit. On build failure every waiter gets to retry (or fail) on its
-    /// own; the slot never stays `Building` and no partial entry is
-    /// inserted.
+    /// Returns the memoized plan for `key` and how it was found, running
+    /// `build` (at most once across concurrent callers) on a miss. This
+    /// is the only way a plan enters the cache. On build failure every
+    /// waiter gets to retry (or fail) on its own; the slot never stays
+    /// `Building` and no partial entry is inserted.
     pub fn get_or_build<E>(
         &self,
         key: &CacheKey,
         build: impl FnOnce() -> Result<CachedPlan, E>,
-    ) -> Result<(Arc<CachedPlan>, bool), E> {
+    ) -> Result<(Arc<CachedPlan>, Lookup), E> {
         let slot = self.slot(key);
         let mut state = slot.state.lock();
+        let mut lookup = Lookup::Hit;
         loop {
             match &*state {
                 SlotState::Ready(plan) => {
@@ -314,9 +354,12 @@ impl PlanCache {
                     let plan = Arc::clone(plan);
                     drop(state);
                     self.touch(&slot);
-                    return Ok((plan, true));
+                    return Ok((plan, lookup));
                 }
                 SlotState::Building => {
+                    lookup = Lookup::Waited;
+                    #[cfg(test)]
+                    slot.waiting.fetch_add(1, Ordering::SeqCst);
                     state = slot.cv.wait(state);
                 }
                 SlotState::Vacant => {
@@ -325,6 +368,8 @@ impl PlanCache {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     self.builds.fetch_add(1, Ordering::Relaxed);
                     let guard = BuildGuard {
+                        cache: self,
+                        key,
                         slot: &slot,
                         armed: true,
                     };
@@ -340,7 +385,7 @@ impl PlanCache {
                             slot.cv.notify_all();
                             self.touch(&slot);
                             self.evict_over_capacity(key);
-                            return Ok((plan, false));
+                            return Ok((plan, Lookup::Built));
                         }
                         Err(e) => {
                             self.build_failures.fetch_add(1, Ordering::Relaxed);
@@ -353,13 +398,10 @@ impl PlanCache {
         }
     }
 
-    /// The ready plan for `key`, if any (no build, no blocking on
-    /// in-flight builders).
-    pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
-        let slot = {
-            let slots = self.slots.lock();
-            slots.get(key).cloned()?
-        };
+    /// The ready plan for `key`, if any: a probe for the unit tests.
+    #[cfg(test)]
+    fn peek(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
+        let slot = self.slots.lock().get(key).cloned()?;
         let state = slot.state.lock();
         match &*state {
             SlotState::Ready(plan) => Some(Arc::clone(plan)),
@@ -367,62 +409,48 @@ impl PlanCache {
         }
     }
 
-    /// Atomically replaces the plan under `key` (maintenance replan).
-    /// Returns `false` if the key has no ready entry to replace — a swap
-    /// never *inserts*, so it cannot race an invalidation into
-    /// resurrecting a stale epoch.
-    pub fn swap(&self, key: &CacheKey, plan: CachedPlan) -> bool {
-        let slot = {
+    /// Removes every ready entry for which `stale(key, plan)` holds,
+    /// returns the entries removed and counts them in
+    /// [`CacheStats::invalidated`]. A slot still building has no plan to
+    /// judge and stays. The map lock is never held while a slot's lock is
+    /// awaited: the slots are listed under it, read without it, and the
+    /// chosen ones unlinked under it again. A ready slot stays ready for
+    /// as long as it is in the map, so what `stale` judged is what goes.
+    /// A query racing the removal reads the old plan or misses and builds.
+    pub fn invalidate(
+        &self,
+        mut stale: impl FnMut(&CacheKey, &CachedPlan) -> bool,
+    ) -> Vec<(CacheKey, Arc<CachedPlan>)> {
+        let listed: Vec<(CacheKey, Arc<Slot>)> = {
             let slots = self.slots.lock();
-            match slots.get(key) {
-                Some(s) => Arc::clone(s),
-                None => return false,
-            }
-        };
-        let cost = crate::admission::predicted_cluster_seconds(&plan.report);
-        let mut state = slot.state.lock();
-        match &*state {
-            SlotState::Ready(_) => {
-                *state = SlotState::Ready(Arc::new(plan));
-                slot.predicted_cost.store(cost.to_bits(), Ordering::Relaxed);
-                self.swapped.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Removes every entry whose epoch predates `current`, returning how
-    /// many were dropped. Entries already at `current` (including ones
-    /// built concurrently with the publish) survive. In-flight builders
-    /// for stale keys finish into their (now unreachable-by-new-arrivals)
-    /// slots harmlessly: new arrivals carry the new epoch in their key.
-    pub fn invalidate_stale(&self, current: CatalogEpoch) -> usize {
-        let mut slots = self.slots.lock();
-        let before = slots.len();
-        slots.retain(|key, _| key.epoch >= current);
-        let dropped = before - slots.len();
-        self.invalidated
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
-    }
-
-    /// Keys of all ready entries (maintenance iterates these).
-    pub fn ready_keys(&self) -> Vec<CacheKey> {
-        let slots: Vec<(CacheKey, Arc<Slot>)> = {
-            let map = self.slots.lock();
-            map.iter()
+            slots
+                .iter()
                 .map(|(k, s)| (k.clone(), Arc::clone(s)))
                 .collect()
         };
-        slots
-            .into_iter()
-            .filter(|(_, slot)| {
-                let state = slot.state.lock();
-                matches!(&*state, SlotState::Ready(_))
-            })
-            .map(|(k, _)| k)
-            .collect()
+        let mut chosen = Vec::new();
+        for (key, slot) in listed {
+            let plan = match &*slot.state.lock() {
+                SlotState::Ready(plan) => Arc::clone(plan),
+                _ => continue,
+            };
+            if stale(&key, &plan) {
+                chosen.push((key, slot, plan));
+            }
+        }
+        let mut removed = Vec::with_capacity(chosen.len());
+        let mut slots = self.slots.lock();
+        for (key, slot, plan) in chosen {
+            // An entry evicted since it was listed is not ours to count.
+            if slots.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                slots.remove(&key);
+                removed.push((key, plan));
+            }
+        }
+        drop(slots);
+        self.invalidated
+            .fetch_add(removed.len() as u64, Ordering::Relaxed);
+        removed
     }
 
     /// Number of entries (any state).
@@ -443,7 +471,6 @@ impl PlanCache {
             builds: self.builds.load(Ordering::Relaxed),
             build_failures: self.build_failures.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
-            swapped: self.swapped.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
         }
     }
@@ -500,12 +527,12 @@ mod tests {
     fn hit_returns_same_arc_and_counts() {
         let cache = PlanCache::new();
         let k = key("p", 1);
-        let (first, hit) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
-        assert!(!hit);
-        let (second, hit) = cache
+        let (first, lookup) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
+        assert_eq!(lookup, Lookup::Built);
+        let (second, lookup) = cache
             .get_or_build::<()>(&k, || panic!("must not rebuild"))
             .unwrap();
-        assert!(hit);
+        assert_eq!(lookup, Lookup::Hit);
         assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.builds), (1, 1, 1));
@@ -552,10 +579,11 @@ mod tests {
         let err = cache.get_or_build(&k, || Err("optimizer exploded"));
         assert_eq!(err.unwrap_err(), "optimizer exploded");
         assert!(cache.peek(&k).is_none(), "partial entry leaked");
+        assert_eq!(cache.len(), 0, "the vacant slot stayed behind");
         assert_eq!(cache.stats().build_failures, 1);
         // The key is not wedged: a retry succeeds.
-        let (_, hit) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
-        assert!(!hit);
+        let (_, lookup) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
+        assert_eq!(lookup, Lookup::Built);
         assert!(cache.peek(&k).is_some());
     }
 
@@ -588,7 +616,7 @@ mod tests {
         assert!(panicker.join().is_err(), "builder must have panicked");
         // The waiter either raced in first (hit=false via its own build) or
         // was woken by the drop guard and rebuilt — it must not hang.
-        let (_plan, _hit) = waiter.join().unwrap();
+        let (_plan, _lookup) = waiter.join().unwrap();
         assert!(cache.peek(&k).is_some());
     }
 
@@ -601,8 +629,10 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(cache.len(), 3);
-        let dropped = cache.invalidate_stale(CatalogEpoch(2));
-        assert_eq!(dropped, 2);
+        let dropped = cache.invalidate(|k, _| k.epoch < CatalogEpoch(2));
+        let mut keys: Vec<_> = dropped.into_iter().map(|(k, _)| k).collect();
+        keys.sort_by(|a, b| a.predicate.cmp(&b.predicate));
+        assert_eq!(keys, vec![key("a", 1), key("b", 1)]);
         assert!(cache.peek(&key("a", 1)).is_none());
         assert!(cache.peek(&key("b", 1)).is_none());
         assert!(cache.peek(&key("c", 2)).is_some(), "current epoch survives");
@@ -661,10 +691,10 @@ mod tests {
             .get_or_build::<()>(&key("stale", 1), || Ok(plan_costing(1.0)))
             .unwrap();
         // A hit refreshes recency, protecting the older entry.
-        let (_, hit) = cache
+        let (_, lookup) = cache
             .get_or_build::<()>(&key("old-but-touched", 1), || panic!("must hit"))
             .unwrap();
-        assert!(hit);
+        assert_eq!(lookup, Lookup::Hit);
         cache
             .get_or_build::<()>(&key("new", 1), || Ok(plan_costing(1.0)))
             .unwrap();
@@ -693,12 +723,12 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     for i in 0..INSERTS_PER_WRITER {
-                        let (_, hit) = cache
+                        let (_, lookup) = cache
                             .get_or_build::<()>(&key(&format!("w{w}-{i}"), 1), || {
                                 Ok(plan_costing(1.0))
                             })
                             .unwrap();
-                        assert!(!hit);
+                        assert_eq!(lookup, Lookup::Built);
                     }
                 })
             })
@@ -710,10 +740,10 @@ mod tests {
             std::thread::spawn(move || {
                 barrier.wait();
                 for _ in 0..2 * INSERTS_PER_WRITER {
-                    let (plan, hit) = cache
+                    let (plan, lookup) = cache
                         .get_or_build::<()>(&key("hot", 1), || panic!("the hot entry was evicted"))
                         .unwrap();
-                    assert!(hit && Arc::ptr_eq(&plan, &hot));
+                    assert!(lookup == Lookup::Hit && Arc::ptr_eq(&plan, &hot));
                 }
             })
         };
@@ -732,14 +762,95 @@ mod tests {
     }
 
     #[test]
-    fn swap_replaces_ready_only() {
+    fn invalidate_removes_ready_entries_only_and_rebuild_replaces_them() {
         let cache = PlanCache::new();
         let k = key("p", 1);
-        assert!(!cache.swap(&k, dummy_plan()), "swap must not insert");
-        let (original, _) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
-        assert!(cache.swap(&k, dummy_plan()));
-        let swapped = cache.peek(&k).unwrap();
-        assert!(!Arc::ptr_eq(&original, &swapped));
-        assert_eq!(cache.stats().swapped, 1);
+        assert!(
+            cache.invalidate(|_, _| true).is_empty(),
+            "nothing to remove"
+        );
+        assert_eq!(cache.len(), 0, "invalidate must not insert");
+        // A slot mid-build has no plan to judge: it survives.
+        let (original, _) = cache
+            .get_or_build::<()>(&k, || {
+                assert!(cache.invalidate(|_, _| true).is_empty());
+                Ok(dummy_plan())
+            })
+            .unwrap();
+        let removed = cache.invalidate(|_, _| true);
+        assert_eq!(removed.len(), 1);
+        assert!(Arc::ptr_eq(&removed[0].1, &original));
+        // The rebuild goes through the miss path and is counted there.
+        let (rebuilt, lookup) = cache.get_or_build::<()>(&k, || Ok(dummy_plan())).unwrap();
+        assert_eq!(lookup, Lookup::Built);
+        assert!(!Arc::ptr_eq(&original, &rebuilt));
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.invalidated), (2, 1));
+    }
+
+    #[test]
+    fn lookup_reports_built_waited_and_hit() {
+        let cache = Arc::new(PlanCache::new());
+        let k = key("p", 1);
+        let (building_tx, building_rx) = std::sync::mpsc::channel();
+        let builder = {
+            let cache = Arc::clone(&cache);
+            let k = k.clone();
+            std::thread::spawn(move || {
+                cache
+                    .get_or_build::<()>(&k, || {
+                        building_tx.send(()).unwrap();
+                        // The waiter counts itself under the state lock,
+                        // which it gives up only inside the condvar wait:
+                        // once it is counted, this build can publish only
+                        // after the waiter is parked.
+                        let slot = cache.slots.lock().get(&k).cloned().unwrap();
+                        while slot.waiting.load(Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        Ok(dummy_plan())
+                    })
+                    .unwrap()
+            })
+        };
+        building_rx.recv().unwrap();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            let k = k.clone();
+            std::thread::spawn(move || {
+                cache
+                    .get_or_build::<()>(&k, || panic!("the waiter must not build"))
+                    .unwrap()
+            })
+        };
+        let (built, lookup) = builder.join().unwrap();
+        assert_eq!(lookup, Lookup::Built);
+        let (waited, lookup) = waiter.join().unwrap();
+        assert_eq!(lookup, Lookup::Waited);
+        assert!(Arc::ptr_eq(&built, &waited));
+        let (hit, lookup) = cache.get_or_build::<()>(&k, || panic!("must hit")).unwrap();
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&built, &hit));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.builds), (2, 1, 1));
+
+        // `invalidate` returns exactly what it removed and counts it.
+        for pred in ["a", "b", "c"] {
+            cache
+                .get_or_build::<()>(&key(pred, 1), || Ok(dummy_plan()))
+                .unwrap();
+        }
+        let removed = cache.invalidate(|k, _| k.predicate == "a" || k.predicate == "c");
+        let mut keys: Vec<_> = removed.iter().map(|(k, _)| k.predicate.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, vec!["a", "c"]);
+        for (k, plan) in &removed {
+            assert!(cache.peek(k).is_none());
+            assert_eq!(plan.accuracy_target, 0.95);
+        }
+        assert!(cache.peek(&key("b", 1)).is_some());
+        assert!(cache.peek(&k).is_some());
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().invalidated, 2);
     }
 }

@@ -10,8 +10,9 @@
 //!   accuracy target + data source) and executes them on a bounded worker
 //!   pool, many in flight at once,
 //! * [`cache::PlanCache`] — memoizes optimized plans keyed by
-//!   `(source, canonical predicate, accuracy bucket, catalog epoch)`, with
-//!   single-flight building (no dogpile) and hit/miss metrics,
+//!   `(source, canonical predicate, exact accuracy target, catalog
+//!   epoch)`; one single-flight lookup (no dogpile) is the only way a plan
+//!   gets in, with hit/miss/build metrics,
 //! * [`pp_core::catalog::VersionedPpCatalog`] — epoch-stamped PP-corpus
 //!   snapshots, hot-swappable without pausing in-flight queries; an epoch
 //!   bump invalidates exactly the superseded cache entries,
@@ -20,8 +21,8 @@
 //!   [`request::RejectReason`], never a panic,
 //! * [`maintenance`] — folds every run's telemetry into a shared
 //!   [`RuntimeMonitor`](pp_core::runtime::RuntimeMonitor) and, when
-//!   calibration drift flags a cached plan's PPs, re-optimizes off the hot
-//!   path and atomically swaps the cache entry,
+//!   calibration drift flags a cached plan's PPs, invalidates the entry
+//!   and rebuilds it off the hot path through the cache's miss path,
 //! * [`request`] / [`server`] — per-query deadlines and cooperative
 //!   cancellation (a [`CancelToken`](pp_engine::cancel::CancelToken)
 //!   polled at batch boundaries; partial work is billed), typed
@@ -74,7 +75,7 @@ pub mod wire;
 
 pub use admission::AdmissionConfig;
 pub use audit::{AuditConfig, AuditEntry, AuditPassReport, Auditor};
-pub use cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, PlanCache};
+pub use cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, Lookup, PlanCache};
 pub use chaos::{rows_digest, run_chaos, ChaosConfig, ChaosReport, ServerFaults};
 pub use pool::DrainPolicy;
 pub use request::{

@@ -5,12 +5,21 @@
 //! [`server`](crate::server)). A maintenance pass consumes that state:
 //! when [`needs_replan`](pp_core::runtime::RuntimeMonitor::needs_replan)
 //! fires, every *current-epoch* cached plan whose chosen PPs appear among
-//! the drifted calibration keys is re-optimized — with the monitor's
-//! reduction corrections applied — and the cache entry is atomically
-//! swapped. Queries racing the swap read either the old or the new plan;
-//! both answer the same predicate at the same accuracy target, so
-//! per-blob verdicts are unchanged (pinned by a test in
-//! `tests/serving.rs`).
+//! the drifted calibration keys (or the keys the audit quarantined) is
+//! removed with [`PlanCache::invalidate`](crate::cache::PlanCache::invalidate)
+//! and at once rebuilt through
+//! [`get_or_build`](crate::cache::PlanCache::get_or_build) — the
+//! single-flight miss path every query takes — with the monitor's
+//! reduction corrections applied. So the rebuild is counted in
+//! `cache.builds`, costed for eviction like any other, and the next
+//! arrival hits. A query racing the rebuild reads the old plan, waits on
+//! the rebuild, or builds the plan itself; every plan answers the same
+//! predicate at the same accuracy target, so per-blob verdicts are
+//! unchanged (pinned by a test in `tests/serving.rs`).
+//!
+//! A failed rebuild leaves the key vacant, and the next arrival builds it
+//! the way any miss does: the plan it replaced used a drifted PP or one
+//! quarantined for accuracy, so keeping it is not worth a second path in.
 //!
 //! A pass runs when the embedder asks for one —
 //! [`PpServer::maintenance_now`](crate::server::PpServer::maintenance_now),
@@ -35,7 +44,7 @@ pub struct MaintenanceReport {
     pub drifted_keys: Vec<String>,
     /// Current-epoch cache entries examined.
     pub examined: usize,
-    /// Entries re-optimized and atomically swapped.
+    /// Entries invalidated and rebuilt through the cache's miss path.
     pub replanned: usize,
     /// What the accuracy-audit phase of this pass did.
     pub audit: AuditPassReport,
@@ -51,7 +60,7 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
         .calibration_report()
         .entries
         .into_iter()
-        .filter(|e| e.drifted)
+        .filter(|e| e.summary.drifted())
         .map(|e| e.key)
         .collect();
     drifted.extend(audit_report.violated_keys.iter().cloned());
@@ -61,43 +70,30 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
     let mut examined = 0usize;
     let mut replanned = 0usize;
     if needs_replan {
-        for key in inner.cache.ready_keys() {
-            // Stale-epoch entries are dead weight awaiting invalidation,
-            // not worth re-optimizing.
+        // Stale-epoch entries are dead weight awaiting invalidation, not
+        // worth re-optimizing.
+        let stale = inner.cache.invalidate(|key, plan| {
             if key.epoch != epoch {
-                continue;
+                return false;
             }
-            let Some(entry) = inner.cache.peek(&key) else {
-                continue;
-            };
             examined += 1;
-            let uses_drifted = entry.report.chosen.as_ref().is_some_and(|c| {
+            plan.report.chosen.as_ref().is_some_and(|c| {
                 c.leaf_keys.iter().any(|k| drifted.contains(k)) || drifted.contains(&c.expr)
+            })
+        });
+        // Re-optimize off the hot path: the monitor's corrections now
+        // apply, so the new plan reflects observed (not validation)
+        // reductions.
+        for (key, old) in stale {
+            let rebuilt = inner.cache.get_or_build(&key, || {
+                inner.optimize(&key.source, &old.predicate, old.accuracy_target, &snapshot)
             });
-            if !uses_drifted {
-                continue;
-            }
-            // Re-optimize off the hot path: the monitor's corrections now
-            // apply, so the new plan reflects observed (not validation)
-            // reductions. Swap atomically; a failure keeps the old plan —
-            // a degraded-but-working plan beats no plan.
-            match inner.optimize(
-                &key.source,
-                &entry.predicate,
-                entry.accuracy_target,
-                &snapshot,
-            ) {
-                Ok(new_plan) => {
-                    if inner.cache.swap(&key, new_plan) {
-                        replanned += 1;
-                    }
-                }
-                Err(_) => {
-                    inner
-                        .metrics
-                        .counter("server.maintenance_replan_failures_total")
-                        .inc();
-                }
+            match rebuilt {
+                Ok(_) => replanned += 1,
+                Err(_) => inner
+                    .metrics
+                    .counter("server.maintenance_replan_failures_total")
+                    .inc(),
             }
         }
     }

@@ -64,7 +64,7 @@ use pp_engine::{Catalog, EngineError};
 
 use crate::admission::{check_cost_budget, AdmissionConfig, DepthGate, Permit};
 use crate::audit::{AuditConfig, Auditor};
-use crate::cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, PlanCache};
+use crate::cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, Lookup, PlanCache};
 use crate::chaos::ServerFaults;
 use crate::maintenance::{self, MaintenanceReport};
 use crate::pool::{DrainPolicy, WorkerPool};
@@ -439,7 +439,7 @@ impl PpServer {
     /// In-flight queries keep their pinned snapshots.
     pub fn publish_pps(&self, pps: PpCatalog) -> CatalogEpoch {
         let epoch = self.inner.pps.publish(pps);
-        self.inner.cache.invalidate_stale(epoch);
+        self.inner.cache.invalidate(|key, _| key.epoch < epoch);
         self.inner.metrics.counter("server.epoch_bumps_total").inc();
         epoch
     }
@@ -479,9 +479,10 @@ impl PpServer {
     }
 
     /// Runs one maintenance pass synchronously: folds nothing new (that
-    /// happens per query) but checks calibration drift and re-optimizes /
-    /// swaps every cached plan whose PPs drifted. It runs on the caller's
-    /// thread; the server starts no timer of its own.
+    /// happens per query) but checks calibration drift, invalidates every
+    /// cached plan whose PPs drifted or were quarantined, and rebuilds each
+    /// through the cache's single-flight miss path. It runs on the
+    /// caller's thread; the server starts no timer of its own.
     pub fn maintenance_now(&self) -> MaintenanceReport {
         maintenance::run_once(&self.inner)
     }
@@ -658,10 +659,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
         request.accuracy_target,
         snapshot.epoch(),
     );
-    // Classify the cache interaction for the trace: a plan already Ready
-    // is a `hit`; otherwise `get_or_build` either single-flight-`wait`s
-    // on a concurrent builder (it reports a hit) or `build`s itself.
-    let ready_before = inner.cache.peek(&key).is_some();
     trace.enter(RequestStage::Cache);
     let built = inner.cache.get_or_build(&key, || {
         if let Some(faults) = &inner.config.faults {
@@ -681,20 +678,20 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
             snapshot,
         )
     });
-    let (cached, cache_hit) = match built {
+    let (cached, lookup) = match built {
         Ok(pair) => pair,
         Err(e) => {
             inner.metrics.counter("server.failed_total").inc();
             return QueryOutcome::Failed(e.to_string());
         }
     };
-    trace.note(if ready_before {
-        "hit"
-    } else if cache_hit {
-        "wait"
-    } else {
-        "build"
+    // A plan another caller was building is a hit that waited for it.
+    trace.note(match lookup {
+        Lookup::Hit => "hit",
+        Lookup::Waited => "wait",
+        Lookup::Built => "build",
     });
+    let cache_hit = lookup != Lookup::Built;
     if cache_hit {
         inner.metrics.counter("server.cache_hits_total").inc();
     }
