@@ -26,7 +26,6 @@ fn main() -> pp_bench::Result<()> {
     let CleanAndFaulted {
         query: q,
         optimized,
-        pp_ops,
         mut clean,
         mut faulted,
     } = clean_and_faulted_q1()?;
@@ -97,11 +96,8 @@ fn main() -> pp_bench::Result<()> {
         "fault rate",
         "quarantined",
     ]);
-    for op in &pp_ops {
-        let key = op
-            .strip_prefix("PP[")
-            .and_then(|s| s.strip_suffix(']'))
-            .unwrap_or(op);
+    let leaf_keys = optimized.report.chosen.iter().flat_map(|c| &c.leaf_keys);
+    for key in leaf_keys {
         let stats = monitor.fault_stats(key);
         pp_table.row([
             key.to_string(),

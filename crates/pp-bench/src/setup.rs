@@ -165,15 +165,13 @@ impl TrafSetup {
 }
 
 /// TRAF-20 Q1 planned at a = 0.95 and executed twice at parallelism 4:
-/// clean, and with seeded transient faults and timeouts on every PP
-/// operator — the pair of runs `explain_report` prints from.
+/// clean, and with seeded transient faults and timeouts on the plan's PP
+/// filter — the pair of runs `explain_report` prints from.
 pub struct CleanAndFaulted {
     /// The query (TRAF-20 Q1).
     pub query: TrafQuery,
     /// Its PP plan and the optimizer's report.
     pub optimized: OptimizedQuery,
-    /// Display names of the PP operators the plan carries.
-    pub pp_ops: Vec<String>,
     /// Telemetry of the clean run.
     pub clean: TelemetrySnapshot,
     /// Telemetry of the faulted run.
@@ -195,26 +193,19 @@ pub fn clean_and_faulted_q1() -> Result<CleanAndFaulted> {
         ctx.run(&optimized.plan)?;
         Ok(ctx.telemetry().ok_or("no telemetry after a run")?.clone())
     };
-    let clean = run(None)?;
-    let pp_ops: Vec<String> = clean
-        .spans
-        .iter()
-        .filter(|s| s.op.starts_with("PP["))
-        .map(|s| s.op.clone())
-        .collect();
-    if pp_ops.is_empty() {
+    let Some(chosen) = &optimized.report.chosen else {
         return Err("the optimized plan carries no PP filter".into());
-    }
-    // Transient faults + occasional timeouts on every PP.
-    let mut fault_plan = FaultPlan::new(0xBAD5EED);
-    for op in &pp_ops {
-        fault_plan = fault_plan.inject(op, FaultSpec::transient(0.08).with_timeouts(0.02, 90.0));
-    }
+    };
+    // Transient faults + occasional timeouts on the plan's PP filter.
+    let fault_plan = FaultPlan::new(0xBAD5EED).inject(
+        chosen.filter_op(),
+        FaultSpec::transient(0.08).with_timeouts(0.02, 90.0),
+    );
+    let clean = run(None)?;
     let faulted = run(Some(fault_plan))?;
     Ok(CleanAndFaulted {
         query,
         optimized,
-        pp_ops,
         clean,
         faulted,
     })

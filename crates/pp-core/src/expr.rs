@@ -339,20 +339,25 @@ impl PlannedPpExpr {
     /// Wraps into an engine [`RowFilter`] reading the blob from the named
     /// column.
     pub fn into_filter(self, blob_column: impl Into<String>) -> PpExprFilter {
-        let display = self.expr.to_string();
-        let name = if display.starts_with("PP[") {
-            display
-        } else {
-            format!("PP{display}")
-        };
         PpExprFilter {
-            name,
+            name: filter_name(&self.expr.to_string()),
             blob_column: blob_column.into(),
             leaf_rows_scored: (0..self.expr.leaf_count())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             planned: self,
         }
+    }
+}
+
+/// The operator name of the filter that runs the PP expression displayed
+/// as `expr`, and so of its telemetry span: a single leaf displays as
+/// `PP[key]` already; a composite gets a `PP` prefix.
+pub fn filter_name(expr: &str) -> String {
+    if expr.starts_with("PP[") {
+        expr.to_string()
+    } else {
+        format!("PP{expr}")
     }
 }
 

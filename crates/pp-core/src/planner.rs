@@ -25,7 +25,7 @@ use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 use crate::alloc::BudgetDp;
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
-use crate::expr::{Assignment, PlannedPpExpr, PpExpr, PpExprFilter};
+use crate::expr::{filter_name, Assignment, PlannedPpExpr, PpExpr, PpExprFilter};
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::rewrite;
@@ -89,15 +89,11 @@ pub struct ChosenPlan {
 
 impl ChosenPlan {
     /// The display name of the injected filter operator — the key for
-    /// joining this plan to its telemetry span. Mirrors
-    /// [`PlannedPpExpr::into_filter`]'s naming: a single leaf displays as
-    /// `PP[key]` already; composites get a `PP` prefix.
+    /// joining this plan to its telemetry span. Named by
+    /// [`filter_name`], as [`PlannedPpExpr::into_filter`] names the
+    /// filter.
     pub fn filter_op(&self) -> String {
-        if self.expr.starts_with("PP[") {
-            self.expr.clone()
-        } else {
-            format!("PP{}", self.expr)
-        }
+        filter_name(&self.expr)
     }
 }
 

@@ -10,10 +10,17 @@
 //! predicate."
 //!
 //! This module generalizes that fix into a [`RuntimeMonitor`] which also
-//! watches execution health: feeding it each run's [`TelemetrySnapshot`]
-//! lets it mark PPs *broken* — ones whose filters keep failing or whose
-//! circuit breakers tripped — so the planner stops injecting them. A
-//! broken PP degrades the query to its no-PP plan: slower, never wrong.
+//! watches execution health. Every run, completed or failed, reaches it
+//! through one entry point, [`observe_run`](RuntimeMonitor::observe_run),
+//! which joins the run's [`TelemetrySnapshot`] to its [`PlanReport`]: the
+//! chosen filter's span is found by
+//! [`ChosenPlan::filter_op`](crate::planner::ChosenPlan::filter_op) and
+//! its faults are charged to the plan's own
+//! [`leaf_keys`](crate::planner::ChosenPlan::leaf_keys), so no operator
+//! name is ever parsed. PPs whose filters keep failing or whose circuit
+//! breakers tripped are marked *broken*, so the planner stops injecting
+//! them. A broken PP degrades the query to its no-PP plan: slower, never
+//! wrong.
 //!
 //! The monitor is a fold, not a log: every run is added to fixed-size
 //! state (per PP key one pair of fault counters with the quarantine cause,
@@ -24,6 +31,18 @@
 //! [`is_broken`](RuntimeMonitor::is_broken),
 //! [`reduction_correction`](RuntimeMonitor::reduction_correction)) and
 //! records nothing.
+//!
+//! A plan built before the monitor learned something may break the rules
+//! the planner now applies. [`stale`](RuntimeMonitor::stale) is the one
+//! statement of when such a plan must be rebuilt — a chosen leaf is
+//! quarantined for any cause, a chosen leaf or the chosen composite has
+//! drifted, or a flagged predicate conjoins more than one leaf — and the
+//! server's maintenance pass rebuilds every cached plan it holds for. On
+//! the `audit_smoke` schedules (2 000 frames at a = 0.9 over 3 rounds, and
+//! the full 12 000-frame corpus at a = 0.95) no predicate is ever flagged
+//! and no served plan carries a quarantined leaf after a pass, so the
+//! passes replan exactly what a drifted-or-audit-violated rule replans
+//! (15, 2 and 0 entries on the full corpus).
 
 use std::collections::{HashMap, HashSet};
 
@@ -172,14 +191,6 @@ impl Inner {
                 .get_or_insert(QuarantineReason::BreakerTripped);
         }
     }
-
-    fn observe_telemetry(&mut self, snapshot: &TelemetrySnapshot) {
-        for span in &snapshot.spans {
-            for key in pp_keys(&span.op) {
-                self.record_faults(key, span.attempts, span.failures, span.breaker_tripped);
-            }
-        }
-    }
 }
 
 impl RuntimeMonitor {
@@ -275,17 +286,6 @@ impl RuntimeMonitor {
         self.inner.write().health.remove(pp_key);
     }
 
-    /// Digests one run's [`TelemetrySnapshot`]: every `PP[...]` span's
-    /// attempts and failures are attributed to the PP keys named in it (a
-    /// composite filter charges all its member leaves — conservative,
-    /// since a broken PP only costs speed-up, never results), and a
-    /// tripped circuit breaker quarantines those keys outright. This is
-    /// all a run that *failed* contributes; a run that succeeded goes
-    /// through [`observe_run`](Self::observe_run), which adds calibration.
-    pub fn observe_telemetry(&self, snapshot: &TelemetrySnapshot) {
-        self.inner.write().observe_telemetry(snapshot);
-    }
-
     /// Folds one predicted-vs-observed calibration record into the sums
     /// of a PP key (or composite expression display).
     pub fn record_calibration(&self, key: &str, record: CalibrationRecord) {
@@ -325,20 +325,25 @@ impl RuntimeMonitor {
     }
 
     /// Joins one run's plan report with its telemetry, under one write
-    /// lock: digests the snapshot as
-    /// [`observe_telemetry`][Self::observe_telemetry] does, then locates
-    /// the chosen PP filter's span (by its injected operator name) and
-    /// folds in a [`CalibrationRecord`] comparing the plan's estimate
-    /// against the span's observed reduction and per-blob cost.
-    /// Single-PP plans record under the leaf key (where
+    /// lock — the only way a run, completed or failed, reaches the
+    /// monitor. It finds the chosen PP filter's span by
+    /// [`filter_op`](crate::planner::ChosenPlan::filter_op) and charges
+    /// its attempts and failures to every one of the plan's
+    /// [`leaf_keys`](crate::planner::ChosenPlan::leaf_keys) (a composite
+    /// charges all its leaves — conservative, since a broken PP only costs
+    /// speed-up, never results); a tripped circuit breaker quarantines
+    /// those keys outright. A completed run then folds in a
+    /// [`CalibrationRecord`] comparing the plan's estimate against the
+    /// span's observed reduction and per-blob cost. Single-PP plans record
+    /// under the leaf key (where
     /// [`reduction_correction`][Self::reduction_correction] looks);
     /// composites record under the expression display. The estimate is
     /// also fed to [`observe`][Self::observe], so a dramatic miss triggers
-    /// Appendix A.5's dependent-predicate flag. Spans that aborted or saw
-    /// no rows are skipped — their reduction is truncated, not observed.
+    /// Appendix A.5's dependent-predicate flag. A failed run
+    /// (`snapshot.error` set), and a span that aborted or saw no rows,
+    /// contribute faults only — their reduction is truncated, not
+    /// observed.
     pub fn observe_run(&self, report: &PlanReport, snapshot: &TelemetrySnapshot) {
-        let mut inner = self.inner.write();
-        inner.observe_telemetry(snapshot);
         let Some(chosen) = &report.chosen else {
             return;
         };
@@ -346,7 +351,11 @@ impl RuntimeMonitor {
         let Some(span) = snapshot.spans.iter().find(|s| s.op == op) else {
             return;
         };
-        if span.rows_in == 0 || span.rows_failed > 0 {
+        let mut inner = self.inner.write();
+        for key in &chosen.leaf_keys {
+            inner.record_faults(key, span.attempts, span.failures, span.breaker_tripped);
+        }
+        if snapshot.error.is_some() || span.rows_in == 0 || span.rows_failed > 0 {
             return;
         }
         let observed_reduction = span.reduction();
@@ -371,18 +380,37 @@ impl RuntimeMonitor {
             },
         );
     }
-}
 
-/// Every `PP[<key>]` occurrence in an operator display name
-/// (e.g. `(PP[t = SUV] ∧ PP[c = red])` → `t = SUV`, `c = red`).
-fn pp_keys(op: &str) -> impl Iterator<Item = &str> {
-    let mut rest = op;
-    std::iter::from_fn(move || {
-        let tail = &rest[rest.find("PP[")? + 3..];
-        let end = tail.find(']')?;
-        rest = &tail[end + 1..];
-        Some(&tail[..end])
-    })
+    /// Whether a plan built earlier must be rebuilt because of what the
+    /// monitor has learned since: a chosen leaf is quarantined (for any
+    /// cause), a chosen leaf or the chosen composite has
+    /// [drifted](CalibrationSummary::drifted), or the plan conjoins more
+    /// than one leaf for a predicate that [`is_flagged`](Self::is_flagged).
+    /// A plan with no PP is never stale.
+    pub fn stale(&self, report: &PlanReport) -> bool {
+        let Some(chosen) = &report.chosen else {
+            return false;
+        };
+        let inner = self.inner.read();
+        let drifted = |key: &str| {
+            inner
+                .calibration
+                .summary(key)
+                .is_some_and(|summary| summary.drifted())
+        };
+        let quarantined = |key: &str| {
+            inner
+                .health
+                .get(key)
+                .is_some_and(|health| health.quarantined.is_some())
+        };
+        chosen
+            .leaf_keys
+            .iter()
+            .any(|key| quarantined(key) || drifted(key))
+            || drifted(&chosen.expr)
+            || (chosen.leaf_keys.len() > 1 && inner.flagged.contains(&report.predicate))
+    }
 }
 
 #[cfg(test)]
@@ -446,14 +474,14 @@ mod tests {
         assert!(!observe(0.5 + DEVIATION_THRESHOLD - 0.01));
     }
 
-    /// One run of `PP[key]` that attempted `calls` rows and failed `failures`.
+    /// One failed run of a plan filtering with `PP[key]` that attempted
+    /// `calls` rows and failed `failures`.
     fn faults(m: &RuntimeMonitor, key: &str, calls: u64, failures: u64) {
-        m.observe_telemetry(&snapshot_of(vec![pp_span(
-            &format!("PP[{key}]"),
-            calls,
-            calls,
-            failures,
-        )]));
+        let report = report_with_chosen(&format!("PP[{key}]"), vec![key], 0.5);
+        let mut snapshot =
+            snapshot_of(vec![pp_span(&format!("PP[{key}]"), calls, calls, failures)]);
+        snapshot.error = Some("transient failure".into());
+        m.observe_run(&report, &snapshot);
     }
 
     #[test]
@@ -535,16 +563,23 @@ mod tests {
     }
 
     #[test]
-    fn observe_telemetry_attributes_pp_spans() {
+    fn observe_run_charges_only_the_chosen_span() {
         let m = RuntimeMonitor::new();
+        let report = report_with_chosen("PP[t = SUV]", vec!["t = SUV"], 0.0);
         let mut pp = pp_span("PP[t = SUV]", 20, 20, 20);
         pp.breaker_tripped = true;
-        m.observe_telemetry(&snapshot_of(vec![
-            pp,
-            pp_span("Process[VehType]", 100, 100, 100),
-        ]));
+        m.observe_run(
+            &report,
+            &snapshot_of(vec![
+                pp,
+                pp_span("PP[c = red]", 100, 100, 100),
+                pp_span("Process[VehType]", 100, 100, 100),
+            ]),
+        );
         assert!(m.is_broken("t = SUV"));
-        // Non-PP operators are not the monitor's business.
+        // A filter the plan did not choose, and non-PP operators, are not
+        // the monitor's business.
+        assert!(!m.is_broken("c = red"));
         assert!(!m.is_broken("Process[VehType]"));
         assert!(!m.is_broken("VehType"));
         assert_eq!(m.broken(), vec!["t = SUV".to_string()]);
@@ -552,32 +587,42 @@ mod tests {
 
     #[test]
     fn composite_filter_charges_all_leaves() {
-        let composite = "PP(PP[t = SUV] ∧ PP[c = red])";
-        let stats = FaultStats {
-            calls: 40,
-            failures: 30,
-        };
-        let m = RuntimeMonitor::new();
-        m.observe_telemetry(&snapshot_of(vec![pp_span(composite, 40, 40, 30)]));
-        for key in ["t = SUV", "c = red"] {
-            assert!(m.is_broken(key));
-            assert_eq!(m.fault_stats(key), stats);
-        }
-        // The same attribution through the successful-run entry point.
         let m = RuntimeMonitor::new();
         let report = report_with_chosen(
             "(PP[t = SUV] ∧ PP[c = red])",
             vec!["t = SUV", "c = red"],
             0.0,
         );
-        m.observe_run(&report, &snapshot_of(vec![pp_span(composite, 40, 40, 30)]));
+        m.observe_run(
+            &report,
+            &snapshot_of(vec![pp_span("PP(PP[t = SUV] ∧ PP[c = red])", 40, 40, 30)]),
+        );
         for key in ["t = SUV", "c = red"] {
-            assert_eq!(m.fault_stats(key), stats);
+            assert_eq!(
+                m.fault_stats(key),
+                FaultStats {
+                    calls: 40,
+                    failures: 30,
+                }
+            );
             assert!(matches!(
                 m.why_broken(key),
                 Some(QuarantineReason::FaultRate { .. })
             ));
         }
+    }
+
+    #[test]
+    fn failed_runs_count_faults_but_are_not_observed_reductions() {
+        let m = RuntimeMonitor::new();
+        let report = report_with_chosen("PP[t = SUV]", vec!["t = SUV"], 0.6);
+        // A clean-looking span from a run that failed further up the plan.
+        let mut snapshot = snapshot_of(vec![pp_span("PP[t = SUV]", 100, 10, 3)]);
+        snapshot.error = Some("cancelled".into());
+        m.observe_run(&report, &snapshot);
+        assert_eq!(m.fault_stats("t = SUV").failures, 3);
+        assert!(m.calibration_summary("t = SUV").is_none());
+        assert!(!m.is_flagged("t = SUV"));
     }
 
     #[test]
@@ -621,7 +666,8 @@ mod tests {
         // transition is the first (and only) recorded cause.
         let mut span = pp_span("PP[c = red]", 20, 20, 0);
         span.breaker_tripped = true;
-        m.observe_telemetry(&snapshot_of(vec![span]));
+        let report = report_with_chosen("PP[c = red]", vec!["c = red"], 0.0);
+        m.observe_run(&report, &snapshot_of(vec![span]));
         assert_eq!(
             m.why_broken("c = red"),
             Some(QuarantineReason::BreakerTripped)
@@ -694,12 +740,13 @@ mod tests {
         m.observe_run(&report, &snapshot_of(vec![span]));
         assert!(m.calibration_summary("t = SUV").is_none());
         assert_eq!(m.fault_stats("t = SUV").failures, 5);
-        // A PP-free report only digests telemetry.
+        // A PP-free report names no filter to join: nothing is recorded.
         m.observe_run(
             &PlanReport::default(),
-            &snapshot_of(vec![pp_span("PP[t = SUV]", 100, 40, 0)]),
+            &snapshot_of(vec![pp_span("PP[t = SUV]", 100, 40, 7)]),
         );
         assert!(m.calibration_summary("t = SUV").is_none());
+        assert_eq!(m.fault_stats("t = SUV").failures, 5);
     }
 
     #[test]
@@ -731,12 +778,112 @@ mod tests {
         assert!(m.reduction_correction("unseen").is_none());
     }
 
+    /// A report choosing `leaf_keys` (composite when more than one) for
+    /// predicate `t = SUV`.
+    fn report_over(leaf_keys: Vec<&str>) -> PlanReport {
+        let expr = match &leaf_keys[..] {
+            [only] => format!("PP[{only}]"),
+            keys => format!("(PP[{}])", keys.join("] ∧ PP[")),
+        };
+        report_with_chosen(&expr, leaf_keys, 0.6)
+    }
+
+    /// Two calibration samples whose reduction missed by 0.6: drifted.
+    fn drift(m: &RuntimeMonitor, key: &str) {
+        for _ in 0..CALIBRATION_MIN_SAMPLES {
+            m.record_calibration(
+                key,
+                CalibrationRecord {
+                    predicted_reduction: 0.7,
+                    observed_reduction: 0.1,
+                    predicted_cost: 0.01,
+                    observed_cost: 0.01,
+                },
+            );
+        }
+    }
+
     #[test]
-    fn pp_key_extraction() {
-        let keys = |op| pp_keys(op).collect::<Vec<_>>();
-        assert_eq!(keys("PP[t = SUV]"), vec!["t = SUV"]);
-        assert_eq!(keys("(PP[a] ∨ (PP[b] ∧ PP[c]))"), vec!["a", "b", "c"]);
-        assert!(keys("Scan[video]").is_empty());
-        assert!(keys("PP[unterminated").is_empty());
+    fn a_plan_with_no_pp_is_never_stale() {
+        let m = RuntimeMonitor::new();
+        m.mark_broken("t = SUV");
+        drift(&m, "t = SUV");
+        m.observe(
+            "t = SUV",
+            Observation {
+                estimated_reduction: 0.9,
+                observed_reduction: 0.1,
+            },
+        );
+        assert!(!m.stale(&PlanReport {
+            predicate: "t = SUV".into(),
+            ..Default::default()
+        }));
+    }
+
+    #[test]
+    fn stale_when_a_chosen_leaf_is_quarantined() {
+        let m = RuntimeMonitor::new();
+        let plan = report_over(vec!["t = SUV", "c = red"]);
+        assert!(!m.stale(&plan));
+        m.mark_broken("c = blue");
+        assert!(!m.stale(&plan), "a key the plan does not use");
+        // Every cause counts, not only the audit's.
+        m.mark_broken("c = red");
+        assert!(m.stale(&plan));
+        faults(&m, "t = SUV", MIN_CALLS, MIN_CALLS);
+        assert!(m.stale(&report_over(vec!["t = SUV"])));
+        m.restore("t = SUV");
+        assert!(!m.stale(&report_over(vec!["t = SUV"])));
+    }
+
+    #[test]
+    fn stale_when_a_chosen_leaf_drifts() {
+        let m = RuntimeMonitor::new();
+        let plan = report_over(vec!["t = SUV", "c = red"]);
+        drift(&m, "c = blue");
+        assert!(!m.stale(&plan), "a key the plan does not use");
+        // One sample short of trusted: not drifted yet.
+        m.record_calibration(
+            "c = red",
+            CalibrationRecord {
+                predicted_reduction: 0.7,
+                observed_reduction: 0.1,
+                predicted_cost: 0.01,
+                observed_cost: 0.01,
+            },
+        );
+        assert!(!m.stale(&plan));
+        drift(&m, "c = red");
+        assert!(m.stale(&plan));
+    }
+
+    #[test]
+    fn stale_when_the_chosen_composite_drifts() {
+        let m = RuntimeMonitor::new();
+        let plan = report_over(vec!["t = SUV", "c = red"]);
+        let expr = plan.chosen.as_ref().map(|c| c.expr.clone()).unwrap();
+        drift(&m, "(PP[t = SUV] ∨ PP[c = red])");
+        assert!(!m.stale(&plan), "another composite of the same leaves");
+        drift(&m, &expr);
+        assert!(m.stale(&plan));
+    }
+
+    #[test]
+    fn stale_when_a_flagged_predicate_conjoins_leaves() {
+        let m = RuntimeMonitor::new();
+        let single = report_over(vec!["t = SUV"]);
+        let pair = report_over(vec!["t = SUV", "c = red"]);
+        assert!(!m.stale(&pair), "an unflagged predicate may conjoin");
+        m.observe(
+            "t = SUV",
+            Observation {
+                estimated_reduction: 0.9,
+                observed_reduction: 0.1,
+            },
+        );
+        assert!(m.is_flagged("t = SUV"));
+        assert!(!m.stale(&single), "one leaf is what the flag allows");
+        assert!(m.stale(&pair));
     }
 }

@@ -861,7 +861,8 @@ impl Executor<'_> {
     ) -> Result<Finished> {
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
-        let fail_open = self.session.config().fail_open_filters && filter.fail_open();
+        // A filter that gates correctness says so with `fail_open()`.
+        let fail_open = filter.fail_open();
         let config = *self.session.config();
         let (name, filter) = (op.clone(), Arc::clone(filter));
         self.fold_udf(

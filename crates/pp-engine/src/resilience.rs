@@ -121,9 +121,6 @@ pub struct ResilienceConfig {
     /// Consecutive exhausted failures before an operator's circuit breaker
     /// opens (0 disables breaking).
     pub breaker_threshold: u32,
-    /// Whether row filters degrade to pass-through on failure. Disabling
-    /// this makes filter errors fatal, like any other UDF error.
-    pub fail_open_filters: bool,
     /// Whether processor outputs are checked for non-finite floats (NaN /
     /// ±∞), turning silent corruption into a retryable
     /// [`EngineError::CorruptOutput`].
@@ -136,7 +133,6 @@ impl Default for ResilienceConfig {
             retry: RetryPolicy::default(),
             udf_timeout_secs: 60.0,
             breaker_threshold: 5,
-            fail_open_filters: true,
             validate_outputs: false,
         }
     }
@@ -158,12 +154,6 @@ impl ResilienceConfig {
     /// Sets the circuit-breaker threshold.
     pub fn with_breaker_threshold(mut self, n: u32) -> Self {
         self.breaker_threshold = n;
-        self
-    }
-
-    /// Enables or disables fail-open filter degradation.
-    pub fn with_fail_open_filters(mut self, on: bool) -> Self {
-        self.fail_open_filters = on;
         self
     }
 

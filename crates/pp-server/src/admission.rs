@@ -8,9 +8,9 @@
 //!   [`RejectReason::QueueFull`]. The [`Permit`] is a drop guard, so the
 //!   count can never leak on an error or panic path.
 //! * **At dispatch** — once the (possibly cached) plan is known, its
-//!   per-operator predictions are replayed into a fresh
-//!   [`CostMeter`] — the same accounting the
-//!   executor charges — and the predicted cluster-seconds are compared
+//!   per-operator predicted seconds are summed in charge order — the sum
+//!   the executor's [`CostMeter`](pp_engine::cost::CostMeter) takes — and
+//!   the predicted cluster-seconds are compared
 //!   against [`AdmissionConfig::cost_budget_cluster_seconds`]. Plans that
 //!   would blow the budget are shed with
 //!   [`RejectReason::CostBudgetExceeded`] *before* any UDF runs.
@@ -20,7 +20,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pp_core::planner::PlanReport;
-use pp_engine::cost::CostMeter;
 use pp_engine::sync::{Condvar, Mutex};
 
 use crate::request::RejectReason;
@@ -127,20 +126,11 @@ impl Drop for Permit {
     }
 }
 
-/// Replays a plan's per-operator predictions into a fresh cost meter and
-/// returns its cluster-seconds — the predicted bill for running this plan
-/// once, in exactly the units the executor charges.
+/// The sum of a plan's per-operator predicted seconds, in charge order —
+/// the predicted bill for running this plan once, in exactly the units
+/// (and the summation order) the executor's cost meter charges.
 pub fn predicted_cluster_seconds(report: &PlanReport) -> f64 {
-    let mut meter = CostMeter::new();
-    for p in &report.predictions {
-        meter.charge(
-            p.op.clone(),
-            p.rows_in.round() as usize,
-            p.rows_out.round() as usize,
-            p.seconds,
-        );
-    }
-    meter.cluster_seconds()
+    report.predictions.iter().map(|p| p.seconds).sum()
 }
 
 /// Checks a plan against the configured per-query budget.

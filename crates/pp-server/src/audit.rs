@@ -10,11 +10,14 @@
 //!
 //! 1. **Record** (`Auditor::observe`, called on the hot path): every
 //!    completed query whose plan carried a PP prefix that actually
-//!    dropped blobs enqueues a lightweight audit task (its cached plan
-//!    `Arc`, source, result-row count). No replay work happens here.
+//!    dropped blobs — read from the span of the plan's chosen filter,
+//!    [`ChosenPlan::filter_op`](pp_core::planner::ChosenPlan::filter_op)
+//!    — enqueues a lightweight audit task (its cached plan `Arc`, source,
+//!    result-row count). No replay work happens here.
 //! 2. **Replay** (`run_pass`, called from the maintenance pass, off
 //!    the hot path): for each task, the base table's rows are re-scored
-//!    through the plan's PP filters to find the dropped set, a
+//!    through the PP filters the cached plan carries
+//!    ([`CachedPlan::pp_filters`]) to find the dropped set, a
 //!    deterministic seeded per-`(query, row)` coin samples a configured
 //!    fraction of them, and the sampled blobs are replayed through the
 //!    source's *ground-truth* UDF pipeline (memoized per table for the
@@ -32,10 +35,12 @@
 //!    `R / (R + f⁺·D)`. When that lower bound falls under the promised
 //!    `a`, the auditor raises
 //!    [`QuarantineReason::AccuracyViolation`](pp_core::runtime::QuarantineReason)
-//!    for every leaf PP through the shared
+//!    for every one of the plan's leaf keys through the shared
 //!    [`RuntimeMonitor`](pp_core::runtime::RuntimeMonitor) — the planner
-//!    then excludes those PPs and the maintenance pass replans the
-//!    affected cache entries exactly like PR 4 calibration drift.
+//!    then excludes those PPs, and the same maintenance pass rebuilds
+//!    every cached plan that uses one, since a quarantined leaf makes a
+//!    plan [`stale`](pp_core::runtime::RuntimeMonitor::stale) whatever
+//!    the cause.
 //!
 //! Sampling is a pure function of `(seed, request id, row index)`, so
 //! two servers (or two runs) with identical seeds and submission
@@ -50,7 +55,7 @@ use pp_engine::schema::Schema;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
 use pp_engine::udf::{Processor, RowFilter};
-use pp_engine::LogicalPlan;
+use pp_linalg::rng::{hash2, splitmix64};
 
 use crate::cache::CachedPlan;
 use crate::server::ServerInner;
@@ -215,15 +220,18 @@ impl Auditor {
         result_rows: usize,
         metrics: &MetricsRegistry,
     ) {
-        if !self.config.enabled || plan.report.chosen.is_none() {
+        let Some(chosen) = &plan.report.chosen else {
+            return;
+        };
+        if !self.config.enabled {
             return;
         }
-        let dropped: u64 = telemetry
+        let op = chosen.filter_op();
+        let dropped = telemetry
             .spans
             .iter()
-            .filter(|s| s.op.starts_with("PP"))
-            .map(|s| s.rows_filtered)
-            .sum();
+            .find(|s| s.op == op)
+            .map_or(0, |s| s.rows_filtered);
         if dropped == 0 {
             return;
         }
@@ -325,43 +333,12 @@ fn achieved_lower_bound(s: &ExprStats) -> f64 {
     }
 }
 
-/// splitmix64 finalizer — the deterministic audit coin's mixing step.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic sampling coin: a pure function of
 /// `(seed, request id, row index)` and the configured fraction.
 fn sampled(seed: u64, request_id: u64, row_idx: u64, fraction: f64) -> bool {
-    let h = mix(seed ^ mix(request_id ^ mix(row_idx)));
+    let h = splitmix64(seed ^ hash2(request_id, row_idx));
     // 53 high-entropy bits → uniform in [0, 1).
     ((h >> 11) as f64 / (1u64 << 53) as f64) < fraction
-}
-
-/// The plan's PP filters, innermost (closest to the scan) first. Server
-/// plans are linear `scan → filter*/process* → select` chains; the walk
-/// stops at the scan (or any non-linear operator, which source plans
-/// never contain).
-fn collect_pp_filters(plan: &LogicalPlan) -> Vec<Arc<dyn RowFilter>> {
-    let mut out = Vec::new();
-    let mut node = plan;
-    loop {
-        match node {
-            LogicalPlan::Filter { input, filter } => {
-                if filter.name().starts_with("PP") {
-                    out.push(Arc::clone(filter));
-                }
-                node = input;
-            }
-            LogicalPlan::Process { input, .. } | LogicalPlan::Select { input, .. } => node = input,
-            _ => break,
-        }
-    }
-    out.reverse();
-    out
 }
 
 /// Replays one dropped base row through `processors` (the source's
@@ -442,7 +419,7 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         }) else {
             continue;
         };
-        let filters = collect_pp_filters(&task.plan.plan);
+        let filters = &task.plan.pp_filters;
         if filters.is_empty() {
             continue;
         }

@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pp_core::catalog::CatalogEpoch;
+use pp_core::expr::PpExprFilter;
 use pp_core::planner::PlanReport;
 use pp_engine::predicate::Predicate;
 use pp_engine::sync::{Condvar, Mutex};
@@ -82,15 +83,21 @@ impl CacheKey {
     }
 }
 
-/// One memoized optimizer output: the executable plan plus its report,
-/// and the inputs needed to *re*-optimize it (the maintenance pass
-/// rebuilds from these when calibration drift flags the plan's PPs).
+/// One memoized optimizer output: the executable plan, its report and
+/// its PP filters, and the inputs needed to *re*-optimize it (the
+/// maintenance pass rebuilds from these when
+/// [`RuntimeMonitor::stale`](pp_core::runtime::RuntimeMonitor::stale)
+/// holds for the report).
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The (possibly PP-injected) executable plan.
     pub plan: LogicalPlan,
     /// What the optimizer considered and chose.
     pub report: Arc<PlanReport>,
+    /// The PP filters injected into `plan` (the optimizer's
+    /// [`pp_filters`](pp_core::planner::OptimizedQuery::pp_filters)); the
+    /// accuracy auditor replays dropped rows through these.
+    pub pp_filters: Vec<Arc<PpExprFilter>>,
     /// The original (un-canonicalized) predicate the plan answers.
     pub predicate: Predicate,
     /// The exact accuracy target the plan was optimized for.
@@ -495,6 +502,7 @@ mod tests {
         CachedPlan {
             plan: LogicalPlan::scan("t"),
             report: Arc::new(PlanReport::default()),
+            pp_filters: Vec::new(),
             predicate: Predicate::True,
             accuracy_target: 0.95,
         }
@@ -654,6 +662,7 @@ mod tests {
                 }],
                 ..Default::default()
             }),
+            pp_filters: Vec::new(),
             predicate: Predicate::True,
             accuracy_target: 0.95,
         }

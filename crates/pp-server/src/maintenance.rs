@@ -1,32 +1,43 @@
-//! The maintenance pass: calibration-driven replanning off the hot path.
+//! The maintenance pass: replanning off the hot path.
 //!
 //! Every query run already folds its telemetry into the shared
 //! [`RuntimeMonitor`](pp_core::runtime::RuntimeMonitor) (see
-//! [`server`](crate::server)). A maintenance pass consumes that state:
-//! when [`needs_replan`](pp_core::runtime::RuntimeMonitor::needs_replan)
-//! fires, every *current-epoch* cached plan whose chosen PPs appear among
-//! the drifted calibration keys (or the keys the audit quarantined) is
-//! removed with [`PlanCache::invalidate`](crate::cache::PlanCache::invalidate)
-//! and at once rebuilt through
+//! [`server`](crate::server)). A maintenance pass consumes that state.
+//! It runs the accuracy audit first, whose verdicts may quarantine PPs,
+//! and then asks the monitor's one staleness rule,
+//! [`RuntimeMonitor::stale`](pp_core::runtime::RuntimeMonitor::stale),
+//! about every *current-epoch* cached plan. A plan is stale when a chosen
+//! leaf is quarantined for any cause (fault rate, tripped breaker, by
+//! hand or by the audit), when a chosen leaf or the chosen composite has
+//! drifted, or when it conjoins leaves for a predicate flagged as
+//! dependent — exactly the plans the planner would no longer build. Each
+//! stale entry is removed with
+//! [`PlanCache::invalidate`](crate::cache::PlanCache::invalidate) and at
+//! once rebuilt through
 //! [`get_or_build`](crate::cache::PlanCache::get_or_build) — the
 //! single-flight miss path every query takes — with the monitor's
-//! reduction corrections applied. So the rebuild is counted in
+//! corrections and quarantines applied. So the rebuild is counted in
 //! `cache.builds`, costed for eviction like any other, and the next
 //! arrival hits. A query racing the rebuild reads the old plan, waits on
 //! the rebuild, or builds the plan itself; every plan answers the same
 //! predicate at the same accuracy target, so per-blob verdicts are
-//! unchanged (pinned by a test in `tests/serving.rs`).
+//! unchanged (pinned by tests in `tests/serving.rs`).
+//!
+//! Rebuilding for every quarantine cause adds no replan on the
+//! `audit_smoke` schedules: on 2 000 frames at a = 0.9 over 3 rounds and
+//! on the full 12 000-frame corpus at a = 0.95, no predicate is ever
+//! flagged and no served plan carries a quarantined leaf after a pass,
+//! and the full-corpus passes replan 15, 2 and 0 entries — what a rule
+//! of drifted or audit-violated keys alone replans.
 //!
 //! A failed rebuild leaves the key vacant, and the next arrival builds it
-//! the way any miss does: the plan it replaced used a drifted PP or one
-//! quarantined for accuracy, so keeping it is not worth a second path in.
+//! the way any miss does: the plan it replaced was stale, so keeping it
+//! is not worth a second path in.
 //!
 //! A pass runs when the embedder asks for one —
 //! [`PpServer::maintenance_now`](crate::server::PpServer::maintenance_now),
 //! on the caller's thread — and once more as the last step of
 //! [`PpServer::drain`](crate::server::PpServer::drain).
-
-use std::collections::BTreeSet;
 
 use pp_core::catalog::CatalogEpoch;
 
@@ -38,9 +49,10 @@ use crate::server::ServerInner;
 pub struct MaintenanceReport {
     /// The epoch the pass ran against.
     pub epoch: CatalogEpoch,
-    /// Whether the monitor's drift signal was up at pass start.
+    /// Whether any current-epoch cache entry was stale, and so
+    /// invalidated for a rebuild.
     pub needs_replan: bool,
-    /// Calibration keys flagged as drifted.
+    /// Calibration keys flagged as drifted, sorted.
     pub drifted_keys: Vec<String>,
     /// Current-epoch cache entries examined.
     pub examined: usize,
@@ -52,10 +64,10 @@ pub struct MaintenanceReport {
 
 pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
     // Accuracy audit first: replayed evidence may quarantine PPs, and the
-    // violated keys join the drifted set so the very same pass replans the
-    // affected cache entries (no extra pass of violating queries).
+    // very same pass then replans the affected cache entries (no extra
+    // pass of violating queries).
     let audit_report = audit::run_pass(inner);
-    let mut drifted: BTreeSet<String> = inner
+    let drifted_keys: Vec<String> = inner
         .monitor
         .calibration_report()
         .entries
@@ -63,38 +75,33 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
         .filter(|e| e.summary.drifted())
         .map(|e| e.key)
         .collect();
-    drifted.extend(audit_report.violated_keys.iter().cloned());
-    let needs_replan = !drifted.is_empty();
     let snapshot = inner.pps.snapshot();
     let epoch = snapshot.epoch();
     let mut examined = 0usize;
+    // Stale-epoch entries are dead weight awaiting invalidation, not
+    // worth re-optimizing.
+    let stale = inner.cache.invalidate(|key, plan| {
+        if key.epoch != epoch {
+            return false;
+        }
+        examined += 1;
+        inner.monitor.stale(&plan.report)
+    });
+    let needs_replan = !stale.is_empty();
+    // Re-optimize off the hot path: the monitor's corrections and
+    // quarantines now apply, so the new plan reflects observed (not
+    // validation) reductions and runs no quarantined PP.
     let mut replanned = 0usize;
-    if needs_replan {
-        // Stale-epoch entries are dead weight awaiting invalidation, not
-        // worth re-optimizing.
-        let stale = inner.cache.invalidate(|key, plan| {
-            if key.epoch != epoch {
-                return false;
-            }
-            examined += 1;
-            plan.report.chosen.as_ref().is_some_and(|c| {
-                c.leaf_keys.iter().any(|k| drifted.contains(k)) || drifted.contains(&c.expr)
-            })
+    for (key, old) in stale {
+        let rebuilt = inner.cache.get_or_build(&key, || {
+            inner.optimize(&key.source, &old.predicate, old.accuracy_target, &snapshot)
         });
-        // Re-optimize off the hot path: the monitor's corrections now
-        // apply, so the new plan reflects observed (not validation)
-        // reductions.
-        for (key, old) in stale {
-            let rebuilt = inner.cache.get_or_build(&key, || {
-                inner.optimize(&key.source, &old.predicate, old.accuracy_target, &snapshot)
-            });
-            match rebuilt {
-                Ok(_) => replanned += 1,
-                Err(_) => inner
-                    .metrics
-                    .counter("server.maintenance_replan_failures_total")
-                    .inc(),
-            }
+        match rebuilt {
+            Ok(_) => replanned += 1,
+            Err(_) => inner
+                .metrics
+                .counter("server.maintenance_replan_failures_total")
+                .inc(),
         }
     }
     // Snapshot-garbage gauges: superseded epochs kept alive by pinned
@@ -130,7 +137,7 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
     MaintenanceReport {
         epoch,
         needs_replan,
-        drifted_keys: drifted.into_iter().collect(),
+        drifted_keys,
         examined,
         replanned,
         audit: audit_report,

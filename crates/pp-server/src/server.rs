@@ -15,14 +15,19 @@
 //! 2. **Plan** (worker thread): the plan cache answers with a memoized
 //!    plan or single-flights one optimization against the *pinned*
 //!    snapshot (corrections and quarantines from the shared monitor
-//!    apply).
+//!    apply). The cached plan keeps the optimizer's report and PP
+//!    filters, so later steps learn which PP runs, under which leaf keys,
+//!    from the plan itself; a plan the monitor has since made
+//!    [`stale`](RuntimeMonitor::stale) is rebuilt by the next
+//!    maintenance pass.
 //! 3. **Admit, part 2**: the plan's predicted cluster-seconds are checked
 //!    against the per-query budget; too-expensive plans are shed before
 //!    any UDF runs.
 //! 4. **Execute**: a fresh [`ExecutionContext`] runs the plan — per-query
 //!    isolation is what makes concurrent and serial schedules
 //!    byte-identical.
-//! 5. **Fold**: the run's telemetry feeds the shared monitor (calibration,
+//! 5. **Fold**: the run, completed or failed, feeds the shared monitor
+//!    through [`observe_run`](RuntimeMonitor::observe_run) (calibration,
 //!    drift, fault quarantine) and the per-query metrics registry is
 //!    merged into the server-wide one.
 //!
@@ -154,6 +159,7 @@ impl ServerInner {
         Ok(CachedPlan {
             plan: optimized.plan,
             report: Arc::new(optimized.report),
+            pp_filters: optimized.pp_filters,
             predicate: predicate.clone(),
             accuracy_target,
         })
@@ -479,10 +485,11 @@ impl PpServer {
     }
 
     /// Runs one maintenance pass synchronously: folds nothing new (that
-    /// happens per query) but checks calibration drift, invalidates every
-    /// cached plan whose PPs drifted or were quarantined, and rebuilds each
-    /// through the cache's single-flight miss path. It runs on the
-    /// caller's thread; the server starts no timer of its own.
+    /// happens per query) but runs the accuracy audit, invalidates every
+    /// current-epoch cached plan the monitor calls
+    /// [`stale`](RuntimeMonitor::stale), and rebuilds each through the
+    /// cache's single-flight miss path. It runs on the caller's thread;
+    /// the server starts no timer of its own.
     pub fn maintenance_now(&self) -> MaintenanceReport {
         maintenance::run_once(&self.inner)
     }
@@ -717,14 +724,13 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
     trace.enter(RequestStage::Execute);
     let result = ctx.run(&cached.plan);
     // Fold this run into the shared state regardless of outcome: service
-    // metrics always, fault rates always (they count toward quarantine
-    // decisions), calibration only for clean runs (observe_run skips
-    // failed spans itself, but a failed *query* has no meaningful
-    // reduction to calibrate on).
+    // metrics always, and the run into the monitor, which counts faults
+    // toward quarantine always and calibrates only on a run that did not
+    // fail (a failed *query* has no meaningful reduction).
     inner.metrics.merge(ctx.registry());
     let telemetry = ctx.telemetry().cloned();
-    if let (Err(_), Some(t)) = (&result, &telemetry) {
-        inner.monitor.observe_telemetry(t);
+    if let Some(t) = &telemetry {
+        inner.monitor.observe_run(&cached.report, t);
     }
     match result {
         Ok(rows) => {
@@ -732,7 +738,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
                 inner.metrics.counter("server.failed_total").inc();
                 return QueryOutcome::Failed("run completed without a telemetry snapshot".into());
             };
-            inner.monitor.observe_run(&cached.report, &telemetry);
             inner.metrics.counter("server.completed_total").inc();
             // Enqueue for the off-hot-path accuracy audit (replays happen
             // in the maintenance pass; this only records the plan Arc).

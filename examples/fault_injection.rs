@@ -93,15 +93,12 @@ fn main() {
     // Act 2 — a hard-failed PP: fail-open + circuit breaker.
     let mut healthy = ExecutionContext::new(&catalog);
     let out = healthy.run(&optimized.plan).expect("pp run");
-    let pp_op = healthy
-        .telemetry()
-        .expect("telemetry snapshot")
-        .spans
-        .iter()
-        .find(|s| s.op.contains("PP["))
-        .expect("pp op")
-        .op
-        .clone();
+    let pp_op = optimized
+        .report
+        .chosen
+        .as_ref()
+        .expect("a PP is injected")
+        .filter_op();
     println!(
         "healthy PP plan:           {:4} rows, {:7.1}s cluster time  (filter: {pp_op})",
         out.len(),
@@ -130,7 +127,10 @@ fn main() {
 
     // Act 3 — the monitor quarantines the PP; replanning excludes it.
     let monitor = RuntimeMonitor::new();
-    monitor.observe_telemetry(broken.telemetry().expect("telemetry snapshot"));
+    monitor.observe_run(
+        &optimized.report,
+        broken.telemetry().expect("telemetry snapshot"),
+    );
     println!("quarantined PPs:           {:?}", monitor.broken());
     let replanned = qo
         .optimize_with_monitor(&plan, &catalog, Some(&monitor))

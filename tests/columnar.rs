@@ -42,6 +42,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+#[path = "common/fail_closed.rs"]
+mod fail_closed;
+use fail_closed::fail_closed;
+
 struct Fixture {
     dataset: TrafficDataset,
     catalog: Catalog,
@@ -273,6 +277,7 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     let sparse = FaultSpec::transient(0.03);
     let trip = FaultSpec::transient(0.15);
     let pp_op = f.pp_op.as_str();
+    let fail_closed_pp_plan = fail_closed(&f.pp_plan);
     // (label, plan, faulted operator, its faults, resilience, runs, expect)
     let scenarios = [
         (
@@ -301,12 +306,10 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             // its first failed row, which trips; the second meets an open
             // breaker at row 0.
             "breaker trip, fail-closed",
-            &f.pp_plan,
+            &fail_closed_pp_plan,
             pp_op,
             trip,
-            brittle
-                .with_breaker_threshold(1)
-                .with_fail_open_filters(false),
+            brittle.with_breaker_threshold(1),
             2,
             Expect::TripThenError,
         ),

@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
+use probabilistic_predicates::core::planner::{PlanReport, PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::{QuarantineReason, RuntimeMonitor};
@@ -32,6 +32,10 @@ use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 
+#[path = "common/fail_closed.rs"]
+mod fail_closed;
+use fail_closed::fail_closed;
+
 /// Everything the tests share: the expensive part is PP training, so it is
 /// built once per process.
 struct Fixture {
@@ -41,6 +45,8 @@ struct Fixture {
     nop_plan: LogicalPlan,
     /// Q1 with the PP injected above the scan.
     pp_plan: LogicalPlan,
+    /// What the optimizer chose for `pp_plan`.
+    report: PlanReport,
     /// Display name of the injected PP filter operator.
     pp_op: String,
 }
@@ -80,24 +86,18 @@ fn fixture() -> &'static Fixture {
             .expect("Q1");
         let nop_plan = q1.nop_plan(&dataset);
         let optimized = qo.optimize(&nop_plan, &catalog).expect("optimize");
-        assert!(optimized.report.chosen.is_some(), "Q1 must get a PP");
-        // Recover the PP filter's operator name from a fault-free run.
-        let mut ctx = ExecutionContext::new(&catalog);
-        ctx.run(&optimized.plan).expect("pp plan executes");
-        let pp_op = ctx
-            .telemetry()
-            .expect("snapshot")
-            .spans
-            .iter()
-            .find(|s| s.op.contains("PP["))
-            .expect("PP filter op present")
-            .op
-            .clone();
+        let pp_op = optimized
+            .report
+            .chosen
+            .as_ref()
+            .expect("Q1 must get a PP")
+            .filter_op();
         Fixture {
             catalog,
             qo,
             nop_plan,
             pp_plan: optimized.plan,
+            report: optimized.report,
             pp_op,
         }
     })
@@ -106,19 +106,6 @@ fn fixture() -> &'static Fixture {
 /// Byte-comparable digest of a result set.
 fn digest(out: &Rowset) -> String {
     format!("{:?}", out.rows())
-}
-
-/// Extracts the `PP[...]` leaf keys named in a PP expression string.
-fn pp_keys(expr: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut rest = expr;
-    while let Some(start) = rest.find("PP[") {
-        let tail = &rest[start + 3..];
-        let Some(end) = tail.find(']') else { break };
-        keys.push(tail[..end].to_string());
-        rest = &tail[end + 1..];
-    }
-    keys
 }
 
 fn run_plain(plan: &LogicalPlan) -> (Rowset, CostMeter) {
@@ -242,7 +229,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     // eligible — as each fails in turn and is quarantined, planning
     // degrades all the way to the PP-free plan.
     let monitor = RuntimeMonitor::new();
-    monitor.observe_telemetry(ctx.telemetry().expect("telemetry snapshot"));
+    monitor.observe_run(&f.report, ctx.telemetry().expect("telemetry snapshot"));
     assert_eq!(
         monitor.why_broken("vehType = SUV"),
         Some(QuarantineReason::BreakerTripped),
@@ -265,12 +252,12 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
             }
             Some(chosen) => {
                 assert!(
-                    !chosen.expr.contains("PP[vehType = SUV]"),
+                    !chosen.leaf_keys.iter().any(|key| key == "vehType = SUV"),
                     "quarantined PP re-injected: {}",
                     chosen.expr
                 );
-                for key in pp_keys(&chosen.expr) {
-                    monitor.mark_broken(&key);
+                for key in &chosen.leaf_keys {
+                    monitor.mark_broken(key);
                 }
             }
         }
@@ -378,14 +365,10 @@ fn an_early_stop_charges_each_operator_for_what_it_consumed() {
             .with_parallelism(k)
             .with_batch_size(GROUP)
             .with_cancel_token(token.clone())
-            .with_resilience(
-                ResilienceConfig::default()
-                    .with_retry(RetryPolicy::none())
-                    .with_fail_open_filters(false),
-            )
+            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
             .build();
         let err = ctx
-            .run(&LogicalPlan::scan("t").filter(filter))
+            .run(&fail_closed(&LogicalPlan::scan("t").filter(filter)))
             .expect_err("the stream stops in wave 3");
         let mut snap = ctx.telemetry().expect("snapshot").clone();
         snap.zero_wall_clock();

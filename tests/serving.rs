@@ -22,8 +22,8 @@ use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 use probabilistic_predicates::server::{
-    AdmissionConfig, CacheConfig, PpServer, QueryOutcome, QueryRequest, RejectReason, ServerConfig,
-    ServerFaults, SourceRegistry, SourceSpec,
+    AdmissionConfig, AuditConfig, CacheConfig, PpServer, QueryOutcome, QueryRequest, RejectReason,
+    ServerConfig, ServerFaults, SourceRegistry, SourceSpec,
 };
 
 struct Fixture {
@@ -377,6 +377,78 @@ fn drift_replan_swaps_cached_plan_with_identical_verdicts() {
         digest(&before.rows),
         digest(&after.rows),
         "replan-swap changed per-blob verdicts"
+    );
+    server.shutdown();
+}
+
+/// One staleness rule for every quarantine cause: a PP quarantined by
+/// hand — not by drift or by the audit — takes the cached plan that runs
+/// it out of the cache at the next maintenance pass, as one build through
+/// the miss path, and the rebuilt plan runs no quarantined PP while
+/// keeping per-blob verdicts byte-identical.
+#[test]
+fn quarantined_pp_leaves_the_cache_with_identical_verdicts() {
+    let f = fixture();
+    // The drift test's corpus: two PPs sharing one trained pipeline,
+    // queried at accuracy 1.0, so every plan makes the same verdicts. The
+    // audit is off, so the hand-made quarantine is the only news.
+    let pred_a = Predicate::from(Clause::new("vehType", CompareOp::Eq, "SUV"));
+    let pred_b = Predicate::from(Clause::new("vehType", CompareOp::Ne, "sedan"));
+    let mut corpus = PpCatalog::new();
+    corpus.insert(
+        ProbabilisticPredicate::new(pred_a.clone(), f.suv_pipeline.clone(), 0.001).unwrap(),
+    );
+    corpus.insert(ProbabilisticPredicate::new(pred_b, f.suv_pipeline.clone(), 0.004).unwrap());
+    let mut server = PpServer::new(
+        ServerConfig {
+            workers: 2,
+            audit: AuditConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        f.catalog.clone(),
+        f.sources.clone(),
+        corpus,
+        f.domains.clone(),
+    );
+
+    let req = QueryRequest::new("traffic", pred_a, 1.0);
+    let before = server.submit(req.clone()).unwrap().wait();
+    let before = before.outcome.success().expect("completes").clone();
+    let chosen = before
+        .report
+        .chosen
+        .as_ref()
+        .expect("a PP must be injected");
+    server.monitor().mark_broken(&chosen.leaf_keys[0]);
+
+    let builds_before = server.cache_stats().builds;
+    let pass = server.maintenance_now();
+    assert!(pass.drifted_keys.is_empty(), "nothing drifted: {pass:?}");
+    assert_eq!(pass.replanned, 1, "the plan running a quarantined PP");
+    assert_eq!(
+        server.cache_stats().builds,
+        builds_before + 1,
+        "the replan is one build through the cache's miss path"
+    );
+
+    let after = server.submit(req).unwrap().wait();
+    let after = after.outcome.success().expect("completes").clone();
+    assert!(after.cache_hit, "the replan must leave the entry ready");
+    let chosen = after.report.chosen.as_ref().expect("the other PP injects");
+    for key in &chosen.leaf_keys {
+        assert!(
+            !server.monitor().is_broken(key),
+            "{key} is quarantined but still served in {}",
+            chosen.expr
+        );
+    }
+    assert_eq!(
+        digest(&before.rows),
+        digest(&after.rows),
+        "replanning changed per-blob verdicts"
     );
     server.shutdown();
 }

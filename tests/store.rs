@@ -41,6 +41,10 @@ use probabilistic_predicates::store::{
     crc32, Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
 };
 
+#[path = "common/fail_closed.rs"]
+mod fail_closed;
+use fail_closed::fail_closed;
+
 // ---------------------------------------------------------------------------
 // Fixture: one TRAF corpus, served both from memory and from shard files.
 // ---------------------------------------------------------------------------
@@ -430,13 +434,17 @@ fn an_irregular_blob_group_decodes_to_cells_and_fails_like_the_row_path() {
     let pp_op = filter.name().to_string();
     let plan = LogicalPlan::scan("traffic").filter(filter);
     for fail_open in [true, false] {
+        let plan = if fail_open {
+            plan.clone()
+        } else {
+            fail_closed(&plan)
+        };
         let run = |builder: ExecutionContextBuilder<'_>| {
             let mut ctx = builder
                 .with_resilience(
                     ResilienceConfig::default()
                         .with_retry(RetryPolicy::none())
-                        .with_breaker_threshold(100)
-                        .with_fail_open_filters(fail_open),
+                        .with_breaker_threshold(100),
                 )
                 .build();
             let rows = match ctx.run(&plan) {
