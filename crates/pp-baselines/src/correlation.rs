@@ -156,42 +156,20 @@ impl CorrelationFilter {
             .collect();
 
         // Calibrate on validation scores (same machinery as PPs).
-        let filter = CorrelationFilter {
+        let calibration = Calibration::from_scored(
+            val.iter()
+                .map(|s| (summed_log_odds(pca.as_ref(), &dims, &s.features), s.label)),
+        )?;
+        Ok(CorrelationFilter {
             pca,
             dims,
-            // Placeholder; replaced below.
-            calibration: Calibration::from_scores(vec![0.0], vec![0.0])?,
-        };
-        let mut pos_scores = Vec::new();
-        let mut all_scores = Vec::with_capacity(val.len());
-        for s in val.iter() {
-            let score = filter.raw_score(&s.features);
-            all_scores.push(score);
-            if s.label {
-                pos_scores.push(score);
-            }
-        }
-        let calibration = Calibration::from_scores(pos_scores, all_scores)?;
-        Ok(CorrelationFilter {
             calibration,
-            ..filter
         })
-    }
-
-    fn raw_score(&self, x: &Features) -> f64 {
-        let v = match &self.pca {
-            Some(p) => p.project(x),
-            None => x.to_dense(),
-        };
-        self.dims
-            .iter()
-            .map(|m| m.log_odds[m.bucket(v[m.dim])])
-            .sum()
     }
 
     /// The filter's score for a blob (higher = more likely to pass).
     pub fn score(&self, x: &Features) -> f64 {
-        self.raw_score(x)
+        summed_log_odds(self.pca.as_ref(), &self.dims, x)
     }
 
     /// Predicted data reduction at accuracy `a`.
@@ -201,13 +179,23 @@ impl CorrelationFilter {
 
     /// The decision at accuracy `a`.
     pub fn passes(&self, x: &Features, a: f64) -> Result<bool> {
-        Ok(self.raw_score(x) >= self.calibration.threshold(a)?)
+        Ok(self.score(x) >= self.calibration.threshold(a)?)
     }
 
     /// The calibration table.
     pub fn calibration(&self) -> &Calibration {
         &self.calibration
     }
+}
+
+/// The summed log-odds of `x`'s bucket in each kept dimension, after the
+/// optional PCA projection.
+fn summed_log_odds(pca: Option<&Pca>, dims: &[DimModel], x: &Features) -> f64 {
+    let v = match pca {
+        Some(p) => p.project(x),
+        None => x.to_dense(),
+    };
+    dims.iter().map(|m| m.log_odds[m.bucket(v[m.dim])]).sum()
 }
 
 #[cfg(test)]

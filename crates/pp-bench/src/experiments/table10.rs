@@ -101,9 +101,9 @@ fn run() -> Result<Report> {
             for cand in &outcome.candidates {
                 if let Ok(planned) = allocate(cand, 0.95, udf_cost) {
                     costed.push((
-                        planned.expr.to_string(),
-                        planned.estimate.reduction,
-                        plan_cost_per_blob(&planned.estimate, udf_cost),
+                        planned.expr().to_string(),
+                        planned.estimate().reduction,
+                        plan_cost_per_blob(&planned.estimate(), udf_cost),
                     ));
                 }
             }

@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::combine::{conjoin, disjoin, plan_cost_per_blob, Estimate};
-use crate::expr::{Assignment, PlannedPpExpr, PpExpr};
+use crate::expr::{PlannedPpExpr, PpExpr};
 use crate::pp::ProbabilisticPredicate;
 use crate::{PpError, Result};
 
@@ -125,16 +125,10 @@ impl BudgetDp {
             }
         }
         let chosen = best.ok_or(PpError::InfeasibleAccuracy(target))?;
-        // The assignment is spelled once, for the winner.
+        // The accuracies are spelled once, for the winner.
         let mut accuracies = Vec::with_capacity(expr.leaf_count());
         spell(chosen.back, &self.arena, &mut accuracies);
-        let assignment = Assignment::new(accuracies)?;
-        let estimate = expr.estimate(&assignment)?;
-        Ok(PlannedPpExpr {
-            expr: expr.clone(),
-            assignment,
-            estimate,
-        })
+        PlannedPpExpr::new(expr.clone(), accuracies)
     }
 
     /// Makes sure every leaf of `expr` has its curve.
@@ -286,14 +280,9 @@ mod tests {
             ));
         }
         for a in ACCURACY_GRID {
-            let assignment = Assignment::uniform(expr, a)?;
-            let estimate = expr.estimate(&assignment)?;
-            if estimate.accuracy >= target - 1e-12 {
-                return Ok(PlannedPpExpr {
-                    expr: expr.clone(),
-                    assignment,
-                    estimate,
-                });
+            let planned = PlannedPpExpr::new(expr.clone(), vec![a; expr.leaf_count()])?;
+            if planned.estimate().accuracy >= target - 1e-12 {
+                return Ok(planned);
             }
         }
         Err(PpError::InfeasibleAccuracy(target))
@@ -315,19 +304,19 @@ mod tests {
     fn single_leaf_allocation_meets_target() {
         let e = leaf(1, 0.001);
         let planned = allocate(&e, 0.95, 10.0).unwrap();
-        assert!(planned.estimate.accuracy >= 0.95 - 1e-12);
+        assert!(planned.estimate().accuracy >= 0.95 - 1e-12);
         // The allocator should relax accuracy down to the target (more
         // reduction), not pin it at 1.0.
-        assert!(planned.assignment.accuracies()[0] <= 0.96);
+        assert!(planned.accuracies()[0] <= 0.96);
     }
 
     #[test]
     fn conjunction_splits_budget() {
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(2, 0.001)]);
         let planned = allocate(&e, 0.95, 10.0).unwrap();
-        assert!(planned.estimate.accuracy >= 0.95 - 1e-12);
+        assert!(planned.estimate().accuracy >= 0.95 - 1e-12);
         // Each leaf accuracy must exceed the overall target (they multiply).
-        for &a in planned.assignment.accuracies() {
+        for &a in planned.accuracies() {
             assert!(a >= 0.95);
         }
     }
@@ -339,10 +328,11 @@ mod tests {
         let dp = allocate(&e, 0.9, u).unwrap();
         let uniform = allocate_uniform(&e, 0.9).unwrap();
         assert!(
-            plan_cost_per_blob(&dp.estimate, u) <= plan_cost_per_blob(&uniform.estimate, u) + 1e-9,
+            plan_cost_per_blob(&dp.estimate(), u)
+                <= plan_cost_per_blob(&uniform.estimate(), u) + 1e-9,
             "dp={:?} uniform={:?}",
-            dp.estimate,
-            uniform.estimate
+            dp.estimate(),
+            uniform.estimate()
         );
     }
 
@@ -370,8 +360,12 @@ mod tests {
             for cand in &candidates {
                 let together = shared.allocate(cand).unwrap();
                 let alone = allocate(cand, target, 5.0).unwrap();
-                assert_eq!(together.assignment, alone.assignment, "{cand} at {target}");
-                assert_eq!(together.estimate, alone.estimate, "{cand} at {target}");
+                assert_eq!(
+                    together.accuracies(),
+                    alone.accuracies(),
+                    "{cand} at {target}"
+                );
+                assert_eq!(together.estimate(), alone.estimate(), "{cand} at {target}");
             }
             // a, its halved copy, b and c: four curves for thirteen leaves.
             assert_eq!(shared.leaf_curves.len(), 4);
@@ -382,7 +376,7 @@ mod tests {
     fn full_accuracy_target_forces_ones_under_conjunction() {
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(2, 0.001)]);
         let planned = allocate(&e, 1.0, 10.0).unwrap();
-        for &a in planned.assignment.accuracies() {
+        for &a in planned.accuracies() {
             assert_eq!(a, 1.0);
         }
     }
@@ -393,8 +387,8 @@ mod tests {
         // must individually meet the target (no branch starvation).
         let e = PpExpr::Or(vec![leaf(1, 0.001), leaf(2, 0.001)]);
         let planned = allocate(&e, 0.99, 10.0).unwrap();
-        assert!(planned.estimate.accuracy >= 0.99 - 1e-12);
-        for &a in planned.assignment.accuracies() {
+        assert!(planned.estimate().accuracy >= 0.99 - 1e-12);
+        for &a in planned.accuracies() {
             assert!(a >= 0.99 - 1e-12, "leaf accuracy {a}");
         }
     }
@@ -415,6 +409,6 @@ mod tests {
         // the filter burden.
         let e = leaf(3, 50.0);
         let planned = allocate(&e, 0.95, 0.001).unwrap();
-        assert!(plan_cost_per_blob(&planned.estimate, 0.001) >= 50.0);
+        assert!(plan_cost_per_blob(&planned.estimate(), 0.001) >= 50.0);
     }
 }

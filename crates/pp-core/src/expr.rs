@@ -2,10 +2,12 @@
 //! filters.
 //!
 //! The QO assembles conjunctions/disjunctions of available PPs (§6);
-//! [`PpExpr`] is that expression tree. After the accuracy-budget allocator
-//! assigns a per-leaf accuracy, a [`PlannedPpExpr`] can be executed: the
-//! injected query plans of Figures 7 and 8 — conjunctions short-circuit on
-//! the first rejecting PP, disjunctions accept on the first accepting PP.
+//! [`PpExpr`] is that expression tree. The accuracy-budget allocator fixes
+//! each leaf's accuracy `a`, and a [`PlannedPpExpr`] resolves each leaf's
+//! threshold `th(a]` once, when it is built (Eqs. 2–3). Executed, it is the
+//! injected query plan of Figures 7 and 8: a leaf passes a blob iff its
+//! score is at least its threshold, conjunctions short-circuit on the
+//! first rejecting PP, disjunctions accept on the first accepting PP.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +38,7 @@ impl PpExpr {
         PpExpr::Leaf(pp)
     }
 
-    /// Leaves in pre-order (the indexing used by accuracy assignments).
+    /// Leaves in pre-order (the indexing of per-leaf accuracies and thresholds).
     pub fn leaves(&self) -> Vec<&Arc<ProbabilisticPredicate>> {
         let mut out = Vec::new();
         self.collect_leaves(&mut out);
@@ -70,17 +72,20 @@ impl PpExpr {
         }
     }
 
-    /// Estimates accuracy, reduction, and cost under a per-leaf accuracy
-    /// assignment (Eqs. 9–10, assuming independence).
-    pub fn estimate(&self, assignment: &Assignment) -> Result<Estimate> {
+    /// Estimates accuracy, reduction, and cost under per-leaf accuracies,
+    /// one per leaf in pre-order (Eqs. 9–10, assuming independence).
+    pub fn estimate(&self, accuracies: &[f64]) -> Result<Estimate> {
+        if accuracies.len() != self.leaf_count() {
+            return Err(PpError::InvalidParameter("one accuracy per leaf"));
+        }
         let mut next_leaf = 0usize;
-        self.estimate_rec(assignment, &mut next_leaf)
+        self.estimate_rec(accuracies, &mut next_leaf)
     }
 
-    fn estimate_rec(&self, assignment: &Assignment, next_leaf: &mut usize) -> Result<Estimate> {
+    fn estimate_rec(&self, accuracies: &[f64], next_leaf: &mut usize) -> Result<Estimate> {
         match self {
             PpExpr::Leaf(pp) => {
-                let a = assignment.accuracy(*next_leaf)?;
+                let a = accuracies[*next_leaf];
                 *next_leaf += 1;
                 Ok(Estimate {
                     accuracy: a,
@@ -91,7 +96,7 @@ impl PpExpr {
             PpExpr::And(es) => {
                 let parts: Result<Vec<Estimate>> = es
                     .iter()
-                    .map(|e| e.estimate_rec(assignment, next_leaf))
+                    .map(|e| e.estimate_rec(accuracies, next_leaf))
                     .collect();
                 Ok(conjoin_all(parts?))
             }
@@ -101,31 +106,22 @@ impl PpExpr {
                 }
                 let parts: Result<Vec<Estimate>> = es
                     .iter()
-                    .map(|e| e.estimate_rec(assignment, next_leaf))
+                    .map(|e| e.estimate_rec(accuracies, next_leaf))
                     .collect();
                 Ok(disjoin_all(parts?))
             }
         }
     }
 
-    /// Runtime decision for one blob under a per-leaf accuracy assignment,
-    /// with short-circuit evaluation.
-    pub fn passes(&self, blob: &Features, assignment: &Assignment) -> Result<bool> {
-        let mut next_leaf = 0usize;
-        self.passes_rec(blob, assignment, &mut next_leaf)
-    }
-
-    fn passes_rec(
-        &self,
-        blob: &Features,
-        assignment: &Assignment,
-        next_leaf: &mut usize,
-    ) -> Result<bool> {
+    /// The decision for one blob, with short-circuit evaluation: a leaf
+    /// passes it iff its score is at least the leaf's threshold, taken from
+    /// `thresholds` in pre-order.
+    fn passes_rec(&self, blob: &Features, thresholds: &[f64], next_leaf: &mut usize) -> bool {
         match self {
             PpExpr::Leaf(pp) => {
-                let a = assignment.accuracy(*next_leaf)?;
+                let threshold = thresholds[*next_leaf];
                 *next_leaf += 1;
-                pp.passes(blob, a)
+                pp.score(blob) >= threshold
             }
             PpExpr::And(es) => {
                 let mut verdict = true;
@@ -134,23 +130,23 @@ impl PpExpr {
                     // evaluate all children but short-circuit the *expensive*
                     // part — classifier scoring — via the verdict flag.
                     if verdict {
-                        verdict = e.passes_rec(blob, assignment, next_leaf)?;
+                        verdict = e.passes_rec(blob, thresholds, next_leaf);
                     } else {
                         e.skip_leaves(next_leaf);
                     }
                 }
-                Ok(verdict)
+                verdict
             }
             PpExpr::Or(es) => {
                 let mut verdict = false;
                 for e in es {
                     if !verdict {
-                        verdict = e.passes_rec(blob, assignment, next_leaf)?;
+                        verdict = e.passes_rec(blob, thresholds, next_leaf);
                     } else {
                         e.skip_leaves(next_leaf);
                     }
                 }
-                Ok(verdict)
+                verdict
             }
         }
     }
@@ -160,17 +156,17 @@ impl PpExpr {
     }
 }
 
-/// [`PpExpr::passes`] over a batch, one leaf at a time: each leaf scores
-/// only the rows that reach it (Figures 7 and 8), held as a selection
-/// vector of positions into the batch's valid cells.
+/// [`PlannedPpExpr::passes`] over a batch, one leaf at a time: each leaf
+/// scores only the rows that reach it (Figures 7 and 8), held as a
+/// selection vector of positions into the batch's valid cells.
 struct LeafWalk<'a> {
     features: FeatureBatch<'a>,
-    assignment: &'a Assignment,
+    thresholds: &'a [f64],
     rows_scored: &'a [AtomicU64],
     /// Pre-order index of the next leaf, as in `passes_rec`.
     next_leaf: usize,
-    /// The batch's verdicts: `Ok(false)` until the walk decides otherwise,
-    /// or the error of a row without a valid cell.
+    /// The batch's verdicts: `Ok(false)` until the walk passes the row, or
+    /// the error of a row without a valid cell.
     out: Vec<pp_engine::Result<bool>>,
     /// The batch row of each valid cell.
     row_of: Vec<u32>,
@@ -179,10 +175,9 @@ struct LeafWalk<'a> {
 impl LeafWalk<'_> {
     /// Evaluates `expr` on the rows in `sel`, all of which reach it.
     /// Afterwards `sel` holds the rows whose verdict is `keep` and those
-    /// whose verdict is `!keep` have been appended to `moved`; a row that
-    /// met a threshold that did not resolve is in neither and has that
-    /// error for its verdict. An empty selection scores nothing but still
-    /// numbers the leaves it passes over.
+    /// whose verdict is `!keep` have been appended to `moved`. An empty
+    /// selection scores nothing but still numbers the leaves it passes
+    /// over.
     fn eval(&mut self, expr: &PpExpr, sel: &mut Vec<u32>, keep: bool, moved: &mut Vec<u32>) {
         match expr {
             PpExpr::Leaf(pp) => self.leaf(pp, sel, keep, moved),
@@ -219,21 +214,7 @@ impl LeafWalk<'_> {
             return;
         }
         let pipeline = pp.pipeline();
-        let threshold = self
-            .assignment
-            .accuracy(leaf)
-            .and_then(|a| Ok(pipeline.calibration().threshold(a)?));
-        let threshold = match threshold {
-            Ok(threshold) => threshold,
-            Err(e) => {
-                let e = format!("pp filter: {e}");
-                for p in sel.drain(..) {
-                    let row = self.row_of[p as usize] as usize;
-                    self.out[row] = Err(pp_engine::EngineError::Udf(e.clone()));
-                }
-                return;
-            }
-        };
+        let threshold = self.thresholds[leaf];
         self.rows_scored[leaf].fetch_add(sel.len() as u64, Ordering::Relaxed);
         // The first leaf meets every row of the batch, in order, and takes
         // the contiguous pass over the whole column; later leaves score the
@@ -274,66 +255,64 @@ impl std::fmt::Display for PpExpr {
     }
 }
 
-/// Per-leaf accuracy assignment (pre-order leaf indexing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assignment {
-    accuracies: Vec<f64>,
-}
-
-impl Assignment {
-    /// An assignment from explicit per-leaf accuracies.
-    pub fn new(accuracies: Vec<f64>) -> Result<Self> {
-        for &a in &accuracies {
-            if !(a > 0.0 && a <= 1.0) {
-                return Err(PpError::InvalidParameter("accuracies must be in (0, 1]"));
-            }
-        }
-        Ok(Assignment { accuracies })
-    }
-
-    /// The same accuracy for every leaf.
-    pub fn uniform(expr: &PpExpr, a: f64) -> Result<Self> {
-        Assignment::new(vec![a; expr.leaf_count()])
-    }
-
-    /// Accuracy of leaf `idx`.
-    pub fn accuracy(&self, idx: usize) -> Result<f64> {
-        self.accuracies
-            .get(idx)
-            .copied()
-            .ok_or(PpError::InvalidParameter(
-                "assignment shorter than leaf count",
-            ))
-    }
-
-    /// All accuracies, in leaf pre-order.
-    pub fn accuracies(&self) -> &[f64] {
-        &self.accuracies
-    }
-}
-
-/// A fully planned expression: accuracies assigned and properties
-/// estimated, ready to execute as a plan filter.
+/// A fully planned expression: each leaf's accuracy, the threshold it
+/// resolves to, and the estimate they give, ready to execute as a plan
+/// filter.
 #[derive(Debug, Clone)]
 pub struct PlannedPpExpr {
-    /// The expression.
-    pub expr: PpExpr,
-    /// Per-leaf accuracies.
-    pub assignment: Assignment,
-    /// Estimated accuracy/reduction/cost under the assignment.
-    pub estimate: Estimate,
+    expr: PpExpr,
+    /// Per-leaf accuracies `a`, in pre-order.
+    accuracies: Vec<f64>,
+    /// Per-leaf thresholds `th(a]`, in pre-order.
+    thresholds: Vec<f64>,
+    /// Estimated accuracy/reduction/cost at `accuracies`.
+    estimate: Estimate,
 }
 
 impl PlannedPpExpr {
-    /// Plans an expression at a uniform per-leaf accuracy.
-    pub fn uniform(expr: PpExpr, a: f64) -> Result<Self> {
-        let assignment = Assignment::uniform(&expr, a)?;
-        let estimate = expr.estimate(&assignment)?;
+    /// Plans `expr` at `accuracies`, one per leaf in pre-order: resolves
+    /// each leaf's `th(a]` and estimates the whole (Eqs. 9–10). Errors
+    /// unless there is exactly one accuracy per leaf, each in `(0, 1]`.
+    pub fn new(expr: PpExpr, accuracies: Vec<f64>) -> Result<Self> {
+        let estimate = expr.estimate(&accuracies)?;
+        let thresholds = expr
+            .leaves()
+            .iter()
+            .zip(&accuracies)
+            .map(|(pp, &a)| Ok(pp.pipeline().calibration().threshold(a)?))
+            .collect::<Result<_>>()?;
         Ok(PlannedPpExpr {
             expr,
-            assignment,
+            accuracies,
+            thresholds,
             estimate,
         })
+    }
+
+    /// The expression.
+    pub fn expr(&self) -> &PpExpr {
+        &self.expr
+    }
+
+    /// Per-leaf accuracies, in pre-order.
+    pub fn accuracies(&self) -> &[f64] {
+        &self.accuracies
+    }
+
+    /// Per-leaf thresholds `th(a]`, in pre-order.
+    pub fn thresholds(&self) -> &[f64] {
+        &self.thresholds
+    }
+
+    /// Estimated accuracy/reduction/cost at the planned accuracies.
+    pub fn estimate(&self) -> Estimate {
+        self.estimate
+    }
+
+    /// The decision for one blob, with short-circuit evaluation: `true`
+    /// keeps it.
+    pub(crate) fn passes(&self, blob: &Features) -> bool {
+        self.expr.passes_rec(blob, &self.thresholds, &mut 0)
     }
 
     /// Wraps into an engine [`RowFilter`] reading the blob from the named
@@ -382,9 +361,9 @@ impl PpExprFilter {
     /// How many rows each leaf, in pre-order, has scored in
     /// [`eval_batch`](RowFilter::eval_batch) since the filter was built,
     /// summed over every run that used it: the rows that reached the leaf
-    /// undecided, which is what the per-row walk scores there. (A leaf
-    /// whose threshold did not resolve scores nothing.) It is a property of
-    /// the rows, so it is the same at every parallelism and batch size.
+    /// undecided, which is what the per-row walk scores there. It is a
+    /// property of the rows, so it is the same at every parallelism and
+    /// batch size.
     pub fn leaf_rows_scored(&self) -> Vec<u64> {
         self.leaf_rows_scored
             .iter()
@@ -406,17 +385,12 @@ impl RowFilter for PpExprFilter {
 
     fn passes(&self, row: &Row, schema: &Schema) -> pp_engine::Result<bool> {
         let blob = row.get_named(schema, &self.blob_column)?.as_blob()?;
-        self.planned
-            .expr
-            .passes(blob, &self.planned.assignment)
-            .map_err(|e| pp_engine::EngineError::Udf(format!("pp filter: {e}")))
+        Ok(self.planned.passes(blob))
     }
 
     /// Vectorized evaluation, one leaf at a time over a selection vector
     /// of the rows still undecided: a conjunction drops from it the rows a
-    /// child rejects, a disjunction passes the rows a child accepts, and a
-    /// row that meets a leaf whose threshold did not resolve takes that
-    /// leaf's error. A leaf's threshold is resolved once per batch. The
+    /// child rejects, a disjunction passes the rows a child accepts. The
     /// first leaf, which every row reaches, scores the whole blob column
     /// ([`Pipeline::score_many`](pp_ml::Pipeline::score_many)); later
     /// leaves only the selected rows, where they lie
@@ -447,7 +421,7 @@ impl RowFilter for PpExprFilter {
         }
         let mut walk = LeafWalk {
             features: col.features(),
-            assignment: &self.planned.assignment,
+            thresholds: &self.planned.thresholds,
             rows_scored: &self.leaf_rows_scored,
             next_leaf: 0,
             out,
@@ -479,57 +453,114 @@ mod tests {
         assert_eq!(e.leaves().len(), 3);
     }
 
+    /// `expr` planned at accuracy `a` for every leaf.
+    fn planned_at(expr: PpExpr, a: f64) -> PlannedPpExpr {
+        let n = expr.leaf_count();
+        PlannedPpExpr::new(expr, vec![a; n]).unwrap()
+    }
+
     #[test]
     fn estimate_matches_combine_algebra() {
         let e = PpExpr::And(vec![leaf(1), leaf(2)]);
-        let assign = Assignment::uniform(&e, 0.95).unwrap();
-        let est = e.estimate(&assign).unwrap();
+        let est = e.estimate(&[0.95, 0.95]).unwrap();
         let leaves = e.leaves();
         let r1 = leaves[0].reduction(0.95).unwrap();
         let r2 = leaves[1].reduction(0.95).unwrap();
         assert!((est.reduction - (r1 + r2 - r1 * r2)).abs() < 1e-12);
         assert!((est.accuracy - 0.95 * 0.95).abs() < 1e-12);
+        assert!(e.estimate(&[0.95]).is_err());
     }
 
     #[test]
     fn passes_and_semantics() {
-        let e = PpExpr::And(vec![leaf(1), leaf(2)]);
-        let assign = Assignment::uniform(&e, 0.95).unwrap();
-        let pos = Features::Dense(vec![2.5, 0.0]);
-        let neg = Features::Dense(vec![-2.5, 0.0]);
-        assert!(e.passes(&pos, &assign).unwrap());
-        assert!(!e.passes(&neg, &assign).unwrap());
+        let planned = planned_at(PpExpr::And(vec![leaf(1), leaf(2)]), 0.95);
+        assert!(planned.passes(&Features::Dense(vec![2.5, 0.0])));
+        assert!(!planned.passes(&Features::Dense(vec![-2.5, 0.0])));
     }
 
     #[test]
     fn passes_or_semantics() {
         // Or with one PP trained normally and one with inverted geometry
         // still accepts when either accepts.
-        let e = PpExpr::Or(vec![leaf(1), leaf(2)]);
-        let assign = Assignment::uniform(&e, 0.95).unwrap();
-        let pos = Features::Dense(vec![2.5, 0.0]);
-        assert!(e.passes(&pos, &assign).unwrap());
+        let planned = planned_at(PpExpr::Or(vec![leaf(1), leaf(2)]), 0.95);
+        assert!(planned.passes(&Features::Dense(vec![2.5, 0.0])));
     }
 
     #[test]
     fn nested_short_circuit_keeps_leaf_indexing() {
-        // And(reject-first): second child's leaves must still be numbered
-        // consistently — verified by using per-leaf distinct accuracies and
-        // asserting no index error.
+        // And(reject-first): the second child's leaves must still be
+        // numbered consistently — distinct per-leaf accuracies, and the
+        // verdict is the per-leaf pipelines' own.
         let e = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
-        let assign = Assignment::new(vec![1.0, 0.95, 0.9]).unwrap();
+        let planned = PlannedPpExpr::new(e, vec![1.0, 0.95, 0.9]).unwrap();
         let neg = Features::Dense(vec![-2.5, 0.0]);
-        assert!(!e.passes(&neg, &assign).unwrap());
+        assert!(!planned.passes(&neg));
+        let pos = Features::Dense(vec![2.5, 0.0]);
+        let leaves = planned.expr().leaves();
+        let by_leaf = |i: usize, a: f64| leaves[i].pipeline().passes(&pos, a).unwrap();
+        let want = by_leaf(0, 1.0) && (by_leaf(1, 0.95) || by_leaf(2, 0.9));
+        assert_eq!(planned.passes(&pos), want);
     }
 
     #[test]
-    fn assignment_validation() {
-        assert!(Assignment::new(vec![0.5, 1.0]).is_ok());
-        assert!(Assignment::new(vec![0.0]).is_err());
-        assert!(Assignment::new(vec![1.1]).is_err());
-        let e = leaf(1);
-        let a = Assignment::new(vec![]).unwrap();
-        assert!(e.estimate(&a).is_err());
+    fn new_rejects_a_wrong_number_of_accuracies() {
+        let e = PpExpr::And(vec![leaf(1), leaf(2)]);
+        for accuracies in [vec![], vec![0.95], vec![0.95; 3]] {
+            assert!(matches!(
+                PlannedPpExpr::new(e.clone(), accuracies),
+                Err(PpError::InvalidParameter(_))
+            ));
+        }
+        assert!(PlannedPpExpr::new(e, vec![0.95; 2]).is_ok());
+    }
+
+    #[test]
+    fn new_rejects_accuracies_outside_the_unit_interval() {
+        for a in [0.0, -0.5, 1.1, f64::NAN] {
+            let e = PpExpr::Or(vec![leaf(1), leaf(2)]);
+            assert!(PlannedPpExpr::new(e, vec![0.95, a]).is_err(), "a = {a}");
+        }
+        assert!(PlannedPpExpr::new(leaf(1), vec![1.0]).is_ok());
+    }
+
+    #[test]
+    fn new_resolves_each_leaf_threshold_once_and_exactly() {
+        let e = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
+        let accuracies = vec![1.0, 0.95, 0.9];
+        let planned = PlannedPpExpr::new(e, accuracies.clone()).unwrap();
+        assert_eq!(planned.accuracies(), &accuracies[..]);
+        assert_eq!(planned.thresholds().len(), 3);
+        for ((pp, &a), &th) in planned
+            .expr()
+            .leaves()
+            .iter()
+            .zip(&accuracies)
+            .zip(planned.thresholds())
+        {
+            let want = pp.pipeline().calibration().threshold(a).unwrap();
+            assert_eq!(th.to_bits(), want.to_bits(), "{} at {a}", pp.key());
+        }
+        assert_eq!(
+            planned.estimate(),
+            planned.expr().estimate(&accuracies).unwrap()
+        );
+    }
+
+    #[test]
+    fn rescaled_leaves_keep_their_thresholds() {
+        // A reduction correction moves estimates, never thresholds, so a
+        // rescaled PP decides exactly as the unscaled one.
+        let pp = trained_pp(0.3, 6, 0.001);
+        let plain = planned_at(PpExpr::leaf(Arc::new(pp.clone())), 0.95);
+        for scale in [0.5, 2.0] {
+            let scaled = PpExpr::leaf(Arc::new(pp.with_reduction_scale(scale)));
+            let scaled = planned_at(scaled, 0.95);
+            assert_eq!(
+                scaled.thresholds()[0].to_bits(),
+                plain.thresholds()[0].to_bits()
+            );
+            assert_ne!(scaled.estimate(), plain.estimate());
+        }
     }
 
     #[test]
@@ -542,8 +573,7 @@ mod tests {
     #[test]
     fn filter_integrates_with_engine() {
         use pp_engine::{Column, DataType, Row, Schema, Value};
-        let planned = PlannedPpExpr::uniform(leaf(1), 0.95).unwrap();
-        let filter = planned.into_filter("blob");
+        let filter = planned_at(leaf(1), 0.95).into_filter("blob");
         let schema = Schema::new(vec![Column::new("blob", DataType::Blob)]).unwrap();
         let pos = Row::new(vec![Value::blob(Features::Dense(vec![2.5, 0.0]))]);
         let neg = Row::new(vec![Value::blob(Features::Dense(vec![-2.5, 0.0]))]);
@@ -557,8 +587,7 @@ mod tests {
     fn batch_filter_matches_per_row_path() {
         use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
         let expr = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
-        let planned = PlannedPpExpr::uniform(expr, 0.95).unwrap();
-        let filter = planned.into_filter("blob");
+        let filter = planned_at(expr, 0.95).into_filter("blob");
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int),
             Column::new("blob", DataType::Blob),
@@ -584,8 +613,7 @@ mod tests {
     #[test]
     fn batch_filter_reports_per_row_errors() {
         use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
-        let planned = PlannedPpExpr::uniform(leaf(1), 0.95).unwrap();
-        let filter = planned.into_filter("blob");
+        let filter = planned_at(leaf(1), 0.95).into_filter("blob");
         let schema = Schema::new(vec![Column::new("blob", DataType::Blob)]).unwrap();
         let rows = vec![
             Row::new(vec![Value::blob(Features::Dense(vec![2.5, 0.0]))]),

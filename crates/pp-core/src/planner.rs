@@ -25,7 +25,7 @@ use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
 use crate::alloc::BudgetDp;
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
-use crate::expr::{filter_name, Assignment, PlannedPpExpr, PpExpr, PpExprFilter};
+use crate::expr::{filter_name, PlannedPpExpr, PpExpr, PpExprFilter};
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::rewrite;
@@ -311,10 +311,10 @@ impl PpQueryOptimizer {
                     }
                     Err(e) => return Err(e),
                 };
-                let cost = plan_cost_per_blob(&planned.estimate, udf_cost);
+                let cost = plan_cost_per_blob(&planned.estimate(), udf_cost);
                 report.candidates.push(CandidateReport {
-                    expr: planned.expr.to_string(),
-                    estimate: planned.estimate,
+                    expr: planned.expr().to_string(),
+                    estimate: planned.estimate(),
                     plan_cost: cost,
                     feasible: true,
                 });
@@ -330,20 +330,20 @@ impl PpQueryOptimizer {
             }
             // Order the PPs for execution, then inject.
             let planned = reorder(planned)?;
-            let accs = planned.assignment.accuracies().to_vec();
+            let accs = planned.accuracies().to_vec();
             let mut leaf_keys = Vec::with_capacity(accs.len());
             let mut leaf_reductions = Vec::with_capacity(accs.len());
-            for (pp, &a) in planned.expr.leaves().iter().zip(&accs) {
+            for (pp, &a) in planned.expr().leaves().iter().zip(&accs) {
                 leaf_keys.push(pp.key().to_string());
                 leaf_reductions.push(pp.reduction(a)?);
             }
             let chosen = ChosenPlan {
                 table: table.clone(),
-                expr: planned.expr.to_string(),
+                expr: planned.expr().to_string(),
                 leaf_accuracies: accs,
                 leaf_keys,
                 leaf_reductions,
-                estimate: planned.estimate,
+                estimate: planned.estimate(),
             };
             // Cardinality hints for the prediction pass: the injected
             // filter passes 1 − r of the scan, and of those survivors the
@@ -427,16 +427,10 @@ fn apply_corrections(expr: PpExpr, monitor: &RuntimeMonitor) -> PpExpr {
 }
 
 /// Reorders the children of every And/Or node by expected sequential cost
-/// (§6.2's ordering exploration), permuting the assignment along.
+/// (§6.2's ordering exploration), permuting the accuracies along.
 fn reorder(planned: PlannedPpExpr) -> Result<PlannedPpExpr> {
-    let (expr, accs) = reorder_rec(&planned.expr, planned.assignment.accuracies())?;
-    let assignment = Assignment::new(accs)?;
-    let estimate = expr.estimate(&assignment)?;
-    Ok(PlannedPpExpr {
-        expr,
-        assignment,
-        estimate,
-    })
+    let (expr, accs) = reorder_rec(planned.expr(), planned.accuracies())?;
+    PlannedPpExpr::new(expr, accs)
 }
 
 fn reorder_rec(expr: &PpExpr, accs: &[f64]) -> Result<(PpExpr, Vec<f64>)> {
@@ -448,7 +442,7 @@ fn reorder_rec(expr: &PpExpr, accs: &[f64]) -> Result<(PpExpr, Vec<f64>)> {
             } else {
                 Gate::Disjunction
             };
-            // Slice the assignment per child, recurse, and estimate each.
+            // Slice the accuracies per child, recurse, and estimate each.
             let mut offset = 0usize;
             let mut rebuilt: Vec<(PpExpr, Vec<f64>, OrderItem)> =
                 Vec::with_capacity(children.len());
@@ -457,7 +451,7 @@ fn reorder_rec(expr: &PpExpr, accs: &[f64]) -> Result<(PpExpr, Vec<f64>)> {
                 let slice = &accs[offset..offset + n];
                 offset += n;
                 let (sub, sub_accs) = reorder_rec(child, slice)?;
-                let est = sub.estimate(&Assignment::new(sub_accs.clone())?)?;
+                let est = sub.estimate(&sub_accs)?;
                 rebuilt.push((
                     sub,
                     sub_accs,
@@ -817,6 +811,41 @@ mod tests {
             format!("{second_rows:?}"),
             "replanning must not change query results"
         );
+        Ok(())
+    }
+
+    #[test]
+    fn reorder_keeps_each_leaf_its_accuracy_and_threshold() -> Result<()> {
+        // Costly leaves first, so execution order differs from the plan's.
+        let pps: Vec<Arc<ProbabilisticPredicate>> = [(1, 0.5), (2, 0.2), (3, 0.001)]
+            .into_iter()
+            .map(|(seed, cost)| Arc::new(trained_pp(0.3, seed, cost)))
+            .collect();
+        let leaf = |i: usize| PpExpr::leaf(Arc::clone(&pps[i]));
+        let expr = PpExpr::And(vec![leaf(0), PpExpr::Or(vec![leaf(1), leaf(2)])]);
+        let accuracies = vec![1.0, 0.95, 0.9];
+        let planned = PlannedPpExpr::new(expr, accuracies.clone())?;
+        let reordered = reorder(planned.clone())?;
+        let at = |p: &PlannedPpExpr, pp: &Arc<ProbabilisticPredicate>| {
+            let i = p.expr().leaves().iter().position(|l| Arc::ptr_eq(l, pp));
+            i.map(|i| (p.accuracies()[i], p.thresholds()[i].to_bits()))
+        };
+        let order: Vec<usize> = reordered
+            .expr()
+            .leaves()
+            .iter()
+            .map(|l| {
+                pps.iter()
+                    .position(|pp| Arc::ptr_eq(l, pp))
+                    .expect("a planned leaf")
+            })
+            .collect();
+        assert_ne!(order, [0, 1, 2], "the cheap disjunction runs first");
+        for (i, pp) in pps.iter().enumerate() {
+            let th = pp.pipeline().calibration().threshold(accuracies[i])?;
+            assert_eq!(at(&reordered, pp), Some((accuracies[i], th.to_bits())));
+            assert_eq!(at(&reordered, pp), at(&planned, pp));
+        }
         Ok(())
     }
 }

@@ -163,12 +163,6 @@ impl ProbabilisticPredicate {
         out
     }
 
-    /// The decision for one blob at accuracy `a` (Eq. 2): `true` keeps the
-    /// blob.
-    pub fn passes(&self, blob: &Features, a: f64) -> Result<bool> {
-        Ok(self.pipeline().passes(blob, a)?)
-    }
-
     /// Raw classifier score `f(ψ(x))`.
     pub fn score(&self, blob: &Features) -> f64 {
         self.pipeline().score(blob)
@@ -246,8 +240,13 @@ pub(crate) mod tests {
         assert!(pp.reduction(0.95).unwrap() > 0.3);
         assert!(pp.reduction(1.0).unwrap() <= pp.reduction(0.9).unwrap());
         // Positive-looking blob passes, negative-looking blob fails.
-        assert!(pp.passes(&Features::Dense(vec![2.5, 0.0]), 0.95).unwrap());
-        assert!(!pp.passes(&Features::Dense(vec![-2.5, 0.0]), 0.95).unwrap());
+        let pipeline = pp.pipeline();
+        assert!(pipeline
+            .passes(&Features::Dense(vec![2.5, 0.0]), 0.95)
+            .unwrap());
+        assert!(!pipeline
+            .passes(&Features::Dense(vec![-2.5, 0.0]), 0.95)
+            .unwrap());
     }
 
     #[test]
@@ -286,14 +285,8 @@ pub(crate) mod tests {
         assert!(pp.with_reduction_scale(100.0).reduction(1.0).unwrap() <= 1.0);
         assert_eq!(pp.with_reduction_scale(-2.0).reduction_scale(), 0.0);
         assert_eq!(pp.with_reduction_scale(f64::NAN).reduction_scale(), 1.0);
-        // Verdicts are untouched: same threshold, same decisions.
-        for x in [-2.5, -0.5, 0.5, 2.5] {
-            let blob = Features::Dense(vec![x, 0.0]);
-            assert_eq!(
-                pp.passes(&blob, 0.95).unwrap(),
-                corrected.passes(&blob, 0.95).unwrap()
-            );
-        }
+        // Thresholds, and so verdicts, are untouched: see
+        // `expr::tests::rescaled_leaves_keep_their_thresholds`.
         // A lower effective reduction worsens the efficiency ratio.
         assert!(corrected.efficiency_ratio() > pp.efficiency_ratio());
     }

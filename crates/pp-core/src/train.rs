@@ -300,8 +300,8 @@ mod tests {
         assert!(pps[0].reduction(0.95).unwrap() > 0.2);
         // The negated PP must behave inversely.
         let pos_blob = Features::Dense(vec![2.5, 0.0]);
-        assert!(pps[0].passes(&pos_blob, 0.95).unwrap());
-        assert!(!pps[1].passes(&pos_blob, 0.95).unwrap());
+        assert!(pps[0].pipeline().passes(&pos_blob, 0.95).unwrap());
+        assert!(!pps[1].pipeline().passes(&pos_blob, 0.95).unwrap());
     }
 
     fn base_config() -> TrainerConfig {

@@ -28,7 +28,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pp_linalg::rng::{derive_seed, hash2};
+use pp_linalg::rng::{derive_seed, hash2, unit};
 
 use crate::logical::LogicalPlan;
 use crate::row::{Row, RowRef};
@@ -276,11 +276,6 @@ impl FaultPlan {
     }
 }
 
-/// Maps a hash to a uniform float in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 thread_local! {
     /// The 0-based attempt ordinal of the UDF call currently being made on
     /// this thread. The resilience layer sets it around each attempt (0 for
@@ -309,30 +304,63 @@ fn attempt_ordinal() -> u64 {
     ATTEMPT_ORDINAL.with(Cell::get)
 }
 
-/// Which fault (if any) an attempt draws from its decision stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Drawn {
-    None,
-    Transient,
-    Timeout,
-    Corrupt,
-}
-
 /// Draws the fault (if any) for one attempt on one row. The decision is a
 /// pure function of `(seed, row fingerprint, attempt ordinal)`: row
 /// identity — not arrival order — selects the decision stream, and the
 /// attempt ordinal walks it, so retries draw fresh decisions while
 /// repeated runs (serial or partitioned) reproduce the same faults.
-fn draw(spec: &FaultSpec, seed: u64, row: RowRef<'_>, attempt: u64) -> Drawn {
+fn draw(spec: &FaultSpec, seed: u64, row: RowRef<'_>, attempt: u64) -> Option<FaultKind> {
     let u = unit(hash2(hash2(seed, row_fingerprint(row)), attempt));
     if u < spec.transient_rate {
-        Drawn::Transient
+        Some(FaultKind::Transient)
     } else if u < spec.transient_rate + spec.timeout_rate {
-        Drawn::Timeout
+        Some(FaultKind::Timeout)
     } else if u < spec.transient_rate + spec.timeout_rate + spec.corrupt_rate {
-        Drawn::Corrupt
+        Some(FaultKind::Corrupt)
     } else {
-        Drawn::None
+        None
+    }
+}
+
+/// One call's fault, as both shims draw it for the operator `op` on `row`:
+/// the poison check, then this attempt's [`draw`], each fault recorded in
+/// `log`. A poisoned row (whose error says it crashes the `what`: "UDF" or
+/// "filter"), a transient failure and a timeout come back as their errors;
+/// otherwise the result is `Some(FaultKind::Corrupt)`, which each shim
+/// injects its own way, or `None`.
+fn inject(
+    spec: &FaultSpec,
+    seed: u64,
+    log: Option<&FaultLog>,
+    op: &str,
+    what: &str,
+    row: RowRef<'_>,
+) -> Result<Option<FaultKind>> {
+    let record = |attempt, kind| {
+        if let Some(log) = log {
+            log.record(op, row_fingerprint(row), attempt, kind);
+        }
+    };
+    if poisoned(spec, seed, row) {
+        record(0, FaultKind::Poison);
+        return Err(EngineError::PoisonedRow(format!(
+            "{op}: input row crashes the {what}"
+        )));
+    }
+    let attempt = attempt_ordinal();
+    let drawn = draw(spec, seed, row, attempt);
+    if let Some(kind) = drawn {
+        record(attempt, kind);
+    }
+    match drawn {
+        Some(FaultKind::Transient) => Err(EngineError::Transient(format!(
+            "{op}: injected worker failure"
+        ))),
+        Some(FaultKind::Timeout) => Err(EngineError::Timeout {
+            op: op.to_string(),
+            stalled_seconds: spec.stall_seconds,
+        }),
+        _ => Ok(drawn),
     }
 }
 
@@ -390,14 +418,6 @@ impl FaultyProcessor {
     }
 }
 
-impl FaultyProcessor {
-    fn record(&self, row: RowRef<'_>, attempt: u64, kind: FaultKind) {
-        if let Some(log) = &self.log {
-            log.record(self.name(), row_fingerprint(row), attempt, kind);
-        }
-    }
-}
-
 impl std::fmt::Debug for FaultyProcessor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultyProcessor")
@@ -418,31 +438,10 @@ impl Processor for FaultyProcessor {
         self.inner.cost_per_row()
     }
     fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
-        if poisoned(&self.spec, self.seed, row) {
-            self.record(row, 0, FaultKind::Poison);
-            return Err(EngineError::PoisonedRow(format!(
-                "{}: input row crashes the UDF",
-                self.name()
-            )));
-        }
-        let attempt = attempt_ordinal();
-        match draw(&self.spec, self.seed, row, attempt) {
-            Drawn::Transient => {
-                self.record(row, attempt, FaultKind::Transient);
-                Err(EngineError::Transient(format!(
-                    "{}: injected worker failure",
-                    self.name()
-                )))
-            }
-            Drawn::Timeout => {
-                self.record(row, attempt, FaultKind::Timeout);
-                Err(EngineError::Timeout {
-                    op: self.name().to_string(),
-                    stalled_seconds: self.spec.stall_seconds,
-                })
-            }
-            Drawn::Corrupt => {
-                self.record(row, attempt, FaultKind::Corrupt);
+        let log = self.log.as_deref();
+        match inject(&self.spec, self.seed, log, self.name(), "UDF", row)? {
+            None => self.inner.process(row, schema, out),
+            Some(_) => {
                 // Silent corruption: NaN out every float cell. Only output
                 // validation (ResilienceConfig::validate_outputs) catches it.
                 crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
@@ -465,7 +464,6 @@ impl Processor for FaultyProcessor {
                     )))
                 })
             }
-            Drawn::None => self.inner.process(row, schema, out),
         }
     }
 }
@@ -494,17 +492,6 @@ impl FaultyFilter {
             log: None,
         }
     }
-
-    fn record(&self, row: &Row, attempt: u64, kind: FaultKind) {
-        if let Some(log) = &self.log {
-            log.record(
-                self.name(),
-                row_fingerprint(RowRef::from(row)),
-                attempt,
-                kind,
-            );
-        }
-    }
 }
 
 impl std::fmt::Debug for FaultyFilter {
@@ -527,41 +514,18 @@ impl RowFilter for FaultyFilter {
         self.inner.fail_open()
     }
     fn passes(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        if poisoned(&self.spec, self.seed, RowRef::from(row)) {
-            self.record(row, 0, FaultKind::Poison);
-            return Err(EngineError::PoisonedRow(format!(
-                "{}: input row crashes the filter",
-                self.name()
-            )));
-        }
-        let attempt = attempt_ordinal();
-        match draw(&self.spec, self.seed, RowRef::from(row), attempt) {
-            Drawn::Transient => {
-                self.record(row, attempt, FaultKind::Transient);
-                Err(EngineError::Transient(format!(
-                    "{}: injected worker failure",
-                    self.name()
-                )))
-            }
-            Drawn::Timeout => {
-                self.record(row, attempt, FaultKind::Timeout);
-                Err(EngineError::Timeout {
-                    op: self.name().to_string(),
-                    stalled_seconds: self.spec.stall_seconds,
-                })
-            }
+        let log = self.log.as_deref();
+        let row_ref = RowRef::from(row);
+        match inject(&self.spec, self.seed, log, self.name(), "filter", row_ref)? {
+            None => self.inner.passes(row, schema),
             // A filter's output is one bit; flipping it would *silently*
             // drop rows, which no validation could catch. Corruption is
             // surfaced as a detectable error instead, and fail-open keeps
             // the row.
-            Drawn::Corrupt => {
-                self.record(row, attempt, FaultKind::Corrupt);
-                Err(EngineError::CorruptOutput(format!(
-                    "{}: injected garbage score",
-                    self.name()
-                )))
-            }
-            Drawn::None => self.inner.passes(row, schema),
+            Some(_) => Err(EngineError::CorruptOutput(format!(
+                "{}: injected garbage score",
+                self.name()
+            ))),
         }
     }
 }

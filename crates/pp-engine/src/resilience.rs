@@ -68,42 +68,36 @@ impl Hasher for FxHasher {
 
 type FxBuild = BuildHasherDefault<FxHasher>;
 
+/// Simulated seconds charged before the first retry.
+const BACKOFF_BASE_SECS: f64 = 0.05;
+/// Growth factor applied to each subsequent backoff.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
 /// Bounded-retry policy with exponential backoff.
 ///
 /// Backoff is charged to the operator in simulated seconds: retry `k`
-/// (1-indexed) waits `backoff_base_secs × backoff_multiplier^(k−1)`.
+/// (1-indexed) waits `0.05 × 2^(k−1)` seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt (0 disables retrying).
     pub max_retries: u32,
-    /// Simulated seconds charged before the first retry.
-    pub backoff_base_secs: f64,
-    /// Growth factor applied to each subsequent backoff.
-    pub backoff_multiplier: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_secs: 0.05,
-            backoff_multiplier: 2.0,
-        }
+        RetryPolicy { max_retries: 3 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..Default::default()
-        }
+        RetryPolicy { max_retries: 0 }
     }
 
     /// Simulated seconds of backoff before retry `k` (1-indexed).
     fn backoff_secs(&self, retry: u32) -> f64 {
-        self.backoff_base_secs * self.backoff_multiplier.powi(retry.saturating_sub(1) as i32)
+        BACKOFF_BASE_SECS * BACKOFF_MULTIPLIER.powi(retry.saturating_sub(1) as i32)
     }
 }
 

@@ -145,7 +145,7 @@ mod tests {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            crate::rng::unit(state) - 0.5
         };
         let a: Vec<f64> = (0..n).map(|_| next()).collect();
         let b: Vec<f64> = (0..n).map(|_| next()).collect();

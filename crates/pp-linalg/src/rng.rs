@@ -20,6 +20,12 @@ pub fn hash2(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(index))
 }
 
+/// Maps a hash to a uniform float in `[0, 1)`: its 53 high bits.
+#[inline]
+pub fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Derives a child seed for a named sub-component, so independent parts of
 /// an experiment get decorrelated streams from one top-level seed.
 pub fn derive_seed(seed: u64, component: &str) -> u64 {

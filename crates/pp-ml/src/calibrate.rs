@@ -29,17 +29,20 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Builds a calibration from raw scores. `pos_scores` must be the
-    /// subset of `all_scores` belonging to +1 blobs; both must be
-    /// non-empty.
-    pub fn from_scores(mut pos_scores: Vec<f64>, mut all_scores: Vec<f64>) -> Result<Self> {
-        if pos_scores.is_empty() || all_scores.is_empty() {
-            return Err(MlError::EmptyInput);
+    /// Builds a calibration from validation `(score, is_positive)` pairs,
+    /// at least one of them positive.
+    pub fn from_scored(scored: impl IntoIterator<Item = (f64, bool)>) -> Result<Self> {
+        let scored = scored.into_iter();
+        let mut all_scores = Vec::with_capacity(scored.size_hint().0);
+        let mut pos_scores = Vec::new();
+        for (score, positive) in scored {
+            all_scores.push(score);
+            if positive {
+                pos_scores.push(score);
+            }
         }
-        if pos_scores.len() > all_scores.len() {
-            return Err(MlError::InvalidParameter(
-                "positives cannot outnumber the full validation set",
-            ));
+        if pos_scores.is_empty() {
+            return Err(MlError::EmptyInput);
         }
         pos_scores.sort_by(f64::total_cmp);
         all_scores.sort_by(f64::total_cmp);
@@ -125,12 +128,10 @@ mod tests {
     /// Positives score high, negatives score low, with some overlap.
     fn simple_calibration() -> Calibration {
         // positives: 1..=10, negatives: -10..=-1 plus overlap 0.5, 1.5
-        let pos: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let mut all: Vec<f64> = (-10..=-1).map(|i| i as f64).collect();
-        all.extend(&pos);
-        all.push(0.5);
-        all.push(1.5);
-        Calibration::from_scores(pos, all).unwrap()
+        let pos = (1..=10).map(|i| (i as f64, true));
+        let neg = (-10..=-1).map(|i| (i as f64, false));
+        let overlap = [(0.5, false), (1.5, false)];
+        Calibration::from_scored(neg.chain(pos).chain(overlap)).unwrap()
     }
 
     #[test]
@@ -187,9 +188,9 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(Calibration::from_scores(vec![], vec![1.0]).is_err());
-        assert!(Calibration::from_scores(vec![1.0], vec![]).is_err());
-        assert!(Calibration::from_scores(vec![1.0, 2.0], vec![1.0]).is_err());
+        assert!(Calibration::from_scored([]).is_err());
+        assert!(Calibration::from_scored([(1.0, false), (2.0, false)]).is_err());
+        assert!(Calibration::from_scored([(1.0, true)]).is_ok());
         let c = simple_calibration();
         assert!(c.threshold(0.0).is_err());
         assert!(c.threshold(1.1).is_err());
@@ -216,9 +217,9 @@ mod tests {
 
     #[test]
     fn perfect_separation_drops_all_negatives_at_full_accuracy() {
-        let pos = vec![10.0, 11.0, 12.0];
-        let all = vec![-1.0, -2.0, -3.0, 10.0, 11.0, 12.0];
-        let c = Calibration::from_scores(pos, all).unwrap();
+        let pos = [10.0, 11.0, 12.0].map(|s| (s, true));
+        let neg = [-1.0, -2.0, -3.0].map(|s| (s, false));
+        let c = Calibration::from_scored(neg.into_iter().chain(pos)).unwrap();
         assert_eq!(c.reduction(1.0).unwrap(), 0.5);
         assert_eq!(c.accuracy_at_threshold(c.threshold(1.0).unwrap()), 1.0);
     }
@@ -230,9 +231,8 @@ mod tests {
             neg in proptest::collection::vec(-100.0f64..100.0, 1..200),
             a_pct in 1u32..=100,
         ) {
-            let mut all = pos.clone();
-            all.extend(&neg);
-            let c = Calibration::from_scores(pos, all).unwrap();
+            let pos = pos.into_iter().map(|s| (s, true));
+            let c = Calibration::from_scored(pos.chain(neg.into_iter().map(|s| (s, false)))).unwrap();
             let a = a_pct as f64 / 100.0;
             let th = c.threshold(a).unwrap();
             proptest::prop_assert!(c.accuracy_at_threshold(th) >= a - 1e-12);
@@ -246,9 +246,8 @@ mod tests {
             pos in proptest::collection::vec(-10.0f64..10.0, 2..40),
             neg in proptest::collection::vec(-10.0f64..10.0, 2..80),
         ) {
-            let mut all = pos.clone();
-            all.extend(&neg);
-            let c = Calibration::from_scores(pos, all).unwrap();
+            let pos = pos.into_iter().map(|s| (s, true));
+            let c = Calibration::from_scored(pos.chain(neg.into_iter().map(|s| (s, false)))).unwrap();
             let accs = [0.5, 0.7, 0.9, 0.95, 0.99, 1.0];
             for w in accs.windows(2) {
                 let r_lo = c.reduction(w[0]).unwrap();

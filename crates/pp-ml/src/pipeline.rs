@@ -201,17 +201,12 @@ impl Pipeline {
 
         // Calibrate on validation scores, timing per-blob inference.
         let scoring_started = Instant::now();
-        let mut pos_scores = Vec::with_capacity(val.positives());
-        let mut all_scores = Vec::with_capacity(val.len());
-        for s in val.iter() {
-            let score = model.score(&reducer.apply(&s.features));
-            all_scores.push(score);
-            if s.label {
-                pos_scores.push(score);
-            }
-        }
+        let scored: Vec<(f64, bool)> = val
+            .iter()
+            .map(|s| (model.score(&reducer.apply(&s.features)), s.label))
+            .collect();
         let test_seconds_per_blob = scoring_started.elapsed().as_secs_f64() / val.len() as f64;
-        let calibration = Calibration::from_scores(pos_scores, all_scores)?;
+        let calibration = Calibration::from_scored(scored)?;
         Ok(Pipeline {
             approach_name: approach.name(),
             reducer,
@@ -307,20 +302,12 @@ impl Pipeline {
     /// "multiplying these functions with −1 yields the corresponding
     /// classifier functions for predicate ¬p").
     pub fn negated(&self, val: &LabeledSet) -> Result<Pipeline> {
-        let mut pos_scores = Vec::new();
-        let mut all_scores = Vec::with_capacity(val.len());
-        for s in val.iter() {
-            let score = -self.score(&s.features);
-            all_scores.push(score);
-            if !s.label {
-                pos_scores.push(score);
-            }
-        }
+        let scored = val.iter().map(|s| (-self.score(&s.features), !s.label));
         Ok(Pipeline {
             approach_name: format!("neg({})", self.approach_name),
             reducer: self.reducer.clone(),
             model: Model::Negated(Box::new(self.model.clone())),
-            calibration: Calibration::from_scores(pos_scores, all_scores)?,
+            calibration: Calibration::from_scored(scored)?,
             train_seconds: 0.0, // reuses the existing classifier
             test_seconds_per_blob: self.test_seconds_per_blob,
         })

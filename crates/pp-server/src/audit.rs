@@ -55,7 +55,7 @@ use pp_engine::schema::Schema;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
 use pp_engine::udf::{Processor, RowFilter};
-use pp_linalg::rng::{hash2, splitmix64};
+use pp_linalg::rng::{hash2, splitmix64, unit};
 
 use crate::cache::CachedPlan;
 use crate::server::ServerInner;
@@ -336,9 +336,7 @@ fn achieved_lower_bound(s: &ExprStats) -> f64 {
 /// The deterministic sampling coin: a pure function of
 /// `(seed, request id, row index)` and the configured fraction.
 fn sampled(seed: u64, request_id: u64, row_idx: u64, fraction: f64) -> bool {
-    let h = splitmix64(seed ^ hash2(request_id, row_idx));
-    // 53 high-entropy bits → uniform in [0, 1).
-    ((h >> 11) as f64 / (1u64 << 53) as f64) < fraction
+    unit(splitmix64(seed ^ hash2(request_id, row_idx))) < fraction
 }
 
 /// Replays one dropped base row through `processors` (the source's

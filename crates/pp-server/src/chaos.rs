@@ -37,7 +37,7 @@ use crate::server::PpServer;
 
 /// Maps `(seed, salt, id)` to a uniform value in `[0, 1)`.
 fn unit(seed: u64, salt: &str, id: u64) -> f64 {
-    (hash2(derive_seed(seed, salt), id) >> 11) as f64 / (1u64 << 53) as f64
+    pp_linalg::rng::unit(hash2(derive_seed(seed, salt), id))
 }
 
 /// Seeded server-side fault injection, installed via

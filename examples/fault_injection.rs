@@ -67,10 +67,7 @@ fn main() {
     // the context and is applied to every plan it runs; results (and
     // charges) are identical at any parallelism.
     let mut flaky = ExecutionContext::builder(&catalog)
-        .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-            max_retries: 8,
-            ..Default::default()
-        }))
+        .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
         .with_fault_plan(
             FaultPlan::new(0x5EED).inject("VehTypeClassifier", FaultSpec::transient(0.20)),
         )

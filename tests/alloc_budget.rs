@@ -226,7 +226,7 @@ fn pp_filter_plan(dataset: &TrafficDataset) -> LogicalPlan {
     .train_clause(&clause, &labeled)
     .expect("train")
     .remove(0);
-    let filter = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95)
+    let filter = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.95])
         .expect("plan")
         .into_filter("frame");
     LogicalPlan::scan("traffic").filter(Arc::new(filter))
@@ -565,7 +565,7 @@ fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
 const OPTIMIZE_ALLOCATIONS: f64 = 500.0;
 /// Allocations of `alloc::allocate` on a four-leaf conjunction: four leaf
 /// curves, three folded ones, the arena's doublings, the winner's
-/// assignment and the planned expression.
+/// accuracies and thresholds, and the planned expression.
 const ALLOCATE_ALLOCATIONS: u64 = 32;
 
 /// What planning allocates is bounded per call (see the header): nothing
@@ -635,7 +635,7 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
     .collect();
     let conjunction = PpExpr::And(leaves);
     let spent = counted(|| allocate(&conjunction, 0.95, 0.1).expect("allocate"));
-    assert_eq!(spent.out.assignment.accuracies().len(), 4);
+    assert_eq!(spent.out.accuracies().len(), 4);
     assert!(
         spent.allocations <= ALLOCATE_ALLOCATIONS,
         "allocate: {} allocations for four leaves on {} grid points",

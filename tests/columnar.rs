@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use probabilistic_predicates::core::expr::{Assignment, PlannedPpExpr, PpExpr};
+use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
@@ -201,10 +201,9 @@ fn every_shape_matches_the_scalar_reference() {
                             .inject("VehTypeClassifier", spec)
                             .inject(&f.pp_op, spec),
                     )
-                    .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-                        max_retries: 8,
-                        ..Default::default()
-                    }));
+                    .with_resilience(
+                        ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }),
+                    );
             }
             let mut ctx = builder.build();
             let out = ctx.run(&f.pp_plan).expect("run");
@@ -243,10 +242,7 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     use probabilistic_predicates::engine::{Column, DataType};
 
     let f = fixture();
-    let retrying = ResilienceConfig::default().with_retry(RetryPolicy {
-        max_retries: 8,
-        ..Default::default()
-    });
+    let retrying = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
     // Trips on the second consecutive terminal failure.
     let brittle = ResilienceConfig::default()
         .with_retry(RetryPolicy::none())
@@ -460,7 +456,8 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
         PpExpr::Or(vec![leaf(fh), leaf(&catalog_pp("vehColor = white"))]),
     ]);
     for expr in exprs {
-        let planned = PlannedPpExpr::uniform(expr, 0.95).expect("plan");
+        let leaves = expr.leaf_count();
+        let planned = PlannedPpExpr::new(expr, vec![0.95; leaves]).expect("plan");
         filters.push(Arc::new(planned.into_filter("frame")));
     }
     let faults = |name: &str| {
@@ -518,9 +515,8 @@ fn random_expr(rng: &mut StdRng, pool: &[Arc<ProbabilisticPredicate>], leaves: u
 /// The batch walk scores each leaf only on the rows the expression has
 /// not decided yet, and must still equal `passes` row by row, errors
 /// included: random And/Or trees of 1–5 leaves drawn from every model
-/// family, negated PPs among them, each planned once with every accuracy
-/// and once with its last leaf's missing (a threshold that does not
-/// resolve), over random batches of 1, 7 and 256 rows with invalid blob
+/// family, negated PPs among them, each planned at random per-leaf
+/// accuracies, over random batches of 1, 7 and 256 rows with invalid blob
 /// cells — scored as a block, and with one cell stored sparse as
 /// references.
 #[test]
@@ -546,61 +542,53 @@ fn leaf_by_leaf_walk_equals_the_scalar_path_on_random_expressions() {
         let accuracies: Vec<f64> = (0..leaves)
             .map(|_| *[0.9, 0.95, 1.0].choose(&mut rng).expect("three"))
             .collect();
-        let full = Assignment::new(accuracies.clone()).expect("in (0, 1]");
-        let estimate = expr.estimate(&full).expect("estimate");
-        let short = Assignment::new(accuracies[..leaves - 1].to_vec()).expect("in (0, 1]");
-        for assignment in [full, short] {
-            let filter = PlannedPpExpr {
-                expr: expr.clone(),
-                assignment,
-                estimate,
-            }
+        let filter = PlannedPpExpr::new(expr, accuracies)
+            .expect("plan")
             .into_filter("frame");
-            for size in [1usize, 7, 256] {
-                let mut rows: Vec<Row> = (0..size)
-                    .map(|_| {
-                        let row = &table.rows()[rng.gen_range(0..table.len())];
-                        let mut values = row.values().to_vec();
-                        match rng.gen_range(0..40) {
-                            0 => values[blob_idx] = Value::Int(7),
-                            1 => values[blob_idx] = Value::Null,
-                            _ => {}
-                        }
-                        Row::new(values)
-                    })
-                    .collect();
-                let dense = rows.clone();
-                // The same rows with one valid cell stored sparse.
-                let at = rng.gen_range(0..size);
-                if let Ok(blob) = rows[at].get(blob_idx).as_blob() {
-                    let coords = blob.as_dense().expect("traffic blobs are dense");
-                    let pairs = coords.iter().enumerate();
-                    let pairs = pairs
-                        .filter(|(_, v)| **v != 0.0)
-                        .map(|(i, v)| (i as u32, *v));
-                    let sparse = SparseVector::from_pairs(coords.len(), pairs.collect())
-                        .expect("sparse twin");
-                    let mut values = rows[at].values().to_vec();
-                    values[blob_idx] = Value::blob(Features::Sparse(sparse));
-                    rows[at] = Row::new(values);
-                }
-                for rows in [dense, rows] {
-                    let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
-                    failed_rows += scalar.iter().filter(|v| v.is_err()).count();
-                    let chunk = Chunk::from_rows(Arc::new(
-                        Rowset::new(schema.clone(), rows).expect("rows share the schema"),
-                    ));
-                    assert_eq!(
-                        format!("{:?}", filter.eval_batch(&Batch::new(&chunk, 0..size, 0))),
-                        format!("{scalar:?}"),
-                        "{} over {size} rows",
-                        filter.name()
-                    );
-                }
+        for size in [1usize, 7, 256] {
+            let mut rows: Vec<Row> = (0..size)
+                .map(|_| {
+                    let row = &table.rows()[rng.gen_range(0..table.len())];
+                    let mut values = row.values().to_vec();
+                    match rng.gen_range(0..40) {
+                        0 => values[blob_idx] = Value::Int(7),
+                        1 => values[blob_idx] = Value::Null,
+                        _ => {}
+                    }
+                    Row::new(values)
+                })
+                .collect();
+            let dense = rows.clone();
+            // The same rows with one valid cell stored sparse.
+            let at = rng.gen_range(0..size);
+            if let Ok(blob) = rows[at].get(blob_idx).as_blob() {
+                let coords = blob.as_dense().expect("traffic blobs are dense");
+                let pairs = coords.iter().enumerate();
+                let pairs = pairs
+                    .filter(|(_, v)| **v != 0.0)
+                    .map(|(i, v)| (i as u32, *v));
+                let sparse =
+                    SparseVector::from_pairs(coords.len(), pairs.collect()).expect("sparse twin");
+                let mut values = rows[at].values().to_vec();
+                values[blob_idx] = Value::blob(Features::Sparse(sparse));
+                rows[at] = Row::new(values);
+            }
+            for rows in [dense, rows] {
+                let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
+                failed_rows += scalar.iter().filter(|v| v.is_err()).count();
+                let chunk = Chunk::from_rows(Arc::new(
+                    Rowset::new(schema.clone(), rows).expect("rows share the schema"),
+                ));
+                assert_eq!(
+                    format!("{:?}", filter.eval_batch(&Batch::new(&chunk, 0..size, 0))),
+                    format!("{scalar:?}"),
+                    "{} over {size} rows",
+                    filter.name()
+                );
             }
         }
     }
-    assert!(failed_rows > 0, "some rows met an error");
+    assert!(failed_rows > 0, "some rows had an invalid blob cell");
 }
 
 /// What a leaf counts is what the per-row walk does there: over the
@@ -614,7 +602,7 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
     fn reach(
         expr: &PpExpr,
         blob: &Features,
-        a: &Assignment,
+        thresholds: &[f64],
         next: &mut usize,
         n: &mut [u64],
     ) -> bool {
@@ -622,7 +610,7 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
             let mut verdict = stay;
             for e in es {
                 if verdict == stay {
-                    verdict = reach(e, blob, a, next, n);
+                    verdict = reach(e, blob, thresholds, next, n);
                 } else {
                     *next += e.leaf_count();
                 }
@@ -632,9 +620,9 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
         match expr {
             PpExpr::Leaf(pp) => {
                 n[*next] += 1;
-                let accuracy = a.accuracy(*next).expect("assigned");
+                let threshold = thresholds[*next];
                 *next += 1;
-                pp.passes(blob, accuracy).expect("threshold")
+                pp.score(blob) >= threshold
             }
             PpExpr::And(es) => gate(es, true),
             PpExpr::Or(es) => gate(es, false),
@@ -657,12 +645,11 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
         let [filter] = &optimized.pp_filters[..] else {
             continue;
         };
-        let PlannedPpExpr {
-            expr, assignment, ..
-        } = filter.planned();
+        let planned = filter.planned();
+        let expr = planned.expr();
         let mut want = vec![0u64; expr.leaf_count()];
         for blob in &blobs {
-            reach(expr, blob, assignment, &mut 0, &mut want);
+            reach(expr, blob, planned.thresholds(), &mut 0, &mut want);
         }
         assert_eq!(want[0], blobs.len() as u64, "Q{}", q.id);
         later_leaves += want.len() - 1;
@@ -810,10 +797,7 @@ fn deferred_context<'c>(
     faults: Option<&FaultPlan>,
 ) -> ExecutionContext<'c> {
     let retrying = ResilienceConfig::default()
-        .with_retry(RetryPolicy {
-            max_retries: 8,
-            ..Default::default()
-        })
+        .with_retry(RetryPolicy { max_retries: 8 })
         .with_breaker_threshold(2);
     let mut builder = ExecutionContext::builder(catalog)
         .with_parallelism(k)

@@ -151,10 +151,7 @@ fn transient_udf_failures_recover_to_identical_results() {
     let faulted = FaultPlan::new(0xAB5_EED)
         .inject("VehTypeClassifier", FaultSpec::transient(0.20))
         .apply(&f.nop_plan);
-    let config = ResilienceConfig::default().with_retry(RetryPolicy {
-        max_retries: 8,
-        ..Default::default()
-    });
+    let config = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
     let (out, meter, spans) = run_resilient(&faulted, config);
 
     assert_eq!(
@@ -284,10 +281,7 @@ fn same_seed_reproduces_outputs_and_charges() {
             .inject("VehTypeClassifier", spec)
             .inject(&f.pp_op, spec)
             .apply(&f.pp_plan);
-        let config = ResilienceConfig::default().with_retry(RetryPolicy {
-            max_retries: 8,
-            ..Default::default()
-        });
+        let config = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
         let (out, meter, spans) = run_resilient(&faulted, config);
         (digest(&out), out.len(), meter, spans)
     };

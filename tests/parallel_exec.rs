@@ -148,10 +148,7 @@ fn parallel_fault_injection_matches_serial() {
                     .inject("VehTypeClassifier", spec)
                     .inject(&f.pp_op, spec),
             )
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-                max_retries: 8,
-                ..Default::default()
-            }))
+            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
             .with_parallelism(k)
             .build();
         let out = ctx.run(&f.pp_plan).expect("faulted run");

@@ -169,10 +169,7 @@ fn segment_scan_matches_in_memory_under_seeded_faults() {
     let run = |catalog: &Catalog, k: usize, batch: usize| {
         let mut ctx = ExecutionContext::builder(catalog)
             .with_fault_plan(FaultPlan::new(0x5709F).inject("VehTypeClassifier", spec))
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-                max_retries: 8,
-                ..Default::default()
-            }))
+            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
             .with_parallelism(k)
             .with_batch_size(batch)
             .build();
@@ -224,7 +221,7 @@ fn pp_filter(f: &Fixture, clause: &Clause) -> Arc<dyn RowFilter> {
     .train_clause(clause, &labeled)
     .expect("train")
     .remove(0);
-    let planned = PlannedPpExpr::uniform(PpExpr::leaf(Arc::new(pp)), 0.95).expect("plan");
+    let planned = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.95]).expect("plan");
     Arc::new(planned.into_filter("frame"))
 }
 
@@ -328,10 +325,9 @@ fn unpruned_scan_is_identical_across_table_sources() {
                 let spec = FaultSpec::transient(0.2).with_poison(0.02);
                 builder = builder
                     .with_fault_plan(FaultPlan::new(0x5709F).inject(&pp_op, spec))
-                    .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy {
-                        max_retries: 8,
-                        ..Default::default()
-                    }));
+                    .with_resilience(
+                        ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }),
+                    );
             }
             let mut ctx = builder.build();
             let out = ctx.run(&plan).expect("pipeline run");
