@@ -8,9 +8,9 @@
 //! and every span of both runs conserves its rows. The clean snapshot is
 //! then emitted in both export formats (OpenMetrics text exposition and
 //! one JSONL record) to show the scrape surface, and both runs are fed to
-//! the runtime monitor to print the calibration report driving
-//! `needs_replan()` and each PP's fault calls, fault rate and quarantine
-//! cause.
+//! the runtime monitor to print its calibration report, whether the plan
+//! is now [`stale`](pp_core::RuntimeMonitor::stale), and each PP's fault
+//! calls, fault rate and quarantine cause.
 //!
 //! [`ExplainAnalyze`]: pp_engine::ExplainAnalyze
 
@@ -85,10 +85,10 @@ fn main() -> pp_bench::Result<()> {
             entry.summary.reduction_bias,
             entry.summary.reduction_mae,
             entry.summary.cost_bias,
-            entry.drifted,
+            entry.summary.drifted(),
         );
     }
-    println!("needs_replan: {}", monitor.needs_replan());
+    println!("stale: {}", monitor.stale(&optimized.report));
     println!();
     let mut pp_table = Table::new("Runtime monitor — per-PP faults after both runs").headers([
         "pp",

@@ -12,9 +12,10 @@
 //! handful of divisions however long the server has been up, and does not
 //! depend on the order records arrived in (up to float association). The
 //! [`RuntimeMonitor`](crate::runtime::RuntimeMonitor) turns those
-//! summaries into a [`CalibrationReport`], a `needs_replan()` signal, and
-//! a multiplicative reduction correction the planner applies before
-//! allocation and ordering.
+//! summaries into a [`CalibrationReport`], into its
+//! [`stale`](crate::runtime::RuntimeMonitor::stale) verdict on a plan
+//! choosing a drifted key, and into a multiplicative reduction correction
+//! the planner applies before allocation and ordering.
 //!
 //! Join keys match the rest of the feedback loop: records are keyed by the
 //! PP's canonical key (`predicate.to_string()`) for single-PP plans and by
@@ -76,8 +77,8 @@ pub struct CalibrationSummary {
 impl CalibrationSummary {
     /// Whether the key has drifted: at least [`CALIBRATION_MIN_SAMPLES`]
     /// records, with a reduction MAE above
-    /// [`CALIBRATION_ERROR_THRESHOLD`]. The one definition the report,
-    /// the planner's correction and the maintenance pass all read.
+    /// [`CALIBRATION_ERROR_THRESHOLD`]. The one definition the planner's
+    /// correction and the staleness rule read.
     pub fn drifted(&self) -> bool {
         self.samples >= CALIBRATION_MIN_SAMPLES && self.reduction_mae > CALIBRATION_ERROR_THRESHOLD
     }
@@ -161,21 +162,14 @@ impl CalibrationTracker {
         self.sums.get(key).map(CalibrationSums::summary)
     }
 
-    /// Summaries for every key, each flagged per
-    /// [`CalibrationSummary::drifted`] — the re-optimization signal
-    /// surfaced by
-    /// [`RuntimeMonitor::needs_replan`](crate::runtime::RuntimeMonitor::needs_replan).
+    /// Summaries for every key, sorted by key.
     pub fn report(&self) -> CalibrationReport {
         let entries = self
             .sums
             .iter()
-            .map(|(key, sums)| {
-                let summary = sums.summary();
-                CalibrationEntry {
-                    key: key.clone(),
-                    summary,
-                    drifted: summary.drifted(),
-                }
+            .map(|(key, sums)| CalibrationEntry {
+                key: key.clone(),
+                summary: sums.summary(),
             })
             .collect();
         CalibrationReport { entries }
@@ -189,8 +183,6 @@ pub struct CalibrationEntry {
     pub key: String,
     /// Accumulated bias/MAE statistics.
     pub summary: CalibrationSummary,
-    /// [`CalibrationSummary::drifted`] of `summary`.
-    pub drifted: bool,
 }
 
 /// The monitor's calibration digest: one entry per tracked key, sorted by
@@ -205,13 +197,6 @@ impl CalibrationReport {
     /// The entry for `key`, if tracked.
     pub fn entry(&self, key: &str) -> Option<&CalibrationEntry> {
         self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// Whether any tracked key drifted past its threshold — the signal to
-    /// re-run [`optimize_with_monitor`](crate::planner::PpQueryOptimizer::optimize_with_monitor)
-    /// so corrections take effect.
-    pub fn needs_replan(&self) -> bool {
-        self.entries.iter().any(|e| e.drifted)
     }
 }
 
@@ -274,24 +259,19 @@ mod tests {
         }
         t.record("skewed", rec(0.8, 0.4));
         // One skewed sample is under the minimum: not yet trusted.
-        let report = t.report();
-        assert!(!report.entry("within").unwrap().drifted);
-        assert!(report.entry("past").unwrap().drifted);
-        assert!(!report.entry("skewed").unwrap().drifted);
+        let drifted = |t: &CalibrationTracker, key| t.summary(key).unwrap().drifted();
+        assert!(!drifted(&t, "within"));
+        assert!(drifted(&t, "past"));
+        assert!(!drifted(&t, "skewed"));
         t.record("skewed", rec(0.8, 0.4));
-        let report = t.report();
-        assert!(report.needs_replan());
-        assert!(report.entry("skewed").unwrap().drifted);
-        for e in &report.entries {
-            assert_eq!(e.drifted, e.summary.drifted());
-        }
+        assert!(drifted(&t, "skewed"));
         // Entries come out sorted by key.
+        let report = t.report();
         let keys: Vec<&str> = report.entries.iter().map(|e| e.key.as_str()).collect();
         assert_eq!(keys, vec!["past", "skewed", "within"]);
-        // A tracker with only in-threshold keys asks for no replan.
-        let mut calm = CalibrationTracker::new();
-        calm.record("within", rec(0.7, 0.56));
-        calm.record("within", rec(0.7, 0.56));
-        assert!(!calm.report().needs_replan());
+        assert_eq!(
+            report.entry("past").unwrap().summary,
+            t.summary("past").unwrap()
+        );
     }
 }

@@ -175,12 +175,7 @@ impl VersionedPpCatalog {
 
     /// Atomically publishes `pps` under the next epoch and returns it.
     pub fn publish(&self, pps: PpCatalog) -> CatalogEpoch {
-        let mut current = self.current.write();
-        let epoch = CatalogEpoch(current.epoch.0 + 1);
-        let next = Arc::new(CatalogSnapshot { epoch, pps });
-        self.history.lock().push((epoch, Arc::downgrade(&next)));
-        *current = next;
-        epoch
+        self.publish_with(|_| pps)
     }
 
     /// Publishes a corpus derived from the current one (e.g. inserting a

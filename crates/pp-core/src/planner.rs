@@ -162,8 +162,8 @@ pub struct OptimizedQuery {
     pub plan: LogicalPlan,
     /// What the optimizer considered and chose.
     pub report: PlanReport,
-    /// The PP filters injected into `plan`, one per filtered table: the
-    /// operators the plan runs, so their per-leaf counters
+    /// The PP filter injected into `plan`, if any (a plan filters at most
+    /// one table): the operator the plan runs, so its per-leaf counters
     /// ([`PpExprFilter::leaf_rows_scored`]) count what runs of `plan`
     /// scored.
     pub pp_filters: Vec<Arc<PpExprFilter>>,
@@ -204,7 +204,9 @@ impl PpQueryOptimizer {
     /// is broken, the query degrades to its original, PP-free plan; a leaf
     /// whose calibration drifted is costed at its corrected reduction. The
     /// monitor is only read: planning records nothing in it, so building a
-    /// plan twice leaves it exactly as it was.
+    /// plan twice leaves it exactly as it was. A PP is injected for at most
+    /// one blob table, the first that gets one, so the report's
+    /// `predicate` and `chosen` describe the same filter.
     pub fn optimize_with_monitor(
         &self,
         plan: &LogicalPlan,
@@ -270,6 +272,11 @@ impl PpQueryOptimizer {
                     rows_pruned: stats.rows_pruned,
                 });
                 out_plan = out_plan.with_scan_pushdown(&table, &push);
+            }
+            // A report names one chosen PP: the first table that gets one
+            // keeps it, and later tables are left unfiltered.
+            if report.chosen.is_some() {
+                continue;
             }
             let outcome = rewrite(&predicate, &self.pp_catalog, &self.domains);
             // Dependent-predicate fix: flagged predicates may only use a
@@ -483,6 +490,8 @@ mod tests {
     use super::*;
     use crate::pp::tests::trained_pp;
     use crate::pp::ProbabilisticPredicate;
+    use crate::runtime::tests::{about, report_with_chosen, run_keeping};
+    use crate::runtime::CALIBRATION_MIN_SAMPLES;
     use pp_engine::udf::ClosureProcessor;
     use pp_engine::{Clause, Column, CompareOp, DataType, Row, Rowset, Schema, Value};
     use pp_linalg::Features;
@@ -638,13 +647,13 @@ mod tests {
         )?);
         let qo = PpQueryOptimizer::new(ppcat, Domains::new(), QoConfig::default());
         let monitor = RuntimeMonitor::new();
-        monitor.observe(
+        // A dramatic miss on other keys flags the predicate.
+        let missed = about(
             "vehType = SUV",
-            crate::runtime::Observation {
-                estimated_reduction: 0.9,
-                observed_reduction: 0.2,
-            },
+            report_with_chosen("(PP[x] ∧ PP[y])", vec!["x", "y"], 0.9),
         );
+        run_keeping(&monitor, &missed, 800);
+        assert!(monitor.is_flagged("vehType = SUV"));
         let optimized = qo.optimize_with_monitor(&plan, &cat, Some(&monitor))?;
         if let Some(chosen) = &optimized.report.chosen {
             assert_eq!(
@@ -653,6 +662,68 @@ mod tests {
                 "flagged predicate must use one PP"
             );
         }
+        Ok(())
+    }
+
+    #[test]
+    fn the_report_names_the_one_table_its_pp_filters() -> Result<()> {
+        let (mut cat, video) = setup(300, 12)?;
+        // A second blob table whose UDF and PP mirror the first one's.
+        let (second, _) = setup(300, 13)?;
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("pic", DataType::Blob),
+        ])?;
+        let rows = second.provider("video").map_err(PpError::Engine)?;
+        let rows = pp_engine::read_all(rows.as_ref()).map_err(PpError::Engine)?;
+        cat.register(
+            "stills",
+            Rowset::new(schema, rows.rows().to_vec()).map_err(PpError::Engine)?,
+        );
+        let udf = Arc::new(ClosureProcessor::map(
+            "Color",
+            vec![Column::new("color", DataType::Str)],
+            5.0,
+            |row, schema, out| {
+                let blob = row.get_named(schema, "pic")?.as_blob()?;
+                out.push(Value::str(if blob.to_dense()[0] > 0.0 {
+                    "red"
+                } else {
+                    "blue"
+                }));
+                Ok(())
+            },
+        ));
+        let stills = LogicalPlan::scan("stills")
+            .process(udf)
+            .select(Predicate::from(Clause::new("color", CompareOp::Eq, "red")));
+        let plan = LogicalPlan::Join {
+            left: Box::new(video),
+            right: Box::new(stills),
+            left_key: "frameID".into(),
+            right_key: "id".into(),
+        };
+        let mut ppcat = pp_catalog()?;
+        ppcat.insert(ProbabilisticPredicate::new(
+            Predicate::from(Clause::new("color", CompareOp::Eq, "red")),
+            trained_pp(0.3, 7, 0.01).pipeline().clone(),
+            0.01,
+        )?);
+        let qo = PpQueryOptimizer::new(ppcat, Domains::new(), QoConfig::default());
+        let optimized = qo.optimize(&plan, &cat)?;
+        let chosen = optimized.report.chosen.as_ref().expect("injects");
+        // The predicate, the chosen PP and the one injected filter all
+        // name the first table, so a run's faults and reduction are
+        // charged to the predicate that produced them.
+        assert_eq!(chosen.table, "video");
+        assert_eq!(chosen.leaf_keys, vec!["vehType = SUV".to_string()]);
+        assert_eq!(optimized.report.predicate, "vehType = SUV");
+        assert_eq!(optimized.pp_filters.len(), 1);
+        let filters: Vec<String> = op_labels(&optimized.plan)
+            .into_iter()
+            .filter(|op| op.starts_with("PP"))
+            .collect();
+        assert_eq!(filters, vec![chosen.filter_op()]);
         Ok(())
     }
 
@@ -721,6 +792,13 @@ mod tests {
         assert_eq!(report.reduction_range(), Some((0.4, 0.7)));
     }
 
+    /// Every operator's label, children before the node.
+    fn op_labels(plan: &LogicalPlan) -> Vec<String> {
+        let mut labels: Vec<String> = plan.children().flat_map(op_labels).collect();
+        labels.push(plan.op_label());
+        labels
+    }
+
     #[test]
     fn report_predictions_cover_emitted_plan() -> Result<()> {
         let (cat, plan) = setup(300, 10)?;
@@ -729,18 +807,12 @@ mod tests {
         let chosen = optimized.report.chosen.as_ref().expect("injects");
         // One prediction per operator, in charge order, names matching.
         let preds = &optimized.report.predictions;
-        let ops = optimized.plan.partitionability();
+        let ops = op_labels(&optimized.plan);
         assert_eq!(preds.len(), ops.len());
         for (i, p) in preds.iter().enumerate() {
             assert_eq!(p.op_id.0 as usize, i);
-            assert_eq!(p.op, ops[i].op);
+            assert_eq!(p.op, ops[i]);
         }
-        // The injected PP filter is a partitionable stage.
-        assert!(
-            ops.iter()
-                .any(|op| op.op == chosen.filter_op() && op.partitionable),
-            "{ops:?}"
-        );
         // The injected filter's prediction carries the chosen reduction.
         let pp_pred = preds
             .iter()
@@ -754,7 +826,7 @@ mod tests {
         // The PP-free path predicts the original plan.
         let bare = PpQueryOptimizer::new(PpCatalog::new(), Domains::new(), QoConfig::default())
             .optimize(&plan, &cat)?;
-        assert_eq!(bare.report.predictions.len(), plan.partitionability().len());
+        assert_eq!(bare.report.predictions.len(), op_labels(&plan).len());
         Ok(())
     }
 
@@ -788,18 +860,14 @@ mod tests {
         let first_rows = ctx.run(&first.plan)?;
 
         // Runtime feedback: the cheap PP delivers almost no reduction.
-        for _ in 0..2 {
-            monitor.record_calibration(
-                "vehType = SUV",
-                crate::calibration::CalibrationRecord {
-                    predicted_reduction: 0.7,
-                    observed_reduction: 0.01,
-                    predicted_cost: 0.05,
-                    observed_cost: 0.05,
-                },
-            );
+        let missed = about(
+            "another",
+            report_with_chosen("PP[vehType = SUV]", vec!["vehType = SUV"], 0.7),
+        );
+        for _ in 0..CALIBRATION_MIN_SAMPLES {
+            run_keeping(&monitor, &missed, 990);
         }
-        assert!(monitor.needs_replan());
+        assert!(monitor.stale(&first.report));
         let second = qo.optimize_with_monitor(&plan, &cat, Some(&monitor))?;
         let chosen = second.report.chosen.as_ref().expect("still injects");
         assert_ne!(first_expr, chosen.expr, "corrected plan must differ");

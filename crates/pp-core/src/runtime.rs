@@ -26,8 +26,11 @@
 //! state (per PP key one pair of fault counters with the quarantine cause,
 //! one set of calibration running sums; the dependency flags as a set) and
 //! then dropped. Its memory and the cost of every read depend on how many
-//! keys exist, never on how many runs were observed. Runs are its only
-//! writer — the planner reads ([`is_flagged`](RuntimeMonitor::is_flagged),
+//! keys exist, never on how many runs were observed. `observe_run` is
+//! its one writer of what runs taught — faults, calibration sums and
+//! dependency flags; beside it only a quarantine verdict (the auditor's
+//! or by hand) and [`restore`](RuntimeMonitor::restore) change a key.
+//! The planner reads ([`is_flagged`](RuntimeMonitor::is_flagged),
 //! [`is_broken`](RuntimeMonitor::is_broken),
 //! [`reduction_correction`](RuntimeMonitor::reduction_correction)) and
 //! records nothing.
@@ -54,25 +57,9 @@ use crate::calibration::{
 };
 use crate::planner::PlanReport;
 
-/// One runtime observation of a PP expression's behavior.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
-    /// Reduction predicted by the QO's estimate.
-    pub estimated_reduction: f64,
-    /// Reduction actually observed during execution.
-    pub observed_reduction: f64,
-}
-
-impl Observation {
-    /// Absolute deviation between estimate and observation.
-    pub fn deviation(&self) -> f64 {
-        (self.estimated_reduction - self.observed_reduction).abs()
-    }
-}
-
-/// Estimate-vs-observation reduction deviation above which a single
-/// observation is "dramatic" and flags its predicate as dependent
-/// (Appendix A.5's runtime fix).
+/// Absolute estimate-vs-observation reduction deviation above which one
+/// run is "dramatic" and flags its predicate as dependent (Appendix A.5's
+/// runtime fix).
 pub const DEVIATION_THRESHOLD: f64 = 0.15;
 /// Fraction of failed filter calls at or above which a PP is considered
 /// broken (once [`MIN_CALLS`] have been seen).
@@ -81,8 +68,9 @@ pub const FAULT_RATE_THRESHOLD: f64 = 0.5;
 /// single unlucky call from quarantining a healthy PP.
 pub const MIN_CALLS: u64 = 10;
 /// Mean absolute reduction-calibration error above which a PP key is
-/// considered drifted ([`RuntimeMonitor::needs_replan`] fires and the
-/// planner applies a reduction correction).
+/// considered drifted (a plan choosing it is
+/// [stale](RuntimeMonitor::stale) and the planner applies a reduction
+/// correction).
 pub const CALIBRATION_ERROR_THRESHOLD: f64 = 0.15;
 /// Minimum calibration records for a key before its error is trusted.
 pub const CALIBRATION_MIN_SAMPLES: u64 = 2;
@@ -159,12 +147,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn observe(&mut self, predicate_key: &str, obs: Observation) {
-        if obs.deviation() > DEVIATION_THRESHOLD && !self.flagged.contains(predicate_key) {
-            self.flagged.insert(predicate_key.to_string());
-        }
-    }
-
     /// Adds one operator's calls and failures to `pp_key`'s counters and
     /// quarantines it on a crossed fault rate or a tripped breaker. The
     /// first recorded cause wins: it is the reason the PP *became*
@@ -197,13 +179,6 @@ impl RuntimeMonitor {
     /// A fresh monitor.
     pub fn new() -> Self {
         RuntimeMonitor::default()
-    }
-
-    /// Records an execution of a (multi-PP) plan for `predicate_key` —
-    /// canonically `predicate.to_string()` — flagging the predicate as
-    /// possibly dependent when the observation deviates dramatically.
-    pub fn observe(&self, predicate_key: &str, obs: Observation) {
-        self.inner.write().observe(predicate_key, obs);
     }
 
     /// Whether the predicate has been flagged as possibly dependent; the
@@ -286,12 +261,6 @@ impl RuntimeMonitor {
         self.inner.write().health.remove(pp_key);
     }
 
-    /// Folds one predicted-vs-observed calibration record into the sums
-    /// of a PP key (or composite expression display).
-    pub fn record_calibration(&self, key: &str, record: CalibrationRecord) {
-        self.inner.write().calibration.record(key, record);
-    }
-
     /// The accumulated calibration summary for `key`, or `None` if never
     /// recorded.
     pub fn calibration_summary(&self, key: &str) -> Option<CalibrationSummary> {
@@ -302,14 +271,6 @@ impl RuntimeMonitor {
     /// ones per [`CalibrationSummary::drifted`].
     pub fn calibration_report(&self) -> CalibrationReport {
         self.inner.read().calibration.report()
-    }
-
-    /// Whether any tracked key's calibration drifted past
-    /// [`CALIBRATION_ERROR_THRESHOLD`] — the signal to re-run
-    /// [`optimize_with_monitor`](crate::planner::PpQueryOptimizer::optimize_with_monitor)
-    /// so corrections take effect.
-    pub fn needs_replan(&self) -> bool {
-        self.calibration_report().needs_replan()
     }
 
     /// The multiplicative reduction correction the planner should apply to
@@ -337,9 +298,9 @@ impl RuntimeMonitor {
     /// span's observed reduction and per-blob cost. Single-PP plans record
     /// under the leaf key (where
     /// [`reduction_correction`][Self::reduction_correction] looks);
-    /// composites record under the expression display. The estimate is
-    /// also fed to [`observe`][Self::observe], so a dramatic miss triggers
-    /// Appendix A.5's dependent-predicate flag. A failed run
+    /// composites record under the expression display. An observed
+    /// reduction more than [`DEVIATION_THRESHOLD`] from the estimate flags
+    /// the plan's predicate as dependent (Appendix A.5). A failed run
     /// (`snapshot.error` set), and a span that aborted or saw no rows,
     /// contribute faults only — their reduction is truncated, not
     /// observed.
@@ -372,13 +333,11 @@ impl RuntimeMonitor {
                 observed_cost: span.seconds / span.rows_in as f64,
             },
         );
-        inner.observe(
-            &report.predicate,
-            Observation {
-                estimated_reduction: chosen.estimate.reduction,
-                observed_reduction,
-            },
-        );
+        if (chosen.estimate.reduction - observed_reduction).abs() > DEVIATION_THRESHOLD
+            && !inner.flagged.contains(&report.predicate)
+        {
+            inner.flagged.insert(report.predicate.clone());
+        }
     }
 
     /// Whether a plan built earlier must be rebuilt because of what the
@@ -414,64 +373,64 @@ impl RuntimeMonitor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::planner::ChosenPlan;
     use pp_engine::telemetry::OperatorSpan;
+
+    /// One completed run of `report`'s plan whose filter kept `kept` of
+    /// 1 000 rows, none failing.
+    pub(crate) fn run_keeping(m: &RuntimeMonitor, report: &PlanReport, kept: u64) {
+        let op = report.chosen.as_ref().expect("a chosen plan").filter_op();
+        let span = pp_span(&op, 1000, kept, 0);
+        m.observe_run(report, &snapshot_of(vec![span]));
+    }
+
+    /// `report` with its predicate renamed to `predicate`.
+    pub(crate) fn about(predicate: &str, report: PlanReport) -> PlanReport {
+        PlanReport {
+            predicate: predicate.into(),
+            ..report
+        }
+    }
 
     #[test]
     fn small_deviation_not_flagged() {
         let m = RuntimeMonitor::new();
-        m.observe(
-            "t = SUV",
-            Observation {
-                estimated_reduction: 0.5,
-                observed_reduction: 0.45,
-            },
-        );
+        let report = report_with_chosen("PP[t = SUV]", vec!["t = SUV"], 0.5);
+        run_keeping(&m, &report, 550);
         assert!(!m.is_flagged("t = SUV"));
     }
 
     #[test]
     fn dramatic_deviation_flags() {
         let m = RuntimeMonitor::new();
-        m.observe(
+        let report = about(
             "(t = SUV) AND (c = red)",
-            Observation {
-                estimated_reduction: 0.8,
-                observed_reduction: 0.4,
-            },
+            report_over(vec!["t = SUV", "c = red"]),
         );
+        run_keeping(&m, &report, 800);
         assert!(m.is_flagged("(t = SUV) AND (c = red)"));
         // Other predicates unaffected.
         assert!(!m.is_flagged("t = SUV"));
     }
 
     #[test]
-    fn deviation_math() {
-        let o = Observation {
-            estimated_reduction: 0.7,
-            observed_reduction: 0.55,
-        };
-        assert!((o.deviation() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
     fn flags_only_past_the_deviation_threshold() {
-        let observe = |observed_reduction| {
+        let flags = |observed_reduction: f64| {
             let m = RuntimeMonitor::new();
-            m.observe(
-                "p",
-                Observation {
-                    estimated_reduction: 0.5,
-                    observed_reduction,
-                },
+            let report = report_with_chosen("PP[p]", vec!["p"], 0.5);
+            run_keeping(
+                &m,
+                &report,
+                ((1.0 - observed_reduction) * 1000.0).round() as u64,
             );
-            m.is_flagged("p")
+            m.is_flagged("t = SUV")
         };
-        assert!(observe(0.5 - DEVIATION_THRESHOLD - 0.01));
-        assert!(observe(0.5 + DEVIATION_THRESHOLD + 0.01));
-        assert!(!observe(0.5 - DEVIATION_THRESHOLD + 0.01));
-        assert!(!observe(0.5 + DEVIATION_THRESHOLD - 0.01));
+        assert!(flags(0.5 - DEVIATION_THRESHOLD - 0.01));
+        assert!(flags(0.5 + DEVIATION_THRESHOLD + 0.01));
+        assert!(!flags(0.5 - DEVIATION_THRESHOLD + 0.01));
+        assert!(!flags(0.5 + DEVIATION_THRESHOLD - 0.01));
     }
 
     /// One failed run of a plan filtering with `PP[key]` that attempted
@@ -676,9 +635,12 @@ mod tests {
         assert_eq!(m.why_broken("manual"), Some(QuarantineReason::Manual));
     }
 
-    fn report_with_chosen(expr: &str, leaf_keys: Vec<&str>, reduction: f64) -> PlanReport {
+    pub(crate) fn report_with_chosen(
+        expr: &str,
+        leaf_keys: Vec<&str>,
+        reduction: f64,
+    ) -> PlanReport {
         use crate::combine::Estimate;
-        use crate::planner::ChosenPlan;
         PlanReport {
             predicate: "t = SUV".into(),
             chosen: Some(ChosenPlan {
@@ -711,7 +673,7 @@ mod tests {
         assert!((s.cost_bias - 0.002).abs() < 1e-12); // 1.2/100 − 0.01
                                                       // Accurate estimate: neither flagged nor drifted.
         assert!(!m.is_flagged("t = SUV"));
-        assert!(!m.needs_replan());
+        assert!(!m.stale(&report));
 
         // Composite plans record under the expression display.
         let m = RuntimeMonitor::new();
@@ -759,17 +721,17 @@ mod tests {
             &snapshot_of(vec![pp_span("PP[t = SUV]", 100, 90, 0)]),
         );
         // One sample: not yet trusted.
-        assert!(!m.needs_replan());
+        assert!(!m.stale(&report));
         assert!(m.reduction_correction("t = SUV").is_none());
         m.observe_run(
             &report,
             &snapshot_of(vec![pp_span("PP[t = SUV]", 100, 90, 0)]),
         );
-        assert!(m.needs_replan());
+        assert!(m.stale(&report));
         let entry_drifted = m
             .calibration_report()
             .entry("t = SUV")
-            .is_some_and(|e| e.drifted);
+            .is_some_and(|e| e.summary.drifted());
         assert!(entry_drifted);
         let scale = m.reduction_correction("t = SUV").expect("drifted");
         assert!((scale - 0.125).abs() < 1e-9, "got {scale}"); // 0.1 / 0.8
@@ -788,33 +750,34 @@ mod tests {
         report_with_chosen(&expr, leaf_keys, 0.6)
     }
 
-    /// Two calibration samples whose reduction missed by 0.6: drifted.
-    fn drift(m: &RuntimeMonitor, key: &str) {
-        for _ in 0..CALIBRATION_MIN_SAMPLES {
-            m.record_calibration(
-                key,
-                CalibrationRecord {
-                    predicted_reduction: 0.7,
-                    observed_reduction: 0.1,
-                    predicted_cost: 0.01,
-                    observed_cost: 0.01,
-                },
-            );
+    /// `n` runs of a plan choosing `expr` over `leaf_keys` for another
+    /// predicate, whose reduction missed its 0.7 estimate by 0.6.
+    fn missed(m: &RuntimeMonitor, expr: &str, leaf_keys: Vec<&str>, n: u64) {
+        let report = about("another", report_with_chosen(expr, leaf_keys, 0.7));
+        for _ in 0..n {
+            run_keeping(m, &report, 900);
         }
+    }
+
+    /// Enough missed runs that the key `expr` records under has drifted.
+    fn drift(m: &RuntimeMonitor, expr: &str, leaf_keys: Vec<&str>) {
+        missed(m, expr, leaf_keys, CALIBRATION_MIN_SAMPLES);
+    }
+
+    /// Flags predicate `t = SUV` through one dramatic miss of a plan whose
+    /// calibration sample lands on keys no test plan chooses.
+    fn flag(m: &RuntimeMonitor) {
+        let report = report_with_chosen("(PP[x] ∧ PP[y])", vec!["x", "y"], 0.9);
+        run_keeping(m, &report, 900);
+        assert!(m.is_flagged("t = SUV"));
     }
 
     #[test]
     fn a_plan_with_no_pp_is_never_stale() {
         let m = RuntimeMonitor::new();
         m.mark_broken("t = SUV");
-        drift(&m, "t = SUV");
-        m.observe(
-            "t = SUV",
-            Observation {
-                estimated_reduction: 0.9,
-                observed_reduction: 0.1,
-            },
-        );
+        drift(&m, "PP[t = SUV]", vec!["t = SUV"]);
+        flag(&m);
         assert!(!m.stale(&PlanReport {
             predicate: "t = SUV".into(),
             ..Default::default()
@@ -841,20 +804,17 @@ mod tests {
     fn stale_when_a_chosen_leaf_drifts() {
         let m = RuntimeMonitor::new();
         let plan = report_over(vec!["t = SUV", "c = red"]);
-        drift(&m, "c = blue");
+        drift(&m, "PP[c = blue]", vec!["c = blue"]);
         assert!(!m.stale(&plan), "a key the plan does not use");
         // One sample short of trusted: not drifted yet.
-        m.record_calibration(
-            "c = red",
-            CalibrationRecord {
-                predicted_reduction: 0.7,
-                observed_reduction: 0.1,
-                predicted_cost: 0.01,
-                observed_cost: 0.01,
-            },
+        missed(
+            &m,
+            "PP[c = red]",
+            vec!["c = red"],
+            CALIBRATION_MIN_SAMPLES - 1,
         );
         assert!(!m.stale(&plan));
-        drift(&m, "c = red");
+        missed(&m, "PP[c = red]", vec!["c = red"], 1);
         assert!(m.stale(&plan));
     }
 
@@ -863,9 +823,13 @@ mod tests {
         let m = RuntimeMonitor::new();
         let plan = report_over(vec!["t = SUV", "c = red"]);
         let expr = plan.chosen.as_ref().map(|c| c.expr.clone()).unwrap();
-        drift(&m, "(PP[t = SUV] ∨ PP[c = red])");
+        drift(
+            &m,
+            "(PP[t = SUV] ∨ PP[c = red])",
+            vec!["t = SUV", "c = red"],
+        );
         assert!(!m.stale(&plan), "another composite of the same leaves");
-        drift(&m, &expr);
+        drift(&m, &expr, vec!["t = SUV", "c = red"]);
         assert!(m.stale(&plan));
     }
 
@@ -875,14 +839,7 @@ mod tests {
         let single = report_over(vec!["t = SUV"]);
         let pair = report_over(vec!["t = SUV", "c = red"]);
         assert!(!m.stale(&pair), "an unflagged predicate may conjoin");
-        m.observe(
-            "t = SUV",
-            Observation {
-                estimated_reduction: 0.9,
-                observed_reduction: 0.1,
-            },
-        );
-        assert!(m.is_flagged("t = SUV"));
+        flag(&m);
         assert!(!m.stale(&single), "one leaf is what the flag allows");
         assert!(m.stale(&pair));
     }

@@ -138,7 +138,7 @@ impl<'a> ExecutionContextBuilder<'a> {
         let fault_log = Arc::new(FaultLog::new());
         ExecutionContext {
             catalog: self.catalog,
-            session: ExecSession::new(self.resilience),
+            resilience: self.resilience,
             fault_plan: self
                 .fault_plan
                 .map(|fp| fp.with_log(Arc::clone(&fault_log))),
@@ -156,19 +156,20 @@ impl<'a> ExecutionContextBuilder<'a> {
 }
 
 /// A configured query-execution environment: catalog + resilience
-/// session + optional fault plan + parallelism, with the cost
+/// policy + optional fault plan + parallelism, with the cost
 /// meter and derived [`QueryMetrics`] of the most recent run.
 ///
-/// The context is stateful across runs the way a long-lived cluster
-/// service is: circuit breakers persist from one [`run`][Self::run] to
-/// the next (inspect one with [`breaker_open`][Self::breaker_open], clear
-/// it with [`reset_breaker`][Self::reset_breaker]). Everything counted is
-/// per run: [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
-/// [`metrics`][Self::metrics] always describe the latest query.
+/// Each [`run`][Self::run] builds its own [`ExecSession`], so circuit
+/// breakers live for one run and every run starts with them closed; what
+/// runs have shown about a failing PP is the runtime monitor's to
+/// remember. Everything counted is per run too:
+/// [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
+/// [`metrics`][Self::metrics] always describe the latest query; only the
+/// [`registry`][Self::registry] accumulates across runs.
 #[derive(Debug)]
 pub struct ExecutionContext<'a> {
     catalog: &'a Catalog,
-    session: ExecSession,
+    resilience: ResilienceConfig,
     fault_plan: Option<FaultPlan>,
     fault_log: Arc<FaultLog>,
     opts: ExecOptions,
@@ -235,24 +236,19 @@ impl<'a> ExecutionContext<'a> {
             }
             None => plan,
         };
+        let mut session = ExecSession::new(self.resilience);
         let result = Executor {
             catalog: self.catalog,
-            session: &mut self.session,
+            session: &mut session,
             opts: self.opts,
             tel: &mut tel,
             cancel: &self.cancel,
         }
         .run(plan);
-        // Breaker transitions (trips during this run, plus any manual
-        // resets since the last run) become events, in the deterministic
+        // The run's breaker openings become events, in the deterministic
         // order the session recorded them.
-        for t in self.session.take_transitions() {
-            let kind = if t.opened {
-                EventKind::BreakerOpened
-            } else {
-                EventKind::BreakerReset
-            };
-            tel.push_event(&t.op, None, kind, 1);
+        for op in session.opened() {
+            tel.push_event(op, None, EventKind::BreakerOpened, 1);
         }
         let injected = self.fault_log.drain();
         let wall = start.elapsed().as_nanos() as u64;
@@ -330,17 +326,6 @@ impl<'a> ExecutionContext<'a> {
         self.metrics.as_ref()
     }
 
-    /// Whether `op`'s circuit breaker is currently open.
-    pub fn breaker_open(&self, op: &str) -> bool {
-        self.session.breaker_open(op)
-    }
-
-    /// Manually closes one operator's circuit breaker (e.g. after
-    /// redeploying a fixed UDF).
-    pub fn reset_breaker(&mut self, op: &str) {
-        self.session.reset_breaker(op);
-    }
-
     /// The telemetry snapshot of the most recent [`run`][Self::run]
     /// (successful or not), or `None` before the first run.
     pub fn telemetry(&self) -> Option<&TelemetrySnapshot> {
@@ -370,6 +355,8 @@ mod tests {
     use crate::schema::{Column, DataType, Schema};
     use crate::udf::ClosureFilter;
     use crate::value::Value;
+    use crate::EngineError;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn catalog() -> Catalog {
@@ -550,10 +537,48 @@ mod tests {
         let pp = ctx.telemetry().unwrap().span("PP[even]").expect("PP ran");
         assert!(pp.failures > 0);
         assert_eq!(pp.failed_open, 64);
-        // Breakers persist across runs: the second run short-circuits.
-        assert!(ctx.breaker_open("PP[even]"));
-        ctx.run(&plan).unwrap();
-        ctx.reset_breaker("PP[even]");
-        assert!(!ctx.breaker_open("PP[even]"));
+        // The second run meets the same faults and trips the same breaker.
+        let spans = |ctx: &ExecutionContext| {
+            let mut snapshot = ctx.telemetry().unwrap().clone();
+            snapshot.zero_wall_clock();
+            snapshot.spans
+        };
+        let first = spans(&ctx);
+        assert_eq!(ctx.run(&plan).unwrap().len(), 64);
+        assert_eq!(spans(&ctx), first);
+    }
+
+    #[test]
+    fn a_second_run_starts_with_closed_breakers() {
+        let cat = catalog();
+        let down = Arc::new(AtomicBool::new(true));
+        let model = Arc::clone(&down);
+        let filter = ClosureFilter::new("PP[even]", 0.01, move |row, _| {
+            if model.load(Ordering::Relaxed) {
+                return Err(EngineError::Transient("model down".into()));
+            }
+            Ok(row.get(0).as_int()? % 2 == 0)
+        });
+        let plan = LogicalPlan::scan("t").filter(Arc::new(filter));
+        let mut ctx = ExecutionContext::builder(&cat)
+            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
+            .build();
+        // Run 1: the model is down, its rows fail open, and the breaker
+        // trips.
+        assert_eq!(ctx.run(&plan).unwrap().len(), 64);
+        let pp = ctx.telemetry().unwrap().span("PP[even]").expect("PP ran");
+        assert!(pp.breaker_tripped && pp.short_circuited > 0);
+        // Run 2, model back: every row is scored and charged.
+        down.store(false, Ordering::Relaxed);
+        assert_eq!(ctx.run(&plan).unwrap().len(), 32);
+        let snapshot = ctx.telemetry().unwrap();
+        let pp = snapshot.span("PP[even]").expect("PP ran");
+        assert_eq!(
+            (pp.attempts, pp.short_circuited, pp.failed_open),
+            (64, 0, 0)
+        );
+        assert_eq!((pp.rows_filtered, pp.breaker_tripped), (32, false));
+        assert!((pp.seconds - 64.0 * 0.01).abs() < 1e-12);
+        assert!(snapshot.events.is_empty());
     }
 }

@@ -57,14 +57,14 @@ pub use exec::{ExecutionContext, ExecutionContextBuilder};
 pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHints};
 pub use export::{JsonlExporter, OpenMetricsExporter};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultSpec, InjectedFault};
-pub use logical::{LogicalPlan, OpParallelism};
+pub use logical::LogicalPlan;
 pub use memo::{memoize_plan, MemoProcessor, MemoStats, UdfMemo};
 pub use predicate::{Clause, CompareOp, Predicate};
 pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
-pub use resilience::{BreakerTransition, ExecSession, ResilienceConfig, RetryPolicy};
+pub use resilience::{ExecSession, ResilienceConfig, RetryPolicy};
 pub use row::{Row, RowRef, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{

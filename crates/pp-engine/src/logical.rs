@@ -160,26 +160,6 @@ impl std::fmt::Debug for LogicalPlan {
     }
 }
 
-/// Whether one plan operator can be evaluated over row partitions by the
-/// partitioned executor (see [`physical`](crate::physical)).
-///
-/// Row-independent operators (`Scan`, `Filter`, `Process`, `Select`,
-/// `Project`) decide each output row from one input row, so they split
-/// across row partitions with byte-identical results; the executor drives
-/// the UDF-bearing ones (`Filter`, `Process`, `Select`) over its worker
-/// pool. Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`)
-/// need all rows of a group together and stay serial. Planners surface
-/// this annotation so callers can see how much of a chosen plan will
-/// actually scale with `parallelism`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpParallelism {
-    /// Operator display name, matching the executor's meter labels.
-    pub op: String,
-    /// True when the operator evaluates rows independently of one
-    /// another, making it safe to split over row partitions.
-    pub partitionable: bool,
-}
-
 impl LogicalPlan {
     /// Scan constructor.
     pub fn scan(table: impl Into<String>) -> LogicalPlan {
@@ -443,32 +423,6 @@ impl LogicalPlan {
                 Schema::new(combiner.output_columns().to_vec())
             }
         }
-    }
-
-    /// Per-operator partitionability annotations, in bottom-up execution
-    /// order (the order operators charge the cost meter). Operator names
-    /// match the executor's meter labels.
-    pub fn partitionability(&self) -> Vec<OpParallelism> {
-        let mut out = Vec::new();
-        self.partitionability_into(&mut out);
-        out
-    }
-
-    fn partitionability_into(&self, out: &mut Vec<OpParallelism>) {
-        for child in self.children() {
-            child.partitionability_into(out);
-        }
-        out.push(OpParallelism {
-            op: self.op_label(),
-            partitionable: matches!(
-                self,
-                LogicalPlan::Scan { .. }
-                    | LogicalPlan::Process { .. }
-                    | LogicalPlan::Select { .. }
-                    | LogicalPlan::Filter { .. }
-                    | LogicalPlan::Project { .. }
-            ),
-        });
     }
 
     /// An indented, EXPLAIN-style rendering of the plan.

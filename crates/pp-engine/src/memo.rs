@@ -375,7 +375,7 @@ impl Processor for MemoProcessor {
 /// Rebuilds `plan` with every `Process` node's UDF wrapped in a
 /// [`MemoProcessor`] sharing `memo`. All other nodes (and the plan
 /// structure, predicates, filters, costs) are untouched, so `explain()`
-/// and `partitionability()` render identically.
+/// renders identically.
 pub fn memoize_plan(plan: &LogicalPlan, memo: &Arc<UdfMemo>) -> LogicalPlan {
     match plan.map_children(|child| memoize_plan(child, memo)) {
         LogicalPlan::Process { input, processor } => LogicalPlan::Process {

@@ -82,8 +82,8 @@
 //! (`parallelism = 1, batch_size = 1`) for every seed, every parallelism,
 //! and every batch size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
-//! `Project` stay serial; see
-//! [`LogicalPlan::partitionability`](crate::logical::LogicalPlan::partitionability).
+//! `Project` run serially on the caller. This dispatch is the one
+//! statement of what runs in parallel: no plan annotation restates it.
 //!
 //! Failure semantics, per operator kind:
 //!

@@ -9,9 +9,11 @@
 //! backoff and stalled calls add simulated seconds — so the cost meter
 //! stays an honest account of what a cluster would have spent.
 //!
-//! The session remembers only what recovery needs from one call to the
-//! next: the config, each operator's circuit breaker, and the breaker
-//! transitions not yet drained. What a call *cost* — attempts, retries,
+//! The session lives for one run and remembers only what recovery needs
+//! from one call to the next: the config, each operator's circuit
+//! breaker, and the operators whose breakers opened, in order. A PP that
+//! keeps failing across queries is the runtime monitor's to quarantine,
+//! not a breaker's to remember. What a call *cost* — attempts, retries,
 //! failures, timeouts, overhead — travels in the [`ProbeOutcome`] that
 //! [`OpFold::consume`] hands back, and the executor counts it once, into
 //! the operator's [`OperatorSpan`](crate::telemetry::OperatorSpan).
@@ -280,27 +282,15 @@ struct BreakerState {
     open: bool,
 }
 
-/// One circuit-breaker state change, recorded by the session in the order
-/// it happened (deterministic: transitions only occur in the serial
-/// consume phase or via explicit [`ExecSession::reset_breaker`] calls).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerTransition {
-    /// The operator whose breaker changed state.
-    pub op: String,
-    /// `true` when the breaker opened; `false` when it was reset.
-    pub opened: bool,
-}
-
 /// A stateful execution session: owns the config and the per-operator
-/// circuit breakers. One session spans every
-/// [`ExecutionContext::run`](crate::exec::ExecutionContext::run) of its
-/// context, so breaker state persists across queries, the way a
-/// long-running cluster service would track a misbehaving UDF.
+/// circuit breakers. Each
+/// [`ExecutionContext::run`](crate::exec::ExecutionContext::run) builds
+/// its own, so every run starts with closed breakers.
 #[derive(Debug, Default)]
 pub struct ExecSession {
     config: ResilienceConfig,
     breakers: HashMap<String, BreakerState, FxBuild>,
-    transitions: Vec<BreakerTransition>,
+    opened: Vec<String>,
 }
 
 impl ExecSession {
@@ -322,25 +312,10 @@ impl ExecSession {
         self.breakers.get(op).is_some_and(|b| b.open)
     }
 
-    /// Manually reset one operator's breaker (e.g. after redeploying a
-    /// fixed UDF).
-    pub fn reset_breaker(&mut self, op: &str) {
-        if let Some(b) = self.breakers.get_mut(op) {
-            b.consecutive_failures = 0;
-            if b.open {
-                b.open = false;
-                self.transitions.push(BreakerTransition {
-                    op: op.to_string(),
-                    opened: false,
-                });
-            }
-        }
-    }
-
-    /// Drains the breaker transitions recorded since the last call, in
-    /// the order they happened.
-    pub fn take_transitions(&mut self) -> Vec<BreakerTransition> {
-        std::mem::take(&mut self.transitions)
+    /// The operators whose breakers opened, in the order they opened
+    /// (deterministic: a breaker only opens in the serial consume phase).
+    pub fn opened(&self) -> &[String] {
+        &self.opened
     }
 
     /// A consume cursor for one operator: resolves the operator's breaker
@@ -358,7 +333,7 @@ impl ExecSession {
             op,
             threshold: self.config.breaker_threshold,
             breaker,
-            transitions: &mut self.transitions,
+            opened: &mut self.opened,
         }
     }
 
@@ -384,7 +359,7 @@ pub struct OpFold<'a> {
     op: &'a str,
     threshold: u32,
     breaker: &'a mut BreakerState,
-    transitions: &'a mut Vec<BreakerTransition>,
+    opened: &'a mut Vec<String>,
 }
 
 impl OpFold<'_> {
@@ -454,10 +429,7 @@ impl OpFold<'_> {
             self.breaker.consecutive_failures += 1;
             if self.threshold > 0 && self.breaker.consecutive_failures >= self.threshold {
                 self.breaker.open = true;
-                self.transitions.push(BreakerTransition {
-                    op: self.op.to_string(),
-                    opened: true,
-                });
+                self.opened.push(self.op.to_string());
             }
         }
         probe
@@ -563,12 +535,7 @@ mod tests {
         assert!(matches!(inv.result, Err(EngineError::BreakerOpen { .. })));
         // The short-circuit charges nothing, and the trip was logged once.
         assert_eq!((inv.failures, inv.extra_seconds), (0, 0.0));
-        assert_eq!(s.take_transitions().len(), 1);
-
-        s.reset_breaker("op");
-        assert!(!s.breaker_open("op"));
-        let inv = s.invoke("op", || Ok::<_, EngineError>(1));
-        assert!(matches!(inv.result, Ok(1)));
+        assert_eq!(s.opened(), ["op"]);
     }
 
     #[test]
@@ -587,34 +554,19 @@ mod tests {
     }
 
     #[test]
-    fn breaker_transitions_are_logged_once_per_state_change() {
+    fn breakers_are_logged_once_in_the_order_they_open() {
         let mut s = ExecSession::new(
             ResilienceConfig::default()
                 .with_breaker_threshold(2)
                 .with_retry(RetryPolicy::none()),
         );
-        for _ in 0..2 {
-            let _ = s.invoke("op", || Err::<u32, _>(EngineError::Transient("x".into())));
+        for op in ["b", "a"] {
+            for _ in 0..2 {
+                let _ = s.invoke(op, || Err::<u32, _>(EngineError::Transient("x".into())));
+            }
         }
-        // Short-circuited calls must not re-log the open transition.
-        let _ = s.invoke("op", || Ok::<_, EngineError>(1));
-        s.reset_breaker("op");
-        // Resetting a closed breaker logs nothing.
-        s.reset_breaker("op");
-        let transitions = s.take_transitions();
-        assert_eq!(
-            transitions,
-            vec![
-                BreakerTransition {
-                    op: "op".into(),
-                    opened: true
-                },
-                BreakerTransition {
-                    op: "op".into(),
-                    opened: false
-                },
-            ]
-        );
-        assert!(s.take_transitions().is_empty());
+        // Short-circuited calls must not re-log the opening.
+        let _ = s.invoke("b", || Ok::<_, EngineError>(1));
+        assert_eq!(s.opened(), ["b", "a"]);
     }
 }

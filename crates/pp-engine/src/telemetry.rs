@@ -425,8 +425,6 @@ pub enum EventKind {
     ShortCircuit,
     /// The operator's circuit breaker transitioned to open.
     BreakerOpened,
-    /// The operator's circuit breaker was manually closed.
-    BreakerReset,
     /// The query's cancellation token fired and the operator stopped at
     /// a batch/group boundary.
     Cancelled,
@@ -441,7 +439,6 @@ impl EventKind {
             EventKind::FailOpen => "fail_open",
             EventKind::ShortCircuit => "short_circuit",
             EventKind::BreakerOpened => "breaker_opened",
-            EventKind::BreakerReset => "breaker_reset",
             EventKind::Cancelled => "cancelled",
         }
     }

@@ -49,9 +49,6 @@ use crate::server::ServerInner;
 pub struct MaintenanceReport {
     /// The epoch the pass ran against.
     pub epoch: CatalogEpoch,
-    /// Whether any current-epoch cache entry was stale, and so
-    /// invalidated for a rebuild.
-    pub needs_replan: bool,
     /// Calibration keys flagged as drifted, sorted.
     pub drifted_keys: Vec<String>,
     /// Current-epoch cache entries examined.
@@ -87,7 +84,6 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
         examined += 1;
         inner.monitor.stale(&plan.report)
     });
-    let needs_replan = !stale.is_empty();
     // Re-optimize off the hot path: the monitor's corrections and
     // quarantines now apply, so the new plan reflects observed (not
     // validation) reductions and runs no quarantined PP.
@@ -136,7 +132,6 @@ pub(crate) fn run_once(inner: &ServerInner) -> MaintenanceReport {
         .add(replanned as u64);
     MaintenanceReport {
         epoch,
-        needs_replan,
         drifted_keys,
         examined,
         replanned,

@@ -18,7 +18,6 @@ use pp_core::planner::PlanReport;
 use pp_engine::cancel::{CancelReason, CancelToken};
 use pp_engine::fault::FaultPlan;
 use pp_engine::predicate::Predicate;
-use pp_engine::resilience::ResilienceConfig;
 use pp_engine::row::Rowset;
 use pp_engine::telemetry::TelemetrySnapshot;
 
@@ -37,8 +36,6 @@ pub struct QueryRequest {
     /// Optional seeded fault-injection plan for this query's run (chaos
     /// testing; mirrors [`pp_engine::fault`]).
     pub fault_plan: Option<FaultPlan>,
-    /// Optional resilience-policy override for this query's run.
-    pub resilience: Option<ResilienceConfig>,
     /// Optional wall-clock budget measured from submit. When it elapses
     /// the query's cancellation token fires with
     /// [`CancelReason::DeadlineExceeded`] and the query lands as
@@ -54,15 +51,15 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
-    /// A request with the given source/predicate/accuracy and no fault or
-    /// resilience overrides.
+    /// A request with the given source/predicate/accuracy and no fault
+    /// plan, deadline or parallelism override. Every served query runs
+    /// under the engine's default resilience policy.
     pub fn new(source: impl Into<String>, predicate: Predicate, accuracy_target: f64) -> Self {
         QueryRequest {
             source: source.into(),
             predicate,
             accuracy_target,
             fault_plan: None,
-            resilience: None,
             deadline: None,
             parallelism: None,
             shared: false,
@@ -72,12 +69,6 @@ impl QueryRequest {
     /// Installs a seeded fault plan for this query's execution.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Overrides the server's default resilience policy for this query.
-    pub fn with_resilience(mut self, config: ResilienceConfig) -> Self {
-        self.resilience = Some(config);
         self
     }
 

@@ -714,9 +714,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
     if let Some(fp) = &request.fault_plan {
         builder = builder.with_fault_plan(fp.clone());
     }
-    if let Some(rc) = &request.resilience {
-        builder = builder.with_resilience(*rc);
-    }
     if let Some(k) = request.parallelism {
         builder = builder.with_parallelism(k);
     }

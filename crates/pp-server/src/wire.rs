@@ -169,8 +169,8 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// A query as it crosses the wire. Maps onto [`QueryRequest`] minus the
-/// in-process testing knobs (fault plans, resilience overrides).
+/// A query as it crosses the wire. Maps onto [`QueryRequest`] minus its
+/// in-process testing knob, the fault plan.
 #[derive(Debug, Clone)]
 pub struct WireRequest {
     /// Registered source name.

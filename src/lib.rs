@@ -60,7 +60,7 @@ pub mod prelude {
     pub use pp_engine::explain::{ExplainAnalyze, OperatorPrediction, PredictionHints};
     pub use pp_engine::export::{JsonlExporter, OpenMetricsExporter};
     pub use pp_engine::fault::{FaultPlan, FaultSpec};
-    pub use pp_engine::logical::{LogicalPlan, OpParallelism};
+    pub use pp_engine::logical::LogicalPlan;
     pub use pp_engine::predicate::{Clause, CompareOp, Predicate};
     pub use pp_engine::resilience::{ResilienceConfig, RetryPolicy};
     pub use pp_engine::row::{Row, RowRef, Rowset};

@@ -557,7 +557,8 @@ fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
             .calibration_summary("col0 = v")
             .expect("query 0 calibrates its PP");
         assert_eq!(summary.samples, 10_100 / runs.len() as u64);
-        assert!(!monitor.needs_replan() && monitor.broken().is_empty());
+        assert!(runs.iter().all(|(report, _)| !monitor.stale(report)));
+        assert!(monitor.broken().is_empty());
     }
 }
 

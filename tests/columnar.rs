@@ -232,10 +232,10 @@ fn every_shape_matches_the_scalar_reference() {
 /// Where the fold's two branches meet. The consume phase folds a batch
 /// with no failed first attempt in closed form and walks every other batch
 /// row by row; each scenario below makes both happen inside one operator,
-/// over several runs of one context (breakers persist between runs), and
-/// every shape must still equal the `K=1, batch=1` reference, where every
-/// batch is one row: rows or the terminal error, charges, telemetry
-/// snapshot.
+/// over several runs of one context (each run starts with closed
+/// breakers), and every shape must still equal the `K=1, batch=1`
+/// reference, where every batch is one row: rows or the terminal error,
+/// charges, telemetry snapshot.
 #[test]
 fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     use probabilistic_predicates::engine::udf::ClosureProcessor;
@@ -264,10 +264,11 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         /// Some 64-row batches hold a retried row and some none;
         /// `fail_open`: a poisoned row passed the filter.
         MixedBatches { fail_open: bool },
-        /// The breaker tripped part-way through the first run and a whole
-        /// further run was short-circuited.
+        /// The breaker tripped part-way through the first run, after which
+        /// its rows were short-circuited, and the next run, starting with
+        /// a closed breaker, did the same.
         TripThenShortCircuit,
-        /// Every run ended in an error, the last at an open breaker.
+        /// Every run ended in an error at the row that tripped the breaker.
         TripThenError,
     }
     let sparse = FaultSpec::transient(0.03);
@@ -287,8 +288,9 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             Expect::MixedBatches { fail_open: true },
         ),
         (
-            // (b) the breaker trips mid-input: every batch after the trip,
-            // and all of the second run, is short-circuited row by row.
+            // (b) the breaker trips mid-input: every batch after the trip
+            // is short-circuited row by row, and the second run, whose
+            // breaker starts closed, repeats the first.
             "breaker trip, fail-open",
             &f.pp_plan,
             pp_op,
@@ -298,9 +300,8 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             Expect::TripThenShortCircuit,
         ),
         (
-            // The same with fatal filter errors: the first run ends at
-            // its first failed row, which trips; the second meets an open
-            // breaker at row 0.
+            // The same with fatal filter errors: each run ends at its
+            // first failed row, which trips the breaker.
             "breaker trip, fail-closed",
             &fail_closed_pp_plan,
             pp_op,
@@ -370,13 +371,17 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             Expect::TripThenShortCircuit => {
                 assert!(op.breaker_tripped, "{label}");
                 assert!(
-                    op.attempts > 64 && short_circuited > 400,
+                    op.attempts > 64 && op.short_circuited > 64,
                     "{label}: {ops:?}"
                 );
+                assert!(ops.iter().all(|s| s == &op), "{label}: {ops:?}");
+                assert!(base
+                    .iter()
+                    .all(|(rows, charges, _)| (rows, charges) == (&base[0].0, &base[0].1)));
             }
             Expect::TripThenError => {
                 assert!(
-                    op.breaker_tripped && short_circuited == 1,
+                    ops.iter().all(|s| s.breaker_tripped) && short_circuited == 0,
                     "{label}: {ops:?}"
                 );
                 assert!(base.iter().all(|(rows, ..)| rows.starts_with("error")));
@@ -723,14 +728,14 @@ fn survivors_of_an_in_memory_table_are_the_registered_rows() {
 /// What a run leaves in its ledger, in a form the deferred run and its
 /// oracle can both produce: the `CostMeter` entries, and the telemetry's
 /// spans (numbered in charge order, wall clock zeroed), operator events,
-/// breaker transitions (which a run appends after every operator's
-/// events) and fired faults.
+/// breaker openings (which a run appends after every operator's events)
+/// and fired faults.
 #[derive(Debug, Default, PartialEq)]
 struct Ledger {
     meter: Vec<String>,
     spans: Vec<String>,
     events: Vec<String>,
-    transitions: Vec<String>,
+    openings: Vec<String>,
     faults: Vec<String>,
 }
 
@@ -747,12 +752,8 @@ impl Ledger {
             self.spans.push(format!("{span:?}"));
         }
         for event in &snap.events {
-            let transition = matches!(
-                event.kind,
-                EventKind::BreakerOpened | EventKind::BreakerReset
-            );
-            let into = if transition {
-                &mut self.transitions
+            let into = if event.kind == EventKind::BreakerOpened {
+                &mut self.openings
             } else {
                 &mut self.events
             };

@@ -7,17 +7,17 @@
 //! wall-clock fields, the ANALYZE JSON and the OpenMetrics exposition are
 //! byte-identical across parallelism K ∈ {1, 2, 4, 8} × batch ∈ {1, 7,
 //! 64}, with and without seeded fault injection; (3) drifted calibration
-//! flips `needs_replan()`, re-optimizing produces a different plan, and
+//! makes the plan stale, re-optimizing produces a different plan, and
 //! query results stay byte-identical.
 
 use std::sync::OnceLock;
 
+mod common;
+
 use probabilistic_predicates::core::planner::{OptimizedQuery, PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
-use probabilistic_predicates::core::{
-    CalibrationRecord, PpCatalog, ProbabilisticPredicate, RuntimeMonitor,
-};
+use probabilistic_predicates::core::{PpCatalog, ProbabilisticPredicate, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
@@ -196,8 +196,8 @@ fn analyze_json_and_openmetrics_are_byte_identical_across_schedules() {
     }
 }
 
-/// Skewing a PP's observed reduction past the calibration threshold flips
-/// `needs_replan()`; re-optimizing applies the correction and picks a
+/// Skewing a PP's observed reduction past the calibration threshold makes
+/// the plan choosing it stale; re-optimizing applies the correction and picks a
 /// different plan, while the query's results stay byte-identical (the
 /// correction rescales estimates, never verdicts).
 ///
@@ -239,28 +239,27 @@ fn calibration_drift_replans_without_changing_results() {
     let first_rows = ctx.run(&first.plan).expect("first run");
     let snap = ctx.telemetry().expect("snapshot").clone();
     monitor.observe_run(&first.report, &snap);
-    assert!(!monitor.needs_replan(), "one observation is not yet drift");
+    assert!(
+        !monitor.stale(&first.report),
+        "one observation is not yet drift"
+    );
 
-    // Runtime feedback: the cheap PP achieves no reduction at all.
-    for _ in 0..3 {
-        monitor.record_calibration(
-            "vehType = SUV",
-            CalibrationRecord {
-                predicted_reduction: first_chosen.estimate.reduction,
-                observed_reduction: 0.0,
-                predicted_cost: 0.0025,
-                observed_cost: 0.0025,
-            },
-        );
+    // Runtime feedback: runs of the cheap PP (for another predicate)
+    // achieve no reduction at all.
+    for id in 0..3 {
+        let key = vec!["vehType = SUV".to_string()];
+        let estimated = first_chosen.estimate.reduction;
+        let (report, snapshot) = common::observed_run(id, "another", key, estimated, 1000, 0);
+        monitor.observe_run(&report, &snapshot);
     }
     assert!(
-        monitor.needs_replan(),
-        "skewed reduction must trigger replan"
+        monitor.stale(&first.report),
+        "skewed reduction must make the plan stale"
     );
     assert!(monitor
         .calibration_report()
         .entry("vehType = SUV")
-        .is_some_and(|e| e.drifted));
+        .is_some_and(|e| e.summary.drifted()));
 
     let corrected = qo
         .optimize_with_monitor(&f.nop_plan, &f.catalog, Some(&monitor))

@@ -42,9 +42,10 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 proptest::proptest! {
-    /// On any stream of records the running sums yield the per-record
-    /// summary to 1e-12, the same `drifted` bit and the same reduction
-    /// correction — in arrival order and reversed (the summary does not
+    /// On any stream of runs, observed through `observe_run`, the running
+    /// sums yield the per-record summary of the records those runs make to
+    /// 1e-12, the same `drifted` bit and staleness verdict and the same
+    /// reduction correction — in arrival order and reversed (the summary does not
     /// depend on order beyond float association). Each case lands on a
     /// chosen side of both drift constants: fewer records than
     /// [`CALIBRATION_MIN_SAMPLES`] or enough, and every error within
@@ -64,9 +65,10 @@ proptest::proptest! {
         } else {
             stream.len()
         };
-        let records: Vec<CalibrationRecord> = stream[..len]
+        let runs: Vec<(PlanReport, TelemetrySnapshot)> = stream[..len]
             .iter()
-            .map(|&(predicted_reduction, magnitude, predicted_cost, observed_cost)| {
+            .enumerate()
+            .map(|(i, &(predicted_reduction, magnitude, predicted_cost, observed_cost))| {
                 // |predicted − observed|, on the chosen side of the
                 // threshold; the sign keeps the observation in [0, 1].
                 let error = if drifting {
@@ -79,11 +81,28 @@ proptest::proptest! {
                 } else {
                     predicted_reduction + error
                 };
+                let kept = ((1.0 - observed_reduction) * 1000.0).round() as u64;
+                let key = vec!["k".to_string()];
+                let (mut report, mut snapshot) =
+                    common::observed_run(i as u64, "p", key, predicted_reduction, kept, 0);
+                if let Some(chosen) = &mut report.chosen {
+                    chosen.estimate.cost = predicted_cost;
+                }
+                snapshot.spans[1].seconds = observed_cost * 1000.0;
+                (report, snapshot)
+            })
+            .collect();
+        // The record `observe_run` folds in for each run.
+        let records: Vec<CalibrationRecord> = runs
+            .iter()
+            .map(|(report, snapshot)| {
+                let estimate = report.chosen.as_ref().expect("a chosen plan").estimate;
+                let span = &snapshot.spans[1];
                 CalibrationRecord {
-                    predicted_reduction,
-                    observed_reduction,
-                    predicted_cost,
-                    observed_cost,
+                    predicted_reduction: estimate.reduction,
+                    observed_reduction: span.reduction(),
+                    predicted_cost: estimate.cost,
+                    observed_cost: span.seconds / span.rows_in as f64,
                 }
             })
             .collect();
@@ -95,11 +114,11 @@ proptest::proptest! {
 
         let forward = RuntimeMonitor::new();
         let backward = RuntimeMonitor::new();
-        for r in &records {
-            forward.record_calibration("k", *r);
+        for (report, snapshot) in &runs {
+            forward.observe_run(report, snapshot);
         }
-        for r in records.iter().rev() {
-            backward.record_calibration("k", *r);
+        for (report, snapshot) in runs.iter().rev() {
+            backward.observe_run(report, snapshot);
         }
         for monitor in [&forward, &backward] {
             let got = monitor.calibration_summary("k").expect("recorded");
@@ -115,8 +134,11 @@ proptest::proptest! {
                 proptest::prop_assert!(close(a, b), "{} vs {}", a, b);
             }
             let report = monitor.calibration_report();
-            proptest::prop_assert_eq!(report.entry("k").map(|e| e.drifted), Some(drifted));
-            proptest::prop_assert_eq!(monitor.needs_replan(), drifted);
+            proptest::prop_assert_eq!(
+                report.entry("k").map(|e| e.summary.drifted()),
+                Some(drifted)
+            );
+            proptest::prop_assert_eq!(monitor.stale(&runs[0].0), drifted);
             match (monitor.reduction_correction("k"), correction) {
                 (Some(a), Some(b)) => proptest::prop_assert!(close(a, b), "{} vs {}", a, b),
                 (a, b) => proptest::prop_assert_eq!(a, b),
@@ -182,5 +204,10 @@ fn concurrent_observers_count_what_serial_ones_do() {
     let samples: u64 = expected.iter().map(|(_, samples, ..)| samples).sum();
     assert_eq!(samples, (THREADS * CALLS) as u64, "one sample per run");
     assert_eq!(concurrent.broken(), serial.broken());
-    assert_eq!(concurrent.needs_replan(), serial.needs_replan());
+    let stale = |monitor: &RuntimeMonitor| -> Vec<bool> {
+        runs.iter()
+            .map(|(report, _)| monitor.stale(report))
+            .collect()
+    };
+    assert_eq!(stale(&concurrent), stale(&serial));
 }

@@ -257,25 +257,30 @@ fn breaker_open_rows_fail_open_and_are_fully_accounted() {
     let mut ctx = ExecutionContext::builder(&cat)
         .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
         .build();
-    let out = ctx.run(&plan).expect("fail-open keeps the query alive");
-    assert_eq!(out.len(), 64, "every row passes through the dead PP");
-    let snap = ctx.telemetry().expect("snapshot");
-    let span = snap.span("PP[dead]").expect("PP span");
-    assert_eq!(span.rows_in, 64);
-    assert_eq!(span.rows_out, 64);
-    assert_eq!(span.rows_failed, 0);
-    assert_eq!(span.failed_open, 64, "every row degraded to pass-through");
-    // Default threshold is 5 consecutive failures; the rest short-circuit.
-    assert_eq!(span.failures, 5);
-    assert_eq!(span.short_circuited, 59);
-    assert!(span.breaker_tripped);
-    let opened = snap
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::BreakerOpened)
-        .count();
-    assert_eq!(opened, 1, "one trip, logged once");
-    assert!(snap.conservation_violations().is_empty());
+    // A breaker lives for one run: the second run meets a closed breaker
+    // and trips it again, accounted exactly as the first.
+    for _ in 0..2 {
+        let out = ctx.run(&plan).expect("fail-open keeps the query alive");
+        assert_eq!(out.len(), 64, "every row passes through the dead PP");
+        let snap = ctx.telemetry().expect("snapshot");
+        let span = snap.span("PP[dead]").expect("PP span");
+        assert_eq!(span.rows_in, 64);
+        assert_eq!(span.rows_out, 64);
+        assert_eq!(span.rows_failed, 0);
+        assert_eq!(span.failed_open, 64, "every row degraded to pass-through");
+        // Default threshold is 5 consecutive failures; the rest short-circuit.
+        assert_eq!(span.failures, 5);
+        assert_eq!(span.short_circuited, 59);
+        assert!(span.breaker_tripped);
+        let opened = snap
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::BreakerOpened)
+            .count();
+        assert_eq!(opened, 1, "one trip, logged once");
+        assert!(snap.conservation_violations().is_empty());
+    }
+    assert_eq!(ctx.registry().counter("breaker_trips_total").get(), 2);
 }
 
 #[test]

@@ -212,14 +212,17 @@ fn with_filter_above(before: &str, scan: &str, filter: &str) -> String {
     )
 }
 
+/// Every operator's label, children before the node.
+fn op_labels(plan: &LogicalPlan) -> Vec<String> {
+    let mut labels: Vec<String> = plan.children().flat_map(op_labels).collect();
+    labels.push(plan.op_label());
+    labels
+}
+
 #[test]
 fn the_plan_has_every_variant_and_walks_in_span_order() {
     let plan = plan();
-    let names: Vec<String> = plan
-        .partitionability()
-        .into_iter()
-        .map(|op| op.op)
-        .collect();
+    let names = op_labels(&plan);
     assert_eq!(
         names,
         [
@@ -262,7 +265,7 @@ fn map_children_with_clone_is_the_identity() {
     let plan = plan();
     let copy = plan.map_children(LogicalPlan::clone);
     assert_eq!(copy.explain(), plan.explain());
-    assert_eq!(copy.partitionability(), plan.partitionability());
+    assert_eq!(op_labels(&copy), op_labels(&plan));
 }
 
 #[test]
@@ -295,7 +298,7 @@ fn memoize_wraps_the_process_node_and_nothing_else() {
     let memo = Arc::new(UdfMemo::new(2));
     let memoized = memoize_plan(&plan, &memo);
     assert_eq!(memoized.explain(), plan.explain());
-    assert_eq!(memoized.partitionability(), plan.partitionability());
+    assert_eq!(op_labels(&memoized), op_labels(&plan));
     // Two runs over one memo pay for each blob once and answer as solo.
     for _ in 0..2 {
         let mut ctx = ExecutionContext::new(&catalog);

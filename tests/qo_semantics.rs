@@ -14,11 +14,12 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use probabilistic_predicates::core::calibration::CalibrationRecord;
+mod common;
+
 use probabilistic_predicates::core::implication::implies;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::rewrite::rewrite;
-use probabilistic_predicates::core::runtime::{Observation, RuntimeMonitor};
+use probabilistic_predicates::core::runtime::RuntimeMonitor;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
@@ -363,27 +364,22 @@ fn feedback_monitor() -> RuntimeMonitor {
         .predicate
         .simplify()
         .to_string();
-    monitor.observe(
-        &flagged,
-        Observation {
-            estimated_reduction: 0.9,
-            observed_reduction: 0.2,
-        },
-    );
+    // A dramatic miss flags Q6; its sample lands on keys no PP has.
+    let keys = vec!["x".to_string(), "y".to_string()];
+    let (report, snapshot) = common::observed_run(0, &flagged, keys, 0.9, 800, 0);
+    monitor.observe_run(&report, &snapshot);
     monitor.mark_broken("vehType = SUV");
-    for _ in 0..2 {
-        monitor.record_calibration(
-            "speed >= 60",
-            CalibrationRecord {
-                predicted_reduction: 0.7,
-                observed_reduction: 0.2,
-                predicted_cost: 0.0025,
-                observed_cost: 0.0025,
-            },
-        );
+    // Two runs of `speed >= 60` for another predicate drift it. A run
+    // observes 1 − 800/1000, so an estimate two ulps under 0.7 makes the
+    // correction 0.2 / 0.7 to the bit, the scale the golden pins.
+    for id in 1..3 {
+        let key = vec!["speed >= 60".to_string()];
+        let (report, snapshot) =
+            common::observed_run(id, "feedback", key, 0.7 - f64::EPSILON, 800, 0);
+        monitor.observe_run(&report, &snapshot);
     }
     assert!(monitor.is_flagged(&flagged));
-    assert!(monitor.reduction_correction("speed >= 60").is_some());
+    assert_eq!(monitor.reduction_correction("speed >= 60"), Some(0.2 / 0.7));
     monitor
 }
 

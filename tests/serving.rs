@@ -6,7 +6,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use probabilistic_predicates::core::calibration::CalibrationRecord;
+mod common;
+
 use probabilistic_predicates::core::catalog::CatalogEpoch;
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
@@ -15,9 +16,7 @@ use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
-use probabilistic_predicates::engine::{
-    Catalog, FaultPlan, FaultSpec, ResilienceConfig, RetryPolicy, Rowset,
-};
+use probabilistic_predicates::engine::{Catalog, FaultPlan, FaultSpec, Rowset};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -332,23 +331,17 @@ fn drift_replan_swaps_cached_plan_with_identical_verdicts() {
         .expr
         .clone();
 
-    // Runtime feedback: the cheap PP delivers almost no reduction.
-    for _ in 0..2 {
-        server.monitor().record_calibration(
-            "vehType = SUV",
-            CalibrationRecord {
-                predicted_reduction: 0.9,
-                observed_reduction: 0.001,
-                predicted_cost: 0.001,
-                observed_cost: 0.001,
-            },
-        );
+    // Runtime feedback: runs of the cheap PP (for another predicate, so
+    // nothing is flagged) deliver almost no reduction.
+    let key = vec!["vehType = SUV".to_string()];
+    for id in 0..2 {
+        let (report, snapshot) = common::observed_run(id, "another", key.clone(), 0.9, 999, 0);
+        server.monitor().observe_run(&report, &snapshot);
     }
-    assert!(server.monitor().needs_replan());
+    assert!(server.monitor().stale(&before.report));
 
     let builds_before = server.cache_stats().builds;
     let pass = server.maintenance_now();
-    assert!(pass.needs_replan);
     assert_eq!(pass.drifted_keys, vec!["vehType = SUV".to_string()]);
     assert_eq!(pass.replanned, 1, "the cached plan must be re-optimized");
     assert_eq!(
@@ -462,14 +455,11 @@ fn failed_and_shed_queries_cannot_poison_the_server() {
     let clean = QueryRequest::new("traffic", q1.predicate.clone(), 0.95);
 
     // (a) Mid-run execution failure under seeded faults: the UDF dies on
-    // every attempt with retries disabled, so the run errors.
+    // every attempt, retries included, so the run errors.
     let mut server = make_server(2);
-    let faulty = clean
-        .clone()
-        .with_fault_plan(
-            FaultPlan::new(0xBAD5EED).inject("VehTypeClassifier", FaultSpec::transient(1.0)),
-        )
-        .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()));
+    let faulty = clean.clone().with_fault_plan(
+        FaultPlan::new(0xBAD5EED).inject("VehTypeClassifier", FaultSpec::transient(1.0)),
+    );
     let resp = server.submit(faulty).unwrap().wait();
     assert!(
         matches!(resp.outcome, QueryOutcome::Failed(_)),

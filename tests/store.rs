@@ -21,7 +21,7 @@ use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
-use probabilistic_predicates::core::{CalibrationRecord, PpCatalog, RuntimeMonitor};
+use probabilistic_predicates::core::{PpCatalog, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::bytes::Reader;
@@ -41,6 +41,7 @@ use probabilistic_predicates::store::{
     crc32, Segment, SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError,
 };
 
+mod common;
 #[path = "common/fail_closed.rs"]
 mod fail_closed;
 use fail_closed::fail_closed;
@@ -720,15 +721,9 @@ fn planning_a_zone_pushdown_leaves_the_monitor_as_it_was() {
         ));
     let qo = PpQueryOptimizer::new(PpCatalog::new(), Domains::new(), QoConfig::default());
     let monitor = RuntimeMonitor::new();
-    monitor.record_calibration(
-        "vehType = SUV",
-        CalibrationRecord {
-            predicted_reduction: 0.7,
-            observed_reduction: 0.65,
-            predicted_cost: 0.01,
-            observed_cost: 0.01,
-        },
-    );
+    let key = vec!["vehType = SUV".to_string()];
+    let (report, snapshot) = common::observed_run(0, "another", key, 0.7, 350, 0);
+    monitor.observe_run(&report, &snapshot);
     let before = monitor.calibration_report();
     for _ in 0..3 {
         let optimized = qo
