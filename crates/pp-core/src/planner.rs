@@ -166,7 +166,7 @@ pub struct OptimizedQuery {
     /// one table): the operator the plan runs, so its per-leaf counters
     /// ([`PpExprFilter::leaf_rows_scored`]) count what runs of `plan`
     /// scored.
-    pub pp_filters: Vec<Arc<PpExprFilter>>,
+    pub pp_filter: Option<Arc<PpExprFilter>>,
 }
 
 /// The PP-aware query optimizer.
@@ -223,7 +223,7 @@ impl PpQueryOptimizer {
                     predictions: predict(plan, catalog, &Default::default()).unwrap_or_default(),
                     ..Default::default()
                 },
-                pp_filters: Vec::new(),
+                pp_filter: None,
             });
         }
         // Conjoin pushable predicates per blob table (stacked selects).
@@ -242,7 +242,7 @@ impl PpQueryOptimizer {
             udf_cost_per_blob: udf_cost,
             ..Default::default()
         };
-        let mut pp_filters = Vec::new();
+        let mut pp_filter = None;
         for (table, blob_column, mut preds) in by_table {
             let predicate = match preds.len() {
                 1 => preds.swap_remove(0),
@@ -368,14 +368,14 @@ impl PpQueryOptimizer {
             report.chosen = Some(chosen);
             let filter = Arc::new(planned.into_filter(blob_column));
             out_plan = inject_above_scan(&out_plan, &table, Arc::clone(&filter) as _)?;
-            pp_filters.push(filter);
+            pp_filter = Some(filter);
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
         report.predictions = predict(&out_plan, catalog, &hints).unwrap_or_default();
         Ok(OptimizedQuery {
             plan: out_plan,
             report,
-            pp_filters,
+            pp_filter,
         })
     }
 }
@@ -666,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn the_report_names_the_one_table_its_pp_filters() -> Result<()> {
+    fn the_report_names_the_one_table_its_pp_filter() -> Result<()> {
         let (mut cat, video) = setup(300, 12)?;
         // A second blob table whose UDF and PP mirror the first one's.
         let (second, _) = setup(300, 13)?;
@@ -718,7 +718,7 @@ mod tests {
         assert_eq!(chosen.table, "video");
         assert_eq!(chosen.leaf_keys, vec!["vehType = SUV".to_string()]);
         assert_eq!(optimized.report.predicate, "vehType = SUV");
-        assert_eq!(optimized.pp_filters.len(), 1);
+        assert!(optimized.pp_filter.is_some());
         let filters: Vec<String> = op_labels(&optimized.plan)
             .into_iter()
             .filter(|op| op.starts_with("PP"))

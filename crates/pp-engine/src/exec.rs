@@ -1,8 +1,7 @@
 //! The unified execution API: [`ExecutionContext`] bundles everything a
 //! query run needs — catalog, resilience policy, optional
 //! fault injection, and parallelism — behind one builder. It is the only
-//! way to execute a plan; the historical five-argument free functions
-//! (`execute` / `execute_with`) have been removed.
+//! way to execute a plan.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,14 +53,14 @@ use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
 use crate::memo::UdfMemo;
 use crate::physical::{ExecOptions, Executor};
-use crate::resilience::{ExecSession, ResilienceConfig};
+use crate::resilience::ResilienceConfig;
 use crate::row::Rowset;
 use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
 use crate::Result;
 
 /// Builder for [`ExecutionContext`]. Created by
 /// [`ExecutionContext::builder`]; every knob is optional and defaults to
-/// the serial, fault-free configuration the free functions used.
+/// the serial, fault-free configuration.
 #[derive(Debug)]
 pub struct ExecutionContextBuilder<'a> {
     catalog: &'a Catalog,
@@ -159,11 +158,10 @@ impl<'a> ExecutionContextBuilder<'a> {
 /// policy + optional fault plan + parallelism, with the cost
 /// meter and derived [`QueryMetrics`] of the most recent run.
 ///
-/// Each [`run`][Self::run] builds its own [`ExecSession`], so circuit
-/// breakers live for one run and every run starts with them closed; what
-/// runs have shown about a failing PP is the runtime monitor's to
-/// remember. Everything counted is per run too:
-/// [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
+/// A circuit breaker belongs to one fail-open filter for one run, so
+/// every run starts with its breakers closed; what runs have shown about
+/// a failing PP is the runtime monitor's to remember. Everything counted
+/// is per run too: [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
 /// [`metrics`][Self::metrics] always describe the latest query; only the
 /// [`registry`][Self::registry] accumulates across runs.
 #[derive(Debug)]
@@ -236,18 +234,24 @@ impl<'a> ExecutionContext<'a> {
             }
             None => plan,
         };
-        let mut session = ExecSession::new(self.resilience);
         let result = Executor {
             catalog: self.catalog,
-            session: &mut session,
+            resilience: self.resilience,
             opts: self.opts,
             tel: &mut tel,
             cancel: &self.cancel,
         }
         .run(plan);
-        // The run's breaker openings become events, in the deterministic
-        // order the session recorded them.
-        for op in session.opened() {
+        // One event per tripped breaker, after every operator's events.
+        // Operators finish in span order and only a fail-open filter
+        // trips, so span order is the order the breakers opened in.
+        let opened: Vec<String> = tel
+            .spans()
+            .iter()
+            .filter(|s| s.breaker_tripped)
+            .map(|s| s.op.clone())
+            .collect();
+        for op in &opened {
             tel.push_event(op, None, EventKind::BreakerOpened, 1);
         }
         let injected = self.fault_log.drain();

@@ -64,7 +64,7 @@ pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
-pub use resilience::{ExecSession, ResilienceConfig, RetryPolicy};
+pub use resilience::{ResilienceConfig, RetryPolicy};
 pub use row::{Row, RowRef, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{
@@ -108,11 +108,6 @@ pub enum EngineError {
     CorruptOutput(String),
     /// A row deterministically crashes its UDF — retrying cannot help.
     PoisonedRow(String),
-    /// The operator's circuit breaker is open; the call was not attempted.
-    BreakerOpen {
-        /// The operator whose breaker is open.
-        op: String,
-    },
     /// The query's cancellation token fired (explicit cancel, deadline,
     /// drain, or worker panic); partial work up to the last batch
     /// boundary was charged to the cost meter.
@@ -139,8 +134,7 @@ impl EngineError {
     ///
     /// Transient faults, timeouts, and corrupt outputs are retryable;
     /// deterministic failures (poison rows, schema/type errors, plain UDF
-    /// errors) and terminal wrappers (breaker open, retries exhausted)
-    /// are not.
+    /// errors) and the terminal wrapper (retries exhausted) are not.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -169,7 +163,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::CorruptOutput(m) => write!(f, "corrupt output: {m}"),
             EngineError::PoisonedRow(m) => write!(f, "poisoned row: {m}"),
-            EngineError::BreakerOpen { op } => write!(f, "circuit breaker open for {op}"),
             EngineError::Cancelled { reason } => write!(f, "query cancelled: {reason}"),
             EngineError::Storage(m) => write!(f, "storage error: {m}"),
             EngineError::RetriesExhausted { op, attempts, last } => {

@@ -22,7 +22,6 @@
 //! span is the only ledger the executor keeps, and the
 //! [`CostMeter`](crate::cost::CostMeter) is a view of the finished spans
 //! taken by [`ExecutionContext::run`](crate::exec::ExecutionContext::run).
-//! The [`ExecSession`] holds no counts, only the circuit breakers.
 //!
 //! # One path
 //!
@@ -74,7 +73,7 @@
 //! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
 //! exactly as a serial run would: a record with no failed row, met while
-//! the breaker is closed, in closed form (its rows only bump counters that
+//! no breaker is open, in closed form (its rows only bump counters that
 //! add up), every other record row by row. Injected faults key off row
 //! identity and attempt ordinal (see [`fault`](crate::fault)), and batch
 //! kernels are bit-identical to the scalar per-row path, so results, row
@@ -88,12 +87,17 @@
 //! Failure semantics, per operator kind:
 //!
 //! * **Filter** (where PPs live): a call that still fails after retries
-//!   *fails open* — the row passes unfiltered — when both the session
-//!   config and the filter allow it. An open circuit breaker skips the
-//!   filter entirely (rows pass, nothing is charged). Fail-open can waste
-//!   downstream UDF cost but can never drop a row the exact query wanted.
-//! * **Process / Reduce / Combine**: these materialize real columns, so
-//!   their errors are not maskable; after retries the error propagates.
+//!   *fails open* — the row passes unfiltered — unless
+//!   [`RowFilter::fail_open`] says the filter gates correctness. A
+//!   fail-open filter has a circuit breaker for the run: once it opens,
+//!   the filter's remaining rows pass uncalled and uncharged. Fail-open
+//!   can waste downstream UDF cost but can never drop a row the exact
+//!   query wanted.
+//! * **Process / Reduce / Combine**, and a fail-closed filter: a
+//!   processor, reducer or combiner materializes real columns, so its
+//!   errors are not maskable; the operator stops at its first call that
+//!   still fails after retries, and the error propagates. Nothing outlives
+//!   that failure, so none of them has a breaker.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -112,7 +116,7 @@ use crate::cost::{
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
-use crate::resilience::{ExecSession, ProbeOutcome};
+use crate::resilience::{Breaker, ProbeOutcome, ResilienceConfig};
 use crate::row::{Row, RowRef, Rowset};
 use crate::schema::{Column, Schema};
 use crate::sync::{Condvar, Mutex};
@@ -531,7 +535,7 @@ impl ScanStream {
 /// would if the scan had materialized first.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
-    pub session: &'a mut ExecSession,
+    pub resilience: ResilienceConfig,
     pub opts: ExecOptions,
     pub tel: &'a mut SpanCollector,
     pub cancel: &'a CancelToken,
@@ -645,7 +649,7 @@ impl Executor<'_> {
     /// A span for an operator that charges a flat `unit` seconds for each
     /// of `n` rows.
     fn flat_span(&self, op: String, rows_in: usize, unit: f64, n: usize) -> OperatorSpan {
-        let mut span = OperatorSpan::new(self.tel.next_op_id(), op, rows_in);
+        let mut span = OperatorSpan::new(op, rows_in);
         span.seconds = n as f64 * unit;
         span.latency.record_n(unit, n as u64);
         span
@@ -863,7 +867,7 @@ impl Executor<'_> {
         // the row passes. We lose speed-up on that row, never a result.
         // A filter that gates correctness says so with `fail_open()`.
         let fail_open = filter.fail_open();
-        let config = *self.session.config();
+        let config = self.resilience;
         let (name, filter) = (op.clone(), Arc::clone(filter));
         self.fold_udf(
             &op,
@@ -911,7 +915,7 @@ impl Executor<'_> {
         processor: &Arc<dyn Processor>,
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
-        let config = *self.session.config();
+        let config = self.resilience;
         let width = processor.output_columns().len();
         let input = Arc::new(in_rows);
         let (name, udf) = (op.clone(), Arc::clone(processor));
@@ -992,19 +996,21 @@ impl Executor<'_> {
     /// Probe phase (morsel jobs): `probe` makes every row's first attempt one
     /// [`Batch`] at a time (vectorizable), and runs the retry loop
     /// (`resume_probe`) of each row whose first attempt failed, yielding
-    /// one [`Probed`] record per batch. Pure — no session state. If the
-    /// breaker is (or becomes) open, the consume phase discards the
+    /// one [`Probed`] record per batch. Pure — no breaker, no counts. If
+    /// the breaker is (or becomes) open, the consume phase discards the
     /// affected probes, so charges stay identical to a serial run that
     /// never made those calls.
     ///
-    /// Consume phase (calling thread): folds the records into the session's
-    /// breaker and the operator's span in row order, driving the breaker
-    /// and fail-open exactly as serial execution would. A record with no
+    /// Consume phase (calling thread): folds the records into the
+    /// operator's breaker and span in row order, driving the breaker and
+    /// fail-open exactly as serial execution would. Only a fail-open
+    /// operator (`fail_open` holds a value) has a breaker, a local of this
+    /// fold: any other stops at its first terminal error. A record with no
     /// failed row, met while the breaker is closed, is folded in closed
-    /// form: `n` clean consumes leave the breaker at
-    /// `consecutive_failures = 0` (`OpFold::consume_clean`) and the span
-    /// `n` attempts richer. Every other record walks the per-row body,
-    /// which counts each consumed outcome through `record_outcome`.
+    /// form: `n` clean rows leave the breaker at no consecutive failures
+    /// and the span `n` attempts richer. Every other record walks the
+    /// per-row body, which counts each consumed outcome through
+    /// `record_outcome`.
     /// `first` reads the next clean row's value off the record's `firsts`
     /// (`None` past the batch's last row). `emit` receives each row — its
     /// chunk and place in it — with its `Ok` value and the same `firsts`,
@@ -1014,10 +1020,10 @@ impl Executor<'_> {
     /// row through unchanged), and stops the operator otherwise.
     ///
     /// Everything the fold accumulates — span, overhead, the input row
-    /// index — is carried from wave to wave, and the session's
-    /// breaker is sticky, so how the input is cut into waves changes
-    /// nothing it reports. A wave that cannot be had (the scan below was
-    /// cancelled or failed to decode) or probed ends the fold: one that
+    /// index, the breaker — is carried from wave to wave, so how the
+    /// input is cut into waves changes nothing it reports. A wave that
+    /// cannot be had (the scan below was cancelled or failed to decode)
+    /// or probed ends the fold: one that
     /// has consumed a wave is charged for what it consumed, one that has
     /// not never ran (`Err`).
     #[allow(clippy::too_many_arguments)]
@@ -1032,12 +1038,13 @@ impl Executor<'_> {
         mut first: impl FnMut(&mut B, usize) -> Option<T>,
         mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> Result<bool>,
     ) -> Result<Finished<O>> {
-        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.to_string(), 0);
+        let mut span = OperatorSpan::new(op.to_string(), 0);
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
         let mut clean_rows: u64 = 0;
         let mut row_idx: u64 = 0;
         let (mut handed, mut consumed_any) = (0usize, false);
+        let mut breaker = fail_open.map(|_| Breaker::new(self.resilience.breaker_threshold));
         // First attempts are attempt 0; a retry loop inside `probe`
         // numbers its own.
         let probe: ProbeFn<Probed<B, T>> =
@@ -1060,11 +1067,6 @@ impl Executor<'_> {
                     break;
                 }
             };
-            // Resolve the operator's breaker once per wave; it is sticky
-            // within a run (it only flips open inside `consume`), so
-            // mirror it locally. The fold then does no map lookups.
-            let mut fold = self.session.op_fold(op);
-            let mut breaker_open = fold.breaker_open();
             for (chunk, start, Probed { mut firsts, failed }) in probes {
                 let chunk = &chunks[chunk];
                 if let Err(e) = self.cancel.check() {
@@ -1073,8 +1075,11 @@ impl Executor<'_> {
                     failure = Some(e);
                     break 'waves;
                 }
-                if failed.is_empty() && !breaker_open {
-                    fold.consume_clean();
+                let open = breaker.as_ref().is_some_and(Breaker::is_open);
+                if failed.is_empty() && !open {
+                    if let Some(breaker) = &mut breaker {
+                        breaker.record(true);
+                    }
                     let mut n = 0;
                     while let Some(value) = first(&mut firsts, n) {
                         let passed = emit(&mut firsts, chunk, start + n, value, &mut out)?;
@@ -1096,30 +1101,48 @@ impl Executor<'_> {
                     } else {
                         break;
                     };
-                    let outcome = fold.consume(attempt);
-                    breaker_open = fold.breaker_open();
-                    extra_seconds += outcome.extra_seconds;
-                    record_outcome(
-                        self.tel,
-                        &mut span,
-                        Some(row_idx),
-                        &outcome,
-                        cost_per_row,
-                        breaker_open,
-                    );
-                    let passed = match (outcome.result, fail_open) {
-                        (Ok(value), _) => emit(&mut firsts, chunk, start + at, value, &mut out)?,
-                        (Err(_), Some(pass)) => {
+                    // `None`: the open breaker skipped the row's calls, which
+                    // a serial run would never have made, so its probe is
+                    // discarded and nothing is charged.
+                    let result = match &mut breaker {
+                        Some(breaker) if breaker.is_open() => {
+                            span.short_circuited += 1;
+                            self.tel
+                                .push_event(op, Some(row_idx), EventKind::ShortCircuit, 1);
+                            None
+                        }
+                        breaker => {
+                            let outcome = attempt.map_or_else(|probe| probe, ProbeOutcome::first);
+                            extra_seconds += outcome.extra_seconds;
+                            record_outcome(
+                                self.tel,
+                                &mut span,
+                                Some(row_idx),
+                                &outcome,
+                                cost_per_row,
+                            );
+                            if let Some(breaker) = breaker {
+                                span.breaker_tripped |= breaker.record(outcome.result.is_ok());
+                            }
+                            Some(outcome.result)
+                        }
+                    };
+                    let passed = match (result, fail_open) {
+                        (Some(Ok(value)), _) => {
+                            emit(&mut firsts, chunk, start + at, value, &mut out)?
+                        }
+                        (_, Some(pass)) => {
                             span.failed_open += 1;
                             self.tel
                                 .push_event(op, Some(row_idx), EventKind::FailOpen, 1);
                             emit(&mut firsts, chunk, start + at, pass, &mut out)?
                         }
-                        (Err(e), None) => {
+                        (Some(Err(e)), None) => {
                             // Charge the work done, then bail.
                             failure = Some(e);
                             break 'waves;
                         }
+                        (None, None) => unreachable!("only a fail-open operator has a breaker"),
                     };
                     span.rows_out += u64::from(passed);
                     span.rows_filtered += u64::from(!passed);
@@ -1288,7 +1311,8 @@ impl Executor<'_> {
     }
 
     /// The group-invocation loop shared by Reduce and Combine: one
-    /// resilient `call` per group, serially on the calling thread. Group
+    /// resilient `call` per group, serially on the calling thread, until
+    /// the first group whose call still fails after retries. Group
     /// UDFs are charged per input row; a retried group re-pays for each
     /// of its `size` rows. Input rows that reached no group (Combine's
     /// unmatched keys) count as filtered.
@@ -1303,7 +1327,7 @@ impl Executor<'_> {
         size: impl Fn(&G) -> usize,
         call: impl Fn(&G) -> Result<Vec<Row>>,
     ) -> Result<Finished> {
-        let mut span = OperatorSpan::new(self.tel.next_op_id(), op.clone(), rows_in);
+        let mut span = OperatorSpan::new(op.clone(), rows_in);
         let mut out = Rowset::empty(out_schema);
         let mut retried_rows: usize = 0;
         let mut extra_seconds = 0.0;
@@ -1315,15 +1339,8 @@ impl Executor<'_> {
                 break;
             }
             let n = size(group);
-            let outcome = self.session.invoke(&op, || call(group));
-            record_outcome(
-                self.tel,
-                &mut span,
-                None,
-                &outcome,
-                n as f64 * cost_per_row,
-                self.session.breaker_open(&op),
-            );
+            let outcome = self.resilience.probe(&op, || call(group));
+            record_outcome(self.tel, &mut span, None, &outcome, n as f64 * cost_per_row);
             retried_rows += outcome.attempts.saturating_sub(1) as usize * n;
             extra_seconds += outcome.extra_seconds;
             match outcome.result {
@@ -1351,21 +1368,14 @@ impl Executor<'_> {
 /// its input index), a group's for Reduce/Combine — into the operator's
 /// span and event stream. This is the only place recovery work is
 /// counted, and it runs on the calling thread in consume order, which is what
-/// the determinism contract rests on. `unit` is what one attempt costs;
-/// `breaker_open` is the breaker's state after the outcome was consumed.
+/// the determinism contract rests on. `unit` is what one attempt costs.
 fn record_outcome<T>(
     tel: &mut SpanCollector,
     span: &mut OperatorSpan,
     row: Option<u64>,
     outcome: &ProbeOutcome<T>,
     unit: f64,
-    breaker_open: bool,
 ) {
-    if outcome.attempts == 0 {
-        span.short_circuited += 1;
-        tel.push_event(&span.op, row, EventKind::ShortCircuit, 1);
-        return;
-    }
     span.attempts += u64::from(outcome.attempts);
     span.retries += outcome.retries;
     span.failures += outcome.failures;
@@ -1378,12 +1388,6 @@ fn record_outcome<T>(
     }
     span.latency
         .record(f64::from(outcome.attempts) * unit + outcome.extra_seconds);
-    // The breaker was closed when the calls were made (an open one
-    // short-circuits with no attempts) and only a terminal error opens
-    // it, so open now means this outcome tripped it.
-    if outcome.result.is_err() && breaker_open {
-        span.breaker_tripped = true;
-    }
 }
 
 /// Rejects non-finite floats in processor output (when
@@ -1507,32 +1511,33 @@ mod tests {
         Ok(c)
     }
 
-    /// Runs `plan` under a default session; the spans are the charges.
+    /// Runs `plan` under the default resilience policy; the spans are the
+    /// charges.
     fn run(plan: &LogicalPlan, cat: &Catalog) -> Result<(Rowset, Vec<OperatorSpan>)> {
         let mut tel = SpanCollector::detached();
-        let out = run_with(plan, cat, &mut ExecSession::default(), &mut tel)?;
+        let out = run_with(plan, cat, ResilienceConfig::default(), &mut tel)?;
         Ok((out, tel.spans().to_vec()))
     }
 
     fn run_with(
         plan: &LogicalPlan,
         cat: &Catalog,
-        session: &mut ExecSession,
+        resilience: ResilienceConfig,
         tel: &mut SpanCollector,
     ) -> Result<Rowset> {
-        run_opts(plan, cat, session, ExecOptions::default(), tel)
+        run_opts(plan, cat, resilience, ExecOptions::default(), tel)
     }
 
     fn run_opts(
         plan: &LogicalPlan,
         cat: &Catalog,
-        session: &mut ExecSession,
+        resilience: ResilienceConfig,
         opts: ExecOptions,
         tel: &mut SpanCollector,
     ) -> Result<Rowset> {
         Executor {
             catalog: cat,
-            session,
+            resilience,
             opts,
             tel,
             cancel: &CancelToken::new(),
@@ -1875,7 +1880,7 @@ mod tests {
             run_opts(
                 &LogicalPlan::scan("frames").filter(filter),
                 &cat,
-                &mut ExecSession::default(),
+                ResilienceConfig::default(),
                 ExecOptions::new(4, 2),
                 &mut tel,
             )
@@ -1960,7 +1965,7 @@ mod tests {
         let mut tel = SpanCollector::detached();
         let done = Executor {
             catalog: &Catalog::new(),
-            session: &mut ExecSession::default(),
+            resilience: ResilienceConfig::default(),
             opts: ExecOptions::new(1, 100),
             tel: &mut tel,
             cancel: &token,
@@ -2072,23 +2077,20 @@ mod tests {
             Err::<bool, _>(EngineError::Transient("model server down".into()))
         }));
         let plan = LogicalPlan::scan("frames").filter(dead);
-        let mut session = ExecSession::new(
-            ResilienceConfig::default()
-                .with_retry(RetryPolicy::none())
-                .with_breaker_threshold(3),
-        );
+        let resilience = ResilienceConfig::default()
+            .with_retry(RetryPolicy::none())
+            .with_breaker_threshold(3);
         let mut tel = SpanCollector::detached();
-        let out = run_with(&plan, &cat, &mut session, &mut tel)?;
+        let out = run_with(&plan, &cat, resilience, &mut tel)?;
         // Fail-open: every row passes despite the filter being dead.
         assert_eq!(out.len(), 10);
-        assert!(session.breaker_open("PP[dead]"));
         let pp = find_op(tel.spans(), "PP[dead]")?;
         // 3 real failures trip the breaker; the remaining 7 rows skip the
-        // call entirely.
+        // call entirely, each short-circuited and then failed open.
+        assert!(pp.breaker_tripped);
         assert_eq!(pp.attempts, 3);
         assert_eq!(pp.short_circuited, 7);
         assert_eq!(pp.failed_open, 10);
-        assert!(pp.breaker_tripped);
         // Only the 3 attempted calls are charged.
         assert!((pp.seconds - 0.3).abs() < 1e-9);
         Ok(())
@@ -2113,9 +2115,8 @@ mod tests {
         }
         let cat = catalog()?;
         let plan = LogicalPlan::scan("frames").filter(Arc::new(Gate));
-        let mut session =
-            ExecSession::new(ResilienceConfig::default().with_retry(RetryPolicy::none()));
-        let err = match run_with(&plan, &cat, &mut session, &mut SpanCollector::detached()) {
+        let resilience = ResilienceConfig::default().with_retry(RetryPolicy::none());
+        let err = match run_with(&plan, &cat, resilience, &mut SpanCollector::detached()) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
@@ -2134,7 +2135,7 @@ mod tests {
         ));
         let plan = LogicalPlan::scan("frames").process(broken);
         let mut tel = SpanCollector::detached();
-        let err = match run_with(&plan, &cat, &mut ExecSession::default(), &mut tel) {
+        let err = match run_with(&plan, &cat, ResilienceConfig::default(), &mut tel) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
@@ -2145,6 +2146,35 @@ mod tests {
         // The failed attempts were still charged.
         let p = find_op(tel.spans(), "Process[Broken]")?;
         assert!(p.seconds > 0.0);
+        Ok(())
+    }
+
+    /// A processor stops at its first terminal failure, so it has no
+    /// breaker to trip, even at a threshold of one failure: the error
+    /// comes back and no trip is reported anywhere.
+    #[test]
+    fn a_failed_processor_trips_nothing_at_breaker_threshold_1() -> Result<()> {
+        let cat = catalog()?;
+        let broken = Arc::new(ClosureProcessor::map(
+            "Broken",
+            vec![Column::new("y", DataType::Int)],
+            1.0,
+            |_, _, _| Err(EngineError::PoisonedRow("bad frame".into())),
+        ));
+        let plan = LogicalPlan::scan("frames").process(broken);
+        let mut ctx = crate::exec::ExecutionContext::builder(&cat)
+            .with_resilience(ResilienceConfig::default().with_breaker_threshold(1))
+            .build();
+        assert!(matches!(ctx.run(&plan), Err(EngineError::PoisonedRow(_))));
+        let snapshot = ctx.telemetry().expect("a snapshot after a failed run");
+        let p = snapshot.span("Process[Broken]").expect("the processor ran");
+        assert_eq!((p.attempts, p.failures), (1, 1));
+        assert!(!p.breaker_tripped);
+        assert!(snapshot
+            .events
+            .iter()
+            .all(|e| e.kind != EventKind::BreakerOpened));
+        assert_eq!(ctx.registry().counter("breaker_trips_total").get(), 0);
         Ok(())
     }
 
@@ -2180,7 +2210,7 @@ mod tests {
         ];
         let plan = LogicalPlan::scan("frames").process(Arc::new(Short(columns)));
         let mut tel = SpanCollector::detached();
-        match run_with(&plan, &cat, &mut ExecSession::default(), &mut tel) {
+        match run_with(&plan, &cat, ResilienceConfig::default(), &mut tel) {
             Err(EngineError::Udf(m)) => {
                 assert_eq!(m, "Short: produced 1 cells, declared 2 output columns")
             }
@@ -2246,18 +2276,16 @@ mod tests {
         let (out, _) = run(&plan, &cat)?;
         assert_eq!(out.len(), 10);
         // With validation it is a (retryable, here always-failing) error.
-        let mut session = ExecSession::new(
-            ResilienceConfig::default()
-                .with_validate_outputs(true)
-                .with_retry(RetryPolicy::none()),
-        );
-        let result = run_with(&plan, &cat, &mut session, &mut SpanCollector::detached());
+        let resilience = ResilienceConfig::default()
+            .with_validate_outputs(true)
+            .with_retry(RetryPolicy::none());
+        let result = run_with(&plan, &cat, resilience, &mut SpanCollector::detached());
         assert!(matches!(result, Err(EngineError::CorruptOutput(_))));
         Ok(())
     }
 
     #[test]
-    fn default_session_matches_seed_charging() -> Result<()> {
+    fn default_resilience_matches_seed_charging() -> Result<()> {
         // The resilient executor must be charge-identical to the classic
         // one on a fault-free plan.
         let cat = catalog()?;

@@ -1,5 +1,6 @@
 //! The fault-tolerant UDF execution layer: bounded retries with exponential
-//! backoff, per-call timeout budgets, and per-operator circuit breakers.
+//! backoff, per-call timeout budgets, and a circuit breaker for each
+//! fail-open filter.
 //!
 //! Production big-data stacks (the paper's prototype runs inside Cosmos)
 //! assume UDFs fail: tasks are retried, stragglers are cancelled, and
@@ -9,66 +10,23 @@
 //! backoff and stalled calls add simulated seconds — so the cost meter
 //! stays an honest account of what a cluster would have spent.
 //!
-//! The session lives for one run and remembers only what recovery needs
-//! from one call to the next: the config, each operator's circuit
-//! breaker, and the operators whose breakers opened, in order. A PP that
-//! keeps failing across queries is the runtime monitor's to quarantine,
-//! not a breaker's to remember. What a call *cost* — attempts, retries,
-//! failures, timeouts, overhead — travels in the [`ProbeOutcome`] that
-//! [`OpFold::consume`] hands back, and the executor counts it once, into
-//! the operator's [`OperatorSpan`](crate::telemetry::OperatorSpan).
+//! [`ResilienceConfig::probe`] runs one call's retry loop and touches no
+//! state: what the call *cost* — attempts, retries, failures, timeouts,
+//! overhead — travels in the [`ProbeOutcome`] it returns, and the executor
+//! counts it once, into the operator's
+//! [`OperatorSpan`](crate::telemetry::OperatorSpan).
 //!
 //! The key safety property lives one level up, in the executor: a
 //! [`RowFilter`](crate::udf::RowFilter) that keeps failing *fails open*
 //! (rows pass unfiltered). A probabilistic predicate is an optimization,
 //! never a correctness gate, so degrading one loses data reduction but can
-//! never introduce false negatives beyond the accuracy target.
-
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+//! never introduce false negatives beyond the accuracy target. Such a
+//! filter is the only operator that outlives a terminal failure, so it is
+//! the only one with a circuit breaker (`Breaker`), which lives for one
+//! run of that one operator. A PP that keeps failing across queries is the
+//! runtime monitor's to quarantine, not a breaker's to remember.
 
 use crate::{EngineError, Result};
-
-/// A multiply-rotate string hasher (the rustc/Firefox "Fx" construction)
-/// for the session's per-operator maps.
-///
-/// Operator names are short, trusted strings looked up several times per
-/// consumed row, which made SipHash the single largest line item in the
-/// serial consume fold. The keys come from the plan, not from user data,
-/// so HashDoS hardening buys nothing here. Iteration order is never
-/// observed, so the hasher only affects speed.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let (words, tail) = bytes.as_chunks::<8>();
-        for w in words {
-            let word = u64::from_le_bytes(*w);
-            self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-        }
-        for &b in tail {
-            self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, b: u8) {
-        self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Simulated seconds charged before the first retry.
 const BACKOFF_BASE_SECS: f64 = 0.05;
@@ -103,7 +61,7 @@ impl RetryPolicy {
     }
 }
 
-/// Tunable knobs for the execution session.
+/// Tunable knobs for the executor's recovery from failed UDF calls.
 ///
 /// The defaults are deliberately conservative: on a fault-free run they
 /// reproduce the non-resilient executor's behavior and charges exactly.
@@ -114,8 +72,9 @@ pub struct ResilienceConfig {
     /// Per-call stall budget: a timed-out call is charged
     /// `min(stalled_seconds, udf_timeout_secs)` before being cancelled.
     pub udf_timeout_secs: f64,
-    /// Consecutive exhausted failures before an operator's circuit breaker
-    /// opens (0 disables breaking).
+    /// Consecutive terminal failures of a fail-open filter before its
+    /// circuit breaker opens (0 disables breaking). Any other operator
+    /// stops at its first terminal failure and has no breaker.
     pub breaker_threshold: u32,
     /// Whether processor outputs are checked for non-finite floats (NaN /
     /// ±∞), turning silent corruption into a retryable
@@ -159,12 +118,10 @@ impl ResilienceConfig {
         self
     }
 
-    /// Runs the full retry loop for one UDF call *without* touching any
-    /// session state — no circuit breakers. This is the
-    /// worker-thread half of the resilient invocation: the partitioned
-    /// executor probes rows in parallel, then folds the outcomes into the
-    /// session sequentially via [`OpFold::consume`] so breaker
-    /// evolution and charges match serial execution exactly.
+    /// Runs the full retry loop for one UDF call. It touches no state, so
+    /// the executor probes rows on any worker thread and then folds the
+    /// outcomes on the calling thread, in row order, so breaker evolution
+    /// and charges match serial execution exactly.
     ///
     /// Every attempt runs with the fault layer's attempt ordinal set to
     /// `attempt − 1`, so injected faults key off `(seed, row, attempt)`
@@ -249,22 +206,19 @@ impl ResilienceConfig {
     }
 }
 
-/// The session-independent outcome of one UDF retry loop, produced by
-/// [`ResilienceConfig::probe`] / [`ResilienceConfig::resume_probe`].
-///
-/// A probe is safe to compute on any worker thread; it is folded into the
-/// owning [`ExecSession`]'s breaker — in deterministic row order — by
-/// [`OpFold::consume`], which hands back the outcome the caller charges:
-/// the probe itself, or a zero-attempt [`EngineError::BreakerOpen`] when
-/// the breaker was open and the calls must count as never made.
+/// The outcome of one UDF retry loop, produced by
+/// [`ResilienceConfig::probe`] / [`ResilienceConfig::resume_probe`]: what
+/// the caller charges. A probe is safe to compute on any worker thread.
+/// If a fail-open filter's breaker is open by the time its row is
+/// consumed, the executor discards the probe, because a serial run would
+/// never have made those calls.
 #[derive(Debug)]
 pub struct ProbeOutcome<T> {
     /// The terminal result (already wrapped in
     /// [`EngineError::RetriesExhausted`] when more than one attempt was
     /// made and all failed).
     pub result: Result<T>,
-    /// UDF executions performed (first call + retries; 0 when the breaker
-    /// short-circuited the call).
+    /// UDF executions performed (first call + retries).
     pub attempts: u32,
     /// Attempts that returned an error.
     pub failures: u64,
@@ -276,163 +230,58 @@ pub struct ProbeOutcome<T> {
     pub extra_seconds: f64,
 }
 
-#[derive(Debug, Default)]
-struct BreakerState {
-    consecutive_failures: u32,
-    open: bool,
-}
-
-/// A stateful execution session: owns the config and the per-operator
-/// circuit breakers. Each
-/// [`ExecutionContext::run`](crate::exec::ExecutionContext::run) builds
-/// its own, so every run starts with closed breakers.
-#[derive(Debug, Default)]
-pub struct ExecSession {
-    config: ResilienceConfig,
-    breakers: HashMap<String, BreakerState, FxBuild>,
-    opened: Vec<String>,
-}
-
-impl ExecSession {
-    /// A session with the given configuration.
-    pub fn new(config: ResilienceConfig) -> Self {
-        ExecSession {
-            config,
-            ..Default::default()
-        }
-    }
-
-    /// The session's configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.config
-    }
-
-    /// Whether `op`'s circuit breaker is currently open.
-    pub fn breaker_open(&self, op: &str) -> bool {
-        self.breakers.get(op).is_some_and(|b| b.open)
-    }
-
-    /// The operators whose breakers opened, in the order they opened
-    /// (deterministic: a breaker only opens in the serial consume phase).
-    pub fn opened(&self) -> &[String] {
-        &self.opened
-    }
-
-    /// A consume cursor for one operator: resolves the operator's breaker
-    /// once (one lookup through the map entry), so a consume loop folding
-    /// thousands of rows for the same operator does no per-row map
-    /// lookups at all. Dropping the fold releases the session; state
-    /// changes are visible immediately (the fold borrows, it does not
-    /// copy).
-    pub fn op_fold<'a>(&'a mut self, op: &'a str) -> OpFold<'a> {
-        let breaker = match self.breakers.entry(op.to_string()) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => entry.insert(BreakerState::default()),
-        };
-        OpFold {
-            op,
-            threshold: self.config.breaker_threshold,
-            breaker,
-            opened: &mut self.opened,
-        }
-    }
-
-    /// Runs one UDF call under the session's retry / timeout / breaker
-    /// policy. The caller charges `attempts × cost_per_row +
-    /// extra_seconds` and decides how to handle a terminal error
-    /// (processors propagate, filters may fail open).
-    pub fn invoke<T>(&mut self, op: &str, call: impl FnMut() -> Result<T>) -> ProbeOutcome<T> {
-        let config = self.config;
-        let mut fold = self.op_fold(op);
-        if fold.breaker_open() {
-            return fold.short_circuit();
-        }
-        fold.consume(Err(config.probe(op, call)))
-    }
-}
-
-/// A borrowed per-operator view into an [`ExecSession`], produced by
-/// [`ExecSession::op_fold`]. All reads and writes go straight to the
-/// session's breaker; the value of the handle is that the entry is
-/// resolved once per operator instead of once per consumed row.
-pub struct OpFold<'a> {
-    op: &'a str,
-    threshold: u32,
-    breaker: &'a mut BreakerState,
-    opened: &'a mut Vec<String>,
-}
-
-impl OpFold<'_> {
-    /// Whether this operator's circuit breaker is currently open.
-    pub fn breaker_open(&self) -> bool {
-        self.breaker.open
-    }
-
-    /// Folds any number (≥ 1) of clean first attempts — one call each,
-    /// none failed — in one step: what that many
-    /// [`consume`](Self::consume)s of `Ok` values leave behind. Only valid
-    /// while the breaker is closed.
-    pub fn consume_clean(&mut self) {
-        debug_assert!(!self.breaker.open);
-        self.breaker.consecutive_failures = 0;
-    }
-
-    fn short_circuit<T>(&self) -> ProbeOutcome<T> {
+impl<T> ProbeOutcome<T> {
+    /// A first attempt that succeeded: one call, no overhead.
+    pub(crate) fn first(value: T) -> Self {
         ProbeOutcome {
-            result: Err(EngineError::BreakerOpen {
-                op: self.op.to_string(),
-            }),
-            attempts: 0,
+            result: Ok(value),
+            attempts: 1,
             failures: 0,
             retries: 0,
             timeouts: 0,
             extra_seconds: 0.0,
         }
     }
+}
 
-    /// Folds one row into the session — its first attempt's value, or the
-    /// worker-side [`ProbeOutcome`] of its retry loop if that attempt
-    /// failed — and returns the outcome to charge: breaker check and
-    /// breaker evolution, exactly as if the calls had been made inline
-    /// via [`ExecSession::invoke`].
-    ///
-    /// If the breaker is open when the row is consumed, its outcome is
-    /// *discarded* and a zero-attempt [`EngineError::BreakerOpen`]
-    /// short-circuit is returned in its place, because a serial executor
-    /// would never have made those calls. This is what keeps parallel
-    /// charges byte-identical to serial ones.
-    pub fn consume<T>(
-        &mut self,
-        first: std::result::Result<T, ProbeOutcome<T>>,
-    ) -> ProbeOutcome<T> {
-        if self.breaker.open {
-            return self.short_circuit();
+/// A fail-open filter's circuit breaker for one run: it opens at
+/// `threshold` consecutive terminal failures (never, at 0) and stays
+/// open, and while it is open the filter's rows pass uncalled.
+#[derive(Debug)]
+pub(crate) struct Breaker {
+    threshold: u32,
+    consecutive_failures: u32,
+    open: bool,
+}
+
+impl Breaker {
+    /// A closed breaker that opens at `threshold` failures in a row.
+    pub(crate) fn new(threshold: u32) -> Self {
+        Breaker {
+            threshold,
+            consecutive_failures: 0,
+            open: false,
         }
-        let probe = match first {
-            Ok(value) => {
-                self.consume_clean();
-                return ProbeOutcome {
-                    result: Ok(value),
-                    attempts: 1,
-                    failures: 0,
-                    retries: 0,
-                    timeouts: 0,
-                    extra_seconds: 0.0,
-                };
-            }
-            Err(probe) => probe,
-        };
-        if probe.result.is_ok() {
-            self.breaker.consecutive_failures = 0;
-        } else {
-            // Terminal failure: count toward the breaker.
-            self.breaker.consecutive_failures += 1;
-            if self.threshold > 0 && self.breaker.consecutive_failures >= self.threshold {
-                self.breaker.open = true;
-                self.opened.push(self.op.to_string());
-            }
+    }
+
+    /// Whether the breaker is open.
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Folds one called row's terminal outcome (`ok`: it produced a
+    /// value) — or any number of successes in a row, which leave what
+    /// one does — and says whether this failure opened the breaker.
+    /// Only valid while the breaker is closed.
+    pub(crate) fn record(&mut self, ok: bool) -> bool {
+        debug_assert!(!self.open);
+        if ok {
+            self.consecutive_failures = 0;
+            return false;
         }
-        probe
+        self.consecutive_failures += 1;
+        self.open = self.threshold > 0 && self.consecutive_failures >= self.threshold;
+        self.open
     }
 }
 
@@ -454,8 +303,7 @@ mod tests {
 
     #[test]
     fn success_needs_one_attempt_and_no_overhead() {
-        let mut s = ExecSession::default();
-        let inv = s.invoke("op", || Ok::<_, EngineError>(42));
+        let inv = ResilienceConfig::default().probe("op", || Ok::<_, EngineError>(42));
         assert_eq!(inv.attempts, 1);
         assert_eq!(inv.extra_seconds, 0.0);
         assert!(matches!(inv.result, Ok(42)));
@@ -464,8 +312,7 @@ mod tests {
 
     #[test]
     fn transient_failures_retry_with_growing_backoff() {
-        let mut s = ExecSession::default();
-        let inv = s.invoke("op", flaky(2));
+        let inv = ResilienceConfig::default().probe("op", flaky(2));
         assert!(matches!(inv.result, Ok(3)));
         assert_eq!(inv.attempts, 3);
         // 0.05 + 0.10 of backoff.
@@ -476,8 +323,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_wrap_the_last_error() {
-        let mut s = ExecSession::default();
-        let inv = s.invoke("op", flaky(10));
+        let inv = ResilienceConfig::default().probe("op", flaky(10));
         assert_eq!(inv.attempts, 4); // 1 + max_retries(3)
         match inv.result {
             Err(EngineError::RetriesExhausted { op, attempts, last }) => {
@@ -491,8 +337,7 @@ mod tests {
 
     #[test]
     fn poison_is_not_retried() {
-        let mut s = ExecSession::default();
-        let inv = s.invoke("op", || {
+        let inv = ResilienceConfig::default().probe("op", || {
             Err::<u32, _>(EngineError::PoisonedRow("row 7".into()))
         });
         assert_eq!(inv.attempts, 1);
@@ -501,12 +346,10 @@ mod tests {
 
     #[test]
     fn timeouts_charge_at_most_the_budget() {
-        let mut s = ExecSession::new(
-            ResilienceConfig::default()
-                .with_udf_timeout_secs(1.0)
-                .with_retry(RetryPolicy::none()),
-        );
-        let inv = s.invoke("op", || {
+        let config = ResilienceConfig::default()
+            .with_udf_timeout_secs(1.0)
+            .with_retry(RetryPolicy::none());
+        let inv = config.probe("op", || {
             Err::<u32, _>(EngineError::Timeout {
                 op: "op".into(),
                 stalled_seconds: 50.0,
@@ -517,56 +360,37 @@ mod tests {
     }
 
     #[test]
-    fn breaker_opens_after_threshold_and_short_circuits() {
-        let mut s = ExecSession::new(
-            ResilienceConfig::default()
-                .with_breaker_threshold(3)
-                .with_retry(RetryPolicy::none()),
-        );
-        for _ in 0..3 {
-            let inv = s.invoke("op", || {
-                Err::<u32, _>(EngineError::Transient("down".into()))
-            });
-            assert_eq!(inv.attempts, 1);
-        }
-        assert!(s.breaker_open("op"));
-        let inv = s.invoke("op", || Ok::<_, EngineError>(1));
-        assert_eq!(inv.attempts, 0);
-        assert!(matches!(inv.result, Err(EngineError::BreakerOpen { .. })));
-        // The short-circuit charges nothing, and the trip was logged once.
-        assert_eq!((inv.failures, inv.extra_seconds), (0, 0.0));
-        assert_eq!(s.opened(), ["op"]);
+    fn breaker_opens_at_the_threshold_and_says_so_once() {
+        let config = ResilienceConfig::default().with_retry(RetryPolicy::none());
+        let mut breaker = Breaker::new(3);
+        let tripped: Vec<bool> = (0..3)
+            .map(|_| {
+                let down = || Err::<u32, _>(EngineError::Transient("down".into()));
+                breaker.record(config.probe("op", down).result.is_ok())
+            })
+            .collect();
+        // Only the failure that reached the threshold opened it.
+        assert_eq!(tripped, [false, false, true]);
+        assert!(breaker.is_open());
     }
 
     #[test]
     fn success_resets_the_consecutive_failure_count() {
-        let mut s = ExecSession::new(
-            ResilienceConfig::default()
-                .with_breaker_threshold(3)
-                .with_retry(RetryPolicy::none()),
-        );
-        for round in 0..4 {
-            let _ = s.invoke("op", || Err::<u32, _>(EngineError::Transient("x".into())));
-            let _ = s.invoke("op", || Ok::<_, EngineError>(round));
+        let mut breaker = Breaker::new(3);
+        for _ in 0..4 {
+            assert!(!breaker.record(false));
+            assert!(!breaker.record(true));
         }
         // Failures never run consecutively, so the breaker stays closed.
-        assert!(!s.breaker_open("op"));
+        assert!(!breaker.is_open());
     }
 
     #[test]
-    fn breakers_are_logged_once_in_the_order_they_open() {
-        let mut s = ExecSession::new(
-            ResilienceConfig::default()
-                .with_breaker_threshold(2)
-                .with_retry(RetryPolicy::none()),
-        );
-        for op in ["b", "a"] {
-            for _ in 0..2 {
-                let _ = s.invoke(op, || Err::<u32, _>(EngineError::Transient("x".into())));
-            }
+    fn a_zero_threshold_never_opens() {
+        let mut breaker = Breaker::new(0);
+        for _ in 0..100 {
+            assert!(!breaker.record(false));
         }
-        // Short-circuited calls must not re-log the opening.
-        let _ = s.invoke("b", || Ok::<_, EngineError>(1));
-        assert_eq!(s.opened(), ["b", "a"]);
+        assert!(!breaker.is_open());
     }
 }

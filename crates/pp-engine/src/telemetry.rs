@@ -423,7 +423,8 @@ pub enum EventKind {
     FailOpen,
     /// A call was skipped because the operator's breaker was open.
     ShortCircuit,
-    /// The operator's circuit breaker transitioned to open.
+    /// A fail-open filter's circuit breaker opened. A run pushes one per
+    /// tripped span, in span order, after every operator's events.
     BreakerOpened,
     /// The query's cancellation token fired and the operator stopped at
     /// a batch/group boundary.
@@ -500,7 +501,8 @@ pub struct OperatorSpan {
     pub failed_open: u64,
     /// Calls skipped because the breaker was open.
     pub short_circuited: u64,
-    /// Whether the operator's breaker tripped during this span.
+    /// Whether the operator's circuit breaker tripped during this span
+    /// (only a fail-open filter has one).
     pub breaker_tripped: bool,
     /// Simulated cluster seconds charged (matches the cost meter).
     pub seconds: f64,
@@ -513,9 +515,11 @@ pub struct OperatorSpan {
 }
 
 impl OperatorSpan {
-    pub(crate) fn new(op_id: u32, op: impl Into<String>, rows_in: usize) -> Self {
+    /// A span with nothing counted yet. Its id is assigned when the
+    /// executor pushes it, so it is the span's place in charge order.
+    pub(crate) fn new(op: impl Into<String>, rows_in: usize) -> Self {
         OperatorSpan {
-            op_id: OperatorId(op_id),
+            op_id: OperatorId(0),
             op: op.into(),
             rows_in: rows_in as u64,
             rows_out: 0,
@@ -1050,7 +1054,7 @@ mod tests {
 
     #[test]
     fn span_conservation_and_reduction() {
-        let mut s = OperatorSpan::new(0, "PP[x]", 100);
+        let mut s = OperatorSpan::new("PP[x]", 100);
         s.rows_out = 40;
         s.rows_filtered = 60;
         s.rows_emitted = 40;
@@ -1062,13 +1066,13 @@ mod tests {
         assert!(s.check_conservation());
         assert_eq!(s.rows_failed, 50);
         // Empty input: reduction defined as 0.
-        assert_eq!(OperatorSpan::new(0, "e", 0).reduction(), 0.0);
+        assert_eq!(OperatorSpan::new("e", 0).reduction(), 0.0);
     }
 
     #[test]
     fn snapshot_json_is_stable_and_escaped() {
         let mut collector = SpanCollector::detached();
-        let mut span = OperatorSpan::new(0, "PP[\"quoted\"]", 10);
+        let mut span = OperatorSpan::new("PP[\"quoted\"]", 10);
         span.rows_out = 10;
         span.rows_emitted = 10;
         span.latency.record_n(1e-6, 10);
@@ -1105,7 +1109,7 @@ mod tests {
             999,
         );
         snap.spans.push({
-            let mut s = OperatorSpan::new(0, "Scan[t]", 1);
+            let mut s = OperatorSpan::new("Scan[t]", 1);
             s.wall_nanos = 17;
             s
         });

@@ -16,8 +16,8 @@
 //!    result-row count). No replay work happens here.
 //! 2. **Replay** (`run_pass`, called from the maintenance pass, off
 //!    the hot path): for each task, the base table's rows are re-scored
-//!    through the PP filters the cached plan carries
-//!    ([`CachedPlan::pp_filters`]) to find the dropped set, a
+//!    through the PP filter the cached plan carries
+//!    ([`CachedPlan::pp_filter`]) to find the dropped set, a
 //!    deterministic seeded per-`(query, row)` coin samples a configured
 //!    fraction of them, and the sampled blobs are replayed through the
 //!    source's *ground-truth* UDF pipeline (memoized per table for the
@@ -417,10 +417,9 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         }) else {
             continue;
         };
-        let filters = &task.plan.pp_filters;
-        if filters.is_empty() {
+        let Some(filter) = &task.plan.pp_filter else {
             continue;
-        }
+        };
         let base_schema = table.schema().clone();
         let used = task.plan.predicate.columns();
         let processors: Vec<Arc<dyn Processor>> = spec
@@ -438,9 +437,7 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         for (idx, row) in table.rows().iter().enumerate() {
             // A PP filter error fails open in the engine (the row passes),
             // so it is not a drop here either.
-            let dropped = filters
-                .iter()
-                .any(|f| matches!(f.passes(row, &base_schema), Ok(false)));
+            let dropped = matches!(filter.passes(row, &base_schema), Ok(false));
             if !dropped {
                 continue;
             }

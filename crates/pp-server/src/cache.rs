@@ -84,7 +84,7 @@ impl CacheKey {
 }
 
 /// One memoized optimizer output: the executable plan, its report and
-/// its PP filters, and the inputs needed to *re*-optimize it (the
+/// its PP filter, and the inputs needed to *re*-optimize it (the
 /// maintenance pass rebuilds from these when
 /// [`RuntimeMonitor::stale`](pp_core::runtime::RuntimeMonitor::stale)
 /// holds for the report).
@@ -94,10 +94,10 @@ pub struct CachedPlan {
     pub plan: LogicalPlan,
     /// What the optimizer considered and chose.
     pub report: Arc<PlanReport>,
-    /// The PP filters injected into `plan` (the optimizer's
-    /// [`pp_filters`](pp_core::planner::OptimizedQuery::pp_filters)); the
-    /// accuracy auditor replays dropped rows through these.
-    pub pp_filters: Vec<Arc<PpExprFilter>>,
+    /// The PP filter injected into `plan`, if any (the optimizer's
+    /// [`pp_filter`](pp_core::planner::OptimizedQuery::pp_filter)); the
+    /// accuracy auditor replays dropped rows through it.
+    pub pp_filter: Option<Arc<PpExprFilter>>,
     /// The original (un-canonicalized) predicate the plan answers.
     pub predicate: Predicate,
     /// The exact accuracy target the plan was optimized for.
@@ -502,7 +502,7 @@ mod tests {
         CachedPlan {
             plan: LogicalPlan::scan("t"),
             report: Arc::new(PlanReport::default()),
-            pp_filters: Vec::new(),
+            pp_filter: None,
             predicate: Predicate::True,
             accuracy_target: 0.95,
         }
@@ -662,7 +662,7 @@ mod tests {
                 }],
                 ..Default::default()
             }),
-            pp_filters: Vec::new(),
+            pp_filter: None,
             predicate: Predicate::True,
             accuracy_target: 0.95,
         }

@@ -159,7 +159,7 @@ impl ServerInner {
         Ok(CachedPlan {
             plan: optimized.plan,
             report: Arc::new(optimized.report),
-            pp_filters: optimized.pp_filters,
+            pp_filter: optimized.pp_filter,
             predicate: predicate.clone(),
             accuracy_target,
         })

@@ -268,8 +268,9 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         /// its rows were short-circuited, and the next run, starting with
         /// a closed breaker, did the same.
         TripThenShortCircuit,
-        /// Every run ended in an error at the row that tripped the breaker.
-        TripThenError,
+        /// Every run ended in an error at its first failed row, and nothing
+        /// tripped: an operator that stops there has no breaker.
+        ErrorAtFirstFailure,
     }
     let sparse = FaultSpec::transient(0.03);
     let trip = FaultSpec::transient(0.15);
@@ -301,14 +302,15 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         ),
         (
             // The same with fatal filter errors: each run ends at its
-            // first failed row, which trips the breaker.
-            "breaker trip, fail-closed",
+            // first failed row, which trips nothing, even at a breaker
+            // threshold of 1.
+            "fail-closed",
             &fail_closed_pp_plan,
             pp_op,
             trip,
             brittle.with_breaker_threshold(1),
             2,
-            Expect::TripThenError,
+            Expect::ErrorAtFirstFailure,
         ),
         (
             // (c) a 1 : n processor (0, 1 or 2 output rows per input row).
@@ -379,12 +381,18 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
                     .iter()
                     .all(|(rows, charges, _)| (rows, charges) == (&base[0].0, &base[0].1)));
             }
-            Expect::TripThenError => {
+            Expect::ErrorAtFirstFailure => {
                 assert!(
-                    ops.iter().all(|s| s.breaker_tripped) && short_circuited == 0,
+                    ops.iter().all(|s| !s.breaker_tripped && s.failed_open == 0)
+                        && short_circuited == 0,
                     "{label}: {ops:?}"
                 );
+                assert!(ops.iter().all(|s| s.failures == 1), "{label}: {ops:?}");
                 assert!(base.iter().all(|(rows, ..)| rows.starts_with("error")));
+                assert!(base
+                    .iter()
+                    .flat_map(|(.., snap)| &snap.events)
+                    .all(|e| e.kind != EventKind::BreakerOpened));
             }
         }
 
@@ -647,7 +655,7 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
         let optimized =
             f.qo.optimize(&q.nop_plan(&f.dataset), &f.catalog)
                 .expect("optimize");
-        let [filter] = &optimized.pp_filters[..] else {
+        let Some(filter) = &optimized.pp_filter else {
             continue;
         };
         let planned = filter.planned();

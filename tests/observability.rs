@@ -281,6 +281,37 @@ fn breaker_open_rows_fail_open_and_are_fully_accounted() {
         assert!(snap.conservation_violations().is_empty());
     }
     assert_eq!(ctx.registry().counter("breaker_trips_total").get(), 2);
+
+    // Two fail-open filters that both trip: each has its own breaker, and
+    // the two openings follow every operator's events, in span order.
+    let dead = |name: &str| {
+        Arc::new(ClosureFilter::new(name, 0.01, |_, _| {
+            Err(EngineError::Transient("dead model".into()))
+        }))
+    };
+    let plan = LogicalPlan::scan("t")
+        .filter(dead("PP[dead b]"))
+        .filter(dead("PP[dead a]"));
+    assert_eq!(ctx.run(&plan).expect("both fail open").len(), 64);
+    let snap = ctx.telemetry().expect("snapshot");
+    let tripped: Vec<&str> = snap
+        .spans
+        .iter()
+        .filter(|s| s.breaker_tripped)
+        .map(|s| s.op.as_str())
+        .collect();
+    assert_eq!(tripped, ["PP[dead b]", "PP[dead a]"]);
+    let (operators, openings) = snap.events.split_at(snap.events.len() - 2);
+    assert!(operators.iter().all(|e| e.kind != EventKind::BreakerOpened));
+    let opened: Vec<(&str, EventKind)> = openings.iter().map(|e| (e.op.as_str(), e.kind)).collect();
+    assert_eq!(
+        opened,
+        [
+            ("PP[dead b]", EventKind::BreakerOpened),
+            ("PP[dead a]", EventKind::BreakerOpened)
+        ]
+    );
+    assert_eq!(ctx.registry().counter("breaker_trips_total").get(), 4);
 }
 
 #[test]
