@@ -30,6 +30,7 @@ use std::io::Write;
 use pp_bench::setup::{traffic_setup, Flags};
 use pp_data::traf20::traf20_queries;
 use pp_engine::json::JsonWriter;
+use pp_server::audit::MIN_REPLAYS;
 use pp_server::{AuditConfig, PpServer, QueryRequest, ServerConfig};
 
 fn main() -> pp_bench::Result<()> {
@@ -49,9 +50,7 @@ fn main() -> pp_bench::Result<()> {
         // Replay every dropped blob: a smoke run wants the tightest bound
         // the evidence can support, not a sampled estimate.
         sample_fraction: 1.0,
-        ..AuditConfig::default()
     };
-    let min_replays = audit.min_replays;
     let mut server = PpServer::new(
         ServerConfig {
             workers: 2,
@@ -143,7 +142,7 @@ fn main() -> pp_bench::Result<()> {
         min_achieved = min_achieved.min(e.achieved_accuracy_lower_bound);
         // Only sufficiently-sampled expressions carry a meaningful bound —
         // the same evidence threshold the auditor's verdict phase uses.
-        if e.sampled >= min_replays && e.achieved_accuracy_lower_bound < e.promised_accuracy {
+        if e.sampled >= MIN_REPLAYS && e.achieved_accuracy_lower_bound < e.promised_accuracy {
             undercuts += 1;
         }
     }

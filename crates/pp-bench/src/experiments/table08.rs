@@ -45,10 +45,7 @@ fn run() -> Result<Report> {
             .build();
         let mut latency = |plan: &LogicalPlan| -> Result<f64> {
             ctx.run(plan)?;
-            Ok(ctx
-                .metrics()
-                .ok_or("no metrics after a run")?
-                .latency_seconds)
+            Ok(ctx.meter().latency_seconds())
         };
         for q in &queries {
             let nop_plan = q.nop_plan(&setup.dataset);

@@ -79,41 +79,12 @@ impl CostMeter {
         self.entries.iter().map(|e| e.seconds).sum()
     }
 
-    /// Summarizes into query metrics under the latency model.
-    pub fn metrics(&self) -> QueryMetrics {
-        let cluster_seconds = self.cluster_seconds();
-        let latency_seconds = self
-            .entries
+    /// Modeled end-to-end latency: each operator stage contributes
+    /// `seconds /` [`DEGREE_OF_PARALLELISM`] plus [`STAGE_OVERHEAD_S`].
+    pub fn latency_seconds(&self) -> f64 {
+        self.entries
             .iter()
             .map(|e| e.seconds / DEGREE_OF_PARALLELISM + STAGE_OVERHEAD_S)
-            .sum();
-        QueryMetrics {
-            cluster_seconds,
-            latency_seconds,
-            operators: self.entries.clone(),
-        }
-    }
-}
-
-/// Final metrics for one query execution.
-#[derive(Debug, Clone)]
-pub struct QueryMetrics {
-    /// Total simulated cluster resource usage in seconds.
-    pub cluster_seconds: f64,
-    /// Modeled end-to-end latency in seconds.
-    pub latency_seconds: f64,
-    /// Per-operator breakdown.
-    pub operators: Vec<OpStats>,
-}
-
-impl QueryMetrics {
-    /// Seconds charged by operators whose name matches a prefix (e.g. all
-    /// `PP[` filters).
-    pub fn seconds_for_prefix(&self, prefix: &str) -> f64 {
-        self.operators
-            .iter()
-            .filter(|o| o.op.starts_with(prefix))
-            .map(|o| o.seconds)
             .sum()
     }
 }
@@ -138,22 +109,11 @@ mod tests {
         let mut two_stages = CostMeter::new();
         two_stages.charge("A", 10, 10, 80.0);
         two_stages.charge("B", 10, 10, 80.0);
-        let m1 = one_stage.metrics();
-        let m2 = two_stages.metrics();
-        assert_eq!(m1.cluster_seconds, m2.cluster_seconds);
-        assert!(m2.latency_seconds > m1.latency_seconds);
+        assert_eq!(one_stage.cluster_seconds(), two_stages.cluster_seconds());
+        let (l1, l2) = (one_stage.latency_seconds(), two_stages.latency_seconds());
+        assert!(l2 > l1);
         let spread = 160.0 / DEGREE_OF_PARALLELISM;
-        assert!((m1.latency_seconds - (spread + STAGE_OVERHEAD_S)).abs() < 1e-12);
-        assert!((m2.latency_seconds - (spread + 2.0 * STAGE_OVERHEAD_S)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefix_filtering() {
-        let mut m = CostMeter::new();
-        m.charge("PP[t = SUV]", 100, 40, 0.2);
-        m.charge("PP[c = red]", 40, 10, 0.1);
-        m.charge("Process[F1]", 10, 10, 5.0);
-        let metrics = m.metrics();
-        assert!((metrics.seconds_for_prefix("PP[") - 0.3).abs() < 1e-12);
+        assert!((l1 - (spread + STAGE_OVERHEAD_S)).abs() < 1e-12);
+        assert!((l2 - (spread + 2.0 * STAGE_OVERHEAD_S)).abs() < 1e-12);
     }
 }

@@ -1,7 +1,6 @@
 //! The unified execution API: [`ExecutionContext`] bundles everything a
-//! query run needs — catalog, resilience policy, optional
-//! fault injection, and parallelism — behind one builder. It is the only
-//! way to execute a plan.
+//! query run needs — catalog, optional fault injection, and parallelism —
+//! behind one builder. It is the only way to execute a plan.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -19,14 +18,14 @@
 //! let mut ctx = ExecutionContext::builder(&catalog).with_parallelism(4).build();
 //! let out = ctx.run(&LogicalPlan::scan("t")).unwrap();
 //! assert_eq!(out.len(), 8);
-//! assert!(ctx.metrics().is_some());
+//! assert!(ctx.meter().cluster_seconds() > 0.0);
 //! ```
 //!
 //! # Determinism contract
 //!
-//! For a fixed plan, catalog, resilience config, and fault seed, `run`
-//! returns byte-identical results, row order, operator spans, and
-//! cost-meter charges for **every** `parallelism` setting — workers only
+//! For a fixed plan, catalog, and fault seed, `run` returns byte-identical
+//! results, row order, operator spans, and cost-meter charges for
+//! **every** `parallelism` setting — workers only
 //! *probe* rows (pure retry loops keyed off row identity), while all
 //! stateful accounting is replayed sequentially in global row order. See
 //! the [`physical`](crate::physical) module docs for how.
@@ -37,7 +36,7 @@
 //! [`OperatorSpan`](crate::telemetry::OperatorSpan): rows, attempts,
 //! retries, failures, timeouts, fail-opens, short-circuits, the breaker
 //! trip, and the seconds charged. Everything else `run` leaves behind —
-//! the [`CostMeter`], [`QueryMetrics`], the registry's `retries_total` /
+//! the [`CostMeter`], the registry's `retries_total` /
 //! `failures_total` / `breaker_trips_total` — is a view of the finished
 //! spans, taken once at the end of `run`, on success and on failure
 //! alike. Recovery overhead is `span.seconds − span.attempts ×
@@ -48,12 +47,11 @@ use std::time::Instant;
 
 use crate::cancel::CancelToken;
 use crate::catalog::Catalog;
-use crate::cost::{CostMeter, QueryMetrics};
+use crate::cost::CostMeter;
 use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
 use crate::memo::UdfMemo;
 use crate::physical::{ExecOptions, Executor};
-use crate::resilience::ResilienceConfig;
 use crate::row::Rowset;
 use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
 use crate::Result;
@@ -64,7 +62,6 @@ use crate::Result;
 #[derive(Debug)]
 pub struct ExecutionContextBuilder<'a> {
     catalog: &'a Catalog,
-    resilience: ResilienceConfig,
     fault_plan: Option<FaultPlan>,
     opts: ExecOptions,
     cancel: Option<CancelToken>,
@@ -72,12 +69,6 @@ pub struct ExecutionContextBuilder<'a> {
 }
 
 impl<'a> ExecutionContextBuilder<'a> {
-    /// Sets the resilience policy (retries, timeouts, breakers, fail-open).
-    pub fn with_resilience(mut self, config: ResilienceConfig) -> Self {
-        self.resilience = config;
-        self
-    }
-
     /// Installs a seeded fault-injection plan applied to every plan passed
     /// to [`ExecutionContext::run`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -137,14 +128,12 @@ impl<'a> ExecutionContextBuilder<'a> {
         let fault_log = Arc::new(FaultLog::new());
         ExecutionContext {
             catalog: self.catalog,
-            resilience: self.resilience,
             fault_plan: self
                 .fault_plan
                 .map(|fp| fp.with_log(Arc::clone(&fault_log))),
             fault_log,
             opts: self.opts,
             meter: CostMeter::new(),
-            metrics: None,
             registry: MetricsRegistry::new(),
             telemetry: None,
             runs: 0,
@@ -154,25 +143,24 @@ impl<'a> ExecutionContextBuilder<'a> {
     }
 }
 
-/// A configured query-execution environment: catalog + resilience
-/// policy + optional fault plan + parallelism, with the cost
-/// meter and derived [`QueryMetrics`] of the most recent run.
+/// A configured query-execution environment: catalog + optional fault
+/// plan + parallelism, with the cost meter of the most recent run. Every
+/// run recovers from failed UDF calls under the one fixed policy of
+/// [`resilience`](crate::resilience).
 ///
 /// A circuit breaker belongs to one fail-open filter for one run, so
 /// every run starts with its breakers closed; what runs have shown about
 /// a failing PP is the runtime monitor's to remember. Everything counted
-/// is per run too: [`telemetry`][Self::telemetry], [`meter`][Self::meter] and
-/// [`metrics`][Self::metrics] always describe the latest query; only the
-/// [`registry`][Self::registry] accumulates across runs.
+/// is per run too: [`telemetry`][Self::telemetry] and [`meter`][Self::meter]
+/// always describe the latest query; only the [`registry`][Self::registry]
+/// accumulates across runs.
 #[derive(Debug)]
 pub struct ExecutionContext<'a> {
     catalog: &'a Catalog,
-    resilience: ResilienceConfig,
     fault_plan: Option<FaultPlan>,
     fault_log: Arc<FaultLog>,
     opts: ExecOptions,
     meter: CostMeter,
-    metrics: Option<QueryMetrics>,
     registry: MetricsRegistry,
     telemetry: Option<TelemetrySnapshot>,
     runs: u64,
@@ -186,7 +174,6 @@ impl<'a> ExecutionContext<'a> {
     pub fn builder(catalog: &'a Catalog) -> ExecutionContextBuilder<'a> {
         ExecutionContextBuilder {
             catalog,
-            resilience: ResilienceConfig::default(),
             fault_plan: None,
             opts: ExecOptions::default(),
             cancel: None,
@@ -202,15 +189,12 @@ impl<'a> ExecutionContext<'a> {
 
     /// Executes `plan`, applying the installed fault plan (if any), and
     /// refreshes [`telemetry`][Self::telemetry] and the cost meter, which
-    /// is filled from the run's spans. On success it also refreshes
-    /// [`metrics`][Self::metrics]; on failure `metrics` stays `None` (no
-    /// stale metrics from a previous run) while the telemetry snapshot
+    /// is filled from the run's spans. On failure the telemetry snapshot
     /// and the meter record the error plus every span charged before the
     /// abort.
     pub fn run(&mut self, plan: &LogicalPlan) -> Result<Rowset> {
         let start = Instant::now();
         self.meter = CostMeter::new();
-        self.metrics = None;
         self.telemetry = None;
         self.runs += 1;
         let query_id = QueryId(self.runs);
@@ -236,7 +220,6 @@ impl<'a> ExecutionContext<'a> {
         };
         let result = Executor {
             catalog: self.catalog,
-            resilience: self.resilience,
             opts: self.opts,
             tel: &mut tel,
             cancel: &self.cancel,
@@ -299,18 +282,7 @@ impl<'a> ExecutionContext<'a> {
             error,
             wall,
         ));
-        match result {
-            Ok(out) => {
-                self.metrics = Some(self.meter.metrics());
-                Ok(out)
-            }
-            Err(e) => {
-                // Explicitly guarantee the no-stale-metrics contract on
-                // every error path.
-                self.metrics = None;
-                Err(e)
-            }
-        }
+        result
     }
 
     /// The catalog this context executes against.
@@ -322,12 +294,6 @@ impl<'a> ExecutionContext<'a> {
     /// the first run).
     pub fn meter(&self) -> &CostMeter {
         &self.meter
-    }
-
-    /// Derived cluster-seconds / latency metrics of the most recent
-    /// *successful* [`run`][Self::run], or `None` before one.
-    pub fn metrics(&self) -> Option<&QueryMetrics> {
-        self.metrics.as_ref()
     }
 
     /// The telemetry snapshot of the most recent [`run`][Self::run]
@@ -354,7 +320,6 @@ impl<'a> ExecutionContext<'a> {
 mod tests {
     use super::*;
     use crate::fault::FaultSpec;
-    use crate::resilience::RetryPolicy;
     use crate::row::Row;
     use crate::schema::{Column, DataType, Schema};
     use crate::udf::ClosureFilter;
@@ -378,16 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn run_resets_meter_and_sets_metrics() {
+    fn run_resets_the_meter() {
         let cat = catalog();
         let plan = LogicalPlan::scan("t").filter(even_filter());
         let mut ctx = ExecutionContext::new(&cat);
-        assert!(ctx.metrics().is_none());
+        assert!(ctx.meter().entries().is_empty());
         let out = ctx.run(&plan).unwrap();
         assert_eq!(out.len(), 32);
         let first = ctx.meter().cluster_seconds();
         assert!(first > 0.0);
-        assert!(ctx.metrics().is_some());
         // A second run re-meters from zero instead of accumulating.
         ctx.run(&plan).unwrap();
         assert!((ctx.meter().cluster_seconds() - first).abs() < 1e-12);
@@ -415,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_run_clears_stale_metrics_and_records_error_telemetry() {
+    fn failed_run_records_error_telemetry() {
         use crate::predicate::{Clause, CompareOp, Predicate};
         let cat = catalog();
         let good = LogicalPlan::scan("t").filter(even_filter());
@@ -427,25 +391,18 @@ mod tests {
         )));
         let mut ctx = ExecutionContext::new(&cat);
         ctx.run(&good).unwrap();
-        assert!(ctx.metrics().is_some());
         let err = ctx.run(&bad).unwrap_err();
         assert!(matches!(err, crate::EngineError::UnknownColumn(_)));
-        // Regression: the previous run's metrics must not survive a failed
-        // run — callers polling `metrics()` would misattribute them.
-        assert!(
-            ctx.metrics().is_none(),
-            "stale metrics leaked through a failed run"
-        );
-        // The failure is still observable: the snapshot carries the error
-        // and whatever spans completed before it.
+        // The failure is observable: the snapshot carries the error and
+        // whatever spans completed before it, and so does the meter.
         let snap = ctx.telemetry().expect("snapshot recorded on failure");
         assert_eq!(snap.query_id, QueryId(2));
         assert!(snap.error.as_deref().unwrap().contains("missing"));
         assert!(snap.span("Scan[").is_some(), "the scan span was charged");
         assert!(snap.span("Select[").is_none(), "no charge, no span");
+        assert_eq!(ctx.meter().entries().len(), 1, "only the scan's charge");
         // A later successful run recovers cleanly.
         ctx.run(&good).unwrap();
-        assert!(ctx.metrics().is_some());
         assert_eq!(ctx.telemetry().unwrap().query_id, QueryId(3));
         assert!(ctx.telemetry().unwrap().error.is_none());
     }
@@ -467,7 +424,6 @@ mod tests {
                 reason: CancelReason::Requested
             }
         ));
-        assert!(ctx.metrics().is_none());
         assert!(ctx.meter().entries().is_empty(), "nothing ran, no charge");
         let snap = ctx.telemetry().expect("cancelled run records telemetry");
         assert!(snap.error.as_deref().unwrap().contains("cancelled"));
@@ -499,7 +455,8 @@ mod tests {
             .entries()
             .iter()
             .any(|e| e.op.starts_with("Scan")));
-        assert!(ctx.metrics().is_none());
+        let snap = ctx.telemetry().expect("cancelled run records telemetry");
+        assert!(snap.error.as_deref().unwrap().contains("cancelled"));
     }
 
     #[test]
@@ -532,7 +489,6 @@ mod tests {
         let cat = catalog();
         let plan = LogicalPlan::scan("t").filter(even_filter());
         let mut ctx = ExecutionContext::builder(&cat)
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
             .with_fault_plan(FaultPlan::new(7).inject("PP[even]", FaultSpec::transient(1.0)))
             .build();
         // Dead filter fails open on every row: nothing is dropped.
@@ -564,9 +520,7 @@ mod tests {
             Ok(row.get(0).as_int()? % 2 == 0)
         });
         let plan = LogicalPlan::scan("t").filter(Arc::new(filter));
-        let mut ctx = ExecutionContext::builder(&cat)
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
-            .build();
+        let mut ctx = ExecutionContext::new(&cat);
         // Run 1: the model is down, its rows fail open, and the breaker
         // trips.
         assert_eq!(ctx.run(&plan).unwrap().len(), 64);

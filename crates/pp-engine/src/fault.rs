@@ -17,9 +17,11 @@
 //!   draws a fresh decision and usually succeeds.
 //! * **timeout** — the call returns [`EngineError::Timeout`] after
 //!   stalling `stall_seconds`; the resilience layer charges the stall
-//!   (capped at the timeout budget) and retries.
-//! * **corrupt** — a processor emits NaN in its float output cells
-//!   (detected when output validation is on); a filter reports
+//!   (capped at [`UDF_TIMEOUT_SECS`](crate::resilience::UDF_TIMEOUT_SECS))
+//!   and retries.
+//! * **corrupt** — a processor emits NaN in its float output cells, and
+//!   nothing catches it (a processor with no float cell fails with
+//!   [`EngineError::CorruptOutput`] instead); a filter reports
 //!   [`EngineError::CorruptOutput`] directly.
 //! * **poison** — decided by a content fingerprint of the *row*, not the
 //!   attempt, so the same rows fail on every attempt:
@@ -442,8 +444,8 @@ impl Processor for FaultyProcessor {
         match inject(&self.spec, self.seed, log, self.name(), "UDF", row)? {
             None => self.inner.process(row, schema, out),
             Some(_) => {
-                // Silent corruption: NaN out every float cell. Only output
-                // validation (ResilienceConfig::validate_outputs) catches it.
+                // Silent corruption: NaN out every float cell. Nothing
+                // checks a processor's output, so the cells flow on.
                 crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
                     let mut corrupted = false;
                     for cell in fresh {
@@ -519,7 +521,7 @@ impl RowFilter for FaultyFilter {
         match inject(&self.spec, self.seed, log, self.name(), "filter", row_ref)? {
             None => self.inner.passes(row, schema),
             // A filter's output is one bit; flipping it would *silently*
-            // drop rows, which no validation could catch. Corruption is
+            // drop rows, which nothing could catch. Corruption is
             // surfaced as a detectable error instead, and fail-open keeps
             // the row.
             Some(_) => Err(EngineError::CorruptOutput(format!(

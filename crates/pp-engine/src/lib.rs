@@ -52,7 +52,7 @@ pub use batch::{Batch, FeatureColumn};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
 pub use chunk::{Chunk, ChunkColumn};
-pub use cost::{CostMeter, QueryMetrics};
+pub use cost::CostMeter;
 pub use exec::{ExecutionContext, ExecutionContextBuilder};
 pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHints};
 pub use export::{JsonlExporter, OpenMetricsExporter};
@@ -64,7 +64,6 @@ pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
-pub use resilience::{ResilienceConfig, RetryPolicy};
 pub use row::{Row, RowRef, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{
@@ -104,7 +103,8 @@ pub enum EngineError {
         /// Simulated seconds the call hung before being cancelled.
         stalled_seconds: f64,
     },
-    /// A UDF produced output that failed validation (e.g. NaN cells).
+    /// A UDF produced garbage it could report (an injected corrupt score,
+    /// or corrupt output with no float cell to hide it in).
     CorruptOutput(String),
     /// A row deterministically crashes its UDF — retrying cannot help.
     PoisonedRow(String),

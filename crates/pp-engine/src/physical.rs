@@ -116,7 +116,7 @@ use crate::cost::{
 use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
-use crate::resilience::{Breaker, ProbeOutcome, ResilienceConfig};
+use crate::resilience::{self, Breaker, ProbeOutcome};
 use crate::row::{Row, RowRef, Rowset};
 use crate::schema::{Column, Schema};
 use crate::sync::{Condvar, Mutex};
@@ -535,7 +535,6 @@ impl ScanStream {
 /// would if the scan had materialized first.
 pub(crate) struct Executor<'a> {
     pub catalog: &'a Catalog,
-    pub resilience: ResilienceConfig,
     pub opts: ExecOptions,
     pub tel: &'a mut SpanCollector,
     pub cancel: &'a CancelToken,
@@ -867,7 +866,6 @@ impl Executor<'_> {
         // the row passes. We lose speed-up on that row, never a result.
         // A filter that gates correctness says so with `fail_open()`.
         let fail_open = filter.fail_open();
-        let config = self.resilience;
         let (name, filter) = (op.clone(), Arc::clone(filter));
         self.fold_udf(
             &op,
@@ -885,7 +883,7 @@ impl Executor<'_> {
                         err => {
                             let row = &batch.rows()[at];
                             let retry = || filter.passes(row, batch.schema());
-                            failed.push((at, config.resume_probe(&name, err, retry)));
+                            failed.push((at, resilience::resume_probe(&name, err, retry)));
                         }
                     }
                 }
@@ -915,7 +913,6 @@ impl Executor<'_> {
         processor: &Arc<dyn Processor>,
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
-        let config = self.resilience;
         let width = processor.output_columns().len();
         let input = Arc::new(in_rows);
         let (name, udf) = (op.clone(), Arc::clone(processor));
@@ -935,16 +932,11 @@ impl Executor<'_> {
                 // A processor is scalar: a row's first attempt and its
                 // retries are the same call, answering how many output
                 // rows it appended to the batch's buffer. An attempt that
-                // fails — the UDF's error, a part-written row, a
-                // non-finite float under `validate_outputs` — is like any
-                // other failed call, and leaves no cell behind.
+                // fails — the UDF's error or a part-written row — is like
+                // any other failed call, and leaves no cell behind.
                 let call = |row: RowRef<'_>, schema: &Schema, cells: &mut Vec<Value>| {
                     crate::udf::attempt(udf.as_ref(), row, schema, cells, |fresh| {
-                        let rows = crate::udf::output_rows(udf.as_ref(), fresh.len())?;
-                        if config.validate_outputs {
-                            validate_cells(fresh, udf.name())?;
-                        }
-                        Ok(rows)
+                        crate::udf::output_rows(udf.as_ref(), fresh.len())
                     })
                 };
                 let schema = batch.schema();
@@ -956,7 +948,7 @@ impl Executor<'_> {
                         Ok(rows) => ragged.push((at, rows)),
                         err => {
                             let retry = || call(row, schema, &mut cells);
-                            failed.push((at, config.resume_probe(&name, err, retry)));
+                            failed.push((at, resilience::resume_probe(&name, err, retry)));
                         }
                     }
                 }
@@ -1044,7 +1036,7 @@ impl Executor<'_> {
         let mut clean_rows: u64 = 0;
         let mut row_idx: u64 = 0;
         let (mut handed, mut consumed_any) = (0usize, false);
-        let mut breaker = fail_open.map(|_| Breaker::new(self.resilience.breaker_threshold));
+        let mut breaker = fail_open.map(|_| Breaker::default());
         // First attempts are attempt 0; a retry loop inside `probe`
         // numbers its own.
         let probe: ProbeFn<Probed<B, T>> =
@@ -1339,7 +1331,7 @@ impl Executor<'_> {
                 break;
             }
             let n = size(group);
-            let outcome = self.resilience.probe(&op, || call(group));
+            let outcome = resilience::probe(&op, || call(group));
             record_outcome(self.tel, &mut span, None, &outcome, n as f64 * cost_per_row);
             retried_rows += outcome.attempts.saturating_sub(1) as usize * n;
             extra_seconds += outcome.extra_seconds;
@@ -1388,22 +1380,6 @@ fn record_outcome<T>(
     }
     span.latency
         .record(f64::from(outcome.attempts) * unit + outcome.extra_seconds);
-}
-
-/// Rejects non-finite floats in processor output (when
-/// [`ResilienceConfig::validate_outputs`](crate::resilience::ResilienceConfig)
-/// is on), converting silent corruption into a retryable error.
-fn validate_cells(cells: &[Value], udf: &str) -> Result<()> {
-    for cell in cells {
-        if let Value::Float(f) = cell {
-            if !f.is_finite() {
-                return Err(EngineError::CorruptOutput(format!(
-                    "{udf}: non-finite float in output"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn column_indices(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
@@ -1488,7 +1464,6 @@ fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::predicate::{Clause, CompareOp};
-    use crate::resilience::{ResilienceConfig, RetryPolicy};
     use crate::schema::DataType;
     use crate::udf::{ClosureFilter, ClosureProcessor, ClosureReducer};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1511,33 +1486,26 @@ mod tests {
         Ok(c)
     }
 
-    /// Runs `plan` under the default resilience policy; the spans are the
+    /// Runs `plan` under the one recovery policy; the spans are the
     /// charges.
     fn run(plan: &LogicalPlan, cat: &Catalog) -> Result<(Rowset, Vec<OperatorSpan>)> {
         let mut tel = SpanCollector::detached();
-        let out = run_with(plan, cat, ResilienceConfig::default(), &mut tel)?;
+        let out = run_with(plan, cat, &mut tel)?;
         Ok((out, tel.spans().to_vec()))
     }
 
-    fn run_with(
-        plan: &LogicalPlan,
-        cat: &Catalog,
-        resilience: ResilienceConfig,
-        tel: &mut SpanCollector,
-    ) -> Result<Rowset> {
-        run_opts(plan, cat, resilience, ExecOptions::default(), tel)
+    fn run_with(plan: &LogicalPlan, cat: &Catalog, tel: &mut SpanCollector) -> Result<Rowset> {
+        run_opts(plan, cat, ExecOptions::default(), tel)
     }
 
     fn run_opts(
         plan: &LogicalPlan,
         cat: &Catalog,
-        resilience: ResilienceConfig,
         opts: ExecOptions,
         tel: &mut SpanCollector,
     ) -> Result<Rowset> {
         Executor {
             catalog: cat,
-            resilience,
             opts,
             tel,
             cancel: &CancelToken::new(),
@@ -1880,7 +1848,6 @@ mod tests {
             run_opts(
                 &LogicalPlan::scan("frames").filter(filter),
                 &cat,
-                ResilienceConfig::default(),
                 ExecOptions::new(4, 2),
                 &mut tel,
             )
@@ -1965,7 +1932,6 @@ mod tests {
         let mut tel = SpanCollector::detached();
         let done = Executor {
             catalog: &Catalog::new(),
-            resilience: ResilienceConfig::default(),
             opts: ExecOptions::new(1, 100),
             tel: &mut tel,
             cancel: &token,
@@ -2073,26 +2039,24 @@ mod tests {
     #[test]
     fn hard_failed_filter_fails_open_then_breaker_skips_it() -> Result<()> {
         let cat = catalog()?;
+        // A poisoned row is not retried: one call, one terminal failure.
         let dead = Arc::new(ClosureFilter::new("PP[dead]", 0.1, |_, _| {
-            Err::<bool, _>(EngineError::Transient("model server down".into()))
+            Err::<bool, _>(EngineError::PoisonedRow("model server down".into()))
         }));
         let plan = LogicalPlan::scan("frames").filter(dead);
-        let resilience = ResilienceConfig::default()
-            .with_retry(RetryPolicy::none())
-            .with_breaker_threshold(3);
         let mut tel = SpanCollector::detached();
-        let out = run_with(&plan, &cat, resilience, &mut tel)?;
+        let out = run_with(&plan, &cat, &mut tel)?;
         // Fail-open: every row passes despite the filter being dead.
         assert_eq!(out.len(), 10);
         let pp = find_op(tel.spans(), "PP[dead]")?;
-        // 3 real failures trip the breaker; the remaining 7 rows skip the
+        // 5 real failures trip the breaker; the remaining 5 rows skip the
         // call entirely, each short-circuited and then failed open.
         assert!(pp.breaker_tripped);
-        assert_eq!(pp.attempts, 3);
-        assert_eq!(pp.short_circuited, 7);
+        assert_eq!(pp.attempts, 5);
+        assert_eq!(pp.short_circuited, 5);
         assert_eq!(pp.failed_open, 10);
-        // Only the 3 attempted calls are charged.
-        assert!((pp.seconds - 0.3).abs() < 1e-9);
+        // Only the 5 attempted calls are charged.
+        assert!((pp.seconds - 0.5).abs() < 1e-9);
         Ok(())
     }
 
@@ -2107,7 +2071,7 @@ mod tests {
                 0.1
             }
             fn passes(&self, _: &Row, _: &Schema) -> Result<bool> {
-                Err(EngineError::Transient("down".into()))
+                Err(EngineError::PoisonedRow("down".into()))
             }
             fn fail_open(&self) -> bool {
                 false
@@ -2115,12 +2079,11 @@ mod tests {
         }
         let cat = catalog()?;
         let plan = LogicalPlan::scan("frames").filter(Arc::new(Gate));
-        let resilience = ResilienceConfig::default().with_retry(RetryPolicy::none());
-        let err = match run_with(&plan, &cat, resilience, &mut SpanCollector::detached()) {
+        let err = match run_with(&plan, &cat, &mut SpanCollector::detached()) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
-        assert!(matches!(err, EngineError::Transient(_)));
+        assert!(matches!(err, EngineError::PoisonedRow(_)));
         Ok(())
     }
 
@@ -2135,7 +2098,7 @@ mod tests {
         ));
         let plan = LogicalPlan::scan("frames").process(broken);
         let mut tel = SpanCollector::detached();
-        let err = match run_with(&plan, &cat, ResilienceConfig::default(), &mut tel) {
+        let err = match run_with(&plan, &cat, &mut tel) {
             Err(e) => e,
             Ok(_) => return Err(EngineError::InvalidPlan("expected failure".into())),
         };
@@ -2150,10 +2113,10 @@ mod tests {
     }
 
     /// A processor stops at its first terminal failure, so it has no
-    /// breaker to trip, even at a threshold of one failure: the error
-    /// comes back and no trip is reported anywhere.
+    /// breaker to trip: the error comes back and no trip is reported
+    /// anywhere.
     #[test]
-    fn a_failed_processor_trips_nothing_at_breaker_threshold_1() -> Result<()> {
+    fn a_failed_processor_trips_nothing() -> Result<()> {
         let cat = catalog()?;
         let broken = Arc::new(ClosureProcessor::map(
             "Broken",
@@ -2162,9 +2125,7 @@ mod tests {
             |_, _, _| Err(EngineError::PoisonedRow("bad frame".into())),
         ));
         let plan = LogicalPlan::scan("frames").process(broken);
-        let mut ctx = crate::exec::ExecutionContext::builder(&cat)
-            .with_resilience(ResilienceConfig::default().with_breaker_threshold(1))
-            .build();
+        let mut ctx = crate::exec::ExecutionContext::new(&cat);
         assert!(matches!(ctx.run(&plan), Err(EngineError::PoisonedRow(_))));
         let snapshot = ctx.telemetry().expect("a snapshot after a failed run");
         let p = snapshot.span("Process[Broken]").expect("the processor ran");
@@ -2210,7 +2171,7 @@ mod tests {
         ];
         let plan = LogicalPlan::scan("frames").process(Arc::new(Short(columns)));
         let mut tel = SpanCollector::detached();
-        match run_with(&plan, &cat, ResilienceConfig::default(), &mut tel) {
+        match run_with(&plan, &cat, &mut tel) {
             Err(EngineError::Udf(m)) => {
                 assert_eq!(m, "Short: produced 1 cells, declared 2 output columns")
             }
@@ -2259,8 +2220,10 @@ mod tests {
         Ok(())
     }
 
+    /// Nothing checks a processor's output: a NaN cell flows on like any
+    /// other value.
     #[test]
-    fn validation_catches_nan_output() -> Result<()> {
+    fn a_nan_cell_flows_on() -> Result<()> {
         let cat = catalog()?;
         let nan_gen = Arc::new(ClosureProcessor::map(
             "NanGen",
@@ -2272,15 +2235,10 @@ mod tests {
             },
         ));
         let plan = LogicalPlan::scan("frames").process(nan_gen);
-        // Without validation the NaN flows straight through.
-        let (out, _) = run(&plan, &cat)?;
+        let (out, spans) = run(&plan, &cat)?;
         assert_eq!(out.len(), 10);
-        // With validation it is a (retryable, here always-failing) error.
-        let resilience = ResilienceConfig::default()
-            .with_validate_outputs(true)
-            .with_retry(RetryPolicy::none());
-        let result = run_with(&plan, &cat, resilience, &mut SpanCollector::detached());
-        assert!(matches!(result, Err(EngineError::CorruptOutput(_))));
+        assert!(out.rows()[0].get(2).as_float()?.is_nan());
+        assert_eq!(find_op(&spans, "Process[NanGen]")?.failures, 0);
         Ok(())
     }
 

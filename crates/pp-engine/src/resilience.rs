@@ -10,11 +10,16 @@
 //! backoff and stalled calls add simulated seconds — so the cost meter
 //! stays an honest account of what a cluster would have spent.
 //!
-//! [`ResilienceConfig::probe`] runs one call's retry loop and touches no
-//! state: what the call *cost* — attempts, retries, failures, timeouts,
-//! overhead — travels in the [`ProbeOutcome`] it returns, and the executor
-//! counts it once, into the operator's
-//! [`OperatorSpan`](crate::telemetry::OperatorSpan).
+//! [`probe`] runs one call's retry loop and touches no state: what the
+//! call *cost* — attempts, retries, failures, timeouts, overhead — travels
+//! in the [`ProbeOutcome`] it returns, and the executor counts it once,
+//! into the operator's [`OperatorSpan`](crate::telemetry::OperatorSpan).
+//!
+//! The policy is fixed, as a cluster's is: every UDF call gets
+//! [`MAX_RETRIES`] retries with exponential backoff, a stall is charged at
+//! most [`UDF_TIMEOUT_SECS`], and a fail-open filter's breaker opens at
+//! [`BREAKER_THRESHOLD`] consecutive terminal failures. On a fault-free
+//! run none of it is charged.
 //!
 //! The key safety property lives one level up, in the executor: a
 //! [`RowFilter`](crate::udf::RowFilter) that keeps failing *fails open*
@@ -28,186 +33,112 @@
 
 use crate::{EngineError, Result};
 
+/// Retries allowed after a call's first attempt.
+pub const MAX_RETRIES: u32 = 3;
+/// Per-call stall budget: a timed-out attempt is charged
+/// `min(stalled_seconds, UDF_TIMEOUT_SECS)` before it is cancelled.
+pub const UDF_TIMEOUT_SECS: f64 = 60.0;
+/// Consecutive terminal failures of a fail-open filter that open its
+/// circuit breaker. Any other operator stops at its first terminal
+/// failure and has no breaker.
+pub const BREAKER_THRESHOLD: u32 = 5;
 /// Simulated seconds charged before the first retry.
 const BACKOFF_BASE_SECS: f64 = 0.05;
 /// Growth factor applied to each subsequent backoff.
 const BACKOFF_MULTIPLIER: f64 = 2.0;
 
-/// Bounded-retry policy with exponential backoff.
+/// Simulated seconds of backoff before retry `k` (1-indexed):
+/// `0.05 × 2^(k−1)`.
+fn backoff_secs(retry: u32) -> f64 {
+    BACKOFF_BASE_SECS * BACKOFF_MULTIPLIER.powi(retry.saturating_sub(1) as i32)
+}
+
+/// Runs the full retry loop for one UDF call. It touches no state, so
+/// the executor probes rows on any worker thread and then folds the
+/// outcomes on the calling thread, in row order, so breaker evolution
+/// and charges match serial execution exactly.
 ///
-/// Backoff is charged to the operator in simulated seconds: retry `k`
-/// (1-indexed) waits `0.05 × 2^(k−1)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt (0 disables retrying).
-    pub max_retries: u32,
+/// Every attempt runs with the fault layer's attempt ordinal set to
+/// `attempt − 1`, so injected faults key off `(seed, row, attempt)`
+/// and reproduce identically regardless of scheduling.
+pub fn probe<T>(op: &str, mut call: impl FnMut() -> Result<T>) -> ProbeOutcome<T> {
+    let first = crate::fault::with_attempt_ordinal(0, &mut call);
+    resume_probe(op, first, call)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 3 }
-    }
-}
+/// Continues the retry loop when the first attempt has already been
+/// made (e.g. as part of a batch evaluation): `first` is attempt 1's
+/// outcome, and `call` is invoked for retries only, each with the
+/// fault attempt ordinal advanced.
+pub fn resume_probe<T>(
+    op: &str,
+    first: Result<T>,
+    mut call: impl FnMut() -> Result<T>,
+) -> ProbeOutcome<T> {
+    let mut attempts: u32 = 1;
+    let mut failures: u64 = 0;
+    let mut retries: u64 = 0;
+    let mut timeouts: u64 = 0;
+    let mut extra_seconds = 0.0;
+    let mut outcome = first;
 
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy { max_retries: 0 }
-    }
-
-    /// Simulated seconds of backoff before retry `k` (1-indexed).
-    fn backoff_secs(&self, retry: u32) -> f64 {
-        BACKOFF_BASE_SECS * BACKOFF_MULTIPLIER.powi(retry.saturating_sub(1) as i32)
-    }
-}
-
-/// Tunable knobs for the executor's recovery from failed UDF calls.
-///
-/// The defaults are deliberately conservative: on a fault-free run they
-/// reproduce the non-resilient executor's behavior and charges exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Retry policy applied to every UDF call.
-    pub retry: RetryPolicy,
-    /// Per-call stall budget: a timed-out call is charged
-    /// `min(stalled_seconds, udf_timeout_secs)` before being cancelled.
-    pub udf_timeout_secs: f64,
-    /// Consecutive terminal failures of a fail-open filter before its
-    /// circuit breaker opens (0 disables breaking). Any other operator
-    /// stops at its first terminal failure and has no breaker.
-    pub breaker_threshold: u32,
-    /// Whether processor outputs are checked for non-finite floats (NaN /
-    /// ±∞), turning silent corruption into a retryable
-    /// [`EngineError::CorruptOutput`].
-    pub validate_outputs: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            retry: RetryPolicy::default(),
-            udf_timeout_secs: 60.0,
-            breaker_threshold: 5,
-            validate_outputs: false,
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the per-call stall budget.
-    pub fn with_udf_timeout_secs(mut self, secs: f64) -> Self {
-        self.udf_timeout_secs = secs;
-        self
-    }
-
-    /// Sets the circuit-breaker threshold.
-    pub fn with_breaker_threshold(mut self, n: u32) -> Self {
-        self.breaker_threshold = n;
-        self
-    }
-
-    /// Enables or disables NaN/∞ output validation.
-    pub fn with_validate_outputs(mut self, on: bool) -> Self {
-        self.validate_outputs = on;
-        self
-    }
-
-    /// Runs the full retry loop for one UDF call. It touches no state, so
-    /// the executor probes rows on any worker thread and then folds the
-    /// outcomes on the calling thread, in row order, so breaker evolution
-    /// and charges match serial execution exactly.
-    ///
-    /// Every attempt runs with the fault layer's attempt ordinal set to
-    /// `attempt − 1`, so injected faults key off `(seed, row, attempt)`
-    /// and reproduce identically regardless of scheduling.
-    pub fn probe<T>(&self, op: &str, mut call: impl FnMut() -> Result<T>) -> ProbeOutcome<T> {
-        let first = crate::fault::with_attempt_ordinal(0, &mut call);
-        self.resume_probe(op, first, call)
-    }
-
-    /// Continues the retry loop when the first attempt has already been
-    /// made (e.g. as part of a batch evaluation): `first` is attempt 1's
-    /// outcome, and `call` is invoked for retries only, each with the
-    /// fault attempt ordinal advanced.
-    pub fn resume_probe<T>(
-        &self,
-        op: &str,
-        first: Result<T>,
-        mut call: impl FnMut() -> Result<T>,
-    ) -> ProbeOutcome<T> {
-        let retry = self.retry;
-        let timeout_budget = self.udf_timeout_secs;
-        let mut attempts: u32 = 1;
-        let mut failures: u64 = 0;
-        let mut retries: u64 = 0;
-        let mut timeouts: u64 = 0;
-        let mut extra_seconds = 0.0;
-        let mut outcome = first;
-
-        loop {
-            match outcome {
-                Ok(value) => {
-                    return ProbeOutcome {
-                        result: Ok(value),
-                        attempts,
-                        failures,
-                        retries,
-                        timeouts,
-                        extra_seconds,
-                    };
+    loop {
+        match outcome {
+            Ok(value) => {
+                return ProbeOutcome {
+                    result: Ok(value),
+                    attempts,
+                    failures,
+                    retries,
+                    timeouts,
+                    extra_seconds,
+                };
+            }
+            Err(err) => {
+                failures += 1;
+                if let EngineError::Timeout {
+                    stalled_seconds, ..
+                } = &err
+                {
+                    timeouts += 1;
+                    // The stalled attempt burned cluster time until the
+                    // deadline cancelled it.
+                    extra_seconds += stalled_seconds.min(UDF_TIMEOUT_SECS);
                 }
-                Err(err) => {
-                    failures += 1;
-                    if let EngineError::Timeout {
-                        stalled_seconds, ..
-                    } = &err
-                    {
-                        timeouts += 1;
-                        // The stalled attempt burned cluster time until the
-                        // deadline cancelled it.
-                        extra_seconds += stalled_seconds.min(timeout_budget);
-                    }
-                    let retries_used = attempts - 1;
-                    if err.is_retryable() && retries_used < retry.max_retries {
-                        let next_retry = retries_used + 1;
-                        retries += 1;
-                        extra_seconds += retry.backoff_secs(next_retry);
-                        attempts += 1;
-                        outcome =
-                            crate::fault::with_attempt_ordinal(u64::from(attempts - 1), &mut call);
-                        continue;
-                    }
-                    let result = if attempts > 1 {
-                        Err(EngineError::RetriesExhausted {
-                            op: op.to_string(),
-                            attempts,
-                            last: Box::new(err),
-                        })
-                    } else {
-                        Err(err)
-                    };
-                    return ProbeOutcome {
-                        result,
-                        attempts,
-                        failures,
-                        retries,
-                        timeouts,
-                        extra_seconds,
-                    };
+                let retries_used = attempts - 1;
+                if err.is_retryable() && retries_used < MAX_RETRIES {
+                    let next_retry = retries_used + 1;
+                    retries += 1;
+                    extra_seconds += backoff_secs(next_retry);
+                    attempts += 1;
+                    outcome =
+                        crate::fault::with_attempt_ordinal(u64::from(attempts - 1), &mut call);
+                    continue;
                 }
+                let result = if attempts > 1 {
+                    Err(EngineError::RetriesExhausted {
+                        op: op.to_string(),
+                        attempts,
+                        last: Box::new(err),
+                    })
+                } else {
+                    Err(err)
+                };
+                return ProbeOutcome {
+                    result,
+                    attempts,
+                    failures,
+                    retries,
+                    timeouts,
+                    extra_seconds,
+                };
             }
         }
     }
 }
 
-/// The outcome of one UDF retry loop, produced by
-/// [`ResilienceConfig::probe`] / [`ResilienceConfig::resume_probe`]: what
+/// The outcome of one UDF retry loop, produced by [`probe`] /
+/// [`resume_probe`]: what
 /// the caller charges. A probe is safe to compute on any worker thread.
 /// If a fail-open filter's breaker is open by the time its row is
 /// consumed, the executor discards the probe, because a serial run would
@@ -245,28 +176,17 @@ impl<T> ProbeOutcome<T> {
 }
 
 /// A fail-open filter's circuit breaker for one run: it opens at
-/// `threshold` consecutive terminal failures (never, at 0) and stays
-/// open, and while it is open the filter's rows pass uncalled.
-#[derive(Debug)]
+/// [`BREAKER_THRESHOLD`] consecutive terminal failures and stays open,
+/// and while it is open the filter's rows pass uncalled.
+#[derive(Debug, Default)]
 pub(crate) struct Breaker {
-    threshold: u32,
     consecutive_failures: u32,
-    open: bool,
 }
 
 impl Breaker {
-    /// A closed breaker that opens at `threshold` failures in a row.
-    pub(crate) fn new(threshold: u32) -> Self {
-        Breaker {
-            threshold,
-            consecutive_failures: 0,
-            open: false,
-        }
-    }
-
     /// Whether the breaker is open.
     pub(crate) fn is_open(&self) -> bool {
-        self.open
+        self.consecutive_failures >= BREAKER_THRESHOLD
     }
 
     /// Folds one called row's terminal outcome (`ok`: it produced a
@@ -274,14 +194,9 @@ impl Breaker {
     /// one does — and says whether this failure opened the breaker.
     /// Only valid while the breaker is closed.
     pub(crate) fn record(&mut self, ok: bool) -> bool {
-        debug_assert!(!self.open);
-        if ok {
-            self.consecutive_failures = 0;
-            return false;
-        }
-        self.consecutive_failures += 1;
-        self.open = self.threshold > 0 && self.consecutive_failures >= self.threshold;
-        self.open
+        debug_assert!(!self.is_open());
+        self.consecutive_failures = if ok { 0 } else { self.consecutive_failures + 1 };
+        self.is_open()
     }
 }
 
@@ -303,7 +218,7 @@ mod tests {
 
     #[test]
     fn success_needs_one_attempt_and_no_overhead() {
-        let inv = ResilienceConfig::default().probe("op", || Ok::<_, EngineError>(42));
+        let inv = probe("op", || Ok::<_, EngineError>(42));
         assert_eq!(inv.attempts, 1);
         assert_eq!(inv.extra_seconds, 0.0);
         assert!(matches!(inv.result, Ok(42)));
@@ -312,7 +227,7 @@ mod tests {
 
     #[test]
     fn transient_failures_retry_with_growing_backoff() {
-        let inv = ResilienceConfig::default().probe("op", flaky(2));
+        let inv = probe("op", flaky(2));
         assert!(matches!(inv.result, Ok(3)));
         assert_eq!(inv.attempts, 3);
         // 0.05 + 0.10 of backoff.
@@ -323,8 +238,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_wrap_the_last_error() {
-        let inv = ResilienceConfig::default().probe("op", flaky(10));
-        assert_eq!(inv.attempts, 4); // 1 + max_retries(3)
+        let inv = probe("op", flaky(10));
+        assert_eq!(inv.attempts, 1 + MAX_RETRIES);
         match inv.result {
             Err(EngineError::RetriesExhausted { op, attempts, last }) => {
                 assert_eq!(op, "op");
@@ -337,7 +252,7 @@ mod tests {
 
     #[test]
     fn poison_is_not_retried() {
-        let inv = ResilienceConfig::default().probe("op", || {
+        let inv = probe("op", || {
             Err::<u32, _>(EngineError::PoisonedRow("row 7".into()))
         });
         assert_eq!(inv.attempts, 1);
@@ -346,51 +261,40 @@ mod tests {
 
     #[test]
     fn timeouts_charge_at_most_the_budget() {
-        let config = ResilienceConfig::default()
-            .with_udf_timeout_secs(1.0)
-            .with_retry(RetryPolicy::none());
-        let inv = config.probe("op", || {
+        let inv = probe("op", || {
             Err::<u32, _>(EngineError::Timeout {
                 op: "op".into(),
-                stalled_seconds: 50.0,
+                stalled_seconds: 90.0,
             })
         });
-        assert!((inv.extra_seconds - 1.0).abs() < 1e-12);
-        assert_eq!(inv.timeouts, 1);
+        // Four attempts, each stall capped at the 60 s budget, plus
+        // 0.05 + 0.10 + 0.20 of backoff.
+        assert!((inv.extra_seconds - (4.0 * UDF_TIMEOUT_SECS + 0.35)).abs() < 1e-9);
+        assert_eq!((inv.attempts, inv.timeouts), (4, 4));
     }
 
     #[test]
     fn breaker_opens_at_the_threshold_and_says_so_once() {
-        let config = ResilienceConfig::default().with_retry(RetryPolicy::none());
-        let mut breaker = Breaker::new(3);
-        let tripped: Vec<bool> = (0..3)
+        let mut breaker = Breaker::default();
+        let tripped: Vec<bool> = (0..BREAKER_THRESHOLD)
             .map(|_| {
-                let down = || Err::<u32, _>(EngineError::Transient("down".into()));
-                breaker.record(config.probe("op", down).result.is_ok())
+                let down = || Err::<u32, _>(EngineError::PoisonedRow("down".into()));
+                breaker.record(probe("op", down).result.is_ok())
             })
             .collect();
         // Only the failure that reached the threshold opened it.
-        assert_eq!(tripped, [false, false, true]);
+        assert_eq!(tripped, [false, false, false, false, true]);
         assert!(breaker.is_open());
     }
 
     #[test]
     fn success_resets_the_consecutive_failure_count() {
-        let mut breaker = Breaker::new(3);
-        for _ in 0..4 {
+        let mut breaker = Breaker::default();
+        for _ in 0..2 * BREAKER_THRESHOLD {
             assert!(!breaker.record(false));
             assert!(!breaker.record(true));
         }
         // Failures never run consecutively, so the breaker stays closed.
-        assert!(!breaker.is_open());
-    }
-
-    #[test]
-    fn a_zero_threshold_never_opens() {
-        let mut breaker = Breaker::new(0);
-        for _ in 0..100 {
-            assert!(!breaker.record(false));
-        }
         assert!(!breaker.is_open());
     }
 }

@@ -13,8 +13,8 @@
 //! # Determinism contract
 //!
 //! Telemetry extends the executor's determinism guarantee (see
-//! [`physical`](crate::physical)): for a fixed plan, catalog, resilience
-//! config, and fault seed, the [`TelemetrySnapshot`] — spans, events,
+//! [`physical`](crate::physical)): for a fixed plan, catalog, and fault
+//! seed, the [`TelemetrySnapshot`] — spans, events,
 //! injected-fault log, and snapshot-eligible metrics — is **byte-identical
 //! after [`TelemetrySnapshot::zero_wall_clock`]** at every `parallelism`
 //! and `batch_size`. Three rules make that hold:

@@ -42,9 +42,9 @@
 //!    plan [`stale`](pp_core::runtime::RuntimeMonitor::stale) whatever
 //!    the cause.
 //!
-//! Sampling is a pure function of `(seed, request id, row index)`, so
-//! two servers (or two runs) with identical seeds and submission
-//! sequences audit byte-identical row sets — pinned by `tests/audit.rs`.
+//! Sampling is a pure function of `(SEED, request id, row index)`, so
+//! two servers (or two runs) with identical submission sequences audit
+//! byte-identical row sets — pinned by `tests/audit.rs`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -60,53 +60,43 @@ use pp_linalg::rng::{hash2, splitmix64, unit};
 use crate::cache::CachedPlan;
 use crate::server::ServerInner;
 
-/// Accuracy-audit knobs.
+/// The accuracy audit's one setting: how much it samples. The audit is
+/// always on.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
-    /// Master switch; `false` records nothing and replays nothing.
-    pub enabled: bool,
     /// Fraction of PP-dropped blobs replayed per audited query, in
     /// `[0, 1]`.
     pub sample_fraction: f64,
-    /// Seed of the deterministic per-`(query, row)` sampling coin.
-    pub seed: u64,
-    /// Minimum sampled replays for a PP expression before its Wilson
-    /// bound is trusted enough to quarantine.
-    pub min_replays: u64,
-    /// Audit tasks drained per maintenance pass (backpressure bound).
-    pub max_tasks_per_pass: usize,
-}
-
-/// Wilson interval z-score of the achieved-accuracy bound (1.96 ≈ 95%
-/// confidence).
-const WILSON_Z: f64 = 1.96;
-
-/// How many maintenance passes' worth of tasks may wait for replay.
-const PENDING_PASSES: usize = 4;
-
-impl AuditConfig {
-    /// The most audit tasks that wait for replay: a few passes' worth.
-    /// With no maintenance pass draining it (the server runs one only
-    /// when asked) the queue would otherwise grow with every query, each
-    /// task pinning a plan the cache may have evicted;
-    /// past the bound the oldest task is dropped and counted in
-    /// `server.audit.dropped_total`.
-    pub fn max_pending(&self) -> usize {
-        self.max_tasks_per_pass.max(1) * PENDING_PASSES
-    }
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            enabled: true,
             sample_fraction: 0.25,
-            seed: 0xA0D17,
-            min_replays: 30,
-            max_tasks_per_pass: 64,
         }
     }
 }
+
+/// Seed of the deterministic per-`(query, row)` sampling coin.
+const SEED: u64 = 0xA0D17;
+
+/// Minimum sampled replays for a PP expression before its Wilson bound
+/// is trusted enough to quarantine.
+pub const MIN_REPLAYS: u64 = 30;
+
+/// Audit tasks drained per maintenance pass (backpressure bound).
+pub const MAX_TASKS_PER_PASS: usize = 64;
+
+/// The most audit tasks that wait for replay: four passes' worth. With no
+/// maintenance pass draining it (the server runs one only when asked) the
+/// queue would otherwise grow with every query, each task pinning a plan
+/// the cache may have evicted; past the bound the oldest task is dropped
+/// and counted in `server.audit.dropped_total`.
+pub const MAX_PENDING: usize = 4 * MAX_TASKS_PER_PASS;
+
+/// Wilson interval z-score of the achieved-accuracy bound (1.96 ≈ 95%
+/// confidence).
+const WILSON_Z: f64 = 1.96;
 
 /// One completed query awaiting audit replay.
 struct AuditTask {
@@ -126,7 +116,6 @@ struct ExprStats {
     dropped_rows: u64,
     sampled: u64,
     false_drops: u64,
-    replay_errors: u64,
     violated: bool,
 }
 
@@ -184,22 +173,18 @@ struct AuditState {
 /// replay work happens in `run_pass`, on the thread of whoever asked for
 /// the maintenance pass.
 pub struct Auditor {
-    config: AuditConfig,
     state: Mutex<AuditState>,
 }
 
 impl std::fmt::Debug for Auditor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Auditor")
-            .field("config", &self.config)
-            .finish_non_exhaustive()
+        f.debug_struct("Auditor").finish_non_exhaustive()
     }
 }
 
 impl Auditor {
-    pub(crate) fn new(config: AuditConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Auditor {
-            config,
             state: Mutex::new(AuditState {
                 pending: VecDeque::new(),
                 stats: BTreeMap::new(),
@@ -209,8 +194,8 @@ impl Auditor {
     }
 
     /// Hot-path record: enqueue a completed PP-bearing query for audit.
-    /// Skips (cheaply) when disabled, when the plan chose no PPs, or
-    /// when the PP prefix filtered nothing — there is nothing to audit.
+    /// Skips (cheaply) when the plan chose no PPs or when the PP prefix
+    /// filtered nothing — there is nothing to audit.
     pub(crate) fn observe(
         &self,
         request_id: u64,
@@ -223,9 +208,6 @@ impl Auditor {
         let Some(chosen) = &plan.report.chosen else {
             return;
         };
-        if !self.config.enabled {
-            return;
-        }
         let op = chosen.filter_op();
         let dropped = telemetry
             .spans
@@ -242,7 +224,7 @@ impl Auditor {
             plan: Arc::clone(plan),
             result_rows: result_rows as u64,
         });
-        if state.pending.len() > self.config.max_pending() {
+        if state.pending.len() > MAX_PENDING {
             state.pending.pop_front();
             metrics.counter("server.audit.dropped_total").inc();
         }
@@ -334,9 +316,9 @@ fn achieved_lower_bound(s: &ExprStats) -> f64 {
 }
 
 /// The deterministic sampling coin: a pure function of
-/// `(seed, request id, row index)` and the configured fraction.
-fn sampled(seed: u64, request_id: u64, row_idx: u64, fraction: f64) -> bool {
-    unit(splitmix64(seed ^ hash2(request_id, row_idx))) < fraction
+/// `(SEED, request id, row index)` and the configured fraction.
+fn sampled(request_id: u64, row_idx: u64, fraction: f64) -> bool {
+    unit(splitmix64(SEED ^ hash2(request_id, row_idx))) < fraction
 }
 
 /// Replays one dropped base row through `processors` (the source's
@@ -386,14 +368,11 @@ fn replay_row(
 /// lower bound on achieved accuracy falls below the promise. Runs in the
 /// maintenance pass, never on a query worker.
 pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
-    let config = &inner.config.audit;
+    let fraction = inner.config.audit.sample_fraction;
     let mut report = AuditPassReport::default();
-    if !config.enabled {
-        return report;
-    }
     let tasks: Vec<AuditTask> = {
         let mut state = inner.audit.state.lock();
-        let n = state.pending.len().min(config.max_tasks_per_pass.max(1));
+        let n = state.pending.len().min(MAX_TASKS_PER_PASS);
         state.pending.drain(..n).collect()
     };
     // Each table is decoded once per pass and shared, with a replay memo,
@@ -432,7 +411,6 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let mut dropped_rows = 0u64;
         let mut sampled_rows = 0u64;
         let mut false_drops = 0u64;
-        let mut replay_errors = 0u64;
         let mut seconds = 0.0;
         for (idx, row) in table.rows().iter().enumerate() {
             // A PP filter error fails open in the engine (the row passes),
@@ -442,29 +420,21 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
                 continue;
             }
             dropped_rows += 1;
-            if !sampled(
-                config.seed,
-                task.request_id,
-                idx as u64,
-                config.sample_fraction,
-            ) {
+            if !sampled(task.request_id, idx as u64, fraction) {
                 continue;
             }
-            match replay_row(
+            let replay = replay_row(
                 row,
                 &base_schema,
                 &processors,
                 &task.plan.predicate,
                 &mut seconds,
-            ) {
-                Ok(true) => {
-                    sampled_rows += 1;
-                    false_drops += 1;
-                }
-                Ok(false) => sampled_rows += 1,
-                // Ground truth unavailable for this blob: not evidence in
-                // either direction.
-                Err(_) => replay_errors += 1,
+            );
+            // A replay error means no ground truth for this blob: not
+            // evidence in either direction.
+            if let Ok(false_drop) = replay {
+                sampled_rows += 1;
+                false_drops += u64::from(false_drop);
             }
         }
         report.audited += 1;
@@ -484,15 +454,13 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         entry.dropped_rows += dropped_rows;
         entry.sampled += sampled_rows;
         entry.false_drops += false_drops;
-        entry.replay_errors += replay_errors;
     }
     // Verdict phase: quarantine every expression whose achieved-accuracy
     // lower bound crossed below its promise since the last pass.
     {
         let mut state = inner.audit.state.lock();
-        let min_replays = config.min_replays;
         for stats in state.stats.values_mut() {
-            if stats.violated || stats.sampled < min_replays {
+            if stats.violated || stats.sampled < MIN_REPLAYS {
                 continue;
             }
             let achieved = achieved_lower_bound(stats);
@@ -540,20 +508,20 @@ mod tests {
         let picked: Vec<u64> = rows
             .iter()
             .copied()
-            .filter(|&i| sampled(7, 42, i, 0.25))
+            .filter(|&i| sampled(42, i, 0.25))
             .collect();
         let again: Vec<u64> = rows
             .iter()
             .copied()
-            .filter(|&i| sampled(7, 42, i, 0.25))
+            .filter(|&i| sampled(42, i, 0.25))
             .collect();
-        assert_eq!(picked, again, "identical seeds sample identical sets");
+        assert_eq!(picked, again, "identical inputs sample identical sets");
         let frac = picked.len() as f64 / rows.len() as f64;
         assert!((0.2..0.3).contains(&frac), "got {frac}");
         let other: Vec<u64> = rows
             .iter()
             .copied()
-            .filter(|&i| sampled(7, 43, i, 0.25))
+            .filter(|&i| sampled(43, i, 0.25))
             .collect();
         assert_ne!(picked, other, "different query ids sample differently");
     }

@@ -53,7 +53,8 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// A request with the given source/predicate/accuracy and no fault
     /// plan, deadline or parallelism override. Every served query runs
-    /// under the engine's default resilience policy.
+    /// under the engine's one recovery policy
+    /// ([`pp_engine::resilience`]).
     pub fn new(source: impl Into<String>, predicate: Predicate, accuracy_target: f64) -> Self {
         QueryRequest {
             source: source.into(),

@@ -309,7 +309,6 @@ impl PpServer {
         let workers = config.workers;
         let cache = PlanCache::with_config(config.cache.clone());
         let shared = Arc::new(SharedScanCoordinator::new(config.sharedscan.clone()));
-        let audit = Auditor::new(config.audit.clone());
         let inner = Arc::new(ServerInner {
             data,
             sources,
@@ -319,7 +318,7 @@ impl PpServer {
             cache,
             metrics: MetricsRegistry::new(),
             config,
-            audit,
+            audit: Auditor::new(),
             gate: Arc::new(DepthGate::new()),
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),

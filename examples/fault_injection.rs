@@ -5,14 +5,18 @@
 //! cargo run --release --example fault_injection
 //! ```
 //!
-//! Three acts, all on the traffic-surveillance query `vehType = SUV`:
+//! Every run recovers under the engine's one fixed policy: three retries
+//! with backoff per call, a 60 s stall budget, and a breaker that opens at
+//! a fail-open filter's fifth terminal failure in a row. Three acts, all
+//! on the traffic-surveillance query `vehType = SUV`:
 //!
-//! 1. a flaky UDF (20% transient failures) — retries with backoff make the
+//! 1. a flaky UDF (5% transient failures) — retries with backoff make the
 //!    results byte-identical to a fault-free run, at a visible cluster-time
 //!    premium;
 //! 2. a hard-failed probabilistic predicate — the PP filter degrades
 //!    fail-open (rows pass instead of being dropped), its circuit breaker
-//!    trips, and the query still returns exactly the PP-free plan's answer;
+//!    trips at the fifth row whose retries all failed, and the query still
+//!    returns exactly the PP-free plan's answer;
 //! 3. the runtime monitor quarantines the broken PP, so replanning leaves
 //!    it out.
 
@@ -67,9 +71,8 @@ fn main() {
     // the context and is applied to every plan it runs; results (and
     // charges) are identical at any parallelism.
     let mut flaky = ExecutionContext::builder(&catalog)
-        .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
         .with_fault_plan(
-            FaultPlan::new(0x5EED).inject("VehTypeClassifier", FaultSpec::transient(0.20)),
+            FaultPlan::new(0x5EED).inject("VehTypeClassifier", FaultSpec::transient(0.05)),
         )
         .with_parallelism(4)
         .build();
@@ -79,7 +82,7 @@ fn main() {
         .span("Process[VehTypeClassifier]")
         .expect("udf span");
     println!(
-        "20% transient UDF faults:  {:4} rows, {:7.1}s cluster time  ({} failures, {} retries, identical: {})",
+        "5% transient UDF faults:   {:4} rows, {:7.1}s cluster time  ({} failures, {} retries, identical: {})",
         out.len(),
         flaky.meter().cluster_seconds(),
         udf.failures,
@@ -103,11 +106,6 @@ fn main() {
     );
 
     let mut broken = ExecutionContext::builder(&catalog)
-        .with_resilience(
-            ResilienceConfig::default()
-                .with_retry(RetryPolicy::none())
-                .with_breaker_threshold(3),
-        )
         .with_fault_plan(FaultPlan::new(0x0BAD).inject(&pp_op, FaultSpec::transient(1.0)))
         .build();
     let out = broken.run(&optimized.plan).expect("fail-open run");

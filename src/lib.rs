@@ -55,14 +55,13 @@ pub mod prelude {
     pub use pp_data::traffic::{TrafficConfig, TrafficDataset};
     pub use pp_engine::batch::{Batch, FeatureColumn};
     pub use pp_engine::cancel::{CancelReason, CancelToken};
-    pub use pp_engine::cost::{CostMeter, QueryMetrics};
+    pub use pp_engine::cost::CostMeter;
     pub use pp_engine::exec::{ExecutionContext, ExecutionContextBuilder};
     pub use pp_engine::explain::{ExplainAnalyze, OperatorPrediction, PredictionHints};
     pub use pp_engine::export::{JsonlExporter, OpenMetricsExporter};
     pub use pp_engine::fault::{FaultPlan, FaultSpec};
     pub use pp_engine::logical::LogicalPlan;
     pub use pp_engine::predicate::{Clause, CompareOp, Predicate};
-    pub use pp_engine::resilience::{ResilienceConfig, RetryPolicy};
     pub use pp_engine::row::{Row, RowRef, Rowset};
     pub use pp_engine::schema::{Column, DataType, Schema};
     pub use pp_engine::telemetry::{

@@ -710,7 +710,6 @@ fn the_auditor_holds_no_more_after_another_identical_cycle() {
                 workers: 1,
                 audit: AuditConfig {
                     sample_fraction: 1.0,
-                    ..Default::default()
                 },
                 ..Default::default()
             },

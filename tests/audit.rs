@@ -22,6 +22,7 @@ use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
+use probabilistic_predicates::server::audit::{MAX_PENDING, MAX_TASKS_PER_PASS, MIN_REPLAYS};
 use probabilistic_predicates::server::{
     rows_digest, AuditConfig, PpServer, QueryOutcome, QueryRequest, QuerySuccess, ServerConfig,
     SourceRegistry, SourceSpec,
@@ -128,9 +129,6 @@ fn make_server(pps: PpCatalog, audit: AuditConfig) -> PpServer {
 fn audit_config() -> AuditConfig {
     AuditConfig {
         sample_fraction: 0.5,
-        seed: 0xA0D17,
-        min_replays: 20,
-        ..AuditConfig::default()
     }
 }
 
@@ -160,7 +158,7 @@ fn honest_corpus_passes_the_audit() {
     let entries = server.auditor().entries();
     assert!(!entries.is_empty());
     for entry in &entries {
-        assert!(entry.sampled >= 20, "{entry:?}");
+        assert!(entry.sampled >= MIN_REPLAYS, "{entry:?}");
         assert!(
             entry.achieved_accuracy_lower_bound >= entry.promised_accuracy,
             "honest PP flagged: {entry:?}"
@@ -234,38 +232,32 @@ fn rigged_pp_is_quarantined_and_replanned() {
     assert_eq!(rows_digest(&after.rows), rows_digest(&baseline.rows));
 }
 
-/// Audit evidence is a pure function of `(seed, submission sequence)`:
-/// two servers fed identically produce byte-identical audit entries, and
-/// changing the seed changes the sampled set but not the verdict counts'
-/// consistency.
+/// Audit evidence is a pure function of the fixed seed and the
+/// submission sequence: two servers fed identically produce byte-identical
+/// audit entries, and changing the sample fraction changes the sampled set
+/// but not what was dropped and returned.
 #[test]
 fn audit_evidence_replays_from_the_seed() {
     let f = fixture();
-    let run = |seed: u64| {
-        let server = make_server(
-            f.honest.clone(),
-            AuditConfig {
-                seed,
-                ..audit_config()
-            },
-        );
+    let run = |sample_fraction: f64| {
+        let server = make_server(f.honest.clone(), AuditConfig { sample_fraction });
         for _ in 0..2 {
             complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
         }
         server.maintenance_now();
         server.auditor().entries()
     };
-    let first = run(0xA0D17);
-    let second = run(0xA0D17);
-    assert_eq!(first, second, "identical seeds must audit identically");
-    let other = run(0xFEED);
+    let first = run(0.5);
+    let second = run(0.5);
+    assert_eq!(first, second, "identical servers must audit identically");
+    let other = run(0.4);
     assert_eq!(first.len(), other.len());
     assert!(
         first
             .iter()
             .zip(other.iter())
             .any(|(a, b)| a.sampled != b.sampled),
-        "a different seed must sample a different set"
+        "a different fraction must sample a different set"
     );
     // Totals the sampler cannot change: what was dropped and returned.
     for (a, b) in first.iter().zip(other.iter()) {
@@ -276,23 +268,18 @@ fn audit_evidence_replays_from_the_seed() {
 
 /// The auditor's *replay machinery* never perturbs the queries it audits:
 /// verdicts, plan reports, and wall-clock-zeroed telemetry snapshots are
-/// byte-identical with the auditor on and off — even with maintenance
-/// passes (and their replays) interleaved between submissions. The verdict
-/// phase is held back (`min_replays: u64::MAX`) because a quarantine +
-/// replan is the auditor's *designed* intervention, not a perturbation;
-/// what must be invisible is everything up to that verdict.
+/// byte-identical whether a pass replays every dropped blob or none — even
+/// with maintenance passes (and their replays) interleaved between
+/// submissions. Replaying every drop makes the bound exact, and the
+/// honest corpus keeps its promise on each query, so no verdict
+/// quarantines anything: a quarantine + replan is the auditor's *designed*
+/// intervention, not a perturbation; what must be invisible is everything
+/// up to that verdict.
 #[test]
 fn audit_never_perturbs_query_results() {
     let f = fixture();
-    let run = |enabled: bool| {
-        let server = make_server(
-            f.honest.clone(),
-            AuditConfig {
-                enabled,
-                min_replays: u64::MAX,
-                ..audit_config()
-            },
-        );
+    let run = |sample_fraction: f64| {
+        let server = make_server(f.honest.clone(), AuditConfig { sample_fraction });
         let mut lines = Vec::new();
         for round in 0..3 {
             let s = complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
@@ -310,41 +297,39 @@ fn audit_never_perturbs_query_results() {
             // Interleave audit replays with live queries: later rounds must
             // not see any difference.
             let report = server.maintenance_now();
-            if enabled {
-                assert!(report.audit.replays > 0, "replay work must actually run");
-            }
+            assert_eq!(
+                report.audit.replays > 0,
+                sample_fraction > 0.0,
+                "replay work runs when it samples"
+            );
             assert!(report.audit.violated_keys.is_empty(), "{report:?}");
         }
         lines
     };
-    let audited = run(true);
-    let unaudited = run(false);
+    let audited = run(1.0);
+    let unaudited = run(0.0);
     assert_eq!(audited, unaudited);
 }
 
 /// Without a maintenance pass nothing drains the audit queue, so it is
-/// bounded: past `AuditConfig::max_pending` the oldest task is dropped
-/// and counted, and the next pass still replays the newest ones.
+/// bounded: past `MAX_PENDING` (four passes' worth) the oldest task is
+/// dropped and counted, and the next pass still replays the newest ones.
 #[test]
 fn audit_queue_is_bounded_without_a_maintenance_pass() {
     let f = fixture();
-    let config = AuditConfig {
-        max_tasks_per_pass: 1,
-        ..audit_config()
-    };
-    let bound = config.max_pending();
-    let server = make_server(f.honest.clone(), config);
+    assert_eq!(MAX_PENDING, 4 * MAX_TASKS_PER_PASS);
+    let server = make_server(f.honest.clone(), audit_config());
     let overflow = 3;
-    for _ in 0..bound + overflow {
+    for _ in 0..MAX_PENDING + overflow {
         complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
     }
-    assert_eq!(server.auditor().pending(), bound);
+    assert_eq!(server.auditor().pending(), MAX_PENDING);
     assert_eq!(
         server.metrics().counter("server.audit.dropped_total").get(),
         overflow as u64
     );
-    assert_eq!(server.maintenance_now().audit.audited, 1);
-    assert_eq!(server.auditor().pending(), bound - 1);
+    assert_eq!(server.maintenance_now().audit.audited, MAX_TASKS_PER_PASS);
+    assert_eq!(server.auditor().pending(), MAX_PENDING - MAX_TASKS_PER_PASS);
 }
 
 /// Delegates to the fixture's table and counts group decodes.

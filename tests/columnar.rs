@@ -28,8 +28,8 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::telemetry::EventKind;
 use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
-    Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig,
-    RetryPolicy, Row, RowRef, Rowset, UdfMemo, Value,
+    Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Row, RowRef, Rowset,
+    UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -188,22 +188,19 @@ fn observe(ctx: &ExecutionContext, out: &Rowset) -> (String, String, String) {
 #[test]
 fn every_shape_matches_the_scalar_reference() {
     let f = fixture();
-    let spec = FaultSpec::transient(0.2).with_timeouts(0.05, 2.0);
+    // Rare enough that three retries recover every call.
+    let spec = FaultSpec::transient(0.05).with_timeouts(0.02, 2.0);
     for faulted in [false, true] {
         let run = |k: usize, batch: usize| {
             let mut builder = ExecutionContext::builder(&f.catalog)
                 .with_parallelism(k)
                 .with_batch_size(batch);
             if faulted {
-                builder = builder
-                    .with_fault_plan(
-                        FaultPlan::new(0xC01A7)
-                            .inject("VehTypeClassifier", spec)
-                            .inject(&f.pp_op, spec),
-                    )
-                    .with_resilience(
-                        ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }),
-                    );
+                builder = builder.with_fault_plan(
+                    FaultPlan::new(0xC01A7)
+                        .inject("VehTypeClassifier", spec)
+                        .inject(&f.pp_op, spec),
+                );
             }
             let mut ctx = builder.build();
             let out = ctx.run(&f.pp_plan).expect("run");
@@ -242,11 +239,6 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
     use probabilistic_predicates::engine::{Column, DataType};
 
     let f = fixture();
-    let retrying = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
-    // Trips on the second consecutive terminal failure.
-    let brittle = ResilienceConfig::default()
-        .with_retry(RetryPolicy::none())
-        .with_breaker_threshold(2);
     let fanout = Arc::new(ClosureProcessor::new(
         "Fanout",
         vec![Column::new("copy", DataType::Int)],
@@ -273,10 +265,12 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
         ErrorAtFirstFailure,
     }
     let sparse = FaultSpec::transient(0.03);
-    let trip = FaultSpec::transient(0.15);
+    // Most calls fail after their retries too, so five terminal failures
+    // in a row come soon.
+    let trip = FaultSpec::transient(0.8);
     let pp_op = f.pp_op.as_str();
     let fail_closed_pp_plan = fail_closed(&f.pp_plan);
-    // (label, plan, faulted operator, its faults, resilience, runs, expect)
+    // (label, plan, faulted operator, its faults, runs, expect)
     let scenarios = [
         (
             // (a) faults in only some batches; poisoned rows fail open.
@@ -284,7 +278,6 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             &f.pp_plan,
             pp_op,
             sparse.with_poison(0.02),
-            retrying,
             1,
             Expect::MixedBatches { fail_open: true },
         ),
@@ -296,19 +289,17 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             &f.pp_plan,
             pp_op,
             trip,
-            brittle,
             2,
             Expect::TripThenShortCircuit,
         ),
         (
             // The same with fatal filter errors: each run ends at its
-            // first failed row, which trips nothing, even at a breaker
-            // threshold of 1.
+            // first failed row, a poisoned one (never retried), which
+            // trips nothing.
             "fail-closed",
             &fail_closed_pp_plan,
             pp_op,
-            trip,
-            brittle.with_breaker_threshold(1),
+            FaultSpec::poison(0.15),
             2,
             Expect::ErrorAtFirstFailure,
         ),
@@ -318,19 +309,17 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
             &fanout_plan,
             "Fanout",
             sparse,
-            retrying,
             1,
             Expect::MixedBatches { fail_open: false },
         ),
     ];
-    for (label, plan, faulted, spec, resilience, rounds, expect) in scenarios {
+    for (label, plan, faulted, spec, rounds, expect) in scenarios {
         let faults = FaultPlan::new(0xFA17).inject(faulted, spec);
         let run = |k: usize, batch: usize| {
             let mut ctx = ExecutionContext::builder(&f.catalog)
                 .with_parallelism(k)
                 .with_batch_size(batch)
                 .with_fault_plan(faults.clone())
-                .with_resilience(resilience)
                 .build();
             let mut seen = Vec::new();
             for _ in 0..rounds {
@@ -797,21 +786,15 @@ fn blob_at(cell: &Value) -> Option<usize> {
     }
 }
 
-/// A context at `(K, batch)` that retries a failed UDF call up to
-/// eight times and trips a breaker on the second terminal failure in a
-/// row, injecting `faults` if there are any.
+/// A context at `(K, batch)`, injecting `faults` if there are any.
 fn deferred_context<'c>(
     catalog: &'c Catalog,
     (k, batch): (usize, usize),
     faults: Option<&FaultPlan>,
 ) -> ExecutionContext<'c> {
-    let retrying = ResilienceConfig::default()
-        .with_retry(RetryPolicy { max_retries: 8 })
-        .with_breaker_threshold(2);
     let mut builder = ExecutionContext::builder(catalog)
         .with_parallelism(k)
-        .with_batch_size(batch)
-        .with_resilience(retrying);
+        .with_batch_size(batch);
     if let Some(faults) = faults {
         builder = builder.with_fault_plan(faults.clone());
     }
@@ -969,14 +952,16 @@ fn deferred_execution_matches_a_tuple_after_every_operator() {
                 .select(is("copy", CompareOp::Ge, Value::Int(5_000))),
         ),
     ];
-    let transient = FaultSpec::transient(0.2);
+    // Rare enough that three retries recover every call; the PP's
+    // poisoned rows come in runs long enough to trip its breaker.
+    let transient = FaultSpec::transient(0.05);
     let faults = [
         ("clean", None),
         (
             "retries and a tripped breaker",
             Some(
                 FaultPlan::new(0xDEF3)
-                    .inject(&f.pp_op, FaultSpec::poison(0.3))
+                    .inject(&f.pp_op, FaultSpec::poison(0.6))
                     .inject("VehTypeClassifier", transient)
                     .inject("VehColorClassifier", transient)
                     .inject("Ragged", transient),

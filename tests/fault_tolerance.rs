@@ -25,8 +25,7 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::{
-    Catalog, CostMeter, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig,
-    RetryPolicy, Rowset,
+    Catalog, CostMeter, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Rowset,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -117,13 +116,9 @@ fn run_plain(plan: &LogicalPlan) -> (Rowset, CostMeter) {
 }
 
 /// The run's output, charges, and spans (wall clock scrubbed).
-fn run_resilient(
-    plan: &LogicalPlan,
-    config: ResilienceConfig,
-) -> (Rowset, CostMeter, Vec<OperatorSpan>) {
+fn run_resilient(plan: &LogicalPlan) -> (Rowset, CostMeter, Vec<OperatorSpan>) {
     let f = fixture();
     let mut ctx = ExecutionContext::builder(&f.catalog)
-        .with_resilience(config)
         .with_parallelism(4)
         .build();
     let out = ctx.run(plan).expect("resilient execute");
@@ -140,7 +135,7 @@ fn span<'a>(spans: &'a [OperatorSpan], op: &str) -> &'a OperatorSpan {
         .unwrap_or_else(|| panic!("no span for {op}"))
 }
 
-/// (a) 20% transient failures on the vehicle-type UDF, recovered by
+/// (a) 5% transient failures on the vehicle-type UDF, recovered by
 /// retries: results are byte-identical to the fault-free run, and the
 /// recovery overhead is visible in the cost meter.
 #[test]
@@ -149,10 +144,9 @@ fn transient_udf_failures_recover_to_identical_results() {
     let (baseline, base_meter) = run_plain(&f.nop_plan);
 
     let faulted = FaultPlan::new(0xAB5_EED)
-        .inject("VehTypeClassifier", FaultSpec::transient(0.20))
+        .inject("VehTypeClassifier", FaultSpec::transient(0.05))
         .apply(&f.nop_plan);
-    let config = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
-    let (out, meter, spans) = run_resilient(&faulted, config);
+    let (out, meter, spans) = run_resilient(&faulted);
 
     assert_eq!(
         digest(&out),
@@ -184,8 +178,9 @@ fn transient_udf_failures_recover_to_identical_results() {
     );
 }
 
-/// (b) A PP that hard-fails on every row: the filter degrades fail-open
-/// (every row passes), its breaker trips and short-circuits the remaining
+/// (b) A PP that hard-fails on every row (every row poisoned, so no call
+/// is retried): the filter degrades fail-open (every row passes), its
+/// breaker trips at 5 failures in a row and short-circuits the remaining
 /// calls, and the query's results equal the PP-free plan's. Feeding the
 /// report to the runtime monitor quarantines the PP, so replanning
 /// degrades to the original plan.
@@ -195,13 +190,9 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     let (nop_out, _) = run_plain(&f.nop_plan);
 
     let faulted = FaultPlan::new(0x0BAD)
-        .inject(&f.pp_op, FaultSpec::transient(1.0))
+        .inject(&f.pp_op, FaultSpec::poison(1.0))
         .apply(&f.pp_plan);
-    let config = ResilienceConfig::default()
-        .with_retry(RetryPolicy::none())
-        .with_breaker_threshold(3);
     let mut ctx = ExecutionContext::builder(&f.catalog)
-        .with_resilience(config)
         .with_parallelism(4)
         .build();
     let out = ctx.run(&faulted).expect("resilient execute");
@@ -213,7 +204,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     );
     let pp = span(&ctx.telemetry().expect("snapshot").spans, &f.pp_op);
     assert!(pp.breaker_tripped, "breaker must trip: {pp:?}");
-    assert_eq!(pp.attempts, 3, "breaker threshold bounds the attempts");
+    assert_eq!(pp.attempts, 5, "breaker threshold bounds the attempts");
     assert!(pp.short_circuited > 0, "remaining rows skip the broken PP");
     assert_eq!(
         pp.failed_open,
@@ -230,7 +221,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     assert_eq!(
         monitor.why_broken("vehType = SUV"),
         Some(QuarantineReason::BreakerTripped),
-        "three failed calls are under MIN_CALLS: the breaker is the cause"
+        "five failed calls are under MIN_CALLS: the breaker is the cause"
     );
     assert!(
         monitor.is_broken("vehType = SUV"),
@@ -275,14 +266,14 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
 #[test]
 fn same_seed_reproduces_outputs_and_charges() {
     let f = fixture();
-    let spec = FaultSpec::transient(0.15).with_timeouts(0.05, 2.0);
+    // Rare enough that three retries recover every UDF call.
+    let spec = FaultSpec::transient(0.05).with_timeouts(0.02, 2.0);
     let run = |seed: u64| {
         let faulted = FaultPlan::new(seed)
             .inject("VehTypeClassifier", spec)
             .inject(&f.pp_op, spec)
             .apply(&f.pp_plan);
-        let config = ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 });
-        let (out, meter, spans) = run_resilient(&faulted, config);
+        let (out, meter, spans) = run_resilient(&faulted);
         (digest(&out), out.len(), meter, spans)
     };
     let (out_a, len_a, meter_a, spans_a) = run(0x5EED);
@@ -359,7 +350,6 @@ fn an_early_stop_charges_each_operator_for_what_it_consumed() {
             .with_parallelism(k)
             .with_batch_size(GROUP)
             .with_cancel_token(token.clone())
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
             .build();
         let err = ctx
             .run(&fail_closed(&LogicalPlan::scan("t").filter(filter)))
@@ -379,10 +369,11 @@ fn an_early_stop_charges_each_operator_for_what_it_consumed() {
         )
     };
 
-    // The filter's own terminal error, at a row of wave 3.
+    // The filter's own terminal error, at a row of wave 3 (poisoned, so
+    // it is not retried).
     let failing = |k: usize| {
         let filter = ClosureFilter::new("PP[gate]", 0.1, |row, _| match row.get(0).as_int()? {
-            STOP_AT => Err(EngineError::Transient("model server down".into())),
+            STOP_AT => Err(EngineError::PoisonedRow("model server down".into())),
             id => Ok(id % 2 == 0),
         });
         observe(k, &CancelToken::new(), Arc::new(filter))
@@ -448,9 +439,10 @@ fn an_early_stop_charges_each_operator_for_what_it_consumed() {
 }
 
 /// (e) A group operator's recovery is counted like a row operator's: a
-/// reducer that stalls once on its first group and then succeeds shows
-/// the timeout in its span, as a `Timeout` event, and — capped at the
-/// call budget — in the seconds it is charged.
+/// reducer that stalls once on its first group, longer than the 60 s call
+/// budget, and then succeeds shows the timeout in its span, as a
+/// `Timeout` event, and — capped at the budget — in the seconds it is
+/// charged.
 #[test]
 fn a_group_operators_timeout_is_counted_and_charged() {
     use probabilistic_predicates::engine::udf::ClosureReducer;
@@ -474,15 +466,13 @@ fn a_group_operators_timeout_is_counted_and_charged() {
             if !stalled.swap(true, Ordering::Relaxed) {
                 return Err(EngineError::Timeout {
                     op: "Tracker".into(),
-                    stalled_seconds: 50.0,
+                    stalled_seconds: 90.0,
                 });
             }
             Ok(vec![Row::new(vec![Value::Int(group.len() as i64)])])
         },
     );
-    let mut ctx = ExecutionContext::builder(&catalog)
-        .with_resilience(ResilienceConfig::default().with_udf_timeout_secs(3.0))
-        .build();
+    let mut ctx = ExecutionContext::new(&catalog);
     let out = ctx
         .run(&LogicalPlan::scan("t").reduce(Arc::new(tracker)))
         .expect("the retry succeeds");
@@ -509,9 +499,9 @@ fn a_group_operators_timeout_is_counted_and_charged() {
         (reduce.op.as_str(), 1)
     );
     // 10 rows + the 5 of the retried group at 0.5 s, the stall up to its
-    // 3 s budget, and the first backoff (0.05 s).
+    // 60 s budget, and the first backoff (0.05 s).
     assert!(
-        (reduce.seconds - (15.0 * 0.5 + 3.0 + 0.05)).abs() < 1e-9,
+        (reduce.seconds - (15.0 * 0.5 + 60.0 + 0.05)).abs() < 1e-9,
         "charged {}",
         reduce.seconds
     );

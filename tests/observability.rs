@@ -26,8 +26,7 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::udf::{ClosureFilter, ClosureProcessor};
 use probabilistic_predicates::engine::{
-    Catalog, EngineError, EventKind, FaultPlan, FaultSpec, LogicalPlan, QueryId, ResilienceConfig,
-    RetryPolicy, Row, Rowset, Value,
+    Catalog, EngineError, EventKind, FaultPlan, FaultSpec, LogicalPlan, QueryId, Row, Rowset, Value,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -169,7 +168,7 @@ fn worker_metrics_stay_out_of_snapshots() {
     );
 }
 
-// ---- CostMeter / QueryMetrics edge cases -------------------------------
+// ---- CostMeter edge cases ----------------------------------------------
 
 fn int_catalog(n: i64) -> Catalog {
     let schema = probabilistic_predicates::engine::Schema::new(vec![
@@ -209,8 +208,7 @@ fn zero_row_input_yields_zero_cost_and_conserving_spans() {
     let mut ctx = ExecutionContext::new(&cat);
     let out = ctx.run(&plan).expect("empty input is not an error");
     assert_eq!(out.len(), 0);
-    let metrics = ctx.metrics().expect("metrics after success");
-    assert_eq!(metrics.cluster_seconds, 0.0);
+    assert_eq!(ctx.meter().cluster_seconds(), 0.0);
     // latency_seconds keeps its fixed per-operator startup overhead even
     // for zero rows, so only the per-row charge is asserted zero here.
     let snap = ctx.telemetry().expect("snapshot");
@@ -242,21 +240,23 @@ fn fully_filtering_plan_reports_unit_reduction_and_idle_downstream() {
     assert_eq!(process.rows_in, 0);
     assert_eq!(process.seconds, 0.0);
     // The meter agrees: the expensive processor was never charged.
-    let metrics = ctx.metrics().expect("metrics");
-    assert_eq!(metrics.seconds_for_prefix("Process["), 0.0);
-    assert!(metrics.cluster_seconds > 0.0, "select itself was charged");
+    let charged = |op: &str| {
+        let entry = ctx.meter().entries().iter().find(|e| e.op.starts_with(op));
+        entry.expect("a charge").seconds
+    };
+    assert_eq!(charged("Process["), 0.0);
+    assert!(charged("Select[") > 0.0, "select itself was charged");
 }
 
 #[test]
 fn breaker_open_rows_fail_open_and_are_fully_accounted() {
     let cat = int_catalog(64);
+    // A poisoned row is not retried: one call, one terminal failure.
     let dead = Arc::new(ClosureFilter::new("PP[dead]", 0.01, |_, _| {
-        Err(EngineError::Transient("dead model".into()))
+        Err(EngineError::PoisonedRow("dead model".into()))
     }));
     let plan = LogicalPlan::scan("t").filter(dead);
-    let mut ctx = ExecutionContext::builder(&cat)
-        .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy::none()))
-        .build();
+    let mut ctx = ExecutionContext::new(&cat);
     // A breaker lives for one run: the second run meets a closed breaker
     // and trips it again, accounted exactly as the first.
     for _ in 0..2 {
@@ -268,7 +268,7 @@ fn breaker_open_rows_fail_open_and_are_fully_accounted() {
         assert_eq!(span.rows_out, 64);
         assert_eq!(span.rows_failed, 0);
         assert_eq!(span.failed_open, 64, "every row degraded to pass-through");
-        // Default threshold is 5 consecutive failures; the rest short-circuit.
+        // The breaker opens at 5 consecutive failures; the rest short-circuit.
         assert_eq!(span.failures, 5);
         assert_eq!(span.short_circuited, 59);
         assert!(span.breaker_tripped);
@@ -321,12 +321,12 @@ fn context_reuse_restarts_metrics_and_telemetry_from_zero() {
     let cheap = LogicalPlan::scan("t");
     let mut ctx = ExecutionContext::new(&cat);
     ctx.run(&expensive).expect("first run");
-    let first_secs = ctx.metrics().expect("metrics").cluster_seconds;
+    let first_secs = ctx.meter().cluster_seconds();
     let first = ctx.telemetry().expect("snapshot");
     assert_eq!(first.query_id, QueryId(1));
     assert_eq!(first.spans.len(), 2);
     ctx.run(&cheap).expect("second run");
-    let second_secs = ctx.metrics().expect("metrics").cluster_seconds;
+    let second_secs = ctx.meter().cluster_seconds();
     let second = ctx.telemetry().expect("snapshot");
     assert_eq!(
         second.query_id,

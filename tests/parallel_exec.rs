@@ -13,7 +13,7 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::{
-    Catalog, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, ResilienceConfig, RetryPolicy, Rowset,
+    Catalog, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Rowset,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -140,7 +140,8 @@ fn every_parallelism_matches_serial_exactly() {
 #[test]
 fn parallel_fault_injection_matches_serial() {
     let f = fixture();
-    let spec = FaultSpec::transient(0.15).with_timeouts(0.05, 2.0);
+    // Rare enough that three retries recover every call.
+    let spec = FaultSpec::transient(0.05).with_timeouts(0.02, 2.0);
     let run = |k: usize| {
         let mut ctx = ExecutionContext::builder(&f.catalog)
             .with_fault_plan(
@@ -148,7 +149,6 @@ fn parallel_fault_injection_matches_serial() {
                     .inject("VehTypeClassifier", spec)
                     .inject(&f.pp_op, spec),
             )
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
             .with_parallelism(k)
             .build();
         let out = ctx.run(&f.pp_plan).expect("faulted run");

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 mod common;
 
 use probabilistic_predicates::core::catalog::CatalogEpoch;
+use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
@@ -16,7 +17,9 @@ use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
-use probabilistic_predicates::engine::{Catalog, FaultPlan, FaultSpec, Rowset};
+use probabilistic_predicates::engine::{
+    Catalog, ExecutionContext, FaultPlan, FaultSpec, Rowset, TelemetrySnapshot,
+};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -384,7 +387,7 @@ fn quarantined_pp_leaves_the_cache_with_identical_verdicts() {
     let f = fixture();
     // The drift test's corpus: two PPs sharing one trained pipeline,
     // queried at accuracy 1.0, so every plan makes the same verdicts. The
-    // audit is off, so the hand-made quarantine is the only news.
+    // audit samples nothing, so the hand-made quarantine is the only news.
     let pred_a = Predicate::from(Clause::new("vehType", CompareOp::Eq, "SUV"));
     let pred_b = Predicate::from(Clause::new("vehType", CompareOp::Ne, "sedan"));
     let mut corpus = PpCatalog::new();
@@ -396,8 +399,7 @@ fn quarantined_pp_leaves_the_cache_with_identical_verdicts() {
         ServerConfig {
             workers: 2,
             audit: AuditConfig {
-                enabled: false,
-                ..Default::default()
+                sample_fraction: 0.0,
             },
             ..Default::default()
         },
@@ -444,6 +446,66 @@ fn quarantined_pp_leaves_the_cache_with_identical_verdicts() {
         "replanning changed per-blob verdicts"
     );
     server.shutdown();
+}
+
+/// A served query and an in-process run recover under the same fixed
+/// policy: with one seeded fault plan — transient faults and timeouts on
+/// the UDF and on the PP — the served run's spans equal, byte for byte,
+/// those of the same optimized plan run through `ExecutionContext::new`.
+#[test]
+fn served_and_in_process_runs_share_one_recovery_policy() {
+    let f = fixture();
+    let predicate = Predicate::from(Clause::new("vehType", CompareOp::Eq, "SUV"));
+    let spec = f.sources.get("traffic").expect("registered source");
+    let optimized = PpQueryOptimizer::new(
+        f.pp_catalog.clone(),
+        f.domains.clone(),
+        QoConfig {
+            accuracy_target: 0.95,
+        },
+    )
+    .optimize(&spec.nop_plan(&predicate), &f.catalog)
+    .expect("optimize");
+    let pp_op = optimized
+        .report
+        .chosen
+        .as_ref()
+        .expect("a PP is injected")
+        .filter_op();
+    let faults = FaultPlan::new(0x0B1C)
+        .inject(
+            "VehTypeClassifier",
+            FaultSpec::transient(0.05).with_timeouts(0.02, 2.0),
+        )
+        .inject(&pp_op, FaultSpec::transient(0.3).with_timeouts(0.1, 2.0));
+
+    let mut server = make_server(1);
+    let request = QueryRequest::new("traffic", predicate, 0.95).with_fault_plan(faults.clone());
+    let response = server.submit(request).expect("admitted").wait();
+    let served = response.outcome.success().expect("completes");
+    assert_eq!(
+        format!("{:?}", served.report.chosen),
+        format!("{:?}", optimized.report.chosen)
+    );
+    server.shutdown();
+
+    let mut ctx = ExecutionContext::new(&f.catalog);
+    let rows = ctx
+        .run(&faults.apply(&optimized.plan))
+        .expect("in-process run");
+    assert_eq!(digest(&rows), digest(&served.rows));
+
+    let spans = |snapshot: &TelemetrySnapshot| {
+        let mut snapshot = snapshot.clone();
+        snapshot.zero_wall_clock();
+        format!("{:?}", snapshot.spans)
+    };
+    let local = ctx.telemetry().expect("snapshot");
+    assert_eq!(spans(&served.telemetry), spans(local));
+    for op in ["Process[VehTypeClassifier]", pp_op.as_str()] {
+        let span = local.span(op).expect("the faulted operator ran");
+        assert!(span.retries > 0 && span.timeouts > 0, "{span:?}");
+    }
 }
 
 /// Shedding and mid-run failure paths: rejected or failed queries leave no

@@ -29,8 +29,8 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::RowFilter;
 use probabilistic_predicates::engine::{
     CancelReason, CancelToken, Catalog, Clause, Column, CompareOp, DataType, EngineError,
-    FaultPlan, FaultSpec, LogicalPlan, MemoryProvider, Predicate, ResilienceConfig, RetryPolicy,
-    Row, Rowset, Schema, TableProvider, Value,
+    FaultPlan, FaultSpec, LogicalPlan, MemoryProvider, Predicate, Row, Rowset, Schema,
+    TableProvider, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -170,7 +170,6 @@ fn segment_scan_matches_in_memory_under_seeded_faults() {
     let run = |catalog: &Catalog, k: usize, batch: usize| {
         let mut ctx = ExecutionContext::builder(catalog)
             .with_fault_plan(FaultPlan::new(0x5709F).inject("VehTypeClassifier", spec))
-            .with_resilience(ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }))
             .with_parallelism(k)
             .with_batch_size(batch)
             .build();
@@ -324,11 +323,7 @@ fn unpruned_scan_is_identical_across_table_sources() {
                 .with_batch_size(batch);
             if faulted {
                 let spec = FaultSpec::transient(0.2).with_poison(0.02);
-                builder = builder
-                    .with_fault_plan(FaultPlan::new(0x5709F).inject(&pp_op, spec))
-                    .with_resilience(
-                        ResilienceConfig::default().with_retry(RetryPolicy { max_retries: 8 }),
-                    );
+                builder = builder.with_fault_plan(FaultPlan::new(0x5709F).inject(&pp_op, spec));
             }
             let mut ctx = builder.build();
             let out = ctx.run(&plan).expect("pipeline run");
@@ -437,13 +432,7 @@ fn an_irregular_blob_group_decodes_to_cells_and_fails_like_the_row_path() {
             fail_closed(&plan)
         };
         let run = |builder: ExecutionContextBuilder<'_>| {
-            let mut ctx = builder
-                .with_resilience(
-                    ResilienceConfig::default()
-                        .with_retry(RetryPolicy::none())
-                        .with_breaker_threshold(100),
-                )
-                .build();
+            let mut ctx = builder.build();
             let rows = match ctx.run(&plan) {
                 Ok(out) => digest_bits(&out),
                 Err(e) => format!("error: {e}"),
