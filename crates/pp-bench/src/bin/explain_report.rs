@@ -4,13 +4,14 @@
 //! seeded fault plan aimed at its probabilistic predicates — and renders
 //! the annotated [`ExplainAnalyze`] tree for each run: predicted vs actual
 //! rows, reduction, and charged seconds per operator, with relative-error
-//! annotations. It fails unless the fault plan fired and forced retries
-//! and every span of both runs conserves its rows. The clean snapshot is
-//! then emitted in both export formats (OpenMetrics text exposition and
-//! one JSONL record) to show the scrape surface, and both runs are fed to
-//! the runtime monitor to print its calibration report, whether the plan
-//! is now [`stale`](pp_core::RuntimeMonitor::stale), and each PP's fault
-//! calls, fault rate and quarantine cause.
+//! annotations, after the count of candidate leaves whose validation
+//! sample cannot certify the target. It fails unless the fault plan fired
+//! and forced retries and every span of both runs conserves its rows. The
+//! clean snapshot is then emitted in both export formats (OpenMetrics text
+//! exposition and one JSONL record) to show the scrape surface, and both
+//! runs are fed to the runtime monitor to print its calibration report,
+//! whether the plan is now [`stale`](pp_core::RuntimeMonitor::stale), and
+//! each PP's fault calls, fault rate and quarantine cause.
 //!
 //! [`ExplainAnalyze`]: pp_engine::ExplainAnalyze
 
@@ -36,8 +37,12 @@ fn main() -> pp_bench::Result<()> {
     faulted.zero_wall_clock();
 
     println!(
-        "TRAF-20 Q{} ({}), PP plan @ accuracy 0.95, parallelism 4\n",
+        "TRAF-20 Q{} ({}), PP plan @ accuracy 0.95, parallelism 4",
         q.id, q.kind
+    );
+    println!(
+        "candidate leaves that cannot certify the target: {}\n",
+        optimized.report.uncertified_leaves
     );
 
     let clean_analyze =

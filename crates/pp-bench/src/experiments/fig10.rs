@@ -25,13 +25,14 @@ pub(crate) const EXPERIMENT: Experiment = Experiment {
     checks: &[
         "no scheme's cluster time exceeds NoP's on any query (to 0.1 %: SortP's reordered \
          selects are not free)",
-        "average speed-up: SortP < PP@1.0 ≤ PP@0.98 ≤ PP@0.95",
+        "average speed-up: SortP < PP@0.95 and PP@1.0 ≤ PP@0.98 ≤ PP@0.95",
         "speed-up grows as selectivity falls: the ten least selective queries average more \
          PP@0.95 speed-up than the ten most selective",
         "SortP returns exactly NoP's frames and every PP plan a subset of them",
-        "deviation: PP@1.0 averages more than the paper's 1.4×",
-        "deviation: the accuracy contract is missed — at a = 0.95 on no more than 12 of 20 \
-         queries, never below 0.65 of NoP's output",
+        "deviation: PP@1.0 is NoP's plan on every query (1×, the paper's 1.4×): no finite \
+         validation sample certifies full recall",
+        "the accuracy contract holds at a = 0.95 on at least 19 of 20 queries, and no query \
+         returns less than 0.9 of NoP's output",
     ],
     run,
 };
@@ -133,8 +134,8 @@ fn run() -> Result<Report> {
         format!("smallest speed-up {slowest:.6}x"),
     );
     report.check(
-        avg[0] < avg[3] && avg[3] <= avg[2] && avg[2] <= avg[1],
-        format!("{sortp} < {pp100} ≤ {pp98} ≤ {pp95}"),
+        avg[0] < avg[1] && avg[3] <= avg[2] && avg[2] <= avg[1],
+        format!("{sortp} < {pp95}; {pp100} ≤ {pp98} ≤ {pp95}"),
     );
     rows.sort_by(|a, b| a.selectivity.total_cmp(&b.selectivity));
     let (rare, common) = rows.split_at(rows.len() / 2);
@@ -150,11 +151,16 @@ fn run() -> Result<Report> {
         wrong_frames == 0,
         format!("{wrong_frames} of 80 results differ"),
     );
-    report.check(avg[3] > 1.4, pp100);
+    let fastest100 = most(rows.iter().map(|r| r.speedup[3]));
+    let slowest100 = least(rows.iter().map(|r| r.speedup[3]));
+    report.check(
+        (fastest100 - 1.0).abs() < 1e-9 && (slowest100 - 1.0).abs() < 1e-9,
+        format!("{}–{}", speedup(slowest100), speedup(fastest100)),
+    );
     let under = rows.iter().filter(|r| r.acc[0] < TARGETS[0]).count();
     let worst = least(rows.iter().map(|r| r.acc[0]));
     report.check(
-        under <= 12 && worst >= 0.65,
+        under <= 1 && worst >= 0.9,
         format!(
             "{under} of {} under target, worst {}",
             rows.len(),

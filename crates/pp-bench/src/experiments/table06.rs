@@ -20,7 +20,7 @@ pub(crate) const EXPERIMENT: Experiment = Experiment {
         "PP out-reduces both Joglekar variants in every cell",
         "the raw correlation filter is near-useless on dense video: under 0.15 on UCF101 at \
          both targets",
-        "PP's effective speed-up over the raw filter reaches 9× on UCF101",
+        "PP's effective speed-up over the raw filter reaches 7× on UCF101",
         "deviation: the SUNAttribute gap is small, PP's speed-up over either variant under \
          1.5×",
     ],
@@ -94,7 +94,7 @@ fn run() -> Result<Report> {
     let raw_video = most(by_target.iter().map(|r| r[2][2]));
     report.check(raw_video < 0.15, format!("at most {}", f3(raw_video)));
     let peak = most(by_target.iter().map(|r| speedup(r, 2, 2)));
-    report.check(peak >= 9.0, format!("{}x", f2(peak)));
+    report.check(peak >= 7.0, format!("{}x", f2(peak)));
     let sun = most(
         by_target
             .iter()

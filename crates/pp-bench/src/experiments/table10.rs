@@ -23,7 +23,9 @@ pub(crate) const EXPERIMENT: Experiment = Experiment {
     checks: &[
         "the full corpus offers 19 / 27 / 1594 feasible plans for the 1- / 2- / 4-clause \
          predicates",
-        "the range predicate's picked plan is exactly the paper's: the boundary PPs conjoined",
+        "deviation: the range predicate's picked plan is the lower boundary PP alone, not the \
+         paper's two boundary PPs conjoined: a conjunction must certify each leaf above the \
+         target",
         "halving the corpus collapses the choice space: no count grows and their sum falls \
          below a tenth",
         "the best estimated reduction survives halving for every predicate (within 0.005)",
@@ -146,10 +148,7 @@ fn run() -> Result<Report> {
         counts(full) == [19, 27, 1594],
         format!("{:?}", counts(full)),
     );
-    report.check(
-        full[1].1 == "(PP[speed >= 60] ∧ PP[speed <= 65])",
-        full[1].1.clone(),
-    );
+    report.check(full[1].1 == "PP[speed >= 60]", full[1].1.clone());
     report.check(
         full.iter().zip(half).all(|(f, h)| h.0 <= f.0)
             && 10 * counts(half).iter().sum::<u64>() < counts(full).iter().sum(),

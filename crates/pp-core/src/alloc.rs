@@ -29,9 +29,10 @@ use crate::{PpError, Result};
 /// The discrete per-leaf accuracy levels the DP considers: ascending,
 /// distinct, in (0, 1].
 ///
-/// Ends at 1.0, so any target ≤ 1 is feasible (all leaves at full
-/// accuracy combine to ≥ target under conjunction; disjunction only
-/// improves accuracy).
+/// A leaf takes a level only where its validation positives certify it
+/// ([`pp_ml::calibrate::certified_keep`]), so a target some leaf cannot
+/// certify has no plan using that leaf; no leaf certifies 1.0, so a target
+/// of 1.0 has no PP plan at all.
 pub const ACCURACY_GRID: [f64; 16] = [
     0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998, 0.999, 1.0,
 ];
@@ -113,7 +114,7 @@ impl BudgetDp {
                 "accuracy target must be in (0, 1]",
             ));
         }
-        self.build_leaf_curves(expr)?;
+        self.build_leaf_curves(expr);
         self.arena.clear();
         let curve = fold_curve(expr, &self.leaf_curves, &mut self.arena, self.udf_cost)?;
         let idx = ceil_index(target).ok_or(PpError::InfeasibleAccuracy(target))?;
@@ -132,19 +133,31 @@ impl BudgetDp {
     }
 
     /// Makes sure every leaf of `expr` has its curve.
-    fn build_leaf_curves(&mut self, expr: &PpExpr) -> Result<()> {
+    fn build_leaf_curves(&mut self, expr: &PpExpr) {
         match expr {
             PpExpr::Leaf(pp) => {
                 if !self.leaf_curves.iter().any(|(l, _)| l.same_estimates(pp)) {
-                    let curve = leaf_curve(pp, self.udf_cost)?;
+                    let curve = leaf_curve(pp, self.udf_cost);
                     self.leaf_curves.push((Arc::clone(pp), curve));
                 }
-                Ok(())
             }
-            PpExpr::And(children) | PpExpr::Or(children) => children
-                .iter()
-                .try_for_each(|child| self.build_leaf_curves(child)),
+            PpExpr::And(children) | PpExpr::Or(children) => {
+                for child in children {
+                    self.build_leaf_curves(child);
+                }
+            }
         }
+    }
+
+    /// How many of the leaves allocated so far cannot be set to the
+    /// target's grid point or above: their validation positives certify no
+    /// such accuracy, so every candidate using them is infeasible.
+    pub(crate) fn uncertified_leaves(&self) -> usize {
+        let idx = ceil_index(self.target);
+        self.leaf_curves
+            .iter()
+            .filter(|(_, curve)| idx.is_none_or(|i| curve[i].is_none()))
+            .count()
     }
 }
 
@@ -168,13 +181,17 @@ fn spell(back: Back, arena: &[[Back; 2]], out: &mut Vec<f64>) {
 }
 
 /// A leaf's curve: set to accuracy `a` it achieves exactly `a`, and
-/// satisfies every grid level ≤ `a`.
-fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64) -> Result<Curve> {
+/// satisfies every grid level ≤ `a`. A grid point its validation positives
+/// cannot certify has no entry, so no plan sets the leaf to it.
+fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64) -> Curve {
     let mut curve: Curve = vec![None; ACCURACY_GRID.len()];
     for (i, &a) in ACCURACY_GRID.iter().enumerate() {
+        let Some(reduction) = pp.certified_reduction(i) else {
+            continue;
+        };
         let estimate = Estimate {
             accuracy: a,
-            reduction: pp.reduction(a)?,
+            reduction,
             cost: pp.cost_per_row(),
         };
         let entry = CurveEntry {
@@ -188,7 +205,7 @@ fn leaf_curve(pp: &ProbabilisticPredicate, udf_cost: f64) -> Result<Curve> {
             }
         }
     }
-    Ok(curve)
+    curve
 }
 
 /// Computes the DP curve of a sub-expression whose leaves all have their
@@ -271,8 +288,8 @@ mod tests {
     }
 
     /// The reference the DP is held against: every leaf gets the same grid
-    /// accuracy — the smallest one whose combined accuracy still meets the
-    /// target.
+    /// accuracy — the smallest certified one whose combined accuracy still
+    /// meets the target.
     fn allocate_uniform(expr: &PpExpr, target: f64) -> Result<PlannedPpExpr> {
         if !(target > 0.0 && target <= 1.0) {
             return Err(PpError::InvalidParameter(
@@ -280,9 +297,10 @@ mod tests {
             ));
         }
         for a in ACCURACY_GRID {
-            let planned = PlannedPpExpr::new(expr.clone(), vec![a; expr.leaf_count()])?;
-            if planned.estimate().accuracy >= target - 1e-12 {
-                return Ok(planned);
+            match PlannedPpExpr::new(expr.clone(), vec![a; expr.leaf_count()]) {
+                Ok(planned) if planned.estimate().accuracy >= target - 1e-12 => return Ok(planned),
+                Ok(_) | Err(PpError::InfeasibleAccuracy(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Err(PpError::InfeasibleAccuracy(target))
@@ -355,17 +373,21 @@ mod tests {
             PpExpr::And(vec![PpExpr::Or(vec![la, lc.clone()]), halved()]),
             PpExpr::Or(vec![lb, lc]),
         ];
-        for target in [0.9, 0.95, 1.0] {
+        // At 0.98 the three-leaf conjunction is infeasible: its leaves
+        // certify no more than 0.99 each, and 0.99³ < 0.98.
+        for target in [0.9, 0.95, 0.98] {
             let mut shared = BudgetDp::new(target, 5.0);
             for cand in &candidates {
-                let together = shared.allocate(cand).unwrap();
-                let alone = allocate(cand, target, 5.0).unwrap();
-                assert_eq!(
-                    together.accuracies(),
-                    alone.accuracies(),
-                    "{cand} at {target}"
-                );
-                assert_eq!(together.estimate(), alone.estimate(), "{cand} at {target}");
+                let plan = |p: Result<PlannedPpExpr>| match p {
+                    Ok(p) => Some((p.accuracies().to_vec(), p.estimate())),
+                    Err(PpError::InfeasibleAccuracy(_)) => None,
+                    Err(e) => panic!("{cand} at {target}: {e}"),
+                };
+                let together = plan(shared.allocate(cand));
+                let alone = plan(allocate(cand, target, 5.0));
+                assert_eq!(together, alone, "{cand} at {target}");
+                let flat_triple = matches!(cand, PpExpr::And(c) if c.len() == 3);
+                assert_eq!(together.is_none(), flat_triple && target == 0.98);
             }
             // a, its halved copy, b and c: four curves for thirteen leaves.
             assert_eq!(shared.leaf_curves.len(), 4);
@@ -373,12 +395,18 @@ mod tests {
     }
 
     #[test]
-    fn full_accuracy_target_forces_ones_under_conjunction() {
+    fn an_uncertifiable_target_has_no_plan_and_counts_its_leaves() {
+        // About 420 validation positives per leaf certify 0.99 but not
+        // 0.995, and nothing certifies 1.0.
         let e = PpExpr::And(vec![leaf(1, 0.001), leaf(2, 0.001)]);
-        let planned = allocate(&e, 1.0, 10.0).unwrap();
-        for &a in planned.accuracies() {
-            assert_eq!(a, 1.0);
+        for target in [0.995, 1.0] {
+            let mut dp = BudgetDp::new(target, 10.0);
+            assert!(matches!(dp.allocate(&e), Err(PpError::InfeasibleAccuracy(t)) if t == target));
+            assert_eq!(dp.uncertified_leaves(), 2, "target {target}");
         }
+        let mut dp = BudgetDp::new(0.95, 10.0);
+        assert!(dp.allocate(&e).is_ok());
+        assert_eq!(dp.uncertified_leaves(), 0);
     }
 
     #[test]

@@ -271,15 +271,21 @@ pub struct PlannedPpExpr {
 
 impl PlannedPpExpr {
     /// Plans `expr` at `accuracies`, one per leaf in pre-order: resolves
-    /// each leaf's `th(a]` and estimates the whole (Eqs. 9–10). Errors
-    /// unless there is exactly one accuracy per leaf, each in `(0, 1]`.
+    /// each leaf's certified `th(a]` and estimates the whole (Eqs. 9–10).
+    /// Errors unless there is exactly one accuracy per leaf, each in
+    /// `(0, 1]`, and [`PpError::InfeasibleAccuracy`] when a leaf's validation
+    /// positives cannot certify its accuracy — so no plan carries an
+    /// uncertified threshold.
     pub fn new(expr: PpExpr, accuracies: Vec<f64>) -> Result<Self> {
         let estimate = expr.estimate(&accuracies)?;
         let thresholds = expr
             .leaves()
             .iter()
             .zip(&accuracies)
-            .map(|(pp, &a)| Ok(pp.pipeline().calibration().threshold(a)?))
+            .map(|(pp, &a)| {
+                pp.certified_threshold(a)
+                    .ok_or(PpError::InfeasibleAccuracy(a))
+            })
             .collect::<Result<_>>()?;
         Ok(PlannedPpExpr {
             expr,
@@ -492,13 +498,13 @@ mod tests {
         // numbered consistently — distinct per-leaf accuracies, and the
         // verdict is the per-leaf pipelines' own.
         let e = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
-        let planned = PlannedPpExpr::new(e, vec![1.0, 0.95, 0.9]).unwrap();
+        let planned = PlannedPpExpr::new(e, vec![0.99, 0.95, 0.9]).unwrap();
         let neg = Features::Dense(vec![-2.5, 0.0]);
         assert!(!planned.passes(&neg));
         let pos = Features::Dense(vec![2.5, 0.0]);
         let leaves = planned.expr().leaves();
         let by_leaf = |i: usize, a: f64| leaves[i].pipeline().passes(&pos, a).unwrap();
-        let want = by_leaf(0, 1.0) && (by_leaf(1, 0.95) || by_leaf(2, 0.9));
+        let want = by_leaf(0, 0.99) && (by_leaf(1, 0.95) || by_leaf(2, 0.9));
         assert_eq!(planned.passes(&pos), want);
     }
 
@@ -520,13 +526,29 @@ mod tests {
             let e = PpExpr::Or(vec![leaf(1), leaf(2)]);
             assert!(PlannedPpExpr::new(e, vec![0.95, a]).is_err(), "a = {a}");
         }
-        assert!(PlannedPpExpr::new(leaf(1), vec![1.0]).is_ok());
+        assert!(PlannedPpExpr::new(leaf(1), vec![0.99]).is_ok());
+    }
+
+    #[test]
+    fn new_rejects_an_accuracy_the_leaf_cannot_certify() {
+        // About 420 validation positives certify 0.99 (299 needed) but not
+        // 0.995 (598), and no sample certifies 1.0.
+        for a in [0.995, 1.0] {
+            let e = PpExpr::And(vec![leaf(1), leaf(2)]);
+            assert!(
+                matches!(
+                    PlannedPpExpr::new(e, vec![0.9, a]),
+                    Err(PpError::InfeasibleAccuracy(x)) if x == a
+                ),
+                "a = {a}"
+            );
+        }
     }
 
     #[test]
     fn new_resolves_each_leaf_threshold_once_and_exactly() {
         let e = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
-        let accuracies = vec![1.0, 0.95, 0.9];
+        let accuracies = vec![0.99, 0.95, 0.9];
         let planned = PlannedPpExpr::new(e, accuracies.clone()).unwrap();
         assert_eq!(planned.accuracies(), &accuracies[..]);
         assert_eq!(planned.thresholds().len(), 3);

@@ -65,7 +65,8 @@ pub enum PpError {
     NoApplicablePp,
     /// A parameter was outside its valid range.
     InvalidParameter(&'static str),
-    /// The requested accuracy target cannot be met by any plan.
+    /// The requested accuracy target cannot be met by any plan, or a leaf's
+    /// validation positives cannot certify the accuracy it was set to.
     InfeasibleAccuracy(f64),
 }
 

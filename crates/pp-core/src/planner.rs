@@ -123,6 +123,10 @@ pub struct PlanReport {
     pub predicate: String,
     /// Feasible plan count within the PP budget (Table 10's "# plans").
     pub feasible_count: u64,
+    /// Candidate leaves whose validation positives certify no accuracy at
+    /// or above the target's grid point: what certification cost. Every
+    /// candidate using one is reported infeasible.
+    pub uncertified_leaves: u64,
     /// Candidates actually costed.
     pub candidates: Vec<CandidateReport>,
     /// The injected plan, if any.
@@ -329,6 +333,7 @@ impl PpQueryOptimizer {
                     best = Some((cost, planned));
                 }
             }
+            report.uncertified_leaves = dp.uncertified_leaves() as u64;
             let Some((cost, planned)) = best else {
                 continue;
             };
@@ -578,18 +583,27 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_one_keeps_everything_the_pp_guarantees() -> Result<()> {
+    fn accuracy_one_is_the_pp_free_plan_with_every_candidate_infeasible() -> Result<()> {
+        // No validation sample certifies full recall, so at a = 1.0 every
+        // candidate is infeasible and the plan is the original one.
         let (cat, plan) = setup(400, 2)?;
         let config = QoConfig {
             accuracy_target: 1.0,
         };
         let qo = PpQueryOptimizer::new(pp_catalog()?, Domains::new(), config);
         let optimized = qo.optimize(&plan, &cat)?;
-        if let Some(chosen) = &optimized.report.chosen {
-            for &a in &chosen.leaf_accuracies {
-                assert_eq!(a, 1.0);
-            }
-        }
+        let report = &optimized.report;
+        assert!(report.chosen.is_none());
+        assert!(optimized.pp_filter.is_none());
+        assert_eq!(optimized.plan.explain(), plan.explain());
+        assert!(!report.candidates.is_empty());
+        assert!(report.candidates.iter().all(|c| !c.feasible));
+        assert_eq!(report.uncertified_leaves, 1);
+        // At 0.95 the same leaf certifies and is injected.
+        let qo = PpQueryOptimizer::new(pp_catalog()?, Domains::new(), QoConfig::default());
+        let optimized = qo.optimize(&plan, &cat)?;
+        assert!(optimized.report.chosen.is_some());
+        assert_eq!(optimized.report.uncertified_leaves, 0);
         Ok(())
     }
 
@@ -833,7 +847,8 @@ mod tests {
     #[test]
     fn calibration_drift_replans_with_identical_results() -> Result<()> {
         let (cat, plan) = setup(400, 11)?;
-        // Two PPs sharing one trained pipeline: at accuracy 1.0 they make
+        // Two PPs sharing one trained pipeline: at accuracy 0.99 (the one
+        // grid point meeting the target that they certify) they make
         // identical per-blob verdicts, so whichever expression the QO
         // picks, the query returns the same rows. A mimics the query
         // predicate cheaply; B mimics an implied predicate at higher cost.
@@ -850,7 +865,7 @@ mod tests {
             0.2,
         )?);
         let config = QoConfig {
-            accuracy_target: 1.0,
+            accuracy_target: 0.99,
         };
         let qo = PpQueryOptimizer::new(ppcat, Domains::new(), config);
         let monitor = RuntimeMonitor::new();
@@ -891,7 +906,7 @@ mod tests {
             .collect();
         let leaf = |i: usize| PpExpr::leaf(Arc::clone(&pps[i]));
         let expr = PpExpr::And(vec![leaf(0), PpExpr::Or(vec![leaf(1), leaf(2)])]);
-        let accuracies = vec![1.0, 0.95, 0.9];
+        let accuracies = vec![0.99, 0.95, 0.9];
         let planned = PlannedPpExpr::new(expr, accuracies.clone())?;
         let reordered = reorder(planned.clone())?;
         let at = |p: &PlannedPpExpr, pp: &Arc<ProbabilisticPredicate>| {

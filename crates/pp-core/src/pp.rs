@@ -13,6 +13,7 @@ use pp_engine::Predicate;
 use pp_linalg::Features;
 use pp_ml::Pipeline;
 
+use crate::alloc::ACCURACY_GRID;
 use crate::implication::Antecedent;
 use crate::{PpError, Result};
 
@@ -22,7 +23,8 @@ use crate::{PpError, Result};
 /// built, and shared by every copy: its canonical [`key`](Self::key), both
 /// sides of the implication check — the normal form it is tested by
 /// ([`nnf`](Self::nnf)) and the prepared antecedent it tests others with
-/// ([`implies`](Self::implies)) — and its uncorrected `r(1]`. The planner reads
+/// ([`implies`](Self::implies)) — its uncorrected `r(1]`, and its certified
+/// threshold and reduction at each [`ACCURACY_GRID`] point. The planner reads
 /// these thousands of times per query; none of them changes afterwards —
 /// [`with_reduction_scale`](Self::with_reduction_scale) only rescales.
 #[derive(Debug, Clone)]
@@ -53,6 +55,10 @@ struct Trained {
     /// The validation curve's `r(1]`, before any correction (0 when the
     /// curve cannot be read, which ranks like no reduction at all).
     full_reduction: f64,
+    /// At each [`ACCURACY_GRID`] point, the certified `th(a]` and its
+    /// uncorrected `r(a]`; `None` where the validation positives cannot
+    /// certify the point (see [`pp_ml::calibrate`]).
+    certified: [Option<(f64, f64)>; ACCURACY_GRID.len()],
 }
 
 impl ProbabilisticPredicate {
@@ -73,12 +79,18 @@ impl ProbabilisticPredicate {
     }
 
     fn assemble(predicate: Predicate, pipeline: Pipeline, cost_per_row: f64) -> Self {
+        let calibration = pipeline.calibration();
+        let certified = ACCURACY_GRID.map(|a| {
+            let th = calibration.certified_threshold(a)?;
+            Some((th, calibration.reduction_at_threshold(th)))
+        });
         ProbabilisticPredicate {
             trained: Arc::new(Trained {
                 key: predicate.to_string(),
                 nnf: predicate.to_nnf().simplify(),
                 antecedent: Antecedent::new(&predicate),
                 full_reduction: pipeline.reduction(1.0).unwrap_or(0.0),
+                certified,
                 predicate,
                 pipeline,
             }),
@@ -134,8 +146,34 @@ impl ProbabilisticPredicate {
     /// Predicted data reduction at accuracy `a`: the validation estimate
     /// scaled by the calibration correction
     /// ([`reduction_scale`][Self::reduction_scale]), clamped to `[0, 1]`.
+    /// Total: where `a` cannot be certified it is the reduction keeping all
+    /// validation positives, `r(1]`.
     pub fn reduction(&self, a: f64) -> Result<f64> {
-        Ok((self.pipeline().reduction(a)? * self.reduction_scale).clamp(0.0, 1.0))
+        let r = match grid_index(a) {
+            Some(i) => self.trained.certified[i].map_or(self.trained.full_reduction, |(_, r)| r),
+            None => self.pipeline().reduction(a)?,
+        };
+        Ok(self.scaled(r))
+    }
+
+    /// The corrected reduction at `ACCURACY_GRID[i]`, if the validation
+    /// positives certify that point.
+    pub(crate) fn certified_reduction(&self, i: usize) -> Option<f64> {
+        self.trained.certified[i].map(|(_, r)| self.scaled(r))
+    }
+
+    /// `th(a]` when the validation positives certify recall ≥ `a`
+    /// ([`Calibration::certified_threshold`](pp_ml::Calibration::certified_threshold)),
+    /// read from the cache at grid points.
+    pub fn certified_threshold(&self, a: f64) -> Option<f64> {
+        match grid_index(a) {
+            Some(i) => self.trained.certified[i].map(|(th, _)| th),
+            None => self.pipeline().calibration().certified_threshold(a),
+        }
+    }
+
+    fn scaled(&self, reduction: f64) -> f64 {
+        (reduction * self.reduction_scale).clamp(0.0, 1.0)
     }
 
     /// The calibration correction currently applied to the reduction curve
@@ -174,7 +212,7 @@ impl ProbabilisticPredicate {
     /// correction. Returns `f64::INFINITY` when the PP achieves no
     /// (corrected) reduction at full accuracy.
     pub fn efficiency_ratio(&self) -> f64 {
-        let r = (self.trained.full_reduction * self.reduction_scale).clamp(0.0, 1.0);
+        let r = self.scaled(self.trained.full_reduction);
         if r > 0.0 {
             self.cost_per_row / r
         } else {
@@ -194,6 +232,13 @@ impl ProbabilisticPredicate {
     }
 }
 
+/// The index of `a` in [`ACCURACY_GRID`], if it is one of its points.
+fn grid_index(a: f64) -> Option<usize> {
+    ACCURACY_GRID
+        .iter()
+        .position(|p| p.to_bits() == a.to_bits())
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -205,10 +250,13 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A PP over two separable blobs. At selectivity 0.3 its validation
+    /// share holds about 420 positives: enough to certify every grid point
+    /// up to 0.99 (299 needed) and none above it (0.995 needs 598).
     pub(crate) fn trained_pp(selectivity: f64, seed: u64, cost: f64) -> ProbabilisticPredicate {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = LabeledSet::new(
-            (0..500)
+            (0..2000)
                 .map(|_| {
                     let pos = rng.gen_bool(selectivity);
                     let cx = if pos { 2.0 } else { -2.0 };
@@ -220,7 +268,7 @@ pub(crate) mod tests {
                 .collect(),
         )
         .unwrap();
-        let (train, val, _) = data.split(0.7, 0.3, seed).unwrap();
+        let (train, val, _) = data.split(0.3, 0.7, seed).unwrap();
         let approach = Approach {
             reducer: ReducerSpec::Identity,
             model: ModelSpec::Svm(SvmParams::default()),
@@ -289,6 +337,26 @@ pub(crate) mod tests {
         // `expr::tests::rescaled_leaves_keep_their_thresholds`.
         // A lower effective reduction worsens the efficiency ratio.
         assert!(corrected.efficiency_ratio() > pp.efficiency_ratio());
+    }
+
+    #[test]
+    fn the_grid_cache_answers_as_the_calibration_does() {
+        let pp = trained_pp(0.3, 8, 0.001).with_reduction_scale(0.5);
+        let calibration = pp.pipeline().calibration();
+        // Grid points come from the cache, 0.91 from the calibration.
+        for a in ACCURACY_GRID.into_iter().chain([0.91]) {
+            let th = calibration.certified_threshold(a);
+            assert_eq!(pp.certified_threshold(a), th, "a={a}");
+            let r = 0.5 * calibration.reduction(a).unwrap();
+            assert_eq!(pp.reduction(a).unwrap(), r, "a={a}");
+            if let Some(i) = grid_index(a) {
+                assert_eq!(pp.certified_reduction(i), th.map(|_| r), "a={a}");
+            }
+        }
+        // About 420 positives: 0.99 is certified, 0.995 and 1.0 are not.
+        assert!(pp.certified_threshold(0.99).is_some());
+        assert_eq!(pp.certified_threshold(0.995), None);
+        assert_eq!(pp.certified_threshold(1.0), None);
     }
 
     #[test]

@@ -69,8 +69,12 @@ fn main() {
     )
     .expect("harvest")
     .remove(0);
+    // Half the labeled blobs calibrate the threshold: a PP serves a = 0.95
+    // only once 59 validation positives certify it, and cats are 1 in 10.
     let trainer = PpTrainer::new(TrainerConfig {
         cost_per_row: Some(0.001), // 1 ms per blob — 50× cheaper than the UDF
+        train_frac: 0.5,
+        val_frac: 0.5,
         ..Default::default()
     });
     let mut pp_catalog = PpCatalog::new();

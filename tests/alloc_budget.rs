@@ -226,7 +226,8 @@ fn pp_filter_plan(dataset: &TrafficDataset) -> LogicalPlan {
     .train_clause(&clause, &labeled)
     .expect("train")
     .remove(0);
-    let filter = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.95])
+    // 0.9: 0.95 needs 59 validation positives, the clause has 41.
+    let filter = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.9])
         .expect("plan")
         .into_filter("frame");
     LogicalPlan::scan("traffic").filter(Arc::new(filter))
@@ -621,12 +622,14 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
         "optimize: {mean:.0} allocations per TRAF-20 query"
     );
 
-    // The four best PPs of four different columns, conjoined.
+    // Four PPs of four different columns, conjoined: the ones with the
+    // most validation positives (71 to 105), which certify 0.95 to 0.97
+    // each, so the four can promise 0.8.
     let leaves: Vec<PpExpr> = [
-        "vehType = SUV",
-        "vehColor = red",
-        "speed >= 50",
-        "fromI = pt101",
+        "vehType != SUV",
+        "vehColor != red",
+        "speed >= 40",
+        "fromI != pt101",
     ]
     .iter()
     .map(|key| {
@@ -635,7 +638,7 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
     })
     .collect();
     let conjunction = PpExpr::And(leaves);
-    let spent = counted(|| allocate(&conjunction, 0.95, 0.1).expect("allocate"));
+    let spent = counted(|| allocate(&conjunction, 0.8, 0.1).expect("allocate"));
     assert_eq!(spent.out.accuracies().len(), 4);
     assert!(
         spent.allocations <= ALLOCATE_ALLOCATIONS,
@@ -723,7 +726,8 @@ fn the_auditor_holds_no_more_after_another_identical_cycle() {
         // the pass replayed, and what it left this thread holding.
         let cycle = || {
             for _ in 0..4 {
-                let request = QueryRequest::new("traffic", Predicate::from(clause.clone()), 0.95);
+                // 0.9: 0.95 needs 59 validation positives, the clause has 45.
+                let request = QueryRequest::new("traffic", Predicate::from(clause.clone()), 0.9);
                 let response = server.submit(request).expect("admitted").wait();
                 assert!(response.outcome.success().is_some(), "the query completes");
             }

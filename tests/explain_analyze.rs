@@ -14,6 +14,7 @@ use std::sync::OnceLock;
 
 mod common;
 
+use probabilistic_predicates::core::alloc::ACCURACY_GRID;
 use probabilistic_predicates::core::planner::{OptimizedQuery, PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
@@ -204,9 +205,10 @@ fn analyze_json_and_openmetrics_are_byte_identical_across_schedules() {
 /// Result byte-identity is made airtight by construction: the catalog
 /// holds two PPs wrapping the *same* trained pipeline (one mimicking
 /// `vehType = SUV` cheaply, one mimicking the implied `vehType != sedan`
-/// at higher cost), and the accuracy target is 1.0 — so every candidate
-/// expression makes identical per-blob verdicts and any plan the QO picks
-/// returns the same rows.
+/// at higher cost), and the accuracy target is the highest grid point that
+/// pipeline certifies — so a conjunction of the two falls short of it,
+/// every feasible candidate is one leaf at that point making identical
+/// per-blob verdicts, and any plan the QO picks returns the same rows.
 #[test]
 fn calibration_drift_replans_without_changing_results() {
     let f = fixture();
@@ -219,8 +221,11 @@ fn calibration_drift_replans_without_changing_results() {
     );
     shared
         .insert(ProbabilisticPredicate::new(not_sedan, base.pipeline().clone(), 0.01).expect("pp"));
+    let top = (ACCURACY_GRID.into_iter().rev())
+        .find(|&a| base.certified_threshold(a).is_some())
+        .expect("a certified grid point");
     let config = QoConfig {
-        accuracy_target: 1.0,
+        accuracy_target: top,
     };
     let qo = PpQueryOptimizer::new(shared, f.domains.clone(), config);
     let monitor = RuntimeMonitor::new();

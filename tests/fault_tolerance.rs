@@ -212,6 +212,13 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
         "every failure degrades fail-open"
     );
 
+    // Q1's plan filters with the implied `vehType != sedan`: its PP has
+    // the validation positives to certify 0.95, `vehType = SUV`'s has not.
+    let chosen = f.report.chosen.as_ref().expect("Q1 has a PP");
+    let [key] = &chosen.leaf_keys[..] else {
+        panic!("one leaf: {chosen:?}")
+    };
+    let key = key.as_str();
     // The monitor quarantines the PP; replanning never re-injects it.
     // Other catalog entries (e.g. the negated-clause PP) may still be
     // eligible — as each fails in turn and is quarantined, planning
@@ -219,15 +226,11 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     let monitor = RuntimeMonitor::new();
     monitor.observe_run(&f.report, ctx.telemetry().expect("telemetry snapshot"));
     assert_eq!(
-        monitor.why_broken("vehType = SUV"),
+        monitor.why_broken(key),
         Some(QuarantineReason::BreakerTripped),
         "five failed calls are under MIN_CALLS: the breaker is the cause"
     );
-    assert!(
-        monitor.is_broken("vehType = SUV"),
-        "broken: {:?}",
-        monitor.broken()
-    );
+    assert!(monitor.is_broken(key), "broken: {:?}", monitor.broken());
     let mut rounds = 0;
     loop {
         let replanned =
@@ -240,7 +243,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
             }
             Some(chosen) => {
                 assert!(
-                    !chosen.leaf_keys.iter().any(|key| key == "vehType = SUV"),
+                    !chosen.leaf_keys.iter().any(|k| k == key),
                     "quarantined PP re-injected: {}",
                     chosen.expr
                 );
@@ -254,7 +257,7 @@ fn hard_failed_pp_fails_open_and_planner_quarantines_it() {
     }
 
     // Restoring the original PP re-enables injection.
-    monitor.restore("vehType = SUV");
+    monitor.restore(key);
     let restored =
         f.qo.optimize_with_monitor(&f.nop_plan, &f.catalog, Some(&monitor))
             .expect("replan after restore");

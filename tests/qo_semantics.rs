@@ -412,8 +412,8 @@ fn plan_lines(monitor: Option<&RuntimeMonitor>) -> String {
         let report = &optimized.report;
         write!(
             out,
-            "{tag} {name} a={target} pred={:?} feasible={}",
-            report.predicate, report.feasible_count
+            "{tag} {name} a={target} pred={:?} feasible={} uncertified={}",
+            report.predicate, report.feasible_count, report.uncertified_leaves
         )
         .unwrap();
         for c in &report.candidates {

@@ -221,7 +221,9 @@ fn pp_filter(f: &Fixture, clause: &Clause) -> Arc<dyn RowFilter> {
     .train_clause(clause, &labeled)
     .expect("train")
     .remove(0);
-    let planned = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.95]).expect("plan");
+    // 0.9: 0.95 needs 59 validation positives, and 400 frames leave 80
+    // validation frames, about half of them positive.
+    let planned = PlannedPpExpr::new(PpExpr::leaf(Arc::new(pp)), vec![0.9]).expect("plan");
     Arc::new(planned.into_filter("frame"))
 }
 
