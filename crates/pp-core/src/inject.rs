@@ -113,8 +113,15 @@ fn walk(
             let info = walk(input, catalog, out)?;
             let mut renames = HashMap::new();
             for item in items {
-                if let Some(origin) = info.renames.get(item.source()) {
-                    renames.insert(item.output().to_string(), origin.clone());
+                match item.names() {
+                    Some((from, to)) => {
+                        if let Some(origin) = info.renames.get(from) {
+                            renames.insert(to.to_string(), origin.clone());
+                        }
+                    }
+                    // What it keeps passes through under its own name; the
+                    // blobs it drops cannot be named above it.
+                    None => renames.extend(info.renames.clone()),
                 }
             }
             Ok(SubtreeInfo {

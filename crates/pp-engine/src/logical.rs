@@ -53,24 +53,48 @@ pub enum ProjectItem {
         /// New name in the output.
         to: String,
     },
+    /// Keep every column of the input that is not a blob, in input order
+    /// and under its own name: what a served verdict row carries. The
+    /// columns are those of the input schema, so a plan built without a
+    /// catalog can still say it.
+    NonBlob,
 }
 
 impl ProjectItem {
-    /// The source column name.
-    pub fn source(&self) -> &str {
+    /// The `(source, output)` names of an item that names its column;
+    /// `None` for [`ProjectItem::NonBlob`].
+    pub fn names(&self) -> Option<(&str, &str)> {
         match self {
-            ProjectItem::Keep(c) => c,
-            ProjectItem::Rename { from, .. } => from,
+            ProjectItem::Keep(c) => Some((c, c)),
+            ProjectItem::Rename { from, to } => Some((from, to)),
+            ProjectItem::NonBlob => None,
         }
     }
+}
 
-    /// The output column name.
-    pub fn output(&self) -> &str {
-        match self {
-            ProjectItem::Keep(c) => c,
-            ProjectItem::Rename { to, .. } => to,
+/// What `items` make of a row of schema `input`: each output column, in
+/// order, beside the input index its cells are read from. The one place a
+/// projection is resolved, for [`LogicalPlan::output_schema`] and the
+/// executor alike.
+pub(crate) fn project_columns(
+    items: &[ProjectItem],
+    input: &Schema,
+) -> Result<Vec<(usize, Column)>> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        match item.names() {
+            Some((from, to)) => {
+                let at = input.index_of(from)?;
+                out.push((at, Column::new(to, input.columns()[at].dtype)));
+            }
+            None => out.extend(
+                (input.columns().iter().enumerate())
+                    .filter(|(_, c)| c.dtype != DataType::Blob)
+                    .map(|(at, c)| (at, c.clone())),
+            ),
         }
     }
+    Ok(out)
 }
 
 /// A logical query plan node.
@@ -358,12 +382,8 @@ impl LogicalPlan {
             LogicalPlan::Filter { input, .. } => input.output_schema(catalog),
             LogicalPlan::Project { input, items } => {
                 let in_schema = input.output_schema(catalog)?;
-                let mut cols = Vec::with_capacity(items.len());
-                for item in items {
-                    let src = in_schema.column(item.source())?;
-                    cols.push(Column::new(item.output(), src.dtype));
-                }
-                Schema::new(cols)
+                let cols = project_columns(items, &in_schema)?;
+                Schema::new(cols.into_iter().map(|(_, c)| c).collect())
             }
             LogicalPlan::Join {
                 left,
@@ -450,7 +470,10 @@ impl LogicalPlan {
                 filter.cost_per_row()
             ),
             LogicalPlan::Project { items, .. } => {
-                let cols: Vec<&str> = items.iter().map(|i| i.output()).collect();
+                let cols: Vec<&str> = items
+                    .iter()
+                    .map(|i| i.names().map_or("* except blobs", |(_, to)| to))
+                    .collect();
                 format!("Project[{}]", cols.join(", "))
             }
             LogicalPlan::Aggregate { group_by, aggs, .. } => {
@@ -530,6 +553,17 @@ mod tests {
         assert_eq!(schema.len(), 2);
         assert!(schema.contains("frameID"));
         assert!(schema.contains("t"));
+    }
+
+    #[test]
+    fn non_blob_keeps_every_column_but_the_blobs_in_input_order() {
+        let plan = LogicalPlan::scan("video")
+            .process(veh_type_proc())
+            .project(vec![ProjectItem::NonBlob]);
+        let schema = plan.output_schema(&catalog()).unwrap();
+        let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["frameID", "vehType"]);
+        assert!(plan.explain().starts_with("Project[* except blobs]\n"));
     }
 
     #[test]

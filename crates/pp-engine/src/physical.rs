@@ -113,7 +113,7 @@ use crate::chunk::Chunk;
 use crate::cost::{
     AGGREGATE_S_PER_ROW, JOIN_S_PER_ROW, PROJECT_S_PER_ROW, SCAN_S_PER_ROW, SELECT_S_PER_ROW,
 };
-use crate::logical::{AggExpr, AggFunc, LogicalPlan, ProjectItem};
+use crate::logical::{project_columns, AggExpr, AggFunc, LogicalPlan, ProjectItem};
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
 use crate::resilience::{self, Breaker, ProbeOutcome};
@@ -1152,13 +1152,9 @@ impl Executor<'_> {
     }
 
     fn project(&mut self, op: String, in_rows: Rowset, items: &[ProjectItem]) -> Result<Finished> {
-        let mut cols = Vec::with_capacity(items.len());
-        let mut indices = Vec::with_capacity(items.len());
-        for item in items {
-            let src = in_rows.schema().column(item.source())?;
-            cols.push(Column::new(item.output(), src.dtype));
-            indices.push(in_rows.schema().index_of(item.source())?);
-        }
+        let (indices, cols): (Vec<usize>, Vec<Column>) = project_columns(items, in_rows.schema())?
+            .into_iter()
+            .unzip();
         let total = in_rows.len();
         let mut out = Rowset::empty(Schema::new(cols)?);
         for row in in_rows.row_refs() {

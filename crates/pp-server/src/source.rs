@@ -5,12 +5,15 @@
 //! UDF-derived predicate columns it can materialize, in canonical
 //! execution order — the serving analogue of
 //! `TrafQuery::nop_plan` in `pp-data`. Given a predicate, the spec emits
-//! `scan → (one Process per referenced column) → select`; the PP query
-//! optimizer then injects PP filters beneath the UDFs as usual.
+//! `scan → (one Process per referenced column) → select → project`; the
+//! PP query optimizer then injects PP filters beneath the UDFs as usual.
+//! The project keeps every column but the blobs, so a verdict row is what
+//! the query derived (ids and UDF columns), not the blob it came from.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use pp_engine::logical::ProjectItem;
 use pp_engine::predicate::Predicate;
 use pp_engine::udf::Processor;
 use pp_engine::LogicalPlan;
@@ -70,9 +73,9 @@ impl SourceSpec {
     }
 
     /// The unmodified plan for `predicate`: scan → the UDFs materializing
-    /// each referenced column (in declaration order) → select. Columns the
-    /// predicate does not touch are skipped, so the plan only pays for the
-    /// ML inference it needs.
+    /// each referenced column (in declaration order) → select → a project
+    /// of every non-blob column. Columns the predicate does not touch are
+    /// skipped, so the plan only pays for the ML inference it needs.
     pub fn nop_plan(&self, predicate: &Predicate) -> LogicalPlan {
         let used = predicate.columns();
         let mut plan = LogicalPlan::scan(&self.table);
@@ -82,6 +85,7 @@ impl SourceSpec {
             }
         }
         plan.select(predicate.clone())
+            .project(vec![ProjectItem::NonBlob])
     }
 }
 

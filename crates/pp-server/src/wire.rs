@@ -63,11 +63,14 @@
 //!
 //! # Values on the wire
 //!
-//! All [`Value`] variants round-trip, including blobs (dense or sparse
-//! feature vectors, encoded by value). One caveat: in-process blob
-//! equality is `Arc` pointer identity, so a *decoded* blob is a distinct
-//! value from the catalog's copy even when its coordinates match —
-//! verdict rows are for reading out, not for feeding back in.
+//! A value is a type tag and its payload: null, bool, `i64`, `f64` bits,
+//! or a length-prefixed string. A verdict row carries no blob — a served
+//! plan projects every blob column away
+//! ([`SourceSpec::nop_plan`](crate::SourceSpec::nop_plan)) — and a blob
+//! literal in a predicate could match nothing once decoded, since blob
+//! equality is `Arc` identity. So a blob has no wire form: the encoder
+//! writes its reserved tag alone, and a frame holding that tag decodes to
+//! [`WireError::Malformed`].
 //!
 //! [`read_response`] reads every frame of a response into one payload
 //! buffer, which grows only with the bytes that arrive, and decodes
@@ -83,12 +86,10 @@ use std::collections::HashSet;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::Arc;
 
-use pp_engine::bytes::{put_u32, put_u64, put_words, Reader, Truncated};
+use pp_engine::bytes::{put_u32, put_u64, Reader, Truncated};
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::value::Value;
 use pp_engine::{RowRef, Rowset};
-use pp_linalg::features::Features;
-use pp_linalg::sparse::SparseVector;
 
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::server::PpServer;
@@ -363,8 +364,8 @@ const VAL_BOOL: u8 = 1;
 const VAL_INT: u8 = 2;
 const VAL_FLOAT: u8 = 3;
 const VAL_STR: u8 = 4;
-const VAL_BLOB_DENSE: u8 = 5;
-const VAL_BLOB_SPARSE: u8 = 6;
+/// Reserved for a blob, which has no wire form (see the module docs).
+const VAL_BLOB: u8 = 5;
 
 fn put_value(out: &mut Vec<u8>, value: &Value) {
     match value {
@@ -385,26 +386,7 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
             out.push(VAL_STR);
             put_string(out, s);
         }
-        Value::Blob(features) => match features.as_ref() {
-            Features::Dense(coords) => {
-                out.push(VAL_BLOB_DENSE);
-                put_u32(out, coords.len() as u32);
-                let words = coords.iter().map(|c| c.to_bits().to_be_bytes());
-                put_words(out, coords.len(), words);
-            }
-            Features::Sparse(sv) => {
-                out.push(VAL_BLOB_SPARSE);
-                put_u32(out, sv.dim() as u32);
-                put_u32(out, sv.nnz() as u32);
-                let entries = sv.iter().map(|(idx, val)| {
-                    let mut entry = [0u8; 12];
-                    entry[..4].copy_from_slice(&idx.to_be_bytes());
-                    entry[4..].copy_from_slice(&val.to_bits().to_be_bytes());
-                    entry
-                });
-                put_words(out, sv.nnz(), entries);
-            }
-        },
+        Value::Blob(_) => out.push(VAL_BLOB),
     }
 }
 
@@ -415,26 +397,7 @@ fn get_value(cur: &mut Reader<'_>, strings: &mut StringTable) -> Result<Value, W
         VAL_INT => Value::Int(cur.i64()?),
         VAL_FLOAT => Value::Float(cur.f64()?),
         VAL_STR => Value::Str(strings.get(get_str(cur)?)),
-        VAL_BLOB_DENSE => {
-            let n = cur.u32()? as usize;
-            let words = cur.words::<8>(n)?;
-            let coords = words.iter().map(|w| f64::from_bits(u64::from_be_bytes(*w)));
-            Value::blob(Features::Dense(coords.collect()))
-        }
-        VAL_BLOB_SPARSE => {
-            let dim = cur.u32()? as usize;
-            let nnz = cur.u32()? as usize;
-            let entries = cur.words::<12>(nnz)?;
-            let mut indices = Vec::with_capacity(nnz);
-            let mut values = Vec::with_capacity(nnz);
-            for &[i0, i1, i2, i3, val @ ..] in entries {
-                indices.push(u32::from_be_bytes([i0, i1, i2, i3]));
-                values.push(f64::from_bits(u64::from_be_bytes(val)));
-            }
-            let sv = SparseVector::new(dim, indices, values)
-                .map_err(|e| WireError::Malformed(format!("sparse blob: {e}")))?;
-            Value::blob(Features::Sparse(sv))
-        }
+        VAL_BLOB => return Err(WireError::Malformed("a blob has no wire form".into())),
         other => return Err(WireError::Malformed(format!("value tag {other}"))),
     })
 }

@@ -3,6 +3,7 @@
 //! cache semantics, drift-triggered replan verdict identity, and
 //! fault containment.
 
+use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -19,11 +20,14 @@ use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::{
-    Catalog, ExecutionContext, FaultPlan, FaultSpec, Rowset, TelemetrySnapshot,
+    Catalog, DataType, ExecutionContext, FaultPlan, FaultSpec, Rowset, TelemetrySnapshot,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
+use probabilistic_predicates::server::wire::{
+    read_response, serve_connection, write_frame, Frame, WireOutcome, WireRequest,
+};
 use probabilistic_predicates::server::{
     AdmissionConfig, AuditConfig, CacheConfig, PpServer, QueryOutcome, QueryRequest, RejectReason,
     ServerConfig, ServerFaults, SourceRegistry, SourceSpec,
@@ -519,6 +523,69 @@ fn served_and_in_process_runs_share_one_recovery_policy() {
         let span = local.span(op).expect("the faulted operator ran");
         assert!(span.retries > 0 && span.timeouts > 0, "{span:?}");
     }
+}
+
+/// A served verdict row is what the query derived. For every TRAF-20
+/// query the served plan ends in a `Project` of the non-blob columns —
+/// EXPLAIN shows it, and it runs as an operator of its own — and its
+/// output is what comes back: in process through `submit`, no result
+/// column is a blob and the columns are the `Project`'s; over the wire,
+/// the header names them and the decoded rows equal the in-process rows
+/// cell for cell.
+#[test]
+fn a_served_verdict_row_carries_no_blob_in_process_or_over_the_wire() {
+    let f = fixture();
+    let spec = f.sources.get("traffic").expect("registered source");
+    let mut server = make_server(2);
+    for q in traf20_queries() {
+        let optimized = PpQueryOptimizer::new(
+            f.pp_catalog.clone(),
+            f.domains.clone(),
+            QoConfig {
+                accuracy_target: 0.95,
+            },
+        )
+        .optimize(&spec.nop_plan(&q.predicate), &f.catalog)
+        .expect("optimize");
+        let explain = optimized.plan.explain();
+        assert!(
+            explain.starts_with("Project[* except blobs]\n"),
+            "{explain}"
+        );
+        let schema = optimized.plan.output_schema(&f.catalog).expect("resolves");
+        let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
+        let mut want = vec!["cameraID".to_string(), "frameID".to_string()];
+        want.extend(q.columns());
+        assert_eq!(names, want, "Q{}", q.id);
+
+        let request = QueryRequest::new("traffic", q.predicate.clone(), 0.95);
+        let response = server.submit(request).expect("admitted").wait();
+        let local = response.outcome.success().expect("completes");
+        assert_eq!(local.rows.schema(), &schema, "Q{}", q.id);
+        assert!(schema.columns().iter().all(|c| c.dtype != DataType::Blob));
+        let project = local.telemetry.span("Project").expect("a Project span");
+        assert_eq!(project.rows_out, local.rows.len() as u64, "Q{}", q.id);
+
+        let mut inbox = Vec::new();
+        let wire = WireRequest::new("traffic", q.predicate.clone(), 0.95);
+        write_frame(&mut inbox, &Frame::Request(wire)).expect("encoded");
+        let mut outbox = Vec::new();
+        serve_connection(&server, Cursor::new(inbox), &mut outbox).expect("served");
+        let response = read_response(&mut Cursor::new(&outbox)).expect("decoded");
+        let WireOutcome::Complete { columns, rows, .. } = response.outcome else {
+            panic!("Q{}: expected completion, got {:?}", q.id, response.outcome)
+        };
+        assert_eq!(columns, names, "Q{}", q.id);
+        assert_eq!(rows.len(), local.rows.len(), "Q{}", q.id);
+        for (wire, row) in rows.iter().zip(local.rows.rows()) {
+            assert_eq!(wire.len(), row.len());
+            for (a, b) in wire.iter().zip(row.values()) {
+                let same = a.type_name() == b.type_name() && a.sql_eq(b);
+                assert!(same, "Q{}: {a:?} on the wire, {b:?} in process", q.id);
+            }
+        }
+    }
+    server.shutdown();
 }
 
 /// Shedding and mid-run failure paths: rejected or failed queries leave no

@@ -3,10 +3,11 @@
 //! buffers.
 //!
 //! The golden file under `tests/golden/wire_frames.hex` pins the exact
-//! byte encoding of every frame type (including all `Value` variants and
-//! a nested predicate), so any codec change that would break deployed
-//! clients shows up as a diff. Regenerate after an intentional protocol
-//! change with `UPDATE_GOLDEN=1 cargo test --test wire`.
+//! byte encoding of every frame type (including every `Value` variant a
+//! frame carries and a nested predicate), so any codec change that would
+//! break deployed clients shows up as a diff. Regenerate after an
+//! intentional protocol change with `UPDATE_GOLDEN=1 cargo test --test
+//! wire`.
 
 use std::fs;
 use std::io::{Cursor, Read};
@@ -61,10 +62,10 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Every frame type with every value variant and a nested predicate —
-/// the representative corpus the goldens and round-trips run over.
+/// Every frame type with every value variant a frame can carry (a blob
+/// has no wire form) and a nested predicate — the representative corpus
+/// the goldens and round-trips run over.
 fn corpus() -> Vec<(&'static str, Frame)> {
-    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
     let predicate = Predicate::And(vec![
         Predicate::Clause(Clause::new("vehType", CompareOp::Eq, Value::str("SUV"))),
         Predicate::Or(vec![
@@ -94,7 +95,7 @@ fn corpus() -> Vec<(&'static str, Frame)> {
                 request_id: 7,
                 epoch: 2,
                 cache_hit: true,
-                columns: vec!["id".into(), "blob".into(), "vehType".into()],
+                columns: vec!["id".into(), "vehType".into()],
             },
         ),
         (
@@ -102,16 +103,8 @@ fn corpus() -> Vec<(&'static str, Frame)> {
             Frame::VerdictBatch {
                 request_id: 7,
                 rows: vec![
-                    vec![
-                        Value::Int(3),
-                        Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
-                        Value::str("SUV"),
-                    ],
-                    vec![
-                        Value::Null,
-                        Value::blob(Features::Sparse(sparse)),
-                        Value::Bool(false),
-                    ],
+                    vec![Value::Int(3), Value::str("SUV")],
+                    vec![Value::Null, Value::Bool(false)],
                 ],
             },
         ),
@@ -231,24 +224,13 @@ fn verdict_frames(rows: &Rowset) -> (Vec<u8>, Vec<u8>) {
 /// them — a `Process` output's appended cells in their buffer — and are
 /// the bytes `Frame::VerdictBatch` encodes for the same rows built into
 /// tuples: for the golden frame's rows, made by a processor over a table
-/// of their first two cells; for a ragged processor's output, where a
-/// base row repeats, over several frames and behind a `Select`; and for a
+/// of their first cells; for a ragged processor's output, where a base
+/// row repeats, over several frames and behind a `Select`; and for a
 /// result with no rows, which is no frame at all.
 #[test]
 fn verdict_frames_from_a_deferred_result_are_the_frames_of_its_tuples() {
-    let schema = Schema::new(vec![
-        Column::new("id", DataType::Int),
-        Column::new("blob", DataType::Blob),
-    ])
-    .unwrap();
-    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
-    let rows = vec![
-        Row::new(vec![
-            Value::Int(3),
-            Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
-        ]),
-        Row::new(vec![Value::Null, Value::blob(Features::Sparse(sparse))]),
-    ];
+    let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
+    let rows = vec![Row::new(vec![Value::Int(3)]), Row::new(vec![Value::Null])];
     let mut catalog = Catalog::new();
     catalog.register("golden", Rowset::new(schema.clone(), rows).unwrap());
     let tag = Arc::new(ClosureProcessor::map(
@@ -274,7 +256,7 @@ fn verdict_frames_from_a_deferred_result_are_the_frames_of_its_tuples() {
     assert_eq!(streamed, built);
 
     // Id `i` makes `i % 3` rows: none, one, or its base row twice.
-    let ids = (0..900).map(|i| Row::new(vec![Value::Int(i), Value::Null]));
+    let ids = (0..900).map(|i| Row::new(vec![Value::Int(i)]));
     catalog.register("ids", Rowset::new(schema, ids.collect()).unwrap());
     let ragged = Arc::new(ClosureProcessor::new(
         "Ragged",
@@ -310,35 +292,18 @@ fn verdict_frames_from_a_deferred_result_are_the_frames_of_its_tuples() {
 ///
 /// The same holds one level in: a frame of any type that arrives whole
 /// but whose payload stops early (declared length = what is there) is
-/// `Truncated` too — for a blob literal, a column list, a verdict batch's
-/// rows and cells or a trace's stages, before room for the declared count
-/// is reserved.
+/// `Truncated` too — for a column list, a verdict batch's rows and cells
+/// or a trace's stages, before room for the declared count is reserved.
 #[test]
 fn truncation_at_every_byte_is_rejected() {
-    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
-    let blob_literals = Predicate::And(vec![
-        Predicate::Clause(Clause::new(
-            "blob",
-            CompareOp::Eq,
-            Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
-        )),
-        Predicate::Clause(Clause::new(
-            "blob",
-            CompareOp::Ne,
-            Value::blob(Features::Sparse(sparse)),
-        )),
-    ]);
     let mut frames: Vec<Frame> = corpus().into_iter().map(|(_, frame)| frame).collect();
-    frames.extend([
-        Frame::Request(WireRequest::new("t", blob_literals, 0.5)),
-        // What a verdict stream is made of: rows carrying a dense blob.
-        Frame::VerdictBatch {
-            request_id: 7,
-            rows: (0..3)
-                .map(|i| vec![Value::Int(i), Value::blob(Features::Dense(awkward_f64s()))])
-                .collect(),
-        },
-    ]);
+    // What a verdict stream is made of: rows of ids, strings and floats.
+    frames.push(Frame::VerdictBatch {
+        request_id: 7,
+        rows: (0..3)
+            .map(|i| vec![Value::Int(i), Value::str("SUV"), Value::Float(-0.0)])
+            .collect(),
+    });
     assert!(matches!(read_frame(&mut Cursor::new(&[][..])), Ok(None)));
     for frame in &frames {
         let bytes = encode_frame(frame);
@@ -362,66 +327,35 @@ fn truncation_at_every_byte_is_rejected() {
     }
 }
 
-/// Floats whose bit patterns a careless codec would not keep: NaNs with
-/// payloads and either sign, both zeros, both infinities, a subnormal.
-fn awkward_f64s() -> Vec<f64> {
+/// A blob, dense or sparse.
+fn blobs() -> [Value; 2] {
+    let sparse = SparseVector::new(8, vec![1, 5], vec![0.25, -3.5]).unwrap();
     [
-        0x7ff8_0000_0000_0001u64,
-        0xfff4_dead_beef_0000,
-        0x8000_0000_0000_0000,
-        0x0000_0000_0000_0001,
+        Value::blob(Features::Dense(vec![1.0, -0.5, 0.0])),
+        Value::blob(Features::Sparse(sparse)),
     ]
-    .map(f64::from_bits)
-    .into_iter()
-    .chain([0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25e-300])
-    .collect()
 }
 
-/// Dense and sparse blobs survive `encode_frame` → `read_frame` bit for
-/// bit (the bulk word conversion is a copy, not an arithmetic round trip).
+/// A blob has no wire form: a blob literal in a request's predicate is
+/// written as its reserved tag alone, and the request decodes to
+/// `Malformed`, at the predicate's root or nested. So does a literal as
+/// the removed blob codec wrote it (tag 5 dense, 6 sparse, then counts).
 #[test]
-fn blobs_round_trip_bit_for_bit() {
-    let coords = awkward_f64s();
-    let indices: Vec<u32> = (0..coords.len() as u32).map(|i| i * 7 + 1).collect();
-    let sparse = SparseVector::new(100, indices.clone(), coords.clone()).unwrap();
-    let frame = Frame::VerdictBatch {
-        request_id: 1,
-        rows: vec![
-            vec![
-                Value::blob(Features::Dense(coords.clone())),
-                Value::str("é"),
-            ],
-            vec![Value::blob(Features::Sparse(sparse)), Value::Null],
-            vec![Value::blob(Features::Dense(vec![])), Value::str("")],
-        ],
-    };
-    let decoded = read_frame(&mut Cursor::new(encode_frame(&frame)))
-        .expect("decodes")
-        .expect("not EOF");
-    let Frame::VerdictBatch { rows, .. } = decoded else {
-        panic!("expected a verdict batch, got {decoded:?}");
-    };
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let dense = rows[0][0].as_blob().unwrap().as_dense().unwrap();
-    assert_eq!(bits(dense), bits(&coords));
-    assert_eq!(rows[0][1].as_str().unwrap(), "é");
-    match &**rows[1][0].as_blob().unwrap() {
-        Features::Sparse(sv) => {
-            assert_eq!(sv.dim(), 100);
-            let (idx, vals): (Vec<u32>, Vec<f64>) = sv.iter().unzip();
-            assert_eq!(idx, indices);
-            assert_eq!(bits(&vals), bits(&coords));
+fn a_blob_tag_in_a_request_predicate_is_malformed() {
+    for blob in blobs() {
+        let clause = Predicate::Clause(Clause::new("frame", CompareOp::Eq, blob));
+        let nested = Predicate::And(vec![
+            Predicate::True,
+            Predicate::Not(Box::new(clause.clone())),
+        ]);
+        for predicate in [clause, nested] {
+            let request = Frame::Request(WireRequest::new("t", predicate, 0.5));
+            match read_frame(&mut Cursor::new(encode_frame(&request))) {
+                Err(WireError::Malformed(_)) => {}
+                other => panic!("expected Malformed, got {other:?}"),
+            }
         }
-        other => panic!("expected a sparse blob, got {other:?}"),
     }
-    assert!(rows[2][0].as_blob().unwrap().as_dense().unwrap().is_empty());
-    assert_eq!(rows[2][1].as_str().unwrap(), "");
-}
-
-/// A blob literal's declared element count is checked against the bytes
-/// actually present before anything is allocated for it.
-#[test]
-fn blob_literal_count_beyond_the_payload_is_truncated() {
     for (tag, counts) in [(5u8, 1), (6u8, 2)] {
         // request: source "t", predicate = clause("c", Eq, blob literal)
         let mut payload = vec![0, 0, 0, 1, b't', 2, 0, 0, 0, 1, b'c', 0, tag];
@@ -431,13 +365,36 @@ fn blob_literal_count_beyond_the_payload_is_truncated() {
         let mut frame = b"PPW1\x01".to_vec();
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(&payload);
-        assert!(
-            matches!(
-                read_frame(&mut Cursor::new(&frame)),
-                Err(WireError::Truncated)
-            ),
-            "value tag {tag}"
-        );
+        match read_frame(&mut Cursor::new(&frame)) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("value tag {tag}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+/// A blob cell in a verdict batch is written as its reserved tag alone,
+/// and the batch decodes to `Malformed`, read alone or as part of a
+/// response.
+#[test]
+fn a_blob_tag_in_a_verdict_batch_is_malformed() {
+    for blob in blobs() {
+        let rows = vec![
+            vec![Value::Int(1), Value::str("SUV")],
+            vec![Value::Int(2), blob],
+        ];
+        let batch = encode_frame(&Frame::VerdictBatch {
+            request_id: 7,
+            rows,
+        });
+        match read_frame(&mut Cursor::new(&batch)) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let response = [golden_frame("result_header"), batch].concat();
+        match read_response(&mut Cursor::new(&response)) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 }
 
