@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pp_engine::batch::Batch;
+use pp_engine::batch::{Batch, Selection};
 use pp_engine::udf::RowFilter;
 use pp_engine::{Predicate, Row, Schema};
 use pp_linalg::{FeatureBatch, Features};
@@ -165,11 +165,6 @@ struct LeafWalk<'a> {
     rows_scored: &'a [AtomicU64],
     /// Pre-order index of the next leaf, as in `passes_rec`.
     next_leaf: usize,
-    /// The batch's verdicts: `Ok(false)` until the walk passes the row, or
-    /// the error of a row without a valid cell.
-    out: Vec<pp_engine::Result<bool>>,
-    /// The batch row of each valid cell.
-    row_of: Vec<u32>,
 }
 
 impl LeafWalk<'_> {
@@ -409,37 +404,33 @@ impl RowFilter for PpExprFilter {
     /// every row reaches the leaves it reaches there, the block holds the
     /// same cells bit for bit, and every path scores through the same
     /// `pp_linalg` kernels.
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<pp_engine::Result<bool>> {
+    fn eval_batch(&self, batch: &Batch<'_>) -> Selection {
         let mut col = batch.feature_column(&self.blob_column);
-        // Rows without a valid cell report its error; the others start out
-        // dropped, and the walk passes or fails them by position.
-        let mut out = Vec::with_capacity(batch.len());
-        let mut row_of = Vec::with_capacity(batch.len());
-        let mut errors = std::mem::take(&mut col.errors).into_iter().peekable();
-        for at in 0..batch.len() as u32 {
-            match errors.next_if(|(i, _)| *i == at) {
-                Some((_, e)) => out.push(Err(e)),
-                None => {
-                    out.push(Ok(false));
-                    row_of.push(at);
-                }
-            }
-        }
+        // Rows without a valid cell fail with its error; the walk passes
+        // or drops the others, numbered by valid cell.
+        let failed = std::mem::take(&mut col.errors);
         let mut walk = LeafWalk {
             features: col.features(),
             thresholds: &self.planned.thresholds,
             rows_scored: &self.leaf_rows_scored,
             next_leaf: 0,
-            out,
-            row_of,
         };
-        let mut passed: Vec<u32> = (0..walk.row_of.len() as u32).collect();
+        let valid = (batch.len() - failed.len()) as u32;
+        let mut passed: Vec<u32> = (0..valid).collect();
         let mut dropped = Vec::with_capacity(passed.len());
         walk.eval(&self.planned.expr, &mut passed, true, &mut dropped);
-        for p in passed {
-            walk.out[walk.row_of[p as usize] as usize] = Ok(true);
+        // A disjunction hands its rows back child by child.
+        passed.sort_unstable();
+        if !failed.is_empty() {
+            let mut errors = failed.iter().map(|(at, _)| *at).peekable();
+            let row_of: Vec<u32> = (0..batch.len() as u32)
+                .filter(|&at| errors.next_if_eq(&at).is_none())
+                .collect();
+            for p in &mut passed {
+                *p = row_of[*p as usize];
+            }
         }
-        walk.out
+        Selection { passed, failed }
     }
 }
 
@@ -626,10 +617,9 @@ mod tests {
             .collect();
         let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema.clone(), rows.clone()).unwrap()));
         let batched = filter.eval_batch(&Batch::new(&chunk, 0..rows.len(), 0));
-        assert_eq!(batched.len(), rows.len());
-        for (row, b) in rows.iter().zip(batched) {
-            assert_eq!(filter.passes(row, &schema).unwrap(), b.unwrap());
-        }
+        let scalar: Selection = rows.iter().map(|r| filter.passes(r, &schema)).collect();
+        assert_eq!(batched.passed, scalar.passed);
+        assert!(batched.failed.is_empty() && scalar.failed.is_empty());
     }
 
     #[test]
@@ -644,9 +634,8 @@ mod tests {
         ];
         let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema, rows).unwrap()));
         let out = filter.eval_batch(&Batch::new(&chunk, 0..3, 0));
-        assert!(out[0].as_ref().is_ok_and(|&b| b));
-        assert!(out[1].is_err());
-        assert!(out[2].as_ref().is_ok_and(|&b| !b));
+        assert_eq!(out.passed, [0]);
+        assert!(matches!(out.failed[..], [(1, _)]));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use pp_linalg::{FeatureBatch, FeatureBlock, Features};
 use crate::chunk::Chunk;
 use crate::row::{Row, RowRef};
 use crate::schema::Schema;
+use crate::{EngineError, Result};
 
 /// A batch of rows: what one probe step evaluates.
 ///
@@ -72,6 +73,16 @@ impl<'a> Batch<'a> {
         &self.chunk.rows()[self.rows.clone()]
     }
 
+    /// Row `i` of the batch as a tuple, built alone where the chunk has
+    /// not built its tuples (see [`Chunk::row`]).
+    ///
+    /// # Panics
+    /// If `i` is not below [`len`](Self::len).
+    pub(crate) fn row(&self, i: usize) -> Row {
+        assert!(i < self.len(), "row {i} out of a {}-row batch", self.len());
+        self.chunk.row(self.rows.start + i)
+    }
+
     /// The rows in batch order, each read where its chunk keeps it: no
     /// tuple is built for a row whose cells a processor appended.
     pub fn row_refs(&self) -> impl ExactSizeIterator<Item = RowRef<'a>> + 'a {
@@ -113,7 +124,7 @@ impl<'a> Batch<'a> {
             errors: Vec::new(),
         };
         let Ok(idx) = self.schema().index_of(name) else {
-            let unknown = || crate::EngineError::UnknownColumn(name.to_string());
+            let unknown = || EngineError::UnknownColumn(name.to_string());
             col.errors = (0..self.len() as u32).map(|i| (i, unknown())).collect();
             return col;
         };
@@ -153,6 +164,39 @@ impl<'a> Batch<'a> {
     }
 }
 
+/// What a filter makes of one [`Batch`]
+/// ([`RowFilter::eval_batch`](crate::udf::RowFilter::eval_batch)): the
+/// positions in the batch of the rows that pass, ascending, and — normally
+/// none — the rows whose evaluation failed, ascending, each with its
+/// error. The two never share a position; a row in neither is dropped.
+///
+/// Collecting per-row verdicts in batch order makes one.
+#[derive(Debug, Default)]
+pub struct Selection {
+    /// The rows that pass.
+    pub passed: Vec<u32>,
+    /// The rows whose evaluation failed, with the error.
+    pub failed: Vec<(u32, EngineError)>,
+}
+
+impl FromIterator<Result<bool>> for Selection {
+    fn from_iter<I: IntoIterator<Item = Result<bool>>>(verdicts: I) -> Self {
+        let verdicts = verdicts.into_iter();
+        let mut selection = Selection {
+            passed: Vec::with_capacity(verdicts.size_hint().0),
+            failed: Vec::new(),
+        };
+        for (at, verdict) in (0..).zip(verdicts) {
+            match verdict {
+                Ok(true) => selection.passed.push(at),
+                Ok(false) => {}
+                Err(e) => selection.failed.push((at, e)),
+            }
+        }
+        selection
+    }
+}
+
 /// One blob column of a [`Batch`], ready to score.
 #[derive(Debug)]
 pub struct FeatureColumn<'a> {
@@ -166,7 +210,7 @@ pub struct FeatureColumn<'a> {
     /// The batch rows with no valid cell, ascending, each with exactly the
     /// error the row path's `get_named(..).and_then(as_blob)` would have
     /// produced. Normally empty.
-    pub errors: Vec<(u32, crate::EngineError)>,
+    pub errors: Vec<(u32, EngineError)>,
 }
 
 impl FeatureColumn<'_> {
@@ -186,7 +230,6 @@ mod tests {
     use crate::row::Rowset;
     use crate::schema::{Column, DataType};
     use crate::value::Value;
-    use crate::EngineError;
     use std::sync::Arc;
 
     fn blob_schema() -> Arc<Schema> {

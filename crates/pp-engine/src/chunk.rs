@@ -190,6 +190,15 @@ impl Chunk {
         }
     }
 
+    /// The registered table this chunk is a run of, and the table row its
+    /// row 0 is; `None` for decoded columns.
+    pub(crate) fn table(&self) -> Option<(&Arc<Rowset>, usize)> {
+        match &self.data {
+            Data::Rows { table, start, .. } => Some((table, *start)),
+            Data::Columns { .. } => None,
+        }
+    }
+
     /// Consumes the chunk, yielding every row as a tuple.
     pub fn into_rows(self) -> Vec<Row> {
         match self.data {

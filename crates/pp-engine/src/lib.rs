@@ -48,7 +48,7 @@ pub mod telemetry;
 pub mod udf;
 pub mod value;
 
-pub use batch::{Batch, FeatureColumn};
+pub use batch::{Batch, FeatureColumn, Selection};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
 pub use chunk::{Chunk, ChunkColumn};

@@ -3,16 +3,18 @@
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
 //! An operator hands the one above it a materialized [`Rowset`] (no
-//! volcano iterators) — a `Process` (and a `Select` above one) a deferred
-//! one, its rows' appended cells in one buffer and no tuple built — with
-//! one exception, the edge the paper is about:
+//! volcano iterators) — a filter, `Process`, `Select` and `Project` a
+//! deferred one: row indices into the rows below plus one buffer of
+//! appended cells, and no tuple built — with one exception, the edge the
+//! paper is about:
 //! a `Filter` directly above a `Scan`, which is where every PP sits,
 //! rides the scan's stream. The scan decodes one budget-sized *wave* of
 //! row groups at a time into [`Chunk`]s (the rows in the layout their
 //! source has: a contiguous block per blob column), the filter probes
-//! and consumes the wave, and only the rows it kept are turned into
-//! tuples before the wave is dropped. A blob the PP drops is never a
-//! `Row`, and what is resident is one wave plus the survivors.
+//! and consumes the wave, and keeps the rows it passed: a registered
+//! table's by index, a decoded group's as tuples, built before the wave
+//! is dropped. A blob the PP drops is never a `Row`, and what is resident
+//! is one wave plus the survivors.
 //!
 //! The interesting quantity is the *charged* cost, not the wall clock.
 //! Every operator charges `attempts × cost_per_row` simulated seconds —
@@ -62,19 +64,19 @@
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
 //! attempt failed, each with the outcome of its full retry loop. A
-//! `Process` batch's values are one flat buffer: every
+//! filter batch's values are a [`Selection`]: the positions that passed.
+//! A `Process` batch's are one flat buffer: every
 //! [`Processor::process`] call of the batch appends its cells to it (a
 //! failed attempt's are cut off again), with an output-row count only for
-//! a row that did not make exactly one, and consume moves each output
-//! row's cells on into the operator's one output buffer — no allocation
-//! per row, and no tuple until something asks for one
-//! ([`Rowset::rows`]).
+//! a row that did not make exactly one — no allocation per row, and no
+//! tuple until something asks for one ([`Rowset::rows`]).
 //! The calling thread then *consumes* the records sequentially in global row
 //! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
 //! exactly as a serial run would: a record with no failed row, met while
-//! no breaker is open, in closed form (its rows only bump counters that
-//! add up), every other record row by row. Injected faults key off row
+//! no breaker is open, in closed form — its survivors or cells appended
+//! to the operator's output in bulk, its rows only bumping counters that
+//! add up — every other record row by row. Injected faults key off row
 //! identity and attempt ordinal (see [`fault`](crate::fault)), and batch
 //! kernels are bit-identical to the scalar per-row path, so results, row
 //! order, spans, and charges are byte-identical to the scalar reference
@@ -106,7 +108,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Selection};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
 use crate::chunk::Chunk;
@@ -390,6 +392,74 @@ struct Appended {
     rows: usize,
     cells: std::vec::IntoIter<Value>,
     ragged: std::iter::Peekable<std::vec::IntoIter<(usize, usize)>>,
+}
+
+impl Appended {
+    /// How many output rows batch row `at` made, read in row order;
+    /// `None` past the batch's last row.
+    fn rows_of(&mut self, at: usize) -> Option<usize> {
+        let ragged = &mut self.ragged;
+        (at < self.rows).then(|| ragged.next_if(|r| r.0 == at).map_or(1, |r| r.1))
+    }
+}
+
+/// A filter batch's [`Probed::firsts`]: the batch's length and the
+/// positions its clean first attempts passed, ascending, read in row
+/// order from `next` on.
+struct Passed {
+    rows: usize,
+    passed: Vec<u32>,
+    next: usize,
+}
+
+impl Passed {
+    /// Whether batch row `at` passed, read in row order; `None` past the
+    /// batch's last row.
+    fn verdict(&mut self, at: usize) -> Option<bool> {
+        let hit = self.passed.get(self.next) == Some(&(at as u32));
+        self.next += usize::from(hit);
+        (at < self.rows).then_some(hit)
+    }
+}
+
+/// What a filter keeps. Over a registered table, the passed rows' indices
+/// into it — no tuple is built and no cell copied; over decoded row
+/// groups, the passed rows built as tuples.
+#[derive(Default)]
+struct Survivors {
+    table: Option<Arc<Rowset>>,
+    picked: Vec<usize>,
+    built: Vec<Row>,
+}
+
+impl Survivors {
+    /// Keeps rows `rows` of `chunk`, in order.
+    fn keep(&mut self, chunk: &Chunk, rows: impl Iterator<Item = usize>) {
+        match chunk.table() {
+            Some((table, start))
+                if self.built.is_empty()
+                    && (self.table.as_ref()).is_none_or(|kept| Arc::ptr_eq(kept, table)) =>
+            {
+                self.table.get_or_insert_with(|| Arc::clone(table));
+                self.picked.extend(rows.map(|i| start + i));
+            }
+            _ => {
+                // Rows of a second source: the rows picked so far, and
+                // every row kept from here on, are tuples.
+                if let Some(table) = self.table.take() {
+                    self.built = Rowset::pick(&table, std::mem::take(&mut self.picked)).into_rows();
+                }
+                self.built.extend(rows.map(|i| chunk.row(i)));
+            }
+        }
+    }
+
+    fn into_rowset(self, schema: Arc<Schema>) -> Result<Rowset> {
+        match self.table {
+            Some(table) => Ok(Rowset::pick(&table, self.picked)),
+            None => Rowset::new(schema, self.built),
+        }
+    }
 }
 
 /// A batch's record with where the batch sits in its wave: the chunk's
@@ -837,18 +907,17 @@ impl Executor<'_> {
         let input = Arc::new(in_rows);
         let chunks: Arc<[Chunk]> = Arc::new([Chunk::from_rows(Arc::clone(&input))]);
         let predicate = predicate.bind(&schema);
-        let eval: ProbeFn<Vec<Result<bool>>> =
+        let eval: ProbeFn<Selection> =
             Arc::new(move |batch| batch.row_refs().map(|row| predicate.eval(row)).collect());
-        let verdicts = self.probe(&chunks, 0, &eval)?;
         let mut kept = Vec::new();
-        let verdicts = verdicts.into_iter().flat_map(|(_, _, verdicts)| verdicts);
-        for (at, verdict) in verdicts.enumerate() {
+        for (_, start, selection) in self.probe(&chunks, 0, &eval)? {
             // An eval error propagates before the operator charges.
-            if verdict? {
-                kept.push(at);
+            if let Some((_, e)) = selection.failed.into_iter().next() {
+                return Err(e);
             }
+            kept.extend(selection.passed.iter().map(|&at| start + at as usize));
         }
-        let out = input.pick(&kept);
+        let out = Rowset::pick(&input, kept);
         let mut span = self.flat_span(op, total, SELECT_S_PER_ROW, total);
         span.rows_out = out.len() as u64;
         span.rows_filtered = (total - out.len()) as u64;
@@ -867,39 +936,53 @@ impl Executor<'_> {
         // A filter that gates correctness says so with `fail_open()`.
         let fail_open = filter.fail_open();
         let (name, filter) = (op.clone(), Arc::clone(filter));
-        self.fold_udf(
+        let done = self.fold_udf(
             &op,
             filter.cost_per_row(),
             fail_open.then_some(true),
-            Rowset::empty(schema),
+            Survivors::default(),
             waves,
             move |batch| {
-                let firsts = filter.eval_batch(batch);
-                debug_assert_eq!(firsts.len(), batch.len());
-                let (mut values, mut failed) = (Vec::with_capacity(firsts.len()), Vec::new());
-                for (at, first) in firsts.into_iter().enumerate() {
-                    match first {
-                        Ok(keep) => values.push(keep),
-                        err => {
-                            let row = &batch.rows()[at];
-                            let retry = || filter.passes(row, batch.schema());
-                            failed.push((at, resilience::resume_probe(&name, err, retry)));
-                        }
-                    }
-                }
-                Probed {
-                    firsts: values.into_iter(),
-                    failed,
-                }
+                let Selection { passed, failed } = filter.eval_batch(batch);
+                let failed = failed
+                    .into_iter()
+                    .map(|(at, first)| {
+                        let at = at as usize;
+                        // Only a retry needs the row as a tuple, and it
+                        // builds that row alone.
+                        let mut row = None;
+                        let retry = || {
+                            let row = row.get_or_insert_with(|| batch.row(at));
+                            filter.passes(row, batch.schema())
+                        };
+                        (at, resilience::resume_probe(&name, Err(first), retry))
+                    })
+                    .collect();
+                let firsts = Passed {
+                    rows: batch.len(),
+                    passed,
+                    next: 0,
+                };
+                Probed { firsts, failed }
             },
-            |verdicts, _| verdicts.next(),
+            |firsts, chunk, start, out| {
+                let rows = firsts.passed.iter().map(|&at| start + at as usize);
+                out.keep(chunk, rows);
+                (firsts.rows, firsts.passed.len())
+            },
+            Passed::verdict,
             |_, chunk, at, keep, out| {
                 if keep {
-                    out.push(chunk.row(at))?;
+                    out.keep(chunk, std::iter::once(at));
                 }
-                Ok(keep)
+                keep
             },
-        )
+        )?;
+        Ok(Finished {
+            span: done.span,
+            out: done.out.into_rowset(schema)?,
+            failure: done.failure,
+        })
     }
 
     /// `Process` hands over a deferred [`Rowset`]: each output row is its
@@ -959,10 +1042,20 @@ impl Executor<'_> {
                 };
                 Probed { firsts, failed }
             },
-            |appended, at| {
-                let ragged = &mut appended.ragged;
-                (at < appended.rows).then(|| ragged.next_if(|r| r.0 == at).map_or(1, |r| r.1))
+            // A clean batch's cells are its rows' output rows', in order.
+            |appended, _, start, out| {
+                let rows = appended.rows;
+                let mut next = 0;
+                for (at, made) in appended.ragged {
+                    out.from.extend(start + next..start + at);
+                    out.from.extend(std::iter::repeat_n(start + at, made));
+                    next = at + 1;
+                }
+                out.from.extend(start + next..start + rows);
+                out.cells.extend(appended.cells);
+                (rows, rows)
             },
+            Appended::rows_of,
             // Every row before this one was emitted too (a row `Process`
             // cannot emit ends it), so the next unread cells are this
             // row's. The input is the only chunk, so `at` is its row.
@@ -971,7 +1064,7 @@ impl Executor<'_> {
                     out.from.push(at);
                     out.cells.extend(appended.cells.by_ref().take(width));
                 }
-                Ok(true)
+                true
             },
         )?;
         let Appending { cells, from } = done.out;
@@ -999,10 +1092,12 @@ impl Executor<'_> {
     /// operator (`fail_open` holds a value) has a breaker, a local of this
     /// fold: any other stops at its first terminal error. A record with no
     /// failed row, met while the breaker is closed, is folded in closed
-    /// form: `n` clean rows leave the breaker at no consecutive failures
-    /// and the span `n` attempts richer. Every other record walks the
-    /// per-row body, which counts each consumed outcome through
-    /// `record_outcome`.
+    /// form, from its lengths: `clean` hands the record's `firsts` — the
+    /// batch's chunk and first row in it — on to `out` in bulk and says
+    /// how many rows the batch had and how many of them passed; `n` clean
+    /// rows leave the breaker at no consecutive failures and the span `n`
+    /// attempts richer. Every other record walks the per-row body, which
+    /// counts each consumed outcome through `record_outcome`.
     /// `first` reads the next clean row's value off the record's `firsts`
     /// (`None` past the batch's last row). `emit` receives each row — its
     /// chunk and place in it — with its `Ok` value and the same `firsts`,
@@ -1027,8 +1122,9 @@ impl Executor<'_> {
         mut out: O,
         mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
         probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Send + Sync + 'static,
+        mut clean: impl FnMut(B, &Chunk, usize, &mut O) -> (usize, usize),
         mut first: impl FnMut(&mut B, usize) -> Option<T>,
-        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> Result<bool>,
+        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> bool,
     ) -> Result<Finished<O>> {
         let mut span = OperatorSpan::new(op.to_string(), 0);
         let mut extra_seconds = 0.0;
@@ -1072,13 +1168,9 @@ impl Executor<'_> {
                     if let Some(breaker) = &mut breaker {
                         breaker.record(true);
                     }
-                    let mut n = 0;
-                    while let Some(value) = first(&mut firsts, n) {
-                        let passed = emit(&mut firsts, chunk, start + n, value, &mut out)?;
-                        span.rows_out += u64::from(passed);
-                        span.rows_filtered += u64::from(!passed);
-                        n += 1;
-                    }
+                    let (n, passed) = clean(firsts, chunk, start, &mut out);
+                    span.rows_out += passed as u64;
+                    span.rows_filtered += (n - passed) as u64;
                     span.attempts += n as u64;
                     clean_rows += n as u64;
                     row_idx += n as u64;
@@ -1121,13 +1213,13 @@ impl Executor<'_> {
                     };
                     let passed = match (result, fail_open) {
                         (Some(Ok(value)), _) => {
-                            emit(&mut firsts, chunk, start + at, value, &mut out)?
+                            emit(&mut firsts, chunk, start + at, value, &mut out)
                         }
                         (_, Some(pass)) => {
                             span.failed_open += 1;
                             self.tel
                                 .push_event(op, Some(row_idx), EventKind::FailOpen, 1);
-                            emit(&mut firsts, chunk, start + at, pass, &mut out)?
+                            emit(&mut firsts, chunk, start + at, pass, &mut out)
                         }
                         (Some(Err(e)), None) => {
                             // Charge the work done, then bail.
@@ -1156,10 +1248,11 @@ impl Executor<'_> {
             .into_iter()
             .unzip();
         let total = in_rows.len();
-        let mut out = Rowset::empty(Schema::new(cols)?);
+        let mut cells = Vec::with_capacity(total * indices.len());
         for row in in_rows.row_refs() {
-            out.push(indices.iter().map(|&i| row.get(i).clone()).collect())?;
+            cells.extend(indices.iter().map(|&i| row.get(i).clone()));
         }
+        let out = Rowset::from_cells(Schema::new(cols)?, total, cells);
         let mut span = self.flat_span(op, total, PROJECT_S_PER_ROW, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
@@ -1936,21 +2029,25 @@ mod tests {
             "PP[poll]",
             0.1,
             Some(true),
-            Rowset::empty(schema),
+            0,
             one_wave(Arc::new(in_rows)),
             |batch| Probed {
                 firsts: 0..batch.len(),
                 failed: Vec::<(usize, ProbeOutcome<bool>)>::new(),
             },
-            |rows, _| rows.next().map(|_| true),
             // Stands in for a caller cancelling while the fold consumes:
-            // the token fires in the middle of the second batch.
-            |_, chunk, at, keep, out| {
-                if at == 150 {
+            // the token fires in the second batch.
+            |rows, _, start, out| {
+                if (start..start + rows.len()).contains(&150) {
                     token.cancel(CancelReason::Requested);
                 }
-                out.push(chunk.row(at))?;
-                Ok(keep)
+                *out += rows.len();
+                (rows.len(), rows.len())
+            },
+            |rows, _| rows.next().map(|_| true),
+            |_, _, _, keep, out| {
+                *out += 1;
+                keep
             },
         )?;
         assert!(matches!(
@@ -1961,7 +2058,7 @@ mod tests {
         ));
         // The second batch was consumed to its end and is charged; the
         // third was never started.
-        assert_eq!((done.out.len(), done.span.attempts), (200, 200));
+        assert_eq!((done.out, done.span.attempts), (200, 200));
         let events = tel
             .finish(crate::telemetry::QueryId(1), vec![], vec![], None, 0)
             .events;
@@ -1970,6 +2067,40 @@ mod tests {
             (events[0].row, events[0].kind),
             (Some(200), EventKind::Cancelled)
         );
+        Ok(())
+    }
+
+    /// A filter keeps a registered table's survivors by index, and falls
+    /// back to tuples, order kept, once its input mixes sources.
+    #[test]
+    fn survivors_of_mixed_sources_keep_their_order() -> Result<()> {
+        let schema = Schema::new(vec![Column::new("id", DataType::Int)])?;
+        let table = |ids: std::ops::Range<i64>| -> Result<Arc<Rowset>> {
+            let rows = ids.map(|i| Row::new(vec![Value::Int(i)])).collect();
+            Ok(Arc::new(Rowset::new(Arc::clone(&schema), rows)?))
+        };
+        let (first, second) = (table(0..4)?, table(10..14)?);
+        let decoded = Chunk::from_columns(
+            Arc::clone(&schema),
+            vec![crate::chunk::ChunkColumn::Cells(
+                (20..24).map(Value::Int).collect(),
+            )],
+        )?;
+        let ids = |kept: Survivors| -> Result<Vec<i64>> {
+            let out = kept.into_rowset(Arc::clone(&schema))?;
+            out.row_refs().map(|row| row.get(0).as_int()).collect()
+        };
+        let mut one_table = Survivors::default();
+        one_table.keep(&Chunk::from_rows(Arc::clone(&first)), [1, 3].into_iter());
+        one_table.keep(&Chunk::from_rows(Arc::clone(&first)), [0].into_iter());
+        assert!(one_table.built.is_empty());
+        assert_eq!(ids(one_table)?, [1, 3, 0]);
+        let mut mixed = Survivors::default();
+        mixed.keep(&Chunk::from_rows(Arc::clone(&first)), [2].into_iter());
+        mixed.keep(&decoded, [1].into_iter());
+        mixed.keep(&Chunk::from_rows(second), [0, 3].into_iter());
+        mixed.keep(&Chunk::from_rows(first), [1].into_iter());
+        assert_eq!(ids(mixed)?, [2, 21, 10, 13, 1]);
         Ok(())
     }
 

@@ -128,12 +128,13 @@ impl<'a> From<&'a [Value]> for RowRef<'a> {
 /// A materialized table: a schema plus rows.
 ///
 /// The rows are kept one of two ways, and every accessor answers the same
-/// for both. *Built*: one [`Row`] per row. *Deferred*: what a `Process`
-/// (and a `Select` above one) hands over — each row is a row of a built
-/// `base` rowset followed by `width` appended cells from one shared
-/// buffer, so a UDF's output is never copied into a tuple of its own on
-/// the way through the plan. [`row_ref`](Self::row_ref) reads a row where
-/// it is; [`rows`](Self::rows) builds the tuples, once, on first demand.
+/// for both. *Built*: one [`Row`] per row. *Deferred*: what a filter, a
+/// `Process`, a `Select` and a `Project` hand over — each row is a row of
+/// a built `base` rowset (or nothing, for a `Project`'s) followed by
+/// `width` cells from one shared buffer, so neither a survivor nor a
+/// UDF's output is copied into a tuple of its own on the way through the
+/// plan. [`row_ref`](Self::row_ref) reads a row where it is;
+/// [`rows`](Self::rows) builds the tuples, once, on first demand.
 #[derive(Clone)]
 pub struct Rowset {
     schema: Arc<Schema>,
@@ -148,8 +149,9 @@ enum Tuples {
 
 #[derive(Clone)]
 struct Deferred {
-    /// The rows the output rows start with.
-    base: Arc<Rowset>,
+    /// The rows the output rows start with; `None` when they start with
+    /// nothing and are their cells alone.
+    base: Option<Arc<Rowset>>,
     /// Appended cells per row.
     width: usize,
     /// `width` cells per appended row, row after row.
@@ -161,13 +163,17 @@ struct Deferred {
 }
 
 impl Deferred {
-    /// Base row `from[j]` and the `j`th run of `width` cells, per row `j`.
-    fn new(base: Arc<Rowset>, width: usize, cells: Vec<Value>, from: Vec<usize>) -> Self {
+    fn new(
+        base: Option<Arc<Rowset>>,
+        width: usize,
+        cells: Vec<Value>,
+        rows: Vec<(usize, usize)>,
+    ) -> Self {
         Deferred {
             base,
             width,
             cells: Arc::new(cells),
-            rows: from.into_iter().enumerate().map(|(j, b)| (b, j)).collect(),
+            rows,
             built: OnceLock::new(),
         }
     }
@@ -176,38 +182,47 @@ impl Deferred {
     /// of `cells`, per row `j`: rows of the same base, wider.
     fn extend(&self, width: usize, cells: Vec<Value>, from: &[usize]) -> Deferred {
         let earlier = self.width;
-        let mut out = Vec::with_capacity(from.len() * (earlier + width));
-        let mut cells = cells.into_iter();
         let rows = (from.iter().enumerate())
-            .map(|(j, &i)| {
-                let (base, at) = self.rows[i];
+            .map(|(j, &i)| (self.rows[i].0, j))
+            .collect();
+        // Rows with no cells of their own yet take the new ones as they
+        // are.
+        let cells = if earlier == 0 {
+            cells
+        } else {
+            let mut out = Vec::with_capacity(from.len() * (earlier + width));
+            let mut cells = cells.into_iter();
+            for &i in from {
+                let at = self.rows[i].1;
                 out.extend_from_slice(&self.cells[at * earlier..(at + 1) * earlier]);
                 out.extend(cells.by_ref().take(width));
-                (base, j)
-            })
-            .collect();
-        Deferred {
-            base: Arc::clone(&self.base),
-            width: earlier + width,
-            cells: Arc::new(out),
-            rows,
-            built: OnceLock::new(),
-        }
+            }
+            out
+        };
+        Deferred::new(self.base.clone(), earlier + width, cells, rows)
     }
 
     fn row_ref(&self, i: usize) -> RowRef<'_> {
         let (base, at) = self.rows[i];
         RowRef {
-            head: self.base.rows()[base].values(),
+            head: self.base.as_ref().map_or(&[], |b| b.rows()[base].values()),
             tail: &self.cells[at * self.width..(at + 1) * self.width],
         }
     }
 
-    /// Every row's tuple: one allocation each, and one for the vector.
+    /// Every row's tuple: a base row with nothing appended is that row
+    /// (shared), any other is built in one allocation; and one for the
+    /// vector.
     fn build(&self) -> Vec<Row> {
-        (0..self.rows.len())
-            .map(|i| self.row_ref(i).to_row())
-            .collect()
+        match &self.base {
+            Some(base) if self.width == 0 => {
+                let base = base.rows();
+                self.rows.iter().map(|&(b, _)| base[b].clone()).collect()
+            }
+            _ => (0..self.rows.len())
+                .map(|i| self.row_ref(i).to_row())
+                .collect(),
+        }
     }
 
     /// The tuples, built already or now, taken out.
@@ -260,7 +275,10 @@ impl Rowset {
         debug_assert_eq!(cells.len(), from.len() * width);
         let deferred = match &input.tuples {
             Tuples::Deferred(d) => d.extend(width, cells, &from),
-            Tuples::Built(_) => Deferred::new(input, width, cells, from),
+            Tuples::Built(_) => {
+                let rows = from.into_iter().enumerate().map(|(j, b)| (b, j)).collect();
+                Deferred::new(Some(input), width, cells, rows)
+            }
         };
         Rowset {
             schema,
@@ -333,23 +351,38 @@ impl Rowset {
         }
     }
 
-    /// The rows `keep` names, in that order, kept the way these are: a
-    /// built row is shared, a deferred one keeps pointing at its base row
-    /// and appended cells.
-    pub(crate) fn pick(&self, keep: &[usize]) -> Rowset {
-        let tuples = match &self.tuples {
-            Tuples::Built(rows) => Tuples::Built(keep.iter().map(|&i| rows[i].clone()).collect()),
-            Tuples::Deferred(d) => Tuples::Deferred(Deferred {
-                base: Arc::clone(&d.base),
+    /// The rows `keep` names, in that order, where `table` keeps them: a
+    /// built row by its index, a deferred one still pointing at its base
+    /// row and appended cells. Nothing is built and no cell is copied.
+    pub(crate) fn pick(table: &Arc<Rowset>, keep: Vec<usize>) -> Rowset {
+        let deferred = match &table.tuples {
+            Tuples::Built(_) => {
+                let rows = keep.into_iter().map(|b| (b, 0)).collect();
+                Deferred::new(Some(Arc::clone(table)), 0, Vec::new(), rows)
+            }
+            Tuples::Deferred(d) => Deferred {
+                base: d.base.clone(),
                 width: d.width,
                 cells: Arc::clone(&d.cells),
-                rows: keep.iter().map(|&i| d.rows[i]).collect(),
+                rows: keep.into_iter().map(|i| d.rows[i]).collect(),
                 built: OnceLock::new(),
-            }),
+            },
         };
         Rowset {
-            schema: self.schema.clone(),
-            tuples,
+            schema: table.schema.clone(),
+            tuples: Tuples::Deferred(deferred),
+        }
+    }
+
+    /// `rows` rows of `schema.len()` cells each, taken from `cells` row
+    /// after row: the rows are their cells alone, and no tuple is built.
+    pub(crate) fn from_cells(schema: Arc<Schema>, rows: usize, cells: Vec<Value>) -> Rowset {
+        let width = schema.len();
+        debug_assert_eq!(cells.len(), rows * width);
+        let rows = (0..rows).map(|j| (0, j)).collect();
+        Rowset {
+            schema,
+            tuples: Tuples::Deferred(Deferred::new(None, width, cells, rows)),
         }
     }
 }
@@ -469,7 +502,7 @@ mod tests {
         );
         // Picking by index keeps the rows where they are; extending again
         // puts the new cells behind the old ones, on the same base rows.
-        let picked = once.pick(&[0, 2]);
+        let picked = Rowset::pick(&Arc::new(once), vec![0, 2]);
         let xyz = ["x", "y", "z"].map(Value::str).to_vec();
         let twice = Rowset::extend(Arc::new(picked), wide(3), xyz, vec![0, 0, 1]);
         let cells = |v: &[(i64, &str, &str)]| -> Vec<Vec<Value>> {
@@ -496,6 +529,41 @@ mod tests {
             format!("{:?}", &pushed.rows()[..3]),
             format!("{:?}", twice.rows())
         );
+    }
+
+    /// Rows picked out of a built table are that table's rows, shared
+    /// once built; rows made of cells alone read as their cells.
+    #[test]
+    fn picked_rows_are_the_tables_and_cells_alone_are_rows() {
+        let table = Arc::new(
+            Rowset::new(
+                schema(),
+                (0..4)
+                    .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))]))
+                    .collect(),
+            )
+            .unwrap(),
+        );
+        let picked = Rowset::pick(&table, vec![3, 1]);
+        assert_eq!(picked.len(), 2);
+        assert!(picked.row_ref(0).get(0).sql_eq(&Value::Int(3)));
+        let shared = |a: &Row, b: &Row| std::ptr::eq(a.values(), b.values());
+        assert!(shared(&picked.rows()[0], &table.rows()[3]));
+        assert!(shared(&picked.rows()[1], &table.rows()[1]));
+        let cells = vec![
+            Value::Int(5),
+            Value::str("a"),
+            Value::Int(6),
+            Value::str("b"),
+        ];
+        let flat = Rowset::from_cells(schema(), 2, cells);
+        assert_eq!(flat.len(), 2);
+        assert_eq!(
+            format!("{:?}", flat.rows()),
+            "[Row { values: [Int(5), Str(\"a\")] }, Row { values: [Int(6), Str(\"b\")] }]"
+        );
+        let again = Rowset::pick(&Arc::new(flat), vec![1]);
+        assert!(again.row_ref(0).get(1).sql_eq(&Value::str("b")));
     }
 
     proptest::proptest! {
@@ -556,7 +624,7 @@ mod tests {
                     proptest::prop_assert!(holds(&held, &before), "the held input changed");
                 }
                 let keep: Vec<usize> = (0..cur.len()).filter(|&i| spec(i).3 == 1).collect();
-                cur = cur.pick(&keep);
+                cur = Rowset::pick(&Arc::new(cur), keep.clone());
                 want = keep.iter().map(|&i| want[i].clone()).collect();
                 proptest::prop_assert!(holds(&cur, &want), "picked");
             }

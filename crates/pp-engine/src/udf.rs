@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Selection};
 use crate::row::{Row, RowRef};
 use crate::schema::{Column, Schema};
 use crate::value::Value;
@@ -160,14 +160,14 @@ pub trait RowFilter: Send + Sync {
     fn fail_open(&self) -> bool {
         true
     }
-    /// Evaluates a whole batch: one outcome per input row
-    /// (`results.len() == batch.len()`), each counting as that row's
-    /// *first attempt*. The default walks the batch through
-    /// [`passes`](Self::passes) in row order. An override must be
-    /// row-independent (row `i`'s outcome may not depend on which other
-    /// rows share the batch) and bit-identical to `passes` over the same
-    /// rows.
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<bool>> {
+    /// Evaluates a whole batch into a [`Selection`]: the positions of the
+    /// rows that pass and of the rows that failed, each ascending, every
+    /// outcome counting as that row's *first attempt*. The default walks
+    /// the batch through [`passes`](Self::passes) in row order. An
+    /// override must be row-independent (row `i`'s outcome may not depend
+    /// on which other rows share the batch) and equal to `passes` over the
+    /// same rows, bit for bit, errors included.
+    fn eval_batch(&self, batch: &Batch<'_>) -> Selection {
         let schema = batch.schema();
         batch
             .rows()
@@ -467,7 +467,8 @@ mod tests {
     }
 
     /// The default `eval_batch` is `passes` in row order, however the
-    /// input is cut into batches — errors included, each at its own row.
+    /// input is cut into batches: the passing positions ascending, each
+    /// error at its own row, and every other row dropped.
     #[test]
     fn default_eval_batch_equals_per_row_passes_over_ragged_batches() {
         use crate::chunk::Chunk;
@@ -478,20 +479,27 @@ mod tests {
         });
         let s = schema();
         let rows: Vec<Row> = (0..100).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let per_row: Vec<String> = rows
-            .iter()
-            .map(|row| format!("{:?}", f.passes(row, &s)))
-            .collect();
-        let chunk = Chunk::from_rows(Arc::new(Rowset::new(s, rows).unwrap()));
+        let chunk = Chunk::from_rows(Arc::new(Rowset::new(s.clone(), rows.clone()).unwrap()));
         for size in [1, 3, 7, 64, 100, 256] {
-            let mut batched = Vec::new();
             for start in (0..chunk.len()).step_by(size) {
-                let rows = start..(start + size).min(chunk.len());
-                let out = f.eval_batch(&Batch::new(&chunk, rows.clone(), start));
-                assert_eq!(out.len(), rows.len(), "batch size {size}");
-                batched.extend(out.iter().map(|r| format!("{r:?}")));
+                let end = (start + size).min(chunk.len());
+                let got = f.eval_batch(&Batch::new(&chunk, start..end, start));
+                let (mut passed, mut failed) = (Vec::new(), Vec::new());
+                for (at, row) in (0..).zip(&rows[start..end]) {
+                    match f.passes(row, &s) {
+                        Ok(true) => passed.push(at),
+                        Ok(false) => {}
+                        Err(e) => failed.push(format!("{at}: {e:?}")),
+                    }
+                }
+                assert_eq!(got.passed, passed, "batch size {size} at {start}");
+                let got_failed: Vec<String> = got
+                    .failed
+                    .iter()
+                    .map(|(at, e)| format!("{at}: {e:?}"))
+                    .collect();
+                assert_eq!(got_failed, failed, "batch size {size} at {start}");
             }
-            assert_eq!(batched, per_row, "batch size {size}");
         }
     }
 

@@ -5,8 +5,8 @@
 //! every parallelism and batch size, with and without injected faults.
 //!
 //! The invariant is anchored twice. At the kernel: every built-in
-//! filter's `RowFilter::eval_batch` over a multi-row batch equals the
-//! scalar per-row path (`RowFilter::passes`), which is what production
+//! filter's `RowFilter::eval_batch` over a multi-row batch selects what
+//! the scalar per-row path (`RowFilter::passes`) does, which is what production
 //! retries run (a `Processor` is scalar and has no other path). At the
 //! engine: every
 //! (K, batch) shape equals the `K=1, batch=1` run, where each batch is one
@@ -30,7 +30,7 @@ use probabilistic_predicates::engine::telemetry::EventKind;
 use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
     Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Row, RowRef, Rowset,
-    UdfMemo, Value,
+    Schema, Selection, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -399,14 +399,16 @@ fn clean_and_faulted_batches_interleave_like_the_scalar_reference() {
 /// The kernel-level gate: for every built-in [`RowFilter`] — the PP
 /// filter over each model family and reducer and over a 3-leaf
 /// conjunction and a 2-leaf disjunction (the one `eval_batch` override),
-/// the closure filter, and the fault shim around each —
-/// `eval_batch` over a multi-row batch equals the scalar `passes` row by
-/// row, errors included. (A `Processor` is scalar: the executor's probe
-/// and its retries are the same `process` call, so there is no second
-/// path to compare.) The batches are a dense column (scored off the
-/// gathered block), the same column with one cell stored sparse (the
-/// `Refs` fallback: nothing is densified), and one with a non-blob cell
-/// (a per-row error).
+/// the closure filter (the default `eval_batch`), and the fault shim
+/// around each — `eval_batch` selects what the scalar `passes` does row
+/// by row: the same passing positions, ascending, and the same errors at
+/// the same rows. The rows are cut into ragged batches (70 rows: not a
+/// multiple of the kernels' 8 lanes, nor of 64), and are a dense column
+/// (scored off the gathered block), the same column with one cell stored
+/// sparse (the `Refs` fallback: nothing is densified), and one with a
+/// non-blob cell (a per-row error). (A `Processor` is scalar: the
+/// executor's probe and its retries are the same `process` call, so
+/// there is no second path to compare.)
 #[test]
 fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
     let f = fixture();
@@ -456,13 +458,20 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
             leaf(dnn),
             leaf(&catalog_pp("vehColor != red")),
         ]),
-        PpExpr::Or(vec![leaf(fh), leaf(&catalog_pp("vehColor = white"))]),
+        // Passes a row only the second leaf keeps before one the first
+        // keeps, so its walk hands positions back out of row order.
+        PpExpr::Or(vec![leaf(fh), leaf(&catalog_pp("vehColor = black"))]),
     ]);
     for expr in exprs {
         let leaves = expr.leaf_count();
-        // 0.85: the fewest validation positives, vehColor = white's 22,
-        // certify no more.
+        // 0.85: a level every leaf here certifies.
         let planned = PlannedPpExpr::new(expr, vec![0.85; leaves]).expect("plan");
+        if matches!(planned.expr(), PpExpr::Or(_)) {
+            assert!(
+                walks_out_of_order(&planned, &dense, blob_idx),
+                "the disjunction hands its passed rows back out of row order"
+            );
+        }
         filters.push(Arc::new(planned.into_filter("frame")));
     }
     let faults = |name: &str| {
@@ -482,17 +491,52 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
         let chunk = Chunk::from_rows(Arc::new(
             Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema"),
         ));
-        let batch = Batch::new(&chunk, 0..rows.len(), 0);
-        for filter in &filters {
-            let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
-            assert_eq!(
-                format!("{:?}", filter.eval_batch(&batch)),
-                format!("{scalar:?}"),
-                "{} over the {label} batch",
-                filter.name()
-            );
+        for size in [7, 64, 70] {
+            for start in (0..rows.len()).step_by(size) {
+                let end = (start + size).min(rows.len());
+                let batch = Batch::new(&chunk, start..end, start);
+                for filter in &filters {
+                    assert_selects_like_passes(
+                        filter.as_ref(),
+                        &batch,
+                        &rows[start..end],
+                        &schema,
+                        &format!("{} over the {label} rows {start}..{end}", filter.name()),
+                    );
+                }
+            }
         }
     }
+}
+
+/// Whether the leaf walk of `planned`, a two-leaf disjunction, meets
+/// `rows` out of row order: it hands back the rows its first leaf passes,
+/// then those only its second passes, and one of the latter comes first.
+fn walks_out_of_order(planned: &PlannedPpExpr, rows: &[Row], blob_idx: usize) -> bool {
+    let leaves = planned.expr().leaves();
+    let passes = |leaf: usize, row: &Row| {
+        let blob = row.get(blob_idx).as_blob().expect("a blob cell");
+        leaves[leaf].score(blob) >= planned.thresholds()[leaf]
+    };
+    let by_first = rows.iter().rposition(|r| passes(0, r));
+    let only_second = rows.iter().position(|r| !passes(0, r) && passes(1, r));
+    matches!((only_second, by_first), (Some(second), Some(first)) if second < first)
+}
+
+/// `filter.eval_batch(batch)` is the selection `passes` makes of `rows`,
+/// the batch's rows, collected in row order: positions ascending, errors
+/// each at its row.
+fn assert_selects_like_passes(
+    filter: &dyn RowFilter,
+    batch: &Batch<'_>,
+    rows: &[Row],
+    schema: &Schema,
+    what: &str,
+) -> Selection {
+    let got = filter.eval_batch(batch);
+    let scalar: Selection = rows.iter().map(|r| filter.passes(r, schema)).collect();
+    assert_eq!(format!("{got:?}"), format!("{scalar:?}"), "{what}");
+    got
 }
 
 /// A random And/Or tree over `leaves` leaves drawn from `pool`.
@@ -588,17 +632,17 @@ fn leaf_by_leaf_walk_equals_the_scalar_path_on_random_expressions() {
                 rows[at] = Row::new(values);
             }
             for rows in [dense, rows] {
-                let scalar: Vec<_> = rows.iter().map(|r| filter.passes(r, &schema)).collect();
-                failed_rows += scalar.iter().filter(|v| v.is_err()).count();
                 let chunk = Chunk::from_rows(Arc::new(
-                    Rowset::new(schema.clone(), rows).expect("rows share the schema"),
+                    Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema"),
                 ));
-                assert_eq!(
-                    format!("{:?}", filter.eval_batch(&Batch::new(&chunk, 0..size, 0))),
-                    format!("{scalar:?}"),
-                    "{} over {size} rows",
-                    filter.name()
+                let got = assert_selects_like_passes(
+                    &filter,
+                    &Batch::new(&chunk, 0..size, 0),
+                    &rows,
+                    &schema,
+                    &format!("{} over {size} rows", filter.name()),
                 );
+                failed_rows += got.failed.len();
             }
         }
     }

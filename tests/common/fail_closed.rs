@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use probabilistic_predicates::engine::udf::RowFilter;
-use probabilistic_predicates::engine::{Batch, LogicalPlan, Result, Row, Schema};
+use probabilistic_predicates::engine::{Batch, LogicalPlan, Result, Row, Schema, Selection};
 
 /// Runs `inner` unchanged but declares it correctness-gating
 /// (`fail_open() == false`), so the executor turns its failures into the
@@ -24,7 +24,7 @@ impl RowFilter for FailClosed {
     fn fail_open(&self) -> bool {
         false
     }
-    fn eval_batch(&self, batch: &Batch<'_>) -> Vec<Result<bool>> {
+    fn eval_batch(&self, batch: &Batch<'_>) -> Selection {
         self.0.eval_batch(batch)
     }
 }
