@@ -16,7 +16,7 @@
 //! * [`expr`] — expressions (conjunctions/disjunctions) over PPs,
 //! * [`combine`] — the accuracy/reduction/cost algebra of Eqs. 9–10,
 //! * [`alloc`] — the accuracy-budget dynamic program of §6.2,
-//! * [`order`] — PP ordering exploration (exhaustive ≤ k, edit-distance-2),
+//! * [`order`] — PP ordering: every order of at most `MAX_PPS` children,
 //! * [`rewrite`] — §6.1's greedy rewrite from complex predicates to
 //!   candidate PP expressions (rules R1–R4),
 //! * [`inject`] — plan injection and the pushdown rules of Table 11 / A.4,

@@ -4,7 +4,10 @@
 //! explored. When k is large, we use the following heuristic: consider
 //! ordering the PPs by the ratio of their intrinsic c/r(1] and then
 //! consider all other orderings that are an edit-distance of at most 2 away
-//! from this greedy order."
+//! from this greedy order." Here k is always small: the planner orders the
+//! children of one node of an expression of at most
+//! [`MAX_PPS`](crate::rewrite::MAX_PPS) leaves, so every order is explored
+//! and the heuristic has nothing to do.
 //!
 //! The true sequential cost of running filters in order `π` over one blob:
 //!
@@ -46,67 +49,23 @@ pub fn sequence_cost(items: &[OrderItem], order: &[usize], gate: Gate) -> f64 {
     cost
 }
 
-/// Maximum `k` for which all `k!` orders are explored exhaustively.
-pub const EXHAUSTIVE_LIMIT: usize = 5;
+// `best_order` tries all k! orders of a node's children, k ≤ `MAX_PPS`:
+// a larger cap must stop the build here, not turn into a factorial search.
+const _: () = assert!(crate::rewrite::MAX_PPS <= 6);
 
-/// Finds a low-cost execution order.
-///
-/// Exhaustive for at most [`EXHAUSTIVE_LIMIT`] items; otherwise the greedy
-/// c/r order plus its edit-distance-≤2 neighborhood (pairs of swaps).
-pub fn best_order(items: &[OrderItem], gate: Gate) -> (Vec<usize>, f64) {
-    let n = items.len();
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
-    if n <= EXHAUSTIVE_LIMIT {
-        // The identity order is the first permutation visited, so it is
-        // where the search starts.
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut best = (order.clone(), sequence_cost(items, &order, gate));
-        permute(&mut order, 0, &mut |perm| {
-            let c = sequence_cost(items, perm, gate);
-            if c < best.1 {
-                best = (perm.to_vec(), c);
-            }
-        });
-        return best;
-    }
-    // Greedy order by intrinsic cost/reduction ratio. For disjunctions,
-    // high reduction means the next PP *does* run, so greedy prefers low
-    // cost relative to (1 - reduction) instead.
-    let mut greedy: Vec<usize> = (0..n).collect();
-    greedy.sort_by(|&a, &b| {
-        let score = |i: usize| {
-            let it = items[i];
-            match gate {
-                Gate::Conjunction => it.cost / it.reduction.max(1e-9),
-                Gate::Disjunction => it.cost / (1.0 - it.reduction).max(1e-9),
-            }
-        };
-        score(a).total_cmp(&score(b))
-    });
-    let mut best = (greedy.clone(), sequence_cost(items, &greedy, gate));
-    // Edit-distance ≤ 2: orders reachable with at most two transpositions.
-    let consider = |order: &[usize], best: &mut (Vec<usize>, f64)| {
-        let c = sequence_cost(items, order, gate);
+/// The cheapest execution order, and its cost: every order is tried, the
+/// identity first, and a later one wins only if strictly cheaper.
+pub(crate) fn best_order(items: &[OrderItem], gate: Gate) -> (Vec<usize>, f64) {
+    // The identity order is the first permutation visited, so it is where
+    // the search starts.
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    let mut best = (order.clone(), sequence_cost(items, &order, gate));
+    permute(&mut order, 0, &mut |perm| {
+        let c = sequence_cost(items, perm, gate);
         if c < best.1 {
-            *best = (order.to_vec(), c);
+            best = (perm.to_vec(), c);
         }
-    };
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let mut once = greedy.clone();
-            once.swap(i, j);
-            consider(&once, &mut best);
-            for k in 0..n {
-                for l in (k + 1)..n {
-                    let mut twice = once.clone();
-                    twice.swap(k, l);
-                    consider(&twice, &mut best);
-                }
-            }
-        }
-    }
+    });
     best
 }
 
@@ -177,42 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_path_runs_for_large_k() {
-        let items: Vec<OrderItem> = (0..8)
-            .map(|i| item(1.0 + i as f64, 0.1 * (i + 1) as f64))
-            .collect();
-        let (order, cost) = best_order(&items, Gate::Conjunction);
-        assert_eq!(order.len(), 8);
-        assert!(cost > 0.0);
-        // All indices present exactly once.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_and_single() {
         assert_eq!(best_order(&[], Gate::Conjunction), (vec![], 0.0));
         let (order, cost) = best_order(&[item(2.0, 0.5)], Gate::Disjunction);
         assert_eq!(order, vec![0]);
         assert!((cost - 2.0).abs() < 1e-12);
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn heuristic_never_worse_than_greedy(
-            costs in proptest::collection::vec(0.01f64..10.0, 6..9),
-            reds in proptest::collection::vec(0.0f64..1.0, 6..9),
-        ) {
-            let n = costs.len().min(reds.len());
-            let items: Vec<OrderItem> = (0..n).map(|i| item(costs[i], reds[i])).collect();
-            for gate in [Gate::Conjunction, Gate::Disjunction] {
-                let (order, cost) = best_order(&items, gate);
-                proptest::prop_assert_eq!(order.len(), n);
-                // The chosen order's cost must equal its recomputed cost.
-                let recomputed = sequence_cost(&items, &order, gate);
-                proptest::prop_assert!((cost - recomputed).abs() < 1e-9);
-            }
-        }
     }
 }

@@ -688,8 +688,7 @@ mod tests {
             Column::new("id", DataType::Int),
             Column::new("pic", DataType::Blob),
         ])?;
-        let rows = second.provider("video").map_err(PpError::Engine)?;
-        let rows = pp_engine::read_all(rows.as_ref()).map_err(PpError::Engine)?;
+        let rows = second.read_table("video").map_err(PpError::Engine)?;
         cat.register(
             "stills",
             Rowset::new(schema, rows.rows().to_vec()).map_err(PpError::Engine)?,

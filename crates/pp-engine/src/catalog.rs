@@ -3,9 +3,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::cancel::CancelToken;
+use crate::logical::LogicalPlan;
+use crate::physical::ExecOptions;
 use crate::provider::{MemoryProvider, TableProvider};
 use crate::row::Rowset;
 use crate::schema::Schema;
+use crate::telemetry::SpanCollector;
 use crate::{EngineError, Result};
 
 /// Named tables visible to plans. Every table is a [`TableProvider`]: an
@@ -56,10 +60,17 @@ impl Catalog {
         Ok(self.provider(name)?.row_count())
     }
 
-    /// Materializes a table as a [`Rowset`] (see
-    /// [`read_all`](crate::provider::read_all)).
+    /// Materializes a table as a [`Rowset`]: a bare `Scan` run through the
+    /// executor, so an in-memory table's rows are the registered ones and
+    /// a segment table's are decoded group by group, in order.
     pub fn read_table(&self, name: &str) -> Result<Rowset> {
-        crate::provider::read_all(self.provider(name)?.as_ref())
+        crate::physical::Executor {
+            catalog: self,
+            opts: ExecOptions::default(),
+            tel: &mut SpanCollector::detached(),
+            cancel: &CancelToken::new(),
+        }
+        .run(&LogicalPlan::scan(name))
     }
 }
 

@@ -7,9 +7,11 @@
 //! [`FeatureBlock`] per blob column. Operators read a chunk through
 //! [`Batch`](crate::batch::Batch) views and turn a decoded row into a
 //! [`Row`] only when something needs the tuple — a filter's scalar path,
-//! a retry, a row that survived its filter. A table's rows are read as
-//! its rowset keeps them ([`Chunk::row_ref`]): a `Process` output's
-//! appended cells in their buffer.
+//! a retry, a row a scan keeps (each row under a bare `Scan`, a filter's
+//! survivors under `Scan → Filter`). A registered table's rows never
+//! become tuples here: a scan keeps them as indices into the table, and
+//! reads them as the table's rowset keeps them ([`Chunk::row_ref`]): a
+//! `Process` output's appended cells in their buffer.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -199,16 +201,6 @@ impl Chunk {
         }
     }
 
-    /// Consumes the chunk, yielding every row as a tuple.
-    pub fn into_rows(self) -> Vec<Row> {
-        match self.data {
-            Data::Columns { columns, rows } => rows
-                .into_inner()
-                .unwrap_or_else(|| (0..self.len).map(|i| build_row(&columns, i)).collect()),
-            Data::Rows { .. } => self.rows().to_vec(),
-        }
-    }
-
     /// Column `col` of rows `rows` as one contiguous block, when the
     /// chunk has it that way: a decoded block column, or a registered
     /// table's attached block (gathered here on first use).
@@ -329,7 +321,7 @@ mod tests {
         assert_eq!(blob(&chunk.row(0)), blob(&t.rows()[1]));
         assert_eq!(blob(&chunk.rows()[2]), blob(&t.rows()[3]));
         assert!(chunk.block(1, 0..3).is_none(), "nothing attached");
-        assert_eq!(chunk.into_rows().len(), 3);
+        assert_eq!(chunk.rows().len(), 3);
     }
 
     #[test]
@@ -363,7 +355,7 @@ mod tests {
         let built = Arc::as_ptr(chunk.rows()[2].get(1).as_blob().unwrap());
         assert_eq!(Arc::as_ptr(chunk.row(2).get(1).as_blob().unwrap()), built);
         assert_eq!(chunk.cells(0, 1..3).count(), 2);
-        assert_eq!(chunk.into_rows().len(), 4);
+        assert_eq!(chunk.rows().len(), 4);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use logical::LogicalPlan;
 pub use memo::{memoize_plan, MemoProcessor, MemoStats, UdfMemo};
 pub use predicate::{Clause, CompareOp, Predicate};
 pub use provider::{
-    group_may_match, kept_groups, prune_stats, publishes_zone_maps, read_all, shard_prune_stats,
+    group_may_match, kept_groups, prune_stats, publishes_zone_maps, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
 pub use row::{Row, RowRef, Rowset};

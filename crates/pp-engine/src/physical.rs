@@ -3,18 +3,19 @@
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
 //! An operator hands the one above it a materialized [`Rowset`] (no
-//! volcano iterators) — a filter, `Process`, `Select` and `Project` a
-//! deferred one: row indices into the rows below plus one buffer of
-//! appended cells, and no tuple built — with one exception, the edge the
-//! paper is about:
-//! a `Filter` directly above a `Scan`, which is where every PP sits,
-//! rides the scan's stream. The scan decodes one budget-sized *wave* of
-//! row groups at a time into [`Chunk`]s (the rows in the layout their
-//! source has: a contiguous block per blob column), the filter probes
-//! and consumes the wave, and keeps the rows it passed: a registered
-//! table's by index, a decoded group's as tuples, built before the wave
-//! is dropped. A blob the PP drops is never a `Row`, and what is resident
-//! is one wave plus the survivors.
+//! volcano iterators) — a scan of a registered table, a filter, `Process`,
+//! `Select` and `Project` a deferred one: row indices into the rows below
+//! plus one buffer of appended cells, and no tuple built. A scan decodes
+//! one budget-sized *wave* of row groups at a time into [`Chunk`]s (the
+//! rows in the layout their source has: a contiguous block per blob
+//! column), and what it keeps of a wave becomes a `Rowset` in one place
+//! (`Survivors`): a registered table's rows by index, so the output is the
+//! table's own rows, and a decoded group's as tuples, built before the
+//! wave is dropped. A bare `Scan` keeps every row. A `Filter` directly
+//! above a `Scan` — where every PP sits, the edge the paper is about —
+//! rides the scan's stream: it probes and consumes each wave and keeps
+//! the rows it passed. A blob the PP drops is never a `Row`, and what is
+//! resident is one wave plus the survivors.
 //!
 //! The interesting quantity is the *charged* cost, not the wall clock.
 //! Every operator charges `attempts × cost_per_row` simulated seconds —
@@ -422,13 +423,17 @@ impl Passed {
     }
 }
 
-/// What a filter keeps. Over a registered table, the passed rows' indices
-/// into it — no tuple is built and no cell copied; over decoded row
-/// groups, the passed rows built as tuples.
+/// What a scan keeps — every row under a bare `Scan`, the passed ones
+/// under `Scan → Filter` — and the one place they become a [`Rowset`].
+/// Over a registered table, the kept rows' indices into it: no tuple is
+/// built and no cell copied; over decoded row groups, the kept rows built
+/// as tuples.
 #[derive(Default)]
 struct Survivors {
     table: Option<Arc<Rowset>>,
     picked: Vec<usize>,
+    /// The kept rows as tuples, once a decoded group is met: what
+    /// `store.rows_materialized_total` counts.
     built: Vec<Row>,
 }
 
@@ -447,7 +452,8 @@ impl Survivors {
                 // Rows of a second source: the rows picked so far, and
                 // every row kept from here on, are tuples.
                 if let Some(table) = self.table.take() {
-                    self.built = Rowset::pick(&table, std::mem::take(&mut self.picked)).into_rows();
+                    let picked = std::mem::take(&mut self.picked);
+                    self.built = Rowset::pick(&table, picked).rows().to_vec();
                 }
                 self.built.extend(rows.map(|i| chunk.row(i)));
             }
@@ -459,6 +465,17 @@ impl Survivors {
             Some(table) => Ok(Rowset::pick(&table, self.picked)),
             None => Rowset::new(schema, self.built),
         }
+    }
+}
+
+impl Finished<Survivors> {
+    /// A filter's kept rows as its output, a [`Rowset`] of `schema`.
+    fn into_rowset(self, schema: Arc<Schema>) -> Result<Finished> {
+        Ok(Finished {
+            span: self.span,
+            out: self.out.into_rowset(schema)?,
+            failure: self.failure,
+        })
     }
 }
 
@@ -542,8 +559,22 @@ impl ScanStream {
         Ok(Some(chunks))
     }
 
+    /// Keeps every row of every wave left — a bare `Scan`'s body; the
+    /// keeping is timed as the scan's own work. The first wave that cannot
+    /// be had ends it.
+    fn keep_all(&mut self, ex: &Executor<'_>, kept: &mut Survivors) -> Result<()> {
+        while let Some(wave) = self.next_wave(ex)? {
+            let start = Instant::now();
+            for chunk in wave {
+                kept.keep(&chunk, 0..chunk.len());
+            }
+            self.wall += start.elapsed();
+        }
+        Ok(())
+    }
+
     /// Charges the scan for the waves it decoded, wherever the stream
-    /// stopped; `materialized` of the decoded rows left it as tuples.
+    /// stopped; `materialized` of the rows it kept were built as tuples.
     ///
     /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
     /// the rows inside pruned groups (skipped without decoding),
@@ -636,7 +667,7 @@ impl Executor<'_> {
                     let rows = self.run(input)?;
                     let schema = rows.schema().clone();
                     let waves = one_wave(Arc::new(rows));
-                    self.operator(|ex| ex.filter(op, schema, waves, filter))
+                    self.operator(|ex| ex.filter(op, waves, filter)?.into_rowset(schema))
                 }
             },
             LogicalPlan::Project { input, items } => {
@@ -845,41 +876,22 @@ impl Executor<'_> {
         Ok(records.into_iter().flatten().collect())
     }
 
-    /// A `Scan` with nothing riding its stream: every decoded row leaves
-    /// as a tuple.
+    /// A `Scan` with nothing riding its stream keeps every row it
+    /// decodes, as a filter above it keeps the rows it passes: over a
+    /// registered table its output is the table's own rows, by index.
     fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Rowset> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
-        let provider = Arc::clone(&stream.provider);
-        let mut rows: Vec<Row> = Vec::new();
-        let stopped = loop {
-            match stream.next_wave(self) {
-                Ok(Some(chunks)) => {
-                    for chunk in chunks {
-                        if rows.is_empty() {
-                            // Take the first group as decoded: a one-group
-                            // (in-memory) table is scanned with one copy.
-                            rows = chunk.into_rows();
-                            rows.reserve(provider.row_count().saturating_sub(rows.len()));
-                        } else {
-                            rows.extend(chunk.into_rows());
-                        }
-                    }
-                }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        stream.close(self, op, rows.len());
-        match stopped {
-            Some(e) => Err(e),
-            None => Rowset::new(provider.schema(), rows),
-        }
+        let schema = stream.provider.schema();
+        let mut kept = Survivors::default();
+        let done = stream.keep_all(self, &mut kept);
+        stream.close(self, op, kept.built.len());
+        done.and_then(|()| kept.into_rowset(schema))
     }
 
     /// `Scan → Filter`: the filter folds the scan's waves as they are
-    /// decoded, and only the rows it keeps become tuples. Both spans are
-    /// pushed when the stream ends, the scan's first (see the early-stop
-    /// contract on [`Executor`]).
+    /// decoded and keeps the rows it passes. Both spans are pushed when
+    /// the stream ends, the scan's first (see the early-stop contract on
+    /// [`Executor`]).
     fn scan_filter(
         &mut self,
         scan_op: String,
@@ -891,11 +903,11 @@ impl Executor<'_> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
         let schema = stream.provider.schema();
         let start = Instant::now();
-        let done = self.filter(op, schema, |ex| stream.next_wave(ex), filter);
+        let done = self.filter(op, |ex| stream.next_wave(ex), filter);
         let wall = start.elapsed().saturating_sub(stream.wall);
-        let survivors = done.as_ref().map_or(0, |done| done.out.len());
-        stream.close(self, scan_op, survivors);
-        self.finish(done?, wall)
+        let built = done.as_ref().map_or(0, |done| done.out.built.len());
+        stream.close(self, scan_op, built);
+        self.finish(done?.into_rowset(schema)?, wall)
     }
 
     /// `Select` evaluates its bound predicate on each row where the row is
@@ -927,16 +939,15 @@ impl Executor<'_> {
     fn filter(
         &mut self,
         op: String,
-        schema: Arc<Schema>,
         waves: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
         filter: &Arc<dyn RowFilter>,
-    ) -> Result<Finished> {
+    ) -> Result<Finished<Survivors>> {
         // Safe degradation: a PP is pure data reduction, so on failure
         // the row passes. We lose speed-up on that row, never a result.
         // A filter that gates correctness says so with `fail_open()`.
         let fail_open = filter.fail_open();
         let (name, filter) = (op.clone(), Arc::clone(filter));
-        let done = self.fold_udf(
+        self.fold_udf(
             &op,
             filter.cost_per_row(),
             fail_open.then_some(true),
@@ -977,12 +988,7 @@ impl Executor<'_> {
                 }
                 keep
             },
-        )?;
-        Ok(Finished {
-            span: done.span,
-            out: done.out.into_rowset(schema)?,
-            failure: done.failure,
-        })
+        )
     }
 
     /// `Process` hands over a deferred [`Rowset`]: each output row is its
@@ -1279,7 +1285,8 @@ impl Executor<'_> {
                 out_cols.push(c.clone());
             }
         }
-        let mut out = Rowset::empty(Schema::new(out_cols)?);
+        let out_schema = Schema::new(out_cols)?;
+        let mut out = Vec::new();
         let mut matched_left: u64 = 0;
         for lrow in l.rows() {
             let key = lrow.get(lk).as_key()?;
@@ -1292,10 +1299,11 @@ impl Executor<'_> {
                             cells.push(v.clone());
                         }
                     }
-                    out.push(Row::new(cells))?;
+                    out.push(Row::new(cells));
                 }
             }
         }
+        let out = Rowset::new(out_schema, out)?;
         let rows_in = l.len() + r.len();
         let mut span = self.flat_span(op, rows_in, JOIN_S_PER_ROW, rows_in);
         // Unmatched left rows are dropped by the join predicate —
@@ -1324,14 +1332,15 @@ impl Executor<'_> {
                 }
             })
             .collect::<Result<_>>()?;
-        let mut out = Rowset::empty(out_schema);
+        let mut out = Vec::new();
         for rows in group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))? {
             let mut cells: Vec<Value> = key_idx.iter().map(|&i| rows[0].get(i).clone()).collect();
             for (a, idx) in aggs.iter().zip(&agg_idx) {
                 cells.push(eval_agg(a.func, *idx, &rows)?);
             }
-            out.push(Row::new(cells))?;
+            out.push(Row::new(cells));
         }
+        let out = Rowset::new(out_schema, out)?;
         let total = in_rows.len();
         let mut span = self.flat_span(op, total, AGGREGATE_S_PER_ROW, total);
         span.rows_out = total as u64;
@@ -1409,7 +1418,7 @@ impl Executor<'_> {
         call: impl Fn(&G) -> Result<Vec<Row>>,
     ) -> Result<Finished> {
         let mut span = OperatorSpan::new(op.clone(), rows_in);
-        let mut out = Rowset::empty(out_schema);
+        let mut out = Vec::new();
         let mut retried_rows: usize = 0;
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
@@ -1427,9 +1436,10 @@ impl Executor<'_> {
             match outcome.result {
                 Ok(rows) => {
                     span.rows_out += n as u64;
-                    for row in rows {
-                        out.push(row)?;
+                    for row in &rows {
+                        crate::row::check_arity(&out_schema, row.len())?;
                     }
+                    out.extend(rows);
                 }
                 Err(e) => {
                     failure = Some(e);
@@ -1441,6 +1451,7 @@ impl Executor<'_> {
         if failure.is_none() {
             span.rows_filtered = span.rows_in - span.rows_out;
         }
+        let out = Rowset::new(out_schema, out)?;
         Ok(Finished { span, out, failure })
     }
 }

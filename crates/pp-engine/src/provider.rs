@@ -184,17 +184,6 @@ pub fn publishes_zone_maps(provider: &dyn TableProvider) -> bool {
     (0..provider.group_count()).any(|g| !provider.group_meta(g).zones.is_empty())
 }
 
-/// Decodes every group of `provider`, in group order, into the rows of a
-/// [`Rowset`]. Off-hot-path consumers (training, audit replay) use this;
-/// the executor streams groups under the provider's memory budget instead.
-pub fn read_all(provider: &dyn TableProvider) -> Result<Rowset> {
-    let mut rows = Vec::with_capacity(provider.row_count());
-    for g in 0..provider.group_count() {
-        rows.extend(provider.read_group(g)?.into_rows());
-    }
-    Rowset::new(provider.schema(), rows)
-}
-
 /// Static pruning prediction for a scan with a pushdown: exact, because
 /// zone maps are known before execution (an accuracy-1.0 "PP").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -344,10 +333,10 @@ impl MemoryProvider {
 
     /// Sets the memory budget reported to the executor: a scan decodes
     /// the table in waves of groups whose `bytes` add up to at most this
-    /// (a group over it decodes alone). Under `Scan → Filter` a wave is
-    /// dropped once its survivors are out, so the budget bounds the
-    /// decoded data resident at once; any other consumer of the scan
-    /// still receives every decoded row.
+    /// (a group over it decodes alone), and each wave is dropped once the
+    /// rows the scan keeps of it are out (every row under a bare `Scan`,
+    /// a filter's survivors under `Scan → Filter`), so the budget bounds
+    /// the decoded data resident at once beside what is kept.
     pub fn with_memory_budget(mut self, bytes: u64) -> MemoryProvider {
         self.budget = Some(bytes);
         self
@@ -519,7 +508,7 @@ mod tests {
         let mut all = Vec::new();
         for g in 0..p.group_count() {
             assert_eq!(p.group_meta(g).rows, p.read_group(g).unwrap().len());
-            all.extend(p.read_group(g).unwrap().into_rows());
+            all.extend_from_slice(p.read_group(g).unwrap().rows());
         }
         assert_eq!(all.len(), 10);
         assert!(p.read_group(99).is_err());

@@ -7,8 +7,8 @@ use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// One tuple. Cloning is a reference-count bump: the cell storage is
-/// shared (`Arc`-backed), so a table scan can hand out per-query row
-/// copies without re-allocating every tuple. Rows are immutable after
+/// shared (`Arc`-backed), so the tuples a consumer asks of a registered
+/// table's rows are the table's own. Rows are immutable after
 /// construction; a row with cells appended to it (a `Process` output) is
 /// a [`RowRef`] until something asks for the tuple.
 #[derive(Debug, Clone)]
@@ -47,6 +47,14 @@ impl Row {
     /// True for a zero-cell row.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+}
+
+/// A row over cells someone else holds too: nothing is copied, and the
+/// row is one more holder of the slice.
+impl From<Arc<[Value]>> for Row {
+    fn from(values: Arc<[Value]>) -> Self {
+        Row { values }
     }
 }
 
@@ -128,10 +136,11 @@ impl<'a> From<&'a [Value]> for RowRef<'a> {
 /// A materialized table: a schema plus rows.
 ///
 /// The rows are kept one of two ways, and every accessor answers the same
-/// for both. *Built*: one [`Row`] per row. *Deferred*: what a filter, a
-/// `Process`, a `Select` and a `Project` hand over — each row is a row of
-/// a built `base` rowset (or nothing, for a `Project`'s) followed by
-/// `width` cells from one shared buffer, so neither a survivor nor a
+/// for both. *Built*: one [`Row`] per row. *Deferred*: what a scan of a
+/// registered table, a filter, a `Process`, a `Select` and a `Project`
+/// hand over — each row is a row of a built `base` rowset (or nothing,
+/// for a `Project`'s) followed by `width` cells from one shared buffer,
+/// so neither a table row, a survivor nor a
 /// UDF's output is copied into a tuple of its own on the way through the
 /// plan. [`row_ref`](Self::row_ref) reads a row where it is;
 /// [`rows`](Self::rows) builds the tuples, once, on first demand.
@@ -223,11 +232,6 @@ impl Deferred {
                 .map(|i| self.row_ref(i).to_row())
                 .collect(),
         }
-    }
-
-    /// The tuples, built already or now, taken out.
-    fn take_rows(&mut self) -> Vec<Row> {
-        self.built.take().unwrap_or_else(|| self.build())
     }
 }
 
@@ -329,28 +333,6 @@ impl Rowset {
         self.len() == 0
     }
 
-    /// Appends a row (arity-checked).
-    pub fn push(&mut self, row: Row) -> Result<()> {
-        check_arity(&self.schema, row.len())?;
-        match &mut self.tuples {
-            Tuples::Built(rows) => rows.push(row),
-            Tuples::Deferred(d) => {
-                let mut rows = d.take_rows();
-                rows.push(row);
-                self.tuples = Tuples::Built(rows);
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes the rowset, yielding rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        match self.tuples {
-            Tuples::Built(rows) => rows,
-            Tuples::Deferred(mut d) => d.take_rows(),
-        }
-    }
-
     /// The rows `keep` names, in that order, where `table` keeps them: a
     /// built row by its index, a deferred one still pointing at its base
     /// row and appended cells. Nothing is built and no cell is copied.
@@ -387,7 +369,8 @@ impl Rowset {
     }
 }
 
-fn check_arity(schema: &Schema, arity: usize) -> Result<()> {
+/// Fails unless a row of `arity` cells fits `schema`.
+pub(crate) fn check_arity(schema: &Schema, arity: usize) -> Result<()> {
     if arity != schema.len() {
         return Err(EngineError::InvalidPlan(format!(
             "row arity {arity} does not match schema arity {}",
@@ -428,12 +411,8 @@ mod tests {
     fn arity_checked() {
         let s = schema();
         assert!(Rowset::new(s.clone(), vec![Row::new(vec![Value::Int(1)])]).is_err());
-        let mut rs = Rowset::empty(s);
-        assert!(rs
-            .push(Row::new(vec![Value::Int(1), Value::str("x")]))
-            .is_ok());
-        assert!(rs.push(Row::new(vec![Value::Int(1)])).is_err());
-        assert_eq!(rs.len(), 1);
+        let rs = Rowset::new(s, vec![Row::new(vec![Value::Int(1), Value::str("x")])]);
+        assert_eq!(rs.unwrap().len(), 1);
     }
 
     /// A cell of every kind, picked by `kind`.
@@ -472,15 +451,12 @@ mod tests {
         Schema::new(columns.collect()).unwrap()
     }
 
-    /// Whether `rows` holds exactly `want`, read in place, built, and
-    /// consumed.
+    /// Whether `rows` holds exactly `want`, read in place and built.
     fn holds(rows: &Rowset, want: &[Vec<Value>]) -> bool {
-        let consumed = rows.clone().into_rows();
         rows.len() == want.len()
             && (0..want.len()).all(|i| {
                 same_cells(rows.row_ref(i).iter(), &want[i])
                     && same_cells(rows.rows()[i].values().iter(), &want[i])
-                    && same_cells(consumed[i].values().iter(), &want[i])
             })
     }
 
@@ -514,20 +490,6 @@ mod tests {
         assert_eq!(
             format!("{:?}", twice.rows()),
             format!("{:?}", want.into_iter().map(Row::new).collect::<Vec<_>>())
-        );
-        // A push builds the tuples first.
-        let mut pushed = twice.clone();
-        pushed
-            .push(Row::new(vec![
-                Value::Int(9),
-                Value::str("p"),
-                Value::str("q"),
-            ]))
-            .unwrap();
-        assert_eq!(pushed.len(), 4);
-        assert_eq!(
-            format!("{:?}", &pushed.rows()[..3]),
-            format!("{:?}", twice.rows())
         );
     }
 
@@ -569,8 +531,8 @@ mod tests {
     proptest::proptest! {
         /// Rows built up the way a plan builds them — a table, then layers
         /// of appended cells, each input row making 0, 1 or 2 output rows,
-        /// with picks by index in between — are the same read in place,
-        /// built and consumed: `Row::new` of the base row's cells followed
+        /// with picks by index in between — are the same read in place
+        /// and built: `Row::new` of the base row's cells followed
         /// by every layer's, cell for cell, a blob the same `Arc`, for any
         /// arity and width (none included). An input something else still
         /// holds — the `Arc`, or a clone sharing its cells — reads the same

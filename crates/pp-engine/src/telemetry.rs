@@ -790,9 +790,10 @@ pub(crate) struct StoreCounters {
     pub bytes_read: Counter,
     /// `store.rows_decoded_total`: rows in the decoded groups.
     pub rows_decoded: Counter,
-    /// `store.rows_materialized_total`: rows that left a scan as tuples —
-    /// every decoded row, or only a filter's survivors when one sits
-    /// directly above the scan.
+    /// `store.rows_materialized_total`: rows a scan built as tuples — the
+    /// rows it kept of decoded groups (every one under a bare `Scan`, a
+    /// filter's survivors under `Scan → Filter`). A registered table's
+    /// rows are kept by index and count 0.
     pub rows_materialized: Counter,
 }
 
@@ -826,8 +827,8 @@ impl SpanCollector {
         }
     }
 
-    /// A collector detached from any registry (test harness only).
-    #[cfg(test)]
+    /// A collector detached from any registry: a run no one observes
+    /// (`Catalog::read_table`), and the unit tests.
     pub(crate) fn detached() -> Self {
         SpanCollector::new(&MetricsRegistry::new())
     }

@@ -29,8 +29,8 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::telemetry::EventKind;
 use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
-    Batch, Catalog, Chunk, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Row, RowRef, Rowset,
-    Schema, Selection, UdfMemo, Value,
+    Batch, Catalog, Chunk, ChunkColumn, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Row,
+    RowGroupMeta, RowRef, Rowset, Schema, Selection, TableProvider, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
 use probabilistic_predicates::linalg::Features;
@@ -786,6 +786,85 @@ fn survivors_of_an_in_memory_table_are_the_registered_rows() {
     let second = ctx.run(&f.pp_plan).expect("second run");
     assert_eq!(memo.stats().invoked, invoked, "every row was a memo hit");
     assert_eq!(digest(&first), digest(&second));
+}
+
+/// `rows` as one group of decoded cells, the way a segment table's rows
+/// reach a scan: what a scan keeps of it is built as tuples.
+#[derive(Debug)]
+struct Decoded {
+    rows: Rowset,
+    meta: RowGroupMeta,
+}
+
+impl Decoded {
+    fn new(rows: Rowset) -> Decoded {
+        let meta = RowGroupMeta {
+            rows: rows.len(),
+            bytes: 0,
+            shard: 0,
+            zones: Default::default(),
+        };
+        Decoded { rows, meta }
+    }
+}
+
+impl TableProvider for Decoded {
+    fn schema(&self) -> Arc<Schema> {
+        self.rows.schema().clone()
+    }
+    fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+    fn group_count(&self) -> usize {
+        1
+    }
+    fn group_meta(&self, _: usize) -> &RowGroupMeta {
+        &self.meta
+    }
+    fn read_group(&self, _: usize) -> probabilistic_predicates::engine::Result<Chunk> {
+        let columns = (0..self.rows.schema().len())
+            .map(|c| ChunkColumn::Cells(self.rows.row_refs().map(|r| r.get(c).clone()).collect()));
+        Chunk::from_columns(self.schema(), columns.collect())
+    }
+    fn shard_count(&self) -> usize {
+        1
+    }
+}
+
+/// A bare `Scan` over a registered table hands over the table's own rows
+/// by index: in order, equal cells, the same blob `Arc`s, and no row
+/// cloned while the output is alive. A NoP plan above it (`Scan → Process
+/// → Select`) reads them where they are and gives the cells, charges and
+/// telemetry of the tuple path — the same rows scanned as decoded cells.
+#[test]
+fn a_bare_scan_of_a_registered_table_hands_over_its_own_rows() {
+    let f = fixture();
+    let source = f.catalog.read_table("traffic").expect("registered slice");
+    let cells: Vec<Arc<[Value]>> = source.rows().iter().map(|r| r.values().into()).collect();
+    let rows = cells.iter().map(|c| Row::from(Arc::clone(c))).collect();
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "traffic",
+        Rowset::new(source.schema().clone(), rows).expect("rows fit"),
+    );
+    let holders = || cells.iter().map(Arc::strong_count).collect::<Vec<_>>();
+    let before = holders();
+    let mut ctx = ExecutionContext::new(&catalog);
+    let out = ctx.run(&LogicalPlan::scan("traffic")).expect("scan");
+    assert_eq!(holders(), before, "the scan cloned a table row");
+    assert_eq!(verdicts(&out), verdicts(&source));
+
+    let q1 = traf20_queries().into_iter().find(|q| q.id == 1);
+    let nop = q1.expect("Q1").nop_plan(&f.dataset);
+    let mut decoded = Catalog::new();
+    decoded.register_provider("traffic", Arc::new(Decoded::new(source)));
+    let run = |catalog: &Catalog| {
+        let mut ctx = ExecutionContext::new(catalog);
+        let out = ctx.run(&nop).expect("NoP plan");
+        assert!(!out.is_empty() && out.len() < cells.len());
+        (verdicts(&out), observe(&ctx, &out))
+    };
+    assert_eq!(run(&catalog), run(&decoded));
 }
 
 /// What a run leaves in its ledger, in a form the deferred run and its

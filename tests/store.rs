@@ -810,6 +810,36 @@ fn store_metrics_export_in_stable_order_and_stay_out_of_snapshots() {
     assert!(!openmetrics(snap).contains("pp_store_"));
 }
 
+/// `store.rows_materialized_total` counts the rows a scan built as
+/// tuples. A registered table's rows leave a scan by index, so it reads 0
+/// under a bare `Scan` and under `Scan → Filter`; over a segment table it
+/// reads the rows the scan kept, all of them or the filter's survivors.
+#[test]
+fn rows_materialized_counts_only_the_tuples_a_scan_built() {
+    use probabilistic_predicates::engine::udf::ClosureFilter;
+
+    let f = fixture();
+    let even = Arc::new(ClosureFilter::new("even", 0.01, |row, schema| {
+        Ok(row.get_named(schema, "frameID")?.as_int()? % 2 == 0)
+    }));
+    let plans = [
+        LogicalPlan::scan("traffic"),
+        LogicalPlan::scan("traffic").filter(even),
+    ];
+    let materialized = |catalog: &Catalog, plan: &LogicalPlan| {
+        let mut ctx = ExecutionContext::new(catalog);
+        let out = ctx.run(plan).expect("run");
+        let counter = |name: &str| ctx.registry().counter(name).get();
+        (out.len() as u64, counter("store.rows_materialized_total"))
+    };
+    let (_, segments) = &f.shard_catalogs[1];
+    let rows = f.dataset.len() as u64;
+    for (plan, kept) in plans.iter().zip([rows, rows / 2]) {
+        assert_eq!(materialized(&f.mem_catalog, plan), (kept, 0), "{plan:?}");
+        assert_eq!(materialized(segments, plan), (kept, kept), "{plan:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Golden encoding.
 // ---------------------------------------------------------------------------
@@ -922,7 +952,7 @@ fn golden_segment_round_trips() {
     let table = golden_rowset();
     let mut decoded = Vec::new();
     for g in 0..seg.group_count() {
-        decoded.extend(seg.read_group(g).expect("read group").into_rows());
+        decoded.extend_from_slice(seg.read_group(g).expect("read group").rows());
     }
     assert_eq!(format!("{decoded:?}"), format!("{:?}", table.rows()));
 }
@@ -966,7 +996,7 @@ fn dense_blob_groups_round_trip_bit_for_bit() {
     let shape: Vec<usize> = (0..seg.group_count()).map(|g| seg.group_rows(g)).collect();
     assert_eq!(shape, [256, 44]);
     let decoded: Vec<Row> = (0..seg.group_count())
-        .flat_map(|g| seg.read_group(g).expect("read group").into_rows())
+        .flat_map(|g| seg.read_group(g).expect("read group").rows().to_vec())
         .collect();
     assert_eq!(decoded.len(), 300);
     for (r, row) in decoded.iter().enumerate() {
@@ -1075,7 +1105,7 @@ fn a_traffic_shard_decodes_to_its_table() {
     let seg = Segment::open(&path).expect("open");
     assert_eq!(seg.group_count(), 4);
     let rows = (0..seg.group_count())
-        .flat_map(|g| seg.read_group(g).expect("read group").into_rows())
+        .flat_map(|g| seg.read_group(g).expect("read group").rows().to_vec())
         .collect();
     let decoded = Rowset::new(Arc::clone(seg.schema()), rows).expect("rowset");
     assert_eq!(digest_bits(&decoded), digest_bits(dataset.table()));
@@ -1218,7 +1248,10 @@ fn corrupt_page_fails_checksum_on_read() {
                     8 + i
                 );
             } else {
-                let rows = got.expect("an untouched group still decodes").into_rows();
+                let rows = got
+                    .expect("an untouched group still decodes")
+                    .rows()
+                    .to_vec();
                 let want = &table.rows()[2 * g..(2 * g + 2).min(table.len())];
                 assert_eq!(format!("{rows:?}"), format!("{want:?}"), "byte {}", 8 + i);
             }
