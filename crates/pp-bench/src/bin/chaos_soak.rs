@@ -8,7 +8,8 @@
 //! bounded [`drain`](PpServer::drain). Invariants, every round:
 //!
 //! * no ticket lost (zero "worker disappeared" fallbacks),
-//! * zero leaked admission permits,
+//! * nothing left in flight (`permits_leaked`: admitted requests never
+//!   answered),
 //! * completed queries byte-identical to the fault-free serial baseline,
 //! * the cache/catalog still serve a clean probe afterwards.
 //!

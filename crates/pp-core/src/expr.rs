@@ -359,6 +359,11 @@ impl PpExprFilter {
         &self.planned
     }
 
+    /// The blob column the filter reads.
+    pub fn blob_column(&self) -> &str {
+        &self.blob_column
+    }
+
     /// How many rows each leaf, in pre-order, has scored in
     /// [`eval_batch`](RowFilter::eval_batch) since the filter was built,
     /// summed over every run that used it: the rows that reached the leaf

@@ -110,8 +110,8 @@ impl<'a> ExecutionContextBuilder<'a> {
     }
 
     /// Installs a shared [`UdfMemo`]: every `Process` node of every plan
-    /// passed to [`ExecutionContext::run`] is wrapped in a
-    /// [`MemoProcessor`](crate::memo::MemoProcessor) consulting it, so
+    /// passed to [`ExecutionContext::run`] is wrapped in a shim consulting
+    /// it ([`memoize_plan`](crate::memo::memoize_plan)), so
     /// contexts sharing one memo (a shared-scan window) invoke each
     /// expensive UDF at most once per distinct input row. The rewrite is
     /// applied *before* any installed fault plan, so fault shims wrap the

@@ -58,7 +58,7 @@ pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHin
 pub use export::{JsonlExporter, OpenMetricsExporter};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultSpec, InjectedFault};
 pub use logical::LogicalPlan;
-pub use memo::{memoize_plan, MemoProcessor, MemoStats, UdfMemo};
+pub use memo::{memoize_plan, MemoStats, UdfMemo};
 pub use predicate::{Clause, CompareOp, Predicate};
 pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, shard_prune_stats,

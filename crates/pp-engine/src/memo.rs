@@ -4,7 +4,7 @@
 //! N concurrent queries over the same source should not pay for the same
 //! blob N times. A [`UdfMemo`] caches the output of every expensive
 //! [`Processor`] keyed by `(op name, base-row key)`; a
-//! [`MemoProcessor`] shim consults the memo before invoking the wrapped
+//! `MemoProcessor` shim consults the memo before invoking the wrapped
 //! UDF, so a window of queries sharing one memo invokes each UDF at most
 //! once per blob while every query's *observable* behavior — verdicts,
 //! `CostMeter` charges, telemetry spans, `EXPLAIN` output, fault
@@ -13,7 +13,7 @@
 //! - `CostMeter` charges are simulated (`rows_in × cost_per_row`), never a
 //!   function of whether the closure actually ran, so a memo hit charges
 //!   exactly what a real invocation would.
-//! - [`MemoProcessor`] forwards `name()`, `output_columns()` and
+//! - `MemoProcessor` forwards `name()`, `output_columns()` and
 //!   `cost_per_row()`, so plan rendering, telemetry span names, and
 //!   [`FaultPlan`](crate::fault::FaultPlan) name-targeting see the inner
 //!   UDF unchanged. The fault shim wraps *outside* the memo (the memo
@@ -46,7 +46,7 @@
 //!
 //! ## What a lookup costs
 //!
-//! The memo keeps one table per op, which a [`MemoProcessor`] looks up by
+//! The memo keeps one table per op, which a `MemoProcessor` looks up by
 //! name once, when it is built; no op name is hashed or compared per row.
 //! A lookup hashes the row's key cells in place — the row's first cells,
 //! read where the row keeps them — once, with the memo's own keyed hasher,
@@ -306,7 +306,7 @@ impl UdfMemo {
 ///
 /// A [`Processor`] is scalar, so consulting the memo row by row is the
 /// unmemoized evaluation order exactly.
-pub struct MemoProcessor {
+pub(crate) struct MemoProcessor {
     inner: Arc<dyn Processor>,
     memo: Arc<UdfMemo>,
     /// The memo's table for `inner`'s name, shared with every other shim
@@ -316,7 +316,7 @@ pub struct MemoProcessor {
 
 impl MemoProcessor {
     /// Wraps `inner` so invocations consult (and populate) `memo`.
-    pub fn new(inner: Arc<dyn Processor>, memo: Arc<UdfMemo>) -> Self {
+    pub(crate) fn new(inner: Arc<dyn Processor>, memo: Arc<UdfMemo>) -> Self {
         let table = memo.table(inner.name());
         MemoProcessor { inner, memo, table }
     }
@@ -373,9 +373,9 @@ impl Processor for MemoProcessor {
 }
 
 /// Rebuilds `plan` with every `Process` node's UDF wrapped in a
-/// [`MemoProcessor`] sharing `memo`. All other nodes (and the plan
-/// structure, predicates, filters, costs) are untouched, so `explain()`
-/// renders identically.
+/// `MemoProcessor` sharing `memo` — the one way a UDF is memoized. All
+/// other nodes (and the plan structure, predicates, filters, costs) are
+/// untouched, so `explain()` renders identically.
 pub fn memoize_plan(plan: &LogicalPlan, memo: &Arc<UdfMemo>) -> LogicalPlan {
     match plan.map_children(|child| memoize_plan(child, memo)) {
         LogicalPlan::Process { input, processor } => LogicalPlan::Process {

@@ -561,11 +561,18 @@ impl ScanStream {
 
     /// Keeps every row of every wave left — a bare `Scan`'s body; the
     /// keeping is timed as the scan's own work. The first wave that cannot
-    /// be had ends it.
+    /// be had ends it. Decoded rows become tuples in one vector, sized
+    /// once for every kept group's rows.
     fn keep_all(&mut self, ex: &Executor<'_>, kept: &mut Survivors) -> Result<()> {
+        let rows: usize = (self.kept[self.next..].iter())
+            .map(|&g| self.provider.group_meta(g).rows)
+            .sum();
         while let Some(wave) = self.next_wave(ex)? {
             let start = Instant::now();
             for chunk in wave {
+                if chunk.table().is_none() {
+                    kept.built.reserve(rows.saturating_sub(kept.built.len()));
+                }
                 kept.keep(&chunk, 0..chunk.len());
             }
             self.wall += start.elapsed();

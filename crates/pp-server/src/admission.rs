@@ -3,10 +3,11 @@
 //! A serving runtime that accepts unbounded work converts overload into
 //! latency collapse. The controller bounds in-flight work in two places:
 //!
-//! * **At submit** — a depth gate counting queued + running queries.
-//!   Beyond [`AdmissionConfig::max_queue_depth`] the request is shed with
-//!   [`RejectReason::QueueFull`]. The [`Permit`] is a drop guard, so the
-//!   count can never leak on an error or panic path.
+//! * **At submit** — the server's map of admitted, unanswered requests
+//!   (the one record of what is in flight) is the queue depth. At
+//!   [`AdmissionConfig::max_queue_depth`] entries the request is shed
+//!   with [`RejectReason::QueueFull`]. A request's entry leaves the map
+//!   when its one response is sent, whatever ended it.
 //! * **At dispatch** — once the (possibly cached) plan is known, its
 //!   per-operator predicted seconds are summed in charge order — the sum
 //!   the executor's [`CostMeter`](pp_engine::cost::CostMeter) takes — and
@@ -15,12 +16,7 @@
 //!   would blow the budget are shed with
 //!   [`RejectReason::CostBudgetExceeded`] *before* any UDF runs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
 use pp_core::planner::PlanReport;
-use pp_engine::sync::{Condvar, Mutex};
 
 use crate::request::RejectReason;
 
@@ -40,89 +36,6 @@ impl Default for AdmissionConfig {
             max_queue_depth: 256,
             cost_budget_cluster_seconds: None,
         }
-    }
-}
-
-/// Counts in-flight queries; cloned into every worker.
-#[derive(Debug, Default)]
-pub struct DepthGate {
-    depth: AtomicUsize,
-    /// Pairs with `idle_cv` so [`wait_idle`][DepthGate::wait_idle] can
-    /// sleep between permit releases without missing a wakeup.
-    idle: Mutex<()>,
-    idle_cv: Condvar,
-}
-
-impl DepthGate {
-    /// A gate at depth zero.
-    pub fn new() -> Self {
-        DepthGate::default()
-    }
-
-    /// Current queued + running queries.
-    pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
-    }
-
-    /// Tries to admit one query under `limit`. On success the returned
-    /// [`Permit`] holds the slot until dropped.
-    pub fn try_acquire(self: &Arc<Self>, limit: usize) -> Result<Permit, RejectReason> {
-        let mut current = self.depth.load(Ordering::SeqCst);
-        loop {
-            if current >= limit {
-                return Err(RejectReason::QueueFull {
-                    depth: current,
-                    limit,
-                });
-            }
-            match self.depth.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Ok(Permit(Arc::clone(self))),
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Blocks until the depth reaches zero or `timeout` elapses; returns
-    /// `true` when idle. The server's drain uses this to give in-flight
-    /// queries their grace period before firing cancellation tokens.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.idle.lock();
-        loop {
-            if self.depth() == 0 {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            // Short slices bound the wait even if a notification is
-            // somehow lost; permit drops notify under the lock, so in
-            // practice each release wakes the waiter immediately.
-            let slice = (deadline - now).min(Duration::from_millis(10));
-            let (g, _) = self.idle_cv.wait_timeout(guard, slice);
-            guard = g;
-        }
-    }
-}
-
-/// One admitted query's slot in the depth gate. Releasing is the drop —
-/// the slot survives neither success, error, nor panic paths.
-#[derive(Debug)]
-pub struct Permit(Arc<DepthGate>);
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.0.depth.fetch_sub(1, Ordering::SeqCst);
-        // Taking the mutex orders this release after any in-progress
-        // depth check in `wait_idle`, so the notification cannot be lost.
-        drop(self.0.idle.lock());
-        self.0.idle_cv.notify_all();
     }
 }
 
@@ -156,33 +69,6 @@ mod tests {
     use super::*;
     use pp_engine::explain::OperatorPrediction;
     use pp_engine::telemetry::OperatorId;
-
-    #[test]
-    fn depth_gate_admits_up_to_limit_and_releases_on_drop() {
-        let gate = Arc::new(DepthGate::new());
-        let a = gate.try_acquire(2).unwrap();
-        let _b = gate.try_acquire(2).unwrap();
-        assert_eq!(gate.depth(), 2);
-        match gate.try_acquire(2) {
-            Err(RejectReason::QueueFull { depth: 2, limit: 2 }) => {}
-            other => panic!("expected QueueFull, got {other:?}"),
-        }
-        drop(a);
-        assert_eq!(gate.depth(), 1);
-        let _c = gate.try_acquire(2).unwrap();
-    }
-
-    #[test]
-    fn permit_releases_on_panic() {
-        let gate = Arc::new(DepthGate::new());
-        let g = Arc::clone(&gate);
-        let handle = std::thread::spawn(move || {
-            let _permit = g.try_acquire(1).unwrap();
-            panic!("worker died");
-        });
-        assert!(handle.join().is_err());
-        assert_eq!(gate.depth(), 0, "panicked permit leaked its slot");
-    }
 
     fn report_costing(seconds: f64) -> PlanReport {
         PlanReport {

@@ -10,23 +10,29 @@
 //!
 //! 1. **Record** (`Auditor::observe`, called on the hot path): every
 //!    completed query whose plan carried a PP prefix that actually
-//!    dropped blobs — read from the span of the plan's chosen filter,
-//!    [`ChosenPlan::filter_op`](pp_core::planner::ChosenPlan::filter_op)
-//!    — enqueues a lightweight audit task (its cached plan `Arc`, source,
-//!    result-row count). No replay work happens here.
+//!    dropped blobs enqueues a lightweight audit task (its cached plan
+//!    `Arc`, source, result-row count, and the rows the PP dropped, read
+//!    from the span of the plan's chosen filter,
+//!    [`ChosenPlan::filter_op`](pp_core::planner::ChosenPlan::filter_op)).
+//!    No replay work happens here.
 //! 2. **Replay** (`run_pass`, called from the maintenance pass, off
-//!    the hot path): for each task, the base table's rows are re-scored
-//!    through the PP filter the cached plan carries
-//!    ([`CachedPlan::pp_filter`]) to find the dropped set, a
-//!    deterministic seeded per-`(query, row)` coin samples a configured
-//!    fraction of them, and the sampled blobs are replayed through the
-//!    source's *ground-truth* UDF pipeline (memoized per table for the
-//!    pass via [`UdfMemo`], so the pass's audits of the same blob pay
-//!    once, and the auditor's state stays O(expressions)). A
-//!    sampled blob whose UDF-derived columns satisfy the query predicate
-//!    is a **false drop**. All replay cost is summed into the auditor's
-//!    own cluster-seconds — it never touches any query's bill, verdicts,
-//!    or telemetry.
+//!    the hot path): each task reads the rows its plan's own `Scan`
+//!    handed the PP (zone-map pushdown included; each distinct scan is
+//!    read once per pass). A deterministic seeded per-`(query, row)` coin
+//!    picks a configured fraction of them by their index in that read,
+//!    and one batch through a filter built fresh from the cached plan's
+//!    PP expression ([`CachedPlan::pp_filter`]) finds which picked rows
+//!    the PP drops — fresh, so the served filter's counters count served
+//!    runs only. Those rows run through the executor as a table of their
+//!    own, under the source's *ground-truth* UDFs and the query predicate
+//!    (scan → UDFs → select, with the pass's [`UdfMemo`] installed, so the
+//!    pass's audits of the same blob pay once, and the auditor's state
+//!    stays O(expressions)). Each distinct blob in the output (by `Arc`,
+//!    however many rows it derived) is a **false drop**.
+//!    The replay's `Process` spans are the audit's bill, summed into the
+//!    auditor's own cluster-seconds — it never touches any query's bill,
+//!    verdicts, or telemetry. A replay that fails (a UDF still failing
+//!    after the executor's retries) gives no evidence for its task.
 //! 3. **Verify** (Wilson interval): per PP expression, the false-drop
 //!    fraction `f` among sampled dropped blobs gets a Wilson score upper
 //!    confidence bound `f⁺` (robust at small samples and extreme rates,
@@ -42,23 +48,27 @@
 //!    plan [`stale`](pp_core::runtime::RuntimeMonitor::stale) whatever
 //!    the cause.
 //!
-//! Sampling is a pure function of `(SEED, request id, row index)`, so
-//! two servers (or two runs) with identical submission sequences audit
-//! byte-identical row sets — pinned by `tests/audit.rs`.
+//! Sampling is a pure function of `(SEED, request id, row index)` — the
+//! row's index in its scan's read — so two servers (or two runs) with
+//! identical submission sequences audit byte-identical row sets — pinned
+//! by `tests/audit.rs`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use pp_engine::memo::{MemoProcessor, UdfMemo};
-use pp_engine::row::{Row, RowRef, Rowset};
-use pp_engine::schema::Schema;
+use pp_core::expr::PpExprFilter;
+use pp_engine::exec::ExecutionContext;
+use pp_engine::memo::UdfMemo;
+use pp_engine::row::Rowset;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
-use pp_engine::udf::{Processor, RowFilter};
+use pp_engine::udf::RowFilter;
+use pp_engine::{Batch, Chunk, LogicalPlan};
 use pp_linalg::rng::{hash2, splitmix64, unit};
 
 use crate::cache::CachedPlan;
 use crate::server::ServerInner;
+use crate::source::SourceSpec;
 
 /// The accuracy audit's one setting: how much it samples. The audit is
 /// always on.
@@ -104,6 +114,8 @@ struct AuditTask {
     source: String,
     plan: Arc<CachedPlan>,
     result_rows: u64,
+    /// The rows the run's PP dropped.
+    dropped_rows: u64,
 }
 
 /// Cumulative audit evidence for one PP expression.
@@ -223,6 +235,7 @@ impl Auditor {
             source: source.to_string(),
             plan: Arc::clone(plan),
             result_rows: result_rows as u64,
+            dropped_rows: dropped,
         });
         if state.pending.len() > MAX_PENDING {
             state.pending.pop_front();
@@ -321,52 +334,106 @@ fn sampled(request_id: u64, row_idx: u64, fraction: f64) -> bool {
     unit(splitmix64(SEED ^ hash2(request_id, row_idx))) < fraction
 }
 
-/// Replays one dropped base row through `processors` (the source's
-/// ground-truth UDFs, memo-wrapped) and evaluates the query predicate on
-/// the derived rows. `Ok(true)` means the row *would have been* a result
-/// row — a false drop. Adds every (simulated) invocation's cost to
-/// `seconds`.
-fn replay_row(
-    row: &Row,
-    base_schema: &Arc<Schema>,
-    processors: &[Arc<dyn Processor>],
-    predicate: &pp_engine::predicate::Predicate,
-    seconds: &mut f64,
-) -> Result<bool, pp_engine::EngineError> {
-    let mut rows = vec![row.values().to_vec()];
-    let mut schema = Arc::clone(base_schema);
-    let mut cells = Vec::new();
-    for proc in processors {
-        let out_schema = schema.extend(proc.output_columns())?;
-        let width = proc.output_columns().len();
-        let mut next = Vec::with_capacity(rows.len());
-        for r in &rows {
-            cells.clear();
-            proc.process(RowRef::from(&r[..]), &schema, &mut cells)?;
-            let made = pp_engine::udf::output_rows(proc.as_ref(), cells.len())?;
-            for i in 0..made {
-                next.push([&r[..], &cells[i * width..(i + 1) * width]].concat());
-            }
+/// The `Scan` the plan's filter `op` rides: what the run handed its PP.
+fn pp_scan<'a>(plan: &'a LogicalPlan, op: &str) -> Option<&'a LogicalPlan> {
+    match plan {
+        LogicalPlan::Filter { input, filter } if filter.name() == op => {
+            matches!(**input, LogicalPlan::Scan { .. }).then_some(&**input)
         }
-        *seconds += rows.len() as f64 * proc.cost_per_row();
-        rows = next;
-        schema = out_schema;
+        _ => plan.children().find_map(|child| pp_scan(child, op)),
     }
-    let predicate = predicate.bind(&schema);
-    for r in &rows {
-        if predicate.eval(RowRef::from(&r[..]))? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
-/// One audit pass: drain recorded tasks (bounded), recompute each task's
-/// PP-dropped set against the base table, replay the deterministic
-/// sample through the ground-truth pipeline, fold the evidence into
-/// per-PP-expression stats, and quarantine expressions whose Wilson
-/// lower bound on achieved accuracy falls below the promise. Runs in the
-/// maintenance pass, never on a query worker.
+/// A scan's rows as a pass read them, with the pass's replay memo over
+/// them.
+type Read = (Arc<Rowset>, Arc<UdfMemo>);
+
+/// What one task's replay found.
+#[derive(Default)]
+struct Evidence {
+    /// Picked rows the PP drops, replayed.
+    sampled: u64,
+    /// Of those, the rows whose ground truth satisfies the predicate.
+    false_drops: u64,
+    /// The replay's `Process` spans' seconds.
+    seconds: f64,
+}
+
+/// Picks `task`'s rows of `read` (what its plan's scan hands the PP) by
+/// the coin, keeps the ones `filter`'s PP expression drops, and replays
+/// them through `spec`'s ground-truth UDFs and the query predicate, as a
+/// table of their own in a catalog pinned to them. The blobs in the replay's
+/// output are the false drops, matched by `Arc` as
+/// [`harvest_labels`](pp_core::train::harvest_labels) matches them.
+fn replay(
+    inner: &ServerInner,
+    spec: &SourceSpec,
+    task: &AuditTask,
+    filter: &PpExprFilter,
+    (read, memo): &Read,
+    fraction: f64,
+) -> Evidence {
+    let rows = read.rows();
+    let picked: Vec<_> = (rows.iter().enumerate())
+        .filter(|&(idx, _)| sampled(task.request_id, idx as u64, fraction))
+        .map(|(_, row)| row.clone())
+        .collect();
+    let schema = read.schema().clone();
+    let Ok(picked) = Rowset::new(schema.clone(), picked) else {
+        return Evidence::default();
+    };
+    let picked = Chunk::from_rows(Arc::new(picked));
+    // A filter of its own, so the served one's counters count served runs.
+    let fresh = (filter.planned().clone()).into_filter(filter.blob_column());
+    let selection = fresh.eval_batch(&Batch::new(&picked, 0..picked.len(), 0));
+    // A PP filter error fails open in the engine (the row passes), so it
+    // is not a drop here either.
+    let mut kept = vec![false; picked.len()];
+    for &at in (selection.passed.iter()).chain(selection.failed.iter().map(|(at, _)| at)) {
+        kept[at as usize] = true;
+    }
+    let dropped: Vec<_> = (0..picked.len())
+        .filter(|&at| !kept[at])
+        .map(|at| picked.row(at))
+        .collect();
+    if dropped.is_empty() {
+        return Evidence::default();
+    }
+    let replays = dropped.len() as u64;
+    let Ok(dropped) = Rowset::new(schema, dropped) else {
+        return Evidence::default();
+    };
+    let mut pinned = inner.data.clone();
+    pinned.register(spec.table(), dropped);
+    let mut ctx = ExecutionContext::builder(&pinned)
+        .with_udf_memo(Arc::clone(memo))
+        .build();
+    let out = ctx.run(&spec.udf_plan(&task.plan.predicate));
+    let seconds = (ctx.telemetry().into_iter())
+        .flat_map(|t| &t.spans)
+        .filter(|s| s.op.starts_with("Process["))
+        .map(|s| s.seconds)
+        .sum();
+    // A replay that failed has no ground truth: no evidence either way.
+    let false_drops = out.ok().and_then(|out| {
+        let blob = out.schema().index_of(filter.blob_column()).ok()?;
+        let blobs = (out.row_refs())
+            .filter_map(|row| row.get(blob).as_blob().ok().map(Arc::as_ptr))
+            .collect::<HashSet<_>>();
+        Some(blobs.len() as u64)
+    });
+    Evidence {
+        sampled: false_drops.map_or(0, |_| replays),
+        false_drops: false_drops.unwrap_or(0),
+        seconds,
+    }
+}
+
+/// One audit pass: drain recorded tasks (bounded), replay each task's
+/// sampled dropped rows through the ground-truth pipeline, fold the
+/// evidence into per-PP-expression stats, and quarantine expressions
+/// whose Wilson lower bound on achieved accuracy falls below the promise.
+/// Runs in the maintenance pass, never on a query worker.
 pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
     let fraction = inner.config.audit.sample_fraction;
     let mut report = AuditPassReport::default();
@@ -375,11 +442,11 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let n = state.pending.len().min(MAX_TASKS_PER_PASS);
         state.pending.drain(..n).collect()
     };
-    // Each table is decoded once per pass and shared, with a replay memo,
-    // by that pass's tasks; nothing outlives the pass. (A segment table
-    // decodes fresh blob `Arc`s on every read, so a memo kept across
+    // Each distinct scan is read once per pass and shared, with a replay
+    // memo, by that pass's tasks; nothing outlives the pass. (A segment
+    // table decodes fresh blob `Arc`s on every read, so a memo kept across
     // passes would never hit again and only hold every blob it had seen.)
-    let mut tables: HashMap<&str, Option<(Rowset, Arc<UdfMemo>)>> = HashMap::new();
+    let mut reads: HashMap<String, Option<Read>> = HashMap::new();
     for task in tasks {
         let Some(chosen) = task.plan.report.chosen.as_ref() else {
             continue;
@@ -387,61 +454,26 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let Some(spec) = inner.sources.get(&task.source) else {
             continue;
         };
-        // `read_table` decodes segment tables too, so audit replay covers
-        // out-of-core sources.
-        let Some((table, memo)) = tables.entry(spec.table()).or_insert_with(|| {
-            let table = inner.data.read_table(spec.table()).ok()?;
-            let memo = Arc::new(UdfMemo::new(table.schema().len()));
-            Some((table, memo))
-        }) else {
-            continue;
-        };
         let Some(filter) = &task.plan.pp_filter else {
             continue;
         };
-        let base_schema = table.schema().clone();
-        let used = task.plan.predicate.columns();
-        let processors: Vec<Arc<dyn Processor>> = spec
-            .udf_processors()
-            .filter(|(column, _)| used.contains(*column))
-            .map(|(_, p)| {
-                Arc::new(MemoProcessor::new(Arc::clone(p), Arc::clone(memo))) as Arc<dyn Processor>
-            })
-            .collect();
-        let mut dropped_rows = 0u64;
-        let mut sampled_rows = 0u64;
-        let mut false_drops = 0u64;
-        let mut seconds = 0.0;
-        for (idx, row) in table.rows().iter().enumerate() {
-            // A PP filter error fails open in the engine (the row passes),
-            // so it is not a drop here either.
-            let dropped = matches!(filter.passes(row, &base_schema), Ok(false));
-            if !dropped {
-                continue;
-            }
-            dropped_rows += 1;
-            if !sampled(task.request_id, idx as u64, fraction) {
-                continue;
-            }
-            let replay = replay_row(
-                row,
-                &base_schema,
-                &processors,
-                &task.plan.predicate,
-                &mut seconds,
-            );
-            // A replay error means no ground truth for this blob: not
-            // evidence in either direction.
-            if let Ok(false_drop) = replay {
-                sampled_rows += 1;
-                false_drops += u64::from(false_drop);
-            }
-        }
+        let Some(scan) = pp_scan(&task.plan.plan, &chosen.filter_op()) else {
+            continue;
+        };
+        let read = reads.entry(scan.explain()).or_insert_with(|| {
+            let read = ExecutionContext::new(&inner.data).run(scan).ok()?;
+            let memo = Arc::new(UdfMemo::new(read.schema().len()));
+            Some((Arc::new(read), memo))
+        });
+        let Some(read) = read else {
+            continue;
+        };
+        let evidence = replay(inner, spec, &task, filter, read, fraction);
         report.audited += 1;
-        report.replays += sampled_rows;
-        report.false_drops += false_drops;
+        report.replays += evidence.sampled;
+        report.false_drops += evidence.false_drops;
         let mut state = inner.audit.state.lock();
-        state.audit_seconds += seconds;
+        state.audit_seconds += evidence.seconds;
         let entry = state.stats.entry(chosen.expr.clone()).or_default();
         if entry.queries == 0 {
             entry.leaf_keys = chosen.leaf_keys.clone();
@@ -451,9 +483,9 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         }
         entry.queries += 1;
         entry.result_rows += task.result_rows;
-        entry.dropped_rows += dropped_rows;
-        entry.sampled += sampled_rows;
-        entry.false_drops += false_drops;
+        entry.dropped_rows += task.dropped_rows;
+        entry.sampled += evidence.sampled;
+        entry.false_drops += evidence.false_drops;
     }
     // Verdict phase: quarantine every expression whose achieved-accuracy
     // lower bound crossed below its promise since the last pass.

@@ -96,7 +96,8 @@ pub struct CachedPlan {
     pub report: Arc<PlanReport>,
     /// The PP filter injected into `plan`, if any (the optimizer's
     /// [`pp_filter`](pp_core::planner::OptimizedQuery::pp_filter)); the
-    /// accuracy auditor replays dropped rows through it.
+    /// accuracy auditor builds a filter of its own from its planned
+    /// expression.
     pub pp_filter: Option<Arc<PpExprFilter>>,
     /// The original (un-canonicalized) predicate the plan answers.
     pub predicate: Predicate,

@@ -16,7 +16,7 @@
 //! * **No ticket lost** — every submit ends in exactly one typed
 //!   [`QueryResponse`](crate::request::QueryResponse); the "worker
 //!   disappeared" fallback never fires.
-//! * **Every permit released** — the depth gate returns to zero.
+//! * **Nothing left in flight** — the server's in-flight map empties.
 //! * **Cache and catalog never poisoned** — a clean probe query still
 //!   plans and runs after the storm.
 //! * **Byte-identity** — every query that completes returns rows

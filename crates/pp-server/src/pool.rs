@@ -131,8 +131,9 @@ impl WorkerPool {
         };
         self.queue.cv.notify_all();
         let dropped = abandoned.len();
-        // Dropping the boxed jobs fires their captured drop guards (permit
-        // release, typed "abandoned" responses) without running them.
+        // Dropping the boxed jobs fires their captured drop guards
+        // (in-flight entries removed, typed "abandoned" responses) without
+        // running them.
         drop(abandoned);
         match policy {
             DrainPolicy::DrainQueued => {

@@ -5,9 +5,10 @@
 //! [`RuntimeMonitor`], the [`PlanCache`], and a bounded worker pool. One
 //! query's life:
 //!
-//! 1. **Submit** (caller thread): admission's depth gate either issues a
-//!    permit or sheds with [`RejectReason::QueueFull`]; the current
-//!    catalog snapshot is pinned to the request; a ticket is returned.
+//! 1. **Submit** (caller thread): admission either enters the request in
+//!    the server's in-flight map or, with the map full, sheds it with
+//!    [`RejectReason::QueueFull`]; the current catalog snapshot is pinned
+//!    to the request; a ticket is returned.
 //!    The request is queued alone, or — with
 //!    [`QueryRequest::shared()`] set — parked in a shared-scan window
 //!    ([`crate::sharedscan`]); either way one pool job runs it, as a
@@ -37,16 +38,16 @@
 //!
 //! # Cancellation and drain
 //!
-//! Every submit mints a [`CancelToken`] (deadline-armed when the request
-//! carries one), registers it in the server's active-query map, and hands
-//! a cancel handle back on the [`QueryTicket`]. The execution context
-//! polls the token at batch boundaries; a fired token surfaces as
-//! [`QueryOutcome::Cancelled`] with the partial work actually billed.
-//! A worker-side `ResponseGuard` owns the admission permit and the
-//! response channel, so **every** submit ends in exactly one typed
-//! response — a panicking worker lands as `Failed` (and fires the token
-//! with [`CancelReason::WorkerPanic`]), a drain-abandoned job lands as
-//! `Cancelled`, and the ticket never hangs. [`PpServer::drain`] runs the
+//! Every admitted submit mints a [`CancelToken`] (deadline-armed when the
+//! request carries one), enters it in the server's in-flight map under
+//! the request's id, and hands a cancel handle back on the
+//! [`QueryTicket`]. The execution context polls the token at batch
+//! boundaries; a fired token surfaces as [`QueryOutcome::Cancelled`] with
+//! the partial work actually billed. A worker-side `ResponseGuard` owns
+//! the map entry and the response channel, so **every** submit ends in
+//! exactly one typed response — a panicking worker lands as `Failed`
+//! (and fires the token with [`CancelReason::WorkerPanic`]), a
+//! drain-abandoned job lands as `Cancelled`, and the ticket never hangs. [`PpServer::drain`] runs the
 //! graceful-exit choreography: stop intake → grace → cancel stragglers →
 //! abandon what remains → flush maintenance.
 
@@ -63,11 +64,11 @@ use pp_core::PpCatalog;
 use pp_engine::cancel::{CancelReason, CancelToken};
 use pp_engine::exec::ExecutionContext;
 use pp_engine::memo::UdfMemo;
-use pp_engine::sync::Mutex;
+use pp_engine::sync::{Condvar, Mutex};
 use pp_engine::telemetry::MetricsRegistry;
 use pp_engine::{Catalog, EngineError};
 
-use crate::admission::{check_cost_budget, AdmissionConfig, DepthGate, Permit};
+use crate::admission::{check_cost_budget, AdmissionConfig};
 use crate::audit::{AuditConfig, Auditor};
 use crate::cache::{CacheConfig, CacheKey, CacheStats, CachedPlan, Lookup, PlanCache};
 use crate::chaos::ServerFaults;
@@ -123,15 +124,38 @@ pub(crate) struct ServerInner {
     pub(crate) metrics: MetricsRegistry,
     pub(crate) config: ServerConfig,
     pub(crate) audit: Auditor,
-    gate: Arc<DepthGate>,
     next_id: AtomicU64,
     shutting_down: AtomicBool,
-    /// Cancellation tokens of every query between submit and response;
-    /// drain fires these, worker panics latch them.
+    /// The cancellation token of every admitted query not yet answered,
+    /// by request id: the one record of what is in flight. Admission sheds
+    /// on its length, drain fires these tokens and worker panics latch
+    /// them.
     active: Mutex<HashMap<u64, CancelToken>>,
+    /// Notified whenever an entry leaves `active`.
+    settled: Condvar,
 }
 
 impl ServerInner {
+    /// Admitted queries not yet answered.
+    fn in_flight(&self) -> usize {
+        self.active.lock().len()
+    }
+
+    /// Blocks until no query is in flight or `timeout` elapses; returns
+    /// `true` when idle.
+    fn wait_idle(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut active = self.active.lock();
+        while !active.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            active = self.settled.wait_timeout(active, deadline - now).0;
+        }
+        true
+    }
+
     /// Optimizes `predicate` over `source` against a pinned snapshot,
     /// honoring the shared monitor. Used by both the query path (cache
     /// miss) and the maintenance replan.
@@ -167,17 +191,15 @@ impl ServerInner {
 }
 
 /// Guarantees exactly one typed [`QueryResponse`] per submit. The guard
-/// owns the admission permit and the response channel; the worker job
-/// either `finish`es it with a real outcome, or — if the job panics or is
-/// dropped unexecuted by an abandoning drain — the `Drop` impl sends the
-/// appropriate terminal outcome. Either way the permit is released
-/// *before* the response becomes visible, and the active-map entry is
-/// removed.
+/// owns the request's in-flight entry and the response channel; the
+/// worker job either `finish`es it with a real outcome, or — if the job
+/// panics or is dropped unexecuted by an abandoning drain — the `Drop`
+/// impl sends the appropriate terminal outcome. Either way the entry
+/// leaves the in-flight map *before* the response becomes visible.
 pub(crate) struct ResponseGuard {
     inner: Arc<ServerInner>,
     request_id: u64,
     cancel: CancelToken,
-    permit: Option<Permit>,
     tx: Option<mpsc::Sender<QueryResponse>>,
     /// The request's live trace; finalized (terminal stage stamped,
     /// per-stage histograms recorded) when the response is sent.
@@ -191,10 +213,10 @@ impl ResponseGuard {
 
     fn respond(&mut self, outcome: QueryOutcome) {
         let Some(tx) = self.tx.take() else { return };
-        self.inner.active.lock().remove(&self.request_id);
-        // The permit is gone *before* the response is visible, so a caller
+        // The entry is gone *before* the response is visible, so a caller
         // unblocked by `wait()` observes the slot as free.
-        drop(self.permit.take());
+        self.inner.active.lock().remove(&self.request_id);
+        self.inner.settled.notify_all();
         // Close the trace: whatever stage is current becomes the terminal
         // stage, so cancelled/failed outcomes record where they died.
         let timeline = self.trace.finish();
@@ -319,10 +341,10 @@ impl PpServer {
             metrics: MetricsRegistry::new(),
             config,
             audit: Auditor::new(),
-            gate: Arc::new(DepthGate::new()),
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             active: Mutex::new(HashMap::new()),
+            settled: Condvar::new(),
         });
         PpServer {
             inner,
@@ -331,9 +353,9 @@ impl PpServer {
         }
     }
 
-    /// Admission: shutdown/source checks, depth gate, snapshot pin, id
-    /// mint, cancel-token registration, and the response guard + ticket
-    /// plumbing.
+    /// Admission: shutdown/source checks, the queue-depth check with the
+    /// id mint and cancel-token registration, snapshot pin, and the
+    /// response guard + ticket plumbing.
     fn admit(&self, request: QueryRequest) -> Result<(WindowMember, QueryTicket), RejectReason> {
         // The trace (and deadline) clock starts here, before any checks:
         // admission time is part of the latency the caller observes.
@@ -345,34 +367,35 @@ impl PpServer {
             self.inner.metrics.counter("server.rejected_total").inc();
             return Err(RejectReason::UnknownSource(request.source));
         }
-        let permit = match self
-            .inner
-            .gate
-            .try_acquire(self.inner.config.admission.max_queue_depth)
-        {
-            Ok(p) => p,
-            Err(reason) => {
-                self.inner.metrics.counter("server.rejected_total").inc();
-                return Err(reason);
-            }
-        };
-        // Pin the catalog snapshot *now*: whatever corpus is current at
-        // submit time is the corpus this query plans against, regardless
-        // of when a worker picks it up or what gets published meanwhile.
-        let snapshot = self.inner.pps.snapshot();
-        let request_id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
         // The deadline clock starts here, at submit — queue time counts.
         let cancel = match request.deadline {
             Some(budget) => CancelToken::with_deadline(budget),
             None => CancelToken::new(),
         };
-        self.inner.active.lock().insert(request_id, cancel.clone());
+        let request_id = {
+            let mut active = self.inner.active.lock();
+            let limit = self.inner.config.admission.max_queue_depth;
+            if active.len() >= limit {
+                self.inner.metrics.counter("server.rejected_total").inc();
+                return Err(RejectReason::QueueFull {
+                    depth: active.len(),
+                    limit,
+                });
+            }
+            // Ids go to admitted requests only: audit coins key on them.
+            let request_id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
+            active.insert(request_id, cancel.clone());
+            request_id
+        };
+        // Pin the catalog snapshot *now*: whatever corpus is current at
+        // submit time is the corpus this query plans against, regardless
+        // of when a worker picks it up or what gets published meanwhile.
+        let snapshot = self.inner.pps.snapshot();
         let (tx, rx) = mpsc::channel();
         let guard = ResponseGuard {
             inner: Arc::clone(&self.inner),
             request_id,
             cancel: cancel.clone(),
-            permit: Some(permit),
             tx: Some(tx),
             trace: TraceContext::new(request_id, born),
         };
@@ -433,7 +456,7 @@ impl PpServer {
         };
         if !queued {
             // The pool dropped the job, and with it the guards, which
-            // already tidied the active map and the permits.
+            // already took their entries out of the in-flight map.
             return Err(RejectReason::ShuttingDown);
         }
         Ok(ticket)
@@ -480,7 +503,7 @@ impl PpServer {
 
     /// Queued + running queries.
     pub fn in_flight(&self) -> usize {
-        self.inner.gate.depth()
+        self.inner.in_flight()
     }
 
     /// Runs one maintenance pass synchronously: folds nothing new (that
@@ -530,9 +553,9 @@ impl PpServer {
         // so parked queries either run inside the grace period or resolve
         // as `Cancelled` when the deadline abandons their jobs.
         self.shared.flush_all();
-        let in_flight_at_drain = self.inner.gate.depth();
+        let in_flight_at_drain = self.inner.in_flight();
         let grace = timeout.mul_f64(0.8);
-        let clean = self.inner.gate.wait_idle(grace);
+        let clean = self.inner.wait_idle(grace);
         let mut cancelled = 0usize;
         if !clean {
             let tokens: Vec<CancelToken> = self.inner.active.lock().values().cloned().collect();
@@ -541,9 +564,9 @@ impl PpServer {
                     cancelled += 1;
                 }
             }
-            self.inner.gate.wait_idle(timeout.saturating_sub(grace));
+            self.inner.wait_idle(timeout.saturating_sub(grace));
         }
-        let idle = self.inner.gate.depth() == 0;
+        let idle = self.inner.in_flight() == 0;
         let abandoned = self.pool.shutdown_with(if idle {
             DrainPolicy::DrainQueued
         } else {
@@ -554,7 +577,7 @@ impl PpServer {
             .counter("server.abandoned_total")
             .add(abandoned as u64);
         let maintenance = maintenance::run_once(&self.inner);
-        let still_running = self.inner.gate.depth();
+        let still_running = self.inner.in_flight();
         DrainReport {
             in_flight_at_drain,
             responded: in_flight_at_drain.saturating_sub(still_running),
@@ -770,5 +793,143 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
             inner.metrics.counter("server.failed_total").inc();
             QueryOutcome::Failed(e.to_string())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::SourceSpec;
+    use crate::AuditConfig;
+    use pp_core::train::{PpTrainer, TrainerConfig};
+    use pp_data::traffic::{TrafficConfig, TrafficDataset};
+    use pp_engine::predicate::Predicate;
+    use pp_ml::pipeline::{Approach, ModelSpec};
+    use pp_ml::reduction::ReducerSpec;
+    use pp_ml::svm::SvmParams;
+
+    /// The in-flight map is the queue depth: at the limit a submit is shed
+    /// and gets no id, and a response frees its slot before `wait()`
+    /// returns.
+    #[test]
+    fn admission_sheds_on_the_in_flight_map() {
+        use pp_engine::predicate::{Clause, CompareOp};
+        use pp_engine::row::{Row, Rowset};
+        use pp_engine::schema::{Column, DataType, Schema};
+        use pp_engine::udf::ClosureProcessor;
+        use pp_engine::value::Value;
+
+        let schema = Schema::new(vec![Column::new("id", DataType::Int)]).expect("schema");
+        let rows = vec![Row::new(vec![Value::Int(1)])];
+        let mut catalog = Catalog::new();
+        catalog.register("t", Rowset::new(schema, rows).expect("rowset"));
+        // The UDF answers once per token sent, so a query stays in flight
+        // until the test lets it go.
+        let (release, tokens) = mpsc::channel::<()>();
+        let tokens = Mutex::new(tokens);
+        let udf = ClosureProcessor::map(
+            "Held",
+            vec![Column::new("x", DataType::Int)],
+            0.01,
+            move |_, _, out| {
+                let _ = tokens.lock().recv();
+                out.push(Value::Int(1));
+                Ok(())
+            },
+        );
+        let mut sources = SourceRegistry::new();
+        sources.register("t", SourceSpec::new("t").with_udf("x", Arc::new(udf)));
+        let server = PpServer::new(
+            ServerConfig {
+                workers: 1,
+                admission: AdmissionConfig {
+                    max_queue_depth: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            catalog,
+            sources,
+            PpCatalog::new(),
+            Domains::new(),
+        );
+        let request = || QueryRequest::new("t", Clause::new("x", CompareOp::Eq, 1i64).into(), 0.9);
+        let held = server.submit(request()).expect("admitted");
+        assert_eq!(server.in_flight(), 1);
+        match server.submit(request()) {
+            Err(RejectReason::QueueFull { depth: 1, limit: 1 }) => {}
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        release.send(()).expect("the UDF waits");
+        assert!(held.wait().outcome.success().is_some());
+        assert_eq!(server.in_flight(), 0, "answered, so out of the map");
+        release.send(()).expect("the UDF waits");
+        let next = server.submit(request()).expect("the slot is free");
+        assert_eq!(next.request_id(), 2, "the shed submit minted no id");
+        assert!(next.wait().outcome.success().is_some());
+    }
+
+    /// An audit pass scores the rows it samples through a filter of its
+    /// own: the served plan's per-leaf counters count served runs only.
+    #[test]
+    fn an_audit_pass_leaves_the_served_filter_counters_alone() {
+        let dataset = TrafficDataset::generate(TrafficConfig {
+            n_frames: 800,
+            seed: 0xA0D17,
+            ..Default::default()
+        });
+        let clause = TrafficDataset::pp_corpus_clauses().remove(0);
+        let labeled = dataset.labeled_for_clause_range(&clause, 0..400);
+        let pps = PpTrainer::new(TrainerConfig {
+            approach_override: Some(Approach {
+                reducer: ReducerSpec::Identity,
+                model: ModelSpec::Svm(SvmParams::default()),
+            }),
+            cost_per_row: Some(0.0025),
+            ..Default::default()
+        })
+        .train_catalog(std::slice::from_ref(&clause), &[labeled])
+        .expect("train");
+        let mut domains = Domains::new();
+        for (col, values) in TrafficDataset::column_domains() {
+            domains.declare(col, values);
+        }
+        let mut catalog = Catalog::new();
+        dataset.register_slice(&mut catalog, 400..800);
+        let mut sources = SourceRegistry::new();
+        let udf = dataset.udf(&clause.column).expect("known column");
+        sources.register(
+            "traffic",
+            SourceSpec::new("traffic").with_udf(&clause.column, udf),
+        );
+        let server = PpServer::new(
+            ServerConfig {
+                workers: 1,
+                audit: AuditConfig {
+                    sample_fraction: 1.0,
+                },
+                ..Default::default()
+            },
+            catalog,
+            sources,
+            pps,
+            domains,
+        );
+        let predicate = Predicate::from(clause);
+        for _ in 0..2 {
+            let request = QueryRequest::new("traffic", predicate.clone(), 0.9);
+            let response = server.submit(request).expect("admitted").wait();
+            assert!(response.outcome.success().is_some(), "the query completes");
+        }
+        let key = CacheKey::new("traffic", &predicate, 0.9, server.epoch());
+        let (plan, lookup) = (server.inner.cache)
+            .get_or_build(&key, || Err("the served plan is cached"))
+            .expect("cached");
+        assert_eq!(lookup, Lookup::Hit);
+        let filter = plan.pp_filter.as_ref().expect("a PP was injected");
+        let served = filter.leaf_rows_scored();
+        assert_eq!(served, vec![2 * 400], "two runs over 400 frames");
+        assert!(server.maintenance_now().audit.replays > 0);
+        assert_eq!(filter.leaf_rows_scored(), served);
     }
 }

@@ -9,6 +9,9 @@
 //! PP query optimizer then injects PP filters beneath the UDFs as usual.
 //! The project keeps every column but the blobs, so a verdict row is what
 //! the query derived (ids and UDF columns), not the blob it came from.
+//! The same plan without the project is what the accuracy auditor runs
+//! over the blobs a PP dropped: their rows keep the blob, by which the
+//! auditor tells them apart.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,18 +68,12 @@ impl SourceSpec {
         self.udfs.iter().map(|(c, _)| c.as_str()).collect()
     }
 
-    /// The declared `(column, processor)` pairs in execution order — the
-    /// accuracy auditor replays dropped blobs through exactly these
-    /// ground-truth UDFs.
-    pub(crate) fn udf_processors(&self) -> impl Iterator<Item = (&String, &Arc<dyn Processor>)> {
-        self.udfs.iter().map(|(c, p)| (c, p))
-    }
-
-    /// The unmodified plan for `predicate`: scan → the UDFs materializing
-    /// each referenced column (in declaration order) → select → a project
-    /// of every non-blob column. Columns the predicate does not touch are
-    /// skipped, so the plan only pays for the ML inference it needs.
-    pub fn nop_plan(&self, predicate: &Predicate) -> LogicalPlan {
+    /// Scan → the UDFs materializing each column `predicate` references
+    /// (in declaration order) → select: the rows that satisfy it, blob
+    /// column included. Columns the predicate does not touch are skipped,
+    /// so the plan only pays for the ML inference it needs. The accuracy
+    /// auditor replays dropped blobs through it.
+    pub(crate) fn udf_plan(&self, predicate: &Predicate) -> LogicalPlan {
         let used = predicate.columns();
         let mut plan = LogicalPlan::scan(&self.table);
         for (column, processor) in &self.udfs {
@@ -85,7 +82,13 @@ impl SourceSpec {
             }
         }
         plan.select(predicate.clone())
-            .project(vec![ProjectItem::NonBlob])
+    }
+
+    /// The unmodified plan for `predicate`: scan → the UDFs it needs →
+    /// select, as the auditor replays, then a project of every non-blob
+    /// column.
+    pub fn nop_plan(&self, predicate: &Predicate) -> LogicalPlan {
+        self.udf_plan(predicate).project(vec![ProjectItem::NonBlob])
     }
 }
 

@@ -44,8 +44,8 @@ use pp_engine::sync::Mutex;
 /// consecutive entries is attributed to the stage being left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStage {
-    /// Admission control: shutdown/source checks, the depth gate, the
-    /// catalog-snapshot pin, and ticket plumbing (caller thread).
+    /// Admission control: shutdown/source checks, the queue-depth check,
+    /// the catalog-snapshot pin, and ticket plumbing (caller thread).
     Admission,
     /// Parked in the worker pool's FIFO queue (requests without
     /// [`QueryRequest::shared()`](crate::request::QueryRequest::shared())).

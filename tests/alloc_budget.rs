@@ -101,6 +101,8 @@ thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
     /// and without a destructor, so reading it never allocates itself.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the reallocations: a vector grown past its capacity.
+    static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread has allocated and not freed (what it frees for
     /// another thread counts against it, so signed), and the most that
     /// has been since the mark was last reset.
@@ -138,6 +140,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        REALLOCATIONS.with(|n| n.set(n.get() + 1));
         resize_live(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -155,6 +158,8 @@ const BATCH: usize = 256;
 struct Spent<T> {
     /// Allocations made.
     allocations: u64,
+    /// Of those, reallocations.
+    reallocations: u64,
     /// The most bytes held at once, over what was held before the work.
     peak_bytes: u64,
     /// Bytes still held when the work returned: what it handed back (for
@@ -166,11 +171,13 @@ struct Spent<T> {
 
 fn counted<T>(work: impl FnOnce() -> T) -> Spent<T> {
     let before = ALLOCATIONS.with(Cell::get);
+    let reallocated = REALLOCATIONS.with(Cell::get);
     let held = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(held));
     let out = work();
     Spent {
         allocations: ALLOCATIONS.with(Cell::get) - before,
+        reallocations: REALLOCATIONS.with(Cell::get) - reallocated,
         peak_bytes: (PEAK.with(Cell::get) - held) as u64,
         kept_bytes: (LIVE.with(Cell::get) - held) as u64,
         out,
@@ -596,6 +603,63 @@ fn a_retried_row_of_a_decoded_group_is_built_alone() {
     );
 }
 
+/// Rows per row group of the segment shards the scan cases write.
+const SEGMENT_GROUP: usize = 256;
+
+/// A catalog over the first `rows` scan frames of `dataset` as one segment
+/// shard under `dir`, scanned `groups_per_wave` groups at a time (all at
+/// once if `None`).
+fn segment_catalog(
+    dataset: &TrafficDataset,
+    dir: &Path,
+    rows: usize,
+    groups_per_wave: Option<u64>,
+) -> Catalog {
+    let frames = dataset.table().rows()[400..400 + rows].to_vec();
+    let table = Rowset::new(dataset.table().schema().clone(), frames).expect("rowset");
+    let paths = SegmentWriter::new(SegmentWriterConfig {
+        rows_per_group: SEGMENT_GROUP,
+    })
+    .write_shards(dir, &format!("t{rows}"), &table, 1)
+    .expect("write");
+    let mut scan = SegmentScan::open(&paths).expect("open");
+    if let Some(groups) = groups_per_wave {
+        let group = scan.group_meta(0).bytes;
+        scan = scan.with_memory_budget(groups * group);
+    }
+    let mut catalog = Catalog::new();
+    catalog.register_provider("traffic", Arc::new(scan));
+    catalog
+}
+
+/// A bare `Scan` over decoded row groups builds every row as a tuple, into
+/// one vector sized once for the kept groups' rows. What else a scan
+/// reallocates as its table grows is the list of kept groups, which
+/// doubles at most once per doubling of the group count; a tuple vector
+/// grown group by group would double as often again.
+#[test]
+fn a_bare_segment_scan_sizes_its_tuples_once() {
+    let dataset = dataset();
+    let dir = std::env::temp_dir().join(format!("pp-alloc-bare-scan-{}", std::process::id()));
+    let plan = LogicalPlan::scan("traffic");
+    // One group a wave: a wave's chunk list never grows.
+    let one = run_counted(
+        &segment_catalog(&dataset, &dir, SEGMENT_GROUP, Some(1)),
+        &plan,
+    );
+    let many = run_counted(&segment_catalog(&dataset, &dir, LARGE, Some(1)), &plan);
+    assert_eq!(many.out.len(), LARGE);
+    let groups = LARGE.div_ceil(SEGMENT_GROUP);
+    let doublings = u64::from(groups.next_power_of_two().trailing_zeros());
+    assert!(
+        many.reallocations <= one.reallocations + doublings,
+        "{} reallocations over {groups} groups, {} over one",
+        many.reallocations,
+        one.reallocations
+    );
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+}
+
 /// A segment table under `Scan → PP filter`: what the scan allocates
 /// grows with the groups it decodes and the rows the filter keeps, not
 /// with the rows it drops; and under a budget of three groups what it
@@ -603,29 +667,11 @@ fn a_retried_row_of_a_decoded_group_is_built_alone() {
 /// however long the table is.
 #[test]
 fn segment_scan_under_a_pp_filter_allocates_per_group_and_per_survivor() {
-    const GROUP: usize = 256;
+    const GROUP: usize = SEGMENT_GROUP;
     let dataset = dataset();
     let plan = pp_filter_plan(&dataset);
     let dir = std::env::temp_dir().join(format!("pp-alloc-budget-{}", std::process::id()));
-    // A catalog over the first `rows` scan frames as one segment shard,
-    // scanned `groups_per_wave` groups at a time (all at once if `None`).
-    let catalog_of = |rows: usize, groups_per_wave: Option<u64>| {
-        let frames = dataset.table().rows()[400..400 + rows].to_vec();
-        let table = Rowset::new(dataset.table().schema().clone(), frames).expect("rowset");
-        let paths = SegmentWriter::new(SegmentWriterConfig {
-            rows_per_group: GROUP,
-        })
-        .write_shards(&dir, &format!("t{rows}"), &table, 1)
-        .expect("write");
-        let mut scan = SegmentScan::open(&paths).expect("open");
-        if let Some(groups) = groups_per_wave {
-            let group = scan.group_meta(0).bytes;
-            scan = scan.with_memory_budget(groups * group);
-        }
-        let mut catalog = Catalog::new();
-        catalog.register_provider("traffic", Arc::new(scan));
-        catalog
-    };
+    let catalog_of = |rows, groups_per_wave| segment_catalog(&dataset, &dir, rows, groups_per_wave);
 
     let small = run_counted(&catalog_of(SMALL, None), &plan);
     let large = run_counted(&catalog_of(LARGE, None), &plan);

@@ -8,7 +8,8 @@
 //! of the seed and the submission sequence, and enabling the auditor never
 //! perturbs any query's verdicts, charges, or telemetry snapshot.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use probabilistic_predicates::core::runtime::QuarantineReason;
@@ -17,7 +18,10 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
-use probabilistic_predicates::engine::{Catalog, Chunk, RowGroupMeta, Schema, TableProvider};
+use probabilistic_predicates::engine::udf::{ClosureProcessor, Processor};
+use probabilistic_predicates::engine::{
+    Catalog, Chunk, EngineError, RowGroupMeta, Schema, TableProvider,
+};
 use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -27,8 +31,10 @@ use probabilistic_predicates::server::{
     rows_digest, AuditConfig, PpServer, QueryOutcome, QueryRequest, QuerySuccess, ServerConfig,
     SourceRegistry, SourceSpec,
 };
+use probabilistic_predicates::store::{SegmentScan, SegmentWriter, SegmentWriterConfig};
 
 struct Fixture {
+    dataset: TrafficDataset,
     catalog: Catalog,
     sources: SourceRegistry,
     /// Honestly trained corpus (labels = ground truth).
@@ -94,13 +100,9 @@ fn fixture() -> &'static Fixture {
         }
         let mut catalog = Catalog::new();
         dataset.register_slice(&mut catalog, 400..800);
-        let mut sources = SourceRegistry::new();
-        let mut spec = SourceSpec::new("traffic");
-        for col in ["vehType", "vehColor", "speed", "fromI", "toI"] {
-            spec = spec.with_udf(col, dataset.udf(col).expect("known column"));
-        }
-        sources.register("traffic", spec);
+        let sources = registry(&dataset, |udf| udf);
         Fixture {
+            dataset,
             catalog,
             sources,
             honest,
@@ -109,6 +111,22 @@ fn fixture() -> &'static Fixture {
             suv,
         }
     })
+}
+
+/// The `traffic` source over `dataset`'s five UDFs, `vehType`'s through
+/// `wrap`.
+fn registry(
+    dataset: &TrafficDataset,
+    wrap: impl Fn(Arc<dyn Processor>) -> Arc<dyn Processor>,
+) -> SourceRegistry {
+    let mut spec = SourceSpec::new("traffic");
+    for col in ["vehType", "vehColor", "speed", "fromI", "toI"] {
+        let udf = dataset.udf(col).expect("known column");
+        spec = spec.with_udf(col, if col == "vehType" { wrap(udf) } else { udf });
+    }
+    let mut sources = SourceRegistry::new();
+    sources.register("traffic", spec);
+    sources
 }
 
 fn make_server(pps: PpCatalog, audit: AuditConfig) -> PpServer {
@@ -392,5 +410,193 @@ fn an_audit_pass_reads_each_table_once() {
         counting.reads.load(Ordering::Relaxed) - before,
         counting.group_count(),
         "three tasks over one table decode it once"
+    );
+}
+
+/// The audit's dropped count is the run's: each entry's `dropped_rows` is
+/// what the PP spans of its audited runs filtered, read off the run
+/// rather than recounted against the table.
+#[test]
+fn the_audit_takes_its_dropped_count_from_the_runs() {
+    let f = fixture();
+    let server = make_server(f.honest.clone(), audit_config());
+    let red = Predicate::from(Clause::new("vehColor", CompareOp::Eq, "red"));
+    let mut filtered: BTreeMap<String, u64> = BTreeMap::new();
+    for predicate in [&f.suv, &red, &f.suv] {
+        let s = complete(
+            &server,
+            QueryRequest::new("traffic", predicate.clone(), 0.9),
+        );
+        let chosen = s.report.chosen.as_ref().expect("PP must be injected");
+        let span = (s.telemetry.spans.iter())
+            .find(|span| span.op == chosen.filter_op())
+            .expect("the PP ran");
+        *filtered.entry(chosen.expr.clone()).or_default() += span.rows_filtered;
+    }
+    filtered.retain(|_, dropped| *dropped > 0);
+    assert!(!filtered.is_empty(), "the PPs must drop something");
+    assert_eq!(server.maintenance_now().audit.audited, 3);
+    let audited: BTreeMap<String, u64> = (server.auditor().entries().into_iter())
+        .map(|e| (e.expr, e.dropped_rows))
+        .collect();
+    assert_eq!(audited, filtered);
+}
+
+/// A UDF that derives two matching rows from one blob: the replay's
+/// output holds that blob twice, and the audit counts it once, as a
+/// replay and, when it matches, as a false drop.
+#[test]
+fn a_fanned_out_replay_counts_each_blob_once() {
+    let f = fixture();
+    let run = |sources: SourceRegistry| {
+        let server = PpServer::new(
+            ServerConfig {
+                workers: 1,
+                audit: AuditConfig {
+                    sample_fraction: 1.0,
+                },
+                ..Default::default()
+            },
+            f.catalog.clone(),
+            sources,
+            f.rigged.clone(),
+            f.domains.clone(),
+        );
+        complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
+        let report = server.maintenance_now().audit;
+        let entries = server.auditor().entries();
+        assert_eq!(entries.len(), 1);
+        (report.replays, report.false_drops, entries[0].clone())
+    };
+    let twice = |udf: Arc<dyn Processor>| -> Arc<dyn Processor> {
+        Arc::new(ClosureProcessor::new(
+            format!("{}Twice", udf.name()),
+            udf.output_columns().to_vec(),
+            udf.cost_per_row(),
+            move |row, schema, out| {
+                udf.process(row, schema, out)?;
+                udf.process(row, schema, out)
+            },
+        ))
+    };
+    let (replays, false_drops, once) = run(f.sources.clone());
+    let (fanned_replays, fanned_false_drops, fanned) = run(registry(&f.dataset, twice));
+    assert!(false_drops > 0, "the rigged PP must drop true matches");
+    assert_eq!(
+        fanned.result_rows,
+        2 * once.result_rows,
+        "every matching blob derives two rows"
+    );
+    assert_eq!((fanned_replays, fanned_false_drops), (replays, false_drops));
+    assert_eq!(
+        (fanned.sampled, fanned.false_drops),
+        (once.sampled, once.false_drops)
+    );
+    assert_eq!(
+        fanned.sampled, fanned.dropped_rows,
+        "every drop is replayed"
+    );
+}
+
+/// Over a segment source whose zone maps prune, the audit samples the
+/// rows its run scanned: the dropped count it bounds and the rows it
+/// replays describe the same pruned read, not the whole table.
+#[test]
+fn a_pruned_scan_is_audited_over_the_rows_it_read() {
+    let f = fixture();
+    let dir = std::env::temp_dir().join(format!("pp-audit-pruned-{}", std::process::id()));
+    let table = f.catalog.read_table("traffic").expect("registered");
+    let paths = SegmentWriter::new(SegmentWriterConfig { rows_per_group: 50 })
+        .write_shards(&dir, "traffic", &table, 1)
+        .expect("write");
+    let mut catalog = f.catalog.clone();
+    let scan = SegmentScan::open(&paths).expect("open");
+    catalog.register_provider("traffic", Arc::new(scan));
+    let server = PpServer::new(
+        ServerConfig {
+            workers: 1,
+            audit: AuditConfig {
+                sample_fraction: 1.0,
+            },
+            ..Default::default()
+        },
+        catalog,
+        f.sources.clone(),
+        f.honest.clone(),
+        f.domains.clone(),
+    );
+    let early = Predicate::And(vec![
+        f.suv.clone(),
+        Predicate::from(Clause::new("frameID", CompareOp::Lt, 600i64)),
+    ]);
+    let s = complete(&server, QueryRequest::new("traffic", early, 0.9));
+    let chosen = s.report.chosen.as_ref().expect("PP must be injected");
+    let pruned: usize = s.report.zone_pushdowns.iter().map(|z| z.rows_pruned).sum();
+    assert!(pruned > 0, "the zone maps must prune for this test to bite");
+    let span = (s.telemetry.spans.iter())
+        .find(|span| span.op == chosen.filter_op())
+        .expect("the PP ran");
+    assert_eq!(server.maintenance_now().audit.audited, 1);
+    let entries = server.auditor().entries();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(entries[0].dropped_rows, span.rows_filtered);
+    assert_eq!(
+        entries[0].sampled, entries[0].dropped_rows,
+        "every drop of the read, and only those, is replayed"
+    );
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+}
+
+/// A replay is one executor run per audited query: when a UDF still fails
+/// after the executor's retries, the run has no ground truth, so the task
+/// gives no evidence at all — though its work is still billed.
+#[test]
+fn a_replay_that_fails_gives_its_task_no_evidence() {
+    let f = fixture();
+    let broken = Arc::new(AtomicBool::new(false));
+    let flaky = |udf: Arc<dyn Processor>| -> Arc<dyn Processor> {
+        let broken = Arc::clone(&broken);
+        Arc::new(ClosureProcessor::map(
+            udf.name().to_string(),
+            udf.output_columns().to_vec(),
+            udf.cost_per_row(),
+            move |row, schema, out| {
+                let frame = row.get_named(schema, "frameID")?.as_int()?;
+                if broken.load(Ordering::Relaxed) && frame % 2 == 1 {
+                    return Err(EngineError::Udf(format!("frame {frame} unreadable")));
+                }
+                udf.process(row, schema, out)
+            },
+        ))
+    };
+    let server = PpServer::new(
+        ServerConfig {
+            workers: 1,
+            audit: AuditConfig {
+                sample_fraction: 1.0,
+            },
+            ..Default::default()
+        },
+        f.catalog.clone(),
+        registry(&f.dataset, flaky),
+        f.honest.clone(),
+        f.domains.clone(),
+    );
+    complete(&server, QueryRequest::new("traffic", f.suv.clone(), 0.9));
+    // Odd frames fail from here on: every dropped even frame would still
+    // replay, but the task's one run does not complete.
+    broken.store(true, Ordering::Relaxed);
+    let report = server.maintenance_now().audit;
+    assert_eq!(
+        (report.audited, report.replays, report.false_drops),
+        (1, 0, 0)
+    );
+    let entries = server.auditor().entries();
+    assert_eq!(entries.len(), 1);
+    assert!(entries[0].dropped_rows > 0, "{:?}", entries[0]);
+    assert_eq!((entries[0].sampled, entries[0].false_drops), (0, 0));
+    assert!(
+        server.auditor().cluster_seconds() > 0.0,
+        "the work is billed"
     );
 }
