@@ -402,7 +402,7 @@ impl RowFilter for PpExprFilter {
     /// leaves only the selected rows, where they lie
     /// ([`Pipeline::score_selected`](pp_ml::Pipeline::score_selected)). A
     /// column the batch has as a dense
-    /// [`FeatureBlock`](pp_linalg::FeatureBlock) — the chunk's own, or
+    /// [`FeatureBlock`](pp_linalg::FeatureBlock) — its row group's own, or
     /// gathered — is scored off the block; otherwise (sparse/ragged cells)
     /// through gathered references. Decisions, row order and per-row errors
     /// are bit-identical to calling [`passes`][RowFilter::passes] per row:
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn batch_filter_matches_per_row_path() {
-        use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
+        use pp_engine::{Column, DataType, Row, Rowset, Schema, Value};
         let expr = PpExpr::And(vec![leaf(1), PpExpr::Or(vec![leaf(2), leaf(3)])]);
         let filter = planned_at(expr, 0.95).into_filter("blob");
         let schema = Schema::new(vec![
@@ -620,8 +620,8 @@ mod tests {
                 ])
             })
             .collect();
-        let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema.clone(), rows.clone()).unwrap()));
-        let batched = filter.eval_batch(&Batch::new(&chunk, 0..rows.len(), 0));
+        let set = Rowset::new(schema.clone(), rows.clone()).unwrap();
+        let batched = filter.eval_batch(&Batch::new(&set, 0..rows.len(), 0));
         let scalar: Selection = rows.iter().map(|r| filter.passes(r, &schema)).collect();
         assert_eq!(batched.passed, scalar.passed);
         assert!(batched.failed.is_empty() && scalar.failed.is_empty());
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn batch_filter_reports_per_row_errors() {
-        use pp_engine::{Chunk, Column, DataType, Row, Rowset, Schema, Value};
+        use pp_engine::{Column, DataType, Row, Rowset, Schema, Value};
         let filter = planned_at(leaf(1), 0.95).into_filter("blob");
         let schema = Schema::new(vec![Column::new("blob", DataType::Blob)]).unwrap();
         let rows = vec![
@@ -637,8 +637,8 @@ mod tests {
             Row::new(vec![Value::Int(7)]), // wrong type: this row errors
             Row::new(vec![Value::blob(Features::Dense(vec![-2.5, 0.0]))]),
         ];
-        let chunk = Chunk::from_rows(Arc::new(Rowset::new(schema, rows).unwrap()));
-        let out = filter.eval_batch(&Batch::new(&chunk, 0..3, 0));
+        let set = Rowset::new(schema, rows).unwrap();
+        let out = filter.eval_batch(&Batch::new(&set, 0..3, 0));
         assert_eq!(out.passed, [0]);
         assert!(matches!(out.failed[..], [(1, _)]));
     }

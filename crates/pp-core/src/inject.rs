@@ -366,7 +366,7 @@ mod tests {
             Column::new("cam", DataType::Str),
         ])
         .unwrap();
-        cat.register("meta", Rowset::empty(dim));
+        cat.register("meta", Rowset::new(dim, Vec::new()).unwrap());
         let plan = LogicalPlan::Join {
             left: Box::new(LogicalPlan::scan("video").process(veh_proc())),
             right: Box::new(LogicalPlan::scan("meta")),

@@ -1,11 +1,12 @@
 //! The batch representation the executor probes UDFs with.
 //!
-//! A [`Batch`] is a view over a run of rows of one [`Chunk`]. A filter
+//! A [`Batch`] is a view over a range of rows of one [`Rowset`]. A filter
 //! sees it whole ([`RowFilter::eval_batch`](crate::udf::RowFilter::eval_batch));
 //! one that vectorizes asks for the blob column it reads as a
 //! [`FeatureColumn`] ([`Batch::feature_column`]) and evaluates it with
-//! block kernels; where the chunk already holds the column as one
-//! contiguous block — a decoded row group, a registered table — the
+//! block kernels; where the range is one run of one row group's rows and
+//! the group holds the column as one contiguous block — a decoded
+//! segment group, a registered table once its block is gathered — the
 //! batch's part of it is a window onto that block, not a copy.
 //!
 //! The byte-identity invariant is defined against the **scalar per-row
@@ -24,8 +25,7 @@ use std::ops::Range;
 
 use pp_linalg::{FeatureBatch, FeatureBlock, Features};
 
-use crate::chunk::Chunk;
-use crate::row::{Row, RowRef};
+use crate::row::{Row, RowRef, Rowset};
 use crate::schema::Schema;
 use crate::{EngineError, Result};
 
@@ -33,61 +33,58 @@ use crate::{EngineError, Result};
 ///
 /// Feature columns come through
 /// [`feature_column`](Batch::feature_column). Non-feature columns are
-/// read as tuples ([`rows`](Batch::rows)); vectorizing plain predicate
-/// evaluation is not where PP plans spend their time.
+/// read where the rows keep them ([`row_refs`](Batch::row_refs)) or as
+/// tuples ([`rows`](Batch::rows)); vectorizing plain predicate evaluation
+/// is not where PP plans spend their time.
 #[derive(Debug, Clone)]
 pub struct Batch<'a> {
-    chunk: &'a Chunk,
+    set: &'a Rowset,
     rows: Range<usize>,
     offset: usize,
 }
 
 impl<'a> Batch<'a> {
-    /// A batch over rows `rows` of `chunk`, the first of which sits at
+    /// A batch over rows `rows` of `set`, the first of which sits at
     /// global input index `offset`.
     ///
     /// # Panics
-    /// If `rows` reaches past the chunk.
-    pub fn new(chunk: &'a Chunk, rows: Range<usize>, offset: usize) -> Self {
+    /// If `rows` reaches past the rowset.
+    pub fn new(set: &'a Rowset, rows: Range<usize>, offset: usize) -> Self {
         assert!(
-            rows.start <= rows.end && rows.end <= chunk.len(),
-            "rows {rows:?} out of a {}-row chunk",
-            chunk.len()
+            rows.start <= rows.end && rows.end <= set.len(),
+            "rows {rows:?} out of a {}-row rowset",
+            set.len()
         );
-        Batch {
-            chunk,
-            rows,
-            offset,
-        }
+        Batch { set, rows, offset }
     }
 
     /// The schema every row conforms to.
     pub fn schema(&self) -> &'a Schema {
-        self.chunk.schema()
+        self.set.schema()
     }
 
-    /// The rows as tuples, in batch order. Over a chunk of decoded
-    /// columns this builds the chunk's tuples (once); kernels that only
-    /// read a feature column never call it.
+    /// The rows as tuples, in batch order. This builds the rowset's
+    /// tuples (once); kernels that only read a feature column never call
+    /// it.
     pub fn rows(&self) -> &'a [Row] {
-        &self.chunk.rows()[self.rows.clone()]
+        &self.set.rows()[self.rows.clone()]
     }
 
-    /// Row `i` of the batch as a tuple, built alone where the chunk has
-    /// not built its tuples (see [`Chunk::row`]).
+    /// Row `i` of the batch as a tuple, built alone where the rowset has
+    /// not built its tuples.
     ///
     /// # Panics
     /// If `i` is not below [`len`](Self::len).
     pub(crate) fn row(&self, i: usize) -> Row {
         assert!(i < self.len(), "row {i} out of a {}-row batch", self.len());
-        self.chunk.row(self.rows.start + i)
+        self.set.row(self.rows.start + i)
     }
 
-    /// The rows in batch order, each read where its chunk keeps it: no
-    /// tuple is built for a row whose cells a processor appended.
+    /// The rows in batch order, each read where the rowset keeps it: no
+    /// tuple is built.
     pub fn row_refs(&self) -> impl ExactSizeIterator<Item = RowRef<'a>> + 'a {
-        let chunk = self.chunk;
-        self.rows.clone().map(move |i| chunk.row_ref(i))
+        let set = self.set;
+        self.rows.clone().map(move |i| set.row_ref(i))
     }
 
     /// Global input index of the first row.
@@ -107,16 +104,17 @@ impl<'a> Batch<'a> {
 
     /// Blob column `name` of the batch as a [`FeatureColumn`].
     ///
-    /// A chunk that holds the column as one block hands over the batch's
-    /// window of it. Otherwise the cells are gathered in one pass, and
-    /// per-row extraction reproduces the row path exactly: an unknown
-    /// column yields `UnknownColumn` for every row, a non-blob cell yields
-    /// `TypeMismatch` for that row — the same errors, in the same order,
-    /// that `row.get_named(..).and_then(as_blob)` would produce. The
-    /// gather keeps a contiguous block only when every valid cell is
-    /// dense with one uniform dimension; otherwise `block` is `None` and
-    /// the kernel scores through the gathered references (bit-identical
-    /// to the row path by definition — it *is* the row path's data).
+    /// Rows that are one run of a group holding the column as one block
+    /// hand over their window of it. Otherwise the cells are gathered in
+    /// one pass, and per-row extraction reproduces the row path exactly:
+    /// an unknown column yields `UnknownColumn` for every row, a non-blob
+    /// cell yields `TypeMismatch` for that row — the same errors, in the
+    /// same order, that `row.get_named(..).and_then(as_blob)` would
+    /// produce. The gather keeps a contiguous block only when every valid
+    /// cell is dense with one uniform dimension; otherwise `block` is
+    /// `None` and the kernel scores through the gathered references
+    /// (bit-identical to the row path by definition — it *is* the row
+    /// path's data).
     pub fn feature_column(&self, name: &str) -> FeatureColumn<'a> {
         let mut col = FeatureColumn {
             refs: Vec::new(),
@@ -128,7 +126,7 @@ impl<'a> Batch<'a> {
             col.errors = (0..self.len() as u32).map(|i| (i, unknown())).collect();
             return col;
         };
-        col.block = self.chunk.block(idx, self.rows.clone());
+        col.block = self.set.block(idx, self.rows.clone());
         if col.block.is_some() {
             return col;
         }
@@ -136,8 +134,8 @@ impl<'a> Batch<'a> {
         // Rows go into the block as they are met, until a sparse or
         // ragged cell shows the column cannot be one.
         let mut gatherable = true;
-        for (i, cell) in self.chunk.cells(idx, self.rows.clone()).enumerate() {
-            match cell.as_blob() {
+        for (i, row) in self.row_refs().enumerate() {
+            match row.get(idx).as_blob() {
                 Ok(blob) => {
                     let f: &'a Features = blob;
                     if gatherable {
@@ -201,10 +199,10 @@ impl FromIterator<Result<bool>> for Selection {
 #[derive(Debug)]
 pub struct FeatureColumn<'a> {
     /// The valid (blob) cells, in batch order — filled by the gather, so
-    /// empty when the chunk handed over its own block.
+    /// empty when the rows handed over their group's block.
     pub refs: Vec<&'a Features>,
     /// The valid cells as contiguous rows, present only when every one is
-    /// dense with one uniform dimension: a window onto the chunk's block,
+    /// dense with one uniform dimension: a window onto a group's block,
     /// or a bitwise gather of `refs`.
     pub block: Option<FeatureBlock>,
     /// The batch rows with no valid cell, ascending, each with exactly the
@@ -227,7 +225,7 @@ impl FeatureColumn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::Rowset;
+    use crate::row::GroupColumn;
     use crate::schema::{Column, DataType};
     use crate::value::Value;
     use std::sync::Arc;
@@ -240,8 +238,8 @@ mod tests {
         .unwrap()
     }
 
-    fn chunk(rows: Vec<Row>) -> Chunk {
-        Chunk::from_rows(Arc::new(Rowset::new(blob_schema(), rows).unwrap()))
+    fn rowset(rows: Vec<Row>) -> Rowset {
+        Rowset::new(blob_schema(), rows).unwrap()
     }
 
     fn dense_row(id: i64, v: Vec<f64>) -> Row {
@@ -250,7 +248,7 @@ mod tests {
 
     #[test]
     fn batch_reports_its_shape() {
-        let c = chunk(vec![
+        let c = rowset(vec![
             dense_row(0, vec![1.0, 2.0]),
             dense_row(1, vec![3.0, 4.0]),
             dense_row(2, vec![5.0, 6.0]),
@@ -262,33 +260,45 @@ mod tests {
         assert_eq!(b.rows()[0].get(0).as_int().unwrap(), 1);
     }
 
+    /// A column of dense blob cells gathers into one block the first
+    /// time a batch reads it, and every batch over a run of its rows is a
+    /// window onto that block; rows picked out of order are gathered per
+    /// batch.
     #[test]
-    fn feature_column_gathers_dense_block() {
-        let c = chunk(vec![
+    fn feature_column_windows_the_columns_gathered_block() {
+        let c = rowset(vec![
             dense_row(0, vec![1.0, 2.0]),
             dense_row(1, vec![3.0, 4.0]),
             dense_row(2, vec![5.0, 6.0]),
         ]);
         let col = Batch::new(&c, 0..3, 0).feature_column("blob");
         let block = col.block.as_ref().unwrap();
-        assert_eq!(block.len(), 3);
         assert_eq!(block.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(col.refs.len(), 3);
-        assert!(col.errors.is_empty());
+        assert!(col.refs.is_empty() && col.errors.is_empty());
         assert!(matches!(col.features(), FeatureBatch::Block(b) if b.len() == 3));
+        let again = Batch::new(&c, 1..3, 0).feature_column("blob");
+        let window = again.block.as_ref().unwrap();
+        assert_eq!(window.row(0).as_ptr(), block.row(1).as_ptr(), "no copy");
+
+        let picked = c.pick(vec![2, 0]);
+        let col = Batch::new(&picked, 0..2, 0).feature_column("blob");
+        assert_eq!(
+            col.block.as_ref().unwrap().as_slice(),
+            &[5.0, 6.0, 1.0, 2.0]
+        );
+        assert_eq!(col.refs.len(), 2);
     }
 
-    /// A chunk that already holds the column as a block hands the batch
+    /// A group that already holds the column as a block hands the batch
     /// its rows of it: no gather, no references.
     #[test]
     fn feature_column_windows_a_decoded_block() {
-        use crate::chunk::ChunkColumn;
         let whole = FeatureBlock::from_vec(2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let c = Chunk::from_columns(
+        let c = Rowset::from_columns(
             blob_schema(),
             vec![
-                ChunkColumn::Cells((0..3).map(Value::Int).collect()),
-                ChunkColumn::Block(whole.clone()),
+                GroupColumn::Cells((0..3).map(Value::Int).collect()),
+                GroupColumn::Block(whole.clone()),
             ],
         )
         .unwrap();
@@ -301,7 +311,7 @@ mod tests {
 
     #[test]
     fn invalid_cells_become_validity_errors() {
-        let c = chunk(vec![
+        let c = rowset(vec![
             dense_row(0, vec![1.0, 2.0]),
             Row::new(vec![Value::Int(1), Value::Int(99)]), // not a blob
             dense_row(2, vec![5.0, 6.0]),
@@ -328,7 +338,7 @@ mod tests {
     fn sparse_cells_disable_the_block() {
         use pp_linalg::SparseVector;
         let sparse = Features::Sparse(SparseVector::from_pairs(2, vec![(1, 9.0)]).unwrap());
-        let c = chunk(vec![
+        let c = rowset(vec![
             dense_row(0, vec![1.0, 2.0]),
             Row::new(vec![Value::Int(1), Value::blob(sparse)]),
         ]);
@@ -341,7 +351,7 @@ mod tests {
 
     #[test]
     fn unknown_column_errors_every_row() {
-        let c = chunk(vec![dense_row(0, vec![1.0]), dense_row(1, vec![2.0])]);
+        let c = rowset(vec![dense_row(0, vec![1.0]), dense_row(1, vec![2.0])]);
         let col = Batch::new(&c, 0..2, 0).feature_column("nope");
         assert_eq!(col.errors.len(), 2);
         for (i, (at, e)) in col.errors.iter().enumerate() {
@@ -354,7 +364,7 @@ mod tests {
 
     #[test]
     fn ragged_dims_disable_the_block() {
-        let c = chunk(vec![dense_row(0, vec![1.0, 2.0]), dense_row(1, vec![3.0])]);
+        let c = rowset(vec![dense_row(0, vec![1.0, 2.0]), dense_row(1, vec![3.0])]);
         let col = Batch::new(&c, 0..2, 0).feature_column("blob");
         assert!(col.block.is_none());
         assert_eq!(col.refs.len(), 2);

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut c = Catalog::new();
-        c.register("t", Rowset::empty(int_schema("x")));
+        c.register("t", Rowset::new(int_schema("x"), Vec::new()).unwrap());
         assert!(c.provider("t").is_ok());
         assert!(matches!(
             c.provider("missing"),
@@ -148,7 +148,7 @@ mod tests {
     fn last_registration_wins() {
         let mut c = Catalog::new();
         c.register_provider("t", Arc::new(MemoryProvider::new(sample_table(10), 4, 1)));
-        c.register("t", Rowset::empty(int_schema("y")));
+        c.register("t", Rowset::new(int_schema("y"), Vec::new()).unwrap());
         assert_eq!(c.table_rows("t").unwrap(), 0);
         assert!(c.table_schema("t").unwrap().contains("y"));
         c.register_provider("t", Arc::new(MemoryProvider::new(sample_table(10), 4, 1)));

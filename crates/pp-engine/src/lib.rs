@@ -28,7 +28,6 @@ pub mod batch;
 pub mod bytes;
 pub mod cancel;
 pub mod catalog;
-pub mod chunk;
 pub mod cost;
 pub mod exec;
 pub mod explain;
@@ -51,7 +50,6 @@ pub mod value;
 pub use batch::{Batch, FeatureColumn, Selection};
 pub use cancel::{CancelReason, CancelToken};
 pub use catalog::Catalog;
-pub use chunk::{Chunk, ChunkColumn};
 pub use cost::CostMeter;
 pub use exec::{ExecutionContext, ExecutionContextBuilder};
 pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHints};
@@ -64,7 +62,7 @@ pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, shard_prune_stats,
     MemoryProvider, PruneStats, RowGroupMeta, TableProvider, ZoneMap,
 };
-pub use row::{Row, RowRef, Rowset};
+pub use row::{GroupColumn, Row, RowRef, Rowset};
 pub use schema::{Column, DataType, Schema};
 pub use telemetry::{
     EventKind, LatencyHistogram, MetricValue, MetricsRegistry, OperatorId, OperatorSpan, QueryId,

@@ -585,7 +585,7 @@ mod tests {
             Column::new("cam", DataType::Str),
         ])
         .unwrap();
-        cat.register("frames_meta", Rowset::empty(dim_schema));
+        cat.register("frames_meta", Rowset::new(dim_schema, Vec::new()).unwrap());
         let plan = LogicalPlan::Join {
             left: Box::new(LogicalPlan::scan("video")),
             right: Box::new(LogicalPlan::scan("frames_meta")),

@@ -3,19 +3,20 @@
 //! batch-at-a-time evaluation of row-parallel operators.
 //!
 //! An operator hands the one above it a materialized [`Rowset`] (no
-//! volcano iterators) — a scan of a registered table, a filter, `Process`,
-//! `Select` and `Project` a deferred one: row indices into the rows below
-//! plus one buffer of appended cells, and no tuple built. A scan decodes
-//! one budget-sized *wave* of row groups at a time into [`Chunk`]s (the
-//! rows in the layout their source has: a contiguous block per blob
-//! column), and what it keeps of a wave becomes a `Rowset` in one place
-//! (`Survivors`): a registered table's rows by index, so the output is the
-//! table's own rows, and a decoded group's as tuples, built before the
+//! volcano iterators), the engine's one in-memory layout: base columns in
+//! shared row groups, a row map into them, and one buffer of appended
+//! cells, with no tuple built (see [`crate::row`]). A scan reads one
+//! budget-sized *wave* of row groups at a time, each a `Rowset` in the
+//! layout its source has (a decoded blob column one contiguous block),
+//! and what it keeps of a wave becomes its output in one place
+//! (`Survivors`): rows of a group its provider keeps resident — a
+//! registered table — by index, so the output is the table's own rows,
+//! and a decoded wave's gathered into one group of columns before the
 //! wave is dropped. A bare `Scan` keeps every row. A `Filter` directly
 //! above a `Scan` — where every PP sits, the edge the paper is about —
 //! rides the scan's stream: it probes and consumes each wave and keeps
-//! the rows it passed. A blob the PP drops is never a `Row`, and what is
-//! resident is one wave plus the survivors.
+//! the rows it passed. A blob the PP drops is never copied or built into
+//! a `Value`, and what is resident is one wave plus the survivors.
 //!
 //! The interesting quantity is the *charged* cost, not the wall clock.
 //! Every operator charges `attempts × cost_per_row` simulated seconds —
@@ -44,7 +45,7 @@
 //! # Morsel-driven execution
 //!
 //! Row-parallel operators — `Filter`, `Process`, and `Select` — split
-//! each chunk of their input into *morsels* (contiguous row ranges of at
+//! each rowset of their input into *morsels* (contiguous row ranges of at
 //! most `MORSEL_BATCHES` batches; a row group smaller than that is one
 //! morsel) that the calling thread and the process's helper threads
 //! claim off one shared counter: a thread stuck on an expensive morsel
@@ -54,13 +55,13 @@
 //! as the process; a fan-out offers them `parallelism − 1` seats (never
 //! more than the machine has), and the caller claims morsels itself, so
 //! a query never waits for a helper busy elsewhere. Morsel jobs own what
-//! they read — the chunks, the provider, the UDF, a bound predicate, all
+//! they read — the rowsets, the provider, the UDF, a bound predicate, all
 //! behind `Arc`s — which is what lets a thread that outlives the call
 //! run them in safe Rust. A scan wave fans out one job per row group,
 //! which reads, checks and decodes it. Within a morsel, rows are
 //! *probed* one [`Batch`] at a time, so a filter that overrides
 //! `eval_batch` scores a blob column as a contiguous block (see
-//! [`crate::batch`]). Batch boundaries are a pure function of `(chunk
+//! [`crate::batch`]). Batch boundaries are a pure function of `(group
 //! sizes, batch_size)`, never of the worker count.
 //! Probing touches no shared state and yields **one record per batch**:
 //! the first-attempt values plus — normally none — the rows whose first
@@ -112,7 +113,6 @@ use std::time::{Duration, Instant};
 use crate::batch::{Batch, Selection};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::catalog::Catalog;
-use crate::chunk::Chunk;
 use crate::cost::{
     AGGREGATE_S_PER_ROW, JOIN_S_PER_ROW, PROJECT_S_PER_ROW, SCAN_S_PER_ROW, SELECT_S_PER_ROW,
 };
@@ -120,7 +120,7 @@ use crate::logical::{project_columns, AggExpr, AggFunc, LogicalPlan, ProjectItem
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
 use crate::resilience::{self, Breaker, ProbeOutcome};
-use crate::row::{Row, RowRef, Rowset};
+use crate::row::{Group, GroupColumn, Row, RowRef, Rowset, Slot};
 use crate::schema::{Column, Schema};
 use crate::sync::{Condvar, Mutex};
 use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
@@ -333,10 +333,10 @@ impl<M, T, F: Fn(&M) -> Result<T>> FanOut<M, T, F> {
     }
 }
 
-/// One morsel of an operator's input: rows `rows` of chunk number
-/// `chunk`, the first of them input row `offset` of the operator.
+/// One morsel of an operator's input: rows `rows` of the wave's rowset
+/// number `part`, the first of them input row `offset` of the operator.
 struct Morsel {
-    chunk: usize,
+    part: usize,
     rows: Range<usize>,
     offset: usize,
 }
@@ -363,6 +363,17 @@ impl Finished {
             out,
             failure: None,
         })
+    }
+}
+
+impl<O> Finished<O> {
+    /// The same operator, handing over `into(out)`.
+    fn map(self, into: impl FnOnce(O) -> Rowset) -> Finished {
+        Finished {
+            span: self.span,
+            out: into(self.out),
+            failure: self.failure,
+        }
     }
 }
 
@@ -425,68 +436,89 @@ impl Passed {
 
 /// What a scan keeps — every row under a bare `Scan`, the passed ones
 /// under `Scan → Filter` — and the one place they become a [`Rowset`].
-/// Over a registered table, the kept rows' indices into it: no tuple is
-/// built and no cell copied; over decoded row groups, the kept rows built
-/// as tuples.
+/// The rows a wave keeps are noted as they are met and settled when the
+/// wave is done ([`end_wave`](Self::end_wave)): rows of groups their
+/// provider keeps resident are kept by index into them, and nothing is
+/// copied; a decoded wave's are gathered into one group of exactly their
+/// number, a blob block staying a block, so that no decoded group
+/// outlives its wave and no tuple is built.
 #[derive(Default)]
 struct Survivors {
-    table: Option<Arc<Rowset>>,
-    picked: Vec<usize>,
-    /// The kept rows as tuples, once a decoded group is met: what
-    /// `store.rows_materialized_total` counts.
-    built: Vec<Row>,
+    resident: bool,
+    /// The wave's kept rows: (group of the wave, row in it).
+    wave: Vec<(usize, usize)>,
+    /// Where every kept row so far is: in `table`, or in `gathered`.
+    slots: Vec<Slot>,
+    /// The rowset resident rows are kept in, once one is met.
+    table: Option<Rowset>,
+    /// The groups gathered out of decoded waves, one a wave.
+    gathered: Vec<Group>,
+    /// Rows gathered: what `store.rows_materialized_total` counts.
+    materialized: usize,
 }
 
 impl Survivors {
-    /// Keeps rows `rows` of `chunk`, in order.
-    fn keep(&mut self, chunk: &Chunk, rows: impl Iterator<Item = usize>) {
-        match chunk.table() {
-            Some((table, start))
-                if self.built.is_empty()
-                    && (self.table.as_ref()).is_none_or(|kept| Arc::ptr_eq(kept, table)) =>
-            {
-                self.table.get_or_insert_with(|| Arc::clone(table));
-                self.picked.extend(rows.map(|i| start + i));
-            }
-            _ => {
-                // Rows of a second source: the rows picked so far, and
-                // every row kept from here on, are tuples.
-                if let Some(table) = self.table.take() {
-                    let picked = std::mem::take(&mut self.picked);
-                    self.built = Rowset::pick(&table, picked).rows().to_vec();
-                }
-                self.built.extend(rows.map(|i| chunk.row(i)));
-            }
+    fn new(resident: bool) -> Self {
+        Survivors {
+            resident,
+            ..Survivors::default()
         }
     }
 
-    fn into_rowset(self, schema: Arc<Schema>) -> Result<Rowset> {
+    /// Keeps rows `rows` of the wave's group `group`, in order.
+    fn keep(&mut self, group: usize, rows: impl Iterator<Item = usize>) {
+        self.wave.extend(rows.map(|row| (group, row)));
+    }
+
+    /// Settles the rows kept of `wave`. Resident rows are kept by index
+    /// only while every one of them is a row of one rowset; from the
+    /// first that is not, every row is gathered, the ones kept by index
+    /// first, so the order holds.
+    fn end_wave(&mut self, wave: &[Rowset]) {
+        let kept = std::mem::take(&mut self.wave);
+        if kept.is_empty() {
+            return;
+        }
+        let table = (self.table).get_or_insert_with(|| wave[0].with_slots(Vec::new()));
+        if self.resident && self.gathered.is_empty() && wave.iter().all(|w| w.shares_rows(table)) {
+            self.slots
+                .extend(kept.iter().map(|&(g, row)| wave[g].slot(row)));
+        } else {
+            if self.gathered.is_empty() && !self.slots.is_empty() {
+                let indexed = table.with_slots(std::mem::take(&mut self.slots));
+                let all: Vec<_> = (0..indexed.len()).map(|row| (0, row)).collect();
+                self.gather(&[indexed], &all);
+            }
+            self.gather(wave, &kept);
+        }
+        self.wave = kept;
+        self.wave.clear();
+    }
+
+    fn gather(&mut self, wave: &[Rowset], kept: &[(usize, usize)]) {
+        let group = self.gathered.len();
+        let slots = (0..kept.len()).map(|row| Slot { group, row, at: 0 });
+        self.slots.extend(slots);
+        self.gathered.push(Rowset::gather(wave, kept));
+        self.materialized += kept.len();
+    }
+
+    fn into_rowset(self, schema: Arc<Schema>) -> Rowset {
         match self.table {
-            Some(table) => Ok(Rowset::pick(&table, self.picked)),
-            None => Rowset::new(schema, self.built),
+            Some(table) if self.gathered.is_empty() => table.with_slots(self.slots),
+            _ => Rowset::from_groups(schema, self.gathered, self.slots),
         }
     }
 }
 
-impl Finished<Survivors> {
-    /// A filter's kept rows as its output, a [`Rowset`] of `schema`.
-    fn into_rowset(self, schema: Arc<Schema>) -> Result<Finished> {
-        Ok(Finished {
-            span: self.span,
-            out: self.out.into_rowset(schema)?,
-            failure: self.failure,
-        })
-    }
-}
-
-/// A batch's record with where the batch sits in its wave: the chunk's
-/// number and the batch's first row within that chunk.
+/// A batch's record with where the batch sits in its wave: the rowset's
+/// number and the batch's first row within that rowset.
 type Located<T> = (usize, usize, T);
 
 /// The input of an operator above a materialized one: its rows, as the
 /// only wave.
-fn one_wave<X>(rows: Arc<Rowset>) -> impl FnMut(&mut X) -> Result<Option<Vec<Chunk>>> {
-    let mut wave = Some(vec![Chunk::from_rows(rows)]);
+fn one_wave<X>(rows: Arc<[Rowset]>) -> impl FnMut(&mut X) -> Result<Option<Arc<[Rowset]>>> {
+    let mut wave = Some(rows);
     move |_| Ok(wave.take())
 }
 
@@ -528,7 +560,7 @@ impl ScanStream {
     /// Decodes the next wave: kept groups, in order, until the next one
     /// would overflow the provider's budget (a single oversized group
     /// still decodes, alone). `None` once every kept group is out.
-    fn next_wave(&mut self, ex: &Executor<'_>) -> Result<Option<Vec<Chunk>>> {
+    fn next_wave(&mut self, ex: &Executor<'_>) -> Result<Option<Arc<[Rowset]>>> {
         if self.next == self.kept.len() {
             self.polled = true;
             return Ok(None);
@@ -548,40 +580,43 @@ impl ScanStream {
         // Group sizes are row counts, so the row-oriented batch size
         // doesn't apply here (parallelism still does).
         let provider = Arc::clone(&self.provider);
-        let chunks = ex.run_morsels(self.kept[self.next..end].to_vec(), move |&g| {
-            provider.read_group(g)
+        let arity = self.provider.schema().len();
+        let wave = ex.run_morsels(self.kept[self.next..end].to_vec(), move |&g| {
+            let rows = provider.read_group(g)?;
+            crate::row::check_arity(rows.schema(), arity)?;
+            Ok(rows)
         })?;
         self.next = end;
         self.bytes += wave_bytes;
-        self.rows += chunks.iter().map(Chunk::len).sum::<usize>();
+        self.rows += wave.iter().map(Rowset::len).sum::<usize>();
         self.wall += start.elapsed();
         self.polled = true;
-        Ok(Some(chunks))
+        Ok(Some(wave.into()))
     }
 
     /// Keeps every row of every wave left — a bare `Scan`'s body; the
     /// keeping is timed as the scan's own work. The first wave that cannot
-    /// be had ends it. Decoded rows become tuples in one vector, sized
-    /// once for every kept group's rows.
+    /// be had ends it. What the rows are kept in is sized once, for every
+    /// kept group.
     fn keep_all(&mut self, ex: &Executor<'_>, kept: &mut Survivors) -> Result<()> {
-        let rows: usize = (self.kept[self.next..].iter())
-            .map(|&g| self.provider.group_meta(g).rows)
-            .sum();
+        let groups = &self.kept[self.next..];
+        let rows = groups.iter().map(|&g| self.provider.group_meta(g).rows);
+        kept.slots.reserve(rows.sum());
+        kept.gathered.reserve(groups.len());
         while let Some(wave) = self.next_wave(ex)? {
             let start = Instant::now();
-            for chunk in wave {
-                if chunk.table().is_none() {
-                    kept.built.reserve(rows.saturating_sub(kept.built.len()));
-                }
-                kept.keep(&chunk, 0..chunk.len());
+            for (part, rows) in wave.iter().enumerate() {
+                kept.keep(part, 0..rows.len());
             }
+            kept.end_wave(&wave);
             self.wall += start.elapsed();
         }
         Ok(())
     }
 
     /// Charges the scan for the waves it decoded, wherever the stream
-    /// stopped; `materialized` of the rows it kept were built as tuples.
+    /// stopped; `materialized` of the rows it kept were gathered out of
+    /// decoded groups.
     ///
     /// Charge/span contract: `rows_in` is the full table, `rows_filtered`
     /// the rows inside pruned groups (skipped without decoding),
@@ -673,8 +708,11 @@ impl Executor<'_> {
                 _ => {
                     let rows = self.run(input)?;
                     let schema = rows.schema().clone();
-                    let waves = one_wave(Arc::new(rows));
-                    self.operator(|ex| ex.filter(op, waves, filter)?.into_rowset(schema))
+                    let waves = one_wave(Arc::new([rows]));
+                    self.operator(|ex| {
+                        let done = ex.filter(op, true, waves, filter)?;
+                        Ok(done.map(|kept| kept.into_rowset(schema)))
+                    })
                 }
             },
             LogicalPlan::Project { input, items } => {
@@ -778,7 +816,7 @@ impl Executor<'_> {
     /// bit-identical to the serial walk. Once the caller has nothing left
     /// to claim it withdraws the offer and waits only for the morsels
     /// already running. The fan-out owns what it reads, so `work` and the
-    /// morsels are `'static`: `Arc`s of the chunks, the provider, the
+    /// morsels are `'static`: `Arc`s of the rowsets, the provider, the
     /// UDF.
     ///
     /// A morsel may return `Err` (cancellation, a group that fails to
@@ -801,7 +839,11 @@ impl Executor<'_> {
             .min(morsels.len())
             .min(*HARDWARE_THREADS);
         if width <= 1 {
-            return morsels.iter().map(work).collect();
+            let mut out = Vec::with_capacity(morsels.len());
+            for morsel in &morsels {
+                out.push(work(morsel)?);
+            }
+            return Ok(out);
         }
         let fan = Arc::new(FanOut {
             claims: Mutex::new(Claims {
@@ -837,14 +879,14 @@ impl Executor<'_> {
         slots.into_iter().flatten().collect()
     }
 
-    /// Fans `probe` out over the rows of `chunks` on the morsel scheduler
-    /// — one record per batch, in row order, batches never straddling a
-    /// chunk — polling the cancel token and bumping the `worker.*`
-    /// counters once per batch. `first_row` is the input index of the
-    /// first chunk's first row.
+    /// Fans `probe` out over the rows of `wave` on the morsel scheduler —
+    /// one record per batch, in row order, batches never straddling two
+    /// of its rowsets — polling the cancel token and bumping the
+    /// `worker.*` counters once per batch. `first_row` is the input index
+    /// of the first rowset's first row.
     fn probe<P: Send + 'static>(
         &self,
-        chunks: &Arc<[Chunk]>,
+        wave: &Arc<[Rowset]>,
         first_row: usize,
         probe: &ProbeFn<P>,
     ) -> Result<Vec<Located<P>>> {
@@ -852,17 +894,17 @@ impl Executor<'_> {
         let size = step.saturating_mul(MORSEL_BATCHES);
         let mut morsels = Vec::new();
         let mut offset = first_row;
-        for (chunk, rows) in chunks.iter().map(Chunk::len).enumerate() {
+        for (part, rows) in wave.iter().map(Rowset::len).enumerate() {
             for start in (0..rows).step_by(size) {
                 morsels.push(Morsel {
-                    chunk,
+                    part,
                     rows: start..(start + size).min(rows),
                     offset: offset + start,
                 });
             }
             offset += rows;
         }
-        let (cancel, chunks, probe) = (self.cancel.clone(), Arc::clone(chunks), Arc::clone(probe));
+        let (cancel, wave, probe) = (self.cancel.clone(), Arc::clone(wave), Arc::clone(probe));
         let (worker_rows, worker_batches) = (
             self.tel.worker_rows.clone(),
             self.tel.worker_batches.clone(),
@@ -875,8 +917,8 @@ impl Executor<'_> {
                 worker_rows.add(rows.len() as u64);
                 worker_batches.inc();
                 let offset = m.offset + (start - m.rows.start);
-                let batch = Batch::new(&chunks[m.chunk], rows, offset);
-                out.push((m.chunk, start, probe(&batch)));
+                let batch = Batch::new(&wave[m.part], rows, offset);
+                out.push((m.part, start, probe(&batch)));
             }
             Ok(out)
         })?;
@@ -889,10 +931,10 @@ impl Executor<'_> {
     fn scan(&mut self, op: String, table: &str, pushdown: Option<&Predicate>) -> Result<Rowset> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
         let schema = stream.provider.schema();
-        let mut kept = Survivors::default();
+        let mut kept = Survivors::new(stream.provider.resident());
         let done = stream.keep_all(self, &mut kept);
-        stream.close(self, op, kept.built.len());
-        done.and_then(|()| kept.into_rowset(schema))
+        stream.close(self, op, kept.materialized);
+        done.map(|()| kept.into_rowset(schema))
     }
 
     /// `Scan → Filter`: the filter folds the scan's waves as they are
@@ -909,12 +951,13 @@ impl Executor<'_> {
     ) -> Result<Rowset> {
         let mut stream = ScanStream::open(self.catalog, table, pushdown)?;
         let schema = stream.provider.schema();
+        let resident = stream.provider.resident();
         let start = Instant::now();
-        let done = self.filter(op, |ex| stream.next_wave(ex), filter);
+        let done = self.filter(op, resident, |ex| stream.next_wave(ex), filter);
         let wall = start.elapsed().saturating_sub(stream.wall);
-        let built = done.as_ref().map_or(0, |done| done.out.built.len());
-        stream.close(self, scan_op, built);
-        self.finish(done?.into_rowset(schema)?, wall)
+        let materialized = done.as_ref().map_or(0, |done| done.out.materialized);
+        stream.close(self, scan_op, materialized);
+        self.finish(done?.map(|kept| kept.into_rowset(schema)), wall)
     }
 
     /// `Select` evaluates its bound predicate on each row where the row is
@@ -923,30 +966,32 @@ impl Executor<'_> {
     fn select(&mut self, op: String, in_rows: Rowset, predicate: &Predicate) -> Result<Finished> {
         let schema = in_rows.schema().clone();
         let total = in_rows.len();
-        let input = Arc::new(in_rows);
-        let chunks: Arc<[Chunk]> = Arc::new([Chunk::from_rows(Arc::clone(&input))]);
+        let input: Arc<[Rowset]> = Arc::new([in_rows]);
         let predicate = predicate.bind(&schema);
         let eval: ProbeFn<Selection> =
             Arc::new(move |batch| batch.row_refs().map(|row| predicate.eval(row)).collect());
         let mut kept = Vec::new();
-        for (_, start, selection) in self.probe(&chunks, 0, &eval)? {
+        for (_, start, selection) in self.probe(&input, 0, &eval)? {
             // An eval error propagates before the operator charges.
             if let Some((_, e)) = selection.failed.into_iter().next() {
                 return Err(e);
             }
             kept.extend(selection.passed.iter().map(|&at| start + at as usize));
         }
-        let out = Rowset::pick(&input, kept);
+        let out = input[0].pick(kept);
         let mut span = self.flat_span(op, total, SELECT_S_PER_ROW, total);
         span.rows_out = out.len() as u64;
         span.rows_filtered = (total - out.len()) as u64;
         Finished::ok(span, out)
     }
 
+    /// A filter's fold: it keeps the rows it passes (`resident`: whether
+    /// its waves are rows kept resident anyway, see [`Survivors`]).
     fn filter(
         &mut self,
         op: String,
-        waves: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
+        resident: bool,
+        waves: impl FnMut(&mut Self) -> Result<Option<Arc<[Rowset]>>>,
         filter: &Arc<dyn RowFilter>,
     ) -> Result<Finished<Survivors>> {
         // Safe degradation: a PP is pure data reduction, so on failure
@@ -958,7 +1003,7 @@ impl Executor<'_> {
             &op,
             filter.cost_per_row(),
             fail_open.then_some(true),
-            Survivors::default(),
+            Survivors::new(resident),
             waves,
             move |batch| {
                 let Selection { passed, failed } = filter.eval_batch(batch);
@@ -983,18 +1028,19 @@ impl Executor<'_> {
                 };
                 Probed { firsts, failed }
             },
-            |firsts, chunk, start, out| {
+            |firsts, part, start, out| {
                 let rows = firsts.passed.iter().map(|&at| start + at as usize);
-                out.keep(chunk, rows);
+                out.keep(part, rows);
                 (firsts.rows, firsts.passed.len())
             },
             Passed::verdict,
-            |_, chunk, at, keep, out| {
+            |_, part, at, keep, out| {
                 if keep {
-                    out.keep(chunk, std::iter::once(at));
+                    out.keep(part, std::iter::once(at));
                 }
                 keep
             },
+            Survivors::end_wave,
         )
     }
 
@@ -1010,11 +1056,11 @@ impl Executor<'_> {
     ) -> Result<Finished> {
         let out_schema = in_rows.schema().extend(processor.output_columns())?;
         let width = processor.output_columns().len();
-        let input = Arc::new(in_rows);
+        let input: Arc<[Rowset]> = Arc::new([in_rows]);
         let (name, udf) = (op.clone(), Arc::clone(processor));
         let out = Appending {
-            cells: Vec::with_capacity(input.len() * width),
-            from: Vec::with_capacity(input.len()),
+            cells: Vec::with_capacity(input[0].len() * width),
+            from: Vec::with_capacity(input[0].len()),
         };
         let done = self.fold_udf(
             &op,
@@ -1071,7 +1117,7 @@ impl Executor<'_> {
             Appended::rows_of,
             // Every row before this one was emitted too (a row `Process`
             // cannot emit ends it), so the next unread cells are this
-            // row's. The input is the only chunk, so `at` is its row.
+            // row's. The input is the only rowset, so `at` is its row.
             |appended, _, at, rows, out| {
                 for _ in 0..rows {
                     out.from.push(at);
@@ -1079,13 +1125,10 @@ impl Executor<'_> {
                 }
                 true
             },
+            |_, _| {},
         )?;
-        let Appending { cells, from } = done.out;
-        Ok(Finished {
-            span: done.span,
-            out: Rowset::extend(input, out_schema, cells, from),
-            failure: done.failure,
-        })
+        let extend = |Appending { cells, from }| Rowset::extend(&input[0], out_schema, cells, from);
+        Ok(done.map(extend))
     }
 
     /// The probe→consume fold shared by Filter and Process, over the
@@ -1106,18 +1149,21 @@ impl Executor<'_> {
     /// fold: any other stops at its first terminal error. A record with no
     /// failed row, met while the breaker is closed, is folded in closed
     /// form, from its lengths: `clean` hands the record's `firsts` — the
-    /// batch's chunk and first row in it — on to `out` in bulk and says
-    /// how many rows the batch had and how many of them passed; `n` clean
-    /// rows leave the breaker at no consecutive failures and the span `n`
-    /// attempts richer. Every other record walks the per-row body, which
-    /// counts each consumed outcome through `record_outcome`.
-    /// `first` reads the next clean row's value off the record's `firsts`
-    /// (`None` past the batch's last row). `emit` receives each row — its
-    /// chunk and place in it — with its `Ok` value and the same `firsts`,
-    /// pushes what the row produces into `out`, and says whether the row
-    /// passed (`false` = filtered). A terminal error emits the row with
-    /// the value `fail_open` holds, if it holds one (a filter's: pass the
-    /// row through unchanged), and stops the operator otherwise.
+    /// batch's rowset in the wave and first row in it — on to `out` in
+    /// bulk and says how many rows the batch had and how many of them
+    /// passed; `n` clean rows leave the breaker at no consecutive failures
+    /// and the span `n` attempts richer. Every other record walks the
+    /// per-row body, which counts each consumed outcome through
+    /// `record_outcome`. `first` reads the next clean row's value off the
+    /// record's `firsts` (`None` past the batch's last row). `emit`
+    /// receives each row — its rowset in the wave and place in it — with
+    /// its `Ok` value and the same `firsts`, pushes what the row produces
+    /// into `out`, and says whether the row passed (`false` = filtered). A
+    /// terminal error emits the row with the value `fail_open` holds, if it
+    /// holds one (a filter's: pass the row through unchanged), and stops
+    /// the operator otherwise. `end_wave` hands `out` each wave once its
+    /// records are consumed, or the operator stopped in it, before the
+    /// wave is dropped.
     ///
     /// Everything the fold accumulates — span, overhead, the input row
     /// index, the breaker — is carried from wave to wave, so how the
@@ -1133,11 +1179,12 @@ impl Executor<'_> {
         cost_per_row: f64,
         fail_open: Option<T>,
         mut out: O,
-        mut next_wave: impl FnMut(&mut Self) -> Result<Option<Vec<Chunk>>>,
+        mut next_wave: impl FnMut(&mut Self) -> Result<Option<Arc<[Rowset]>>>,
         probe: impl Fn(&Batch<'_>) -> Probed<B, T> + Send + Sync + 'static,
-        mut clean: impl FnMut(B, &Chunk, usize, &mut O) -> (usize, usize),
+        mut clean: impl FnMut(B, usize, usize, &mut O) -> (usize, usize),
         mut first: impl FnMut(&mut B, usize) -> Option<T>,
-        mut emit: impl FnMut(&mut B, &Chunk, usize, T, &mut O) -> bool,
+        mut emit: impl FnMut(&mut B, usize, usize, T, &mut O) -> bool,
+        mut end_wave: impl FnMut(&mut O, &[Rowset]),
     ) -> Result<Finished<O>> {
         let mut span = OperatorSpan::new(op.to_string(), 0);
         let mut extra_seconds = 0.0;
@@ -1150,16 +1197,15 @@ impl Executor<'_> {
         // numbers its own.
         let probe: ProbeFn<Probed<B, T>> =
             Arc::new(move |batch| crate::fault::with_attempt_ordinal(0, || probe(batch)));
-        'waves: loop {
+        while failure.is_none() {
             let probed = next_wave(self).and_then(|wave| {
-                let Some(chunks) = wave else { return Ok(None) };
-                let chunks: Arc<[Chunk]> = chunks.into();
+                let Some(wave) = wave else { return Ok(None) };
                 let first_row = handed;
-                handed += chunks.iter().map(Chunk::len).sum::<usize>();
-                let probes = self.probe(&chunks, first_row, &probe)?;
-                Ok(Some((chunks, probes)))
+                handed += wave.iter().map(Rowset::len).sum::<usize>();
+                let probes = self.probe(&wave, first_row, &probe)?;
+                Ok(Some((wave, probes)))
             });
-            let (chunks, probes) = match probed {
+            let (wave, probes) = match probed {
                 Ok(Some(wave)) => wave,
                 Ok(None) => break,
                 Err(e) if !consumed_any => return Err(e),
@@ -1168,20 +1214,19 @@ impl Executor<'_> {
                     break;
                 }
             };
-            for (chunk, start, Probed { mut firsts, failed }) in probes {
-                let chunk = &chunks[chunk];
+            'records: for (part, start, Probed { mut firsts, failed }) in probes {
                 if let Err(e) = self.cancel.check() {
                     self.tel
                         .push_event(op, Some(row_idx), EventKind::Cancelled, 1);
                     failure = Some(e);
-                    break 'waves;
+                    break;
                 }
                 let open = breaker.as_ref().is_some_and(Breaker::is_open);
                 if failed.is_empty() && !open {
                     if let Some(breaker) = &mut breaker {
                         breaker.record(true);
                     }
-                    let (n, passed) = clean(firsts, chunk, start, &mut out);
+                    let (n, passed) = clean(firsts, part, start, &mut out);
                     span.rows_out += passed as u64;
                     span.rows_filtered += (n - passed) as u64;
                     span.attempts += n as u64;
@@ -1226,18 +1271,18 @@ impl Executor<'_> {
                     };
                     let passed = match (result, fail_open) {
                         (Some(Ok(value)), _) => {
-                            emit(&mut firsts, chunk, start + at, value, &mut out)
+                            emit(&mut firsts, part, start + at, value, &mut out)
                         }
                         (_, Some(pass)) => {
                             span.failed_open += 1;
                             self.tel
                                 .push_event(op, Some(row_idx), EventKind::FailOpen, 1);
-                            emit(&mut firsts, chunk, start + at, pass, &mut out)
+                            emit(&mut firsts, part, start + at, pass, &mut out)
                         }
                         (Some(Err(e)), None) => {
                             // Charge the work done, then bail.
                             failure = Some(e);
-                            break 'waves;
+                            break 'records;
                         }
                         (None, None) => unreachable!("only a fail-open operator has a breaker"),
                     };
@@ -1246,6 +1291,7 @@ impl Executor<'_> {
                     row_idx += 1;
                 }
             }
+            end_wave(&mut out, &wave);
             consumed_any = true;
         }
         if clean_rows > 0 {
@@ -1261,11 +1307,10 @@ impl Executor<'_> {
             .into_iter()
             .unzip();
         let total = in_rows.len();
-        let mut cells = Vec::with_capacity(total * indices.len());
-        for row in in_rows.row_refs() {
-            cells.extend(indices.iter().map(|&i| row.get(i).clone()));
-        }
-        let out = Rowset::from_cells(Schema::new(cols)?, total, cells);
+        let column =
+            |i| GroupColumn::Cells(in_rows.row_refs().map(|row| row.get(i).clone()).collect());
+        let columns = indices.iter().map(|&i| column(i).into()).collect();
+        let out = Rowset::of_group(Schema::new(cols)?, columns, total);
         let mut span = self.flat_span(op, total, PROJECT_S_PER_ROW, total);
         span.rows_out = total as u64;
         Finished::ok(span, out)
@@ -2048,7 +2093,7 @@ mod tests {
             0.1,
             Some(true),
             0,
-            one_wave(Arc::new(in_rows)),
+            one_wave(Arc::new([in_rows])),
             |batch| Probed {
                 firsts: 0..batch.len(),
                 failed: Vec::<(usize, ProbeOutcome<bool>)>::new(),
@@ -2067,6 +2112,7 @@ mod tests {
                 *out += 1;
                 keep
             },
+            |_, _| {},
         )?;
         assert!(matches!(
             done.failure,
@@ -2088,37 +2134,52 @@ mod tests {
         Ok(())
     }
 
-    /// A filter keeps a registered table's survivors by index, and falls
-    /// back to tuples, order kept, once its input mixes sources.
+    /// Survivors of resident rows are kept by index, those of a decoded
+    /// wave gathered into a group of their own; once a wave is gathered,
+    /// or resident rows of a second rowset come, every row is gathered,
+    /// the order kept.
     #[test]
     fn survivors_of_mixed_sources_keep_their_order() -> Result<()> {
         let schema = Schema::new(vec![Column::new("id", DataType::Int)])?;
-        let table = |ids: std::ops::Range<i64>| -> Result<Arc<Rowset>> {
+        let table = |ids: std::ops::Range<i64>| -> Result<Rowset> {
             let rows = ids.map(|i| Row::new(vec![Value::Int(i)])).collect();
-            Ok(Arc::new(Rowset::new(Arc::clone(&schema), rows)?))
+            Rowset::new(Arc::clone(&schema), rows)
         };
         let (first, second) = (table(0..4)?, table(10..14)?);
-        let decoded = Chunk::from_columns(
+        let decoded = Rowset::from_columns(
             Arc::clone(&schema),
-            vec![crate::chunk::ChunkColumn::Cells(
+            vec![crate::row::GroupColumn::Cells(
                 (20..24).map(Value::Int).collect(),
             )],
         )?;
         let ids = |kept: Survivors| -> Result<Vec<i64>> {
-            let out = kept.into_rowset(Arc::clone(&schema))?;
+            let out = kept.into_rowset(Arc::clone(&schema));
             out.row_refs().map(|row| row.get(0).as_int()).collect()
         };
-        let mut one_table = Survivors::default();
-        one_table.keep(&Chunk::from_rows(Arc::clone(&first)), [1, 3].into_iter());
-        one_table.keep(&Chunk::from_rows(Arc::clone(&first)), [0].into_iter());
-        assert!(one_table.built.is_empty());
+        let wave = |rows: &Rowset, keep: &[usize], kept: &mut Survivors| {
+            kept.keep(0, keep.iter().copied());
+            kept.end_wave(std::slice::from_ref(rows));
+        };
+        let mut one_table = Survivors::new(true);
+        wave(&first, &[1, 3], &mut one_table);
+        wave(&first.window(0..2), &[0], &mut one_table);
+        assert_eq!((one_table.gathered.len(), one_table.materialized), (0, 0));
         assert_eq!(ids(one_table)?, [1, 3, 0]);
-        let mut mixed = Survivors::default();
-        mixed.keep(&Chunk::from_rows(Arc::clone(&first)), [2].into_iter());
-        mixed.keep(&decoded, [1].into_iter());
-        mixed.keep(&Chunk::from_rows(second), [0, 3].into_iter());
-        mixed.keep(&Chunk::from_rows(first), [1].into_iter());
-        assert_eq!(ids(mixed)?, [2, 21, 10, 13, 1]);
+        let mut mixed = Survivors::new(true);
+        wave(&first, &[2], &mut mixed);
+        wave(&second, &[0, 3], &mut mixed);
+        wave(&first, &[1], &mut mixed);
+        assert_eq!(ids(mixed)?, [2, 10, 13, 1]);
+        let mut decoded_waves = Survivors::new(false);
+        wave(&decoded, &[1], &mut decoded_waves);
+        wave(&decoded, &[], &mut decoded_waves);
+        wave(&decoded, &[0, 3], &mut decoded_waves);
+        assert_eq!(
+            decoded_waves.gathered.len(),
+            2,
+            "a group a wave that kept rows"
+        );
+        assert_eq!(ids(decoded_waves)?, [21, 20, 23]);
         Ok(())
     }
 

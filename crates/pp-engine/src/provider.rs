@@ -5,9 +5,9 @@
 //! for numeric columns). Every table the catalog holds is one: an
 //! in-memory [`Rowset`] is a single group that publishes no zone maps
 //! ([`MemoryProvider::whole`]), a segment directory is many groups that
-//! do. The executor streams groups — each decoded into a [`Chunk`], the
-//! rows in the layout their source already has — and a pushed-down
-//! predicate may *prune* groups the predicate provably cannot match.
+//! do. The executor streams groups — each a [`Rowset`] of one row group,
+//! in the layout its source already has — and a pushed-down predicate
+//! may *prune* groups the predicate provably cannot match.
 //!
 //! Zone maps are coarse probabilistic predicates with accuracy 1.0 and
 //! near-zero cost: the skip decision in [`group_may_match`] is
@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::chunk::{attached_blocks, AttachedBlocks, Chunk};
 use crate::predicate::{Clause, CompareOp, Predicate};
 use crate::row::Rowset;
 use crate::schema::Schema;
@@ -112,7 +111,15 @@ pub trait TableProvider: fmt::Debug + Send + Sync {
     /// Metadata for one group (`index < group_count()`).
     fn group_meta(&self, index: usize) -> &RowGroupMeta;
     /// Decodes one group. Errors must be typed — never panic.
-    fn read_group(&self, index: usize) -> Result<Chunk>;
+    fn read_group(&self, index: usize) -> Result<Rowset>;
+    /// Whether the groups [`read_group`](Self::read_group) hands over are
+    /// windows of rows the provider keeps resident anyway: a scan then
+    /// keeps the rows it passes by index into them. Otherwise a group is
+    /// decoded for the scan, which copies what it keeps out of it, so
+    /// that no decoded group outlives its wave.
+    fn resident(&self) -> bool {
+        false
+    }
     /// Number of shards backing the table.
     fn shard_count(&self) -> usize;
     /// Optional cap on the encoded bytes of the groups a scan holds
@@ -170,12 +177,12 @@ pub fn group_may_match(predicate: &Predicate, zones: &BTreeMap<String, ZoneMap>)
 
 /// Indices of the groups a scan with this pushdown must decode.
 pub fn kept_groups(provider: &dyn TableProvider, predicate: Option<&Predicate>) -> Vec<usize> {
-    (0..provider.group_count())
-        .filter(|&i| match predicate {
-            Some(p) => group_may_match(p, &provider.group_meta(i).zones),
-            None => true,
-        })
-        .collect()
+    let mut kept = Vec::with_capacity(provider.group_count());
+    kept.extend((0..provider.group_count()).filter(|&i| match predicate {
+        Some(p) => group_may_match(p, &provider.group_meta(i).zones),
+        None => true,
+    }));
+    kept
 }
 
 /// Whether any row group of `provider` publishes zone maps — what the
@@ -250,13 +257,13 @@ pub fn shard_prune_stats(provider: &dyn TableProvider, predicate: &Predicate) ->
 /// reference implementation of the pruning contract). On-disk segment
 /// providers live in the `pp-store` crate.
 ///
-/// A group is a [`Chunk`] over the registered rows themselves, so what a
-/// query keeps of it are the table's own `Row`s — blob identity
+/// The provider is [`resident`](TableProvider::resident): a group is a
+/// window of the registered rowset itself, so what a query keeps of it
+/// are the table's own rows, by index — blob identity
 /// ([`Value::sql_eq`], [`UdfMemo`](crate::memo::UdfMemo) keys) survives
 /// a scan. The first kernel to read a blob column gathers it, for the
-/// whole table, into one contiguous block that stays attached to the
-/// provider; every later batch of every later query scores a window of
-/// it.
+/// whole table, into one contiguous block that the table keeps; every
+/// later batch of every later query scores a window of it.
 #[derive(Debug, Clone)]
 pub struct MemoryProvider {
     table: Arc<Rowset>,
@@ -264,7 +271,6 @@ pub struct MemoryProvider {
     bounds: Vec<(usize, usize)>,
     shards: usize,
     budget: Option<u64>,
-    blocks: Arc<AttachedBlocks>,
 }
 
 impl MemoryProvider {
@@ -273,7 +279,6 @@ impl MemoryProvider {
     /// `read_group(0)` is a view of the table.
     pub fn whole(table: Arc<Rowset>) -> MemoryProvider {
         MemoryProvider {
-            blocks: attached_blocks(table.schema().len()),
             groups: vec![RowGroupMeta {
                 rows: table.len(),
                 bytes: 0,
@@ -302,19 +307,16 @@ impl MemoryProvider {
             let shard = start / per_shard;
             let shard_end = ((shard + 1) * per_shard).min(n);
             let end = (start + rows_per_group).min(shard_end);
-            let rows = &table.rows()[start..end];
             let mut zones = BTreeMap::new();
             for (c, col) in table.schema().columns().iter().enumerate() {
-                zones.insert(
-                    col.name.clone(),
-                    ZoneMap::from_values(rows.iter().map(|r| r.get(c))),
-                );
+                let cells = (start..end).map(|i| table.row_ref(i).get(c));
+                zones.insert(col.name.clone(), ZoneMap::from_values(cells));
             }
             groups.push(RowGroupMeta {
-                rows: rows.len(),
+                rows: end - start,
                 // A coarse stand-in for encoded size: cells, so byte
                 // accounting stays deterministic without an encoder.
-                bytes: (rows.len() * table.schema().len()) as u64,
+                bytes: ((end - start) * table.schema().len()) as u64,
                 shard,
                 zones,
             });
@@ -322,7 +324,6 @@ impl MemoryProvider {
             start = end;
         }
         MemoryProvider {
-            blocks: attached_blocks(table.schema().len()),
             table,
             groups,
             bounds,
@@ -360,15 +361,15 @@ impl TableProvider for MemoryProvider {
         &self.groups[index]
     }
 
-    fn read_group(&self, index: usize) -> Result<Chunk> {
+    fn read_group(&self, index: usize) -> Result<Rowset> {
         let (start, end) = self.bounds.get(index).copied().ok_or_else(|| {
             crate::EngineError::Storage(format!("row group {index} out of range"))
         })?;
-        Ok(Chunk::from_table_range(
-            Arc::clone(&self.table),
-            start..end,
-            Some(Arc::clone(&self.blocks)),
-        ))
+        Ok(self.table.window(start..end))
+    }
+
+    fn resident(&self) -> bool {
+        true
     }
 
     fn shard_count(&self) -> usize {

@@ -1,16 +1,39 @@
-//! Rows and rowsets.
+//! Rows and rowsets: the engine's one in-memory layout.
+//!
+//! A [`Rowset`] is what a provider hands a scan for one row group, what a
+//! scan hands the operator above it, and what every operator hands the
+//! next. Its rows are kept in three parts, and no operator copies a row
+//! into a tuple of its own on the way through a plan:
+//!
+//! * **Base columns**, in row groups that every rowset over them shares. A
+//!   table made of tuples is one group, built from them the first time a
+//!   row is read where it is kept; a decoded segment group is one, and a
+//!   scan gathers what it keeps of a decoded wave into one. A column holds
+//!   the form it was built in and builds the other once, on first demand:
+//!   cells ([`Value`]s, a blob cell the same `Arc` wherever it is read)
+//!   gather one contiguous [`FeatureBlock`] the first time a kernel reads
+//!   the column, and a decoded block of dense blobs builds its cells the
+//!   first time something reads one.
+//! * A **row map**: per row, its group and row in that group, and its run
+//!   of appended cells. A filter, `Select` and a scan keep rows by index.
+//! * **Appended cells**: `width` cells per row, in one shared buffer — what
+//!   `Process` writes. (`Project` writes a group of its own.)
+//!
+//! [`Rowset::row_ref`] reads a row where it is kept; [`Rowset::rows`]
+//! builds the tuples, once, on first demand.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
+
+use pp_linalg::{FeatureBlock, Features};
 
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// One tuple. Cloning is a reference-count bump: the cell storage is
-/// shared (`Arc`-backed), so the tuples a consumer asks of a registered
-/// table's rows are the table's own. Rows are immutable after
-/// construction; a row with cells appended to it (a `Process` output) is
-/// a [`RowRef`] until something asks for the tuple.
+/// shared (`Arc`-backed). Rows are immutable after construction; a row
+/// of a [`Rowset`] is a [`RowRef`] until something asks for the tuple.
 #[derive(Debug, Clone)]
 pub struct Row {
     values: Arc<[Value]>,
@@ -50,14 +73,6 @@ impl Row {
     }
 }
 
-/// A row over cells someone else holds too: nothing is copied, and the
-/// row is one more holder of the slice.
-impl From<Arc<[Value]>> for Row {
-    fn from(values: Arc<[Value]>) -> Self {
-        Row { values }
-    }
-}
-
 /// Collects cells straight into the shared slice: an iterator that knows
 /// its length allocates the row once.
 impl FromIterator<Value> for Row {
@@ -69,13 +84,14 @@ impl FromIterator<Value> for Row {
 }
 
 /// A borrowed tuple: its cells in order, wherever they are kept — a whole
-/// [`Row`], or a row's own cells followed by the cells processors appended
-/// to it (a row of a `Process` output, see [`Rowset`]). It is what a
+/// [`Row`], or a row of a [`Rowset`]: its base cells in their columns,
+/// then the cells processors appended to it. It is what a
 /// [`Processor`](crate::udf::Processor) and a bound predicate read, so
-/// neither needs the tuple built. Copying one copies two slice references.
-#[derive(Debug, Clone, Copy)]
+/// neither needs the tuple built. Copying one copies three words.
+#[derive(Clone, Copy)]
 pub struct RowRef<'a> {
-    head: &'a [Value],
+    base: &'a [BaseColumn],
+    row: usize,
     tail: &'a [Value],
 }
 
@@ -85,9 +101,9 @@ impl<'a> RowRef<'a> {
     /// # Panics
     /// If `idx` is not below [`len`](Self::len), as [`Row::get`] does.
     pub fn get(&self, idx: usize) -> &'a Value {
-        match self.head.get(idx) {
-            Some(cell) => cell,
-            None => &self.tail[idx - self.head.len()],
+        match self.base.get(idx) {
+            Some(column) => &column.cells()[self.row],
+            None => &self.tail[idx - self.base.len()],
         }
     }
 
@@ -98,7 +114,7 @@ impl<'a> RowRef<'a> {
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.head.len() + self.tail.len()
+        self.base.len() + self.tail.len()
     }
 
     /// True for a zero-cell row.
@@ -108,13 +124,22 @@ impl<'a> RowRef<'a> {
 
     /// The cells in order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Value> + Clone {
-        self.head.iter().chain(self.tail)
+        let row = self.row;
+        (self.base.iter())
+            .map(move |column| &column.cells()[row])
+            .chain(self.tail)
     }
 
     /// The tuple, built: one allocation at its final width, each cell a
     /// clone (a blob stays the same `Arc`).
     pub fn to_row(&self) -> Row {
         self.iter().cloned().collect()
+    }
+}
+
+impl std::fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -127,112 +152,181 @@ impl<'a> From<&'a Row> for RowRef<'a> {
 impl<'a> From<&'a [Value]> for RowRef<'a> {
     fn from(cells: &'a [Value]) -> Self {
         RowRef {
-            head: cells,
-            tail: &[],
+            base: &[],
+            row: 0,
+            tail: cells,
         }
     }
 }
 
-/// A materialized table: a schema plus rows.
-///
-/// The rows are kept one of two ways, and every accessor answers the same
-/// for both. *Built*: one [`Row`] per row. *Deferred*: what a scan of a
-/// registered table, a filter, a `Process`, a `Select` and a `Project`
-/// hand over — each row is a row of a built `base` rowset (or nothing,
-/// for a `Project`'s) followed by `width` cells from one shared buffer,
-/// so neither a table row, a survivor nor a
-/// UDF's output is copied into a tuple of its own on the way through the
-/// plan. [`row_ref`](Self::row_ref) reads a row where it is;
-/// [`rows`](Self::rows) builds the tuples, once, on first demand.
+/// One column of a row group, as its source has it; see
+/// [`Rowset::from_columns`].
+#[derive(Debug, Clone)]
+pub enum GroupColumn {
+    /// One cell per row.
+    Cells(Vec<Value>),
+    /// A blob column whose every cell is dense with one dimension: row
+    /// `i` of the block is row `i`'s vector.
+    Block(FeatureBlock),
+}
+
+impl GroupColumn {
+    fn len(&self) -> usize {
+        match self {
+            GroupColumn::Cells(cells) => cells.len(),
+            GroupColumn::Block(block) => block.len(),
+        }
+    }
+}
+
+/// A base column: the form it was built in, and the other form, built
+/// once when first asked for.
+#[derive(Debug)]
+pub(crate) enum BaseColumn {
+    /// Cells, and the column as one block once a kernel asks for it:
+    /// `None` when the cells are not dense blobs of one dimension.
+    Cells {
+        cells: Vec<Value>,
+        block: OnceLock<Option<FeatureBlock>>,
+    },
+    /// A block of dense blobs, and its cells once something reads one.
+    Block {
+        block: FeatureBlock,
+        cells: OnceLock<Vec<Value>>,
+    },
+}
+
+impl From<GroupColumn> for BaseColumn {
+    fn from(column: GroupColumn) -> Self {
+        match column {
+            GroupColumn::Cells(cells) => BaseColumn::Cells {
+                cells,
+                block: OnceLock::new(),
+            },
+            GroupColumn::Block(block) => BaseColumn::Block {
+                block,
+                cells: OnceLock::new(),
+            },
+        }
+    }
+}
+
+impl BaseColumn {
+    fn cells(&self) -> &[Value] {
+        match self {
+            BaseColumn::Cells { cells, .. } => cells,
+            BaseColumn::Block { block, cells } => {
+                cells.get_or_init(|| block.rows().map(dense_blob).collect())
+            }
+        }
+    }
+
+    fn block(&self) -> Option<&FeatureBlock> {
+        match self {
+            BaseColumn::Cells { cells, block } => {
+                block.get_or_init(|| gather_dense(cells)).as_ref()
+            }
+            BaseColumn::Block { block, .. } => Some(block),
+        }
+    }
+
+    /// Cell `row`, owned: a block whose cells are not built yet builds
+    /// this one alone.
+    fn cell(&self, row: usize) -> Value {
+        match self {
+            BaseColumn::Block { block, cells } if cells.get().is_none() => {
+                dense_blob(block.row(row))
+            }
+            _ => self.cells()[row].clone(),
+        }
+    }
+}
+
+fn dense_blob(coords: &[f64]) -> Value {
+    Value::blob(Features::Dense(coords.to_vec()))
+}
+
+/// Copies `cells` into one block, if every one is a dense blob of one
+/// non-zero dimension.
+fn gather_dense(cells: &[Value]) -> Option<FeatureBlock> {
+    fn dense(cell: &Value) -> Option<&[f64]> {
+        match cell {
+            Value::Blob(f) => f.as_dense(),
+            _ => None,
+        }
+    }
+    let dim = dense(cells.first()?)?.len();
+    if dim == 0 {
+        return None;
+    }
+    let mut block = FeatureBlock::with_capacity(dim, cells.len());
+    for cell in cells {
+        block.push_dense(dense(cell)?).ok()?;
+    }
+    Some(block)
+}
+
+/// The base columns of one row group, all of one length.
+pub(crate) type Group = Vec<BaseColumn>;
+
+/// Where a row of a [`Rowset`] is kept: its base row, `row` of group
+/// `group`, and run `at` of the appended cells.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub group: usize,
+    pub row: usize,
+    pub at: usize,
+}
+
+#[derive(Debug, Clone)]
+enum RowMap {
+    /// Row `i` is row `start + i` of group 0, appended run `start + i`.
+    Range(Range<usize>),
+    /// One slot per row.
+    Slots(Vec<Slot>),
+}
+
+impl RowMap {
+    fn len(&self) -> usize {
+        match self {
+            RowMap::Range(rows) => rows.len(),
+            RowMap::Slots(slots) => slots.len(),
+        }
+    }
+
+    fn slot(&self, i: usize) -> Slot {
+        match self {
+            RowMap::Range(rows) => {
+                assert!(i < rows.len(), "row {i} out of {} rows", rows.len());
+                let row = rows.start + i;
+                Slot {
+                    group: 0,
+                    row,
+                    at: row,
+                }
+            }
+            RowMap::Slots(slots) => slots[i],
+        }
+    }
+}
+
+/// A materialized table: a schema plus rows, laid out as the [module
+/// docs](self) describe. Every accessor answers the same whatever way a
+/// row is kept.
 #[derive(Clone)]
 pub struct Rowset {
     schema: Arc<Schema>,
-    tuples: Tuples,
-}
-
-#[derive(Clone)]
-enum Tuples {
-    Built(Vec<Row>),
-    Deferred(Deferred),
-}
-
-#[derive(Clone)]
-struct Deferred {
-    /// The rows the output rows start with; `None` when they start with
-    /// nothing and are their cells alone.
-    base: Option<Arc<Rowset>>,
-    /// Appended cells per row.
+    /// The groups base rows come from; none when every row is its
+    /// appended cells alone. A rowset made of tuples builds its one group
+    /// from them on first demand ([`groups`](Self::groups)).
+    groups: OnceLock<Arc<[Group]>>,
+    map: RowMap,
+    /// Appended cells per row: the schema's last `width` columns.
     width: usize,
-    /// `width` cells per appended row, row after row.
+    /// `width` cells per appended run, run after run.
     cells: Arc<Vec<Value>>,
-    /// Per row: its base row, and its appended row in `cells`.
-    rows: Vec<(usize, usize)>,
-    /// The tuples, once asked for.
+    /// The tuples, once asked for (or as given).
     built: OnceLock<Vec<Row>>,
-}
-
-impl Deferred {
-    fn new(
-        base: Option<Arc<Rowset>>,
-        width: usize,
-        cells: Vec<Value>,
-        rows: Vec<(usize, usize)>,
-    ) -> Self {
-        Deferred {
-            base,
-            width,
-            cells: Arc::new(cells),
-            rows,
-            built: OnceLock::new(),
-        }
-    }
-
-    /// Row `from[j]` of these, followed by the `j`th run of `width` cells
-    /// of `cells`, per row `j`: rows of the same base, wider.
-    fn extend(&self, width: usize, cells: Vec<Value>, from: &[usize]) -> Deferred {
-        let earlier = self.width;
-        let rows = (from.iter().enumerate())
-            .map(|(j, &i)| (self.rows[i].0, j))
-            .collect();
-        // Rows with no cells of their own yet take the new ones as they
-        // are.
-        let cells = if earlier == 0 {
-            cells
-        } else {
-            let mut out = Vec::with_capacity(from.len() * (earlier + width));
-            let mut cells = cells.into_iter();
-            for &i in from {
-                let at = self.rows[i].1;
-                out.extend_from_slice(&self.cells[at * earlier..(at + 1) * earlier]);
-                out.extend(cells.by_ref().take(width));
-            }
-            out
-        };
-        Deferred::new(self.base.clone(), earlier + width, cells, rows)
-    }
-
-    fn row_ref(&self, i: usize) -> RowRef<'_> {
-        let (base, at) = self.rows[i];
-        RowRef {
-            head: self.base.as_ref().map_or(&[], |b| b.rows()[base].values()),
-            tail: &self.cells[at * self.width..(at + 1) * self.width],
-        }
-    }
-
-    /// Every row's tuple: a base row with nothing appended is that row
-    /// (shared), any other is built in one allocation; and one for the
-    /// vector.
-    fn build(&self) -> Vec<Row> {
-        match &self.base {
-            Some(base) if self.width == 0 => {
-                let base = base.rows();
-                self.rows.iter().map(|&(b, _)| base[b].clone()).collect()
-            }
-            _ => (0..self.rows.len())
-                .map(|i| self.row_ref(i).to_row())
-                .collect(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Rowset {
@@ -245,48 +339,95 @@ impl std::fmt::Debug for Rowset {
 }
 
 impl Rowset {
-    /// Creates a rowset, validating row arity against the schema.
+    /// Creates a rowset, validating row arity against the schema: the
+    /// rows are its tuples, and the columns of its one group are built
+    /// from them when something first reads a row where it is kept.
     pub fn new(schema: Arc<Schema>, rows: Vec<Row>) -> Result<Self> {
         for r in &rows {
             check_arity(&schema, r.len())?;
         }
         Ok(Rowset {
-            schema,
-            tuples: Tuples::Built(rows),
+            map: RowMap::Range(0..rows.len()),
+            groups: OnceLock::new(),
+            built: OnceLock::from(rows),
+            ..Rowset::of_groups(schema, Vec::new(), RowMap::Slots(Vec::new()))
         })
     }
 
-    /// An empty rowset with the given schema.
-    pub fn empty(schema: Arc<Schema>) -> Self {
+    /// One row group, one column per column of `schema`, all of one
+    /// length: a decoded block stays a block until a cell of it is read.
+    pub fn from_columns(schema: Arc<Schema>, columns: Vec<GroupColumn>) -> Result<Rowset> {
+        check_arity(&schema, columns.len())?;
+        let len = columns.first().map_or(0, GroupColumn::len);
+        if columns.iter().any(|c| c.len() != len) {
+            return Err(EngineError::InvalidPlan(
+                "group columns differ in length".to_string(),
+            ));
+        }
+        let columns = columns.into_iter().map(BaseColumn::from).collect();
+        Ok(Rowset::of_group(schema, columns, len))
+    }
+
+    /// `len` rows of one group: `Project` writes its columns this way.
+    pub(crate) fn of_group(schema: Arc<Schema>, group: Group, len: usize) -> Rowset {
+        Rowset::of_groups(schema, vec![group], RowMap::Range(0..len))
+    }
+
+    fn of_groups(schema: Arc<Schema>, groups: Vec<Group>, map: RowMap) -> Rowset {
         Rowset {
             schema,
-            tuples: Tuples::Built(Vec::new()),
+            groups: OnceLock::from(Arc::from(groups)),
+            map,
+            width: 0,
+            cells: Arc::default(),
+            built: OnceLock::new(),
         }
+    }
+
+    /// `groups`' rows at `slots`, nothing appended: what a scan gathered.
+    pub(crate) fn from_groups(schema: Arc<Schema>, groups: Vec<Group>, slots: Vec<Slot>) -> Rowset {
+        Rowset::of_groups(schema, groups, RowMap::Slots(slots))
     }
 
     /// Rows of `input` with cells appended: row `j` is input row `from[j]`
     /// followed by the `j`th run of `schema.len() - input.schema().len()`
-    /// cells of `cells`. A deferred input is not nested: each row keeps
-    /// its base row, and the cells appended to its input row go in front
-    /// of the new ones.
+    /// cells of `cells`. Each row keeps its base row, and the cells
+    /// appended to its input row go in front of the new ones.
     pub(crate) fn extend(
-        input: Arc<Rowset>,
+        input: &Rowset,
         schema: Arc<Schema>,
         cells: Vec<Value>,
         from: Vec<usize>,
     ) -> Self {
         let width = schema.len() - input.schema.len();
         debug_assert_eq!(cells.len(), from.len() * width);
-        let deferred = match &input.tuples {
-            Tuples::Deferred(d) => d.extend(width, cells, &from),
-            Tuples::Built(_) => {
-                let rows = from.into_iter().enumerate().map(|(j, b)| (b, j)).collect();
-                Deferred::new(Some(input), width, cells, rows)
+        let earlier = input.width;
+        // Rows with no cells of their own yet take the new ones as they
+        // are.
+        let cells = if earlier == 0 {
+            cells
+        } else {
+            let mut out = Vec::with_capacity(from.len() * (earlier + width));
+            let mut cells = cells.into_iter();
+            for &i in &from {
+                out.extend_from_slice(input.tail(input.map.slot(i).at));
+                out.extend(cells.by_ref().take(width));
             }
+            out
         };
+        let slots = (from.into_iter().enumerate())
+            .map(|(at, i)| Slot {
+                at,
+                ..input.map.slot(i)
+            })
+            .collect();
         Rowset {
             schema,
-            tuples: Tuples::Deferred(deferred),
+            groups: OnceLock::from(Arc::clone(input.groups())),
+            map: RowMap::Slots(slots),
+            width: earlier + width,
+            cells: Arc::new(cells),
+            built: OnceLock::new(),
         }
     }
 
@@ -295,13 +436,11 @@ impl Rowset {
         &self.schema
     }
 
-    /// The rows as tuples. A deferred rowset builds them on the first
-    /// call — one allocation per row — and keeps them.
+    /// The rows as tuples: the ones the rowset was made of, or built on
+    /// the first call — one allocation per row — and kept.
     pub fn rows(&self) -> &[Row] {
-        match &self.tuples {
-            Tuples::Built(rows) => rows,
-            Tuples::Deferred(d) => d.built.get_or_init(|| d.build()),
-        }
+        self.built
+            .get_or_init(|| self.row_refs().map(|row| row.to_row()).collect())
     }
 
     /// Row `i`, read where it is kept; nothing is built.
@@ -309,9 +448,11 @@ impl Rowset {
     /// # Panics
     /// If `i` is out of range.
     pub fn row_ref(&self, i: usize) -> RowRef<'_> {
-        match &self.tuples {
-            Tuples::Built(rows) => RowRef::from(&rows[i]),
-            Tuples::Deferred(d) => d.row_ref(i),
+        let slot = self.map.slot(i);
+        RowRef {
+            base: self.groups().get(slot.group).map_or(&[][..], Vec::as_slice),
+            row: slot.row,
+            tail: self.tail(slot.at),
         }
     }
 
@@ -320,12 +461,41 @@ impl Rowset {
         (0..self.len()).map(|i| self.row_ref(i))
     }
 
+    /// Row `i` as a tuple: the built one if there is one, else built
+    /// alone (a blob block's cell included, and nothing else of its
+    /// column).
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub(crate) fn row(&self, i: usize) -> Row {
+        if let Some(rows) = self.built.get() {
+            return rows[i].clone();
+        }
+        let slot = self.map.slot(i);
+        let base = self.groups().get(slot.group).map_or(&[][..], Vec::as_slice);
+        let base = base.iter().map(|column| column.cell(slot.row));
+        base.chain(self.tail(slot.at).iter().cloned()).collect()
+    }
+
+    /// The groups; a rowset made of tuples builds its one group from
+    /// them, once: a column of their cells each, a blob the same `Arc`.
+    fn groups(&self) -> &Arc<[Group]> {
+        self.groups.get_or_init(|| {
+            let rows = self.built.get().map_or(&[][..], Vec::as_slice);
+            let column = |c| GroupColumn::Cells(rows.iter().map(|r| r.get(c).clone()).collect());
+            Arc::from(vec![(0..self.schema.len())
+                .map(|c| column(c).into())
+                .collect()])
+        })
+    }
+
+    fn tail(&self, at: usize) -> &[Value] {
+        &self.cells[at * self.width..(at + 1) * self.width]
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.tuples {
-            Tuples::Built(rows) => rows.len(),
-            Tuples::Deferred(d) => d.rows.len(),
-        }
+        self.map.len()
     }
 
     /// True when there are no rows.
@@ -333,38 +503,106 @@ impl Rowset {
         self.len() == 0
     }
 
-    /// The rows `keep` names, in that order, where `table` keeps them: a
-    /// built row by its index, a deferred one still pointing at its base
-    /// row and appended cells. Nothing is built and no cell is copied.
-    pub(crate) fn pick(table: &Arc<Rowset>, keep: Vec<usize>) -> Rowset {
-        let deferred = match &table.tuples {
-            Tuples::Built(_) => {
-                let rows = keep.into_iter().map(|b| (b, 0)).collect();
-                Deferred::new(Some(Arc::clone(table)), 0, Vec::new(), rows)
-            }
-            Tuples::Deferred(d) => Deferred {
-                base: d.base.clone(),
-                width: d.width,
-                cells: Arc::clone(&d.cells),
-                rows: keep.into_iter().map(|i| d.rows[i]).collect(),
-                built: OnceLock::new(),
-            },
-        };
+    /// Where row `i` is kept.
+    pub(crate) fn slot(&self, i: usize) -> Slot {
+        self.map.slot(i)
+    }
+
+    /// The rows at `slots` of the groups and cells this rowset keeps its
+    /// rows in.
+    pub(crate) fn with_slots(&self, slots: Vec<Slot>) -> Rowset {
         Rowset {
-            schema: table.schema.clone(),
-            tuples: Tuples::Deferred(deferred),
+            schema: self.schema.clone(),
+            groups: OnceLock::from(Arc::clone(self.groups())),
+            map: RowMap::Slots(slots),
+            width: self.width,
+            cells: Arc::clone(&self.cells),
+            built: OnceLock::new(),
         }
     }
 
-    /// `rows` rows of `schema.len()` cells each, taken from `cells` row
-    /// after row: the rows are their cells alone, and no tuple is built.
-    pub(crate) fn from_cells(schema: Arc<Schema>, rows: usize, cells: Vec<Value>) -> Rowset {
-        let width = schema.len();
-        debug_assert_eq!(cells.len(), rows * width);
-        let rows = (0..rows).map(|j| (0, j)).collect();
-        Rowset {
-            schema,
-            tuples: Tuples::Deferred(Deferred::new(None, width, cells, rows)),
+    /// Whether `other` keeps its rows in the groups and cells this
+    /// rowset does, so that a slot of one is a slot of the other.
+    pub(crate) fn shares_rows(&self, other: &Rowset) -> bool {
+        Arc::ptr_eq(self.groups(), other.groups())
+            && Arc::ptr_eq(&self.cells, &other.cells)
+            && self.width == other.width
+    }
+
+    /// The rows `keep` names, in that order, where this rowset keeps
+    /// them: nothing is built and no cell is copied.
+    ///
+    /// # Panics
+    /// If an index is out of range.
+    pub fn pick(&self, keep: Vec<usize>) -> Rowset {
+        self.with_slots(keep.into_iter().map(|i| self.slot(i)).collect())
+    }
+
+    /// Rows `rows`, in order, where this rowset keeps them.
+    pub(crate) fn window(&self, rows: Range<usize>) -> Rowset {
+        let mut out = self.with_slots(Vec::new());
+        out.map = match &self.map {
+            RowMap::Range(all) => RowMap::Range(all.start + rows.start..all.start + rows.end),
+            RowMap::Slots(slots) => RowMap::Slots(slots[rows].to_vec()),
+        };
+        out
+    }
+
+    /// Column `col` of rows `rows` as one contiguous block, when the rows
+    /// are one run of one group's rows and the column is a base column
+    /// that is, or gathers into, a block: a window onto it, not a copy.
+    pub(crate) fn block(&self, col: usize, rows: Range<usize>) -> Option<FeatureBlock> {
+        if rows.is_empty() {
+            return None;
+        }
+        let first = self.map.slot(rows.start);
+        let run = match &self.map {
+            RowMap::Range(_) => true,
+            RowMap::Slots(slots) => (slots[rows.clone()].iter().zip(first.row..))
+                .all(|(slot, row)| slot.group == first.group && slot.row == row),
+        };
+        let column = self.groups().get(first.group)?.get(col)?;
+        let block = column.block().filter(|_| run)?;
+        Some(block.slice(first.row..first.row + rows.len()))
+    }
+
+    /// Rows `kept` of `wave` — (rowset, row) pairs, in order — copied into
+    /// one group of exactly their number. A column every kept row holds
+    /// in a decoded block of one dimension goes into one block; any other
+    /// keeps its cells (a blob the same `Arc`).
+    pub(crate) fn gather(wave: &[Rowset], kept: &[(usize, usize)]) -> Group {
+        let columns = wave.first().map_or(0, |rows| rows.schema.len());
+        (0..columns)
+            .map(|c| {
+                let decoded = |&(rows, i): &(usize, usize)| wave[rows].decoded(c, i);
+                let dim = kept.first().and_then(decoded).map_or(0, <[f64]>::len);
+                let mut data = Vec::with_capacity(dim * kept.len());
+                let blocked = dim > 0
+                    && kept.iter().all(|k| {
+                        decoded(k).is_some_and(|coords| {
+                            data.extend_from_slice(coords);
+                            coords.len() == dim
+                        })
+                    });
+                match FeatureBlock::from_vec(dim, data) {
+                    Ok(block) if blocked => GroupColumn::Block(block),
+                    _ => GroupColumn::Cells(
+                        (kept.iter())
+                            .map(|&(rows, i)| wave[rows].row_ref(i).get(c).clone())
+                            .collect(),
+                    ),
+                }
+                .into()
+            })
+            .collect()
+    }
+
+    /// Base cell `col` of row `i`, if it sits in a decoded block.
+    fn decoded(&self, col: usize, i: usize) -> Option<&[f64]> {
+        let slot = self.map.slot(i);
+        match self.groups().get(slot.group)?.get(col)? {
+            BaseColumn::Block { block, .. } => Some(block.row(slot.row)),
+            BaseColumn::Cells { .. } => None,
         }
     }
 }
@@ -469,7 +707,7 @@ mod tests {
         .unwrap();
         // Row 0 once, row 1 twice (a fan-out).
         let abc = ["a", "b", "c"].map(Value::str).to_vec();
-        let once = Rowset::extend(Arc::new(base), wide(2), abc, vec![0, 1, 1]);
+        let once = Rowset::extend(&base, wide(2), abc, vec![0, 1, 1]);
         let view = once.row_ref(1);
         assert_eq!(view.len(), 2);
         assert_eq!(
@@ -478,9 +716,9 @@ mod tests {
         );
         // Picking by index keeps the rows where they are; extending again
         // puts the new cells behind the old ones, on the same base rows.
-        let picked = Rowset::pick(&Arc::new(once), vec![0, 2]);
+        let picked = once.pick(vec![0, 2]);
         let xyz = ["x", "y", "z"].map(Value::str).to_vec();
-        let twice = Rowset::extend(Arc::new(picked), wide(3), xyz, vec![0, 0, 1]);
+        let twice = Rowset::extend(&picked, wide(3), xyz, vec![0, 0, 1]);
         let cells = |v: &[(i64, &str, &str)]| -> Vec<Vec<Value>> {
             v.iter()
                 .map(|&(b, p, q)| vec![Value::Int(b), Value::str(p), Value::str(q)])
@@ -493,39 +731,138 @@ mod tests {
         );
     }
 
-    /// Rows picked out of a built table are that table's rows, shared
-    /// once built; rows made of cells alone read as their cells.
+    /// Rows picked out of a table read the table's cells where its
+    /// columns keep them, and the rows a table was made of are its
+    /// tuples.
     #[test]
-    fn picked_rows_are_the_tables_and_cells_alone_are_rows() {
-        let table = Arc::new(
-            Rowset::new(
-                schema(),
-                (0..4)
-                    .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))]))
-                    .collect(),
-            )
-            .unwrap(),
-        );
-        let picked = Rowset::pick(&table, vec![3, 1]);
+    fn picked_rows_read_the_tables_own_cells() {
+        let rows: Vec<Row> = (0..4)
+            .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))]))
+            .collect();
+        let table = Rowset::new(schema(), rows.clone()).unwrap();
+        assert!(std::ptr::eq(table.rows()[2].values(), rows[2].values()));
+        let picked = table.pick(vec![3, 1]);
         assert_eq!(picked.len(), 2);
         assert!(picked.row_ref(0).get(0).sql_eq(&Value::Int(3)));
-        let shared = |a: &Row, b: &Row| std::ptr::eq(a.values(), b.values());
-        assert!(shared(&picked.rows()[0], &table.rows()[3]));
-        assert!(shared(&picked.rows()[1], &table.rows()[1]));
-        let cells = vec![
-            Value::Int(5),
-            Value::str("a"),
-            Value::Int(6),
-            Value::str("b"),
-        ];
-        let flat = Rowset::from_cells(schema(), 2, cells);
-        assert_eq!(flat.len(), 2);
+        let cell = |rows: &Rowset, i: usize| rows.row_ref(i).get(1) as *const Value;
+        assert_eq!(cell(&picked, 0), cell(&table, 3), "the table's own cell");
         assert_eq!(
-            format!("{:?}", flat.rows()),
-            "[Row { values: [Int(5), Str(\"a\")] }, Row { values: [Int(6), Str(\"b\")] }]"
+            format!("{:?}", picked.rows()),
+            format!("{:?}", [&rows[3], &rows[1]])
         );
-        let again = Rowset::pick(&Arc::new(flat), vec![1]);
-        assert!(again.row_ref(0).get(1).sql_eq(&Value::str("b")));
+        // A group of no columns still has its rows: a `Project` of none.
+        let none = Rowset::of_group(wide(0), Vec::new(), 3);
+        assert_eq!((none.len(), none.rows()[2].len()), (3, 0));
+    }
+
+    fn blobs() -> Arc<Schema> {
+        Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("blob", DataType::Blob),
+        ])
+        .unwrap()
+    }
+
+    fn blob_table(n: usize) -> Rowset {
+        let rows = (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i as i64),
+                    Value::blob(Features::Dense(vec![i as f64, -(i as f64)])),
+                ])
+            })
+            .collect();
+        Rowset::new(blobs(), rows).unwrap()
+    }
+
+    fn decoded(n: usize) -> Rowset {
+        let flat = (0..n).flat_map(|i| [i as f64, -(i as f64)]).collect();
+        Rowset::from_columns(
+            blobs(),
+            vec![
+                GroupColumn::Cells((0..n).map(|i| Value::Int(i as i64)).collect()),
+                GroupColumn::Block(FeatureBlock::from_vec(2, flat).unwrap()),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A window of a table reads the table's own cells, and a column of
+    /// cells gathers its block once, for the whole group: every window
+    /// over a run of the group's rows is a window onto that block, and a
+    /// column that is not dense blobs records that, once.
+    #[test]
+    fn a_column_of_cells_gathers_its_block_once() {
+        let t = blob_table(6);
+        let window = t.window(2..6);
+        assert_eq!(window.len(), 4);
+        let blob = |rows: &Rowset, i: usize| Arc::as_ptr(rows.row_ref(i).get(1).as_blob().unwrap());
+        assert_eq!(blob(&window, 0), blob(&t, 2));
+        let block = window.block(1, 1..3).expect("uniformly dense");
+        assert_eq!(block.as_slice(), &[3.0, -3.0, 4.0, -4.0]);
+        let again = t.block(1, 3..4).expect("gathered");
+        assert_eq!(again.row(0).as_ptr(), block.row(0).as_ptr());
+        assert!(t.block(0, 0..6).is_none());
+        // Rows out of order are no run of the group's rows.
+        assert!(t.pick(vec![1, 0]).block(1, 0..2).is_none());
+        assert!(t.pick(vec![1, 2]).block(1, 0..2).is_some());
+    }
+
+    /// A decoded block builds a row alone for whoever asks for one tuple,
+    /// and its cells, once, for whoever reads a cell: the tuples built
+    /// from then on hold those cells.
+    #[test]
+    fn a_decoded_block_builds_its_cells_on_demand() {
+        let set = decoded(4);
+        let one = set.row(2);
+        assert_eq!(one.get(0).as_int().unwrap(), 2);
+        assert_eq!(
+            one.get(1).as_blob().unwrap().as_dense().unwrap(),
+            &[2.0, -2.0]
+        );
+        let block = set.block(1, 1..4).unwrap();
+        assert_eq!((block.len(), block.row(0)), (3, &[1.0, -1.0][..]));
+        let cell = Arc::as_ptr(set.row_ref(2).get(1).as_blob().unwrap());
+        assert_ne!(Arc::as_ptr(one.get(1).as_blob().unwrap()), cell);
+        assert_eq!(Arc::as_ptr(set.row(2).get(1).as_blob().unwrap()), cell);
+        assert_eq!(Arc::as_ptr(set.rows()[2].get(1).as_blob().unwrap()), cell);
+    }
+
+    /// What a scan keeps of a decoded wave is one group of exactly the
+    /// kept rows: a column every kept row holds in a block stays a block,
+    /// any other keeps its cells, a blob the same `Arc`.
+    #[test]
+    fn gathered_rows_keep_blocks_as_blocks_and_cells_as_cells() {
+        let (table, set) = (blob_table(3), decoded(4));
+        let wave = [set.clone(), set.window(1..4)];
+        let group = Rowset::gather(&wave, &[(0, 3), (1, 0)]);
+        assert!(matches!(&group[1], BaseColumn::Block { block, .. }
+            if block.as_slice() == [3.0, -3.0, 1.0, -1.0]));
+        let slots = (0..2)
+            .map(|row| Slot {
+                group: 0,
+                row,
+                at: 0,
+            })
+            .collect();
+        let kept = Rowset::from_groups(blobs(), vec![group], slots);
+        assert!(kept.row_ref(1).get(0).sql_eq(&Value::Int(1)));
+        let mixed = Rowset::gather(&[table.clone(), set], &[(0, 2), (1, 1)]);
+        assert!(matches!(&mixed[1], BaseColumn::Cells { .. }));
+        assert!(Arc::ptr_eq(
+            mixed[1].cells()[0].as_blob().unwrap(),
+            table.row_ref(2).get(1).as_blob().unwrap()
+        ));
+    }
+
+    #[test]
+    fn mismatched_columns_are_rejected() {
+        let cells = |n: i64| GroupColumn::Cells((0..n).map(Value::Int).collect());
+        assert!(Rowset::from_columns(blobs(), vec![cells(2)]).is_err());
+        assert!(Rowset::from_columns(blobs(), vec![cells(2), cells(3)]).is_err());
+        assert!(Rowset::from_columns(blobs(), vec![cells(0), cells(0)])
+            .unwrap()
+            .is_empty());
     }
 
     proptest::proptest! {
@@ -580,13 +917,13 @@ mod tests {
                     .as_ref()
                     .map(|held| held.row_refs().map(|row| row.iter().cloned().collect()).collect());
                 columns += width;
-                cur = Rowset::extend(input, wide(columns), cells, from);
+                cur = Rowset::extend(&input, wide(columns), cells, from);
                 proptest::prop_assert!(holds(&cur, &want), "extended by {}", width);
                 if let (Some(held), Some(before)) = (held, before) {
                     proptest::prop_assert!(holds(&held, &before), "the held input changed");
                 }
                 let keep: Vec<usize> = (0..cur.len()).filter(|&i| spec(i).3 == 1).collect();
-                cur = Rowset::pick(&Arc::new(cur), keep.clone());
+                cur = cur.pick(keep.clone());
                 want = keep.iter().map(|&i| want[i].clone()).collect();
                 proptest::prop_assert!(holds(&cur, &want), "picked");
             }

@@ -790,10 +790,10 @@ pub(crate) struct StoreCounters {
     pub bytes_read: Counter,
     /// `store.rows_decoded_total`: rows in the decoded groups.
     pub rows_decoded: Counter,
-    /// `store.rows_materialized_total`: rows a scan built as tuples — the
-    /// rows it kept of decoded groups (every one under a bare `Scan`, a
-    /// filter's survivors under `Scan → Filter`). A registered table's
-    /// rows are kept by index and count 0.
+    /// `store.rows_materialized_total`: rows a scan gathered out of
+    /// decoded waves — every row under a bare `Scan`, a filter's survivors
+    /// under `Scan → Filter`. A registered table's rows are kept by index
+    /// and count 0.
     pub rows_materialized: Counter,
 }
 

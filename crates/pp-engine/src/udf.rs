@@ -471,7 +471,6 @@ mod tests {
     /// error at its own row, and every other row dropped.
     #[test]
     fn default_eval_batch_equals_per_row_passes_over_ragged_batches() {
-        use crate::chunk::Chunk;
         use crate::row::Rowset;
         let f = ClosureFilter::new("odd-or-bust", 0.01, |row, _| match row.get(0).as_int()? {
             n if n % 7 == 3 => Err(EngineError::Transient(format!("row {n}"))),
@@ -479,11 +478,11 @@ mod tests {
         });
         let s = schema();
         let rows: Vec<Row> = (0..100).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let chunk = Chunk::from_rows(Arc::new(Rowset::new(s.clone(), rows.clone()).unwrap()));
+        let set = Rowset::new(s.clone(), rows.clone()).unwrap();
         for size in [1, 3, 7, 64, 100, 256] {
-            for start in (0..chunk.len()).step_by(size) {
-                let end = (start + size).min(chunk.len());
-                let got = f.eval_batch(&Batch::new(&chunk, start..end, start));
+            for start in (0..set.len()).step_by(size) {
+                let end = (start + size).min(set.len());
+                let got = f.eval_batch(&Batch::new(&set, start..end, start));
                 let (mut passed, mut failed) = (Vec::new(), Vec::new());
                 for (at, row) in (0..).zip(&rows[start..end]) {
                     match f.passes(row, &s) {

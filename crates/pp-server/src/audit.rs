@@ -63,7 +63,7 @@ use pp_engine::row::Rowset;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
 use pp_engine::udf::RowFilter;
-use pp_engine::{Batch, Chunk, LogicalPlan};
+use pp_engine::{Batch, LogicalPlan};
 use pp_linalg::rng::{hash2, splitmix64, unit};
 
 use crate::cache::CachedPlan;
@@ -373,16 +373,8 @@ fn replay(
     (read, memo): &Read,
     fraction: f64,
 ) -> Evidence {
-    let rows = read.rows();
-    let picked: Vec<_> = (rows.iter().enumerate())
-        .filter(|&(idx, _)| sampled(task.request_id, idx as u64, fraction))
-        .map(|(_, row)| row.clone())
-        .collect();
-    let schema = read.schema().clone();
-    let Ok(picked) = Rowset::new(schema.clone(), picked) else {
-        return Evidence::default();
-    };
-    let picked = Chunk::from_rows(Arc::new(picked));
+    let picked = (0..read.len()).filter(|&idx| sampled(task.request_id, idx as u64, fraction));
+    let picked = read.pick(picked.collect());
     // A filter of its own, so the served one's counters count served runs.
     let fresh = (filter.planned().clone()).into_filter(filter.blob_column());
     let selection = fresh.eval_batch(&Batch::new(&picked, 0..picked.len(), 0));
@@ -392,19 +384,13 @@ fn replay(
     for &at in (selection.passed.iter()).chain(selection.failed.iter().map(|(at, _)| at)) {
         kept[at as usize] = true;
     }
-    let dropped: Vec<_> = (0..picked.len())
-        .filter(|&at| !kept[at])
-        .map(|at| picked.row(at))
-        .collect();
+    let dropped: Vec<_> = (0..picked.len()).filter(|&at| !kept[at]).collect();
     if dropped.is_empty() {
         return Evidence::default();
     }
     let replays = dropped.len() as u64;
-    let Ok(dropped) = Rowset::new(schema, dropped) else {
-        return Evidence::default();
-    };
     let mut pinned = inner.data.clone();
-    pinned.register(spec.table(), dropped);
+    pinned.register(spec.table(), picked.pick(dropped));
     let mut ctx = ExecutionContext::builder(&pinned)
         .with_udf_memo(Arc::clone(memo))
         .build();

@@ -31,7 +31,7 @@ use std::fmt;
 use pp_engine::bytes::{put_u32, put_words, Reader, Truncated};
 use pp_engine::schema::DataType;
 use pp_engine::value::Value;
-use pp_engine::ChunkColumn;
+use pp_engine::GroupColumn;
 use pp_linalg::{FeatureBlock, Features, SparseVector};
 
 /// Leading file magic (`PPSG`).
@@ -492,9 +492,9 @@ pub(crate) fn decode_value(cur: &mut Reader<'_>) -> Result<Value, StoreError> {
 /// Decodes one column page of `rows` values: a page of dense blobs of
 /// one dimension into one block, in a single big-endian → `f64` pass;
 /// any other page cell by cell.
-pub(crate) fn decode_column(cur: &mut Reader<'_>, rows: usize) -> Result<ChunkColumn, StoreError> {
+pub(crate) fn decode_column(cur: &mut Reader<'_>, rows: usize) -> Result<GroupColumn, StoreError> {
     if let Some(block) = dense_block(cur, rows) {
-        return Ok(ChunkColumn::Block(block));
+        return Ok(GroupColumn::Block(block));
     }
     // Every encoded value is at least its tag byte.
     cur.expect_items(rows, 1)?;
@@ -502,7 +502,7 @@ pub(crate) fn decode_column(cur: &mut Reader<'_>, rows: usize) -> Result<ChunkCo
     for _ in 0..rows {
         cells.push(decode_value(cur)?);
     }
-    Ok(ChunkColumn::Cells(cells))
+    Ok(GroupColumn::Cells(cells))
 }
 
 /// The whole page as one block, if it is exactly `rows` dense blobs of

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pp_engine::schema::Schema;
-use pp_engine::{Chunk, EngineError, RowGroupMeta, TableProvider};
+use pp_engine::{EngineError, RowGroupMeta, Rowset, TableProvider};
 
 use crate::segment::Segment;
 use crate::{Result, StoreError};
@@ -81,11 +81,11 @@ impl SegmentScan {
 
     /// Caps the encoded bytes of the row groups a scan holds decoded at
     /// once: the scan operator decodes groups in budget-sized waves (a
-    /// group over the budget decodes alone). Under `Scan → Filter` — every
-    /// PP plan — a wave is dropped as soon as the filter's survivors are
-    /// out of it, so the budget bounds the decoded data resident at any
-    /// time; any other consumer of the scan still receives every decoded
-    /// row at once.
+    /// group over the budget decodes alone). A wave is dropped as soon as
+    /// the scan has copied out the rows it keeps — a filter's survivors
+    /// under `Scan → Filter`, every row under a bare `Scan` — so the
+    /// budget bounds the decoded data resident at any time beside what is
+    /// kept.
     pub fn with_memory_budget(mut self, bytes: u64) -> SegmentScan {
         self.budget = Some(bytes);
         self
@@ -114,7 +114,7 @@ impl TableProvider for SegmentScan {
         &self.metas[index]
     }
 
-    fn read_group(&self, index: usize) -> std::result::Result<Chunk, EngineError> {
+    fn read_group(&self, index: usize) -> std::result::Result<Rowset, EngineError> {
         let (si, g) = *self
             .index
             .get(index)

@@ -5,10 +5,11 @@
 //! entry; every declared size is capped before allocation and every page
 //! extent is bounds-checked against the data region. Reading a row
 //! group verifies every page checksum first, then decodes it column by
-//! column into a [`Chunk`] — a blob page of uniformly dense vectors into
-//! one contiguous block, never into per-row tuples — and requires each
-//! page to hold exactly the declared row count with no trailing bytes. Corrupt or truncated input yields a
-//! typed [`StoreError`] — never a panic.
+//! column into a [`Rowset`] of one row group — a blob page of uniformly
+//! dense vectors into one contiguous block, never into per-row tuples —
+//! and requires each page to hold exactly the declared row count with no
+//! trailing bytes. Corrupt or truncated input yields a typed
+//! [`StoreError`] — never a panic.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -19,7 +20,7 @@ use std::sync::Arc;
 
 use pp_engine::bytes::Reader;
 use pp_engine::schema::{Column, Schema};
-use pp_engine::{Chunk, ZoneMap};
+use pp_engine::{Rowset, ZoneMap};
 
 use crate::format::{
     crc32, decode_bound, decode_column, dtype_from_code, FOOTER_MAGIC, HEADER_LEN, MAGIC,
@@ -320,7 +321,7 @@ impl Segment {
     ///
     /// All pages land in one buffer of [`Segment::group_bytes`] bytes and
     /// every checksum is verified before any value is decoded.
-    pub fn read_group(&self, g: usize) -> Result<Chunk> {
+    pub fn read_group(&self, g: usize) -> Result<Rowset> {
         let entry = self.groups.get(g).ok_or_else(|| {
             StoreError::Corrupt(format!(
                 "row group {g} out of range ({})",
@@ -361,7 +362,7 @@ impl Segment {
                 )));
             }
         }
-        Chunk::from_columns(Arc::clone(&self.schema), columns)
+        Rowset::from_columns(Arc::clone(&self.schema), columns)
             .map_err(|e| StoreError::Corrupt(format!("row group {g}: {e}")))
     }
 }

@@ -20,7 +20,7 @@ use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::udf::{ClosureProcessor, Processor};
 use probabilistic_predicates::engine::{
-    Catalog, Chunk, EngineError, RowGroupMeta, Schema, TableProvider,
+    Catalog, EngineError, RowGroupMeta, Rowset, Schema, TableProvider,
 };
 use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
@@ -370,9 +370,12 @@ impl TableProvider for CountingProvider {
     fn group_meta(&self, index: usize) -> &RowGroupMeta {
         self.inner.group_meta(index)
     }
-    fn read_group(&self, index: usize) -> probabilistic_predicates::engine::Result<Chunk> {
+    fn read_group(&self, index: usize) -> probabilistic_predicates::engine::Result<Rowset> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.inner.read_group(index)
+    }
+    fn resident(&self) -> bool {
+        self.inner.resident()
     }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()

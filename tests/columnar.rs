@@ -29,7 +29,7 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::telemetry::EventKind;
 use probabilistic_predicates::engine::udf::{ClosureFilter, RowFilter};
 use probabilistic_predicates::engine::{
-    Batch, Catalog, Chunk, ChunkColumn, FaultPlan, FaultSpec, LogicalPlan, OperatorSpan, Row,
+    Batch, Catalog, FaultPlan, FaultSpec, GroupColumn, LogicalPlan, OperatorSpan, Row,
     RowGroupMeta, RowRef, Rowset, Schema, Selection, TableProvider, UdfMemo, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
@@ -488,13 +488,11 @@ fn eval_batch_equals_the_scalar_path_for_every_builtin_kernel() {
     }
 
     for (label, rows) in &batches {
-        let chunk = Chunk::from_rows(Arc::new(
-            Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema"),
-        ));
+        let set = Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema");
         for size in [7, 64, 70] {
             for start in (0..rows.len()).step_by(size) {
                 let end = (start + size).min(rows.len());
-                let batch = Batch::new(&chunk, start..end, start);
+                let batch = Batch::new(&set, start..end, start);
                 for filter in &filters {
                     assert_selects_like_passes(
                         filter.as_ref(),
@@ -632,12 +630,10 @@ fn leaf_by_leaf_walk_equals_the_scalar_path_on_random_expressions() {
                 rows[at] = Row::new(values);
             }
             for rows in [dense, rows] {
-                let chunk = Chunk::from_rows(Arc::new(
-                    Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema"),
-                ));
+                let set = Rowset::new(schema.clone(), rows.clone()).expect("rows share the schema");
                 let got = assert_selects_like_passes(
                     &filter,
-                    &Batch::new(&chunk, 0..size, 0),
+                    &Batch::new(&set, 0..size, 0),
                     &rows,
                     &schema,
                     &format!("{} over {size} rows", filter.name()),
@@ -789,7 +785,8 @@ fn survivors_of_an_in_memory_table_are_the_registered_rows() {
 }
 
 /// `rows` as one group of decoded cells, the way a segment table's rows
-/// reach a scan: what a scan keeps of it is built as tuples.
+/// reach a scan: what a scan keeps of it is gathered into a group of its
+/// own.
 #[derive(Debug)]
 struct Decoded {
     rows: Rowset,
@@ -821,10 +818,10 @@ impl TableProvider for Decoded {
     fn group_meta(&self, _: usize) -> &RowGroupMeta {
         &self.meta
     }
-    fn read_group(&self, _: usize) -> probabilistic_predicates::engine::Result<Chunk> {
+    fn read_group(&self, _: usize) -> probabilistic_predicates::engine::Result<Rowset> {
         let columns = (0..self.rows.schema().len())
-            .map(|c| ChunkColumn::Cells(self.rows.row_refs().map(|r| r.get(c).clone()).collect()));
-        Chunk::from_columns(self.schema(), columns.collect())
+            .map(|c| GroupColumn::Cells(self.rows.row_refs().map(|r| r.get(c).clone()).collect()));
+        Rowset::from_columns(self.schema(), columns.collect())
     }
     fn shard_count(&self) -> usize {
         1
@@ -832,36 +829,52 @@ impl TableProvider for Decoded {
 }
 
 /// A bare `Scan` over a registered table hands over the table's own rows
-/// by index: in order, equal cells, the same blob `Arc`s, and no row
-/// cloned while the output is alive. A NoP plan above it (`Scan → Process
-/// → Select`) reads them where they are and gives the cells, charges and
-/// telemetry of the tuple path — the same rows scanned as decoded cells.
+/// by index: in order, equal cells, the same blob `Arc`s, and — once the
+/// table's columns are built, by its first scan — no blob cloned while
+/// the output is alive. A NoP plan above it (`Scan → Process → Select`)
+/// reads them where they are and gives the cells, charges and telemetry
+/// of the tuple path — the same rows scanned as decoded cells.
 #[test]
 fn a_bare_scan_of_a_registered_table_hands_over_its_own_rows() {
     let f = fixture();
     let source = f.catalog.read_table("traffic").expect("registered slice");
-    let cells: Vec<Arc<[Value]>> = source.rows().iter().map(|r| r.values().into()).collect();
-    let rows = cells.iter().map(|c| Row::from(Arc::clone(c))).collect();
+    // Blobs of this test's own, so that no other test holds them.
+    let own = |cell: &Value| match cell {
+        Value::Blob(blob) => Value::blob((**blob).clone()),
+        other => other.clone(),
+    };
+    let rows = source.row_refs().map(|r| r.iter().map(own).collect());
+    let table = Rowset::new(source.schema().clone(), rows.collect()).expect("rows fit");
+    let blob = source.schema().index_of("frame").expect("blob column");
+    let blobs: Vec<_> = (table.rows().iter())
+        .map(|r| Arc::clone(r.get(blob).as_blob().expect("a blob")))
+        .collect();
     let mut catalog = Catalog::new();
-    catalog.register(
-        "traffic",
-        Rowset::new(source.schema().clone(), rows).expect("rows fit"),
-    );
-    let holders = || cells.iter().map(Arc::strong_count).collect::<Vec<_>>();
+    catalog.register("traffic", table.clone());
+    let scan = || ExecutionContext::new(&catalog).run(&LogicalPlan::scan("traffic"));
+    drop(scan().expect("first scan"));
+    let holders = || blobs.iter().map(Arc::strong_count).collect::<Vec<_>>();
     let before = holders();
-    let mut ctx = ExecutionContext::new(&catalog);
-    let out = ctx.run(&LogicalPlan::scan("traffic")).expect("scan");
-    assert_eq!(holders(), before, "the scan cloned a table row");
-    assert_eq!(verdicts(&out), verdicts(&source));
+    let out = scan().expect("scan");
+    assert_eq!(holders(), before, "the scan cloned a table blob");
+    let blobs_of = |rows: &Rowset| -> Vec<_> {
+        let blob = |r: RowRef<'_>| Arc::as_ptr(r.get(blob).as_blob().expect("a blob"));
+        rows.row_refs().map(blob).collect()
+    };
+    assert_eq!(
+        blobs_of(&out),
+        blobs.iter().map(Arc::as_ptr).collect::<Vec<_>>()
+    );
+    assert_eq!(verdicts(&out).0, verdicts(&source).0);
 
     let q1 = traf20_queries().into_iter().find(|q| q.id == 1);
     let nop = q1.expect("Q1").nop_plan(&f.dataset);
     let mut decoded = Catalog::new();
-    decoded.register_provider("traffic", Arc::new(Decoded::new(source)));
+    decoded.register_provider("traffic", Arc::new(Decoded::new(table)));
     let run = |catalog: &Catalog| {
         let mut ctx = ExecutionContext::new(catalog);
         let out = ctx.run(&nop).expect("NoP plan");
-        assert!(!out.is_empty() && out.len() < cells.len());
+        assert!(!out.is_empty() && out.len() < blobs.len());
         (verdicts(&out), observe(&ctx, &out))
     };
     assert_eq!(run(&catalog), run(&decoded));

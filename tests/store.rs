@@ -810,10 +810,11 @@ fn store_metrics_export_in_stable_order_and_stay_out_of_snapshots() {
     assert!(!openmetrics(snap).contains("pp_store_"));
 }
 
-/// `store.rows_materialized_total` counts the rows a scan built as
-/// tuples. A registered table's rows leave a scan by index, so it reads 0
-/// under a bare `Scan` and under `Scan → Filter`; over a segment table it
-/// reads the rows the scan kept, all of them or the filter's survivors.
+/// `store.rows_materialized_total` counts the rows a scan gathered out of
+/// a decoded wave. A registered table's rows leave a scan by index, so it
+/// reads 0 under a bare `Scan` and under `Scan → Filter`; over a segment
+/// table it reads the rows the scan kept, all of them or the filter's
+/// survivors.
 #[test]
 fn rows_materialized_counts_only_the_tuples_a_scan_built() {
     use probabilistic_predicates::engine::udf::ClosureFilter;
