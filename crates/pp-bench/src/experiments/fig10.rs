@@ -50,7 +50,7 @@ struct QueryRow {
 
 /// The frame ids of a TRAF result (column 1 of every TRAF-20 output).
 fn frames(out: &Rowset) -> Result<HashSet<i64>> {
-    let ids = out.rows().iter().map(|row| Ok(row.get(1).as_int()?));
+    let ids = out.row_refs().map(|row| Ok(row.get(1).as_int()?));
     ids.collect()
 }
 

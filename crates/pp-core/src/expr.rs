@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use pp_engine::batch::{Batch, Selection};
 use pp_engine::udf::RowFilter;
-use pp_engine::{Predicate, Row, Schema};
+use pp_engine::{Predicate, RowRef, Schema};
 use pp_linalg::{FeatureBatch, Features};
 
 use crate::combine::{conjoin_all, disjoin_all, Estimate};
@@ -389,7 +389,7 @@ impl RowFilter for PpExprFilter {
         self.planned.estimate.cost
     }
 
-    fn passes(&self, row: &Row, schema: &Schema) -> pp_engine::Result<bool> {
+    fn passes(&self, row: RowRef<'_>, schema: &Schema) -> pp_engine::Result<bool> {
         let blob = row.get_named(schema, &self.blob_column)?.as_blob()?;
         Ok(self.planned.passes(blob))
     }
@@ -595,8 +595,8 @@ mod tests {
         let schema = Schema::new(vec![Column::new("blob", DataType::Blob)]).unwrap();
         let pos = Row::new(vec![Value::blob(Features::Dense(vec![2.5, 0.0]))]);
         let neg = Row::new(vec![Value::blob(Features::Dense(vec![-2.5, 0.0]))]);
-        assert!(filter.passes(&pos, &schema).unwrap());
-        assert!(!filter.passes(&neg, &schema).unwrap());
+        assert!(filter.passes((&pos).into(), &schema).unwrap());
+        assert!(!filter.passes((&neg).into(), &schema).unwrap());
         assert!(filter.cost_per_row() > 0.0);
         assert!(filter.name().starts_with("PP"));
     }
@@ -622,7 +622,10 @@ mod tests {
             .collect();
         let set = Rowset::new(schema.clone(), rows.clone()).unwrap();
         let batched = filter.eval_batch(&Batch::new(&set, 0..rows.len(), 0));
-        let scalar: Selection = rows.iter().map(|r| filter.passes(r, &schema)).collect();
+        let scalar: Selection = rows
+            .iter()
+            .map(|r| filter.passes(r.into(), &schema))
+            .collect();
         assert_eq!(batched.passed, scalar.passed);
         assert!(batched.failed.is_empty() && scalar.failed.is_empty());
     }

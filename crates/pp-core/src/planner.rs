@@ -691,7 +691,7 @@ mod tests {
         let rows = second.read_table("video").map_err(PpError::Engine)?;
         cat.register(
             "stills",
-            Rowset::new(schema, rows.rows().to_vec()).map_err(PpError::Engine)?,
+            Rowset::new(schema, rows.rows()).map_err(PpError::Engine)?,
         );
         let udf = Arc::new(ClosureProcessor::map(
             "Color",

@@ -59,7 +59,7 @@ pub fn harvest_labels(
 
     // Per blob (by Arc pointer), per clause: did any derived row satisfy it?
     let mut passed: HashMap<usize, Vec<bool>> = HashMap::new();
-    for row in out.rows() {
+    for row in out.row_refs() {
         let blob = row.get(out_blob_idx).as_blob()?;
         let ptr = Arc::as_ptr(blob) as usize;
         let flags = passed
@@ -73,7 +73,7 @@ pub fn harvest_labels(
     }
     // Assemble one labeled set per clause, in source order.
     let mut sets: Vec<LabeledSet> = (0..clauses.len()).map(|_| LabeledSet::empty()).collect();
-    for row in source.rows() {
+    for row in source.row_refs() {
         let blob = row.get(blob_idx).as_blob()?;
         let ptr = Arc::as_ptr(blob) as usize;
         let flags = passed.get(&ptr);

@@ -292,8 +292,8 @@ mod tests {
         for v in ["sedan", "SUV", "truck", "van"] {
             let row = Row::new(vec![Value::str(v)]);
             assert_eq!(
-                pred.eval(&row, &schema).unwrap(),
-                wrangled.eval(&row, &schema).unwrap(),
+                pred.eval((&row).into(), &schema).unwrap(),
+                wrangled.eval((&row).into(), &schema).unwrap(),
                 "value {v}"
             );
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pp_engine::predicate::{Clause, CompareOp};
 use pp_engine::udf::{ClosureProcessor, Processor};
-use pp_engine::{Catalog, Column, DataType, Row, Rowset, Schema, Value};
+use pp_engine::{Catalog, Column, DataType, GroupColumn, Rowset, Schema, Value};
 use pp_linalg::Features;
 use pp_ml::dataset::{LabeledSet, Sample};
 use rand::rngs::StdRng;
@@ -116,8 +116,9 @@ impl TrafficDataset {
         let type_w = [0.50, 0.20, 0.10, 0.20];
         let color_w = [0.08, 0.25, 0.30, 0.22, 0.15];
         let mut truths = Vec::with_capacity(config.n_frames);
-        let mut rows = Vec::with_capacity(config.n_frames);
-        for i in 0..config.n_frames {
+        // The table's three columns, built as columns: no tuple is made.
+        let mut frames = Vec::with_capacity(config.n_frames);
+        for _ in 0..config.n_frames {
             let veh_type = VEH_TYPES[weighted_choice(&type_w, &mut rng)];
             let color = VEH_COLORS[weighted_choice(&color_w, &mut rng)];
             // Speed: bulk between 25 and 65, with a fast tail.
@@ -140,21 +141,28 @@ impl TrafficDataset {
                 from,
                 to,
             };
-            let blob = Self::render(&truth, &config, &mut rng);
-            rows.push(Row::new(vec![
-                Value::Int((i % config.cameras) as i64),
-                Value::Int(i as i64),
-                Value::blob(blob),
-            ]));
+            frames.push(Value::blob(Self::render(&truth, &config, &mut rng)));
             truths.push(truth);
         }
+        let ints = |f: &dyn Fn(usize) -> usize| {
+            GroupColumn::Cells(
+                (0..config.n_frames)
+                    .map(|i| Value::Int(f(i) as i64))
+                    .collect(),
+            )
+        };
+        let columns = vec![
+            ints(&|i| i % config.cameras),
+            ints(&|i| i),
+            GroupColumn::Cells(frames),
+        ];
         let schema = Schema::new(vec![
             Column::new("cameraID", DataType::Int),
             Column::new("frameID", DataType::Int),
             Column::new("frame", DataType::Blob),
         ]);
-        // Three distinct names, and three cells in every row above.
-        let Ok(table) = schema.and_then(|schema| Rowset::new(schema, rows)) else {
+        // Three distinct names, and three columns of one length above.
+        let Ok(table) = schema.and_then(|schema| Rowset::from_columns(schema, columns)) else {
             unreachable!("the traffic table is well-formed by construction")
         };
         TrafficDataset {
@@ -226,12 +234,7 @@ impl TrafficDataset {
     /// trained on the first chunk of the stream and queries run on the
     /// rest, §8.2).
     pub fn register_slice(&self, catalog: &mut Catalog, range: std::ops::Range<usize>) {
-        let rows: Vec<Row> = self.table.rows()[range].to_vec();
-        // The rows are the table's own, so they fit its schema.
-        let Ok(slice) = Rowset::new(self.table.schema().clone(), rows) else {
-            unreachable!("a slice of a table fits the table's schema")
-        };
-        catalog.register("traffic", slice);
+        catalog.register("traffic", self.table.pick(range.collect()));
     }
 
     /// Like [`Self::labeled_for_clause`] but restricted to a frame range.
@@ -244,7 +247,7 @@ impl TrafficDataset {
         // `config.blob_dim`, so the samples share one dimension.
         range
             .map(|i| {
-                let Value::Blob(blob) = self.table.rows()[i].get(FRAME_COLUMN) else {
+                let Value::Blob(blob) = self.table.row_ref(i).get(FRAME_COLUMN) else {
                     unreachable!("`generate` puts a blob in every frame cell")
                 };
                 Sample::new((**blob).clone(), self.clause_truth(clause, i))

@@ -11,10 +11,10 @@
 //!
 //! The byte-identity invariant is defined against the **scalar per-row
 //! path** ([`RowFilter::passes`](crate::udf::RowFilter::passes),
-//! [`Processor::process`](crate::udf::Processor::process)) — the path the
-//! executor already uses for retries, i.e. what a `K=1, batch_size=1` run
-//! evaluates. An `eval_batch` override must stay **bit-identical** to it:
-//! a block row holds a dense feature vector bit for bit and every model
+//! [`Processor::process`](crate::udf::Processor::process)), both of which
+//! read a row where it is kept. An `eval_batch` override must stay
+//! **bit-identical** to `passes` over the same rows, one row or many: a
+//! block row holds a dense feature vector bit for bit and every model
 //! scores the block through the same `pp_linalg::kernels`, so this holds
 //! by construction. Sparse vectors are never gathered (densifying would
 //! reassociate their dot-product sums); a column containing any sparse or
@@ -25,7 +25,7 @@ use std::ops::Range;
 
 use pp_linalg::{FeatureBatch, FeatureBlock, Features};
 
-use crate::row::{Row, RowRef, Rowset};
+use crate::row::{RowRef, Rowset};
 use crate::schema::Schema;
 use crate::{EngineError, Result};
 
@@ -33,9 +33,9 @@ use crate::{EngineError, Result};
 ///
 /// Feature columns come through
 /// [`feature_column`](Batch::feature_column). Non-feature columns are
-/// read where the rows keep them ([`row_refs`](Batch::row_refs)) or as
-/// tuples ([`rows`](Batch::rows)); vectorizing plain predicate evaluation
-/// is not where PP plans spend their time.
+/// read where the rows keep them ([`row_refs`](Batch::row_refs));
+/// vectorizing plain predicate evaluation is not where PP plans spend
+/// their time.
 #[derive(Debug, Clone)]
 pub struct Batch<'a> {
     set: &'a Rowset,
@@ -63,21 +63,18 @@ impl<'a> Batch<'a> {
         self.set.schema()
     }
 
-    /// The rows as tuples, in batch order. This builds the rowset's
-    /// tuples (once); kernels that only read a feature column never call
-    /// it.
-    pub fn rows(&self) -> &'a [Row] {
-        &self.set.rows()[self.rows.clone()]
-    }
-
-    /// Row `i` of the batch as a tuple, built alone where the rowset has
-    /// not built its tuples.
+    /// Row `at` of the batch alone, as a batch: what a retry evaluates.
     ///
     /// # Panics
-    /// If `i` is not below [`len`](Self::len).
-    pub(crate) fn row(&self, i: usize) -> Row {
-        assert!(i < self.len(), "row {i} out of a {}-row batch", self.len());
-        self.set.row(self.rows.start + i)
+    /// If `at` is not below [`len`](Self::len).
+    pub(crate) fn one(&self, at: usize) -> Batch<'a> {
+        assert!(
+            at < self.len(),
+            "row {at} out of a {}-row batch",
+            self.len()
+        );
+        let row = self.rows.start + at;
+        Batch::new(self.set, row..row + 1, self.offset + at)
     }
 
     /// The rows in batch order, each read where the rowset keeps it: no
@@ -177,6 +174,17 @@ pub struct Selection {
     pub failed: Vec<(u32, EngineError)>,
 }
 
+impl Selection {
+    /// The verdict of a one-row batch's selection: the row's error, or
+    /// whether it passed.
+    pub(crate) fn verdict(mut self) -> Result<bool> {
+        match self.failed.pop() {
+            Some((_, e)) => Err(e),
+            None => Ok(!self.passed.is_empty()),
+        }
+    }
+}
+
 impl FromIterator<Result<bool>> for Selection {
     fn from_iter<I: IntoIterator<Item = Result<bool>>>(verdicts: I) -> Self {
         let verdicts = verdicts.into_iter();
@@ -225,7 +233,7 @@ impl FeatureColumn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::GroupColumn;
+    use crate::row::{GroupColumn, Row};
     use crate::schema::{Column, DataType};
     use crate::value::Value;
     use std::sync::Arc;
@@ -257,7 +265,9 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.offset(), 7);
         assert!(!b.is_empty());
-        assert_eq!(b.rows()[0].get(0).as_int().unwrap(), 1);
+        let one = b.one(1);
+        assert_eq!((one.len(), one.offset()), (1, 8));
+        assert_eq!(one.row_refs().next().unwrap().get(0).as_int().unwrap(), 2);
     }
 
     /// A column of dense blob cells gathers into one block the first

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use pp_linalg::rng::{derive_seed, hash2, unit};
 
 use crate::logical::LogicalPlan;
-use crate::row::{Row, RowRef};
+use crate::row::RowRef;
 use crate::schema::{Column, Schema};
 use crate::sync::Mutex;
 use crate::udf::{Processor, RowFilter};
@@ -446,7 +446,8 @@ impl Processor for FaultyProcessor {
             Some(_) => {
                 // Silent corruption: NaN out every float cell. Nothing
                 // checks a processor's output, so the cells flow on.
-                crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
+                let inner = |out: &mut Vec<Value>| self.inner.process(row, schema, out);
+                crate::udf::attempt(self.name(), out, inner, |fresh| {
                     let mut corrupted = false;
                     for cell in fresh {
                         if matches!(cell, Value::Float(_)) {
@@ -515,10 +516,9 @@ impl RowFilter for FaultyFilter {
     fn fail_open(&self) -> bool {
         self.inner.fail_open()
     }
-    fn passes(&self, row: &Row, schema: &Schema) -> Result<bool> {
+    fn passes(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool> {
         let log = self.log.as_deref();
-        let row_ref = RowRef::from(row);
-        match inject(&self.spec, self.seed, log, self.name(), "filter", row_ref)? {
+        match inject(&self.spec, self.seed, log, self.name(), "filter", row)? {
             None => self.inner.passes(row, schema),
             // A filter's output is one bit; flipping it would *silently*
             // drop rows, which nothing could catch. Corruption is
@@ -535,6 +535,7 @@ impl RowFilter for FaultyFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::DataType;
     use crate::udf::{ClosureFilter, ClosureProcessor};
 
@@ -651,7 +652,7 @@ mod tests {
         let f = FaultyFilter::new(inner, FaultSpec::corrupt(1.0), 3);
         let s = schema();
         assert!(matches!(
-            f.passes(&Row::new(vec![Value::Int(1)]), &s),
+            f.passes(RowRef::from(&Row::new(vec![Value::Int(1)])), &s),
             Err(EngineError::CorruptOutput(_))
         ));
         assert!(f.fail_open());

@@ -360,7 +360,8 @@ impl Processor for MemoProcessor {
                 return Ok(());
             }
         }
-        crate::udf::attempt(self.inner.as_ref(), row, schema, out, |fresh| {
+        let inner = |out: &mut Vec<Value>| self.inner.process(row, schema, out);
+        crate::udf::attempt(self.name(), out, inner, |fresh| {
             let mut table = self.table.lock();
             table.invoked += 1;
             // A sibling may have computed the same (pure) call meanwhile.

@@ -71,7 +71,7 @@
 //! [`Processor::process`] call of the batch appends its cells to it (a
 //! failed attempt's are cut off again), with an output-row count only for
 //! a row that did not make exactly one — no allocation per row, and no
-//! tuple until something asks for one ([`Rowset::rows`]).
+//! tuple: no operator builds one.
 //! The calling thread then *consumes* the records sequentially in global row
 //! order (morsels reassembled by index), which replays circuit-breaker
 //! evolution, fail-open decisions, span counters, and cost charges
@@ -85,8 +85,10 @@
 //! (`parallelism = 1, batch_size = 1`) for every seed, every parallelism,
 //! and every batch size.
 //! Group-based operators (`Join`, `Aggregate`, `Reduce`, `Combine`) and
-//! `Project` run serially on the caller. This dispatch is the one
-//! statement of what runs in parallel: no plan annotation restates it.
+//! `Project` run serially on the caller; the group-based ones read their
+//! inputs where they are kept and write their rows' cells into one
+//! buffer. This dispatch is the one statement of what runs in parallel:
+//! no plan annotation restates it.
 //!
 //! Failure semantics, per operator kind:
 //!
@@ -120,7 +122,7 @@ use crate::logical::{project_columns, AggExpr, AggFunc, LogicalPlan, ProjectItem
 use crate::predicate::Predicate;
 use crate::provider::TableProvider;
 use crate::resilience::{self, Breaker, ProbeOutcome};
-use crate::row::{Group, GroupColumn, Row, RowRef, Rowset, Slot};
+use crate::row::{Group, GroupColumn, RowRef, Rowset, Slot};
 use crate::schema::{Column, Schema};
 use crate::sync::{Condvar, Mutex};
 use crate::telemetry::{Counter, EventKind, OperatorSpan, SpanCollector};
@@ -1011,13 +1013,9 @@ impl Executor<'_> {
                     .into_iter()
                     .map(|(at, first)| {
                         let at = at as usize;
-                        // Only a retry needs the row as a tuple, and it
-                        // builds that row alone.
-                        let mut row = None;
-                        let retry = || {
-                            let row = row.get_or_insert_with(|| batch.row(at));
-                            filter.passes(row, batch.schema())
-                        };
+                        // A retry is the first call again, over the row
+                        // alone.
+                        let retry = || filter.eval_batch(&batch.one(at)).verdict();
                         (at, resilience::resume_probe(&name, Err(first), retry))
                     })
                     .collect();
@@ -1076,9 +1074,11 @@ impl Executor<'_> {
                 // rows it appended to the batch's buffer. An attempt that
                 // fails — the UDF's error or a part-written row — is like
                 // any other failed call, and leaves no cell behind.
+                let udf_name = udf.name();
                 let call = |row: RowRef<'_>, schema: &Schema, cells: &mut Vec<Value>| {
-                    crate::udf::attempt(udf.as_ref(), row, schema, cells, |fresh| {
-                        crate::udf::output_rows(udf.as_ref(), fresh.len())
+                    let process = |out: &mut Vec<Value>| udf.process(row, schema, out);
+                    crate::udf::attempt(udf_name, cells, process, |fresh| {
+                        crate::udf::output_rows(udf_name, width, fresh.len())
                     })
                 };
                 let schema = batch.schema();
@@ -1327,8 +1327,8 @@ impl Executor<'_> {
         let lk = l.schema().index_of(left_key)?;
         let rk = r.schema().index_of(right_key)?;
         // Build on the (primary-key) right side.
-        let mut build: HashMap<Key, Vec<&Row>> = HashMap::new();
-        for row in r.rows() {
+        let mut build: HashMap<Key, Vec<RowRef<'_>>> = HashMap::new();
+        for row in r.row_refs() {
             build.entry(row.get(rk).as_key()?).or_default().push(row);
         }
         let mut out_cols = l.schema().columns().to_vec();
@@ -1338,24 +1338,21 @@ impl Executor<'_> {
             }
         }
         let out_schema = Schema::new(out_cols)?;
-        let mut out = Vec::new();
+        let (mut cells, mut rows) = (Vec::new(), 0);
         let mut matched_left: u64 = 0;
-        for lrow in l.rows() {
+        for lrow in l.row_refs() {
             let key = lrow.get(lk).as_key()?;
             if let Some(matches) = build.get(&key) {
                 matched_left += 1;
                 for rrow in matches {
-                    let mut cells = lrow.values().to_vec();
-                    for (i, v) in rrow.values().iter().enumerate() {
-                        if i != rk {
-                            cells.push(v.clone());
-                        }
-                    }
-                    out.push(Row::new(cells));
+                    cells.extend(lrow.iter().cloned());
+                    let right = rrow.iter().enumerate().filter(|&(i, _)| i != rk);
+                    cells.extend(right.map(|(_, v)| v.clone()));
+                    rows += 1;
                 }
             }
         }
-        let out = Rowset::new(out_schema, out)?;
+        let out = Rowset::of_cells(out_schema, cells, rows);
         let rows_in = l.len() + r.len();
         let mut span = self.flat_span(op, rows_in, JOIN_S_PER_ROW, rows_in);
         // Unmatched left rows are dropped by the join predicate —
@@ -1384,15 +1381,15 @@ impl Executor<'_> {
                 }
             })
             .collect::<Result<_>>()?;
-        let mut out = Vec::new();
-        for rows in group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))? {
-            let mut cells: Vec<Value> = key_idx.iter().map(|&i| rows[0].get(i).clone()).collect();
+        let groups = group_first_seen(in_rows.row_refs(), |row| row_key(row, &key_idx))?;
+        let mut cells = Vec::with_capacity(groups.len() * out_schema.len());
+        for rows in &groups {
+            cells.extend(key_idx.iter().map(|&i| rows[0].get(i).clone()));
             for (a, idx) in aggs.iter().zip(&agg_idx) {
-                cells.push(eval_agg(a.func, *idx, &rows)?);
+                cells.push(eval_agg(a.func, *idx, rows)?);
             }
-            out.push(Row::new(cells));
         }
-        let out = Rowset::new(out_schema, out)?;
+        let out = Rowset::of_cells(out_schema, cells, groups.len());
         let total = in_rows.len();
         let mut span = self.flat_span(op, total, AGGREGATE_S_PER_ROW, total);
         span.rows_out = total as u64;
@@ -1401,18 +1398,17 @@ impl Executor<'_> {
 
     fn reduce(&mut self, op: String, in_rows: Rowset, reducer: &dyn Reducer) -> Result<Finished> {
         let key_idx = column_indices(in_rows.schema(), reducer.key_columns())?;
-        let groups: Vec<Vec<Row>> = group_first_seen(in_rows.rows(), |row| row_key(row, &key_idx))?
-            .into_iter()
-            .map(owned)
-            .collect();
+        let groups = group_first_seen(in_rows.row_refs(), |row| row_key(row, &key_idx))?;
+        let schema = in_rows.schema();
         self.fold_groups(
             op,
             in_rows.len(),
-            Schema::new(reducer.output_columns().to_vec())?,
+            reducer.name(),
+            reducer.output_columns(),
             reducer.cost_per_row(),
             &groups,
             Vec::len,
-            |group| reducer.reduce(group, in_rows.schema()),
+            |group, out| reducer.reduce(group, schema, out),
         )
     }
 
@@ -1425,36 +1421,37 @@ impl Executor<'_> {
     ) -> Result<Finished> {
         let lk = l.schema().index_of(combiner.left_key())?;
         let rk = r.schema().index_of(combiner.right_key())?;
-        let mut rgroups: HashMap<Key, Vec<Row>> = HashMap::new();
-        for row in r.rows() {
-            rgroups
-                .entry(row.get(rk).as_key()?)
-                .or_default()
-                .push(row.clone());
+        let mut rgroups: HashMap<Key, Vec<RowRef<'_>>> = HashMap::new();
+        for row in r.row_refs() {
+            rgroups.entry(row.get(rk).as_key()?).or_default().push(row);
         }
         // Left groups in first-seen order, each paired with the right
         // group sharing its key; a left group without one never reaches
         // the combiner.
-        let mut pairs: Vec<(Vec<Row>, &Vec<Row>)> = Vec::new();
-        for lg in group_first_seen(l.rows(), |row| row.get(lk).as_key())? {
+        let mut pairs = Vec::new();
+        for lg in group_first_seen(l.row_refs(), |row| row.get(lk).as_key())? {
             if let Some(rg) = rgroups.get(&lg[0].get(lk).as_key()?) {
-                pairs.push((owned(lg), rg));
+                pairs.push((lg, rg));
             }
         }
         self.fold_groups(
             op,
             l.len() + r.len(),
-            Schema::new(combiner.output_columns().to_vec())?,
+            combiner.name(),
+            combiner.output_columns(),
             combiner.cost_per_row(),
             &pairs,
             |(lg, rg)| lg.len() + rg.len(),
-            |(lg, rg)| combiner.combine(lg, rg, l.schema(), r.schema()),
+            |(lg, rg), out| combiner.combine(lg, rg, l.schema(), r.schema(), out),
         )
     }
 
     /// The group-invocation loop shared by Reduce and Combine: one
     /// resilient `call` per group, serially on the calling thread, until
-    /// the first group whose call still fails after retries. Group
+    /// the first group whose call still fails after retries. A call
+    /// appends its output rows' cells to the operator's one buffer, all
+    /// or nothing, as a processor's does (`udf::attempt`): a whole number
+    /// of rows of the UDF's declared `columns`, or the call failed. Group
     /// UDFs are charged per input row; a retried group re-pays for each
     /// of its `size` rows. Input rows that reached no group (Combine's
     /// unmatched keys) count as filtered.
@@ -1463,14 +1460,16 @@ impl Executor<'_> {
         &mut self,
         op: String,
         rows_in: usize,
-        out_schema: Arc<Schema>,
+        udf: &str,
+        columns: &[Column],
         cost_per_row: f64,
         groups: &[G],
         size: impl Fn(&G) -> usize,
-        call: impl Fn(&G) -> Result<Vec<Row>>,
+        call: impl Fn(&G, &mut Vec<Value>) -> Result<()>,
     ) -> Result<Finished> {
+        let out_schema = Schema::new(columns.to_vec())?;
         let mut span = OperatorSpan::new(op.clone(), rows_in);
-        let mut out = Vec::new();
+        let (mut cells, mut rows) = (Vec::new(), 0);
         let mut retried_rows: usize = 0;
         let mut extra_seconds = 0.0;
         let mut failure: Option<EngineError> = None;
@@ -1481,17 +1480,21 @@ impl Executor<'_> {
                 break;
             }
             let n = size(group);
-            let outcome = resilience::probe(&op, || call(group));
+            let outcome = resilience::probe(&op, || {
+                crate::udf::attempt(
+                    udf,
+                    &mut cells,
+                    |out| call(group, out),
+                    |fresh| crate::udf::output_rows(udf, columns.len(), fresh.len()),
+                )
+            });
             record_outcome(self.tel, &mut span, None, &outcome, n as f64 * cost_per_row);
             retried_rows += outcome.attempts.saturating_sub(1) as usize * n;
             extra_seconds += outcome.extra_seconds;
             match outcome.result {
-                Ok(rows) => {
+                Ok(made) => {
                     span.rows_out += n as u64;
-                    for row in &rows {
-                        crate::row::check_arity(&out_schema, row.len())?;
-                    }
-                    out.extend(rows);
+                    rows += made;
                 }
                 Err(e) => {
                     failure = Some(e);
@@ -1503,7 +1506,7 @@ impl Executor<'_> {
         if failure.is_none() {
             span.rows_filtered = span.rows_in - span.rows_out;
         }
-        let out = Rowset::new(out_schema, out)?;
+        let out = Rowset::of_cells(out_schema, cells, rows);
         Ok(Finished { span, out, failure })
     }
 }
@@ -1538,18 +1541,18 @@ fn column_indices(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
     names.iter().map(|n| schema.index_of(n)).collect()
 }
 
-fn row_key(row: &Row, key_idx: &[usize]) -> Result<Vec<Key>> {
+fn row_key(row: RowRef<'_>, key_idx: &[usize]) -> Result<Vec<Key>> {
     key_idx.iter().map(|&i| row.get(i).as_key()).collect()
 }
 
 /// Groups `rows` by `key`, groups in first-seen key order and rows in
 /// input order within each — which keeps grouped output deterministic.
-fn group_first_seen<K: Hash + Eq>(
-    rows: &[Row],
-    key: impl Fn(&Row) -> Result<K>,
-) -> Result<Vec<Vec<&Row>>> {
+fn group_first_seen<'a, K: Hash + Eq>(
+    rows: impl Iterator<Item = RowRef<'a>>,
+    key: impl Fn(RowRef<'a>) -> Result<K>,
+) -> Result<Vec<Vec<RowRef<'a>>>> {
     let mut index: HashMap<K, usize> = HashMap::new();
-    let mut groups: Vec<Vec<&Row>> = Vec::new();
+    let mut groups: Vec<Vec<RowRef<'a>>> = Vec::new();
     for row in rows {
         let slot = *index.entry(key(row)?).or_insert(groups.len());
         if slot == groups.len() {
@@ -1560,11 +1563,7 @@ fn group_first_seen<K: Hash + Eq>(
     Ok(groups)
 }
 
-fn owned(group: Vec<&Row>) -> Vec<Row> {
-    group.into_iter().cloned().collect()
-}
-
-fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
+fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[RowRef<'_>]) -> Result<Value> {
     match func {
         AggFunc::Count => Ok(Value::Int(rows.len() as i64)),
         AggFunc::Sum | AggFunc::Avg => {
@@ -1616,6 +1615,7 @@ fn eval_agg(func: AggFunc, col: Option<usize>, rows: &[&Row]) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::predicate::{Clause, CompareOp};
+    use crate::row::Row;
     use crate::schema::DataType;
     use crate::udf::{ClosureFilter, ClosureProcessor, ClosureReducer};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1856,9 +1856,10 @@ mod tests {
                 Column::new("track_len", DataType::Int),
             ],
             0.5,
-            |group, schema| {
+            |group, schema, out| {
                 let cam = group[0].get_named(schema, "cam")?.clone();
-                Ok(vec![Row::new(vec![cam, Value::Int(group.len() as i64)])])
+                out.extend([cam, Value::Int(group.len() as i64)]);
+                Ok(())
             },
         ));
         let plan = LogicalPlan::scan("frames").reduce(reducer);
@@ -1894,12 +1895,17 @@ mod tests {
         fn cost_per_row(&self) -> f64 {
             0.5
         }
-        fn combine(&self, l: &[Row], r: &[Row], ls: &Schema, _: &Schema) -> Result<Vec<Row>> {
+        fn combine(
+            &self,
+            l: &[RowRef<'_>],
+            r: &[RowRef<'_>],
+            ls: &Schema,
+            _: &Schema,
+            out: &mut Vec<Value>,
+        ) -> Result<()> {
             let cam = l[0].get_named(ls, "cam")?.clone();
-            Ok(vec![Row::new(vec![
-                cam,
-                Value::Int((l.len() * r.len()) as i64),
-            ])])
+            out.extend([cam, Value::Int((l.len() * r.len()) as i64)]);
+            Ok(())
         }
     }
 
@@ -2276,7 +2282,7 @@ mod tests {
             fn cost_per_row(&self) -> f64 {
                 0.1
             }
-            fn passes(&self, _: &Row, _: &Schema) -> Result<bool> {
+            fn passes(&self, _: RowRef<'_>, _: &Schema) -> Result<bool> {
                 Err(EngineError::PoisonedRow("down".into()))
             }
             fn fail_open(&self) -> bool {
@@ -2386,6 +2392,114 @@ mod tests {
         let p = find_op(tel.spans(), "Process[Short]")?;
         assert_eq!((p.attempts, p.failures, p.rows_emitted), (4, 1, 3));
         assert!((p.seconds - 8.0).abs() < 1e-9);
+        Ok(())
+    }
+
+    /// A reducer or a combiner appends its cells under the processor's
+    /// rule: an attempt that fails leaves none of them, and a part-written
+    /// row is a failed call — counted, charged, the span closed failed —
+    /// not an `InvalidPlan` out of the middle of the operator. Each group
+    /// UDF here writes a cell and fails transiently, is retried, and
+    /// writes a row short of its two columns; every attempt finds the
+    /// buffer as the groups before it left it.
+    #[test]
+    fn a_short_row_from_a_reducer_or_combiner_is_a_charged_udf_failure() -> Result<()> {
+        use crate::sync::Mutex;
+        /// Group 0 writes its row; group 1 fails as described. Notes the
+        /// buffer's length at the start of every attempt.
+        fn short(group: i64, out: &mut Vec<Value>, seen: &Mutex<Vec<usize>>) -> Result<()> {
+            let mut seen = seen.lock();
+            seen.push(out.len());
+            out.push(Value::Int(group));
+            match (group, seen.len()) {
+                (0, _) => out.push(Value::Int(0)),
+                (_, 2) => return Err(EngineError::Transient("after one cell".into())),
+                _ => {}
+            }
+            Ok(())
+        }
+        let columns = vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let noted = Arc::clone(&seen);
+        let reducer = Arc::new(ClosureReducer::new(
+            "Short",
+            vec!["cam".into()],
+            columns.clone(),
+            1.0,
+            move |group, schema, out| {
+                let cam = group[0].get_named(schema, "cam")?.as_str()?;
+                short(i64::from(cam == "C2"), out, &noted)
+            },
+        ));
+        struct ShortPairs(Vec<Column>, Arc<Mutex<Vec<usize>>>);
+        impl Combiner for ShortPairs {
+            fn name(&self) -> &str {
+                "Short"
+            }
+            fn left_key(&self) -> &str {
+                "cam"
+            }
+            fn right_key(&self) -> &str {
+                "cam"
+            }
+            fn output_columns(&self) -> &[Column] {
+                &self.0
+            }
+            fn cost_per_row(&self) -> f64 {
+                1.0
+            }
+            fn combine(
+                &self,
+                l: &[RowRef<'_>],
+                _: &[RowRef<'_>],
+                ls: &Schema,
+                _: &Schema,
+                out: &mut Vec<Value>,
+            ) -> Result<()> {
+                let cam = l[0].get_named(ls, "cam")?.as_str()?;
+                short(i64::from(cam == "C2"), out, &self.1)
+            }
+        }
+        let cat = catalog()?;
+        let combiner = Arc::new(ShortPairs(columns, Arc::clone(&seen)));
+        let plans = [
+            ("Reduce[Short]", LogicalPlan::scan("frames").reduce(reducer)),
+            (
+                "Combine[Short]",
+                LogicalPlan::Combine {
+                    left: Box::new(LogicalPlan::scan("frames")),
+                    right: Box::new(LogicalPlan::scan("frames")),
+                    combiner,
+                },
+            ),
+        ];
+        for (op, plan) in plans {
+            seen.lock().clear();
+            let mut tel = SpanCollector::detached();
+            match run_with(&plan, &cat, &mut tel) {
+                Err(EngineError::RetriesExhausted { attempts, last, .. }) => {
+                    assert_eq!(attempts, 2, "{op}");
+                    assert!(
+                        matches!(*last, EngineError::Udf(ref m)
+                            if m == "Short: produced 1 cells, declared 2 output columns"),
+                        "{op}: {last:?}"
+                    );
+                }
+                other => panic!("{op}: expected exhausted retries, got {other:?}"),
+            }
+            // Group 0's row stays; each of group 1's attempts starts behind it.
+            assert_eq!(*seen.lock(), [0, 2, 2], "{op}");
+            let span = find_op(tel.spans(), op)?;
+            assert_eq!(
+                (span.attempts, span.retries, span.failures),
+                (3, 1, 2),
+                "{op}"
+            );
+            assert!(span.rows_failed > 0 && span.seconds > 0.0, "{op}: {span:?}");
+        }
         Ok(())
     }
 

@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::row::{Row, RowRef};
+use crate::row::RowRef;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -107,8 +107,8 @@ impl Clause {
         }
     }
 
-    /// Evaluates against a row.
-    pub fn eval(&self, row: &Row, schema: &Schema) -> Result<bool> {
+    /// Evaluates against a row, read where it is kept.
+    pub fn eval(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool> {
         let cell = row.get_named(schema, &self.column)?;
         Ok(self.op.eval(cell, &self.value))
     }
@@ -181,10 +181,10 @@ impl Predicate {
         Predicate::Not(Box::new(p))
     }
 
-    /// Evaluates against a row. To evaluate many rows of one schema,
-    /// [`bind`](Self::bind) once instead.
-    pub fn eval(&self, row: &Row, schema: &Schema) -> Result<bool> {
-        self.bind(schema).eval(RowRef::from(row))
+    /// Evaluates against a row, read where it is kept. To evaluate many
+    /// rows of one schema, [`bind`](Self::bind) once instead.
+    pub fn eval(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool> {
+        self.bind(schema).eval(row)
     }
 
     /// The predicate with every clause's column resolved against `schema`
@@ -479,6 +479,7 @@ impl fmt::Display for Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::{Column, DataType, Schema};
 
     fn schema() -> std::sync::Arc<Schema> {
@@ -497,11 +498,11 @@ mod tests {
     fn clause_eval() {
         let sch = schema();
         let c = Clause::new("t", CompareOp::Eq, "SUV");
-        assert!(c.eval(&row("SUV", 0.0), &sch).unwrap());
-        assert!(!c.eval(&row("van", 0.0), &sch).unwrap());
+        assert!(c.eval((&row("SUV", 0.0)).into(), &sch).unwrap());
+        assert!(!c.eval((&row("van", 0.0)).into(), &sch).unwrap());
         let c2 = Clause::new("s", CompareOp::Gt, 60.0);
-        assert!(c2.eval(&row("SUV", 61.0), &sch).unwrap());
-        assert!(!c2.eval(&row("SUV", 60.0), &sch).unwrap());
+        assert!(c2.eval((&row("SUV", 61.0)).into(), &sch).unwrap());
+        assert!(!c2.eval((&row("SUV", 60.0)).into(), &sch).unwrap());
     }
 
     #[test]
@@ -526,11 +527,11 @@ mod tests {
             Predicate::from(Clause::new("t", CompareOp::Eq, "SUV")),
             Predicate::from(Clause::new("s", CompareOp::Gt, 60.0)),
         );
-        assert!(p.eval(&row("SUV", 65.0), &sch).unwrap());
-        assert!(!p.eval(&row("SUV", 50.0), &sch).unwrap());
-        assert!(!p.eval(&row("van", 65.0), &sch).unwrap());
+        assert!(p.eval((&row("SUV", 65.0)).into(), &sch).unwrap());
+        assert!(!p.eval((&row("SUV", 50.0)).into(), &sch).unwrap());
+        assert!(!p.eval((&row("van", 65.0)).into(), &sch).unwrap());
         let q = Predicate::not(p);
-        assert!(q.eval(&row("van", 65.0), &sch).unwrap());
+        assert!(q.eval((&row("van", 65.0)).into(), &sch).unwrap());
     }
 
     /// A bound clause naming a column the schema lacks fails only the
@@ -570,7 +571,10 @@ mod tests {
         // Semantics preserved on sample rows.
         let sch = schema();
         for r in [row("SUV", 65.0), row("SUV", 50.0), row("van", 65.0)] {
-            assert_eq!(p.eval(&r, &sch).unwrap(), nnf.eval(&r, &sch).unwrap());
+            assert_eq!(
+                p.eval((&r).into(), &sch).unwrap(),
+                nnf.eval((&r).into(), &sch).unwrap()
+            );
         }
     }
 
@@ -640,10 +644,12 @@ mod tests {
             row("truck", 0.0),
         ];
         for r in &rows {
-            let direct = p.eval(r, &sch).unwrap();
-            let via_cnf = cnf
-                .iter()
-                .all(|group| group.iter().any(|c| c.eval(r, &sch).unwrap_or(false)));
+            let direct = p.eval(r.into(), &sch).unwrap();
+            let via_cnf = cnf.iter().all(|group| {
+                group
+                    .iter()
+                    .any(|c| c.eval(r.into(), &sch).unwrap_or(false))
+            });
             assert_eq!(direct, via_cnf, "row {:?}", r.values()[0].to_string());
         }
     }

@@ -509,7 +509,7 @@ mod tests {
         let mut all = Vec::new();
         for g in 0..p.group_count() {
             assert_eq!(p.group_meta(g).rows, p.read_group(g).unwrap().len());
-            all.extend_from_slice(p.read_group(g).unwrap().rows());
+            all.extend(p.read_group(g).unwrap().rows());
         }
         assert_eq!(all.len(), 10);
         assert!(p.read_group(99).is_err());

@@ -6,8 +6,8 @@
 //! into a tuple of its own on the way through a plan:
 //!
 //! * **Base columns**, in row groups that every rowset over them shares. A
-//!   table made of tuples is one group, built from them the first time a
-//!   row is read where it is kept; a decoded segment group is one, and a
+//!   table made of tuples is one group, built from them when it is made
+//!   and keeping none of them; a decoded segment group is one, and a
 //!   scan gathers what it keeps of a decoded wave into one. A column holds
 //!   the form it was built in and builds the other once, on first demand:
 //!   cells ([`Value`]s, a blob cell the same `Arc` wherever it is read)
@@ -19,8 +19,10 @@
 //! * **Appended cells**: `width` cells per row, in one shared buffer — what
 //!   `Process` writes. (`Project` writes a group of its own.)
 //!
-//! [`Rowset::row_ref`] reads a row where it is kept; [`Rowset::rows`]
-//! builds the tuples, once, on first demand.
+//! A row has this one form inside the engine: every operator and every UDF
+//! reads it where it is kept, as a [`RowRef`] ([`Rowset::row_ref`]).
+//! [`Rowset::rows`] builds tuples for callers outside the engine, afresh
+//! on every call.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -32,8 +34,9 @@ use crate::value::Value;
 use crate::{EngineError, Result};
 
 /// One tuple. Cloning is a reference-count bump: the cell storage is
-/// shared (`Arc`-backed). Rows are immutable after construction; a row
-/// of a [`Rowset`] is a [`RowRef`] until something asks for the tuple.
+/// shared (`Arc`-backed). Rows are immutable after construction. A tuple
+/// is what a caller hands [`Rowset::new`] and what [`Rowset::rows`] hands
+/// back; the engine reads a row of a [`Rowset`] as a [`RowRef`].
 #[derive(Debug, Clone)]
 pub struct Row {
     values: Arc<[Value]>,
@@ -85,9 +88,9 @@ impl FromIterator<Value> for Row {
 
 /// A borrowed tuple: its cells in order, wherever they are kept — a whole
 /// [`Row`], or a row of a [`Rowset`]: its base cells in their columns,
-/// then the cells processors appended to it. It is what a
-/// [`Processor`](crate::udf::Processor) and a bound predicate read, so
-/// neither needs the tuple built. Copying one copies three words.
+/// then the cells processors appended to it. It is what every UDF (see
+/// [`crate::udf`]), every predicate and every operator reads, so none of
+/// them needs the tuple built. Copying one copies three words.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
     base: &'a [BaseColumn],
@@ -229,17 +232,6 @@ impl BaseColumn {
             BaseColumn::Block { block, .. } => Some(block),
         }
     }
-
-    /// Cell `row`, owned: a block whose cells are not built yet builds
-    /// this one alone.
-    fn cell(&self, row: usize) -> Value {
-        match self {
-            BaseColumn::Block { block, cells } if cells.get().is_none() => {
-                dense_blob(block.row(row))
-            }
-            _ => self.cells()[row].clone(),
-        }
-    }
 }
 
 fn dense_blob(coords: &[f64]) -> Value {
@@ -317,41 +309,35 @@ impl RowMap {
 pub struct Rowset {
     schema: Arc<Schema>,
     /// The groups base rows come from; none when every row is its
-    /// appended cells alone. A rowset made of tuples builds its one group
-    /// from them on first demand ([`groups`](Self::groups)).
-    groups: OnceLock<Arc<[Group]>>,
+    /// appended cells alone.
+    groups: Arc<[Group]>,
     map: RowMap,
     /// Appended cells per row: the schema's last `width` columns.
     width: usize,
     /// `width` cells per appended run, run after run.
     cells: Arc<Vec<Value>>,
-    /// The tuples, once asked for (or as given).
-    built: OnceLock<Vec<Row>>,
 }
 
 impl std::fmt::Debug for Rowset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Rowset")
             .field("schema", &self.schema)
-            .field("rows", &self.rows())
+            .field("rows", &self.row_refs().collect::<Vec<_>>())
             .finish()
     }
 }
 
 impl Rowset {
-    /// Creates a rowset, validating row arity against the schema: the
-    /// rows are its tuples, and the columns of its one group are built
-    /// from them when something first reads a row where it is kept.
+    /// Creates a rowset, validating row arity against the schema: one
+    /// group, a column of the rows' cells each (a blob the same `Arc`).
+    /// No tuple is kept.
     pub fn new(schema: Arc<Schema>, rows: Vec<Row>) -> Result<Self> {
         for r in &rows {
             check_arity(&schema, r.len())?;
         }
-        Ok(Rowset {
-            map: RowMap::Range(0..rows.len()),
-            groups: OnceLock::new(),
-            built: OnceLock::from(rows),
-            ..Rowset::of_groups(schema, Vec::new(), RowMap::Slots(Vec::new()))
-        })
+        let column = |c| GroupColumn::Cells(rows.iter().map(|r| r.get(c).clone()).collect());
+        let group = (0..schema.len()).map(|c| column(c).into()).collect();
+        Ok(Rowset::of_group(schema, group, rows.len()))
     }
 
     /// One row group, one column per column of `schema`, all of one
@@ -376,11 +362,21 @@ impl Rowset {
     fn of_groups(schema: Arc<Schema>, groups: Vec<Group>, map: RowMap) -> Rowset {
         Rowset {
             schema,
-            groups: OnceLock::from(Arc::from(groups)),
+            groups: Arc::from(groups),
             map,
             width: 0,
             cells: Arc::default(),
-            built: OnceLock::new(),
+        }
+    }
+
+    /// `rows` rows of appended cells alone, `schema.len()` a row, row
+    /// after row in `cells`: what a group operator writes.
+    pub(crate) fn of_cells(schema: Arc<Schema>, cells: Vec<Value>, rows: usize) -> Rowset {
+        debug_assert_eq!(cells.len(), rows * schema.len());
+        Rowset {
+            width: schema.len(),
+            cells: Arc::new(cells),
+            ..Rowset::of_groups(schema, Vec::new(), RowMap::Range(0..rows))
         }
     }
 
@@ -423,11 +419,10 @@ impl Rowset {
             .collect();
         Rowset {
             schema,
-            groups: OnceLock::from(Arc::clone(input.groups())),
+            groups: Arc::clone(&input.groups),
             map: RowMap::Slots(slots),
             width: earlier + width,
             cells: Arc::new(cells),
-            built: OnceLock::new(),
         }
     }
 
@@ -436,11 +431,12 @@ impl Rowset {
         &self.schema
     }
 
-    /// The rows as tuples: the ones the rowset was made of, or built on
-    /// the first call — one allocation per row — and kept.
-    pub fn rows(&self) -> &[Row] {
-        self.built
-            .get_or_init(|| self.row_refs().map(|row| row.to_row()).collect())
+    /// The rows as tuples, for a caller outside the engine: built on every
+    /// call, one allocation a row, each cell a clone (a blob the same
+    /// `Arc`). Nothing is kept; to read rows, use
+    /// [`row_refs`](Self::row_refs).
+    pub fn rows(&self) -> Vec<Row> {
+        self.row_refs().map(|row| row.to_row()).collect()
     }
 
     /// Row `i`, read where it is kept; nothing is built.
@@ -450,7 +446,7 @@ impl Rowset {
     pub fn row_ref(&self, i: usize) -> RowRef<'_> {
         let slot = self.map.slot(i);
         RowRef {
-            base: self.groups().get(slot.group).map_or(&[][..], Vec::as_slice),
+            base: self.groups.get(slot.group).map_or(&[][..], Vec::as_slice),
             row: slot.row,
             tail: self.tail(slot.at),
         }
@@ -459,34 +455,6 @@ impl Rowset {
     /// Every row, read where it is kept, in order.
     pub fn row_refs(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> {
         (0..self.len()).map(|i| self.row_ref(i))
-    }
-
-    /// Row `i` as a tuple: the built one if there is one, else built
-    /// alone (a blob block's cell included, and nothing else of its
-    /// column).
-    ///
-    /// # Panics
-    /// If `i` is out of range.
-    pub(crate) fn row(&self, i: usize) -> Row {
-        if let Some(rows) = self.built.get() {
-            return rows[i].clone();
-        }
-        let slot = self.map.slot(i);
-        let base = self.groups().get(slot.group).map_or(&[][..], Vec::as_slice);
-        let base = base.iter().map(|column| column.cell(slot.row));
-        base.chain(self.tail(slot.at).iter().cloned()).collect()
-    }
-
-    /// The groups; a rowset made of tuples builds its one group from
-    /// them, once: a column of their cells each, a blob the same `Arc`.
-    fn groups(&self) -> &Arc<[Group]> {
-        self.groups.get_or_init(|| {
-            let rows = self.built.get().map_or(&[][..], Vec::as_slice);
-            let column = |c| GroupColumn::Cells(rows.iter().map(|r| r.get(c).clone()).collect());
-            Arc::from(vec![(0..self.schema.len())
-                .map(|c| column(c).into())
-                .collect()])
-        })
     }
 
     fn tail(&self, at: usize) -> &[Value] {
@@ -513,18 +481,17 @@ impl Rowset {
     pub(crate) fn with_slots(&self, slots: Vec<Slot>) -> Rowset {
         Rowset {
             schema: self.schema.clone(),
-            groups: OnceLock::from(Arc::clone(self.groups())),
+            groups: Arc::clone(&self.groups),
             map: RowMap::Slots(slots),
             width: self.width,
             cells: Arc::clone(&self.cells),
-            built: OnceLock::new(),
         }
     }
 
     /// Whether `other` keeps its rows in the groups and cells this
     /// rowset does, so that a slot of one is a slot of the other.
     pub(crate) fn shares_rows(&self, other: &Rowset) -> bool {
-        Arc::ptr_eq(self.groups(), other.groups())
+        Arc::ptr_eq(&self.groups, &other.groups)
             && Arc::ptr_eq(&self.cells, &other.cells)
             && self.width == other.width
     }
@@ -561,7 +528,7 @@ impl Rowset {
             RowMap::Slots(slots) => (slots[rows.clone()].iter().zip(first.row..))
                 .all(|(slot, row)| slot.group == first.group && slot.row == row),
         };
-        let column = self.groups().get(first.group)?.get(col)?;
+        let column = self.groups.get(first.group)?.get(col)?;
         let block = column.block().filter(|_| run)?;
         Some(block.slice(first.row..first.row + rows.len()))
     }
@@ -600,7 +567,7 @@ impl Rowset {
     /// Base cell `col` of row `i`, if it sits in a decoded block.
     fn decoded(&self, col: usize, i: usize) -> Option<&[f64]> {
         let slot = self.map.slot(i);
-        match self.groups().get(slot.group)?.get(col)? {
+        match self.groups.get(slot.group)?.get(col)? {
             BaseColumn::Block { block, .. } => Some(block.row(slot.row)),
             BaseColumn::Cells { .. } => None,
         }
@@ -691,10 +658,11 @@ mod tests {
 
     /// Whether `rows` holds exactly `want`, read in place and built.
     fn holds(rows: &Rowset, want: &[Vec<Value>]) -> bool {
+        let built = rows.rows();
         rows.len() == want.len()
             && (0..want.len()).all(|i| {
                 same_cells(rows.row_ref(i).iter(), &want[i])
-                    && same_cells(rows.rows()[i].values().iter(), &want[i])
+                    && same_cells(built[i].values().iter(), &want[i])
             })
     }
 
@@ -732,15 +700,15 @@ mod tests {
     }
 
     /// Rows picked out of a table read the table's cells where its
-    /// columns keep them, and the rows a table was made of are its
-    /// tuples.
+    /// columns keep them, and a table keeps none of the tuples it was
+    /// made of.
     #[test]
     fn picked_rows_read_the_tables_own_cells() {
         let rows: Vec<Row> = (0..4)
             .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))]))
             .collect();
         let table = Rowset::new(schema(), rows.clone()).unwrap();
-        assert!(std::ptr::eq(table.rows()[2].values(), rows[2].values()));
+        assert!(rows.iter().all(|row| Arc::strong_count(&row.values) == 1));
         let picked = table.pick(vec![3, 1]);
         assert_eq!(picked.len(), 2);
         assert!(picked.row_ref(0).get(0).sql_eq(&Value::Int(3)));
@@ -808,23 +776,15 @@ mod tests {
         assert!(t.pick(vec![1, 2]).block(1, 0..2).is_some());
     }
 
-    /// A decoded block builds a row alone for whoever asks for one tuple,
-    /// and its cells, once, for whoever reads a cell: the tuples built
-    /// from then on hold those cells.
+    /// A decoded block builds its cells, once, for whoever reads a cell:
+    /// the tuples built from then on hold those cells.
     #[test]
     fn a_decoded_block_builds_its_cells_on_demand() {
         let set = decoded(4);
-        let one = set.row(2);
-        assert_eq!(one.get(0).as_int().unwrap(), 2);
-        assert_eq!(
-            one.get(1).as_blob().unwrap().as_dense().unwrap(),
-            &[2.0, -2.0]
-        );
         let block = set.block(1, 1..4).unwrap();
         assert_eq!((block.len(), block.row(0)), (3, &[1.0, -1.0][..]));
         let cell = Arc::as_ptr(set.row_ref(2).get(1).as_blob().unwrap());
-        assert_ne!(Arc::as_ptr(one.get(1).as_blob().unwrap()), cell);
-        assert_eq!(Arc::as_ptr(set.row(2).get(1).as_blob().unwrap()), cell);
+        assert_eq!(Arc::as_ptr(set.row_ref(2).get(1).as_blob().unwrap()), cell);
         assert_eq!(Arc::as_ptr(set.rows()[2].get(1).as_blob().unwrap()), cell);
     }
 

@@ -14,18 +14,18 @@
 //! Every UDF declares a per-input-row cost in simulated cluster seconds —
 //! the `u` (UDF cost) and `c` (early-filter cost) of §3's cost model.
 //!
-//! A [`Processor`] has one entry point, [`Processor::process`], and it
-//! returns nothing it allocated: it reads its input row where the row is
-//! kept (a [`RowRef`]) and appends its output rows' cells to a buffer the
-//! caller owns. The executor hands it one buffer per batch and checks
-//! every call the same way, whoever wrote the processor — a whole number
-//! of rows ([`output_rows`]), and nothing left behind by a call that
-//! failed.
+//! Every template reads rows where they are kept, as [`RowRef`]s, and
+//! none returns anything it allocated. A processor, a reducer and a
+//! combiner append their output rows' cells to a buffer the caller owns;
+//! a filter answers a verdict. The executor checks every appending call
+//! the same way, whoever wrote the UDF: it must write a whole number of
+//! rows ([`output_rows`]), and a call that fails leaves nothing behind
+//! (`attempt`).
 
 use std::sync::Arc;
 
 use crate::batch::{Batch, Selection};
-use crate::row::{Row, RowRef};
+use crate::row::RowRef;
 use crate::schema::{Column, Schema};
 use crate::value::Value;
 use crate::{EngineError, Result};
@@ -57,43 +57,39 @@ pub trait Processor: Send + Sync {
     fn process(&self, row: RowRef<'_>, schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
 }
 
-/// How many output rows the `cells` one [`Processor::process`] call
-/// appended make up: a whole number of rows of `output_columns().len()`
-/// cells each, or the call failed. (A processor that appends no column
-/// passes each row through once.)
-pub fn output_rows(processor: &dyn Processor, cells: usize) -> Result<usize> {
-    let width = processor.output_columns().len();
+/// How many output rows the `cells` one call of UDF `udf` appended make
+/// up, for a UDF that declares `width` output columns: a whole number of
+/// rows, or the call failed. A UDF that declares no column makes one row
+/// of no cells a call: a processor passes its row through once, and a
+/// reducer or combiner emits one empty row per group.
+pub fn output_rows(udf: &str, width: usize, cells: usize) -> Result<usize> {
     match cells.checked_rem(width) {
         Some(0) => Ok(cells / width),
         None if cells == 0 => Ok(1),
         _ => Err(EngineError::Udf(format!(
-            "{}: produced {cells} cells, declared {width} output columns",
-            processor.name()
+            "{udf}: produced {cells} cells, declared {width} output columns"
         ))),
     }
 }
 
-/// One call into `processor`, all or nothing: `then` sees the cells the
-/// call appended to `out`, and if either fails `out` is cut back to where
-/// it was, so a failed attempt can never prefix the next one's output.
-/// Everything in this crate that calls a processor calls it through here.
+/// One call into UDF `udf`, all or nothing: `call` appends to `out`, `then`
+/// sees the cells it appended, and if either fails `out` is cut back to
+/// where it was, so a failed attempt can never prefix the next one's
+/// output. Everything in this crate that calls a processor, a reducer or
+/// a combiner calls it through here.
 pub(crate) fn attempt<T>(
-    processor: &dyn Processor,
-    row: RowRef<'_>,
-    schema: &Schema,
+    udf: &str,
     out: &mut Vec<Value>,
+    call: impl FnOnce(&mut Vec<Value>) -> Result<()>,
     then: impl FnOnce(&mut [Value]) -> Result<T>,
 ) -> Result<T> {
     let mark = out.len();
-    let result = processor
-        .process(row, schema, out)
-        .and_then(|()| match out.get_mut(mark..) {
-            Some(fresh) => then(fresh),
-            None => Err(EngineError::Udf(format!(
-                "{}: removed cells from its output buffer",
-                processor.name()
-            ))),
-        });
+    let result = call(out).and_then(|()| match out.get_mut(mark..) {
+        Some(fresh) => then(fresh),
+        None => Err(EngineError::Udf(format!(
+            "{udf}: removed cells from its output buffer"
+        ))),
+    });
     if result.is_err() {
         out.truncate(mark);
     }
@@ -110,8 +106,12 @@ pub trait Reducer: Send + Sync {
     fn output_columns(&self) -> &[Column];
     /// Simulated cluster seconds charged per input row.
     fn cost_per_row(&self) -> f64;
-    /// Reduces one group (all rows sharing the key) to output rows.
-    fn reduce(&self, group: &[Row], schema: &Schema) -> Result<Vec<Row>>;
+    /// Appends to `out` the cells of the output rows of one group — every
+    /// row sharing the key, in input order, read where it is kept — row
+    /// after row, `output_columns().len()` cells a row, as
+    /// [`Processor::process`] does: `out` already holds other groups'
+    /// cells, and a call that fails, or writes part of a row, leaves none.
+    fn reduce(&self, group: &[RowRef<'_>], schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
 }
 
 /// A combiner UDF: a custom join over two grouped inputs.
@@ -126,14 +126,17 @@ pub trait Combiner: Send + Sync {
     fn output_columns(&self) -> &[Column];
     /// Simulated cluster seconds charged per (left + right) input row.
     fn cost_per_row(&self) -> f64;
-    /// Combines the matching groups for one key value.
+    /// Appends to `out` the cells of the output rows of the matching
+    /// groups for one key value, read where they are kept, as
+    /// [`Reducer::reduce`] does.
     fn combine(
         &self,
-        left: &[Row],
-        right: &[Row],
+        left: &[RowRef<'_>],
+        right: &[RowRef<'_>],
         left_schema: &Schema,
         right_schema: &Schema,
-    ) -> Result<Vec<Row>>;
+        out: &mut Vec<Value>,
+    ) -> Result<()>;
 }
 
 /// A row-level filter — the physical form a probabilistic predicate takes
@@ -141,16 +144,17 @@ pub trait Combiner: Send + Sync {
 ///
 /// The executor makes every row's first attempt through
 /// [`eval_batch`](Self::eval_batch), one [`Batch`] at a time, and retries
-/// failed rows individually through [`passes`](Self::passes). A scalar
-/// filter implements `passes` only; PP filters override `eval_batch` with
+/// a failed row through `eval_batch` over that row alone: a retry is the
+/// first call again. A scalar filter implements
+/// [`passes`](Self::passes) only; PP filters override `eval_batch` with
 /// columnar block scoring (`pp-core`).
 pub trait RowFilter: Send + Sync {
     /// Display name (e.g. `PP[t = SUV]@0.95`).
     fn name(&self) -> &str;
     /// Simulated cluster seconds charged per input row (the `c` of §3).
     fn cost_per_row(&self) -> f64;
-    /// Whether the row survives the filter.
-    fn passes(&self, row: &Row, schema: &Schema) -> Result<bool>;
+    /// Whether the row, read where it is kept, survives the filter.
+    fn passes(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool>;
     /// Whether the executor may degrade this filter to pass-through when
     /// it fails (see [`resilience`](crate::resilience)). Defaults to true:
     /// PP-style filters are best-effort data reduction, so letting a row
@@ -162,16 +166,14 @@ pub trait RowFilter: Send + Sync {
     }
     /// Evaluates a whole batch into a [`Selection`]: the positions of the
     /// rows that pass and of the rows that failed, each ascending, every
-    /// outcome counting as that row's *first attempt*. The default walks
-    /// the batch through [`passes`](Self::passes) in row order. An
-    /// override must be row-independent (row `i`'s outcome may not depend
-    /// on which other rows share the batch) and equal to `passes` over the
-    /// same rows, bit for bit, errors included.
+    /// outcome counting as that row's attempt. The default walks the
+    /// batch's rows where they are kept through [`passes`](Self::passes),
+    /// in row order. An override must be row-independent (row `i`'s
+    /// outcome may not depend on which other rows share the batch) and
+    /// equal to `passes` over the same rows, bit for bit, errors included.
     fn eval_batch(&self, batch: &Batch<'_>) -> Selection {
         let schema = batch.schema();
-        batch
-            .rows()
-            .iter()
+        (batch.row_refs())
             .map(|row| self.passes(row, schema))
             .collect()
     }
@@ -268,11 +270,12 @@ pub struct ClosureReducer {
     output_columns: Vec<Column>,
     cost_per_row: f64,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&[Row], &Schema) -> Result<Vec<Row>> + Send + Sync>,
+    f: Arc<dyn Fn(&[RowRef<'_>], &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync>,
 }
 
 impl ClosureReducer {
-    /// Creates a reducer from a closure over one group.
+    /// Creates a reducer from a closure appending one group's output rows'
+    /// cells (see [`Reducer::reduce`]).
     pub fn new<F>(
         name: impl Into<String>,
         key_columns: Vec<String>,
@@ -281,7 +284,7 @@ impl ClosureReducer {
         f: F,
     ) -> Self
     where
-        F: Fn(&[Row], &Schema) -> Result<Vec<Row>> + Send + Sync + 'static,
+        F: Fn(&[RowRef<'_>], &Schema, &mut Vec<Value>) -> Result<()> + Send + Sync + 'static,
     {
         ClosureReducer {
             name: name.into(),
@@ -315,8 +318,8 @@ impl Reducer for ClosureReducer {
     fn cost_per_row(&self) -> f64 {
         self.cost_per_row
     }
-    fn reduce(&self, group: &[Row], schema: &Schema) -> Result<Vec<Row>> {
-        (self.f)(group, schema)
+    fn reduce(&self, group: &[RowRef<'_>], schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
+        (self.f)(group, schema, out)
     }
 }
 
@@ -326,14 +329,14 @@ pub struct ClosureFilter {
     name: String,
     cost_per_row: f64,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&Row, &Schema) -> Result<bool> + Send + Sync>,
+    f: Arc<dyn Fn(RowRef<'_>, &Schema) -> Result<bool> + Send + Sync>,
 }
 
 impl ClosureFilter {
     /// Creates a filter from a predicate closure.
     pub fn new<F>(name: impl Into<String>, cost_per_row: f64, f: F) -> Self
     where
-        F: Fn(&Row, &Schema) -> Result<bool> + Send + Sync + 'static,
+        F: Fn(RowRef<'_>, &Schema) -> Result<bool> + Send + Sync + 'static,
     {
         ClosureFilter {
             name: name.into(),
@@ -359,14 +362,18 @@ impl RowFilter for ClosureFilter {
     fn cost_per_row(&self) -> f64 {
         self.cost_per_row
     }
-    fn passes(&self, row: &Row, schema: &Schema) -> Result<bool> {
+    fn passes(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool> {
         (self.f)(row, schema)
     }
 }
 
 #[cfg(test)]
 /// One direct call into `p`: the cells it wrote.
-pub(crate) fn written(p: &dyn Processor, row: &Row, schema: &Schema) -> Result<Vec<Value>> {
+pub(crate) fn written(
+    p: &dyn Processor,
+    row: &crate::row::Row,
+    schema: &Schema,
+) -> Result<Vec<Value>> {
     let mut out = Vec::new();
     p.process(RowRef::from(row), schema, &mut out).map(|()| out)
 }
@@ -374,6 +381,7 @@ pub(crate) fn written(p: &dyn Processor, row: &Row, schema: &Schema) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::DataType;
 
     fn schema() -> Arc<Schema> {
@@ -445,16 +453,26 @@ mod tests {
         let s = schema();
         let mut out = vec![Value::Int(-1)];
         let (zero, one) = ([Value::Int(0)], [Value::Int(1)]);
-        let (zero, one) = (RowRef::from(&zero[..]), RowRef::from(&one[..]));
-        assert!(attempt(&p, zero, &s, &mut out, |_| Ok(())).is_err());
+        let process = |cells: &[Value], out: &mut Vec<Value>| p.process(cells.into(), &s, out);
+        assert!(attempt("half", &mut out, |out| process(&zero, out), |_| Ok(())).is_err());
         assert_eq!(out.len(), 1);
-        let rejected = attempt(&p, one, &s, &mut out, |fresh| {
-            assert_eq!(fresh.len(), 1);
-            Err::<(), _>(EngineError::Udf("caller says no".into()))
-        });
+        let rejected = attempt(
+            "half",
+            &mut out,
+            |out| process(&one, out),
+            |fresh| {
+                assert_eq!(fresh.len(), 1);
+                Err::<(), _>(EngineError::Udf("caller says no".into()))
+            },
+        );
         assert!(rejected.is_err());
         assert_eq!(out.len(), 1);
-        let fresh = attempt(&p, one, &s, &mut out, |fresh| Ok(fresh.len()));
+        let fresh = attempt(
+            "half",
+            &mut out,
+            |out| process(&one, out),
+            |fresh| Ok(fresh.len()),
+        );
         assert_eq!((fresh.unwrap(), out.len()), (1, 2));
     }
 
@@ -462,8 +480,8 @@ mod tests {
     fn closure_filter_passes() {
         let f = ClosureFilter::new("even", 0.01, |row, _| Ok(row.get(0).as_int()? % 2 == 0));
         let s = schema();
-        assert!(f.passes(&Row::new(vec![Value::Int(4)]), &s).unwrap());
-        assert!(!f.passes(&Row::new(vec![Value::Int(3)]), &s).unwrap());
+        assert!(f.passes(RowRef::from(&[Value::Int(4)][..]), &s).unwrap());
+        assert!(!f.passes(RowRef::from(&[Value::Int(3)][..]), &s).unwrap());
     }
 
     /// The default `eval_batch` is `passes` in row order, however the
@@ -485,7 +503,7 @@ mod tests {
                 let got = f.eval_batch(&Batch::new(&set, start..end, start));
                 let (mut passed, mut failed) = (Vec::new(), Vec::new());
                 for (at, row) in (0..).zip(&rows[start..end]) {
-                    match f.passes(row, &s) {
+                    match f.passes(row.into(), &s) {
                         Ok(true) => passed.push(at),
                         Ok(false) => {}
                         Err(e) => failed.push(format!("{at}: {e:?}")),
@@ -512,17 +530,27 @@ mod tests {
                 Column::new("n", DataType::Int),
             ],
             0.2,
-            |group, _schema| {
-                Ok(vec![Row::new(vec![
-                    group[0].get(0).clone(),
-                    Value::Int(group.len() as i64),
-                ])])
+            |group, _schema, out| {
+                out.extend([group[0].get(0).clone(), Value::Int(group.len() as i64)]);
+                Ok(())
             },
         );
         let s = schema();
-        let group = vec![Row::new(vec![Value::Int(1)]), Row::new(vec![Value::Int(1)])];
-        let out = r.reduce(&group, &s).unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].get(1).sql_eq(&Value::Int(2)));
+        let cells = [Value::Int(1)];
+        let group = [RowRef::from(&cells[..]); 2];
+        let mut out = Vec::new();
+        r.reduce(&group, &s, &mut out).unwrap();
+        assert_eq!(output_rows(r.name(), 2, out.len()).unwrap(), 1);
+        assert!(out[1].sql_eq(&Value::Int(2)));
+    }
+
+    /// A call's cells make whole rows of the declared width; a UDF that
+    /// declares no column makes one empty row a call.
+    #[test]
+    fn output_rows_are_whole_rows_of_the_declared_width() {
+        assert_eq!(output_rows("u", 2, 4).unwrap(), 2);
+        assert_eq!(output_rows("u", 2, 0).unwrap(), 0);
+        assert!(matches!(output_rows("u", 2, 3), Err(EngineError::Udf(_))));
+        assert_eq!(output_rows("u", 0, 0).unwrap(), 1);
     }
 }

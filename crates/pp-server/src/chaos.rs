@@ -156,9 +156,10 @@ pub struct ChaosReport {
 }
 
 /// Digest used for byte-identity comparisons: the full debug rendering of
-/// the result rows, so any divergence in any field shows up.
+/// the result rows, read where they are kept, so any divergence in any
+/// field shows up.
 pub fn rows_digest(rows: &pp_engine::row::Rowset) -> String {
-    format!("{:?}", rows.rows())
+    format!("{:?}", rows.row_refs().collect::<Vec<_>>())
 }
 
 /// Drives `workload` through `server` under seeded churn and classifies

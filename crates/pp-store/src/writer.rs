@@ -93,8 +93,7 @@ impl SegmentWriter {
         for s in 0..shards {
             let start = (s * per_shard).min(n);
             let end = ((s + 1) * per_shard).min(n);
-            let slice = Rowset::new(table.schema().clone(), table.rows()[start..end].to_vec())
-                .map_err(|e| StoreError::Corrupt(format!("shard slice: {e}")))?;
+            let slice = table.pick((start..end).collect());
             let path = dir.join(format!("{stem}-{s:04}.pps"));
             self.write_segment(&path, &slice, s as u32, shards as u32)?;
             paths.push(path);
@@ -153,19 +152,19 @@ impl SegmentWriter {
         for g in 0..n_groups {
             let start = g * rows_per_group;
             let end = (start + rows_per_group).min(table.len());
-            let rows = &table.rows()[start..end];
+            let rows = || (start..end).map(|i| table.row_ref(i));
             let mut cols = Vec::with_capacity(n_cols);
             for c in 0..n_cols {
                 let offset = out.len();
-                for row in rows {
+                for row in rows() {
                     encode_value(&mut out, row.get(c))?;
                 }
                 let page = &out[offset..];
-                let zone = ZoneMap::from_values(rows.iter().map(|r| r.get(c)));
+                let zone = ZoneMap::from_values(rows().map(|r| r.get(c)));
                 cols.push((offset as u64, page.len() as u64, crc32(page), zone));
             }
             dirs.push(GroupDir {
-                rows: rows.len() as u32,
+                rows: (end - start) as u32,
                 cols,
             });
         }

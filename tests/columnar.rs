@@ -532,7 +532,10 @@ fn assert_selects_like_passes(
     what: &str,
 ) -> Selection {
     let got = filter.eval_batch(batch);
-    let scalar: Selection = rows.iter().map(|r| filter.passes(r, schema)).collect();
+    let scalar: Selection = rows
+        .iter()
+        .map(|r| filter.passes(r.into(), schema))
+        .collect();
     assert_eq!(format!("{got:?}"), format!("{scalar:?}"), "{what}");
     got
 }
@@ -687,8 +690,7 @@ fn leaf_counters_count_the_rows_the_per_row_walk_reaches() {
     let table = f.catalog.read_table("traffic").expect("registered slice");
     let blob_idx = table.schema().index_of("frame").expect("blob column");
     let blobs: Vec<&Features> = table
-        .rows()
-        .iter()
+        .row_refs()
         .map(|r| &**r.get(blob_idx).as_blob().expect("blob cell"))
         .collect();
     // At 0.95 no conjunction is certified: its leaves would need 0.96 or
@@ -751,7 +753,7 @@ fn survivors_of_an_in_memory_table_are_the_registered_rows() {
     let blob_at = registered.schema().index_of("frame").expect("blob column");
     let id_at = registered.schema().index_of("frameID").expect("id column");
     let by_id = |id: i64| {
-        let mut rows = registered.rows().iter();
+        let mut rows = registered.row_refs();
         rows.find(|r| r.get(id_at).as_int().expect("id") == id)
             .expect("a registered row")
     };
@@ -930,10 +932,7 @@ fn verdicts(out: &Rowset) -> (String, String, Vec<usize>) {
         .row_refs()
         .map(|r| r.iter().cloned().collect())
         .collect();
-    let blobs = out
-        .rows()
-        .iter()
-        .flat_map(|r| r.values().iter().filter_map(blob_at));
+    let blobs = out.row_refs().flat_map(|r| r.iter().filter_map(blob_at));
     (format!("{cells:?}"), digest(out), blobs.collect())
 }
 
@@ -1017,7 +1016,7 @@ fn scalar_oracle(plan: &LogicalPlan, faults: Option<&FaultPlan>) -> Observed {
                 let mut rows = Vec::new();
                 for row in input.rows() {
                     let mut cells = Vec::new();
-                    let call = processor.process(RowRef::from(row), input.schema(), &mut cells);
+                    let call = processor.process(RowRef::from(&row), input.schema(), &mut cells);
                     call.expect("a fault-free call");
                     for made in cells.chunks(width) {
                         rows.push(Row::new(row.values().iter().chain(made).cloned().collect()));
@@ -1026,8 +1025,8 @@ fn scalar_oracle(plan: &LogicalPlan, faults: Option<&FaultPlan>) -> Observed {
                 rows
             }
             (LogicalPlan::Select { predicate, .. }, Some(input)) => {
-                let keep = |row: &&Row| predicate.eval(row, &schema).expect("a verdict");
-                input.rows().iter().filter(keep).cloned().collect()
+                let keep = |row: &Row| predicate.eval(row.into(), &schema).expect("a verdict");
+                input.rows().into_iter().filter(keep).collect()
             }
             // The PP filter's survivors, as tuples.
             _ => out

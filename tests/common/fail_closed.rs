@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use probabilistic_predicates::engine::udf::RowFilter;
-use probabilistic_predicates::engine::{Batch, LogicalPlan, Result, Row, Schema, Selection};
+use probabilistic_predicates::engine::{Batch, LogicalPlan, Result, RowRef, Schema, Selection};
 
 /// Runs `inner` unchanged but declares it correctness-gating
 /// (`fail_open() == false`), so the executor turns its failures into the
@@ -18,7 +18,7 @@ impl RowFilter for FailClosed {
     fn cost_per_row(&self) -> f64 {
         self.0.cost_per_row()
     }
-    fn passes(&self, row: &Row, schema: &Schema) -> Result<bool> {
+    fn passes(&self, row: RowRef<'_>, schema: &Schema) -> Result<bool> {
         self.0.passes(row, schema)
     }
     fn fail_open(&self) -> bool {

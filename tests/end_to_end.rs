@@ -10,7 +10,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::exec::ExecutionContext;
-use probabilistic_predicates::engine::{Catalog, Row};
+use probabilistic_predicates::engine::{Catalog, RowRef};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -66,7 +66,7 @@ fn build_world(accuracy: f64) -> World {
     }
 }
 
-fn row_key(row: &Row) -> i64 {
+fn row_key(row: RowRef<'_>) -> i64 {
     row.get(1).as_int().expect("frameID")
 }
 
@@ -86,9 +86,8 @@ fn pp_plans_are_subsets_with_bounded_loss_and_lower_cost() {
         let pp_secs = ctx.meter().cluster_seconds();
 
         // No false positives: the PP output is a subset of the baseline.
-        let base_keys: std::collections::HashSet<i64> =
-            baseline.rows().iter().map(row_key).collect();
-        for row in fast.rows() {
+        let base_keys: std::collections::HashSet<i64> = baseline.row_refs().map(row_key).collect();
+        for row in fast.row_refs() {
             assert!(
                 base_keys.contains(&row_key(row)),
                 "Q{}: PP plan produced a row the baseline did not",

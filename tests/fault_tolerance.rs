@@ -465,14 +465,15 @@ fn a_group_operators_timeout_is_counted_and_charged() {
         vec!["cam".into()],
         vec![Column::new("n", DataType::Int)],
         0.5,
-        move |group, _| {
+        move |group, _, out| {
             if !stalled.swap(true, Ordering::Relaxed) {
                 return Err(EngineError::Timeout {
                     op: "Tracker".into(),
                     stalled_seconds: 90.0,
                 });
             }
-            Ok(vec![Row::new(vec![Value::Int(group.len() as i64)])])
+            out.push(Value::Int(group.len() as i64));
+            Ok(())
         },
     );
     let mut ctx = ExecutionContext::new(&catalog);

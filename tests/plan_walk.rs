@@ -22,7 +22,7 @@ use probabilistic_predicates::engine::udf::{
 };
 use probabilistic_predicates::engine::{
     Catalog, Clause, Column, CompareOp, DataType, EngineError, FaultPlan, FaultSpec, LogicalPlan,
-    Predicate, Row, RowFilter, Rowset, Schema, Value,
+    Predicate, Row, RowFilter, RowRef, Rowset, Schema, Value,
 };
 
 /// Pairs the per-camera counts of the two inputs.
@@ -48,16 +48,15 @@ impl Combiner for PairCounts {
     }
     fn combine(
         &self,
-        left: &[Row],
-        right: &[Row],
+        left: &[RowRef<'_>],
+        right: &[RowRef<'_>],
         left_schema: &Schema,
         _: &Schema,
-    ) -> Result<Vec<Row>, EngineError> {
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
         let cam = left[0].get_named(left_schema, "cam")?.clone();
-        Ok(vec![Row::new(vec![
-            cam,
-            Value::Int((left.len() * right.len()) as i64),
-        ])])
+        out.extend([cam, Value::Int((left.len() * right.len()) as i64)]);
+        Ok(())
     }
 }
 
@@ -136,9 +135,10 @@ fn nine_variant_plan(tagger_calls: Arc<AtomicUsize>) -> LogicalPlan {
             Column::new("total", DataType::Int),
         ],
         0.5,
-        |group, schema| {
+        |group, schema, out| {
             let cam = group[0].get_named(schema, "cam")?.clone();
-            Ok(vec![Row::new(vec![cam, Value::Int(group.len() as i64)])])
+            out.extend([cam, Value::Int(group.len() as i64)]);
+            Ok(())
         },
     ));
     let left = LogicalPlan::Join {

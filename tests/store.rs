@@ -29,7 +29,7 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::RowFilter;
 use probabilistic_predicates::engine::{
     CancelReason, CancelToken, Catalog, Clause, Column, CompareOp, DataType, EngineError,
-    FaultPlan, FaultSpec, LogicalPlan, MemoryProvider, Predicate, Row, Rowset, Schema,
+    FaultPlan, FaultSpec, LogicalPlan, MemoryProvider, Predicate, Row, RowRef, Rowset, Schema,
     TableProvider, Value,
 };
 use probabilistic_predicates::linalg::sparse::SparseVector;
@@ -547,7 +547,11 @@ impl RowFilter for CancelsFrom {
         self.inner.cost_per_row()
     }
 
-    fn passes(&self, row: &Row, schema: &Schema) -> probabilistic_predicates::engine::Result<bool> {
+    fn passes(
+        &self,
+        row: RowRef<'_>,
+        schema: &Schema,
+    ) -> probabilistic_predicates::engine::Result<bool> {
         if row.get_named(schema, "frameID")?.as_int()? >= self.from {
             self.token.cancel(CancelReason::Requested);
         }
@@ -597,7 +601,7 @@ fn a_corrupt_page_in_a_later_wave_fails_alike_at_every_parallelism() {
     let pp = pp_filter(f, &clause);
     let pp_op = pp.name().to_string();
     let table = f.dataset.table();
-    let wave3 = table.rows()[6 * 32].get_named(table.schema(), "frameID");
+    let wave3 = table.row_ref(6 * 32).get_named(table.schema(), "frameID");
     let wave3 = wave3.and_then(|v| v.as_int()).expect("frameID");
     let run = |k: usize, cancels: bool| {
         let token = CancelToken::new();
@@ -953,7 +957,7 @@ fn golden_segment_round_trips() {
     let table = golden_rowset();
     let mut decoded = Vec::new();
     for g in 0..seg.group_count() {
-        decoded.extend_from_slice(seg.read_group(g).expect("read group").rows());
+        decoded.extend(seg.read_group(g).expect("read group").rows());
     }
     assert_eq!(format!("{decoded:?}"), format!("{:?}", table.rows()));
 }
@@ -997,7 +1001,7 @@ fn dense_blob_groups_round_trip_bit_for_bit() {
     let shape: Vec<usize> = (0..seg.group_count()).map(|g| seg.group_rows(g)).collect();
     assert_eq!(shape, [256, 44]);
     let decoded: Vec<Row> = (0..seg.group_count())
-        .flat_map(|g| seg.read_group(g).expect("read group").rows().to_vec())
+        .flat_map(|g| seg.read_group(g).expect("read group").rows())
         .collect();
     assert_eq!(decoded.len(), 300);
     for (r, row) in decoded.iter().enumerate() {
@@ -1106,7 +1110,7 @@ fn a_traffic_shard_decodes_to_its_table() {
     let seg = Segment::open(&path).expect("open");
     assert_eq!(seg.group_count(), 4);
     let rows = (0..seg.group_count())
-        .flat_map(|g| seg.read_group(g).expect("read group").rows().to_vec())
+        .flat_map(|g| seg.read_group(g).expect("read group").rows())
         .collect();
     let decoded = Rowset::new(Arc::clone(seg.schema()), rows).expect("rowset");
     assert_eq!(digest_bits(&decoded), digest_bits(dataset.table()));

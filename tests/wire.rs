@@ -210,7 +210,8 @@ fn unhex(hex: &str) -> Vec<u8> {
 fn verdict_frames(rows: &Rowset) -> (Vec<u8>, Vec<u8>) {
     let mut streamed = Vec::new();
     write_verdicts(&mut streamed, 7, rows).expect("written");
-    let built = rows.rows().chunks(256).flat_map(|chunk| {
+    let tuples = rows.rows();
+    let built = tuples.chunks(256).flat_map(|chunk| {
         let rows = chunk.iter().map(|r| r.values().to_vec()).collect();
         encode_frame(&Frame::VerdictBatch {
             request_id: 7,
