@@ -16,22 +16,50 @@ use pp_data::traffic::TrafficDataset;
 use pp_engine::predicate::{Clause, Predicate};
 use pp_engine::LogicalPlan;
 
-/// Builds the SortP plan for a TRAF query: interleaved UDF/select stages
-/// in rank order, estimated on a ground-truth sample of `sample` frames.
+/// Builds the SortP plan for a TRAF query: its CNF groups in rank order,
+/// estimated on a ground-truth sample of `sample` frames, with their UDFs
+/// in the order the groups first need them and each group's select right
+/// after the last UDF it reads ([`LogicalPlan::placed`]).
 pub fn sortp_plan(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) -> LogicalPlan {
-    let Some(cnf) = query.predicate.to_cnf(64) else {
+    let Some(groups) = rank_order(dataset, query, sample) else {
         // Non-decomposable predicate: fall back to the NoP plan.
         return query.nop_plan(dataset);
     };
-    let n = dataset.len().min(sample.max(1));
-    // Per CNF group: needed columns, UDF cost of the *new* columns, and
-    // pass rate on the sample.
-    struct Group {
-        clauses: Vec<Clause>,
-        columns: BTreeSet<String>,
-        pass_rate: f64,
+    let mut columns: Vec<&String> = Vec::new();
+    for column in groups.iter().flat_map(|g| &g.columns) {
+        if !columns.contains(&column) {
+            columns.push(column);
+        }
     }
-    let groups: Vec<Group> = cnf
+    // A column no UDF makes is left for its select to reject, as in the
+    // NoP plan.
+    let stages: Vec<_> = columns.iter().filter_map(|c| dataset.udf(c)).collect();
+    let conjuncts = groups
+        .into_iter()
+        .map(|g| match <[Clause; 1]>::try_from(g.clauses) {
+            Ok([clause]) => Predicate::Clause(clause),
+            Err(clauses) => Predicate::Or(clauses.into_iter().map(Predicate::Clause).collect()),
+        });
+    LogicalPlan::placed("traffic", &stages, conjuncts)
+}
+
+/// One CNF group: its clauses, the columns they read, and its pass rate
+/// on the sample.
+struct Group {
+    clauses: Vec<Clause>,
+    columns: BTreeSet<String>,
+    pass_rate: f64,
+}
+
+/// The query's CNF groups in rank order, `None` when the predicate has no
+/// CNF within the cap. The rank is the cost of the columns a group adds
+/// divided by its drop rate, so a group that is cheap to materialize and
+/// drops many rows runs first; it is chosen greedily because a group's
+/// added cost depends on the columns earlier groups already need.
+fn rank_order(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) -> Option<Vec<Group>> {
+    let cnf = query.predicate.to_cnf(64)?;
+    let n = dataset.len().min(sample.max(1));
+    let mut remaining: Vec<Group> = cnf
         .into_iter()
         .map(|clauses| {
             let columns: BTreeSet<String> = clauses.iter().map(|c| c.column.clone()).collect();
@@ -45,58 +73,30 @@ pub fn sortp_plan(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) ->
             }
         })
         .collect();
-
-    // Rank order: cost of newly materialized columns divided by drop rate.
-    // Computed greedily because a group's marginal cost depends on which
-    // columns earlier groups already materialized.
     let udf_cost = |col: &str| -> f64 {
         dataset
             .udf(col)
             .map(|u| u.cost_per_row())
             .unwrap_or(f64::INFINITY)
     };
-    let mut remaining: Vec<usize> = (0..groups.len()).collect();
-    let mut materialized: BTreeSet<String> = BTreeSet::new();
-    let mut plan = LogicalPlan::scan("traffic");
-    while let Some((pos, &gi)) = remaining.iter().enumerate().min_by(|(_, &a), (_, &b)| {
+    let mut ordered: Vec<Group> = Vec::with_capacity(remaining.len());
+    loop {
         let rank = |g: &Group| {
-            let new_cost: f64 = g
-                .columns
-                .iter()
-                .filter(|c| !materialized.contains(*c))
+            let needed = |c: &String| ordered.iter().any(|o| o.columns.contains(c));
+            let new_cost: f64 = (g.columns.iter())
+                .filter(|c| !needed(c))
                 .map(|c| udf_cost(c))
                 .sum();
-            let drop = (1.0 - g.pass_rate).max(1e-9);
-            new_cost / drop
+            new_cost / (1.0 - g.pass_rate).max(1e-9)
         };
-        rank(&groups[a]).total_cmp(&rank(&groups[b]))
-    }) {
-        remaining.remove(pos);
-        let group = &groups[gi];
-        for col in &group.columns {
-            // A column no UDF makes is left for the select to reject, as
-            // in the NoP plan.
-            if materialized.insert(col.clone()) {
-                if let Some(udf) = dataset.udf(col) {
-                    plan = plan.process(udf);
-                }
-            }
+        let next = (remaining.iter().enumerate())
+            .min_by(|(_, a), (_, b)| rank(a).total_cmp(&rank(b)))
+            .map(|(pos, _)| pos);
+        match next {
+            Some(pos) => ordered.push(remaining.remove(pos)),
+            None => return Some(ordered),
         }
-        let pred = if group.clauses.len() == 1 {
-            Predicate::Clause(group.clauses[0].clone())
-        } else {
-            Predicate::Or(
-                group
-                    .clauses
-                    .iter()
-                    .cloned()
-                    .map(Predicate::Clause)
-                    .collect(),
-            )
-        };
-        plan = plan.select(pred);
     }
-    plan
 }
 
 #[cfg(test)]
@@ -167,6 +167,39 @@ mod tests {
             }
         }
         assert!(improved >= 3, "only {improved} queries improved");
+    }
+
+    #[test]
+    fn placement_is_the_interleaved_rank_order() {
+        // Per group in rank order: the UDFs of the columns no earlier group
+        // needs, then the group's select. The rank makes a group whose
+        // columns are all made cost nothing, so it runs before any group
+        // that needs a new UDF, and placement yields this same plan.
+        let (d, _) = setup();
+        for q in traf20_queries() {
+            let groups = rank_order(&d, &q, 200).expect("TRAF-20 has a CNF");
+            let mut plan = LogicalPlan::scan("traffic");
+            let mut made: Vec<&String> = Vec::new();
+            for g in &groups {
+                for column in &g.columns {
+                    if !made.contains(&column) {
+                        made.push(column);
+                        plan = plan.process(d.udf(column).expect("a UDF column"));
+                    }
+                }
+                let clauses = g.clauses.iter().cloned().map(Predicate::Clause);
+                plan = plan.select(match g.clauses.len() {
+                    1 => Predicate::Clause(g.clauses[0].clone()),
+                    _ => Predicate::Or(clauses.collect()),
+                });
+            }
+            assert_eq!(
+                sortp_plan(&d, &q, 200).explain(),
+                plan.explain(),
+                "Q{}",
+                q.id
+            );
+        }
     }
 
     #[test]

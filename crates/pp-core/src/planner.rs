@@ -390,12 +390,7 @@ impl PpQueryOptimizer {
 /// `None` when nothing is storable (e.g. every conjunct references
 /// UDF-produced columns that only exist above a Process operator).
 fn storable_conjuncts(predicate: &Predicate, schema: &Schema) -> Option<Predicate> {
-    let conjuncts: Vec<Predicate> = match predicate {
-        Predicate::And(ps) => ps.clone(),
-        p => vec![p.clone()],
-    };
-    let mut kept: Vec<Predicate> = conjuncts
-        .into_iter()
+    let mut kept: Vec<Predicate> = (predicate.conjuncts().into_iter())
         .filter(|c| {
             let cols = c.columns();
             !cols.is_empty() && cols.iter().all(|col| schema.index_of(col).is_ok())

@@ -9,7 +9,10 @@
 //! equality and inequality checks. Each query is equally likely to have
 //! between one and four predicate clauses."
 
+use std::sync::Arc;
+
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
+use pp_engine::udf::Processor;
 use pp_engine::LogicalPlan;
 
 use crate::traffic::TrafficDataset;
@@ -41,12 +44,25 @@ impl TrafQuery {
 
     /// The unmodified ("NoP") plan: scan → all needed UDFs → select.
     pub fn nop_plan(&self, dataset: &TrafficDataset) -> LogicalPlan {
-        let mut plan = LogicalPlan::scan("traffic");
+        let scan = LogicalPlan::scan("traffic");
+        (self.udfs(dataset).into_iter())
+            .fold(scan, LogicalPlan::process)
+            .select(self.predicate.clone())
+    }
+
+    /// NoP's UDFs with each top-level conjunct's select right after the
+    /// last of them it reads ([`LogicalPlan::placed`]), as a served plan
+    /// is built: NoP's rows, and no UDF runs on a row an earlier conjunct
+    /// rejected.
+    pub fn placed_plan(&self, dataset: &TrafficDataset) -> LogicalPlan {
+        LogicalPlan::placed("traffic", &self.udfs(dataset), self.predicate.conjuncts())
+    }
+
+    fn udfs(&self, dataset: &TrafficDataset) -> Vec<Arc<dyn Processor>> {
         // `columns` names only UDF columns, so every one has its UDF.
-        for udf in self.columns().iter().filter_map(|col| dataset.udf(col)) {
-            plan = plan.process(udf);
-        }
-        plan.select(self.predicate.clone())
+        (self.columns().iter())
+            .filter_map(|col| dataset.udf(col))
+            .collect()
     }
 
     /// Number of simple clauses in the predicate.

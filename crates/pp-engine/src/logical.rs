@@ -313,6 +313,35 @@ impl LogicalPlan {
         }
     }
 
+    /// Scan `table` → each of `stages` in order, with each conjunct's
+    /// `Select` directly above the last stage whose
+    /// [`output_columns`](Processor::output_columns) it reads, so no row a
+    /// conjunct rejects pays a later stage. A conjunct that reads no stage
+    /// output sits directly above the scan; conjuncts that share a position
+    /// keep their given order.
+    pub fn placed(
+        table: impl Into<String>,
+        stages: &[Arc<dyn Processor>],
+        conjuncts: impl IntoIterator<Item = Predicate>,
+    ) -> LogicalPlan {
+        // `at[0]` sits above the scan, `at[i + 1]` above `stages[i]`.
+        let mut at = vec![Vec::new(); stages.len() + 1];
+        for conjunct in conjuncts {
+            let reads = conjunct.columns();
+            let last = stages.iter().rposition(|stage| {
+                (stage.output_columns().iter()).any(|c| reads.contains(&c.name))
+            });
+            at[last.map_or(0, |i| i + 1)].push(conjunct);
+        }
+        let mut at = at.into_iter();
+        let above_scan = at.next().into_iter().flatten();
+        let mut plan = above_scan.fold(LogicalPlan::scan(table), LogicalPlan::select);
+        for (stage, selects) in stages.iter().zip(at) {
+            plan = (selects.into_iter()).fold(plan.process(Arc::clone(stage)), LogicalPlan::select);
+        }
+        plan
+    }
+
     /// Chains a processor.
     pub fn process(self, processor: Arc<dyn Processor>) -> LogicalPlan {
         LogicalPlan::Process {
@@ -553,6 +582,52 @@ mod tests {
         assert_eq!(schema.len(), 2);
         assert!(schema.contains("frameID"));
         assert!(schema.contains("t"));
+    }
+
+    #[test]
+    fn placed_selects_each_conjunct_above_the_last_stage_it_reads() {
+        let speed: Arc<dyn Processor> = Arc::new(ClosureProcessor::map(
+            "Speed",
+            vec![Column::new("speed", DataType::Int)],
+            1.0,
+            |_, _, out| {
+                out.push(Value::Int(50));
+                Ok(())
+            },
+        ));
+        let c = |col: &str, op, v: Value| Predicate::from(Clause::new(col, op, v));
+        let conjuncts = [
+            c("speed", CompareOp::Ge, Value::Int(40)),
+            c("frameID", CompareOp::Ge, Value::Int(1)),
+            Predicate::or(
+                c("vehType", CompareOp::Eq, Value::str("SUV")),
+                c("speed", CompareOp::Ge, Value::Int(60)),
+            ),
+            c("vehType", CompareOp::Eq, Value::str("SUV")),
+            c("speed", CompareOp::Le, Value::Int(70)),
+        ];
+        let plan = LogicalPlan::placed("video", &[veh_type_proc(), speed], conjuncts);
+        let mut chain = vec![plan.op_label()];
+        let mut node = &plan;
+        while let Some(child) = node.children().next() {
+            chain.push(child.op_label());
+            node = child;
+        }
+        chain.reverse();
+        assert_eq!(
+            chain,
+            [
+                "Scan[video]",
+                "Select[frameID >= 1]",
+                "Process[VehType]",
+                "Select[vehType = SUV]",
+                "Process[Speed]",
+                "Select[speed >= 40]",
+                "Select[(vehType = SUV) OR (speed >= 60)]",
+                "Select[speed <= 70]",
+            ]
+        );
+        assert!(plan.output_schema(&catalog()).is_ok());
     }
 
     #[test]

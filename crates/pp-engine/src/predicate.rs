@@ -310,6 +310,15 @@ impl Predicate {
         }
     }
 
+    /// The top-level conjuncts of the [simplified](Self::simplify)
+    /// predicate, in order: an `And`'s operands, or the predicate alone.
+    pub fn conjuncts(&self) -> Vec<Predicate> {
+        match self.simplify() {
+            Predicate::And(ps) => ps,
+            other => vec![other],
+        }
+    }
+
     /// Conjunctive normal form as a list of OR-clause lists.
     ///
     /// Returns `None` when distribution would exceed `max_disjuncts`

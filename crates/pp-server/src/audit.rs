@@ -25,10 +25,12 @@
 //!    the PP drops — fresh, so the served filter's counters count served
 //!    runs only. Those rows run through the executor as a table of their
 //!    own, under the source's *ground-truth* UDFs and the query predicate
-//!    (scan → UDFs → select, with the pass's [`UdfMemo`] installed, so the
-//!    pass's audits of the same blob pay once, and the auditor's state
-//!    stays O(expressions)). Each distinct blob in the output (by `Arc`,
-//!    however many rows it derived) is a **false drop**.
+//!    (the source's plan before PPs, less its project: each conjunct's
+//!    select right after the last UDF it reads; with the pass's
+//!    [`UdfMemo`] installed, so the pass's audits of the same blob pay
+//!    once, and the auditor's state stays O(expressions)). Each distinct
+//!    blob in the output (by `Arc`, however many rows it derived) is a
+//!    **false drop**.
 //!    The replay's `Process` spans are the audit's bill, summed into the
 //!    auditor's own cluster-seconds — it never touches any query's bill,
 //!    verdicts, or telemetry. A replay that fails (a UDF still failing

@@ -5,8 +5,10 @@
 //! UDF-derived predicate columns it can materialize, in canonical
 //! execution order — the serving analogue of
 //! `TrafQuery::nop_plan` in `pp-data`. Given a predicate, the spec emits
-//! `scan → (one Process per referenced column) → select → project`; the
-//! PP query optimizer then injects PP filters beneath the UDFs as usual.
+//! `scan → (one Process per referenced column, each followed by a select
+//! of every top-level conjunct it completes) → project`, so a row one
+//! conjunct rejects pays no later UDF; the PP query optimizer then injects
+//! PP filters beneath the UDFs as usual.
 //! The project keeps every column but the blobs, so a verdict row is what
 //! the query derived (ids and UDF columns), not the blob it came from.
 //! The same plan without the project is what the accuracy auditor runs
@@ -50,8 +52,9 @@ impl SourceSpec {
     }
 
     /// Declares that `processor` materializes predicate column `column`.
-    /// Declaration order is execution order, so declare cheap UDFs first
-    /// (mirrors the canonical column order of TRAF-20).
+    /// Declaration order is execution order, and a conjunct is applied
+    /// right after the last UDF it reads, so declare cheap or selective
+    /// UDFs first (mirrors the canonical column order of TRAF-20).
     pub fn with_udf(mut self, column: impl Into<String>, processor: Arc<dyn Processor>) -> Self {
         self.udfs.push((column.into(), processor));
         self
@@ -68,25 +71,25 @@ impl SourceSpec {
         self.udfs.iter().map(|(c, _)| c.as_str()).collect()
     }
 
-    /// Scan → the UDFs materializing each column `predicate` references
-    /// (in declaration order) → select: the rows that satisfy it, blob
-    /// column included. Columns the predicate does not touch are skipped,
-    /// so the plan only pays for the ML inference it needs. The accuracy
-    /// auditor replays dropped blobs through it.
+    /// Scan → the UDFs materializing each column `predicate` references,
+    /// in declaration order, with each top-level conjunct's select right
+    /// after the last of them it reads ([`LogicalPlan::placed`]): the rows
+    /// that satisfy it, blob column included. Columns the predicate does
+    /// not touch are skipped, and a row a conjunct rejects reaches no later
+    /// UDF, so the plan only pays for the ML inference it needs. The
+    /// accuracy auditor replays dropped blobs through it.
     pub(crate) fn udf_plan(&self, predicate: &Predicate) -> LogicalPlan {
         let used = predicate.columns();
-        let mut plan = LogicalPlan::scan(&self.table);
-        for (column, processor) in &self.udfs {
-            if used.contains(column) {
-                plan = plan.process(Arc::clone(processor));
-            }
-        }
-        plan.select(predicate.clone())
+        let stages: Vec<_> = (self.udfs.iter())
+            .filter(|(column, _)| used.contains(column))
+            .map(|(_, processor)| Arc::clone(processor))
+            .collect();
+        LogicalPlan::placed(&self.table, &stages, predicate.conjuncts())
     }
 
-    /// The unmodified plan for `predicate`: scan → the UDFs it needs →
-    /// select, as the auditor replays, then a project of every non-blob
-    /// column.
+    /// The plan for `predicate` before PPs: scan → the UDFs it needs, each
+    /// conjunct's select after the last UDF it reads, as the auditor
+    /// replays, then a project of every non-blob column.
     pub fn nop_plan(&self, predicate: &Predicate) -> LogicalPlan {
         self.udf_plan(predicate).project(vec![ProjectItem::NonBlob])
     }
@@ -124,9 +127,11 @@ impl SourceRegistry {
 mod tests {
     use super::*;
     use pp_engine::predicate::{Clause, CompareOp};
-    use pp_engine::schema::{Column, DataType};
+    use pp_engine::row::{Row, Rowset};
+    use pp_engine::schema::{Column, DataType, Schema};
     use pp_engine::udf::ClosureProcessor;
     use pp_engine::value::Value;
+    use pp_engine::{Catalog, ExecutionContext};
 
     fn proc(name: &str, col: &str) -> Arc<dyn Processor> {
         Arc::new(ClosureProcessor::map(
@@ -150,6 +155,36 @@ mod tests {
         let display = format!("{plan:?}");
         assert!(display.contains("ProcB"), "{display}");
         assert!(!display.contains("ProcA"), "{display}");
+
+        // `a = 1 AND b = 1`: the rows `a` rejects never reach `ProcB`.
+        let odd = ClosureProcessor::map(
+            "ProcA",
+            vec![Column::new("a", DataType::Int)],
+            0.01,
+            |row, _, out| {
+                out.push(Value::Int(row.get(0).as_int()? % 2));
+                Ok(())
+            },
+        );
+        let spec = SourceSpec::new("t")
+            .with_udf("a", Arc::new(odd))
+            .with_udf("b", proc("ProcB", "b"));
+        let pred = Predicate::and(
+            Predicate::from(Clause::new("a", CompareOp::Eq, 1i64)),
+            Predicate::from(Clause::new("b", CompareOp::Eq, 1i64)),
+        );
+        let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
+        let rows = (0..10).map(|id| Row::new(vec![Value::Int(id)])).collect();
+        let mut catalog = Catalog::new();
+        catalog.register("t", Rowset::new(schema, rows).unwrap());
+        let mut ctx = ExecutionContext::new(&catalog);
+        assert_eq!(ctx.run(&spec.nop_plan(&pred)).unwrap().len(), 5);
+        let rows_in = |op: &str| {
+            let mut spans = ctx.telemetry().into_iter().flat_map(|t| &t.spans);
+            spans.find(|s| s.op == op).map(|s| s.rows_in)
+        };
+        assert_eq!(rows_in("Process[ProcA]"), Some(10));
+        assert_eq!(rows_in("Process[ProcB]"), Some(5));
     }
 
     #[test]

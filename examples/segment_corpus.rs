@@ -158,4 +158,5 @@ fn main() {
         other => panic!("expected completion, got {other:?}"),
     }
     server.shutdown();
+    std::fs::remove_dir_all(&dir).expect("remove the shards");
 }

@@ -18,6 +18,7 @@ use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
+use probabilistic_predicates::engine::logical::ProjectItem;
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::{
     Catalog, DataType, ExecutionContext, FaultPlan, FaultSpec, Rowset, TelemetrySnapshot,
@@ -34,6 +35,8 @@ use probabilistic_predicates::server::{
 };
 
 struct Fixture {
+    /// The corpus: UDFs for TRAF-20's NoP plans.
+    dataset: TrafficDataset,
     catalog: Catalog,
     sources: SourceRegistry,
     pp_catalog: PpCatalog,
@@ -87,6 +90,7 @@ fn fixture() -> &'static Fixture {
             .pipeline()
             .clone();
         Fixture {
+            dataset,
             catalog,
             sources,
             pp_catalog,
@@ -201,6 +205,57 @@ fn concurrent_schedule_matches_serial_with_and_without_epoch_swap() {
             );
         }
     }
+}
+
+/// A served plan runs each conjunct right after the last UDF it reads.
+/// That rewrite is exact: on every TRAF-20 query at every target it picks
+/// the PP the NoP plan gets, returns the same rows, and runs no UDF on
+/// more rows.
+#[test]
+fn a_placed_served_plan_picks_nops_pp_and_rows_and_runs_no_udf_on_more_rows() {
+    let f = fixture();
+    let spec = f.sources.get("traffic").expect("traffic source");
+    let mut fewer = 0;
+    for q in traf20_queries() {
+        let nop = q.nop_plan(&f.dataset).project(vec![ProjectItem::NonBlob]);
+        let placed = spec.nop_plan(&q.predicate);
+        for accuracy_target in [0.9, 0.95, 0.98] {
+            let qo = PpQueryOptimizer::new(
+                f.pp_catalog.clone(),
+                f.domains.clone(),
+                QoConfig { accuracy_target },
+            );
+            let run = |plan| {
+                let optimized = qo.optimize(plan, &f.catalog).expect("optimize");
+                let chosen = optimized.report.chosen.map(|c| {
+                    let bits: Vec<u64> = c.leaf_accuracies.iter().map(|a| a.to_bits()).collect();
+                    (c.expr, c.leaf_keys, bits)
+                });
+                let mut ctx = ExecutionContext::new(&f.catalog);
+                let rows = digest(&ctx.run(&optimized.plan).expect("run"));
+                let spans = ctx.telemetry().expect("telemetry").spans.iter();
+                let udf_rows: Vec<(String, u64)> = (spans.filter(|s| s.op.starts_with("Process[")))
+                    .map(|s| (s.op.clone(), s.rows_in))
+                    .collect();
+                (chosen, rows, udf_rows)
+            };
+            let (nop_chosen, nop_rows, nop_udf_rows) = run(&nop);
+            let (chosen, rows, udf_rows) = run(&placed);
+            let at = format!("Q{} a={accuracy_target}", q.id);
+            assert_eq!(chosen, nop_chosen, "{at}");
+            assert_eq!(rows, nop_rows, "{at}");
+            assert_eq!(udf_rows.len(), nop_udf_rows.len(), "{at}");
+            for ((op, rows_in), (nop_op, nop_rows_in)) in udf_rows.iter().zip(&nop_udf_rows) {
+                assert_eq!(op, nop_op, "{at}");
+                assert!(
+                    rows_in <= nop_rows_in,
+                    "{at} {op}: {rows_in} > {nop_rows_in}"
+                );
+                fewer += usize::from(rows_in < nop_rows_in);
+            }
+        }
+    }
+    assert!(fewer > 0, "placement cut no UDF's rows");
 }
 
 #[test]
