@@ -102,7 +102,6 @@ fn main() -> pp_bench::Result<()> {
     let mut mismatches = 0usize;
     let mut leaked = 0usize;
     let mut poisoned = 0usize;
-    let mut shared_submits = 0usize;
     // Per-stage latency merged across every round's server: under faults
     // the waterfall shows *where* the storm's latency (and the cancels'
     // short-circuits) landed.
@@ -138,10 +137,6 @@ fn main() -> pp_bench::Result<()> {
                 seed: round_seed ^ 0x9E3779B97F4A7C15,
                 cancel_probability: 0.25,
                 publish_every: Some(5),
-                // Route a slice of each round through the shared-scan
-                // coordinator; byte-identity means the baselines apply
-                // unchanged.
-                shared_probability: 0.35,
             },
         );
         // Post-storm probe: the cache/catalog must still serve cleanly.
@@ -188,10 +183,9 @@ fn main() -> pp_bench::Result<()> {
         mismatches += report.mismatches.len();
         leaked += round_leaked;
         poisoned += usize::from(!probe_ok);
-        shared_submits += report.shared_submits;
         println!(
             "round {round}: workers={workers} completed={} cancelled={} failed={} \
-             rejected={} shed={} lost={} mismatches={} shared={} probe_ok={probe_ok}",
+             rejected={} shed={} lost={} mismatches={} probe_ok={probe_ok}",
             report.completed,
             report.cancelled,
             report.failed,
@@ -199,23 +193,14 @@ fn main() -> pp_bench::Result<()> {
             report.rejected_at_submit,
             report.lost_tickets,
             report.mismatches.len(),
-            report.shared_submits,
         );
     }
     println!(
         "\nRESULT rounds={} completed={} cancelled={} failed={} rejected={} shed={} \
-         lost_tickets={lost} mismatches={mismatches} permits_leaked={leaked} poisoned={poisoned} \
-         shared_submits={shared_submits}",
+         lost_tickets={lost} mismatches={mismatches} permits_leaked={leaked} poisoned={poisoned}",
         rounds, totals.0, totals.1, totals.2, totals.3, totals.4,
     );
-    for stage in [
-        "admission",
-        "queue",
-        "window",
-        "cache",
-        "execute",
-        "respond",
-    ] {
+    for stage in ["admission", "queue", "cache", "execute", "respond"] {
         if let Some(h) = stage_totals.get(stage) {
             if h.count() > 0 {
                 println!(

@@ -359,16 +359,19 @@ impl PpQueryOptimizer {
             };
             // Cardinality hints for the prediction pass: the injected
             // filter passes 1 − r of the scan, and of those survivors the
-            // exact Select keeps the σ·a truly-matching rows the PP
-            // retained (σ from the PP's validation selectivity).
+            // exact Selects keep the σ·a truly-matching rows the PP
+            // retained (σ from the PP's validation selectivity). A placed
+            // plan has a Select per conjunct; the topmost one's output is
+            // what the whole predicate keeps, so it carries the ratio and
+            // the ones below it predict pass-through.
             hints = hints.with_ratio(chosen.filter_op(), 1.0 - chosen.estimate.reduction);
-            if let Some(pp) = self.pp_catalog.get(&predicate) {
-                let survivors = 1.0 - chosen.estimate.reduction;
-                if survivors > 1e-12 {
-                    let ratio = pp.observed_selectivity() * chosen.estimate.accuracy / survivors;
-                    hints = hints
-                        .with_ratio(LogicalPlan::select_label(&predicate), ratio.clamp(0.0, 1.0));
-                }
+            let survivors = 1.0 - chosen.estimate.reduction;
+            let residual = (pp_of(&self.pp_catalog, &predicate))
+                .zip(topmost_select_over(&out_plan, &table))
+                .filter(|_| survivors > 1e-12);
+            if let Some((pp, select)) = residual {
+                let ratio = pp.observed_selectivity() * chosen.estimate.accuracy / survivors;
+                hints = hints.with_ratio(select, ratio.clamp(0.0, 1.0));
             }
             report.chosen = Some(chosen);
             let filter = Arc::new(planned.into_filter(blob_column));
@@ -382,6 +385,42 @@ impl PpQueryOptimizer {
             report,
             pp_filter,
         })
+    }
+}
+
+/// The corpus's PP of `predicate` itself. A placed plan states a
+/// conjunction in the order its `Select`s run, so a PP of the same
+/// top-level conjuncts in another order is the same PP.
+fn pp_of<'a>(
+    catalog: &'a PpCatalog,
+    predicate: &Predicate,
+) -> Option<&'a Arc<crate::pp::ProbabilisticPredicate>> {
+    catalog.get(predicate).or_else(|| {
+        let Predicate::And(ours) = predicate else {
+            return None;
+        };
+        catalog.all().iter().find(|pp| {
+            matches!(pp.predicate(), Predicate::And(theirs)
+                if theirs.len() == ours.len() && ours.iter().all(|c| theirs.contains(c)))
+        })
+    })
+}
+
+/// The label of the topmost `Select` on the path from `plan`'s root to
+/// the scan of `table`, if there is one.
+fn topmost_select_over(plan: &LogicalPlan, table: &str) -> Option<String> {
+    fn scans(plan: &LogicalPlan, table: &str) -> bool {
+        matches!(plan, LogicalPlan::Scan { table: t, .. } if t == table)
+            || plan.children().any(|child| scans(child, table))
+    }
+    if !scans(plan, table) {
+        return None;
+    }
+    match plan {
+        LogicalPlan::Select { .. } => Some(plan.op_label()),
+        _ => plan
+            .children()
+            .find_map(|child| topmost_select_over(child, table)),
     }
 }
 

@@ -50,7 +50,6 @@ use crate::catalog::Catalog;
 use crate::cost::CostMeter;
 use crate::fault::{FaultLog, FaultPlan};
 use crate::logical::LogicalPlan;
-use crate::memo::UdfMemo;
 use crate::physical::{ExecOptions, Executor};
 use crate::row::Rowset;
 use crate::telemetry::{EventKind, MetricsRegistry, QueryId, SpanCollector, TelemetrySnapshot};
@@ -65,7 +64,6 @@ pub struct ExecutionContextBuilder<'a> {
     fault_plan: Option<FaultPlan>,
     opts: ExecOptions,
     cancel: Option<CancelToken>,
-    udf_memo: Option<Arc<UdfMemo>>,
 }
 
 impl<'a> ExecutionContextBuilder<'a> {
@@ -109,20 +107,6 @@ impl<'a> ExecutionContextBuilder<'a> {
         self
     }
 
-    /// Installs a shared [`UdfMemo`]: every `Process` node of every plan
-    /// passed to [`ExecutionContext::run`] is wrapped in a shim consulting
-    /// it ([`memoize_plan`](crate::memo::memoize_plan)), so
-    /// contexts sharing one memo (a shared-scan window) invoke each
-    /// expensive UDF at most once per distinct input row. The rewrite is
-    /// applied *before* any installed fault plan, so fault shims wrap the
-    /// memoized UDF and injected faults fire (and corrupt) exactly as
-    /// they would solo; `CostMeter` charges, telemetry, and verdicts are
-    /// unchanged by construction (see [`crate::memo`]).
-    pub fn with_udf_memo(mut self, memo: Arc<UdfMemo>) -> Self {
-        self.udf_memo = Some(memo);
-        self
-    }
-
     /// Finalizes the context.
     pub fn build(self) -> ExecutionContext<'a> {
         let fault_log = Arc::new(FaultLog::new());
@@ -138,7 +122,6 @@ impl<'a> ExecutionContextBuilder<'a> {
             telemetry: None,
             runs: 0,
             cancel: self.cancel.unwrap_or_default(),
-            udf_memo: self.udf_memo,
         }
     }
 }
@@ -165,7 +148,6 @@ pub struct ExecutionContext<'a> {
     telemetry: Option<TelemetrySnapshot>,
     runs: u64,
     cancel: CancelToken,
-    udf_memo: Option<Arc<UdfMemo>>,
 }
 
 impl<'a> ExecutionContext<'a> {
@@ -177,7 +159,6 @@ impl<'a> ExecutionContext<'a> {
             fault_plan: None,
             opts: ExecOptions::default(),
             cancel: None,
-            udf_memo: None,
         }
     }
 
@@ -199,17 +180,6 @@ impl<'a> ExecutionContext<'a> {
         self.runs += 1;
         let query_id = QueryId(self.runs);
         let mut tel = SpanCollector::new(&self.registry);
-        // Memoize before fault application so fault shims wrap the
-        // memoized UDFs: injected faults fire identically to solo runs
-        // and corrupted outputs are never cached.
-        let memoized;
-        let plan = match &self.udf_memo {
-            Some(memo) => {
-                memoized = crate::memo::memoize_plan(plan, memo);
-                &memoized
-            }
-            None => plan,
-        };
         let faulted;
         let plan = match &self.fault_plan {
             Some(fp) => {

@@ -35,7 +35,6 @@ pub mod export;
 pub mod fault;
 pub mod json;
 pub mod logical;
-pub mod memo;
 pub mod physical;
 pub mod predicate;
 pub mod provider;
@@ -56,7 +55,6 @@ pub use explain::{ExplainAnalyze, ExplainNode, OperatorPrediction, PredictionHin
 pub use export::{JsonlExporter, OpenMetricsExporter};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultSpec, InjectedFault};
 pub use logical::LogicalPlan;
-pub use memo::{memoize_plan, MemoStats, UdfMemo};
 pub use predicate::{Clause, CompareOp, Predicate};
 pub use provider::{
     group_may_match, kept_groups, prune_stats, publishes_zone_maps, shard_prune_stats,

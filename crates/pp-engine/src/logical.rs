@@ -278,7 +278,7 @@ impl LogicalPlan {
         match self {
             LogicalPlan::Scan { table, .. } => format!("Scan[{table}]"),
             LogicalPlan::Process { processor, .. } => format!("Process[{}]", processor.name()),
-            LogicalPlan::Select { predicate, .. } => LogicalPlan::select_label(predicate),
+            LogicalPlan::Select { predicate, .. } => format!("Select[{predicate}]"),
             LogicalPlan::Filter { filter, .. } => filter.name().to_string(),
             LogicalPlan::Project { .. } => "Project".to_string(),
             LogicalPlan::Join {
@@ -290,13 +290,6 @@ impl LogicalPlan {
             LogicalPlan::Reduce { reducer, .. } => format!("Reduce[{}]", reducer.name()),
             LogicalPlan::Combine { combiner, .. } => format!("Combine[{}]", combiner.name()),
         }
-    }
-
-    /// The [`op_label`](Self::op_label) of a `Select` over `predicate`,
-    /// for callers that hold the predicate but not the node (the planner's
-    /// prediction hints).
-    pub fn select_label(predicate: &Predicate) -> String {
-        format!("Select[{predicate}]")
     }
 
     /// Returns a copy of the plan with `pushdown` attached to every scan

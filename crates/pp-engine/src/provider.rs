@@ -260,8 +260,8 @@ pub fn shard_prune_stats(provider: &dyn TableProvider, predicate: &Predicate) ->
 /// The provider is [`resident`](TableProvider::resident): a group is a
 /// window of the registered rowset itself, so what a query keeps of it
 /// are the table's own rows, by index — blob identity
-/// ([`Value::sql_eq`], [`UdfMemo`](crate::memo::UdfMemo) keys) survives
-/// a scan. The first kernel to read a blob column gathers it, for the
+/// ([`Value::sql_eq`], and whatever matches blobs by `Arc`) survives a
+/// scan. The first kernel to read a blob column gathers it, for the
 /// whole table, into one contiguous block that the table keeps; every
 /// later batch of every later query scores a window of it.
 #[derive(Debug, Clone)]

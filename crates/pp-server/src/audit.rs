@@ -26,9 +26,7 @@
 //!    runs only. Those rows run through the executor as a table of their
 //!    own, under the source's *ground-truth* UDFs and the query predicate
 //!    (the source's plan before PPs, less its project: each conjunct's
-//!    select right after the last UDF it reads; with the pass's
-//!    [`UdfMemo`] installed, so the pass's audits of the same blob pay
-//!    once, and the auditor's state stays O(expressions)). Each distinct
+//!    select right after the last UDF it reads). Each distinct
 //!    blob in the output (by `Arc`, however many rows it derived) is a
 //!    **false drop**.
 //!    The replay's `Process` spans are the audit's bill, summed into the
@@ -60,7 +58,6 @@ use std::sync::Arc;
 
 use pp_core::expr::PpExprFilter;
 use pp_engine::exec::ExecutionContext;
-use pp_engine::memo::UdfMemo;
 use pp_engine::row::Rowset;
 use pp_engine::sync::Mutex;
 use pp_engine::telemetry::{MetricsRegistry, TelemetrySnapshot};
@@ -178,8 +175,7 @@ struct AuditState {
     pending: VecDeque<AuditTask>,
     stats: BTreeMap<String, ExprStats>,
     /// Simulated cluster-seconds of every replay so far: a sum, so the
-    /// state is O(expressions), not O(replays); the replay memo lives for
-    /// one pass (`run_pass`).
+    /// state is O(expressions), not O(replays).
     audit_seconds: f64,
 }
 
@@ -346,10 +342,6 @@ fn pp_scan<'a>(plan: &'a LogicalPlan, op: &str) -> Option<&'a LogicalPlan> {
     }
 }
 
-/// A scan's rows as a pass read them, with the pass's replay memo over
-/// them.
-type Read = (Arc<Rowset>, Arc<UdfMemo>);
-
 /// What one task's replay found.
 #[derive(Default)]
 struct Evidence {
@@ -372,7 +364,7 @@ fn replay(
     spec: &SourceSpec,
     task: &AuditTask,
     filter: &PpExprFilter,
-    (read, memo): &Read,
+    read: &Rowset,
     fraction: f64,
 ) -> Evidence {
     let picked = (0..read.len()).filter(|&idx| sampled(task.request_id, idx as u64, fraction));
@@ -393,9 +385,7 @@ fn replay(
     let replays = dropped.len() as u64;
     let mut pinned = inner.data.clone();
     pinned.register(spec.table(), picked.pick(dropped));
-    let mut ctx = ExecutionContext::builder(&pinned)
-        .with_udf_memo(Arc::clone(memo))
-        .build();
+    let mut ctx = ExecutionContext::new(&pinned);
     let out = ctx.run(&spec.udf_plan(&task.plan.predicate));
     let seconds = (ctx.telemetry().into_iter())
         .flat_map(|t| &t.spans)
@@ -430,11 +420,9 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let n = state.pending.len().min(MAX_TASKS_PER_PASS);
         state.pending.drain(..n).collect()
     };
-    // Each distinct scan is read once per pass and shared, with a replay
-    // memo, by that pass's tasks; nothing outlives the pass. (A segment
-    // table decodes fresh blob `Arc`s on every read, so a memo kept across
-    // passes would never hit again and only hold every blob it had seen.)
-    let mut reads: HashMap<String, Option<Read>> = HashMap::new();
+    // Each distinct scan is read once per pass and shared by that pass's
+    // tasks; nothing outlives the pass.
+    let mut reads: HashMap<String, Option<Rowset>> = HashMap::new();
     for task in tasks {
         let Some(chosen) = task.plan.report.chosen.as_ref() else {
             continue;
@@ -448,11 +436,9 @@ pub(crate) fn run_pass(inner: &ServerInner) -> AuditPassReport {
         let Some(scan) = pp_scan(&task.plan.plan, &chosen.filter_op()) else {
             continue;
         };
-        let read = reads.entry(scan.explain()).or_insert_with(|| {
-            let read = ExecutionContext::new(&inner.data).run(scan).ok()?;
-            let memo = Arc::new(UdfMemo::new(read.schema().len()));
-            Some((Arc::new(read), memo))
-        });
+        let read = reads
+            .entry(scan.explain())
+            .or_insert_with(|| ExecutionContext::new(&inner.data).run(scan).ok());
         let Some(read) = read else {
             continue;
         };

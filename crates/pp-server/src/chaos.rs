@@ -102,11 +102,6 @@ pub struct ChaosConfig {
     /// Republish the PP corpus every N submits (`None` disables the
     /// publish storm).
     pub publish_every: Option<usize>,
-    /// Probability a query is submitted with [`QueryRequest::shared()`] set,
-    /// exercising window formation, claiming, and per-member panic
-    /// isolation under the same churn. Shared-scan execution is byte-identical to solo,
-    /// so baselines need no adjustment.
-    pub shared_probability: f64,
 }
 
 impl Default for ChaosConfig {
@@ -115,7 +110,6 @@ impl Default for ChaosConfig {
             seed: 0xC0FFEE,
             cancel_probability: 0.2,
             publish_every: None,
-            shared_probability: 0.0,
         }
     }
 }
@@ -146,8 +140,6 @@ pub struct ChaosReport {
     pub lost_tickets: usize,
     /// Harness-initiated cancels.
     pub cancels_issued: usize,
-    /// Submits routed through the shared-scan coordinator.
-    pub shared_submits: usize,
     /// Corpus publishes performed mid-storm.
     pub publishes: usize,
     /// Replayable event log (one line per submit/cancel/publish/outcome);
@@ -187,17 +179,11 @@ pub fn run_chaos(
             }
         }
         report.submitted += 1;
-        let mut request = request.clone();
-        request.shared |= config.shared_probability > 0.0
-            && unit(config.seed, "harness-shared", i as u64) < config.shared_probability;
-        let shared = request.shared;
-        report.shared_submits += usize::from(shared);
-        match server.submit(request) {
+        match server.submit(request.clone()) {
             Ok(ticket) => {
-                report.events.push(format!(
-                    "submit i={i} id={} shared={shared}",
-                    ticket.request_id()
-                ));
+                report
+                    .events
+                    .push(format!("submit i={i} id={}", ticket.request_id()));
                 if config.cancel_probability > 0.0
                     && unit(config.seed, "harness-cancel", i as u64) < config.cancel_probability
                 {

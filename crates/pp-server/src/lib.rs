@@ -33,12 +33,6 @@
 //!   failing plan builds, worker panics) plus a harness composing them
 //!   with engine faults, cancels, publish storms, and admission pressure
 //!   while checking robustness invariants,
-//! * [`sharedscan`] — cross-query shared-scan batching: concurrent
-//!   queries over the same source, submitted with
-//!   [`QueryRequest::shared()`](request::QueryRequest::shared()) set, are
-//!   windowed and run over one shared UDF memo, so each expensive UDF runs at most once per blob per window while
-//!   every per-query verdict, charge, and report stays byte-identical to
-//!   solo execution,
 //! * [`wire`] — a framed, length-prefixed binary request/response
 //!   protocol (streaming verdict frames, typed error frames) usable over
 //!   any `Read`/`Write` pair, plus
@@ -68,7 +62,6 @@ pub mod maintenance;
 pub mod pool;
 pub mod request;
 pub mod server;
-pub mod sharedscan;
 pub mod source;
 pub mod trace;
 pub mod wire;
@@ -81,8 +74,7 @@ pub use pool::DrainPolicy;
 pub use request::{
     QueryOutcome, QueryRequest, QueryResponse, QuerySuccess, QueryTicket, RejectReason,
 };
-pub use server::{DrainReport, PpServer, ServerConfig};
-pub use sharedscan::SharedScanConfig;
+pub use server::{DrainReport, PpServer, ServerConfig, SharedScanConfig};
 pub use source::{SourceRegistry, SourceSpec};
 pub use trace::{RequestStage, RequestTimeline, StageSpan};
 pub use wire::{

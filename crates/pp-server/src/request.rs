@@ -44,10 +44,6 @@ pub struct QueryRequest {
     /// Optional worker-thread override for this query's executor (the
     /// server default is serial).
     pub parallelism: Option<usize>,
-    /// Run in a shared-scan window with concurrent queries over the same
-    /// source (see [`crate::sharedscan`]) instead of alone. Results are
-    /// byte-identical either way.
-    pub shared: bool,
 }
 
 impl QueryRequest {
@@ -63,7 +59,6 @@ impl QueryRequest {
             fault_plan: None,
             deadline: None,
             parallelism: None,
-            shared: false,
         }
     }
 
@@ -86,12 +81,6 @@ impl QueryRequest {
     /// engine cuts the rows into batches and morsels is its own.
     pub fn with_parallelism(mut self, k: usize) -> Self {
         self.parallelism = Some(k);
-        self
-    }
-
-    /// Routes the query through a shared-scan window.
-    pub fn shared(mut self) -> Self {
-        self.shared = true;
         self
     }
 }
@@ -201,7 +190,7 @@ pub struct QueryResponse {
     /// What happened.
     pub outcome: QueryOutcome,
     /// The request's stage waterfall: every serving-pipeline stage it
-    /// crossed (admission, queue/window, cache, execute, respond) with
+    /// crossed (admission, queue, cache, execute, respond) with
     /// wall-clock durations summing exactly to end-to-end latency, plus
     /// the terminal stage it ended in (see [`crate::trace`]).
     pub timeline: RequestTimeline,

@@ -8,11 +8,8 @@
 //! 1. **Submit** (caller thread): admission either enters the request in
 //!    the server's in-flight map or, with the map full, sheds it with
 //!    [`RejectReason::QueueFull`]; the current catalog snapshot is pinned
-//!    to the request; a ticket is returned.
-//!    The request is queued alone, or — with
-//!    [`QueryRequest::shared()`] set — parked in a shared-scan window
-//!    ([`crate::sharedscan`]); either way one pool job runs it, as a
-//!    window of one or of many.
+//!    to the request; a ticket is returned. The query is queued alone:
+//!    one pool job runs it, and no two queries share any work.
 //! 2. **Plan** (worker thread): the plan cache answers with a memoized
 //!    plan or single-flights one optimization against the *pinned*
 //!    snapshot (corrections and quarantines from the shared monitor
@@ -63,7 +60,6 @@ use pp_core::wrangle::Domains;
 use pp_core::PpCatalog;
 use pp_engine::cancel::{CancelReason, CancelToken};
 use pp_engine::exec::ExecutionContext;
-use pp_engine::memo::UdfMemo;
 use pp_engine::sync::{Condvar, Mutex};
 use pp_engine::telemetry::MetricsRegistry;
 use pp_engine::{Catalog, EngineError};
@@ -77,7 +73,6 @@ use crate::pool::{DrainPolicy, WorkerPool};
 use crate::request::{
     QueryOutcome, QueryRequest, QueryResponse, QuerySuccess, QueryTicket, RejectReason,
 };
-use crate::sharedscan::{Enqueued, SharedScanConfig, SharedScanCoordinator, WindowMember};
 use crate::source::SourceRegistry;
 use crate::trace::{RequestStage, TraceContext};
 
@@ -93,8 +88,8 @@ pub struct ServerConfig {
     /// Seeded server-side fault injection (chaos testing); `None` (the
     /// default) injects nothing.
     pub faults: Option<ServerFaults>,
-    /// Shared-scan window batching knobs (requests with
-    /// [`QueryRequest::shared()`] set).
+    /// Read by nothing: every query runs alone. It stays while
+    /// `perfbench` still sets it.
     pub sharedscan: SharedScanConfig,
     /// Online accuracy-audit knobs (see [`crate::audit`]).
     pub audit: AuditConfig,
@@ -111,6 +106,16 @@ impl Default for ServerConfig {
             audit: AuditConfig::default(),
         }
     }
+}
+
+/// Read by nothing: the server runs every query alone. It stays, as
+/// [`ServerConfig::sharedscan`], while `perfbench` still builds one.
+#[derive(Debug, Clone, Default)]
+pub struct SharedScanConfig {
+    /// Unused.
+    pub max_window: usize,
+    /// Unused.
+    pub window_wait: Option<Duration>,
 }
 
 /// Everything workers and the maintenance pass share.
@@ -196,14 +201,22 @@ impl ServerInner {
 /// panics or is dropped unexecuted by an abandoning drain — the `Drop`
 /// impl sends the appropriate terminal outcome. Either way the entry
 /// leaves the in-flight map *before* the response becomes visible.
-pub(crate) struct ResponseGuard {
+struct ResponseGuard {
     inner: Arc<ServerInner>,
     request_id: u64,
     cancel: CancelToken,
     tx: Option<mpsc::Sender<QueryResponse>>,
     /// The request's live trace; finalized (terminal stage stamped,
     /// per-stage histograms recorded) when the response is sent.
-    pub(crate) trace: TraceContext,
+    trace: TraceContext,
+}
+
+/// One admitted query waiting for a worker: what its pool job runs.
+struct QueuedQuery {
+    request: QueryRequest,
+    /// The catalog snapshot pinned at submit.
+    snapshot: Arc<CatalogSnapshot>,
+    guard: ResponseGuard,
 }
 
 impl ResponseGuard {
@@ -304,7 +317,6 @@ pub struct DrainReport {
 pub struct PpServer {
     inner: Arc<ServerInner>,
     pool: WorkerPool,
-    shared: Arc<SharedScanCoordinator>,
 }
 
 impl std::fmt::Debug for PpServer {
@@ -330,7 +342,6 @@ impl PpServer {
         let monitor = Arc::new(RuntimeMonitor::new());
         let workers = config.workers;
         let cache = PlanCache::with_config(config.cache.clone());
-        let shared = Arc::new(SharedScanCoordinator::new(config.sharedscan.clone()));
         let inner = Arc::new(ServerInner {
             data,
             sources,
@@ -349,14 +360,13 @@ impl PpServer {
         PpServer {
             inner,
             pool: WorkerPool::new(workers),
-            shared,
         }
     }
 
     /// Admission: shutdown/source checks, the queue-depth check with the
     /// id mint and cancel-token registration, snapshot pin, and the
     /// response guard + ticket plumbing.
-    fn admit(&self, request: QueryRequest) -> Result<(WindowMember, QueryTicket), RejectReason> {
+    fn admit(&self, request: QueryRequest) -> Result<(QueuedQuery, QueryTicket), RejectReason> {
         // The trace (and deadline) clock starts here, before any checks:
         // admission time is part of the latency the caller observes.
         let born = Instant::now();
@@ -399,14 +409,13 @@ impl PpServer {
             tx: Some(tx),
             trace: TraceContext::new(request_id, born),
         };
-        let member = WindowMember {
-            request_id,
+        let query = QueuedQuery {
             request,
             snapshot,
             guard,
         };
         Ok((
-            member,
+            query,
             QueryTicket {
                 request_id,
                 rx,
@@ -418,45 +427,22 @@ impl PpServer {
     /// Submits a query. Synchronous shedding (queue depth, unknown
     /// source, shutdown) comes back as `Err`; everything after admission
     /// — including the plan-cost rejection — arrives through the ticket.
-    ///
-    /// A request with [`QueryRequest::shared()`] set is parked in the
-    /// shared-scan coordinator: concurrent queries over the same source
-    /// are window-batched and executed over one shared [`UdfMemo`], so
-    /// each expensive UDF runs at most once per blob per window while
-    /// every query's verdicts, `PlanReport`, and `CostMeter` charges stay
-    /// byte-identical to running alone (see [`crate::sharedscan`]). Any
-    /// other request is queued as a window of one. Admission, deadlines,
-    /// cancellation, and drain semantics are the same for both.
+    /// The query runs alone, as one pool job.
     pub fn submit(&self, request: QueryRequest) -> Result<QueryTicket, RejectReason> {
-        let (member, ticket) = self.admit(request)?;
-        let queued = if member.request.shared {
-            // The window stage covers everything between admission and
-            // this member's own execution: pool-queue wait, the claiming
-            // worker's linger, and earlier window members' runs.
-            member.guard.trace.enter(RequestStage::Window);
-            match self.shared.enqueue(member) {
-                Enqueued::Joined => true,
-                Enqueued::Opened(window_id) => {
-                    let coord = Arc::clone(&self.shared);
-                    let queued = self.pool.submit(move || run_window(coord.claim(window_id)));
-                    if !queued {
-                        // Resolve everything parked in the window: tickets
-                        // already handed out land as `Cancelled` via their
-                        // guards.
-                        drop(self.shared.take(window_id));
-                    }
-                    queued
-                }
-            }
-        } else {
-            // Admission is done; time from here to the worker picking the
-            // job up is pool-queue wait.
-            member.guard.trace.enter(RequestStage::Queue);
-            self.pool.submit(move || run_window(vec![member]))
-        };
+        let (query, ticket) = self.admit(request)?;
+        // Admission is done; time from here to the worker picking the job
+        // up is pool-queue wait.
+        query.guard.trace.enter(RequestStage::Queue);
+        // The guard moves into the job: on a panic (the pool survives it)
+        // it drops while unwinding and resolves the ticket as `Failed`
+        // with `CancelReason::WorkerPanic` latched.
+        let queued = self.pool.submit(move || {
+            let outcome = run_query(&query);
+            query.guard.finish(outcome);
+        });
         if !queued {
-            // The pool dropped the job, and with it the guards, which
-            // already took their entries out of the in-flight map.
+            // The pool dropped the job, and with it the guard, which
+            // already took its entry out of the in-flight map.
             return Err(RejectReason::ShuttingDown);
         }
         Ok(ticket)
@@ -521,9 +507,6 @@ impl PpServer {
     /// use [`drain`][PpServer::drain] for a bounded exit.
     pub fn shutdown(&mut self) {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        // Close shared-scan windows so their jobs claim without lingering
-        // and every parked query still runs before the pool drains.
-        self.shared.flush_all();
         self.pool.shutdown();
     }
 
@@ -549,10 +532,6 @@ impl PpServer {
     /// [`shutdown`][PpServer::shutdown]; also safe to call twice.
     pub fn drain(&mut self, timeout: Duration) -> DrainReport {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        // Close shared-scan windows: their pool jobs claim immediately,
-        // so parked queries either run inside the grace period or resolve
-        // as `Cancelled` when the deadline abandons their jobs.
-        self.shared.flush_all();
         let in_flight_at_drain = self.inner.in_flight();
         let grace = timeout.mul_f64(0.8);
         let clean = self.inner.wait_idle(grace);
@@ -596,77 +575,18 @@ impl Drop for PpServer {
     }
 }
 
-/// The one pool-job body: runs a window of queries in submit order, which
-/// keeps execution deterministic for a fixed submission sequence. Each
-/// member runs the per-query path inside its own `catch_unwind`, so a
-/// panicking member (chaos or real) sheds only itself — its guard
-/// resolves the ticket as `Failed` — and the siblings still run.
-///
-/// A claimed shared-scan window runs over one shared [`UdfMemo`] and is
-/// counted in `server.sharedscan.*`; a solo query is a window of one
-/// with neither.
-fn run_window(members: Vec<WindowMember>) {
-    let Some(first) = members.first() else { return };
-    let inner = Arc::clone(&first.guard.inner);
-    let memo = first.request.shared.then(|| {
-        inner
-            .metrics
-            .counter("server.sharedscan.windows_total")
-            .inc();
-        inner
-            .metrics
-            .counter("server.sharedscan.window_queries_total")
-            .add(members.len() as u64);
-        // Memo keys are the source table's base columns: appended UDF
-        // columns are pure functions of those, so plans applying
-        // different UDF subsets still share work soundly (see
-        // `pp_engine::memo`). If the table lookup fails the fallback keys
-        // on whole rows — never wrong, just less sharing.
-        let key_prefix = inner
-            .sources
-            .get(&first.request.source)
-            .and_then(|spec| inner.data.table_schema(spec.table()).ok())
-            .map(|schema| schema.len())
-            .unwrap_or(usize::MAX);
-        Arc::new(UdfMemo::new(key_prefix))
-    });
-    for member in members {
-        let memo = memo.clone();
-        // The guard moves into the closure: on a panic it drops while
-        // unwinding and resolves the ticket as `Failed` with
-        // `CancelReason::WorkerPanic` latched.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let outcome = run_query(&member, memo);
-            member.guard.finish(outcome);
-        }));
-    }
-    if let Some(memo) = memo {
-        let stats = memo.stats();
-        inner
-            .metrics
-            .counter("server.sharedscan.udf_invocations_total")
-            .add(stats.invoked);
-        inner
-            .metrics
-            .counter("server.sharedscan.udf_invocations_saved_total")
-            .add(stats.hits);
-    }
-}
-
 /// The worker-side query path: plan (via cache) → cost-admit → execute →
 /// fold telemetry. Never panics on query-shaped failures; every error is
 /// an outcome. (Injected chaos panics are the deliberate exception — the
-/// response guard and `run_window`'s `catch_unwind` turn those into
-/// `Failed`.)
-fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome {
-    let WindowMember {
-        request_id,
+/// response guard turns those into `Failed`.)
+fn run_query(query: &QueuedQuery) -> QueryOutcome {
+    let QueuedQuery {
         request,
         snapshot,
         guard,
-    } = member;
+    } = query;
     let (inner, request_id, cancel, trace) =
-        (&*guard.inner, *request_id, &guard.cancel, &guard.trace);
+        (&*guard.inner, guard.request_id, &guard.cancel, &guard.trace);
     // A query cancelled while queued (drain, caller, expired deadline)
     // stops here, before planning: no work done, nothing billed.
     if let Some(reason) = cancel.reason() {
@@ -730,9 +650,6 @@ fn run_query(member: &WindowMember, memo: Option<Arc<UdfMemo>>) -> QueryOutcome 
     }
 
     let mut builder = ExecutionContext::builder(&inner.data).with_cancel_token(cancel.clone());
-    if let Some(memo) = memo {
-        builder = builder.with_udf_memo(memo);
-    }
     if let Some(fp) = &request.fault_plan {
         builder = builder.with_fault_plan(fp.clone());
     }

@@ -1,7 +1,7 @@
 //! End-to-end request tracing through the serving stack.
 //!
-//! The serving pipeline (admission gate → plan cache → shared-scan
-//! window → worker pool → engine execution → response send) was a
+//! The serving pipeline (admission gate → worker pool → plan cache →
+//! engine execution → response send) was a
 //! telemetry black hole between `submit` and the ticket resolving: a
 //! p99 regression could not be attributed to queue wait vs. plan build
 //! vs. execution. This module closes that gap:
@@ -47,14 +47,8 @@ pub enum RequestStage {
     /// Admission control: shutdown/source checks, the queue-depth check,
     /// the catalog-snapshot pin, and ticket plumbing (caller thread).
     Admission,
-    /// Parked in the worker pool's FIFO queue (requests without
-    /// [`QueryRequest::shared()`](crate::request::QueryRequest::shared())).
+    /// Parked in the worker pool's FIFO queue.
     Queue,
-    /// Parked in a shared-scan window: pool queue wait, the claiming
-    /// worker's linger, and any earlier window members' execution
-    /// (requests with
-    /// [`QueryRequest::shared()`](crate::request::QueryRequest::shared())).
-    Window,
     /// Plan-cache interaction: a memoized hit, a single-flight wait on a
     /// concurrent builder, or a fresh optimization (see the span's
     /// detail).
@@ -72,7 +66,6 @@ impl RequestStage {
         match self {
             RequestStage::Admission => "admission",
             RequestStage::Queue => "queue",
-            RequestStage::Window => "window",
             RequestStage::Cache => "cache",
             RequestStage::Execute => "execute",
             RequestStage::Respond => "respond",

@@ -59,7 +59,7 @@
 //! | parallelism | option flag + `u32`; a request, not a reservation — the engine clamps it to ≥ 1 and caps threads at the machine's |
 //! | *reserved* ×2 | option flag + `u32`, each: the encoder writes absent (`0`); the decoder reads either form and ignores the value (`PPW1` clients sent a batch size and a morsel size here, which the engine now picks itself) |
 //! | *reserved* | one byte: the encoder writes `0`; the decoder accepts `0`–`2` and ignores the value (`PPW1` clients sent a batch-mode selector here, which no longer selects anything) |
-//! | shared | one byte, non-zero = shared-scan window |
+//! | shared | one byte, decoded, ignored: every query runs alone |
 //!
 //! # Values on the wire
 //!
@@ -171,7 +171,8 @@ impl From<std::io::Error> for WireError {
 }
 
 /// A query as it crosses the wire. Maps onto [`QueryRequest`] minus its
-/// in-process testing knob, the fault plan.
+/// in-process testing knob, the fault plan, plus one inert field,
+/// `shared`.
 #[derive(Debug, Clone)]
 pub struct WireRequest {
     /// Registered source name.
@@ -185,14 +186,14 @@ pub struct WireRequest {
     pub deadline_ms: Option<u64>,
     /// Optional executor parallelism override.
     pub parallelism: Option<u32>,
-    /// Run in a shared-scan window ([`QueryRequest::shared()`]) instead of
-    /// alone.
+    /// Encoded and decoded, read by nothing: the server runs every query
+    /// alone. It stays while `perfbench` still sets it.
     pub shared: bool,
 }
 
 impl WireRequest {
     /// A request with the given source/predicate/accuracy and every
-    /// optional knob unset (solo execution).
+    /// optional knob unset.
     pub fn new(source: impl Into<String>, predicate: Predicate, accuracy_target: f64) -> Self {
         WireRequest {
             source: source.into(),
@@ -217,7 +218,6 @@ impl WireRequest {
         if let Some(k) = self.parallelism {
             req = req.with_parallelism(k as usize);
         }
-        req.shared = self.shared;
         req
     }
 }
@@ -1022,13 +1022,12 @@ pub fn read_response<R: Read>(reader: &mut R) -> Result<WireResponse, WireError>
 }
 
 /// Serves one connection: reads request frames off `reader` until the
-/// peer closes, runs each against `server` (solo or shared-scan per the
-/// request's `shared` flag), and streams the typed response frames to
-/// `writer`. Returns the number of requests served.
+/// peer closes, runs each against `server`, and streams the typed
+/// response frames to `writer`. Returns the number of requests served.
 ///
 /// Requests on one connection run sequentially (HTTP/1.1-shaped); open
 /// several connections for concurrency — the server side multiplexes
-/// fine, and shared-scan windows form across connections. A malformed
+/// fine. A malformed
 /// request gets a typed error frame before the connection closes with the
 /// decode error.
 pub fn serve_connection<R: Read, W: Write>(

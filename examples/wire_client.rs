@@ -7,13 +7,12 @@
 //!
 //! Three connections hit a loopback listener:
 //!
-//! 1. a solo query, with the client decoding the streamed frames by hand
+//! 1. one query, with the client decoding the streamed frames by hand
 //!    (`ResultHeader` → `VerdictBatch`* → `Complete`) to show the shape
 //!    of the protocol;
-//! 2. two concurrent *shared* queries (`WireRequest::shared = true`) over
-//!    the same source — the shared-scan coordinator windows them so each
-//!    UDF runs at most once per blob per window, with verdicts
-//!    byte-identical to solo execution.
+//! 2. two concurrent queries over the same source, each on its own
+//!    connection and each run alone by the server's worker pool, read
+//!    with `read_response`.
 //!
 //! The PP corpus is left empty here to keep the focus on the protocol;
 //! the optimizer then plans without PP prefixes, which changes nothing
@@ -22,7 +21,6 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 use probabilistic_predicates::prelude::*;
 
@@ -55,10 +53,6 @@ fn main() {
     let mut server = PpServer::new(
         ServerConfig {
             workers: 2,
-            sharedscan: SharedScanConfig {
-                max_window: 2,
-                window_wait: Some(Duration::from_millis(200)),
-            },
             ..Default::default()
         },
         catalog,
@@ -87,7 +81,7 @@ fn main() {
             }
         });
 
-        // Connection 1: a solo query, frames decoded by hand.
+        // Connection 1: one query, frames decoded by hand.
         let mut stream = TcpStream::connect(addr).expect("connect");
         let request = WireRequest::new(
             "events",
@@ -152,25 +146,23 @@ fn main() {
         }
         drop(stream);
 
-        // Connections 2 + 3: concurrent shared-scan queries. The
-        // coordinator windows them (window size 2), so the Tagger UDF
-        // runs once per event for the pair instead of once per query.
-        let mut shared_clients = Vec::new();
+        // Connections 2 + 3: two queries in flight at once, one per
+        // connection; the two workers run them side by side.
+        let mut clients = Vec::new();
         for predicate in [
             Predicate::from(Clause::new("tag", CompareOp::Eq, 4)),
             Predicate::from(Clause::new("tag", CompareOp::Ge, 8)),
         ] {
-            shared_clients.push(scope.spawn(move || {
+            clients.push(scope.spawn(move || {
                 let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut request = WireRequest::new("events", predicate.clone(), 0.9);
-                request.shared = true;
+                let request = WireRequest::new("events", predicate.clone(), 0.9);
                 write_frame(&mut stream, &Frame::Request(request)).expect("send request");
                 let response = read_response(&mut stream).expect("read response");
                 match response.outcome {
                     WireOutcome::Complete { rows, .. } => {
                         // `read_response` surfaces the trace frame too: the
-                        // window stage shows the linger this query spent
-                        // waiting to share its scan.
+                        // queue stage shows how long this query waited for
+                        // a worker.
                         let waterfall = response
                             .trace
                             .as_ref()
@@ -182,36 +174,20 @@ fn main() {
                                     .join(" ")
                             })
                             .unwrap_or_default();
-                        println!(
-                            "[client] shared `{predicate}`: {} rows [{waterfall}]",
-                            rows.len()
-                        );
+                        println!("[client] `{predicate}`: {} rows [{waterfall}]", rows.len());
                     }
                     WireOutcome::Error { kind, detail, .. } => {
-                        println!("[client] shared `{predicate}` failed {kind:?}: {detail}");
+                        println!("[client] `{predicate}` failed {kind:?}: {detail}");
                     }
                 }
             }));
         }
-        for client in shared_clients {
+        for client in clients {
             client.join().expect("client thread");
         }
     });
 
-    // Shutdown joins the worker pool, making the window jobs' counter
-    // flushes visible before we read them.
-    let windows = server.metrics().counter("server.sharedscan.windows_total");
-    let invoked = server
-        .metrics()
-        .counter("server.sharedscan.udf_invocations_total");
-    let saved = server
-        .metrics()
-        .counter("server.sharedscan.udf_invocations_saved_total");
+    let completed = server.metrics().counter("server.completed_total");
     server.shutdown();
-    println!(
-        "\nshared-scan: {} window(s), {} UDF invocation(s), {} saved by the memo",
-        windows.get(),
-        invoked.get(),
-        saved.get()
-    );
+    println!("\n{} queries completed", completed.get());
 }

@@ -76,8 +76,8 @@ pub mod prelude {
     pub use pp_server::{
         read_frame, read_response, serve_connection, write_frame, AdmissionConfig, CacheConfig,
         ChaosConfig, DrainReport, Frame, PlanCache, PpServer, QueryOutcome, QueryRequest,
-        RejectReason, ServerConfig, ServerFaults, SharedScanConfig, SourceRegistry, SourceSpec,
-        WireOutcome, WireRequest, WireResponse,
+        RejectReason, ServerConfig, ServerFaults, SourceRegistry, SourceSpec, WireOutcome,
+        WireRequest, WireResponse,
     };
     pub use pp_store::{
         SegmentScan, SegmentWriter, SegmentWriterConfig, StoreError, SEGMENT_VERSION,

@@ -4,8 +4,8 @@
 //! The probe→consume fold hands one record per *batch* from the probe
 //! phase to the consume phase, so what a PP filter allocates grows with
 //! the number of batches, not rows; and so does what a processor
-//! allocates, whether the UDF ran, ran behind another, or ran behind a
-//! `UdfMemo`, cold or warm: the UDF writes its cells into the batch's buffer
+//! allocates, whether the UDF ran alone or behind another: the UDF writes
+//! its cells into the batch's buffer
 //! (`Processor::process`), consume moves them into the operator's one
 //! output buffer, and no tuple is built — the result is a deferred
 //! `Rowset`, whose `rows()` builds each tuple once, in one allocation,
@@ -27,8 +27,8 @@
 //! The runtime monitor is held to the same kind of budget: it folds every
 //! observed run into fixed-size state per key, so what it holds after ten
 //! thousand more runs is, to the byte, what it held before them. So is the
-//! accuracy auditor: a maintenance pass leaves nothing behind, its replay
-//! memo included, over an in-memory table and over a segment table alike.
+//! accuracy auditor: a maintenance pass leaves nothing behind, over an
+//! in-memory table and over a segment table alike.
 //!
 //! Planning has a budget too, because for a never-repeating predicate
 //! stream it is the critical path. A PP carries its key, normal form and
@@ -80,7 +80,7 @@ use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::udf::{ClosureFilter, ClosureProcessor, RowFilter};
 use probabilistic_predicates::engine::{
     Batch, Catalog, Clause, Column, CompareOp, DataType, EngineError, LogicalPlan, Predicate,
-    RowRef, Rowset, Schema, Selection, TableProvider, UdfMemo, Value,
+    RowRef, Rowset, Schema, Selection, TableProvider, Value,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -188,23 +188,10 @@ fn counted<T>(work: impl FnOnce() -> T) -> Spent<T> {
 
 /// `plan`, run serially on the calling thread.
 fn run_counted(catalog: &Catalog, plan: &LogicalPlan) -> Spent<Rowset> {
-    run_counted_through(catalog, plan, None)
-}
-
-/// `plan`, run serially on the calling thread, its UDFs behind `memo` if
-/// there is one.
-fn run_counted_through(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    memo: Option<&Arc<UdfMemo>>,
-) -> Spent<Rowset> {
-    let mut builder = ExecutionContext::builder(catalog)
+    let mut ctx = ExecutionContext::builder(catalog)
         .with_parallelism(1)
-        .with_batch_size(BATCH);
-    if let Some(memo) = memo {
-        builder = builder.with_udf_memo(Arc::clone(memo));
-    }
-    let mut ctx = builder.build();
+        .with_batch_size(BATCH)
+        .build();
     let spent = counted(|| ctx.run(plan).expect("plan runs"));
     assert!(!spent.out.is_empty(), "the plan must do some work");
     spent
@@ -257,18 +244,18 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
     ));
 
     // The same plan over a table and over one twice its size.
-    let spent_through = |plan: &LogicalPlan, memo: Option<&Arc<UdfMemo>>| {
+    let spent = |plan: &LogicalPlan| {
         let run = |rows: usize| {
             let mut catalog = Catalog::new();
             dataset.register_slice(&mut catalog, 400..400 + rows);
-            run_counted_through(&catalog, plan, memo).allocations
+            run_counted(&catalog, plan).allocations
         };
         (run(SMALL), run(LARGE))
     };
     let extra_rows = (LARGE - SMALL) as u64;
     let extra_batches = extra_rows.div_ceil(BATCH as u64);
 
-    let (small, large) = spent_through(&pp_filter_plan(&dataset), None);
+    let (small, large) = spent(&pp_filter_plan(&dataset));
     let per_batch = (large - small) as f64 / extra_batches as f64;
     assert!(
         per_batch <= 24.0,
@@ -278,10 +265,9 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
 
     // A `Process` row costs nothing of its own — not in the UDF (it
     // writes into the batch's buffer; the traffic UDFs' categoricals are
-    // interned), not between probe and consume, not in a memo lookup, hit
-    // or miss, and not for a tuple: the cells go on into the operator's
-    // one output buffer and the rows stay deferred. What is left is per
-    // batch.
+    // interned), not between probe and consume, and not for a tuple: the
+    // cells go on into the operator's one output buffer and the rows stay
+    // deferred. What is left is per batch.
     let assert_per_row = |what: &str, processes: u64, (small, large): (u64, u64)| {
         let per_batch = PROCESS_ALLOCATIONS_PER_BATCH * (extra_batches * processes) as f64;
         let per_row = ((large - small) as f64 - per_batch) / (extra_rows * processes) as f64;
@@ -292,42 +278,13 @@ fn pp_filter_allocates_per_batch_and_process_per_row() {
         );
     };
     let tagged = LogicalPlan::scan("traffic").process(tagger);
-    assert_per_row("Process", 1, spent_through(&tagged, None));
+    assert_per_row("Process", 1, spent(&tagged));
 
     let udf = |column| dataset.udf(column).expect("a traffic UDF");
     let chain = LogicalPlan::scan("traffic")
         .process(udf("vehType"))
         .process(udf("speed"));
-    assert_per_row("Process → Process", 2, spent_through(&chain, None));
-
-    // A cold memo: every row misses, runs the UDF and is cached, in a
-    // slot of its op's arenas rather than an allocation of its own.
-    let key_prefix = dataset.table().schema().len();
-    let cold = |rows: usize| {
-        let memo = Arc::new(UdfMemo::new(key_prefix));
-        let mut catalog = Catalog::new();
-        dataset.register_slice(&mut catalog, 400..400 + rows);
-        let allocations = run_counted_through(&catalog, &chain, Some(&memo)).allocations;
-        assert_eq!(memo.stats().hits, 0, "a cold memo only misses");
-        allocations
-    };
-    assert_per_row(
-        "Process → Process behind a cold memo",
-        2,
-        (cold(SMALL), cold(LARGE)),
-    );
-
-    // Every frame is in the memo after one pass; the counted passes hit.
-    let memo = Arc::new(UdfMemo::new(key_prefix));
-    spent_through(&chain, Some(&memo));
-    let warm = memo.stats();
-    let hits = spent_through(&chain, Some(&memo));
-    assert_eq!(
-        memo.stats().invoked,
-        warm.invoked,
-        "the counted passes only hit"
-    );
-    assert_per_row("Process → Process behind a warm memo", 2, hits);
+    assert_per_row("Process → Process", 2, spent(&chain));
 }
 
 /// What a `Process` allocates per batch of its input: the buffer the
@@ -978,9 +935,9 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
 /// replayed): once a warm-up cycle has replayed every dropped blob
 /// (`sample_fraction = 1.0`), a further identical cycle's maintenance pass
 /// returns with the calling thread holding no more than it held going in —
-/// its replay memo lives for the pass. The table is in memory, and then a
-/// segment, whose every read decodes fresh blob `Arc`s that a memo kept
-/// across passes would hold on to and never hit. The pass runs on this
+/// the scans it read live for the pass. The table is in memory, and then a
+/// segment, whose every read decodes fresh blob `Arc`s that state kept
+/// across passes would hold on to. The pass runs on this
 /// thread and serving on the worker's, which this thread's counters do not
 /// see — hence the mark brackets the pass, not the cycle.
 #[test]

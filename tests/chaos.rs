@@ -21,8 +21,7 @@ use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
 use probabilistic_predicates::server::{
     rows_digest, run_chaos, AdmissionConfig, CacheConfig, ChaosConfig, PpServer, QueryOutcome,
-    QueryRequest, RejectReason, ServerConfig, ServerFaults, SharedScanConfig, SourceRegistry,
-    SourceSpec,
+    QueryRequest, RejectReason, ServerConfig, ServerFaults, SourceRegistry, SourceSpec,
 };
 use proptest::prelude::*;
 
@@ -414,10 +413,6 @@ fn chaos_storm_preserves_invariants_across_schedules() {
                 seed: 0xC0FFEE,
                 cancel_probability: 0.25,
                 publish_every: Some(5),
-                // A quarter of submits route through the shared-scan
-                // coordinator; byte-identity means the baselines need no
-                // adjustment.
-                shared_probability: 0.25,
             },
         );
         let ctx = format!("workers={workers} events:\n{}", report.events.join("\n"));
@@ -430,10 +425,6 @@ fn chaos_storm_preserves_invariants_across_schedules() {
         );
         assert_eq!(server.in_flight(), 0, "permits leaked; {ctx}");
         assert!(report.publishes >= 2, "publish storm did not run; {ctx}");
-        assert!(
-            report.shared_submits > 0,
-            "shared-scan routing did not run; {ctx}"
-        );
         // The cache/catalog are not poisoned: a clean query still plans,
         // runs, and answers byte-identically after the storm. The probe
         // itself can draw injected faults (decisions key on request_id,
@@ -451,63 +442,6 @@ fn chaos_storm_preserves_invariants_across_schedules() {
             baselines()[&probe.predicate.to_string()],
             "post-storm probe diverged; {ctx}"
         );
-        server.shutdown();
-    }
-}
-
-/// The storm with *every* submit routed through the shared-scan
-/// coordinator: window formation, claiming, and per-member panic
-/// isolation run under engine faults, cancels, publish storms, and
-/// admission pressure — and the solo-execution invariants must survive
-/// unchanged (shared-scan is byte-identical to solo, so the same
-/// baselines apply).
-#[test]
-fn all_shared_storm_preserves_invariants() {
-    let f = fixture();
-    let workload = storm_workload(16);
-    for workers in [1, 4] {
-        let mut server = make_server(ServerConfig {
-            workers,
-            admission: AdmissionConfig {
-                max_queue_depth: 24,
-                ..Default::default()
-            },
-            cache: CacheConfig { max_entries: 2 },
-            faults: Some(ServerFaults {
-                plan_build_failure: 0.1,
-                worker_panic: 0.1,
-                ..ServerFaults::new(0x5CA11)
-            }),
-            sharedscan: SharedScanConfig {
-                max_window: 4,
-                window_wait: Some(Duration::from_millis(20)),
-            },
-            ..Default::default()
-        });
-        let report = run_chaos(
-            &server,
-            &workload,
-            |req| baselines()[&req.predicate.to_string()].clone(),
-            |_| {
-                server.publish_pps(f.pp_catalog.clone());
-            },
-            &ChaosConfig {
-                seed: 0x5EED,
-                cancel_probability: 0.2,
-                publish_every: Some(5),
-                shared_probability: 1.0,
-            },
-        );
-        let ctx = format!("workers={workers} events:\n{}", report.events.join("\n"));
-        assert_eq!(report.shared_submits, report.submitted, "{ctx}");
-        assert_eq!(report.lost_tickets, 0, "lost tickets; {ctx}");
-        assert!(report.mismatches.is_empty(), "divergent rows; {ctx}");
-        assert_eq!(
-            report.completed + report.cancelled + report.failed + report.rejected,
-            report.submitted - report.rejected_at_submit,
-            "outcome classes must partition the admitted set; {ctx}"
-        );
-        assert_eq!(server.in_flight(), 0, "permits leaked; {ctx}");
         server.shutdown();
     }
 }
@@ -546,7 +480,6 @@ fn storm_fault_decisions_replay_from_the_seed() {
                 seed: 1,
                 cancel_probability: 0.0,
                 publish_every: None,
-                shared_probability: 0.0,
             },
         )
     };
@@ -584,7 +517,6 @@ proptest! {
         workers in 1usize..5,
         panic_prob in 0.0f64..0.4,
         cancel_prob in 0.0f64..0.5,
-        shared_prob in 0.0f64..0.6,
         drain in 0u8..2,
     ) {
         let f = fixture();
@@ -611,7 +543,6 @@ proptest! {
                 seed: seed ^ 0x9E3779B9,
                 cancel_probability: cancel_prob,
                 publish_every: Some(4),
-                shared_probability: shared_prob,
             },
         );
         prop_assert!(

@@ -550,29 +550,3 @@ fn terminal_stage_records_where_requests_die() {
         1
     );
 }
-
-/// Shared-scan submissions trace a `window` stage (admission → window →
-/// cache → execute → respond) instead of the solo `queue` stage.
-#[test]
-fn shared_submissions_trace_the_window_stage() {
-    let f = serve_fixture();
-    let server = serve_server(ServerConfig {
-        workers: 1,
-        ..Default::default()
-    });
-    let response = server
-        .submit(QueryRequest::new("traffic", f.suv.clone(), 0.95).shared())
-        .expect("admitted")
-        .wait();
-    assert!(
-        matches!(response.outcome, QueryOutcome::Complete(_)),
-        "{:?}",
-        response.outcome
-    );
-    assert_eq!(
-        response.timeline.stage_names(),
-        vec!["admission", "window", "cache", "execute", "respond"]
-    );
-    let span_sum: u64 = response.timeline.stages.iter().map(|s| s.nanos).sum();
-    assert_eq!(span_sum, response.timeline.total_nanos);
-}

@@ -5,18 +5,16 @@
 //! by nothing else in the suite. Every rewrite goes through
 //! `LogicalPlan::map_children` and every walker through
 //! `LogicalPlan::children`, so one plan holding all nine variants checks
-//! those arms once for all of them: the four rewrites (scan pushdown,
-//! UDF memoization, fault-shim installation, PP injection) each change
-//! what they name and nothing else, and the walk order is the order a
-//! real run opens its spans in.
+//! those arms once for all of them: the three rewrites (scan pushdown,
+//! fault-shim installation, PP injection) each change what they name and
+//! nothing else, and the walk order is the order a real run opens its
+//! spans in.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use probabilistic_predicates::core::inject::{inject_above_scan, udf_cost_per_blob};
 use probabilistic_predicates::engine::exec::ExecutionContext;
 use probabilistic_predicates::engine::logical::{AggExpr, AggFunc, ProjectItem};
-use probabilistic_predicates::engine::memo::{memoize_plan, UdfMemo};
 use probabilistic_predicates::engine::udf::{
     ClosureFilter, ClosureProcessor, ClosureReducer, Combiner,
 };
@@ -96,8 +94,7 @@ fn catalog() -> Catalog {
     catalog
 }
 
-/// All nine variants in one executable tree; `tagger_calls` counts real
-/// invocations of the `Process` UDF.
+/// All nine variants in one executable tree.
 ///
 /// ```text
 /// Combine[PairCounts]
@@ -112,13 +109,12 @@ fn catalog() -> Catalog {
 ///   Reduce[PerCam]
 ///     Scan[archive]
 /// ```
-fn nine_variant_plan(tagger_calls: Arc<AtomicUsize>) -> LogicalPlan {
+fn plan() -> LogicalPlan {
     let tagger = Arc::new(ClosureProcessor::map(
         "Tagger",
         vec![Column::new("tag", DataType::Str)],
         2.0,
-        move |row, _, out| {
-            tagger_calls.fetch_add(1, Ordering::SeqCst);
+        |row, _, out| {
             let hot = row.get(0).as_int()? % 4 != 1;
             out.push(Value::str(if hot { "hot" } else { "cold" }));
             Ok(())
@@ -178,10 +174,6 @@ fn nine_variant_plan(tagger_calls: Arc<AtomicUsize>) -> LogicalPlan {
             ],
         }),
     }
-}
-
-fn plan() -> LogicalPlan {
-    nine_variant_plan(Arc::new(AtomicUsize::new(0)))
 }
 
 /// Everything deterministic a run produces: rows, and the telemetry
@@ -284,28 +276,6 @@ fn pushdown_touches_only_scans_of_the_named_table() {
         plan.with_scan_pushdown("nope", &pushdown).explain(),
         plan.explain()
     );
-}
-
-#[test]
-fn memoize_wraps_the_process_node_and_nothing_else() {
-    let calls = Arc::new(AtomicUsize::new(0));
-    let plan = nine_variant_plan(Arc::clone(&calls));
-    let catalog = catalog();
-    let mut ctx = ExecutionContext::new(&catalog);
-    let solo = run_digest(&plan, &mut ctx);
-    assert_eq!(calls.swap(0, Ordering::SeqCst), 12);
-
-    let memo = Arc::new(UdfMemo::new(2));
-    let memoized = memoize_plan(&plan, &memo);
-    assert_eq!(memoized.explain(), plan.explain());
-    assert_eq!(op_labels(&memoized), op_labels(&plan));
-    // Two runs over one memo pay for each blob once and answer as solo.
-    for _ in 0..2 {
-        let mut ctx = ExecutionContext::new(&catalog);
-        assert_eq!(run_digest(&memoized, &mut ctx), solo);
-    }
-    assert_eq!(calls.load(Ordering::SeqCst), 12);
-    assert_eq!((memo.stats().invoked, memo.stats().hits), (12, 12));
 }
 
 #[test]

@@ -21,7 +21,8 @@ use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::logical::ProjectItem;
 use probabilistic_predicates::engine::predicate::{Clause, CompareOp, Predicate};
 use probabilistic_predicates::engine::{
-    Catalog, DataType, ExecutionContext, FaultPlan, FaultSpec, Rowset, TelemetrySnapshot,
+    Catalog, DataType, ExecutionContext, FaultPlan, FaultSpec, LogicalPlan, Rowset,
+    TelemetrySnapshot,
 };
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
@@ -256,6 +257,60 @@ fn a_placed_served_plan_picks_nops_pp_and_rows_and_runs_no_udf_on_more_rows() {
         }
     }
     assert!(fewer > 0, "placement cut no UDF's rows");
+}
+
+/// A placed plan predicts the output rows of its NoP plan. The planner
+/// predicts what the whole predicate keeps from the PP of that predicate,
+/// when the corpus has one; a placed plan has a `Select` per conjunct,
+/// and the prediction goes on the topmost. The corpus here adds, for
+/// every TRAF-20 predicate of more than one conjunct, a PP of the whole
+/// predicate (over the `vehType = SUV` pipeline: what it predicts, not
+/// what it keeps, is under test).
+#[test]
+fn a_placed_plan_predicts_the_output_rows_of_its_nop_plan() {
+    let f = fixture();
+    let mut corpus = f.pp_catalog.clone();
+    for q in traf20_queries() {
+        if q.predicate.conjuncts().len() > 1 {
+            let pp =
+                ProbabilisticPredicate::new(q.predicate.clone(), f.suv_pipeline.clone(), 0.001);
+            corpus.insert(pp.unwrap());
+        }
+    }
+    let mut residual = 0;
+    for q in traf20_queries() {
+        for accuracy_target in [0.9, 0.95] {
+            let qo = PpQueryOptimizer::new(
+                corpus.clone(),
+                f.domains.clone(),
+                QoConfig { accuracy_target },
+            );
+            let predict = |plan: LogicalPlan| {
+                let report = qo.optimize(&plan, &f.catalog).expect("optimize").report;
+                let root = report
+                    .predictions
+                    .last()
+                    .expect("a prediction per operator");
+                let select = (report.predictions.iter().rev())
+                    .find(|p| p.op.starts_with("Select["))
+                    .expect("a Select");
+                (root.rows_out, select.selectivity())
+            };
+            let (rows_out, selectivity) = predict(q.placed_plan(&f.dataset));
+            let (nop_rows_out, _) = predict(q.nop_plan(&f.dataset));
+            assert_eq!(
+                rows_out.to_bits(),
+                nop_rows_out.to_bits(),
+                "Q{} a={accuracy_target}: {rows_out} predicted, NoP {nop_rows_out}",
+                q.id
+            );
+            residual += usize::from(q.predicate.conjuncts().len() > 1 && selectivity < 1.0);
+        }
+    }
+    assert!(
+        residual > 0,
+        "no placed plan's topmost Select predicted a residual"
+    );
 }
 
 #[test]

@@ -702,9 +702,10 @@ fn tag_request(shared: bool) -> WireRequest {
 }
 
 /// `serve_connection` end to end over in-memory buffers: requests in,
-/// streamed typed responses out, both solo and shared routes. The rows
-/// crossing the wire are the same rows the in-process API returns, and a
-/// >256-row result exercises the multi-frame verdict stream.
+/// streamed typed responses out, with the inert `shared` byte clear and
+/// set. The rows crossing the wire are the same rows the in-process API
+/// returns, and a >256-row result exercises the multi-frame verdict
+/// stream.
 #[test]
 fn serve_connection_streams_solo_and_shared_results() {
     let mut server = tiny_server();
@@ -758,6 +759,53 @@ fn serve_connection_streams_solo_and_shared_results() {
             assert!(detail.contains("nope"), "detail: {detail}");
         }
         other => panic!("expected error outcome, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// The `shared` byte is decoded and ignored: a request frame with it set
+/// and one with it clear differ in that last byte alone, and run as the
+/// same query — the same verdict rows, the same `CostMeter` charges and
+/// the same stage names, with no `window` stage in either timeline.
+#[test]
+fn the_shared_byte_changes_nothing() {
+    let mut server = tiny_server();
+    let frames = [false, true].map(|shared| encode_frame(&Frame::Request(tag_request(shared))));
+    let (solo, shared) = (&frames[0], &frames[1]);
+    assert_eq!(solo.len(), shared.len());
+    let last = solo.len() - 1;
+    assert_eq!((solo[last], shared[last]), (0, 1));
+    assert_eq!(solo[..last], shared[..last]);
+
+    let run = |frame: &[u8]| {
+        let Some(Frame::Request(request)) = read_frame(&mut Cursor::new(frame)).unwrap() else {
+            panic!("expected a request frame");
+        };
+        let response = server.submit(request.to_query_request()).unwrap().wait();
+        let success = response.outcome.success().expect("completes");
+        let charges: Vec<(String, u64, u64)> = (success.telemetry.spans.iter())
+            .map(|s| (s.op.clone(), s.rows_in, s.seconds.to_bits()))
+            .collect();
+        let stages: Vec<String> = (response.timeline.stage_names().into_iter())
+            .map(String::from)
+            .collect();
+        let mut outbox = Vec::new();
+        serve_connection(&server, Cursor::new(frame.to_vec()), &mut outbox).unwrap();
+        let wire = read_response(&mut Cursor::new(&outbox[..])).unwrap();
+        let WireOutcome::Complete { rows, .. } = wire.outcome else {
+            panic!("expected completion, got {:?}", wire.outcome);
+        };
+        let wire_stages = wire.trace.expect("a trace frame").stage_names().join(",");
+        (format!("{rows:?}"), charges, stages, wire_stages)
+    };
+    let (solo, shared) = (run(solo), run(shared));
+    assert_eq!(solo.0, shared.0, "verdict rows");
+    assert_eq!(solo.1, shared.1, "CostMeter charges");
+    assert_eq!(solo.2, shared.2, "stage names");
+    assert_eq!(solo.3, shared.3, "stage names over the wire");
+    for (stages, wire_stages) in [(&solo.2, &solo.3), (&shared.2, &shared.3)] {
+        assert_eq!(stages.join(","), *wire_stages);
+        assert!(!stages.iter().any(|s| s == "window"), "{stages:?}");
     }
     server.shutdown();
 }
