@@ -9,94 +9,58 @@
 //! require\[s\] predicate columns to be available on the inputs", which is
 //! why its speed-ups are modest (average 1.2× in Figure 10).
 
-use std::collections::BTreeSet;
-
 use pp_data::traf20::TrafQuery;
 use pp_data::traffic::TrafficDataset;
-use pp_engine::predicate::{Clause, Predicate};
+use pp_engine::logical::Placement;
+use pp_engine::predicate::Predicate;
 use pp_engine::LogicalPlan;
 
-/// Builds the SortP plan for a TRAF query: its CNF groups in rank order,
-/// estimated on a ground-truth sample of `sample` frames, with their UDFs
-/// in the order the groups first need them and each group's select right
+/// Builds the SortP plan for a TRAF query: its CNF groups in rank order
+/// ([`LogicalPlan::rank_order`], the planner's ranker), with pass rates
+/// measured on a ground-truth sample of `sample` frames, their UDFs in
+/// the order the groups first need them and each group's select right
 /// after the last UDF it reads ([`LogicalPlan::placed`]).
 pub fn sortp_plan(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) -> LogicalPlan {
-    let Some(groups) = rank_order(dataset, query, sample) else {
+    let Some((stages, groups)) = ranked_groups(dataset, query, sample) else {
         // Non-decomposable predicate: fall back to the NoP plan.
         return query.nop_plan(dataset);
     };
+    LogicalPlan::placed(LogicalPlan::scan("traffic"), &stages, groups)
+}
+
+/// The query's UDFs and CNF groups (one predicate each), in rank order;
+/// `None` when the predicate has no CNF within the cap. A group's pass
+/// rate is the share of the sample's frames whose ground truth satisfies
+/// it; the UDFs are declared in the order the CNF's groups first read
+/// their columns, which is also the order when ranking gains nothing.
+fn ranked_groups(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) -> Option<Placement> {
+    let cnf = query.predicate.to_cnf(64)?;
+    let n = dataset.len().min(sample.max(1));
     let mut columns: Vec<&String> = Vec::new();
-    for column in groups.iter().flat_map(|g| &g.columns) {
-        if !columns.contains(&column) {
-            columns.push(column);
+    for clause in cnf.iter().flatten() {
+        if !columns.contains(&&clause.column) {
+            columns.push(&clause.column);
         }
     }
     // A column no UDF makes is left for its select to reject, as in the
     // NoP plan.
     let stages: Vec<_> = columns.iter().filter_map(|c| dataset.udf(c)).collect();
-    let conjuncts = groups
-        .into_iter()
-        .map(|g| match <[Clause; 1]>::try_from(g.clauses) {
-            Ok([clause]) => Predicate::Clause(clause),
-            Err(clauses) => Predicate::Or(clauses.into_iter().map(Predicate::Clause).collect()),
-        });
-    LogicalPlan::placed("traffic", &stages, conjuncts)
-}
-
-/// One CNF group: its clauses, the columns they read, and its pass rate
-/// on the sample.
-struct Group {
-    clauses: Vec<Clause>,
-    columns: BTreeSet<String>,
-    pass_rate: f64,
-}
-
-/// The query's CNF groups in rank order, `None` when the predicate has no
-/// CNF within the cap. The rank is the cost of the columns a group adds
-/// divided by its drop rate, so a group that is cheap to materialize and
-/// drops many rows runs first; it is chosen greedily because a group's
-/// added cost depends on the columns earlier groups already need.
-fn rank_order(dataset: &TrafficDataset, query: &TrafQuery, sample: usize) -> Option<Vec<Group>> {
-    let cnf = query.predicate.to_cnf(64)?;
-    let n = dataset.len().min(sample.max(1));
-    let mut remaining: Vec<Group> = cnf
-        .into_iter()
+    let groups: Vec<(Predicate, f64)> = (cnf.iter())
         .map(|clauses| {
-            let columns: BTreeSet<String> = clauses.iter().map(|c| c.column.clone()).collect();
             let passed = (0..n)
                 .filter(|&i| clauses.iter().any(|c| dataset.clause_truth(c, i)))
                 .count();
-            Group {
-                clauses,
-                columns,
-                pass_rate: passed as f64 / n as f64,
-            }
+            let group = match clauses.as_slice() {
+                [clause] => Predicate::Clause(clause.clone()),
+                _ => Predicate::Or(clauses.iter().cloned().map(Predicate::Clause).collect()),
+            };
+            (group, passed as f64 / n as f64)
         })
         .collect();
-    let udf_cost = |col: &str| -> f64 {
-        dataset
-            .udf(col)
-            .map(|u| u.cost_per_row())
-            .unwrap_or(f64::INFINITY)
-    };
-    let mut ordered: Vec<Group> = Vec::with_capacity(remaining.len());
-    loop {
-        let rank = |g: &Group| {
-            let needed = |c: &String| ordered.iter().any(|o| o.columns.contains(c));
-            let new_cost: f64 = (g.columns.iter())
-                .filter(|c| !needed(c))
-                .map(|c| udf_cost(c))
-                .sum();
-            new_cost / (1.0 - g.pass_rate).max(1e-9)
-        };
-        let next = (remaining.iter().enumerate())
-            .min_by(|(_, a), (_, b)| rank(a).total_cmp(&rank(b)))
-            .map(|(pos, _)| pos);
-        match next {
-            Some(pos) => ordered.push(remaining.remove(pos)),
-            None => return Some(ordered),
-        }
-    }
+    Some(
+        LogicalPlan::rank_order(&stages, &groups)
+            .unwrap_or_else(|| (stages, groups.into_iter().map(|(g, _)| g).collect())),
+    )
 }
 
 #[cfg(test)]
@@ -177,21 +141,17 @@ mod tests {
         // that needs a new UDF, and placement yields this same plan.
         let (d, _) = setup();
         for q in traf20_queries() {
-            let groups = rank_order(&d, &q, 200).expect("TRAF-20 has a CNF");
+            let (_, groups) = ranked_groups(&d, &q, 200).expect("TRAF-20 has a CNF");
             let mut plan = LogicalPlan::scan("traffic");
-            let mut made: Vec<&String> = Vec::new();
-            for g in &groups {
-                for column in &g.columns {
+            let mut made: Vec<String> = Vec::new();
+            for g in groups {
+                for column in g.columns() {
                     if !made.contains(&column) {
+                        plan = plan.process(d.udf(&column).expect("a UDF column"));
                         made.push(column);
-                        plan = plan.process(d.udf(column).expect("a UDF column"));
                     }
                 }
-                let clauses = g.clauses.iter().cloned().map(Predicate::Clause);
-                plan = plan.select(match g.clauses.len() {
-                    1 => Predicate::Clause(g.clauses[0].clone()),
-                    _ => Predicate::Or(clauses.collect()),
-                });
+                plan = plan.select(g);
             }
             assert_eq!(
                 sortp_plan(&d, &q, 200).explain(),

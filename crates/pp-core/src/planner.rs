@@ -17,15 +17,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
-use pp_engine::logical::LogicalPlan;
-use pp_engine::predicate::Predicate;
+use pp_engine::logical::{LogicalPlan, ProjectItem};
+use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::schema::Schema;
-use pp_engine::{prune_stats, publishes_zone_maps, Catalog};
+use pp_engine::{prune_stats, publishes_zone_maps, Catalog, DataType};
 
 use crate::alloc::BudgetDp;
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{filter_name, PlannedPpExpr, PpExpr, PpExprFilter};
+use crate::implication::Antecedent;
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::rewrite;
@@ -357,25 +358,44 @@ impl PpQueryOptimizer {
                 leaf_reductions,
                 estimate: planned.estimate(),
             };
-            // Cardinality hints for the prediction pass: the injected
-            // filter passes 1 − r of the scan, and of those survivors the
-            // exact Selects keep the σ·a truly-matching rows the PP
-            // retained (σ from the PP's validation selectivity). A placed
-            // plan has a Select per conjunct; the topmost one's output is
-            // what the whole predicate keeps, so it carries the ratio and
-            // the ones below it predict pass-through.
-            hints = hints.with_ratio(chosen.filter_op(), 1.0 - chosen.estimate.reduction);
-            let survivors = 1.0 - chosen.estimate.reduction;
-            let residual = (pp_of(&self.pp_catalog, &predicate))
-                .zip(topmost_select_over(&out_plan, &table))
-                .filter(|_| survivors > 1e-12);
-            if let Some((pp, select)) = residual {
-                let ratio = pp.observed_selectivity() * chosen.estimate.accuracy / survivors;
-                hints = hints.with_ratio(select, ratio.clamp(0.0, 1.0));
-            }
-            report.chosen = Some(chosen);
+            // A leaf keeps about `a` of the rows it mimics and passes
+            // `1 − r` of all rows, so among its survivors a conjunct that
+            // implies its predicate is `a / (1 − r)` times as common.
+            let leaves = (planned.expr().leaves().into_iter())
+                .zip(chosen.leaf_accuracies.iter().zip(&chosen.leaf_reductions))
+                .map(|(pp, (&a, &r))| (Arc::clone(pp), a / (1.0 - r).max(1e-12)))
+                .collect();
+            let rates = PassRates {
+                leaves,
+                catalog: &self.pp_catalog,
+            };
+            let filter_op = chosen.filter_op();
             let filter = Arc::new(planned.into_filter(blob_column));
             out_plan = inject_above_scan(&out_plan, &table, Arc::clone(&filter) as _)?;
+            // The UDF stages above the PP run in rank order by those rates.
+            if let Some(ranked) = ranked_over(&out_plan, &filter_op, catalog, &rates)? {
+                out_plan = ranked;
+            }
+            // Cardinality hints for the prediction pass: the injected
+            // filter passes 1 − r of the scan, and each `Select` above it
+            // its conjunct's pass rate. A PP of the whole predicate measured
+            // what the predicate keeps jointly, the σ·a truly-matching rows
+            // the PP retained, so with one the topmost `Select` carries
+            // that and the ones below it predict pass-through.
+            let survivors = 1.0 - chosen.estimate.reduction;
+            hints = hints.with_ratio(&filter_op, survivors);
+            let whole = (pp_of(&self.pp_catalog, &predicate))
+                .filter(|_| survivors > 1e-12)
+                .map(|pp| pp.observed_selectivity() * chosen.estimate.accuracy / survivors);
+            for (i, (select, conjunct)) in selects_over(&out_plan, &table).enumerate() {
+                let ratio = match whole {
+                    Some(whole) if i == 0 => whole.clamp(0.0, 1.0),
+                    Some(_) => 1.0,
+                    None => rates.of(conjunct),
+                };
+                hints = hints.with_ratio(select, ratio);
+            }
+            report.chosen = Some(chosen);
             pp_filter = Some(filter);
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
@@ -400,28 +420,173 @@ fn pp_of<'a>(
             return None;
         };
         catalog.all().iter().find(|pp| {
-            matches!(pp.predicate(), Predicate::And(theirs)
-                if theirs.len() == ours.len() && ours.iter().all(|c| theirs.contains(c)))
+            matches!(pp.predicate(), Predicate::And(_)) && {
+                let theirs = pp.predicate().conjuncts();
+                theirs.len() == ours.len() && ours.iter().all(|c| theirs.contains(c))
+            }
         })
     })
 }
 
-/// The label of the topmost `Select` on the path from `plan`'s root to
-/// the scan of `table`, if there is one.
-fn topmost_select_over(plan: &LogicalPlan, table: &str) -> Option<String> {
+/// The label and predicate of each `Select` on the path from `plan`'s
+/// root to the scan of `table`, topmost first.
+fn selects_over<'a>(
+    plan: &'a LogicalPlan,
+    table: &'a str,
+) -> impl Iterator<Item = (String, &'a Predicate)> {
     fn scans(plan: &LogicalPlan, table: &str) -> bool {
         matches!(plan, LogicalPlan::Scan { table: t, .. } if t == table)
             || plan.children().any(|child| scans(child, table))
     }
-    if !scans(plan, table) {
-        return None;
+    let path = std::iter::successors(Some(plan).filter(|p| scans(p, table)), move |node| {
+        node.children().find(|child| scans(child, table))
+    });
+    path.filter_map(|node| match node {
+        LogicalPlan::Select { predicate, .. } => Some((node.op_label(), predicate)),
+        _ => None,
+    })
+}
+
+/// `plan` with the run of `Process` and `Select` nodes directly above the
+/// filter named `filter_op` placed again in rank order
+/// ([`LogicalPlan::rank_order`]) by `rates`; `None` when their declared
+/// order stays, or when anything but `Project`s sits above them (a join
+/// or a grouping keeps its input's order). A `Project` of every non-blob
+/// column above them then names its columns in the declared order, so a
+/// verdict row keeps its columns.
+fn ranked_over(
+    plan: &LogicalPlan,
+    filter_op: &str,
+    catalog: &Catalog,
+    rates: &PassRates,
+) -> Result<Option<LogicalPlan>> {
+    let mut stages = Vec::new();
+    let mut conjuncts = Vec::new();
+    let mut base = plan;
+    loop {
+        match base {
+            LogicalPlan::Process { input, processor } => {
+                stages.push(Arc::clone(processor));
+                base = input;
+            }
+            LogicalPlan::Select { input, predicate } => {
+                conjuncts.push((predicate.clone(), rates.of(predicate)));
+                base = input;
+            }
+            _ => break,
+        }
     }
-    match plan {
-        LogicalPlan::Select { .. } => Some(plan.op_label()),
-        _ => plan
-            .children()
-            .find_map(|child| topmost_select_over(child, table)),
+    if matches!(base, LogicalPlan::Filter { filter, .. } if filter.name() == filter_op) {
+        stages.reverse();
+        conjuncts.reverse();
+        let ranked = LogicalPlan::rank_order(&stages, &conjuncts);
+        return Ok(
+            ranked.map(|(stages, conjuncts)| LogicalPlan::placed(base.clone(), &stages, conjuncts))
+        );
     }
+    let LogicalPlan::Project { input, items } = plan else {
+        return Ok(None);
+    };
+    let Some(ranked) = ranked_over(input, filter_op, catalog, rates)? else {
+        return Ok(None);
+    };
+    let declared = input.output_schema(catalog)?;
+    let named = (declared.columns().iter())
+        .filter(|c| c.dtype != DataType::Blob)
+        .map(|c| ProjectItem::Keep(c.name.clone()));
+    let items = (items.iter())
+        .flat_map(|item| match item.names() {
+            Some(_) => vec![item.clone()],
+            None => named.clone().collect(),
+        })
+        .collect();
+    Ok(Some(ranked.project(items)))
+}
+
+/// Estimated pass rates of conjuncts among the rows that reach them, the
+/// survivors of the chosen PP: a conjunct that implies a chosen leaf's
+/// predicate passes its [`selectivity`] enriched by that leaf,
+/// `σ·a / (1 − r)` capped at 1 (for the leaf's own predicate, its
+/// precision); any other, its selectivity; a conjunction, the product of
+/// its conjuncts'; and one the corpus says nothing of, 1, so it never
+/// moves a stage ahead.
+struct PassRates<'a> {
+    /// Each chosen leaf beside `a / (1 − r)` at its allocated accuracy.
+    leaves: Vec<(Arc<crate::pp::ProbabilisticPredicate>, f64)>,
+    catalog: &'a PpCatalog,
+}
+
+impl PassRates<'_> {
+    fn of(&self, conjunct: &Predicate) -> f64 {
+        if let Predicate::And(conjuncts) = conjunct {
+            return conjuncts.iter().map(|c| self.of(c)).product();
+        }
+        let antecedent = Antecedent::new(conjunct);
+        let enrichment = (self.leaves.iter())
+            .filter(|(pp, _)| antecedent.implies(pp.nnf()))
+            .map(|&(_, factor)| factor)
+            .fold(1.0, f64::max);
+        selectivity(conjunct, self.catalog).map_or(1.0, |s| (s * enrichment).min(1.0))
+    }
+}
+
+/// A predicate's selectivity on the corpus's validation samples: its own
+/// PP's, when the corpus has one; 1 − that of the `=` clause for `≠`;
+/// for an order comparison, interpolated over the column's trained
+/// boundaries ([`interpolated`]); a disjunction's sum (capped at 1) and a
+/// conjunction's product. `None` when the corpus says nothing of it.
+fn selectivity(predicate: &Predicate, catalog: &PpCatalog) -> Option<f64> {
+    if let Some(pp) = catalog.get(predicate) {
+        return Some(pp.observed_selectivity());
+    }
+    match predicate {
+        Predicate::Clause(c) if c.op == CompareOp::Ne => {
+            selectivity(&Predicate::Clause(c.negated()), catalog).map(|s| 1.0 - s)
+        }
+        Predicate::Clause(c) => interpolated(c, catalog),
+        Predicate::Or(children) => (children.iter())
+            .map(|c| selectivity(c, catalog))
+            .sum::<Option<f64>>()
+            .map(|s| s.min(1.0)),
+        Predicate::And(children) => Some(
+            (children.iter())
+                .map(|c| selectivity(c, catalog).unwrap_or(1.0))
+                .product(),
+        ),
+        _ => None,
+    }
+}
+
+/// The share of rows an order comparison keeps, interpolated linearly
+/// between the nearest boundaries of its column that the corpus has a
+/// `≥`, `>`, `≤` or `<` PP at, each read as the share of rows above it;
+/// `None` outside them.
+fn interpolated(clause: &Clause, catalog: &PpCatalog) -> Option<f64> {
+    let above = |c: &Clause, share: f64| match c.op {
+        CompareOp::Ge | CompareOp::Gt => Some(share),
+        CompareOp::Le | CompareOp::Lt => Some(1.0 - share),
+        CompareOp::Eq | CompareOp::Ne => None,
+    };
+    let at = clause.value.as_float().ok()?;
+    let points: Vec<(f64, f64)> = (catalog.all().iter())
+        .filter_map(|pp| match pp.predicate() {
+            Predicate::Clause(c) if c.column == clause.column => Some((
+                c.value.as_float().ok()?,
+                above(c, pp.observed_selectivity())?,
+            )),
+            _ => None,
+        })
+        .collect();
+    let nearest = |side: fn(f64, f64) -> bool| {
+        (points.iter().filter(|(x, _)| side(*x, at)))
+            .min_by(|(a, _), (b, _)| (a - at).abs().total_cmp(&(b - at).abs()))
+    };
+    let ((x0, y0), (x1, y1)) = (nearest(|x, at| x <= at)?, nearest(|x, at| x >= at)?);
+    let share = match x1 > x0 {
+        true => y0 + (at - x0) / (x1 - x0) * (y1 - y0),
+        false => *y0,
+    };
+    above(clause, share).map(|s| s.clamp(0.0, 1.0))
 }
 
 /// The conjuncts of `predicate` whose columns all exist in the stored

@@ -55,7 +55,8 @@ impl TrafQuery {
     /// is built: NoP's rows, and no UDF runs on a row an earlier conjunct
     /// rejected.
     pub fn placed_plan(&self, dataset: &TrafficDataset) -> LogicalPlan {
-        LogicalPlan::placed("traffic", &self.udfs(dataset), self.predicate.conjuncts())
+        let scan = LogicalPlan::scan("traffic");
+        LogicalPlan::placed(scan, &self.udfs(dataset), self.predicate.conjuncts())
     }
 
     fn udfs(&self, dataset: &TrafficDataset) -> Vec<Arc<dyn Processor>> {

@@ -97,6 +97,22 @@ pub(crate) fn project_columns(
     Ok(out)
 }
 
+/// UDF stages and conjuncts, each in the order
+/// [`LogicalPlan::placed`] takes them.
+pub type Placement = (Vec<Arc<dyn Processor>>, Vec<Predicate>);
+
+/// The positions of the `stages` whose output columns `conjunct` reads,
+/// in order.
+fn stages_read<'a>(
+    stages: &'a [Arc<dyn Processor>],
+    conjunct: &Predicate,
+) -> impl Iterator<Item = usize> + 'a {
+    let reads = conjunct.columns();
+    (stages.iter().enumerate())
+        .filter(move |(_, stage)| (stage.output_columns().iter()).any(|c| reads.contains(&c.name)))
+        .map(|(i, _)| i)
+}
+
 /// A logical query plan node.
 #[derive(Clone)]
 pub enum LogicalPlan {
@@ -306,33 +322,97 @@ impl LogicalPlan {
         }
     }
 
-    /// Scan `table` → each of `stages` in order, with each conjunct's
-    /// `Select` directly above the last stage whose
+    /// `input` → each of `stages` in order, with each conjunct's `Select`
+    /// directly above the last stage whose
     /// [`output_columns`](Processor::output_columns) it reads, so no row a
     /// conjunct rejects pays a later stage. A conjunct that reads no stage
-    /// output sits directly above the scan; conjuncts that share a position
+    /// output sits directly above `input`; conjuncts that share a position
     /// keep their given order.
     pub fn placed(
-        table: impl Into<String>,
+        input: LogicalPlan,
         stages: &[Arc<dyn Processor>],
         conjuncts: impl IntoIterator<Item = Predicate>,
     ) -> LogicalPlan {
-        // `at[0]` sits above the scan, `at[i + 1]` above `stages[i]`.
+        // `at[0]` sits above the input, `at[i + 1]` above `stages[i]`.
         let mut at = vec![Vec::new(); stages.len() + 1];
         for conjunct in conjuncts {
-            let reads = conjunct.columns();
-            let last = stages.iter().rposition(|stage| {
-                (stage.output_columns().iter()).any(|c| reads.contains(&c.name))
-            });
+            let last = stages_read(stages, &conjunct).last();
             at[last.map_or(0, |i| i + 1)].push(conjunct);
         }
         let mut at = at.into_iter();
-        let above_scan = at.next().into_iter().flatten();
-        let mut plan = above_scan.fold(LogicalPlan::scan(table), LogicalPlan::select);
+        let above_input = at.next().into_iter().flatten();
+        let mut plan = above_input.fold(input, LogicalPlan::select);
         for (stage, selects) in stages.iter().zip(at) {
             plan = (selects.into_iter()).fold(plan.process(Arc::clone(stage)), LogicalPlan::select);
         }
         plan
+    }
+
+    /// SortP's rank order (Deshpande et al.) of `stages` for
+    /// [`placed`](Self::placed): each conjunct comes with its estimated
+    /// pass rate `p` among the rows that reach it. Conjuncts are taken
+    /// greedily by rank `u / (1 − p)`, `u` the cost per row of the stages
+    /// it reads that no earlier conjunct needs, and the stages run in the
+    /// order the ranked conjuncts first need them (any no conjunct reads
+    /// last). `None` when that order's expected cost per row, with each
+    /// conjunct after the last stage it reads, is not lower than the given
+    /// order's beyond rounding: the given order is the fallback and the
+    /// tie-break, so a pass rate of 1 (unknown) never moves a stage ahead.
+    pub fn rank_order(
+        stages: &[Arc<dyn Processor>],
+        conjuncts: &[(Predicate, f64)],
+    ) -> Option<Placement> {
+        let reads: Vec<Vec<usize>> = (conjuncts.iter())
+            .map(|(c, _)| stages_read(stages, c).collect())
+            .collect();
+        let rank = |j: usize, made: &[bool]| {
+            let u: f64 = (reads[j].iter().filter(|&&s| !made[s]))
+                .map(|&s| stages[s].cost_per_row())
+                .sum();
+            u / (1.0 - conjuncts[j].1).max(1e-9)
+        };
+        let mut made = vec![false; stages.len()];
+        let mut order = Vec::with_capacity(stages.len());
+        let mut remaining: Vec<usize> = (0..conjuncts.len()).collect();
+        let mut ranked = Vec::with_capacity(conjuncts.len());
+        while let Some(next) = (0..remaining.len())
+            .min_by(|&a, &b| rank(remaining[a], &made).total_cmp(&rank(remaining[b], &made)))
+        {
+            let j = remaining.remove(next);
+            for &s in &reads[j] {
+                if !std::mem::replace(&mut made[s], true) {
+                    order.push(s);
+                }
+            }
+            ranked.push(j);
+        }
+        order.extend((0..stages.len()).filter(|&s| !made[s]));
+        // Expected cost per row of `order`, each conjunct's pass rate
+        // applied after the last stage of it that runs.
+        let cost = |order: &[usize]| {
+            let mut position = vec![0; stages.len()];
+            for (i, &s) in order.iter().enumerate() {
+                position[s] = i + 1;
+            }
+            let mut pass = vec![1.0; stages.len() + 1];
+            for (read, (_, p)) in reads.iter().zip(conjuncts) {
+                pass[read.iter().map(|&s| position[s]).max().unwrap_or(0)] *= p;
+            }
+            let mut reach = pass[0];
+            let mut cost = 0.0;
+            for (&s, pass) in order.iter().zip(&pass[1..]) {
+                cost += reach * stages[s].cost_per_row();
+                reach *= pass;
+            }
+            cost
+        };
+        let declared: Vec<usize> = (0..stages.len()).collect();
+        (cost(&order) < cost(&declared) * (1.0 - 1e-12)).then(|| {
+            (
+                order.iter().map(|&s| Arc::clone(&stages[s])).collect(),
+                ranked.iter().map(|&j| conjuncts[j].0.clone()).collect(),
+            )
+        })
     }
 
     /// Chains a processor.
@@ -599,16 +679,13 @@ mod tests {
             c("vehType", CompareOp::Eq, Value::str("SUV")),
             c("speed", CompareOp::Le, Value::Int(70)),
         ];
-        let plan = LogicalPlan::placed("video", &[veh_type_proc(), speed], conjuncts);
-        let mut chain = vec![plan.op_label()];
-        let mut node = &plan;
-        while let Some(child) = node.children().next() {
-            chain.push(child.op_label());
-            node = child;
-        }
-        chain.reverse();
+        let plan = LogicalPlan::placed(
+            LogicalPlan::scan("video"),
+            &[veh_type_proc(), speed],
+            conjuncts,
+        );
         assert_eq!(
-            chain,
+            chain(&plan),
             [
                 "Scan[video]",
                 "Select[frameID >= 1]",
@@ -621,6 +698,91 @@ mod tests {
             ]
         );
         assert!(plan.output_schema(&catalog()).is_ok());
+    }
+
+    /// The op labels of a chain of one-input operators, bottom up.
+    fn chain(plan: &LogicalPlan) -> Vec<String> {
+        let mut chain = vec![plan.op_label()];
+        let mut node = plan;
+        while let Some(child) = node.children().next() {
+            chain.push(child.op_label());
+            node = child;
+        }
+        chain.reverse();
+        chain
+    }
+
+    fn udf(name: &str, column: &str, cost: f64) -> Arc<dyn Processor> {
+        Arc::new(ClosureProcessor::map(
+            name,
+            vec![Column::new(column, DataType::Int)],
+            cost,
+            |_, _, out| {
+                out.push(Value::Int(1));
+                Ok(())
+            },
+        ))
+    }
+
+    fn eq(column: &str) -> Predicate {
+        Predicate::from(Clause::new(column, CompareOp::Eq, 1i64))
+    }
+
+    fn ranked_chain(stages: &[Arc<dyn Processor>], conjuncts: &[(Predicate, f64)]) -> Vec<String> {
+        let (stages, conjuncts) =
+            LogicalPlan::rank_order(stages, conjuncts).expect("a cheaper order");
+        chain(&LogicalPlan::placed(
+            LogicalPlan::scan("video"),
+            &stages,
+            conjuncts,
+        ))
+    }
+
+    #[test]
+    fn a_cheaper_more_selective_second_udf_runs_first() {
+        let stages = [udf("A", "a", 2.0), udf("B", "b", 1.0)];
+        // Declared: 2 + 0.9·1 = 2.9 per row; B first: 1 + 0.1·2 = 1.2.
+        let conjuncts = [(eq("a"), 0.9), (eq("b"), 0.1)];
+        assert_eq!(
+            ranked_chain(&stages, &conjuncts),
+            [
+                "Scan[video]",
+                "Process[B]",
+                "Select[b = 1]",
+                "Process[A]",
+                "Select[a = 1]"
+            ]
+        );
+        // Cheaper alone or more selective alone is not enough when the
+        // other stage's rank is lower: A's 2 / (1 − 0.1) < B's 1 / (1 − 0.9).
+        let conjuncts = [(eq("a"), 0.1), (eq("b"), 0.9)];
+        assert!(LogicalPlan::rank_order(&stages, &conjuncts).is_none());
+    }
+
+    #[test]
+    fn a_single_select_chain_keeps_its_order() {
+        let stages = [udf("A", "a", 2.0), udf("B", "b", 1.0)];
+        let both = Predicate::and(eq("a"), eq("b"));
+        assert!(LogicalPlan::rank_order(&stages, &[(both, 0.01)]).is_none());
+        assert!(LogicalPlan::rank_order(&stages, &[]).is_none());
+    }
+
+    #[test]
+    fn ties_and_unknown_rates_keep_declaration_order() {
+        let stages = [udf("A", "a", 2.0), udf("B", "b", 1.0), udf("C", "c", 1.0)];
+        // Unknown rates: every order costs all three stages.
+        let unknown = [(eq("a"), 1.0), (eq("b"), 1.0), (eq("c"), 1.0)];
+        assert!(LogicalPlan::rank_order(&stages, &unknown).is_none());
+        // Equal ranks: B and C tie, so B, declared first, stays first.
+        let tied = [(eq("a"), 1.0), (eq("b"), 0.5), (eq("c"), 0.5)];
+        assert_eq!(
+            ranked_chain(&stages, &tied)[1..4],
+            ["Process[B]", "Select[b = 1]", "Process[C]"]
+        );
+        // An order that only ties the declared one is not taken.
+        let stages = [udf("A", "a", 1.0), udf("B", "b", 1.0)];
+        let tied = [(eq("a"), 0.5), (eq("b"), 0.5)];
+        assert!(LogicalPlan::rank_order(&stages, &tied).is_none());
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! ("NoP") plan.
 //!
 //! A [`SourceSpec`] names a registered base table and lists the
-//! UDF-derived predicate columns it can materialize, in canonical
-//! execution order — the serving analogue of
-//! `TrafQuery::nop_plan` in `pp-data`. Given a predicate, the spec emits
+//! UDF-derived predicate columns it can materialize — the serving analogue
+//! of `TrafQuery::nop_plan` in `pp-data`. Given a predicate, the spec emits
 //! `scan → (one Process per referenced column, each followed by a select
 //! of every top-level conjunct it completes) → project`, so a row one
-//! conjunct rejects pays no later UDF; the PP query optimizer then injects
-//! PP filters beneath the UDFs as usual.
+//! conjunct rejects pays no later UDF. The PP query optimizer then injects
+//! a PP filter above the scan and runs the UDFs in rank order by their
+//! conjuncts' pass rates among its survivors
+//! ([`LogicalPlan::rank_order`]); declaration order is the fallback and
+//! the tie-break.
 //! The project keeps every column but the blobs, so a verdict row is what
 //! the query derived (ids and UDF columns), not the blob it came from.
 //! The same plan without the project is what the accuracy auditor runs
@@ -52,9 +54,10 @@ impl SourceSpec {
     }
 
     /// Declares that `processor` materializes predicate column `column`.
-    /// Declaration order is execution order, and a conjunct is applied
-    /// right after the last UDF it reads, so declare cheap or selective
-    /// UDFs first (mirrors the canonical column order of TRAF-20).
+    /// A conjunct is applied right after the last UDF it reads. The
+    /// planner orders a served plan's UDFs by rank; declaration order is
+    /// what it falls back to and breaks ties by, and what the PP-free plan
+    /// and audit replays run.
     pub fn with_udf(mut self, column: impl Into<String>, processor: Arc<dyn Processor>) -> Self {
         self.udfs.push((column.into(), processor));
         self
@@ -65,8 +68,8 @@ impl SourceSpec {
         &self.table
     }
 
-    /// The UDF-derived columns this source can materialize, in execution
-    /// order.
+    /// The UDF-derived columns this source can materialize, in
+    /// declaration order.
     pub fn columns(&self) -> Vec<&str> {
         self.udfs.iter().map(|(c, _)| c.as_str()).collect()
     }
@@ -84,7 +87,11 @@ impl SourceSpec {
             .filter(|(column, _)| used.contains(column))
             .map(|(_, processor)| Arc::clone(processor))
             .collect();
-        LogicalPlan::placed(&self.table, &stages, predicate.conjuncts())
+        LogicalPlan::placed(
+            LogicalPlan::scan(&self.table),
+            &stages,
+            predicate.conjuncts(),
+        )
     }
 
     /// The plan for `predicate` before PPs: scan → the UDFs it needs, each

@@ -11,6 +11,7 @@ mod common;
 
 use probabilistic_predicates::core::alloc::ACCURACY_GRID;
 use probabilistic_predicates::core::catalog::CatalogEpoch;
+use probabilistic_predicates::core::inject::inject_above_scan;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
@@ -208,10 +209,11 @@ fn concurrent_schedule_matches_serial_with_and_without_epoch_swap() {
     }
 }
 
-/// A served plan runs each conjunct right after the last UDF it reads.
-/// That rewrite is exact: on every TRAF-20 query at every target it picks
-/// the PP the NoP plan gets, returns the same rows, and runs no UDF on
-/// more rows.
+/// A served plan runs each conjunct right after the last UDF it reads,
+/// its UDFs in rank order. That rewrite is exact: on every TRAF-20 query
+/// at every target it picks the PP the NoP plan gets, returns the same
+/// rows, and runs no UDF on more rows (each UDF's span paired with NoP's
+/// by name, since the order may differ).
 #[test]
 fn a_placed_served_plan_picks_nops_pp_and_rows_and_runs_no_udf_on_more_rows() {
     let f = fixture();
@@ -235,9 +237,11 @@ fn a_placed_served_plan_picks_nops_pp_and_rows_and_runs_no_udf_on_more_rows() {
                 let mut ctx = ExecutionContext::new(&f.catalog);
                 let rows = digest(&ctx.run(&optimized.plan).expect("run"));
                 let spans = ctx.telemetry().expect("telemetry").spans.iter();
-                let udf_rows: Vec<(String, u64)> = (spans.filter(|s| s.op.starts_with("Process[")))
-                    .map(|s| (s.op.clone(), s.rows_in))
-                    .collect();
+                let mut udf_rows: Vec<(String, u64)> = (spans
+                    .filter(|s| s.op.starts_with("Process[")))
+                .map(|s| (s.op.clone(), s.rows_in))
+                .collect();
+                udf_rows.sort();
                 (chosen, rows, udf_rows)
             };
             let (nop_chosen, nop_rows, nop_udf_rows) = run(&nop);
@@ -311,6 +315,108 @@ fn a_placed_plan_predicts_the_output_rows_of_its_nop_plan() {
         residual > 0,
         "no placed plan's topmost Select predicted a residual"
     );
+}
+
+/// A served plan's UDFs run in rank order by their conjuncts' pass rates
+/// among the PP's survivors. Against the same PP over the declared order
+/// (NoP's PP, which one `Select` never reorders, injected into the placed
+/// plan), on every TRAF-20 query at every target: the same PP at the same
+/// leaf accuracies and the same verdict rows and columns. The bill is
+/// lower on some queries and over all of them. It is higher on one: the
+/// rates come from 80 validation frames, and at a = 0.95 Q6's puts
+/// `vehType = van` at 0.25 where 0.17 of the PP's survivors are vans, so
+/// its ranked plan costs 1.4 % more; no other may.
+#[test]
+fn a_ranked_served_plan_keeps_its_pp_and_rows_and_lowers_the_bill() {
+    let f = fixture();
+    let spec = f.sources.get("traffic").expect("traffic source");
+    let (mut cheaper, mut dearer) = (0, Vec::new());
+    let (mut total, mut declared_total) = (0.0, 0.0);
+    for q in traf20_queries() {
+        let nop = q.nop_plan(&f.dataset).project(vec![ProjectItem::NonBlob]);
+        for accuracy_target in [0.9, 0.95, 0.98] {
+            let qo = PpQueryOptimizer::new(
+                f.pp_catalog.clone(),
+                f.domains.clone(),
+                QoConfig { accuracy_target },
+            );
+            let chosen = |plan| {
+                let optimized = qo.optimize(plan, &f.catalog).expect("optimize");
+                let chosen = optimized.report.chosen.map(|c| {
+                    let bits: Vec<u64> = c.leaf_accuracies.iter().map(|a| a.to_bits()).collect();
+                    (c.leaf_keys, bits)
+                });
+                (chosen, optimized.plan, optimized.pp_filter)
+            };
+            let (nop_chosen, _, filter) = chosen(&nop);
+            let (ranked_chosen, ranked, _) = chosen(&spec.nop_plan(&q.predicate));
+            let at = format!("Q{} a={accuracy_target}", q.id);
+            assert_eq!(ranked_chosen, nop_chosen, "{at}");
+            let declared = match filter {
+                Some(filter) => inject_above_scan(&spec.nop_plan(&q.predicate), "traffic", filter)
+                    .expect("inject"),
+                None => spec.nop_plan(&q.predicate),
+            };
+            let run = |plan: &LogicalPlan| {
+                let mut ctx = ExecutionContext::new(&f.catalog);
+                let rows = ctx.run(plan).expect("run");
+                let columns = format!("{:?}", rows.schema());
+                (columns, digest(&rows), ctx.meter().cluster_seconds())
+            };
+            let (columns, rows, cost) = run(&ranked);
+            let (declared_columns, declared_rows, declared_cost) = run(&declared);
+            assert_eq!(columns, declared_columns, "{at}");
+            assert_eq!(rows, declared_rows, "{at}");
+            cheaper += usize::from(cost < declared_cost);
+            if cost > declared_cost {
+                dearer.push(at);
+            }
+            total += cost;
+            declared_total += declared_cost;
+        }
+    }
+    assert!(cheaper > 0, "ranking cut no query's bill");
+    assert!(total < declared_total, "{total} > {declared_total}");
+    assert_eq!(dearer, ["Q6 a=0.95"]);
+}
+
+/// Each `Select` of a placed plan predicts its conjunct's pass rate among
+/// the rows that reach it, from clause PPs alone: on every TRAF-20 query
+/// of more than one conjunct, the served plan's predicted output rows are
+/// nearer the rows it returns than the PP's survivors (what predicting
+/// pass-through at every `Select` says).
+#[test]
+fn a_placed_plan_predicts_its_output_rows_nearer_than_pass_through() {
+    let f = fixture();
+    let spec = f.sources.get("traffic").expect("traffic source");
+    let qo = PpQueryOptimizer::new(
+        f.pp_catalog.clone(),
+        f.domains.clone(),
+        QoConfig {
+            accuracy_target: 0.95,
+        },
+    );
+    for q in traf20_queries() {
+        if q.predicate.conjuncts().len() < 2 {
+            continue;
+        }
+        let optimized = qo.optimize(&spec.nop_plan(&q.predicate), &f.catalog);
+        let optimized = optimized.expect("optimize");
+        let chosen = optimized.report.chosen.as_ref().expect("a PP");
+        let predictions = &optimized.report.predictions;
+        let survivors = (predictions.iter())
+            .find(|p| p.op == chosen.filter_op())
+            .expect("the PP's prediction")
+            .rows_out;
+        let predicted = predictions.last().expect("the root's prediction").rows_out;
+        let mut ctx = ExecutionContext::new(&f.catalog);
+        let actual = ctx.run(&optimized.plan).expect("run").len() as f64;
+        assert!(
+            (predicted - actual).abs() < (survivors - actual).abs(),
+            "Q{}: {predicted} predicted, {actual} returned, {survivors} survive the PP",
+            q.id
+        );
+    }
 }
 
 #[test]
@@ -657,9 +763,11 @@ fn a_served_verdict_row_carries_no_blob_in_process_or_over_the_wire() {
         )
         .optimize(&spec.nop_plan(&q.predicate), &f.catalog)
         .expect("optimize");
+        // The root keeps every non-blob column, in declaration order
+        // whatever order the UDFs run in.
         let explain = optimized.plan.explain();
         assert!(
-            explain.starts_with("Project[* except blobs]\n"),
+            matches!(optimized.plan, LogicalPlan::Project { .. }),
             "{explain}"
         );
         let schema = optimized.plan.output_schema(&f.catalog).expect("resolves");
