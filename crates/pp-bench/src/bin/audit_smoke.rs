@@ -97,11 +97,12 @@ fn main() -> pp_bench::Result<()> {
         let report = server.maintenance_now();
         audited += report.audit.audited;
         println!(
-            "round {round}: audited={} replays={} false_drops={} violated={}",
+            "round {round}: audited={} replays={} false_drops={} violated={} replanned={}",
             report.audit.audited,
             report.audit.replays,
             report.audit.false_drops,
-            report.audit.violated_keys.len()
+            report.audit.violated_keys.len(),
+            report.replanned
         );
     }
 

@@ -73,26 +73,6 @@ pub fn disjoin(e1: Estimate, e2: Estimate) -> Estimate {
     }
 }
 
-/// Folds a sequence of estimates under conjunction.
-pub fn conjoin_all(estimates: impl IntoIterator<Item = Estimate>) -> Estimate {
-    estimates.into_iter().fold(Estimate::passthrough(), conjoin)
-}
-
-/// Folds a sequence of estimates under disjunction.
-///
-/// The disjunction identity is "always reject": accuracy 0, reduction 1.
-/// An empty disjunction therefore returns that absorbing element; callers
-/// must not build empty disjunctions.
-pub fn disjoin_all(estimates: impl IntoIterator<Item = Estimate>) -> Estimate {
-    let mut iter = estimates.into_iter();
-    let first = iter.next().unwrap_or(Estimate {
-        accuracy: 0.0,
-        reduction: 1.0,
-        cost: 0.0,
-    });
-    iter.fold(first, disjoin)
-}
-
 /// Plan cost per input blob (§3): the filter cost plus the unfiltered
 /// fraction of the downstream UDF cost `u`.
 pub fn plan_cost_per_blob(e: &Estimate, udf_cost: f64) -> f64 {
@@ -169,18 +149,6 @@ mod tests {
         // c1 + r1*c2 = 1 + 0.2*10 = 3; c2 + r2*c1 = 10 + 0.2 = 10.2.
         assert!((out.cost - 3.0).abs() < 1e-12);
         assert_eq!(disjoin(e1, e2), disjoin(e2, e1));
-    }
-
-    #[test]
-    fn folds_match_pairwise() {
-        let xs = [e(0.99, 0.3, 1.0), e(0.98, 0.4, 2.0), e(0.97, 0.5, 0.5)];
-        let folded = conjoin_all(xs);
-        let manual = conjoin(conjoin(xs[0], xs[1]), xs[2]);
-        assert!((folded.accuracy - manual.accuracy).abs() < 1e-12);
-        assert!((folded.reduction - manual.reduction).abs() < 1e-12);
-        let folded_or = disjoin_all(xs);
-        let manual_or = disjoin(disjoin(xs[0], xs[1]), xs[2]);
-        assert!((folded_or.accuracy - manual_or.accuracy).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use pp_engine::udf::RowFilter;
 use pp_engine::{Predicate, RowRef, Schema};
 use pp_linalg::{FeatureBatch, Features};
 
-use crate::combine::{conjoin_all, disjoin_all, Estimate};
+use crate::combine::{conjoin, disjoin, Estimate};
 use crate::pp::ProbabilisticPredicate;
 use crate::{PpError, Result};
 
@@ -79,36 +79,37 @@ impl PpExpr {
             return Err(PpError::InvalidParameter("one accuracy per leaf"));
         }
         let mut next_leaf = 0usize;
-        self.estimate_rec(accuracies, &mut next_leaf)
+        self.fold(&mut |pp| {
+            let a = accuracies[next_leaf];
+            next_leaf += 1;
+            Ok(Estimate {
+                accuracy: a,
+                reduction: pp.reduction(a)?,
+                cost: pp.cost_per_row(),
+            })
+        })
     }
 
-    fn estimate_rec(&self, accuracies: &[f64], next_leaf: &mut usize) -> Result<Estimate> {
+    /// The Eq. 9/10 fold: `leaf` gives each leaf's estimate, called in
+    /// pre-order, and every node combines its children left to right.
+    /// Allocates no memory, so the budget search runs it once per vector
+    /// of leaf accuracies it tries.
+    pub(crate) fn fold<F>(&self, leaf: &mut F) -> Result<Estimate>
+    where
+        F: FnMut(&ProbabilisticPredicate) -> Result<Estimate>,
+    {
         match self {
-            PpExpr::Leaf(pp) => {
-                let a = accuracies[*next_leaf];
-                *next_leaf += 1;
-                Ok(Estimate {
-                    accuracy: a,
-                    reduction: pp.reduction(a)?,
-                    cost: pp.cost_per_row(),
-                })
-            }
-            PpExpr::And(es) => {
-                let parts: Result<Vec<Estimate>> = es
-                    .iter()
-                    .map(|e| e.estimate_rec(accuracies, next_leaf))
-                    .collect();
-                Ok(conjoin_all(parts?))
-            }
+            PpExpr::Leaf(pp) => leaf(pp),
+            PpExpr::And(es) => es.iter().try_fold(Estimate::passthrough(), |acc, e| {
+                Ok(conjoin(acc, e.fold(leaf)?))
+            }),
             PpExpr::Or(es) => {
-                if es.is_empty() {
-                    return Err(PpError::InvalidParameter("empty disjunction"));
-                }
-                let parts: Result<Vec<Estimate>> = es
-                    .iter()
-                    .map(|e| e.estimate_rec(accuracies, next_leaf))
-                    .collect();
-                Ok(disjoin_all(parts?))
+                let (first, rest) = es
+                    .split_first()
+                    .ok_or(PpError::InvalidParameter("empty disjunction"))?;
+                let first = first.fold(leaf)?;
+                rest.iter()
+                    .try_fold(first, |acc, e| Ok(disjoin(acc, e.fold(leaf)?)))
             }
         }
     }

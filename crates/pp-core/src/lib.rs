@@ -15,7 +15,7 @@
 //! * [`wrangle`] — Appendix A.2's rewrite rules that improve matchability,
 //! * [`expr`] — expressions (conjunctions/disjunctions) over PPs,
 //! * [`combine`] — the accuracy/reduction/cost algebra of Eqs. 9–10,
-//! * [`alloc`] — the accuracy-budget dynamic program of §6.2,
+//! * [`alloc`] — §6.2's accuracy-budget allocation, by exhaustive search,
 //! * [`order`] — PP ordering: every order of at most `MAX_PPS` children,
 //! * [`rewrite`] — §6.1's greedy rewrite from complex predicates to
 //!   candidate PP expressions (rules R1–R4),

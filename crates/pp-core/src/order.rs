@@ -52,6 +52,14 @@ pub fn sequence_cost(items: &[OrderItem], order: &[usize], gate: Gate) -> f64 {
 // `best_order` tries all k! orders of a node's children, k ≤ `MAX_PPS`:
 // a larger cap must stop the build here, not turn into a factorial search.
 const _: () = assert!(crate::rewrite::MAX_PPS <= 6);
+// `alloc::allocate` tries every vector of per-leaf grid levels: at most
+// 16⁴ per candidate, and a larger cap or grid must stop the build here.
+const _: () = assert!(
+    crate::alloc::ACCURACY_GRID
+        .len()
+        .pow(crate::rewrite::MAX_PPS as u32)
+        <= 65_536
+);
 
 /// The cheapest execution order, and its cost: every order is tried, the
 /// identity first, and a later one wins only if strictly cheaper.

@@ -9,9 +9,9 @@
 //!
 //! Pipeline: inspect the plan for pushable predicates → rewrite to
 //! candidate PP expressions (§6.1) → allocate the accuracy budget per
-//! candidate (§6.2's DP) → cost each plan as `c + (1 − r)·u` → pick the
-//! cheapest improving plan → order its PPs → inject the filter above the
-//! blob scan.
+//! candidate (§6.2, by exhaustive search) → cost each plan as
+//! `c + (1 − r)·u` → pick the cheapest improving plan → order its PPs →
+//! inject the filter above the blob scan.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,7 +22,7 @@ use pp_engine::predicate::{Clause, CompareOp, Predicate};
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog, DataType};
 
-use crate::alloc::BudgetDp;
+use crate::alloc::{allocate, certifies};
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{filter_name, PlannedPpExpr, PpExpr, PpExprFilter};
@@ -124,9 +124,9 @@ pub struct PlanReport {
     pub predicate: String,
     /// Feasible plan count within the PP budget (Table 10's "# plans").
     pub feasible_count: u64,
-    /// Candidate leaves whose validation positives certify no accuracy at
-    /// or above the target's grid point: what certification cost. Every
-    /// candidate using one is reported infeasible.
+    /// Distinct keys of candidate leaves whose validation positives certify
+    /// no accuracy at or above the target's grid point: what certification
+    /// cost. Every candidate using one is reported infeasible.
     pub uncertified_leaves: u64,
     /// Candidates actually costed.
     pub candidates: Vec<CandidateReport>,
@@ -304,12 +304,18 @@ impl PpQueryOptimizer {
                 .collect();
             report.feasible_count = outcome.feasible_count;
 
-            let mut dp = BudgetDp::new(self.config.accuracy_target, udf_cost);
+            let target = self.config.accuracy_target;
+            let mut uncertified: Vec<&str> = Vec::new();
             let mut best: Option<(f64, PlannedPpExpr)> = None;
-            for cand in candidates {
-                let planned = match dp.allocate(&cand) {
+            for cand in &candidates {
+                let planned = match allocate(cand, target, udf_cost) {
                     Ok(p) => p,
                     Err(PpError::InfeasibleAccuracy(_)) => {
+                        for pp in cand.leaves() {
+                            if !certifies(pp, target) && !uncertified.contains(&pp.key()) {
+                                uncertified.push(pp.key());
+                            }
+                        }
                         // Record the candidate for the audit trail with a
                         // pass-through estimate; it cannot win the plan.
                         let passthrough = Estimate::passthrough();
@@ -334,7 +340,7 @@ impl PpQueryOptimizer {
                     best = Some((cost, planned));
                 }
             }
-            report.uncertified_leaves = dp.uncertified_leaves() as u64;
+            report.uncertified_leaves = uncertified.len() as u64;
             let Some((cost, planned)) = best else {
                 continue;
             };

@@ -129,15 +129,6 @@ impl ProbabilisticPredicate {
         &self.trained.pipeline
     }
 
-    /// Whether `other` yields the same estimates at every accuracy: the
-    /// same trained pipeline at the same cost and reduction scale. (Two
-    /// rescaled copies of one PP are different `Arc`s but one curve.)
-    pub(crate) fn same_estimates(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.trained, &other.trained)
-            && self.cost_per_row.to_bits() == other.cost_per_row.to_bits()
-            && self.reduction_scale.to_bits() == other.reduction_scale.to_bits()
-    }
-
     /// Per-blob execution cost in simulated cluster seconds.
     pub fn cost_per_row(&self) -> f64 {
         self.cost_per_row

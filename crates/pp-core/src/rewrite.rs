@@ -32,7 +32,10 @@ use crate::expr::PpExpr;
 use crate::pp::ProbabilisticPredicate;
 use crate::wrangle::{Domains, Wrangler};
 
-/// Maximum number of PPs per expression (the paper's `k`).
+/// Maximum number of PPs per expression (the paper's `k`). The budget
+/// allocator tries every vector of per-leaf accuracies, so each extra leaf
+/// multiplies its search by the 16 points of
+/// [`ACCURACY_GRID`](crate::alloc::ACCURACY_GRID).
 pub const MAX_PPS: usize = 4;
 /// Cap on CNF size during normalization.
 const CNF_CAP: usize = 64;
@@ -288,6 +291,28 @@ fn enumerate_candidates(groups: &[GroupAnalysis]) -> Vec<PpExpr> {
     out
 }
 
+/// Whether `expr` implies, or is implied by, a part of a chain: the pair
+/// filters no more than the stronger of the two alone, while the
+/// independence estimate would credit it with both reductions (the rule
+/// `analyze_group` applies within a group).
+fn redundant_in(parts: &[PpExpr], expr: &PpExpr) -> bool {
+    parts
+        .iter()
+        .any(|part| mimics_implied(part, expr) || mimics_implied(expr, part))
+}
+
+/// Does `p`'s mimicked predicate imply `q`'s? Sound and incomplete: it
+/// reasons through the leaves' prepared implication, building nothing.
+fn mimics_implied(p: &PpExpr, q: &PpExpr) -> bool {
+    match (p, q) {
+        (_, PpExpr::And(qs)) => qs.iter().all(|q| mimics_implied(p, q)),
+        (PpExpr::Or(ps), _) => ps.iter().all(|p| mimics_implied(p, q)),
+        (PpExpr::Leaf(a), PpExpr::Leaf(b)) => a.implies(b),
+        (PpExpr::And(ps), _) => ps.iter().any(|p| mimics_implied(p, q)),
+        (PpExpr::Leaf(_), PpExpr::Or(qs)) => qs.iter().any(|q| mimics_implied(p, q)),
+    }
+}
+
 /// All combinations of one implementation per group (small cross products
 /// only), including sub-chains that skip trailing groups over budget.
 fn cartesian_chains(groups: &[GroupAnalysis], order: &[usize], out: &mut Vec<(f64, PpExpr)>) {
@@ -307,7 +332,7 @@ fn cartesian_chains(groups: &[GroupAnalysis], order: &[usize], out: &mut Vec<(f6
             return;
         }
         for gi in &groups[order[pos]].impls {
-            if leaves + gi.leaves <= MAX_PPS {
+            if leaves + gi.leaves <= MAX_PPS && !redundant_in(parts, &gi.expr) {
                 parts.push(gi.expr.clone());
                 rec(
                     groups,
@@ -337,7 +362,7 @@ fn vary_one_chains(groups: &[GroupAnalysis], order: &[usize], out: &mut Vec<(f64
         for (i, &g) in order.iter().enumerate().skip(start) {
             let idx = choice(i).min(groups[g].impls.len() - 1);
             let gi = &groups[g].impls[idx];
-            if leaves + gi.leaves > MAX_PPS {
+            if leaves + gi.leaves > MAX_PPS || redundant_in(&parts, &gi.expr) {
                 continue;
             }
             parts.push(gi.expr.clone());

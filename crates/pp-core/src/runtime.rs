@@ -41,11 +41,11 @@
 //! quarantined for any cause, a chosen leaf or the chosen composite has
 //! drifted, or a flagged predicate conjoins more than one leaf — and the
 //! server's maintenance pass rebuilds every cached plan it holds for. On
-//! the `audit_smoke` schedules (2 000 frames at a = 0.9 over 3 rounds, and
-//! the full 12 000-frame corpus at a = 0.95) no predicate is ever flagged
-//! and no served plan carries a quarantined leaf after a pass, so the
-//! passes replan exactly what a drifted-or-audit-violated rule replans
-//! (15, 2 and 0 entries on the full corpus).
+//! CI's `audit_smoke` schedules (2 000 frames at a = 0.9 over 3 rounds,
+//! and the full 12 000-frame corpus at a = 0.95) nothing drifts or is
+//! quarantined, and no pass replans anything; on the full corpus at
+//! a = 0.9 the passes replan 7, 0 and 0 entries, every one for a
+//! quarantined leaf.
 
 use std::collections::{HashMap, HashSet};
 

@@ -1,7 +1,7 @@
 //! `EXPLAIN ANALYZE`: joining planner predictions to executed spans.
 //!
 //! The PP query optimizer picks plans from *estimated* cost, reduction,
-//! and accuracy (Eq. 9/10, the §6.2 accuracy-budget DP); the telemetry
+//! and accuracy (Eq. 9/10, the §6.2 accuracy-budget allocation); the telemetry
 //! subsystem records what *happened*. This module connects the two: a
 //! [`predict`] pass walks a plan in cost-meter charge order and emits one
 //! [`OperatorPrediction`] per operator, and [`ExplainAnalyze::analyze`]

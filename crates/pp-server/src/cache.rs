@@ -9,7 +9,7 @@
 //!   its display string, so syntactic variants of the same predicate share
 //!   an entry. The accuracy target is keyed exactly, by its bits: a plan
 //!   built for `0.9496` must not answer a request for `0.9504` — the
-//!   budget DP read its grid below what the second caller asked for, and
+//!   budget allocator read its grid below what the second caller asked for, and
 //!   the contract is achieved ≥ requested.
 //! * **Epoch scoping.** The key embeds the [`CatalogEpoch`] pinned at
 //!   submit time. Publishing a retrained corpus bumps the epoch, so new

@@ -23,12 +23,12 @@
 //! predicate at the same accuracy target, so per-blob verdicts are
 //! unchanged (pinned by tests in `tests/serving.rs`).
 //!
-//! Rebuilding for every quarantine cause adds no replan on the
-//! `audit_smoke` schedules: on 2 000 frames at a = 0.9 over 3 rounds and
-//! on the full 12 000-frame corpus at a = 0.95, no predicate is ever
-//! flagged and no served plan carries a quarantined leaf after a pass,
-//! and the full-corpus passes replan 15, 2 and 0 entries — what a rule
-//! of drifted or audit-violated keys alone replans.
+//! On CI's `audit_smoke` schedules — 2 000 frames at a = 0.9 over 3
+//! rounds, and the full 12 000-frame corpus at a = 0.95 — no key drifts,
+//! nothing is quarantined and the passes replan 0, 0 and 0 entries (the
+//! per-round `replanned=` line). On the full corpus at a = 0.9 they
+//! replan 7, 0 and 0, each for a leaf the audit quarantined; no key
+//! drifts there either.
 //!
 //! A failed rebuild leaves the key vacant, and the next arrival builds it
 //! the way any miss does: the plan it replaced was stale, so keeping it

@@ -33,13 +33,13 @@
 //! Planning has a budget too, because for a never-repeating predicate
 //! stream it is the critical path. A PP carries its key, normal form and
 //! `r(1]`, a catalog lookup prepares the query's side of the implication
-//! once, and the budget DP's curve entries are `Copy`, so
-//! `PpQueryOptimizer::optimize` over TRAF-20 makes at most
-//! [`OPTIMIZE_ALLOCATIONS`] allocations a call on average (379 measured;
-//! 5 010 when every comparison re-formatted a key and every DP slot cloned
-//! an assignment), and `alloc::allocate` makes O(leaves + grid) of them —
-//! at most [`ALLOCATE_ALLOCATIONS`] for a four-leaf conjunction on the
-//! 16-point `ACCURACY_GRID` (18 measured), where O(grid² · grid) was 1 560.
+//! once, and the budget allocator builds nothing per allocation it tries,
+//! so `PpQueryOptimizer::optimize` over TRAF-20 makes at most
+//! [`OPTIMIZE_ALLOCATIONS`] allocations a call on average (427 measured;
+//! 5 010 when every comparison re-formatted a key and every budget slot
+//! cloned an assignment), and `alloc::allocate` makes O(leaves) of them —
+//! at most [`ALLOCATE_ALLOCATIONS`] for a four-leaf conjunction (6
+//! measured), however many of the grid's 16⁴ vectors it tries.
 //!
 //! And so are the two doors untrusted bytes come in by. One mutation
 //! harness takes every frame of `tests/golden/wire_frames.hex` and the
@@ -72,7 +72,7 @@ use probabilistic_predicates::core::expr::{PlannedPpExpr, PpExpr};
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
-use probabilistic_predicates::core::RuntimeMonitor;
+use probabilistic_predicates::core::{PpCatalog, RuntimeMonitor};
 use probabilistic_predicates::data::traf20::traf20_queries;
 use probabilistic_predicates::data::traffic::{TrafficConfig, TrafficDataset};
 use probabilistic_predicates::engine::bytes::Reader;
@@ -848,36 +848,18 @@ fn the_monitor_holds_the_same_bytes_after_ten_thousand_more_runs() {
 
 /// Mean allocations of one `PpQueryOptimizer::optimize` call over TRAF-20.
 const OPTIMIZE_ALLOCATIONS: f64 = 500.0;
-/// Allocations of `alloc::allocate` on a four-leaf conjunction: four leaf
-/// curves, three folded ones, the arena's doublings, the winner's
-/// accuracies and thresholds, and the planned expression.
+/// Allocations of `alloc::allocate` on a four-leaf conjunction: its list
+/// of leaves, the winner's accuracies and thresholds, and the planned
+/// expression.
 const ALLOCATE_ALLOCATIONS: u64 = 32;
 
 /// What planning allocates is bounded per call (see the header): nothing
-/// is formatted per comparison, normalized per catalog entry or cloned per
-/// DP slot.
+/// is formatted per comparison, normalized per catalog entry or built per
+/// budget vector tried (the test keeps the name it had when that was a
+/// DP slot).
 #[test]
 fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
-    let dataset = TrafficDataset::generate(TrafficConfig {
-        n_frames: 800,
-        seed: 0xA110C,
-        ..Default::default()
-    });
-    let clauses = TrafficDataset::pp_corpus_clauses();
-    let labeled: Vec<_> = clauses
-        .iter()
-        .map(|c| dataset.labeled_for_clause_range(c, 0..600))
-        .collect();
-    let pps = PpTrainer::new(TrainerConfig {
-        approach_override: Some(Approach {
-            reducer: ReducerSpec::Identity,
-            model: ModelSpec::Svm(SvmParams::default()),
-        }),
-        cost_per_row: Some(0.0025),
-        ..Default::default()
-    })
-    .train_catalog(&clauses, &labeled)
-    .expect("train");
+    let (dataset, pps) = planning_corpus();
     let mut catalog = Catalog::new();
     dataset.register_slice(&mut catalog, 600..800);
     let mut domains = Domains::new();
@@ -908,19 +890,7 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
     // Four PPs of four different columns, conjoined: the ones with the
     // most validation positives (71 to 105), which certify 0.95 to 0.97
     // each, so the four can promise 0.8.
-    let leaves: Vec<PpExpr> = [
-        "vehType != SUV",
-        "vehColor != red",
-        "speed >= 40",
-        "fromI != pt101",
-    ]
-    .iter()
-    .map(|key| {
-        let pp = pps.all().iter().find(|pp| pp.key() == *key);
-        PpExpr::leaf(Arc::clone(pp.expect("trained")))
-    })
-    .collect();
-    let conjunction = PpExpr::And(leaves);
+    let conjunction = conjoined(&pps, NEGATED_FOUR);
     let spent = counted(|| allocate(&conjunction, 0.8, 0.1).expect("allocate"));
     assert_eq!(spent.out.accuracies().len(), 4);
     assert!(
@@ -928,6 +898,83 @@ fn planning_allocates_per_query_not_per_comparison_or_dp_slot() {
         "allocate: {} allocations for four leaves on {} grid points",
         spent.allocations,
         ACCURACY_GRID.len()
+    );
+}
+
+/// The TRAF-20 corpus planning is measured on: 800 frames, PPs trained on
+/// the labels of the first 600.
+fn planning_corpus() -> (TrafficDataset, PpCatalog) {
+    let dataset = TrafficDataset::generate(TrafficConfig {
+        n_frames: 800,
+        seed: 0xA110C,
+        ..Default::default()
+    });
+    let clauses = TrafficDataset::pp_corpus_clauses();
+    let labeled: Vec<_> = clauses
+        .iter()
+        .map(|c| dataset.labeled_for_clause_range(c, 0..600))
+        .collect();
+    let pps = PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach {
+            reducer: ReducerSpec::Identity,
+            model: ModelSpec::Svm(SvmParams::default()),
+        }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    })
+    .train_catalog(&clauses, &labeled)
+    .expect("train");
+    (dataset, pps)
+}
+
+/// Four PPs of four different columns: the ones with the most validation
+/// positives (71 to 105), which certify 0.95 to 0.97 each, so the four
+/// can promise 0.8.
+const NEGATED_FOUR: [&str; 4] = [
+    "vehType != SUV",
+    "vehColor != red",
+    "speed >= 40",
+    "fromI != pt101",
+];
+
+/// The conjunction of the PPs with these keys, in this order.
+fn conjoined(pps: &PpCatalog, keys: [&str; 4]) -> PpExpr {
+    PpExpr::And(
+        keys.iter()
+            .map(|key| {
+                let pp = pps.all().iter().find(|pp| pp.key() == *key);
+                PpExpr::leaf(Arc::clone(pp.expect("trained")))
+            })
+            .collect(),
+    )
+}
+
+/// The allocator tries every certified allocation, so it finds plans a
+/// budget DP keeping one cheapest entry per grid level missed: one the DP
+/// called infeasible, and one it planned with less reduction.
+#[test]
+fn allocation_finds_the_cheapest_certified_plan() {
+    let (_, pps) = planning_corpus();
+    // The positive clauses' leaves certify 0.8 to 0.93 at most; the four
+    // multiply to about 0.54, so a = 0.5 is feasible.
+    let positive = conjoined(
+        &pps,
+        [
+            "vehType = SUV",
+            "vehColor = red",
+            "speed >= 50",
+            "fromI = pt101",
+        ],
+    );
+    let planned = allocate(&positive, 0.5, 0.1).expect("a = 0.5 is feasible");
+    assert_eq!(planned.accuracies(), [0.85, 0.8, 0.93, 0.8]);
+    assert!((planned.estimate().accuracy - 0.5059).abs() < 1e-4);
+
+    let planned = allocate(&conjoined(&pps, NEGATED_FOUR), 0.8, 0.1).expect("allocate");
+    assert!(
+        planned.estimate().reduction >= 0.562,
+        "{:?}",
+        planned.estimate()
     );
 }
 

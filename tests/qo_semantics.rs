@@ -144,6 +144,33 @@ fn unknown_columns_produce_no_candidates() {
     assert_eq!(outcome.feasible_count, 0);
 }
 
+/// A chain never conjoins a group's PP with one that implies it or that
+/// it implies: `fromI = pt101` makes `fromI != pt211` hold, so their PPs
+/// filter no more together than the first alone, while the independence
+/// estimate would credit the pair with the second's reduction too.
+#[test]
+fn chains_never_conjoin_a_pp_with_one_it_implies() {
+    let catalog = traf_pp_catalog();
+    let pred = Predicate::And(vec![
+        Predicate::from(Clause::new("fromI", CompareOp::Eq, "pt101")),
+        Predicate::from(Clause::new("vehColor", CompareOp::Eq, "other")),
+        Predicate::from(Clause::new("fromI", CompareOp::Ne, "pt211")),
+        Predicate::from(Clause::new("speed", CompareOp::Gt, 58.26)),
+    ]);
+    let outcome = rewrite(&pred, &catalog, &domains());
+    let shown: Vec<String> = outcome.candidates.iter().map(|c| c.to_string()).collect();
+    assert!(
+        shown.iter().any(|c| c.contains("PP[fromI = pt101] ∧")),
+        "{shown:?}"
+    );
+    for cand in &shown {
+        assert!(
+            !(cand.contains("PP[fromI = pt101]") && cand.contains("PP[fromI != pt211]")),
+            "{cand}"
+        );
+    }
+}
+
 /// Fixture for the fault-injection invariant: a PP-optimized plan plus the
 /// frame IDs returned by its fault-free run and by the PP-free plan.
 struct FaultFixture {

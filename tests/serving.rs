@@ -470,7 +470,7 @@ fn cache_hit_returns_identical_report_and_epoch_bump_invalidates() {
 
 /// The plan cache keys on the exact target: a request a rounding above
 /// another's must not be served the plan built for the lower one (the
-/// budget DP read its grid at 0.85 for it, below 0.8504). The targets
+/// budget allocator read its grid at 0.85 for it, below 0.8504). The targets
 /// straddle 0.85, not 0.95: the corpus's PPs, trained on 400 frames, have
 /// too few validation positives to certify 0.95.
 #[test]
