@@ -17,7 +17,11 @@
 //!
 //! Each leaf tries only its certified levels at or above the target's grid
 //! point: Eq. 9's product and Eq. 10's min never exceed any leaf's own
-//! accuracy, so a lower level cannot reach it. The cheapest plan cost
+//! accuracy, so a lower level cannot reach it. Both are monotone in each
+//! leaf's accuracy, so a prefix of levels whose best completion (every
+//! later leaf at its top level) misses the target is skipped whole: a
+//! conjunction's low levels rarely reach it, while a disjunction's always
+//! do and are all tried. The cheapest plan cost
 //! `c + (1 − r)·u` (§3) wins, trading filter cost against saved UDF work.
 
 use crate::combine::{plan_cost_per_blob, Estimate};
@@ -67,11 +71,11 @@ pub(crate) fn certifies(pp: &ProbabilisticPredicate, target: f64) -> bool {
 /// Allocates the accuracy budget over `expr`'s leaves to minimize plan cost
 /// `c + (1 − r)·u` subject to combined accuracy ≥ `target`'s grid point.
 ///
-/// Every vector of certified levels is tried, the last leaf varying
-/// fastest and each leaf's levels ascending; a later vector replaces the
-/// one held only if it is cheaper by more than 1e-15, so ties go to the
-/// first met. Errors on a target outside (0, 1] or more than [`MAX_PPS`]
-/// leaves, and with [`PpError::InfeasibleAccuracy`] when no vector reaches
+/// Every vector of certified levels that can reach the target is tried,
+/// the last leaf varying fastest and each leaf's levels ascending; a later
+/// vector replaces the one held only if it is cheaper by more than 1e-15,
+/// so ties go to the first met. Errors on a target outside (0, 1] or more
+/// than [`MAX_PPS`] leaves, and with [`PpError::InfeasibleAccuracy`] when no vector reaches
 /// the target.
 pub fn allocate(expr: &PpExpr, target: f64, udf_cost: f64) -> Result<PlannedPpExpr> {
     if !(target > 0.0 && target <= 1.0) {
@@ -96,30 +100,79 @@ pub fn allocate(expr: &PpExpr, target: f64, udf_cost: f64) -> Result<PlannedPpEx
     if counts[..n].contains(&0) {
         return Err(PpError::InfeasibleAccuracy(target));
     }
-    let mut pick = [0usize; MAX_PPS];
-    let mut best: Option<(f64, [usize; MAX_PPS])> = None;
-    loop {
-        let mut leaf = 0;
-        let estimate = expr.fold(&mut |_| {
-            let level = levels[leaf][pick[leaf]];
-            leaf += 1;
-            Ok(level)
-        })?;
-        if estimate.accuracy >= ACCURACY_GRID[floor] - 1e-12 {
-            let cost = plan_cost_per_blob(&estimate, udf_cost);
-            if best.is_none_or(|(held, _)| cost < held - 1e-15) {
-                best = Some((cost, pick));
-            }
-        }
-        let Some(leaf) = (0..n).rposition(|l| pick[l] + 1 < counts[l]) else {
-            break;
-        };
-        pick[leaf] += 1;
-        pick[leaf + 1..n].fill(0);
-    }
-    let (_, pick) = best.ok_or(PpError::InfeasibleAccuracy(target))?;
+    let mut search = Search {
+        expr,
+        levels: &levels,
+        counts: &counts[..n],
+        goal: ACCURACY_GRID[floor] - 1e-12,
+        udf_cost,
+        pick: [0; MAX_PPS],
+        best: None,
+    };
+    search.descend(0)?;
+    let (_, pick) = search.best.ok_or(PpError::InfeasibleAccuracy(target))?;
     let accuracies = (0..n).map(|l| levels[l][pick[l]].accuracy).collect();
     PlannedPpExpr::new(expr.clone(), accuracies)
+}
+
+/// The search over one expression's vectors of leaf levels.
+struct Search<'a> {
+    expr: &'a PpExpr,
+    /// Each leaf's certified levels, ascending (`counts[leaf]` of them).
+    levels: &'a [[Estimate; ACCURACY_GRID.len()]; MAX_PPS],
+    counts: &'a [usize],
+    /// The accuracy a vector must reach.
+    goal: f64,
+    udf_cost: f64,
+    /// The vector being tried: each leaf's index into its levels.
+    pick: [usize; MAX_PPS],
+    /// The cheapest vector reaching the goal so far, beside its cost.
+    best: Option<(f64, [usize; MAX_PPS])>,
+}
+
+impl Search<'_> {
+    /// Tries every vector that keeps `pick[..depth]`, the last leaf
+    /// varying fastest. Eq. 9/10's accuracy never falls as one leaf's
+    /// rises, so a prefix with every later leaf at its top level bounds
+    /// all the vectors that extend it: levels of leaf `depth` whose bound
+    /// misses the goal are skipped, and once one reaches it the higher
+    /// ones do too.
+    fn descend(&mut self, depth: usize) -> Result<()> {
+        if depth == self.counts.len() {
+            let estimate = self.fold(depth)?;
+            if estimate.accuracy >= self.goal {
+                let cost = plan_cost_per_blob(&estimate, self.udf_cost);
+                if self.best.is_none_or(|(held, _)| cost < held - 1e-15) {
+                    self.best = Some((cost, self.pick));
+                }
+            }
+            return Ok(());
+        }
+        // The last leaf's bound is the vector itself, checked below.
+        let mut reachable = depth + 1 == self.counts.len();
+        for level in 0..self.counts[depth] {
+            self.pick[depth] = level;
+            reachable = reachable || self.fold(depth + 1)?.accuracy >= self.goal;
+            if reachable {
+                self.descend(depth + 1)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The estimate with the leaves before `picked` at their picked levels
+    /// and the rest at their top ones.
+    fn fold(&self, picked: usize) -> Result<Estimate> {
+        let mut leaf = 0;
+        self.expr.fold(&mut |_| {
+            let level = match leaf < picked {
+                true => self.pick[leaf],
+                false => self.counts[leaf] - 1,
+            };
+            leaf += 1;
+            Ok(self.levels[leaf - 1][level])
+        })
+    }
 }
 
 #[cfg(test)]

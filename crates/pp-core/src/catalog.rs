@@ -22,11 +22,15 @@ use pp_engine::sync::{Mutex, RwLock};
 
 use crate::implication::Antecedent;
 use crate::pp::ProbabilisticPredicate;
+use crate::sidecar::ValidationSidecar;
 
-/// A collection of trained PPs.
+/// A collection of trained PPs, with the validation frames they were
+/// certified on when one training run made them all
+/// ([`sidecar`](Self::sidecar)).
 #[derive(Debug, Clone, Default)]
 pub struct PpCatalog {
     pps: Vec<Arc<ProbabilisticPredicate>>,
+    sidecar: Option<Arc<ValidationSidecar>>,
 }
 
 impl PpCatalog {
@@ -96,6 +100,19 @@ impl PpCatalog {
     /// 10 "drop half the corpus" experiment).
     pub fn retain(&mut self, keep: impl Fn(&ProbabilisticPredicate) -> bool) {
         self.pps.retain(|pp| keep(pp));
+    }
+
+    /// The validation frames the PPs were certified on, from which the
+    /// planner counts pass rates; `None` for a catalog built PP by PP (the
+    /// planner then keeps a plan's UDF stages in declaration order).
+    pub fn sidecar(&self) -> Option<&ValidationSidecar> {
+        self.sidecar.as_deref()
+    }
+
+    /// This catalog with `sidecar` (or none).
+    pub(crate) fn with_sidecar(mut self, sidecar: Option<ValidationSidecar>) -> Self {
+        self.sidecar = sidecar.map(Arc::new);
+        self
     }
 }
 

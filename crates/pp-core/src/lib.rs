@@ -24,7 +24,9 @@
 //! * [`runtime`] — the runtime monitor: the dependent-predicate fix of
 //!   Appendix A.5 plus fault-rate tracking that quarantines broken PPs,
 //! * [`calibration`] — predicted-vs-observed reduction/cost records per PP,
-//!   summarized into the drift signal that drives replanning.
+//!   summarized into the drift signal that drives replanning,
+//! * [`sidecar`] — the validation frames the corpus was certified on, from
+//!   which the planner counts its UDF stages' pass rates.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -42,6 +44,7 @@ pub mod planner;
 pub mod pp;
 pub mod rewrite;
 pub mod runtime;
+pub mod sidecar;
 pub mod train;
 pub mod wrangle;
 

@@ -11,14 +11,16 @@
 //! candidate PP expressions (§6.1) → allocate the accuracy budget per
 //! candidate (§6.2, by exhaustive search) → cost each plan as
 //! `c + (1 − r)·u` → pick the cheapest improving plan → order its PPs →
-//! inject the filter above the blob scan.
+//! inject the filter above the blob scan → rank the UDF stages above it by
+//! pass rates counted on the catalog's validation frames
+//! ([`ValidationSidecar`](crate::sidecar::ValidationSidecar)).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
 use pp_engine::logical::{LogicalPlan, ProjectItem};
-use pp_engine::predicate::{Clause, CompareOp, Predicate};
+use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog, DataType};
 
@@ -26,7 +28,6 @@ use crate::alloc::{allocate, certifies};
 use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{filter_name, PlannedPpExpr, PpExpr, PpExprFilter};
-use crate::implication::Antecedent;
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
 use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::rewrite;
@@ -341,46 +342,36 @@ impl PpQueryOptimizer {
                 }
             }
             report.uncertified_leaves = uncertified.len() as u64;
-            let Some((cost, planned)) = best else {
-                continue;
+            // §3: filtering can hurt when `r ≤ c/u`.
+            let planned = best.filter(|(cost, _)| *cost < udf_cost).map(|(_, p)| p);
+            // The UDF stages above the PP (or the scan, with none) run in
+            // rank order by their conjuncts' pass rates among its
+            // survivors, counted on the corpus's validation frames.
+            let sidecar = self.pp_catalog.sidecar();
+            let (base_op, survivors) = match planned {
+                Some(planned) => {
+                    // Order the PPs for execution, then inject.
+                    let planned = reorder(planned)?;
+                    let survivors = sidecar.and_then(|s| s.survivors(&planned));
+                    let chosen = chosen_plan(&table, &planned)?;
+                    let filter_op = chosen.filter_op();
+                    let filter = Arc::new(planned.into_filter(blob_column));
+                    out_plan = inject_above_scan(&out_plan, &table, Arc::clone(&filter) as _)?;
+                    hints = hints.with_ratio(&filter_op, 1.0 - chosen.estimate.reduction);
+                    report.chosen = Some(chosen);
+                    pp_filter = Some(filter);
+                    (filter_op, survivors)
+                }
+                None => (format!("Scan[{table}]"), sidecar.map(|s| s.all().clone())),
             };
-            if cost >= udf_cost {
-                continue; // §3: filtering can hurt when `r ≤ c/u`
-            }
-            // Order the PPs for execution, then inject.
-            let planned = reorder(planned)?;
-            let accs = planned.accuracies().to_vec();
-            let mut leaf_keys = Vec::with_capacity(accs.len());
-            let mut leaf_reductions = Vec::with_capacity(accs.len());
-            for (pp, &a) in planned.expr().leaves().iter().zip(&accs) {
-                leaf_keys.push(pp.key().to_string());
-                leaf_reductions.push(pp.reduction(a)?);
-            }
-            let chosen = ChosenPlan {
-                table: table.clone(),
-                expr: planned.expr().to_string(),
-                leaf_accuracies: accs,
-                leaf_keys,
-                leaf_reductions,
-                estimate: planned.estimate(),
+            let rate = |conjunct: &Predicate| match (sidecar, &survivors) {
+                (Some(sidecar), Some(survivors)) => sidecar.pass_rate(survivors, conjunct),
+                _ => 1.0,
             };
-            // A leaf keeps about `a` of the rows it mimics and passes
-            // `1 − r` of all rows, so among its survivors a conjunct that
-            // implies its predicate is `a / (1 − r)` times as common.
-            let leaves = (planned.expr().leaves().into_iter())
-                .zip(chosen.leaf_accuracies.iter().zip(&chosen.leaf_reductions))
-                .map(|(pp, (&a, &r))| (Arc::clone(pp), a / (1.0 - r).max(1e-12)))
-                .collect();
-            let rates = PassRates {
-                leaves,
-                catalog: &self.pp_catalog,
-            };
-            let filter_op = chosen.filter_op();
-            let filter = Arc::new(planned.into_filter(blob_column));
-            out_plan = inject_above_scan(&out_plan, &table, Arc::clone(&filter) as _)?;
-            // The UDF stages above the PP run in rank order by those rates.
-            if let Some(ranked) = ranked_over(&out_plan, &filter_op, catalog, &rates)? {
-                out_plan = ranked;
+            if survivors.is_some() {
+                if let Some(ranked) = ranked_over(&out_plan, &base_op, catalog, &rate)? {
+                    out_plan = ranked;
+                }
             }
             // Cardinality hints for the prediction pass: the injected
             // filter passes 1 − r of the scan, and each `Select` above it
@@ -388,21 +379,21 @@ impl PpQueryOptimizer {
             // what the predicate keeps jointly, the σ·a truly-matching rows
             // the PP retained, so with one the topmost `Select` carries
             // that and the ones below it predict pass-through.
-            let survivors = 1.0 - chosen.estimate.reduction;
-            hints = hints.with_ratio(&filter_op, survivors);
+            let (survive, accuracy) = match &report.chosen {
+                Some(chosen) => (1.0 - chosen.estimate.reduction, chosen.estimate.accuracy),
+                None => (1.0, 1.0),
+            };
             let whole = (pp_of(&self.pp_catalog, &predicate))
-                .filter(|_| survivors > 1e-12)
-                .map(|pp| pp.observed_selectivity() * chosen.estimate.accuracy / survivors);
+                .filter(|_| survive > 1e-12)
+                .map(|pp| pp.observed_selectivity() * accuracy / survive);
             for (i, (select, conjunct)) in selects_over(&out_plan, &table).enumerate() {
                 let ratio = match whole {
                     Some(whole) if i == 0 => whole.clamp(0.0, 1.0),
                     Some(_) => 1.0,
-                    None => rates.of(conjunct),
+                    None => rate(conjunct),
                 };
                 hints = hints.with_ratio(select, ratio);
             }
-            report.chosen = Some(chosen);
-            pp_filter = Some(filter);
         }
         report.optimize_seconds = started.elapsed().as_secs_f64();
         report.predictions = predict(&out_plan, catalog, &hints).unwrap_or_default();
@@ -453,18 +444,37 @@ fn selects_over<'a>(
     })
 }
 
+/// The report's record of `planned`, injected into `table`.
+fn chosen_plan(table: &str, planned: &PlannedPpExpr) -> Result<ChosenPlan> {
+    let accs = planned.accuracies().to_vec();
+    let mut leaf_keys = Vec::with_capacity(accs.len());
+    let mut leaf_reductions = Vec::with_capacity(accs.len());
+    for (pp, &a) in planned.expr().leaves().iter().zip(&accs) {
+        leaf_keys.push(pp.key().to_string());
+        leaf_reductions.push(pp.reduction(a)?);
+    }
+    Ok(ChosenPlan {
+        table: table.to_string(),
+        expr: planned.expr().to_string(),
+        leaf_accuracies: accs,
+        leaf_keys,
+        leaf_reductions,
+        estimate: planned.estimate(),
+    })
+}
+
 /// `plan` with the run of `Process` and `Select` nodes directly above the
-/// filter named `filter_op` placed again in rank order
-/// ([`LogicalPlan::rank_order`]) by `rates`; `None` when their declared
-/// order stays, or when anything but `Project`s sits above them (a join
-/// or a grouping keeps its input's order). A `Project` of every non-blob
-/// column above them then names its columns in the declared order, so a
-/// verdict row keeps its columns.
+/// operator labelled `base_op` (the injected filter, or the scan) placed
+/// again in rank order ([`LogicalPlan::rank_order`]) by `rate`; `None`
+/// when their declared order stays, or when anything but `Project`s sits
+/// above them (a join or a grouping keeps its input's order). A `Project`
+/// of every non-blob column above them then names its columns in the
+/// declared order, so a verdict row keeps its columns.
 fn ranked_over(
     plan: &LogicalPlan,
-    filter_op: &str,
+    base_op: &str,
     catalog: &Catalog,
-    rates: &PassRates,
+    rate: &dyn Fn(&Predicate) -> f64,
 ) -> Result<Option<LogicalPlan>> {
     let mut stages = Vec::new();
     let mut conjuncts = Vec::new();
@@ -476,13 +486,13 @@ fn ranked_over(
                 base = input;
             }
             LogicalPlan::Select { input, predicate } => {
-                conjuncts.push((predicate.clone(), rates.of(predicate)));
+                conjuncts.push((predicate.clone(), rate(predicate)));
                 base = input;
             }
             _ => break,
         }
     }
-    if matches!(base, LogicalPlan::Filter { filter, .. } if filter.name() == filter_op) {
+    if base.op_label() == base_op {
         stages.reverse();
         conjuncts.reverse();
         let ranked = LogicalPlan::rank_order(&stages, &conjuncts);
@@ -493,7 +503,7 @@ fn ranked_over(
     let LogicalPlan::Project { input, items } = plan else {
         return Ok(None);
     };
-    let Some(ranked) = ranked_over(input, filter_op, catalog, rates)? else {
+    let Some(ranked) = ranked_over(input, base_op, catalog, rate)? else {
         return Ok(None);
     };
     let declared = input.output_schema(catalog)?;
@@ -507,92 +517,6 @@ fn ranked_over(
         })
         .collect();
     Ok(Some(ranked.project(items)))
-}
-
-/// Estimated pass rates of conjuncts among the rows that reach them, the
-/// survivors of the chosen PP: a conjunct that implies a chosen leaf's
-/// predicate passes its [`selectivity`] enriched by that leaf,
-/// `σ·a / (1 − r)` capped at 1 (for the leaf's own predicate, its
-/// precision); any other, its selectivity; a conjunction, the product of
-/// its conjuncts'; and one the corpus says nothing of, 1, so it never
-/// moves a stage ahead.
-struct PassRates<'a> {
-    /// Each chosen leaf beside `a / (1 − r)` at its allocated accuracy.
-    leaves: Vec<(Arc<crate::pp::ProbabilisticPredicate>, f64)>,
-    catalog: &'a PpCatalog,
-}
-
-impl PassRates<'_> {
-    fn of(&self, conjunct: &Predicate) -> f64 {
-        if let Predicate::And(conjuncts) = conjunct {
-            return conjuncts.iter().map(|c| self.of(c)).product();
-        }
-        let antecedent = Antecedent::new(conjunct);
-        let enrichment = (self.leaves.iter())
-            .filter(|(pp, _)| antecedent.implies(pp.nnf()))
-            .map(|&(_, factor)| factor)
-            .fold(1.0, f64::max);
-        selectivity(conjunct, self.catalog).map_or(1.0, |s| (s * enrichment).min(1.0))
-    }
-}
-
-/// A predicate's selectivity on the corpus's validation samples: its own
-/// PP's, when the corpus has one; 1 − that of the `=` clause for `≠`;
-/// for an order comparison, interpolated over the column's trained
-/// boundaries ([`interpolated`]); a disjunction's sum (capped at 1) and a
-/// conjunction's product. `None` when the corpus says nothing of it.
-fn selectivity(predicate: &Predicate, catalog: &PpCatalog) -> Option<f64> {
-    if let Some(pp) = catalog.get(predicate) {
-        return Some(pp.observed_selectivity());
-    }
-    match predicate {
-        Predicate::Clause(c) if c.op == CompareOp::Ne => {
-            selectivity(&Predicate::Clause(c.negated()), catalog).map(|s| 1.0 - s)
-        }
-        Predicate::Clause(c) => interpolated(c, catalog),
-        Predicate::Or(children) => (children.iter())
-            .map(|c| selectivity(c, catalog))
-            .sum::<Option<f64>>()
-            .map(|s| s.min(1.0)),
-        Predicate::And(children) => Some(
-            (children.iter())
-                .map(|c| selectivity(c, catalog).unwrap_or(1.0))
-                .product(),
-        ),
-        _ => None,
-    }
-}
-
-/// The share of rows an order comparison keeps, interpolated linearly
-/// between the nearest boundaries of its column that the corpus has a
-/// `≥`, `>`, `≤` or `<` PP at, each read as the share of rows above it;
-/// `None` outside them.
-fn interpolated(clause: &Clause, catalog: &PpCatalog) -> Option<f64> {
-    let above = |c: &Clause, share: f64| match c.op {
-        CompareOp::Ge | CompareOp::Gt => Some(share),
-        CompareOp::Le | CompareOp::Lt => Some(1.0 - share),
-        CompareOp::Eq | CompareOp::Ne => None,
-    };
-    let at = clause.value.as_float().ok()?;
-    let points: Vec<(f64, f64)> = (catalog.all().iter())
-        .filter_map(|pp| match pp.predicate() {
-            Predicate::Clause(c) if c.column == clause.column => Some((
-                c.value.as_float().ok()?,
-                above(c, pp.observed_selectivity())?,
-            )),
-            _ => None,
-        })
-        .collect();
-    let nearest = |side: fn(f64, f64) -> bool| {
-        (points.iter().filter(|(x, _)| side(*x, at)))
-            .min_by(|(a, _), (b, _)| (a - at).abs().total_cmp(&(b - at).abs()))
-    };
-    let ((x0, y0), (x1, y1)) = (nearest(|x, at| x <= at)?, nearest(|x, at| x >= at)?);
-    let share = match x1 > x0 {
-        true => y0 + (at - x0) / (x1 - x0) * (y1 - y0),
-        false => *y0,
-    };
-    above(clause, share).map(|s| s.clamp(0.0, 1.0))
 }
 
 /// The conjuncts of `predicate` whose columns all exist in the stored

@@ -124,6 +124,12 @@ impl ProbabilisticPredicate {
         self.trained.antecedent.implies(other.nnf())
     }
 
+    /// Whether `other` is a copy of this PP as trained: the same model and
+    /// thresholds, whatever reduction correction either carries.
+    pub(crate) fn same_model(&self, other: &ProbabilisticPredicate) -> bool {
+        Arc::ptr_eq(&self.trained, &other.trained)
+    }
+
     /// The underlying trained pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.trained.pipeline

@@ -23,6 +23,7 @@ use pp_ml::select::{select_model, SelectionConfig};
 
 use crate::catalog::PpCatalog;
 use crate::pp::ProbabilisticPredicate;
+use crate::sidecar::SidecarBuilder;
 use crate::{PpError, Result};
 
 /// Executes `materialize_plan` and produces one labeled blob set per
@@ -141,6 +142,12 @@ impl PpTrainer {
         clause: &Clause,
         labeled: &LabeledSet,
     ) -> Result<Vec<ProbabilisticPredicate>> {
+        let (train, val) = self.split(labeled)?;
+        self.train_split(clause, &train, &val)
+    }
+
+    /// `labeled`'s training and validation sets.
+    fn split(&self, labeled: &LabeledSet) -> Result<(LabeledSet, LabeledSet)> {
         let (train, val, _test) = labeled
             .split(
                 self.config.train_frac,
@@ -148,17 +155,26 @@ impl PpTrainer {
                 self.config.seed,
             )
             .map_err(PpError::Ml)?;
+        Ok((train, val))
+    }
+
+    fn train_split(
+        &self,
+        clause: &Clause,
+        train: &LabeledSet,
+        val: &LabeledSet,
+    ) -> Result<Vec<ProbabilisticPredicate>> {
         let approach = match &self.config.approach_override {
             Some(a) => a.clone(),
             None => {
-                let selection = select_model(&train, &val, &self.config.selection)?;
+                let selection = select_model(train, val, &self.config.selection)?;
                 selection.best().approach.clone()
             }
         };
-        let pipeline = Pipeline::train(&approach, &train, &val, self.config.seed)?;
+        let pipeline = Pipeline::train(&approach, train, val, self.config.seed)?;
         let mut out = Vec::new();
         if self.config.train_negations {
-            let neg_pipeline = pipeline.negated(&val)?;
+            let neg_pipeline = pipeline.negated(val)?;
             out.push(self.wrap(Predicate::Clause(clause.negated()), neg_pipeline)?);
         }
         out.insert(0, self.wrap(Predicate::Clause(clause.clone()), pipeline)?);
@@ -173,7 +189,10 @@ impl PpTrainer {
     }
 
     /// Trains PPs for many clauses into a catalog; clauses whose labeled
-    /// sets are single-class (untrainable) are skipped.
+    /// sets are single-class (untrainable) are skipped. When every trained
+    /// clause's validation split holds the same frames (labeled sets of
+    /// one frame range, split by the one seed), the catalog carries them as
+    /// its [`ValidationSidecar`](crate::sidecar::ValidationSidecar).
     pub fn train_catalog(&self, clauses: &[Clause], labeled: &[LabeledSet]) -> Result<PpCatalog> {
         if clauses.len() != labeled.len() {
             return Err(PpError::InvalidParameter(
@@ -181,19 +200,23 @@ impl PpTrainer {
             ));
         }
         let mut catalog = PpCatalog::new();
+        let mut sidecar = SidecarBuilder::default();
         for (clause, set) in clauses.iter().zip(labeled) {
-            match self.train_clause(clause, set) {
+            let (train, val) = self.split(set)?;
+            match self.train_split(clause, &train, &val) {
                 Ok(pps) => {
                     for pp in pps {
                         catalog.insert(pp);
                     }
+                    sidecar.add(clause, val);
                 }
                 Err(PpError::Ml(pp_ml::MlError::SingleClass))
                 | Err(PpError::Ml(pp_ml::MlError::EmptyInput)) => continue,
                 Err(e) => return Err(e),
             }
         }
-        Ok(catalog)
+        let sidecar = sidecar.build(&catalog);
+        Ok(catalog.with_sidecar(sidecar))
     }
 }
 

@@ -352,9 +352,10 @@ impl LogicalPlan {
     /// [`placed`](Self::placed): each conjunct comes with its estimated
     /// pass rate `p` among the rows that reach it. Conjuncts are taken
     /// greedily by rank `u / (1 − p)`, `u` the cost per row of the stages
-    /// it reads that no earlier conjunct needs, and the stages run in the
-    /// order the ranked conjuncts first need them (any no conjunct reads
-    /// last). `None` when that order's expected cost per row, with each
+    /// it reads that no earlier conjunct needs (ties, and every conjunct
+    /// that passes all rows, in their given order), and the stages run in
+    /// the order the ranked conjuncts first need them (any no conjunct
+    /// reads last). `None` when that order's expected cost per row, with each
     /// conjunct after the last stage it reads, is not lower than the given
     /// order's beyond rounding: the given order is the fallback and the
     /// tie-break, so a pass rate of 1 (unknown) never moves a stage ahead.
@@ -369,7 +370,11 @@ impl LogicalPlan {
             let u: f64 = (reads[j].iter().filter(|&&s| !made[s]))
                 .map(|&s| stages[s].cost_per_row())
                 .sum();
-            u / (1.0 - conjuncts[j].1).max(1e-9)
+            match conjuncts[j].1 < 1.0 {
+                true => u / (1.0 - conjuncts[j].1).max(1e-9),
+                false if u > 0.0 => f64::INFINITY,
+                false => 0.0,
+            }
         };
         let mut made = vec![false; stages.len()];
         let mut order = Vec::with_capacity(stages.len());
@@ -778,6 +783,20 @@ mod tests {
         assert_eq!(
             ranked_chain(&stages, &tied)[1..4],
             ["Process[B]", "Select[b = 1]", "Process[C]"]
+        );
+        // Conjuncts that pass every row keep their given order behind the
+        // ones that do not, the dearer A ahead of B.
+        let all_pass = [(eq("a"), 1.0), (eq("b"), 1.0), (eq("c"), 0.1)];
+        assert_eq!(
+            ranked_chain(&stages, &all_pass)[1..],
+            [
+                "Process[C]",
+                "Select[c = 1]",
+                "Process[A]",
+                "Select[a = 1]",
+                "Process[B]",
+                "Select[b = 1]"
+            ]
         );
         // An order that only ties the declared one is not taken.
         let stages = [udf("A", "a", 1.0), udf("B", "b", 1.0)];
