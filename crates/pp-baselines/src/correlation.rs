@@ -95,8 +95,7 @@ impl CorrelationFilter {
         let pca = match config.pca {
             Some(k) => {
                 let sample = train.subsample(config.pca_fit_sample, 0);
-                let feats = sample.features_owned();
-                Some(Pca::fit(&feats, k)?)
+                Some(Pca::fit(&sample.features(), k)?)
             }
             None => None,
         };

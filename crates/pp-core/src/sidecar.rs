@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use pp_engine::predicate::{Clause, CompareOp, Predicate};
-use pp_linalg::{FeatureBatch, Features};
+use pp_linalg::FeatureBatch;
 use pp_ml::dataset::LabeledSet;
 
 use crate::catalog::PpCatalog;
@@ -158,8 +158,8 @@ impl std::fmt::Debug for ValidationSidecar {
 
 /// The validation splits of one training run, gathered clause by clause:
 /// the first split's frames, and each clause's labels on them while every
-/// later split holds the same frames (compared by their features, in
-/// order).
+/// later split holds the same frames (compared in order: the same shared
+/// blob, or failing that equal features).
 #[derive(Default)]
 pub(crate) struct SidecarBuilder {
     frames: Option<LabeledSet>,
@@ -179,7 +179,9 @@ impl SidecarBuilder {
             }
             Some(frames) => {
                 self.same &= val.len() == frames.len()
-                    && (val.iter().zip(frames.iter())).all(|(a, b)| a.features == b.features);
+                    && (val.iter().zip(frames.iter())).all(|(a, b)| {
+                        Arc::ptr_eq(&a.features, &b.features) || a.features == b.features
+                    });
             }
         }
     }
@@ -188,7 +190,7 @@ impl SidecarBuilder {
     /// all held the same frames.
     pub(crate) fn build(self, catalog: &PpCatalog) -> Option<ValidationSidecar> {
         let frames = self.frames.filter(|_| self.same)?;
-        let features: Vec<&Features> = frames.iter().map(|s| &s.features).collect();
+        let features = frames.features();
         let batch = FeatureBatch::Refs(&features);
         let scores = (catalog.all().iter())
             .map(|pp| (Arc::clone(pp), pp.pipeline().score_many(&batch)))
@@ -212,11 +214,18 @@ impl ValidationSidecar {
         &self.all
     }
 
-    /// The frames `pp` keeps at `threshold` (score `≥` threshold, as its
-    /// filter compares); `None` when the sidecar did not score this PP's
-    /// model (one inserted into the catalog after training).
-    pub fn kept(&self, pp: &ProbabilisticPredicate, threshold: f64) -> Option<FrameSet> {
+    /// `pp`'s score on each validation frame; `None` when the sidecar did
+    /// not score this PP's model (one inserted into the catalog after
+    /// training).
+    pub fn scores(&self, pp: &ProbabilisticPredicate) -> Option<&[f64]> {
         let (_, scores) = (self.scores.iter()).find(|(scored, _)| scored.same_model(pp))?;
+        Some(scores)
+    }
+
+    /// The frames `pp` keeps at `threshold` (score `≥` threshold, as its
+    /// filter compares); `None` as for [`Self::scores`].
+    pub fn kept(&self, pp: &ProbabilisticPredicate, threshold: f64) -> Option<FrameSet> {
+        let scores = self.scores(pp)?;
         Some(FrameSet::from_bits(
             scores.len(),
             scores.iter().map(|&s| s >= threshold),

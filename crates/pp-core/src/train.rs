@@ -80,7 +80,7 @@ pub fn harvest_labels(
         let flags = passed.get(&ptr);
         for (i, set) in sets.iter_mut().enumerate() {
             let label = flags.is_some_and(|f| f[i]);
-            set.push(Sample::new((**blob).clone(), label))
+            set.push(Sample::shared(Arc::clone(blob), label))
                 .map_err(PpError::Ml)?;
         }
     }
@@ -279,6 +279,24 @@ mod tests {
         for s in sets[0].iter() {
             let v = s.features.to_dense();
             assert_eq!(s.label, v[0] > 0.0);
+        }
+    }
+
+    #[test]
+    fn harvested_samples_share_the_blob_cells() {
+        let (cat, plan) = setup(100, 5);
+        let clauses = [
+            Clause::new("vehType", CompareOp::Eq, "SUV"),
+            Clause::new("vehType", CompareOp::Eq, "sedan"),
+        ];
+        let sets = harvest_labels(&cat, "video", "frame", &plan, &clauses).unwrap();
+        let table = cat.read_table("video").unwrap();
+        for set in &sets {
+            assert_eq!(set.len(), table.len());
+            for (row, s) in table.row_refs().zip(set.iter()) {
+                let blob = row.get(1).as_blob().unwrap();
+                assert!(Arc::ptr_eq(blob, &s.features));
+            }
         }
     }
 

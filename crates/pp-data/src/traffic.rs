@@ -250,7 +250,7 @@ impl TrafficDataset {
                 let Value::Blob(blob) = self.table.row_ref(i).get(FRAME_COLUMN) else {
                     unreachable!("`generate` puts a blob in every frame cell")
                 };
-                Sample::new((**blob).clone(), self.clause_truth(clause, i))
+                Sample::shared(Arc::clone(blob), self.clause_truth(clause, i))
             })
             .collect()
     }
@@ -463,6 +463,21 @@ mod tests {
         let out = ExecutionContext::new(&cat).run(&plan).unwrap();
         let truth_count = (0..d.len()).filter(|&i| d.clause_truth(&clause, i)).count();
         assert_eq!(out.len(), truth_count);
+    }
+
+    #[test]
+    fn labeled_samples_share_the_frame_cells() {
+        let d = small();
+        let clause = Clause::new("vehType", CompareOp::Eq, "SUV");
+        let set = d.labeled_for_clause_range(&clause, 20..120);
+        assert_eq!(set.len(), 100);
+        for (i, s) in (20..120).zip(set.iter()) {
+            let Value::Blob(blob) = d.table().row_ref(i).get(FRAME_COLUMN) else {
+                panic!("frame {i} holds no blob");
+            };
+            assert!(Arc::ptr_eq(blob, &s.features), "frame {i}");
+            assert_eq!(s.label, d.clause_truth(&clause, i));
+        }
     }
 
     #[test]

@@ -30,9 +30,11 @@ pub struct Pca {
 impl Pca {
     /// Fits a `k`-component basis on the given rows.
     ///
-    /// `rows` may mix dense and sparse features of equal dimension. Errors
-    /// on an empty input, inconsistent dimensions, or `k == 0`.
-    pub fn fit(rows: &[Features], k: usize) -> Result<Self> {
+    /// `rows` may mix dense and sparse features of equal dimension; they
+    /// are borrowed, so a caller fits on a sample of shared vectors without
+    /// copying them. Errors on an empty input, inconsistent dimensions, or
+    /// `k == 0`.
+    pub fn fit(rows: &[&Features], k: usize) -> Result<Self> {
         if rows.is_empty() {
             return Err(LinalgError::EmptyInput);
         }
@@ -75,7 +77,7 @@ impl Pca {
 
     /// Covariance-matrix path (`d x d`), for `d <= n`.
     fn fit_covariance(
-        rows: &[Features],
+        rows: &[&Features],
         mean: &[f64],
         d: usize,
         k: usize,
@@ -108,7 +110,12 @@ impl Pca {
     /// Gram-matrix path (`n x n`), for `n < d`. If `G = Xc Xcᵀ` has
     /// eigenpair `(λ, u)`, then `v = Xcᵀ u / ‖Xcᵀ u‖` is an eigenvector of
     /// the covariance with eigenvalue `λ / n`.
-    fn fit_gram(rows: &[Features], mean: &[f64], d: usize, k: usize) -> Result<(Matrix, Vec<f64>)> {
+    fn fit_gram(
+        rows: &[&Features],
+        mean: &[f64],
+        d: usize,
+        k: usize,
+    ) -> Result<(Matrix, Vec<f64>)> {
         let n = rows.len();
         // Centered rows, materialized densely (n < d, so n·d is the same
         // footprint the Gram product needs anyway).
@@ -302,6 +309,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn fit(rows: &[Features], k: usize) -> Result<Pca> {
+        Pca::fit(&rows.iter().collect::<Vec<_>>(), k)
+    }
+
     #[test]
     fn jacobi_diagonal_is_identity() {
         let mut m = Matrix::zeros(3, 3);
@@ -351,7 +362,7 @@ mod tests {
     #[test]
     fn pca_finds_dominant_axis() {
         let rows = anisotropic_cloud(200, 5, 1);
-        let pca = Pca::fit(&rows, 2).unwrap();
+        let pca = fit(&rows, 2).unwrap();
         // First component should align with axis 0.
         let axis0 = Features::Dense(vec![1.0, 0.0, 0.0, 0.0, 0.0]);
         let zero = Features::Dense(vec![0.0; 5]);
@@ -365,7 +376,7 @@ mod tests {
     #[test]
     fn pca_components_are_orthonormal() {
         let rows = anisotropic_cloud(100, 6, 2);
-        let pca = Pca::fit(&rows, 3).unwrap();
+        let pca = fit(&rows, 3).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 let dot = dense::dot(pca.components.row(i), pca.components.row(j));
@@ -380,7 +391,7 @@ mod tests {
         // n < d triggers the Gram trick; projections should span the same
         // subspace as the covariance path (up to sign).
         let rows = anisotropic_cloud(20, 40, 3);
-        let pca = Pca::fit(&rows, 2).unwrap();
+        let pca = fit(&rows, 2).unwrap();
         assert_eq!(pca.input_dim(), 40);
         assert!(pca.n_components() <= 2);
         // Projections should preserve most of the variance along axis 0.
@@ -395,7 +406,7 @@ mod tests {
     #[test]
     fn project_sparse_equals_dense() {
         let rows = anisotropic_cloud(50, 8, 4);
-        let pca = Pca::fit(&rows, 3).unwrap();
+        let pca = fit(&rows, 3).unwrap();
         let sparse = crate::sparse::SparseVector::from_pairs(8, vec![(0, 2.0), (5, -1.0)]).unwrap();
         let dense_feat = Features::Dense(sparse.to_dense());
         let ps = pca.project(&Features::Sparse(sparse));
@@ -407,13 +418,13 @@ mod tests {
 
     #[test]
     fn fit_errors() {
-        assert!(matches!(Pca::fit(&[], 2), Err(LinalgError::EmptyInput)));
+        assert!(matches!(fit(&[], 2), Err(LinalgError::EmptyInput)));
         let rows = vec![Features::Dense(vec![1.0, 2.0])];
-        assert!(Pca::fit(&rows, 0).is_err());
+        assert!(fit(&rows, 0).is_err());
         let bad = vec![
             Features::Dense(vec![1.0, 2.0]),
             Features::Dense(vec![1.0, 2.0, 3.0]),
         ];
-        assert!(Pca::fit(&bad, 1).is_err());
+        assert!(fit(&bad, 1).is_err());
     }
 }

@@ -5,6 +5,14 @@
 //! for blobs that agree with p, and −1 for those that disagree" (§5). To
 //! avoid overfitting, "we randomly divide the input set of blobs 𝒟 into
 //! training and validation portions" (§5.6).
+//!
+//! One blob set serves every clause: the labels differ per clause, the
+//! blobs do not. So a sample holds its blob's vector by `Arc`, the same
+//! `Arc` a table's blob cell holds, and every split, subsample, negation
+//! and identity reduction of a set shares the vectors instead of copying
+//! them.
+
+use std::sync::Arc;
 
 use pp_linalg::Features;
 use rand::rngs::StdRng;
@@ -17,19 +25,22 @@ use crate::{MlError, Result};
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Raw feature representation of the blob (§5.6: pixels, frame
-    /// concatenations, tokenized word vectors).
-    pub features: Features,
+    /// concatenations, tokenized word vectors), shared with every other
+    /// holder of the blob.
+    pub features: Arc<Features>,
     /// `true` ⇔ the blob passes the predicate (+1 label).
     pub label: bool,
 }
 
 impl Sample {
-    /// Creates a labeled sample.
+    /// Creates a labeled sample that owns its vector.
     pub fn new(features: impl Into<Features>, label: bool) -> Self {
-        Sample {
-            features: features.into(),
-            label,
-        }
+        Sample::shared(Arc::new(features.into()), label)
+    }
+
+    /// Creates a labeled sample of a shared blob (a table's blob cell).
+    pub fn shared(features: Arc<Features>, label: bool) -> Self {
+        Sample { features, label }
     }
 
     /// The ±1 label as a float, as used by the SVM loss.
@@ -171,14 +182,9 @@ impl LabeledSet {
         }
     }
 
-    /// Borrow all feature vectors (for PCA fitting).
+    /// Borrow all feature vectors, in order.
     pub fn features(&self) -> Vec<&Features> {
-        self.samples.iter().map(|s| &s.features).collect()
-    }
-
-    /// Clones feature vectors into an owned vec.
-    pub fn features_owned(&self) -> Vec<Features> {
-        self.samples.iter().map(|s| s.features.clone()).collect()
+        self.samples.iter().map(|s| &*s.features).collect()
     }
 
     /// Returns a set with every label flipped, used to reuse a classifier
@@ -189,10 +195,7 @@ impl LabeledSet {
             samples: self
                 .samples
                 .iter()
-                .map(|s| Sample {
-                    features: s.features.clone(),
-                    label: !s.label,
-                })
+                .map(|s| Sample::shared(Arc::clone(&s.features), !s.label))
                 .collect(),
         }
     }
@@ -246,6 +249,17 @@ mod tests {
         let f1: Vec<_> = a1.iter().map(|x| x.features.to_dense()).collect();
         let f2: Vec<_> = a2.iter().map(|x| x.features.to_dense()).collect();
         assert_eq!(f1, f2);
+    }
+
+    #[test]
+    fn split_shares_the_input_vectors() {
+        let s = set(&[true; 10]);
+        let (tr, va, te) = s.split(0.5, 0.3, 42).unwrap();
+        let parts = [tr, va, te];
+        assert!(parts.iter().all(|p| !p.is_empty()));
+        for sample in parts.iter().flat_map(LabeledSet::iter) {
+            assert!(s.iter().any(|x| Arc::ptr_eq(&x.features, &sample.features)));
+        }
     }
 
     #[test]

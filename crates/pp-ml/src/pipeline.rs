@@ -414,12 +414,9 @@ mod tests {
         for approach in &approaches {
             let pp = Pipeline::train(approach, &train, &val, 13).unwrap();
             let neg = pp.negated(&val).unwrap();
-            let xs: Vec<&Features> = test.iter().map(|s| &s.features).collect();
-            let block = pp_linalg::FeatureBlock::from_features(
-                test.dim(),
-                test.iter().map(|s| &s.features),
-            )
-            .unwrap();
+            let xs = test.features();
+            let block =
+                pp_linalg::FeatureBlock::from_features(test.dim(), xs.iter().copied()).unwrap();
             for pipeline in [&pp, &neg] {
                 let batch = pipeline.score_many(&FeatureBatch::Refs(&xs));
                 for (x, b) in xs.iter().zip(&batch) {

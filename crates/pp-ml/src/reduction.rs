@@ -8,7 +8,7 @@
 
 use pp_linalg::{FeatureHasher, Features, Pca};
 
-use crate::dataset::LabeledSet;
+use crate::dataset::{LabeledSet, Sample};
 use crate::Result;
 
 /// A specification for which reducer to fit (the choice the model-selection
@@ -42,8 +42,7 @@ impl ReducerSpec {
             ReducerSpec::FeatureHash { dr } => Ok(Reducer::Hash(FeatureHasher::new(dr, seed))),
             ReducerSpec::Pca { k, fit_sample } => {
                 let sample = train.subsample(fit_sample, seed);
-                let feats = sample.features_owned();
-                let pca = Pca::fit(&feats, k)?;
+                let pca = Pca::fit(&sample.features(), k)?;
                 Ok(Reducer::Pca(Box::new(pca)))
             }
         }
@@ -83,14 +82,15 @@ impl Reducer {
         }
     }
 
-    /// Applies ψ to every sample in a set, preserving labels.
+    /// Applies ψ to every sample in a set, preserving labels. Under
+    /// ψ(x) = x the result shares `set`'s vectors.
     pub fn apply_set(&self, set: &LabeledSet) -> Result<LabeledSet> {
+        if let Reducer::Identity = self {
+            return Ok(set.clone());
+        }
         LabeledSet::new(
             set.iter()
-                .map(|s| crate::dataset::Sample {
-                    features: self.apply(&s.features),
-                    label: s.label,
-                })
+                .map(|s| Sample::new(self.apply(&s.features), s.label))
                 .collect(),
         )
     }
@@ -99,7 +99,6 @@ impl Reducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Sample;
 
     fn dense_set(n: usize, d: usize) -> LabeledSet {
         LabeledSet::new(
@@ -120,7 +119,7 @@ mod tests {
         let set = dense_set(5, 4);
         let r = ReducerSpec::Identity.fit(&set, 1).unwrap();
         let x = &set.samples()[0].features;
-        assert_eq!(r.apply(x), *x);
+        assert_eq!(r.apply(x), **x);
     }
 
     #[test]

@@ -296,13 +296,13 @@ impl PlanCache {
     }
 
     /// Evicts lowest-score ready entries until at most
-    /// [`CacheConfig::max_entries`] remain. `keep` (the entry whose insert
-    /// triggered this) is never a victim, and neither is a slot nobody has
-    /// touched yet — vacant, or mid-build. Score is
-    /// `predicted_cost / (age + 1)`: cheap and stale loses. Victims are
-    /// unlinked under the map lock and freed — plan tree, report strings —
-    /// after it is released.
-    fn evict_over_capacity(&self, keep: &CacheKey) {
+    /// [`CacheConfig::max_entries`] remain. `keep` (the slot whose insert
+    /// triggered this, told apart by pointer, not by comparing keys) is
+    /// never a victim, and neither is a slot nobody has touched yet —
+    /// vacant, or mid-build. Score is `predicted_cost / (age + 1)`: cheap
+    /// and stale loses. Victims are unlinked under the map lock and freed
+    /// — plan tree, report strings — after it is released.
+    fn evict_over_capacity(&self, keep: &Arc<Slot>) {
         let mut unlinked: Vec<(CacheKey, Arc<Slot>)> = Vec::new();
         let mut slots = self.slots.lock();
         loop {
@@ -315,7 +315,7 @@ impl PlanCache {
                     continue;
                 }
                 ready += 1;
-                if k == keep {
+                if Arc::ptr_eq(slot, keep) {
                     continue;
                 }
                 let cost = f64::from_bits(slot.predicted_cost.load(Ordering::Relaxed));
@@ -392,7 +392,7 @@ impl PlanCache {
                             guard.disarm();
                             slot.cv.notify_all();
                             self.touch(&slot);
-                            self.evict_over_capacity(key);
+                            self.evict_over_capacity(&slot);
                             return Ok((plan, Lookup::Built));
                         }
                         Err(e) => {
@@ -712,6 +712,51 @@ mod tests {
         assert!(cache.peek(&key("old-but-touched", 1)).is_some());
         assert!(cache.peek(&key("new", 1)).is_some());
         assert_eq!(cache.stats().evicted, 1);
+    }
+
+    #[test]
+    fn a_seeded_trace_evicts_the_recorded_keys_in_order() {
+        // A fixed linear congruential stream picks 60 lookups over 10 keys
+        // of distinct costs; a 4-entry cache evicts on most builds. The
+        // expected list pins the victim rule; it was recorded when the scan
+        // still told the inserting entry apart by comparing keys.
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let names: Vec<String> = (0..10).map(|i| format!("q{i}")).collect();
+        let costs: Vec<f64> = (0..10)
+            .map(|_| 0.1 + (next() % 1000) as f64 / 100.0)
+            .collect();
+        let cache = PlanCache::with_config(CacheConfig { max_entries: 4 });
+        let ready = |cache: &PlanCache| -> Vec<bool> {
+            (names.iter())
+                .map(|n| cache.peek(&key(n, 1)).is_some())
+                .collect()
+        };
+        let mut evicted = Vec::new();
+        for _ in 0..60 {
+            let i = next() as usize % names.len();
+            let before = ready(&cache);
+            cache
+                .get_or_build::<()>(&key(&names[i], 1), || Ok(plan_costing(costs[i])))
+                .unwrap();
+            for (j, after) in ready(&cache).into_iter().enumerate() {
+                if before[j] && !after {
+                    evicted.push(names[j].as_str());
+                }
+            }
+        }
+        let recorded = [
+            "q0", "q5", "q1", "q2", "q9", "q6", "q0", "q5", "q4", "q8", "q3", "q0", "q5", "q3",
+            "q9", "q5", "q7", "q0", "q2", "q8", "q0", "q6", "q2", "q1", "q4", "q7", "q8", "q6",
+            "q5", "q9",
+        ];
+        assert_eq!(evicted, recorded);
+        assert_eq!(cache.stats().evicted, evicted.len() as u64);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use probabilistic_predicates::engine::udf::{ClosureProcessor, Processor};
 use probabilistic_predicates::engine::{
     Catalog, EngineError, RowGroupMeta, Rowset, Schema, TableProvider,
 };
-use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -80,16 +79,9 @@ fn fixture() -> &'static Fixture {
         // LOW. Validation (on the same inverted labels) still reports a
         // great accuracy curve — exactly the failure mode only an online
         // audit against ground truth can catch.
-        let inverted = LabeledSet::new(
-            (0..400)
-                .map(|i| {
-                    let sample = dataset.labeled_for_clause_range(&suv_clause, i..i + 1);
-                    let s = &sample.samples()[0];
-                    Sample::new(s.features.clone(), !s.label)
-                })
-                .collect(),
-        )
-        .expect("inverted labeled set");
+        let inverted = dataset
+            .labeled_for_clause_range(&suv_clause, 0..400)
+            .negated();
         let rigged = trainer
             .train_catalog(std::slice::from_ref(&suv_clause), &[inverted])
             .expect("train rigged");

@@ -14,6 +14,7 @@ use probabilistic_predicates::core::catalog::CatalogEpoch;
 use probabilistic_predicates::core::inject::inject_above_scan;
 use probabilistic_predicates::core::planner::{PpQueryOptimizer, QoConfig};
 use probabilistic_predicates::core::pp::ProbabilisticPredicate;
+use probabilistic_predicates::core::sidecar::ValidationSidecar;
 use probabilistic_predicates::core::train::{PpTrainer, TrainerConfig};
 use probabilistic_predicates::core::wrangle::Domains;
 use probabilistic_predicates::core::PpCatalog;
@@ -26,6 +27,7 @@ use probabilistic_predicates::engine::{
     TelemetrySnapshot,
 };
 use probabilistic_predicates::ml::calibrate::certified_keep;
+use probabilistic_predicates::ml::dataset::{LabeledSet, Sample};
 use probabilistic_predicates::ml::pipeline::{Approach, ModelSpec, Pipeline};
 use probabilistic_predicates::ml::reduction::ReducerSpec;
 use probabilistic_predicates::ml::svm::SvmParams;
@@ -505,6 +507,63 @@ fn the_sidecar_recounts_each_calibration_bit_for_bit() {
         }
     }
     assert!(checked >= f.pp_catalog.len(), "{checked} levels checked");
+}
+
+/// A labeled set shares its frames' vectors with the table; one holding
+/// owned copies of the same vectors trains the same catalog. Both get a
+/// sidecar, and every PP agrees bit for bit: key, `r(a]` and certified
+/// threshold at each grid level, and its score on each validation frame.
+#[test]
+fn shared_and_owned_labeled_sets_train_the_same_catalog() {
+    let f = fixture();
+    let clauses = TrafficDataset::pp_corpus_clauses();
+    let shared: Vec<LabeledSet> = (clauses.iter())
+        .map(|c| f.dataset.labeled_for_clause_range(c, 0..400))
+        .collect();
+    let owned: Vec<LabeledSet> = (shared.iter())
+        .map(|set| {
+            (set.iter())
+                .map(|s| Sample::new((*s.features).clone(), s.label))
+                .collect()
+        })
+        .collect();
+    assert!(!Arc::ptr_eq(
+        &shared[0].samples()[0].features,
+        &owned[0].samples()[0].features
+    ));
+    let trainer = PpTrainer::new(TrainerConfig {
+        approach_override: Some(Approach {
+            reducer: ReducerSpec::Identity,
+            model: ModelSpec::Svm(SvmParams::default()),
+        }),
+        cost_per_row: Some(0.0025),
+        ..Default::default()
+    });
+    let shared = trainer.train_catalog(&clauses, &shared).expect("train");
+    let owned = trainer.train_catalog(&clauses, &owned).expect("train");
+    let shared_sidecar = shared.sidecar().expect("shared sets get a sidecar");
+    let owned_sidecar = owned.sidecar().expect("owned sets get a sidecar");
+    assert_eq!(shared.len(), owned.len());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (a, b) in shared.all().iter().zip(owned.all()) {
+        assert_eq!(a.key(), b.key());
+        for level in ACCURACY_GRID {
+            let at = format!("{} a={level}", a.key());
+            let reduction =
+                |pp: &ProbabilisticPredicate| pp.reduction(level).ok().map(f64::to_bits);
+            assert_eq!(reduction(a), reduction(b), "{at}");
+            let threshold =
+                |pp: &ProbabilisticPredicate| pp.certified_threshold(level).map(f64::to_bits);
+            assert_eq!(threshold(a), threshold(b), "{at}");
+        }
+        let scores = |sidecar: &ValidationSidecar, pp| bits(sidecar.scores(pp).expect("scored"));
+        assert_eq!(
+            scores(shared_sidecar, a),
+            scores(owned_sidecar, b),
+            "{}",
+            a.key()
+        );
+    }
 }
 
 /// Labeled sets over different frames give the clauses different
