@@ -64,7 +64,7 @@ fn run() -> Result<Report> {
             let labels: Vec<usize> = pp_classes
                 .iter()
                 .copied()
-                .filter(|&k| corpus_ref.labeled(k).samples()[i].label)
+                .filter(|&k| corpus_ref.labels(k)[i])
                 .collect();
             let wanted =
                 labels.iter().any(|l| need.contains(l)) || (labels.is_empty() && shown < 4);

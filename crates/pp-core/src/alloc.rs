@@ -7,7 +7,7 @@
 //! We search instead of programming: a leaf takes one of the
 //! [`ACCURACY_GRID`] levels and an expression has at most
 //! [`MAX_PPS`] leaves, so every allocation can be tried — at most 16⁴ per
-//! candidate, a bound `order.rs` holds at compile time. A DP that keeps
+//! candidate, a bound this module asserts at compile time. A DP that keeps
 //! the cheapest entry per grid level of each sub-expression is not exact:
 //! Eq. 9 reads a child's reduction and cost apart, so the child a cheaper
 //! (or the only feasible) whole needs can be a dearer one the DP dropped.
@@ -40,6 +40,10 @@ use crate::{PpError, Result};
 pub const ACCURACY_GRID: [f64; 16] = [
     0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 0.998, 0.999, 1.0,
 ];
+
+// `allocate` tries every vector of per-leaf grid levels: at most 16⁴ per
+// candidate, and a larger cap or grid must stop the build here.
+const _: () = assert!(ACCURACY_GRID.len().pow(MAX_PPS as u32) <= 65_536);
 
 /// Index of the smallest grid point ≥ `a`: the level a plan for target
 /// `a` must reach.

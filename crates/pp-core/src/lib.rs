@@ -16,11 +16,11 @@
 //! * [`expr`] — expressions (conjunctions/disjunctions) over PPs,
 //! * [`combine`] — the accuracy/reduction/cost algebra of Eqs. 9–10,
 //! * [`alloc`] — §6.2's accuracy-budget allocation, by exhaustive search,
-//! * [`order`] — PP ordering: every order of at most `MAX_PPS` children,
 //! * [`rewrite`] — §6.1's greedy rewrite from complex predicates to
 //!   candidate PP expressions (rules R1–R4),
 //! * [`inject`] — plan injection and the pushdown rules of Table 11 / A.4,
-//! * [`planner`] — the end-to-end QO extension of Fig. 3c,
+//! * [`planner`] — the end-to-end QO extension of Fig. 3c, which runs each
+//!   node's PPs in rank order,
 //! * [`runtime`] — the runtime monitor: the dependent-predicate fix of
 //!   Appendix A.5 plus fault-rate tracking that quarantines broken PPs,
 //! * [`calibration`] — predicted-vs-observed reduction/cost records per PP,
@@ -39,7 +39,6 @@ pub mod combine;
 pub mod expr;
 pub mod implication;
 pub mod inject;
-pub mod order;
 pub mod planner;
 pub mod pp;
 pub mod rewrite;

@@ -10,16 +10,16 @@
 //! Pipeline: inspect the plan for pushable predicates → rewrite to
 //! candidate PP expressions (§6.1) → allocate the accuracy budget per
 //! candidate (§6.2, by exhaustive search) → cost each plan as
-//! `c + (1 − r)·u` → pick the cheapest improving plan → order its PPs →
-//! inject the filter above the blob scan → rank the UDF stages above it by
-//! pass rates counted on the catalog's validation frames
+//! `c + (1 − r)·u` → pick the cheapest improving plan → order each node's
+//! PPs by rank → inject the filter above the blob scan → rank the UDF
+//! stages above it by pass rates counted on the catalog's validation frames
 //! ([`ValidationSidecar`](crate::sidecar::ValidationSidecar)).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pp_engine::explain::{predict, OperatorPrediction, PredictionHints};
-use pp_engine::logical::{LogicalPlan, ProjectItem};
+use pp_engine::logical::{rank, LogicalPlan, ProjectItem};
 use pp_engine::predicate::Predicate;
 use pp_engine::schema::Schema;
 use pp_engine::{prune_stats, publishes_zone_maps, Catalog, DataType};
@@ -29,7 +29,6 @@ use crate::catalog::PpCatalog;
 use crate::combine::{plan_cost_per_blob, Estimate};
 use crate::expr::{filter_name, PlannedPpExpr, PpExpr, PpExprFilter};
 use crate::inject::{inject_above_scan, pushable_predicates, udf_cost_per_blob};
-use crate::order::{best_order, Gate, OrderItem};
 use crate::rewrite::rewrite;
 use crate::runtime::RuntimeMonitor;
 use crate::wrangle::Domains;
@@ -567,8 +566,16 @@ fn apply_corrections(expr: PpExpr, monitor: &RuntimeMonitor) -> PpExpr {
     }
 }
 
-/// Reorders the children of every And/Or node by expected sequential cost
-/// (§6.2's ordering exploration), permuting the accuracies along.
+/// Reorders the children of every And/Or node into the order they run
+/// cheapest in, permuting the accuracies along. §6.2: "If k is small, then
+/// all of the exponentially many orderings can be explored. When k is
+/// large, we use the following heuristic: consider ordering the PPs by the
+/// ratio of their intrinsic c/r(1] and then consider all other orderings
+/// that are an edit-distance of at most 2 away from this greedy order."
+/// Neither is needed: Eq. 9/10's children are independent, and for those
+/// the order sorted by [`rank`] is exact for the sequential cost —
+/// `Σ_i c_i · Π_{j<i} p_j`, `p_j` the share child `j` passes on
+/// ([`rank_sorted`]).
 fn reorder(planned: PlannedPpExpr) -> Result<PlannedPpExpr> {
     let (expr, accs) = reorder_rec(planned.expr(), planned.accuracies())?;
     PlannedPpExpr::new(expr, accs)
@@ -578,52 +585,53 @@ fn reorder_rec(expr: &PpExpr, accs: &[f64]) -> Result<(PpExpr, Vec<f64>)> {
     match expr {
         PpExpr::Leaf(_) => Ok((expr.clone(), accs.to_vec())),
         PpExpr::And(children) | PpExpr::Or(children) => {
-            let gate = if matches!(expr, PpExpr::And(_)) {
-                Gate::Conjunction
-            } else {
-                Gate::Disjunction
-            };
+            let conjunction = matches!(expr, PpExpr::And(_));
             // Slice the accuracies per child, recurse, and estimate each.
             let mut offset = 0usize;
-            let mut rebuilt: Vec<(PpExpr, Vec<f64>, OrderItem)> =
-                Vec::with_capacity(children.len());
+            let mut rebuilt = Vec::with_capacity(children.len());
+            let mut estimates = Vec::with_capacity(children.len());
             for child in children {
                 let n = child.leaf_count();
-                let slice = &accs[offset..offset + n];
+                let (sub, sub_accs) = reorder_rec(child, &accs[offset..offset + n])?;
                 offset += n;
-                let (sub, sub_accs) = reorder_rec(child, slice)?;
-                let est = sub.estimate(&sub_accs)?;
-                rebuilt.push((
-                    sub,
-                    sub_accs,
-                    OrderItem {
-                        cost: est.cost,
-                        reduction: est.reduction,
-                    },
-                ));
+                estimates.push(sub.estimate(&sub_accs)?);
+                rebuilt.push((sub, sub_accs));
             }
-            let items: Vec<OrderItem> = rebuilt.iter().map(|(_, _, i)| *i).collect();
-            let (order, _) = best_order(&items, gate);
             let mut new_children = Vec::with_capacity(rebuilt.len());
             let mut new_accs = Vec::with_capacity(accs.len());
-            for &i in &order {
+            for i in rank_sorted(&estimates, conjunction) {
                 new_children.push(rebuilt[i].0.clone());
                 new_accs.extend_from_slice(&rebuilt[i].1);
             }
-            let node = match gate {
-                Gate::Conjunction => PpExpr::And(new_children),
-                Gate::Disjunction => PpExpr::Or(new_children),
+            let node = match conjunction {
+                true => PpExpr::And(new_children),
+                false => PpExpr::Or(new_children),
             };
             Ok((node, new_accs))
         }
     }
 }
 
+/// The order a node's children run in: their positions stable-sorted by
+/// [`rank`]. A child passes on the `1 − r` of rows it keeps under a
+/// conjunction and the `r` it drops under a disjunction.
+fn rank_sorted(children: &[Estimate], conjunction: bool) -> Vec<usize> {
+    let key = |e: &Estimate| match conjunction {
+        true => rank(e.cost, 1.0 - e.reduction),
+        false => rank(e.cost, e.reduction),
+    };
+    let mut order: Vec<usize> = (0..children.len()).collect();
+    order.sort_by(|&a, &b| key(&children[a]).total_cmp(&key(&children[b])));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::{conjoin, disjoin};
     use crate::pp::tests::trained_pp;
     use crate::pp::ProbabilisticPredicate;
+    use crate::rewrite::MAX_PPS;
     use crate::runtime::tests::{about, report_with_chosen, run_keeping};
     use crate::runtime::CALIBRATION_MIN_SAMPLES;
     use pp_engine::udf::ClosureProcessor;
@@ -1056,6 +1064,184 @@ mod tests {
             let th = pp.pipeline().calibration().threshold(accuracies[i])?;
             assert_eq!(at(&reordered, pp), Some((accuracies[i], th.to_bits())));
             assert_eq!(at(&reordered, pp), at(&planned, pp));
+        }
+        Ok(())
+    }
+
+    fn child(cost: f64, reduction: f64) -> Estimate {
+        Estimate {
+            accuracy: 1.0,
+            reduction,
+            cost,
+        }
+    }
+
+    /// A node's expected cost per blob with its children run in `order`:
+    /// each child sees the rows every earlier one passed on, `1 − r` of
+    /// them under a conjunction and `r` under a disjunction.
+    fn run_cost(children: &[Estimate], order: &[usize], conjunction: bool) -> f64 {
+        let mut reach = 1.0;
+        let mut cost = 0.0;
+        for &i in order {
+            cost += reach * children[i].cost;
+            reach *= match conjunction {
+                true => 1.0 - children[i].reduction,
+                false => children[i].reduction,
+            };
+        }
+        cost
+    }
+
+    /// The oracle: the least [`run_cost`] over all k! orders.
+    fn cheapest_of_every_order(children: &[Estimate], conjunction: bool) -> f64 {
+        fn visit(order: &mut [usize], from: usize, f: &mut impl FnMut(&[usize])) {
+            if from == order.len() {
+                return f(order);
+            }
+            for i in from..order.len() {
+                order.swap(from, i);
+                visit(order, from + 1, f);
+                order.swap(from, i);
+            }
+        }
+        let mut order: Vec<usize> = (0..children.len()).collect();
+        let mut best = f64::INFINITY;
+        visit(&mut order, 0, &mut |o| {
+            best = best.min(run_cost(children, o, conjunction))
+        });
+        best
+    }
+
+    #[test]
+    fn conjunction_prefers_reductive_cheap_first() {
+        let children = [child(10.0, 0.1), child(1.0, 0.9)];
+        let order = rank_sorted(&children, true);
+        assert_eq!(order, [1, 0]);
+        // 1 + 0.1·10 = 2.0
+        assert!((run_cost(&children, &order, true) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn disjunction_prefers_accepting_cheap_first() {
+        // In a disjunction, a child with LOW reduction accepts most blobs,
+        // short-circuiting the rest.
+        let children = [child(1.0, 0.1), child(10.0, 0.9)];
+        let order = rank_sorted(&children, false);
+        assert_eq!(order, [0, 1]);
+        // 1 + 0.1·10 = 2.0
+        assert!((run_cost(&children, &order, false) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rank_order_costs_eq9_and_eq10_pairwise() {
+        // For two children, the rank order's cost is Eq. 9/10's min(),
+        // whichever order they are given in.
+        let (a, b) = (child(2.0, 0.5), child(3.0, 0.8));
+        for pair in [[a, b], [b, a]] {
+            let conj = run_cost(&pair, &rank_sorted(&pair, true), true);
+            assert!((conj - conjoin(a, b).cost).abs() < 1e-12);
+            let disj = run_cost(&pair, &rank_sorted(&pair, false), false);
+            assert!((disj - disjoin(a, b).cost).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn empty_and_single() {
+        assert!(rank_sorted(&[], true).is_empty());
+        let single = [child(2.0, 0.5)];
+        assert_eq!(rank_sorted(&single, false), [0]);
+        assert!((run_cost(&single, &[0], false) - 2.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rank_order_is_the_cheapest_order(
+            drawn in proptest::collection::vec(
+                (
+                    proptest::prop_oneof![proptest::strategy::Just(0.0), 0.0f64..10.0],
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(0.0),
+                        proptest::strategy::Just(1.0),
+                        0.0f64..1.0,
+                    ],
+                ),
+                0..MAX_PPS + 1,
+            ),
+            copies in proptest::collection::vec(0usize..MAX_PPS, 0..3),
+            conjunction in proptest::sample::select(vec![true, false]),
+        ) {
+            let mut children: Vec<Estimate> = drawn.iter().map(|&(c, r)| child(c, r)).collect();
+            for i in copies {
+                if !children.is_empty() && children.len() < MAX_PPS {
+                    children.push(children[i % children.len()]);
+                }
+            }
+            let ranked = run_cost(&children, &rank_sorted(&children, conjunction), conjunction);
+            let best = cheapest_of_every_order(&children, conjunction);
+            proptest::prop_assert!(
+                (ranked - best).abs() <= 1e-12 * best,
+                "{children:?} ({conjunction}): {ranked} vs {best}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_planned_composite_costs_the_order_it_runs() -> Result<()> {
+        // Asserts, at every And/Or node, that the Eq. 9/10 fold costs the
+        // children in the order they run in.
+        fn check(expr: &PpExpr, accs: &[f64]) -> Result<()> {
+            let (PpExpr::And(children) | PpExpr::Or(children)) = expr else {
+                return Ok(());
+            };
+            let mut estimates = Vec::with_capacity(children.len());
+            let mut offset = 0;
+            for c in children {
+                let slice = &accs[offset..offset + c.leaf_count()];
+                offset += c.leaf_count();
+                estimates.push(c.estimate(slice)?);
+                check(c, slice)?;
+            }
+            let order: Vec<usize> = (0..children.len()).collect();
+            let runs = run_cost(&estimates, &order, matches!(expr, PpExpr::And(_)));
+            let charged = expr.estimate(accs)?.cost;
+            assert!(
+                (charged - runs).abs() <= 1e-12 * runs,
+                "{expr}: {charged} vs {runs}"
+            );
+            Ok(())
+        }
+        let pps: Vec<Arc<ProbabilisticPredicate>> = [(1, 0.5), (2, 0.2), (3, 0.001), (5, 0.02)]
+            .into_iter()
+            .map(|(seed, cost)| Arc::new(trained_pp(0.3, seed, cost)))
+            .collect();
+        let l = |i: usize| PpExpr::leaf(Arc::clone(&pps[i]));
+        let shapes = [
+            PpExpr::And(vec![l(0), l(1), l(2)]),
+            PpExpr::Or(vec![l(0), l(1), l(2)]),
+            PpExpr::And(vec![l(0), PpExpr::Or(vec![l(1), l(2)])]),
+            PpExpr::Or(vec![PpExpr::And(vec![l(0), l(1)]), l(3)]),
+            PpExpr::And(vec![PpExpr::Or(vec![l(0), l(3)]), l(1), l(2)]),
+            PpExpr::Or(vec![
+                PpExpr::And(vec![l(0), l(1)]),
+                PpExpr::And(vec![l(2), l(3)]),
+            ]),
+        ];
+        let levels = [0.5, 0.8, 0.9, 0.95, 0.98, 0.99];
+        for shape in &shapes {
+            for t in 0..levels.len() {
+                // Each leaf its own level, so the children's ranks differ.
+                let accuracies = (0..shape.leaf_count())
+                    .map(|i| levels[(t + i) % levels.len()])
+                    .collect();
+                let planned = reorder(PlannedPpExpr::new(shape.clone(), accuracies)?)?;
+                check(planned.expr(), planned.accuracies())?;
+                assert_eq!(
+                    planned.estimate().cost,
+                    planned.expr().estimate(planned.accuracies())?.cost
+                );
+            }
         }
         Ok(())
     }

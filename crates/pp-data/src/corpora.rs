@@ -16,6 +16,8 @@
 // Generators index several parallel label vectors by blob position;
 // iterator zips would obscure that structure.
 #![allow(clippy::needless_range_loop)]
+use std::sync::Arc;
+
 use pp_linalg::{Features, SparseVector};
 use pp_ml::dataset::{LabeledSet, Sample};
 use rand::rngs::StdRng;
@@ -28,7 +30,7 @@ use crate::synth::{add_noise, embedding, standard_normal, weighted_choice, zipf_
 pub struct Corpus {
     /// Corpus display name ("LSHTC", "COCO", …).
     pub name: String,
-    blobs: Vec<Features>,
+    blobs: Vec<Arc<Features>>,
     categories: Vec<String>,
     /// `labels[c][i]` ⇔ blob `i` belongs to category `c`.
     labels: Vec<Vec<bool>>,
@@ -51,18 +53,24 @@ impl Corpus {
     }
 
     /// The blobs.
-    pub fn blobs(&self) -> &[Features] {
+    pub fn blobs(&self) -> &[Arc<Features>] {
         &self.blobs
     }
 
-    /// The labeled set for one category ("find blobs with category c").
+    /// Each blob's label for one category, in blob order.
+    pub fn labels(&self, category: usize) -> &[bool] {
+        &self.labels[category]
+    }
+
+    /// The labeled set for one category ("find blobs with category c"),
+    /// sharing the corpus's blobs.
     pub fn labeled(&self, category: usize) -> LabeledSet {
         // Collected unchecked: each generator below emits every blob of a
         // corpus at its one `DIM`, so the samples share one dimension.
         self.blobs
             .iter()
             .zip(&self.labels[category])
-            .map(|(b, &l)| Sample::new(b.clone(), l))
+            .map(|(b, &l)| Sample::shared(Arc::clone(b), l))
             .collect()
     }
 
@@ -135,7 +143,7 @@ pub fn lshtc_like(n: usize, seed: u64) -> Corpus {
         let Ok(document) = SparseVector::from_pairs(DIM, pairs) else {
             unreachable!("LSHTC word indices lie below DIM")
         };
-        blobs.push(Features::Sparse(document));
+        blobs.push(Arc::new(Features::Sparse(document)));
     }
     Corpus {
         name: "LSHTC".into(),
@@ -198,7 +206,7 @@ pub fn sun_like(n: usize, seed: u64) -> Corpus {
             pp_linalg::dense::axpy(latent[l], b, &mut v);
         }
         add_noise(&mut v, 0.08, &mut rng);
-        blobs.push(Features::Dense(v));
+        blobs.push(Arc::new(Features::Dense(v)));
     }
     Corpus {
         name: "SUNAttribute".into(),
@@ -304,7 +312,7 @@ fn image_corpus(
             }
         }
         add_noise(&mut v, noise, &mut rng);
-        blobs.push(Features::Dense(v));
+        blobs.push(Arc::new(Features::Dense(v)));
     }
     Corpus {
         name: name.into(),
@@ -377,7 +385,7 @@ pub fn ucf101_like(n: usize, seed: u64) -> Corpus {
             pp_linalg::dense::scale(-1.0, &mut v);
         }
         add_noise(&mut v, 0.25, &mut rng);
-        blobs.push(Features::Dense(v));
+        blobs.push(Arc::new(Features::Dense(v)));
     }
     Corpus {
         name: "UCF101".into(),
@@ -402,6 +410,19 @@ mod tests {
         for cat in 0..c.categories().len() {
             let s = c.selectivity(cat);
             assert!((0.005..0.2).contains(&s), "cat {cat} selectivity {s}");
+        }
+    }
+
+    #[test]
+    fn a_labeled_set_shares_the_corpus_blobs_and_labels() {
+        let c = sun_like(50, 4);
+        for cat in 0..c.categories().len() {
+            let set = c.labeled(cat);
+            for ((s, blob), &label) in set.samples().iter().zip(c.blobs()).zip(c.labels(cat)) {
+                assert!(Arc::ptr_eq(&s.features, blob));
+                assert_eq!(s.label, label);
+            }
+            assert_eq!(set.samples().len(), c.len());
         }
     }
 

@@ -101,6 +101,21 @@ pub(crate) fn project_columns(
 /// [`LogicalPlan::placed`] takes them.
 pub type Placement = (Vec<Arc<dyn Processor>>, Vec<Predicate>);
 
+/// The rank `u / (1 − p)` of a step costing `cost` per row that passes a
+/// share `pass` of the rows reaching it, where each row runs only until a
+/// step decides it: independent steps sorted by ascending rank run at the
+/// least expected cost per row (SortP's rank order, and the sequential
+/// cost of a PP conjunction or disjunction, Eq. 9/10). A step that
+/// decides no row (`pass` = 1) ranks last unless it is free; a decided
+/// share below 1e-9 counts as 1e-9.
+pub fn rank(cost: f64, pass: f64) -> f64 {
+    match pass < 1.0 {
+        true => cost / (1.0 - pass).max(1e-9),
+        false if cost > 0.0 => f64::INFINITY,
+        false => 0.0,
+    }
+}
+
 /// The positions of the `stages` whose output columns `conjunct` reads,
 /// in order.
 fn stages_read<'a>(
@@ -351,7 +366,7 @@ impl LogicalPlan {
     /// SortP's rank order (Deshpande et al.) of `stages` for
     /// [`placed`](Self::placed): each conjunct comes with its estimated
     /// pass rate `p` among the rows that reach it. Conjuncts are taken
-    /// greedily by rank `u / (1 − p)`, `u` the cost per row of the stages
+    /// greedily by [`rank`] `u / (1 − p)`, `u` the cost per row of the stages
     /// it reads that no earlier conjunct needs (ties, and every conjunct
     /// that passes all rows, in their given order), and the stages run in
     /// the order the ranked conjuncts first need them (any no conjunct
@@ -366,22 +381,18 @@ impl LogicalPlan {
         let reads: Vec<Vec<usize>> = (conjuncts.iter())
             .map(|(c, _)| stages_read(stages, c).collect())
             .collect();
-        let rank = |j: usize, made: &[bool]| {
+        let rank_of = |j: usize, made: &[bool]| {
             let u: f64 = (reads[j].iter().filter(|&&s| !made[s]))
                 .map(|&s| stages[s].cost_per_row())
                 .sum();
-            match conjuncts[j].1 < 1.0 {
-                true => u / (1.0 - conjuncts[j].1).max(1e-9),
-                false if u > 0.0 => f64::INFINITY,
-                false => 0.0,
-            }
+            rank(u, conjuncts[j].1)
         };
         let mut made = vec![false; stages.len()];
         let mut order = Vec::with_capacity(stages.len());
         let mut remaining: Vec<usize> = (0..conjuncts.len()).collect();
         let mut ranked = Vec::with_capacity(conjuncts.len());
         while let Some(next) = (0..remaining.len())
-            .min_by(|&a, &b| rank(remaining[a], &made).total_cmp(&rank(remaining[b], &made)))
+            .min_by(|&a, &b| rank_of(remaining[a], &made).total_cmp(&rank_of(remaining[b], &made)))
         {
             let j = remaining.remove(next);
             for &s in &reads[j] {
